@@ -9,6 +9,7 @@
 
 use feisu_bench::{build_cluster, load_dataset, Bench};
 use feisu_core::engine::ClusterSpec;
+use feisu_format::json::{self, Json};
 use feisu_workload::datasets::DatasetSpec;
 
 fn main() -> feisu_common::Result<()> {
@@ -49,10 +50,28 @@ fn main() -> feisu_common::Result<()> {
     println!("system.nodes   -> {} rows", nodes.rows());
 
     let trace = traced.expect("at least one traced query").chrome_trace();
+    // The export must parse as a non-empty array of complete events,
+    // one of them the master span.
+    let Json::Array(events) = json::parse(&trace)? else {
+        panic!("trace must be a JSON array");
+    };
+    assert!(!events.is_empty(), "trace must be non-empty");
+    for e in &events {
+        for k in ["name", "ph", "ts", "dur", "pid", "tid"] {
+            assert!(e.get(k).is_some(), "trace event missing {k}: {e:?}");
+        }
+    }
+    assert!(
+        events
+            .iter()
+            .any(|e| e.get("name") == Some(&Json::String("master".into()))),
+        "no master span in trace"
+    );
     std::fs::create_dir_all("results").expect("create results/");
     std::fs::write("results/TRACE_smoke.json", &trace).expect("write trace json");
     println!(
-        "trace          -> results/TRACE_smoke.json ({} bytes)",
+        "trace          -> results/TRACE_smoke.json ({} events, {} bytes)",
+        events.len(),
         trace.len()
     );
     Ok(())

@@ -7,7 +7,7 @@
 //! response-time distribution plus job-manager/SmartIndex effectiveness.
 
 use feisu_bench::{build_cluster, load_dataset};
-use feisu_common::{SimDuration, UserId};
+use feisu_common::SimDuration;
 use feisu_core::engine::ClusterSpec;
 use feisu_workload::datasets::DatasetSpec;
 use feisu_workload::trace::{generate_trace, TraceSpec};
@@ -73,8 +73,8 @@ fn main() -> feisu_common::Result<()> {
         reuse_misses
     );
     println!(
-        "history recorded {} statements for personalization",
-        bench.cluster.history().count(UserId(1))
+        "query log holds {} statements for personalization",
+        bench.cluster.query_log().len()
     );
     feisu_bench::dump_metrics(&bench, "production_mix")?;
     println!(

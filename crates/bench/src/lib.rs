@@ -9,7 +9,6 @@
 use feisu_common::rng::DetRng;
 use feisu_common::{Result, SimDuration, UserId};
 use feisu_core::engine::{ClusterSpec, FeisuCluster, QueryResult};
-use feisu_format::Value;
 use feisu_sql::ast::BinaryOp;
 use feisu_storage::auth::Credential;
 use feisu_workload::datasets::{generate_chunk, DatasetSpec};
@@ -259,11 +258,6 @@ pub fn describe(r: &QueryResult) -> String {
         r.stats.memory_served_tasks,
         r.stats.bytes_read
     )
-}
-
-/// Converts Value to display-safe i64 (bench assertions).
-pub fn as_i64(v: &Value) -> i64 {
-    v.as_i64().unwrap_or(0)
 }
 
 /// Dumps the cluster's metrics registry as JSON into

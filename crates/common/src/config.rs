@@ -7,20 +7,6 @@
 
 use crate::units::{ByteSize, SimDuration};
 
-/// How the block cache decides whether a missed block is worth caching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheAdmission {
-    /// Ghost-LRU frequency filter: a block is admitted on its *second*
-    /// sighting within the ghost's memory, so one-hit-wonders never evict
-    /// hot blocks. Pinned prefixes bypass the filter.
-    Frequency,
-    /// Admit every offered block (the admission-off baseline).
-    Always,
-    /// Only pinned prefixes are admitted — the paper's manual §IV-B
-    /// preference rules, i.e. the legacy single-tier behavior.
-    PinnedOnly,
-}
-
 /// Knobs of the multi-tier block cache (memory + SSD per node, with a
 /// ghost LRU driving admission).
 #[derive(Debug, Clone)]
@@ -34,11 +20,12 @@ pub struct CacheSettings {
     /// SSD tier capacity per node.
     pub ssd_capacity_per_node: ByteSize,
     /// Ghost-LRU capacity in keys per node (recently evicted and
-    /// once-seen keys remembered for frequency-based admission). `0`
-    /// disables the ghost, which makes `Frequency` admission reject all
-    /// unpinned blocks.
+    /// once-seen keys remembered for frequency-based admission: an
+    /// unpinned block is admitted on its *second* sighting within the
+    /// ghost's memory, so one-hit-wonders never evict hot blocks). `0`
+    /// disables the ghost, so only pinned prefixes are admitted — the
+    /// paper's manual §IV-B preference rules.
     pub ghost_capacity: usize,
-    pub admission: CacheAdmission,
     /// Time-to-live for cached entries; expired entries are misses and
     /// are dropped on probe. `None` = never expire.
     pub ttl: Option<SimDuration>,
@@ -56,7 +43,6 @@ impl Default for CacheSettings {
             mem_capacity_per_node: ByteSize::gib(1),
             ssd_capacity_per_node: ByteSize::gib(16),
             ghost_capacity: 8192,
-            admission: CacheAdmission::Frequency,
             ttl: None,
             default_user_quota: None,
             default_table_quota: None,
@@ -65,22 +51,6 @@ impl Default for CacheSettings {
 }
 
 impl CacheSettings {
-    /// The pre-hierarchy behavior as a config point: one SSD tier of the
-    /// old default capacity, admission by pinned prefix only, no ghost,
-    /// no TTL, no quotas.
-    pub fn legacy_single_tier() -> Self {
-        CacheSettings {
-            enabled: true,
-            mem_capacity_per_node: ByteSize::ZERO,
-            ssd_capacity_per_node: ByteSize::gib(16),
-            ghost_capacity: 0,
-            admission: CacheAdmission::PinnedOnly,
-            ttl: None,
-            default_user_quota: None,
-            default_table_quota: None,
-        }
-    }
-
     /// Validates invariants; mirrors [`FeisuConfig::validate`].
     pub fn validate(&self) -> Result<(), String> {
         if self.enabled
@@ -96,33 +66,14 @@ impl CacheSettings {
     }
 }
 
-/// Shape of the merge tree that folds leaf results up to the master.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergeTreeShape {
-    /// Topology-derived multi-level tree for aggregate transports:
-    /// leaf → rack stem → DC stem → master, with hop costs computed from
-    /// real node distances and a hash-partitioned repartition exchange
-    /// between levels. Row scans keep submission-contiguous stem groups
-    /// (result order is part of their contract) but still bill hops from
-    /// real distances.
-    Topology,
-    /// The legacy two-level shape: leaves chunked into stems in
-    /// submission order, one serial root merge at the master, no
-    /// exchange. Kept as the measurable baseline for
-    /// `bench_distributed_agg`.
-    TwoLevel,
-}
-
 /// Knobs of the distributed merge tree and its aggregate exchange.
 #[derive(Debug, Clone)]
 pub struct MergeTreeSettings {
-    pub shape: MergeTreeShape,
     /// Hash partitions of the repartition exchange for aggregate
     /// transports: group keys are hashed into this many disjoint
     /// partitions, each merged by its own stem merger in parallel, so no
     /// single merger materializes the full group map. `1` disables the
-    /// exchange; global (no GROUP BY) aggregates always bypass it. The
-    /// two-level shape ignores it (it *is* the no-exchange baseline).
+    /// exchange; global (no GROUP BY) aggregates always bypass it.
     /// Answers are bit-identical at any partition count.
     pub exchange_partitions: usize,
 }
@@ -130,7 +81,6 @@ pub struct MergeTreeSettings {
 impl Default for MergeTreeSettings {
     fn default() -> Self {
         MergeTreeSettings {
-            shape: MergeTreeShape::Topology,
             exchange_partitions: 4,
         }
     }
@@ -196,8 +146,6 @@ pub struct FeisuConfig {
     pub index_ttl: SimDuration,
     /// Block replica count in distributed storage systems.
     pub replication_factor: usize,
-    /// Target (uncompressed) size of a columnar data block.
-    pub block_size: ByteSize,
     /// Heartbeat period between workers and the cluster manager.
     pub heartbeat_interval: SimDuration,
     /// Heartbeats missed before a worker is declared dead.
@@ -205,11 +153,6 @@ pub struct FeisuConfig {
     /// Delay after which the scheduler launches a backup (speculative) task
     /// for a straggler.
     pub backup_task_delay: SimDuration,
-    /// Fraction of tasks that must finish before a job may return partial
-    /// results (1.0 = all). Users may lower it per query.
-    pub default_processed_ratio: f64,
-    /// Optional global response-time limit per query; `None` = unlimited.
-    pub default_time_limit: Option<SimDuration>,
     /// Maximum share of a storage node's resources Feisu may consume
     /// (the resource consumption agreement of §V-A).
     pub resource_agreement_share: f64,
@@ -217,7 +160,7 @@ pub struct FeisuConfig {
     pub cache: CacheSettings,
     /// Fan-out of the execution tree: leaves per stem server.
     pub leaves_per_stem: usize,
-    /// Shape of the distributed merge tree and its aggregate exchange.
+    /// The distributed merge tree's aggregate exchange.
     pub merge_tree: MergeTreeSettings,
     /// Results larger than this are dumped to global storage and only
     /// their location travels the read-data flow (§V-C: "If the data are
@@ -230,24 +173,11 @@ pub struct FeisuConfig {
     /// bit-identical at every setting — this knob only changes how fast
     /// the simulation itself runs.
     pub execution_threads: usize,
-    /// Real-time leaf service emulation for wall-clock concurrency
-    /// benchmarks: each leaf task additionally *blocks* its calling
-    /// thread for `simulated task time × this factor` of wall clock,
-    /// emulating the RPC to a remote leaf whose device occupies that
-    /// long. `0.0` (the default) disables it entirely. The wait happens
-    /// with no engine lock held, so it changes nothing about simulated
-    /// results — it only makes query overlap (or the lack of it)
-    /// observable on a wall clock.
-    pub leaf_wait_dilation: f64,
     /// Capacity of the always-on query event log behind
     /// `system.queries` (a bounded ring buffer; oldest records are
-    /// evicted first). Must be >= 1.
+    /// evicted first) — which is also how far back the query history
+    /// used for personalization reaches. Must be >= 1.
     pub query_log_capacity: usize,
-    /// Kill-switch for zone-map block skipping at the leaves. Ingest
-    /// always writes zone maps into block footers; this only controls
-    /// whether leaf scans *evaluate* them to skip provably-dead blocks
-    /// before decoding any column chunk.
-    pub zone_maps: bool,
     /// The logical optimizer and cost-based join-order search.
     pub optimizer: OptimizerSettings,
 }
@@ -258,21 +188,16 @@ impl Default for FeisuConfig {
             index_memory_per_leaf: ByteSize::mib(512),
             index_ttl: SimDuration::hours(72),
             replication_factor: 3,
-            block_size: ByteSize::mib(4),
             heartbeat_interval: SimDuration::secs(3),
             heartbeat_miss_limit: 3,
             backup_task_delay: SimDuration::secs(5),
-            default_processed_ratio: 1.0,
-            default_time_limit: None,
             resource_agreement_share: 0.25,
             cache: CacheSettings::default(),
             leaves_per_stem: 64,
             merge_tree: MergeTreeSettings::default(),
             result_spill_threshold: ByteSize::mib(64),
             execution_threads: 0,
-            leaf_wait_dilation: 0.0,
             query_log_capacity: 1024,
-            zone_maps: true,
             optimizer: OptimizerSettings::default(),
         }
     }
@@ -285,12 +210,6 @@ impl FeisuConfig {
         if self.replication_factor == 0 {
             return Err("replication_factor must be >= 1".into());
         }
-        if self.block_size.as_u64() == 0 {
-            return Err("block_size must be nonzero".into());
-        }
-        if !(0.0..=1.0).contains(&self.default_processed_ratio) {
-            return Err("default_processed_ratio must be in [0,1]".into());
-        }
         if !(0.0..=1.0).contains(&self.resource_agreement_share) {
             return Err("resource_agreement_share must be in [0,1]".into());
         }
@@ -299,9 +218,6 @@ impl FeisuConfig {
         }
         if self.heartbeat_miss_limit == 0 {
             return Err("heartbeat_miss_limit must be >= 1".into());
-        }
-        if !self.leaf_wait_dilation.is_finite() || self.leaf_wait_dilation < 0.0 {
-            return Err("leaf_wait_dilation must be finite and >= 0".into());
         }
         if self.query_log_capacity == 0 {
             return Err("query_log_capacity must be >= 1".into());
@@ -327,21 +243,7 @@ mod tests {
         // single-tier capacity.
         assert!(!c.cache.enabled);
         assert_eq!(c.cache.ssd_capacity_per_node, ByteSize::gib(16));
-        assert_eq!(c.cache.admission, CacheAdmission::Frequency);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn legacy_cache_point_matches_old_behavior_shape() {
-        let s = CacheSettings::legacy_single_tier();
-        assert!(s.enabled);
-        assert_eq!(s.mem_capacity_per_node, ByteSize::ZERO);
-        assert_eq!(s.ssd_capacity_per_node, ByteSize::gib(16));
-        assert_eq!(s.ghost_capacity, 0);
-        assert_eq!(s.admission, CacheAdmission::PinnedOnly);
-        assert!(s.ttl.is_none());
-        assert!(s.default_user_quota.is_none() && s.default_table_quota.is_none());
-        assert!(s.validate().is_ok());
     }
 
     #[test]
@@ -372,7 +274,7 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = FeisuConfig::default();
-        c.default_processed_ratio = 1.5;
+        c.resource_agreement_share = 1.5;
         assert!(c.validate().is_err());
 
         let mut c = FeisuConfig::default();
@@ -405,7 +307,6 @@ mod tests {
     #[test]
     fn merge_tree_defaults_and_validation() {
         let c = FeisuConfig::default();
-        assert_eq!(c.merge_tree.shape, MergeTreeShape::Topology);
         assert_eq!(c.merge_tree.exchange_partitions, 4);
         assert!(c.validate().is_ok());
 
@@ -415,7 +316,6 @@ mod tests {
         c.merge_tree.exchange_partitions = 4096;
         assert!(c.validate().is_err(), "absurd partition count");
         c.merge_tree.exchange_partitions = 1;
-        c.merge_tree.shape = MergeTreeShape::TwoLevel;
-        assert!(c.validate().is_ok(), "legacy baseline is a valid point");
+        assert!(c.validate().is_ok(), "no exchange is a valid point");
     }
 }

@@ -5,173 +5,110 @@
 //! The client-end also collects user query histories to personalize data
 //! indexing and caching… collection on the client side is used for
 //! SmartIndex to build private index for specific users or user groups."
+//!
+//! The history *is* the bounded query event log (`system.queries`): it
+//! already keeps user, SQL text and admission time per statement, so
+//! personalization derives what it needs from a log snapshot on demand
+//! instead of keeping a second per-query record.
 
 use feisu_common::hash::FxHashMap;
-use feisu_common::{Result, SimInstant, UserId};
+use feisu_common::{Result, SimDuration, SimInstant, UserId};
+use feisu_obs::QueryEvent;
 use feisu_sql::ast::Query;
 use feisu_sql::cnf::{to_cnf, SimplePredicate};
 use feisu_sql::parser::parse_query;
-use parking_lot::Mutex;
 
-/// One recorded query.
-#[derive(Debug, Clone)]
-pub struct HistoryEntry {
-    pub at: SimInstant,
-    pub sql: String,
-    pub tables: Vec<String>,
-    pub predicates: Vec<SimplePredicate>,
-    pub columns: Vec<String>,
+/// Syntax-checks a statement, returning the parsed query — the client's
+/// first responsibility. Errors are parse diagnostics meant to "guide
+/// users to write the proper SQL-like query command".
+pub fn syntax_check(sql: &str) -> Result<Query> {
+    parse_query(sql)
 }
 
-/// Client-side query history, per user.
-#[derive(Default)]
-pub struct QueryHistory {
-    entries: Mutex<FxHashMap<UserId, Vec<HistoryEntry>>>,
-}
-
-impl QueryHistory {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Syntax-checks a statement, returning the parsed query — the
-    /// client's first responsibility. Errors are parse diagnostics meant
-    /// to "guide users to write the proper SQL-like query command".
-    pub fn syntax_check(sql: &str) -> Result<Query> {
-        parse_query(sql)
-    }
-
-    /// Records an accepted query for personalization.
-    pub fn record(&self, user: UserId, sql: &str, query: &Query, now: SimInstant) {
-        let tables: Vec<String> = query.all_tables().map(|t| t.name.clone()).collect();
-        let mut predicates = Vec::new();
-        if let Some(w) = &query.where_clause {
-            for p in to_cnf(w).simple_clauses() {
-                predicates.push(p.clone());
-            }
+/// The user's most frequent simple predicates among the logged
+/// statements admitted within `window` of `now` — candidates for pinned
+/// private indices. Statements that never parsed carry no predicates.
+pub fn frequent_predicates(
+    events: &[QueryEvent],
+    user: UserId,
+    now: SimInstant,
+    window: SimDuration,
+    top_n: usize,
+) -> Vec<(SimplePredicate, usize)> {
+    let user = user.to_string();
+    let mut counts: FxHashMap<String, (SimplePredicate, usize)> = FxHashMap::default();
+    for e in events {
+        if e.user != user || now.since(SimInstant(e.admitted_ns)) > window {
+            continue;
         }
-        let mut columns = Vec::new();
-        for item in &query.select {
-            item.expr.columns(&mut columns);
-        }
-        if let Some(w) = &query.where_clause {
-            w.columns(&mut columns);
-        }
-        self.entries
-            .lock()
-            .entry(user)
-            .or_default()
-            .push(HistoryEntry {
-                at: now,
-                sql: sql.to_string(),
-                tables,
-                predicates,
-                columns,
-            });
-    }
-
-    /// The user's most frequent simple predicates within `window` of
-    /// `now` — candidates for pinned private indices.
-    pub fn frequent_predicates(
-        &self,
-        user: UserId,
-        now: SimInstant,
-        window: feisu_common::SimDuration,
-        top_n: usize,
-    ) -> Vec<(SimplePredicate, usize)> {
-        let entries = self.entries.lock();
-        let Some(history) = entries.get(&user) else {
-            return Vec::new();
+        let Ok(query) = parse_query(&e.sql) else {
+            continue;
         };
-        let mut counts: FxHashMap<String, (SimplePredicate, usize)> = FxHashMap::default();
-        for e in history {
-            if now.since(e.at) > window {
-                continue;
-            }
-            for p in &e.predicates {
-                counts
-                    .entry(p.key())
-                    .and_modify(|(_, n)| *n += 1)
-                    .or_insert((p.clone(), 1));
-            }
+        let Some(w) = &query.where_clause else {
+            continue;
+        };
+        for p in to_cnf(w).simple_clauses() {
+            counts
+                .entry(p.key())
+                .and_modify(|(_, n)| *n += 1)
+                .or_insert_with(|| (p.clone(), 1));
         }
-        let mut v: Vec<(SimplePredicate, usize)> = counts.into_values().collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.key().cmp(&b.0.key())));
-        v.truncate(top_n);
-        v
     }
-
-    /// Number of recorded queries for a user.
-    pub fn count(&self, user: UserId) -> usize {
-        self.entries.lock().get(&user).map_or(0, |v| v.len())
-    }
-
-    /// Full history snapshot (analysis tooling).
-    pub fn entries_of(&self, user: UserId) -> Vec<HistoryEntry> {
-        self.entries.lock().get(&user).cloned().unwrap_or_default()
-    }
+    let mut v: Vec<(SimplePredicate, usize)> = counts.into_values().collect();
+    v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.key().cmp(&b.0.key())));
+    v.truncate(top_n);
+    v
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use feisu_common::SimDuration;
+    use feisu_obs::QueryOutcome;
+
+    fn logged(user: u64, sql: &str, at: SimInstant) -> QueryEvent {
+        QueryEvent::terminal(
+            0,
+            UserId(user).to_string(),
+            sql.to_string(),
+            QueryOutcome::Completed,
+            at.as_nanos(),
+        )
+    }
 
     #[test]
     fn syntax_check_guides_users() {
-        assert!(QueryHistory::syntax_check("SELECT a FROM t").is_ok());
-        let err = QueryHistory::syntax_check("SELEKT a FROM t").unwrap_err();
+        assert!(syntax_check("SELECT a FROM t").is_ok());
+        let err = syntax_check("SELEKT a FROM t").unwrap_err();
         assert!(err.to_string().contains("parse"));
     }
 
     #[test]
-    fn history_records_predicates_and_columns() {
-        let h = QueryHistory::new();
-        let sql = "SELECT a FROM t WHERE b > 5 AND c = 'x'";
-        let q = QueryHistory::syntax_check(sql).unwrap();
-        h.record(UserId(1), sql, &q, SimInstant(0));
-        let entries = h.entries_of(UserId(1));
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].predicates.len(), 2);
-        assert!(entries[0].columns.contains(&"a".to_string()));
-        assert!(entries[0].columns.contains(&"b".to_string()));
-        assert_eq!(entries[0].tables, vec!["t".to_string()]);
-    }
-
-    #[test]
     fn frequent_predicates_ranked_and_windowed() {
-        let h = QueryHistory::new();
-        let record = |sql: &str, at: SimInstant| {
-            let q = QueryHistory::syntax_check(sql).unwrap();
-            h.record(UserId(1), sql, &q, at);
-        };
-        record("SELECT a FROM t WHERE b > 5", SimInstant(0));
-        record("SELECT a FROM t WHERE b > 5", SimInstant(1));
-        record("SELECT a FROM t WHERE c = 1", SimInstant(2));
-        // Outside the window:
-        record(
-            "SELECT a FROM t WHERE d < 9",
-            SimInstant::EPOCH + SimDuration::hours(100),
-        );
-        let now = SimInstant::EPOCH + SimDuration::hours(100);
-        let freq = h.frequent_predicates(UserId(1), now, SimDuration::hours(100), 10);
-        // d < 9 at `now` is in-window; b > 5 twice; c = 1 once.
+        let late = SimInstant::EPOCH + SimDuration::hours(100);
+        let log = [
+            logged(1, "SELECT a FROM t WHERE b > 5", SimInstant(0)),
+            logged(1, "SELECT a FROM t WHERE b > 5", SimInstant(1)),
+            logged(1, "SELECT a FROM t WHERE c = 1", SimInstant(2)),
+            logged(1, "SELEKT never parsed", SimInstant(3)),
+            // Outside the tight window below:
+            logged(1, "SELECT a FROM t WHERE d < 9", late),
+        ];
+        let freq = frequent_predicates(&log, UserId(1), late, SimDuration::hours(100), 10);
+        // d < 9 at `late` is in-window; b > 5 twice; c = 1 once.
+        assert_eq!(freq.len(), 3);
         assert_eq!(freq[0].1, 2);
         assert_eq!(freq[0].0.column, "b");
-        let tight = h.frequent_predicates(UserId(1), now, SimDuration::secs(1), 10);
+        let tight = frequent_predicates(&log, UserId(1), late, SimDuration::secs(1), 10);
         assert_eq!(tight.len(), 1);
         assert_eq!(tight[0].0.column, "d");
     }
 
     #[test]
     fn per_user_isolation() {
-        let h = QueryHistory::new();
-        let q = QueryHistory::syntax_check("SELECT a FROM t WHERE b > 1").unwrap();
-        h.record(UserId(1), "q", &q, SimInstant(0));
-        assert_eq!(h.count(UserId(1)), 1);
-        assert_eq!(h.count(UserId(2)), 0);
-        assert!(h
-            .frequent_predicates(UserId(2), SimInstant(0), SimDuration::hours(1), 5)
-            .is_empty());
+        let log = [logged(1, "SELECT a FROM t WHERE b > 1", SimInstant(0))];
+        let of =
+            |user| frequent_predicates(&log, UserId(user), SimInstant(0), SimDuration::hours(1), 5);
+        assert_eq!(of(1).len(), 1);
+        assert!(of(2).is_empty());
     }
 }

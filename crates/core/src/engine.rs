@@ -10,7 +10,7 @@
 //! master finalization. All timing is simulated and deterministic.
 
 use crate::catalog::{Catalog, CatalogView};
-use crate::client::QueryHistory;
+use crate::client;
 use crate::leaf::{LeafServer, LeafTaskStats};
 use crate::master::assembly::QueryMetrics;
 use crate::master::guard::GuardLimits;
@@ -39,7 +39,7 @@ use feisu_storage::fatman::FatmanDomain;
 use feisu_storage::hdfs::HdfsDomain;
 use feisu_storage::kv::KvDomain;
 use feisu_storage::localfs::LocalFsDomain;
-use feisu_storage::{BlockCache, CachePin, StorageDomain, StorageRouter, TieredCache};
+use feisu_storage::{CachePin, StorageDomain, StorageRouter, TieredCache};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
@@ -60,8 +60,7 @@ pub struct ClusterSpec {
     pub rows_per_block: usize,
     /// Block-cache pin prefixes (the paper's §IV-B manual preferences,
     /// surviving as admission-filter overrides). Any pin implicitly
-    /// enables the cache even when `config.cache.enabled` is false, for
-    /// which case the legacy single-tier settings are used.
+    /// enables the cache even when `config.cache.enabled` is false.
     pub cache_pins: Vec<String>,
     /// Entry-guard capability limits (quotas, statement size).
     pub guard: GuardLimits,
@@ -144,8 +143,8 @@ pub struct QueryStats {
     pub bytes_read: ByteSize,
     /// Simulated result bytes shipped leaf→stem across all scans.
     pub wire_leaf_stem: ByteSize,
-    /// Simulated result bytes shipped rack-stem→DC-stem (zero for
-    /// two-level merge trees and row scans).
+    /// Simulated result bytes shipped rack-stem→DC-stem (zero for row
+    /// scans, which merge through one stem level).
     pub wire_rack_dc: ByteSize,
     /// Simulated result bytes shipped stem→master.
     pub wire_stem_master: ByteSize,
@@ -241,14 +240,13 @@ impl QueryResult {
 /// leaf-task execution**):
 ///
 /// 1. `guard` user table (admission, entry/exit only)
-/// 2. `history` entries (record, entry only)
-/// 3. `jobs` job table / reuse cache (short map ops)
-/// 4. `catalog` tables (`RwLock`, read-mostly)
-/// 5. `heartbeats` (scheduling snapshot)
-/// 6. `failed_nodes` / `slow_nodes` (`RwLock`, read-mostly)
-/// 7. `resources` (per-task slot acquire/release — released before
+/// 2. `jobs` job table / reuse cache (short map ops)
+/// 3. `catalog` tables (`RwLock`, read-mostly)
+/// 4. `heartbeats` (scheduling snapshot)
+/// 5. `failed_nodes` / `slow_nodes` (`RwLock`, read-mostly)
+/// 6. `resources` (per-task slot acquire/release — released before
 ///    `LeafServer::execute` runs)
-/// 8. leaf-internal locks (`IndexManager`, block-cache shard locks —
+/// 7. leaf-internal locks (`IndexManager`, block-cache shard locks —
 ///    per-node sharded, a probe only ever holds its own node's shard)
 pub struct FeisuCluster {
     pub(crate) spec: ClusterSpec,
@@ -262,7 +260,6 @@ pub struct FeisuCluster {
     pub(crate) scheduler: Scheduler,
     pub(crate) guard: EntryGuard,
     pub(crate) jobs: JobManager,
-    pub(crate) history: QueryHistory,
     pub(crate) failed_nodes: RwLock<FxHashSet<NodeId>>,
     pub(crate) slow_nodes: RwLock<FxHashMap<NodeId, f64>>,
     /// Per-node resource consumption agreements (§V-A): business-critical
@@ -334,24 +331,18 @@ impl FeisuCluster {
         let system_cred =
             auth.issue(SYSTEM_USER, clock.now(), SimDuration::hours(24 * 365 * 10))?;
         // The cache hierarchy: explicitly enabled via config, or
-        // implicitly by configuring pin prefixes (which alone reproduce
-        // the paper's manual single-tier behavior).
+        // implicitly by configuring pin prefixes.
         let cache_enabled = spec.config.cache.enabled || !spec.cache_pins.is_empty();
         let cache = cache_enabled.then(|| {
-            let settings = if spec.config.cache.enabled {
-                spec.config.cache.clone()
-            } else {
-                feisu_common::config::CacheSettings::legacy_single_tier()
-            };
             Arc::new(TieredCache::new(
-                settings,
+                spec.config.cache.clone(),
                 spec.cache_pins
                     .iter()
                     .map(|p| CachePin {
                         path_prefix: p.clone(),
                     })
                     .collect(),
-            )) as Arc<dyn BlockCache>
+            ))
         });
         let domains: Vec<Arc<dyn StorageDomain>> = vec![local, hdfs, ffs, kv];
         let router = Arc::new(StorageRouter::new(
@@ -376,13 +367,7 @@ impl FeisuCluster {
             index.attach_metrics(&metrics);
             leaves.insert(
                 n.id,
-                LeafServer::new(
-                    n.id,
-                    index,
-                    topology.clone(),
-                    cost.clone(),
-                    spec.config.zone_maps,
-                ),
+                LeafServer::new(n.id, index, topology.clone(), cost.clone()),
             );
         }
         heartbeats.attach_metrics(&metrics);
@@ -422,7 +407,6 @@ impl FeisuCluster {
             scheduler,
             guard,
             jobs,
-            history: QueryHistory::new(),
             failed_nodes: RwLock::new(FxHashSet::default()),
             slow_nodes: RwLock::new(FxHashMap::default()),
             resources: Mutex::new(resources),
@@ -501,7 +485,7 @@ impl FeisuCluster {
     }
 
     /// The block cache, when one is configured.
-    pub fn cache(&self) -> Option<&Arc<dyn BlockCache>> {
+    pub fn cache(&self) -> Option<&Arc<TieredCache>> {
         self.router.cache()
     }
 
@@ -542,8 +526,22 @@ impl FeisuCluster {
         &self.catalog
     }
 
-    pub fn history(&self) -> &QueryHistory {
-        &self.history
+    /// The user's most frequent simple predicates over the last `window`,
+    /// derived from the query event log (so it reaches back at most
+    /// `query_log_capacity` statements).
+    pub fn frequent_predicates(
+        &self,
+        user: UserId,
+        window: SimDuration,
+        top_n: usize,
+    ) -> Vec<(feisu_sql::cnf::SimplePredicate, usize)> {
+        client::frequent_predicates(
+            &self.query_log.snapshot(),
+            user,
+            self.clock.now(),
+            window,
+            top_n,
+        )
     }
 
     pub fn jobs(&self) -> &JobManager {
@@ -686,7 +684,7 @@ impl FeisuCluster {
     /// interpret, with aggregation-pushdown annotations on distributed
     /// scans.
     pub fn explain(&self, sql: &str, cred: &Credential) -> Result<String> {
-        let query = QueryHistory::syntax_check(sql)?;
+        let query = client::syntax_check(sql)?;
         for tref in query.all_tables() {
             // Virtual system tables live in no storage domain.
             if crate::system::is_system_table(&tref.name) {
@@ -800,11 +798,10 @@ impl FeisuCluster {
         let now = self.clock.now();
         self.qmetrics.queries.inc();
 
-        // Client layer: syntax check + history collection. Syntax
-        // failures land in the event log but — as before this log
-        // existed — not in `feisu.query.errors`, which counts failures
-        // of well-formed statements.
-        let query = match QueryHistory::syntax_check(sql) {
+        // Client layer: syntax check. Syntax failures land in the event
+        // log but not in `feisu.query.errors`, which counts failures of
+        // well-formed statements.
+        let query = match client::syntax_check(sql) {
             Ok(q) => q,
             Err(e) => {
                 self.query_log.push(QueryEvent::terminal(
@@ -817,7 +814,6 @@ impl FeisuCluster {
                 return Err(e);
             }
         };
-        self.history.record(cred.user, sql, &query, now);
 
         // Entry guard: capability protection + quotas. The permit is
         // RAII — errors (or panics) below release the concurrency slot.
@@ -855,9 +851,7 @@ impl FeisuCluster {
     /// predicates (client-side history, §III-C) on every replica holder.
     pub fn personalize(&self, user: UserId, top_n: usize) -> Result<usize> {
         let now = self.clock.now();
-        let frequent = self
-            .history
-            .frequent_predicates(user, now, SimDuration::hours(24), top_n);
+        let frequent = self.frequent_predicates(user, SimDuration::hours(24), top_n);
         let mut built = 0usize;
         for (pred, _) in frequent {
             // Find tables whose schema carries the predicate column.

@@ -133,9 +133,6 @@ pub struct LeafServer {
     index: IndexManager,
     topology: Arc<Topology>,
     cost: CostModel,
-    /// Evaluate footer zone maps to skip provably-dead blocks
-    /// (`FeisuConfig.zone_maps`). Off ⇒ every block is scanned.
-    zone_maps: bool,
 }
 
 impl LeafServer {
@@ -144,14 +141,12 @@ impl LeafServer {
         index: IndexManager,
         topology: Arc<Topology>,
         cost: CostModel,
-        zone_maps: bool,
     ) -> Self {
         LeafServer {
             node,
             index,
             topology,
             cost,
-            zone_maps,
         }
     }
 
@@ -236,25 +231,23 @@ impl LeafServer {
         // SmartIndex probe; storage is charged only for the metadata
         // (envelope + footer) bytes the decision needed.
         let meta = Block::read_meta(&read.data)?;
-        if self.zone_maps {
-            if let Some(zones) = &meta.zones {
-                if zones_disprove(&cnf, &meta.schema, zones, meta.rows) {
-                    stats.pruned_by_zone = true;
-                    stats.blocks_skipped = 1;
-                    let meta_size = ByteSize(meta.meta_bytes as u64);
-                    stats.bytes_read = meta_size;
-                    // Domain-specific fixed penalties still apply: the
-                    // footer read wakes a cold Fatman volume like any
-                    // other read.
-                    let domain_extra = read
-                        .cost
-                        .io
-                        .saturating_sub(plain_read(task.block.stored_size));
-                    tally.add_io(domain_extra + plain_read(meta_size));
-                    tally.add_network(self.cost.network(read.hops, meta_size));
-                    tally.add_cpu(self.cost.predicate_eval(cnf.clauses.len().max(1)));
-                    return self.empty_output(task, tally, stats);
-                }
+        if let Some(zones) = &meta.zones {
+            if zones_disprove(&cnf, &meta.schema, zones, meta.rows) {
+                stats.pruned_by_zone = true;
+                stats.blocks_skipped = 1;
+                let meta_size = ByteSize(meta.meta_bytes as u64);
+                stats.bytes_read = meta_size;
+                // Domain-specific fixed penalties still apply: the
+                // footer read wakes a cold Fatman volume like any
+                // other read.
+                let domain_extra = read
+                    .cost
+                    .io
+                    .saturating_sub(plain_read(task.block.stored_size));
+                tally.add_io(domain_extra + plain_read(meta_size));
+                tally.add_network(self.cost.network(read.hops, meta_size));
+                tally.add_cpu(self.cost.predicate_eval(cnf.clauses.len().max(1)));
+                return self.empty_output(task, tally, stats);
             }
         }
         stats.blocks_scanned = 1;

@@ -1,10 +1,7 @@
 //! Topology-derived multi-level merge tree with a hash-partitioned
 //! repartition exchange (ROADMAP item 2; execution tree of §III-B).
 //!
-//! The legacy merge was a fixed two-level shape: leaves chunked into
-//! stems in submission order with hop counts hard-coded to 2 and 4, and
-//! the master serially re-merging every stem's full group map. This
-//! module derives the tree from the [`Topology`] instead: aggregate
+//! The tree is derived from the [`Topology`]: aggregate
 //! transports merge rack-local first (stem placed on the lowest-id
 //! member node), rack stems merge per data center, and the DC stems feed
 //! the master — every level billed at the *real* uplink distance of its
@@ -17,30 +14,25 @@
 //! concatenates P disjoint partitions instead of re-merging them.
 //!
 //! Determinism (§12): partition merges are pure functions of their
-//! inputs, executed on the PR 2 execution pool but collected in
+//! inputs, executed on the master's worker pool but collected in
 //! (group, partition) submission order; all billing derives from
 //! per-partition folded row counts. Results, stats and profiles are
-//! bit-identical at any thread count. Row scans keep the
-//! submission-contiguous two-level chunking so result row order is
-//! untouched — only their hop billing comes from the topology now.
+//! bit-identical at any thread count. Row scans merge through one level
+//! of submission-contiguous stems so result row order is untouched;
+//! their hop billing comes from the topology all the same.
 //!
 //! [`Topology`]: feisu_cluster::Topology
 
 use crate::engine::FeisuCluster;
 use crate::master::pipeline::ExecCtx;
+use crate::master::pool::run_indexed;
 use crate::master::scan_exec::TaskRun;
 use crate::stem::{self, AggShape, StemOutput};
 use feisu_cluster::simclock::TimeTally;
-use feisu_common::config::MergeTreeShape;
 use feisu_common::hash::FxHashMap;
 use feisu_common::{ByteSize, FeisuError, NodeId, Result, SimInstant};
 use feisu_exec::batch::RecordBatch;
 use feisu_obs::SpanId;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// One finished (group × partition) merge: its slot index paired with
-/// the merged partition batch and folded row count.
-type PartitionMerge = (usize, Result<(RecordBatch, usize)>);
 
 /// One materialized node of the merge tree: a leaf task's output or a
 /// stem's merged output, with the bookkeeping needed to bill, span and
@@ -114,22 +106,19 @@ impl FeisuCluster {
         let shape = agg_ref.ok_or_else(|| {
             FeisuError::Internal("aggregate transport without aggregate shape".into())
         })?;
-        let multi_level = cfg.merge_tree.shape == MergeTreeShape::Topology;
         // Global aggregates carry a single fused state per transport —
         // nothing to partition; the exchange applies to grouped
-        // aggregates under the topology shape only.
-        let parts = if multi_level && !shape.0.is_empty() {
-            cfg.merge_tree.exchange_partitions.max(1)
-        } else {
+        // aggregates only.
+        let parts = if shape.0.is_empty() {
             1
+        } else {
+            cfg.merge_tree.exchange_partitions.max(1)
         };
 
+        // Level 1: rack stems. Level 2: one stem per data center.
         let mut nodes = nodes;
-        let stem_levels = if multi_level { 2 } else { 1 };
-        for level in 1..=stem_levels {
-            let groups = if !multi_level {
-                chunk_groups(nodes.len(), per_stem)
-            } else if level == 1 {
+        for level in 1..=2 {
+            let groups = if level == 1 {
                 self.keyed_groups(&nodes, per_stem, |n| n.rack)?
             } else {
                 self.keyed_groups(&nodes, per_stem, |n| n.datacenter)?
@@ -167,9 +156,8 @@ impl FeisuCluster {
     }
 
     /// Row results: submission-contiguous chunks into stems, then one
-    /// root concat — the legacy two-level shape (row order is part of
-    /// the result contract), but with uplink hops derived from the
-    /// topology instead of the literals 2 and 4.
+    /// root concat (row order is part of the result contract), with
+    /// uplink hops derived from the topology.
     fn merge_row_tree(
         &self,
         nodes: Vec<MergeNode>,
@@ -248,65 +236,26 @@ impl FeisuCluster {
             placements.push((stem_node, hops, cores));
         }
 
-        // Fan the (group × partition) merges out on the execution pool.
-        // Each item is a pure function of its inputs; results land in a
-        // fixed slot, so collection order — and thus everything billed
-        // from it — is independent of worker scheduling.
+        // Fan the (group × partition) merges out on the worker pool,
+        // group-major. Each is a pure function of its inputs and results
+        // come back in that order, so everything billed from them is
+        // independent of worker scheduling.
         let child_slices: Vec<Vec<&[RecordBatch]>> = groups
             .iter()
             .map(|g| g.iter().map(|&i| nodes[i].parts.as_slice()).collect())
             .collect();
-        let items: Vec<(usize, usize)> = (0..groups.len())
-            .flat_map(|g| (0..parts).map(move |p| (g, p)))
-            .collect();
-        let threads = self.effective_threads().min(items.len().max(1));
-        let mut slots: Vec<Option<Result<(RecordBatch, usize)>>> =
-            (0..items.len()).map(|_| None).collect();
-        if threads <= 1 {
-            for (slot, &(g, p)) in slots.iter_mut().zip(&items) {
-                *slot = Some(stem::merge_agg_partition(shape, &child_slices[g], p, parts));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let done: Vec<Vec<PartitionMerge>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let (next, items, child_slices) = (&next, &items, &child_slices);
-                        s.spawn(move || {
-                            let mut out = Vec::new();
-                            loop {
-                                let k = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(&(g, p)) = items.get(k) else { break };
-                                out.push((
-                                    k,
-                                    stem::merge_agg_partition(shape, &child_slices[g], p, parts),
-                                ));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("partition merger panicked"))
-                    .collect()
-            });
-            for chunk in done {
-                for (k, r) in chunk {
-                    slots[k] = Some(r);
-                }
-            }
-        }
+        let mut merged = run_indexed(self.effective_threads(), groups.len() * parts, |k| {
+            stem::merge_agg_partition(shape, &child_slices[k / parts], k % parts, parts)
+        })
+        .into_iter();
 
         // Assemble each group's stem output in submission order.
         let mut out = Vec::with_capacity(groups.len());
         for (gi, group) in groups.iter().enumerate() {
             let mut part_batches = Vec::with_capacity(parts);
             let mut part_rows = Vec::with_capacity(parts);
-            for p in 0..parts {
-                let (batch, rows) = slots[gi * parts + p]
-                    .take()
-                    .expect("every partition slot filled")?;
+            for _ in 0..parts {
+                let (batch, rows) = merged.next().expect("one merge per (group, partition)")?;
                 part_batches.push(batch);
                 part_rows.push(rows);
             }
@@ -324,7 +273,7 @@ impl FeisuCluster {
             tally.add_network(self.spec.cost.network(hops, ByteSize(per_merger)));
             // P mergers run in parallel on the stem: billed at the max of
             // the largest partition and an ideal split across the stem's
-            // cores. Zero-row merges keep the legacy 1-row floor.
+            // cores. Zero-row merges are billed a 1-row floor.
             let folded: usize = part_rows.iter().sum();
             if folded == 0 {
                 tally.add_cpu(self.spec.cost.agg_merge(1));

@@ -15,6 +15,7 @@ pub mod guard;
 pub mod job_manager;
 pub(crate) mod merge_tree;
 pub(crate) mod pipeline;
+mod pool;
 pub(crate) mod scan_exec;
 pub mod scheduler;
 pub mod session;

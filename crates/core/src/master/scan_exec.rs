@@ -18,6 +18,7 @@ use crate::engine::{FeisuCluster, QueryStats};
 use crate::leaf::{AggStage, LeafOutput, LeafTaskStats, ScanTask};
 use crate::master::job_manager::task_signature;
 use crate::master::pipeline::ExecCtx;
+use crate::master::pool::run_indexed;
 use feisu_cluster::simclock::TimeTally;
 use feisu_common::hash::FxHashMap;
 use feisu_common::{ByteSize, FeisuError, NodeId, Result, SimDuration, SimInstant};
@@ -26,7 +27,6 @@ use feisu_exec::batch::RecordBatch;
 use feisu_exec::physical::PhysicalPlan;
 use feisu_obs::SpanId;
 use feisu_storage::auth::Credential;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 impl FeisuCluster {
     /// Executes one `DistributedScan` operator. `op_span` is the scan's
@@ -110,6 +110,16 @@ impl FeisuCluster {
                     .join(",")
             })
             .unwrap_or_default();
+        // A reused batch comes back under the output names of the scan
+        // that stored it, so the (possibly alias-qualified) names are part
+        // of a task's identity: `FROM d1` must not answer `FROM d1 AS b`.
+        let output_display = output_schema
+            .fields()
+            .iter()
+            .map(|f| f.name.as_str())
+            .collect::<Vec<_>>()
+            .join(",");
+        let shape_display = format!("{agg_display}\u{1}{output_display}");
         // Spans sit on the query-relative timeline; leaf work of this scan
         // starts after everything the master has already accounted.
         let scan_base = ctx.tally.total().as_nanos();
@@ -120,8 +130,13 @@ impl FeisuCluster {
         // store is equivalent to the serial interleaving.
         let mut planned: Vec<Planned> = Vec::with_capacity(tasks.len());
         for task in &tasks {
-            let signature =
-                task_signature(table, task.block.id, &cnf_display, projection, &agg_display);
+            let signature = task_signature(
+                table,
+                task.block.id,
+                &cnf_display,
+                projection,
+                &shape_display,
+            );
             match self.jobs.lookup_task(&signature, ctx.now) {
                 // Reuse is a master-side cache hit: negligible leaf time.
                 Some((batch, is_agg)) => planned.push(Planned::Reused { batch, is_agg }),
@@ -136,81 +151,38 @@ impl FeisuCluster {
         // the master side is deferred to the serial merge below. All
         // simulated time comes from per-node tallies, never wall clock, so
         // results are bit-identical at any thread count.
-        let run_order: Vec<usize> = planned
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p, Planned::Run { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        let threads = self.effective_threads().min(run_order.len().max(1));
-        let mut results: Vec<Option<Result<TaskExec>>> = (0..tasks.len()).map(|_| None).collect();
-        if threads <= 1 {
-            for &i in &run_order {
-                results[i] =
-                    Some(self.execute_with_backup(&tasks[i], assignments[i], &ctx.cred, ctx.now));
-            }
-        } else {
-            // Group run-indices by assigned node, preserving submission
-            // order within each group.
-            let mut groups: Vec<Vec<usize>> = Vec::new();
-            let mut group_of: FxHashMap<NodeId, usize> = FxHashMap::default();
-            for &i in &run_order {
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut group_of: FxHashMap<NodeId, usize> = FxHashMap::default();
+        for (i, p) in planned.iter().enumerate() {
+            if matches!(p, Planned::Run { .. }) {
                 let g = *group_of.entry(assignments[i].node).or_insert_with(|| {
                     groups.push(Vec::new());
                     groups.len() - 1
                 });
                 groups[g].push(i);
             }
-            let this: &FeisuCluster = self;
-            let cred = &ctx.cred;
-            let now = ctx.now;
-            let next = AtomicUsize::new(0);
-            let workers = threads.min(groups.len());
-            let chunks: Vec<Vec<(usize, Result<TaskExec>)>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let (next, groups, tasks, assignments) =
-                            (&next, &groups, &tasks, &assignments);
-                        s.spawn(move || {
-                            let mut done = Vec::new();
-                            loop {
-                                let g = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(group) = groups.get(g) else { break };
-                                for &i in group {
-                                    done.push((
-                                        i,
-                                        this.execute_with_backup(
-                                            &tasks[i],
-                                            assignments[i],
-                                            cred,
-                                            now,
-                                        ),
-                                    ));
-                                }
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("executor worker panicked"))
-                    .collect()
-            });
-            for chunk in chunks {
-                for (i, r) in chunk {
-                    results[i] = Some(r);
-                }
-            }
+        }
+        let ran = run_indexed(self.effective_threads(), groups.len(), |g| {
+            groups[g]
+                .iter()
+                .map(|&i| {
+                    let exec =
+                        self.execute_with_backup(&tasks[i], assignments[i], &ctx.cred, ctx.now);
+                    (i, exec)
+                })
+                .collect::<Vec<_>>()
+        });
+        let mut results: Vec<Option<Result<TaskExec>>> = (0..tasks.len()).map(|_| None).collect();
+        for (i, exec) in ran.into_iter().flatten() {
+            results[i] = Some(exec);
         }
 
         // --- Phase 3 (serial): merge per-task results in submission
         // order. Stats folding, task-result stores, node-time accounting
         // and span recording all happen here so their order — and thus the
         // simulated outcome — is independent of worker scheduling. Errors
-        // surface as the first failing task by submission order (serial
-        // mode stops there; parallel mode has already run the rest, which
-        // only warms caches).
+        // surface as the first failing task by submission order (the rest
+        // have already run, which only warms caches).
         let mut node_time: FxHashMap<NodeId, SimDuration> = FxHashMap::default();
         let mut outputs: Vec<TaskRun> = Vec::new();
         for (i, plan) in planned.into_iter().enumerate() {
@@ -519,21 +491,6 @@ impl FeisuCluster {
         };
         if let Some(a) = self.resources.lock().get_mut(&node) {
             a.release();
-        }
-        // Real-time leaf service emulation (wall-clock benchmarking):
-        // block this thread for the task's simulated duration × the
-        // dilation factor, as a remote leaf's RPC would. No lock is held,
-        // so waits from different queries overlap freely — exactly the
-        // overlap `bench_concurrency` measures. Simulated results are
-        // untouched.
-        let dilation = self.spec.config.leaf_wait_dilation;
-        if dilation > 0.0 {
-            if let Ok(o) = &out {
-                let ns = (o.tally.total().as_nanos() as f64 * dilation) as u64;
-                if ns > 0 {
-                    std::thread::sleep(std::time::Duration::from_nanos(ns));
-                }
-            }
         }
         out
     }

@@ -151,14 +151,6 @@ impl Block {
 
     /// Serializes the block to the Feisu binary format, zone maps included.
     pub fn serialize(&self) -> Vec<u8> {
-        self.serialize_with(true)
-    }
-
-    /// Serializes the block, optionally omitting the footer zone section.
-    /// `serialize_with(false)` reproduces the pre-zone-map layout byte for
-    /// byte — used by tests to pin backward compatibility with blocks
-    /// written before zone maps existed.
-    pub fn serialize_with(&self, zone_maps: bool) -> Vec<u8> {
         let mut header = Vec::with_capacity(self.schema.len() * 16 + 8);
         varint::encode(self.rows as u64, &mut header);
         varint::encode(self.schema.len() as u64, &mut header);
@@ -194,20 +186,18 @@ impl Block {
             varint::encode(offset as u64, &mut out);
             varint::encode(len as u64, &mut out);
         }
-        if zone_maps {
-            out.push(ZONE_SECTION_TAG);
-            for i in 0..self.columns.len() {
-                let stats = self.stats(i);
-                match (stats.min, stats.max) {
-                    (Some(min), Some(max)) => {
-                        out.push(1);
-                        encode_zone_value(&min, &mut out);
-                        encode_zone_value(&max, &mut out);
-                    }
-                    _ => out.push(0),
+        out.push(ZONE_SECTION_TAG);
+        for i in 0..self.columns.len() {
+            let stats = self.stats(i);
+            match (stats.min, stats.max) {
+                (Some(min), Some(max)) => {
+                    out.push(1);
+                    encode_zone_value(&min, &mut out);
+                    encode_zone_value(&max, &mut out);
                 }
-                varint::encode(stats.null_count as u64, &mut out);
+                _ => out.push(0),
             }
+            varint::encode(stats.null_count as u64, &mut out);
         }
         out.extend_from_slice(&footer_start.to_le_bytes());
         out
@@ -1080,7 +1070,7 @@ mod tests {
     }
 
     #[test]
-    fn read_meta_roundtrips_zone_maps() {
+    fn read_meta_roundtrips_zones() {
         let b = sample_block();
         let bytes = b.serialize();
         let meta = Block::read_meta(&bytes).unwrap();
@@ -1113,17 +1103,28 @@ mod tests {
 
     #[test]
     fn zoneless_footer_still_loads_and_reports_no_zones() {
-        let b = sample_block();
-        let legacy = b.serialize_with(false);
-        let zoned = b.serialize();
-        assert!(legacy.len() < zoned.len());
-        let meta = Block::read_meta(&legacy).unwrap();
+        // Written by the pre-zone-map writer: three Int64 columns of 256
+        // rows, `a = i`, `b = i % 50`, `c = i % 7`.
+        let legacy = include_bytes!("../testdata/zoneless_block.bin");
+        let ints = |f: fn(i64) -> i64| Column::from_i64((0..256).map(f).collect());
+        let b = Block::new(
+            BlockId(0),
+            Schema::new(vec![
+                Field::new("a", DataType::Int64, false),
+                Field::new("b", DataType::Int64, false),
+                Field::new("c", DataType::Int64, false),
+            ]),
+            vec![ints(|i| i), ints(|i| i % 50), ints(|i| i % 7)],
+        )
+        .unwrap();
+        assert!(legacy.len() < b.serialize().len());
+        let meta = Block::read_meta(legacy).unwrap();
         assert_eq!(meta.zones, None);
         assert_eq!(&meta.schema, b.schema());
         // Full and subset decode both still work on the legacy layout.
-        assert_eq!(Block::deserialize(&legacy).unwrap(), b);
-        let sub = Block::deserialize_columns(&legacy, &["clicks"]).unwrap();
-        assert_eq!(sub.column_by_name("clicks"), b.column_by_name("clicks"));
+        assert_eq!(Block::deserialize(legacy).unwrap(), b);
+        let sub = Block::deserialize_columns(legacy, &["b"]).unwrap();
+        assert_eq!(sub.column_by_name("b"), b.column_by_name("b"));
     }
 
     #[test]

@@ -77,8 +77,8 @@ pub struct QueryEvent {
     pub bytes_returned: u64,
     /// Simulated bytes shipped leaf→stem during merges.
     pub wire_leaf_stem_bytes: u64,
-    /// Simulated bytes shipped rack-stem→DC-stem (zero unless a
-    /// topology-shaped merge tree ran three levels deep).
+    /// Simulated bytes shipped rack-stem→DC-stem (aggregate scans; zero
+    /// for row scans, which merge through one stem level).
     pub wire_rack_dc_bytes: u64,
     /// Simulated bytes shipped stem→master during finalization.
     pub wire_stem_master_bytes: u64,

@@ -10,9 +10,9 @@
 //!   Blocks enter the hierarchy at the SSD tier and are promoted into
 //!   memory on their next hit; memory evictions demote back to SSD.
 //! * **Ghost-LRU admission** — a per-node shadow LRU remembers
-//!   once-seen and recently-evicted keys. Under [`CacheAdmission::Frequency`]
-//!   an unpinned block is admitted only on its *second* sighting, so
-//!   one-hit-wonder scans never evict hot blocks.
+//!   once-seen and recently-evicted keys. An unpinned block is admitted
+//!   only on its *second* sighting, so one-hit-wonder scans never evict
+//!   hot blocks.
 //! * **Sharded locks** — node state is spread over [`SHARDS`] mutexes
 //!   keyed by node id, so leaf probes on different nodes never contend
 //!   (the old implementation serialized every probe cluster-wide).
@@ -31,7 +31,7 @@
 //! bit-identical serial vs concurrent (DESIGN.md §15).
 
 use bytes::Bytes;
-use feisu_common::config::{CacheAdmission, CacheSettings};
+use feisu_common::config::CacheSettings;
 use feisu_common::hash::FxHashMap;
 use feisu_common::{ByteSize, NodeId, SimInstant, UserId};
 use feisu_obs::{Counter, MetricsRegistry};
@@ -141,39 +141,6 @@ impl CacheStats {
             self.misses as f64 / total as f64
         }
     }
-}
-
-/// The cache hierarchy as the router sees it. One concrete
-/// implementation exists ([`TieredCache`]); the trait keeps the read
-/// path, the engine and `system.cache` decoupled from its internals.
-pub trait BlockCache: Send + Sync {
-    /// Probes `node`'s hierarchy. A hit refreshes recency and may promote
-    /// the entry from SSD to memory; a miss leaves the node map untouched
-    /// (probing thousands of nodes that never cached anything must not
-    /// grow it). `now` drives TTL expiry.
-    fn get(&self, node: NodeId, path: &str, now: SimInstant) -> Option<CacheHit>;
-    /// Offers bytes read from a storage domain for caching on `node`.
-    fn admit(&self, node: NodeId, path: &str, data: Bytes, attr: CacheAttr<'_>, now: SimInstant);
-    /// Drops `path` from every node's tiers (ingest rewrote the object).
-    fn invalidate_path(&self, path: &str);
-    /// Drops everything cached on one node (node restart).
-    fn invalidate_node(&self, node: NodeId);
-    /// Starts publishing `feisu.cache.{tier}.*` counters.
-    fn attach_metrics(&self, registry: &MetricsRegistry);
-    fn stats(&self) -> CacheStats;
-    /// `system.cache` rows for one node: `mem`, `ssd`, `ghost`.
-    fn node_tier_rows(&self, node: NodeId) -> Vec<CacheTierRow>;
-    /// Sets (`Some`) or clears (`None`, back to the configured default)
-    /// a user's per-node byte quota.
-    fn set_user_quota(&self, user: UserId, quota: Option<ByteSize>);
-    /// Sets or clears a table's per-node byte quota.
-    fn set_table_quota(&self, table: &str, quota: Option<ByteSize>);
-    /// Bytes held by one tier on one node.
-    fn used_on(&self, node: NodeId, tier: CacheTier) -> ByteSize;
-    /// Bytes attributed to one user on one node (both tiers).
-    fn user_used_on(&self, node: NodeId, user: UserId) -> ByteSize;
-    /// Nodes with allocated cache state.
-    fn tracked_nodes(&self) -> usize;
 }
 
 /// One cached object. `stamp` is the lazy-LRU liveness token; usage is
@@ -417,7 +384,7 @@ pub struct TieredCache {
     table_quotas: Mutex<FxHashMap<String, u64>>,
     stats: AtomicStats,
     // Behind a Mutex because the cache is attached after it is shared
-    // (`Arc<dyn BlockCache>` inside the router).
+    // (`Arc<TieredCache>` inside the router).
     metrics: Mutex<Option<CacheMetrics>>,
 }
 
@@ -586,10 +553,12 @@ impl TieredCache {
                 .unwrap_or(0),
         )
     }
-}
 
-impl BlockCache for TieredCache {
-    fn get(&self, node: NodeId, path: &str, now: SimInstant) -> Option<CacheHit> {
+    /// Probes `node`'s hierarchy. A hit refreshes recency and may promote
+    /// the entry from SSD to memory; a miss leaves the node map untouched
+    /// (probing thousands of nodes that never cached anything must not
+    /// grow it). `now` drives TTL expiry.
+    pub fn get(&self, node: NodeId, path: &str, now: SimInstant) -> Option<CacheHit> {
         let mut shard = self.shard(node).lock();
         let Some(nc) = shard.get_mut(&node) else {
             drop(shard);
@@ -656,7 +625,15 @@ impl BlockCache for TieredCache {
         None
     }
 
-    fn admit(&self, node: NodeId, path: &str, data: Bytes, attr: CacheAttr<'_>, now: SimInstant) {
+    /// Offers bytes read from a storage domain for caching on `node`.
+    pub fn admit(
+        &self,
+        node: NodeId,
+        path: &str,
+        data: Bytes,
+        attr: CacheAttr<'_>,
+        now: SimInstant,
+    ) {
         let size = data.len() as u64;
         // Entries enter the hierarchy at the SSD tier (they climb to
         // memory on their next hit); with no SSD tier configured they
@@ -672,8 +649,9 @@ impl BlockCache for TieredCache {
             return;
         }
         let pinned = self.pinned(path);
-        // Legacy prefix admission rejects before any node state exists.
-        if self.settings.admission == CacheAdmission::PinnedOnly && !pinned {
+        // Without a ghost nothing unpinned can be sighted twice: reject
+        // before any node state exists.
+        if self.settings.ghost_capacity == 0 && !pinned {
             self.note(Ev::Rejected);
             return;
         }
@@ -691,9 +669,9 @@ impl BlockCache for TieredCache {
 
         let mut shard = self.shard(node).lock();
         let nc = shard.entry(node).or_default();
-        // Frequency admission: unpinned blocks pass only if the ghost
+        // Ghost admission: unpinned blocks pass only if the ghost
         // remembers them; first sightings are registered and rejected.
-        if self.settings.admission == CacheAdmission::Frequency && !pinned {
+        if !pinned {
             if nc.ghost.recall(path) {
                 nc.ghost.admissions += 1;
                 drop(shard);
@@ -788,7 +766,8 @@ impl BlockCache for TieredCache {
         self.note(Ev::SsdEvictions(ssd_ev));
     }
 
-    fn invalidate_path(&self, path: &str) {
+    /// Drops `path` from every node's tiers (ingest rewrote the object).
+    pub fn invalidate_path(&self, path: &str) {
         let mut dropped = 0u64;
         for shard in &self.shards {
             let mut s = shard.lock();
@@ -806,11 +785,13 @@ impl BlockCache for TieredCache {
         self.note(Ev::Invalidations(dropped));
     }
 
-    fn invalidate_node(&self, node: NodeId) {
+    /// Drops everything cached on one node (node restart).
+    pub fn invalidate_node(&self, node: NodeId) {
         self.shard(node).lock().remove(&node);
     }
 
-    fn attach_metrics(&self, registry: &MetricsRegistry) {
+    /// Starts publishing `feisu.cache.{tier}.*` counters.
+    pub fn attach_metrics(&self, registry: &MetricsRegistry) {
         *self.metrics.lock() = Some(CacheMetrics {
             mem_hits: registry.counter("feisu.cache.mem.hits"),
             ssd_hits: registry.counter("feisu.cache.ssd.hits"),
@@ -828,7 +809,7 @@ impl BlockCache for TieredCache {
         });
     }
 
-    fn stats(&self) -> CacheStats {
+    pub fn stats(&self) -> CacheStats {
         let s = &self.stats;
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
         CacheStats {
@@ -848,7 +829,8 @@ impl BlockCache for TieredCache {
         }
     }
 
-    fn node_tier_rows(&self, node: NodeId) -> Vec<CacheTierRow> {
+    /// `system.cache` rows for one node: `mem`, `ssd`, `ghost`.
+    pub fn node_tier_rows(&self, node: NodeId) -> Vec<CacheTierRow> {
         let shard = self.shard(node).lock();
         let nc = shard.get(&node);
         let tier = |t: Option<&TierCache>, cap: u64, label: &'static str| CacheTierRow {
@@ -873,7 +855,9 @@ impl BlockCache for TieredCache {
         ]
     }
 
-    fn set_user_quota(&self, user: UserId, quota: Option<ByteSize>) {
+    /// Sets (`Some`) or clears (`None`, back to the configured default)
+    /// a user's per-node byte quota.
+    pub fn set_user_quota(&self, user: UserId, quota: Option<ByteSize>) {
         let mut q = self.user_quotas.lock();
         match quota {
             Some(b) => {
@@ -885,7 +869,8 @@ impl BlockCache for TieredCache {
         }
     }
 
-    fn set_table_quota(&self, table: &str, quota: Option<ByteSize>) {
+    /// Sets or clears a table's per-node byte quota.
+    pub fn set_table_quota(&self, table: &str, quota: Option<ByteSize>) {
         let mut q = self.table_quotas.lock();
         match quota {
             Some(b) => {
@@ -897,7 +882,8 @@ impl BlockCache for TieredCache {
         }
     }
 
-    fn used_on(&self, node: NodeId, tier: CacheTier) -> ByteSize {
+    /// Bytes held by one tier on one node.
+    pub fn used_on(&self, node: NodeId, tier: CacheTier) -> ByteSize {
         ByteSize(
             self.shard(node)
                 .lock()
@@ -909,7 +895,8 @@ impl BlockCache for TieredCache {
         )
     }
 
-    fn user_used_on(&self, node: NodeId, user: UserId) -> ByteSize {
+    /// Bytes attributed to one user on one node (both tiers).
+    pub fn user_used_on(&self, node: NodeId, user: UserId) -> ByteSize {
         ByteSize(
             self.shard(node)
                 .lock()
@@ -919,7 +906,8 @@ impl BlockCache for TieredCache {
         )
     }
 
-    fn tracked_nodes(&self) -> usize {
+    /// Nodes with allocated cache state.
+    pub fn tracked_nodes(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }
 }
@@ -945,9 +933,23 @@ mod tests {
         }
     }
 
-    fn legacy(kib: u64) -> TieredCache {
-        let mut s = CacheSettings::legacy_single_tier();
-        s.ssd_capacity_per_node = ByteSize::kib(kib);
+    /// "Admit everything" is a pin on the root prefix.
+    fn pin_all() -> Vec<CachePin> {
+        vec![CachePin {
+            path_prefix: "/".into(),
+        }]
+    }
+
+    /// SSD tier only, no ghost: nothing but the pinned prefix is admitted
+    /// (the paper's manual preference rules).
+    fn pins_only(kib: u64) -> TieredCache {
+        let s = CacheSettings {
+            enabled: true,
+            mem_capacity_per_node: ByteSize::ZERO,
+            ssd_capacity_per_node: ByteSize::kib(kib),
+            ghost_capacity: 0,
+            ..CacheSettings::default()
+        };
         TieredCache::new(
             s,
             vec![CachePin {
@@ -962,17 +964,14 @@ mod tests {
             mem_capacity_per_node: ByteSize::kib(mem_kib),
             ssd_capacity_per_node: ByteSize::kib(ssd_kib),
             ghost_capacity: 1024,
-            admission: CacheAdmission::Always,
-            ttl: None,
-            default_user_quota: None,
-            default_table_quota: None,
+            ..CacheSettings::default()
         };
-        TieredCache::new(s, Vec::new())
+        TieredCache::new(s, pin_all())
     }
 
     #[test]
-    fn legacy_admission_by_pin_only() {
-        let c = legacy(64);
+    fn without_a_ghost_only_pins_are_admitted() {
+        let c = pins_only(64);
         c.admit(
             NodeId(0),
             "/hdfs/cold/x",
@@ -982,7 +981,7 @@ mod tests {
         );
         assert!(c.get(NodeId(0), "/hdfs/cold/x", NOW).is_none());
         assert_eq!(c.stats().rejected, 1);
-        assert_eq!(c.tracked_nodes(), 0, "legacy rejects allocate nothing");
+        assert_eq!(c.tracked_nodes(), 0, "ghostless rejects allocate nothing");
         c.admit(
             NodeId(0),
             "/hdfs/hot/x",
@@ -993,15 +992,12 @@ mod tests {
         let hit = c
             .get(NodeId(0), "/hdfs/hot/x", NOW)
             .expect("pinned path cached");
-        assert_eq!(hit.tier, CacheTier::Ssd, "legacy mode has no memory tier");
+        assert_eq!(hit.tier, CacheTier::Ssd, "no memory tier configured");
     }
 
     #[test]
     fn ghost_admission_requires_second_sighting() {
-        let c = open(64, 64);
-        let mut s = c.settings.clone();
-        s.admission = CacheAdmission::Frequency;
-        let c = TieredCache::new(s, Vec::new());
+        let c = TieredCache::new(open(64, 64).settings, Vec::new());
         let blob = Bytes::from_static(b"data");
         // First sighting: registered in the ghost, not cached.
         c.admit(NodeId(0), "/hdfs/t/b0", blob.clone(), attr(1), NOW);
@@ -1069,8 +1065,7 @@ mod tests {
         s.enabled = true;
         s.mem_capacity_per_node = ByteSize(1000);
         s.ssd_capacity_per_node = ByteSize::kib(64);
-        s.admission = CacheAdmission::Always;
-        let c = TieredCache::new(s, Vec::new());
+        let c = TieredCache::new(s, pin_all());
         c.admit(NodeId(0), "/t/a", Bytes::from(vec![1u8; 600]), attr(1), NOW);
         c.admit(NodeId(0), "/t/b", Bytes::from(vec![2u8; 600]), attr(1), NOW);
         assert!(c.get(NodeId(0), "/t/a", NOW).is_some()); // a → memory
@@ -1094,7 +1089,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_under_pressure() {
-        let c = legacy(1); // 1 KiB SSD tier
+        let c = pins_only(1); // 1 KiB SSD tier
         let blob = Bytes::from(vec![0u8; 400]);
         c.admit(NodeId(0), "/hdfs/hot/a", blob.clone(), attr(1), NOW);
         c.admit(NodeId(0), "/hdfs/hot/b", blob.clone(), attr(1), NOW);
@@ -1106,8 +1101,8 @@ mod tests {
         assert!(c.get(NodeId(0), "/hdfs/hot/c", NOW).is_some());
         assert!(c.stats().ssd_evictions >= 1);
         assert!(c.used_on(NodeId(0), CacheTier::Ssd).as_u64() <= 1024);
-        // Evicted keys land in the ghost... but the legacy point has no
-        // ghost (capacity 0).
+        // Evicted keys land in the ghost... but this cache has none
+        // (capacity 0).
         assert_eq!(c.ghost_len_on(NodeId(0)), 0);
     }
 
@@ -1123,7 +1118,7 @@ mod tests {
 
     #[test]
     fn oversized_object_rejected() {
-        let c = legacy(1);
+        let c = pins_only(1);
         c.admit(
             NodeId(0),
             "/hdfs/hot/big",
@@ -1161,9 +1156,8 @@ mod tests {
     fn ttl_expires_entries_on_probe() {
         let mut s = CacheSettings::default();
         s.enabled = true;
-        s.admission = CacheAdmission::Always;
         s.ttl = Some(SimDuration::hours(1));
-        let c = TieredCache::new(s, Vec::new());
+        let c = TieredCache::new(s, pin_all());
         c.admit(NodeId(0), "/t/x", Bytes::from_static(b"d"), attr(1), NOW);
         assert!(c
             .get(NodeId(0), "/t/x", NOW + SimDuration::minutes(59))
@@ -1177,7 +1171,7 @@ mod tests {
     #[test]
     fn attached_registry_mirrors_stats() {
         let registry = MetricsRegistry::new();
-        let c = legacy(64);
+        let c = pins_only(64);
         c.attach_metrics(&registry);
         c.admit(
             NodeId(0),
@@ -1202,7 +1196,7 @@ mod tests {
 
     #[test]
     fn hit_heavy_workload_keeps_lru_queues_bounded() {
-        let c = legacy(64);
+        let c = pins_only(64);
         c.admit(
             NodeId(0),
             "/hdfs/hot/a",
@@ -1258,11 +1252,10 @@ mod tests {
     fn eviction_under_quota_pressure_sheds_own_entries() {
         let mut s = CacheSettings::default();
         s.enabled = true;
-        s.admission = CacheAdmission::Always;
         s.mem_capacity_per_node = ByteSize::kib(64);
         s.ssd_capacity_per_node = ByteSize::kib(64);
         s.default_user_quota = Some(ByteSize(1000));
-        let c = TieredCache::new(s, Vec::new());
+        let c = TieredCache::new(s, pin_all());
         let blob = Bytes::from(vec![0u8; 400]);
         c.admit(NodeId(0), "/t/a", blob.clone(), attr(1), NOW);
         c.admit(NodeId(0), "/t/b", blob.clone(), attr(1), NOW);
@@ -1288,8 +1281,7 @@ mod tests {
     fn zero_quota_user_caches_nothing() {
         let mut s = CacheSettings::default();
         s.enabled = true;
-        s.admission = CacheAdmission::Always;
-        let c = TieredCache::new(s, Vec::new());
+        let c = TieredCache::new(s, pin_all());
         c.set_user_quota(UserId(3), Some(ByteSize::ZERO));
         c.admit(NodeId(0), "/t/x", Bytes::from_static(b"d"), attr(3), NOW);
         assert!(c.get(NodeId(0), "/t/x", NOW).is_none());
@@ -1305,7 +1297,6 @@ mod tests {
     fn pin_vs_quota_conflict_quota_wins() {
         let mut s = CacheSettings::default();
         s.enabled = true;
-        s.admission = CacheAdmission::Frequency;
         let c = TieredCache::new(
             s,
             vec![CachePin {
@@ -1329,9 +1320,8 @@ mod tests {
     fn table_quota_evicts_same_table_entries() {
         let mut s = CacheSettings::default();
         s.enabled = true;
-        s.admission = CacheAdmission::Always;
         s.default_table_quota = Some(ByteSize(1000));
-        let c = TieredCache::new(s, Vec::new());
+        let c = TieredCache::new(s, pin_all());
         let blob = Bytes::from(vec![0u8; 400]);
         c.admit(NodeId(0), "/t/a", blob.clone(), tattr(1, "clicks"), NOW);
         c.admit(NodeId(0), "/t/b", blob.clone(), tattr(1, "clicks"), NOW);
@@ -1352,7 +1342,6 @@ mod tests {
     fn ghost_capacity_is_bounded() {
         let mut s = CacheSettings::default();
         s.enabled = true;
-        s.admission = CacheAdmission::Frequency;
         s.ghost_capacity = 8;
         let c = TieredCache::new(s, Vec::new());
         for i in 0..100 {

@@ -24,8 +24,6 @@ pub mod router;
 
 pub use auth::{AuthService, Credential, Grant};
 pub use bytes::Bytes;
-pub use cache::{
-    BlockCache, CacheAttr, CacheHit, CachePin, CacheStats, CacheTier, CacheTierRow, TieredCache,
-};
+pub use cache::{CacheAttr, CacheHit, CachePin, CacheStats, CacheTier, CacheTierRow, TieredCache};
 pub use domain::{ReadResult, StorageDomain};
 pub use router::StorageRouter;

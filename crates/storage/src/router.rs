@@ -9,7 +9,7 @@
 //! reads with the per-node SSD cache of §IV-B.
 
 use crate::auth::{AuthService, Credential, Grant};
-use crate::cache::{BlockCache, CacheAttr, CacheTier};
+use crate::cache::{CacheAttr, CacheTier, TieredCache};
 use crate::domain::{ReadResult, StorageDomain};
 use bytes::Bytes;
 use feisu_cluster::simclock::TimeTally;
@@ -32,7 +32,7 @@ pub struct StorageRouter {
     /// Index into `domains` used when no prefix matches (the local FS).
     default_domain: usize,
     auth: Arc<AuthService>,
-    cache: Option<Arc<dyn BlockCache>>,
+    cache: Option<Arc<TieredCache>>,
     cost: CostModel,
     // Behind a Mutex because the router is attached after it is shared
     // (`Arc<StorageRouter>` throughout the engine).
@@ -44,7 +44,7 @@ impl StorageRouter {
         domains: Vec<Arc<dyn StorageDomain>>,
         default_domain: usize,
         auth: Arc<AuthService>,
-        cache: Option<Arc<dyn BlockCache>>,
+        cache: Option<Arc<TieredCache>>,
         cost: CostModel,
     ) -> Self {
         assert!(
@@ -247,7 +247,7 @@ impl StorageRouter {
         &self.auth
     }
 
-    pub fn cache(&self) -> Option<&Arc<dyn BlockCache>> {
+    pub fn cache(&self) -> Option<&Arc<TieredCache>> {
         self.cache.as_ref()
     }
 
@@ -272,7 +272,7 @@ impl StorageRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{CachePin, TieredCache};
+    use crate::cache::CachePin;
     use crate::fatman::FatmanDomain;
     use crate::hdfs::HdfsDomain;
     use crate::kv::KvDomain;
@@ -315,15 +315,21 @@ mod tests {
         let cred = auth
             .issue(UserId(1), SimInstant(0), SimDuration::hours(8))
             .unwrap();
+        // SSD tier only, admission by pinned prefix only.
         let cache = with_cache.then(|| {
-            let mut settings = CacheSettings::legacy_single_tier();
-            settings.ssd_capacity_per_node = ByteSize::mib(4);
+            let settings = CacheSettings {
+                enabled: true,
+                mem_capacity_per_node: ByteSize::ZERO,
+                ssd_capacity_per_node: ByteSize::mib(4),
+                ghost_capacity: 0,
+                ..CacheSettings::default()
+            };
             Arc::new(TieredCache::new(
                 settings,
                 vec![CachePin {
                     path_prefix: "/hdfs/".into(),
                 }],
-            )) as Arc<dyn BlockCache>
+            ))
         });
         let r = StorageRouter::new(vec![local, hdfs, ffs, kv], 0, auth, cache, cost);
         (r, cred)
@@ -358,10 +364,12 @@ mod tests {
             enabled: true,
             mem_capacity_per_node: ByteSize::mib(4),
             ssd_capacity_per_node: ByteSize::mib(4),
-            admission: feisu_common::config::CacheAdmission::Always,
             ..CacheSettings::default()
         };
-        let cache = Arc::new(TieredCache::new(settings, Vec::new())) as Arc<dyn BlockCache>;
+        let pin_all = vec![CachePin {
+            path_prefix: "/".into(),
+        }];
+        let cache = Arc::new(TieredCache::new(settings, pin_all));
         let r = StorageRouter::new(vec![local, hdfs], 0, auth, Some(cache), cost);
         (r, cred)
     }

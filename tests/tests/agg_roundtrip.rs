@@ -5,8 +5,8 @@
 //!    exactly — including i64 sums near `i64::MAX`, which used to round
 //!    on the wire when shipped as Float64.
 //! 2. Zone-map block skipping is purely an optimization: any query must
-//!    return identical result batches with `FeisuConfig.zone_maps` on
-//!    and off.
+//!    return exactly what the oracle executor (which has no blocks to
+//!    skip) returns.
 
 use feisu_core::engine::ClusterSpec;
 use feisu_exec::aggregate::AggTable;
@@ -14,7 +14,7 @@ use feisu_exec::batch::RecordBatch;
 use feisu_format::{ColumnBuilder, DataType, Field, Schema, Value};
 use feisu_sql::ast::{AggFunc, Expr};
 use feisu_sql::plan::AggExpr;
-use feisu_tests::{assert_same_rows, fixture_with, Fixture};
+use feisu_tests::{assert_same_rows, check_against_oracle, fixture_with, Fixture};
 use proptest::prelude::*;
 use std::sync::{Mutex, OnceLock};
 
@@ -183,23 +183,19 @@ proptest! {
 // Part 2: zone-map skipping never changes results.
 // ---------------------------------------------------------------------
 
-/// One cluster pair (zone maps on / off) over identical data. Cluster
-/// construction dominates runtime, so both are built once and shared.
-static FX: OnceLock<Mutex<(Fixture, Fixture)>> = OnceLock::new();
+/// One cluster plus its oracle twin. Cluster construction dominates
+/// runtime, so it is built once and shared.
+static FX: OnceLock<Mutex<Fixture>> = OnceLock::new();
 
-fn with_fixtures<R>(f: impl FnOnce(&Fixture, &Fixture) -> R) -> R {
+fn with_fixture<R>(f: impl FnOnce(&mut Fixture) -> R) -> R {
     let fx = FX.get_or_init(|| {
-        let on = ClusterSpec::small();
-        let mut off = ClusterSpec::small();
-        assert!(on.config.zone_maps, "zone maps default on");
-        off.config.zone_maps = false;
-        Mutex::new((
-            fixture_with(600, on, "/hdfs/warehouse/clicks"),
-            fixture_with(600, off, "/hdfs/warehouse/clicks"),
+        Mutex::new(fixture_with(
+            600,
+            ClusterSpec::small(),
+            "/hdfs/warehouse/clicks",
         ))
     });
-    let guard = fx.lock().unwrap();
-    f(&guard.0, &guard.1)
+    f(&mut fx.lock().unwrap())
 }
 
 /// Range-style predicates over the zone-mapped columns: these are the
@@ -229,11 +225,6 @@ proptest! {
                  FROM clicks WHERE {pred} GROUP BY keyword"
             ),
         };
-        with_fixtures(|on, off| {
-            let a = on.cluster.query(&sql, &on.cred).unwrap();
-            let b = off.cluster.query(&sql, &off.cred).unwrap();
-            prop_assert_eq!(&a.batch, &b.batch, "zone maps changed results for {}", sql);
-            Ok(())
-        })?;
+        with_fixture(|fx| check_against_oracle(fx, &sql));
     }
 }

@@ -3,7 +3,6 @@
 //! wiring, and the cache-transparency property — cache-on and cache-off
 //! clusters answer every query identically.
 
-use feisu_common::config::CacheAdmission;
 use feisu_common::rng::DetRng;
 use feisu_common::ByteSize;
 use feisu_core::engine::ClusterSpec;
@@ -11,14 +10,15 @@ use feisu_format::{Block, Column, DataType, Value};
 use feisu_tests::{clicks_schema, fixture_with};
 use proptest::prelude::*;
 
-/// A two-tier spec that admits everything, with task reuse and the
-/// SmartIndex off so repeat queries really re-read their blocks.
+/// A two-tier spec that admits everything (a pin on the root prefix),
+/// with task reuse and the SmartIndex off so repeat queries really
+/// re-read their blocks.
 fn two_tier_spec() -> ClusterSpec {
     let mut spec = ClusterSpec::small();
     spec.task_reuse = false;
     spec.use_smartindex = false;
     spec.config.cache.enabled = true;
-    spec.config.cache.admission = CacheAdmission::Always;
+    spec.cache_pins = vec!["/".to_string()];
     spec
 }
 
@@ -169,7 +169,7 @@ proptest! {
         let queries = random_queries(&mut rng, 6);
 
         let mut on = two_tier_spec();
-        on.config.cache.admission = CacheAdmission::Frequency;
+        on.cache_pins.clear(); // ghost admission decides
         on.config.cache.mem_capacity_per_node = ByteSize(8 * 1024);
         on.config.cache.ssd_capacity_per_node = ByteSize(16 * 1024);
         on.config.cache.ghost_capacity = 8;

@@ -11,12 +11,11 @@
 //! `FEISU_CLIENT_THREADS` (default 4) sets the client-thread count, so
 //! CI can re-run the suite at a pinned width.
 
-use feisu_common::config::CacheAdmission;
 use feisu_common::{ByteSize, NodeId, SimInstant, UserId};
 use feisu_core::engine::{ClusterSpec, FeisuCluster, QueryResult};
 use feisu_core::master::QuerySession;
 use feisu_storage::auth::Credential;
-use feisu_storage::{BlockCache, Bytes, CacheAttr, CacheStats, CacheTier, TieredCache};
+use feisu_storage::{Bytes, CacheAttr, CachePin, CacheStats, CacheTier, TieredCache};
 use feisu_tests::{clicks_rows, clicks_schema, fixture_with};
 use std::sync::Barrier;
 
@@ -266,13 +265,15 @@ fn parallel_hammer_on_two_nodes_keeps_exact_cache_totals() {
     let threads = client_threads().max(2) as u64;
     let ops = 64u64;
     let payload = 1024u64;
+    // Everything is pinned: every offer is admitted on first sight.
     let cache = TieredCache::new(
         feisu_common::config::CacheSettings {
             enabled: true,
-            admission: CacheAdmission::Always,
             ..Default::default()
         },
-        Vec::new(),
+        vec![CachePin {
+            path_prefix: "/".into(),
+        }],
     );
     let nodes = [NodeId(0), NodeId(1)];
     let barrier = Barrier::new(threads as usize);
@@ -366,7 +367,6 @@ fn run_cache_workload(clients: usize, concurrent: bool) -> (Vec<Vec<QueryResult>
     spec.task_reuse = false; // repeats must really re-read their blocks
     spec.use_smartindex = false;
     spec.config.cache.enabled = true;
-    spec.config.cache.admission = CacheAdmission::Frequency;
     let fx = fixture_with(64, spec, "/hdfs/warehouse/clicks");
     for i in 0..clients {
         fx.cluster

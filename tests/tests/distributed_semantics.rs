@@ -100,17 +100,34 @@ fn history_and_personalization_flow() {
             .query("SELECT COUNT(*) FROM clicks WHERE clicks > 42", &fx.cred)
             .unwrap();
     }
-    let freq = fx.cluster.history().frequent_predicates(
-        fx.user,
-        fx.cluster.now(),
-        feisu_common::SimDuration::hours(24),
-        3,
-    );
+    let freq = fx
+        .cluster
+        .frequent_predicates(fx.user, feisu_common::SimDuration::hours(24), 3);
     assert!(!freq.is_empty());
     assert_eq!(freq[0].0.column, "clicks");
     assert_eq!(freq[0].1, 5);
     let pinned = fx.cluster.personalize(fx.user, 2).unwrap();
     assert!(pinned > 0);
+}
+
+#[test]
+fn personalization_history_is_bounded_by_the_query_log() {
+    let mut spec = ClusterSpec::small();
+    spec.config.query_log_capacity = 4;
+    let fx = fixture_with(200, spec, "/hdfs/warehouse/clicks");
+    let run = |sql: &str, times: usize| {
+        for _ in 0..times {
+            fx.cluster.query(sql, &fx.cred).unwrap();
+        }
+    };
+    run("SELECT COUNT(*) FROM clicks WHERE clicks > 42", 6);
+    run("SELECT COUNT(*) FROM clicks WHERE day = 20160102", 4);
+    // Only the last four statements are remembered, however many ran.
+    let freq = fx
+        .cluster
+        .frequent_predicates(fx.user, feisu_common::SimDuration::hours(24), 10);
+    assert_eq!(freq.len(), 1, "{freq:?}");
+    assert_eq!((freq[0].0.column.as_str(), freq[0].1), ("day", 4));
 }
 
 #[test]

@@ -22,8 +22,8 @@ struct Rig {
     router: StorageRouter,
     cred: Credential,
     desc: BlockDesc,
-    /// Same block serialized without the footer zone section (the
-    /// pre-zone-map layout), stored at its own path.
+    /// Same block as written before zone maps existed (no footer zone
+    /// section), stored at its own path.
     desc_legacy: BlockDesc,
     schema: Schema,
     topology: Arc<Topology>,
@@ -88,14 +88,16 @@ fn rig() -> Rig {
     router
         .write("/t/b0", bytes.into(), Some(NodeId(0)), &cred, SimInstant(0))
         .unwrap();
-    let legacy_bytes = block.serialize_with(false);
+    // Golden bytes from the pre-zone-map writer, for exactly `block`.
+    let legacy_bytes: &[u8] = include_bytes!("../../crates/format/testdata/zoneless_block.bin");
+    assert_eq!(Block::deserialize(legacy_bytes).unwrap(), block);
     let mut desc_legacy = desc.clone();
     desc_legacy.path = "/t/b0_legacy".into();
     desc_legacy.stored_size = ByteSize(legacy_bytes.len() as u64);
     router
         .write(
             "/t/b0_legacy",
-            legacy_bytes.into(),
+            legacy_bytes.to_vec().into(),
             Some(NodeId(0)),
             &cred,
             SimInstant(0),
@@ -112,16 +114,11 @@ fn rig() -> Rig {
 }
 
 fn leaf(rig: &Rig, node: NodeId) -> LeafServer {
-    leaf_with(rig, node, true)
-}
-
-fn leaf_with(rig: &Rig, node: NodeId, zone_maps: bool) -> LeafServer {
     LeafServer::new(
         node,
         IndexManager::new(ByteSize::mib(4), SimDuration::hours(72)),
         rig.topology.clone(),
         CostModel::default(),
-        zone_maps,
     )
 }
 
@@ -244,20 +241,6 @@ fn zone_skip_avoids_column_decode_and_most_bytes() {
         full.stats.bytes_read
     );
     assert!(out.tally.io < full.tally.io);
-}
-
-#[test]
-fn zone_skip_kill_switch_scans_normally() {
-    let r = rig();
-    let l = leaf_with(&r, NodeId(0), false);
-    let t = task(&r, "a > 1000", &["a"], None);
-    let out = l
-        .execute(&t, &r.router, &r.cred, SimInstant(0), true)
-        .unwrap();
-    assert!(!out.stats.pruned_by_zone);
-    assert_eq!(out.stats.blocks_skipped, 0);
-    assert_eq!(out.stats.blocks_scanned, 1);
-    assert_eq!(out.batch.rows(), 0, "same (empty) answer, the slow way");
 }
 
 #[test]

@@ -4,12 +4,11 @@
 //! multi-level partitioned merges must equal single-node aggregation for
 //! random COUNT/SUM/AVG/MIN/MAX workloads at tree depths 2–4 and
 //! partition counts 1–8, integer answers must be bit-identical across
-//! tree shapes and partition counts, serial and concurrent runs must be
+//! partition counts, serial and concurrent runs must be
 //! bit-identical with the exchange enabled, a 2-DC grid must bill more
 //! network than a single rack for the same query, and the
 //! straggler-limit clamp must pin leaf time exactly at the limit.
 
-use feisu_common::config::MergeTreeShape;
 use feisu_common::SimDuration;
 use feisu_core::engine::{ClusterSpec, FeisuCluster, QueryOptions};
 use feisu_exec::MemProvider;
@@ -25,18 +24,12 @@ struct Fx {
     cred: Credential,
 }
 
-fn build(
-    (dcs, racks, npr): (u32, u32, u32),
-    shape: MergeTreeShape,
-    parts: usize,
-    rows: &[Vec<Value>],
-) -> Fx {
+fn build((dcs, racks, npr): (u32, u32, u32), parts: usize, rows: &[Vec<Value>]) -> Fx {
     let mut spec = ClusterSpec::small();
     spec.datacenters = dcs;
     spec.racks_per_dc = racks;
     spec.nodes_per_rack = npr;
     spec.rows_per_block = 16; // many blocks → many leaf tasks
-    spec.config.merge_tree.shape = shape;
     spec.config.merge_tree.exchange_partitions = parts;
     // Mirror `fixture_with`: CI pins the pool width via env to prove
     // thread-count independence; explicit specs win.
@@ -110,28 +103,31 @@ proptest! {
         query_idx in 0..QUERIES.len(),
     ) {
         let sql = QUERIES[query_idx];
-        let mut fx = build(GRIDS[grid_idx], MergeTreeShape::Topology, parts, &rows);
+        let mut fx = build(GRIDS[grid_idx], parts, &rows);
         let got = fx.cluster.query(sql, &fx.cred).expect("cluster query");
         let want = feisu_exec::executor::run_sql(sql, &mut fx.oracle).expect("oracle");
         assert_same_rows(&got.batch, &want, sql);
     }
 
-    /// Integer aggregates are bit-identical across tree shapes and
-    /// partition counts (float partials may re-associate across shapes;
-    /// integer state merging is exact and order-free).
+    /// Integer aggregates are bit-identical across partition counts —
+    /// the `exchange_partitions = 1` arm (no exchange) is the reference —
+    /// and equal the oracle's (integer state merging is exact and
+    /// order-free; float partials may re-associate).
     #[test]
-    fn integer_answers_identical_across_shapes_and_partitions(
+    fn integer_answers_identical_across_partition_counts(
         rows in proptest::collection::vec(arb_clicks_row(), 1..150),
         grid_idx in 0..GRIDS.len(),
     ) {
         let sql = "SELECT keyword, COUNT(*), SUM(clicks), MIN(clicks), MAX(clicks) \
                    FROM clicks GROUP BY keyword";
         let grid = GRIDS[grid_idx];
-        let baseline = build(grid, MergeTreeShape::TwoLevel, 1, &rows);
-        let want = baseline.cluster.query(sql, &baseline.cred).expect("two-level").batch;
-        for parts in [1usize, 3, 8] {
-            let fx = build(grid, MergeTreeShape::Topology, parts, &rows);
-            let got = fx.cluster.query(sql, &fx.cred).expect("topology").batch;
+        let mut baseline = build(grid, 1, &rows);
+        let want = baseline.cluster.query(sql, &baseline.cred).expect("no exchange").batch;
+        let oracle = feisu_exec::executor::run_sql(sql, &mut baseline.oracle).expect("oracle");
+        assert_same_rows(&want, &oracle, sql);
+        for parts in [3usize, 8] {
+            let fx = build(grid, parts, &rows);
+            let got = fx.cluster.query(sql, &fx.cred).expect("exchange").batch;
             prop_assert_eq!(&got, &want, "parts={}", parts);
         }
     }
@@ -148,7 +144,6 @@ fn serial_vs_concurrent_bit_identity_with_exchange() {
         let mut spec = ClusterSpec::small();
         spec.rows_per_block = 16;
         spec.config.execution_threads = threads;
-        spec.config.merge_tree.shape = MergeTreeShape::Topology;
         spec.config.merge_tree.exchange_partitions = 4;
         let fx = {
             let cluster = FeisuCluster::new(spec).expect("cluster");

@@ -165,7 +165,7 @@ fn memory_tier_hits_show_their_own_tier() {
     spec.task_reuse = false;
     spec.use_smartindex = false;
     spec.config.cache.enabled = true;
-    spec.config.cache.admission = feisu_common::config::CacheAdmission::Always;
+    spec.cache_pins = vec!["/".to_string()]; // admit on first sight
     let fx = fixture_with(400, spec, "/hdfs/warehouse/clicks");
     let sql = "SELECT url FROM clicks WHERE clicks > 10";
     let tier_of = |r: &feisu_core::engine::QueryResult| {

@@ -6,7 +6,9 @@
 
 use feisu_core::engine::ClusterSpec;
 use feisu_format::{DataType, Field, Schema, Value};
-use feisu_tests::{assert_same_rows, fixture, fixture_with, rows_to_batch, Fixture};
+use feisu_tests::{
+    assert_same_rows, check_against_oracle, fixture, fixture_with, rows_to_batch, Fixture,
+};
 use proptest::prelude::*;
 
 // ------------------------------------------------------------ fixtures
@@ -189,6 +191,23 @@ fn join_reorder_kill_switch_preserves_results() {
             .counter("feisu.optimizer.joins_reordered")
             .get(),
         0
+    );
+}
+
+// ------------------------------------------------- task reuse × aliases
+
+/// Regression: the task-reuse signature ignored table aliases, so the
+/// second statement got `a`/`b` scan batches back under the first
+/// statement's column names (`a.k`, not `y.k`) and failed with "join
+/// requires at least one equi condition".
+#[test]
+fn task_reuse_tells_aliased_scans_apart() {
+    let mut fx = fixture(10);
+    add_join_tables(&mut fx);
+    check_against_oracle(&mut fx, "SELECT a.v, b.w FROM a, b WHERE a.k = b.k");
+    check_against_oracle(
+        &mut fx,
+        "SELECT x.w, y.v FROM b AS x JOIN a AS y ON x.k = y.k",
     );
 }
 

@@ -125,5 +125,8 @@ fn jobs_are_recorded_per_user() {
     assert!(jobs
         .iter()
         .all(|j| j.state == feisu_core::master::JobState::Succeeded));
-    assert_eq!(fx.cluster.history().count(fx.user), 2);
+    // The same two statements are the user's personalization history.
+    let user = fx.user.to_string();
+    let logged = fx.cluster.query_log().snapshot();
+    assert_eq!(logged.iter().filter(|e| e.user == user).count(), 2);
 }

@@ -172,7 +172,7 @@ fn system_cache_reports_per_node_tier_rows() {
     spec.task_reuse = false;
     spec.use_smartindex = false;
     spec.config.cache.enabled = true;
-    spec.config.cache.admission = feisu_common::config::CacheAdmission::Always;
+    spec.cache_pins = vec!["/".to_string()]; // admit on first sight
     let fx = fixture_with(200, spec, "/hdfs/warehouse/clicks");
     let sql = "SELECT url FROM clicks WHERE clicks > 10";
     fx.cluster.query(sql, &fx.cred).unwrap(); // miss + admit
