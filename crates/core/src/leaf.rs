@@ -22,7 +22,7 @@ use feisu_common::{ByteSize, FeisuError, NodeId, Result, SimInstant};
 use feisu_exec::aggregate::AggTable;
 use feisu_exec::batch::{BatchView, RecordBatch};
 use feisu_format::table::BlockDesc;
-use feisu_format::{Block, Column, DataType, Schema, Value};
+use feisu_format::{Block, Column, Schema};
 use feisu_index::bitvec::BitVec;
 use feisu_index::manager::IndexManager;
 use feisu_index::rewrite::{evaluate_cnf, probe_predicate, ProbeKind};
@@ -634,16 +634,7 @@ fn apply_residual(block: &Block, bits: &BitVec, residuals: &[Expr]) -> Result<Bi
 /// Builds the one-row COUNT transport batch for a fully index-served
 /// global count.
 fn count_transport(agg: &AggStage, count: i64) -> Result<RecordBatch> {
-    let mut table = AggTable::new(agg.group_by.clone(), agg.aggregates.clone());
-    // Inject the count by folding a synthetic batch would be wasteful;
-    // instead build a transport batch directly matching the schema.
-    let schema = table.transport_schema();
-    let columns =
-        vec![Column::from_values(DataType::Int64, &[Value::Int64(count)]).expect("count column")];
-    // transport_schema for COUNT(*) only = one field.
-    debug_assert_eq!(schema.len(), 1);
-    let batch = RecordBatch::new(schema, columns)?;
-    // Keep `table` unused-warning-free.
-    let _ = &mut table;
-    Ok(batch)
+    // A lone COUNT(*) ships one Int64 state column.
+    let schema = AggTable::new(agg.group_by.clone(), agg.aggregates.clone()).transport_schema();
+    RecordBatch::new(schema, vec![Column::from_i64(vec![count])])
 }

@@ -4,182 +4,25 @@
 //! blocks, stem servers merge children, the master finalizes (§III-B).
 //! `AggTable` is that partial state; it serializes to/from a
 //! `RecordBatch` so it can travel the execution tree like any other data.
+//!
+//! The table is the transport batch in growable form: [`keys`](crate::keys)
+//! turns the key columns into dense group ids, and each aggregate keeps
+//! its transport state columns as typed arrays indexed by group id
+//! (`Slot`). `update` folds raw argument columns into the arrays,
+//! `merge_transport*` folds a peer's state columns, `to_transport` wraps
+//! the arrays as columns.
 
-use crate::batch::{BatchRow, RecordBatch};
-use crate::expr::coerce;
-use feisu_common::hash::{FxHashMap, FxHashSet, FxHasher};
+use crate::batch::RecordBatch;
+use crate::expr::fit;
+use crate::keys::{hash_rows, key_column, sorted_rows, validity_of, GroupKeys, TypedVec};
+use feisu_common::hash::FxHasher;
 use feisu_common::{FeisuError, Result};
-use feisu_format::{Column, ColumnBuilder, DataType, Field, Schema, Value};
-use feisu_sql::ast::AggFunc;
-use feisu_sql::eval::eval;
+use feisu_format::column::ColumnData;
+use feisu_format::{Column, DataType, Field, Schema, Value};
+use feisu_sql::ast::{AggFunc, Expr};
 use feisu_sql::plan::AggExpr;
-
-/// Partial state of one aggregate over one group.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AggState {
-    Count(i64),
-    /// SUM: running total (int precision kept when possible) + whether
-    /// any non-null input was seen (SUM of all-null is NULL).
-    SumInt(i64, bool),
-    SumFloat(f64, bool),
-    /// AVG: (sum, count).
-    Avg(f64, i64),
-    Min(Option<Value>),
-    Max(Option<Value>),
-}
-
-impl AggState {
-    fn new(func: AggFunc, out_type: DataType) -> AggState {
-        match func {
-            AggFunc::Count => AggState::Count(0),
-            AggFunc::Sum => match out_type {
-                DataType::Int64 => AggState::SumInt(0, false),
-                _ => AggState::SumFloat(0.0, false),
-            },
-            AggFunc::Avg => AggState::Avg(0.0, 0),
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
-        }
-    }
-
-    fn update(&mut self, v: &Value) -> Result<()> {
-        match self {
-            AggState::Count(n) => {
-                if !v.is_null() {
-                    *n += 1;
-                }
-            }
-            AggState::SumInt(s, seen) => {
-                if let Some(i) = v.as_i64() {
-                    *s = s.wrapping_add(i);
-                    *seen = true;
-                } else if !v.is_null() {
-                    return Err(FeisuError::Execution(format!("SUM over non-numeric {v}")));
-                }
-            }
-            AggState::SumFloat(s, seen) => {
-                if let Some(f) = v.as_f64() {
-                    *s += f;
-                    *seen = true;
-                } else if !v.is_null() {
-                    return Err(FeisuError::Execution(format!("SUM over non-numeric {v}")));
-                }
-            }
-            AggState::Avg(s, n) => {
-                if let Some(f) = v.as_f64() {
-                    *s += f;
-                    *n += 1;
-                } else if !v.is_null() {
-                    return Err(FeisuError::Execution(format!("AVG over non-numeric {v}")));
-                }
-            }
-            AggState::Min(cur) => {
-                if !v.is_null() {
-                    let replace = cur
-                        .as_ref()
-                        .is_none_or(|c| v.total_cmp(c) == std::cmp::Ordering::Less);
-                    if replace {
-                        *cur = Some(v.clone());
-                    }
-                }
-            }
-            AggState::Max(cur) => {
-                if !v.is_null() {
-                    let replace = cur
-                        .as_ref()
-                        .is_none_or(|c| v.total_cmp(c) == std::cmp::Ordering::Greater);
-                    if replace {
-                        *cur = Some(v.clone());
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Counts a row for `COUNT(*)` (argument-less).
-    fn count_row(&mut self) {
-        if let AggState::Count(n) = self {
-            *n += 1;
-        }
-    }
-
-    fn merge(&mut self, other: &AggState) -> Result<()> {
-        match (self, other) {
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::SumInt(a, sa), AggState::SumInt(b, sb)) => {
-                *a = a.wrapping_add(*b);
-                *sa |= sb;
-            }
-            (AggState::SumFloat(a, sa), AggState::SumFloat(b, sb)) => {
-                *a += b;
-                *sa |= sb;
-            }
-            (AggState::Avg(s1, n1), AggState::Avg(s2, n2)) => {
-                *s1 += s2;
-                *n1 += n2;
-            }
-            (AggState::Min(a), AggState::Min(b)) => {
-                if let Some(bv) = b {
-                    let replace = a
-                        .as_ref()
-                        .is_none_or(|av| bv.total_cmp(av) == std::cmp::Ordering::Less);
-                    if replace {
-                        *a = Some(bv.clone());
-                    }
-                }
-            }
-            (AggState::Max(a), AggState::Max(b)) => {
-                if let Some(bv) = b {
-                    let replace = a
-                        .as_ref()
-                        .is_none_or(|bv2| bv.total_cmp(bv2) == std::cmp::Ordering::Greater);
-                    if replace {
-                        *a = Some(bv.clone());
-                    }
-                }
-            }
-            _ => {
-                return Err(FeisuError::Internal(
-                    "merging incompatible aggregate states".into(),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    /// Final value.
-    fn finish(&self, out_type: DataType) -> Value {
-        match self {
-            AggState::Count(n) => Value::Int64(*n),
-            AggState::SumInt(s, seen) => {
-                if *seen {
-                    Value::Int64(*s)
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::SumFloat(s, seen) => {
-                if *seen {
-                    Value::Float64(*s)
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::Avg(s, n) => {
-                if *n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float64(s / *n as f64)
-                }
-            }
-            AggState::Min(v) | AggState::Max(v) => match v {
-                None => Value::Null,
-                Some(v) => coerce(v.clone(), out_type).unwrap_or_else(|_| v.clone()),
-            },
-        }
-    }
-}
+use std::borrow::Cow;
+use std::cmp::Ordering;
 
 /// Stable hash partition of a group key for the repartition exchange.
 ///
@@ -187,78 +30,311 @@ impl AggState {
 /// the same key lands in the same partition on every node, every run and
 /// every platform — the property the exchange's "disjoint partitions"
 /// invariant rests on. `parts <= 1` maps everything to partition 0.
+/// This is the definition; the merge path routes whole key columns through
+/// [`hash_rows`], which assigns every row the same partition.
 pub fn partition_of(key: &[Value], parts: usize) -> usize {
-    if parts <= 1 {
-        return 0;
-    }
     use std::hash::{Hash, Hasher};
     let mut h = FxHasher::default();
     for v in key {
         v.hash(&mut h);
     }
-    (h.finish() % parts as u64) as usize
+    partition_of_hash(h.finish(), parts)
+}
+
+/// [`partition_of`] from the key's hash (a row of [`hash_rows`]).
+pub fn partition_of_hash(hash: u64, parts: usize) -> usize {
+    if parts <= 1 {
+        return 0;
+    }
+    (hash % parts as u64) as usize
+}
+
+/// Rows of a source batch paired with the group each folds into.
+struct Targets<'a> {
+    rows: &'a [usize],
+    ids: &'a [u32],
+}
+
+impl Targets<'_> {
+    /// Calls `f(row, group)` for every row where `col` is non-NULL (every
+    /// row without a column: `COUNT(*)`).
+    fn fold(&self, col: Option<&Column>, mut f: impl FnMut(usize, usize)) {
+        let pairs = self
+            .rows
+            .iter()
+            .zip(self.ids)
+            .map(|(&i, &g)| (i, g as usize));
+        match col.filter(|c| c.null_count() > 0) {
+            None => pairs.for_each(|(i, g)| f(i, g)),
+            Some(c) => pairs
+                .filter(|&(i, _)| c.validity().is_valid(i))
+                .for_each(|(i, g)| f(i, g)),
+        }
+    }
+
+    /// `dst[group] += col[row]` over non-NULL Int64 cells.
+    fn add_int(&self, col: &Column, dst: &mut [i64]) -> Result<()> {
+        match col.data() {
+            ColumnData::Int64(v) => self.fold(Some(col), |i, g| dst[g] = dst[g].wrapping_add(v[i])),
+            _ => return non_numeric(col),
+        }
+        Ok(())
+    }
+
+    /// `dst[group] += col[row]` over non-NULL numeric cells.
+    fn add_float(&self, col: &Column, dst: &mut [f64]) -> Result<()> {
+        match col.data() {
+            ColumnData::Int64(v) => self.fold(Some(col), |i, g| dst[g] += v[i] as f64),
+            ColumnData::Float64(v) => self.fold(Some(col), |i, g| dst[g] += v[i]),
+            _ => return non_numeric(col),
+        }
+        Ok(())
+    }
+
+    /// Keeps per group the least (`keep` = Less) or greatest non-NULL cell
+    /// under `Value::total_cmp`.
+    fn keep_extreme(&self, col: &Column, best: &mut TypedVec, keep: Ordering) -> Result<()> {
+        fn run<T: Clone>(
+            (to, col, keep): (&Targets<'_>, &Column, Ordering),
+            vals: &[T],
+            (best, has): (&mut [T], &mut [bool]),
+            cmp: impl Fn(&T, &T) -> Ordering,
+        ) {
+            to.fold(Some(col), |i, g| {
+                if !has[g] || cmp(&vals[i], &best[g]) == keep {
+                    best[g].clone_from(&vals[i]);
+                    has[g] = true;
+                }
+            })
+        }
+        let (src, has) = ((self, col, keep), &mut best.valid[..]);
+        match (col.data(), &mut best.data) {
+            (ColumnData::Bool(v), ColumnData::Bool(b)) => run(src, v, (b, has), bool::cmp),
+            (ColumnData::Int64(v), ColumnData::Int64(b)) => run(src, v, (b, has), i64::cmp),
+            (ColumnData::Float64(v), ColumnData::Float64(b)) => {
+                run(src, v, (b, has), f64::total_cmp)
+            }
+            (ColumnData::Utf8(v), ColumnData::Utf8(b)) => run(src, v, (b, has), String::cmp),
+            (from, to) => {
+                let (from, to) = (from.data_type(), to.data_type());
+                return Err(FeisuError::Execution(format!(
+                    "{from} input for a {to} MIN/MAX"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// SUM/AVG over a non-numeric column fails on its first non-NULL cell.
+fn non_numeric(col: &Column) -> Result<()> {
+    if col.null_count() == col.len() {
+        return Ok(());
+    }
+    let ty = col.data_type();
+    Err(FeisuError::Execution(format!(
+        "SUM/AVG over non-numeric {ty}"
+    )))
+}
+
+/// One transport state column as a typed array indexed by group id.
+#[derive(Debug, Clone)]
+enum Slot {
+    /// Non-NULL inputs seen: COUNT's state and AVG's second.
+    Count(Vec<i64>),
+    /// Running totals, wrapping for Int64 (SUM keeps int precision when
+    /// its output is Int64; AVG always sums in f64).
+    SumInt(Vec<i64>),
+    SumFloat(Vec<f64>),
+    /// Whether a SUM saw any non-NULL input (SUM of all-NULL is NULL).
+    Seen(Vec<bool>),
+    /// MIN (`keep` = Less) or MAX (Greater) in the aggregate's output
+    /// type, NULL until a non-NULL input arrives.
+    Extreme {
+        best: TypedVec,
+        keep: Ordering,
+    },
+}
+
+impl Slot {
+    /// The state columns of one aggregate, by transport name suffix.
+    fn layout(a: &AggExpr) -> Vec<(&'static str, Slot)> {
+        let count = || Slot::Count(Vec::new());
+        let sum_float = || Slot::SumFloat(Vec::new());
+        match a.func {
+            AggFunc::Count => vec![("count", count())],
+            // Int64 sums ship as Int64: an f64 column would round values
+            // past 2^53 on the wire.
+            AggFunc::Sum => {
+                let sum = match a.output_type {
+                    DataType::Int64 => Slot::SumInt(Vec::new()),
+                    _ => sum_float(),
+                };
+                vec![("sum", sum), ("seen", Slot::Seen(Vec::new()))]
+            }
+            AggFunc::Avg => vec![("sum", sum_float()), ("count", count())],
+            AggFunc::Min | AggFunc::Max => {
+                let keep = match a.func {
+                    AggFunc::Min => Ordering::Less,
+                    _ => Ordering::Greater,
+                };
+                let best = TypedVec::new(a.output_type);
+                vec![("extreme", Slot::Extreme { best, keep })]
+            }
+        }
+    }
+
+    fn data_type(&self) -> DataType {
+        match self {
+            Slot::Count(_) | Slot::SumInt(_) => DataType::Int64,
+            Slot::SumFloat(_) => DataType::Float64,
+            Slot::Seen(_) => DataType::Bool,
+            Slot::Extreme { best, .. } => best.data.data_type(),
+        }
+    }
+
+    /// Zeroed states for new groups, up to `groups`.
+    fn grow(&mut self, groups: usize) {
+        match self {
+            Slot::Count(v) | Slot::SumInt(v) => v.resize(groups, 0),
+            Slot::SumFloat(v) => v.resize(groups, 0.0),
+            Slot::Seen(v) => v.resize(groups, false),
+            Slot::Extreme { best, .. } => best.grow(groups),
+        }
+    }
+
+    /// Folds the aggregate's argument column (`None`: `COUNT(*)`).
+    fn update(&mut self, arg: Option<&Column>, to: &Targets<'_>) -> Result<()> {
+        let input =
+            || arg.ok_or_else(|| FeisuError::Execution("aggregate requires an argument".into()));
+        match self {
+            Slot::Count(n) => to.fold(arg, |_, g| n[g] += 1),
+            Slot::SumInt(sum) => to.add_int(input()?, sum)?,
+            Slot::SumFloat(sum) => to.add_float(input()?, sum)?,
+            Slot::Seen(seen) => to.fold(arg, |_, g| seen[g] = true),
+            Slot::Extreme { best, keep } => to.keep_extreme(input()?, best, *keep)?,
+        }
+        Ok(())
+    }
+
+    /// Merges a peer's column of this state (of this slot's type). Only a
+    /// MIN/MAX state may be NULL.
+    fn merge(&mut self, col: &Column, to: &Targets<'_>) -> Result<()> {
+        match self {
+            Slot::Extreme { best, keep } => return to.keep_extreme(col, best, *keep),
+            _ if col.null_count() > 0 => {
+                return Err(FeisuError::Corrupt(
+                    "transport: NULL in a count, sum or seen column".into(),
+                ))
+            }
+            Slot::Count(n) | Slot::SumInt(n) => to.add_int(col, n)?,
+            Slot::SumFloat(sum) => to.add_float(col, sum)?,
+            Slot::Seen(seen) => {
+                let v = col.bool_slice();
+                to.fold(None, |i, g| seen[g] |= v[i]);
+            }
+        }
+        Ok(())
+    }
+
+    fn to_column(&self) -> Column {
+        match self {
+            Slot::Count(v) | Slot::SumInt(v) => Column::from_i64(v.clone()),
+            Slot::SumFloat(v) => Column::from_f64(v.clone()),
+            Slot::Seen(v) => Column::from_bool(v.clone()),
+            Slot::Extreme { best, .. } => best.to_column(),
+        }
+    }
 }
 
 /// Partial aggregation table: group key → per-aggregate states.
 #[derive(Debug, Clone)]
 pub struct AggTable {
-    group_by: Vec<(feisu_sql::ast::Expr, String, DataType)>,
+    group_by: Vec<(Expr, String, DataType)>,
     aggregates: Vec<AggExpr>,
-    groups: FxHashMap<Vec<Value>, Vec<AggState>>,
-    /// Global aggregation (no GROUP BY) must produce one row even over
-    /// zero input rows.
-    global: bool,
+    transport: Schema,
+    keys: GroupKeys,
+    /// The transport's state columns in transport order, `widths[i]` of
+    /// them for aggregate `i`.
+    slots: Vec<Slot>,
+    widths: Vec<usize>,
+    /// Per group, the last transport batch (by `batches`) that carried its
+    /// key: a second sighting within one batch is a duplicate.
+    stamps: Vec<u32>,
+    batches: u32,
 }
 
 impl AggTable {
-    pub fn new(
-        group_by: Vec<(feisu_sql::ast::Expr, String, DataType)>,
-        aggregates: Vec<AggExpr>,
-    ) -> AggTable {
-        let global = group_by.is_empty();
+    pub fn new(group_by: Vec<(Expr, String, DataType)>, aggregates: Vec<AggExpr>) -> AggTable {
+        let mut fields: Vec<Field> = group_by
+            .iter()
+            .map(|(_, name, dt)| Field::new(format!("k:{name}"), *dt, true))
+            .collect();
+        let (mut slots, mut widths) = (Vec::new(), Vec::new());
+        for (i, a) in aggregates.iter().enumerate() {
+            let layout = Slot::layout(a);
+            widths.push(layout.len());
+            for (what, slot) in layout {
+                fields.push(Field::new(format!("s{i}:{what}"), slot.data_type(), true));
+                slots.push(slot);
+            }
+        }
         let mut t = AggTable {
+            keys: GroupKeys::new(group_by.iter().map(|(_, _, dt)| *dt)),
             group_by,
             aggregates,
-            groups: FxHashMap::default(),
-            global,
+            transport: Schema::new(fields),
+            slots,
+            widths,
+            stamps: Vec::new(),
+            batches: 0,
         };
-        if t.global {
-            t.groups.insert(Vec::new(), t.fresh_states());
+        // Global aggregation (no GROUP BY) must produce one row even over
+        // zero input rows: its one group, the empty key, exists up front.
+        if t.group_by.is_empty() {
+            t.group_ids(&[], &[0], &[0])
+                .expect("an empty key fits a key store without columns");
         }
         t
     }
 
-    fn fresh_states(&self) -> Vec<AggState> {
-        self.aggregates
-            .iter()
-            .map(|a| AggState::new(a.func, a.output_type))
-            .collect()
+    /// Group id per row of `rows`, new groups' states zeroed.
+    fn group_ids(&mut self, keys: &[&Column], hashes: &[u64], rows: &[usize]) -> Result<Vec<u32>> {
+        if self.group_by.is_empty() && !self.keys.is_empty() {
+            return Ok(vec![0; rows.len()]);
+        }
+        let ids = self.keys.ids(keys, hashes, rows, true)?;
+        let groups = self.keys.len();
+        self.slots.iter_mut().for_each(|s| s.grow(groups));
+        self.stamps.resize(groups, 0);
+        Ok(ids)
     }
 
     /// Folds one batch into the table.
     pub fn update(&mut self, batch: &RecordBatch) -> Result<()> {
-        for i in 0..batch.rows() {
-            let row = BatchRow { batch, row: i };
-            let key: Vec<Value> = self
-                .group_by
-                .iter()
-                .map(|(e, _, _)| eval(e, &row))
-                .collect::<Result<_>>()?;
-            let states = match self.groups.get_mut(&key) {
-                Some(s) => s,
-                None => {
-                    let fresh = self.fresh_states();
-                    self.groups.entry(key).or_insert(fresh)
-                }
+        let keys: Vec<Cow<'_, Column>> = self
+            .group_by
+            .iter()
+            .map(|(e, _, dt)| key_column(batch, e, Some(*dt)))
+            .collect::<Result<_>>()?;
+        let keys: Vec<&Column> = keys.iter().map(Cow::as_ref).collect();
+        let rows: Vec<usize> = (0..batch.rows()).collect();
+        let ids = self.group_ids(&keys, &hash_rows(&keys, batch.rows()), &rows)?;
+        let to = Targets {
+            rows: &rows,
+            ids: &ids,
+        };
+        let mut slots = self.slots.iter_mut();
+        for (a, &width) in self.aggregates.iter().zip(&self.widths) {
+            // MIN/MAX keep their extreme in the output type; the others
+            // read the argument in whatever type it has.
+            let ty = matches!(a.func, AggFunc::Min | AggFunc::Max).then_some(a.output_type);
+            let arg = match &a.arg {
+                Some(e) => Some(key_column(batch, e, ty)?),
+                None => None,
             };
-            for (state, agg) in states.iter_mut().zip(&self.aggregates) {
-                match &agg.arg {
-                    None => state.count_row(),
-                    Some(arg) => {
-                        let v = eval(arg, &row)?;
-                        state.update(&v)?;
-                    }
-                }
+            for slot in slots.by_ref().take(width) {
+                slot.update(arg.as_deref(), &to)?;
             }
         }
         Ok(())
@@ -266,56 +342,54 @@ impl AggTable {
 
     /// Merges another partial table (same shape) into this one.
     pub fn merge(&mut self, other: &AggTable) -> Result<()> {
-        for (key, states) in &other.groups {
-            match self.groups.get_mut(key) {
-                Some(mine) => {
-                    for (a, b) in mine.iter_mut().zip(states) {
-                        a.merge(b)?;
-                    }
-                }
-                None => {
-                    self.groups.insert(key.clone(), states.clone());
-                }
-            }
-        }
-        Ok(())
+        self.fold_transport(&other.to_transport()?, None).map(drop)
     }
 
     pub fn group_count(&self) -> usize {
-        self.groups.len()
+        self.keys.len()
     }
 
-    /// Finalizes into the aggregate operator's output batch.
+    /// Finalizes into the aggregate operator's output batch, groups in key
+    /// order.
     pub fn finish(&self, output_schema: &Schema) -> Result<RecordBatch> {
-        let mut builders: Vec<ColumnBuilder> = output_schema
-            .fields()
-            .iter()
-            .map(|f| ColumnBuilder::new(f.data_type))
-            .collect();
-        // Deterministic output order: sort groups by key.
-        let mut keys: Vec<&Vec<Value>> = self.groups.keys().collect();
-        keys.sort_by(|a, b| {
-            for (x, y) in a.iter().zip(b.iter()) {
-                let o = x.total_cmp(y);
-                if o != std::cmp::Ordering::Equal {
-                    return o;
+        let mut columns = self.keys.columns();
+        let keys: Vec<(&Column, bool)> = columns.iter().map(|c| (c, false)).collect();
+        let order = sorted_rows(&keys, self.group_count(), None);
+        let mut slots = &self.slots[..];
+        for &width in &self.widths {
+            let (mine, rest) = slots.split_at(width);
+            columns.push(match mine {
+                [Slot::SumInt(sum), Slot::Seen(seen)] => {
+                    Column::new(ColumnData::Int64(sum.clone()), validity_of(seen))
                 }
-            }
-            std::cmp::Ordering::Equal
-        });
-        let ngroup = self.group_by.len();
-        for key in keys {
-            let states = &self.groups[key];
-            for (i, v) in key.iter().enumerate() {
-                let target = output_schema.field(i).data_type;
-                builders[i].push(coerce(v.clone(), target)?);
-            }
-            for (j, (state, agg)) in states.iter().zip(&self.aggregates).enumerate() {
-                let target = output_schema.field(ngroup + j).data_type;
-                builders[ngroup + j].push(coerce(state.finish(agg.output_type), target)?);
-            }
+                [Slot::SumFloat(sum), Slot::Seen(seen)] => {
+                    Column::new(ColumnData::Float64(sum.clone()), validity_of(seen))
+                }
+                [Slot::SumFloat(sum), Slot::Count(count)] => {
+                    let has: Vec<bool> = count.iter().map(|&n| n != 0).collect();
+                    let avg = sum.iter().zip(count).map(|(s, &n)| match n {
+                        0 => 0.0,
+                        n => s / n as f64,
+                    });
+                    Column::new(ColumnData::Float64(avg.collect()), validity_of(&has))
+                }
+                [count_or_extreme] => count_or_extreme.to_column(),
+                _ => unreachable!("Slot::layout has no other shape"),
+            });
+            slots = rest;
         }
-        let columns: Vec<Column> = builders.into_iter().map(|b| b.finish()).collect();
+        if columns.len() != output_schema.len() {
+            return Err(FeisuError::Execution(format!(
+                "aggregate yields {} columns for {} output fields",
+                columns.len(),
+                output_schema.len()
+            )));
+        }
+        let columns: Vec<Column> = columns
+            .iter()
+            .zip(output_schema.fields())
+            .map(|(c, f)| fit(Cow::Owned(c.take(&order)), f.data_type))
+            .collect::<Result<_>>()?;
         RecordBatch::new(output_schema.clone(), columns)
     }
 
@@ -323,92 +397,20 @@ impl AggTable {
 
     /// Schema of the shipped partial-state batch.
     pub fn transport_schema(&self) -> Schema {
-        let mut fields: Vec<Field> = self
-            .group_by
-            .iter()
-            .map(|(_, name, dt)| Field::new(format!("k:{name}"), *dt, true))
-            .collect();
-        for (i, a) in self.aggregates.iter().enumerate() {
-            match a.func {
-                AggFunc::Count => {
-                    fields.push(Field::new(format!("s{i}:count"), DataType::Int64, true))
-                }
-                AggFunc::Sum => {
-                    // Int64 sums ship as Int64: an f64 column would round
-                    // values past 2^53 on the wire.
-                    let sum_dt = if a.output_type == DataType::Int64 {
-                        DataType::Int64
-                    } else {
-                        DataType::Float64
-                    };
-                    fields.push(Field::new(format!("s{i}:sum"), sum_dt, true));
-                    fields.push(Field::new(format!("s{i}:seen"), DataType::Bool, true));
-                }
-                AggFunc::Avg => {
-                    fields.push(Field::new(format!("s{i}:sum"), DataType::Float64, true));
-                    fields.push(Field::new(format!("s{i}:count"), DataType::Int64, true));
-                }
-                AggFunc::Min | AggFunc::Max => {
-                    fields.push(Field::new(format!("s{i}:extreme"), a.output_type, true))
-                }
-            }
-        }
-        Schema::new(fields)
+        self.transport.clone()
     }
 
     /// Serializes the table to its transport batch.
     pub fn to_transport(&self) -> Result<RecordBatch> {
-        let schema = self.transport_schema();
-        let mut builders: Vec<ColumnBuilder> = schema
-            .fields()
-            .iter()
-            .map(|f| ColumnBuilder::new(f.data_type))
-            .collect();
-        for (key, states) in &self.groups {
-            let mut col = 0usize;
-            for (i, v) in key.iter().enumerate() {
-                builders[i].push(coerce(v.clone(), schema.field(i).data_type)?);
-            }
-            col += key.len();
-            for state in states {
-                match state {
-                    AggState::Count(n) => {
-                        builders[col].push(Value::Int64(*n));
-                        col += 1;
-                    }
-                    AggState::SumInt(s, seen) => {
-                        builders[col].push(Value::Int64(*s));
-                        builders[col + 1].push(Value::Bool(*seen));
-                        col += 2;
-                    }
-                    AggState::SumFloat(s, seen) => {
-                        builders[col].push(Value::Float64(*s));
-                        builders[col + 1].push(Value::Bool(*seen));
-                        col += 2;
-                    }
-                    AggState::Avg(s, n) => {
-                        builders[col].push(Value::Float64(*s));
-                        builders[col + 1].push(Value::Int64(*n));
-                        col += 2;
-                    }
-                    AggState::Min(v) | AggState::Max(v) => {
-                        builders[col].push(match v {
-                            None => Value::Null,
-                            Some(v) => coerce(v.clone(), schema.field(col).data_type)?,
-                        });
-                        col += 1;
-                    }
-                }
-            }
-        }
-        let columns: Vec<Column> = builders.into_iter().map(|b| b.finish()).collect();
-        RecordBatch::new(schema, columns)
+        let mut columns = self.keys.columns();
+        columns.extend(self.slots.iter().map(Slot::to_column));
+        RecordBatch::new(self.transport.clone(), columns)
     }
 
     /// Rebuilds a table from a transport batch produced by a peer with the
     /// same plan shape.
     pub fn from_transport(
-        group_by: Vec<(feisu_sql::ast::Expr, String, DataType)>,
+        group_by: Vec<(Expr, String, DataType)>,
         aggregates: Vec<AggExpr>,
         batch: &RecordBatch,
     ) -> Result<AggTable> {
@@ -438,83 +440,51 @@ impl AggTable {
         self.fold_transport(batch, Some((part, parts)))
     }
 
-    /// Shared transport fold. A well-formed transport batch carries each
-    /// group key at most once; a duplicate within one batch means partial
-    /// states were split and would be silently double-merged, so it is
-    /// rejected as corruption (duplicates *across* batches are the normal
-    /// merge case).
+    /// Shared transport fold. The batch must have this table's transport
+    /// columns. A well-formed transport batch carries each group key at
+    /// most once; a duplicate within one batch means partial states were
+    /// split and would be silently double-merged, so it is rejected as
+    /// corruption (duplicates *across* batches are the normal merge case).
     fn fold_transport(
         &mut self,
         batch: &RecordBatch,
         slice: Option<(usize, usize)>,
     ) -> Result<usize> {
-        let ngroup = self.group_by.len();
-        let mut seen: FxHashSet<Vec<Value>> = FxHashSet::default();
-        let mut folded = 0usize;
-        for row in 0..batch.rows() {
-            let key: Vec<Value> = (0..ngroup).map(|c| batch.column(c).value(row)).collect();
-            if let Some((part, parts)) = slice {
-                if partition_of(&key, parts) != part {
-                    continue;
-                }
-            }
-            if !seen.insert(key.clone()) {
-                return Err(FeisuError::Corrupt("transport: duplicate group key".into()));
-            }
-            let mut col = ngroup;
-            let mut states = Vec::with_capacity(self.aggregates.len());
-            for a in &self.aggregates {
-                let state = match a.func {
-                    AggFunc::Count => {
-                        let n = batch.column(col).value(row).as_i64().ok_or_else(|| {
-                            FeisuError::Corrupt("transport: count not int".into())
-                        })?;
-                        col += 1;
-                        AggState::Count(n)
-                    }
-                    AggFunc::Sum => {
-                        let v = batch.column(col).value(row);
-                        let seen = batch.column(col + 1).value(row).as_bool().unwrap_or(false);
-                        col += 2;
-                        if a.output_type == DataType::Int64 {
-                            // Exact i64 round-trip — no float detour.
-                            AggState::SumInt(v.as_i64().unwrap_or(0), seen)
-                        } else {
-                            AggState::SumFloat(v.as_f64().unwrap_or(0.0), seen)
-                        }
-                    }
-                    AggFunc::Avg => {
-                        let s = batch.column(col).value(row).as_f64().unwrap_or(0.0);
-                        let n = batch.column(col + 1).value(row).as_i64().unwrap_or(0);
-                        col += 2;
-                        AggState::Avg(s, n)
-                    }
-                    AggFunc::Min => {
-                        let v = batch.column(col).value(row);
-                        col += 1;
-                        AggState::Min((!v.is_null()).then_some(v))
-                    }
-                    AggFunc::Max => {
-                        let v = batch.column(col).value(row);
-                        col += 1;
-                        AggState::Max((!v.is_null()).then_some(v))
-                    }
-                };
-                states.push(state);
-            }
-            match self.groups.get_mut(&key) {
-                Some(mine) => {
-                    for (a, b) in mine.iter_mut().zip(&states) {
-                        a.merge(b)?;
-                    }
-                }
-                None => {
-                    self.groups.insert(key, states);
-                }
-            }
-            folded += 1;
+        let corrupt = |what: String| Err(FeisuError::Corrupt(format!("transport: {what}")));
+        let (want, got) = (self.transport.fields(), batch.columns());
+        if got.len() != want.len() {
+            return corrupt(format!("{} columns, expected {}", got.len(), want.len()));
         }
-        Ok(folded)
+        if let Some((f, c)) = (want.iter().zip(got)).find(|(f, c)| c.data_type() != f.data_type) {
+            let (name, got, dt) = (&f.name, c.data_type(), f.data_type);
+            return corrupt(format!("`{name}` is {got}, expected {dt}"));
+        }
+        let (keys, states) = got.split_at(self.group_by.len());
+        let keys: Vec<&Column> = keys.iter().collect();
+        let hashes = hash_rows(&keys, batch.rows());
+        let rows: Vec<usize> = (0..batch.rows())
+            .filter(|&i| {
+                slice.is_none_or(|(part, parts)| partition_of_hash(hashes[i], parts) == part)
+            })
+            .collect();
+        let ids = self.group_ids(&keys, &hashes, &rows)?;
+        self.batches = self
+            .batches
+            .checked_add(1)
+            .ok_or_else(|| FeisuError::Internal("transport batch counter overflow".into()))?;
+        for &g in &ids {
+            if std::mem::replace(&mut self.stamps[g as usize], self.batches) == self.batches {
+                return corrupt("duplicate group key".into());
+            }
+        }
+        let to = Targets {
+            rows: &rows,
+            ids: &ids,
+        };
+        for (slot, col) in self.slots.iter_mut().zip(states) {
+            slot.merge(col, &to)?;
+        }
+        Ok(rows.len())
     }
 }
 
@@ -739,6 +709,69 @@ mod tests {
         ));
     }
 
+    /// `shipped` with column `col` replaced.
+    fn with_column(shipped: &RecordBatch, col: usize, replacement: Column) -> RecordBatch {
+        let mut fields = shipped.schema().fields().to_vec();
+        fields[col].data_type = replacement.data_type();
+        let mut columns = shipped.columns().to_vec();
+        columns[col] = replacement;
+        RecordBatch::new(Schema::new(fields), columns).unwrap()
+    }
+
+    #[test]
+    fn malformed_transports_are_corrupt_not_panics() {
+        let mut t = AggTable::new(group_by(), aggs());
+        t.update(&input()).unwrap();
+        let shipped = t.to_transport().unwrap();
+        let names: Vec<&str> = (shipped.schema().fields().iter())
+            .map(|f| f.name.as_str())
+            .collect();
+        assert_eq!(names[..4], ["k:g", "s0:count", "s1:sum", "s1:seen"]);
+        let strings = Column::from_utf8(vec!["x".into(), "y".into()]);
+        let ints = Column::from_i64(vec![1, 1]);
+        let null_count =
+            Column::from_values(DataType::Int64, &[Value::Int64(3), Value::Null]).unwrap();
+        let short = RecordBatch::new(
+            Schema::new(shipped.schema().fields()[..3].to_vec()),
+            shipped.columns()[..3].to_vec(),
+        )
+        .unwrap();
+        for (what, bad) in [
+            ("too few columns", short),
+            (
+                "Utf8 in a sum slot",
+                with_column(&shipped, 2, strings.clone()),
+            ),
+            ("Int64 in a seen slot", with_column(&shipped, 3, ints)),
+            ("NULL count", with_column(&shipped, 1, null_count)),
+            (
+                "Int64 group key",
+                with_column(&shipped, 0, Column::from_i64(vec![1, 2])),
+            ),
+        ] {
+            for slice in [None, Some((0, 2))] {
+                let mut acc = AggTable::new(group_by(), aggs());
+                let got = acc.fold_transport(&bad, slice);
+                assert!(
+                    matches!(got, Err(FeisuError::Corrupt(_))),
+                    "{what}: {got:?}"
+                );
+            }
+        }
+        // MIN/MAX states may be NULL: group "b" of an all-NULL input.
+        let nulls = input().take(&[3]).unwrap();
+        let mut t = AggTable::new(group_by(), aggs());
+        t.update(&nulls).unwrap();
+        let back = AggTable::from_transport(group_by(), aggs(), &t.to_transport().unwrap());
+        assert_eq!(
+            back.unwrap()
+                .finish(&out_schema())
+                .unwrap()
+                .value_at(0, "MIN(v)"),
+            Some(Value::Null)
+        );
+    }
+
     #[test]
     fn partitioned_fold_union_equals_unpartitioned_merge() {
         let batch = input();
@@ -799,7 +832,7 @@ mod tests {
             }
         }
         // Distinct keys should not all collapse onto one partition.
-        let spread: FxHashSet<usize> = (0..64i64)
+        let spread: std::collections::HashSet<usize> = (0..64i64)
             .map(|i| partition_of(&[Value::Int64(i)], 8))
             .collect();
         assert!(spread.len() > 1, "64 keys hashed to a single partition");

@@ -14,6 +14,7 @@ use feisu_format::{Column, DataType, Value};
 use feisu_index::BitVec;
 use feisu_sql::ast::{BinaryOp, Expr};
 use feisu_sql::eval::{eval, eval_truth};
+use std::borrow::Cow;
 
 /// Evaluates a boolean expression into a selection bitmap (bit set ⇔ row
 /// passes the filter; SQL-unknown rows do not pass).
@@ -170,24 +171,58 @@ pub fn eval_to_column(batch: &RecordBatch, expr: &Expr, out_type: DataType) -> R
     // a Float64 slot widens columnar-ly (same nulls, no per-row boxing).
     if let Expr::Column(name) = expr {
         if let Some(c) = batch.column_by_name(name) {
-            if c.data_type() == out_type {
-                return Ok(c.clone());
-            }
-            if c.data_type() == DataType::Int64 && out_type == DataType::Float64 {
-                let vals: Vec<f64> = c.i64_slice().iter().map(|&v| v as f64).collect();
-                return Ok(Column::new(ColumnData::Float64(vals), c.validity().clone()));
+            if let Ok(c) = fit(Cow::Borrowed(c), out_type) {
+                return Ok(c);
             }
         }
     }
-    let mut values = Vec::with_capacity(batch.rows());
-    for i in 0..batch.rows() {
-        let row = BatchRow { batch, row: i };
-        let v = eval(expr, &row)?;
-        values.push(coerce(v, out_type)?);
-    }
-    Column::from_values(out_type, &values).ok_or_else(|| {
+    let values: Vec<Value> = eval_rows(batch, expr)?
+        .into_iter()
+        .map(|v| coerce(v, out_type))
+        .collect::<Result<_>>()?;
+    column_of(expr, out_type, &values)
+}
+
+/// Like [`eval_to_column`], in the type the expression's own values have
+/// (every non-NULL result of one expression over one batch has the same
+/// type). An all-NULL result becomes an all-NULL Bool column.
+pub fn eval_to_natural_column(batch: &RecordBatch, expr: &Expr) -> Result<Column> {
+    let values = eval_rows(batch, expr)?;
+    let ty = values.iter().find_map(Value::data_type);
+    column_of(expr, ty.unwrap_or(DataType::Bool), &values)
+}
+
+fn eval_rows(batch: &RecordBatch, expr: &Expr) -> Result<Vec<Value>> {
+    (0..batch.rows())
+        .map(|row| eval(expr, &BatchRow { batch, row }))
+        .collect()
+}
+
+fn column_of(expr: &Expr, ty: DataType, values: &[Value]) -> Result<Column> {
+    Column::from_values(ty, values).ok_or_else(|| {
         FeisuError::Execution(format!("expression `{expr}` produced ill-typed values"))
     })
+}
+
+/// [`coerce`] for a whole column: passes a column of the target type
+/// through and widens Int64 to Float64 keeping the NULLs.
+pub fn fit(column: Cow<'_, Column>, target: DataType) -> Result<Column> {
+    let from = column.data_type();
+    if from == target {
+        return Ok(column.into_owned());
+    }
+    match (column.data(), target) {
+        (ColumnData::Int64(vals), DataType::Float64) => {
+            let vals = vals.iter().map(|&v| v as f64).collect();
+            Ok(Column::new(
+                ColumnData::Float64(vals),
+                column.validity().clone(),
+            ))
+        }
+        _ => Err(FeisuError::Execution(format!(
+            "{from} column does not fit column type {target}"
+        ))),
+    }
 }
 
 /// Widens a value to the column's declared type where SQL allows it.

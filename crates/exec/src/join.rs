@@ -1,12 +1,14 @@
 //! Join operators: hash equi-join (inner / left / right outer) and
 //! nested-loop cross join, with residual non-equi conditions.
 
-use crate::batch::{BatchRow, RecordBatch};
-use feisu_common::hash::FxHashMap;
+use crate::batch::RecordBatch;
+use crate::expr::fit;
+use crate::keys::{hash_rows, key_column, GroupKeys, ABSENT};
 use feisu_common::{FeisuError, Result};
-use feisu_format::{Column, ColumnBuilder, Schema, Value};
+use feisu_format::{Column, Schema, Value};
 use feisu_sql::ast::{BinaryOp, Expr, JoinKind};
-use feisu_sql::eval::{eval, eval_truth};
+use feisu_sql::eval::eval_truth;
+use std::borrow::Cow;
 
 /// One equi-join condition split by side.
 struct EquiPair {
@@ -97,8 +99,18 @@ fn cross_join(
     right: &RecordBatch,
     output_schema: &Schema,
 ) -> Result<RecordBatch> {
-    let mut left_idx = Vec::with_capacity(left.rows() * right.rows());
-    let mut right_idx = Vec::with_capacity(left.rows() * right.rows());
+    let too_large = || {
+        let (l, r) = (left.rows(), right.rows());
+        FeisuError::Execution(format!("CROSS JOIN of {l} x {r} rows is too large"))
+    };
+    let pairs = left
+        .rows()
+        .checked_mul(right.rows())
+        .ok_or_else(too_large)?;
+    let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
+    for idx in [&mut left_idx, &mut right_idx] {
+        idx.try_reserve_exact(pairs).map_err(|_| too_large())?;
+    }
     for l in 0..left.rows() {
         for r in 0..right.rows() {
             left_idx.push(l);
@@ -107,6 +119,35 @@ fn cross_join(
     }
     assemble(left, right, &left_idx, &right_idx, &[], &[], output_schema)
 }
+
+/// One side's key columns and, per row, the hash and whether any key is
+/// NULL (SQL join semantics: NULL keys never match).
+struct SideKeys<'a> {
+    cols: Vec<Cow<'a, Column>>,
+    hashes: Vec<u64>,
+    /// Rows whose keys are all non-NULL.
+    rows: Vec<usize>,
+}
+
+impl<'a> SideKeys<'a> {
+    fn new(batch: &'a RecordBatch, exprs: impl Iterator<Item = &'a Expr>) -> Result<Self> {
+        let cols = exprs
+            .map(|e| key_column(batch, e, None))
+            .collect::<Result<Vec<_>>>()?;
+        let refs: Vec<&Column> = cols.iter().map(Cow::as_ref).collect();
+        let hashes = hash_rows(&refs, batch.rows());
+        let rows = (0..batch.rows())
+            .filter(|&i| refs.iter().all(|c| c.validity().is_valid(i)))
+            .collect();
+        Ok(SideKeys { cols, hashes, rows })
+    }
+
+    fn refs(&self) -> Vec<&Column> {
+        self.cols.iter().map(Cow::as_ref).collect()
+    }
+}
+
+const END: usize = usize::MAX;
 
 fn hash_join(
     left: &RecordBatch,
@@ -121,48 +162,52 @@ fn hash_join(
             "join requires at least one equi condition (use CROSS JOIN otherwise)".into(),
         ));
     }
-    // Build side: hash the right input on its key exprs.
-    let mut table: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
-    for r in 0..right.rows() {
-        let row = BatchRow {
-            batch: right,
-            row: r,
-        };
-        let key: Vec<Value> = pairs
-            .iter()
-            .map(|p| eval(&p.right, &row))
-            .collect::<Result<_>>()?;
-        // SQL join semantics: null keys never match.
-        if key.iter().any(|v| v.is_null()) {
-            continue;
+    let build = SideKeys::new(right, pairs.iter().map(|p| &p.right))?;
+    let probe = SideKeys::new(left, pairs.iter().map(|p| &p.left))?;
+    let (build_cols, probe_cols) = (build.refs(), probe.refs());
+
+    // Build side: group the right rows by key; each group chains its rows
+    // in input order (`head[group]` → `next[row]` → ... → END).
+    let mut keys = GroupKeys::new(build_cols.iter().map(|c| c.data_type()));
+    let ids = keys.ids(&build_cols, &build.hashes, &build.rows, true)?;
+    let mut head = vec![END; keys.len()];
+    let mut tail = vec![END; keys.len()];
+    let mut next = vec![END; right.rows()];
+    for (&r, &g) in build.rows.iter().zip(&ids) {
+        match std::mem::replace(&mut tail[g as usize], r) {
+            END => head[g as usize] = r,
+            prev => next[prev] = r,
         }
-        table.entry(key).or_default().push(r);
+    }
+
+    // Probe side. Keys of different types never compare equal
+    // (`Int64(1) != Float64(1.0)`), so such a join matches nothing.
+    let mut group_of = vec![ABSENT; left.rows()];
+    if build_cols
+        .iter()
+        .map(|c| c.data_type())
+        .eq(probe_cols.iter().map(|c| c.data_type()))
+    {
+        let ids = keys.ids(&probe_cols, &probe.hashes, &probe.rows, false)?;
+        for (&l, &g) in probe.rows.iter().zip(&ids) {
+            group_of[l] = g;
+        }
     }
     let mut left_idx: Vec<usize> = Vec::new();
     let mut right_idx: Vec<usize> = Vec::new();
     let mut left_unmatched: Vec<usize> = Vec::new();
     let mut right_matched = vec![false; right.rows()];
-    for l in 0..left.rows() {
-        let row = BatchRow {
-            batch: left,
-            row: l,
-        };
-        let key: Vec<Value> = pairs
-            .iter()
-            .map(|p| eval(&p.left, &row))
-            .collect::<Result<_>>()?;
+    for (l, &g) in group_of.iter().enumerate() {
         let mut matched = false;
-        if !key.iter().any(|v| v.is_null()) {
-            if let Some(candidates) = table.get(&key) {
-                for &r in candidates {
-                    if residual_passes(&residual, left, l, right, r)? {
-                        left_idx.push(l);
-                        right_idx.push(r);
-                        right_matched[r] = true;
-                        matched = true;
-                    }
-                }
+        let mut r = if g == ABSENT { END } else { head[g as usize] };
+        while r != END {
+            if residual_passes(&residual, left, l, right, r)? {
+                left_idx.push(l);
+                right_idx.push(r);
+                right_matched[r] = true;
+                matched = true;
             }
+            r = next[r];
         }
         if !matched {
             left_unmatched.push(l);
@@ -218,7 +263,7 @@ fn residual_passes(
 }
 
 /// Builds the output batch from matched index pairs plus null-extended
-/// unmatched rows.
+/// unmatched rows, gathering column by column.
 #[allow(clippy::too_many_arguments)]
 fn assemble(
     left: &RecordBatch,
@@ -229,32 +274,27 @@ fn assemble(
     null_right: &[usize], // right rows with null left side
     output_schema: &Schema,
 ) -> Result<RecordBatch> {
-    let lcols = left.schema().len();
-    let mut builders: Vec<ColumnBuilder> = output_schema
-        .fields()
-        .iter()
-        .map(|f| ColumnBuilder::new(f.data_type))
-        .collect();
-    let mut push_row = |lrow: Option<usize>, rrow: Option<usize>| {
-        for (c, b) in builders.iter_mut().enumerate() {
-            let v = if c < lcols {
-                lrow.map_or(Value::Null, |i| left.column(c).value(i))
-            } else {
-                rrow.map_or(Value::Null, |i| right.column(c - lcols).value(i))
-            };
-            b.push(v);
-        }
+    // Output rows: the matched pairs, then `null_left`, then `null_right`.
+    let nulls = |c: &Column, n: usize| {
+        Column::from_values(c.data_type(), &vec![Value::Null; n]).expect("NULLs fit any type")
     };
-    for (&l, &r) in left_idx.iter().zip(right_idx) {
-        push_row(Some(l), Some(r));
-    }
-    for &l in null_left {
-        push_row(Some(l), None);
-    }
-    for &r in null_right {
-        push_row(None, Some(r));
-    }
-    let columns: Vec<Column> = builders.into_iter().map(|b| b.finish()).collect();
+    let left_rows = [left_idx, null_left].concat();
+    let left_cols = left.columns().iter().map(|c| {
+        let mut out = c.take(&left_rows);
+        out.append(&nulls(c, null_right.len()));
+        out
+    });
+    let right_cols = right.columns().iter().map(|c| {
+        let mut out = c.take(right_idx);
+        out.append(&nulls(c, null_left.len()));
+        out.append(&c.take(null_right));
+        out
+    });
+    let columns: Vec<Column> = left_cols
+        .chain(right_cols)
+        .zip(output_schema.fields())
+        .map(|(c, f)| fit(Cow::Owned(c), f.data_type))
+        .collect::<Result<_>>()?;
     RecordBatch::new(output_schema.clone(), columns)
 }
 
@@ -373,6 +413,20 @@ mod tests {
     fn cross_join_product() {
         let out = join(&left(), &right(), JoinKind::Cross, &[], &out_schema()).unwrap();
         assert_eq!(out.rows(), 16);
+    }
+
+    #[test]
+    fn oversized_cross_join_is_an_error_not_an_abort() {
+        // 2^24 x 2^24 pairs: two index vectors of 2^51 bytes cannot exist.
+        let rows = 1usize << 24;
+        let schema = Schema::new(vec![Field::new("t.b", DataType::Bool, false)]);
+        let big = RecordBatch::new(schema, vec![Column::from_bool(vec![false; rows])]).unwrap();
+        let out = big.schema().join(big.schema());
+        let err = join(&big, &big, JoinKind::Cross, &[], &out).unwrap_err();
+        assert!(
+            matches!(&err, FeisuError::Execution(m) if m.contains("too large")),
+            "{err:?}"
+        );
     }
 
     #[test]

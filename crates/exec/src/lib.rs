@@ -5,6 +5,8 @@
 //! * [`expr`] — expression evaluation against batches, with typed fast
 //!   paths for the comparison predicates that dominate the workload;
 //! * [`ops`] — filter / project / limit and bitmap-selected scans;
+//! * [`keys`] — the columnar key layer under the next three: key columns
+//!   to dense group ids, row hashes and typed row orders;
 //! * [`aggregate`] — hash aggregation with *mergeable partial states*,
 //!   the mechanism leaf servers use to pre-aggregate and stem servers to
 //!   combine ("results are summarized in a bottom-up way", §III-B);
@@ -20,6 +22,7 @@ pub mod batch;
 pub mod executor;
 pub mod expr;
 pub mod join;
+pub mod keys;
 pub mod ops;
 pub mod physical;
 pub mod reorder;

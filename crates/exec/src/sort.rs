@@ -1,129 +1,37 @@
 //! Multi-key sort with optional top-N (fetch).
 //!
 //! ORDER BY keys are arbitrary expressions; DESC flips the comparison.
-//! When the optimizer pushed a LIMIT into the sort (`fetch`), a bounded
-//! binary heap keeps memory and comparisons at O(n log k).
+//! Each key is resolved to a typed column once and row indices are ordered
+//! through it ([`sorted_rows`]). When the optimizer pushed a LIMIT into the
+//! sort (`fetch`), a selection finds the first `fetch` rows in O(n) before
+//! only those are sorted.
 
-use crate::batch::{BatchRow, RecordBatch};
+use crate::batch::RecordBatch;
+use crate::keys::{key_column, sorted_rows};
 use feisu_common::Result;
-use feisu_format::Value;
+use feisu_format::Column;
 use feisu_sql::ast::Expr;
-use feisu_sql::eval::eval;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// Sorts a batch by `keys`; `fetch` keeps only the first N rows.
+/// Sorts a batch by `keys`; `fetch` keeps only the first N rows. Rows with
+/// equal keys keep their input order.
 pub fn sort(batch: &RecordBatch, keys: &[(Expr, bool)], fetch: Option<u64>) -> Result<RecordBatch> {
-    // Materialize key values once per row.
-    let mut key_rows: Vec<(Vec<Value>, usize)> = Vec::with_capacity(batch.rows());
-    for i in 0..batch.rows() {
-        let row = BatchRow { batch, row: i };
-        let kv: Vec<Value> = keys
-            .iter()
-            .map(|(e, _)| eval(e, &row))
-            .collect::<Result<_>>()?;
-        key_rows.push((kv, i));
-    }
-    let descending: Vec<bool> = keys.iter().map(|(_, d)| *d).collect();
-    let cmp = |a: &(Vec<Value>, usize), b: &(Vec<Value>, usize)| -> Ordering {
-        for ((x, y), desc) in a.0.iter().zip(b.0.iter()).zip(&descending) {
-            let o = x.total_cmp(y);
-            let o = if *desc { o.reverse() } else { o };
-            if o != Ordering::Equal {
-                return o;
-            }
-        }
-        // Stable tie-break on original position.
-        a.1.cmp(&b.1)
-    };
-
-    let indices: Vec<usize> = match fetch {
-        Some(k) if (k as usize) < key_rows.len() => {
-            // Max-heap of the current top-k (worst at the top).
-            // Sort + truncate when k is large relative to n; bounded
-            // heap otherwise.
-            let k = k as usize;
-            if k * 4 >= key_rows.len() {
-                key_rows.sort_by(cmp);
-                key_rows.truncate(k);
-                key_rows.into_iter().map(|(_, i)| i).collect()
-            } else {
-                // Manual bounded selection: keep a Vec as a binary heap
-                // ordered by `cmp` descending (worst first).
-                let mut heap: BinaryHeap<OrdBy> = BinaryHeap::with_capacity(k + 1);
-                for item in key_rows {
-                    heap.push(OrdBy {
-                        item,
-                        desc_mask: descending.clone(),
-                    });
-                    if heap.len() > k {
-                        heap.pop();
-                    }
-                }
-                let mut top: Vec<(Vec<Value>, usize)> = heap.into_iter().map(|o| o.item).collect();
-                top.sort_by(cmp);
-                top.into_iter().map(|(_, i)| i).collect()
-            }
-        }
-        _ => {
-            key_rows.sort_by(cmp);
-            let mut v: Vec<usize> = key_rows.into_iter().map(|(_, i)| i).collect();
-            if let Some(k) = fetch {
-                v.truncate(k as usize);
-            }
-            v
-        }
-    };
-    batch.take(&indices)
-}
-
-/// Heap adapter: orders items so the heap's top is the *worst* row under
-/// the sort order, making it a bounded top-k structure.
-struct OrdBy {
-    item: (Vec<Value>, usize),
-    desc_mask: Vec<bool>,
-}
-
-impl OrdBy {
-    fn order(&self, other: &Self) -> Ordering {
-        for ((x, y), desc) in self
-            .item
-            .0
-            .iter()
-            .zip(other.item.0.iter())
-            .zip(&self.desc_mask)
-        {
-            let o = x.total_cmp(y);
-            let o = if *desc { o.reverse() } else { o };
-            if o != Ordering::Equal {
-                return o;
-            }
-        }
-        self.item.1.cmp(&other.item.1)
-    }
-}
-
-impl PartialEq for OrdBy {
-    fn eq(&self, other: &Self) -> bool {
-        self.order(other) == Ordering::Equal
-    }
-}
-impl Eq for OrdBy {}
-impl PartialOrd for OrdBy {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdBy {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.order(other)
-    }
+    let columns = keys
+        .iter()
+        .map(|(e, _)| key_column(batch, e, None))
+        .collect::<Result<Vec<_>>>()?;
+    let keyed: Vec<(&Column, bool)> = columns
+        .iter()
+        .zip(keys)
+        .map(|(c, (_, desc))| (c.as_ref(), *desc))
+        .collect();
+    let fetch = fetch.map(|k| usize::try_from(k).unwrap_or(usize::MAX));
+    batch.take(&sorted_rows(&keyed, batch.rows(), fetch))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use feisu_format::{Column, DataType, Field, Schema};
+    use feisu_format::{DataType, Field, Schema, Value};
     use feisu_sql::parser::parse_expr;
 
     fn batch() -> RecordBatch {

@@ -1,0 +1,332 @@
+//! Row-at-a-time `Vec<Value>` reference for group-by, hash join and sort —
+//! what the operators were before the key layer — and the property tests
+//! that hold the columnar operators to it over random batches.
+
+use feisu_common::hash::FxHashMap;
+use feisu_exec::aggregate::{partition_of, partition_of_hash, AggTable};
+use feisu_exec::batch::{BatchRow, RecordBatch};
+use feisu_exec::join::join;
+use feisu_exec::keys::{hash_rows, key_column};
+use feisu_exec::sort::sort;
+use feisu_format::{Column, DataType, Field, Schema, Value};
+use feisu_sql::ast::{AggFunc, Expr, JoinKind};
+use feisu_sql::eval::eval;
+use feisu_sql::parser::parse_expr;
+use feisu_sql::plan::AggExpr;
+use proptest::prelude::*;
+use std::cmp::Ordering;
+
+type GroupBy = Vec<(Expr, String, DataType)>;
+
+fn key_of(batch: &RecordBatch, exprs: &[Expr], row: usize) -> Vec<Value> {
+    let row = BatchRow { batch, row };
+    exprs.iter().map(|e| eval(e, &row).unwrap()).collect()
+}
+
+fn cmp_keys(a: &[Value], b: &[Value], desc: &[bool]) -> Ordering {
+    (a.iter().zip(b).zip(desc))
+        .map(|((x, y), d)| if *d { y.total_cmp(x) } else { x.total_cmp(y) })
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
+}
+
+/// GROUP BY: rows per key, one fold per aggregate, groups in key order.
+fn ref_group_by(batch: &RecordBatch, group_by: &GroupBy, aggs: &[AggExpr]) -> Vec<Vec<Value>> {
+    let exprs: Vec<Expr> = group_by.iter().map(|g| g.0.clone()).collect();
+    let mut groups: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
+    if exprs.is_empty() {
+        groups.insert(Vec::new(), Vec::new());
+    }
+    for i in 0..batch.rows() {
+        groups.entry(key_of(batch, &exprs, i)).or_default().push(i);
+    }
+    let mut groups: Vec<_> = groups.into_iter().collect();
+    groups.sort_by(|a, b| cmp_keys(&a.0, &b.0, &vec![false; exprs.len()]));
+    let fold = |a: &AggExpr, rows: &[usize]| -> Value {
+        let Some(arg) = &a.arg else {
+            return Value::Int64(rows.len() as i64);
+        };
+        let vals = rows
+            .iter()
+            .map(|&i| key_of(batch, std::slice::from_ref(arg), i).remove(0));
+        let vals: Vec<Value> = vals.filter(|v| !v.is_null()).collect();
+        let float = || vals.iter().fold(0.0, |s, v| s + v.as_f64().unwrap());
+        match a.func {
+            AggFunc::Count => Value::Int64(vals.len() as i64),
+            _ if vals.is_empty() => Value::Null,
+            AggFunc::Sum if a.output_type == DataType::Int64 => {
+                Value::Int64((vals.iter()).fold(0i64, |s, v| s.wrapping_add(v.as_i64().unwrap())))
+            }
+            AggFunc::Sum => Value::Float64(float()),
+            AggFunc::Avg => Value::Float64(float() / vals.len() as f64),
+            AggFunc::Min => vals.iter().min_by(|a, b| a.total_cmp(b)).cloned().unwrap(),
+            AggFunc::Max => vals.iter().max_by(|a, b| a.total_cmp(b)).cloned().unwrap(),
+        }
+    };
+    (groups.into_iter())
+        .map(|(mut key, rows)| {
+            key.extend(aggs.iter().map(|a| fold(a, &rows)));
+            key
+        })
+        .collect()
+}
+
+/// Equi-join as nested loops: probe order x build order, then the
+/// null-extended unmatched rows of the outer side.
+fn ref_join(
+    left: &RecordBatch,
+    right: &RecordBatch,
+    kind: JoinKind,
+    on: &[(Expr, Expr)],
+) -> Vec<Vec<Value>> {
+    let (lk, rk): (Vec<Expr>, Vec<Expr>) = on.iter().cloned().unzip();
+    let key = |b: &RecordBatch, e: &[Expr], i| {
+        Some(key_of(b, e, i)).filter(|k| !k.iter().any(Value::is_null))
+    };
+    let nulls = |b: &RecordBatch| vec![Value::Null; b.schema().len()];
+    let mut out = Vec::new();
+    let mut right_matched = vec![false; right.rows()];
+    let mut left_unmatched = Vec::new();
+    for l in 0..left.rows() {
+        let (before, lkey) = (out.len(), key(left, &lk, l));
+        for (r, matched) in right_matched.iter_mut().enumerate() {
+            if lkey.is_some() && lkey == key(right, &rk, r) {
+                out.push([left.row(l), right.row(r)].concat());
+                *matched = true;
+            }
+        }
+        if out.len() == before {
+            left_unmatched.push([left.row(l), nulls(right)].concat());
+        }
+    }
+    match kind {
+        JoinKind::LeftOuter => out.extend(left_unmatched),
+        JoinKind::RightOuter => out.extend(
+            (0..right.rows())
+                .filter(|&r| !right_matched[r])
+                .map(|r| [nulls(left), right.row(r)].concat()),
+        ),
+        _ => {}
+    }
+    out
+}
+
+/// Stable multi-key sort with DESC flags, then `fetch`.
+fn ref_sort(batch: &RecordBatch, keys: &[(Expr, bool)], fetch: Option<u64>) -> Vec<Vec<Value>> {
+    let (exprs, desc): (Vec<Expr>, Vec<bool>) = keys.iter().cloned().unzip();
+    let mut rows: Vec<usize> = (0..batch.rows()).collect();
+    rows.sort_by(|&a, &b| cmp_keys(&key_of(batch, &exprs, a), &key_of(batch, &exprs, b), &desc));
+    rows.truncate(fetch.map_or(usize::MAX, |k| k as usize));
+    rows.into_iter().map(|i| batch.row(i)).collect()
+}
+
+// ------------------------------------------------------------ generators
+
+const FLOATS: [f64; 7] = [f64::NAN, -0.0, 0.0, 1.5, -2.0, f64::INFINITY, 1e300];
+const STRINGS: [&str; 5] = [
+    "",
+    "a",
+    "ab",
+    "b",
+    "https://example.com/a/long/shared/prefix/1",
+];
+
+/// Columns `{p}i` Int64, `{p}f` Float64, `{p}s` Utf8, `{p}b` Bool, each
+/// with NULLs, from small pools so keys collide.
+fn arb_batch(prefix: &'static str) -> impl Strategy<Value = RecordBatch> {
+    type Draw = (i64, usize, usize, u8);
+    let row = (0..7i64, 0..=FLOATS.len(), 0..=STRINGS.len(), 0..3u8);
+    proptest::collection::vec(row, 0..48).prop_map(move |rows| {
+        let pick = |f: &dyn Fn(&Draw) -> Value| rows.iter().map(f).collect();
+        let cols: [(&str, DataType, Vec<Value>); 4] = [
+            (
+                "i",
+                DataType::Int64,
+                pick(&|r| match r.0 {
+                    0 => Value::Null,
+                    i => Value::Int64(i - 4),
+                }),
+            ),
+            (
+                "f",
+                DataType::Float64,
+                pick(&|r| FLOATS.get(r.1).map_or(Value::Null, |f| Value::Float64(*f))),
+            ),
+            (
+                "s",
+                DataType::Utf8,
+                pick(&|r| STRINGS.get(r.2).map_or(Value::Null, |s| Value::from(*s))),
+            ),
+            (
+                "b",
+                DataType::Bool,
+                pick(&|r| match r.3 {
+                    0 => Value::Null,
+                    b => Value::Bool(b == 1),
+                }),
+            ),
+        ];
+        let fields = cols
+            .iter()
+            .map(|(n, dt, _)| Field::new(format!("{prefix}{n}"), *dt, true));
+        let schema = Schema::new(fields.collect());
+        let columns = cols
+            .iter()
+            .map(|(_, dt, v)| Column::from_values(*dt, v).unwrap());
+        RecordBatch::new(schema, columns.collect()).unwrap()
+    })
+}
+
+/// 1–3 keys over the four types, bare and computed.
+const KEY_SETS: [&[(&str, DataType)]; 9] = [
+    &[("i", DataType::Int64)],
+    &[("s", DataType::Utf8)],
+    &[("f", DataType::Float64)],
+    &[("b", DataType::Bool)],
+    &[("i + 1", DataType::Int64)],
+    &[("i", DataType::Int64), ("s", DataType::Utf8)],
+    &[
+        ("s", DataType::Utf8),
+        ("f", DataType::Float64),
+        ("b", DataType::Bool),
+    ],
+    &[("i + 1", DataType::Int64), ("b", DataType::Bool)],
+    &[("f * 2", DataType::Float64), ("i", DataType::Int64)],
+];
+
+fn aggregates() -> Vec<AggExpr> {
+    let agg = |func, arg: Option<&str>, output_type| AggExpr {
+        func,
+        arg: arg.map(|a| parse_expr(a).unwrap()),
+        name: format!("{func}({arg:?})"),
+        output_type,
+    };
+    vec![
+        agg(AggFunc::Count, None, DataType::Int64),
+        agg(AggFunc::Count, Some("s"), DataType::Int64),
+        agg(AggFunc::Sum, Some("i"), DataType::Int64),
+        agg(AggFunc::Sum, Some("f"), DataType::Float64),
+        agg(AggFunc::Sum, Some("i + 1"), DataType::Int64),
+        agg(AggFunc::Avg, Some("i"), DataType::Float64),
+        agg(AggFunc::Min, Some("s"), DataType::Utf8),
+        agg(AggFunc::Max, Some("f"), DataType::Float64),
+        agg(AggFunc::Min, Some("i"), DataType::Int64),
+        agg(AggFunc::Max, Some("b"), DataType::Bool),
+    ]
+}
+
+fn rows_of(batch: &RecordBatch) -> Vec<Vec<Value>> {
+    (0..batch.rows()).map(|i| batch.row(i)).collect()
+}
+
+proptest! {
+    #[test]
+    fn aggregate_matches_reference(batch in arb_batch(""), keys in 0..=KEY_SETS.len()) {
+        // `keys == KEY_SETS.len()` is the global aggregate.
+        let group_by: GroupBy = (KEY_SETS.get(keys).copied().unwrap_or(&[]).iter())
+            .map(|(src, dt)| (parse_expr(src).unwrap(), src.to_string(), *dt))
+            .collect();
+        let aggs = aggregates();
+        let mut fields: Vec<Field> =
+            group_by.iter().map(|(_, n, dt)| Field::new(n.clone(), *dt, true)).collect();
+        fields.extend(aggs.iter().map(|a| Field::new(a.name.clone(), a.output_type, true)));
+        let out = Schema::new(fields);
+        let want = ref_group_by(&batch, &group_by, &aggs);
+
+        let mut table = AggTable::new(group_by.clone(), aggs.clone());
+        table.update(&batch).unwrap();
+        prop_assert_eq!(rows_of(&table.finish(&out).unwrap()), want.clone());
+
+        // The same through the exchange: the batch's transport folded one
+        // partition at a time, partitions unioned. Every group is in one
+        // partition, so even the float sums are untouched.
+        let shipped = table.to_transport().unwrap();
+        let mut union = AggTable::new(group_by.clone(), aggs.clone());
+        let mut folded = 0;
+        for part in 0..3 {
+            let mut p = AggTable::new(group_by.clone(), aggs.clone());
+            folded += p.merge_transport_partition(&shipped, part, 3).unwrap();
+            union.merge(&p).unwrap();
+        }
+        prop_assert_eq!(folded, shipped.rows());
+        prop_assert_eq!(rows_of(&union.finish(&out).unwrap()), want);
+    }
+
+    #[test]
+    fn join_matches_reference_in_order(
+        left in arb_batch("l."),
+        right in arb_batch("r."),
+        keys in 0..KEY_SETS.len(),
+        kind in prop_oneof![Just(JoinKind::Inner), Just(JoinKind::LeftOuter), Just(JoinKind::RightOuter)],
+    ) {
+        let side = |p: &str, src: &str| {
+            let qualified = ["i", "f", "s", "b"].iter().fold(src.to_string(), |s, c| {
+                s.replacen(c, &format!("{p}.{c}"), 1)
+            });
+            parse_expr(&qualified).unwrap()
+        };
+        let pairs: Vec<(Expr, Expr)> =
+            KEY_SETS[keys].iter().map(|(src, _)| (side("l", src), side("r", src))).collect();
+        let on: Vec<Expr> = (pairs.iter().cloned())
+            .map(|(l, r)| Expr::binary(feisu_sql::ast::BinaryOp::Eq, l, r))
+            .collect();
+        let out = left.schema().join(right.schema());
+        let got = join(&left, &right, kind, &on, &out).unwrap();
+        prop_assert_eq!(rows_of(&got), ref_join(&left, &right, kind, &pairs));
+    }
+
+    #[test]
+    fn sort_matches_reference_in_order(
+        batch in arb_batch(""),
+        keys in 0..KEY_SETS.len(),
+        desc in 0..8u8,
+        fetch in prop_oneof![Just(None), (0..60u64).prop_map(Some)],
+    ) {
+        let keys: Vec<(Expr, bool)> = (KEY_SETS[keys].iter().enumerate())
+            .map(|(k, (src, _))| (parse_expr(src).unwrap(), desc >> k & 1 == 1))
+            .collect();
+        let got = sort(&batch, &keys, fetch).unwrap();
+        prop_assert_eq!(rows_of(&got), ref_sort(&batch, &keys, fetch));
+    }
+
+    /// The columnar router sends every row where `partition_of` sends its
+    /// key, for every partition count the exchange can run.
+    #[test]
+    fn columnar_router_matches_partition_of(batch in arb_batch(""), keys in 0..KEY_SETS.len()) {
+        let exprs: Vec<Expr> = KEY_SETS[keys].iter().map(|k| parse_expr(k.0).unwrap()).collect();
+        let cols: Vec<_> = exprs.iter().map(|e| key_column(&batch, e, None).unwrap()).collect();
+        let cols: Vec<&Column> = cols.iter().map(|c| c.as_ref()).collect();
+        let hashes = hash_rows(&cols, batch.rows());
+        for (i, &h) in hashes.iter().enumerate() {
+            for parts in 1..=16 {
+                prop_assert_eq!(partition_of_hash(h, parts), partition_of(&key_of(&batch, &exprs, i), parts));
+            }
+        }
+    }
+}
+
+/// `Int64(1)` and `Float64(1.0)` are different keys: an Int64-vs-Float64
+/// equi-join matches nothing (the planner never builds one; SQL's numeric
+/// `=` would have matched).
+#[test]
+fn int_vs_float_join_keys_never_match() {
+    let int = |name: &str| Schema::new(vec![Field::new(name, DataType::Int64, true)]);
+    let left = RecordBatch::new(int("l.i"), vec![Column::from_i64(vec![1, 2])]).unwrap();
+    let right = RecordBatch::new(
+        Schema::new(vec![Field::new("r.f", DataType::Float64, true)]),
+        vec![Column::from_f64(vec![1.0, 2.0])],
+    )
+    .unwrap();
+    let on = [parse_expr("l.i = r.f").unwrap()];
+    let out = left.schema().join(right.schema());
+    let inner = join(&left, &right, JoinKind::Inner, &on, &out).unwrap();
+    assert_eq!(inner.rows(), 0);
+    let outer = join(&left, &right, JoinKind::LeftOuter, &on, &out).unwrap();
+    assert_eq!(
+        rows_of(&outer),
+        vec![
+            vec![Value::Int64(1), Value::Null],
+            vec![Value::Int64(2), Value::Null]
+        ]
+    );
+}

@@ -103,6 +103,17 @@ pub enum ColumnData {
     Utf8(Vec<String>),
 }
 
+impl ColumnData {
+    pub fn data_type(&self) -> DataType {
+        match self {
+            ColumnData::Bool(_) => DataType::Bool,
+            ColumnData::Int64(_) => DataType::Int64,
+            ColumnData::Float64(_) => DataType::Float64,
+            ColumnData::Utf8(_) => DataType::Utf8,
+        }
+    }
+}
+
 /// One attribute over a run of rows: typed data plus a validity bitmap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Column {
@@ -241,12 +252,7 @@ impl Column {
     }
 
     pub fn data_type(&self) -> DataType {
-        match self.data {
-            ColumnData::Bool(_) => DataType::Bool,
-            ColumnData::Int64(_) => DataType::Int64,
-            ColumnData::Float64(_) => DataType::Float64,
-            ColumnData::Utf8(_) => DataType::Utf8,
-        }
+        self.data.data_type()
     }
 
     pub fn len(&self) -> usize {
@@ -279,28 +285,28 @@ impl Column {
     pub fn i64_slice(&self) -> &[i64] {
         match &self.data {
             ColumnData::Int64(v) => v,
-            other => panic!("expected Int64 column, got {:?}", column_type(other)),
+            other => panic!("expected Int64 column, got {:?}", other.data_type()),
         }
     }
 
     pub fn f64_slice(&self) -> &[f64] {
         match &self.data {
             ColumnData::Float64(v) => v,
-            other => panic!("expected Float64 column, got {:?}", column_type(other)),
+            other => panic!("expected Float64 column, got {:?}", other.data_type()),
         }
     }
 
     pub fn bool_slice(&self) -> &[bool] {
         match &self.data {
             ColumnData::Bool(v) => v,
-            other => panic!("expected Bool column, got {:?}", column_type(other)),
+            other => panic!("expected Bool column, got {:?}", other.data_type()),
         }
     }
 
     pub fn utf8_slice(&self) -> &[String] {
         match &self.data {
             ColumnData::Utf8(v) => v,
-            other => panic!("expected Utf8 column, got {:?}", column_type(other)),
+            other => panic!("expected Utf8 column, got {:?}", other.data_type()),
         }
     }
 
@@ -460,15 +466,6 @@ fn data_len(d: &ColumnData) -> usize {
         ColumnData::Int64(v) => v.len(),
         ColumnData::Float64(v) => v.len(),
         ColumnData::Utf8(v) => v.len(),
-    }
-}
-
-fn column_type(d: &ColumnData) -> DataType {
-    match d {
-        ColumnData::Bool(_) => DataType::Bool,
-        ColumnData::Int64(_) => DataType::Int64,
-        ColumnData::Float64(_) => DataType::Float64,
-        ColumnData::Utf8(_) => DataType::Utf8,
     }
 }
 

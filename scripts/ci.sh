@@ -2,7 +2,8 @@
 # The tier-1 gate plus lints, exactly what a PR must keep green:
 #   1. cargo fmt --check
 #   2. cargo build --release
-#   3. cargo test -q (then the e2e suites again at pinned thread widths)
+#   3. cargo test -q (then the e2e suites again at pinned thread widths,
+#      and the exec equivalence suite again in release with more cases)
 #   4. cargo clippy --workspace -- -D warnings
 #   5. the observability smoke runner and the benchmark, smoke-sized
 # Usage: scripts/ci.sh
@@ -41,6 +42,13 @@ FEISU_EXECUTION_THREADS=8 cargo test -q $OFFLINE -p feisu-tests
 # client width (tests/tests/concurrency.rs honors FEISU_CLIENT_THREADS).
 echo "ci: e2e at client_threads=4"
 FEISU_CLIENT_THREADS=4 cargo test -q $OFFLINE -p feisu-tests
+
+# The columnar key layer (exec::keys) against its row-at-a-time reference:
+# the default 256 cases ran above in debug; here 2048 per property with
+# optimizations on (`PROPTEST_CASES` is read by shims/proptest), next to
+# the allocation budgets, whose counts are exact in any profile.
+echo "ci: exec equivalence suite (release, 2048 cases) + allocation budget"
+PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-exec --test equivalence --test alloc_budget
 
 echo "ci: clippy (-D warnings)"
 cargo clippy --workspace $OFFLINE -- -D warnings

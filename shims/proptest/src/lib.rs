@@ -463,8 +463,14 @@ pub mod test_runner {
     }
 
     impl Default for ProptestConfig {
+        /// 256 cases, or `PROPTEST_CASES` from the environment as in the
+        /// real crate (`with_cases` is not affected).
         fn default() -> Self {
-            ProptestConfig { cases: 256 }
+            let cases = std::env::var("PROPTEST_CASES")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(256);
+            ProptestConfig { cases }
         }
     }
 

@@ -171,6 +171,50 @@ fn serial_vs_concurrent_bit_identity_with_exchange() {
     );
 }
 
+/// A ~2k-group Utf8 GROUP BY — the shape whose merges the columnar key
+/// layer carries — answers the same with and without the exchange, and is
+/// identical in everything (answer, stats, response time, profile) at any
+/// pool width.
+#[test]
+fn high_cardinality_utf8_group_by_is_partition_and_thread_invariant() {
+    let rows: Vec<Vec<Value>> = (0..6000usize)
+        .map(|i| {
+            let mut row = feisu_tests::clicks_rows(1).remove(0);
+            row[0] = Value::from(format!("https://site{}.example/p/{}", i % 2003, i % 7));
+            row[2] = Value::from((i * 13 % 100) as i64);
+            row
+        })
+        .collect();
+    let sql = "SELECT url, COUNT(*), SUM(clicks), MIN(clicks), MAX(day) FROM clicks GROUP BY url";
+    let run = |threads: usize, parts: usize| {
+        let mut spec = ClusterSpec::small();
+        spec.rows_per_block = 256;
+        spec.config.execution_threads = threads;
+        spec.config.merge_tree.exchange_partitions = parts;
+        let cluster = FeisuCluster::new(spec).expect("cluster");
+        let user = cluster.register_user("tester");
+        cluster.grant_all(user);
+        let cred = cluster.login(user).expect("login");
+        cluster
+            .create_table("clicks", clicks_schema(), "/hdfs/warehouse/clicks", &cred)
+            .expect("create table");
+        cluster
+            .ingest_rows("clicks", rows.clone(), &cred)
+            .expect("ingest");
+        cluster.query(sql, &cred).expect("query")
+    };
+    let serial = run(1, 4);
+    assert!(serial.batch.rows() > 2000, "{} groups", serial.batch.rows());
+    for threads in [2usize, 8] {
+        assert_eq!(run(threads, 4), serial, "execution_threads={threads}");
+    }
+    assert_eq!(run(1, 1).batch, serial.batch, "exchange_partitions 1 vs 4");
+    let mut oracle = MemProvider::new();
+    oracle.insert("clicks", rows_to_batch(&clicks_schema(), &rows));
+    let want = feisu_exec::executor::run_sql(sql, &mut oracle).expect("oracle");
+    assert_same_rows(&serial.batch, &want, sql);
+}
+
 /// Satellite: hop billing comes from the real topology. The same query
 /// over the same data on the same number of nodes must cost strictly
 /// more when the nodes straddle two data centers than when they share a
