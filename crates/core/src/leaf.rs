@@ -4,16 +4,19 @@
 //! A leaf receives a scan sub-plan for one block: projection, the
 //! predicate in conjunctive form, an optional partial-aggregation stage.
 //! It rewrites the predicate against its in-memory SmartIndex cache,
-//! reads (only the needed columns of) the block when necessary, filters,
+//! checks the block's footer zone maps — from the node's resident copy of
+//! the footer when it has one, else from the block it then reads — reads
+//! (only the needed columns of) the block when necessary, filters,
 //! projects, optionally pre-aggregates, and returns the result with its
-//! simulated cost.
+//! simulated cost. A footer is parsed at most once per task, and not at
+//! all when the node already holds it.
 //!
 //! Cost accounting models the columnar format: a scan is charged for the
 //! byte fraction of the block it actually touches — projected columns
 //! plus predicate columns *not* served by SmartIndex. A fully
-//! index-served `COUNT(*)` touches no storage at all ("all computations
-//! are conducted in memory. No scan operation is actually needed",
-//! §IV-C-3).
+//! index-served `COUNT(*)`, and a block a resident footer disproves,
+//! touch no storage at all ("all computations are conducted in memory.
+//! No scan operation is actually needed", §IV-C-3).
 
 use feisu_cluster::simclock::TimeTally;
 use feisu_cluster::{CostModel, Topology};
@@ -22,7 +25,7 @@ use feisu_common::{ByteSize, FeisuError, NodeId, Result, SimInstant};
 use feisu_exec::aggregate::AggTable;
 use feisu_exec::batch::{BatchView, RecordBatch};
 use feisu_format::table::BlockDesc;
-use feisu_format::{Block, Column, Schema};
+use feisu_format::{Block, BlockMeta, Column, Schema};
 use feisu_index::bitvec::BitVec;
 use feisu_index::manager::IndexManager;
 use feisu_index::rewrite::{evaluate_cnf, probe_predicate, ProbeKind};
@@ -62,9 +65,11 @@ pub struct ScanTask {
 /// Which tier of the storage hierarchy ultimately served a task's data.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ServedTier {
-    /// No data was read at all (answered from cached SmartIndex bits).
-    /// Zone-skipped tasks are *not* memory-served: they read the block's
-    /// footer from whatever tier holds it, just never a column chunk.
+    /// No data was read at all: answered from cached SmartIndex bits, or
+    /// skipped by the zone maps of a footer already resident on the node.
+    /// A zone skip on the node's *first* touch of a block is not
+    /// memory-served — it reads the footer from whatever tier holds the
+    /// block, just never a column chunk.
     #[default]
     Memory,
     /// The DRAM tier of the per-node block cache.
@@ -196,10 +201,33 @@ impl LeafServer {
             }
         }
 
-        // 2. Read the block (charged for the touched column fraction),
-        // attributing any cache admission to this task's table.
-        let read =
-            router.read_attributed(&task.block.path, self.node, cred, now, Some(&task.table))?;
+        // 2. A footer this node already holds decides the zone-map skip
+        // from memory: no storage read, no block-cache sighting, no parse.
+        // The lookup authorizes the credential as the read below would.
+        let clause_eval = self.cost.predicate_eval(cnf.clauses.len().max(1));
+        let resident = router.resident_footer(&task.block.path, self.node, cred, now)?;
+        let checked = resident.as_ref().map(Arc::as_ptr);
+        if let Some(meta) = resident.as_ref().filter(|m| zones_disprove(&cnf, m)) {
+            stats.pruned_by_zone = true;
+            stats.blocks_skipped = 1;
+            stats.served_from_memory = true;
+            tally.add_io(self.cost.mem_cache_read(ByteSize(meta.meta_bytes as u64)));
+            tally.add_cpu(clause_eval);
+            return self.empty_output(task, tally, stats);
+        }
+
+        // 3. Read the block (charged for the touched column fraction),
+        // attributing any cache admission to this task's table. The footer
+        // comes back with it: the resident one, or parsed here, once, and
+        // resident from now on.
+        let (read, meta) = router.read_block(
+            &task.block.path,
+            self.node,
+            cred,
+            now,
+            Some(&task.table),
+            resident,
+        )?;
         stats.backend = Some(router.domain_of(&task.block.path).id());
         stats.served_tier = match read.cache_tier {
             Some(CacheTier::Memory) => ServedTier::MemCache,
@@ -225,41 +253,38 @@ impl LeafServer {
             }
         };
 
-        // 3. Zone-map skip: evaluate the CNF against the footer zone maps
-        // before decoding anything. A block whose zones disprove one
-        // conjunct is skipped entirely — no chunk decompression, no
-        // SmartIndex probe; storage is charged only for the metadata
-        // (envelope + footer) bytes the decision needed.
-        let meta = Block::read_meta(&read.data)?;
-        if let Some(zones) = &meta.zones {
-            if zones_disprove(&cnf, &meta.schema, zones, meta.rows) {
-                stats.pruned_by_zone = true;
-                stats.blocks_skipped = 1;
-                let meta_size = ByteSize(meta.meta_bytes as u64);
-                stats.bytes_read = meta_size;
-                // Domain-specific fixed penalties still apply: the
-                // footer read wakes a cold Fatman volume like any
-                // other read.
-                let domain_extra = read
-                    .cost
-                    .io
-                    .saturating_sub(plain_read(task.block.stored_size));
-                tally.add_io(domain_extra + plain_read(meta_size));
-                tally.add_network(self.cost.network(read.hops, meta_size));
-                tally.add_cpu(self.cost.predicate_eval(cnf.clauses.len().max(1)));
-                return self.empty_output(task, tally, stats);
-            }
+        // 4. Zone-map skip on a first touch: evaluate the CNF against the
+        // zone maps of a footer parsed for this task (the resident one was
+        // checked above) before decoding anything. A block whose zones
+        // disprove one conjunct is skipped entirely — no chunk
+        // decompression, no SmartIndex probe; storage is charged only for
+        // the metadata (envelope + footer) bytes the decision needed.
+        if checked != Some(Arc::as_ptr(&meta)) && zones_disprove(&cnf, &meta) {
+            stats.pruned_by_zone = true;
+            stats.blocks_skipped = 1;
+            let meta_size = ByteSize(meta.meta_bytes as u64);
+            stats.bytes_read = meta_size;
+            // Domain-specific fixed penalties still apply: the footer
+            // read wakes a cold Fatman volume like any other read.
+            let domain_extra = read
+                .cost
+                .io
+                .saturating_sub(plain_read(task.block.stored_size));
+            tally.add_io(domain_extra + plain_read(meta_size));
+            tally.add_network(self.cost.network(read.hops, meta_size));
+            tally.add_cpu(clause_eval);
+            return self.empty_output(task, tally, stats);
         }
         stats.blocks_scanned = 1;
 
         // Late materialization: decode only the columns this task can
         // touch — projection, predicate columns not servable from cached
-        // bits, residual columns — using the format's offset directory.
+        // bits, residual columns — using the footer's offset directory.
         // The full stored schema still drives the cost model below.
-        let full_schema = meta.schema;
-        let needed = self.decode_set(&full_schema, task, &cnf, now, use_index);
+        let full_schema = &meta.schema;
+        let needed = self.decode_set(full_schema, task, &cnf, now, use_index);
         let needed: Vec<&str> = needed.iter().map(|s| s.as_str()).collect();
-        let mut block = Block::deserialize_columns(&read.data, &needed)?;
+        let mut block = meta.decode_columns(&read.data, &needed)?;
 
         // Bitmap evaluation via SmartIndex (or raw scans when disabled).
         let outcome = match evaluate_cnf(use_index.then_some(&self.index), &block, &cnf, now) {
@@ -268,7 +293,7 @@ impl LeafServer {
             // insert pressure from a backup task): decode everything and
             // retry once.
             Err(FeisuError::Index(_)) if block.schema().len() < full_schema.len() => {
-                block = Block::deserialize(&read.data)?;
+                block = meta.decode_all(&read.data)?;
                 evaluate_cnf(use_index.then_some(&self.index), &block, &cnf, now)?
             }
             other => other?,
@@ -291,7 +316,7 @@ impl LeafServer {
         // touched column plus the streaming cost of their bytes — this is
         // where the columnar format's I/O saving (and SmartIndex's
         // avoided predicate columns) shows up.
-        let (touched, ncols) = touched_fraction(&full_schema, task, &outcome.probes, &cnf);
+        let (touched, ncols) = touched_fraction(full_schema, task, &outcome.probes, &cnf);
         let size = task.block.stored_size;
         let charged = ByteSize((size.as_u64() as f64 * touched).ceil() as u64);
         stats.bytes_read = charged;
@@ -311,7 +336,7 @@ impl LeafServer {
         let evaluated = stats.index_built + stats.scanned_predicates;
         tally.add_cpu(self.cost.predicate_eval(evaluated * block.rows()));
 
-        // 4. Residual row-wise filtering.
+        // 5. Residual row-wise filtering.
         let mut bits = outcome.bits;
         if !task.residual.is_empty() || !outcome.residual.is_empty() {
             let residuals: Vec<Expr> = task
@@ -324,7 +349,7 @@ impl LeafServer {
             tally.add_cpu(self.cost.predicate_eval(residuals.len() * block.rows()));
         }
 
-        // 5. Project + rename to canonical output schema. The gather is
+        // 6. Project + rename to canonical output schema. The gather is
         // driven by the selection words directly — no index vector, no
         // per-row dispatch.
         stats.rows_out = bits.count_ones();
@@ -337,7 +362,7 @@ impl LeafServer {
         }
         let batch = RecordBatch::new(task.output_schema.clone(), columns)?;
 
-        // 6. Optional leaf-side partial aggregation.
+        // 7. Optional leaf-side partial aggregation.
         if let Some(agg) = &task.agg {
             let mut table = AggTable::new(agg.group_by.clone(), agg.aggregates.clone());
             table.update(&batch)?;
@@ -518,17 +543,16 @@ fn push_unique(names: &mut Vec<String>, name: &str) {
 
 /// Footer zone-map disproof: true when some CNF conjunct provably matches
 /// no row of the block, i.e. *every* disjunct of that clause is a simple
-/// predicate the zones rule out. `cnf` is in storage names; `zones` is in
-/// `schema` (stored) order. Conservative throughout: a residual disjunct,
+/// predicate the footer's zones rule out. `cnf` is in storage names.
+/// Conservative throughout: a footer without zones, a residual disjunct,
 /// an unknown column, or missing bounds on a not-all-null column all mean
 /// the clause might match and the block must be scanned.
-fn zones_disprove(
-    cnf: &Cnf,
-    schema: &Schema,
-    zones: &[feisu_format::ColumnStats],
-    rows: usize,
-) -> bool {
+fn zones_disprove(cnf: &Cnf, meta: &BlockMeta) -> bool {
     use feisu_sql::cnf::Disjunct;
+    let Some(zones) = &meta.zones else {
+        return false;
+    };
+    let (schema, rows) = (&meta.schema, meta.rows);
     cnf.clauses.iter().any(|clause| {
         !clause.disjuncts.is_empty()
             && clause.disjuncts.iter().all(|d| {
@@ -637,4 +661,177 @@ fn count_transport(agg: &AggStage, count: i64) -> Result<RecordBatch> {
     // A lone COUNT(*) ships one Int64 state column.
     let schema = AggTable::new(agg.group_by.clone(), agg.aggregates.clone()).transport_schema();
     RecordBatch::new(schema, vec![Column::from_i64(vec![count])])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use feisu_common::config::CacheSettings;
+    use feisu_common::{BlockId, DomainId, SimDuration, UserId};
+    use feisu_format::block::footer_parses_on_this_thread as parses;
+    use feisu_format::{DataType, Field};
+    use feisu_obs::MetricsRegistry;
+    use feisu_sql::cnf::to_cnf;
+    use feisu_sql::parser::parse_expr;
+    use feisu_storage::auth::{AuthService, Grant};
+    use feisu_storage::hdfs::HdfsDomain;
+    use feisu_storage::{CachePin, CacheStats, TieredCache};
+
+    struct Rig {
+        leaf: LeafServer,
+        router: StorageRouter,
+        cred: Credential,
+        block: BlockDesc,
+        registry: MetricsRegistry,
+    }
+
+    /// One 256-row block (`a` = 0..256, `b` = a % 50) on HDFS, read from
+    /// node 0 through a block cache that admits everything.
+    fn rig() -> Rig {
+        let topology = Arc::new(Topology::grid(1, 2, 2));
+        let cost = CostModel::default();
+        let hdfs = Arc::new(HdfsDomain::new(
+            DomainId(1),
+            "hdfs",
+            topology.clone(),
+            cost.clone(),
+            3,
+            7,
+        ));
+        let auth = Arc::new(AuthService::new(9));
+        auth.register(UserId(1));
+        auth.grant(UserId(1), DomainId(1), Grant::ReadWrite);
+        let cred = auth
+            .issue(UserId(1), SimInstant(0), SimDuration::hours(8))
+            .unwrap();
+        let cache = TieredCache::new(
+            CacheSettings {
+                enabled: true,
+                ..CacheSettings::default()
+            },
+            vec![CachePin {
+                path_prefix: "/".into(),
+            }],
+        );
+        let router = StorageRouter::new(vec![hdfs], 0, auth, Some(Arc::new(cache)), cost.clone());
+        let registry = MetricsRegistry::new();
+        router.attach_metrics(&registry);
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Int64, false),
+            Field::new("b", DataType::Int64, false),
+        ]);
+        let columns = vec![
+            Column::from_i64((0..256).collect()),
+            Column::from_i64((0..256).map(|i| i % 50).collect()),
+        ];
+        let stored = Block::new(BlockId(0), schema, columns).unwrap();
+        let bytes = stored.serialize();
+        let block = BlockDesc {
+            id: stored.id(),
+            path: "/t/b0".into(),
+            rows: stored.rows(),
+            stored_size: ByteSize(bytes.len() as u64),
+            raw_size: ByteSize(stored.footprint() as u64),
+            zones: Vec::new(),
+        };
+        router
+            .write("/t/b0", bytes.into(), Some(NodeId(0)), &cred, SimInstant(0))
+            .unwrap();
+        let index = IndexManager::new(ByteSize::mib(4), SimDuration::hours(72));
+        Rig {
+            leaf: LeafServer::new(NodeId(0), index, topology, cost),
+            router,
+            cred,
+            block,
+            registry,
+        }
+    }
+
+    impl Rig {
+        fn run(&self, predicate: &str) -> LeafOutput {
+            let field = Field::new("a", DataType::Int64, false);
+            let names = ["a", "b"].map(|n| (n.to_string(), n.to_string()));
+            let task = ScanTask {
+                table: "t".into(),
+                block: self.block.clone(),
+                projection: vec!["a".into()],
+                output_schema: Schema::new(vec![field]),
+                cnf: to_cnf(&parse_expr(predicate).unwrap()),
+                residual: Vec::new(),
+                agg: None,
+                name_map: names.into_iter().collect(),
+            };
+            // SmartIndex off: every repeat goes back to the block.
+            self.leaf
+                .execute(&task, &self.router, &self.cred, SimInstant(0), false)
+                .unwrap()
+        }
+
+        fn domain_reads(&self) -> u64 {
+            self.registry.counter("feisu.storage.hdfs.reads").get()
+        }
+
+        fn cache_stats(&self) -> CacheStats {
+            self.router.cache().unwrap().stats()
+        }
+    }
+
+    #[test]
+    fn a_task_parses_its_footer_at_most_once_and_a_warm_task_never() {
+        let r = rig();
+        let before = parses();
+        let cold = r.run("b > 10");
+        assert_eq!(
+            parses() - before,
+            1,
+            "zone check and decode share one parse"
+        );
+        assert_eq!(cold.stats.blocks_scanned, 1);
+        let warm = r.run("b > 20");
+        assert_eq!(parses() - before, 1, "the footer is resident now");
+        assert_eq!(warm.stats.blocks_scanned, 1);
+        assert!(warm.stats.rows_out < cold.stats.rows_out);
+        // A first-touch skip parses once as well.
+        let other = rig();
+        let before = parses();
+        assert!(other.run("a > 1000").stats.pruned_by_zone);
+        assert_eq!(parses() - before, 1);
+    }
+
+    #[test]
+    fn a_resident_footer_skip_touches_neither_storage_nor_the_block_cache() {
+        let r = rig();
+        let first = r.run("a > 1000");
+        assert!(first.stats.pruned_by_zone && !first.stats.served_from_memory);
+        assert!(first.stats.bytes_read > ByteSize::ZERO);
+        assert!(first.stats.backend.is_some());
+        let (reads, cache, before) = (r.domain_reads(), r.cache_stats(), parses());
+        assert_eq!(reads, 1);
+
+        let again = r.run("a > 1000");
+        assert_eq!(again.batch, first.batch);
+        assert_eq!(again.stats.blocks_skipped, 1);
+        assert!(again.stats.pruned_by_zone && again.stats.served_from_memory);
+        assert_eq!(again.stats.served_tier, ServedTier::Memory);
+        assert_eq!(again.stats.bytes_read, ByteSize::ZERO);
+        assert_eq!(again.stats.backend, None);
+        // No domain.read_from, no cache.get / admit, no parse.
+        assert_eq!(r.domain_reads(), reads);
+        assert_eq!(r.cache_stats(), cache);
+        assert_eq!(parses(), before);
+        // Billed as a memory touch of the footer plus the clause check.
+        let cost = CostModel::default();
+        let meta = r.router.footers().get(NodeId(0), "/t/b0").unwrap();
+        let footer = ByteSize(meta.meta_bytes as u64);
+        assert_eq!(again.tally.io, cost.mem_cache_read(footer));
+        assert_eq!(again.tally.cpu, cost.predicate_eval(1));
+        assert_eq!(again.tally.network, SimDuration::ZERO);
+        assert!(again.tally.total() < first.tally.total());
+
+        // A predicate the same footer cannot disprove reads as ever.
+        let scan = r.run("a > 100");
+        assert_eq!((scan.stats.blocks_scanned, scan.stats.rows_out), (1, 155));
+        assert!(!scan.stats.served_from_memory);
+        assert_eq!(parses(), before);
+    }
 }

@@ -77,7 +77,9 @@ pub fn system_table_schema(name: &str) -> Option<Schema> {
         ])),
         // One row per (node, tier): `mem` and `ssd` data tiers plus the
         // `ghost` admission shadow (its `hits` are granted admissions;
-        // its capacities are key counts, reported as 0 bytes).
+        // its capacities are key counts, reported as 0 bytes) when a
+        // block cache is configured, then `meta`, the node's resident
+        // block footers, always.
         "system.cache" => Some(Schema::new(vec![
             Field::new("node", DataType::Utf8, false),
             Field::new("tier", DataType::Utf8, false),
@@ -247,25 +249,26 @@ impl FeisuCluster {
                 batch_from_rows(schema, rows)
             }
             "system.cache" => {
-                // Per-node, per-tier rows in node order. Without a cache
-                // the table is empty (but still selectable), mirroring
-                // "no cache state exists" rather than faking zeros.
+                // Per-node, per-tier rows in node order. Without a block
+                // cache its three tiers have no rows (no such state
+                // exists, rather than faked zeros); the footer cache is
+                // always there.
                 let mut rows = Vec::new();
-                if let Some(cache) = self.router.cache() {
-                    let mut nodes: Vec<_> = self.topology.nodes().to_vec();
-                    nodes.sort_by_key(|n| n.id.0);
-                    for n in &nodes {
-                        for t in cache.node_tier_rows(n.id) {
-                            rows.push(vec![
-                                Value::Utf8(n.id.to_string()),
-                                Value::Utf8(t.tier.to_string()),
-                                Value::Int64(t.entries as i64),
-                                Value::Int64(t.used_bytes as i64),
-                                Value::Int64(t.capacity_bytes as i64),
-                                Value::Int64(t.hits as i64),
-                                Value::Int64(t.evictions as i64),
-                            ]);
-                        }
+                let mut nodes: Vec<_> = self.topology.nodes().to_vec();
+                nodes.sort_by_key(|n| n.id.0);
+                for n in &nodes {
+                    let tiers = self.router.cache().map(|c| c.node_tier_rows(n.id));
+                    let meta = self.router.footers().node_row(n.id);
+                    for t in tiers.into_iter().flatten().chain([meta]) {
+                        rows.push(vec![
+                            Value::Utf8(n.id.to_string()),
+                            Value::Utf8(t.tier.to_string()),
+                            Value::Int64(t.entries as i64),
+                            Value::Int64(t.used_bytes as i64),
+                            Value::Int64(t.capacity_bytes as i64),
+                            Value::Int64(t.hits as i64),
+                            Value::Int64(t.evictions as i64),
+                        ]);
                     }
                 }
                 batch_from_rows(schema, rows)

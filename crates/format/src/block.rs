@@ -205,12 +205,7 @@ impl Block {
 
     /// Parses a serialized block, decoding every column.
     pub fn deserialize(buf: &[u8]) -> Result<Block> {
-        let layout = BlockLayout::parse(buf)?;
-        let mut columns = Vec::with_capacity(layout.schema.len());
-        for i in 0..layout.schema.len() {
-            columns.push(layout.decode_chunk(buf, i)?);
-        }
-        Block::new_with_rows(layout.id, layout.schema, columns, layout.rows)
+        BlockMeta::parse(buf)?.decode_all_chunks(buf)
     }
 
     /// Parses a serialized block but decodes only the named columns, using
@@ -222,49 +217,31 @@ impl Block {
     /// Requesting a column the block does not have is a corruption error,
     /// and names may be repeated (decoded once).
     pub fn deserialize_columns(buf: &[u8], names: &[&str]) -> Result<Block> {
-        let layout = BlockLayout::parse(buf)?;
-        let mut wanted = vec![false; layout.schema.len()];
-        for name in names {
-            let i = layout.schema.index_of(name).ok_or_else(|| {
-                FeisuError::Corrupt(format!("requested column `{name}` not in block"))
-            })?;
-            wanted[i] = true;
-        }
-        let mut fields = Vec::new();
-        let mut columns = Vec::new();
-        for (i, want) in wanted.iter().enumerate() {
-            if *want {
-                fields.push(layout.schema.fields()[i].clone());
-                columns.push(layout.decode_chunk(buf, i)?);
-            }
-        }
-        Block::new_with_rows(layout.id, Schema::new(fields), columns, layout.rows)
+        BlockMeta::parse(buf)?.decode_named_chunks(buf, names)
     }
 
     /// Reads id, schema and row count without decoding any column chunk.
     /// Cheap: only the (small) schema header is decompressed.
     pub fn read_header(buf: &[u8]) -> Result<(BlockId, Schema, usize)> {
-        let layout = BlockLayout::parse(buf)?;
-        Ok((layout.id, layout.schema, layout.rows))
+        let meta = BlockMeta::parse(buf)?;
+        Ok((meta.id, meta.schema, meta.rows))
     }
 
-    /// Reads the block's metadata — id, schema, row count and the footer
-    /// zone maps if present — without decoding any column chunk. This is
-    /// the zone-skip entry point: a leaf calls it first and only decodes
-    /// chunks when the zones fail to disprove the predicate.
+    /// Reads the block's metadata — id, schema, row count, chunk directory
+    /// and the footer zone maps if present — without decoding any column
+    /// chunk. This is the zone-skip entry point: a leaf that has no
+    /// resident copy calls it once and then both decides the skip and
+    /// decodes chunks ([`BlockMeta::decode_columns`]) through the result.
     pub fn read_meta(buf: &[u8]) -> Result<BlockMeta> {
-        let layout = BlockLayout::parse(buf)?;
-        Ok(BlockMeta {
-            id: layout.id,
-            rows: layout.rows,
-            schema: layout.schema,
-            zones: layout.zones,
-            meta_bytes: layout.meta_bytes,
-        })
+        BlockMeta::parse(buf)
     }
 }
 
-/// Metadata read without touching column chunks: envelope + footer only.
+/// A block's parsed envelope, schema header and footer: everything but
+/// the column chunks, in the one form both the zone check and the chunk
+/// decoder use. It is parsed from one buffer and decodes only a buffer it
+/// [`describes`](BlockMeta::describes), so a copy kept resident across
+/// tasks can never be applied to rewritten bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockMeta {
     pub id: BlockId,
@@ -277,25 +254,36 @@ pub struct BlockMeta {
     /// compressed header + footer (directory, zones, trailer). Column
     /// chunks are excluded.
     pub meta_bytes: usize,
-}
-
-/// Parsed v2 envelope: schema header plus the chunk directory, no column
-/// data decoded yet.
-struct BlockLayout {
-    id: BlockId,
-    rows: usize,
-    schema: Schema,
+    /// Absolute offset of the first chunk byte.
     chunks_start: usize,
+    /// Absolute offset of the footer (what the trailer word holds).
+    footer_start: usize,
     /// Per column: (offset relative to `chunks_start`, chunk length).
     directory: Vec<(usize, usize)>,
-    /// Footer zone maps in schema order, absent for pre-zone-map blocks.
-    zones: Option<Vec<ColumnStats>>,
-    /// Envelope + header + footer byte count (everything but the chunks).
-    meta_bytes: usize,
+    /// Length of the buffer this was parsed from.
+    block_len: usize,
+    /// Hash of that buffer's metadata regions, `[..chunks_start]` and
+    /// `[footer_start..]`: every byte the fields above were derived from.
+    fingerprint: u64,
 }
 
-impl BlockLayout {
-    fn parse(buf: &[u8]) -> Result<BlockLayout> {
+thread_local! {
+    static PARSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Footers parsed on the calling thread so far. A test takes the
+/// difference around a call to assert how many parses the call made.
+pub fn footer_parses_on_this_thread() -> u64 {
+    PARSES.with(|p| p.get())
+}
+
+fn fingerprint(head: &[u8], footer: &[u8]) -> u64 {
+    feisu_common::hash::hash_one(&(head, footer))
+}
+
+impl BlockMeta {
+    fn parse(buf: &[u8]) -> Result<BlockMeta> {
+        PARSES.with(|p| p.set(p.get() + 1));
         if buf.len() < 9 || &buf[..8] != BLOCK_MAGIC {
             return Err(FeisuError::Corrupt("bad block magic".into()));
         }
@@ -346,14 +334,10 @@ impl BlockLayout {
                 .ok_or_else(|| FeisuError::Corrupt("missing nullable flag".into()))?
                 != 0;
             hpos += 2;
-            if fields.iter().any(|f: &Field| f.name == name) {
-                return Err(FeisuError::Corrupt(format!(
-                    "duplicate column name `{name}`"
-                )));
-            }
             fields.push(Field::new(name, dt, nullable));
         }
-        let schema = Schema::new(fields);
+        let schema = Schema::try_new(fields)
+            .map_err(|name| FeisuError::Corrupt(format!("duplicate column name `{name}`")))?;
 
         // The trailing 8 bytes locate the footer; everything between the
         // chunks and the footer must stay inside the buffer.
@@ -450,23 +434,117 @@ impl BlockLayout {
             }
             Some(stats)
         };
-        let meta_bytes = chunks_start + (buf.len() - footer_start);
-        Ok(BlockLayout {
+        Ok(BlockMeta {
             id,
             rows,
             schema,
-            chunks_start,
-            directory,
             zones,
-            meta_bytes,
+            meta_bytes: chunks_start + (buf.len() - footer_start),
+            chunks_start,
+            footer_start,
+            directory,
+            block_len: buf.len(),
+            fingerprint: fingerprint(&buf[..chunks_start], &buf[footer_start..]),
         })
     }
 
-    /// Decompresses and decodes the chunk for column `i`.
+    /// True when `buf` has the length and the exact metadata bytes this
+    /// footer was parsed from, so parsing `buf` would give this footer
+    /// again. Costs one hash over `meta_bytes`, no parse.
+    pub fn describes(&self, buf: &[u8]) -> bool {
+        buf.len() == self.block_len
+            && fingerprint(&buf[..self.chunks_start], &buf[self.footer_start..]) == self.fingerprint
+    }
+
+    /// Approximate heap bytes a resident copy holds (what a footer cache
+    /// charges against its bound): the fields and their name index, the
+    /// chunk directory and the zone bounds.
+    pub fn footprint(&self) -> usize {
+        use std::mem::size_of;
+        let bound = |v: &Option<Value>| match v {
+            Some(Value::Utf8(s)) => s.len(),
+            _ => 0,
+        };
+        let fields: usize = self
+            .schema
+            .fields()
+            .iter()
+            // Name bytes twice: the field and the schema's name index.
+            .map(|f| size_of::<Field>() + 2 * (f.name.len() + size_of::<String>()))
+            .sum();
+        let zones: usize = self.zones.iter().flatten().fold(0, |sum, z| {
+            sum + size_of::<ColumnStats>() + bound(&z.min) + bound(&z.max)
+        });
+        size_of::<BlockMeta>() + fields + zones + self.directory.len() * size_of::<(usize, usize)>()
+    }
+
+    /// Decodes only the named columns of `buf` through this footer — the
+    /// same contract as [`Block::deserialize_columns`] without the parse.
+    /// `buf` must be the bytes this footer [`describes`](Self::describes);
+    /// any other buffer is refused as `Corrupt` before a chunk is touched.
+    pub fn decode_columns(&self, buf: &[u8], names: &[&str]) -> Result<Block> {
+        self.check_describes(buf)?;
+        self.decode_named_chunks(buf, names)
+    }
+
+    /// Decodes every column of `buf` through this footer; see
+    /// [`BlockMeta::decode_columns`].
+    pub fn decode_all(&self, buf: &[u8]) -> Result<Block> {
+        self.check_describes(buf)?;
+        self.decode_all_chunks(buf)
+    }
+
+    fn check_describes(&self, buf: &[u8]) -> Result<()> {
+        if self.describes(buf) {
+            Ok(())
+        } else {
+            Err(FeisuError::Corrupt(format!(
+                "footer of block {} does not describe these {} bytes",
+                self.id,
+                buf.len()
+            )))
+        }
+    }
+
+    fn decode_named_chunks(&self, buf: &[u8], names: &[&str]) -> Result<Block> {
+        let mut wanted = vec![false; self.schema.len()];
+        for name in names {
+            let i = self.schema.index_of(name).ok_or_else(|| {
+                FeisuError::Corrupt(format!("requested column `{name}` not in block"))
+            })?;
+            wanted[i] = true;
+        }
+        let mut fields = Vec::new();
+        let mut columns = Vec::new();
+        for (i, want) in wanted.iter().enumerate() {
+            if *want {
+                fields.push(self.schema.fields()[i].clone());
+                columns.push(self.decode_chunk(buf, i)?);
+            }
+        }
+        Block::new_with_rows(self.id, Schema::new(fields), columns, self.rows)
+    }
+
+    fn decode_all_chunks(&self, buf: &[u8]) -> Result<Block> {
+        let columns = (0..self.schema.len())
+            .map(|i| self.decode_chunk(buf, i))
+            .collect::<Result<Vec<_>>>()?;
+        Block::new_with_rows(self.id, self.schema.clone(), columns, self.rows)
+    }
+
+    /// Decompresses and decodes the chunk for column `i`. The slice is
+    /// bounds-checked against the buffer actually passed in, not the one
+    /// the directory was validated against.
     fn decode_chunk(&self, buf: &[u8], i: usize) -> Result<Column> {
-        let (offset, len) = self.directory[i];
-        let start = self.chunks_start + offset;
-        let body = compress::decompress(&buf[start..start + len])?;
+        let chunk = self
+            .directory
+            .get(i)
+            .and_then(|&(offset, len)| {
+                let start = self.chunks_start.checked_add(offset)?;
+                buf.get(start..start.checked_add(len)?)
+            })
+            .ok_or_else(|| FeisuError::Corrupt(format!("column chunk {i} outside the buffer")))?;
+        let body = compress::decompress(chunk)?;
         let mut pos = 0usize;
         let column = decode_column(
             self.schema.fields()[i].data_type,
@@ -1251,6 +1329,84 @@ mod tests {
                 "zone section cut of {cut} bytes must be Corrupt"
             );
         }
+    }
+
+    #[test]
+    fn one_parsed_footer_decodes_what_the_wrappers_decode() {
+        let b = sample_block();
+        let bytes = b.serialize();
+        let before = footer_parses_on_this_thread();
+        let meta = Block::read_meta(&bytes).unwrap();
+        assert!(meta.describes(&bytes));
+        assert_eq!(meta.decode_all(&bytes).unwrap(), b);
+        let sub = meta.decode_columns(&bytes, &["ctr", "url", "ctr"]).unwrap();
+        assert_eq!(
+            footer_parses_on_this_thread() - before,
+            1,
+            "decoding parses nothing"
+        );
+        assert_eq!(
+            sub,
+            Block::deserialize_columns(&bytes, &["url", "ctr"]).unwrap()
+        );
+        assert!(matches!(
+            meta.decode_columns(&bytes, &["nope"]),
+            Err(FeisuError::Corrupt(_))
+        ));
+        // Larger than the bytes it was parsed from (strings, name index),
+        // and growing with the schema.
+        assert!(meta.footprint() > meta.meta_bytes);
+        let narrow = Block::deserialize_columns(&bytes, &["ctr"]).unwrap();
+        let narrow = Block::read_meta(&narrow.serialize()).unwrap();
+        assert!(narrow.footprint() < meta.footprint());
+    }
+
+    #[test]
+    fn a_footer_decodes_only_the_bytes_it_describes() {
+        let a = sample_block();
+        let a_bytes = a.serialize();
+        let meta = Block::read_meta(&a_bytes).unwrap();
+        let refused = |buf: &[u8]| {
+            assert!(!meta.describes(buf));
+            assert!(matches!(meta.decode_all(buf), Err(FeisuError::Corrupt(_))));
+            assert!(matches!(
+                meta.decode_columns(buf, &["url"]),
+                Err(FeisuError::Corrupt(_))
+            ));
+        };
+        // A rewrite of the same shape: one value differs, so a zone bound
+        // (or a chunk length) in the footer does.
+        let mut clicks: Vec<Value> = (0..100).map(|i| Value::Int64(i * 3)).collect();
+        clicks[99] = Value::Int64(1_000_000);
+        let mut columns = a.columns().to_vec();
+        columns[1] = Column::from_values(DataType::Int64, &clicks).unwrap();
+        refused(
+            &Block::new(a.id(), a.schema().clone(), columns)
+                .unwrap()
+                .serialize(),
+        );
+        // Fewer columns, a truncated buffer, a longer one, nothing at all.
+        refused(
+            &Block::deserialize_columns(&a_bytes, &["url"])
+                .unwrap()
+                .serialize(),
+        );
+        refused(&a_bytes[..a_bytes.len() - 1]);
+        refused(&[a_bytes.as_slice(), &[0]].concat());
+        refused(&[]);
+        // Same length, one metadata byte flipped: in the envelope, in the
+        // footer, in the trailer.
+        for at in [9, a_bytes.len() - 12, a_bytes.len() - 1] {
+            let mut bent = a_bytes.clone();
+            bent[at] ^= 0x40;
+            refused(&bent);
+        }
+        // A flipped *chunk* byte is described (the footer is the same) and
+        // is the chunk decoder's to reject or decode, never to panic on.
+        let mut bent = a_bytes.clone();
+        bent[meta.meta_bytes.min(a_bytes.len() / 2)] ^= 0x40;
+        assert!(meta.describes(&bent));
+        let _ = meta.decode_all(&bent);
     }
 
     #[test]

@@ -41,12 +41,21 @@ impl Schema {
     /// Builds a schema; panics on duplicate field names (a construction-time
     /// programming error, not a runtime condition).
     pub fn new(fields: Vec<Field>) -> Self {
+        Schema::try_new(fields).unwrap_or_else(|name| panic!("duplicate field name: {name}"))
+    }
+
+    /// Builds a schema from fields that came from outside the program (a
+    /// block header): a duplicate name is reported, by name, instead of
+    /// panicking.
+    pub fn try_new(fields: Vec<Field>) -> Result<Self, String> {
         let mut by_name = FxHashMap::default();
+        by_name.reserve(fields.len());
         for (i, f) in fields.iter().enumerate() {
-            let prev = by_name.insert(f.name.clone(), i);
-            assert!(prev.is_none(), "duplicate field name: {}", f.name);
+            if by_name.insert(f.name.clone(), i).is_some() {
+                return Err(f.name.clone());
+            }
         }
-        Schema { fields, by_name }
+        Ok(Schema { fields, by_name })
     }
 
     pub fn empty() -> Self {

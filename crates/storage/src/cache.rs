@@ -89,7 +89,7 @@ pub struct CacheHit {
 /// One `system.cache` introspection row (per node, per tier).
 #[derive(Debug, Clone)]
 pub struct CacheTierRow {
-    /// `"mem"`, `"ssd"` or `"ghost"`.
+    /// `"mem"`, `"ssd"`, `"ghost"` or the footer cache's `"meta"`.
     pub tier: &'static str,
     pub entries: usize,
     pub used_bytes: u64,

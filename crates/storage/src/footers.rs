@@ -1,0 +1,293 @@
+//! Resident block footers: `(node, path) → Arc<BlockMeta>`.
+//!
+//! A footer is a few KB, needed by every task over its block, and costs
+//! tens of microseconds to parse; the block it describes is hundreds of
+//! KB and may not fit the block cache at all. So each node keeps the
+//! *parsed* footers of the blocks it has touched, next to (and
+//! independent of) the byte cache — the split "Data Caching for
+//! Enterprise-Grade Petabyte-Scale OLAP" (PAPERS.md) makes between file
+//! metadata and file data. A leaf that finds a footer here can disprove
+//! a predicate from its zone maps without reading the block.
+//!
+//! Always on, bounded per node by [`FOOTER_BYTES_PER_NODE`] with LRU
+//! eviction, and owned by the [`StorageRouter`](crate::StorageRouter),
+//! whose `write` drops a path's footer on every node.
+//!
+//! Staleness rule: a footer parsed from bytes older than a write to its
+//! path is never resident after that write returns. `fill_with` holds the
+//! node's lock across *read + parse + insert*, and `invalidate` takes the
+//! same lock after the bytes are in place — so a fill either read the new
+//! bytes, or finishes before the invalidation that then removes it.
+
+use crate::cache::CacheTierRow;
+use feisu_common::hash::FxHashMap;
+use feisu_common::{NodeId, Result};
+use feisu_format::BlockMeta;
+use feisu_obs::{Counter, MetricsRegistry};
+use parking_lot::{Mutex, RwLock};
+use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
+
+/// Per-node bound on resident footers, charged by
+/// [`BlockMeta::footprint`]: 1/64 of the default DRAM cache tier, room
+/// for about 800 128-column footers (20.8 KB each).
+pub const FOOTER_BYTES_PER_NODE: usize = 16 << 20;
+
+struct Slot {
+    meta: Arc<BlockMeta>,
+    bytes: usize,
+    stamp: u64,
+}
+
+/// One node's footers in recency order; `lru` holds exactly one record
+/// per slot, keyed by the slot's stamp.
+#[derive(Default)]
+struct NodeFooters {
+    slots: FxHashMap<Arc<str>, Slot>,
+    lru: BTreeMap<u64, Arc<str>>,
+    used: usize,
+    next_stamp: u64,
+    hits: u64,
+    evictions: u64,
+}
+
+impl NodeFooters {
+    fn touch(&mut self, path: &str) -> Option<Arc<BlockMeta>> {
+        let slot = self.slots.get_mut(path)?;
+        let key = self.lru.remove(&slot.stamp).expect("one record per slot");
+        self.next_stamp += 1;
+        slot.stamp = self.next_stamp;
+        self.lru.insert(slot.stamp, key);
+        self.hits += 1;
+        Some(slot.meta.clone())
+    }
+
+    fn remove(&mut self, path: &str) -> bool {
+        let Some(slot) = self.slots.remove(path) else {
+            return false;
+        };
+        self.lru.remove(&slot.stamp);
+        self.used -= slot.bytes;
+        true
+    }
+
+    fn insert(&mut self, path: &str, meta: Arc<BlockMeta>, capacity: usize) {
+        self.remove(path);
+        let bytes = meta.footprint() + path.len();
+        if bytes > capacity {
+            return;
+        }
+        while self.used + bytes > capacity {
+            let (_, coldest) = self.lru.pop_first().expect("used > 0 means a slot");
+            let slot = self.slots.remove(&coldest).expect("one slot per record");
+            self.used -= slot.bytes;
+            self.evictions += 1;
+        }
+        self.next_stamp += 1;
+        let key: Arc<str> = path.into();
+        self.lru.insert(self.next_stamp, key.clone());
+        self.slots.insert(
+            key,
+            Slot {
+                meta,
+                bytes,
+                stamp: self.next_stamp,
+            },
+        );
+        self.used += bytes;
+    }
+}
+
+struct FooterMetrics {
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    invalidations: Arc<Counter>,
+}
+
+pub struct FooterCache {
+    capacity_per_node: usize,
+    nodes: RwLock<FxHashMap<NodeId, Arc<Mutex<NodeFooters>>>>,
+    metrics: OnceLock<FooterMetrics>,
+}
+
+impl Default for FooterCache {
+    fn default() -> Self {
+        FooterCache::with_capacity(FOOTER_BYTES_PER_NODE)
+    }
+}
+
+impl FooterCache {
+    fn with_capacity(capacity_per_node: usize) -> Self {
+        FooterCache {
+            capacity_per_node,
+            nodes: RwLock::new(FxHashMap::default()),
+            metrics: OnceLock::new(),
+        }
+    }
+
+    /// Starts counting `feisu.meta.{hits,misses,invalidations}`: lookups
+    /// that found a resident footer, lookups that did not, and footers
+    /// dropped because their path was written. Only the first registry
+    /// attached is used.
+    pub(crate) fn attach_metrics(&self, registry: &MetricsRegistry) {
+        let _ = self.metrics.set(FooterMetrics {
+            hits: registry.counter("feisu.meta.hits"),
+            misses: registry.counter("feisu.meta.misses"),
+            invalidations: registry.counter("feisu.meta.invalidations"),
+        });
+    }
+
+    fn count(&self, pick: impl Fn(&FooterMetrics) -> &Counter, n: u64) {
+        if let Some(m) = self.metrics.get() {
+            pick(m).add(n);
+        }
+    }
+
+    fn node(&self, node: NodeId) -> Arc<Mutex<NodeFooters>> {
+        if let Some(n) = self.nodes.read().get(&node) {
+            return n.clone();
+        }
+        self.nodes.write().entry(node).or_default().clone()
+    }
+
+    /// The footer `node` holds for `path`, refreshing its recency.
+    pub fn get(&self, node: NodeId, path: &str) -> Option<Arc<BlockMeta>> {
+        // Not under the map's lock: the node's may be held across a fill.
+        let state = self.nodes.read().get(&node).cloned();
+        let found = state.and_then(|n| n.lock().touch(path));
+        match &found {
+            Some(_) => self.count(|m| &m.hits, 1),
+            None => self.count(|m| &m.misses, 1),
+        }
+        found
+    }
+
+    /// Runs `read_and_parse` and keeps the footer it returns for `node`,
+    /// all under the node's lock (see the module doc for why). An error
+    /// leaves nothing behind.
+    pub(crate) fn fill_with<T>(
+        &self,
+        node: NodeId,
+        path: &str,
+        read_and_parse: impl FnOnce() -> Result<(T, Arc<BlockMeta>)>,
+    ) -> Result<(T, Arc<BlockMeta>)> {
+        let state = self.node(node);
+        let mut state = state.lock();
+        let (read, meta) = read_and_parse()?;
+        state.insert(path, meta.clone(), self.capacity_per_node);
+        Ok((read, meta))
+    }
+
+    /// Drops `node`'s footer for `path` (it failed to describe the bytes
+    /// just read).
+    pub(crate) fn forget(&self, node: NodeId, path: &str) {
+        if let Some(n) = self.nodes.read().get(&node) {
+            n.lock().remove(path);
+        }
+    }
+
+    /// Drops `path`'s footer on every node. Call after the new bytes are
+    /// in place.
+    pub(crate) fn invalidate(&self, path: &str) {
+        let dropped = self
+            .nodes
+            .read()
+            .values()
+            .filter(|n| n.lock().remove(path))
+            .count();
+        self.count(|m| &m.invalidations, dropped as u64);
+    }
+
+    /// `system.cache`'s `meta` row for one node.
+    pub fn node_row(&self, node: NodeId) -> CacheTierRow {
+        let state = self.nodes.read().get(&node).cloned();
+        let state = state.as_ref().map(|n| n.lock());
+        CacheTierRow {
+            tier: "meta",
+            entries: state.as_ref().map_or(0, |n| n.slots.len()),
+            used_bytes: state.as_ref().map_or(0, |n| n.used as u64),
+            capacity_bytes: self.capacity_per_node as u64,
+            hits: state.as_ref().map_or(0, |n| n.hits),
+            evictions: state.as_ref().map_or(0, |n| n.evictions),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use feisu_common::{BlockId, FeisuError};
+    use feisu_format::{Block, Column, DataType, Field, Schema};
+
+    fn footer(id: u64) -> Arc<BlockMeta> {
+        let schema = Schema::new(vec![Field::new("a", DataType::Int64, false)]);
+        let block = Block::new(BlockId(id), schema, vec![Column::from_i64(vec![1, 2, 3])]).unwrap();
+        Arc::new(Block::read_meta(&block.serialize()).unwrap())
+    }
+
+    fn fill(c: &FooterCache, node: u64, path: &str, id: u64) {
+        c.fill_with(NodeId(node), path, || Ok(((), footer(id))))
+            .unwrap();
+    }
+
+    #[test]
+    fn footers_are_per_node_and_dropped_everywhere_on_invalidate() {
+        let registry = MetricsRegistry::new();
+        let c = FooterCache::default();
+        c.attach_metrics(&registry);
+        assert!(c.get(NodeId(0), "/hdfs/t/b0").is_none());
+        fill(&c, 0, "/hdfs/t/b0", 7);
+        fill(&c, 1, "/hdfs/t/b0", 7);
+        fill(&c, 1, "/hdfs/t/b1", 8);
+        assert_eq!(c.get(NodeId(0), "/hdfs/t/b0").unwrap().id, BlockId(7));
+        assert!(c.get(NodeId(0), "/hdfs/t/b1").is_none(), "node 1 only");
+        c.invalidate("/hdfs/t/b0");
+        assert!(c.get(NodeId(0), "/hdfs/t/b0").is_none());
+        assert!(c.get(NodeId(1), "/hdfs/t/b0").is_none());
+        assert!(c.get(NodeId(1), "/hdfs/t/b1").is_some());
+        c.invalidate("/hdfs/t/never-seen");
+        let counted = ["hits", "misses", "invalidations"]
+            .map(|name| registry.counter(&format!("feisu.meta.{name}")).get());
+        assert_eq!(counted, [2, 4, 2]);
+        assert_eq!(c.node_row(NodeId(1)).entries, 1);
+        let untouched = c.node_row(NodeId(9));
+        assert_eq!((untouched.entries, untouched.used_bytes), (0, 0));
+        assert_eq!(untouched.capacity_bytes, FOOTER_BYTES_PER_NODE as u64);
+    }
+
+    #[test]
+    fn a_failed_fill_leaves_nothing_and_a_refill_replaces() {
+        let c = FooterCache::default();
+        let err = c.fill_with::<()>(NodeId(0), "/p", || Err(FeisuError::Corrupt("x".into())));
+        assert!(matches!(err, Err(FeisuError::Corrupt(_))));
+        assert!(c.get(NodeId(0), "/p").is_none());
+        fill(&c, 0, "/p", 1);
+        let once = c.node_row(NodeId(0));
+        fill(&c, 0, "/p", 2);
+        assert_eq!(c.get(NodeId(0), "/p").unwrap().id, BlockId(2));
+        let twice = c.node_row(NodeId(0));
+        assert_eq!((twice.entries, twice.used_bytes), (1, once.used_bytes));
+        c.forget(NodeId(0), "/p");
+        assert_eq!(c.node_row(NodeId(0)).used_bytes, 0);
+    }
+
+    #[test]
+    fn the_byte_bound_evicts_the_least_recently_used() {
+        let one = footer(0).footprint() + 2;
+        let c = FooterCache::with_capacity(2 * one);
+        fill(&c, 0, "/a", 1);
+        fill(&c, 0, "/b", 2);
+        assert!(c.get(NodeId(0), "/a").is_some(), "now /b is the coldest");
+        fill(&c, 0, "/c", 3);
+        assert!(c.get(NodeId(0), "/b").is_none());
+        assert!(c.get(NodeId(0), "/a").is_some());
+        assert!(c.get(NodeId(0), "/c").is_some());
+        let row = c.node_row(NodeId(0));
+        assert_eq!((row.entries, row.evictions), (2, 1));
+        assert_eq!(row.used_bytes, 2 * one as u64);
+        // A footer larger than the whole bound is not kept at all.
+        let tiny = FooterCache::with_capacity(one - 1);
+        fill(&tiny, 0, "/a", 1);
+        assert_eq!(tiny.node_row(NodeId(0)).entries, 0);
+    }
+}

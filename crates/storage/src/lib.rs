@@ -17,6 +17,7 @@ pub mod auth;
 pub mod cache;
 pub mod domain;
 pub mod fatman;
+pub mod footers;
 pub mod hdfs;
 pub mod kv;
 pub mod localfs;
@@ -26,4 +27,5 @@ pub use auth::{AuthService, Credential, Grant};
 pub use bytes::Bytes;
 pub use cache::{CacheAttr, CacheHit, CachePin, CacheStats, CacheTier, CacheTierRow, TieredCache};
 pub use domain::{ReadResult, StorageDomain};
+pub use footers::FooterCache;
 pub use router::StorageRouter;

@@ -11,10 +11,12 @@
 use crate::auth::{AuthService, Credential, Grant};
 use crate::cache::{CacheAttr, CacheTier, TieredCache};
 use crate::domain::{ReadResult, StorageDomain};
+use crate::footers::FooterCache;
 use bytes::Bytes;
 use feisu_cluster::simclock::TimeTally;
 use feisu_cluster::{CostModel, StorageMedium};
 use feisu_common::{ByteSize, FeisuError, NodeId, Result, SimInstant};
+use feisu_format::{Block, BlockMeta};
 use feisu_obs::{Counter, MetricsRegistry};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -33,6 +35,8 @@ pub struct StorageRouter {
     default_domain: usize,
     auth: Arc<AuthService>,
     cache: Option<Arc<TieredCache>>,
+    /// Parsed block footers per node; always on, whatever `cache` is.
+    footers: FooterCache,
     cost: CostModel,
     // Behind a Mutex because the router is attached after it is shared
     // (`Arc<StorageRouter>` throughout the engine).
@@ -56,13 +60,15 @@ impl StorageRouter {
             default_domain,
             auth,
             cache,
+            footers: FooterCache::default(),
             cost,
             metrics: Mutex::new(None),
         }
     }
 
     /// Starts publishing `feisu.storage.<prefix>.*` counters, one set per
-    /// domain, plus the block cache's counters when a cache is configured.
+    /// domain, the footer cache's `feisu.meta.*`, plus the block cache's
+    /// counters when a cache is configured.
     pub fn attach_metrics(&self, registry: &MetricsRegistry) {
         let per_domain = self
             .domains
@@ -77,6 +83,7 @@ impl StorageRouter {
             })
             .collect();
         *self.metrics.lock() = Some(per_domain);
+        self.footers.attach_metrics(registry);
         if let Some(cache) = &self.cache {
             cache.attach_metrics(registry);
         }
@@ -187,10 +194,58 @@ impl StorageRouter {
         self.read_attributed(path, reader, cred, now, None)
     }
 
+    /// The footer `reader` keeps resident for the block at `path`, if
+    /// any — authorized exactly as a read of the block is, so deciding a
+    /// skip from it is no way around the grant.
+    pub fn resident_footer(
+        &self,
+        path: &str,
+        reader: NodeId,
+        cred: &Credential,
+        now: SimInstant,
+    ) -> Result<Option<Arc<BlockMeta>>> {
+        let domain = &self.domains[self.domain_index(path)];
+        self.auth.authorize(cred, domain.id(), Grant::Read, now)?;
+        Ok(self.footers.get(reader, path))
+    }
+
+    /// [`Self::read_attributed`] of a block together with its parsed
+    /// footer. `resident` is what [`Self::resident_footer`] returned for
+    /// this task: if it describes the bytes read it is returned as is and
+    /// nothing is parsed; if the path was rewritten in between it is
+    /// dropped and the footer parsed from the bytes in hand. With no
+    /// resident footer the block is read and parsed once, and the footer
+    /// stays resident on `reader`.
+    pub fn read_block(
+        &self,
+        path: &str,
+        reader: NodeId,
+        cred: &Credential,
+        now: SimInstant,
+        table: Option<&str>,
+        resident: Option<Arc<BlockMeta>>,
+    ) -> Result<(ReadResult, Arc<BlockMeta>)> {
+        let read_and_parse = || {
+            let read = self.read_attributed(path, reader, cred, now, table)?;
+            let meta = Arc::new(Block::read_meta(&read.data)?);
+            Ok((read, meta))
+        };
+        let Some(meta) = resident else {
+            return self.footers.fill_with(reader, path, read_and_parse);
+        };
+        let read = self.read_attributed(path, reader, cred, now, table)?;
+        if meta.describes(&read.data) {
+            return Ok((read, meta));
+        }
+        self.footers.forget(reader, path);
+        let meta = Arc::new(Block::read_meta(&read.data)?);
+        Ok((read, meta))
+    }
+
     /// Authorized write. A successful write invalidates any cached copy
-    /// of the path on every node — this is the single choke point every
-    /// ingest path funnels through, so re-ingested data can never be
-    /// served stale from the cache.
+    /// of the path, and any resident footer for it, on every node — this
+    /// is the single choke point every ingest path funnels through, so
+    /// re-ingested data can never be served (or skipped) stale.
     pub fn write(
         &self,
         path: &str,
@@ -209,6 +264,7 @@ impl StorageRouter {
         if let Some(cache) = &self.cache {
             cache.invalidate_path(path);
         }
+        self.footers.invalidate(path);
         Ok(())
     }
 
@@ -249,6 +305,10 @@ impl StorageRouter {
 
     pub fn cache(&self) -> Option<&Arc<TieredCache>> {
         self.cache.as_ref()
+    }
+
+    pub fn footers(&self) -> &FooterCache {
+        &self.footers
     }
 
     pub fn domains(&self) -> &[Arc<dyn StorageDomain>] {
@@ -537,6 +597,130 @@ mod tests {
         assert_eq!(registry.counter("feisu.storage.hdfs.bytes_read").get(), 100);
         assert_eq!(registry.counter("feisu.cache.ssd.hits").get(), 1);
         assert_eq!(registry.counter("feisu.storage.local.reads").get(), 0);
+    }
+
+    /// A one-column block whose values (and so zone bounds) start at `lo`.
+    fn block_bytes(lo: i64) -> Bytes {
+        use feisu_format::{Column, DataType, Field, Schema};
+        let schema = Schema::new(vec![Field::new("a", DataType::Int64, false)]);
+        let column = Column::from_i64((lo..lo + 64).collect());
+        let block = Block::new(feisu_common::BlockId(1), schema, vec![column]).unwrap();
+        block.serialize().into()
+    }
+
+    fn low_bound(meta: &BlockMeta) -> Option<feisu_format::Value> {
+        meta.zones.as_ref().unwrap()[0].min.clone()
+    }
+
+    #[test]
+    fn read_block_parses_once_and_a_write_drops_the_footer_everywhere() {
+        use feisu_format::block::footer_parses_on_this_thread as parses;
+        let registry = feisu_obs::MetricsRegistry::new();
+        let (r, cred) = router(false);
+        r.attach_metrics(&registry);
+        let (path, t0) = ("/hdfs/t/b0", SimInstant(0));
+        r.write(path, block_bytes(0), Some(NodeId(0)), &cred, t0)
+            .unwrap();
+        assert!(r
+            .resident_footer(path, NodeId(1), &cred, t0)
+            .unwrap()
+            .is_none());
+
+        let before = parses();
+        let (read, cold) = r
+            .read_block(path, NodeId(1), &cred, t0, None, None)
+            .unwrap();
+        assert!(cold.describes(&read.data));
+        assert_eq!(parses() - before, 1);
+        // Resident on the reading node only, and reused without a parse.
+        assert!(r
+            .resident_footer(path, NodeId(0), &cred, t0)
+            .unwrap()
+            .is_none());
+        let resident = r.resident_footer(path, NodeId(1), &cred, t0).unwrap();
+        assert!(Arc::ptr_eq(resident.as_ref().unwrap(), &cold));
+        let (_, warm) = r
+            .read_block(path, NodeId(1), &cred, t0, None, resident)
+            .unwrap();
+        assert!(Arc::ptr_eq(&warm, &cold));
+        assert_eq!(parses() - before, 1, "a warm read parses nothing");
+        r.read_block(path, NodeId(0), &cred, t0, None, None)
+            .unwrap();
+
+        // The rewrite drops both nodes' copies; the next read sees the new
+        // zone bounds.
+        r.write(path, block_bytes(500), Some(NodeId(0)), &cred, t0)
+            .unwrap();
+        for node in [NodeId(0), NodeId(1)] {
+            assert!(r.resident_footer(path, node, &cred, t0).unwrap().is_none());
+        }
+        let (_, fresh) = r
+            .read_block(path, NodeId(1), &cred, t0, None, None)
+            .unwrap();
+        assert_eq!(low_bound(&fresh), Some(feisu_format::Value::Int64(500)));
+        assert_eq!(registry.counter("feisu.meta.invalidations").get(), 2);
+        assert_eq!(registry.counter("feisu.meta.hits").get(), 1);
+        assert_eq!(registry.counter("feisu.meta.misses").get(), 4);
+    }
+
+    #[test]
+    fn a_footer_looked_up_before_a_rewrite_is_not_applied_to_the_new_bytes() {
+        let (r, cred) = router(false);
+        let (path, t0) = ("/hdfs/t/b0", SimInstant(0));
+        r.write(path, block_bytes(0), Some(NodeId(0)), &cred, t0)
+            .unwrap();
+        r.read_block(path, NodeId(1), &cred, t0, None, None)
+            .unwrap();
+        // A task looks its footer up, then the path is rewritten, then the
+        // task reads: it must get the footer of the bytes it read.
+        let looked_up = r.resident_footer(path, NodeId(1), &cred, t0).unwrap();
+        assert!(looked_up.is_some());
+        r.write(path, block_bytes(500), Some(NodeId(0)), &cred, t0)
+            .unwrap();
+        let (read, meta) = r
+            .read_block(path, NodeId(1), &cred, t0, None, looked_up)
+            .unwrap();
+        assert!(meta.describes(&read.data));
+        assert_eq!(low_bound(&meta), Some(feisu_format::Value::Int64(500)));
+        // Bytes that are no block at all are Corrupt, and stay out.
+        r.write(path, Bytes::from_static(b"junk"), None, &cred, t0)
+            .unwrap();
+        let junk = r.read_block(path, NodeId(1), &cred, t0, None, Some(meta));
+        assert!(matches!(junk, Err(FeisuError::Corrupt(_))));
+        let junk = r.read_block(path, NodeId(1), &cred, t0, None, None);
+        assert!(matches!(junk, Err(FeisuError::Corrupt(_))));
+        assert!(r
+            .resident_footer(path, NodeId(1), &cred, t0)
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    fn resident_footer_is_authorized_like_a_read() {
+        let (r, cred) = router(false);
+        let t0 = SimInstant(0);
+        r.write("/hdfs/t/b0", block_bytes(0), None, &cred, t0)
+            .unwrap();
+        r.read_block("/hdfs/t/b0", NodeId(1), &cred, t0, None, None)
+            .unwrap();
+        // Resident or not, no grant on the domain means no answer...
+        let denied = r.resident_footer("/ffs/x", NodeId(1), &cred, t0);
+        assert!(matches!(denied, Err(FeisuError::PermissionDenied(_))));
+        let stranger = r.auth().issue(UserId(2), t0, SimDuration::hours(8));
+        assert!(stranger.is_err(), "unregistered users get no token at all");
+        r.auth().register(UserId(2));
+        let stranger = r
+            .auth()
+            .issue(UserId(2), t0, SimDuration::hours(8))
+            .unwrap();
+        for resident_on in [NodeId(1), NodeId(0)] {
+            let denied = r.resident_footer("/hdfs/t/b0", resident_on, &stranger, t0);
+            assert!(matches!(denied, Err(FeisuError::PermissionDenied(_))));
+        }
+        // ...and neither does an expired token.
+        let later = SimInstant::EPOCH + SimDuration::hours(100);
+        let expired = r.resident_footer("/hdfs/t/b0", NodeId(1), &cred, later);
+        assert!(matches!(expired, Err(FeisuError::Unauthenticated(_))));
     }
 
     #[test]

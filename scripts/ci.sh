@@ -3,7 +3,8 @@
 #   1. cargo fmt --check
 #   2. cargo build --release
 #   3. cargo test -q (then the e2e suites again at pinned thread widths,
-#      and the exec equivalence suite again in release with more cases)
+#      and the exec equivalence and footer mismatch suites again in
+#      release with more cases)
 #   4. cargo clippy --workspace -- -D warnings
 #   5. the observability smoke runner and the benchmark, smoke-sized
 # Usage: scripts/ci.sh
@@ -49,6 +50,13 @@ FEISU_CLIENT_THREADS=4 cargo test -q $OFFLINE -p feisu-tests
 # the allocation budgets, whose counts are exact in any profile.
 echo "ci: exec equivalence suite (release, 2048 cases) + allocation budget"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-exec --test equivalence --test alloc_budget
+
+# A resident footer must never decode bytes it was not parsed from:
+# foreign, rewritten, truncated and bit-flipped blocks through another
+# block's footer are Corrupt or decoded exactly right, by the same
+# mechanism at the same case count.
+echo "ci: footer mismatch suite (release, 2048 cases)"
+PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-format --test footer_mismatch
 
 echo "ci: clippy (-D warnings)"
 cargo clippy --workspace $OFFLINE -- -D warnings

@@ -39,9 +39,97 @@ fn rewrite_through_router_invalidates_every_cached_block() {
         "the warm run must actually be cache-served"
     );
 
-    // Rewrite every block in place: same paths, same row counts, but
-    // clicks becomes the constant 1 — SUM(clicks) is then exactly the
-    // table's row count.
+    // Rewrite every block in place with clicks the constant 1 —
+    // SUM(clicks) is then exactly the table's row count.
+    let (blocks, total_rows) = rewrite_every_block(&fx, 1);
+
+    let fresh = fx.cluster.query(sql, &fx.cred).unwrap();
+    assert_eq!(
+        fresh.batch.column(0).value(0),
+        Value::Int64(total_rows),
+        "query after rewrite must see the new bytes, not the cached ones"
+    );
+    // Every warm block held a cached copy somewhere; each rewrite
+    // dropped at least one.
+    assert!(
+        fx.cluster
+            .metrics()
+            .counter("feisu.cache.invalidations")
+            .get()
+            >= blocks,
+        "rewrites must invalidate each cached block"
+    );
+}
+
+/// The same for resident footers, which decide a zone-map skip without
+/// reading the block at all: a footer that outlived a rewrite would keep
+/// skipping a block whose new rows match. Runs, like the test above, with
+/// the SmartIndex and task reuse off — those two caches are keyed by
+/// block id, survive an in-place rewrite, and are not what is tested here.
+#[test]
+fn rewrite_through_router_drops_every_resident_footer() {
+    let fx = fixture_with(120, two_tier_spec(), "/hdfs/warehouse/clicks");
+    let metrics = fx.cluster.metrics();
+    // Ingested clicks are below 100: every block's zone map disproves this.
+    let sql = "SELECT COUNT(*) FROM clicks WHERE clicks > 5000";
+    let count = |r: &feisu_core::engine::QueryResult| r.batch.column(0).value(0);
+    let cold = fx.cluster.query(sql, &fx.cred).unwrap();
+    let warm = fx.cluster.query(sql, &fx.cred).unwrap();
+    let blocks = cold.stats.tasks;
+    assert_eq!(count(&warm), Value::Int64(0));
+    assert_eq!(
+        (cold.stats.blocks_skipped, cold.stats.memory_served_tasks),
+        (blocks, 0)
+    );
+    assert_eq!(
+        (warm.stats.blocks_skipped, warm.stats.memory_served_tasks),
+        (blocks, blocks)
+    );
+    assert_eq!(
+        warm.stats.bytes_read,
+        ByteSize::ZERO,
+        "footers are resident"
+    );
+
+    // Skipped -> rewritten -> must now be read: every row matches.
+    let (rewritten, total_rows) = rewrite_every_block(&fx, 9000);
+    assert_eq!(rewritten, blocks as u64);
+    assert!(metrics.counter("feisu.meta.invalidations").get() >= rewritten);
+    let fresh = fx.cluster.query(sql, &fx.cred).unwrap();
+    assert_eq!(
+        count(&fresh),
+        Value::Int64(total_rows),
+        "a stale footer skipped new rows"
+    );
+    assert_eq!(
+        (fresh.stats.blocks_scanned, fresh.stats.blocks_skipped),
+        (blocks, 0)
+    );
+
+    // Scanned -> rewritten -> must now be skipped, from the new footers:
+    // read once, resident after.
+    rewrite_every_block(&fx, 1);
+    assert!(metrics.counter("feisu.meta.invalidations").get() >= 2 * rewritten);
+    let first = fx.cluster.query(sql, &fx.cred).unwrap();
+    let again = fx.cluster.query(sql, &fx.cred).unwrap();
+    assert_eq!(
+        (count(&first), count(&again)),
+        (Value::Int64(0), Value::Int64(0))
+    );
+    assert_eq!(
+        (first.stats.blocks_skipped, first.stats.memory_served_tasks),
+        (blocks, 0)
+    );
+    assert_eq!(
+        (again.stats.blocks_skipped, again.stats.memory_served_tasks),
+        (blocks, blocks)
+    );
+}
+
+/// Rewrites every block of `clicks` in place through the router: same
+/// paths, same row counts, `clicks` the constant given. Returns the block
+/// and row counts.
+fn rewrite_every_block(fx: &feisu_tests::Fixture, clicks: i64) -> (u64, i64) {
     let desc = fx.cluster.catalog().table("clicks").unwrap();
     let blocks = &desc.partitions[0].blocks;
     let schema = clicks_schema();
@@ -56,7 +144,7 @@ fn rewrite_through_router_invalidates_every_cached_block() {
                     .collect(),
             ),
             Column::from_utf8((0..n).map(|_| "map".to_string()).collect()),
-            Column::from_values(DataType::Int64, &vec![Value::Int64(1); n]).unwrap(),
+            Column::from_values(DataType::Int64, &vec![Value::Int64(clicks); n]).unwrap(),
             Column::from_f64(vec![0.5; n]),
             Column::from_i64(vec![20160101; n]),
         ];
@@ -72,23 +160,7 @@ fn rewrite_through_router_invalidates_every_cached_block() {
             )
             .expect("in-place rewrite");
     }
-
-    let fresh = fx.cluster.query(sql, &fx.cred).unwrap();
-    assert_eq!(
-        fresh.batch.column(0).value(0),
-        Value::Int64(total_rows),
-        "query after rewrite must see the new bytes, not the cached ones"
-    );
-    // Every warm block held a cached copy somewhere; each rewrite
-    // dropped at least one.
-    assert!(
-        fx.cluster
-            .metrics()
-            .counter("feisu.cache.invalidations")
-            .get()
-            >= blocks.len() as u64,
-        "rewrites must invalidate each cached block"
-    );
+    (blocks.len() as u64, total_rows)
 }
 
 /// Session-level quota wiring end to end: a zero-quota user's reads are

@@ -2,7 +2,7 @@
 //! cluster-wide metrics registry must agree with the `QueryStats` the
 //! engine returns.
 
-use feisu_common::SimDuration;
+use feisu_common::{ByteSize, SimDuration};
 use feisu_core::engine::{ClusterSpec, QueryOptions, QueryStats};
 use feisu_tests::{fixture, fixture_with};
 
@@ -194,6 +194,71 @@ fn memory_tier_hits_show_their_own_tier() {
         last.cache_hit_tasks > 0,
         "mem_cache tasks count as cache hits"
     );
+}
+
+/// A zone-map skip is billed by what it touched. On a node's first touch
+/// of a block that is the footer, read from storage: that run is the
+/// pre-footer-cache engine's bit for bit (the pinned numbers are what the
+/// parent commit reports for this fixture and statement). On a repeat the
+/// footer is resident and the skip is a memory-served task that reads
+/// nothing; the scanned tasks beside it are billed as before.
+#[test]
+fn repeat_zone_skips_are_memory_served_and_first_touches_are_not() {
+    let mut spec = ClusterSpec::small();
+    spec.task_reuse = false;
+    spec.use_smartindex = false;
+    let fx = fixture_with(400, spec, "/hdfs/warehouse/clicks");
+    // `day` is clustered: the three oldest of seven blocks are disproved.
+    let sql = "SELECT url, clicks FROM clicks WHERE day >= 20160106 AND clicks > 10";
+    let cold = fx.cluster.query(sql, &fx.cred).unwrap();
+    let warm = fx.cluster.query(sql, &fx.cred).unwrap();
+    assert_eq!(cold.batch, warm.batch);
+
+    assert_eq!(cold.response_time.as_nanos(), 30_633_122);
+    assert_eq!(cold.stats.bytes_read, ByteSize(2080));
+    assert_eq!(
+        (cold.stats.blocks_skipped, cold.stats.blocks_scanned),
+        (3, 4)
+    );
+    assert_eq!(cold.stats.memory_served_tasks, 0);
+    assert!(cold.profile.render().contains("served from: local_disk=7"));
+
+    // (tier, bytes_read, extent) of every skipped leaf span.
+    let skipped = |r: &feisu_core::engine::QueryResult| -> Vec<(String, String, u64)> {
+        (r.profile.tree.find_all("leaf_task").iter())
+            .filter(|l| {
+                l.attr("pruned_by_zone")
+                    .is_some_and(|v| v.to_string() == "1")
+            })
+            .map(|l| {
+                let attr = |k| l.attr(k).expect("attr").to_string();
+                (attr("tier"), attr("bytes_read"), l.end.0 - l.start.0)
+            })
+            .collect()
+    };
+    let (first, repeat) = (skipped(&cold), skipped(&warm));
+    assert_eq!((first.len(), repeat.len()), (3, 3));
+    for (tier, bytes, _) in &first {
+        assert_eq!((tier.as_str(), bytes.as_str()), ("local_disk", "207 B"));
+    }
+    for ((tier, bytes, took), (_, _, first_took)) in repeat.iter().zip(&first) {
+        assert_eq!((tier.as_str(), bytes.as_str()), ("memory", "0 B"));
+        assert!(took * 100 < *first_took, "a memory touch, not a disk seek");
+    }
+    assert_eq!(warm.stats.bytes_read, ByteSize(2080 - 3 * 207));
+    assert_eq!(warm.stats.memory_served_tasks, 3);
+    assert_eq!(
+        (warm.stats.blocks_skipped, warm.stats.blocks_scanned),
+        (3, 4)
+    );
+    assert!(warm
+        .profile
+        .render()
+        .contains("served from: local_disk=4 memory=3"));
+    assert!(warm.response_time <= cold.response_time);
+    let metrics = fx.cluster.metrics();
+    assert_eq!(metrics.counter("feisu.meta.misses").get(), 7);
+    assert_eq!(metrics.counter("feisu.meta.hits").get(), 7);
 }
 
 #[test]

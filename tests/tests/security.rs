@@ -7,7 +7,11 @@ use feisu_storage::auth::Grant;
 use feisu_tests::{clicks_rows, clicks_schema, fixture};
 
 fn cluster_with_table() -> (FeisuCluster, UserId) {
-    let cluster = FeisuCluster::new(ClusterSpec::small()).unwrap();
+    cluster_with_table_on(ClusterSpec::small())
+}
+
+fn cluster_with_table_on(spec: ClusterSpec) -> (FeisuCluster, UserId) {
+    let cluster = FeisuCluster::new(spec).unwrap();
     let admin = cluster.register_user("admin");
     cluster.grant_all(admin);
     let admin_cred = cluster.login(admin).unwrap();
@@ -76,6 +80,49 @@ fn revoked_user_locked_out_despite_valid_token() {
         .query("SELECT COUNT(*) FROM clicks", &cred)
         .unwrap_err();
     assert!(matches!(err, FeisuError::Unauthenticated(_)), "{err}");
+}
+
+/// A zone-map skip decided from a resident footer reads nothing — and is
+/// still no way around `auth.authorize`: with every block's footer
+/// resident and every block disproved, a user without the read grant and
+/// a user with an expired token get the errors they get on a cold
+/// cluster.
+#[test]
+fn resident_footer_skips_still_need_the_grant_and_a_live_token() {
+    // Ingested clicks are below 100: every block is skipped.
+    let sql = "SELECT COUNT(*) FROM clicks WHERE clicks > 5000";
+    let refusals = |warm: bool| {
+        // No task reuse: the repeat has to go back to the leaves.
+        let mut spec = ClusterSpec::small();
+        spec.task_reuse = false;
+        let (cluster, admin) = cluster_with_table_on(spec);
+        let admin_cred = cluster.login(admin).unwrap();
+        if warm {
+            cluster.query(sql, &admin_cred).unwrap();
+            let again = cluster.query(sql, &admin_cred).unwrap();
+            assert!(again.stats.tasks > 0);
+            assert_eq!(again.stats.memory_served_tasks, again.stats.tasks);
+        }
+        let intern = cluster.register_user("intern");
+        let no_grant = cluster
+            .query(sql, &cluster.login(intern).unwrap())
+            .unwrap_err();
+        cluster.advance_time(SimDuration::hours(9)); // past the 8 h validity
+        let expired = cluster.query(sql, &admin_cred).unwrap_err();
+        (no_grant, expired)
+    };
+    let (no_grant, expired) = refusals(true);
+    assert!(
+        matches!(no_grant, FeisuError::PermissionDenied(_)),
+        "{no_grant}"
+    );
+    assert!(
+        matches!(expired, FeisuError::Unauthenticated(_)),
+        "{expired}"
+    );
+    let cold = refusals(false);
+    assert_eq!(no_grant.to_string(), cold.0.to_string());
+    assert_eq!(expired.to_string(), cold.1.to_string());
 }
 
 #[test]

@@ -152,8 +152,10 @@ fn metrics_nodes_and_cache_tables_are_selectable() {
         assert_eq!(nodes.batch.value_at(i, "failed"), Some(Value::Bool(false)));
     }
 
-    // No cache configured on this fixture: the table is selectable but
-    // empty (no per-node tier state exists).
+    // No block cache configured on this fixture: its three tiers have no
+    // rows (no such per-node state exists), the always-on footer cache
+    // has its one `meta` row per node — and the seed query's first touch
+    // of each block left that block's footer in one of them.
     let cache = fx
         .cluster
         .query(
@@ -161,11 +163,24 @@ fn metrics_nodes_and_cache_tables_are_selectable() {
             &fx.cred,
         )
         .expect("system.cache");
-    assert_eq!(cache.batch.rows(), 0, "no cache -> no tier rows");
+    assert_eq!(cache.batch.rows(), fx.cluster.node_count());
+    let mut footers = 0;
+    for i in 0..cache.batch.rows() {
+        assert_eq!(
+            cache.batch.value_at(i, "tier"),
+            Some(Value::Utf8("meta".into()))
+        );
+        if let Some(Value::Int64(n)) = cache.batch.value_at(i, "entries") {
+            footers += n as usize;
+        }
+    }
+    let blocks = fx.cluster.catalog().table("clicks").unwrap().block_count();
+    assert_eq!(footers, blocks, "one resident footer per block read");
 }
 
-/// `system.cache` reports one row per (node, tier) — `mem`, `ssd` and
-/// the `ghost` admission shadow — with exact per-node counters.
+/// `system.cache` reports one row per (node, tier) — `mem`, `ssd`, the
+/// `ghost` admission shadow and the `meta` footer cache — with exact
+/// per-node counters.
 #[test]
 fn system_cache_reports_per_node_tier_rows() {
     let mut spec = ClusterSpec::small();
@@ -186,22 +201,26 @@ fn system_cache_reports_per_node_tier_rows() {
             &fx.cred,
         )
         .expect("system.cache");
-    assert_eq!(rows.batch.rows(), nodes * 3, "three tiers per node");
-    // Tier labels cycle mem/ssd/ghost per node; the SSD tier saw the
-    // warm-read hits somewhere.
-    let mut ssd_hits = 0i64;
+    assert_eq!(rows.batch.rows(), nodes * 4, "four tiers per node");
+    // Tier labels cycle mem/ssd/ghost/meta per node; the SSD tier saw the
+    // warm-read hits somewhere, and every warm task found its footer.
+    let (mut ssd_hits, mut meta_hits) = (0i64, 0i64);
     for i in 0..rows.batch.rows() {
         let Some(Value::Utf8(tier)) = rows.batch.value_at(i, "tier") else {
             panic!("tier column");
         };
-        assert_eq!(["mem", "ssd", "ghost"][i % 3], tier);
-        if tier == "ssd" {
-            if let Some(Value::Int64(h)) = rows.batch.value_at(i, "hits") {
-                ssd_hits += h;
+        assert_eq!(["mem", "ssd", "ghost", "meta"][i % 4], tier);
+        if let Some(Value::Int64(h)) = rows.batch.value_at(i, "hits") {
+            match tier.as_str() {
+                "ssd" => ssd_hits += h,
+                "meta" => meta_hits += h,
+                _ => {}
             }
         }
     }
     assert!(ssd_hits > 0, "warm reads hit the SSD tier");
+    let blocks = fx.cluster.catalog().table("clicks").unwrap().block_count();
+    assert_eq!(meta_hits, blocks as i64, "one footer hit per warm task");
     // Aggregation pushdown works over the virtual table.
     let agg = fx
         .cluster
@@ -210,7 +229,7 @@ fn system_cache_reports_per_node_tier_rows() {
             &fx.cred,
         )
         .expect("grouped");
-    assert_eq!(agg.batch.rows(), 3);
+    assert_eq!(agg.batch.rows(), 4);
 }
 
 /// The `system.` namespace is reserved: user tables cannot shadow the
