@@ -1,16 +1,17 @@
 //! Expression evaluation over record batches.
 //!
 //! Two paths:
-//! * a typed fast path for `column OP literal` comparisons on numeric
-//!   columns — the predicate shape that dominates Feisu's workload
-//!   (Fig. 8: scans with simple filters are >99% of queries);
-//! * a general row-wise fallback delegating to the `feisu-sql` reference
-//!   interpreter, guaranteeing identical semantics to the oracle.
+//! * `column OP literal` comparisons — the predicate shape that dominates
+//!   Feisu's workload (Fig. 8: scans with simple filters are >99% of
+//!   queries) — go to the predicate kernel the leaves also use;
+//! * everything else falls back row-wise to the `feisu-sql` reference
+//!   interpreter, whose answers, errors included, the kernel reproduces.
 
 use crate::batch::{BatchRow, RecordBatch};
 use feisu_common::{FeisuError, Result};
 use feisu_format::column::ColumnData;
 use feisu_format::{Column, DataType, Value};
+use feisu_index::kernel::compare_column;
 use feisu_index::BitVec;
 use feisu_sql::ast::{BinaryOp, Expr};
 use feisu_sql::eval::{eval, eval_truth};
@@ -19,11 +20,21 @@ use std::borrow::Cow;
 /// Evaluates a boolean expression into a selection bitmap (bit set ⇔ row
 /// passes the filter; SQL-unknown rows do not pass).
 pub fn eval_predicate(batch: &RecordBatch, expr: &Expr) -> Result<BitVec> {
-    if let Some(bits) = fast_compare(batch, expr)? {
-        return Ok(bits);
-    }
-    // Decompose AND/OR over fast-path-able halves before falling back.
     if let Expr::Binary { op, left, right } = expr {
+        // `col OP literal`, or `literal OP col` read the other way round.
+        let simple = match (left.as_ref(), right.as_ref()) {
+            _ if !op.is_comparison() => None,
+            (Expr::Column(c), Expr::Literal(v)) => Some((c, *op, v)),
+            (Expr::Literal(v), Expr::Column(c)) => op.flip().map(|flipped| (c, flipped, v)),
+            _ => None,
+        };
+        if let Some((name, op, literal)) = simple {
+            let column = batch
+                .column_by_name(name)
+                .ok_or_else(|| FeisuError::Execution(format!("unknown column `{name}`")))?;
+            return compare_column(column, op, literal);
+        }
+        // Decompose AND/OR over kernel-able halves before falling back.
         match op {
             BinaryOp::And => {
                 let mut bits = eval_predicate(batch, left)?;
@@ -46,123 +57,6 @@ pub fn eval_predicate(batch: &RecordBatch, expr: &Expr) -> Result<BitVec> {
         }
     }
     Ok(bits)
-}
-
-/// Typed fast path: `col OP literal` over Int64/Float64 columns.
-fn fast_compare(batch: &RecordBatch, expr: &Expr) -> Result<Option<BitVec>> {
-    let Expr::Binary { op, left, right } = expr else {
-        return Ok(None);
-    };
-    if !op.is_comparison() || *op == BinaryOp::Contains {
-        return Ok(None);
-    }
-    let (col_name, lit, op) = match (left.as_ref(), right.as_ref()) {
-        (Expr::Column(c), Expr::Literal(v)) => (c, v, *op),
-        (Expr::Literal(v), Expr::Column(c)) => match op.flip() {
-            Some(f) => (c, v, f),
-            None => return Ok(None),
-        },
-        _ => return Ok(None),
-    };
-    let Some(column) = batch.column_by_name(col_name) else {
-        return Err(FeisuError::Execution(format!(
-            "unknown column `{col_name}`"
-        )));
-    };
-    let validity = column.validity();
-    let mut bits = BitVec::zeros(column.len());
-    match (column.data(), lit) {
-        (ColumnData::Int64(vals), Value::Int64(t)) => {
-            fill(&mut bits, vals, validity, |v| cmp_ord(op, v.cmp(t)));
-        }
-        (ColumnData::Int64(vals), Value::Float64(t)) => {
-            fill(&mut bits, vals, validity, |v| {
-                (*v as f64)
-                    .partial_cmp(t)
-                    .map(|o| cmp_ord(op, o))
-                    .unwrap_or(false)
-            });
-        }
-        (ColumnData::Float64(vals), Value::Float64(t)) => {
-            fill(&mut bits, vals, validity, |v| {
-                v.partial_cmp(t).map(|o| cmp_ord(op, o)).unwrap_or(false)
-            });
-        }
-        (ColumnData::Float64(vals), Value::Int64(t)) => {
-            let t = *t as f64;
-            fill(&mut bits, vals, validity, |v| {
-                v.partial_cmp(&t).map(|o| cmp_ord(op, o)).unwrap_or(false)
-            });
-        }
-        (ColumnData::Utf8(vals), Value::Utf8(t)) => {
-            fill(&mut bits, vals, validity, |v| {
-                cmp_ord(op, v.as_str().cmp(t))
-            });
-        }
-        _ => return Ok(None),
-    }
-    Ok(Some(bits))
-}
-
-/// Accumulates 64 predicate results into a u64 and emits them with one
-/// word-store each, instead of a read-modify-write per matching row.
-#[inline]
-fn fill<T>(
-    bits: &mut BitVec,
-    vals: &[T],
-    validity: &feisu_format::column::Validity,
-    pred: impl Fn(&T) -> bool,
-) {
-    let n = vals.len();
-    if validity.null_count() == 0 {
-        let mut wi = 0usize;
-        let mut i = 0usize;
-        while i < n {
-            let end = (i + 64).min(n);
-            let mut acc = 0u64;
-            for (j, v) in vals[i..end].iter().enumerate() {
-                acc |= (pred(v) as u64) << j;
-            }
-            bits.store_word(wi, acc);
-            wi += 1;
-            i = end;
-        }
-    } else {
-        // Walk only the valid bits of each validity word; null slots stay
-        // unset in the accumulator.
-        let vwords = validity.words();
-        let mut wi = 0usize;
-        let mut i = 0usize;
-        while i < n {
-            let mut acc = 0u64;
-            let mut m = vwords[wi];
-            while m != 0 {
-                let b = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let j = i + b;
-                if j < n && pred(&vals[j]) {
-                    acc |= 1u64 << b;
-                }
-            }
-            bits.store_word(wi, acc);
-            wi += 1;
-            i += 64;
-        }
-    }
-}
-
-#[inline]
-fn cmp_ord(op: BinaryOp, ord: std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering::*;
-    match op {
-        BinaryOp::Eq => ord == Equal,
-        BinaryOp::NotEq => ord != Equal,
-        BinaryOp::Lt => ord == Less,
-        BinaryOp::LtEq => ord != Greater,
-        BinaryOp::Gt => ord == Greater,
-        BinaryOp::GtEq => ord != Less,
-        _ => unreachable!("fast path only handles comparisons"),
-    }
 }
 
 /// Evaluates a scalar expression into a column over the batch.

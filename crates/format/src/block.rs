@@ -27,7 +27,7 @@
 //! A *present but malformed* zone section is a corruption error, never a
 //! panic.
 
-use crate::column::{Column, ColumnData, Validity};
+use crate::column::{rows_of, Column, ColumnData, Validity};
 use crate::compress;
 use crate::encoding::{bitpack, delta, dict, rle, varint};
 use crate::schema::{Field, Schema};
@@ -506,20 +506,44 @@ impl BlockMeta {
         }
     }
 
+    /// Decodes the named columns of `buf` through this footer, keeping
+    /// only the rows `selection` picks (bit `i % 64` of word `i / 64`
+    /// selects row `i`; bits at or past the block's row count are
+    /// ignored): one column per name, in the order named, each what
+    /// [`BlockMeta::decode_columns`] then [`Column::filter_by_words`]
+    /// would give. Every named chunk is still decompressed and validated
+    /// whole, so corruption is reported even under an empty selection;
+    /// what follows the selection is what is allocated per row.
+    pub fn decode_selected(
+        &self,
+        buf: &[u8],
+        names: &[&str],
+        selection: &[u64],
+    ) -> Result<Vec<Column>> {
+        self.check_describes(buf)?;
+        names
+            .iter()
+            .map(|name| self.decode_chunk(buf, self.index_of(name)?, Some(selection)))
+            .collect()
+    }
+
+    fn index_of(&self, name: &str) -> Result<usize> {
+        self.schema
+            .index_of(name)
+            .ok_or_else(|| FeisuError::Corrupt(format!("requested column `{name}` not in block")))
+    }
+
     fn decode_named_chunks(&self, buf: &[u8], names: &[&str]) -> Result<Block> {
         let mut wanted = vec![false; self.schema.len()];
         for name in names {
-            let i = self.schema.index_of(name).ok_or_else(|| {
-                FeisuError::Corrupt(format!("requested column `{name}` not in block"))
-            })?;
-            wanted[i] = true;
+            wanted[self.index_of(name)?] = true;
         }
         let mut fields = Vec::new();
         let mut columns = Vec::new();
         for (i, want) in wanted.iter().enumerate() {
             if *want {
                 fields.push(self.schema.fields()[i].clone());
-                columns.push(self.decode_chunk(buf, i)?);
+                columns.push(self.decode_chunk(buf, i, None)?);
             }
         }
         Block::new_with_rows(self.id, Schema::new(fields), columns, self.rows)
@@ -527,15 +551,16 @@ impl BlockMeta {
 
     fn decode_all_chunks(&self, buf: &[u8]) -> Result<Block> {
         let columns = (0..self.schema.len())
-            .map(|i| self.decode_chunk(buf, i))
+            .map(|i| self.decode_chunk(buf, i, None))
             .collect::<Result<Vec<_>>>()?;
         Block::new_with_rows(self.id, self.schema.clone(), columns, self.rows)
     }
 
-    /// Decompresses and decodes the chunk for column `i`. The slice is
-    /// bounds-checked against the buffer actually passed in, not the one
-    /// the directory was validated against.
-    fn decode_chunk(&self, buf: &[u8], i: usize) -> Result<Column> {
+    /// Decompresses and decodes the chunk for column `i`, keeping the rows
+    /// of `selection` (`None`: all). The slice is bounds-checked against
+    /// the buffer actually passed in, not the one the directory was
+    /// validated against.
+    fn decode_chunk(&self, buf: &[u8], i: usize, selection: Option<&[u64]>) -> Result<Column> {
         let chunk = self
             .directory
             .get(i)
@@ -551,6 +576,7 @@ impl BlockMeta {
             self.rows,
             &body,
             &mut pos,
+            selection,
         )?;
         if pos != body.len() {
             return Err(FeisuError::Corrupt(format!(
@@ -717,69 +743,107 @@ fn encode_column(c: &Column, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_column(dt: DataType, rows: usize, buf: &[u8], pos: &mut usize) -> Result<Column> {
+/// Decodes one column chunk body of `rows` rows. The whole body is parsed
+/// and validated whatever `selection` says; with `Some(words)` only the
+/// selected rows are kept (strings: only they are allocated).
+fn decode_column(
+    dt: DataType,
+    rows: usize,
+    buf: &[u8],
+    pos: &mut usize,
+    selection: Option<&[u64]>,
+) -> Result<Column> {
     let nwords = varint::decode(buf, pos)? as usize;
-    // Corruption-controlled count: checked multiply, or the bounds check
-    // below is defeated by overflow wraparound on 32-bit targets.
-    let nbytes = nwords
-        .checked_mul(8)
-        .ok_or_else(|| FeisuError::Corrupt("validity word count overflow".into()))?;
-    if buf.len().saturating_sub(*pos) < nbytes {
-        return Err(FeisuError::Corrupt("truncated validity bitmap".into()));
+    // The writer emits exactly one bit per row. Holding a reader to that
+    // bounds `rows` — which sizes every allocation below — by the bytes
+    // actually present.
+    if nwords != rows.div_ceil(64) {
+        return Err(FeisuError::Corrupt(format!(
+            "validity bitmap has {nwords} words for {rows} rows"
+        )));
     }
-    let mut words = Vec::with_capacity(nwords);
-    for _ in 0..nwords {
-        words.push(u64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap()));
-        *pos += 8;
-    }
+    let words = take_bytes(buf, pos, nwords.checked_mul(8), "validity bitmap")?
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+        .collect();
     let validity = Validity::from_words(words, rows);
     let enc = *buf
         .get(*pos)
         .ok_or_else(|| FeisuError::Corrupt("missing column encoding tag".into()))?;
     *pos += 1;
+    let declares = |len: usize| {
+        if len == rows {
+            Ok(())
+        } else {
+            Err(FeisuError::Corrupt(format!(
+                "column decoded {len} rows, block declares {rows}"
+            )))
+        }
+    };
+    // Integers and booleans decode whole and are then gathered; floats
+    // and strings are read straight at the selected rows.
+    fn keep<T: Copy>(all: Vec<T>, selection: Option<&[u64]>) -> Vec<T> {
+        match selection {
+            None => all,
+            Some(_) => rows_of(all.len(), selection, |i| all[i]),
+        }
+    }
     let data = match (dt, enc) {
-        (DataType::Int64, ENC_RLE) => ColumnData::Int64(rle::decode(buf, pos)?),
-        (DataType::Int64, ENC_DELTA) => ColumnData::Int64(delta::decode(buf, pos)?),
+        (DataType::Int64, ENC_RLE) => {
+            ColumnData::Int64(keep(rle::decode(buf, pos, rows)?, selection))
+        }
+        (DataType::Int64, ENC_DELTA) => {
+            let v = delta::decode(buf, pos)?;
+            declares(v.len())?;
+            ColumnData::Int64(keep(v, selection))
+        }
         (DataType::Float64, ENC_FLOAT_RAW) => {
             let n = varint::decode(buf, pos)? as usize;
-            let nbytes = n
-                .checked_mul(8)
-                .ok_or_else(|| FeisuError::Corrupt("float count overflow".into()))?;
-            if buf.len().saturating_sub(*pos) < nbytes {
-                return Err(FeisuError::Corrupt("truncated float column".into()));
-            }
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(f64::from_bits(u64::from_le_bytes(
-                    buf[*pos..*pos + 8].try_into().unwrap(),
-                )));
-                *pos += 8;
-            }
-            ColumnData::Float64(v)
+            let bytes = take_bytes(buf, pos, n.checked_mul(8), "float column")?;
+            declares(n)?;
+            ColumnData::Float64(rows_of(n, selection, |i| {
+                let b = bytes[i * 8..i * 8 + 8].try_into().expect("8-byte slice");
+                f64::from_bits(u64::from_le_bytes(b))
+            }))
         }
         (DataType::Bool, ENC_BOOL_PACK) => {
             let bits = bitpack::decode(buf, pos)?;
-            ColumnData::Bool(bits.into_iter().map(|b| b != 0).collect())
+            declares(bits.len())?;
+            ColumnData::Bool(rows_of(rows, selection, |i| bits[i] != 0))
         }
-        (DataType::Utf8, ENC_DICT) => ColumnData::Utf8(dict::decode(buf, pos)?),
+        (DataType::Utf8, ENC_DICT) => {
+            let view = dict::view(buf, pos)?;
+            declares(view.len())?;
+            ColumnData::Utf8(rows_of(rows, selection, |i| view.get(i).to_string()))
+        }
         (dt, enc) => {
             return Err(FeisuError::Corrupt(format!(
                 "encoding tag {enc} invalid for type {dt}"
             )))
         }
     };
-    let len = match &data {
-        ColumnData::Bool(v) => v.len(),
-        ColumnData::Int64(v) => v.len(),
-        ColumnData::Float64(v) => v.len(),
-        ColumnData::Utf8(v) => v.len(),
+    let validity = match selection {
+        None => validity,
+        Some(words) => validity.filter_by_words(words),
     };
-    if len != rows {
-        return Err(FeisuError::Corrupt(format!(
-            "column decoded {len} rows, block declares {rows}"
-        )));
-    }
     Ok(Column::new(data, validity))
+}
+
+/// The next `len` bytes of `buf` (`None`: the count overflowed), or
+/// `Corrupt` naming `what` was cut short.
+fn take_bytes<'a>(
+    buf: &'a [u8],
+    pos: &mut usize,
+    len: Option<usize>,
+    what: &str,
+) -> Result<&'a [u8]> {
+    let end = len
+        .and_then(|len| pos.checked_add(len))
+        .filter(|&end| end <= buf.len())
+        .ok_or_else(|| FeisuError::Corrupt(format!("truncated {what}")))?;
+    let bytes = &buf[*pos..end];
+    *pos = end;
+    Ok(bytes)
 }
 
 #[cfg(test)]

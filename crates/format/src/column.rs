@@ -6,6 +6,7 @@
 //! over contiguous memory.
 
 use crate::value::{DataType, Value};
+use std::cmp::{max_by, min_by, Ordering};
 
 /// Validity bitmap: bit i set ⇔ row i is non-null.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -76,21 +77,30 @@ impl Validity {
     }
 
     /// Rebuilds from raw words (trailing bits beyond `len` are ignored).
-    pub fn from_words(bits: Vec<u64>, len: usize) -> Self {
-        let mut v = Validity {
+    pub fn from_words(mut bits: Vec<u64>, len: usize) -> Self {
+        bits.resize(len.div_ceil(64), 0);
+        let mut valid: usize = bits.iter().map(|w| w.count_ones() as usize).sum();
+        if !len.is_multiple_of(64) {
+            // The last word may carry ignored bits past `len`.
+            let ignored = bits[len / 64] >> (len % 64);
+            valid -= ignored.count_ones() as usize;
+        }
+        Validity {
             bits,
             len,
-            null_count: 0,
-        };
-        v.bits.resize(len.div_ceil(64), 0);
-        let mut nulls = 0;
-        for i in 0..len {
-            if !v.is_valid(i) {
-                nulls += 1;
-            }
+            null_count: len - valid,
         }
-        v.null_count = nulls;
-        v
+    }
+
+    /// The validity of the rows `words` selects, in row order (the
+    /// selection layout of [`Column::filter_by_words`]).
+    pub(crate) fn filter_by_words(&self, words: &[u64]) -> Validity {
+        if self.null_count == 0 {
+            return Validity::new_all_valid(count_set(words, self.len));
+        }
+        let mut out = Validity::with_capacity(count_set(words, self.len));
+        for_each_set(words, self.len, |i| out.push(self.is_valid(i)));
+        out
     }
 }
 
@@ -333,56 +343,19 @@ impl Column {
     /// index vector the way [`Column::take`] requires; set bits at or past
     /// the column length are ignored.
     pub fn filter_by_words(&self, words: &[u64]) -> Column {
-        let n = self.len();
-        let mut count = 0usize;
-        for (wi, &w) in words.iter().enumerate() {
-            let base = wi * 64;
-            if base >= n {
-                break;
-            }
-            let m = if n - base < 64 {
-                w & ((1u64 << (n - base)) - 1)
-            } else {
-                w
-            };
-            count += m.count_ones() as usize;
+        fn gather<T: Clone>(v: &[T], words: &[u64]) -> Vec<T> {
+            rows_of(v.len(), Some(words), |i| v[i].clone())
         }
-        let mut validity = Validity::with_capacity(count);
         let data = match &self.data {
-            ColumnData::Bool(v) => {
-                let mut out = Vec::with_capacity(count);
-                for_each_set(words, n, |i| {
-                    out.push(v[i]);
-                    validity.push(self.validity.is_valid(i));
-                });
-                ColumnData::Bool(out)
-            }
-            ColumnData::Int64(v) => {
-                let mut out = Vec::with_capacity(count);
-                for_each_set(words, n, |i| {
-                    out.push(v[i]);
-                    validity.push(self.validity.is_valid(i));
-                });
-                ColumnData::Int64(out)
-            }
-            ColumnData::Float64(v) => {
-                let mut out = Vec::with_capacity(count);
-                for_each_set(words, n, |i| {
-                    out.push(v[i]);
-                    validity.push(self.validity.is_valid(i));
-                });
-                ColumnData::Float64(out)
-            }
-            ColumnData::Utf8(v) => {
-                let mut out = Vec::with_capacity(count);
-                for_each_set(words, n, |i| {
-                    out.push(v[i].clone());
-                    validity.push(self.validity.is_valid(i));
-                });
-                ColumnData::Utf8(out)
-            }
+            ColumnData::Bool(v) => ColumnData::Bool(gather(v, words)),
+            ColumnData::Int64(v) => ColumnData::Int64(gather(v, words)),
+            ColumnData::Float64(v) => ColumnData::Float64(gather(v, words)),
+            ColumnData::Utf8(v) => ColumnData::Utf8(gather(v, words)),
         };
-        Column { data, validity }
+        Column {
+            data,
+            validity: self.validity.filter_by_words(words),
+        }
     }
 
     /// Appends another column of the same type.
@@ -411,53 +384,91 @@ impl Column {
         data + self.validity.words().len() * 8
     }
 
-    /// Min and max of non-null values (zone statistics). `None` when the
-    /// column is all-null or empty.
+    /// Min and max of non-null values (zone statistics), in
+    /// [`Value::total_cmp`] order. `None` when the column is all-null or
+    /// empty. Compares in place; only the two bounds become `Value`s.
     pub fn min_max(&self) -> Option<(Value, Value)> {
-        let mut min: Option<Value> = None;
-        let mut max: Option<Value> = None;
-        for i in 0..self.len() {
-            if !self.validity.is_valid(i) {
-                continue;
-            }
-            let v = self.value(i);
-            match &min {
-                None => {
-                    min = Some(v.clone());
-                    max = Some(v);
-                }
-                Some(m) => {
-                    if v.total_cmp(m) == std::cmp::Ordering::Less {
-                        min = Some(v.clone());
-                    }
-                    if v.total_cmp(max.as_ref().unwrap()) == std::cmp::Ordering::Greater {
-                        max = Some(v);
-                    }
-                }
-            }
+        fn bounds<'a, T, V: Copy>(
+            vals: &'a [T],
+            validity: &Validity,
+            view: impl Fn(&'a T) -> V,
+            cmp: impl Fn(&V, &V) -> Ordering,
+        ) -> Option<(V, V)> {
+            let mut rows = (0..vals.len()).filter(|&i| validity.is_valid(i));
+            let first = view(&vals[rows.next()?]);
+            // Ties keep the earlier row, as the row-at-a-time fold did.
+            Some(rows.fold((first, first), |(min, max), i| {
+                let v = view(&vals[i]);
+                (min_by(min, v, &cmp), max_by(v, max, &cmp))
+            }))
         }
-        min.zip(max)
+        let validity = &self.validity;
+        match &self.data {
+            ColumnData::Bool(v) => bounds(v, validity, |b| *b, bool::cmp)
+                .map(|(lo, hi)| (Value::Bool(lo), Value::Bool(hi))),
+            ColumnData::Int64(v) => bounds(v, validity, |i| *i, i64::cmp)
+                .map(|(lo, hi)| (Value::Int64(lo), Value::Int64(hi))),
+            ColumnData::Float64(v) => bounds(v, validity, |f| *f, f64::total_cmp)
+                .map(|(lo, hi)| (Value::Float64(lo), Value::Float64(hi))),
+            ColumnData::Utf8(v) => bounds(v, validity, String::as_str, |a, b| a.cmp(b))
+                .map(|(lo, hi)| (Value::Utf8(lo.to_string()), Value::Utf8(hi.to_string()))),
+        }
     }
 }
 
-/// Calls `f` for every set bit below `n`, word at a time.
+/// `at(i)` for every row `i < n` that `selection` picks (`None`: every
+/// row), in row order, presized by popcount.
+pub(crate) fn rows_of<T>(
+    n: usize,
+    selection: Option<&[u64]>,
+    mut at: impl FnMut(usize) -> T,
+) -> Vec<T> {
+    match selection {
+        None => (0..n).map(at).collect(),
+        Some(words) => {
+            let mut out = Vec::with_capacity(count_set(words, n));
+            for_each_set(words, n, |i| out.push(at(i)));
+            out
+        }
+    }
+}
+
+/// Set bits of a selection below row `n`.
+pub(crate) fn count_set(words: &[u64], n: usize) -> usize {
+    let mut count = 0;
+    for_each_word(words, n, |_, m| count += m.count_ones() as usize);
+    count
+}
+
+/// Calls `f(base, word)` for every selection word that covers a row
+/// below `n`, bits at or past `n` cleared.
 #[inline]
-fn for_each_set(words: &[u64], n: usize, mut f: impl FnMut(usize)) {
+fn for_each_word(words: &[u64], n: usize, mut f: impl FnMut(usize, u64)) {
     for (wi, &w) in words.iter().enumerate() {
         let base = wi * 64;
         if base >= n {
             break;
         }
-        let mut m = if n - base < 64 {
-            w & ((1u64 << (n - base)) - 1)
-        } else {
-            w
-        };
+        f(
+            base,
+            if n - base < 64 {
+                w & ((1u64 << (n - base)) - 1)
+            } else {
+                w
+            },
+        );
+    }
+}
+
+/// Calls `f` for every set bit below `n`, word at a time.
+#[inline]
+pub(crate) fn for_each_set(words: &[u64], n: usize, mut f: impl FnMut(usize)) {
+    for_each_word(words, n, |base, mut m| {
         while m != 0 {
             f(base + m.trailing_zeros() as usize);
             m &= m - 1;
         }
-    }
+    });
 }
 
 fn data_len(d: &ColumnData) -> usize {
@@ -635,6 +646,67 @@ mod tests {
         let (min, max) = c.min_max().unwrap();
         assert_eq!(min, Value::Int64(-3));
         assert_eq!(max, Value::Int64(5));
+    }
+
+    #[test]
+    fn min_max_orders_like_value_total_cmp() {
+        // The row-at-a-time definition: fold `Value::total_cmp` over the
+        // non-null rows.
+        fn reference(c: &Column) -> Option<(Value, Value)> {
+            let mut rows = (0..c.len()).map(|i| c.value(i)).filter(|v| !v.is_null());
+            let first = rows.next()?;
+            Some(rows.fold((first.clone(), first), |(min, max), v| {
+                (
+                    if v.total_cmp(&min).is_lt() {
+                        v.clone()
+                    } else {
+                        min
+                    },
+                    if v.total_cmp(&max).is_gt() { v } else { max },
+                )
+            }))
+        }
+        let nan = f64::NAN;
+        let floats = [
+            vec![0.0, -0.0, 1.5],
+            vec![-0.0, 0.0],
+            vec![nan, 1.0, -nan, f64::INFINITY],
+            vec![f64::NEG_INFINITY, -nan],
+            vec![],
+        ];
+        for vals in floats {
+            let c = Column::from_f64(vals);
+            assert_eq!(c.min_max(), reference(&c), "{c:?}");
+        }
+        let nullable = |dt, vals: &[Value]| Column::from_values(dt, vals).unwrap();
+        let s = |s: &str| Value::Utf8(s.into());
+        for c in [
+            nullable(
+                DataType::Utf8,
+                &[Value::Null, s("b"), s(""), s("ab"), s("b")],
+            ),
+            nullable(DataType::Bool, &[Value::Bool(true), Value::Null]),
+            nullable(DataType::Bool, &[Value::Bool(true), Value::Bool(false)]),
+            nullable(DataType::Float64, &[Value::Null, Value::Float64(nan)]),
+            nullable(
+                DataType::Int64,
+                &[Value::Int64(i64::MAX), Value::Int64(i64::MIN)],
+            ),
+            nullable(DataType::Utf8, &[Value::Null]),
+        ] {
+            assert_eq!(c.min_max(), reference(&c), "{c:?}");
+        }
+    }
+
+    #[test]
+    fn from_words_counts_nulls_and_ignores_bits_past_len() {
+        let v = Validity::from_words(vec![u64::MAX, 0b0101 | (u64::MAX << 4)], 68);
+        assert_eq!((v.len(), v.null_count()), (68, 2));
+        assert!(v.is_valid(64) && !v.is_valid(65));
+        // Short and long word vectors are padded and cut to the length.
+        assert_eq!(Validity::from_words(vec![], 70).null_count(), 70);
+        assert_eq!(Validity::from_words(vec![u64::MAX; 3], 64).null_count(), 0);
+        assert_eq!(Validity::from_words(vec![7], 0).null_count(), 0);
     }
 
     #[test]

@@ -186,15 +186,19 @@ fn lz_decompress(buf: &[u8], raw_len: usize) -> Result<Vec<u8>> {
                         out.len()
                     )));
                 }
-                if out.len() + len > raw_len {
+                if len > raw_len.saturating_sub(out.len()) {
                     return Err(FeisuError::Corrupt("lz: match overruns raw length".into()));
                 }
-                // Overlapping copies are legal (dist < len repeats a motif),
-                // so copy byte-wise from the back reference.
+                // Overlapping copies are legal (dist < len repeats a motif
+                // of `dist` bytes): each pass copies everything written
+                // since `start`, a whole number of motifs, so the copy
+                // doubles until `len` is reached. `dist >= len` is one pass.
                 let start = out.len() - dist;
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+                let mut remaining = len;
+                while remaining > 0 {
+                    let n = remaining.min(out.len() - start);
+                    out.extend_from_within(start..start + n);
+                    remaining -= n;
                 }
             }
             other => {

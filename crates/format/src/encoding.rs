@@ -129,23 +129,34 @@ pub mod rle {
         }
     }
 
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Vec<i64>> {
-        let total = varint::decode(buf, pos)? as usize;
-        let runs = varint::decode(buf, pos)? as usize;
-        let mut values = Vec::with_capacity(total.min(1 << 24));
+    /// Decodes a stream that must hold exactly `expect` values. A run costs
+    /// two bytes whatever its length, so unlike the other codecs the input
+    /// size does not bound the output: the caller's own row count does,
+    /// before anything is allocated.
+    pub fn decode(buf: &[u8], pos: &mut usize, expect: usize) -> Result<Vec<i64>> {
+        let total = varint::decode(buf, pos)?;
+        if total != expect as u64 {
+            return Err(FeisuError::Corrupt(format!(
+                "rle: stream declares {total} values, expected {expect}"
+            )));
+        }
+        let runs = varint::decode(buf, pos)?;
+        let mut values = Vec::with_capacity(expect);
         for _ in 0..runs {
-            let len = varint::decode(buf, pos)? as usize;
+            let len = varint::decode(buf, pos)?;
             let v = zigzag::decode(varint::decode(buf, pos)?);
-            if values.len() + len > total {
+            // `len` is the stream's word: compare in u64, against what is
+            // left, so no sum can wrap.
+            if len > (expect - values.len()) as u64 {
                 return Err(FeisuError::Corrupt(
                     "rle: runs exceed declared total".into(),
                 ));
             }
-            values.extend(std::iter::repeat_n(v, len));
+            values.extend(std::iter::repeat_n(v, len as usize));
         }
-        if values.len() != total {
+        if values.len() != expect {
             return Err(FeisuError::Corrupt(format!(
-                "rle: decoded {} values, expected {total}",
+                "rle: decoded {} values, expected {expect}",
                 values.len()
             )));
         }
@@ -209,8 +220,12 @@ pub mod bitpack {
         if width == 0 || width > 64 {
             return Err(FeisuError::Corrupt(format!("bitpack: bad width {width}")));
         }
-        let needed_bytes = (n as u64 * width as u64).div_ceil(8) as usize;
-        if buf.len() - *pos < needed_bytes {
+        // Bounded by the bytes present before anything is allocated; the
+        // count is the stream's word, so the product is checked.
+        let fits = (n as u64)
+            .checked_mul(width as u64)
+            .is_some_and(|bits| bits.div_ceil(8) <= (buf.len() - *pos) as u64);
+        if !fits {
             return Err(FeisuError::Corrupt("bitpack: truncated payload".into()));
         }
         let mut values = Vec::with_capacity(n);
@@ -267,31 +282,58 @@ pub mod dict {
         }
     }
 
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Vec<String>> {
+    /// A decoded dictionary chunk that still borrows its strings from the
+    /// encoded bytes: every entry checked as UTF-8 once, every code checked
+    /// against the dictionary, no `String` made. The caller materializes
+    /// the rows it wants.
+    pub struct DictView<'a> {
+        entries: Vec<&'a str>,
+        codes: Vec<u64>,
+    }
+
+    impl<'a> DictView<'a> {
+        /// Rows in the chunk.
+        pub fn len(&self) -> usize {
+            self.codes.len()
+        }
+
+        pub fn is_empty(&self) -> bool {
+            self.codes.is_empty()
+        }
+
+        /// The string of row `i`.
+        #[inline]
+        pub fn get(&self, i: usize) -> &'a str {
+            self.entries[self.codes[i] as usize]
+        }
+    }
+
+    pub fn view<'a>(buf: &'a [u8], pos: &mut usize) -> Result<DictView<'a>> {
         let dict_len = varint::decode(buf, pos)? as usize;
-        let mut dict = Vec::with_capacity(dict_len.min(1 << 20));
+        // Each entry costs at least its length byte.
+        let mut entries = Vec::with_capacity(dict_len.min(buf.len().saturating_sub(*pos)));
         for _ in 0..dict_len {
             let len = varint::decode(buf, pos)? as usize;
             let end = pos
                 .checked_add(len)
-                .ok_or_else(|| FeisuError::Corrupt("dict: length overflow".into()))?;
-            if end > buf.len() {
-                return Err(FeisuError::Corrupt("dict: truncated string".into()));
-            }
-            let s = std::str::from_utf8(&buf[*pos..end])
-                .map_err(|_| FeisuError::Corrupt("dict: invalid utf8".into()))?;
-            dict.push(s.to_string());
+                .filter(|&end| end <= buf.len())
+                .ok_or_else(|| FeisuError::Corrupt("dict: truncated string".into()))?;
+            entries.push(
+                std::str::from_utf8(&buf[*pos..end])
+                    .map_err(|_| FeisuError::Corrupt("dict: invalid utf8".into()))?,
+            );
             *pos = end;
         }
         let codes = bitpack::decode(buf, pos)?;
-        let mut values = Vec::with_capacity(codes.len());
-        for code in codes {
-            let s = dict
-                .get(code as usize)
-                .ok_or_else(|| FeisuError::Corrupt("dict: code out of range".into()))?;
-            values.push(s.clone());
+        if codes.iter().any(|&code| code >= entries.len() as u64) {
+            return Err(FeisuError::Corrupt("dict: code out of range".into()));
         }
-        Ok(values)
+        Ok(DictView { entries, codes })
+    }
+
+    pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Vec<String>> {
+        let view = view(buf, pos)?;
+        Ok((0..view.len()).map(|i| view.get(i).to_string()).collect())
     }
 }
 
@@ -354,7 +396,7 @@ mod tests {
         let mut buf = Vec::new();
         rle::encode(&values, &mut buf);
         let mut pos = 0;
-        assert_eq!(rle::decode(&buf, &mut pos).unwrap(), values);
+        assert_eq!(rle::decode(&buf, &mut pos, values.len()).unwrap(), values);
     }
 
     #[test]
@@ -362,7 +404,37 @@ mod tests {
         let mut buf = Vec::new();
         rle::encode(&[], &mut buf);
         let mut pos = 0;
-        assert_eq!(rle::decode(&buf, &mut pos).unwrap(), Vec::<i64>::new());
+        assert_eq!(rle::decode(&buf, &mut pos, 0).unwrap(), Vec::<i64>::new());
+    }
+
+    #[test]
+    fn rle_run_length_that_wraps_the_running_sum_is_corrupt() {
+        // total 10, two runs: (3, 0) then (u64::MAX, 0). 3 + u64::MAX wraps
+        // to 2, which passed the old `> total` check.
+        let mut buf = Vec::new();
+        for v in [10, 2, 3, 0, u64::MAX, 0] {
+            varint::encode(v, &mut buf);
+        }
+        let got = rle::decode(&buf, &mut 0, 10);
+        assert!(matches!(got, Err(FeisuError::Corrupt(_))), "got {got:?}");
+        // A total the caller does not expect is refused before allocating.
+        let mut buf = Vec::new();
+        for v in [u64::MAX, 1, u64::MAX, 0] {
+            varint::encode(v, &mut buf);
+        }
+        let got = rle::decode(&buf, &mut 0, 10);
+        assert!(matches!(got, Err(FeisuError::Corrupt(_))), "got {got:?}");
+    }
+
+    #[test]
+    fn bitpack_count_whose_bit_size_wraps_is_corrupt() {
+        // n = 2^61 at width 8 is 2^64 bits: the unchecked product was 0
+        // "needed" bytes and `Vec::with_capacity(2^61)` ran.
+        let mut buf = Vec::new();
+        varint::encode(1 << 61, &mut buf);
+        buf.push(8);
+        let got = bitpack::decode(&buf, &mut 0);
+        assert!(matches!(got, Err(FeisuError::Corrupt(_))), "got {got:?}");
     }
 
     #[test]

@@ -214,6 +214,17 @@ impl BitVec {
         }
     }
 
+    /// Sets bits `start..end`, a word at a time.
+    fn set_range(&mut self, start: usize, end: usize) {
+        for wi in start / 64..end.div_ceil(64) {
+            // First and last bit of the range inside this word; an empty
+            // range ending mid-word has `hi < lo` and an empty mask.
+            let lo = start.max(wi * 64) % 64;
+            let hi = (end.min(wi * 64 + 64) - 1) % 64;
+            self.words[wi] |= (u64::MAX >> (63 - hi)) & (u64::MAX << lo);
+        }
+    }
+
     /// In-memory footprint in bytes.
     pub fn footprint(&self) -> usize {
         self.words.len() * 8 + std::mem::size_of::<BitVec>()
@@ -251,26 +262,34 @@ pub enum CompressedBits {
 impl CompressedBits {
     /// Compresses, keeping whichever representation is smaller.
     pub fn from_bitvec(bits: &BitVec) -> CompressedBits {
+        let raw_bytes = bits.words.len() * 8;
         let mut runs: Vec<u32> = Vec::new();
-        let mut current = false;
-        let mut run_len: u32 = 0;
-        for i in 0..bits.len() {
-            let b = bits.get(i);
-            if b == current {
-                run_len += 1;
-            } else {
-                runs.push(run_len);
-                current = b;
-                run_len = 1;
+        // Where the current run started, and the bit before this word.
+        let (mut start, mut carry) = (0usize, 0u64);
+        for (wi, &word) in bits.words.iter().enumerate() {
+            // Set where a bit differs from the one before it (a zero, for
+            // the first): there a run starts.
+            let mut starts = word ^ (word << 1 | carry);
+            if bits.len - wi * 64 < 64 {
+                starts &= (1u64 << (bits.len % 64)) - 1;
+            }
+            carry = word >> 63;
+            while starts != 0 {
+                let at = wi * 64 + starts.trailing_zeros() as usize;
+                runs.push((at - start) as u32);
+                start = at;
+                starts &= starts - 1;
+            }
+            // Runs only accumulate: at the raw words' cost, raw has won.
+            if runs.len() * 4 >= raw_bytes {
+                return CompressedBits::Raw(bits.clone());
             }
         }
-        runs.push(run_len);
-        let rle_bytes = runs.len() * 4;
-        let raw_bytes = bits.words().len() * 8;
-        if rle_bytes < raw_bytes {
+        runs.push((bits.len - start) as u32);
+        if runs.len() * 4 < raw_bytes {
             CompressedBits::Rle {
                 runs,
-                len: bits.len(),
+                len: bits.len,
             }
         } else {
             CompressedBits::Raw(bits.clone())
@@ -284,15 +303,12 @@ impl CompressedBits {
             CompressedBits::Rle { runs, len } => {
                 let mut v = BitVec::zeros(*len);
                 let mut pos = 0usize;
-                let mut bit = false;
-                for &run in runs {
-                    if bit {
-                        for i in pos..pos + run as usize {
-                            v.set(i, true);
-                        }
+                for (i, &run) in runs.iter().enumerate() {
+                    let end = pos + run as usize;
+                    if i % 2 == 1 {
+                        v.set_range(pos, end);
                     }
-                    pos += run as usize;
-                    bit = !bit;
+                    pos = end;
                 }
                 v
             }

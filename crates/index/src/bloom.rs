@@ -5,7 +5,7 @@
 
 use crate::bitvec::BitVec;
 use feisu_common::hash::{bloom_probes, hash_one};
-use feisu_format::Value;
+use feisu_format::{Column, Value};
 
 /// A fixed-size Bloom filter over column values.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,6 +29,15 @@ impl BloomFilter {
             bits: BitVec::zeros(m),
             k,
         }
+    }
+
+    /// A filter over the non-NULL values of `column`, sized for its length.
+    pub fn of_column(column: &Column, fpp: f64) -> Self {
+        let mut filter = BloomFilter::with_capacity(column.len(), fpp);
+        for i in (0..column.len()).filter(|&i| column.validity().is_valid(i)) {
+            filter.insert(&column.value(i));
+        }
+        filter
     }
 
     /// Number of bits in the filter.

@@ -9,6 +9,7 @@
 //!
 //! Modules:
 //! * [`bitvec`] — the 0-1 vector with bitwise algebra and RLE compression;
+//! * [`kernel`] — the one evaluator of `column OP literal`, 64 rows a word;
 //! * [`bloom`] / [`zonemap`] — the `bloom` and `range` auxiliary fields of
 //!   the index header (Fig. 6);
 //! * [`smart`] — the index record itself: header + payload, build &
@@ -59,6 +60,7 @@
 pub mod bitvec;
 pub mod bloom;
 pub mod btree;
+pub mod kernel;
 pub mod manager;
 pub mod rewrite;
 pub mod smart;

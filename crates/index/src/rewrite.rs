@@ -17,7 +17,7 @@
 
 use crate::bitvec::BitVec;
 use crate::manager::IndexManager;
-use crate::smart::{scan_evaluate, SmartIndex};
+use crate::smart::{predicate_column, scan_evaluate, SmartIndex};
 use feisu_common::{Result, SimInstant};
 use feisu_format::Block;
 use feisu_sql::ast::Expr;
@@ -75,14 +75,8 @@ pub fn probe_predicate(
     now: SimInstant,
 ) -> Result<(BitVec, ProbeKind)> {
     let Some(manager) = cache else {
-        let col = block.column_by_name(&predicate.column).ok_or_else(|| {
-            feisu_common::FeisuError::Index(format!(
-                "block {} has no column `{}`",
-                block.id(),
-                predicate.column
-            ))
-        })?;
-        return Ok((scan_evaluate(col, predicate)?, ProbeKind::Scanned));
+        let column = predicate_column(block, predicate)?;
+        return Ok((scan_evaluate(column, predicate)?, ProbeKind::Scanned));
     };
 
     // 1. Direct hit.
@@ -96,17 +90,12 @@ pub fn probe_predicate(
     }
     // 3. Miss: evaluate and cache (rejection is surfaced so leaf stats
     //    can tell "built and rejected" apart from "built and cached").
-    let idx = SmartIndex::build(block, predicate, now, false)?;
-    let bits = idx.bits();
-    let cached = manager.insert(idx, now);
-    Ok((
-        bits,
-        if cached {
-            ProbeKind::BuiltFresh
-        } else {
-            ProbeKind::BuiltRejected
-        },
-    ))
+    let (idx, bits) = SmartIndex::evaluate(block, predicate, now, false)?;
+    let kind = match manager.insert(idx, now) {
+        true => ProbeKind::BuiltFresh,
+        false => ProbeKind::BuiltRejected,
+    };
+    Ok((bits, kind))
 }
 
 /// Serves a whole CNF over one block.

@@ -11,12 +11,12 @@
 
 use crate::bitvec::{BitVec, CompressedBits};
 use crate::bloom::BloomFilter;
+use crate::kernel::compare_column;
 use crate::zonemap::ZoneMap;
 use feisu_common::{BlockId, FeisuError, Result, SimInstant};
 use feisu_format::{Block, Column};
 use feisu_sql::ast::BinaryOp;
 use feisu_sql::cnf::SimplePredicate;
-use feisu_sql::eval::{compare, Truth};
 
 /// Magic value opening a serialized SmartIndex (Fig. 6 `magic`).
 pub const SMARTINDEX_MAGIC: u32 = 0xFE15_0D01;
@@ -55,55 +55,36 @@ impl SmartIndex {
         now: SimInstant,
         with_bloom: bool,
     ) -> Result<SmartIndex> {
-        let column = block.column_by_name(&predicate.column).ok_or_else(|| {
-            FeisuError::Index(format!(
-                "block {} has no column `{}`",
-                block.id(),
-                predicate.column
-            ))
-        })?;
-        let rows = block.rows();
-        let mut bits = BitVec::zeros(rows);
-        let mut nulls = BitVec::zeros(rows);
-        let mut has_nulls = false;
-        for i in 0..rows {
-            let v = column.value(i);
-            if v.is_null() {
-                nulls.set(i, true);
-                has_nulls = true;
-                continue;
-            }
-            match compare(predicate.op, &v, &predicate.value)? {
-                Truth::True => bits.set(i, true),
-                Truth::False => {}
-                // Non-null vs non-null comparison can't be unknown, but a
-                // type-mismatched comparison errors above.
-                Truth::Unknown => {}
-            }
-        }
-        let range = column.min_max().map(|(min, max)| ZoneMap::new(min, max));
-        let bloom = if with_bloom {
-            let mut f = BloomFilter::with_capacity(rows, 0.01);
-            for i in 0..rows {
-                let v = column.value(i);
-                if !v.is_null() {
-                    f.insert(&v);
-                }
-            }
-            Some(f)
-        } else {
-            None
-        };
-        Ok(SmartIndex {
+        Self::evaluate(block, predicate, now, with_bloom).map(|(index, _)| index)
+    }
+
+    /// [`SmartIndex::build`], handing back the uncompressed result too: the
+    /// query that pays for the evaluation needs the vector it just made,
+    /// not a decompressed copy of it.
+    pub fn evaluate(
+        block: &Block,
+        predicate: &SimplePredicate,
+        now: SimInstant,
+        with_bloom: bool,
+    ) -> Result<(SmartIndex, BitVec)> {
+        let column = predicate_column(block, predicate)?;
+        let bits = compare_column(column, predicate.op, &predicate.value)?;
+        let index = SmartIndex {
             block_id: block.id(),
             predicate: predicate.clone(),
-            rows,
+            rows: block.rows(),
             bits: CompressedBits::from_bitvec(&bits),
-            nulls: has_nulls.then(|| CompressedBits::from_bitvec(&nulls)),
-            range,
-            bloom,
+            // The NULL rows are the complement of the validity words.
+            nulls: (column.null_count() > 0).then(|| {
+                let nulls = column.validity().words().iter().map(|w| !w).collect();
+                let nulls = BitVec::from_words(nulls, bits.len()).expect("a word per 64 rows");
+                CompressedBits::from_bitvec(&nulls)
+            }),
+            range: column.min_max().map(|(min, max)| ZoneMap::new(min, max)),
+            bloom: with_bloom.then(|| BloomFilter::of_column(column, 0.01)),
             created_at: now,
-        })
+        };
+        Ok((index, bits))
     }
 
     /// The positive evaluation result.
@@ -115,14 +96,14 @@ impl SmartIndex {
     /// those where `NOT predicate` is true (nulls excluded). This is the
     /// Fig. 7 bit-NOT reuse.
     pub fn negated_bits(&self) -> BitVec {
-        let positive = self.bits.to_bitvec();
-        match &self.nulls {
-            None => positive.not(),
-            Some(n) => positive
-                .not()
-                .and_not(&n.to_bitvec())
-                .expect("null mask has index length"),
+        let mut bits = self.bits.to_bitvec();
+        bits.not_assign();
+        if let Some(nulls) = &self.nulls {
+            let nulls = nulls.to_bitvec();
+            bits.and_not_assign(&nulls)
+                .expect("null mask has index length");
         }
+        bits
     }
 
     /// Rows matching the predicate.
@@ -254,20 +235,24 @@ impl SmartIndex {
     }
 }
 
-/// Evaluates a simple predicate over a column the slow way — the oracle
-/// the index is tested against, and the fallback when no index exists.
+/// The block column a predicate reads; a block without it cannot answer.
+pub(crate) fn predicate_column<'a>(
+    block: &'a Block,
+    predicate: &SimplePredicate,
+) -> Result<&'a Column> {
+    block.column_by_name(&predicate.column).ok_or_else(|| {
+        FeisuError::Index(format!(
+            "block {} has no column `{}`",
+            block.id(),
+            predicate.column
+        ))
+    })
+}
+
+/// Evaluates a simple predicate over a column without an index: what a
+/// leaf does when SmartIndex is off.
 pub fn scan_evaluate(column: &Column, predicate: &SimplePredicate) -> Result<BitVec> {
-    let mut bits = BitVec::zeros(column.len());
-    for i in 0..column.len() {
-        let v = column.value(i);
-        if v.is_null() {
-            continue;
-        }
-        if compare(predicate.op, &v, &predicate.value)? == Truth::True {
-            bits.set(i, true);
-        }
-    }
-    Ok(bits)
+    compare_column(column, predicate.op, &predicate.value)
 }
 
 /// Can the zone map / bloom of this block prove the predicate matches

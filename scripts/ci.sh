@@ -3,8 +3,8 @@
 #   1. cargo fmt --check
 #   2. cargo build --release
 #   3. cargo test -q (then the e2e suites again at pinned thread widths,
-#      and the exec equivalence and footer mismatch suites again in
-#      release with more cases)
+#      and the exec equivalence, footer mismatch, kernel equivalence and
+#      selected decode suites again in release with more cases)
 #   4. cargo clippy --workspace -- -D warnings
 #   5. the observability smoke runner and the benchmark, smoke-sized
 # Usage: scripts/ci.sh
@@ -57,6 +57,14 @@ PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-exec --test equiva
 # mechanism at the same case count.
 echo "ci: footer mismatch suite (release, 2048 cases)"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-format --test footer_mismatch
+
+# The predicate kernel and the word-level CompressedBits against the
+# row- and bit-at-a-time loops they replaced (values, errors, runs and
+# footprints), and decoding through a selection against decoding then
+# filtering, corrupt chunks included: same mechanism, same case count.
+echo "ci: kernel equivalence + selected decode suites (release, 2048 cases)"
+PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-index --test kernel_equivalence
+PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-format --test selected_decode
 
 echo "ci: clippy (-D warnings)"
 cargo clippy --workspace $OFFLINE -- -D warnings

@@ -9,7 +9,7 @@ use feisu_index::btree::BTreeColumnIndex;
 use feisu_index::smart::{scan_evaluate, SmartIndex};
 use feisu_sql::ast::BinaryOp;
 use feisu_sql::cnf::{to_cnf, SimplePredicate};
-use feisu_sql::eval::eval_truth;
+use feisu_sql::eval::{compare, eval_truth, Truth};
 use feisu_sql::parser::parse_expr;
 use proptest::prelude::*;
 
@@ -43,7 +43,7 @@ proptest! {
         let mut buf = Vec::new();
         rle::encode(&values, &mut buf);
         let mut pos = 0;
-        prop_assert_eq!(rle::decode(&buf, &mut pos).unwrap(), values);
+        prop_assert_eq!(rle::decode(&buf, &mut pos, values.len()).unwrap(), values);
     }
 
     #[test]
@@ -235,7 +235,7 @@ proptest! {
     }
 }
 
-// ------------------------------------------- SmartIndex vs scan oracle
+// -------------------------------------------- SmartIndex vs row oracle
 
 fn arb_predicate() -> impl Strategy<Value = SimplePredicate> {
     (
@@ -259,7 +259,7 @@ fn arb_predicate() -> impl Strategy<Value = SimplePredicate> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
     #[test]
-    fn smartindex_equals_scan_oracle(
+    fn smartindex_equals_row_oracle(
         seed in any::<u64>(),
         rows in 1usize..300,
         pred in arb_predicate(),
@@ -272,16 +272,22 @@ proptest! {
         let schema = Schema::new(vec![Field::new("x", DataType::Int64, true)]);
         let block = Block::new(BlockId(0), schema, vec![col.clone()]).unwrap();
 
+        // `SmartIndex::build` and `scan_evaluate` run the same kernel; the
+        // oracle is the interpreter's `compare`, one cell at a time.
+        let row_oracle = |pred: &SimplePredicate| {
+            BitVec::from_bools((0..rows).map(|i| {
+                compare(pred.op, &col.value(i), &pred.value).unwrap() == Truth::True
+            }))
+        };
         let idx = SmartIndex::build(&block, &pred, SimInstant(0), false).unwrap();
-        let oracle = scan_evaluate(&col, &pred).unwrap();
-        prop_assert_eq!(idx.bits(), oracle);
+        prop_assert_eq!(idx.bits(), row_oracle(&pred));
+        prop_assert_eq!(scan_evaluate(&col, &pred).unwrap(), row_oracle(&pred));
 
         // Negation property: NOT p under 3VL = rows where p is false and
         // the value is non-null.
         if let Some(nop) = pred.op.negate() {
             let npred = SimplePredicate { column: "x".into(), op: nop, value: pred.value.clone() };
-            let neg_oracle = scan_evaluate(&col, &npred).unwrap();
-            prop_assert_eq!(idx.negated_bits(), neg_oracle);
+            prop_assert_eq!(idx.negated_bits(), row_oracle(&npred));
         }
 
         // B-tree agrees with both.
