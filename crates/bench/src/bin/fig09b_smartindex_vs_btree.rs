@@ -13,7 +13,7 @@
 //! the projection-column read common to all strategies.
 
 use feisu_cluster::{CostModel, StorageMedium};
-use feisu_common::hash::FxHashMap;
+use feisu_common::lru::Lru;
 use feisu_common::rng::DetRng;
 use feisu_common::{BlockId, ByteSize, SimDuration, SimInstant};
 use feisu_format::{Block, Value};
@@ -23,7 +23,6 @@ use feisu_index::rewrite::{probe_predicate, ProbeKind};
 use feisu_sql::ast::BinaryOp;
 use feisu_sql::cnf::SimplePredicate;
 use feisu_workload::datasets::{generate_chunk, DatasetSpec};
-use std::collections::VecDeque;
 
 fn build_blocks() -> Vec<Block> {
     let mut spec = DatasetSpec::t1(8192);
@@ -72,59 +71,25 @@ fn predicate_stream(n: usize) -> Vec<SimplePredicate> {
 
 /// LRU cache of B-tree column indexes under a byte budget.
 struct BTreeCache {
-    budget: usize,
-    used: usize,
-    entries: FxHashMap<(u64, String), (BTreeColumnIndex, u64)>,
-    lru: VecDeque<((u64, String), u64)>,
-    stamp: u64,
+    budget: u64,
+    entries: Lru<(u64, String), BTreeColumnIndex>,
 }
 
 impl BTreeCache {
-    fn new(budget: usize) -> Self {
-        BTreeCache {
-            budget,
-            used: 0,
-            entries: FxHashMap::default(),
-            lru: VecDeque::new(),
-            stamp: 0,
-        }
-    }
-
     fn get(&mut self, key: &(u64, String)) -> bool {
-        if let Some((_, stamp)) = self.entries.get_mut(key) {
-            self.stamp += 1;
-            *stamp = self.stamp;
-            self.lru.push_back((key.clone(), self.stamp));
-            true
-        } else {
-            false
-        }
+        self.entries.get(key).is_some()
     }
 
     fn insert(&mut self, key: (u64, String), idx: BTreeColumnIndex) {
-        let size = idx.footprint();
+        let size = idx.footprint() as u64;
         if size > self.budget {
             return;
         }
-        if let Some((old, _)) = self.entries.remove(&key) {
-            self.used -= old.footprint();
+        self.entries.remove(&key);
+        while self.entries.weight() + size > self.budget {
+            self.entries.pop_lru().expect("weight > 0 means an entry");
         }
-        while self.used + size > self.budget {
-            match self.lru.pop_front() {
-                Some((k, s)) => {
-                    let live = self.entries.get(&k).is_some_and(|(_, st)| *st == s);
-                    if live {
-                        let (old, _) = self.entries.remove(&k).expect("live");
-                        self.used -= old.footprint();
-                    }
-                }
-                None => break,
-            }
-        }
-        self.stamp += 1;
-        self.lru.push_back((key.clone(), self.stamp));
-        self.used += size;
-        self.entries.insert(key, (idx, self.stamp));
+        self.entries.insert(key, idx, size);
     }
 }
 
@@ -138,7 +103,10 @@ fn main() {
     // Shared budget, scaled with the data like the Fig. 11 sweep.
     let budget_bytes = 512 * 1024usize;
     let smart = IndexManager::new(ByteSize(budget_bytes as u64), SimDuration::hours(72));
-    let mut btrees = BTreeCache::new(budget_bytes);
+    let mut btrees = BTreeCache {
+        budget: budget_bytes as u64,
+        entries: Lru::new(),
+    };
 
     let n_queries = 4000usize;
     let bucket = 400usize;

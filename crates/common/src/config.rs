@@ -29,11 +29,6 @@ pub struct CacheSettings {
     /// Time-to-live for cached entries; expired entries are misses and
     /// are dropped on probe. `None` = never expire.
     pub ttl: Option<SimDuration>,
-    /// Default per-node cache byte quota applied to every user without an
-    /// explicit override; `None` = unlimited.
-    pub default_user_quota: Option<ByteSize>,
-    /// Default per-node cache byte quota per table; `None` = unlimited.
-    pub default_table_quota: Option<ByteSize>,
 }
 
 impl Default for CacheSettings {
@@ -44,8 +39,6 @@ impl Default for CacheSettings {
             ssd_capacity_per_node: ByteSize::gib(16),
             ghost_capacity: 8192,
             ttl: None,
-            default_user_quota: None,
-            default_table_quota: None,
         }
     }
 }
@@ -146,16 +139,9 @@ pub struct FeisuConfig {
     pub index_ttl: SimDuration,
     /// Block replica count in distributed storage systems.
     pub replication_factor: usize,
-    /// Heartbeat period between workers and the cluster manager.
-    pub heartbeat_interval: SimDuration,
-    /// Heartbeats missed before a worker is declared dead.
-    pub heartbeat_miss_limit: u32,
     /// Delay after which the scheduler launches a backup (speculative) task
     /// for a straggler.
     pub backup_task_delay: SimDuration,
-    /// Maximum share of a storage node's resources Feisu may consume
-    /// (the resource consumption agreement of §V-A).
-    pub resource_agreement_share: f64,
     /// The multi-tier block cache (memory + SSD per node).
     pub cache: CacheSettings,
     /// Fan-out of the execution tree: leaves per stem server.
@@ -188,10 +174,7 @@ impl Default for FeisuConfig {
             index_memory_per_leaf: ByteSize::mib(512),
             index_ttl: SimDuration::hours(72),
             replication_factor: 3,
-            heartbeat_interval: SimDuration::secs(3),
-            heartbeat_miss_limit: 3,
             backup_task_delay: SimDuration::secs(5),
-            resource_agreement_share: 0.25,
             cache: CacheSettings::default(),
             leaves_per_stem: 64,
             merge_tree: MergeTreeSettings::default(),
@@ -210,14 +193,8 @@ impl FeisuConfig {
         if self.replication_factor == 0 {
             return Err("replication_factor must be >= 1".into());
         }
-        if !(0.0..=1.0).contains(&self.resource_agreement_share) {
-            return Err("resource_agreement_share must be in [0,1]".into());
-        }
         if self.leaves_per_stem == 0 {
             return Err("leaves_per_stem must be >= 1".into());
-        }
-        if self.heartbeat_miss_limit == 0 {
-            return Err("heartbeat_miss_limit must be >= 1".into());
         }
         if self.query_log_capacity == 0 {
             return Err("query_log_capacity must be >= 1".into());
@@ -271,10 +248,6 @@ mod tests {
     fn validate_rejects_bad_values() {
         let mut c = FeisuConfig::default();
         c.replication_factor = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = FeisuConfig::default();
-        c.resource_agreement_share = 1.5;
         assert!(c.validate().is_err());
 
         let mut c = FeisuConfig::default();

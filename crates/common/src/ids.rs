@@ -48,12 +48,7 @@ define_id!(
     "query-"
 );
 define_id!(
-    /// A job created by the master's job manager for one query.
-    JobId,
-    "job-"
-);
-define_id!(
-    /// One task within a job, executed on a leaf or stem server.
+    /// One task of a query, executed on a leaf or stem server.
     TaskId,
     "task-"
 );

@@ -9,9 +9,10 @@ pub mod config;
 pub mod error;
 pub mod hash;
 pub mod ids;
+pub mod lru;
 pub mod rng;
 pub mod units;
 
 pub use error::{FeisuError, Result};
-pub use ids::{BlockId, DomainId, JobId, NodeId, QueryId, TaskId, UserId};
+pub use ids::{BlockId, DomainId, NodeId, QueryId, TaskId, UserId};
 pub use units::{ByteSize, SimDuration, SimInstant};

@@ -282,6 +282,15 @@ pub struct FeisuCluster {
 
 const SYSTEM_USER: UserId = UserId(0);
 
+/// Heartbeat period between workers and the cluster manager, and the
+/// beats missed before a worker is declared dead.
+const HEARTBEAT_INTERVAL: SimDuration = SimDuration::secs(3);
+const HEARTBEAT_MISS_LIMIT: u32 = 3;
+
+/// Maximum share of a storage node's resources Feisu may consume (the
+/// resource consumption agreement of §V-A).
+const RESOURCE_AGREEMENT_SHARE: f64 = 0.25;
+
 impl FeisuCluster {
     /// Builds a deployment: topology, the four storage domains, auth,
     /// SSD cache, leaf servers.
@@ -355,10 +364,7 @@ impl FeisuCluster {
         // Per-domain read/write counters plus the block-cache counters.
         router.attach_metrics(&metrics);
         let mut leaves = FxHashMap::default();
-        let mut heartbeats = HeartbeatTable::new(
-            spec.config.heartbeat_interval,
-            spec.config.heartbeat_miss_limit,
-        );
+        let mut heartbeats = HeartbeatTable::new(HEARTBEAT_INTERVAL, HEARTBEAT_MISS_LIMIT);
         for n in topology.nodes() {
             heartbeats.register(n.id, clock.now());
             let index = IndexManager::new(spec.config.index_memory_per_leaf, spec.config.index_ttl);
@@ -377,7 +383,7 @@ impl FeisuCluster {
                 n.id,
                 feisu_cluster::resources::ResourceAgreement::new(
                     n.cores * 4, // task slots per node
-                    spec.config.resource_agreement_share,
+                    RESOURCE_AGREEMENT_SHARE,
                 ),
             );
         }
@@ -489,19 +495,11 @@ impl FeisuCluster {
         self.router.cache()
     }
 
-    /// Sets (`Some`) or clears (`None`, back to the configured default)
-    /// a user's per-node cache byte quota. No-op without a cache.
+    /// Sets (`Some`) or clears (`None`, back to unlimited) a user's
+    /// per-node cache byte quota. No-op without a cache.
     pub fn set_user_cache_quota(&self, user: UserId, quota: Option<feisu_common::ByteSize>) {
         if let Some(cache) = self.router.cache() {
             cache.set_user_quota(user, quota);
-        }
-    }
-
-    /// Sets or clears a table's per-node cache byte quota. No-op without
-    /// a cache.
-    pub fn set_table_cache_quota(&self, table: &str, quota: Option<feisu_common::ByteSize>) {
-        if let Some(cache) = self.router.cache() {
-            cache.set_table_quota(table, quota);
         }
     }
 

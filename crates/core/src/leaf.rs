@@ -216,18 +216,10 @@ impl LeafServer {
             return self.empty_output(task, tally, stats);
         }
 
-        // 3. Read the block (charged for the touched column fraction),
-        // attributing any cache admission to this task's table. The footer
-        // comes back with it: the resident one, or parsed here, once, and
-        // resident from now on.
-        let (read, meta) = router.read_block(
-            &task.block.path,
-            self.node,
-            cred,
-            now,
-            Some(&task.table),
-            resident,
-        )?;
+        // 3. Read the block (charged for the touched column fraction). The
+        // footer comes back with it: the resident one, or parsed here,
+        // once, and resident from now on.
+        let (read, meta) = router.read_block(&task.block.path, self.node, cred, now, resident)?;
         stats.backend = Some(router.domain_of(&task.block.path).id());
         stats.served_tier = match read.cache_tier {
             Some(CacheTier::Memory) => ServedTier::MemCache,

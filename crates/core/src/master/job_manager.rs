@@ -7,37 +7,15 @@
 //! projection, same aggregation stage — captured in a task signature.
 //! The result cache holds recent task outputs for a short window (the
 //! overlap window of concurrently running / back-to-back jobs).
+//!
+//! The per-query record itself (who ran what and how it ended) is the
+//! query event log's `QueryEvent`.
 
 use feisu_common::hash::FxHashMap;
-use feisu_common::ids::IdGen;
-use feisu_common::{JobId, QueryId, SimDuration, SimInstant, UserId};
+use feisu_common::{SimDuration, SimInstant};
 use feisu_exec::batch::RecordBatch;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-
-/// Lifecycle of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobState {
-    Queued,
-    Running,
-    Succeeded,
-    Failed,
-    /// Returned partial results after hitting its time limit (§III-B).
-    Abandoned,
-}
-
-/// Bookkeeping record for one job.
-#[derive(Debug, Clone)]
-pub struct JobRecord {
-    pub job: JobId,
-    pub query: QueryId,
-    pub user: UserId,
-    pub sql: String,
-    pub state: JobState,
-    pub submitted_at: SimInstant,
-    pub tasks_total: usize,
-    pub tasks_reused: usize,
-}
 
 /// A cached task result.
 #[derive(Debug, Clone)]
@@ -47,10 +25,8 @@ struct CachedResult {
     stored_at: SimInstant,
 }
 
-/// The job manager: job table + identical-task result cache.
+/// The job manager: the identical-task result cache.
 pub struct JobManager {
-    job_ids: IdGen,
-    jobs: Mutex<FxHashMap<JobId, JobRecord>>,
     cache: Mutex<TaskResultCache>,
 }
 
@@ -68,8 +44,6 @@ impl JobManager {
     /// `reuse_capacity` bounds cache entries (0 disables reuse).
     pub fn new(reuse_ttl: SimDuration, reuse_capacity: usize) -> Self {
         JobManager {
-            job_ids: IdGen::new(),
-            jobs: Mutex::new(FxHashMap::default()),
             cache: Mutex::new(TaskResultCache {
                 ttl: reuse_ttl,
                 capacity: reuse_capacity,
@@ -79,60 +53,6 @@ impl JobManager {
                 misses: 0,
             }),
         }
-    }
-
-    /// Creates a job record in `Queued` state.
-    pub fn create_job(
-        &self,
-        query: QueryId,
-        user: UserId,
-        sql: &str,
-        tasks_total: usize,
-        now: SimInstant,
-    ) -> JobId {
-        let job = JobId(self.job_ids.next_u64());
-        self.jobs.lock().insert(
-            job,
-            JobRecord {
-                job,
-                query,
-                user,
-                sql: sql.to_string(),
-                state: JobState::Queued,
-                submitted_at: now,
-                tasks_total,
-                tasks_reused: 0,
-            },
-        );
-        job
-    }
-
-    pub fn set_state(&self, job: JobId, state: JobState) {
-        if let Some(rec) = self.jobs.lock().get_mut(&job) {
-            rec.state = state;
-        }
-    }
-
-    pub fn note_reused(&self, job: JobId, n: usize) {
-        if let Some(rec) = self.jobs.lock().get_mut(&job) {
-            rec.tasks_reused += n;
-        }
-    }
-
-    pub fn job(&self, job: JobId) -> Option<JobRecord> {
-        self.jobs.lock().get(&job).cloned()
-    }
-
-    pub fn jobs_of(&self, user: UserId) -> Vec<JobRecord> {
-        let mut v: Vec<JobRecord> = self
-            .jobs
-            .lock()
-            .values()
-            .filter(|r| r.user == user)
-            .cloned()
-            .collect();
-        v.sort_by_key(|r| r.job);
-        v
     }
 
     /// Tries to reuse a previous identical task's result.
@@ -227,21 +147,6 @@ mod tests {
             vec![Column::from_i64(vec![1, 2, 3])],
         )
         .unwrap()
-    }
-
-    #[test]
-    fn job_lifecycle() {
-        let jm = JobManager::new(SimDuration::minutes(5), 16);
-        let job = jm.create_job(QueryId(1), UserId(1), "SELECT 1 FROM t", 4, SimInstant(0));
-        assert_eq!(jm.job(job).unwrap().state, JobState::Queued);
-        jm.set_state(job, JobState::Running);
-        jm.note_reused(job, 2);
-        jm.set_state(job, JobState::Succeeded);
-        let rec = jm.job(job).unwrap();
-        assert_eq!(rec.state, JobState::Succeeded);
-        assert_eq!(rec.tasks_reused, 2);
-        assert_eq!(jm.jobs_of(UserId(1)).len(), 1);
-        assert!(jm.jobs_of(UserId(9)).is_empty());
     }
 
     #[test]

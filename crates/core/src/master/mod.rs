@@ -22,6 +22,6 @@ pub mod session;
 
 pub use failover::PrimaryBackup;
 pub use guard::{AdmissionPermit, EntryGuard};
-pub use job_manager::{JobManager, JobState};
+pub use job_manager::JobManager;
 pub use scheduler::{Assignment, Scheduler};
 pub use session::QuerySession;

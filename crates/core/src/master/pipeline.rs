@@ -13,7 +13,6 @@
 
 use crate::catalog::CatalogView;
 use crate::engine::{FeisuCluster, QueryOptions, QueryResult, QueryStats};
-use crate::master::JobState;
 use feisu_cluster::heartbeat::LoadStats;
 use feisu_cluster::simclock::TimeTally;
 use feisu_common::{QueryId, Result, SimInstant};
@@ -73,21 +72,6 @@ impl FeisuCluster {
         // Beat the heartbeat table for all live nodes.
         self.tick_heartbeats(now);
 
-        let total_blocks: usize = resolved
-            .tables
-            .iter()
-            .map(|t| {
-                self.catalog
-                    .table(&t.table)
-                    .map(|d| d.block_count())
-                    .unwrap_or(0)
-            })
-            .sum();
-        let job = self
-            .jobs
-            .create_job(query_id, cred.user, sql, total_blocks, now);
-        self.jobs.set_state(job, JobState::Running);
-
         let mut ctx = ExecCtx {
             query_id,
             cred: cred.clone(),
@@ -110,20 +94,7 @@ impl FeisuCluster {
         // Master overhead: parsing/planning/dispatch RPC.
         ctx.tally.add_cpu(self.spec.cost.rpc_overhead);
 
-        let result = self.exec_physical(&physical, &mut ctx, None);
-        match &result {
-            Ok(_) => self.jobs.set_state(
-                job,
-                if ctx.partial {
-                    JobState::Abandoned
-                } else {
-                    JobState::Succeeded
-                },
-            ),
-            Err(_) => self.jobs.set_state(job, JobState::Failed),
-        }
-        self.jobs.note_reused(job, ctx.stats.reused_tasks);
-        let batch = result?;
+        let batch = self.exec_physical(&physical, &mut ctx, None)?;
         self.assemble_result(query_id, batch, ctx)
     }
 

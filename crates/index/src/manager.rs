@@ -8,24 +8,21 @@
 //! *preferences*: preferred indices survive TTL expiry while memory is
 //! not under pressure.
 //!
-//! LRU is implemented with a lazy queue: each touch appends a
-//! `(key, stamp)` pair; eviction pops until it finds a pair whose stamp
-//! still matches the entry (amortized O(1)).
+//! Recency and the bytes in use are [`feisu_common::lru::Lru`]; the
+//! budget loop, pins and the TTL are here.
 //!
 //! The manager is internally locked (one mutex per leaf server, i.e. a
 //! per-node shard of the cluster's index memory), so leaf servers can be
 //! shared across the engine's execution-pool workers by `&self`. All
-//! operations are single-lock critical sections; metric counters are
-//! updated after the state lock is released.
+//! operations are single-lock critical sections.
 
 use crate::smart::SmartIndex;
-use feisu_common::hash::FxHashMap;
+use feisu_common::lru::Lru;
 use feisu_common::{BlockId, ByteSize, SimDuration, SimInstant};
 use feisu_obs::{Counter, MetricsRegistry};
 use feisu_sql::cnf::SimplePredicate;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Cache key: one predicate over one block.
 pub type IndexKey = (BlockId, String);
@@ -33,9 +30,7 @@ pub type IndexKey = (BlockId, String);
 #[derive(Debug)]
 struct Entry {
     index: SmartIndex,
-    stamp: u64,
     pinned: bool,
-    footprint: ByteSize,
 }
 
 /// Counters exposed to the evaluation harness (Fig. 11a plots the miss
@@ -77,25 +72,11 @@ struct IndexMetrics {
     ttl_evictions: Arc<Counter>,
 }
 
-/// Counter increments accumulated inside a state critical section and
-/// flushed to the registry after the lock is dropped.
-#[derive(Debug, Default, Clone, Copy)]
-struct MetricDelta {
-    hits: u64,
-    misses: u64,
-    inserts: u64,
-    rejected: u64,
-    lru_evictions: u64,
-    ttl_evictions: u64,
-}
-
-/// The mutable cache state, guarded by the manager's mutex.
+/// The mutable cache state, guarded by the manager's mutex. Entries are
+/// weighed by their footprint.
 #[derive(Debug, Default)]
 struct ManagerState {
-    used: ByteSize,
-    entries: FxHashMap<IndexKey, Entry>,
-    lru: VecDeque<(IndexKey, u64)>,
-    next_stamp: u64,
+    entries: Lru<IndexKey, Entry>,
     stats: IndexStats,
 }
 
@@ -105,9 +86,9 @@ pub struct IndexManager {
     budget: ByteSize,
     ttl: SimDuration,
     state: Mutex<ManagerState>,
-    // Behind its own mutex because metrics are attached after the manager
-    // may already be shared.
-    metrics: Mutex<Option<IndexMetrics>>,
+    // Set once: metrics are attached after the manager may already be
+    // shared.
+    metrics: OnceLock<IndexMetrics>,
 }
 
 impl IndexManager {
@@ -118,15 +99,16 @@ impl IndexManager {
             budget,
             ttl,
             state: Mutex::new(ManagerState::default()),
-            metrics: Mutex::new(None),
+            metrics: OnceLock::new(),
         }
     }
 
     /// Starts publishing `feisu.index.*` counters alongside the local
     /// [`IndexStats`]. Counters accumulate across every manager attached
-    /// to the same registry (one per leaf server).
+    /// to the same registry (one per leaf server). Only the first
+    /// registry attached is used.
     pub fn attach_metrics(&self, registry: &MetricsRegistry) {
-        *self.metrics.lock() = Some(IndexMetrics {
+        let _ = self.metrics.set(IndexMetrics {
             hits: registry.counter("feisu.index.hits"),
             misses: registry.counter("feisu.index.misses"),
             inserts: registry.counter("feisu.index.inserts"),
@@ -136,15 +118,17 @@ impl IndexManager {
         });
     }
 
-    fn flush(&self, d: MetricDelta) {
-        if let Some(m) = self.metrics.lock().as_ref() {
-            m.hits.add(d.hits);
-            m.misses.add(d.misses);
-            m.inserts.add(d.inserts);
-            m.rejected.add(d.rejected);
-            m.lru_evictions.add(d.lru_evictions);
-            m.ttl_evictions.add(d.ttl_evictions);
+    /// Books `n` events once: in this leaf's own total and, when a
+    /// registry is attached, in the cluster-wide counter.
+    fn book(&self, local: &mut u64, shared: impl Fn(&IndexMetrics) -> &Counter, n: u64) {
+        *local += n;
+        if let Some(m) = self.metrics.get() {
+            shared(m).add(n);
         }
+    }
+
+    fn expired(&self, e: &Entry, now: SimInstant) -> bool {
+        !e.pinned && now.since(e.index.created_at) > self.ttl
     }
 
     /// Looks up an index, counting a hit/miss and refreshing LRU order.
@@ -174,55 +158,38 @@ impl IndexManager {
     }
 
     fn get_by_key(&self, key: IndexKey, now: SimInstant) -> Option<SmartIndex> {
-        let mut d = MetricDelta::default();
         let mut state = self.state.lock();
-        let expired = match state.entries.get(&key) {
-            None => {
-                state.stats.misses += 1;
-                d.misses += 1;
-                drop(state);
-                self.flush(d);
-                return None;
+        let ManagerState { entries, stats } = &mut *state;
+        let found = match entries.get(&key) {
+            Some(e) if self.expired(e, now) => {
+                entries.remove(&key);
+                self.book(&mut stats.ttl_evictions, |m| &m.ttl_evictions, 1);
+                None
             }
-            Some(e) => !e.pinned && now.since(e.index.created_at) > self.ttl,
+            found => found.map(|e| e.index.clone()),
         };
-        if expired {
-            state.remove(&key);
-            state.stats.ttl_evictions += 1;
-            state.stats.misses += 1;
-            d.ttl_evictions += 1;
-            d.misses += 1;
-            drop(state);
-            self.flush(d);
-            return None;
+        match found {
+            Some(_) => self.book(&mut stats.hits, |m| &m.hits, 1),
+            None => self.book(&mut stats.misses, |m| &m.misses, 1),
         }
-        state.stats.hits += 1;
-        d.hits += 1;
-        let stamp = state.bump_stamp();
-        let e = state.entries.get_mut(&key).expect("checked above");
-        e.stamp = stamp;
-        let index = e.index.clone();
-        state.lru.push_back((key, stamp));
-        drop(state);
-        self.flush(d);
-        Some(index)
+        found
     }
 
     /// Peeks without touching statistics or LRU order (used by tests and
     /// monitoring).
     pub fn peek(&self, block: BlockId, predicate: &SimplePredicate) -> Option<SmartIndex> {
-        self.state
-            .lock()
-            .entries
-            .get(&(block, predicate.key()))
-            .map(|e| e.index.clone())
+        self.peek_key(&(block, predicate.key()))
     }
 
     /// Like [`IndexManager::peek`] for the complementary predicate, keyed
     /// without cloning the predicate's column or value.
     pub fn peek_negated(&self, block: BlockId, predicate: &SimplePredicate) -> Option<SmartIndex> {
-        let key = (block, predicate.negated_key()?);
-        self.state.lock().entries.get(&key).map(|e| e.index.clone())
+        self.peek_key(&(block, predicate.negated_key()?))
+    }
+
+    fn peek_key(&self, key: &IndexKey) -> Option<SmartIndex> {
+        let state = self.state.lock();
+        state.entries.peek(key).map(|e| e.index.clone())
     }
 
     /// True when a [`IndexManager::get`] or [`IndexManager::get_negated`]
@@ -233,10 +200,8 @@ impl IndexManager {
     pub fn servable(&self, block: BlockId, predicate: &SimplePredicate, now: SimInstant) -> bool {
         let state = self.state.lock();
         let live = |key: &IndexKey| {
-            state
-                .entries
-                .get(key)
-                .is_some_and(|e| e.pinned || now.since(e.index.created_at) <= self.ttl)
+            let e = state.entries.peek(key);
+            e.is_some_and(|e| !self.expired(e, now))
         };
         if live(&(block, predicate.key())) {
             return true;
@@ -258,61 +223,50 @@ impl IndexManager {
     }
 
     fn insert_inner(&self, index: SmartIndex, now: SimInstant, pinned: bool) -> bool {
-        let footprint = ByteSize(index.footprint() as u64);
-        let mut d = MetricDelta::default();
+        let footprint = index.footprint() as u64;
+        let budget = self.budget.as_u64();
         let mut state = self.state.lock();
-        if footprint > self.budget {
-            state.stats.rejected += 1;
-            d.rejected += 1;
-            drop(state);
-            self.flush(d);
+        if footprint > budget {
+            self.book(&mut state.stats.rejected, |m| &m.rejected, 1);
             return false;
         }
         let key = (index.block_id, index.key());
-        state.remove(&key);
+        state.entries.remove(&key);
         // Evict expired entries first, then LRU until the new one fits.
-        state.evict_expired(self.ttl, now, &mut d);
-        while state.used + footprint > self.budget {
-            if !state.evict_lru_one(&mut d) {
-                // Everything left is pinned; drop pins' protection under
-                // memory pressure (paper: preferences only hold while the
-                // cache is not full).
-                if !state.force_evict_one(&mut d) {
-                    // Cache empty yet doesn't fit: give up, count it.
-                    state.stats.rejected += 1;
-                    d.rejected += 1;
-                    drop(state);
-                    self.flush(d);
-                    return false;
-                }
-            }
+        self.drop_expired(&mut state, now);
+        let ManagerState { entries, stats } = &mut *state;
+        while entries.weight() + footprint > budget {
+            // Pins hold only while the cache is not full (paper:
+            // preferences yield to memory pressure): once everything left
+            // is pinned, the least recently used pinned entry goes.
+            entries
+                .pop_lru_where(|_, e| !e.pinned)
+                .or_else(|| entries.pop_lru())
+                .expect("weight > 0 means an entry");
+            self.book(&mut stats.lru_evictions, |m| &m.lru_evictions, 1);
         }
-        let stamp = state.bump_stamp();
-        state.lru.push_back((key.clone(), stamp));
-        state.used += footprint;
-        state.entries.insert(
-            key,
-            Entry {
-                index,
-                stamp,
-                pinned,
-                footprint,
-            },
-        );
-        state.stats.inserts += 1;
-        d.inserts += 1;
-        drop(state);
-        self.flush(d);
+        entries.insert(key, Entry { index, pinned }, footprint);
+        self.book(&mut stats.inserts, |m| &m.inserts, 1);
         true
     }
 
     /// Drops all TTL-expired, unpinned entries.
     pub fn evict_expired(&self, now: SimInstant) {
-        let mut d = MetricDelta::default();
-        let mut state = self.state.lock();
-        state.evict_expired(self.ttl, now, &mut d);
-        drop(state);
-        self.flush(d);
+        self.drop_expired(&mut self.state.lock(), now);
+    }
+
+    fn drop_expired(&self, state: &mut ManagerState, now: SimInstant) {
+        let ManagerState { entries, stats } = state;
+        let expired: Vec<IndexKey> = entries
+            .iter()
+            .filter(|(_, e)| self.expired(e, now))
+            .map(|(k, _)| k.clone())
+            .collect();
+        for key in &expired {
+            entries.remove(key);
+        }
+        let n = expired.len() as u64;
+        self.book(&mut stats.ttl_evictions, |m| &m.ttl_evictions, n);
     }
 
     pub fn len(&self) -> usize {
@@ -324,7 +278,7 @@ impl IndexManager {
     }
 
     pub fn memory_used(&self) -> ByteSize {
-        self.state.lock().used
+        ByteSize(self.state.lock().entries.weight())
     }
 
     pub fn budget(&self) -> ByteSize {
@@ -337,73 +291,6 @@ impl IndexManager {
 
     pub fn reset_stats(&self) {
         self.state.lock().stats = IndexStats::default();
-    }
-}
-
-impl ManagerState {
-    fn evict_expired(&mut self, ttl: SimDuration, now: SimInstant, d: &mut MetricDelta) {
-        let expired: Vec<IndexKey> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| !e.pinned && now.since(e.index.created_at) > ttl)
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in expired {
-            self.remove(&key);
-            self.stats.ttl_evictions += 1;
-            d.ttl_evictions += 1;
-        }
-    }
-
-    /// Evicts the least-recently-used unpinned entry. Returns false when
-    /// nothing evictable remains.
-    fn evict_lru_one(&mut self, d: &mut MetricDelta) -> bool {
-        // Each call scans every queue record at most once; pinned live
-        // records are re-queued, stale records dropped.
-        let max_scan = self.lru.len();
-        for _ in 0..max_scan {
-            let (key, stamp) = match self.lru.pop_front() {
-                Some(x) => x,
-                None => return false,
-            };
-            match self.entries.get(&key) {
-                Some(e) if e.stamp == stamp => {
-                    if e.pinned {
-                        self.lru.push_back((key, stamp));
-                    } else {
-                        self.remove(&key);
-                        self.stats.lru_evictions += 1;
-                        d.lru_evictions += 1;
-                        return true;
-                    }
-                }
-                _ => {} // stale record: drop
-            }
-        }
-        false
-    }
-
-    /// Evicts any one entry, pinned or not (memory pressure trumps pins).
-    fn force_evict_one(&mut self, d: &mut MetricDelta) -> bool {
-        if let Some(key) = self.entries.keys().next().cloned() {
-            self.remove(&key);
-            self.stats.lru_evictions += 1;
-            d.lru_evictions += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn remove(&mut self, key: &IndexKey) {
-        if let Some(e) = self.entries.remove(key) {
-            self.used = self.used.saturating_sub(e.footprint);
-        }
-    }
-
-    fn bump_stamp(&mut self) -> u64 {
-        self.next_stamp += 1;
-        self.next_stamp
     }
 }
 
@@ -543,6 +430,33 @@ mod tests {
         m.insert_pinned(idx(3, 3, SimInstant(0)), SimInstant(0));
         assert!(m.len() <= 2);
         assert!(m.peek(BlockId(3), &pred(3)).is_some());
+    }
+
+    /// Eviction walks past pinned entries without reordering them, and
+    /// once only pinned entries are left the least recently used goes.
+    #[test]
+    fn pins_keep_their_recency_order_under_pressure() {
+        let one = idx(1, 1, SimInstant(0));
+        let budget = ByteSize((one.footprint() * 4) as u64 + 10);
+        let m = IndexManager::new(budget, SimDuration::hours(72));
+        for b in 1..=3 {
+            m.insert_pinned(idx(b, b as i64, SimInstant(0)), SimInstant(0));
+        }
+        m.insert(idx(4, 4, SimInstant(0)), SimInstant(0));
+        // Recency, coldest first: 2, 3, 1, then the unpinned 4.
+        assert!(m.get(BlockId(1), &pred(1), SimInstant(1)).is_some());
+        let held = |b: u64| m.peek(BlockId(b), &pred(b as i64)).is_some();
+        // The unpinned entry goes first although it is the hottest...
+        m.insert(idx(5, 5, SimInstant(0)), SimInstant(0));
+        assert!(!held(4) && held(1) && held(2) && held(3) && held(5));
+        // ...and the scan past the pins left them where they were: with 5
+        // pinned too, every entry is, and the coldest pin (2) goes, then 3.
+        m.insert_pinned(idx(5, 5, SimInstant(0)), SimInstant(0));
+        m.insert_pinned(idx(6, 6, SimInstant(0)), SimInstant(0));
+        assert!(!held(2) && held(3) && held(1) && held(5) && held(6));
+        m.insert_pinned(idx(7, 7, SimInstant(0)), SimInstant(0));
+        assert!(!held(3) && held(1) && held(5) && held(6) && held(7));
+        assert_eq!(m.stats().lru_evictions, 3);
     }
 
     #[test]

@@ -345,6 +345,14 @@ impl MetricsRegistry {
         }
     }
 
+    /// Exposes a counter its owner created under `name`, so the owner's
+    /// totals and the registry's are one value. Replaces any counter
+    /// already registered under that name.
+    pub fn adopt_counter(&self, name: &str, counter: Arc<Counter>) {
+        let mut map = self.shard(name).counters.lock();
+        map.insert(name.to_string(), counter);
+    }
+
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         let mut map = self.shard(name).gauges.lock();
         match map.get(name) {
@@ -414,6 +422,17 @@ mod tests {
         a.inc();
         b.add(4);
         assert_eq!(reg.counter("feisu.test.hits").get(), 5);
+    }
+
+    #[test]
+    fn an_adopted_counter_is_the_owners_own() {
+        let reg = MetricsRegistry::new();
+        let owned = Arc::new(Counter::default());
+        owned.add(3);
+        reg.adopt_counter("feisu.test.owned", Arc::clone(&owned));
+        reg.counter("feisu.test.owned").inc();
+        assert_eq!(owned.get(), 4);
+        assert_eq!(reg.snapshot().counters["feisu.test.owned"], 4);
     }
 
     #[test]

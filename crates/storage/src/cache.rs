@@ -16,28 +16,31 @@
 //! * **Sharded locks** — node state is spread over [`SHARDS`] mutexes
 //!   keyed by node id, so leaf probes on different nodes never contend
 //!   (the old implementation serialized every probe cluster-wide).
-//! * **Quotas** — per-user and per-table byte budgets per node,
-//!   attributed from the session credential that triggered the read.
-//!   Over-quota owners evict their own coldest entries first; an entry
-//!   that cannot fit its owner's quota is rejected even when pinned.
+//! * **Quotas** — per-user byte budgets per node, attributed from the
+//!   session credential that triggered the read. An over-quota user
+//!   evicts its own coldest entries first; an entry that cannot fit its
+//!   owner's quota is rejected even when pinned.
 //! * **TTL + path-keyed invalidation** — entries expire after an
 //!   optional TTL, and `invalidate_path` (hooked into every ingest
 //!   write) drops a rewritten path from every node so re-ingested data
 //!   can never be served stale.
 //!
+//! Recency and byte accounting of the tiers and the ghost are
+//! [`feisu_common::lru::Lru`]; what this file adds is when to evict and
+//! where a victim goes.
+//!
 //! Everything is deterministic given a deterministic call sequence: the
 //! structure keeps no wall-clock state, and all statistics are exact
-//! totals (atomics / per-shard counters), so race-free workloads remain
-//! bit-identical serial vs concurrent (DESIGN.md §15).
+//! totals (atomic counters, bumped where the event happens), so race-free
+//! workloads remain bit-identical serial vs concurrent (DESIGN.md §15).
 
 use bytes::Bytes;
 use feisu_common::config::CacheSettings;
 use feisu_common::hash::FxHashMap;
+use feisu_common::lru::Lru;
 use feisu_common::{ByteSize, NodeId, SimInstant, UserId};
 use feisu_obs::{Counter, MetricsRegistry};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Number of lock shards the per-node state is spread over. Node ids map
@@ -72,11 +75,10 @@ pub struct CachePin {
 }
 
 /// Attribution of an admission for quota accounting: the user whose
-/// query read the block, and the table it belongs to (if any).
+/// query read the block.
 #[derive(Debug, Clone, Copy)]
-pub struct CacheAttr<'a> {
+pub struct CacheAttr {
     pub user: UserId,
-    pub table: Option<&'a str>,
 }
 
 /// One successful probe: the bytes and the tier that held them.
@@ -143,15 +145,33 @@ impl CacheStats {
     }
 }
 
-/// One cached object. `stamp` is the lazy-LRU liveness token; usage is
-/// attributed to `user`/`table` until the entry fully leaves the node.
+/// The cache's own totals behind [`CacheStats`]: relaxed atomics (sums
+/// commute, so totals are scheduling-independent for race-free
+/// workloads) that an attached registry exposes as `feisu.cache.*`.
+#[derive(Debug, Default)]
+struct CacheCounters {
+    mem_hits: Arc<Counter>,
+    ssd_hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    rejected: Arc<Counter>,
+    ghost_registered: Arc<Counter>,
+    ghost_admissions: Arc<Counter>,
+    quota_rejections: Arc<Counter>,
+    mem_evictions: Arc<Counter>,
+    ssd_evictions: Arc<Counter>,
+    quota_evictions: Arc<Counter>,
+    ttl_expired: Arc<Counter>,
+    invalidations: Arc<Counter>,
+    promotions: Arc<Counter>,
+}
+
+/// One cached object, weighed by its length; those bytes are attributed
+/// to `user` until the entry fully leaves the node.
 #[derive(Debug)]
 struct Entry {
     data: Bytes,
-    stamp: u64,
     inserted_at: SimInstant,
     user: UserId,
-    table: Option<String>,
 }
 
 impl Entry {
@@ -160,15 +180,10 @@ impl Entry {
     }
 }
 
-/// One tier's storage on one node: a map plus a lazy LRU queue (one
-/// record per touch; dead records are compacted once the queue exceeds
-/// twice the live-entry count, amortized O(1) per touch).
+/// One tier's storage on one node.
 #[derive(Debug, Default)]
 struct TierCache {
-    entries: FxHashMap<String, Entry>,
-    lru: VecDeque<(String, u64)>,
-    used: u64,
-    next_stamp: u64,
+    entries: Lru<String, Entry>,
     /// Per-node hit counter (feeds `system.cache`).
     hits: u64,
     /// Per-node eviction counter (capacity + quota).
@@ -176,74 +191,18 @@ struct TierCache {
 }
 
 impl TierCache {
-    fn compact_lru(&mut self) {
-        if self.lru.len() <= 2 * self.entries.len() {
-            return;
-        }
-        self.lru
-            .retain(|(key, stamp)| self.entries.get(key).is_some_and(|e| e.stamp == *stamp));
-    }
-
-    /// Refreshes recency of a present entry and returns its bytes.
-    fn touch(&mut self, path: &str) -> Bytes {
-        self.next_stamp += 1;
-        let stamp = self.next_stamp;
-        let e = self.entries.get_mut(path).expect("touch of absent entry");
-        e.stamp = stamp;
-        let data = e.data.clone();
-        self.lru.push_back((path.to_string(), stamp));
-        self.compact_lru();
-        data
-    }
-
-    /// Inserts an absent path, updating accounting and recency.
-    fn insert(&mut self, path: String, mut e: Entry) {
-        debug_assert!(!self.entries.contains_key(&path));
-        self.next_stamp += 1;
-        e.stamp = self.next_stamp;
-        self.used += e.len();
-        self.lru.push_back((path.clone(), e.stamp));
-        self.entries.insert(path, e);
-        self.compact_lru();
-    }
-
-    fn remove(&mut self, path: &str) -> Option<Entry> {
-        let e = self.entries.remove(path)?;
-        self.used -= e.len();
-        Some(e)
-    }
-
-    /// Pops the least-recently-used live entry.
-    fn pop_lru(&mut self) -> Option<(String, Entry)> {
-        while let Some((key, stamp)) = self.lru.pop_front() {
-            if self.entries.get(&key).is_some_and(|e| e.stamp == stamp) {
-                let e = self.remove(&key).expect("checked live");
-                return Some((key, e));
-            }
-        }
-        None
-    }
-
-    /// Pops the least-recently-used live entry matching a predicate
-    /// (quota eviction: an owner sheds its own coldest entries).
-    fn pop_lru_matching(&mut self, pred: impl Fn(&Entry) -> bool) -> Option<(String, Entry)> {
-        let idx = self.lru.iter().position(|(key, stamp)| {
-            self.entries
-                .get(key)
-                .is_some_and(|e| e.stamp == *stamp && pred(e))
-        })?;
-        let (key, _) = self.lru.remove(idx).expect("index in range");
-        let e = self.remove(&key).expect("checked live");
-        Some((key, e))
+    /// Inserts an absent path as the most recently used entry.
+    fn insert(&mut self, path: String, e: Entry) {
+        let size = e.len();
+        let replaced = self.entries.insert(path, e, size);
+        debug_assert!(replaced.is_none());
     }
 }
 
 /// Shadow LRU of keys only: once-seen and recently-evicted paths.
 #[derive(Debug, Default)]
 struct GhostLru {
-    keys: FxHashMap<String, u64>,
-    lru: VecDeque<(String, u64)>,
-    next_stamp: u64,
+    keys: Lru<String, ()>,
     /// Per-node count of admissions this ghost granted.
     admissions: u64,
 }
@@ -254,22 +213,9 @@ impl GhostLru {
         if capacity == 0 {
             return;
         }
-        self.next_stamp += 1;
-        let stamp = self.next_stamp;
-        self.keys.insert(path.to_string(), stamp);
-        self.lru.push_back((path.to_string(), stamp));
+        self.keys.insert(path.to_string(), (), 0);
         while self.keys.len() > capacity {
-            match self.lru.pop_front() {
-                Some((key, s)) => {
-                    if self.keys.get(&key) == Some(&s) {
-                        self.keys.remove(&key);
-                    }
-                }
-                None => break,
-            }
-        }
-        if self.lru.len() > 2 * self.keys.len() {
-            self.lru.retain(|(key, s)| self.keys.get(key) == Some(s));
+            self.keys.pop_lru();
         }
     }
 
@@ -287,16 +233,11 @@ struct NodeCache {
     ghost: GhostLru,
     /// Bytes attributed per user across both tiers.
     user_used: FxHashMap<UserId, u64>,
-    /// Bytes attributed per table across both tiers.
-    table_used: FxHashMap<String, u64>,
 }
 
 impl NodeCache {
     fn note_add(&mut self, e: &Entry) {
         *self.user_used.entry(e.user).or_default() += e.len();
-        if let Some(t) = &e.table {
-            *self.table_used.entry(t.clone()).or_default() += e.len();
-        }
     }
 
     /// Reverses `note_add` when an entry fully leaves the node.
@@ -307,69 +248,24 @@ impl NodeCache {
                 self.user_used.remove(&e.user);
             }
         }
-        if let Some(t) = &e.table {
-            if let Some(u) = self.table_used.get_mut(t) {
-                *u = u.saturating_sub(e.len());
-                if *u == 0 {
-                    self.table_used.remove(t);
-                }
-            }
-        }
     }
-}
 
-/// Exact totals, updated with relaxed atomics (sums commute, so totals
-/// are scheduling-independent for race-free workloads).
-#[derive(Debug, Default)]
-struct AtomicStats {
-    mem_hits: AtomicU64,
-    ssd_hits: AtomicU64,
-    misses: AtomicU64,
-    rejected: AtomicU64,
-    ghost_registered: AtomicU64,
-    ghost_admissions: AtomicU64,
-    quota_rejections: AtomicU64,
-    mem_evictions: AtomicU64,
-    ssd_evictions: AtomicU64,
-    quota_evictions: AtomicU64,
-    ttl_expired: AtomicU64,
-    invalidations: AtomicU64,
-    promotions: AtomicU64,
-}
+    /// Drops `path` from both tiers and returns how many copies it had.
+    fn drop_path(&mut self, path: &str) -> u64 {
+        let mut copies = 0;
+        let held = [self.mem.entries.remove(path), self.ssd.entries.remove(path)];
+        for e in held.iter().flatten() {
+            self.note_drop(e);
+            copies += 1;
+        }
+        copies
+    }
 
-/// Registry handles mirroring [`CacheStats`] as `feisu.cache.*`.
-struct CacheMetrics {
-    mem_hits: Arc<Counter>,
-    ssd_hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    rejected: Arc<Counter>,
-    ghost_registered: Arc<Counter>,
-    ghost_admissions: Arc<Counter>,
-    quota_rejections: Arc<Counter>,
-    mem_evictions: Arc<Counter>,
-    ssd_evictions: Arc<Counter>,
-    quota_evictions: Arc<Counter>,
-    ttl_expired: Arc<Counter>,
-    invalidations: Arc<Counter>,
-    promotions: Arc<Counter>,
-}
-
-/// Statistic events, applied to the atomics and mirrored to the registry.
-#[derive(Clone, Copy)]
-enum Ev {
-    MemHit,
-    SsdHit,
-    Miss,
-    Rejected,
-    GhostRegistered,
-    GhostAdmission,
-    QuotaRejection,
-    MemEvictions(u64),
-    SsdEvictions(u64),
-    QuotaEvictions(u64),
-    TtlExpired,
-    Invalidations(u64),
-    Promotion,
+    /// An evicted entry leaves the node: its key goes to the ghost.
+    fn shed(&mut self, key: &str, victim: &Entry, ghost_capacity: usize) {
+        self.ghost.remember(key, ghost_capacity);
+        self.note_drop(victim);
+    }
 }
 
 /// The two-tier cache hierarchy with ghost admission and quotas.
@@ -379,13 +275,9 @@ pub struct TieredCache {
     /// Per-node state, sharded by node id so probes on different nodes
     /// never contend on one lock.
     shards: Vec<Mutex<FxHashMap<NodeId, NodeCache>>>,
-    /// Explicit per-user quota overrides (absent = configured default).
+    /// Per-user quotas (absent = unlimited).
     user_quotas: Mutex<FxHashMap<UserId, u64>>,
-    table_quotas: Mutex<FxHashMap<String, u64>>,
-    stats: AtomicStats,
-    // Behind a Mutex because the cache is attached after it is shared
-    // (`Arc<TieredCache>` inside the router).
-    metrics: Mutex<Option<CacheMetrics>>,
+    counters: CacheCounters,
 }
 
 impl TieredCache {
@@ -397,9 +289,7 @@ impl TieredCache {
                 .map(|_| Mutex::new(FxHashMap::default()))
                 .collect(),
             user_quotas: Mutex::new(FxHashMap::default()),
-            table_quotas: Mutex::new(FxHashMap::default()),
-            stats: AtomicStats::default(),
-            metrics: Mutex::new(None),
+            counters: CacheCounters::default(),
         }
     }
 
@@ -430,109 +320,36 @@ impl TieredCache {
             .is_some_and(|ttl| now >= e.inserted_at + ttl)
     }
 
-    fn note(&self, ev: Ev) {
-        let s = &self.stats;
-        let m = self.metrics.lock();
-        let m = m.as_ref();
-        let apply = |a: &AtomicU64, c: Option<&Arc<Counter>>, n: u64| {
-            a.fetch_add(n, Ordering::Relaxed);
-            if let Some(c) = c {
-                c.add(n);
-            }
-        };
-        match ev {
-            Ev::MemHit => apply(&s.mem_hits, m.map(|m| &m.mem_hits), 1),
-            Ev::SsdHit => apply(&s.ssd_hits, m.map(|m| &m.ssd_hits), 1),
-            Ev::Miss => apply(&s.misses, m.map(|m| &m.misses), 1),
-            Ev::Rejected => apply(&s.rejected, m.map(|m| &m.rejected), 1),
-            Ev::GhostRegistered => apply(&s.ghost_registered, m.map(|m| &m.ghost_registered), 1),
-            Ev::GhostAdmission => apply(&s.ghost_admissions, m.map(|m| &m.ghost_admissions), 1),
-            Ev::QuotaRejection => apply(&s.quota_rejections, m.map(|m| &m.quota_rejections), 1),
-            Ev::MemEvictions(n) if n > 0 => apply(&s.mem_evictions, m.map(|m| &m.mem_evictions), n),
-            Ev::SsdEvictions(n) if n > 0 => apply(&s.ssd_evictions, m.map(|m| &m.ssd_evictions), n),
-            Ev::QuotaEvictions(n) if n > 0 => {
-                apply(&s.quota_evictions, m.map(|m| &m.quota_evictions), n)
-            }
-            Ev::TtlExpired => apply(&s.ttl_expired, m.map(|m| &m.ttl_expired), 1),
-            Ev::Invalidations(n) if n > 0 => {
-                apply(&s.invalidations, m.map(|m| &m.invalidations), n)
-            }
-            Ev::Promotion => apply(&s.promotions, m.map(|m| &m.promotions), 1),
-            Ev::MemEvictions(_)
-            | Ev::SsdEvictions(_)
-            | Ev::QuotaEvictions(_)
-            | Ev::Invalidations(_) => {}
-        }
-    }
-
-    fn user_quota_for(&self, user: UserId) -> Option<u64> {
-        self.user_quotas
-            .lock()
-            .get(&user)
-            .copied()
-            .or(self.settings.default_user_quota.map(|q| q.as_u64()))
-    }
-
-    fn table_quota_for(&self, table: &str) -> Option<u64> {
-        self.table_quotas
-            .lock()
-            .get(table)
-            .copied()
-            .or(self.settings.default_table_quota.map(|q| q.as_u64()))
-    }
-
     /// Inserts into the SSD tier, evicting its LRU into the ghost until
-    /// the entry fits. Returns the eviction count.
-    fn insert_into_ssd(&self, nc: &mut NodeCache, path: String, e: Entry) -> u64 {
-        let size = e.len();
-        let mut evictions = 0u64;
-        while nc.ssd.used + size > self.ssd_cap() {
-            let Some((key, victim)) = nc.ssd.pop_lru() else {
+    /// the entry fits.
+    fn insert_into_ssd(&self, nc: &mut NodeCache, path: String, e: Entry) {
+        while nc.ssd.entries.weight() + e.len() > self.ssd_cap() {
+            let Some((key, victim)) = nc.ssd.entries.pop_lru() else {
                 break;
             };
-            nc.ghost.remember(&key, self.settings.ghost_capacity);
-            nc.note_drop(&victim);
+            nc.shed(&key, &victim, self.settings.ghost_capacity);
             nc.ssd.evictions += 1;
-            evictions += 1;
+            self.counters.ssd_evictions.inc();
         }
         nc.ssd.insert(path, e);
-        evictions
     }
 
     /// Inserts into the memory tier; evicted memory entries demote to the
     /// SSD tier (or leave the node entirely if they cannot fit there).
-    /// Returns (memory evictions, SSD evictions caused by demotions).
-    fn insert_into_mem(&self, nc: &mut NodeCache, path: String, e: Entry) -> (u64, u64) {
-        let size = e.len();
-        let mut mem_ev = 0u64;
-        let mut ssd_ev = 0u64;
-        while nc.mem.used + size > self.mem_cap() {
-            let Some((key, demoted)) = nc.mem.pop_lru() else {
+    fn insert_into_mem(&self, nc: &mut NodeCache, path: String, e: Entry) {
+        while nc.mem.entries.weight() + e.len() > self.mem_cap() {
+            let Some((key, demoted)) = nc.mem.entries.pop_lru() else {
                 break;
             };
             nc.mem.evictions += 1;
-            mem_ev += 1;
+            self.counters.mem_evictions.inc();
             if self.ssd_cap() > 0 && demoted.len() <= self.ssd_cap() {
-                ssd_ev += self.insert_into_ssd(nc, key, demoted);
+                self.insert_into_ssd(nc, key, demoted);
             } else {
-                nc.ghost.remember(&key, self.settings.ghost_capacity);
-                nc.note_drop(&demoted);
+                nc.shed(&key, &demoted, self.settings.ghost_capacity);
             }
         }
         nc.mem.insert(path, e);
-        (mem_ev, ssd_ev)
-    }
-
-    /// Length of a tier's lazy LRU queue on one node (bounded-growth
-    /// tests).
-    pub fn lru_queue_len_on(&self, node: NodeId, tier: CacheTier) -> usize {
-        self.shard(node)
-            .lock()
-            .get(&node)
-            .map_or(0, |nc| match tier {
-                CacheTier::Memory => nc.mem.lru.len(),
-                CacheTier::Ssd => nc.ssd.lru.len(),
-            })
     }
 
     /// Keys remembered by one node's ghost.
@@ -543,97 +360,59 @@ impl TieredCache {
             .map_or(0, |nc| nc.ghost.keys.len())
     }
 
-    /// Bytes attributed to one table on one node.
-    pub fn table_used_on(&self, node: NodeId, table: &str) -> ByteSize {
-        ByteSize(
-            self.shard(node)
-                .lock()
-                .get(&node)
-                .and_then(|nc| nc.table_used.get(table).copied())
-                .unwrap_or(0),
-        )
-    }
-
     /// Probes `node`'s hierarchy. A hit refreshes recency and may promote
     /// the entry from SSD to memory; a miss leaves the node map untouched
     /// (probing thousands of nodes that never cached anything must not
     /// grow it). `now` drives TTL expiry.
     pub fn get(&self, node: NodeId, path: &str, now: SimInstant) -> Option<CacheHit> {
         let mut shard = self.shard(node).lock();
-        let Some(nc) = shard.get_mut(&node) else {
-            drop(shard);
-            self.note(Ev::Miss);
-            return None;
-        };
+        let hit = shard
+            .get_mut(&node)
+            .and_then(|nc| self.probe(nc, path, now));
+        if hit.is_none() {
+            self.counters.misses.inc();
+        }
+        hit
+    }
+
+    fn probe(&self, nc: &mut NodeCache, path: &str, now: SimInstant) -> Option<CacheHit> {
         // Memory tier first.
-        if nc.mem.entries.contains_key(path) {
-            if self.expired(&nc.mem.entries[path], now) {
-                let e = nc.mem.remove(path).expect("checked");
-                nc.note_drop(&e);
-                drop(shard);
-                self.note(Ev::TtlExpired);
-                self.note(Ev::Miss);
-                return None;
-            }
-            let data = nc.mem.touch(path);
-            nc.mem.hits += 1;
-            drop(shard);
-            self.note(Ev::MemHit);
-            return Some(CacheHit {
-                data,
-                tier: CacheTier::Memory,
-            });
+        let (tier, held) = if nc.mem.entries.peek(path).is_some() {
+            (CacheTier::Memory, &mut nc.mem)
+        } else {
+            (CacheTier::Ssd, &mut nc.ssd)
+        };
+        // The refresh is moot for an entry that expires or is promoted:
+        // it leaves this tier right below.
+        let e = held.entries.get(path)?;
+        let data = e.data.clone();
+        if self.expired(e, now) {
+            let e = held.entries.remove(path).expect("just found");
+            nc.note_drop(&e);
+            self.counters.ttl_expired.inc();
+            return None;
         }
-        // SSD tier; a hit promotes the entry into memory when it fits.
-        if nc.ssd.entries.contains_key(path) {
-            if self.expired(&nc.ssd.entries[path], now) {
-                let e = nc.ssd.remove(path).expect("checked");
-                nc.note_drop(&e);
-                drop(shard);
-                self.note(Ev::TtlExpired);
-                self.note(Ev::Miss);
-                return None;
-            }
-            nc.ssd.hits += 1;
-            let promote = self.mem_cap() > 0 && nc.ssd.entries[path].len() <= self.mem_cap();
-            if !promote {
-                let data = nc.ssd.touch(path);
-                drop(shard);
-                self.note(Ev::SsdHit);
-                return Some(CacheHit {
-                    data,
-                    tier: CacheTier::Ssd,
-                });
-            }
-            let e = nc.ssd.remove(path).expect("checked");
-            let data = e.data.clone();
-            let (mem_ev, ssd_ev) = self.insert_into_mem(nc, path.to_string(), e);
-            drop(shard);
-            self.note(Ev::SsdHit);
-            self.note(Ev::Promotion);
-            self.note(Ev::MemEvictions(mem_ev));
-            self.note(Ev::SsdEvictions(ssd_ev));
-            // This probe was still served by the SSD tier; the *next*
-            // one finds the entry in memory.
-            return Some(CacheHit {
-                data,
-                tier: CacheTier::Ssd,
-            });
+        held.hits += 1;
+        // An SSD hit promotes the entry into memory when it fits. That
+        // probe was still served by the SSD tier; the *next* one finds
+        // the entry in memory.
+        let size = data.len() as u64;
+        if tier == CacheTier::Ssd && self.mem_cap() > 0 && size <= self.mem_cap() {
+            let e = held.entries.remove(path).expect("just found");
+            self.insert_into_mem(nc, path.to_string(), e);
+            self.counters.promotions.inc();
         }
-        drop(shard);
-        self.note(Ev::Miss);
-        None
+        match tier {
+            CacheTier::Memory => self.counters.mem_hits.inc(),
+            CacheTier::Ssd => self.counters.ssd_hits.inc(),
+        }
+        Some(CacheHit { data, tier })
     }
 
     /// Offers bytes read from a storage domain for caching on `node`.
-    pub fn admit(
-        &self,
-        node: NodeId,
-        path: &str,
-        data: Bytes,
-        attr: CacheAttr<'_>,
-        now: SimInstant,
-    ) {
+    pub fn admit(&self, node: NodeId, path: &str, data: Bytes, attr: CacheAttr, now: SimInstant) {
+        let c = &self.counters;
+        let ghost_capacity = self.settings.ghost_capacity;
         let size = data.len() as u64;
         // Entries enter the hierarchy at the SSD tier (they climb to
         // memory on their next hit); with no SSD tier configured they
@@ -645,25 +424,24 @@ impl TieredCache {
             self.ssd_cap()
         };
         if size > entry_cap {
-            self.note(Ev::Rejected);
+            c.rejected.inc();
             return;
         }
         let pinned = self.pinned(path);
         // Without a ghost nothing unpinned can be sighted twice: reject
         // before any node state exists.
-        if self.settings.ghost_capacity == 0 && !pinned {
-            self.note(Ev::Rejected);
+        if ghost_capacity == 0 && !pinned {
+            c.rejected.inc();
             return;
         }
-        // Resolve quotas before taking the shard lock (lock order: quota
-        // maps are leaves, never nested inside a shard).
-        let user_quota = self.user_quota_for(attr.user);
-        let table_quota = attr.table.and_then(|t| self.table_quota_for(t));
+        // Resolve the quota before taking the shard lock (lock order: the
+        // quota map is a leaf, never nested inside a shard).
+        let user_quota = self.user_quotas.lock().get(&attr.user).copied();
         // An entry that cannot fit its owner's quota is rejected outright
         // — quota wins even over a pin.
-        if user_quota.is_some_and(|q| size > q) || table_quota.is_some_and(|q| size > q) {
-            self.note(Ev::QuotaRejection);
-            self.note(Ev::Rejected);
+        if user_quota.is_some_and(|q| size > q) {
+            c.quota_rejections.inc();
+            c.rejected.inc();
             return;
         }
 
@@ -674,115 +452,60 @@ impl TieredCache {
         if !pinned {
             if nc.ghost.recall(path) {
                 nc.ghost.admissions += 1;
-                drop(shard);
-                self.note(Ev::GhostAdmission);
-                shard = self.shard(node).lock();
+                c.ghost_admissions.inc();
             } else {
-                nc.ghost.remember(path, self.settings.ghost_capacity);
-                drop(shard);
-                self.note(Ev::GhostRegistered);
-                self.note(Ev::Rejected);
+                nc.ghost.remember(path, ghost_capacity);
+                c.ghost_registered.inc();
+                c.rejected.inc();
                 return;
             }
         }
-        let nc = shard.entry(node).or_default();
 
         // Replace an existing copy (concurrent readers may both miss and
         // both offer the same path; last write wins, accounting exact).
-        if let Some(old) = nc.mem.remove(path) {
-            nc.note_drop(&old);
-        }
-        if let Some(old) = nc.ssd.remove(path) {
-            nc.note_drop(&old);
-        }
+        nc.drop_path(path);
 
         // Quota pressure: the owner sheds its own coldest entries (SSD
         // tier first — those are the coldest by construction).
-        let mut quota_ev = 0u64;
-        let mut mem_ev = 0u64;
-        let mut ssd_ev = 0u64;
-        if let Some(q) = user_quota {
-            while nc.user_used.get(&attr.user).copied().unwrap_or(0) + size > q {
-                if let Some((key, victim)) = nc.ssd.pop_lru_matching(|e| e.user == attr.user) {
-                    nc.ghost.remember(&key, self.settings.ghost_capacity);
-                    nc.note_drop(&victim);
-                    nc.ssd.evictions += 1;
-                    ssd_ev += 1;
-                } else if let Some((key, victim)) = nc.mem.pop_lru_matching(|e| e.user == attr.user)
-                {
-                    nc.ghost.remember(&key, self.settings.ghost_capacity);
-                    nc.note_drop(&victim);
-                    nc.mem.evictions += 1;
-                    mem_ev += 1;
-                } else {
-                    break;
-                }
-                quota_ev += 1;
-            }
-        }
-        if let (Some(q), Some(table)) = (table_quota, attr.table) {
-            while nc.table_used.get(table).copied().unwrap_or(0) + size > q {
-                if let Some((key, victim)) = nc
-                    .ssd
-                    .pop_lru_matching(|e| e.table.as_deref() == Some(table))
-                {
-                    nc.ghost.remember(&key, self.settings.ghost_capacity);
-                    nc.note_drop(&victim);
-                    nc.ssd.evictions += 1;
-                    ssd_ev += 1;
-                } else if let Some((key, victim)) = nc
-                    .mem
-                    .pop_lru_matching(|e| e.table.as_deref() == Some(table))
-                {
-                    nc.ghost.remember(&key, self.settings.ghost_capacity);
-                    nc.note_drop(&victim);
-                    nc.mem.evictions += 1;
-                    mem_ev += 1;
-                } else {
-                    break;
-                }
-                quota_ev += 1;
-            }
+        let mine = |_: &String, e: &Entry| e.user == attr.user;
+        while user_quota
+            .is_some_and(|q| nc.user_used.get(&attr.user).copied().unwrap_or(0) + size > q)
+        {
+            let (key, victim) = if let Some(coldest) = nc.ssd.entries.pop_lru_where(mine) {
+                nc.ssd.evictions += 1;
+                c.ssd_evictions.inc();
+                coldest
+            } else if let Some(coldest) = nc.mem.entries.pop_lru_where(mine) {
+                nc.mem.evictions += 1;
+                c.mem_evictions.inc();
+                coldest
+            } else {
+                break;
+            };
+            nc.shed(&key, &victim, ghost_capacity);
+            c.quota_evictions.inc();
         }
 
         let entry = Entry {
             data,
-            stamp: 0,
             inserted_at: now,
             user: attr.user,
-            table: attr.table.map(str::to_string),
         };
         nc.note_add(&entry);
         if enter_mem {
-            let (m, s) = self.insert_into_mem(nc, path.to_string(), entry);
-            mem_ev += m;
-            ssd_ev += s;
+            self.insert_into_mem(nc, path.to_string(), entry);
         } else {
-            ssd_ev += self.insert_into_ssd(nc, path.to_string(), entry);
+            self.insert_into_ssd(nc, path.to_string(), entry);
         }
-        drop(shard);
-        self.note(Ev::QuotaEvictions(quota_ev));
-        self.note(Ev::MemEvictions(mem_ev));
-        self.note(Ev::SsdEvictions(ssd_ev));
     }
 
     /// Drops `path` from every node's tiers (ingest rewrote the object).
     pub fn invalidate_path(&self, path: &str) {
-        let mut dropped = 0u64;
         for shard in &self.shards {
-            let mut s = shard.lock();
-            for nc in s.values_mut() {
-                if let Some(e) = nc.mem.remove(path) {
-                    nc.note_drop(&e);
-                    dropped += 1;
-                }
-                if let Some(e) = nc.ssd.remove(path) {
-                    nc.note_drop(&e);
-                    dropped += 1;
-                }
+            for nc in shard.lock().values_mut() {
+                self.counters.invalidations.add(nc.drop_path(path));
             }
         }
-        self.note(Ev::Invalidations(dropped));
     }
 
     /// Drops everything cached on one node (node restart).
@@ -790,42 +513,44 @@ impl TieredCache {
         self.shard(node).lock().remove(&node);
     }
 
-    /// Starts publishing `feisu.cache.{tier}.*` counters.
+    /// Has `registry` expose the cache's own counters as `feisu.cache.*`.
     pub fn attach_metrics(&self, registry: &MetricsRegistry) {
-        *self.metrics.lock() = Some(CacheMetrics {
-            mem_hits: registry.counter("feisu.cache.mem.hits"),
-            ssd_hits: registry.counter("feisu.cache.ssd.hits"),
-            misses: registry.counter("feisu.cache.misses"),
-            rejected: registry.counter("feisu.cache.rejected"),
-            ghost_registered: registry.counter("feisu.cache.ghost.registered"),
-            ghost_admissions: registry.counter("feisu.cache.ghost.admissions"),
-            quota_rejections: registry.counter("feisu.cache.quota.rejections"),
-            mem_evictions: registry.counter("feisu.cache.mem.evictions"),
-            ssd_evictions: registry.counter("feisu.cache.ssd.evictions"),
-            quota_evictions: registry.counter("feisu.cache.quota.evictions"),
-            ttl_expired: registry.counter("feisu.cache.ttl_expired"),
-            invalidations: registry.counter("feisu.cache.invalidations"),
-            promotions: registry.counter("feisu.cache.promotions"),
-        });
+        let c = &self.counters;
+        for (name, counter) in [
+            ("mem.hits", &c.mem_hits),
+            ("ssd.hits", &c.ssd_hits),
+            ("misses", &c.misses),
+            ("rejected", &c.rejected),
+            ("ghost.registered", &c.ghost_registered),
+            ("ghost.admissions", &c.ghost_admissions),
+            ("quota.rejections", &c.quota_rejections),
+            ("mem.evictions", &c.mem_evictions),
+            ("ssd.evictions", &c.ssd_evictions),
+            ("quota.evictions", &c.quota_evictions),
+            ("ttl_expired", &c.ttl_expired),
+            ("invalidations", &c.invalidations),
+            ("promotions", &c.promotions),
+        ] {
+            registry.adopt_counter(&format!("feisu.cache.{name}"), counter.clone());
+        }
     }
 
     pub fn stats(&self) -> CacheStats {
-        let s = &self.stats;
-        let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let c = &self.counters;
         CacheStats {
-            mem_hits: g(&s.mem_hits),
-            ssd_hits: g(&s.ssd_hits),
-            misses: g(&s.misses),
-            rejected: g(&s.rejected),
-            ghost_registered: g(&s.ghost_registered),
-            ghost_admissions: g(&s.ghost_admissions),
-            quota_rejections: g(&s.quota_rejections),
-            mem_evictions: g(&s.mem_evictions),
-            ssd_evictions: g(&s.ssd_evictions),
-            quota_evictions: g(&s.quota_evictions),
-            ttl_expired: g(&s.ttl_expired),
-            invalidations: g(&s.invalidations),
-            promotions: g(&s.promotions),
+            mem_hits: c.mem_hits.get(),
+            ssd_hits: c.ssd_hits.get(),
+            misses: c.misses.get(),
+            rejected: c.rejected.get(),
+            ghost_registered: c.ghost_registered.get(),
+            ghost_admissions: c.ghost_admissions.get(),
+            quota_rejections: c.quota_rejections.get(),
+            mem_evictions: c.mem_evictions.get(),
+            ssd_evictions: c.ssd_evictions.get(),
+            quota_evictions: c.quota_evictions.get(),
+            ttl_expired: c.ttl_expired.get(),
+            invalidations: c.invalidations.get(),
+            promotions: c.promotions.get(),
         }
     }
 
@@ -836,7 +561,7 @@ impl TieredCache {
         let tier = |t: Option<&TierCache>, cap: u64, label: &'static str| CacheTierRow {
             tier: label,
             entries: t.map_or(0, |t| t.entries.len()),
-            used_bytes: t.map_or(0, |t| t.used),
+            used_bytes: t.map_or(0, |t| t.entries.weight()),
             capacity_bytes: cap,
             hits: t.map_or(0, |t| t.hits),
             evictions: t.map_or(0, |t| t.evictions),
@@ -855,8 +580,8 @@ impl TieredCache {
         ]
     }
 
-    /// Sets (`Some`) or clears (`None`, back to the configured default)
-    /// a user's per-node byte quota.
+    /// Sets (`Some`) or clears (`None`, back to unlimited) a user's
+    /// per-node byte quota.
     pub fn set_user_quota(&self, user: UserId, quota: Option<ByteSize>) {
         let mut q = self.user_quotas.lock();
         match quota {
@@ -869,19 +594,6 @@ impl TieredCache {
         }
     }
 
-    /// Sets or clears a table's per-node byte quota.
-    pub fn set_table_quota(&self, table: &str, quota: Option<ByteSize>) {
-        let mut q = self.table_quotas.lock();
-        match quota {
-            Some(b) => {
-                q.insert(table.to_string(), b.as_u64());
-            }
-            None => {
-                q.remove(table);
-            }
-        }
-    }
-
     /// Bytes held by one tier on one node.
     pub fn used_on(&self, node: NodeId, tier: CacheTier) -> ByteSize {
         ByteSize(
@@ -889,8 +601,8 @@ impl TieredCache {
                 .lock()
                 .get(&node)
                 .map_or(0, |nc| match tier {
-                    CacheTier::Memory => nc.mem.used,
-                    CacheTier::Ssd => nc.ssd.used,
+                    CacheTier::Memory => nc.mem.entries.weight(),
+                    CacheTier::Ssd => nc.ssd.entries.weight(),
                 }),
         )
     }
@@ -919,18 +631,8 @@ mod tests {
 
     const NOW: SimInstant = SimInstant(0);
 
-    fn attr(user: u64) -> CacheAttr<'static> {
-        CacheAttr {
-            user: UserId(user),
-            table: None,
-        }
-    }
-
-    fn tattr(user: u64, table: &'static str) -> CacheAttr<'static> {
-        CacheAttr {
-            user: UserId(user),
-            table: Some(table),
-        }
+    fn attr(user: u64) -> CacheAttr {
+        CacheAttr { user: UserId(user) }
     }
 
     /// "Admit everything" is a pin on the root prefix.
@@ -1195,37 +897,6 @@ mod tests {
     }
 
     #[test]
-    fn hit_heavy_workload_keeps_lru_queues_bounded() {
-        let c = pins_only(64);
-        c.admit(
-            NodeId(0),
-            "/hdfs/hot/a",
-            Bytes::from_static(b"a"),
-            attr(1),
-            NOW,
-        );
-        c.admit(
-            NodeId(0),
-            "/hdfs/hot/b",
-            Bytes::from_static(b"b"),
-            attr(1),
-            NOW,
-        );
-        for _ in 0..10_000 {
-            assert!(c.get(NodeId(0), "/hdfs/hot/a", NOW).is_some());
-        }
-        // Two live entries: the lazy queue must stay within 2× of that,
-        // not grow by one record per hit.
-        let qlen = c.lru_queue_len_on(NodeId(0), CacheTier::Ssd);
-        assert!(qlen <= 4, "queue leaked: {qlen} records for 2 entries");
-        // Compaction must not lose recency: b is still the LRU victim.
-        let blob = Bytes::from(vec![0u8; 64 * 1024 - 1]);
-        c.admit(NodeId(0), "/hdfs/hot/c", blob, attr(1), NOW);
-        assert!(c.get(NodeId(0), "/hdfs/hot/b", NOW).is_none(), "b evicted");
-        assert!(c.get(NodeId(0), "/hdfs/hot/a", NOW).is_some());
-    }
-
-    #[test]
     fn pure_misses_do_not_allocate_node_state() {
         let c = open(64, 64);
         for n in 0..4_000 {
@@ -1254,8 +925,8 @@ mod tests {
         s.enabled = true;
         s.mem_capacity_per_node = ByteSize::kib(64);
         s.ssd_capacity_per_node = ByteSize::kib(64);
-        s.default_user_quota = Some(ByteSize(1000));
         let c = TieredCache::new(s, pin_all());
+        c.set_user_quota(UserId(1), Some(ByteSize(1000)));
         let blob = Bytes::from(vec![0u8; 400]);
         c.admit(NodeId(0), "/t/a", blob.clone(), attr(1), NOW);
         c.admit(NodeId(0), "/t/b", blob.clone(), attr(1), NOW);
@@ -1314,28 +985,6 @@ mod tests {
         );
         assert!(c.get(NodeId(0), "/hdfs/hot/x", NOW).is_none());
         assert_eq!(c.stats().quota_rejections, 1);
-    }
-
-    #[test]
-    fn table_quota_evicts_same_table_entries() {
-        let mut s = CacheSettings::default();
-        s.enabled = true;
-        s.default_table_quota = Some(ByteSize(1000));
-        let c = TieredCache::new(s, pin_all());
-        let blob = Bytes::from(vec![0u8; 400]);
-        c.admit(NodeId(0), "/t/a", blob.clone(), tattr(1, "clicks"), NOW);
-        c.admit(NodeId(0), "/t/b", blob.clone(), tattr(1, "clicks"), NOW);
-        c.admit(NodeId(0), "/u/x", blob.clone(), tattr(1, "views"), NOW);
-        c.admit(NodeId(0), "/t/c", blob, tattr(1, "clicks"), NOW);
-        assert!(
-            c.get(NodeId(0), "/t/a", NOW).is_none(),
-            "clicks LRU evicted"
-        );
-        assert!(
-            c.get(NodeId(0), "/u/x", NOW).is_some(),
-            "other table untouched"
-        );
-        assert!(c.table_used_on(NodeId(0), "clicks").as_u64() <= 1000);
     }
 
     #[test]

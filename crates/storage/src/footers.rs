@@ -10,8 +10,9 @@
 //! a predicate from its zone maps without reading the block.
 //!
 //! Always on, bounded per node by [`FOOTER_BYTES_PER_NODE`] with LRU
-//! eviction, and owned by the [`StorageRouter`](crate::StorageRouter),
-//! whose `write` drops a path's footer on every node.
+//! eviction (recency and bytes kept by [`feisu_common::lru::Lru`]), and
+//! owned by the [`StorageRouter`](crate::StorageRouter), whose `write`
+//! drops a path's footer on every node.
 //!
 //! Staleness rule: a footer parsed from bytes older than a write to its
 //! path is never resident after that write returns. `fill_with` holds the
@@ -21,93 +22,55 @@
 
 use crate::cache::CacheTierRow;
 use feisu_common::hash::FxHashMap;
+use feisu_common::lru::Lru;
 use feisu_common::{NodeId, Result};
 use feisu_format::BlockMeta;
 use feisu_obs::{Counter, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Per-node bound on resident footers, charged by
 /// [`BlockMeta::footprint`]: 1/64 of the default DRAM cache tier, room
 /// for about 800 128-column footers (20.8 KB each).
 pub const FOOTER_BYTES_PER_NODE: usize = 16 << 20;
 
-struct Slot {
-    meta: Arc<BlockMeta>,
-    bytes: usize,
-    stamp: u64,
-}
-
-/// One node's footers in recency order; `lru` holds exactly one record
-/// per slot, keyed by the slot's stamp.
+/// One node's footers, each weighed by its footprint plus its path.
 #[derive(Default)]
 struct NodeFooters {
-    slots: FxHashMap<Arc<str>, Slot>,
-    lru: BTreeMap<u64, Arc<str>>,
-    used: usize,
-    next_stamp: u64,
+    slots: Lru<Arc<str>, Arc<BlockMeta>>,
     hits: u64,
     evictions: u64,
 }
 
 impl NodeFooters {
     fn touch(&mut self, path: &str) -> Option<Arc<BlockMeta>> {
-        let slot = self.slots.get_mut(path)?;
-        let key = self.lru.remove(&slot.stamp).expect("one record per slot");
-        self.next_stamp += 1;
-        slot.stamp = self.next_stamp;
-        self.lru.insert(slot.stamp, key);
+        let meta = self.slots.get(path)?.clone();
         self.hits += 1;
-        Some(slot.meta.clone())
-    }
-
-    fn remove(&mut self, path: &str) -> bool {
-        let Some(slot) = self.slots.remove(path) else {
-            return false;
-        };
-        self.lru.remove(&slot.stamp);
-        self.used -= slot.bytes;
-        true
+        Some(meta)
     }
 
     fn insert(&mut self, path: &str, meta: Arc<BlockMeta>, capacity: usize) {
-        self.remove(path);
-        let bytes = meta.footprint() + path.len();
-        if bytes > capacity {
+        self.slots.remove(path);
+        let bytes = (meta.footprint() + path.len()) as u64;
+        if bytes > capacity as u64 {
             return;
         }
-        while self.used + bytes > capacity {
-            let (_, coldest) = self.lru.pop_first().expect("used > 0 means a slot");
-            let slot = self.slots.remove(&coldest).expect("one slot per record");
-            self.used -= slot.bytes;
+        while self.slots.weight() + bytes > capacity as u64 {
+            self.slots.pop_lru().expect("weight > 0 means a slot");
             self.evictions += 1;
         }
-        self.next_stamp += 1;
-        let key: Arc<str> = path.into();
-        self.lru.insert(self.next_stamp, key.clone());
-        self.slots.insert(
-            key,
-            Slot {
-                meta,
-                bytes,
-                stamp: self.next_stamp,
-            },
-        );
-        self.used += bytes;
+        self.slots.insert(path.into(), meta, bytes);
     }
-}
-
-struct FooterMetrics {
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    invalidations: Arc<Counter>,
 }
 
 pub struct FooterCache {
     capacity_per_node: usize,
     nodes: RwLock<FxHashMap<NodeId, Arc<Mutex<NodeFooters>>>>,
-    metrics: OnceLock<FooterMetrics>,
+    /// Lookups that found a resident footer, lookups that did not, and
+    /// footers dropped because their path was written.
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    invalidations: Arc<Counter>,
 }
 
 impl Default for FooterCache {
@@ -121,26 +84,18 @@ impl FooterCache {
         FooterCache {
             capacity_per_node,
             nodes: RwLock::new(FxHashMap::default()),
-            metrics: OnceLock::new(),
+            hits: Arc::default(),
+            misses: Arc::default(),
+            invalidations: Arc::default(),
         }
     }
 
-    /// Starts counting `feisu.meta.{hits,misses,invalidations}`: lookups
-    /// that found a resident footer, lookups that did not, and footers
-    /// dropped because their path was written. Only the first registry
-    /// attached is used.
+    /// Has `registry` expose the three counters as
+    /// `feisu.meta.{hits,misses,invalidations}`.
     pub(crate) fn attach_metrics(&self, registry: &MetricsRegistry) {
-        let _ = self.metrics.set(FooterMetrics {
-            hits: registry.counter("feisu.meta.hits"),
-            misses: registry.counter("feisu.meta.misses"),
-            invalidations: registry.counter("feisu.meta.invalidations"),
-        });
-    }
-
-    fn count(&self, pick: impl Fn(&FooterMetrics) -> &Counter, n: u64) {
-        if let Some(m) = self.metrics.get() {
-            pick(m).add(n);
-        }
+        registry.adopt_counter("feisu.meta.hits", self.hits.clone());
+        registry.adopt_counter("feisu.meta.misses", self.misses.clone());
+        registry.adopt_counter("feisu.meta.invalidations", self.invalidations.clone());
     }
 
     fn node(&self, node: NodeId) -> Arc<Mutex<NodeFooters>> {
@@ -156,8 +111,8 @@ impl FooterCache {
         let state = self.nodes.read().get(&node).cloned();
         let found = state.and_then(|n| n.lock().touch(path));
         match &found {
-            Some(_) => self.count(|m| &m.hits, 1),
-            None => self.count(|m| &m.misses, 1),
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
         }
         found
     }
@@ -182,7 +137,7 @@ impl FooterCache {
     /// just read).
     pub(crate) fn forget(&self, node: NodeId, path: &str) {
         if let Some(n) = self.nodes.read().get(&node) {
-            n.lock().remove(path);
+            n.lock().slots.remove(path);
         }
     }
 
@@ -193,9 +148,9 @@ impl FooterCache {
             .nodes
             .read()
             .values()
-            .filter(|n| n.lock().remove(path))
+            .filter(|n| n.lock().slots.remove(path).is_some())
             .count();
-        self.count(|m| &m.invalidations, dropped as u64);
+        self.invalidations.add(dropped as u64);
     }
 
     /// `system.cache`'s `meta` row for one node.
@@ -205,7 +160,7 @@ impl FooterCache {
         CacheTierRow {
             tier: "meta",
             entries: state.as_ref().map_or(0, |n| n.slots.len()),
-            used_bytes: state.as_ref().map_or(0, |n| n.used as u64),
+            used_bytes: state.as_ref().map_or(0, |n| n.slots.weight()),
             capacity_bytes: self.capacity_per_node as u64,
             hits: state.as_ref().map_or(0, |n| n.hits),
             evictions: state.as_ref().map_or(0, |n| n.evictions),

@@ -18,10 +18,10 @@ use feisu_cluster::{CostModel, StorageMedium};
 use feisu_common::{ByteSize, FeisuError, NodeId, Result, SimInstant};
 use feisu_format::{Block, BlockMeta};
 use feisu_obs::{Counter, MetricsRegistry};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Per-domain read/write counters, indexed like `domains`.
+#[derive(Default)]
 struct DomainMetrics {
     reads: Arc<Counter>,
     bytes_read: Arc<Counter>,
@@ -38,9 +38,7 @@ pub struct StorageRouter {
     /// Parsed block footers per node; always on, whatever `cache` is.
     footers: FooterCache,
     cost: CostModel,
-    // Behind a Mutex because the router is attached after it is shared
-    // (`Arc<StorageRouter>` throughout the engine).
-    metrics: Mutex<Option<Vec<DomainMetrics>>>,
+    metrics: Vec<DomainMetrics>,
 }
 
 impl StorageRouter {
@@ -56,33 +54,30 @@ impl StorageRouter {
             "default domain out of range"
         );
         StorageRouter {
+            metrics: domains.iter().map(|_| DomainMetrics::default()).collect(),
             domains,
             default_domain,
             auth,
             cache,
             footers: FooterCache::default(),
             cost,
-            metrics: Mutex::new(None),
         }
     }
 
-    /// Starts publishing `feisu.storage.<prefix>.*` counters, one set per
-    /// domain, the footer cache's `feisu.meta.*`, plus the block cache's
-    /// counters when a cache is configured.
+    /// Has `registry` expose the `feisu.storage.<prefix>.*` counters, one
+    /// set per domain, the footer cache's `feisu.meta.*`, plus the block
+    /// cache's counters when a cache is configured.
     pub fn attach_metrics(&self, registry: &MetricsRegistry) {
-        let per_domain = self
-            .domains
-            .iter()
-            .map(|d| {
-                let p = d.prefix();
-                DomainMetrics {
-                    reads: registry.counter(&format!("feisu.storage.{p}.reads")),
-                    bytes_read: registry.counter(&format!("feisu.storage.{p}.bytes_read")),
-                    writes: registry.counter(&format!("feisu.storage.{p}.writes")),
-                }
-            })
-            .collect();
-        *self.metrics.lock() = Some(per_domain);
+        for (d, m) in self.domains.iter().zip(&self.metrics) {
+            let p = d.prefix();
+            for (what, counter) in [
+                ("reads", &m.reads),
+                ("bytes_read", &m.bytes_read),
+                ("writes", &m.writes),
+            ] {
+                registry.adopt_counter(&format!("feisu.storage.{p}.{what}"), counter.clone());
+            }
+        }
         self.footers.attach_metrics(registry);
         if let Some(cache) = &self.cache {
             cache.attach_metrics(registry);
@@ -101,11 +96,9 @@ impl StorageRouter {
     }
 
     fn note_read(&self, path: &str, bytes: u64) {
-        if let Some(m) = self.metrics.lock().as_ref() {
-            let dm = &m[self.domain_index(path)];
-            dm.reads.inc();
-            dm.bytes_read.add(bytes);
-        }
+        let dm = &self.metrics[self.domain_index(path)];
+        dm.reads.inc();
+        dm.bytes_read.add(bytes);
     }
 
     /// Splits `/prefix/rest` into the owning domain and the domain-local
@@ -132,15 +125,14 @@ impl StorageRouter {
     /// Authorized read through the cache hierarchy. A memory-tier hit
     /// costs a cache access plus memory streaming; an SSD-tier hit costs
     /// a local SSD access; a miss pays the domain read cost and the bytes
-    /// are offered to the cache, attributed to `table` (for quota
-    /// accounting) and the credential's user.
-    pub fn read_attributed(
+    /// are offered to the cache, attributed to the credential's user (for
+    /// quota accounting).
+    pub fn read(
         &self,
         path: &str,
         reader: NodeId,
         cred: &Credential,
         now: SimInstant,
-        table: Option<&str>,
     ) -> Result<ReadResult> {
         let (domain, inner) = self.resolve(path);
         self.auth.authorize(cred, domain.id(), Grant::Read, now)?;
@@ -168,30 +160,10 @@ impl StorageRouter {
         let result = domain.read_from(&inner, reader)?;
         self.note_read(path, result.data.len() as u64);
         if let Some(cache) = &self.cache {
-            cache.admit(
-                reader,
-                path,
-                result.data.clone(),
-                CacheAttr {
-                    user: cred.user,
-                    table,
-                },
-                now,
-            );
+            let attr = CacheAttr { user: cred.user };
+            cache.admit(reader, path, result.data.clone(), attr, now);
         }
         Ok(result)
-    }
-
-    /// [`Self::read_attributed`] with no table attribution (internal
-    /// reads: spill files, personalization data, ...).
-    pub fn read(
-        &self,
-        path: &str,
-        reader: NodeId,
-        cred: &Credential,
-        now: SimInstant,
-    ) -> Result<ReadResult> {
-        self.read_attributed(path, reader, cred, now, None)
     }
 
     /// The footer `reader` keeps resident for the block at `path`, if
@@ -209,7 +181,7 @@ impl StorageRouter {
         Ok(self.footers.get(reader, path))
     }
 
-    /// [`Self::read_attributed`] of a block together with its parsed
+    /// [`Self::read`] of a block together with its parsed
     /// footer. `resident` is what [`Self::resident_footer`] returned for
     /// this task: if it describes the bytes read it is returned as is and
     /// nothing is parsed; if the path was rewritten in between it is
@@ -222,18 +194,17 @@ impl StorageRouter {
         reader: NodeId,
         cred: &Credential,
         now: SimInstant,
-        table: Option<&str>,
         resident: Option<Arc<BlockMeta>>,
     ) -> Result<(ReadResult, Arc<BlockMeta>)> {
         let read_and_parse = || {
-            let read = self.read_attributed(path, reader, cred, now, table)?;
+            let read = self.read(path, reader, cred, now)?;
             let meta = Arc::new(Block::read_meta(&read.data)?);
             Ok((read, meta))
         };
         let Some(meta) = resident else {
             return self.footers.fill_with(reader, path, read_and_parse);
         };
-        let read = self.read_attributed(path, reader, cred, now, table)?;
+        let read = self.read(path, reader, cred, now)?;
         if meta.describes(&read.data) {
             return Ok((read, meta));
         }
@@ -257,9 +228,7 @@ impl StorageRouter {
         let (domain, inner) = self.resolve(path);
         self.auth
             .authorize(cred, domain.id(), Grant::ReadWrite, now)?;
-        if let Some(m) = self.metrics.lock().as_ref() {
-            m[self.domain_index(path)].writes.inc();
-        }
+        self.metrics[self.domain_index(path)].writes.inc();
         domain.put(&inner, data, near)?;
         if let Some(cache) = &self.cache {
             cache.invalidate_path(path);
@@ -627,9 +596,7 @@ mod tests {
             .is_none());
 
         let before = parses();
-        let (read, cold) = r
-            .read_block(path, NodeId(1), &cred, t0, None, None)
-            .unwrap();
+        let (read, cold) = r.read_block(path, NodeId(1), &cred, t0, None).unwrap();
         assert!(cold.describes(&read.data));
         assert_eq!(parses() - before, 1);
         // Resident on the reading node only, and reused without a parse.
@@ -639,13 +606,10 @@ mod tests {
             .is_none());
         let resident = r.resident_footer(path, NodeId(1), &cred, t0).unwrap();
         assert!(Arc::ptr_eq(resident.as_ref().unwrap(), &cold));
-        let (_, warm) = r
-            .read_block(path, NodeId(1), &cred, t0, None, resident)
-            .unwrap();
+        let (_, warm) = r.read_block(path, NodeId(1), &cred, t0, resident).unwrap();
         assert!(Arc::ptr_eq(&warm, &cold));
         assert_eq!(parses() - before, 1, "a warm read parses nothing");
-        r.read_block(path, NodeId(0), &cred, t0, None, None)
-            .unwrap();
+        r.read_block(path, NodeId(0), &cred, t0, None).unwrap();
 
         // The rewrite drops both nodes' copies; the next read sees the new
         // zone bounds.
@@ -654,9 +618,7 @@ mod tests {
         for node in [NodeId(0), NodeId(1)] {
             assert!(r.resident_footer(path, node, &cred, t0).unwrap().is_none());
         }
-        let (_, fresh) = r
-            .read_block(path, NodeId(1), &cred, t0, None, None)
-            .unwrap();
+        let (_, fresh) = r.read_block(path, NodeId(1), &cred, t0, None).unwrap();
         assert_eq!(low_bound(&fresh), Some(feisu_format::Value::Int64(500)));
         assert_eq!(registry.counter("feisu.meta.invalidations").get(), 2);
         assert_eq!(registry.counter("feisu.meta.hits").get(), 1);
@@ -669,25 +631,22 @@ mod tests {
         let (path, t0) = ("/hdfs/t/b0", SimInstant(0));
         r.write(path, block_bytes(0), Some(NodeId(0)), &cred, t0)
             .unwrap();
-        r.read_block(path, NodeId(1), &cred, t0, None, None)
-            .unwrap();
+        r.read_block(path, NodeId(1), &cred, t0, None).unwrap();
         // A task looks its footer up, then the path is rewritten, then the
         // task reads: it must get the footer of the bytes it read.
         let looked_up = r.resident_footer(path, NodeId(1), &cred, t0).unwrap();
         assert!(looked_up.is_some());
         r.write(path, block_bytes(500), Some(NodeId(0)), &cred, t0)
             .unwrap();
-        let (read, meta) = r
-            .read_block(path, NodeId(1), &cred, t0, None, looked_up)
-            .unwrap();
+        let (read, meta) = r.read_block(path, NodeId(1), &cred, t0, looked_up).unwrap();
         assert!(meta.describes(&read.data));
         assert_eq!(low_bound(&meta), Some(feisu_format::Value::Int64(500)));
         // Bytes that are no block at all are Corrupt, and stay out.
         r.write(path, Bytes::from_static(b"junk"), None, &cred, t0)
             .unwrap();
-        let junk = r.read_block(path, NodeId(1), &cred, t0, None, Some(meta));
+        let junk = r.read_block(path, NodeId(1), &cred, t0, Some(meta));
         assert!(matches!(junk, Err(FeisuError::Corrupt(_))));
-        let junk = r.read_block(path, NodeId(1), &cred, t0, None, None);
+        let junk = r.read_block(path, NodeId(1), &cred, t0, None);
         assert!(matches!(junk, Err(FeisuError::Corrupt(_))));
         assert!(r
             .resident_footer(path, NodeId(1), &cred, t0)
@@ -701,7 +660,7 @@ mod tests {
         let t0 = SimInstant(0);
         r.write("/hdfs/t/b0", block_bytes(0), None, &cred, t0)
             .unwrap();
-        r.read_block("/hdfs/t/b0", NodeId(1), &cred, t0, None, None)
+        r.read_block("/hdfs/t/b0", NodeId(1), &cred, t0, None)
             .unwrap();
         // Resident or not, no grant on the domain means no answer...
         let denied = r.resident_footer("/ffs/x", NodeId(1), &cred, t0);

@@ -287,10 +287,7 @@ fn parallel_hammer_on_two_nodes_keeps_exact_cache_totals() {
                 for node in nodes {
                     for i in 0..ops {
                         let path = format!("/hammer/u{t}/b{i}");
-                        let attr = CacheAttr {
-                            user,
-                            table: Some("hammered"),
-                        };
+                        let attr = CacheAttr { user };
                         assert!(cache.get(node, &path, now).is_none(), "fresh key must miss");
                         cache.admit(
                             node,

@@ -134,7 +134,8 @@ fn syntax_errors_rejected_before_admission() {
         .unwrap_err();
     assert!(matches!(err, FeisuError::Parse(_)), "{err}");
     // A parse failure must not consume quota.
-    assert_eq!(fx.cluster.jobs().jobs_of(fx.user).len(), 0);
+    let now = fx.cluster.now();
+    assert_eq!(fx.cluster.guard().admitted_today(fx.user, now), 0);
 }
 
 #[test]
@@ -167,13 +168,13 @@ fn jobs_are_recorded_per_user() {
     fx.cluster
         .query("SELECT url FROM clicks WHERE clicks > 5", &fx.cred)
         .unwrap();
-    let jobs = fx.cluster.jobs().jobs_of(fx.user);
+    // The query log is the per-user job record (and the user's
+    // personalization history).
+    let user = fx.user.to_string();
+    let logged = fx.cluster.query_log().snapshot();
+    let jobs: Vec<_> = logged.iter().filter(|e| e.user == user).collect();
     assert_eq!(jobs.len(), 2);
     assert!(jobs
         .iter()
-        .all(|j| j.state == feisu_core::master::JobState::Succeeded));
-    // The same two statements are the user's personalization history.
-    let user = fx.user.to_string();
-    let logged = fx.cluster.query_log().snapshot();
-    assert_eq!(logged.iter().filter(|e| e.user == user).count(), 2);
+        .all(|j| j.outcome == feisu_obs::QueryOutcome::Completed));
 }
