@@ -155,9 +155,8 @@ pub struct FeisuConfig {
     pub result_spill_threshold: ByteSize,
     /// Worker threads for real (wall-clock) leaf-task execution on the
     /// master. `0` = auto (use available parallelism); `1` = serial
-    /// execution (the pre-pool behavior). Simulated results are
-    /// bit-identical at every setting — this knob only changes how fast
-    /// the simulation itself runs.
+    /// execution. Simulated results are bit-identical at every setting —
+    /// this knob only changes how fast the simulation itself runs.
     pub execution_threads: usize,
     /// Capacity of the always-on query event log behind
     /// `system.queries` (a bounded ring buffer; oldest records are
@@ -216,8 +215,7 @@ mod tests {
         assert_eq!(c.index_memory_per_leaf, ByteSize::mib(512));
         assert_eq!(c.index_ttl, SimDuration::hours(72));
         assert_eq!(c.replication_factor, 3);
-        // The cache is opt-in; its SSD tier default keeps the old
-        // single-tier capacity.
+        // The cache is opt-in.
         assert!(!c.cache.enabled);
         assert_eq!(c.cache.ssd_capacity_per_node, ByteSize::gib(16));
         assert!(c.validate().is_ok());

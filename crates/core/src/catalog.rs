@@ -6,7 +6,11 @@
 //! block format — "a light-weight process … monitors the storage for
 //! newly generated data and converts the data into Feisu in columnar
 //! format when new data arrive" (§III-B) — and registers the resulting
-//! blocks with their zone statistics.
+//! blocks (each with a copy of its footer's zone statistics that nothing
+//! on the statement path reads). A table's descriptor is shared, not
+//! copied: [`Catalog::table`] lends the `Arc` the catalog holds, and ingest
+//! appends copy-on-write, so a handle keeps exactly the blocks it was
+//! taken with.
 
 use feisu_common::hash::FxHashMap;
 use feisu_common::ids::IdGen;
@@ -27,7 +31,7 @@ pub struct Catalog {
 }
 
 struct TableEntry {
-    desc: TableDesc,
+    desc: Arc<TableDesc>,
     /// Unified path prefix the table's blocks are written under.
     location: String,
     /// Rows per block used by the ingest splitter.
@@ -140,7 +144,7 @@ impl Catalog {
         tables.insert(
             name.to_string(),
             TableEntry {
-                desc,
+                desc: Arc::new(desc),
                 location: location.trim_end_matches('/').to_string(),
                 rows_per_block: rows_per_block.max(1),
                 stats: TableStatsBuilder::default(),
@@ -149,11 +153,13 @@ impl Catalog {
         Ok(())
     }
 
-    pub fn table(&self, name: &str) -> Result<TableDesc> {
+    /// The table's descriptor as of now: a refcount bump under the read
+    /// lock, whatever the block count. Later ingests do not show through.
+    pub fn table(&self, name: &str) -> Result<Arc<TableDesc>> {
         self.tables
             .read()
             .get(name)
-            .map(|e| e.desc.clone())
+            .map(|e| Arc::clone(&e.desc))
             .ok_or_else(|| FeisuError::Analysis(format!("unknown table `{name}`")))
     }
 
@@ -254,7 +260,9 @@ impl Catalog {
             let mut tables = self.tables.write();
             let entry = tables.get_mut(name).expect("table exists");
             entry.stats.observe_block(&schema, &block);
-            entry.desc.partitions[0].blocks.push(desc);
+            Arc::make_mut(&mut entry.desc).partitions[0]
+                .blocks
+                .push(desc);
             created.push(id);
             start = end;
         }

@@ -9,7 +9,7 @@
 //! with SmartIndex rewrite → bottom-up merging through stem servers →
 //! master finalization. All timing is simulated and deterministic.
 
-use crate::catalog::{Catalog, CatalogView};
+use crate::catalog::Catalog;
 use crate::client;
 use crate::leaf::{LeafServer, LeafTaskStats};
 use crate::master::assembly::QueryMetrics;
@@ -25,15 +25,11 @@ use feisu_common::{
     ByteSize, FeisuError, NodeId, QueryId, Result, SimDuration, SimInstant, UserId,
 };
 use feisu_exec::batch::RecordBatch;
-use feisu_exec::reorder::{lower_with, LowerOptions};
 use feisu_format::{Column, Schema, Value};
 use feisu_index::manager::IndexManager;
 use feisu_obs::{
     MetricsRegistry, QueryEvent, QueryLog, QueryOutcome, QueryProfile, WindowedMetrics,
 };
-use feisu_sql::analyze::analyze;
-use feisu_sql::optimizer::optimize_with_trace;
-use feisu_sql::plan::build_plan;
 use feisu_storage::auth::{AuthService, Credential, Grant};
 use feisu_storage::fatman::FatmanDomain;
 use feisu_storage::hdfs::HdfsDomain;
@@ -371,10 +367,7 @@ impl FeisuCluster {
             // Every leaf feeds the same registry: the feisu.index.* counters
             // are cluster-wide totals.
             index.attach_metrics(&metrics);
-            leaves.insert(
-                n.id,
-                LeafServer::new(n.id, index, topology.clone(), cost.clone()),
-            );
+            leaves.insert(n.id, LeafServer::new(n.id, index, cost.clone()));
         }
         heartbeats.attach_metrics(&metrics);
         let mut resources = FxHashMap::default();
@@ -512,12 +505,6 @@ impl FeisuCluster {
     /// `SELECT ... FROM system.queries`).
     pub fn query_log(&self) -> &QueryLog {
         &self.query_log
-    }
-
-    /// Sliding-window metric views ("QPS and tail latency right now");
-    /// window rows also surface in `system.metrics`.
-    pub fn windowed_metrics(&self) -> &WindowedMetrics {
-        &self.windows
     }
 
     pub fn catalog(&self) -> &Catalog {
@@ -683,31 +670,8 @@ impl FeisuCluster {
     /// scans.
     pub fn explain(&self, sql: &str, cred: &Credential) -> Result<String> {
         let query = client::syntax_check(sql)?;
-        for tref in query.all_tables() {
-            // Virtual system tables live in no storage domain.
-            if crate::system::is_system_table(&tref.name) {
-                continue;
-            }
-            let location = self.catalog.location(&tref.name)?;
-            let domain = self.router.domain_of(&location);
-            self.auth
-                .authorize(cred, domain.id(), Grant::Read, self.clock.now())?;
-        }
-        let resolved = analyze(&query, &CatalogView(&self.catalog))?;
-        let plan = build_plan(&resolved)?;
-        let opt = &self.spec.config.optimizer;
-        let (logical, rule_trace) = if opt.enabled {
-            optimize_with_trace(plan)?
-        } else {
-            (plan, Vec::new())
-        };
-        let lower_opts = LowerOptions {
-            cost: &self.spec.cost,
-            join_reorder: opt.enabled && opt.join_reorder,
-            dp_limit: opt.dp_limit,
-        };
-        let (physical, lower_trace) =
-            lower_with(&logical, &CatalogView(&self.catalog), &lower_opts)?;
+        let (physical, rule_trace, join_orders) =
+            self.plan_statement(&query, cred, self.clock.now())?;
         let mut out = physical.display_indent();
         // Trailer: which rules rewrote the plan and what each join-order
         // search decided, so EXPLAIN shows the optimizer's work without
@@ -716,7 +680,7 @@ impl FeisuCluster {
             use std::fmt::Write as _;
             let _ = writeln!(out, "Rule: {} x{}", fire.rule, fire.fires);
         }
-        for jo in &lower_trace.join_orders {
+        for jo in &join_orders {
             use std::fmt::Write as _;
             let _ = writeln!(
                 out,

@@ -19,7 +19,7 @@
 //! No scan operation is actually needed", §IV-C-3).
 
 use feisu_cluster::simclock::TimeTally;
-use feisu_cluster::{CostModel, Topology};
+use feisu_cluster::CostModel;
 use feisu_common::hash::FxHashMap;
 use feisu_common::{ByteSize, FeisuError, NodeId, Result, SimInstant};
 use feisu_exec::aggregate::AggTable;
@@ -39,8 +39,8 @@ use feisu_storage::{CacheTier, StorageRouter};
 use std::sync::Arc;
 
 pub use feisu_sql::exprutil::rename_expr;
-// The partial-aggregation stage now lives in the planner so the logical
-// layer, the physical layer and the leaves share one type.
+// The partial-aggregation stage is the planner's type, so the logical
+// layer, the physical layer and the leaves share one.
 pub use feisu_sql::plan::AggStage;
 
 /// One scan task over one block.
@@ -136,23 +136,12 @@ pub struct LeafOutput {
 pub struct LeafServer {
     pub node: NodeId,
     index: IndexManager,
-    topology: Arc<Topology>,
     cost: CostModel,
 }
 
 impl LeafServer {
-    pub fn new(
-        node: NodeId,
-        index: IndexManager,
-        topology: Arc<Topology>,
-        cost: CostModel,
-    ) -> Self {
-        LeafServer {
-            node,
-            index,
-            topology,
-            cost,
-        }
+    pub fn new(node: NodeId, index: IndexManager, cost: CostModel) -> Self {
+        LeafServer { node, index, cost }
     }
 
     pub fn index(&self) -> &IndexManager {
@@ -397,10 +386,9 @@ impl LeafServer {
                 }
             }
         }
-        // All present: serve via the rewriter (records hits in stats,
-        // refreshes LRU). We pass a block-shaped dummy? No — the rewriter
-        // needs the block only on miss, and there are none; probe each
-        // predicate directly against the manager.
+        // All present: probe each predicate directly against the manager
+        // (records hits in stats, refreshes LRU); with no miss possible
+        // there is no block to hand the rewriter.
         let rows = task.block.rows;
         let mut bits = BitVec::ones(rows);
         for clause in &cnf.clauses {
@@ -519,11 +507,6 @@ impl LeafServer {
         now: SimInstant,
     ) -> Result<(BitVec, ProbeKind)> {
         probe_predicate(Some(&self.index), block, predicate, now)
-    }
-
-    /// Hop distance to another node — exposed for scheduler tests.
-    pub fn hops_to(&self, other: NodeId) -> Result<u32> {
-        self.topology.hops(self.node, other)
     }
 }
 
@@ -658,6 +641,7 @@ fn count_transport(agg: &AggStage, count: i64) -> Result<RecordBatch> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use feisu_cluster::Topology;
     use feisu_common::config::CacheSettings;
     use feisu_common::{BlockId, DomainId, SimDuration, UserId};
     use feisu_format::block::footer_parses_on_this_thread as parses;
@@ -685,7 +669,7 @@ mod tests {
         let hdfs = Arc::new(HdfsDomain::new(
             DomainId(1),
             "hdfs",
-            topology.clone(),
+            topology,
             cost.clone(),
             3,
             7,
@@ -731,7 +715,7 @@ mod tests {
             .unwrap();
         let index = IndexManager::new(ByteSize::mib(4), SimDuration::hours(72));
         Rig {
-            leaf: LeafServer::new(NodeId(0), index, topology, cost),
+            leaf: LeafServer::new(NodeId(0), index, cost),
             router,
             cred,
             block,

@@ -1,5 +1,5 @@
 //! Topology-derived multi-level merge tree with a hash-partitioned
-//! repartition exchange (ROADMAP item 2; execution tree of §III-B).
+//! repartition exchange (the execution tree of §III-B).
 //!
 //! The tree is derived from the [`Topology`]: aggregate
 //! transports merge rack-local first (stem placed on the lowest-id

@@ -28,15 +28,14 @@ use feisu_storage::auth::{Credential, Grant};
 use std::collections::BTreeMap;
 
 impl FeisuCluster {
-    pub(crate) fn run_admitted(
+    /// From a parsed statement to the physical plan that runs, with the
+    /// optimizer's trace: what `run_admitted` executes and EXPLAIN prints.
+    pub(crate) fn plan_statement(
         &self,
-        sql: &str,
         query: &feisu_sql::ast::Query,
         cred: &Credential,
-        options: &QueryOptions,
         now: SimInstant,
-        query_id: QueryId,
-    ) -> Result<QueryResult> {
+    ) -> Result<(PhysicalPlan, Vec<RuleFire>, Vec<JoinOrderTrace>)> {
         // Access verification: read grant on every touched table's domain.
         // Virtual system tables live in no storage domain; any admitted
         // user may introspect the cluster through them.
@@ -68,6 +67,19 @@ impl FeisuCluster {
         };
         let (physical, lower_trace) =
             lower_with(&logical, &CatalogView(&self.catalog), &lower_opts)?;
+        Ok((physical, rule_trace, lower_trace.join_orders))
+    }
+
+    pub(crate) fn run_admitted(
+        &self,
+        sql: &str,
+        query: &feisu_sql::ast::Query,
+        cred: &Credential,
+        options: &QueryOptions,
+        now: SimInstant,
+        query_id: QueryId,
+    ) -> Result<QueryResult> {
+        let (physical, rule_trace, join_orders) = self.plan_statement(query, cred, now)?;
 
         // Beat the heartbeat table for all live nodes.
         self.tick_heartbeats(now);
@@ -89,7 +101,7 @@ impl FeisuCluster {
             wire_rack_dc: 0,
             wire_stem_master: 0,
             rule_trace,
-            join_orders: lower_trace.join_orders,
+            join_orders,
         };
         // Master overhead: parsing/planning/dispatch RPC.
         ctx.tally.add_cpu(self.spec.cost.rpc_overhead);
@@ -249,7 +261,7 @@ pub(crate) struct ExecCtx {
     /// Simulated result bytes shipped leaf→stem across all scans.
     pub(crate) wire_leaf_stem: u64,
     /// Simulated result bytes shipped rack-stem→DC-stem across all scans
-    /// (zero for two-level trees and row scans).
+    /// (zero for row scans).
     pub(crate) wire_rack_dc: u64,
     /// Simulated result bytes shipped stem→master across all scans.
     pub(crate) wire_stem_master: u64,

@@ -7,7 +7,7 @@
 //! and the canonical→storage name map were all computed at plan time —
 //! so this module only dissects, schedules, executes and merges.
 //!
-//! Determinism invariant (PR 2): execution runs in three phases. Phase 1
+//! Determinism invariant: execution runs in three phases. Phase 1
 //! (serial) resolves identical-task reuse in submission order; phase 2
 //! (parallel) runs leaf tasks grouped by assigned node, all simulated
 //! time coming from per-node tallies, never wall clock; phase 3 (serial)
@@ -56,15 +56,15 @@ impl FeisuCluster {
         let desc = self.catalog.table(table)?;
 
         // One task per block.
-        let blocks: Vec<_> = desc.blocks().cloned().collect();
         let agg_shape: Option<&AggStage> = agg.as_ref();
-        let mut tasks: Vec<ScanTask> = Vec::with_capacity(blocks.len());
-        let mut replica_sets: Vec<Vec<NodeId>> = Vec::with_capacity(blocks.len());
-        for block in blocks {
+        let block_count = desc.block_count();
+        let mut tasks: Vec<ScanTask> = Vec::with_capacity(block_count);
+        let mut replica_sets: Vec<Vec<NodeId>> = Vec::with_capacity(block_count);
+        for block in desc.blocks() {
             replica_sets.push(self.router.replicas(&block.path)?);
             tasks.push(ScanTask {
                 table: table.to_string(),
-                block,
+                block: block.clone(),
                 projection: projection.to_vec(),
                 output_schema: output_schema.clone(),
                 cnf: cnf.clone(),

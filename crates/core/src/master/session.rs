@@ -57,11 +57,6 @@ impl QuerySession<'_> {
         &self.cred
     }
 
-    /// The id the session's next query will carry.
-    pub fn next_query_id(&self) -> QueryId {
-        QueryId((self.session_id << 32) | self.next_seq.load(Ordering::Relaxed))
-    }
-
     /// Runs one SQL query with default options.
     pub fn query(&self, sql: &str) -> Result<QueryResult> {
         self.query_with(sql, &QueryOptions::default())

@@ -299,13 +299,6 @@ impl Column {
         }
     }
 
-    pub fn f64_slice(&self) -> &[f64] {
-        match &self.data {
-            ColumnData::Float64(v) => v,
-            other => panic!("expected Float64 column, got {:?}", other.data_type()),
-        }
-    }
-
     pub fn bool_slice(&self) -> &[bool] {
         match &self.data {
             ColumnData::Bool(v) => v,

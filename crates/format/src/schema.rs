@@ -6,7 +6,6 @@
 
 use crate::value::DataType;
 use feisu_common::hash::FxHashMap;
-use std::sync::Arc;
 
 /// One column definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,16 +25,14 @@ impl Field {
     }
 }
 
-/// An ordered, name-indexed collection of fields. Cheap to clone (`Arc`ed
-/// internally via [`SchemaRef`]).
+/// An ordered, name-indexed collection of fields: a `Vec<Field>` plus a
+/// name → position map, both owned, so a clone copies every field name
+/// twice.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     fields: Vec<Field>,
     by_name: FxHashMap<String, usize>,
 }
-
-/// Shared schema handle passed through plans and blocks.
-pub type SchemaRef = Arc<Schema>;
 
 impl Schema {
     /// Builds a schema; panics on duplicate field names (a construction-time

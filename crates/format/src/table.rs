@@ -5,14 +5,16 @@
 //! schema, and lists its [`PartitionDesc`]s; each partition lists the
 //! blocks it is made of together with the storage path each block lives at
 //! (the common-storage-layer path carrying the domain prefix, §III-C) and
-//! zone statistics for block pruning.
+//! a copy of the zone statistics its footer carries — block pruning reads
+//! the footer (DESIGN.md §14); nothing reads the copy.
 
 use crate::schema::Schema;
 use crate::value::Value;
 use feisu_common::{BlockId, ByteSize};
 
-/// Zone info for one column of one block, kept in the catalog so the
-/// planner can prune blocks without touching storage.
+/// Zone info for one column of one block as computed at ingest. Leaves
+/// prune from the block's footer, not from this, and an in-place rewrite
+/// leaves it stale; ROADMAP item 4 deletes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockZone {
     pub column: String,

@@ -178,18 +178,9 @@ impl IndexManager {
     /// Peeks without touching statistics or LRU order (used by tests and
     /// monitoring).
     pub fn peek(&self, block: BlockId, predicate: &SimplePredicate) -> Option<SmartIndex> {
-        self.peek_key(&(block, predicate.key()))
-    }
-
-    /// Like [`IndexManager::peek`] for the complementary predicate, keyed
-    /// without cloning the predicate's column or value.
-    pub fn peek_negated(&self, block: BlockId, predicate: &SimplePredicate) -> Option<SmartIndex> {
-        self.peek_key(&(block, predicate.negated_key()?))
-    }
-
-    fn peek_key(&self, key: &IndexKey) -> Option<SmartIndex> {
         let state = self.state.lock();
-        state.entries.peek(key).map(|e| e.index.clone())
+        let entry = state.entries.peek(&(block, predicate.key()));
+        entry.map(|e| e.index.clone())
     }
 
     /// True when a [`IndexManager::get`] or [`IndexManager::get_negated`]
@@ -248,11 +239,6 @@ impl IndexManager {
         entries.insert(key, Entry { index, pinned }, footprint);
         self.book(&mut stats.inserts, |m| &m.inserts, 1);
         true
-    }
-
-    /// Drops all TTL-expired, unpinned entries.
-    pub fn evict_expired(&self, now: SimInstant) {
-        self.drop_expired(&mut self.state.lock(), now);
     }
 
     fn drop_expired(&self, state: &mut ManagerState, now: SimInstant) {

@@ -3,9 +3,9 @@
 #   1. cargo fmt --check
 #   2. cargo build --release
 #   3. cargo test -q (then the e2e suites again at pinned thread widths,
-#      and the exec equivalence, footer mismatch, kernel equivalence,
+#      the exec equivalence, footer mismatch, kernel equivalence,
 #      selected decode and LRU model suites again in release with more
-#      cases)
+#      cases, and the exec and catalog allocation budgets in release)
 #   4. cargo clippy --workspace -- -D warnings
 #   5. the observability smoke runner and the benchmark, smoke-sized
 # Usage: scripts/ci.sh
@@ -48,9 +48,11 @@ FEISU_CLIENT_THREADS=4 cargo test -q $OFFLINE -p feisu-tests
 # The columnar key layer (exec::keys) against its row-at-a-time reference:
 # the default 256 cases ran above in debug; here 2048 per property with
 # optimizations on (`PROPTEST_CASES` is read by shims/proptest), next to
-# the allocation budgets, whose counts are exact in any profile.
-echo "ci: exec equivalence suite (release, 2048 cases) + allocation budget"
+# the allocation budgets, whose counts are exact in any profile: the key
+# layer's, and `Catalog::table()` at zero whatever the table's size.
+echo "ci: exec equivalence suite (release, 2048 cases) + allocation budgets"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-exec --test equivalence --test alloc_budget
+cargo test -q --release $OFFLINE -p feisu-core --test catalog_snapshot
 
 # A resident footer must never decode bytes it was not parsed from:
 # foreign, rewritten, truncated and bit-flipped blocks through another

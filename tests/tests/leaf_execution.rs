@@ -113,11 +113,10 @@ fn rig() -> Rig {
     }
 }
 
-fn leaf(rig: &Rig, node: NodeId) -> LeafServer {
+fn leaf(node: NodeId) -> LeafServer {
     LeafServer::new(
         node,
         IndexManager::new(ByteSize::mib(4), SimDuration::hours(72)),
-        rig.topology.clone(),
         CostModel::default(),
     )
 }
@@ -159,7 +158,7 @@ fn count_stage() -> AggStage {
 #[test]
 fn warm_scan_touches_fewer_columns_than_cold() {
     let r = rig();
-    let l = leaf(&r, NodeId(0));
+    let l = leaf(NodeId(0));
     let t = task(&r, "b > 10 AND c <= 3", &["a"], None);
     let cold = l
         .execute(&t, &r.router, &r.cred, SimInstant(0), true)
@@ -187,8 +186,8 @@ fn remote_execution_pays_network() {
         .map(|n| n.id)
         .find(|n| !replicas.contains(n))
         .expect("grid has a non-replica node");
-    let local = leaf(&r, replicas[0]);
-    let remote = leaf(&r, outsider);
+    let local = leaf(replicas[0]);
+    let remote = leaf(outsider);
     let t = task(&r, "b > 10", &["a"], None);
     let lo = local
         .execute(&t, &r.router, &r.cred, SimInstant(0), false)
@@ -204,7 +203,7 @@ fn remote_execution_pays_network() {
 #[test]
 fn zone_skip_avoids_column_decode_and_most_bytes() {
     let r = rig();
-    let l = leaf(&r, NodeId(0));
+    let l = leaf(NodeId(0));
     // `a` spans 0..=255: a > 1000 is provably empty from the footer zones.
     let t = task(&r, "a > 1000", &["a"], None);
     let out = l
@@ -246,7 +245,7 @@ fn zone_skip_avoids_column_decode_and_most_bytes() {
 #[test]
 fn zoneless_legacy_block_scans_normally() {
     let r = rig();
-    let l = leaf(&r, NodeId(0));
+    let l = leaf(NodeId(0));
     // The legacy block has no footer zone section: skipping is impossible
     // even for a provably-dead predicate, and the scan must still answer
     // correctly.
@@ -271,7 +270,7 @@ fn zoneless_legacy_block_scans_normally() {
 #[test]
 fn count_only_served_from_cache_after_warmup() {
     let r = rig();
-    let l = leaf(&r, NodeId(0));
+    let l = leaf(NodeId(0));
     let t = task(&r, "b > 10", &["a"], Some(count_stage()));
     let cold = l
         .execute(&t, &r.router, &r.cred, SimInstant(0), true)
@@ -293,7 +292,7 @@ fn count_only_served_from_cache_after_warmup() {
 #[test]
 fn partial_agg_transport_counts_match_rows() {
     let r = rig();
-    let l = leaf(&r, NodeId(0));
+    let l = leaf(NodeId(0));
     let stage = AggStage {
         group_by: vec![(Expr::col("c"), "c".into(), DataType::Int64)],
         aggregates: vec![AggExpr {
@@ -329,7 +328,7 @@ fn partial_agg_transport_counts_match_rows() {
 #[test]
 fn disabled_index_never_caches() {
     let r = rig();
-    let l = leaf(&r, NodeId(0));
+    let l = leaf(NodeId(0));
     let t = task(&r, "b > 10", &["a"], None);
     for i in 0..3 {
         let out = l
@@ -345,7 +344,7 @@ fn disabled_index_never_caches() {
 #[test]
 fn or_clause_and_value_correctness() {
     let r = rig();
-    let l = leaf(&r, NodeId(0));
+    let l = leaf(NodeId(0));
     let t = task(&r, "b < 5 OR c = 6", &["a", "b", "c"], None);
     let out = l
         .execute(&t, &r.router, &r.cred, SimInstant(0), true)
