@@ -6,16 +6,15 @@
 //! block format — "a light-weight process … monitors the storage for
 //! newly generated data and converts the data into Feisu in columnar
 //! format when new data arrive" (§III-B) — and registers the resulting
-//! blocks (each with a copy of its footer's zone statistics that nothing
-//! on the statement path reads). A table's descriptor is shared, not
-//! copied: [`Catalog::table`] lends the `Arc` the catalog holds, and ingest
-//! appends copy-on-write, so a handle keeps exactly the blocks it was
-//! taken with.
+//! blocks; a block's zone statistics stay in its footer. A table's
+//! descriptor is shared, not copied: [`Catalog::table`] lends the `Arc` the
+//! catalog holds, and ingest appends copy-on-write, so a handle keeps
+//! exactly the blocks it was taken with.
 
 use feisu_common::hash::FxHashMap;
 use feisu_common::ids::IdGen;
 use feisu_common::{BlockId, ByteSize, FeisuError, NodeId, Result, SimInstant};
-use feisu_format::table::{BlockDesc, BlockZone, PartitionDesc, TableDesc};
+use feisu_format::table::{BlockDesc, PartitionDesc, TableDesc};
 use feisu_format::{Block, Column, Schema, Value};
 use feisu_sql::stats::{ColumnStats, NdvSketch, TableStats};
 use feisu_storage::auth::Credential;
@@ -56,18 +55,35 @@ struct ColumnStatsBuilder {
 }
 
 impl TableStatsBuilder {
-    fn observe_block(&mut self, schema: &Schema, block: &Block) {
-        self.rows += block.rows() as u64;
-        for (i, f) in schema.fields().iter().enumerate() {
-            let cb = self.columns.entry(f.name.clone()).or_default();
+    /// One block's statistics on their own: the pass over the block's
+    /// values, done before the catalog lock is taken.
+    fn of_block(schema: &Schema, block: &Block) -> Self {
+        let columns = schema.fields().iter().enumerate().map(|(i, f)| {
             let stats = block.stats(i);
-            merge_bound(&mut cb.min, stats.min, Ordering::Less);
-            merge_bound(&mut cb.max, stats.max, Ordering::Greater);
-            cb.null_count += stats.null_count as u64;
-            let column = block.column(i);
-            for r in 0..column.len() {
-                cb.ndv.observe(&column.value(r));
-            }
+            let mut ndv = NdvSketch::default();
+            ndv.observe_column(block.column(i));
+            let cb = ColumnStatsBuilder {
+                min: stats.min,
+                max: stats.max,
+                null_count: stats.null_count as u64,
+                ndv,
+            };
+            (f.name.clone(), cb)
+        });
+        TableStatsBuilder {
+            rows: block.rows() as u64,
+            columns: columns.collect(),
+        }
+    }
+
+    fn merge(&mut self, block: TableStatsBuilder) {
+        self.rows += block.rows;
+        for (name, b) in block.columns {
+            let cb = self.columns.entry(name).or_default();
+            merge_bound(&mut cb.min, b.min, Ordering::Less);
+            merge_bound(&mut cb.max, b.max, Ordering::Greater);
+            cb.null_count += b.null_count;
+            cb.ndv.merge(&b.ndv);
         }
     }
 
@@ -189,7 +205,7 @@ impl Catalog {
     }
 
     /// Ingests rows into a table: splits into blocks, serializes, writes
-    /// through the router, records descriptors with zone stats.
+    /// through the router, records descriptors and table statistics.
     ///
     /// `near` pins block placement (used to emulate log data that must
     /// stay on its producing node).
@@ -235,31 +251,17 @@ impl Catalog {
             let raw_size = ByteSize(block.footprint() as u64);
             let path = format!("{location}/b{}", id.raw());
             router.write(&path, bytes.into(), near, cred, now)?;
-            let zones: Vec<BlockZone> = schema
-                .fields()
-                .iter()
-                .enumerate()
-                .map(|(i, f)| {
-                    let stats = block.stats(i);
-                    BlockZone {
-                        column: f.name.clone(),
-                        min: stats.min,
-                        max: stats.max,
-                        null_count: stats.null_count,
-                    }
-                })
-                .collect();
             let desc = BlockDesc {
                 id,
                 path,
                 rows: block.rows(),
                 stored_size,
                 raw_size,
-                zones,
             };
+            let block_stats = TableStatsBuilder::of_block(&schema, &block);
             let mut tables = self.tables.write();
             let entry = tables.get_mut(name).expect("table exists");
-            entry.stats.observe_block(&schema, &block);
+            entry.stats.merge(block_stats);
             Arc::make_mut(&mut entry.desc).partitions[0]
                 .blocks
                 .push(desc);
@@ -393,7 +395,7 @@ mod tests {
     }
 
     #[test]
-    fn ingest_splits_into_blocks_with_zones() {
+    fn ingest_splits_into_blocks_whose_footers_carry_the_zones() {
         let (cat, router, cred) = setup();
         cat.create_table("t", schema(), "/hdfs/t", 10).unwrap();
         let rows: Vec<Vec<Value>> = (0..25)
@@ -407,10 +409,14 @@ mod tests {
         assert_eq!(desc.rows(), 25);
         let b0 = &desc.partitions[0].blocks[0];
         assert_eq!(b0.rows, 10);
-        assert_eq!(b0.zone("a").unwrap().min, Some(Value::Int64(0)));
-        assert_eq!(b0.zone("a").unwrap().max, Some(Value::Int64(9)));
-        // Blocks are actually in storage.
+        // Blocks are actually in storage, zone statistics in their footers.
         assert!(router.exists(&b0.path));
+        let bytes = router
+            .read(&b0.path, NodeId(0), &cred, SimInstant(0))
+            .unwrap();
+        let zones = Block::read_meta(&bytes.data).unwrap().zones.unwrap();
+        assert_eq!(zones[0].min, Some(Value::Int64(0)));
+        assert_eq!(zones[0].max, Some(Value::Int64(9)));
     }
 
     #[test]

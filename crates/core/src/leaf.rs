@@ -29,7 +29,7 @@ use feisu_format::{Block, BlockMeta, Column, Schema};
 use feisu_index::bitvec::BitVec;
 use feisu_index::manager::IndexManager;
 use feisu_index::rewrite::{evaluate_cnf, probe_predicate, ProbeKind};
-use feisu_index::zonemap::ZoneMap;
+use feisu_index::zonemap;
 use feisu_sql::ast::Expr;
 use feisu_sql::cnf::Cnf;
 use feisu_sql::eval::eval_truth;
@@ -258,10 +258,10 @@ impl LeafServer {
         }
         stats.blocks_scanned = 1;
 
-        // Late materialization: decode only the columns this task can
-        // touch — projection, predicate columns not servable from cached
-        // bits, residual columns — using the footer's offset directory.
-        // The full stored schema still drives the cost model below.
+        // Phase one, evaluate: decode only the columns the selection is
+        // computed from — predicate columns not servable from cached bits,
+        // residual columns — using the footer's offset directory. The full
+        // stored schema still drives the cost model below.
         let full_schema = &meta.schema;
         let needed = self.decode_set(full_schema, task, &cnf, now, use_index);
         let needed: Vec<&str> = needed.iter().map(|s| s.as_str()).collect();
@@ -330,16 +330,37 @@ impl LeafServer {
             tally.add_cpu(self.cost.predicate_eval(residuals.len() * block.rows()));
         }
 
-        // 6. Project + rename to canonical output schema. The gather is
-        // driven by the selection words directly — no index vector, no
-        // per-row dispatch.
+        // 6. Phase two, materialize: project + rename to the canonical
+        // output schema. A column phase one decoded is gathered by the
+        // selection words; any other is decoded through the selection, each
+        // distinct name once, so unselected rows are never built.
         stats.rows_out = bits.count_ones();
-        let mut columns: Vec<Column> = Vec::with_capacity(task.projection.len());
+        let words = bits.words();
+        let mut late: Vec<&str> = Vec::new();
         for name in &task.projection {
-            let c = block.column_by_name(name).ok_or_else(|| {
-                FeisuError::Execution(format!("block {} missing column `{name}`", task.block.id))
-            })?;
-            columns.push(c.filter_by_words(bits.words()));
+            if block.column_by_name(name).is_none() && !late.contains(&name.as_str()) {
+                if full_schema.index_of(name).is_none() {
+                    return Err(FeisuError::Execution(format!(
+                        "block {} missing column `{name}`",
+                        task.block.id
+                    )));
+                }
+                late.push(name);
+            }
+        }
+        let mut decoded = meta.decode_selected(&read.data, &late, words)?.into_iter();
+        let mut columns: Vec<Column> = Vec::with_capacity(task.projection.len());
+        for (k, name) in task.projection.iter().enumerate() {
+            let column = match block.column_by_name(name) {
+                Some(c) => c.filter_by_words(words),
+                // `late` lists names in order of first use: that use moves
+                // the decoded column into place, a repeat copies it.
+                None => match task.projection[..k].iter().position(|n| n == name) {
+                    Some(first) => columns[first].clone(),
+                    None => decoded.next().expect("one column per late name"),
+                },
+            };
+            columns.push(column);
         }
         let batch = RecordBatch::new(task.output_schema.clone(), columns)?;
 
@@ -411,11 +432,12 @@ impl LeafServer {
         Ok(Some(bits))
     }
 
-    /// Storage-side column names this task can touch: projection ∪
+    /// Storage-side column names the selection is computed from:
     /// predicate columns not currently servable from cached bits ∪
-    /// residual columns. This is the decode set for late materialization;
-    /// names the stored schema lacks are dropped so downstream lookups
-    /// surface the same errors a full decode would.
+    /// residual columns. This is phase one's decode set — the projection
+    /// is materialized afterwards, through the selection; names the stored
+    /// schema lacks are dropped so downstream lookups surface the same
+    /// errors a full decode would.
     fn decode_set(
         &self,
         schema: &Schema,
@@ -425,10 +447,7 @@ impl LeafServer {
         use_index: bool,
     ) -> Vec<String> {
         use feisu_sql::cnf::Disjunct;
-        let mut needed: Vec<String> = Vec::with_capacity(task.projection.len());
-        for name in &task.projection {
-            push_unique(&mut needed, name);
-        }
+        let mut needed: Vec<String> = Vec::new();
         let mut residual_cols = Vec::new();
         for clause in &cnf.clauses {
             let all_simple = clause
@@ -541,9 +560,7 @@ fn zones_disprove(cnf: &Cnf, meta: &BlockMeta) -> bool {
                     return false;
                 };
                 match (&zone.min, &zone.max) {
-                    (Some(min), Some(max)) => {
-                        !ZoneMap::new(min.clone(), max.clone()).may_match(p.op, &p.value)
-                    }
+                    (Some(min), Some(max)) => !zonemap::may_match(min, max, p.op, &p.value),
                     // No bounds: disproven only when provably all-null
                     // (or empty) — a comparison is never true on NULL.
                     _ => zone.null_count == rows,
@@ -708,7 +725,6 @@ mod tests {
             rows: stored.rows(),
             stored_size: ByteSize(bytes.len() as u64),
             raw_size: ByteSize(stored.footprint() as u64),
-            zones: Vec::new(),
         };
         router
             .write("/t/b0", bytes.into(), Some(NodeId(0)), &cred, SimInstant(0))

@@ -1,8 +1,9 @@
 //! The catalog lends a table's descriptor, it does not copy it:
 //! `Catalog::table()` is a refcount bump whatever the table's size, and a
 //! handle is a snapshot — it keeps the blocks it was taken with while
-//! ingest appends copy-on-write. Allocation counts are exact and repeat,
-//! so they can gate CI where a wall-clock check cannot.
+//! ingest appends copy-on-write; a `Schema` is lent the same way.
+//! Allocation counts are exact and repeat, so they can gate CI where a
+//! wall-clock check cannot.
 
 use feisu_core::engine::{ClusterSpec, FeisuCluster};
 use feisu_format::{Column, DataType, Field, Schema};
@@ -91,6 +92,21 @@ fn table_allocates_nothing_whatever_the_block_and_column_count() {
         assert_eq!(desc.schema.len(), columns);
         assert_eq!(allocs, 0, "{blocks} blocks x {columns} columns");
     }
+}
+
+/// A schema is shared by refcount: the per-task, per-block and
+/// per-statement clones of a wide table's schema copy no field name.
+#[test]
+fn a_schema_clone_allocates_nothing_and_equality_is_by_fields() {
+    let fields = || (0..128).map(|c| Field::new(format!("c{c}"), DataType::Int64, c % 2 == 0));
+    let schema = Schema::new(fields().collect());
+    let (allocs, copy) = allocations(|| schema.clone());
+    assert_eq!(allocs, 0);
+    assert_eq!(schema, copy);
+    assert_eq!(copy.index_of("c127"), Some(127));
+    // Equality is by content, not by allocation.
+    assert_eq!(schema, Schema::new(fields().collect()));
+    assert_ne!(schema, Schema::new(fields().take(127).collect()));
 }
 
 #[test]

@@ -1,0 +1,165 @@
+//! Allocation budget for the leaf's two phases: a scan task allocates for
+//! the rows it selects, not for the rows of the block. The projection is
+//! decoded through the selection, so a `url` nobody selected is never
+//! built. Counts are exact and repeat, so they can gate CI where a
+//! wall-clock check cannot.
+
+use feisu_cluster::{CostModel, Topology};
+use feisu_common::{BlockId, ByteSize, DomainId, NodeId, SimDuration, SimInstant, UserId};
+use feisu_core::leaf::{LeafServer, ScanTask};
+use feisu_format::table::BlockDesc;
+use feisu_format::{Block, Column, DataType, Field, Schema};
+use feisu_index::manager::IndexManager;
+use feisu_sql::cnf::to_cnf;
+use feisu_sql::parser::parse_expr;
+use feisu_storage::auth::{AuthService, Credential, Grant};
+use feisu_storage::hdfs::HdfsDomain;
+use feisu_storage::StorageRouter;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+thread_local! {
+    /// Allocations made by this thread (tests run on threads of their own).
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a const-initialized
+// thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's `layout` is passed through as given.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocations<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+const ROWS: usize = 4096;
+const DICTIONARY: usize = 64;
+
+struct Rig {
+    leaf: LeafServer,
+    router: StorageRouter,
+    cred: Credential,
+    block: BlockDesc,
+}
+
+/// One 4,096-row block on HDFS: `id` = 0..4096, `url` cycling through 64
+/// distinct strings.
+fn rig() -> Rig {
+    let topology = Arc::new(Topology::grid(1, 2, 2));
+    let cost = CostModel::default();
+    let hdfs = Arc::new(HdfsDomain::new(
+        DomainId(1),
+        "hdfs",
+        topology,
+        cost.clone(),
+        3,
+        7,
+    ));
+    let auth = Arc::new(AuthService::new(9));
+    auth.register(UserId(1));
+    auth.grant(UserId(1), DomainId(1), Grant::ReadWrite);
+    let cred = auth
+        .issue(UserId(1), SimInstant(0), SimDuration::hours(8))
+        .unwrap();
+    let router = StorageRouter::new(vec![hdfs], 0, auth, None, cost.clone());
+    let schema = Schema::new(vec![
+        Field::new("id", DataType::Int64, false),
+        Field::new("url", DataType::Utf8, false),
+    ]);
+    let urls = (0..ROWS).map(|i| format!("https://example.com/page/{}", i % DICTIONARY));
+    let columns = vec![
+        Column::from_i64((0..ROWS as i64).collect()),
+        Column::from_utf8(urls.collect()),
+    ];
+    let stored = Block::new(BlockId(0), schema, columns).unwrap();
+    let bytes = stored.serialize();
+    let block = BlockDesc {
+        id: stored.id(),
+        path: "/t/b0".into(),
+        rows: stored.rows(),
+        stored_size: ByteSize(bytes.len() as u64),
+        raw_size: ByteSize(stored.footprint() as u64),
+    };
+    router
+        .write("/t/b0", bytes.into(), Some(NodeId(0)), &cred, SimInstant(0))
+        .unwrap();
+    let index = IndexManager::new(ByteSize::mib(4), SimDuration::hours(72));
+    Rig {
+        leaf: LeafServer::new(NodeId(0), index, cost),
+        router,
+        cred,
+        block,
+    }
+}
+
+fn project_url(rig: &Rig, predicate: &str) -> ScanTask {
+    let names = ["id", "url"].map(|n| (n.to_string(), n.to_string()));
+    ScanTask {
+        table: "t".into(),
+        block: rig.block.clone(),
+        projection: vec!["url".into()],
+        output_schema: Schema::new(vec![Field::new("url", DataType::Utf8, false)]),
+        cnf: to_cnf(&parse_expr(predicate).unwrap()),
+        residual: Vec::new(),
+        agg: None,
+        name_map: names.into_iter().collect(),
+    }
+}
+
+#[test]
+fn a_scan_task_allocates_for_the_rows_it_keeps_not_the_rows_of_the_block() {
+    let r = rig();
+    let run = |task: &ScanTask| {
+        // SmartIndex off: every run decodes `id` and evaluates afresh.
+        r.leaf
+            .execute(task, &r.router, &r.cred, SimInstant(0), false)
+            .unwrap()
+    };
+    let (few, all) = (project_url(&r, "id < 40"), project_url(&r, "id < 4096"));
+    // The first touch parses the footer and leaves it resident.
+    run(&few);
+
+    let kept = 40;
+    let (allocs, out) = allocations(|| run(&few));
+    assert_eq!(out.batch.rows(), kept);
+    assert_eq!(out.stats.blocks_scanned, 1);
+    assert_eq!(
+        out.batch.column(0).utf8_slice()[39],
+        "https://example.com/page/39"
+    );
+    assert!(
+        allocs < kept + DICTIONARY + 128,
+        "{allocs} allocations to keep {kept} of {ROWS} urls"
+    );
+
+    // Every row kept is a string built: the budget above is not met by
+    // building nothing.
+    let (allocs, out) = allocations(|| run(&all));
+    assert_eq!(out.batch.rows(), ROWS);
+    assert!(allocs >= ROWS, "{allocs} allocations for {ROWS} urls");
+}

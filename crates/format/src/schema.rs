@@ -6,6 +6,7 @@
 
 use crate::value::DataType;
 use feisu_common::hash::FxHashMap;
+use std::sync::Arc;
 
 /// One column definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,11 +26,14 @@ impl Field {
     }
 }
 
-/// An ordered, name-indexed collection of fields: a `Vec<Field>` plus a
-/// name → position map, both owned, so a clone copies every field name
-/// twice.
+/// An ordered, name-indexed collection of fields. Immutable once built and
+/// shared by refcount: a clone allocates nothing, and two handles to one
+/// allocation compare equal without looking at a field.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Schema {
+pub struct Schema(Arc<Inner>);
+
+#[derive(Debug, PartialEq, Eq)]
+struct Inner {
     fields: Vec<Field>,
     by_name: FxHashMap<String, usize>,
 }
@@ -52,7 +56,7 @@ impl Schema {
                 return Err(f.name.clone());
             }
         }
-        Ok(Schema { fields, by_name })
+        Ok(Schema(Arc::new(Inner { fields, by_name })))
     }
 
     pub fn empty() -> Self {
@@ -60,45 +64,39 @@ impl Schema {
     }
 
     pub fn fields(&self) -> &[Field] {
-        &self.fields
+        &self.0.fields
     }
 
     pub fn len(&self) -> usize {
-        self.fields.len()
+        self.0.fields.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
+        self.0.fields.is_empty()
     }
 
     /// Index of a field by name.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        // The map is rebuilt lazily after wire deserialization; fall back
-        // to a scan if it is empty but fields are not.
-        if self.by_name.len() == self.fields.len() {
-            self.by_name.get(name).copied()
-        } else {
-            self.fields.iter().position(|f| f.name == name)
-        }
+        self.0.by_name.get(name).copied()
     }
 
     pub fn field(&self, i: usize) -> &Field {
-        &self.fields[i]
+        &self.0.fields[i]
     }
 
     pub fn field_by_name(&self, name: &str) -> Option<&Field> {
-        self.index_of(name).map(|i| &self.fields[i])
+        self.index_of(name).map(|i| &self.0.fields[i])
     }
 
     /// Projects a subset of fields (by index) into a new schema.
     pub fn project(&self, indices: &[usize]) -> Schema {
-        Schema::new(indices.iter().map(|&i| self.fields[i].clone()).collect())
+        Schema::new(indices.iter().map(|&i| self.0.fields[i].clone()).collect())
     }
 
     /// Concatenates two schemas (used by join output); right-side duplicate
     /// names get a disambiguating suffix.
     pub fn join(&self, right: &Schema) -> Schema {
-        let mut fields = self.fields.clone();
+        let mut fields = self.0.fields.clone();
         for f in right.fields() {
             let mut f = f.clone();
             if self.index_of(&f.name).is_some() {
@@ -111,7 +109,8 @@ impl Schema {
 
     /// Estimated bytes per row, used by cost models.
     pub fn estimated_row_width(&self) -> usize {
-        self.fields
+        self.0
+            .fields
             .iter()
             .map(|f| f.data_type.estimated_width())
             .sum()

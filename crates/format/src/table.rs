@@ -4,24 +4,12 @@
 //! columnar format" (§III-A). A [`TableDesc`] names a table, fixes its
 //! schema, and lists its [`PartitionDesc`]s; each partition lists the
 //! blocks it is made of together with the storage path each block lives at
-//! (the common-storage-layer path carrying the domain prefix, §III-C) and
-//! a copy of the zone statistics its footer carries — block pruning reads
-//! the footer (DESIGN.md §14); nothing reads the copy.
+//! (the common-storage-layer path carrying the domain prefix, §III-C).
+//! Per-block min/max/null counts live in the block's own footer and
+//! nowhere else (DESIGN.md §14).
 
 use crate::schema::Schema;
-use crate::value::Value;
 use feisu_common::{BlockId, ByteSize};
-
-/// Zone info for one column of one block as computed at ingest. Leaves
-/// prune from the block's footer, not from this, and an in-place rewrite
-/// leaves it stale; ROADMAP item 4 deletes it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlockZone {
-    pub column: String,
-    pub min: Option<Value>,
-    pub max: Option<Value>,
-    pub null_count: usize,
-}
 
 /// Catalog entry describing one stored block.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,14 +22,6 @@ pub struct BlockDesc {
     pub stored_size: ByteSize,
     /// Uncompressed size.
     pub raw_size: ByteSize,
-    pub zones: Vec<BlockZone>,
-}
-
-impl BlockDesc {
-    /// Zone entry for a named column.
-    pub fn zone(&self, column: &str) -> Option<&BlockZone> {
-        self.zones.iter().find(|z| z.column == column)
-    }
 }
 
 /// One horizontal partition of a table.
@@ -114,12 +94,6 @@ mod tests {
                     rows: 100,
                     stored_size: ByteSize::kib(10),
                     raw_size: ByteSize::kib(40),
-                    zones: vec![BlockZone {
-                        column: "c1".into(),
-                        min: Some(Value::Int64(0)),
-                        max: Some(Value::Int64(99)),
-                        null_count: 0,
-                    }],
                 },
                 BlockDesc {
                     id: BlockId(1),
@@ -127,7 +101,6 @@ mod tests {
                     rows: 50,
                     stored_size: ByteSize::kib(5),
                     raw_size: ByteSize::kib(20),
-                    zones: vec![],
                 },
             ],
         });
@@ -141,14 +114,5 @@ mod tests {
         assert_eq!(t.stored_size(), ByteSize::kib(15));
         assert_eq!(t.block_count(), 2);
         assert_eq!(t.blocks().count(), 2);
-    }
-
-    #[test]
-    fn zone_lookup() {
-        let t = table();
-        let b0 = &t.partitions[0].blocks[0];
-        assert_eq!(b0.zone("c1").unwrap().max, Some(Value::Int64(99)));
-        assert!(b0.zone("missing").is_none());
-        assert!(t.partitions[0].blocks[1].zone("c1").is_none());
     }
 }

@@ -1,10 +1,12 @@
 //! Zone maps — the `range` auxiliary field of the SmartIndex header
-//! (Fig. 6) and the block-pruning statistic kept in the catalog.
+//! (Fig. 6) and the question a block footer's min/max statistics answer.
 //!
 //! A zone map records a column's min/max over one block. Before touching
 //! a block (or building an index over it), the leaf asks whether a
 //! predicate can possibly match anything inside the range; if not, the
-//! whole block produces an all-zeros result for free.
+//! whole block produces an all-zeros result for free. The leaf asks it of
+//! the bounds where they lie in the footer ([`may_match`]), copying
+//! neither.
 
 use feisu_format::Value;
 use feisu_sql::ast::BinaryOp;
@@ -24,32 +26,32 @@ impl ZoneMap {
         ZoneMap { min, max }
     }
 
-    /// Whether `column OP value` can be true for *any* row in the block.
-    /// `true` = must scan; `false` = skip entirely. Conservative: unknown
-    /// comparisons return `true`.
+    /// [`may_match`] over this envelope.
     pub fn may_match(&self, op: BinaryOp, value: &Value) -> bool {
-        let lo = match self.min.sql_cmp(value) {
-            Some(o) => o,
-            None => return true,
-        };
-        let hi = match self.max.sql_cmp(value) {
-            Some(o) => o,
-            None => return true,
-        };
-        match op {
-            // Some row == value requires min <= value <= max.
-            BinaryOp::Eq => lo != Ordering::Greater && hi != Ordering::Less,
-            // Some row != value fails only when min == max == value.
-            BinaryOp::NotEq => !(lo == Ordering::Equal && hi == Ordering::Equal),
-            // Some row < value requires min < value.
-            BinaryOp::Lt => lo == Ordering::Less,
-            BinaryOp::LtEq => lo != Ordering::Greater,
-            // Some row > value requires max > value.
-            BinaryOp::Gt => hi == Ordering::Greater,
-            BinaryOp::GtEq => hi != Ordering::Less,
-            // CONTAINS and anything else: cannot prune by range.
-            _ => true,
-        }
+        may_match(&self.min, &self.max, op, value)
+    }
+}
+
+/// Whether `column OP value` can be true for *any* row of a block whose
+/// column lies in `[min, max]`. `true` = must scan; `false` = skip
+/// entirely. Conservative: unknown comparisons return `true`.
+pub fn may_match(min: &Value, max: &Value, op: BinaryOp, value: &Value) -> bool {
+    let (Some(lo), Some(hi)) = (min.sql_cmp(value), max.sql_cmp(value)) else {
+        return true;
+    };
+    match op {
+        // Some row == value requires min <= value <= max.
+        BinaryOp::Eq => lo != Ordering::Greater && hi != Ordering::Less,
+        // Some row != value fails only when min == max == value.
+        BinaryOp::NotEq => !(lo == Ordering::Equal && hi == Ordering::Equal),
+        // Some row < value requires min < value.
+        BinaryOp::Lt => lo == Ordering::Less,
+        BinaryOp::LtEq => lo != Ordering::Greater,
+        // Some row > value requires max > value.
+        BinaryOp::Gt => hi == Ordering::Greater,
+        BinaryOp::GtEq => hi != Ordering::Less,
+        // CONTAINS and anything else: cannot prune by range.
+        _ => true,
     }
 }
 

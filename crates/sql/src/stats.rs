@@ -13,7 +13,8 @@
 use crate::ast::{BinaryOp, Expr};
 use crate::cnf::{to_cnf, Disjunct};
 use feisu_common::hash::{hash_one, FxHashMap};
-use feisu_format::Value;
+use feisu_format::column::ColumnData;
+use feisu_format::{Column, Value};
 
 /// Number of minimum hashes the KMV distinct-count sketch retains.
 /// Exact below `K` distinct values; ~6% standard error above.
@@ -36,14 +37,44 @@ impl NdvSketch {
     /// Folds one non-null value into the sketch. Nulls are ignored (they
     /// are tracked by `null_count`, and never join).
     pub fn observe(&mut self, v: &Value) {
-        if matches!(v, Value::Null) {
-            return;
+        if !matches!(v, Value::Null) {
+            self.insert(hash_value(v));
         }
-        self.kmin.insert(hash_value(v));
-        if self.kmin.len() > KMV_K {
-            let largest = *self.kmin.iter().next_back().expect("nonempty");
-            self.kmin.remove(&largest);
-            self.saturated = true;
+    }
+
+    /// Folds every non-null cell of a column, hashing the typed slices in
+    /// place: what [`NdvSketch::observe`] over each `column.value(r)`
+    /// gives, without building the `Value`s.
+    pub fn observe_column(&mut self, column: &Column) {
+        let valid = column.validity();
+        let rows = (0..column.len()).filter(|&r| valid.is_valid(r));
+        match column.data() {
+            ColumnData::Bool(v) => rows.for_each(|r| self.insert(hash_bool(v[r]))),
+            ColumnData::Int64(v) => rows.for_each(|r| self.insert(hash_f64(v[r] as f64))),
+            ColumnData::Float64(v) => rows.for_each(|r| self.insert(hash_f64(v[r]))),
+            ColumnData::Utf8(v) => rows.for_each(|r| self.insert(hash_str(&v[r]))),
+        }
+    }
+
+    /// Folds another sketch in: the union of both hash sets cut back to
+    /// the `K` smallest — the sketch of everything either one observed.
+    pub fn merge(&mut self, other: &NdvSketch) {
+        self.saturated |= other.saturated;
+        other.kmin.iter().for_each(|&h| self.insert(h));
+    }
+
+    fn insert(&mut self, hash: u64) {
+        if self.kmin.len() == KMV_K {
+            // Full: a hash above the largest kept would be inserted only
+            // to be removed again; one below it displaces the largest.
+            if self.kmin.last().is_some_and(|&largest| hash > largest) {
+                self.saturated = true;
+            } else if self.kmin.insert(hash) {
+                self.kmin.pop_last();
+                self.saturated = true;
+            }
+        } else {
+            self.kmin.insert(hash);
         }
     }
 
@@ -53,7 +84,7 @@ impl NdvSketch {
         if !self.saturated {
             return self.kmin.len() as u64;
         }
-        let kth = *self.kmin.iter().next_back().expect("saturated");
+        let kth = *self.kmin.last().expect("saturated");
         let normalized = (kth as f64) / (u64::MAX as f64);
         if normalized <= 0.0 {
             return self.kmin.len() as u64;
@@ -68,11 +99,23 @@ impl NdvSketch {
 pub fn hash_value(v: &Value) -> u64 {
     match v {
         Value::Null => 0,
-        Value::Bool(b) => hash_one(&(1u8, *b as u64)),
-        Value::Int64(i) => hash_one(&(2u8, (*i as f64).to_bits())),
-        Value::Float64(f) => hash_one(&(2u8, f.to_bits())),
-        Value::Utf8(s) => hash_one(&(3u8, s.as_bytes())),
+        Value::Bool(b) => hash_bool(*b),
+        Value::Int64(i) => hash_f64(*i as f64),
+        Value::Float64(f) => hash_f64(*f),
+        Value::Utf8(s) => hash_str(s),
     }
+}
+
+fn hash_bool(b: bool) -> u64 {
+    hash_one(&(1u8, b as u64))
+}
+
+fn hash_f64(f: f64) -> u64 {
+    hash_one(&(2u8, f.to_bits()))
+}
+
+fn hash_str(s: &str) -> u64 {
+    hash_one(&(3u8, s.as_bytes()))
 }
 
 /// Per-column statistics (over the *storage* column).
@@ -235,6 +278,67 @@ mod tests {
             (est - 20_000.0).abs() / 20_000.0 < 0.25,
             "estimate {est} too far from 20000"
         );
+    }
+
+    /// The sketch as it was first written: insert, then trim the largest.
+    fn insert_then_trim(values: impl Iterator<Item = i64>) -> NdvSketch {
+        let mut s = NdvSketch::default();
+        for v in values {
+            s.kmin.insert(hash_value(&Value::Int64(v)));
+            if s.kmin.len() > KMV_K {
+                let largest = *s.kmin.iter().next_back().unwrap();
+                s.kmin.remove(&largest);
+                s.saturated = true;
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn one_go_merged_halves_and_insert_then_trim_agree() {
+        for n in [100i64, KMV_K as i64, KMV_K as i64 + 1, 20_000] {
+            let reference = insert_then_trim(0..n);
+            let mut one_go = NdvSketch::default();
+            (0..n).for_each(|i| one_go.observe(&Value::Int64(i)));
+            let mut column = NdvSketch::default();
+            column.observe_column(&Column::from_i64((0..n).collect()));
+            // Halves that overlap, so the union has duplicates to drop.
+            let mut merged = NdvSketch::default();
+            merged.observe_column(&Column::from_i64((0..n / 2 + 10).collect()));
+            let mut upper = NdvSketch::default();
+            upper.observe_column(&Column::from_f64((n / 2..n).map(|i| i as f64).collect()));
+            merged.merge(&upper);
+            for s in [&one_go, &column, &merged] {
+                assert_eq!(s.kmin, reference.kmin, "n = {n}");
+                assert_eq!(s.saturated, reference.saturated, "n = {n}");
+                assert_eq!(s.estimate(), reference.estimate(), "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_column_is_observed_as_its_values_are() {
+        let values = [
+            Value::Null,
+            Value::Utf8(String::new()),
+            Value::Utf8("a".into()),
+            Value::Null,
+            Value::Utf8("a".into()),
+        ];
+        let bools = [Value::Bool(true), Value::Null, Value::Bool(false)];
+        let floats = [Value::Float64(f64::NAN), Value::Float64(-0.0), Value::Null];
+        for (data_type, values) in [
+            (feisu_format::DataType::Utf8, &values[..]),
+            (feisu_format::DataType::Bool, &bools[..]),
+            (feisu_format::DataType::Float64, &floats[..]),
+        ] {
+            let mut by_value = NdvSketch::default();
+            values.iter().for_each(|v| by_value.observe(v));
+            let mut by_column = NdvSketch::default();
+            by_column.observe_column(&Column::from_values(data_type, values).unwrap());
+            assert_eq!(by_column.kmin, by_value.kmin, "{data_type}");
+            assert_eq!(by_column.estimate(), by_value.estimate());
+        }
     }
 
     #[test]

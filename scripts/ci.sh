@@ -4,8 +4,9 @@
 #   2. cargo build --release
 #   3. cargo test -q (then the e2e suites again at pinned thread widths,
 #      the exec equivalence, footer mismatch, kernel equivalence,
-#      selected decode and LRU model suites again in release with more
-#      cases, and the exec and catalog allocation budgets in release)
+#      selected decode, two-phase leaf and LRU model suites again in
+#      release with more cases, and the exec, catalog/schema and leaf
+#      allocation budgets in release)
 #   4. cargo clippy --workspace -- -D warnings
 #   5. the observability smoke runner and the benchmark, smoke-sized
 # Usage: scripts/ci.sh
@@ -49,10 +50,11 @@ FEISU_CLIENT_THREADS=4 cargo test -q $OFFLINE -p feisu-tests
 # the default 256 cases ran above in debug; here 2048 per property with
 # optimizations on (`PROPTEST_CASES` is read by shims/proptest), next to
 # the allocation budgets, whose counts are exact in any profile: the key
-# layer's, and `Catalog::table()` at zero whatever the table's size.
+# layer's, `Catalog::table()` and `Schema::clone` at zero whatever the
+# table's size, and a scan task's following the rows it keeps.
 echo "ci: exec equivalence suite (release, 2048 cases) + allocation budgets"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-exec --test equivalence --test alloc_budget
-cargo test -q --release $OFFLINE -p feisu-core --test catalog_snapshot
+cargo test -q --release $OFFLINE -p feisu-core --test catalog_snapshot --test leaf_alloc_budget
 
 # A resident footer must never decode bytes it was not parsed from:
 # foreign, rewritten, truncated and bit-flipped blocks through another
@@ -64,10 +66,14 @@ PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-format --test foot
 # The predicate kernel and the word-level CompressedBits against the
 # row- and bit-at-a-time loops they replaced (values, errors, runs and
 # footprints), and decoding through a selection against decoding then
-# filtering, corrupt chunks included: same mechanism, same case count.
-echo "ci: kernel equivalence + selected decode suites (release, 2048 cases)"
+# filtering, corrupt chunks included — in the format and, one level up,
+# in the leaf's two phases against a decode-everything reference (batch,
+# stats and tally; index on, off and through the decode_all retry): same
+# mechanism, same case count.
+echo "ci: kernel equivalence + selected decode + two-phase leaf suites (release, 2048 cases)"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-index --test kernel_equivalence
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-format --test selected_decode
+PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-tests --test leaf_execution two_phase
 
 # The recency core under every per-node cache (common::lru) against a
 # Vec kept in recency order: same returns, victims, order and weight.

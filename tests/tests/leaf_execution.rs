@@ -1,21 +1,32 @@
 //! Leaf-server execution semantics, probed directly at the LeafServer
 //! API (below the engine): cost accounting of the columnar read model,
-//! zone pruning, the count-only memory path, and partial aggregation.
+//! zone pruning, the count-only memory path, partial aggregation, and the
+//! two-phase scan against a reference that decodes everything first.
 
+use feisu_cluster::simclock::TimeTally;
 use feisu_cluster::{CostModel, Topology};
 use feisu_common::hash::FxHashMap;
-use feisu_common::{ByteSize, NodeId, SimDuration, SimInstant, UserId};
-use feisu_core::leaf::{AggStage, LeafServer, ScanTask};
-use feisu_format::table::{BlockDesc, BlockZone};
-use feisu_format::{Block, Column, DataType, Field, Schema};
+use feisu_common::{
+    ByteSize, DomainId, FeisuError, NodeId, Result, SimDuration, SimInstant, UserId,
+};
+use feisu_core::leaf::{AggStage, LeafOutput, LeafServer, LeafTaskStats, ScanTask, ServedTier};
+use feisu_exec::batch::RecordBatch;
+use feisu_format::table::BlockDesc;
+use feisu_format::{Block, BlockMeta, Column, DataType, Field, Schema, Value};
+use feisu_index::bitvec::BitVec;
 use feisu_index::manager::IndexManager;
+use feisu_index::rewrite::{evaluate_cnf, probe_predicate, ProbeKind};
+use feisu_index::zonemap::ZoneMap;
+use feisu_index::SmartIndex;
 use feisu_sql::ast::{AggFunc, Expr};
-use feisu_sql::cnf::to_cnf;
+use feisu_sql::cnf::{to_cnf, Cnf, Disjunct};
+use feisu_sql::eval::eval_truth;
 use feisu_sql::parser::parse_expr;
 use feisu_sql::plan::AggExpr;
 use feisu_storage::auth::{AuthService, Credential, Grant};
 use feisu_storage::hdfs::HdfsDomain;
 use feisu_storage::{StorageDomain, StorageRouter};
+use proptest::prelude::*;
 use std::sync::Arc;
 
 struct Rig {
@@ -29,7 +40,9 @@ struct Rig {
     topology: Arc<Topology>,
 }
 
-fn rig() -> Rig {
+/// An HDFS domain on a 1x2x2 grid behind a router with no block cache,
+/// and a credential that may read and write it.
+fn storage() -> (StorageRouter, Credential, Arc<Topology>) {
     let topology = Arc::new(Topology::grid(1, 2, 2));
     let cost = CostModel::default();
     let hdfs: Arc<dyn StorageDomain> = Arc::new(HdfsDomain::new(
@@ -47,7 +60,32 @@ fn rig() -> Rig {
         .issue(UserId(1), SimInstant(0), SimDuration::hours(8))
         .unwrap();
     let router = StorageRouter::new(vec![hdfs], 0, auth, None, cost);
+    (router, cred, topology)
+}
 
+/// Writes `bytes` — `block` serialized, by whichever writer — at `path`.
+fn put(
+    router: &StorageRouter,
+    cred: &Credential,
+    path: &str,
+    bytes: Vec<u8>,
+    block: &Block,
+) -> BlockDesc {
+    let desc = BlockDesc {
+        id: block.id(),
+        path: path.into(),
+        rows: block.rows(),
+        stored_size: ByteSize(bytes.len() as u64),
+        raw_size: ByteSize(block.footprint() as u64),
+    };
+    router
+        .write(path, bytes.into(), Some(NodeId(0)), cred, SimInstant(0))
+        .unwrap();
+    desc
+}
+
+fn rig() -> Rig {
+    let (router, cred, topology) = storage();
     let schema = Schema::new(vec![
         Field::new("a", DataType::Int64, false),
         Field::new("b", DataType::Int64, false),
@@ -63,46 +101,17 @@ fn rig() -> Rig {
         ],
     )
     .unwrap();
-    let bytes = block.serialize();
-    let desc = BlockDesc {
-        id: block.id(),
-        path: "/t/b0".into(),
-        rows: block.rows(),
-        stored_size: ByteSize(bytes.len() as u64),
-        raw_size: ByteSize(block.footprint() as u64),
-        zones: schema
-            .fields()
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                let s = block.stats(i);
-                BlockZone {
-                    column: f.name.clone(),
-                    min: s.min,
-                    max: s.max,
-                    null_count: s.null_count,
-                }
-            })
-            .collect(),
-    };
-    router
-        .write("/t/b0", bytes.into(), Some(NodeId(0)), &cred, SimInstant(0))
-        .unwrap();
+    let desc = put(&router, &cred, "/t/b0", block.serialize(), &block);
     // Golden bytes from the pre-zone-map writer, for exactly `block`.
     let legacy_bytes: &[u8] = include_bytes!("../../crates/format/testdata/zoneless_block.bin");
     assert_eq!(Block::deserialize(legacy_bytes).unwrap(), block);
-    let mut desc_legacy = desc.clone();
-    desc_legacy.path = "/t/b0_legacy".into();
-    desc_legacy.stored_size = ByteSize(legacy_bytes.len() as u64);
-    router
-        .write(
-            "/t/b0_legacy",
-            legacy_bytes.to_vec().into(),
-            Some(NodeId(0)),
-            &cred,
-            SimInstant(0),
-        )
-        .unwrap();
+    let desc_legacy = put(
+        &router,
+        &cred,
+        "/t/b0_legacy",
+        legacy_bytes.to_vec(),
+        &block,
+    );
     Rig {
         router,
         cred,
@@ -357,4 +366,463 @@ fn or_clause_and_value_correctness() {
         let c = out.batch.value_at(i, "c").unwrap().as_i64().unwrap();
         assert!(b < 5 || c == 6);
     }
+}
+
+// Two-phase execution (evaluate, then materialize) against a reference
+// that decodes every column first and filters afterwards.
+
+/// What `LeafServer::execute` must return for a task with no aggregation
+/// stage and an identity name map, the long way round: read the object,
+/// parse its footer, decode *every* column, evaluate, filter, project —
+/// with the cost model spelled out from the columns the task touches.
+fn reference(
+    task: &ScanTask,
+    router: &StorageRouter,
+    cred: &Credential,
+    node: NodeId,
+    index: Option<&IndexManager>,
+    now: SimInstant,
+) -> Result<(RecordBatch, LeafTaskStats, TimeTally)> {
+    let cost = CostModel::default();
+    let mut stats = LeafTaskStats {
+        rows_in: task.block.rows,
+        ..Default::default()
+    };
+    let mut tally = TimeTally::new();
+    let resident = router.footers().get(node, &task.block.path).is_some();
+    let read = router.read(&task.block.path, node, cred, now)?;
+    let meta = Block::read_meta(&read.data)?;
+    let size = task.block.stored_size;
+    let domain_extra = read.cost.io.saturating_sub(cost.read(read.medium, size));
+    let tier = match read.hops {
+        0 => ServedTier::LocalDisk,
+        _ => ServedTier::Remote,
+    };
+
+    if zones_rule_out(&task.cnf, &meta) {
+        stats.pruned_by_zone = true;
+        stats.blocks_skipped = 1;
+        let footer = ByteSize(meta.meta_bytes as u64);
+        if resident {
+            stats.served_from_memory = true;
+            tally.add_io(cost.mem_cache_read(footer));
+        } else {
+            (stats.backend, stats.served_tier) = (Some(DomainId(1)), tier);
+            stats.bytes_read = footer;
+            tally.add_io(domain_extra + cost.read(read.medium, footer));
+            tally.add_network(cost.network(read.hops, footer));
+        }
+        tally.add_cpu(cost.predicate_eval(task.cnf.clauses.len().max(1)));
+        return Ok((RecordBatch::empty(task.output_schema.clone()), stats, tally));
+    }
+    (stats.backend, stats.served_tier) = (Some(DomainId(1)), tier);
+    stats.blocks_scanned = 1;
+
+    let block = Block::deserialize(&read.data)?;
+    let outcome = evaluate_cnf(index, &block, &task.cnf, now)?;
+    let mut touched = task.projection.clone();
+    for (p, kind) in &outcome.probes {
+        match kind {
+            ProbeKind::Hit | ProbeKind::NegatedHit => stats.index_hits += 1,
+            ProbeKind::BuiltFresh => stats.index_built += 1,
+            ProbeKind::BuiltRejected => {
+                stats.index_built += 1;
+                stats.index_rejected += 1;
+            }
+            ProbeKind::Scanned => stats.scanned_predicates += 1,
+        }
+        if !matches!(kind, ProbeKind::Hit | ProbeKind::NegatedHit) {
+            touched.push(p.column.clone());
+        }
+    }
+    // Billed as touched: the task's residuals and the opaque disjuncts of
+    // the CNF (not the simple disjuncts sharing a clause with one).
+    task.residual.iter().for_each(|e| e.columns(&mut touched));
+    for d in task.cnf.clauses.iter().flat_map(|c| &c.disjuncts) {
+        if let Disjunct::Residual(e) = d {
+            e.columns(&mut touched);
+        }
+    }
+    let residuals: Vec<Expr> = task
+        .residual
+        .iter()
+        .cloned()
+        .chain(outcome.residual)
+        .collect();
+
+    // One access per touched column, streaming for their share of the
+    // stored bytes by estimated width.
+    let width = |f: &&Field| f.data_type.estimated_width();
+    let stored = meta.schema.fields();
+    let hit: Vec<&Field> = stored
+        .iter()
+        .filter(|f| touched.contains(&f.name))
+        .collect();
+    let fraction = hit.iter().map(width).sum::<usize>() as f64
+        / stored.iter().map(|f| width(&f)).sum::<usize>() as f64;
+    let charged = ByteSize((size.as_u64() as f64 * fraction).ceil() as u64);
+    stats.bytes_read = charged;
+    let access = cost.seek(read.medium);
+    tally.add_io(
+        domain_extra
+            + access * hit.len().max(1) as u64
+            + cost.read(read.medium, charged).saturating_sub(access),
+    );
+    tally.add_network(cost.network(read.hops, charged));
+    tally.add_cpu(cost.decompress(charged));
+    let evaluated = stats.index_built + stats.scanned_predicates;
+    tally.add_cpu(cost.predicate_eval(evaluated * block.rows()));
+
+    let mut bits = outcome.bits;
+    if !residuals.is_empty() {
+        let mut kept = BitVec::zeros(bits.len());
+        'rows: for i in bits.iter_ones() {
+            let row = |name: &str| block.column_by_name(name).map(|c| c.value(i));
+            for e in &residuals {
+                if !eval_truth(e, &row)?.passes() {
+                    continue 'rows;
+                }
+            }
+            kept.set(i, true);
+        }
+        bits = kept;
+        tally.add_cpu(cost.predicate_eval(residuals.len() * block.rows()));
+    }
+    stats.rows_out = bits.count_ones();
+    let mut columns = Vec::new();
+    for name in &task.projection {
+        let column = block.column_by_name(name).ok_or_else(|| {
+            FeisuError::Execution(format!("block {} missing column `{name}`", task.block.id))
+        })?;
+        columns.push(column.filter_by_words(bits.words()));
+    }
+    let batch = RecordBatch::new(task.output_schema.clone(), columns)?;
+    Ok((batch, stats, tally))
+}
+
+/// The footer's zone-map verdict through an owning `ZoneMap` per bound.
+fn zones_rule_out(cnf: &Cnf, meta: &BlockMeta) -> bool {
+    let Some(zones) = &meta.zones else {
+        return false;
+    };
+    cnf.clauses.iter().any(|clause| {
+        clause.disjuncts.iter().all(|d| {
+            let Disjunct::Simple(p) = d else {
+                return false;
+            };
+            let Some(zone) = meta.schema.index_of(&p.column).map(|i| &zones[i]) else {
+                return false;
+            };
+            match (zone.min.clone(), zone.max.clone()) {
+                (Some(min), Some(max)) => !ZoneMap::new(min, max).may_match(p.op, &p.value),
+                _ => zone.null_count == meta.rows,
+            }
+        })
+    })
+}
+
+/// Batch, stats and tally as text: `Debug` prints a NaN as a NaN, so two
+/// batches holding one compare equal here where `==` would not.
+fn render(outcome: Result<(RecordBatch, LeafTaskStats, TimeTally)>) -> String {
+    match outcome {
+        Ok((batch, stats, tally)) => format!("{batch:?}\n{stats:?}\n{tally:?}"),
+        Err(e) => format!("{e:?}"),
+    }
+}
+
+fn agree(
+    got: Result<LeafOutput>,
+    want: Result<(RecordBatch, LeafTaskStats, TimeTally)>,
+    what: &str,
+    task: &ScanTask,
+) -> std::result::Result<(), TestCaseError> {
+    let got = render(got.map(|o| (o.batch, o.stats, o.tally)));
+    let want = render(want);
+    prop_assert!(
+        got == want,
+        "{what}\n leaf:      {got}\n reference: {want}\n task: {task:?}"
+    );
+    Ok(())
+}
+
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+
+    fn pick<T: Copy>(&mut self, of: &[T]) -> T {
+        of[self.below(of.len())]
+    }
+}
+
+const TYPES: [DataType; 4] = [
+    DataType::Int64,
+    DataType::Float64,
+    DataType::Utf8,
+    DataType::Bool,
+];
+
+/// 1–5 nullable columns `c0..`, each of a random type over a small value
+/// domain (so predicates select something): NULLs everywhere, empty
+/// strings, ±0.0, and NaNs in one float column in six.
+fn random_block(rng: &mut Rng, rows: usize) -> Block {
+    let mut fields = Vec::new();
+    let mut columns = Vec::new();
+    for c in 0..1 + rng.below(5) {
+        let data_type = rng.pick(&TYPES);
+        let floats: &[f64] = match rng.below(6) {
+            0 => &[f64::NAN, 0.0, -0.0, 1.5, -2.0],
+            _ => &[0.0, -0.0, 1.5, -2.0, 3.25],
+        };
+        let values: Vec<Value> = (0..rows)
+            .map(|_| match data_type {
+                _ if rng.below(5) == 0 => Value::Null,
+                DataType::Int64 => Value::Int64(rng.below(7) as i64 - 3),
+                DataType::Float64 => Value::Float64(rng.pick(floats)),
+                DataType::Utf8 => Value::Utf8(rng.pick(&["", "a", "ab", "b"]).into()),
+                DataType::Bool => Value::Bool(rng.below(2) == 0),
+            })
+            .collect();
+        fields.push(Field::new(format!("c{c}"), data_type, true));
+        columns.push(Column::from_values(data_type, &values).unwrap());
+    }
+    Block::new(feisu_common::BlockId(5), Schema::new(fields), columns).unwrap()
+}
+
+/// `c<i> OP literal` — the literal of the column's type seven times in
+/// eight, of some other type (an evaluation error, or a widening) else.
+fn simple_predicate(rng: &mut Rng, fields: &[Field], i: usize) -> String {
+    let data_type = match rng.below(8) {
+        0 => rng.pick(&TYPES),
+        _ => fields[i].data_type,
+    };
+    let literal = match data_type {
+        DataType::Int64 => rng.pick(&["0", "1", "2", "3", "-1"]),
+        DataType::Float64 => rng.pick(&["0.0", "1.5", "-2.0", "0.5"]),
+        DataType::Utf8 => rng.pick(&["''", "'a'", "'ab'", "'b'"]),
+        DataType::Bool => rng.pick(&["TRUE", "FALSE"]),
+    };
+    let op = match rng.below(if data_type == DataType::Utf8 { 7 } else { 6 }) {
+        6 => "CONTAINS",
+        op => ["=", "<>", "<", "<=", ">", ">="][op],
+    };
+    format!("c{i} {op} {literal}")
+}
+
+/// A disjunct SmartIndex cannot serve; now and then over a column the
+/// block lacks.
+fn opaque_predicate(rng: &mut Rng, fields: &[Field], i: usize) -> String {
+    let same_type = |f: &&Field| f.data_type == fields[i].data_type;
+    let other = &fields.iter().rev().find(same_type).unwrap().name;
+    match rng.below(12) {
+        0 => "ghost IS NULL".into(),
+        1..=4 => format!("c{i} IS NULL"),
+        5..=8 => format!("c{i} IS NOT NULL"),
+        _ => format!("c{i} = {other}"),
+    }
+}
+
+fn random_predicate(rng: &mut Rng, fields: &[Field]) -> String {
+    let i = rng.below(fields.len());
+    match rng.below(6) {
+        0 => opaque_predicate(rng, fields, i),
+        _ => simple_predicate(rng, fields, i),
+    }
+}
+
+/// A task over `desc`: 0–3 clauses of 1–2 disjuncts, 0–1 residuals, and a
+/// projection of 0–4 names that may overlap the predicate columns, repeat
+/// a name, or name a column the block lacks.
+fn random_task(rng: &mut Rng, desc: &BlockDesc, fields: &[Field]) -> ScanTask {
+    let clauses: Vec<String> = (0..rng.below(4))
+        .map(|_| {
+            let disjuncts: Vec<String> = (0..1 + rng.below(2))
+                .map(|_| random_predicate(rng, fields))
+                .collect();
+            format!("({})", disjuncts.join(" OR "))
+        })
+        .collect();
+    let cnf = match clauses.is_empty() {
+        true => Cnf::default(),
+        false => to_cnf(&parse_expr(&clauses.join(" AND ")).unwrap()),
+    };
+    let residual = (0..rng.below(2))
+        .map(|_| parse_expr(&random_predicate(rng, fields)).unwrap())
+        .collect();
+    let mut projection: Vec<String> = Vec::new();
+    for _ in 0..rng.below(5) {
+        projection.push(match rng.below(12) {
+            0 => "ghost".into(),
+            1 | 2 if !projection.is_empty() => projection[0].clone(),
+            _ => fields[rng.below(fields.len())].name.clone(),
+        });
+    }
+    task_over(desc, fields, cnf, residual, projection)
+}
+
+fn task_over(
+    desc: &BlockDesc,
+    fields: &[Field],
+    cnf: Cnf,
+    residual: Vec<Expr>,
+    projection: Vec<String>,
+) -> ScanTask {
+    let output = projection.iter().enumerate().map(|(k, name)| {
+        let stored = fields.iter().find(|f| &f.name == name);
+        let data_type = stored.map_or(DataType::Int64, |f| f.data_type);
+        Field::new(format!("o{k}"), data_type, true)
+    });
+    ScanTask {
+        table: "t".into(),
+        block: desc.clone(),
+        output_schema: Schema::new(output.collect()),
+        projection,
+        cnf,
+        residual,
+        agg: None,
+        name_map: fields
+            .iter()
+            .map(|f| (f.name.clone(), f.name.clone()))
+            .collect(),
+    }
+}
+
+proptest! {
+    #[test]
+    fn two_phase_execution_is_decode_everything_then_filter(
+        rows in prop_oneof![Just(0usize), Just(1), Just(64), Just(65), 0usize..200],
+        seed in 1u64..u64::MAX,
+    ) {
+        let mut rng = Rng(seed);
+        let block = random_block(&mut rng, rows);
+        let fields = block.schema().fields().to_vec();
+        let (router, cred, _) = storage();
+        let desc = put(&router, &cred, "/t/b", block.serialize(), &block);
+        let task = random_task(&mut rng, &desc, &fields);
+
+        // SmartIndex off, twice on one node: the second run finds the
+        // footer resident.
+        let off = leaf(NodeId(0));
+        for now in [SimInstant(0), SimInstant(1)] {
+            let want = reference(&task, &router, &cred, off.node, None, now);
+            let got = off.execute(&task, &router, &cred, now, false);
+            agree(got, want, "index off", &task)?;
+        }
+
+        // SmartIndex on, on another node: cold builds, warm is served from
+        // cached bits and decodes fewer columns. The reference keeps its
+        // own index manager in step.
+        let (on, mirror) = (leaf(NodeId(1)), leaf(NodeId(1)));
+        for now in [SimInstant(2), SimInstant(3)] {
+            let want = reference(&task, &router, &cred, on.node, Some(mirror.index()), now);
+            let got = on.execute(&task, &router, &cred, now, true);
+            agree(got, want, "index on", &task)?;
+        }
+
+        // The `decode_all` retry: with room for one index entry, building
+        // `p0` evicts the cached `p1` after the decode set counted on it.
+        if fields.len() < 2 {
+            return Ok(());
+        }
+        // Two comparisons (no CONTAINS, no negated literal: those are not
+        // always simple predicates) over two different columns.
+        let second = 1 + rng.below(fields.len() - 1);
+        let text = [0, second].map(|i| loop {
+            let p = simple_predicate(&mut rng, &fields, i);
+            if p.contains(['=', '<', '>']) && !p.contains('-') {
+                break p;
+            }
+        });
+        let both = to_cnf(&parse_expr(&text.join(" AND ")).unwrap());
+        let only_p1 = to_cnf(&parse_expr(&text[1]).unwrap());
+        let p0 = both.simple_clauses().next().unwrap();
+        let p1 = only_p1.simple_clauses().next().unwrap();
+        let built = [p0, p1].map(|p| SmartIndex::build(&block, p, SimInstant(4), false));
+        let [Ok(i0), Ok(i1)] = built else {
+            return Ok(()); // a NaN cell, or a literal the column cannot be compared with
+        };
+        if zones_rule_out(&both, &Block::read_meta(&block.serialize()).unwrap()) {
+            return Ok(()); // skipped before anything is probed
+        }
+        let budget = ByteSize(i0.footprint().max(i1.footprint()) as u64);
+        let manager = || IndexManager::new(budget, SimDuration::hours(72));
+        let tight = LeafServer::new(NodeId(2), manager(), CostModel::default());
+        let mirror = manager();
+        let projection = &task.projection;
+        let warm_up = task_over(&desc, &fields, only_p1.clone(), Vec::new(), projection.clone());
+        let retried = task_over(&desc, &fields, both.clone(), Vec::new(), projection.clone());
+        let want = reference(&warm_up, &router, &cred, tight.node, Some(&mirror), SimInstant(4));
+        let got = tight.execute(&warm_up, &router, &cred, SimInstant(4), true);
+        agree(got, want, "warm-up", &warm_up)?;
+        // What the failed first attempt leaves behind: `p0` cached, `p1`
+        // evicted — so the second attempt hits the one and builds the other.
+        probe_predicate(Some(&mirror), &block, p0, SimInstant(5)).unwrap();
+        let want = reference(&retried, &router, &cred, tight.node, Some(&mirror), SimInstant(5));
+        let got = tight.execute(&retried, &router, &cred, SimInstant(5), true);
+        if let Ok(out) = &got {
+            let probes = (out.stats.index_hits, out.stats.index_built);
+            prop_assert_eq!(probes, (1, 1), "no retry: {:?}", &retried);
+        }
+        agree(got, want, "retry", &retried)?;
+    }
+}
+
+/// Phase two validates a projection chunk whole: a flipped bit in it is
+/// `Corrupt` though the selection is empty and no row of it is built.
+#[test]
+fn a_corrupt_projection_chunk_is_corrupt_even_when_no_row_is_selected() {
+    let schema = Schema::new(vec![
+        Field::new("even", DataType::Int64, false),
+        Field::new("url", DataType::Utf8, false),
+    ]);
+    let urls = (0..128).map(|i| format!("https://site{}.example/path", i % 11));
+    let columns = vec![
+        Column::from_i64((0..128).map(|i| i * 2).collect()),
+        Column::from_utf8(urls.collect()),
+    ];
+    let block = Block::new(feisu_common::BlockId(6), schema.clone(), columns).unwrap();
+    let good = block.serialize();
+    let meta = Block::read_meta(&good).unwrap();
+    // Inside the zones' range, equal to no row: the block is scanned and
+    // the selection comes out empty.
+    let cnf = to_cnf(&parse_expr("even = 5").unwrap());
+    let (router, cred, _) = storage();
+    // Column chunks lie between the header and the footer offset the
+    // trailer word holds.
+    let footer = u64::from_le_bytes(good[good.len() - 8..].try_into().unwrap()) as usize;
+    let mut reported = 0;
+    for at in meta.meta_bytes - (good.len() - footer)..footer {
+        let mut bytes = good.clone();
+        bytes[at] ^= 0x55;
+        let predicate_chunk_intact = meta.decode_columns(&bytes, &["even"]).is_ok();
+        if !predicate_chunk_intact || meta.decode_columns(&bytes, &["url"]).is_ok() {
+            continue;
+        }
+        let desc = put(&router, &cred, "/t/corrupt", bytes, &block);
+        let task = task_over(
+            &desc,
+            schema.fields(),
+            cnf.clone(),
+            Vec::new(),
+            vec!["url".into()],
+        );
+        for use_index in [false, true] {
+            let out = leaf(NodeId(0)).execute(&task, &router, &cred, SimInstant(0), use_index);
+            assert!(
+                matches!(out, Err(FeisuError::Corrupt(_))),
+                "byte {at}, index {use_index}: {:?}",
+                out.map(|o| o.stats)
+            );
+        }
+        reported += 1;
+    }
+    assert!(
+        reported > 16,
+        "only {reported} detectable flips in `url`'s chunk"
+    );
 }
