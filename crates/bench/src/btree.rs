@@ -8,9 +8,9 @@
 //! query — which is why the paper's Fig. 9b shows it flat while
 //! SmartIndex keeps improving as more predicates are cached.
 
-use crate::bitvec::BitVec;
 use feisu_common::{FeisuError, Result};
 use feisu_format::{Column, Value};
+use feisu_index::bitvec::BitVec;
 use feisu_sql::ast::BinaryOp;
 use std::cmp::Ordering;
 
@@ -110,9 +110,37 @@ impl BTreeColumnIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::smart::scan_evaluate;
     use feisu_format::DataType;
+    use feisu_index::smart::scan_evaluate;
     use feisu_sql::cnf::SimplePredicate;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn lookup_equals_scan(
+            seed in any::<u64>(),
+            rows in 1usize..300,
+            op in prop_oneof![
+                Just(BinaryOp::Eq),
+                Just(BinaryOp::NotEq),
+                Just(BinaryOp::Lt),
+                Just(BinaryOp::LtEq),
+                Just(BinaryOp::Gt),
+                Just(BinaryOp::GtEq),
+            ],
+            v in -30i64..30,
+        ) {
+            let mut rng = feisu_common::rng::DetRng::new(seed);
+            let values: Vec<Value> = (0..rows)
+                .map(|_| if rng.chance(0.1) { Value::Null } else { Value::Int64(rng.range_i64(-25, 25)) })
+                .collect();
+            let col = Column::from_values(DataType::Int64, &values).unwrap();
+            let pred = SimplePredicate { column: "x".into(), op, value: Value::Int64(v) };
+            let bt = BTreeColumnIndex::build(&col);
+            prop_assert_eq!(bt.lookup(op, &pred.value).unwrap(), scan_evaluate(&col, &pred).unwrap());
+        }
+    }
 
     fn column() -> Column {
         Column::from_values(

@@ -7,14 +7,17 @@
 //! straggler set and compares tail response with the backup mechanism
 //! enabled (small detection delay) vs effectively disabled (huge delay).
 
-use feisu_bench::{build_cluster, load_dataset, ScanWorkload};
-use feisu_common::{NodeId, SimDuration};
+use super::{percentile, shape};
+use crate::report::Table;
+use crate::{build_cluster, load_dataset, ScanWorkload};
+use feisu_common::{NodeId, Result, SimDuration};
 use feisu_core::engine::ClusterSpec;
 use feisu_workload::datasets::DatasetSpec;
 
-fn main() -> feisu_common::Result<()> {
+pub fn run() -> Result<Table> {
     let queries = 200usize;
     let mut rows = Vec::new();
+    let mut tails = Vec::new();
     for (label, delay) in [
         ("backups on (5 ms detect)", SimDuration::millis(5)),
         ("backups off", SimDuration::hours(1)),
@@ -40,21 +43,23 @@ fn main() -> feisu_common::Result<()> {
             times.push(r.response_time.as_millis_f64());
             backups += r.stats.backup_tasks;
         }
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let pct = |p: f64| times[((times.len() - 1) as f64 * p) as usize];
+        times.sort_by(f64::total_cmp);
+        tails.push(percentile(&times, 0.99));
         rows.push(vec![
             label.to_string(),
-            format!("{:.3}", pct(0.50)),
-            format!("{:.3}", pct(0.99)),
+            format!("{:.3}", percentile(&times, 0.50)),
+            format!("{:.3}", percentile(&times, 0.99)),
             backups.to_string(),
         ]);
-        feisu_bench::dump_metrics(&bench, &format!("ablation_backup_tasks.{label}"))?;
     }
-    feisu_bench::print_series(
+    shape(tails[0] < tails[1], "backup tasks cut the straggler p99")?;
+    Ok(Table::new(
         "Ablation: backup (speculative) tasks with 25% stragglers (20x slow)",
         &["configuration", "p50 (ms)", "p99 (ms)", "backup tasks"],
-        &rows,
-    );
-    println!("\nexpected: backups collapse the p99 tail that stragglers create");
-    Ok(())
+        rows,
+        format!(
+            "Asserted: backups collapse the p99 tail that stragglers create ({:.1}x here).",
+            tails[1] / tails[0]
+        ),
+    ))
 }

@@ -6,14 +6,17 @@
 //! workload (many near-identical statements close together) with the
 //! reuse cache on and off.
 
-use feisu_bench::{build_cluster, load_dataset, ScanWorkload};
-use feisu_common::SimDuration;
+use super::shape;
+use crate::report::Table;
+use crate::{build_cluster, load_dataset, ScanWorkload};
+use feisu_common::{Result, SimDuration};
 use feisu_core::engine::ClusterSpec;
 use feisu_workload::datasets::DatasetSpec;
 
-fn main() -> feisu_common::Result<()> {
+pub fn run() -> Result<Table> {
     let queries = 600usize;
     let mut rows = Vec::new();
+    let mut means = Vec::new();
     for (label, reuse) in [("reuse on (paper)", true), ("reuse off", false)] {
         let mut spec = ClusterSpec::small();
         spec.rows_per_block = 1024;
@@ -36,18 +39,25 @@ fn main() -> feisu_common::Result<()> {
             total += r.response_time;
             reused += r.stats.reused_tasks;
         }
+        let mean_ms = total.as_millis_f64() / queries as f64;
+        means.push(mean_ms);
         rows.push(vec![
             label.to_string(),
-            format!("{:.3}", total.as_millis_f64() / queries as f64),
+            format!("{mean_ms:.3}"),
             reused.to_string(),
         ]);
-        feisu_bench::dump_metrics(&bench, &format!("ablation_task_reuse.{label}"))?;
     }
-    feisu_bench::print_series(
+    shape(
+        means[0] < means[1],
+        "task reuse answers repeated statements faster",
+    )?;
+    Ok(Table::new(
         "Ablation: job-manager identical-task result reuse",
         &["configuration", "mean response (ms)", "tasks reused"],
-        &rows,
-    );
-    println!("\nexpected: reuse slashes response for repeated statements");
-    Ok(())
+        rows,
+        format!(
+            "Asserted: reuse answers the repeated statements faster ({:.1}x here).",
+            means[1] / means[0]
+        ),
+    ))
 }

@@ -5,15 +5,18 @@
 //! "day", so entries built yesterday mostly stop earning their memory.
 //! TTL reclaims them wholesale; pure LRU keeps paying eviction churn.
 
-use feisu_bench::{build_cluster, load_dataset, relogin, ScanWorkload};
-use feisu_common::{ByteSize, SimDuration};
+use super::shape;
+use crate::report::Table;
+use crate::{build_cluster, load_dataset, relogin, ScanWorkload};
+use feisu_common::{ByteSize, Result, SimDuration};
 use feisu_core::engine::ClusterSpec;
 use feisu_workload::datasets::DatasetSpec;
 
-fn main() -> feisu_common::Result<()> {
+pub fn run() -> Result<Table> {
     let days = 5usize;
     let queries_per_day = 400usize;
     let mut rows = Vec::new();
+    let mut measured = Vec::new();
     for (label, ttl) in [
         ("TTL 72h + LRU (paper)", SimDuration::hours(72)),
         ("TTL 6h + LRU", SimDuration::hours(6)),
@@ -46,19 +49,24 @@ fn main() -> feisu_common::Result<()> {
             relogin(&mut bench)?;
         }
         let stats = bench.cluster.index_stats();
+        let mean_ms = total.as_millis_f64() / (days * queries_per_day) as f64;
+        measured.push((mean_ms, 1.0 - stats.miss_ratio(), stats.ttl_evictions));
         rows.push(vec![
             label.to_string(),
-            format!(
-                "{:.3}",
-                total.as_millis_f64() / (days * queries_per_day) as f64
-            ),
+            format!("{mean_ms:.3}"),
             format!("{:.1}%", (1.0 - stats.miss_ratio()) * 100.0),
             stats.ttl_evictions.to_string(),
             stats.lru_evictions.to_string(),
         ]);
-        feisu_bench::dump_metrics(&bench, &format!("ablation_ttl.{label}"))?;
     }
-    feisu_bench::print_series(
+    let (paper, short, lru) = (measured[0], measured[1], measured[2]);
+    shape(paper.2 > 0, "the 72h TTL reclaims stale entries")?;
+    shape(
+        paper.0 <= lru.0 * 1.10,
+        "the 72h TTL responds within 10% of pure LRU",
+    )?;
+    shape(short.1 < paper.1, "a 6h TTL costs hit rate")?;
+    Ok(Table::new(
         "Ablation: index retirement policy under daily workload drift",
         &[
             "policy",
@@ -67,11 +75,9 @@ fn main() -> feisu_common::Result<()> {
             "ttl evictions",
             "lru evictions",
         ],
-        &rows,
-    );
-    println!(
-        "\nexpected: the paper's 72h TTL matches pure LRU on response while \
-         reclaiming stale entries; an over-aggressive TTL hurts the hit rate"
-    );
-    Ok(())
+        rows,
+        "Asserted: the paper's 72h TTL stays within 10% of pure LRU on response while \
+         reclaiming stale entries; an over-aggressive 6h TTL costs hit rate."
+            .into(),
+    ))
 }

@@ -6,12 +6,14 @@
 //! ~1.5×. Each logical query scans both tables (T3's attributes are a
 //! subset of T2's), exactly as in §VI-B-2.
 
-use feisu_bench::{build_cluster, load_dataset, throughput_rows_per_sec, ScanWorkload};
-use feisu_common::SimDuration;
+use super::shape;
+use crate::report::Table;
+use crate::{build_cluster, load_dataset, relogin, throughput_rows_per_sec, ScanWorkload};
+use feisu_common::{Result, SimDuration};
 use feisu_core::engine::ClusterSpec;
 use feisu_workload::datasets::DatasetSpec;
 
-fn main() -> feisu_common::Result<()> {
+pub fn run() -> Result<Table> {
     let queries = 1200usize;
     let mut results = Vec::new();
     for smart in [false, true] {
@@ -36,7 +38,7 @@ fn main() -> feisu_common::Result<()> {
         for q in 0..queries {
             bench.cluster.advance_time(SimDuration::secs(1));
             if q % 2000 == 0 {
-                feisu_bench::relogin(&mut bench)?;
+                relogin(&mut bench)?;
             }
             // One logical query = the same predicate template over both
             // storage systems.
@@ -48,15 +50,13 @@ fn main() -> feisu_common::Result<()> {
         let per_server =
             throughput_rows_per_sec(rows_scanned, elapsed) / bench.cluster.node_count() as f64;
         results.push((smart, per_server));
-        feisu_bench::dump_metrics(
-            &bench,
-            &format!(
-                "fig10_multi_storage.{}",
-                if smart { "smartindex" } else { "no_index" }
-            ),
-        )?;
     }
-    let rows: Vec<Vec<String>> = results
+    let uplift = results[1].1 / results[0].1.max(1e-12);
+    shape(
+        uplift > 1.0,
+        "Fig. 10: SmartIndex lifts per-server throughput",
+    )?;
+    let rows = results
         .iter()
         .map(|(smart, tput)| {
             vec![
@@ -65,12 +65,10 @@ fn main() -> feisu_common::Result<()> {
             ]
         })
         .collect();
-    feisu_bench::print_series(
+    Ok(Table::new(
         "Fig. 10: per-server scan throughput across two storage systems",
         &["configuration", "rows/s/server"],
-        &rows,
-    );
-    let speedup = results[1].1 / results[0].1.max(1e-12);
-    println!("\nmeasured uplift: {speedup:.2}x — paper reports up to 1.5x");
-    Ok(())
+        rows,
+        format!("Measured uplift: {uplift:.2}x, asserted above 1x — paper reports up to 1.5x."),
+    ))
 }

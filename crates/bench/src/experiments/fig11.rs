@@ -7,12 +7,14 @@
 //! scaled with the data (our blocks are KB-scale, not GB-scale); the
 //! ratio ladder matches the paper's 128 MB → 2 GB sweep.
 
-use feisu_bench::{build_cluster, load_dataset, throughput_rows_per_sec, ScanWorkload};
-use feisu_common::{ByteSize, SimDuration};
+use super::shape;
+use crate::report::Table;
+use crate::{build_cluster, load_dataset, relogin, throughput_rows_per_sec, ScanWorkload};
+use feisu_common::{ByteSize, Result, SimDuration};
 use feisu_core::engine::ClusterSpec;
 use feisu_workload::datasets::DatasetSpec;
 
-fn main() -> feisu_common::Result<()> {
+pub fn run() -> Result<Table> {
     let queries = 1500usize;
     // Scaled ladder mirroring 128 MB, 256 MB, 512 MB, 1 GB, 2 GB.
     let budgets = [
@@ -39,7 +41,7 @@ fn main() -> feisu_common::Result<()> {
         for q in 0..queries {
             bench.cluster.advance_time(SimDuration::secs(1));
             if q % 2000 == 0 {
-                feisu_bench::relogin(&mut bench)?;
+                relogin(&mut bench)?;
             }
             let r = bench.cluster.query(&wl.next_query(), &bench.cred)?;
             elapsed += r.response_time;
@@ -55,9 +57,18 @@ fn main() -> feisu_common::Result<()> {
             format!("{tput:.0}"),
             format!("{}", stats.lru_evictions),
         ]);
-        feisu_bench::dump_metrics(&bench, &format!("fig11_memory_sweep.{label}"))?;
     }
-    feisu_bench::print_series(
+    let never_worse = measured
+        .windows(2)
+        .all(|w| w[1].0 <= w[0].0 && w[1].1 >= w[0].1);
+    shape(
+        never_worse,
+        "Fig. 11: more memory never misses more or scans slower",
+    )?;
+    // The knee: the "512 MB" point against the "2 GB" point.
+    let knee = measured[2].1 / measured[4].1.max(1e-12);
+    shape(knee >= 0.95, "Fig. 11: knee at or before 512MB~")?;
+    Ok(Table::new(
         "Fig. 11: index memory sweep — miss ratio (a) and throughput (b)",
         &[
             "paper label",
@@ -66,13 +77,11 @@ fn main() -> feisu_common::Result<()> {
             "rows/s/server",
             "lru evictions",
         ],
-        &rows,
-    );
-    let mid = measured[2].1; // the "512 MB" point
-    let top = measured[4].1; // the "2 GB" point
-    println!(
-        "\n512MB~ throughput is {:.0}% of 2GB~ — paper: \"comparable\" (Fig. 11b)",
-        mid / top.max(1e-12) * 100.0
-    );
-    Ok(())
+        rows,
+        format!(
+            "512MB~ throughput is {:.0}% of 2GB~, asserted at least 95% — paper: \"comparable\" \
+             (Fig. 11b).",
+            knee * 100.0
+        ),
+    ))
 }

@@ -5,7 +5,9 @@
 //! T1/T2) and report the achieved columnar compression so the scale-down
 //! is transparent.
 
-use feisu_common::ByteSize;
+use super::shape;
+use crate::report::Table;
+use feisu_common::{ByteSize, Result};
 use feisu_format::{Block, Schema};
 use feisu_workload::datasets::{generate_chunk, DatasetSpec};
 
@@ -31,7 +33,7 @@ fn measure(spec: &DatasetSpec) -> (usize, usize, ByteSize, ByteSize) {
     (spec.rows, schema.len(), ByteSize(raw), ByteSize(stored))
 }
 
-fn main() {
+pub fn run() -> Result<Table> {
     // Scale factor: paper rows / 1e6 (billions → thousands).
     let specs = [
         (DatasetSpec::t1(30_000), "30 billion", "62 TB", "A (hdfs)"),
@@ -61,7 +63,10 @@ fn main() {
             storage.to_string(),
         ]);
     }
-    feisu_bench::print_series(
+    let (t1, t3) = (specs[0].0.schema(), specs[2].0.schema());
+    let subset = t3.fields().iter().all(|f| t1.index_of(&f.name).is_some());
+    shape(subset, "Table I: T3's attributes are a subset of T1's")?;
+    Ok(Table::new(
         "Table I: experimental datasets (scaled 1e-6)",
         &[
             "table",
@@ -74,7 +79,7 @@ fn main() {
             "paper size",
             "storage",
         ],
-        &rows,
-    );
-    println!("\nT3's schema is a strict subset of T1/T2's, as in the paper.");
+        rows,
+        "Asserted: T3's schema is a subset of T1/T2's, as in the paper.".into(),
+    ))
 }

@@ -1,14 +1,20 @@
-//! Shared harness for the figure-regeneration binaries and Criterion
-//! benches.
+//! The paper's evaluation as a library: [`experiments`] holds one
+//! function per table or figure, each returning the series the paper's
+//! figure reports at scaled-down data sizes (the substitution table in
+//! DESIGN.md §2); [`report`] renders it and keeps EXPERIMENTS.md equal to
+//! it. The `experiments` binary drives both:
+//! `cargo run --release -p feisu-bench --bin experiments -- [--write|--check] [name…]`.
 //!
-//! Every binary prints the same series the paper's figure reports, with
-//! scaled-down data sizes (the substitution table in DESIGN.md §2). Run
-//! them all with `scripts` or individually:
-//! `cargo run --release -p feisu-bench --bin fig09a_smartindex_warmup`.
+//! The rest of this file is the harness the experiments share; [`btree`]
+//! is the Fig. 9b baseline index, which nothing else uses.
+
+pub mod btree;
+pub mod experiments;
+pub mod report;
 
 use feisu_common::rng::DetRng;
 use feisu_common::{Result, SimDuration, UserId};
-use feisu_core::engine::{ClusterSpec, FeisuCluster, QueryResult};
+use feisu_core::engine::{ClusterSpec, FeisuCluster};
 use feisu_sql::ast::BinaryOp;
 use feisu_storage::auth::Credential;
 use feisu_workload::datasets::{generate_chunk, DatasetSpec};
@@ -191,51 +197,6 @@ impl ScanWorkload {
     }
 }
 
-/// Simple aligned series printer shared by the figure binaries.
-pub fn print_series(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for r in rows {
-        for (w, cell) in widths.iter_mut().zip(r) {
-            *w = (*w).max(cell.len());
-        }
-    }
-    let line: Vec<String> = header
-        .iter()
-        .zip(&widths)
-        .map(|(h, w)| format!("{h:>w$}"))
-        .collect();
-    println!("{}", line.join("  "));
-    for r in rows {
-        let line: Vec<String> = r
-            .iter()
-            .zip(&widths)
-            .map(|(c, w)| format!("{c:>w$}"))
-            .collect();
-        println!("{}", line.join("  "));
-    }
-}
-
-/// Runs a batch of queries and returns (mean response, total tasks,
-/// memory-served tasks).
-pub fn run_batch(
-    bench: &mut Bench,
-    queries: &[String],
-    idle_between: SimDuration,
-) -> Result<(SimDuration, usize, usize)> {
-    let mut total = SimDuration::ZERO;
-    let mut tasks = 0usize;
-    let mut served = 0usize;
-    for sql in queries {
-        bench.cluster.advance_time(idle_between);
-        let r = bench.cluster.query(sql, &bench.cred)?;
-        total += r.response_time;
-        tasks += r.stats.tasks;
-        served += r.stats.memory_served_tasks;
-    }
-    Ok((total / queries.len().max(1) as u64, tasks, served))
-}
-
 /// Refreshes an expiring credential (simulated days pass in sweeps).
 pub fn relogin(bench: &mut Bench) -> Result<()> {
     bench.cred = bench.cluster.login(bench.user)?;
@@ -246,45 +207,6 @@ pub fn relogin(bench: &mut Bench) -> Result<()> {
 /// Figs. 10/11.
 pub fn throughput_rows_per_sec(rows: usize, elapsed: SimDuration) -> f64 {
     rows as f64 / elapsed.as_secs_f64().max(1e-12)
-}
-
-/// Formats a `QueryResult` one-liner for spot-checks.
-pub fn describe(r: &QueryResult) -> String {
-    format!(
-        "rows={} response={} tasks={} mem_served={} bytes={}",
-        r.batch.rows(),
-        r.response_time,
-        r.stats.tasks,
-        r.stats.memory_served_tasks,
-        r.stats.bytes_read
-    )
-}
-
-/// Dumps the cluster's metrics registry as JSON into
-/// `results/<name>.metrics.json` (creating `results/` as needed) and
-/// reports where it landed. Figure binaries call this per configuration so
-/// every run leaves its counter/histogram snapshot next to the printed
-/// series. `name` may include free-form configuration labels: anything
-/// outside `[A-Za-z0-9._-]` becomes `_`.
-pub fn dump_metrics(bench: &Bench, name: &str) -> Result<()> {
-    let safe: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir)
-        .map_err(|e| feisu_common::FeisuError::Storage(format!("create results/: {e}")))?;
-    let path = dir.join(format!("{safe}.metrics.json"));
-    std::fs::write(&path, bench.cluster.metrics().to_json())
-        .map_err(|e| feisu_common::FeisuError::Storage(format!("write {}: {e}", path.display())))?;
-    println!("metrics -> {}", path.display());
-    Ok(())
 }
 
 #[cfg(test)]

@@ -14,8 +14,7 @@ use crate::client;
 use crate::leaf::{LeafServer, LeafTaskStats};
 use crate::master::assembly::QueryMetrics;
 use crate::master::guard::GuardLimits;
-use crate::master::scheduler::Policy;
-use crate::master::{EntryGuard, JobManager, Scheduler};
+use crate::master::{EntryGuard, JobManager};
 use feisu_cluster::heartbeat::HeartbeatTable;
 use feisu_cluster::{CostModel, SimClock, Topology};
 use feisu_common::config::FeisuConfig;
@@ -51,7 +50,6 @@ pub struct ClusterSpec {
     pub use_smartindex: bool,
     /// Identical-task result reuse in the job manager.
     pub task_reuse: bool,
-    pub scheduling: Policy,
     /// Rows per ingested block.
     pub rows_per_block: usize,
     /// Block-cache pin prefixes (the paper's §IV-B manual preferences,
@@ -74,7 +72,6 @@ impl ClusterSpec {
             cost: CostModel::default(),
             use_smartindex: true,
             task_reuse: true,
-            scheduling: Policy::LocalityAware,
             rows_per_block: 4096,
             cache_pins: Vec::new(),
             guard: GuardLimits::default(),
@@ -253,7 +250,6 @@ pub struct FeisuCluster {
     pub(crate) catalog: Catalog,
     pub(crate) leaves: FxHashMap<NodeId, LeafServer>,
     pub(crate) heartbeats: Mutex<HeartbeatTable>,
-    pub(crate) scheduler: Scheduler,
     pub(crate) guard: EntryGuard,
     pub(crate) jobs: JobManager,
     pub(crate) failed_nodes: RwLock<FxHashSet<NodeId>>,
@@ -380,7 +376,6 @@ impl FeisuCluster {
                 ),
             );
         }
-        let scheduler = Scheduler::new(spec.scheduling);
         let guard = EntryGuard::new(spec.guard.clone());
         guard.attach_metrics(&metrics);
         let jobs = JobManager::new(
@@ -403,7 +398,6 @@ impl FeisuCluster {
             catalog: Catalog::new(),
             leaves,
             heartbeats: Mutex::new(heartbeats),
-            scheduler,
             guard,
             jobs,
             failed_nodes: RwLock::new(FxHashSet::default()),

@@ -28,7 +28,7 @@ use feisu_format::table::BlockDesc;
 use feisu_format::{Block, BlockMeta, Column, Schema};
 use feisu_index::bitvec::BitVec;
 use feisu_index::manager::IndexManager;
-use feisu_index::rewrite::{evaluate_cnf, probe_predicate, ProbeKind};
+use feisu_index::rewrite::{evaluate_cnf, ProbeKind};
 use feisu_index::zonemap;
 use feisu_sql::ast::Expr;
 use feisu_sql::cnf::Cnf;
@@ -513,19 +513,9 @@ impl LeafServer {
         predicate: &feisu_sql::cnf::SimplePredicate,
         now: SimInstant,
     ) -> Result<()> {
-        let idx = feisu_index::SmartIndex::build(block, predicate, now, false)?;
+        let idx = feisu_index::SmartIndex::build(block, predicate, now)?;
         self.index.insert_pinned(idx, now);
         Ok(())
-    }
-
-    /// Direct probe used by benchmarks.
-    pub fn probe(
-        &self,
-        block: &Block,
-        predicate: &feisu_sql::cnf::SimplePredicate,
-        now: SimInstant,
-    ) -> Result<(BitVec, ProbeKind)> {
-        probe_predicate(Some(&self.index), block, predicate, now)
     }
 }
 

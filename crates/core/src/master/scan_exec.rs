@@ -19,6 +19,7 @@ use crate::leaf::{AggStage, LeafOutput, LeafTaskStats, ScanTask};
 use crate::master::job_manager::task_signature;
 use crate::master::pipeline::ExecCtx;
 use crate::master::pool::run_indexed;
+use crate::master::Scheduler;
 use feisu_cluster::simclock::TimeTally;
 use feisu_common::hash::FxHashMap;
 use feisu_common::{ByteSize, FeisuError, NodeId, Result, SimDuration, SimInstant};
@@ -86,8 +87,7 @@ impl FeisuCluster {
         // Schedule.
         let assignments = {
             let hb = self.heartbeats.lock();
-            self.scheduler
-                .assign_all(&replica_sets, &self.topology, &hb, ctx.now)?
+            Scheduler.assign_all(&replica_sets, &self.topology, &hb, ctx.now)?
         };
 
         // Execute, tracking per-node serialized time.

@@ -25,29 +25,11 @@ pub struct Assignment {
     pub data_hops: u32,
 }
 
-/// Placement policies (the scheduling ablation of DESIGN.md §6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Policy {
-    /// The paper's policy: locality first, then load.
-    #[default]
-    LocalityAware,
-    /// Load only, ignoring data location (ablation baseline).
-    LoadOnly,
-    /// Deterministic pseudo-random spread (ablation baseline).
-    RandomSpread,
-}
-
 /// Stateless scheduling over cluster state snapshots; round-local load is
 /// tracked inside [`Scheduler::assign_all`].
-pub struct Scheduler {
-    policy: Policy,
-}
+pub struct Scheduler;
 
 impl Scheduler {
-    pub fn new(policy: Policy) -> Self {
-        Scheduler { policy }
-    }
-
     /// Assigns every task (identified by its replica list) to a node.
     /// Tasks are spread so that one node is not overloaded while peers
     /// idle: the effective load = heartbeat load + assignments made in
@@ -65,29 +47,8 @@ impl Scheduler {
         }
         let mut round_load: FxHashMap<NodeId, u32> = FxHashMap::default();
         let mut out = Vec::with_capacity(tasks.len());
-        for (ti, replicas) in tasks.iter().enumerate() {
-            let a = match self.policy {
-                Policy::LocalityAware => {
-                    self.assign_locality(replicas, topology, heartbeats, &alive, &round_load)?
-                }
-                Policy::LoadOnly => {
-                    let node = *alive
-                        .iter()
-                        .min_by_key(|n| (effective_load(**n, heartbeats, &round_load), n.raw()))
-                        .expect("alive nonempty");
-                    Assignment {
-                        node,
-                        data_hops: nearest_replica_hops(node, replicas, topology)?,
-                    }
-                }
-                Policy::RandomSpread => {
-                    let node = alive[(ti * 2654435761) % alive.len()];
-                    Assignment {
-                        node,
-                        data_hops: nearest_replica_hops(node, replicas, topology)?,
-                    }
-                }
-            };
+        for replicas in tasks {
+            let a = self.assign_locality(replicas, topology, heartbeats, &alive, &round_load)?;
             *round_load.entry(a.node).or_insert(0) += 1;
             out.push(a);
         }
@@ -163,7 +124,7 @@ mod tests {
     #[test]
     fn data_local_when_replica_alive() {
         let (topo, hb) = setup();
-        let s = Scheduler::new(Policy::LocalityAware);
+        let s = Scheduler;
         let tasks = vec![vec![NodeId(2), NodeId(4)]];
         let a = s.assign_all(&tasks, &topo, &hb, SimInstant(0)).unwrap();
         assert_eq!(a[0].data_hops, 0);
@@ -180,7 +141,7 @@ mod tests {
                 hb.beat(n.id, later, LoadStats::default());
             }
         }
-        let s = Scheduler::new(Policy::LocalityAware);
+        let s = Scheduler;
         let tasks = vec![vec![NodeId(2), NodeId(4)]];
         let a = s.assign_all(&tasks, &topo, &hb, later).unwrap();
         assert_eq!(a[0].node, NodeId(4));
@@ -197,7 +158,7 @@ mod tests {
                 hb.beat(n.id, later, LoadStats::default());
             }
         }
-        let s = Scheduler::new(Policy::LocalityAware);
+        let s = Scheduler;
         let tasks = vec![vec![NodeId(0), NodeId(1)]];
         let a = s.assign_all(&tasks, &topo, &hb, later).unwrap();
         assert_eq!(a[0].node, NodeId(2), "same-rack node preferred");
@@ -207,7 +168,7 @@ mod tests {
     #[test]
     fn round_load_spreads_same_replica_tasks() {
         let (topo, hb) = setup();
-        let s = Scheduler::new(Policy::LocalityAware);
+        let s = Scheduler;
         // Four tasks all replicated on nodes 0 and 3.
         let tasks = vec![vec![NodeId(0), NodeId(3)]; 4];
         let a = s.assign_all(&tasks, &topo, &hb, SimInstant(0)).unwrap();
@@ -228,7 +189,7 @@ mod tests {
                 utilization: 0.9,
             },
         );
-        let s = Scheduler::new(Policy::LocalityAware);
+        let s = Scheduler;
         let tasks = vec![vec![NodeId(0), NodeId(3)]];
         let a = s.assign_all(&tasks, &topo, &hb, SimInstant(0)).unwrap();
         assert_eq!(a[0].node, NodeId(3), "loaded replica avoided");
@@ -238,20 +199,9 @@ mod tests {
     fn no_alive_workers_errors() {
         let topo = Topology::grid(1, 1, 2);
         let hb = HeartbeatTable::new(SimDuration::secs(3), 3);
-        let s = Scheduler::new(Policy::LocalityAware);
+        let s = Scheduler;
         assert!(s
             .assign_all(&[vec![NodeId(0)]], &topo, &hb, SimInstant(0))
             .is_err());
-    }
-
-    #[test]
-    fn ablation_policies_assign_everything() {
-        let (topo, hb) = setup();
-        let tasks = vec![vec![NodeId(0)], vec![NodeId(1)], vec![NodeId(5)]];
-        for policy in [Policy::LoadOnly, Policy::RandomSpread] {
-            let s = Scheduler::new(policy);
-            let a = s.assign_all(&tasks, &topo, &hb, SimInstant(0)).unwrap();
-            assert_eq!(a.len(), 3);
-        }
     }
 }

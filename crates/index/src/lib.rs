@@ -10,16 +10,18 @@
 //! Modules:
 //! * [`bitvec`] — the 0-1 vector with bitwise algebra and RLE compression;
 //! * [`kernel`] — the one evaluator of `column OP literal`, 64 rows a word;
-//! * [`bloom`] / [`zonemap`] — the `bloom` and `range` auxiliary fields of
-//!   the index header (Fig. 6);
+//! * [`zonemap`] — the question a block footer's min/max statistics
+//!   answer (Fig. 6's `range`, kept per block, not per index);
 //! * [`smart`] — the index record itself: header + payload, build &
 //!   probe;
 //! * [`manager`] — per-leaf cache with memory budget, LRU eviction, the
 //!   72-hour TTL, and user preference pinning (§IV-C-2);
 //! * [`rewrite`] — the plan-rewrite step (Fig. 7): serving predicates from
 //!   indices, including negation reuse (`!(c2 > 5)` via bit-NOT) and
-//!   AND/OR combination;
-//! * [`btree`] — the B-tree per-column index baseline of Fig. 9b.
+//!   AND/OR combination.
+//!
+//! (The B-tree baseline of Fig. 9b is `feisu_bench::btree`: only the
+//! experiment uses it.)
 
 //! # Example
 //!
@@ -58,8 +60,6 @@
 //! ```
 
 pub mod bitvec;
-pub mod bloom;
-pub mod btree;
 pub mod kernel;
 pub mod manager;
 pub mod rewrite;

@@ -301,7 +301,7 @@ mod tests {
     }
 
     fn idx(block_id: u64, v: i64, created: SimInstant) -> SmartIndex {
-        SmartIndex::build(&block(block_id, 1000), &pred(v), created, false).unwrap()
+        SmartIndex::build(&block(block_id, 1000), &pred(v), created).unwrap()
     }
 
     fn manager(kb: u64) -> IndexManager {

@@ -90,7 +90,7 @@ pub fn probe_predicate(
     }
     // 3. Miss: evaluate and cache (rejection is surfaced so leaf stats
     //    can tell "built and rejected" apart from "built and cached").
-    let (idx, bits) = SmartIndex::evaluate(block, predicate, now, false)?;
+    let (idx, bits) = SmartIndex::evaluate(block, predicate, now)?;
     let kind = match manager.insert(idx, now) {
         true => ProbeKind::BuiltFresh,
         false => ProbeKind::BuiltRejected,

@@ -1,21 +1,18 @@
 //! The SmartIndex record (paper Fig. 6).
 //!
-//! Header: magic, block id, the predicate key (`op/colname/colvalue`),
-//! compress type, plus the auxiliary `range` (zone map) and `bloom`
-//! fields. Payload: the compressed 0-1 vector of the predicate's
-//! evaluation result, and — required for correct negation reuse under
-//! SQL's three-valued logic — the block column's null positions. A NOT
-//! served from an index must exclude null rows: `!(c > 5)` is *unknown*
-//! for a null `c`, and unknown rows do not pass filters, so
-//! `bits(NOT p) = !(bits(p) | nulls)`.
+//! Header: magic, block id, the predicate key (`op/colname/colvalue`)
+//! and compress type; Fig. 6's auxiliary `range` lives once per block in
+//! the footer's zone statistics, not per index. Payload: the compressed
+//! 0-1 vector of the predicate's evaluation result, and — required for
+//! correct negation reuse under SQL's three-valued logic — the block
+//! column's null positions. A NOT served from an index must exclude null
+//! rows: `!(c > 5)` is *unknown* for a null `c`, and unknown rows do not
+//! pass filters, so `bits(NOT p) = !(bits(p) | nulls)`.
 
 use crate::bitvec::{BitVec, CompressedBits};
-use crate::bloom::BloomFilter;
 use crate::kernel::compare_column;
-use crate::zonemap::ZoneMap;
 use feisu_common::{BlockId, FeisuError, Result, SimInstant};
 use feisu_format::{Block, Column};
-use feisu_sql::ast::BinaryOp;
 use feisu_sql::cnf::SimplePredicate;
 
 /// Magic value opening a serialized SmartIndex (Fig. 6 `magic`).
@@ -37,11 +34,6 @@ pub struct SmartIndex {
     /// Null positions of the predicate column, present only when the
     /// column actually contains nulls.
     nulls: Option<CompressedBits>,
-    /// Min/max of the indexed column over this block.
-    pub range: Option<ZoneMap>,
-    /// Bloom filter over the column values (built only for small blocks /
-    /// equality-friendly columns; optional per Fig. 6).
-    pub bloom: Option<BloomFilter>,
     /// When the index was created (TTL bookkeeping).
     pub created_at: SimInstant,
 }
@@ -53,9 +45,8 @@ impl SmartIndex {
         block: &Block,
         predicate: &SimplePredicate,
         now: SimInstant,
-        with_bloom: bool,
     ) -> Result<SmartIndex> {
-        Self::evaluate(block, predicate, now, with_bloom).map(|(index, _)| index)
+        Self::evaluate(block, predicate, now).map(|(index, _)| index)
     }
 
     /// [`SmartIndex::build`], handing back the uncompressed result too: the
@@ -65,7 +56,6 @@ impl SmartIndex {
         block: &Block,
         predicate: &SimplePredicate,
         now: SimInstant,
-        with_bloom: bool,
     ) -> Result<(SmartIndex, BitVec)> {
         let column = predicate_column(block, predicate)?;
         let bits = compare_column(column, predicate.op, &predicate.value)?;
@@ -80,8 +70,6 @@ impl SmartIndex {
                 let nulls = BitVec::from_words(nulls, bits.len()).expect("a word per 64 rows");
                 CompressedBits::from_bitvec(&nulls)
             }),
-            range: column.min_max().map(|(min, max)| ZoneMap::new(min, max)),
-            bloom: with_bloom.then(|| BloomFilter::of_column(column, 0.01)),
             created_at: now,
         };
         Ok((index, bits))
@@ -126,9 +114,6 @@ impl SmartIndex {
         if let Some(n) = &self.nulls {
             f += n.footprint();
         }
-        if let Some(b) = &self.bloom {
-            f += b.footprint();
-        }
         f
     }
 
@@ -137,8 +122,7 @@ impl SmartIndex {
         self.predicate.key()
     }
 
-    /// Serializes header + payload with the Fig. 6 magic. (Bloom and zone
-    /// map are rebuildable and not persisted.)
+    /// Serializes header + payload with the Fig. 6 magic.
     pub fn serialize(&self) -> Vec<u8> {
         use feisu_format::encoding::varint;
         let mut out = Vec::new();
@@ -228,8 +212,6 @@ impl SmartIndex {
             rows,
             bits: CompressedBits::from_bitvec(&bits),
             nulls,
-            range: None,
-            bloom: None,
             created_at: now,
         })
     }
@@ -255,32 +237,11 @@ pub fn scan_evaluate(column: &Column, predicate: &SimplePredicate) -> Result<Bit
     compare_column(column, predicate.op, &predicate.value)
 }
 
-/// Can the zone map / bloom of this block prove the predicate matches
-/// nothing? Used to short-circuit index construction.
-pub fn provably_empty(
-    range: Option<&ZoneMap>,
-    bloom: Option<&BloomFilter>,
-    predicate: &SimplePredicate,
-) -> bool {
-    if let Some(z) = range {
-        if !z.may_match(predicate.op, &predicate.value) {
-            return true;
-        }
-    }
-    if predicate.op == BinaryOp::Eq {
-        if let Some(b) = bloom {
-            if !b.may_contain(&predicate.value) {
-                return true;
-            }
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use feisu_format::{DataType, Field, Schema, Value};
+    use feisu_sql::ast::BinaryOp;
 
     fn test_block() -> Block {
         let schema = Schema::new(vec![
@@ -322,7 +283,7 @@ mod tests {
             (BinaryOp::NotEq, Value::Int64(0)),
         ] {
             let p = pred("c2", op, v);
-            let idx = SmartIndex::build(&block, &p, SimInstant(0), false).unwrap();
+            let idx = SmartIndex::build(&block, &p, SimInstant(0)).unwrap();
             let oracle = scan_evaluate(block.column_by_name("c2").unwrap(), &p).unwrap();
             assert_eq!(idx.bits(), oracle, "op {op}");
         }
@@ -332,7 +293,7 @@ mod tests {
     fn contains_predicate_indexable() {
         let block = test_block();
         let p = pred("url", BinaryOp::Contains, Value::Utf8("page1".into()));
-        let idx = SmartIndex::build(&block, &p, SimInstant(0), false).unwrap();
+        let idx = SmartIndex::build(&block, &p, SimInstant(0)).unwrap();
         assert_eq!(idx.count(), 20);
     }
 
@@ -340,7 +301,7 @@ mod tests {
     fn negated_bits_exclude_nulls() {
         let block = test_block();
         let p = pred("c2", BinaryOp::Gt, Value::Int64(5));
-        let idx = SmartIndex::build(&block, &p, SimInstant(0), false).unwrap();
+        let idx = SmartIndex::build(&block, &p, SimInstant(0)).unwrap();
         let neg = idx.negated_bits();
         // Oracle: NOT (c2 > 5) ⇔ c2 <= 5 for non-null rows.
         let oracle = scan_evaluate(
@@ -362,7 +323,7 @@ mod tests {
     fn selectivity_and_count() {
         let block = test_block();
         let p = pred("c2", BinaryOp::Lt, Value::Int64(0));
-        let idx = SmartIndex::build(&block, &p, SimInstant(0), false).unwrap();
+        let idx = SmartIndex::build(&block, &p, SimInstant(0)).unwrap();
         assert_eq!(idx.count(), 0);
         assert_eq!(idx.selectivity(), 0.0);
     }
@@ -371,21 +332,21 @@ mod tests {
     fn missing_column_errors() {
         let block = test_block();
         let p = pred("ghost", BinaryOp::Eq, Value::Int64(1));
-        assert!(SmartIndex::build(&block, &p, SimInstant(0), false).is_err());
+        assert!(SmartIndex::build(&block, &p, SimInstant(0)).is_err());
     }
 
     #[test]
     fn type_mismatch_errors() {
         let block = test_block();
         let p = pred("c2", BinaryOp::Contains, Value::Utf8("x".into()));
-        assert!(SmartIndex::build(&block, &p, SimInstant(0), false).is_err());
+        assert!(SmartIndex::build(&block, &p, SimInstant(0)).is_err());
     }
 
     #[test]
     fn serialize_roundtrip() {
         let block = test_block();
         let p = pred("c2", BinaryOp::Gt, Value::Int64(5));
-        let idx = SmartIndex::build(&block, &p, SimInstant(0), false).unwrap();
+        let idx = SmartIndex::build(&block, &p, SimInstant(0)).unwrap();
         let bytes = idx.serialize();
         let back = SmartIndex::deserialize(&bytes, p, SimInstant(1)).unwrap();
         assert_eq!(back.bits(), idx.bits());
@@ -397,7 +358,7 @@ mod tests {
     fn serialize_rejects_wrong_key_or_magic() {
         let block = test_block();
         let p = pred("c2", BinaryOp::Gt, Value::Int64(5));
-        let idx = SmartIndex::build(&block, &p, SimInstant(0), false).unwrap();
+        let idx = SmartIndex::build(&block, &p, SimInstant(0)).unwrap();
         let mut bytes = idx.serialize();
         let wrong = pred("c2", BinaryOp::Gt, Value::Int64(6));
         assert!(SmartIndex::deserialize(&bytes, wrong, SimInstant(0)).is_err());
@@ -415,7 +376,7 @@ mod tests {
         use feisu_format::encoding::varint;
         let block = test_block();
         let p = pred("c2", BinaryOp::Gt, Value::Int64(5));
-        let idx = SmartIndex::build(&block, &p, SimInstant(0), false).unwrap();
+        let idx = SmartIndex::build(&block, &p, SimInstant(0)).unwrap();
         let bytes = idx.serialize();
         // Walk to the bits word-count varint and replace it with a value
         // whose byte size overflows usize: decode must error, not panic
@@ -432,41 +393,12 @@ mod tests {
     }
 
     #[test]
-    fn provably_empty_via_range_and_bloom() {
-        let block = test_block();
-        let p_absent = pred("c2", BinaryOp::Gt, Value::Int64(100));
-        let idx = SmartIndex::build(
-            &block,
-            &pred("c2", BinaryOp::Gt, Value::Int64(0)),
-            SimInstant(0),
-            true,
-        )
-        .unwrap();
-        assert!(provably_empty(
-            idx.range.as_ref(),
-            idx.bloom.as_ref(),
-            &p_absent
-        ));
-        let p_eq_absent = pred("c2", BinaryOp::Eq, Value::Int64(12345));
-        assert!(provably_empty(
-            idx.range.as_ref(),
-            idx.bloom.as_ref(),
-            &p_eq_absent
-        ));
-        let p_present = pred("c2", BinaryOp::Eq, Value::Int64(3));
-        assert!(!provably_empty(
-            idx.range.as_ref(),
-            idx.bloom.as_ref(),
-            &p_present
-        ));
-    }
-
-    #[test]
     fn footprint_accounts_payload() {
         let block = test_block();
         let p = pred("c2", BinaryOp::Gt, Value::Int64(5));
-        let plain = SmartIndex::build(&block, &p, SimInstant(0), false).unwrap();
-        let with_bloom = SmartIndex::build(&block, &p, SimInstant(0), true).unwrap();
-        assert!(with_bloom.footprint() > plain.footprint());
+        let idx = SmartIndex::build(&block, &p, SimInstant(0)).unwrap();
+        // Both payload vectors are charged: the result and `c2`'s null mask.
+        let nulls = idx.nulls.as_ref().expect("c2 has NULLs");
+        assert!(idx.footprint() > idx.bits.footprint() + nulls.footprint());
     }
 }

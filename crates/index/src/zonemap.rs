@@ -1,36 +1,15 @@
-//! Zone maps — the `range` auxiliary field of the SmartIndex header
-//! (Fig. 6) and the question a block footer's min/max statistics answer.
+//! Zone maps — the question a block footer's min/max statistics answer
+//! (the `range` field of Fig. 6, kept once per block in the footer).
 //!
-//! A zone map records a column's min/max over one block. Before touching
-//! a block (or building an index over it), the leaf asks whether a
-//! predicate can possibly match anything inside the range; if not, the
-//! whole block produces an all-zeros result for free. The leaf asks it of
-//! the bounds where they lie in the footer ([`may_match`]), copying
-//! neither.
+//! A zone map is a column's min/max over one block. Before touching a
+//! block, the leaf asks whether a predicate can possibly match anything
+//! inside the range; if not, the whole block produces an all-zeros result
+//! for free. The leaf asks it of the bounds where they lie in the footer
+//! ([`may_match`]), copying neither.
 
 use feisu_format::Value;
 use feisu_sql::ast::BinaryOp;
 use std::cmp::Ordering;
-
-/// Min/max envelope for one column of one block.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ZoneMap {
-    pub min: Value,
-    pub max: Value,
-}
-
-impl ZoneMap {
-    /// Builds from min/max statistics; `None` when the column is all-null
-    /// (no envelope — predicates on it can never be true).
-    pub fn new(min: Value, max: Value) -> ZoneMap {
-        ZoneMap { min, max }
-    }
-
-    /// [`may_match`] over this envelope.
-    pub fn may_match(&self, op: BinaryOp, value: &Value) -> bool {
-        may_match(&self.min, &self.max, op, value)
-    }
-}
 
 /// Whether `column OP value` can be true for *any* row of a block whose
 /// column lies in `[min, max]`. `true` = must scan; `false` = skip
@@ -59,8 +38,17 @@ pub fn may_match(min: &Value, max: &Value, op: BinaryOp, value: &Value) -> bool 
 mod tests {
     use super::*;
 
-    fn zm(lo: i64, hi: i64) -> ZoneMap {
-        ZoneMap::new(Value::Int64(lo), Value::Int64(hi))
+    /// `[min, max]` as the question [`may_match`] asks of it.
+    struct Zone(Value, Value);
+
+    impl Zone {
+        fn may_match(&self, op: BinaryOp, value: &Value) -> bool {
+            may_match(&self.0, &self.1, op, value)
+        }
+    }
+
+    fn zm(lo: i64, hi: i64) -> Zone {
+        Zone(Value::Int64(lo), Value::Int64(hi))
     }
 
     #[test]
@@ -110,7 +98,7 @@ mod tests {
 
     #[test]
     fn string_zonemap() {
-        let z = ZoneMap::new(Value::Utf8("apple".into()), Value::Utf8("mango".into()));
+        let z = Zone(Value::Utf8("apple".into()), Value::Utf8("mango".into()));
         assert!(z.may_match(BinaryOp::Eq, &Value::Utf8("banana".into())));
         assert!(!z.may_match(BinaryOp::Eq, &Value::Utf8("zebra".into())));
     }

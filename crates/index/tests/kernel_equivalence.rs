@@ -142,7 +142,7 @@ proptest! {
         let schema = Schema::new(vec![Field::new("c", dt, true)]);
         let block = Block::new_with_rows(BlockId(1), schema, vec![column.clone()], rows).unwrap();
         let want = row_reference(&column, op, &predicate.value);
-        let built = SmartIndex::build(&block, &predicate, SimInstant(0), false);
+        let built = SmartIndex::build(&block, &predicate, SimInstant(0));
         match (built, want) {
             (Err(e), Err(want)) => prop_assert_eq!(e.to_string(), want),
             (Ok(index), Ok(want)) => {

@@ -8,7 +8,10 @@
 #      release with more cases, and the exec, catalog/schema and leaf
 #      allocation budgets in release)
 #   4. cargo clippy --workspace -- -D warnings
-#   5. the observability smoke runner and the benchmark, smoke-sized
+#   5. the observability smoke runner, `experiments --check` (every
+#      paper table regenerated, its shape asserted, EXPERIMENTS.md held to
+#      the bytes; wall time printed, budget 60 s) and the benchmark,
+#      smoke-sized
 # Usage: scripts/ci.sh
 #
 # The build environment has no network; when crates.io is unreachable the
@@ -88,6 +91,16 @@ cargo clippy --workspace $OFFLINE -- -D warnings
 # runner asserts both and exits non-zero otherwise).
 echo "ci: observability smoke (system tables + trace export)"
 cargo run --release $OFFLINE -p feisu-bench --bin obs_smoke
+
+# EXPERIMENTS.md is an output: every table between its generated markers
+# must be, byte for byte, what the code produces now, and every experiment
+# must still have its paper shape (a diff or a lost shape exits non-zero).
+# The binary prints each experiment's wall time, so an overrun of the
+# 60 s budget names its experiment.
+echo "ci: experiments --check (EXPERIMENTS.md equals what the code produces)"
+experiments_start=$SECONDS
+cargo run --release $OFFLINE -p feisu-bench --bin experiments -- --check
+echo "ci: experiments --check took $((SECONDS - experiments_start)) s (budget 60 s)"
 
 # The one benchmark must run end to end against these crates (every
 # statement succeeds, every checked answer right), and its own unit

@@ -16,7 +16,7 @@ use feisu_format::{Block, BlockMeta, Column, DataType, Field, Schema, Value};
 use feisu_index::bitvec::BitVec;
 use feisu_index::manager::IndexManager;
 use feisu_index::rewrite::{evaluate_cnf, probe_predicate, ProbeKind};
-use feisu_index::zonemap::ZoneMap;
+use feisu_index::zonemap::may_match;
 use feisu_index::SmartIndex;
 use feisu_sql::ast::{AggFunc, Expr};
 use feisu_sql::cnf::{to_cnf, Cnf, Disjunct};
@@ -500,7 +500,7 @@ fn reference(
     Ok((batch, stats, tally))
 }
 
-/// The footer's zone-map verdict through an owning `ZoneMap` per bound.
+/// The footer's zone-map verdict over a copy of each bound.
 fn zones_rule_out(cnf: &Cnf, meta: &BlockMeta) -> bool {
     let Some(zones) = &meta.zones else {
         return false;
@@ -514,7 +514,7 @@ fn zones_rule_out(cnf: &Cnf, meta: &BlockMeta) -> bool {
                 return false;
             };
             match (zone.min.clone(), zone.max.clone()) {
-                (Some(min), Some(max)) => !ZoneMap::new(min, max).may_match(p.op, &p.value),
+                (Some(min), Some(max)) => !may_match(&min, &max, p.op, &p.value),
                 _ => zone.null_count == meta.rows,
             }
         })
@@ -742,7 +742,7 @@ proptest! {
         let only_p1 = to_cnf(&parse_expr(&text[1]).unwrap());
         let p0 = both.simple_clauses().next().unwrap();
         let p1 = only_p1.simple_clauses().next().unwrap();
-        let built = [p0, p1].map(|p| SmartIndex::build(&block, p, SimInstant(4), false));
+        let built = [p0, p1].map(|p| SmartIndex::build(&block, p, SimInstant(4)));
         let [Ok(i0), Ok(i1)] = built else {
             return Ok(()); // a NaN cell, or a literal the column cannot be compared with
         };

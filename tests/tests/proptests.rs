@@ -5,7 +5,6 @@ use feisu_format::encoding::{bitpack, delta, dict, rle, varint, zigzag};
 use feisu_format::json::{self, Json};
 use feisu_format::{compress, Block, Column, DataType, Field, Schema, Value};
 use feisu_index::bitvec::{BitVec, CompressedBits};
-use feisu_index::btree::BTreeColumnIndex;
 use feisu_index::smart::{scan_evaluate, SmartIndex};
 use feisu_sql::ast::BinaryOp;
 use feisu_sql::cnf::{to_cnf, SimplePredicate};
@@ -279,7 +278,7 @@ proptest! {
                 compare(pred.op, &col.value(i), &pred.value).unwrap() == Truth::True
             }))
         };
-        let idx = SmartIndex::build(&block, &pred, SimInstant(0), false).unwrap();
+        let idx = SmartIndex::build(&block, &pred, SimInstant(0)).unwrap();
         prop_assert_eq!(idx.bits(), row_oracle(&pred));
         prop_assert_eq!(scan_evaluate(&col, &pred).unwrap(), row_oracle(&pred));
 
@@ -289,10 +288,6 @@ proptest! {
             let npred = SimplePredicate { column: "x".into(), op: nop, value: pred.value.clone() };
             prop_assert_eq!(idx.negated_bits(), row_oracle(&npred));
         }
-
-        // B-tree agrees with both.
-        let bt = BTreeColumnIndex::build(&col);
-        prop_assert_eq!(bt.lookup(pred.op, &pred.value).unwrap(), idx.bits());
     }
 }
 
