@@ -68,20 +68,12 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<Fx
 /// `HashSet` with the fast internal hasher.
 pub type FxHashSet<K> = std::collections::HashSet<K, BuildHasherDefault<FxHasher>>;
 
-/// Hashes one value with the internal hasher; used for partitioning and
-/// bloom-filter probes where a standalone u64 is needed.
+/// Hashes one value with the internal hasher, where a standalone u64 is
+/// needed (NDV sketches, footer fingerprints).
 pub fn hash_one<T: std::hash::Hash>(value: &T) -> u64 {
     let mut h = FxHasher::default();
     value.hash(&mut h);
     h.finish()
-}
-
-/// Derives `k` bloom-filter probe positions from a single 64-bit hash using
-/// the Kirsch–Mitzenmacher double-hashing trick.
-pub fn bloom_probes(hash: u64, k: usize, m: usize) -> impl Iterator<Item = usize> {
-    let h1 = hash as u32 as u64;
-    let h2 = (hash >> 32) | 1; // odd so all slots reachable
-    (0..k as u64).map(move |i| ((h1.wrapping_add(i.wrapping_mul(h2))) % m as u64) as usize)
 }
 
 #[cfg(test)]
@@ -113,17 +105,5 @@ mod tests {
         m.insert("b".into(), 2);
         assert_eq!(m.get("a"), Some(&1));
         assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn bloom_probes_in_range_and_spread() {
-        let probes: Vec<usize> = bloom_probes(hash_one(&"key"), 7, 1024).collect();
-        assert_eq!(probes.len(), 7);
-        assert!(probes.iter().all(|&p| p < 1024));
-        let distinct: std::collections::HashSet<_> = probes.iter().collect();
-        assert!(
-            distinct.len() >= 5,
-            "probes should mostly differ: {probes:?}"
-        );
     }
 }

@@ -21,7 +21,7 @@ use feisu_storage::auth::Credential;
 use feisu_storage::StorageRouter;
 use parking_lot::RwLock;
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Master-side table registry.
 pub struct Catalog {
@@ -37,6 +37,9 @@ struct TableEntry {
     rows_per_block: usize,
     /// Statistics accumulated at ingest, served to cost-based planning.
     stats: TableStatsBuilder,
+    /// What `stats` says, built by the first planner to ask since the last
+    /// ingest and lent to every one after it.
+    stats_snapshot: OnceLock<Arc<TableStats>>,
 }
 
 /// Running per-table statistics, folded block by block at ingest.
@@ -164,6 +167,7 @@ impl Catalog {
                 location: location.trim_end_matches('/').to_string(),
                 rows_per_block: rows_per_block.max(1),
                 stats: TableStatsBuilder::default(),
+                stats_snapshot: OnceLock::new(),
             },
         );
         Ok(())
@@ -190,9 +194,16 @@ impl Catalog {
     }
 
     /// Statistics snapshot for a table: row count plus per-column
-    /// min/max/null-count and approximate NDV, maintained at ingest.
-    pub fn table_stats(&self, name: &str) -> Option<TableStats> {
-        self.tables.read().get(name).map(|e| e.stats.snapshot())
+    /// min/max/null-count and approximate NDV, maintained at ingest. Built
+    /// on the first call after an ingest; until the next one every call is
+    /// a refcount bump under the read lock.
+    pub fn table_stats(&self, name: &str) -> Option<Arc<TableStats>> {
+        let tables = self.tables.read();
+        let entry = tables.get(name)?;
+        let snapshot = entry
+            .stats_snapshot
+            .get_or_init(|| Arc::new(entry.stats.snapshot()));
+        Some(Arc::clone(snapshot))
     }
 
     /// The storage location prefix of a table (for domain authorization).
@@ -262,6 +273,7 @@ impl Catalog {
             let mut tables = self.tables.write();
             let entry = tables.get_mut(name).expect("table exists");
             entry.stats.merge(block_stats);
+            entry.stats_snapshot.take();
             Arc::make_mut(&mut entry.desc).partitions[0]
                 .blocks
                 .push(desc);
@@ -333,7 +345,7 @@ impl feisu_sql::analyze::Catalog for CatalogView<'_> {
         crate::system::system_table_schema(name).or_else(|| self.0.schema(name))
     }
 
-    fn table_stats(&self, name: &str) -> Option<TableStats> {
+    fn table_stats(&self, name: &str) -> Option<Arc<TableStats>> {
         self.0.table_stats(name)
     }
 }

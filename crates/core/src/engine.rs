@@ -233,7 +233,7 @@ impl QueryResult {
 /// leaf-task execution**):
 ///
 /// 1. `guard` user table (admission, entry/exit only)
-/// 2. `jobs` job table / reuse cache (short map ops)
+/// 2. `jobs` task-reuse cache (short map ops)
 /// 3. `catalog` tables (`RwLock`, read-mostly)
 /// 4. `heartbeats` (scheduling snapshot)
 /// 5. `failed_nodes` / `slow_nodes` (`RwLock`, read-mostly)

@@ -16,7 +16,6 @@ use crate::engine::{FeisuCluster, QueryOptions, QueryResult, QueryStats};
 use feisu_cluster::heartbeat::LoadStats;
 use feisu_cluster::simclock::TimeTally;
 use feisu_common::{QueryId, Result, SimInstant};
-use feisu_exec::aggregate::AggTable;
 use feisu_exec::batch::RecordBatch;
 use feisu_exec::physical::PhysicalPlan;
 use feisu_exec::reorder::{lower_with, JoinOrderTrace, LowerOptions};
@@ -163,76 +162,20 @@ impl FeisuCluster {
                 self.system_scan(plan, ctx, span)
             }
             PhysicalPlan::DistributedScan { .. } => self.distributed_scan(plan, ctx, span),
-            PhysicalPlan::FinalAggregate {
-                input,
-                group_by,
-                aggregates,
-                output_schema,
-            } => {
-                // The scan below produced partial-aggregate transports,
-                // already merged bottom-up through the stems; finalize.
-                let merged = self.exec_physical(input, ctx, Some(span))?;
-                let table =
-                    AggTable::from_transport(group_by.clone(), aggregates.clone(), &merged)?;
+            // Every other operator runs on the master over its inputs'
+            // outputs: left before right, then the operator's CPU billed
+            // on their row counts, then the operator itself.
+            _ => {
+                let inputs = plan
+                    .children()
+                    .into_iter()
+                    .map(|child| self.exec_physical(child, ctx, Some(span)))
+                    .collect::<Result<Vec<RecordBatch>>>()?;
+                let rows: Vec<usize> = inputs.iter().map(RecordBatch::rows).collect();
                 ctx.tally
-                    .add_cpu(plan.master_cpu_cost(&self.spec.cost, &[merged.rows()]));
-                table.finish(output_schema)
+                    .add_cpu(plan.master_cpu_cost(&self.spec.cost, &rows));
+                plan.apply(&inputs)
             }
-            PhysicalPlan::HashAggregate {
-                input,
-                group_by,
-                aggregates,
-                output_schema,
-            } => {
-                let batch = self.exec_physical(input, ctx, Some(span))?;
-                let mut agg = AggTable::new(group_by.clone(), aggregates.clone());
-                agg.update(&batch)?;
-                ctx.tally
-                    .add_cpu(plan.master_cpu_cost(&self.spec.cost, &[batch.rows()]));
-                agg.finish(output_schema)
-            }
-            PhysicalPlan::Filter { input, predicate } => {
-                let batch = self.exec_physical(input, ctx, Some(span))?;
-                ctx.tally
-                    .add_cpu(plan.master_cpu_cost(&self.spec.cost, &[batch.rows()]));
-                feisu_exec::ops::filter(&batch, predicate)
-            }
-            PhysicalPlan::Project {
-                input,
-                exprs,
-                output_schema,
-            } => {
-                let batch = self.exec_physical(input, ctx, Some(span))?;
-                ctx.tally
-                    .add_cpu(plan.master_cpu_cost(&self.spec.cost, &[batch.rows()]));
-                feisu_exec::ops::project(&batch, exprs, output_schema)
-            }
-            PhysicalPlan::HashJoin {
-                left,
-                right,
-                kind,
-                on,
-                output_schema,
-            } => {
-                let l = self.exec_physical(left, ctx, Some(span))?;
-                let r = self.exec_physical(right, ctx, Some(span))?;
-                ctx.tally
-                    .add_cpu(plan.master_cpu_cost(&self.spec.cost, &[l.rows(), r.rows()]));
-                feisu_exec::join::join(&l, &r, *kind, on, output_schema)
-            }
-            PhysicalPlan::Sort { input, keys, fetch } => {
-                let batch = self.exec_physical(input, ctx, Some(span))?;
-                ctx.tally
-                    .add_cpu(plan.master_cpu_cost(&self.spec.cost, &[batch.rows()]));
-                feisu_exec::sort::sort(&batch, keys, *fetch)
-            }
-            PhysicalPlan::Limit { input, fetch } => {
-                let batch = self.exec_physical(input, ctx, Some(span))?;
-                feisu_exec::ops::limit(&batch, *fetch)
-            }
-            // A pruned-empty relation: zero rows, zero leaf tasks, zero
-            // billed time.
-            PhysicalPlan::Empty { output_schema } => Ok(RecordBatch::empty(output_schema.clone())),
         }
     }
 }

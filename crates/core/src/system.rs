@@ -210,8 +210,8 @@ impl FeisuCluster {
                 batch_from_rows(schema, rows)
             }
             "system.nodes" => {
-                // Lock-order contract: heartbeats (5) before
-                // failed/slow (6) before resources (7, via
+                // Lock-order contract (`FeisuCluster`): heartbeats before
+                // failed/slow nodes before resources (via
                 // `feisu_slot_limit`). Heartbeat data is collected and the
                 // lock released before anything else is touched.
                 let mut nodes: Vec<_> = self.topology.nodes().to_vec();

@@ -1,7 +1,8 @@
 //! The catalog lends a table's descriptor, it does not copy it:
 //! `Catalog::table()` is a refcount bump whatever the table's size, and a
 //! handle is a snapshot — it keeps the blocks it was taken with while
-//! ingest appends copy-on-write; a `Schema` is lent the same way.
+//! ingest appends copy-on-write; a `Schema` is lent the same way, and so
+//! are a table's statistics between two ingests.
 //! Allocation counts are exact and repeat, so they can gate CI where a
 //! wall-clock check cannot.
 
@@ -107,6 +108,32 @@ fn a_schema_clone_allocates_nothing_and_equality_is_by_fields() {
     // Equality is by content, not by allocation.
     assert_eq!(schema, Schema::new(fields().collect()));
     assert_ne!(schema, Schema::new(fields().take(127).collect()));
+}
+
+/// The planner asks for a table's statistics once per relation and once
+/// per join-condition side: between two ingests every call after the
+/// first is a refcount bump, whatever the table's width.
+#[test]
+fn table_stats_are_built_once_per_ingest_and_lent_after() {
+    for columns in [8, 256] {
+        let (cluster, cred) = cluster_with_table(columns);
+        ingest_blocks(&cluster, &cred, columns, 2);
+        let first = cluster.catalog().table_stats("t").unwrap();
+        let (allocs, second) = allocations(|| cluster.catalog().table_stats("t").unwrap());
+        assert_eq!(allocs, 0, "{columns} columns");
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(second.rows, (2 * ROWS_PER_BLOCK) as u64);
+        assert_eq!(second.columns.len(), columns);
+        // An ingest in between shows through, and a handle taken before
+        // it keeps what it was taken with.
+        ingest_blocks(&cluster, &cred, columns, 3);
+        let after = cluster.catalog().table_stats("t").unwrap();
+        assert_eq!(after.rows, (5 * ROWS_PER_BLOCK) as u64);
+        // The second ingest's values 0..12 cover the first's 0..8.
+        assert_eq!(after.column_ndv("c0"), (3 * ROWS_PER_BLOCK) as u64);
+        assert_eq!(first.column_ndv("c0"), (2 * ROWS_PER_BLOCK) as u64);
+        assert_eq!(first.rows, (2 * ROWS_PER_BLOCK) as u64);
+    }
 }
 
 #[test]

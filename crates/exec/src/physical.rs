@@ -16,6 +16,9 @@
 //! cost accounting lives with the operator instead of being sprinkled
 //! through the interpreter.
 
+use crate::aggregate::AggTable;
+use crate::batch::RecordBatch;
+use crate::{join, ops, sort};
 use feisu_cluster::CostModel;
 use feisu_common::hash::FxHashMap;
 use feisu_common::{FeisuError, Result, SimDuration};
@@ -124,6 +127,67 @@ impl PhysicalPlan {
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::Limit { input, .. } => input.schema(),
+        }
+    }
+
+    /// The operator's inputs, left before right.
+    pub fn children(&self) -> Vec<&PhysicalPlan> {
+        match self {
+            PhysicalPlan::DistributedScan { .. } | PhysicalPlan::Empty { .. } => Vec::new(),
+            PhysicalPlan::HashJoin { left, right, .. } => vec![left, right],
+            PhysicalPlan::FinalAggregate { input, .. }
+            | PhysicalPlan::HashAggregate { input, .. }
+            | PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::Sort { input, .. }
+            | PhysicalPlan::Limit { input, .. } => vec![input],
+        }
+    }
+
+    /// Runs a master-side operator over its children's outputs (`inputs`
+    /// parallel to [`children`](Self::children)). A distributed scan has
+    /// no master-side form: the engine dissects it into leaf tasks.
+    pub fn apply(&self, inputs: &[RecordBatch]) -> Result<RecordBatch> {
+        match self {
+            PhysicalPlan::DistributedScan { table, .. } => Err(FeisuError::Execution(format!(
+                "scan of `{table}` runs on the cluster, not on the master"
+            ))),
+            // The scan below produced partial-aggregate transports,
+            // already merged bottom-up through the stems; finalize.
+            PhysicalPlan::FinalAggregate {
+                group_by,
+                aggregates,
+                output_schema,
+                ..
+            } => AggTable::from_transport(group_by.clone(), aggregates.clone(), &inputs[0])?
+                .finish(output_schema),
+            PhysicalPlan::HashAggregate {
+                group_by,
+                aggregates,
+                output_schema,
+                ..
+            } => {
+                let mut table = AggTable::new(group_by.clone(), aggregates.clone());
+                table.update(&inputs[0])?;
+                table.finish(output_schema)
+            }
+            PhysicalPlan::Filter { predicate, .. } => ops::filter(&inputs[0], predicate),
+            PhysicalPlan::Project {
+                exprs,
+                output_schema,
+                ..
+            } => ops::project(&inputs[0], exprs, output_schema),
+            PhysicalPlan::HashJoin {
+                kind,
+                on,
+                output_schema,
+                ..
+            } => join::join(&inputs[0], &inputs[1], *kind, on, output_schema),
+            PhysicalPlan::Sort { keys, fetch, .. } => sort::sort(&inputs[0], keys, *fetch),
+            PhysicalPlan::Limit { fetch, .. } => ops::limit(&inputs[0], *fetch),
+            // A pruned-empty relation: zero rows, zero leaf tasks, zero
+            // billed time.
+            PhysicalPlan::Empty { output_schema } => Ok(RecordBatch::empty(output_schema.clone())),
         }
     }
 

@@ -555,19 +555,20 @@ mod tests {
     use feisu_sql::plan::build_plan;
     use feisu_sql::stats::{ColumnStats, TableStats};
     use std::collections::HashMap;
+    use std::sync::Arc;
 
     /// Catalog with statistics: a small `d1`, a small `d2`, a big fact
     /// table `f` keyed into both.
     struct StatsCatalog {
         schemas: HashMap<String, Schema>,
-        stats: HashMap<String, TableStats>,
+        stats: HashMap<String, Arc<TableStats>>,
     }
 
     impl Catalog for StatsCatalog {
         fn table_schema(&self, name: &str) -> Option<Schema> {
             self.schemas.get(name).cloned()
         }
-        fn table_stats(&self, name: &str) -> Option<TableStats> {
+        fn table_stats(&self, name: &str) -> Option<Arc<TableStats>> {
             self.stats.get(name).cloned()
         }
     }
@@ -605,7 +606,7 @@ mod tests {
                     ..ColumnStats::default()
                 },
             );
-            TableStats { rows, columns }
+            Arc::new(TableStats { rows, columns })
         };
         let mut fact_cols = FxHashMap::default();
         for c in ["k1", "k2"] {
@@ -622,10 +623,10 @@ mod tests {
         stats.insert("d2".to_string(), dim(2000));
         stats.insert(
             "f".to_string(),
-            TableStats {
+            Arc::new(TableStats {
                 rows: 100_000,
                 columns: fact_cols,
-            },
+            }),
         );
         StatsCatalog { schemas, stats }
     }

@@ -87,9 +87,12 @@ pub struct QueryEvent {
     pub blocks_skipped: u64,
     /// Blocks whose column chunks were actually decoded.
     pub blocks_scanned: u64,
-    /// Leaf tasks answered from the per-node SSD cache.
+    /// Leaf tasks whose block came from the node's block cache, either
+    /// tier (memory or SSD).
     pub cache_hit_tasks: u64,
-    /// Leaf tasks answered from memory (task-reuse or memory tier).
+    /// Leaf tasks that touched no storage: a `COUNT(*)` answered from
+    /// cached SmartIndex bits, or a block a resident footer's zone maps
+    /// disproved.
     pub memory_served_tasks: u64,
     /// Top-k operators by self time, e.g. `DistributedScan=1.2ms`.
     pub top_operators: String,

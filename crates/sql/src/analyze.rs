@@ -12,6 +12,7 @@ use crate::ast::{AggFunc, Expr, Query, UnaryOp};
 use feisu_common::hash::FxHashMap;
 use feisu_common::{FeisuError, Result};
 use feisu_format::{DataType, Schema};
+use std::sync::Arc;
 
 /// Read-only view of table metadata, implemented by the master's catalog.
 pub trait Catalog {
@@ -19,9 +20,10 @@ pub trait Catalog {
     fn table_schema(&self, name: &str) -> Option<Schema>;
 
     /// Statistics snapshot for a table (row count, per-column
-    /// min/max/NDV), when the implementation maintains them. Used by
-    /// cost-based lowering; `None` falls back to uniform defaults.
-    fn table_stats(&self, _name: &str) -> Option<crate::stats::TableStats> {
+    /// min/max/NDV), when the implementation maintains them; lent, so a
+    /// planner may ask once per relation and per join-condition side.
+    /// Used by cost-based lowering; `None` falls back to uniform defaults.
+    fn table_stats(&self, _name: &str) -> Option<Arc<crate::stats::TableStats>> {
         None
     }
 }

@@ -1,25 +1,21 @@
 //! Logical plan optimizer: a staged rule pipeline.
 //!
-//! The optimizer is a list of independent [`PlanRewriter`] rules run to
-//! fixpoint by [`pipeline::run_rules`]: constant folding, 3VL-safe
-//! expression simplification, empty-relation pruning (`WHERE FALSE` never
-//! schedules a leaf task), predicate pushdown (into scans, through join
-//! sides, equality conjuncts promoted to join keys), projection pruning
-//! and top-N fusion. [`optimize_with_trace`] additionally reports which
-//! rules fired, feeding EXPLAIN and the `feisu.optimizer.*` metrics.
+//! The optimizer is a table of independent in-place rules
+//! ([`pipeline::RULES`]) run to fixpoint by [`pipeline::run_rules`]:
+//! constant folding, 3VL-safe expression simplification, empty-relation
+//! pruning (`WHERE FALSE` never schedules a leaf task), predicate pushdown
+//! (into scans, through join sides, equality conjuncts promoted to join
+//! keys), projection pruning and top-N fusion. [`optimize_with_trace`]
+//! additionally reports which rules fired, feeding EXPLAIN and the
+//! `feisu.optimizer.*` metrics.
 //! Join-order *selection* is not a logical rule: it happens cost-based at
 //! lowering time in `feisu-exec`, where the `CostModel` lives.
 
 pub mod pipeline;
 pub mod rules;
 
-pub use pipeline::{
-    default_rules, optimize, optimize_with_trace, run_rules, PlanRewriter, RuleFire,
-};
+pub use pipeline::{optimize, optimize_with_trace, run_rules, Rule, RuleFire, RULES};
 pub use rules::fold_expr;
-// Re-exported for callers that used these from `optimizer` before they
-// moved to the shared expression-utility module.
-pub use crate::exprutil::{predicate_is_false, predicate_is_true, simplify_not};
 
 #[cfg(test)]
 mod tests {

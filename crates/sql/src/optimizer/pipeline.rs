@@ -1,25 +1,33 @@
 //! Fixpoint driver for the optimizer's rule pipeline.
 //!
-//! Rules are ordinary values implementing [`PlanRewriter`]; the pipeline
-//! applies them in order, repeatedly, until a full pass changes nothing
-//! (or a safety cap is hit). Every rule application that changed the plan
-//! is recorded in the returned trace, so EXPLAIN and the observability
-//! plane can show exactly which rewrites produced the final plan.
+//! A rule is a plain function that edits the plan in place and says
+//! whether it changed it; the pipeline applies the rules of [`RULES`] in
+//! order, repeatedly, until a full pass changes nothing (or a safety cap
+//! is hit). Every rule application that changed the plan is recorded in
+//! the returned trace, so EXPLAIN and the observability plane can show
+//! exactly which rewrites produced the final plan.
 
 use super::rules;
 use crate::plan::LogicalPlan;
 use feisu_common::Result;
 
-/// One rewrite rule over logical plans. Implementations must be
-/// *monotone*: repeated application reaches a fixpoint (a rewrite that
-/// undoes another rule's work would make the pipeline oscillate until
-/// the pass cap).
-pub trait PlanRewriter {
-    /// Stable rule name, surfaced in EXPLAIN and metrics.
-    fn name(&self) -> &'static str;
-    /// One full rewrite pass over the plan.
-    fn rewrite(&self, plan: LogicalPlan) -> Result<LogicalPlan>;
-}
+/// One rewrite rule over logical plans: a full pass over the plan, in
+/// place, returning whether the plan it leaves differs from the plan it
+/// was given. Rules must be *monotone*: repeated application reaches a
+/// fixpoint (a rewrite that undoes another rule's work would make the
+/// pipeline oscillate until the pass cap).
+pub type Rule = fn(&mut LogicalPlan) -> Result<bool>;
+
+/// The standard rule pipeline, in application order, each rule under the
+/// stable name EXPLAIN and metrics surface it by.
+pub const RULES: [(&str, Rule); 6] = [
+    ("constant_fold", rules::constant_fold),
+    ("simplify_exprs", rules::simplify_exprs),
+    ("prune_empty", rules::prune_empty),
+    ("predicate_pushdown", rules::predicate_pushdown),
+    ("projection_prune", rules::projection_prune),
+    ("limit_into_sort", rules::limit_into_sort),
+];
 
 /// Trace entry: how many passes a rule changed the plan in.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,37 +40,20 @@ pub struct RuleFire {
 /// passes; the cap only guards against a future non-monotone rule.
 const MAX_PASSES: usize = 10;
 
-/// The standard rule pipeline, in application order.
-pub fn default_rules() -> Vec<Box<dyn PlanRewriter>> {
-    vec![
-        Box::new(rules::ConstantFold),
-        Box::new(rules::SimplifyExprs),
-        Box::new(rules::PruneEmpty),
-        Box::new(rules::PushDownPredicates),
-        Box::new(rules::PruneProjections),
-        Box::new(rules::LimitIntoSort),
-    ]
-}
-
 /// Runs a rule list to fixpoint, returning the rewritten plan and the
 /// per-rule fire counts (rules that never changed the plan are omitted).
 pub fn run_rules(
     mut plan: LogicalPlan,
-    rules: &[Box<dyn PlanRewriter>],
+    rules: &[(&'static str, Rule)],
 ) -> Result<(LogicalPlan, Vec<RuleFire>)> {
     let mut trace: Vec<RuleFire> = rules
         .iter()
-        .map(|r| RuleFire {
-            rule: r.name(),
-            fires: 0,
-        })
+        .map(|&(rule, _)| RuleFire { rule, fires: 0 })
         .collect();
     for _ in 0..MAX_PASSES {
         let mut changed = false;
-        for (fire, rule) in trace.iter_mut().zip(rules) {
-            let before = plan.clone();
-            plan = rule.rewrite(plan)?;
-            if plan != before {
+        for (fire, (_, rule)) in trace.iter_mut().zip(rules) {
+            if rule(&mut plan)? {
                 fire.fires += 1;
                 changed = true;
             }
@@ -77,7 +68,7 @@ pub fn run_rules(
 
 /// Applies the standard pipeline and returns the plan plus its rule trace.
 pub fn optimize_with_trace(plan: LogicalPlan) -> Result<(LogicalPlan, Vec<RuleFire>)> {
-    run_rules(plan, &default_rules())
+    run_rules(plan, &RULES)
 }
 
 /// Applies all rules and returns the optimized plan.

@@ -1,12 +1,14 @@
 //! The individual plan-rewrite rules.
 //!
-//! Each rule is one self-contained rewrite; the pipeline in
-//! [`super::pipeline`] runs them in order to fixpoint. Boolean helpers
+//! Each rule is one self-contained `fn(&mut LogicalPlan) -> Result<bool>`:
+//! it edits the nodes it matches where they stand, reaches children
+//! through [`LogicalPlan::children_mut`], and returns whether the plan it
+//! leaves differs from the plan it was given — the flag the pipeline in
+//! [`super::pipeline`] counts fires by and stops on. Boolean helpers
 //! (`predicate_is_true/false`, `simplify_expr`, `refs_within`,
 //! `equi_across`) live in [`crate::exprutil`] and are shared with the
 //! CNF converter and the leaf-side index rewriter.
 
-use super::pipeline::PlanRewriter;
 use crate::ast::{Expr, JoinKind};
 use crate::cnf::to_cnf;
 use crate::eval::eval;
@@ -17,90 +19,51 @@ use crate::exprutil::{
 use crate::plan::LogicalPlan;
 use feisu_common::Result;
 use feisu_format::{Schema, Value};
+use std::mem;
+
+/// Moves a node out of the tree, leaving an `Empty` of its schema for the
+/// caller to overwrite or drop.
+fn take(plan: &mut LogicalPlan) -> LogicalPlan {
+    let output_schema = plan.schema();
+    mem::replace(plan, LogicalPlan::Empty { output_schema })
+}
 
 // ---------------------------------------------------------- expr mapping
 
 /// Rewrites every predicate/projection/join-condition expression in the
-/// plan through `f`, recursing into inputs. Aggregate arguments, group
-/// expressions and sort keys are left alone: their display forms double
-/// as output column names, so rewriting them would rename columns.
-fn map_exprs(plan: LogicalPlan, f: &impl Fn(Expr) -> Expr) -> LogicalPlan {
+/// plan through `f`, recursing into inputs; true when some expression
+/// came back different. Aggregate arguments, group expressions and sort
+/// keys are left alone: their display forms double as output column
+/// names, so rewriting them would rename columns.
+fn rewrite_exprs(plan: &mut LogicalPlan, f: &impl Fn(&Expr) -> Expr) -> bool {
+    let mut changed = false;
+    let mut rewrite = |e: &mut Expr| {
+        let rewritten = f(e);
+        if rewritten != *e {
+            *e = rewritten;
+            changed = true;
+        }
+    };
     match plan {
         LogicalPlan::Scan {
-            table,
-            binding,
-            projection,
-            predicate,
-            output_schema,
-        } => LogicalPlan::Scan {
-            table,
-            binding,
-            projection,
-            predicate: predicate.map(f),
-            output_schema,
-        },
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(map_exprs(*input, f)),
-            predicate: f(predicate),
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            output_schema,
-        } => LogicalPlan::Project {
-            input: Box::new(map_exprs(*input, f)),
-            exprs: exprs.into_iter().map(|(e, n)| (f(e), n)).collect(),
-            output_schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            output_schema,
-        } => LogicalPlan::Join {
-            left: Box::new(map_exprs(*left, f)),
-            right: Box::new(map_exprs(*right, f)),
-            kind,
-            on: on.into_iter().map(f).collect(),
-            output_schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-            output_schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(map_exprs(*input, f)),
-            group_by,
-            aggregates,
-            output_schema,
-        },
-        LogicalPlan::Sort { input, keys, fetch } => LogicalPlan::Sort {
-            input: Box::new(map_exprs(*input, f)),
-            keys,
-            fetch,
-        },
-        LogicalPlan::Limit { input, fetch } => LogicalPlan::Limit {
-            input: Box::new(map_exprs(*input, f)),
-            fetch,
-        },
-        e @ LogicalPlan::Empty { .. } => e,
+            predicate: Some(p), ..
+        }
+        | LogicalPlan::Filter { predicate: p, .. } => rewrite(p),
+        LogicalPlan::Project { exprs, .. } => exprs.iter_mut().for_each(|(e, _)| rewrite(e)),
+        LogicalPlan::Join { on, .. } => on.iter_mut().for_each(rewrite),
+        _ => {}
     }
+    for child in plan.children_mut() {
+        changed |= rewrite_exprs(child, f);
+    }
+    changed
 }
 
 // ---------------------------------------------------------------- folding
 
 /// Rule `constant_fold`: literal-only subtrees are evaluated once.
-pub struct ConstantFold;
-
-impl PlanRewriter for ConstantFold {
-    fn name(&self) -> &'static str {
-        "constant_fold"
-    }
-    fn rewrite(&self, plan: LogicalPlan) -> Result<LogicalPlan> {
-        Ok(map_exprs(plan, &fold_expr))
-    }
+pub fn constant_fold(plan: &mut LogicalPlan) -> Result<bool> {
+    Ok(rewrite_exprs(plan, &|e| fold_expr(e.clone())))
 }
 
 /// Folds literal-only subtrees bottom-up. Errors (e.g. division by zero)
@@ -155,33 +118,11 @@ fn literal_only(e: &Expr) -> bool {
 /// Rule `simplify_exprs`: 3VL-safe boolean and arithmetic identities
 /// (`x AND TRUE → x`, `NOT NOT x → x`, `x + 0 → x`, …) via
 /// [`crate::exprutil::simplify_expr`].
-pub struct SimplifyExprs;
-
-impl PlanRewriter for SimplifyExprs {
-    fn name(&self) -> &'static str {
-        "simplify_exprs"
-    }
-    fn rewrite(&self, plan: LogicalPlan) -> Result<LogicalPlan> {
-        Ok(map_exprs(plan, &|e| simplify_expr(&e)))
-    }
+pub fn simplify_exprs(plan: &mut LogicalPlan) -> Result<bool> {
+    Ok(rewrite_exprs(plan, &simplify_expr))
 }
 
 // -------------------------------------------------------- empty pruning
-
-/// Rule `prune_empty`: a provably-false filter (or `LIMIT 0`) becomes an
-/// [`LogicalPlan::Empty`] relation, and emptiness propagates upward
-/// through operators that cannot produce rows from an empty input. The
-/// engine then returns without scheduling a single leaf task.
-pub struct PruneEmpty;
-
-impl PlanRewriter for PruneEmpty {
-    fn name(&self) -> &'static str {
-        "prune_empty"
-    }
-    fn rewrite(&self, plan: LogicalPlan) -> Result<LogicalPlan> {
-        Ok(prune_empty(plan))
-    }
-}
 
 fn empty(output_schema: Schema) -> LogicalPlan {
     LogicalPlan::Empty { output_schema }
@@ -191,120 +132,72 @@ fn is_empty(p: &LogicalPlan) -> bool {
     matches!(p, LogicalPlan::Empty { .. })
 }
 
-fn prune_empty(plan: LogicalPlan) -> LogicalPlan {
-    match plan {
+/// Rule `prune_empty`: a provably-false filter (or `LIMIT 0`) becomes an
+/// [`LogicalPlan::Empty`] relation, and emptiness propagates upward
+/// through operators that cannot produce rows from an empty input. The
+/// engine then returns without scheduling a single leaf task.
+pub fn prune_empty(plan: &mut LogicalPlan) -> Result<bool> {
+    let mut changed = false;
+    for child in plan.children_mut() {
+        changed |= prune_empty(child)?;
+    }
+    let pruned = match plan {
         LogicalPlan::Filter { input, predicate } => {
-            let input = prune_empty(*input);
-            if is_empty(&input) || predicate_is_false(&predicate) {
-                return empty(input.schema());
-            }
-            if predicate_is_true(&predicate) {
-                return input;
-            }
-            LogicalPlan::Filter {
-                input: Box::new(input),
-                predicate,
+            if is_empty(input) || predicate_is_false(predicate) {
+                Some(empty(input.schema()))
+            } else if predicate_is_true(predicate) {
+                Some(take(input))
+            } else {
+                None
             }
         }
-        scan @ LogicalPlan::Scan { .. } => {
-            if let LogicalPlan::Scan {
-                predicate: Some(p),
-                output_schema,
-                ..
-            } = &scan
-            {
-                if predicate_is_false(p) {
-                    return empty(output_schema.clone());
-                }
-            }
-            scan
-        }
+        LogicalPlan::Scan {
+            predicate: Some(p),
+            output_schema,
+            ..
+        } if predicate_is_false(p) => Some(empty(output_schema.clone())),
         LogicalPlan::Join {
             left,
             right,
             kind,
-            on,
             output_schema,
+            ..
         } => {
-            let left = prune_empty(*left);
-            let right = prune_empty(*right);
             // An empty null-supplying side still lets an outer join pass
             // the other side through (null-extended); an empty preserved
             // side kills the join.
             let dead = match kind {
-                JoinKind::Inner | JoinKind::Cross => is_empty(&left) || is_empty(&right),
-                JoinKind::LeftOuter => is_empty(&left),
-                JoinKind::RightOuter => is_empty(&right),
+                JoinKind::Inner | JoinKind::Cross => is_empty(left) || is_empty(right),
+                JoinKind::LeftOuter => is_empty(left),
+                JoinKind::RightOuter => is_empty(right),
             };
-            if dead {
-                return empty(output_schema);
-            }
-            LogicalPlan::Join {
-                left: Box::new(left),
-                right: Box::new(right),
-                kind,
-                on,
-                output_schema,
-            }
+            dead.then(|| empty(output_schema.clone()))
         }
         LogicalPlan::Project {
             input,
-            exprs,
             output_schema,
-        } => {
-            let input = prune_empty(*input);
-            if is_empty(&input) {
-                return empty(output_schema);
-            }
-            LogicalPlan::Project {
-                input: Box::new(input),
-                exprs,
-                output_schema,
-            }
-        }
+            ..
+        } if is_empty(input) => Some(empty(output_schema.clone())),
+        // A *grouped* aggregate over no rows yields no groups; a global
+        // one still yields its single row (COUNT(*) = 0), so it must
+        // execute.
         LogicalPlan::Aggregate {
             input,
             group_by,
-            aggregates,
             output_schema,
-        } => {
-            let input = prune_empty(*input);
-            // A *grouped* aggregate over no rows yields no groups; a
-            // global one still yields its single row (COUNT(*) = 0), so
-            // it must execute.
-            if is_empty(&input) && !group_by.is_empty() {
-                return empty(output_schema);
-            }
-            LogicalPlan::Aggregate {
-                input: Box::new(input),
-                group_by,
-                aggregates,
-                output_schema,
-            }
+            ..
+        } if is_empty(input) && !group_by.is_empty() => Some(empty(output_schema.clone())),
+        LogicalPlan::Sort { input, .. } if is_empty(input) => Some(empty(input.schema())),
+        LogicalPlan::Limit { input, fetch } if is_empty(input) || *fetch == 0 => {
+            Some(empty(input.schema()))
         }
-        LogicalPlan::Sort { input, keys, fetch } => {
-            let input = prune_empty(*input);
-            if is_empty(&input) {
-                return empty(input.schema());
-            }
-            LogicalPlan::Sort {
-                input: Box::new(input),
-                keys,
-                fetch,
-            }
-        }
-        LogicalPlan::Limit { input, fetch } => {
-            let input = prune_empty(*input);
-            if is_empty(&input) || fetch == 0 {
-                return empty(input.schema());
-            }
-            LogicalPlan::Limit {
-                input: Box::new(input),
-                fetch,
-            }
-        }
-        e @ LogicalPlan::Empty { .. } => e,
+        _ => None,
+    };
+    if let Some(pruned) = pruned {
+        *plan = pruned;
+        changed = true;
     }
+    Ok(changed)
 }
 
 // --------------------------------------------------------------- pushdown
@@ -314,136 +207,63 @@ fn prune_empty(plan: LogicalPlan) -> LogicalPlan {
 /// maps serve them), through join sides, or as a residual filter directly
 /// above the deepest subtree that covers them. Equality conjuncts whose
 /// sides straddle an inner/cross join become join keys (a cross join
-/// gaining a key becomes an inner hash join).
-pub struct PushDownPredicates;
-
-impl PlanRewriter for PushDownPredicates {
-    fn name(&self) -> &'static str {
-        "predicate_pushdown"
+/// gaining a key becomes an inner hash join). What does not sink stays
+/// in the filter in CNF, which counts as a change the first time.
+pub fn predicate_pushdown(plan: &mut LogicalPlan) -> Result<bool> {
+    let mut changed = false;
+    for child in plan.children_mut() {
+        changed |= predicate_pushdown(child)?;
     }
-    fn rewrite(&self, plan: LogicalPlan) -> Result<LogicalPlan> {
-        push_down_predicates(plan)
-    }
-}
-
-fn push_down_predicates(plan: LogicalPlan) -> Result<LogicalPlan> {
-    Ok(match plan {
-        LogicalPlan::Filter { input, predicate } => {
-            let input = push_down_predicates(*input)?;
-            // Split into conjuncts and try to sink each one.
-            let cnf = to_cnf(&predicate);
-            let mut remaining: Vec<Expr> = Vec::new();
-            let mut target = input;
-            for clause in cnf.clauses {
-                let e = clause.to_expr();
-                match sink(target, &e) {
-                    (t, true) => target = t,
-                    (t, false) => {
-                        target = t;
-                        remaining.push(e);
-                    }
-                }
-            }
-            match combine_conjuncts(remaining) {
-                Some(pred) => LogicalPlan::Filter {
-                    input: Box::new(target),
-                    predicate: pred,
-                },
-                None => target,
+    if let LogicalPlan::Filter { input, predicate } = plan {
+        // Split into conjuncts and try to sink each one.
+        let mut remaining = Vec::new();
+        for clause in to_cnf(predicate).clauses {
+            let conjunct = clause.to_expr();
+            if sink(input, &conjunct) {
+                changed = true;
+            } else {
+                remaining.push(conjunct);
             }
         }
-        LogicalPlan::Project {
-            input,
-            exprs,
-            output_schema,
-        } => LogicalPlan::Project {
-            input: Box::new(push_down_predicates(*input)?),
-            exprs,
-            output_schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            output_schema,
-        } => LogicalPlan::Join {
-            left: Box::new(push_down_predicates(*left)?),
-            right: Box::new(push_down_predicates(*right)?),
-            kind,
-            on,
-            output_schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-            output_schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(push_down_predicates(*input)?),
-            group_by,
-            aggregates,
-            output_schema,
-        },
-        LogicalPlan::Sort { input, keys, fetch } => LogicalPlan::Sort {
-            input: Box::new(push_down_predicates(*input)?),
-            keys,
-            fetch,
-        },
-        LogicalPlan::Limit { input, fetch } => LogicalPlan::Limit {
-            input: Box::new(push_down_predicates(*input)?),
-            fetch,
-        },
-        scan @ LogicalPlan::Scan { .. } => scan,
-        e @ LogicalPlan::Empty { .. } => e,
-    })
+        match combine_conjuncts(remaining) {
+            Some(rest) if rest == *predicate => {}
+            Some(rest) => {
+                *predicate = rest;
+                changed = true;
+            }
+            None => {
+                *plan = take(input);
+                changed = true;
+            }
+        }
+    }
+    Ok(changed)
 }
 
-/// Tries to sink one conjunct into the subtree. Returns the (possibly
-/// modified) subtree and whether the conjunct was absorbed.
-fn sink(plan: LogicalPlan, conjunct: &Expr) -> (LogicalPlan, bool) {
+/// Tries to sink one conjunct into the subtree: true when the subtree
+/// absorbed it (and so changed), false when it is as it was.
+fn sink(plan: &mut LogicalPlan, conjunct: &Expr) -> bool {
     match plan {
         LogicalPlan::Scan {
-            table,
-            binding,
-            projection,
             predicate,
             output_schema,
+            ..
         } => {
-            if refs_within(conjunct, &output_schema) {
-                let predicate = Some(match predicate {
-                    Some(p) => Expr::and(p, conjunct.clone()),
-                    None => conjunct.clone(),
-                });
-                (
-                    LogicalPlan::Scan {
-                        table,
-                        binding,
-                        projection,
-                        predicate,
-                        output_schema,
-                    },
-                    true,
-                )
-            } else {
-                (
-                    LogicalPlan::Scan {
-                        table,
-                        binding,
-                        projection,
-                        predicate,
-                        output_schema,
-                    },
-                    false,
-                )
+            if !refs_within(conjunct, output_schema) {
+                return false;
             }
+            *predicate = Some(match predicate.take() {
+                Some(p) => Expr::and(p, conjunct.clone()),
+                None => conjunct.clone(),
+            });
+            true
         }
         LogicalPlan::Join {
             left,
             right,
             kind,
-            mut on,
-            output_schema,
+            on,
+            ..
         } => {
             // Only inner/cross joins accept pushdown on both sides; outer
             // joins would change null-extension semantics.
@@ -458,227 +278,111 @@ fn sink(plan: LogicalPlan, conjunct: &Expr) -> (LogicalPlan, bool) {
                 && equi_across(conjunct, &left.schema(), &right.schema())
             {
                 on.push(conjunct.clone());
-                return (
-                    LogicalPlan::Join {
-                        left,
-                        right,
-                        kind: JoinKind::Inner,
-                        on,
-                        output_schema,
-                    },
-                    true,
-                );
+                *kind = JoinKind::Inner;
+                return true;
             }
             // 2. Recurse: a scan inside either eligible side may absorb.
-            let mut left = left;
-            let mut right = right;
-            if push_left {
-                let (l, absorbed) = sink(*left, conjunct);
-                left = Box::new(l);
-                if absorbed {
-                    return (
-                        LogicalPlan::Join {
-                            left,
-                            right,
-                            kind,
-                            on,
-                            output_schema,
-                        },
-                        true,
-                    );
-                }
-            }
-            if push_right {
-                let (r, absorbed) = sink(*right, conjunct);
-                right = Box::new(r);
-                if absorbed {
-                    return (
-                        LogicalPlan::Join {
-                            left,
-                            right,
-                            kind,
-                            on,
-                            output_schema,
-                        },
-                        true,
-                    );
-                }
+            if (push_left && sink(left, conjunct)) || (push_right && sink(right, conjunct)) {
+                return true;
             }
             // 3. No scan absorbed it, but one side covers every column:
             //    park it as a filter directly below the join, above that
             //    side (pushdown *through* the join).
-            if push_left && refs_within(conjunct, &left.schema()) {
-                left = Box::new(LogicalPlan::Filter {
-                    input: left,
-                    predicate: conjunct.clone(),
-                });
-                return (
-                    LogicalPlan::Join {
-                        left,
-                        right,
-                        kind,
-                        on,
-                        output_schema,
-                    },
-                    true,
-                );
+            for (side, eligible) in [(left, push_left), (right, push_right)] {
+                if eligible && refs_within(conjunct, &side.schema()) {
+                    **side = LogicalPlan::Filter {
+                        input: Box::new(take(side)),
+                        predicate: conjunct.clone(),
+                    };
+                    return true;
+                }
             }
-            if push_right && refs_within(conjunct, &right.schema()) {
-                right = Box::new(LogicalPlan::Filter {
-                    input: right,
-                    predicate: conjunct.clone(),
-                });
-                return (
-                    LogicalPlan::Join {
-                        left,
-                        right,
-                        kind,
-                        on,
-                        output_schema,
-                    },
-                    true,
-                );
-            }
-            (
-                LogicalPlan::Join {
-                    left,
-                    right,
-                    kind,
-                    on,
-                    output_schema,
-                },
-                false,
-            )
+            false
         }
-        // Filters/sorts/limits are transparent for pushdown purposes.
-        LogicalPlan::Filter { input, predicate } => {
-            let (i, absorbed) = sink(*input, conjunct);
-            (
-                LogicalPlan::Filter {
-                    input: Box::new(i),
-                    predicate,
-                },
-                absorbed,
-            )
-        }
-        other => (other, false),
+        // Filters are transparent for pushdown purposes.
+        LogicalPlan::Filter { input, .. } => sink(input, conjunct),
+        _ => false,
     }
 }
 
 // ---------------------------------------------------------------- pruning
 
 /// Rule `projection_prune`: scans read only the columns the rest of the
-/// plan actually needs (the core of the columnar I/O saving).
-pub struct PruneProjections;
+/// plan actually needs (the core of the columnar I/O saving). Top-down:
+/// each operator tells its input which columns it requires, and a scan
+/// that is asked for fewer than it reads drops the rest.
+pub fn projection_prune(plan: &mut LogicalPlan) -> Result<bool> {
+    Ok(prune(plan, None))
+}
 
-impl PlanRewriter for PruneProjections {
-    fn name(&self) -> &'static str {
-        "projection_prune"
-    }
-    fn rewrite(&self, plan: LogicalPlan) -> Result<LogicalPlan> {
-        // Top-down: compute the set of columns each operator requires of
-        // its input, then rebuild scans with minimal projections.
-        Ok(prune(plan, None))
-    }
+fn all_columns(schema: &Schema) -> Vec<String> {
+    schema.fields().iter().map(|f| f.name.clone()).collect()
 }
 
 /// `needed`: columns the parent requires, `None` = everything.
-fn prune(plan: LogicalPlan, needed: Option<Vec<String>>) -> LogicalPlan {
+fn prune(plan: &mut LogicalPlan, needed: Option<Vec<String>>) -> bool {
     match plan {
         LogicalPlan::Scan {
-            table,
-            binding,
             projection,
-            predicate,
             output_schema,
+            ..
         } => {
             // NOTE: predicate columns are deliberately NOT added to the
             // projection — a Scan node evaluates its own predicate (leaf
             // servers serve it from SmartIndex without touching the
             // column at all), so only parent-needed columns are output.
-            let required: Vec<String> = match &needed {
-                None => output_schema
-                    .fields()
-                    .iter()
-                    .map(|f| f.name.clone())
-                    .collect(),
-                Some(cols) => cols.clone(),
-            };
-            // Keep schema order; map canonical names back to storage names.
-            let mut new_proj = Vec::new();
-            let mut new_fields = Vec::new();
-            for (i, f) in output_schema.fields().iter().enumerate() {
-                if required.iter().any(|c| c == &f.name) {
-                    new_proj.push(projection[i].clone());
-                    new_fields.push(f.clone());
-                }
-            }
+            let fields = output_schema.fields();
+            // Keep schema order; `projection` is parallel to the schema.
+            let mut keep: Vec<usize> = (0..fields.len())
+                .filter(|&i| {
+                    needed
+                        .as_ref()
+                        .is_none_or(|cols| cols.iter().any(|c| *c == fields[i].name))
+                })
+                .collect();
             // A zero-column batch cannot carry a row count: keep the
             // narrowest column when nothing is required (COUNT(*) shapes).
-            if new_proj.is_empty() && !projection.is_empty() {
-                let narrowest = output_schema
-                    .fields()
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, f)| f.data_type.estimated_width())
-                    .map(|(i, _)| i)
+            if keep.is_empty() && !projection.is_empty() {
+                let narrowest = (0..fields.len())
+                    .min_by_key(|&i| fields[i].data_type.estimated_width())
                     .unwrap_or(0);
-                new_proj.push(projection[narrowest].clone());
-                new_fields.push(output_schema.field(narrowest).clone());
+                keep.push(narrowest);
             }
-            LogicalPlan::Scan {
-                table,
-                binding,
-                projection: new_proj,
-                predicate,
-                output_schema: Schema::new(new_fields),
+            if keep.len() == fields.len() {
+                return false;
             }
+            *projection = keep
+                .iter()
+                .map(|&i| mem::take(&mut projection[i]))
+                .collect();
+            *output_schema = output_schema.project(&keep);
+            true
         }
-        LogicalPlan::Project {
-            input,
-            exprs,
-            output_schema,
-        } => {
+        LogicalPlan::Project { input, exprs, .. } => {
             let mut required = Vec::new();
-            for (e, _) in &exprs {
+            for (e, _) in exprs.iter() {
                 e.columns(&mut required);
             }
-            LogicalPlan::Project {
-                input: Box::new(prune(*input, Some(required))),
-                exprs,
-                output_schema,
-            }
+            prune(input, Some(required))
         }
         LogicalPlan::Filter { input, predicate } => {
-            let mut required = needed.unwrap_or_else(|| {
-                input
-                    .schema()
-                    .fields()
-                    .iter()
-                    .map(|f| f.name.clone())
-                    .collect()
-            });
+            let mut required = needed.unwrap_or_else(|| all_columns(&input.schema()));
             predicate.columns(&mut required);
             dedup(&mut required);
-            LogicalPlan::Filter {
-                input: Box::new(prune(*input, Some(required))),
-                predicate,
-            }
+            prune(input, Some(required))
         }
         LogicalPlan::Aggregate {
             input,
             group_by,
             aggregates,
-            output_schema,
+            ..
         } => {
             let mut required = Vec::new();
-            for (g, _, _) in &group_by {
+            for (g, _, _) in group_by.iter() {
                 g.columns(&mut required);
             }
-            for a in &aggregates {
-                if let Some(arg) = &a.arg {
-                    arg.columns(&mut required);
-                }
+            for arg in aggregates.iter().filter_map(|a| a.arg.as_ref()) {
+                arg.columns(&mut required);
             }
             // COUNT(*) over a zero-column input still needs row counts:
             // keep at least one input column if nothing else is required.
@@ -687,78 +391,44 @@ fn prune(plan: LogicalPlan, needed: Option<Vec<String>>) -> LogicalPlan {
                     required.push(f.name.clone());
                 }
             }
-            LogicalPlan::Aggregate {
-                input: Box::new(prune(*input, Some(required))),
-                group_by,
-                aggregates,
-                output_schema,
-            }
+            prune(input, Some(required))
         }
-        LogicalPlan::Sort { input, keys, fetch } => {
-            let mut required = needed.unwrap_or_else(|| {
-                input
-                    .schema()
-                    .fields()
-                    .iter()
-                    .map(|f| f.name.clone())
-                    .collect()
-            });
-            for (e, _) in &keys {
+        LogicalPlan::Sort { input, keys, .. } => {
+            let mut required = needed.unwrap_or_else(|| all_columns(&input.schema()));
+            for (e, _) in keys.iter() {
                 e.columns(&mut required);
             }
             dedup(&mut required);
-            LogicalPlan::Sort {
-                input: Box::new(prune(*input, Some(required))),
-                keys,
-                fetch,
-            }
+            prune(input, Some(required))
         }
-        LogicalPlan::Limit { input, fetch } => LogicalPlan::Limit {
-            input: Box::new(prune(*input, needed)),
-            fetch,
-        },
+        LogicalPlan::Limit { input, .. } => prune(input, needed),
         LogicalPlan::Join {
             left,
             right,
-            kind,
             on,
             output_schema,
+            ..
         } => {
-            let mut required = needed.unwrap_or_else(|| {
-                output_schema
-                    .fields()
-                    .iter()
-                    .map(|f| f.name.clone())
-                    .collect()
-            });
-            for cond in &on {
+            let mut required = needed.unwrap_or_else(|| all_columns(output_schema));
+            for cond in on.iter() {
                 cond.columns(&mut required);
             }
             dedup(&mut required);
-            let left_schema = left.schema();
-            let right_schema = right.schema();
-            let left_needed: Vec<String> = required
-                .iter()
-                .filter(|c| left_schema.index_of(c).is_some())
-                .cloned()
-                .collect();
-            let right_needed: Vec<String> = required
-                .iter()
-                .filter(|c| right_schema.index_of(c).is_some())
-                .cloned()
-                .collect();
-            let new_left = prune(*left, Some(left_needed));
-            let new_right = prune(*right, Some(right_needed));
-            let output_schema = new_left.schema().join(&new_right.schema());
-            LogicalPlan::Join {
-                left: Box::new(new_left),
-                right: Box::new(new_right),
-                kind,
-                on,
-                output_schema,
+            let within = |schema: Schema| -> Vec<String> {
+                let of_side = required.iter().filter(|c| schema.index_of(c).is_some());
+                of_side.cloned().collect()
+            };
+            let (left_needed, right_needed) = (within(left.schema()), within(right.schema()));
+            let mut changed = prune(left, Some(left_needed));
+            changed |= prune(right, Some(right_needed));
+            let joined = left.schema().join(&right.schema());
+            if joined != *output_schema {
+                *output_schema = joined;
+                changed = true;
             }
+            changed
         }
-        e @ LogicalPlan::Empty { .. } => e,
+        LogicalPlan::Empty { .. } => false,
     }
 }
 
@@ -769,115 +439,24 @@ fn dedup(v: &mut Vec<String>) {
 
 // ----------------------------------------------------------- limit + sort
 
-/// Rule `limit_into_sort`: `Limit(Sort)` becomes a top-N sort.
-pub struct LimitIntoSort;
-
-impl PlanRewriter for LimitIntoSort {
-    fn name(&self) -> &'static str {
-        "limit_into_sort"
+/// Rule `limit_into_sort`: `Limit(Sort)` and `Limit(Project(Sort))` push
+/// the fetch into the sort, so execution can keep a bounded heap.
+pub fn limit_into_sort(plan: &mut LogicalPlan) -> Result<bool> {
+    let mut changed = false;
+    for child in plan.children_mut() {
+        changed |= limit_into_sort(child)?;
     }
-    fn rewrite(&self, plan: LogicalPlan) -> Result<LogicalPlan> {
-        Ok(limit_into_sort(plan))
-    }
-}
-
-fn limit_into_sort(plan: LogicalPlan) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Limit { input, fetch } => {
-            match limit_into_sort(*input) {
-                // Limit(Project(Sort)) and Limit(Sort): push the fetch into
-                // the sort so execution can keep a bounded heap.
-                LogicalPlan::Project {
-                    input: pin,
-                    exprs,
-                    output_schema,
-                } => {
-                    if let LogicalPlan::Sort {
-                        input: sin, keys, ..
-                    } = *pin
-                    {
-                        LogicalPlan::Limit {
-                            input: Box::new(LogicalPlan::Project {
-                                input: Box::new(LogicalPlan::Sort {
-                                    input: sin,
-                                    keys,
-                                    fetch: Some(fetch),
-                                }),
-                                exprs,
-                                output_schema,
-                            }),
-                            fetch,
-                        }
-                    } else {
-                        LogicalPlan::Limit {
-                            input: Box::new(LogicalPlan::Project {
-                                input: pin,
-                                exprs,
-                                output_schema,
-                            }),
-                            fetch,
-                        }
-                    }
-                }
-                LogicalPlan::Sort {
-                    input: sin, keys, ..
-                } => LogicalPlan::Limit {
-                    input: Box::new(LogicalPlan::Sort {
-                        input: sin,
-                        keys,
-                        fetch: Some(fetch),
-                    }),
-                    fetch,
-                },
-                other => LogicalPlan::Limit {
-                    input: Box::new(other),
-                    fetch,
-                },
+    if let LogicalPlan::Limit { input, fetch } = plan {
+        let below = match &mut **input {
+            LogicalPlan::Project { input, .. } => &mut **input,
+            other => other,
+        };
+        if let LogicalPlan::Sort { fetch: top_n, .. } = below {
+            if *top_n != Some(*fetch) {
+                *top_n = Some(*fetch);
+                changed = true;
             }
         }
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(limit_into_sort(*input)),
-            predicate,
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            output_schema,
-        } => LogicalPlan::Project {
-            input: Box::new(limit_into_sort(*input)),
-            exprs,
-            output_schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            output_schema,
-        } => LogicalPlan::Join {
-            left: Box::new(limit_into_sort(*left)),
-            right: Box::new(limit_into_sort(*right)),
-            kind,
-            on,
-            output_schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-            output_schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(limit_into_sort(*input)),
-            group_by,
-            aggregates,
-            output_schema,
-        },
-        LogicalPlan::Sort { input, keys, fetch } => LogicalPlan::Sort {
-            input: Box::new(limit_into_sort(*input)),
-            keys,
-            fetch,
-        },
-        scan @ LogicalPlan::Scan { .. } => scan,
-        e @ LogicalPlan::Empty { .. } => e,
     }
+    Ok(changed)
 }

@@ -113,6 +113,21 @@ impl LogicalPlan {
         }
     }
 
+    /// The operator's inputs, left before right: the one place a tree
+    /// walk learns which variants have which children.
+    pub fn children_mut(&mut self) -> impl Iterator<Item = &mut LogicalPlan> {
+        let (first, second) = match self {
+            LogicalPlan::Scan { .. } | LogicalPlan::Empty { .. } => (None, None),
+            LogicalPlan::Join { left, right, .. } => (Some(&mut **left), Some(&mut **right)),
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => (Some(&mut **input), None),
+        };
+        first.into_iter().chain(second)
+    }
+
     /// Pretty multi-line plan rendering (EXPLAIN-style), for debugging and
     /// doc examples.
     pub fn display_indent(&self) -> String {

@@ -3,10 +3,10 @@
 #   1. cargo fmt --check
 #   2. cargo build --release
 #   3. cargo test -q (then the e2e suites again at pinned thread widths,
-#      the exec equivalence, footer mismatch, kernel equivalence,
-#      selected decode, two-phase leaf and LRU model suites again in
-#      release with more cases, and the exec, catalog/schema and leaf
-#      allocation budgets in release)
+#      the exec equivalence, optimizer reference, footer mismatch, kernel
+#      equivalence, selected decode, two-phase leaf and LRU model suites
+#      again in release with more cases, and the exec, optimizer,
+#      catalog/schema/statistics and leaf allocation budgets in release)
 #   4. cargo clippy --workspace -- -D warnings
 #   5. the observability smoke runner, `experiments --check` (every
 #      paper table regenerated, its shape asserted, EXPERIMENTS.md held to
@@ -53,11 +53,21 @@ FEISU_CLIENT_THREADS=4 cargo test -q $OFFLINE -p feisu-tests
 # the default 256 cases ran above in debug; here 2048 per property with
 # optimizations on (`PROPTEST_CASES` is read by shims/proptest), next to
 # the allocation budgets, whose counts are exact in any profile: the key
-# layer's, `Catalog::table()` and `Schema::clone` at zero whatever the
-# table's size, and a scan task's following the rows it keeps.
+# layer's, `Catalog::table()`, a repeated `Catalog::table_stats()` and
+# `Schema::clone` at zero whatever the table's size, a scan task's
+# following the rows it keeps, and the optimizer's not following the
+# table's width.
 echo "ci: exec equivalence suite (release, 2048 cases) + allocation budgets"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-exec --test equivalence --test alloc_budget
 cargo test -q --release $OFFLINE -p feisu-core --test catalog_snapshot --test leaf_alloc_budget
+cargo test -q --release $OFFLINE -p feisu-sql --test optimize_alloc_budget
+
+# The in-place optimizer rules against the copy-and-compare driver they
+# replaced: every rule application's "changed" flag equals `after !=
+# before`, plans and traces equal the reference's — random statements at
+# the same case count, plus the benchmark's 2,000-statement trace.
+echo "ci: optimizer reference suite (release, 2048 cases)"
+PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-sql --test optimizer_reference
 
 # A resident footer must never decode bytes it was not parsed from:
 # foreign, rewritten, truncated and bit-flipped blocks through another
