@@ -13,10 +13,12 @@
 //!
 //! Cost accounting models the columnar format: a scan is charged for the
 //! byte fraction of the block it actually touches — projected columns
-//! plus predicate columns *not* served by SmartIndex. A fully
-//! index-served `COUNT(*)`, and a block a resident footer disproves,
-//! touch no storage at all ("all computations are conducted in memory.
-//! No scan operation is actually needed", §IV-C-3).
+//! plus predicate columns *not* served by SmartIndex. A bare `COUNT(*)`
+//! is its final selection's bit count: it materializes no column, folds
+//! no aggregate, and is charged for the columns it evaluated alone —
+//! none, when every predicate is cached, as for a block a resident
+//! footer disproves ("all computations are conducted in memory. No scan
+//! operation is actually needed", §IV-C-3).
 
 use feisu_cluster::simclock::TimeTally;
 use feisu_cluster::CostModel;
@@ -82,15 +84,22 @@ pub enum ServedTier {
     Remote,
 }
 
-impl std::fmt::Display for ServedTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
+impl ServedTier {
+    /// Label used in span attributes, EXPLAIN ANALYZE and `system.queries`.
+    pub fn label(self) -> &'static str {
+        match self {
             ServedTier::Memory => "memory",
             ServedTier::MemCache => "mem_cache",
             ServedTier::SsdCache => "ssd_cache",
             ServedTier::LocalDisk => "local_disk",
             ServedTier::Remote => "remote",
-        })
+        }
+    }
+}
+
+impl std::fmt::Display for ServedTier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -169,24 +178,25 @@ impl LeafServer {
         // they match the block's schema.
         let cnf = rename_cnf(&task.cnf, &task.name_map);
 
-        // 1. Pure COUNT(*) with a fully cached CNF: answer from bits.
-        let count_only =
-            task.agg.as_ref().is_some_and(|a| a.is_count_star_only()) && task.residual.is_empty();
-        if use_index && count_only {
+        // 1. A bare global COUNT(*) is answered by its selection's bit
+        // count, here when the whole CNF is cached, else after step 5.
+        let count_only = task.agg.as_ref().is_some_and(|a| a.is_count_star_only());
+        let counted = |rows: usize, tally, mut stats: LeafTaskStats| {
+            stats.rows_out = rows;
+            Ok(LeafOutput {
+                batch: AggTable::count_star_transport(rows)?,
+                is_agg_transport: true,
+                tally,
+                stats,
+            })
+        };
+        if use_index && count_only && task.residual.is_empty() {
             if let Some(bits) = self.try_serve_from_cache(&cnf, task, now)? {
                 stats.index_hits = cnf.clauses.iter().map(|c| c.disjuncts.len()).sum::<usize>();
                 stats.served_from_memory = true;
-                stats.rows_out = bits.count_ones();
                 // In-memory bitmap algebra cost.
                 tally.add_cpu(self.cost.predicate_eval(cnf.clauses.len().max(1)));
-                let agg = task.agg.as_ref().expect("count_only implies agg");
-                let batch = count_transport(agg, bits.count_ones() as i64)?;
-                return Ok(LeafOutput {
-                    batch,
-                    is_agg_transport: true,
-                    tally,
-                    stats,
-                });
+                return counted(bits.count_ones(), tally, stats);
             }
         }
 
@@ -291,13 +301,16 @@ impl LeafServer {
             }
         }
 
-        // Columns actually touched: projection + predicate columns that
-        // were *not* index-served + residual columns. Each column is its
-        // own on-disk extent, so the scan pays one access latency per
-        // touched column plus the streaming cost of their bytes — this is
-        // where the columnar format's I/O saving (and SmartIndex's
-        // avoided predicate columns) shows up.
-        let (touched, ncols) = touched_fraction(full_schema, task, &outcome.probes, &cnf);
+        // Columns actually touched: projection (none of it when the task
+        // only counts) + predicate columns that were *not* index-served +
+        // residual columns. Each column is its own on-disk extent, so the
+        // scan pays one access latency per touched column plus the
+        // streaming cost of their bytes — this is where the columnar
+        // format's I/O saving (and SmartIndex's avoided predicate columns)
+        // shows up.
+        let projected: &[String] = if count_only { &[] } else { &task.projection };
+        let (touched, ncols) =
+            touched_fraction(full_schema, projected, task, &outcome.probes, &cnf);
         let size = task.block.stored_size;
         let charged = ByteSize((size.as_u64() as f64 * touched).ceil() as u64);
         stats.bytes_read = charged;
@@ -328,6 +341,10 @@ impl LeafServer {
                 .collect();
             bits = apply_residual(&block, &bits, &residuals)?;
             tally.add_cpu(self.cost.predicate_eval(residuals.len() * block.rows()));
+        }
+
+        if count_only {
+            return counted(bits.count_ones(), tally, stats);
         }
 
         // 6. Phase two, materialize: project + rename to the canonical
@@ -560,16 +577,17 @@ fn zones_disprove(cnf: &Cnf, meta: &BlockMeta) -> bool {
 }
 
 /// Fraction of the block's bytes the scan must touch (by estimated
-/// column widths) and the count of touched columns: projected columns
-/// plus predicate/residual columns that were actually evaluated
-/// (index-served predicate columns are skipped).
+/// column widths) and the count of touched columns: the `projected`
+/// columns it materializes plus predicate/residual columns that were
+/// actually evaluated (index-served predicate columns are skipped).
 fn touched_fraction(
     schema: &Schema,
+    projected: &[String],
     task: &ScanTask,
     probes: &[(feisu_sql::cnf::SimplePredicate, ProbeKind)],
     cnf: &Cnf,
 ) -> (f64, usize) {
-    let mut needed: Vec<&str> = task.projection.iter().map(|s| s.as_str()).collect();
+    let mut needed: Vec<&str> = projected.iter().map(|s| s.as_str()).collect();
     for (p, kind) in probes {
         if matches!(
             kind,
@@ -637,25 +655,20 @@ fn apply_residual(block: &Block, bits: &BitVec, residuals: &[Expr]) -> Result<Bi
     Ok(out)
 }
 
-/// Builds the one-row COUNT transport batch for a fully index-served
-/// global count.
-fn count_transport(agg: &AggStage, count: i64) -> Result<RecordBatch> {
-    // A lone COUNT(*) ships one Int64 state column.
-    let schema = AggTable::new(agg.group_by.clone(), agg.aggregates.clone()).transport_schema();
-    RecordBatch::new(schema, vec![Column::from_i64(vec![count])])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use feisu_cluster::Topology;
     use feisu_common::config::CacheSettings;
     use feisu_common::{BlockId, DomainId, SimDuration, UserId};
+    use feisu_format::block::chunk_decodes_on_this_thread as chunk_decodes;
     use feisu_format::block::footer_parses_on_this_thread as parses;
     use feisu_format::{DataType, Field};
     use feisu_obs::MetricsRegistry;
-    use feisu_sql::cnf::to_cnf;
+    use feisu_sql::ast::AggFunc;
+    use feisu_sql::cnf::{to_cnf, Disjunct};
     use feisu_sql::parser::parse_expr;
+    use feisu_sql::plan::AggExpr;
     use feisu_storage::auth::{AuthService, Grant};
     use feisu_storage::hdfs::HdfsDomain;
     use feisu_storage::{CachePin, CacheStats, TieredCache};
@@ -665,6 +678,8 @@ mod tests {
         router: StorageRouter,
         cred: Credential,
         block: BlockDesc,
+        /// The block as written, for decode-everything references.
+        stored: Block,
         registry: MetricsRegistry,
     }
 
@@ -725,28 +740,85 @@ mod tests {
             router,
             cred,
             block,
+            stored,
             registry,
         }
     }
 
+    fn count_star() -> AggStage {
+        AggStage {
+            group_by: Vec::new(),
+            aggregates: vec![AggExpr {
+                func: AggFunc::Count,
+                arg: None,
+                name: "COUNT(*)".into(),
+                output_type: DataType::Int64,
+            }],
+        }
+    }
+
     impl Rig {
-        fn run(&self, predicate: &str) -> LeafOutput {
+        /// `SELECT a FROM t WHERE predicate` over the block, the predicate
+        /// split into indexable clauses and residuals as lowering does.
+        fn task(&self, predicate: &str) -> ScanTask {
             let field = Field::new("a", DataType::Int64, false);
             let names = ["a", "b"].map(|n| (n.to_string(), n.to_string()));
-            let task = ScanTask {
+            let simple = |d: &Disjunct| matches!(d, Disjunct::Simple(_));
+            let (cnf, residual): (Vec<_>, Vec<_>) = to_cnf(&parse_expr(predicate).unwrap())
+                .clauses
+                .into_iter()
+                .partition(|c| c.disjuncts.iter().all(simple));
+            ScanTask {
                 table: "t".into(),
                 block: self.block.clone(),
                 projection: vec!["a".into()],
                 output_schema: Schema::new(vec![field]),
-                cnf: to_cnf(&parse_expr(predicate).unwrap()),
-                residual: Vec::new(),
+                cnf: Cnf { clauses: cnf },
+                residual: residual.iter().map(|c| c.to_expr()).collect(),
                 agg: None,
                 name_map: names.into_iter().collect(),
-            };
+            }
+        }
+
+        fn run(&self, predicate: &str) -> LeafOutput {
             // SmartIndex off: every repeat goes back to the block.
+            let task = self.task(predicate);
             self.leaf
                 .execute(&task, &self.router, &self.cred, SimInstant(0), false)
                 .unwrap()
+        }
+
+        /// `SELECT COUNT(*) FROM t WHERE predicate`, still projecting `a`;
+        /// returns the output and the column chunks the task decoded.
+        fn count(&self, predicate: &str, use_index: bool) -> (LeafOutput, u64) {
+            let mut task = self.task(predicate);
+            task.agg = Some(count_star());
+            let before = chunk_decodes();
+            let out = self
+                .leaf
+                .execute(&task, &self.router, &self.cred, SimInstant(0), use_index)
+                .unwrap();
+            assert!(out.is_agg_transport);
+            // The reference: decode everything, keep the rows the predicate
+            // passes, fold them through an `AggTable`.
+            let block = &self.stored;
+            let all = BitVec::ones(block.rows());
+            let predicate = [parse_expr(predicate).unwrap()];
+            let kept = apply_residual(block, &all, &predicate).unwrap();
+            let columns = block.columns().iter();
+            let columns = columns.map(|c| c.filter_by_words(kept.words())).collect();
+            let rows = RecordBatch::new(block.schema().clone(), columns).unwrap();
+            let agg = count_star();
+            let mut table = AggTable::new(agg.group_by, agg.aggregates);
+            table.update(&rows).unwrap();
+            assert_eq!(out.batch, table.to_transport().unwrap(), "{predicate:?}");
+            assert_eq!(out.stats.rows_out, kept.count_ones());
+            (out, chunk_decodes() - before)
+        }
+
+        /// `share` of the block's stored bytes, as `bytes_read` rounds it.
+        fn bytes_of(&self, share: f64) -> ByteSize {
+            ByteSize((self.block.stored_size.as_u64() as f64 * share).ceil() as u64)
         }
 
         fn domain_reads(&self) -> u64 {
@@ -815,5 +887,90 @@ mod tests {
         assert_eq!((scan.stats.blocks_scanned, scan.stats.rows_out), (1, 155));
         assert!(!scan.stats.served_from_memory);
         assert_eq!(parses(), before);
+    }
+
+    #[test]
+    fn a_count_decodes_the_columns_it_evaluates_and_no_projection() {
+        let cost = CostModel::default();
+        // SmartIndex off. One simple predicate: `b` is decoded, scanned and
+        // billed; the projected `a` is neither read nor charged, and no
+        // row is charged to an aggregate update.
+        let r = rig();
+        let (out, decoded) = r.count("b > 10", false);
+        assert_eq!(decoded, 1, "`b` only");
+        assert_eq!(out.stats.scanned_predicates, 1);
+        assert_eq!(out.stats.bytes_read, r.bytes_of(0.5));
+        let evaluate = cost.decompress(r.bytes_of(0.5)) + cost.predicate_eval(256);
+        assert_eq!(out.tally.cpu, evaluate);
+        // The same statement selecting `a` pays a second extent on top.
+        let rows = rig().run("b > 10");
+        assert_eq!(rows.stats.bytes_read, r.block.stored_size);
+        assert_eq!(rows.stats.rows_out, out.stats.rows_out);
+        assert!(out.tally.io < rows.tally.io, "one access fewer");
+        assert!(out.tally.cpu < rows.tally.cpu);
+
+        // A residual clause and an OR of simple predicates name both
+        // columns: both are evaluated, so both are decoded and billed.
+        let (out, decoded) = r.count("a + b > 250", false);
+        assert_eq!((decoded, out.stats.scanned_predicates), (2, 0));
+        assert_eq!(out.stats.bytes_read, r.block.stored_size);
+        let (out, decoded) = r.count("a < 10 OR b > 40", false);
+        assert_eq!((decoded, out.stats.scanned_predicates), (2, 2));
+        assert_eq!(out.stats.bytes_read, r.block.stored_size);
+        // A residual beside an indexable clause: the selection is final
+        // only after both.
+        let (both, decoded) = r.count("b > 10 AND a + b > 250", false);
+        assert_eq!(decoded, 2);
+        assert_eq!(both.stats.rows_out, 24, "a in 226..=249");
+
+        // A predicate naming no column: the block is read for its footer
+        // alone.
+        let (out, decoded) = r.count("1 = 1", false);
+        assert_eq!((decoded, out.stats.rows_out), (0, 256));
+        assert_eq!(out.stats.bytes_read, ByteSize::ZERO);
+        assert_eq!(out.stats.blocks_scanned, 1);
+    }
+
+    #[test]
+    fn a_count_with_smartindex_builds_then_hits_then_reads_nothing() {
+        let r = rig();
+        // Built: `b` is decoded once to build its vector.
+        let (built, decoded) = r.count("b > 10", true);
+        assert_eq!((decoded, built.stats.index_built), (1, 1));
+        assert_eq!(built.stats.bytes_read, r.bytes_of(0.5));
+        // Hit beside a build: `b > 10` comes from its bits, `a` is read.
+        let (hit, decoded) = r.count("b > 10 AND a < 100", true);
+        assert_eq!(decoded, 1, "`a` only");
+        assert_eq!((hit.stats.index_hits, hit.stats.index_built), (1, 1));
+        assert_eq!(hit.stats.bytes_read, r.bytes_of(0.5));
+        assert!(!hit.stats.served_from_memory);
+        // Hit under a residual: the bits are not the final selection, so
+        // the block is read for the residual's columns and for no other.
+        let (mixed, decoded) = r.count("b > 10 AND a + b > 250", true);
+        assert_eq!((decoded, mixed.stats.index_hits), (2, 1));
+        // Fully cached: no storage touch at all.
+        let reads = r.domain_reads();
+        let cache = r.cache_stats();
+        let (cached, decoded) = r.count("b > 10 AND a < 100", true);
+        assert_eq!((decoded, cached.stats.index_hits), (0, 2));
+        assert!(cached.stats.served_from_memory);
+        assert_eq!(cached.stats.bytes_read, ByteSize::ZERO);
+        assert_eq!(cached.stats.backend, None);
+        assert_eq!((r.domain_reads(), r.cache_stats()), (reads, cache));
+        assert_eq!(cached.tally.io, SimDuration::ZERO);
+        assert_eq!(cached.tally.cpu, CostModel::default().predicate_eval(2));
+    }
+
+    #[test]
+    fn a_count_over_a_block_the_zones_disprove_is_zero_from_the_footer() {
+        let r = rig();
+        let (first, decoded) = r.count("a > 1000", false);
+        assert_eq!(decoded, 0);
+        assert!(first.stats.pruned_by_zone && !first.stats.served_from_memory);
+        assert_eq!(first.stats.rows_out, 0);
+        let (again, decoded) = r.count("a > 1000", false);
+        assert_eq!(decoded, 0);
+        assert!(again.stats.pruned_by_zone && again.stats.served_from_memory);
+        assert_eq!(again.batch, first.batch);
     }
 }

@@ -199,8 +199,8 @@ pub(crate) struct ExecCtx {
     pub(crate) root_spans: Vec<SpanId>,
     /// Bytes served per storage-domain prefix across all scans.
     pub(crate) backend_bytes: BTreeMap<String, u64>,
-    /// Executed-task counts per [`crate::leaf::ServedTier`] rendering.
-    pub(crate) tier_tasks: BTreeMap<String, usize>,
+    /// Executed-task counts per [`crate::leaf::ServedTier::label`].
+    pub(crate) tier_tasks: BTreeMap<&'static str, usize>,
     /// Simulated result bytes shipped leaf→stem across all scans.
     pub(crate) wire_leaf_stem: u64,
     /// Simulated result bytes shipped rack-stem→DC-stem across all scans

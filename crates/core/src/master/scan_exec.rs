@@ -259,11 +259,9 @@ impl FeisuCluster {
                 ctx.spans
                     .attr(span, "blocks_skipped", output.stats.blocks_skipped);
             }
-            ctx.spans
-                .attr(span, "tier", output.stats.served_tier.to_string());
-            *ctx.tier_tasks
-                .entry(output.stats.served_tier.to_string())
-                .or_default() += 1;
+            let tier = output.stats.served_tier.label();
+            ctx.spans.attr(span, "tier", tier);
+            *ctx.tier_tasks.entry(tier).or_default() += 1;
             if let Some(backend) = output.stats.backend {
                 if let Some(d) = self.router.domains().iter().find(|d| d.id() == backend) {
                     let prefix = d.prefix().to_string();

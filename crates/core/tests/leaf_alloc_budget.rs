@@ -1,17 +1,19 @@
 //! Allocation budget for the leaf's two phases: a scan task allocates for
 //! the rows it selects, not for the rows of the block. The projection is
 //! decoded through the selection, so a `url` nobody selected is never
-//! built. Counts are exact and repeat, so they can gate CI where a
-//! wall-clock check cannot.
+//! built; a task that only counts rows builds no row at all. Counts are
+//! exact and repeat, so they can gate CI where a wall-clock check cannot.
 
 use feisu_cluster::{CostModel, Topology};
 use feisu_common::{BlockId, ByteSize, DomainId, NodeId, SimDuration, SimInstant, UserId};
-use feisu_core::leaf::{LeafServer, ScanTask};
+use feisu_core::leaf::{AggStage, LeafServer, ScanTask};
 use feisu_format::table::BlockDesc;
 use feisu_format::{Block, Column, DataType, Field, Schema};
 use feisu_index::manager::IndexManager;
+use feisu_sql::ast::AggFunc;
 use feisu_sql::cnf::to_cnf;
 use feisu_sql::parser::parse_expr;
+use feisu_sql::plan::AggExpr;
 use feisu_storage::auth::{AuthService, Credential, Grant};
 use feisu_storage::hdfs::HdfsDomain;
 use feisu_storage::StorageRouter;
@@ -162,4 +164,38 @@ fn a_scan_task_allocates_for_the_rows_it_keeps_not_the_rows_of_the_block() {
     let (allocs, out) = allocations(|| run(&all));
     assert_eq!(out.batch.rows(), ROWS);
     assert!(allocs >= ROWS, "{allocs} allocations for {ROWS} urls");
+}
+
+#[test]
+fn a_count_only_task_allocates_the_same_at_1_and_at_1000_rows_kept() {
+    let r = rig();
+    // `url` stays in the projection, as an un-pruned plan leaves it: a
+    // bare COUNT(*) is answered by the selection's bit count, so neither
+    // the projection nor an aggregation table is ever built.
+    let count = |predicate: &str| ScanTask {
+        agg: Some(AggStage {
+            group_by: Vec::new(),
+            aggregates: vec![AggExpr {
+                func: AggFunc::Count,
+                arg: None,
+                name: "COUNT(*)".into(),
+                output_type: DataType::Int64,
+            }],
+        }),
+        ..project_url(&r, predicate)
+    };
+    let run = |task: &ScanTask| {
+        r.leaf
+            .execute(task, &r.router, &r.cred, SimInstant(0), false)
+            .unwrap()
+    };
+    let (one, many) = (count("id < 1"), count("id < 1000"));
+    run(&one);
+    let (allocs_one, out) = allocations(|| run(&one));
+    assert_eq!((out.stats.rows_out, out.batch.rows()), (1, 1));
+    let (allocs_many, out) = allocations(|| run(&many));
+    assert_eq!((out.stats.rows_out, out.batch.rows()), (1000, 1));
+    assert_eq!(out.batch.column(0).i64_slice(), [1000]);
+    assert_eq!(allocs_one, allocs_many);
+    assert!(allocs_many < 128, "{allocs_many} allocations to count rows");
 }

@@ -395,9 +395,12 @@ impl AggTable {
 
     // ---- shipping: partial tables travel the tree as record batches ----
 
-    /// Schema of the shipped partial-state batch.
-    pub fn transport_schema(&self) -> Schema {
-        self.transport.clone()
+    /// The transport batch of a bare global `COUNT(*)` over `rows` rows —
+    /// what `new` + `update` + `to_transport` produce, without the table.
+    pub fn count_star_transport(rows: usize) -> Result<RecordBatch> {
+        let state = Field::new("s0:count", DataType::Int64, true);
+        let counts = Column::from_i64(vec![rows as i64]);
+        RecordBatch::new(Schema::new(vec![state]), vec![counts])
     }
 
     /// Serializes the table to its transport batch.
@@ -590,6 +593,22 @@ mod tests {
         assert_eq!(out.value_at(1, "SUM(v)"), Some(Value::Int64(10)));
         assert_eq!(out.value_at(1, "AVG(v)"), Some(Value::Float64(10.0)));
         assert_eq!(out.value_at(1, "MIN(v)"), Some(Value::Int64(10)));
+    }
+
+    #[test]
+    fn count_star_transport_is_what_a_table_ships() {
+        let count_star = || vec![aggs().swap_remove(0)];
+        let mut t = AggTable::new(Vec::new(), count_star());
+        // Zero rows seen is still one row shipped.
+        let none = AggTable::count_star_transport(0).unwrap();
+        assert_eq!(none, t.to_transport().unwrap());
+        t.update(&input()).unwrap();
+        let five = AggTable::count_star_transport(5).unwrap();
+        assert_eq!(five, t.to_transport().unwrap());
+        // And it merges like one.
+        t.merge_transport(&five).unwrap();
+        let doubled = AggTable::count_star_transport(10).unwrap();
+        assert_eq!(doubled, t.to_transport().unwrap());
     }
 
     #[test]

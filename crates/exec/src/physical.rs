@@ -566,6 +566,33 @@ mod tests {
     }
 
     #[test]
+    fn count_star_reads_one_narrow_column_under_every_shape() {
+        // Pushed to the leaves: the scan keeps `clicks` (Int64) to carry a
+        // row count, not `url`, the table's first and widest field.
+        for sql in [
+            "SELECT COUNT(*) FROM t1",
+            "SELECT COUNT(*) FROM t1 WHERE score > 0.5",
+        ] {
+            let s = physical(sql).display_indent();
+            assert!(s.contains("[agg pushed: COUNT(*)]"), "{s}");
+            assert!(s.contains(r#"cols=["clicks"]"#), "{s}");
+        }
+        // Over a join, and over a filter the rules cannot sink, the count
+        // stays on the master and each side keeps a real column.
+        for sql in [
+            "SELECT COUNT(*) FROM t1 JOIN t2 ON t1.url = t2.url",
+            "SELECT COUNT(*) FROM t1, t2",
+            "SELECT COUNT(*) FROM t1 LEFT JOIN t2 ON t1.url = t2.url WHERE t2.rank > 0",
+        ] {
+            let s = physical(sql).display_indent();
+            assert!(s.contains("HashAggregate:"), "{s}");
+            assert!(!s.contains("agg pushed"), "{s}");
+            assert_eq!(s.matches("DistributedScan:").count(), 2, "{s}");
+            assert!(!s.contains("cols=[]"), "{s}");
+        }
+    }
+
+    #[test]
     fn pushdown_annotation_renders_aggs_and_groups() {
         let p = physical("SELECT url, COUNT(*), SUM(clicks) FROM t1 GROUP BY url");
         let s = p.display_indent();

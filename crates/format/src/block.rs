@@ -269,12 +269,19 @@ pub struct BlockMeta {
 
 thread_local! {
     static PARSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static CHUNK_DECODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Footers parsed on the calling thread so far. A test takes the
 /// difference around a call to assert how many parses the call made.
 pub fn footer_parses_on_this_thread() -> u64 {
     PARSES.with(|p| p.get())
+}
+
+/// Column chunks decompressed and decoded on the calling thread so far,
+/// through any of the decode entry points; used as the count above is.
+pub fn chunk_decodes_on_this_thread() -> u64 {
+    CHUNK_DECODES.with(|c| c.get())
 }
 
 fn fingerprint(head: &[u8], footer: &[u8]) -> u64 {
@@ -561,6 +568,7 @@ impl BlockMeta {
     /// the buffer actually passed in, not the one the directory was
     /// validated against.
     fn decode_chunk(&self, buf: &[u8], i: usize, selection: Option<&[u64]>) -> Result<Column> {
+        CHUNK_DECODES.with(|c| c.set(c.get() + 1));
         let chunk = self
             .directory
             .get(i)

@@ -52,7 +52,30 @@ mod tests {
                 Field::new("v", DataType::Int64, false),
             ]),
         );
+        // Widest field first, narrowest (`flag`) in the middle.
+        m.insert(
+            "w".to_string(),
+            Schema::new(vec![
+                Field::new("url", DataType::Utf8, false),
+                Field::new("c0", DataType::Int64, false),
+                Field::new("flag", DataType::Bool, false),
+                Field::new("c1", DataType::Float64, false),
+            ]),
+        );
         m
+    }
+
+    /// The projection of every scan in the plan, left to right.
+    fn scan_projections(mut plan: LogicalPlan) -> Vec<Vec<String>> {
+        fn walk(p: &mut LogicalPlan, out: &mut Vec<Vec<String>>) {
+            if let LogicalPlan::Scan { projection, .. } = p {
+                out.push(projection.clone());
+            }
+            p.children_mut().for_each(|c| walk(c, out));
+        }
+        let mut out = Vec::new();
+        walk(&mut plan, &mut out);
+        out
     }
 
     fn optimized(sql: &str) -> LogicalPlan {
@@ -126,27 +149,46 @@ mod tests {
     #[test]
     fn projection_pruned_to_needed_columns() {
         let p = optimized("SELECT url FROM t1 WHERE clicks > 5");
-        fn find_scan(p: &LogicalPlan) -> Option<&LogicalPlan> {
-            match p {
-                s @ LogicalPlan::Scan { .. } => Some(s),
-                LogicalPlan::Filter { input, .. }
-                | LogicalPlan::Project { input, .. }
-                | LogicalPlan::Sort { input, .. }
-                | LogicalPlan::Aggregate { input, .. }
-                | LogicalPlan::Limit { input, .. } => find_scan(input),
-                LogicalPlan::Join { left, .. } => find_scan(left),
-                LogicalPlan::Empty { .. } => None,
-            }
+        // Only url (selected) survives: the scan evaluates its own
+        // predicate, so `clicks` is not projected, and day/score are
+        // pruned away.
+        assert_eq!(scan_projections(p), [["url"]]);
+    }
+
+    #[test]
+    fn count_star_projects_the_narrowest_column_not_the_first() {
+        // COUNT(*) requires no column; the scan keeps one to carry the row
+        // count and picks it by `estimated_width` — never `url`, and never
+        // the predicate's column, which the scan evaluates itself.
+        for sql in [
+            "SELECT COUNT(*) FROM w",
+            "SELECT COUNT(*) FROM w WHERE c0 > 1",
+            "SELECT COUNT(*) AS n FROM w WHERE c0 > 1 AND url = 'a'",
+            "SELECT COUNT(*) FROM w WHERE c0 + c1 > 1 LIMIT 1",
+        ] {
+            assert_eq!(scan_projections(optimized(sql)), [["flag"]], "{sql}");
         }
-        match find_scan(&p).unwrap() {
-            LogicalPlan::Scan { projection, .. } => {
-                // Only url (selected) survives: the scan evaluates its own
-                // predicate, so `clicks` is not projected, and day/score
-                // are pruned away.
-                assert_eq!(projection, &vec!["url".to_string()]);
-            }
-            _ => unreachable!(),
-        }
+        // An aggregate that names a column reads that column only.
+        let p = optimized("SELECT COUNT(*), MAX(c1) FROM w WHERE c0 > 1");
+        assert_eq!(scan_projections(p), [["c1"]]);
+    }
+
+    #[test]
+    fn count_star_above_a_join_or_a_stuck_filter_keeps_a_column_per_side() {
+        // Nothing is required beyond the join key: each side reads it.
+        let p = optimized("SELECT COUNT(*) FROM w JOIN t2 ON w.url = t2.url");
+        assert_eq!(scan_projections(p), [["url"], ["url"]]);
+        // A cross join requires nothing at all: each side falls back to
+        // its own narrowest column.
+        let p = optimized("SELECT COUNT(*) FROM w, t2");
+        assert_eq!(scan_projections(p), [["flag"], ["rank"]]);
+        // A filter pushdown cannot sink (null-supplying side of a LEFT
+        // JOIN) asks for its own columns on top of the key.
+        let p =
+            optimized("SELECT COUNT(*) FROM w LEFT JOIN t2 ON w.url = t2.url WHERE t2.rank > 0");
+        let s = p.display_indent();
+        assert!(s.contains("Filter: (t2.rank > 0)"), "{s}");
+        assert_eq!(scan_projections(p), [vec!["url"], vec!["url", "rank"]]);
     }
 
     #[test]

@@ -384,13 +384,8 @@ fn prune(plan: &mut LogicalPlan, needed: Option<Vec<String>>) -> bool {
             for arg in aggregates.iter().filter_map(|a| a.arg.as_ref()) {
                 arg.columns(&mut required);
             }
-            // COUNT(*) over a zero-column input still needs row counts:
-            // keep at least one input column if nothing else is required.
-            if required.is_empty() {
-                if let Some(f) = input.schema().fields().first() {
-                    required.push(f.name.clone());
-                }
-            }
+            // COUNT(*) requires nothing: the scans below keep a column to
+            // carry the row count, and know which is cheapest.
             prune(input, Some(required))
         }
         LogicalPlan::Sort { input, keys, .. } => {

@@ -4,9 +4,11 @@
 #   2. cargo build --release
 #   3. cargo test -q (then the e2e suites again at pinned thread widths,
 #      the exec equivalence, optimizer reference, footer mismatch, kernel
-#      equivalence, selected decode, two-phase leaf and LRU model suites
-#      again in release with more cases, and the exec, optimizer,
-#      catalog/schema/statistics and leaf allocation budgets in release)
+#      equivalence, selected decode, two-phase leaf (its count-only arm
+#      included) and LRU model suites again in release with more cases,
+#      and the exec, optimizer, catalog/schema/statistics and leaf
+#      allocation budgets — a scan task's and a count-only task's — in
+#      release)
 #   4. cargo clippy --workspace -- -D warnings
 #   5. the observability smoke runner, `experiments --check` (every
 #      paper table regenerated, its shape asserted, EXPERIMENTS.md held to
@@ -55,8 +57,8 @@ FEISU_CLIENT_THREADS=4 cargo test -q $OFFLINE -p feisu-tests
 # the allocation budgets, whose counts are exact in any profile: the key
 # layer's, `Catalog::table()`, a repeated `Catalog::table_stats()` and
 # `Schema::clone` at zero whatever the table's size, a scan task's
-# following the rows it keeps, and the optimizer's not following the
-# table's width.
+# following the rows it keeps, a count-only task's following nothing, and
+# the optimizer's not following the table's width.
 echo "ci: exec equivalence suite (release, 2048 cases) + allocation budgets"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-exec --test equivalence --test alloc_budget
 cargo test -q --release $OFFLINE -p feisu-core --test catalog_snapshot --test leaf_alloc_budget
@@ -81,8 +83,9 @@ PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-format --test foot
 # footprints), and decoding through a selection against decoding then
 # filtering, corrupt chunks included — in the format and, one level up,
 # in the leaf's two phases against a decode-everything reference (batch,
-# stats and tally; index on, off and through the decode_all retry): same
-# mechanism, same case count.
+# stats and tally; index on, off and through the decode_all retry; one
+# task in three a bare COUNT(*), billed no projection and no aggregate
+# update): same mechanism, same case count.
 echo "ci: kernel equivalence + selected decode + two-phase leaf suites (release, 2048 cases)"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-index --test kernel_equivalence
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-format --test selected_decode

@@ -10,6 +10,7 @@ use feisu_common::{
     ByteSize, DomainId, FeisuError, NodeId, Result, SimDuration, SimInstant, UserId,
 };
 use feisu_core::leaf::{AggStage, LeafOutput, LeafServer, LeafTaskStats, ScanTask, ServedTier};
+use feisu_exec::aggregate::AggTable;
 use feisu_exec::batch::RecordBatch;
 use feisu_format::table::BlockDesc;
 use feisu_format::{Block, BlockMeta, Column, DataType, Field, Schema, Value};
@@ -316,12 +317,9 @@ fn partial_agg_transport_counts_match_rows() {
         .execute(&t, &r.router, &r.cred, SimInstant(0), true)
         .unwrap();
     assert!(out.is_agg_transport);
-    let table = feisu_exec::aggregate::AggTable::from_transport(
-        stage.group_by.clone(),
-        stage.aggregates.clone(),
-        &out.batch,
-    )
-    .unwrap();
+    let table =
+        AggTable::from_transport(stage.group_by.clone(), stage.aggregates.clone(), &out.batch)
+            .unwrap();
     let final_schema = Schema::new(vec![
         Field::new("c", DataType::Int64, true),
         Field::new("n", DataType::Int64, true),
@@ -371,10 +369,25 @@ fn or_clause_and_value_correctness() {
 // Two-phase execution (evaluate, then materialize) against a reference
 // that decodes every column first and filters afterwards.
 
-/// What `LeafServer::execute` must return for a task with no aggregation
-/// stage and an identity name map, the long way round: read the object,
-/// parse its footer, decode *every* column, evaluate, filter, project —
-/// with the cost model spelled out from the columns the task touches.
+/// The transport of a bare `COUNT(*)` the long way round: the kept rows of
+/// every column of `block`, folded through an `AggTable`.
+fn counted(block: &Block, kept: &BitVec) -> Result<RecordBatch> {
+    let columns = block.columns().iter();
+    let columns = columns.map(|c| c.filter_by_words(kept.words())).collect();
+    let rows = RecordBatch::new(block.schema().clone(), columns)?;
+    let stage = count_stage();
+    let mut table = AggTable::new(stage.group_by, stage.aggregates);
+    table.update(&rows)?;
+    table.to_transport()
+}
+
+/// What `LeafServer::execute` must return for a task with an identity name
+/// map and no aggregation stage, or the bare `COUNT(*)` one, the long way
+/// round: read the object, parse its footer, decode *every* column,
+/// evaluate, filter, project or count — with the cost model spelled out
+/// from the columns the task touches. A counting task is the projecting
+/// one minus the projection's I/O and decompression, and is charged no
+/// aggregate update.
 fn reference(
     task: &ScanTask,
     router: &StorageRouter,
@@ -389,9 +402,27 @@ fn reference(
         ..Default::default()
     };
     let mut tally = TimeTally::new();
+    let count_only = task.agg.as_ref().is_some_and(AggStage::is_count_star_only);
     let resident = router.footers().get(node, &task.block.path).is_some();
     let read = router.read(&task.block.path, node, cred, now)?;
     let meta = Block::read_meta(&read.data)?;
+
+    // A count whose every predicate has live cached bits is their algebra,
+    // before the footer or the block is looked at.
+    let cached = |d: &Disjunct| match (d, index) {
+        (Disjunct::Simple(p), Some(index)) => index.servable(task.block.id, p, now),
+        _ => false,
+    };
+    let mut disjuncts = task.cnf.clauses.iter().flat_map(|c| &c.disjuncts);
+    if count_only && index.is_some() && task.residual.is_empty() && disjuncts.all(cached) {
+        let block = Block::deserialize(&read.data)?;
+        let bits = evaluate_cnf(index, &block, &task.cnf, now)?.bits;
+        stats.index_hits = task.cnf.clauses.iter().map(|c| c.disjuncts.len()).sum();
+        stats.served_from_memory = true;
+        stats.rows_out = bits.count_ones();
+        tally.add_cpu(cost.predicate_eval(task.cnf.clauses.len().max(1)));
+        return Ok((counted(&block, &bits)?, stats, tally));
+    }
     let size = task.block.stored_size;
     let domain_extra = read.cost.io.saturating_sub(cost.read(read.medium, size));
     let tier = match read.hops {
@@ -413,14 +444,22 @@ fn reference(
             tally.add_network(cost.network(read.hops, footer));
         }
         tally.add_cpu(cost.predicate_eval(task.cnf.clauses.len().max(1)));
-        return Ok((RecordBatch::empty(task.output_schema.clone()), stats, tally));
+        let batch = match count_only {
+            true => counted(&Block::deserialize(&read.data)?, &BitVec::zeros(meta.rows))?,
+            false => RecordBatch::empty(task.output_schema.clone()),
+        };
+        return Ok((batch, stats, tally));
     }
     (stats.backend, stats.served_tier) = (Some(DomainId(1)), tier);
     stats.blocks_scanned = 1;
 
     let block = Block::deserialize(&read.data)?;
     let outcome = evaluate_cnf(index, &block, &task.cnf, now)?;
-    let mut touched = task.projection.clone();
+    // A count materializes no column, so it is billed for none.
+    let mut touched = match count_only {
+        true => Vec::new(),
+        false => task.projection.clone(),
+    };
     for (p, kind) in &outcome.probes {
         match kind {
             ProbeKind::Hit | ProbeKind::NegatedHit => stats.index_hits += 1,
@@ -489,6 +528,10 @@ fn reference(
         tally.add_cpu(cost.predicate_eval(residuals.len() * block.rows()));
     }
     stats.rows_out = bits.count_ones();
+    if count_only {
+        // Not even a projected name the block lacks is looked up.
+        return Ok((counted(&block, &bits)?, stats, tally));
+    }
     let mut columns = Vec::new();
     for name in &task.projection {
         let column = block.column_by_name(name).ok_or_else(|| {
@@ -635,9 +678,10 @@ fn random_predicate(rng: &mut Rng, fields: &[Field]) -> String {
     }
 }
 
-/// A task over `desc`: 0–3 clauses of 1–2 disjuncts, 0–1 residuals, and a
+/// A task over `desc`: 0–3 clauses of 1–2 disjuncts, 0–1 residuals, a
 /// projection of 0–4 names that may overlap the predicate columns, repeat
-/// a name, or name a column the block lacks.
+/// a name, or name a column the block lacks — and, one time in three, a
+/// bare `COUNT(*)` stage over all of it.
 fn random_task(rng: &mut Rng, desc: &BlockDesc, fields: &[Field]) -> ScanTask {
     let clauses: Vec<String> = (0..rng.below(4))
         .map(|_| {
@@ -662,7 +706,10 @@ fn random_task(rng: &mut Rng, desc: &BlockDesc, fields: &[Field]) -> ScanTask {
             _ => fields[rng.below(fields.len())].name.clone(),
         });
     }
-    task_over(desc, fields, cnf, residual, projection)
+    ScanTask {
+        agg: (rng.below(3) == 0).then(count_stage),
+        ..task_over(desc, fields, cnf, residual, projection)
+    }
 }
 
 fn task_over(
@@ -753,9 +800,12 @@ proptest! {
         let manager = || IndexManager::new(budget, SimDuration::hours(72));
         let tight = LeafServer::new(NodeId(2), manager(), CostModel::default());
         let mirror = manager();
-        let projection = &task.projection;
-        let warm_up = task_over(&desc, &fields, only_p1.clone(), Vec::new(), projection.clone());
-        let retried = task_over(&desc, &fields, both.clone(), Vec::new(), projection.clone());
+        // Same projection, same stage: a counting task retries as well.
+        let over = |cnf: &Cnf| ScanTask {
+            agg: task.agg.clone(),
+            ..task_over(&desc, &fields, cnf.clone(), Vec::new(), task.projection.clone())
+        };
+        let (warm_up, retried) = (over(&only_p1), over(&both));
         let want = reference(&warm_up, &router, &cred, tight.node, Some(&mirror), SimInstant(4));
         let got = tight.execute(&warm_up, &router, &cred, SimInstant(4), true);
         agree(got, want, "warm-up", &warm_up)?;
