@@ -267,8 +267,10 @@ mod tests {
 
     #[test]
     fn per_operator_rates_are_independently_tunable() {
-        let mut m = CostModel::default();
-        m.cpu_ns_per_sort_cmp = 4.0;
+        let m = CostModel {
+            cpu_ns_per_sort_cmp: 4.0,
+            ..CostModel::default()
+        };
         assert_eq!(m.sort_cmp(100), SimDuration::nanos(400));
         // Other operators keep their own rates.
         assert_eq!(m.project(100), SimDuration::nanos(200));

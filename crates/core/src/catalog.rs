@@ -357,33 +357,20 @@ pub type CatalogRef = Arc<Catalog>;
 mod tests {
     use super::*;
     use feisu_cluster::{CostModel, Topology};
-    use feisu_common::{SimDuration, UserId};
+    use feisu_common::{DomainId, SimDuration, UserId};
     use feisu_format::{DataType, Field};
     use feisu_storage::auth::{AuthService, Grant};
-    use feisu_storage::hdfs::HdfsDomain;
-    use feisu_storage::localfs::LocalFsDomain;
+    use feisu_storage::Domain;
 
     fn setup() -> (Catalog, StorageRouter, Credential) {
         let topo = Arc::new(Topology::grid(1, 2, 2));
         let cost = CostModel::default();
-        let local = Arc::new(LocalFsDomain::new(
-            feisu_common::DomainId(0),
-            "local",
-            topo.clone(),
-            cost.clone(),
-        ));
-        let hdfs = Arc::new(HdfsDomain::new(
-            feisu_common::DomainId(1),
-            "hdfs",
-            topo,
-            cost.clone(),
-            2,
-            1,
-        ));
+        let local = Domain::local_fs(DomainId(0), "local", topo.clone(), cost.clone());
+        let hdfs = Domain::hdfs(DomainId(1), "hdfs", topo, cost.clone(), 2, 1);
         let auth = Arc::new(AuthService::new(1));
         auth.register(UserId(1));
-        auth.grant(UserId(1), feisu_common::DomainId(0), Grant::ReadWrite);
-        auth.grant(UserId(1), feisu_common::DomainId(1), Grant::ReadWrite);
+        auth.grant(UserId(1), DomainId(0), Grant::ReadWrite);
+        auth.grant(UserId(1), DomainId(1), Grant::ReadWrite);
         let cred = auth
             .issue(UserId(1), SimInstant(0), SimDuration::hours(8))
             .unwrap();
@@ -422,7 +409,6 @@ mod tests {
         let b0 = &desc.partitions[0].blocks[0];
         assert_eq!(b0.rows, 10);
         // Blocks are actually in storage, zone statistics in their footers.
-        assert!(router.exists(&b0.path));
         let bytes = router
             .read(&b0.path, NodeId(0), &cred, SimInstant(0))
             .unwrap();

@@ -21,7 +21,7 @@ use feisu_common::config::FeisuConfig;
 use feisu_common::hash::{FxHashMap, FxHashSet};
 use feisu_common::ids::IdGen;
 use feisu_common::{
-    ByteSize, FeisuError, NodeId, QueryId, Result, SimDuration, SimInstant, UserId,
+    ByteSize, DomainId, FeisuError, NodeId, QueryId, Result, SimDuration, SimInstant, UserId,
 };
 use feisu_exec::batch::RecordBatch;
 use feisu_format::{Column, Schema, Value};
@@ -30,11 +30,7 @@ use feisu_obs::{
     MetricsRegistry, QueryEvent, QueryLog, QueryOutcome, QueryProfile, WindowedMetrics,
 };
 use feisu_storage::auth::{AuthService, Credential, Grant};
-use feisu_storage::fatman::FatmanDomain;
-use feisu_storage::hdfs::HdfsDomain;
-use feisu_storage::kv::KvDomain;
-use feisu_storage::localfs::LocalFsDomain;
-use feisu_storage::{CachePin, StorageDomain, StorageRouter, TieredCache};
+use feisu_storage::{CachePin, Domain, StorageRouter, TieredCache};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
@@ -296,38 +292,31 @@ impl FeisuCluster {
             spec.nodes_per_rack,
         ));
         let cost = spec.cost.clone();
-        let local = Arc::new(LocalFsDomain::new(
-            feisu_common::DomainId(0),
-            "local",
-            topology.clone(),
-            cost.clone(),
-        ));
-        let hdfs = Arc::new(HdfsDomain::new(
-            feisu_common::DomainId(1),
-            "hdfs",
-            topology.clone(),
-            cost.clone(),
-            spec.config.replication_factor,
-            spec.seed ^ 0x11,
-        ));
-        let ffs = Arc::new(FatmanDomain::new(
-            feisu_common::DomainId(2),
-            "ffs",
-            topology.clone(),
-            cost.clone(),
-            spec.config.replication_factor,
-            spec.seed ^ 0x22,
-        ));
-        let kv = Arc::new(KvDomain::new(
-            feisu_common::DomainId(3),
-            "kv",
-            topology.clone(),
-            cost.clone(),
-        ));
+        let replication = spec.config.replication_factor;
+        let domains = vec![
+            Domain::local_fs(DomainId(0), "local", topology.clone(), cost.clone()),
+            Domain::hdfs(
+                DomainId(1),
+                "hdfs",
+                topology.clone(),
+                cost.clone(),
+                replication,
+                spec.seed ^ 0x11,
+            ),
+            Domain::fatman(
+                DomainId(2),
+                "ffs",
+                topology.clone(),
+                cost.clone(),
+                replication,
+                spec.seed ^ 0x22,
+            ),
+            Domain::kv(DomainId(3), "kv", topology.clone(), cost.clone()),
+        ];
         let auth = Arc::new(AuthService::new(spec.seed ^ 0xA0A0));
         auth.register(SYSTEM_USER);
         for d in 0..4u64 {
-            auth.grant(SYSTEM_USER, feisu_common::DomainId(d), Grant::ReadWrite);
+            auth.grant(SYSTEM_USER, DomainId(d), Grant::ReadWrite);
         }
         let system_cred =
             auth.issue(SYSTEM_USER, clock.now(), SimDuration::hours(24 * 365 * 10))?;
@@ -345,7 +334,6 @@ impl FeisuCluster {
                     .collect(),
             ))
         });
-        let domains: Vec<Arc<dyn StorageDomain>> = vec![local, hdfs, ffs, kv];
         let router = Arc::new(StorageRouter::new(
             domains,
             0,

@@ -670,8 +670,7 @@ mod tests {
     use feisu_sql::parser::parse_expr;
     use feisu_sql::plan::AggExpr;
     use feisu_storage::auth::{AuthService, Grant};
-    use feisu_storage::hdfs::HdfsDomain;
-    use feisu_storage::{CachePin, CacheStats, TieredCache};
+    use feisu_storage::{CachePin, CacheStats, Domain, TieredCache};
 
     struct Rig {
         leaf: LeafServer,
@@ -688,14 +687,7 @@ mod tests {
     fn rig() -> Rig {
         let topology = Arc::new(Topology::grid(1, 2, 2));
         let cost = CostModel::default();
-        let hdfs = Arc::new(HdfsDomain::new(
-            DomainId(1),
-            "hdfs",
-            topology,
-            cost.clone(),
-            3,
-            7,
-        ));
+        let hdfs = Domain::hdfs(DomainId(1), "hdfs", topology, cost.clone(), 3, 7);
         let auth = Arc::new(AuthService::new(9));
         auth.register(UserId(1));
         auth.grant(UserId(1), DomainId(1), Grant::ReadWrite);

@@ -15,8 +15,7 @@ use feisu_sql::cnf::to_cnf;
 use feisu_sql::parser::parse_expr;
 use feisu_sql::plan::AggExpr;
 use feisu_storage::auth::{AuthService, Credential, Grant};
-use feisu_storage::hdfs::HdfsDomain;
-use feisu_storage::StorageRouter;
+use feisu_storage::{Domain, StorageRouter};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -74,14 +73,7 @@ struct Rig {
 fn rig() -> Rig {
     let topology = Arc::new(Topology::grid(1, 2, 2));
     let cost = CostModel::default();
-    let hdfs = Arc::new(HdfsDomain::new(
-        DomainId(1),
-        "hdfs",
-        topology,
-        cost.clone(),
-        3,
-        7,
-    ));
+    let hdfs = Domain::hdfs(DomainId(1), "hdfs", topology, cost.clone(), 3, 7);
     let auth = Arc::new(AuthService::new(9));
     auth.register(UserId(1));
     auth.grant(UserId(1), DomainId(1), Grant::ReadWrite);

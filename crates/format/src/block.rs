@@ -1087,13 +1087,18 @@ mod tests {
         let len = chunk.len() as u64;
         let fields = [("x", type_tag(DataType::Int64), 0)];
         // Offset pointing past the chunk region.
-        let buf = assemble_v2(4, &fields, &[chunk.clone()], &[(len + 1000, len)]);
+        let buf = assemble_v2(
+            4,
+            &fields,
+            std::slice::from_ref(&chunk),
+            &[(len + 1000, len)],
+        );
         assert!(matches!(
             Block::deserialize(&buf),
             Err(FeisuError::Corrupt(_))
         ));
         // Length running past the chunk region; offset+len may also wrap.
-        let buf = assemble_v2(4, &fields, &[chunk.clone()], &[(0, u64::MAX)]);
+        let buf = assemble_v2(4, &fields, std::slice::from_ref(&chunk), &[(0, u64::MAX)]);
         assert!(matches!(
             Block::deserialize(&buf),
             Err(FeisuError::Corrupt(_))

@@ -476,8 +476,8 @@ mod tests {
         }
         let (p50, p95, p99) = (h.p50(), h.p95(), h.p99());
         assert!(p50 <= p95 && p95 <= p99);
-        assert!(p50 >= 250_000 && p50 <= 750_000, "p50 was {p50}");
-        assert!(p99 >= 900_000 && p99 <= 1_000_000, "p99 was {p99}");
+        assert!((250_000..=750_000).contains(&p50), "p50 was {p50}");
+        assert!((900_000..=1_000_000).contains(&p99), "p99 was {p99}");
     }
 
     #[test]

@@ -95,27 +95,6 @@ pub fn predicate_is_true(e: &Expr) -> bool {
     matches!(e, Expr::Literal(Value::Bool(true)))
 }
 
-/// Strips double negation (`NOT NOT x` → `x`); cheap clean-up used by the
-/// index rewriter.
-pub fn simplify_not(e: &Expr) -> Expr {
-    match e {
-        Expr::Unary {
-            op: UnaryOp::Not,
-            operand,
-        } => match operand.as_ref() {
-            Expr::Unary {
-                op: UnaryOp::Not,
-                operand: inner,
-            } => simplify_not(inner),
-            _ => Expr::not(simplify_not(operand)),
-        },
-        Expr::Binary { op, left, right } => {
-            Expr::binary(*op, simplify_not(left), simplify_not(right))
-        }
-        other => other.clone(),
-    }
-}
-
 /// Pushes negation down to the leaves (negation-normal form). Comparisons
 /// absorb the negation via `BinaryOp::negate`; anything else keeps an
 /// explicit NOT. With `negated = false` this is a plain NNF normalizer;
@@ -371,14 +350,6 @@ mod tests {
         assert!(predicate_is_true(&Expr::Literal(Value::Bool(true))));
         assert!(!predicate_is_false(&expr("x > 2")));
         assert!(!predicate_is_true(&expr("x > 2")));
-    }
-
-    #[test]
-    fn double_negation_stripped() {
-        let e = expr("NOT NOT (x > 1)");
-        assert_eq!(simplify_not(&e).to_string(), "(x > 1)");
-        let e = expr("NOT NOT NOT (x > 1)");
-        assert_eq!(simplify_not(&e).to_string(), "(NOT (x > 1))");
     }
 
     #[test]

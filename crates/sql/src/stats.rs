@@ -367,7 +367,7 @@ mod tests {
         assert!((sel - 0.45).abs() < 1e-9, "{sel}");
         // Out-of-range stays clamped, never negative.
         let sel = t.selectivity(&parse_expr("clicks > 200").unwrap());
-        assert!(sel >= 1e-4 && sel < 0.01, "{sel}");
+        assert!((1e-4..0.01).contains(&sel), "{sel}");
     }
 
     #[test]

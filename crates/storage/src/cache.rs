@@ -714,10 +714,12 @@ mod tests {
 
     #[test]
     fn pins_bypass_the_ghost_filter() {
-        let mut s = CacheSettings::default();
-        s.enabled = true;
-        s.mem_capacity_per_node = ByteSize::kib(64);
-        s.ssd_capacity_per_node = ByteSize::kib(64);
+        let s = CacheSettings {
+            enabled: true,
+            mem_capacity_per_node: ByteSize::kib(64),
+            ssd_capacity_per_node: ByteSize::kib(64),
+            ..CacheSettings::default()
+        };
         let c = TieredCache::new(
             s,
             vec![CachePin {
@@ -763,10 +765,12 @@ mod tests {
     #[test]
     fn memory_evictions_demote_back_to_ssd() {
         // Memory holds one 600 B entry; SSD holds both.
-        let mut s = CacheSettings::default();
-        s.enabled = true;
-        s.mem_capacity_per_node = ByteSize(1000);
-        s.ssd_capacity_per_node = ByteSize::kib(64);
+        let s = CacheSettings {
+            enabled: true,
+            mem_capacity_per_node: ByteSize(1000),
+            ssd_capacity_per_node: ByteSize::kib(64),
+            ..CacheSettings::default()
+        };
         let c = TieredCache::new(s, pin_all());
         c.admit(NodeId(0), "/t/a", Bytes::from(vec![1u8; 600]), attr(1), NOW);
         c.admit(NodeId(0), "/t/b", Bytes::from(vec![2u8; 600]), attr(1), NOW);
@@ -856,9 +860,11 @@ mod tests {
 
     #[test]
     fn ttl_expires_entries_on_probe() {
-        let mut s = CacheSettings::default();
-        s.enabled = true;
-        s.ttl = Some(SimDuration::hours(1));
+        let s = CacheSettings {
+            enabled: true,
+            ttl: Some(SimDuration::hours(1)),
+            ..CacheSettings::default()
+        };
         let c = TieredCache::new(s, pin_all());
         c.admit(NodeId(0), "/t/x", Bytes::from_static(b"d"), attr(1), NOW);
         assert!(c
@@ -921,10 +927,12 @@ mod tests {
 
     #[test]
     fn eviction_under_quota_pressure_sheds_own_entries() {
-        let mut s = CacheSettings::default();
-        s.enabled = true;
-        s.mem_capacity_per_node = ByteSize::kib(64);
-        s.ssd_capacity_per_node = ByteSize::kib(64);
+        let s = CacheSettings {
+            enabled: true,
+            mem_capacity_per_node: ByteSize::kib(64),
+            ssd_capacity_per_node: ByteSize::kib(64),
+            ..CacheSettings::default()
+        };
         let c = TieredCache::new(s, pin_all());
         c.set_user_quota(UserId(1), Some(ByteSize(1000)));
         let blob = Bytes::from(vec![0u8; 400]);
@@ -950,8 +958,10 @@ mod tests {
 
     #[test]
     fn zero_quota_user_caches_nothing() {
-        let mut s = CacheSettings::default();
-        s.enabled = true;
+        let s = CacheSettings {
+            enabled: true,
+            ..CacheSettings::default()
+        };
         let c = TieredCache::new(s, pin_all());
         c.set_user_quota(UserId(3), Some(ByteSize::ZERO));
         c.admit(NodeId(0), "/t/x", Bytes::from_static(b"d"), attr(3), NOW);
@@ -966,8 +976,10 @@ mod tests {
 
     #[test]
     fn pin_vs_quota_conflict_quota_wins() {
-        let mut s = CacheSettings::default();
-        s.enabled = true;
+        let s = CacheSettings {
+            enabled: true,
+            ..CacheSettings::default()
+        };
         let c = TieredCache::new(
             s,
             vec![CachePin {
@@ -989,9 +1001,11 @@ mod tests {
 
     #[test]
     fn ghost_capacity_is_bounded() {
-        let mut s = CacheSettings::default();
-        s.enabled = true;
-        s.ghost_capacity = 8;
+        let s = CacheSettings {
+            enabled: true,
+            ghost_capacity: 8,
+            ..CacheSettings::default()
+        };
         let c = TieredCache::new(s, Vec::new());
         for i in 0..100 {
             c.admit(

@@ -8,24 +8,22 @@
 //! (`/hdfs/...`, `/ffs/...`, `/kv/...`, local by default) to per-domain
 //! plugins and maps one sign-on to per-domain credentials (§V-A).
 //!
-//! Every backend here is a real implementation against the simulated
-//! cluster: replica placement is rack-aware, reads pick the cheapest
-//! replica by hop distance, and every byte moved is charged to the
-//! deterministic cost model.
+//! The four systems are one [`Domain`] type with four placement policies:
+//! a replicated object store against the simulated cluster whose
+//! instances differ in where replicas go, which medium serves a read and a
+//! fixed wake-up penalty. Reads pick the live replica nearest by hop
+//! distance, and every byte moved is charged to the deterministic cost
+//! model.
 
 pub mod auth;
 pub mod cache;
 pub mod domain;
-pub mod fatman;
 pub mod footers;
-pub mod hdfs;
-pub mod kv;
-pub mod localfs;
 pub mod router;
 
 pub use auth::{AuthService, Credential, Grant};
 pub use bytes::Bytes;
 pub use cache::{CacheAttr, CacheHit, CachePin, CacheStats, CacheTier, CacheTierRow, TieredCache};
-pub use domain::{ReadResult, StorageDomain};
+pub use domain::{Domain, ReadResult};
 pub use footers::FooterCache;
 pub use router::StorageRouter;

@@ -10,27 +10,19 @@
 
 use crate::auth::{AuthService, Credential, Grant};
 use crate::cache::{CacheAttr, CacheTier, TieredCache};
-use crate::domain::{ReadResult, StorageDomain};
+use crate::domain::{Domain, ReadResult};
 use crate::footers::FooterCache;
 use bytes::Bytes;
 use feisu_cluster::simclock::TimeTally;
 use feisu_cluster::{CostModel, StorageMedium};
 use feisu_common::{ByteSize, FeisuError, NodeId, Result, SimInstant};
 use feisu_format::{Block, BlockMeta};
-use feisu_obs::{Counter, MetricsRegistry};
+use feisu_obs::MetricsRegistry;
 use std::sync::Arc;
-
-/// Per-domain read/write counters, indexed like `domains`.
-#[derive(Default)]
-struct DomainMetrics {
-    reads: Arc<Counter>,
-    bytes_read: Arc<Counter>,
-    writes: Arc<Counter>,
-}
 
 /// The unified entry point to every storage domain.
 pub struct StorageRouter {
-    domains: Vec<Arc<dyn StorageDomain>>,
+    domains: Vec<Domain>,
     /// Index into `domains` used when no prefix matches (the local FS).
     default_domain: usize,
     auth: Arc<AuthService>,
@@ -38,12 +30,11 @@ pub struct StorageRouter {
     /// Parsed block footers per node; always on, whatever `cache` is.
     footers: FooterCache,
     cost: CostModel,
-    metrics: Vec<DomainMetrics>,
 }
 
 impl StorageRouter {
     pub fn new(
-        domains: Vec<Arc<dyn StorageDomain>>,
+        domains: Vec<Domain>,
         default_domain: usize,
         auth: Arc<AuthService>,
         cache: Option<Arc<TieredCache>>,
@@ -54,7 +45,6 @@ impl StorageRouter {
             "default domain out of range"
         );
         StorageRouter {
-            metrics: domains.iter().map(|_| DomainMetrics::default()).collect(),
             domains,
             default_domain,
             auth,
@@ -68,12 +58,12 @@ impl StorageRouter {
     /// set per domain, the footer cache's `feisu.meta.*`, plus the block
     /// cache's counters when a cache is configured.
     pub fn attach_metrics(&self, registry: &MetricsRegistry) {
-        for (d, m) in self.domains.iter().zip(&self.metrics) {
+        for d in &self.domains {
             let p = d.prefix();
             for (what, counter) in [
-                ("reads", &m.reads),
-                ("bytes_read", &m.bytes_read),
-                ("writes", &m.writes),
+                ("reads", &d.reads),
+                ("bytes_read", &d.bytes_read),
+                ("writes", &d.writes),
             ] {
                 registry.adopt_counter(&format!("feisu.storage.{p}.{what}"), counter.clone());
             }
@@ -95,16 +85,10 @@ impl StorageRouter {
         self.default_domain
     }
 
-    fn note_read(&self, path: &str, bytes: u64) {
-        let dm = &self.metrics[self.domain_index(path)];
-        dm.reads.inc();
-        dm.bytes_read.add(bytes);
-    }
-
     /// Splits `/prefix/rest` into the owning domain and the domain-local
     /// path. Unrecognized prefixes fall through to the default (local)
     /// domain with the path unchanged, per the paper.
-    pub fn resolve(&self, path: &str) -> (&Arc<dyn StorageDomain>, String) {
+    pub fn resolve(&self, path: &str) -> (&Domain, String) {
         if let Some(stripped) = path.strip_prefix('/') {
             if let Some((prefix, rest)) = stripped.split_once('/') {
                 for d in &self.domains {
@@ -118,8 +102,8 @@ impl StorageRouter {
     }
 
     /// The domain a path routes to (for scheduling and authorization).
-    pub fn domain_of(&self, path: &str) -> &Arc<dyn StorageDomain> {
-        self.resolve(path).0
+    pub fn domain_of(&self, path: &str) -> &Domain {
+        &self.domains[self.domain_index(path)]
     }
 
     /// Authorized read through the cache hierarchy. A memory-tier hit
@@ -150,7 +134,6 @@ impl StorageRouter {
                 return Ok(ReadResult {
                     data: hit.data,
                     cost,
-                    served_from: reader,
                     medium,
                     hops: 0,
                     cache_tier: Some(hit.tier),
@@ -158,7 +141,8 @@ impl StorageRouter {
             }
         }
         let result = domain.read_from(&inner, reader)?;
-        self.note_read(path, result.data.len() as u64);
+        domain.reads.inc();
+        domain.bytes_read.add(result.data.len() as u64);
         if let Some(cache) = &self.cache {
             let attr = CacheAttr { user: cred.user };
             cache.admit(reader, path, result.data.clone(), attr, now);
@@ -176,7 +160,7 @@ impl StorageRouter {
         cred: &Credential,
         now: SimInstant,
     ) -> Result<Option<Arc<BlockMeta>>> {
-        let domain = &self.domains[self.domain_index(path)];
+        let domain = self.domain_of(path);
         self.auth.authorize(cred, domain.id(), Grant::Read, now)?;
         Ok(self.footers.get(reader, path))
     }
@@ -228,7 +212,7 @@ impl StorageRouter {
         let (domain, inner) = self.resolve(path);
         self.auth
             .authorize(cred, domain.id(), Grant::ReadWrite, now)?;
-        self.metrics[self.domain_index(path)].writes.inc();
+        domain.writes.inc();
         domain.put(&inner, data, near)?;
         if let Some(cache) = &self.cache {
             cache.invalidate_path(path);
@@ -243,31 +227,6 @@ impl StorageRouter {
         domain.replicas(&inner)
     }
 
-    pub fn exists(&self, path: &str) -> bool {
-        let (domain, inner) = self.resolve(path);
-        domain.exists(&inner)
-    }
-
-    /// Lists unified paths under a unified prefix. The prefix must route
-    /// to exactly one domain.
-    pub fn list(&self, unified_prefix: &str) -> Vec<String> {
-        let (domain, inner) = self.resolve(unified_prefix);
-        let dp = domain.prefix();
-        domain
-            .list(&inner)
-            .into_iter()
-            .map(|p| {
-                // Re-attach the routing prefix unless this is the default
-                // domain reached without one.
-                if unified_prefix.starts_with(&format!("/{dp}/")) {
-                    format!("/{dp}{p}")
-                } else {
-                    p
-                }
-            })
-            .collect()
-    }
-
     pub fn auth(&self) -> &Arc<AuthService> {
         &self.auth
     }
@@ -280,14 +239,13 @@ impl StorageRouter {
         &self.footers
     }
 
-    pub fn domains(&self) -> &[Arc<dyn StorageDomain>] {
+    pub fn domains(&self) -> &[Domain] {
         &self.domains
     }
 
-    /// Fails if no domain claims this path's prefix *and* the path has an
-    /// explicit prefix-looking shape that is not a known domain — used by
-    /// the client layer's syntax check to warn about likely typos while
-    /// still allowing bare local paths.
+    /// Fails unless the path is absolute. Any absolute path routes: one
+    /// whose first component is no domain's prefix belongs to the local
+    /// domain, per the paper.
     pub fn validate_path(&self, path: &str) -> Result<()> {
         if !path.starts_with('/') {
             return Err(FeisuError::Storage(format!(
@@ -302,40 +260,22 @@ impl StorageRouter {
 mod tests {
     use super::*;
     use crate::cache::CachePin;
-    use crate::fatman::FatmanDomain;
-    use crate::hdfs::HdfsDomain;
-    use crate::kv::KvDomain;
-    use crate::localfs::LocalFsDomain;
     use feisu_cluster::Topology;
     use feisu_common::config::CacheSettings;
     use feisu_common::{DomainId, SimDuration, UserId};
 
-    fn router(with_cache: bool) -> (StorageRouter, Credential) {
+    /// The four domains on a 1x2x2 grid, HDFS and Fatman with two replicas;
+    /// user 1 may read and write local and hdfs, only read kv, and has no
+    /// grant on ffs.
+    fn router_with(cache: Option<TieredCache>) -> (StorageRouter, Credential) {
         let topo = Arc::new(Topology::grid(1, 2, 2));
         let cost = CostModel::default();
-        let local = Arc::new(LocalFsDomain::new(
-            DomainId(0),
-            "local",
-            topo.clone(),
-            cost.clone(),
-        ));
-        let hdfs = Arc::new(HdfsDomain::new(
-            DomainId(1),
-            "hdfs",
-            topo.clone(),
-            cost.clone(),
-            2,
-            1,
-        ));
-        let ffs = Arc::new(FatmanDomain::new(
-            DomainId(2),
-            "ffs",
-            topo.clone(),
-            cost.clone(),
-            2,
-            2,
-        ));
-        let kv = Arc::new(KvDomain::new(DomainId(3), "kv", topo.clone(), cost.clone()));
+        let domains = vec![
+            Domain::local_fs(DomainId(0), "local", topo.clone(), cost.clone()),
+            Domain::hdfs(DomainId(1), "hdfs", topo.clone(), cost.clone(), 2, 1),
+            Domain::fatman(DomainId(2), "ffs", topo.clone(), cost.clone(), 2, 2),
+            Domain::kv(DomainId(3), "kv", topo, cost.clone()),
+        ];
         let auth = Arc::new(AuthService::new(7));
         auth.register(UserId(1));
         auth.grant(UserId(1), DomainId(0), Grant::ReadWrite);
@@ -344,6 +284,11 @@ mod tests {
         let cred = auth
             .issue(UserId(1), SimInstant(0), SimDuration::hours(8))
             .unwrap();
+        let r = StorageRouter::new(domains, 0, auth, cache.map(Arc::new), cost);
+        (r, cred)
+    }
+
+    fn router(with_cache: bool) -> (StorageRouter, Credential) {
         // SSD tier only, admission by pinned prefix only.
         let cache = with_cache.then(|| {
             let settings = CacheSettings {
@@ -353,42 +298,18 @@ mod tests {
                 ghost_capacity: 0,
                 ..CacheSettings::default()
             };
-            Arc::new(TieredCache::new(
+            TieredCache::new(
                 settings,
                 vec![CachePin {
                     path_prefix: "/hdfs/".into(),
                 }],
-            ))
+            )
         });
-        let r = StorageRouter::new(vec![local, hdfs, ffs, kv], 0, auth, cache, cost);
-        (r, cred)
+        router_with(cache)
     }
 
     /// Router with a two-tier (memory + SSD) cache admitting everything.
     fn router_two_tier() -> (StorageRouter, Credential) {
-        let topo = Arc::new(Topology::grid(1, 2, 2));
-        let cost = CostModel::default();
-        let local = Arc::new(LocalFsDomain::new(
-            DomainId(0),
-            "local",
-            topo.clone(),
-            cost.clone(),
-        ));
-        let hdfs = Arc::new(HdfsDomain::new(
-            DomainId(1),
-            "hdfs",
-            topo.clone(),
-            cost.clone(),
-            2,
-            1,
-        ));
-        let auth = Arc::new(AuthService::new(7));
-        auth.register(UserId(1));
-        auth.grant(UserId(1), DomainId(0), Grant::ReadWrite);
-        auth.grant(UserId(1), DomainId(1), Grant::ReadWrite);
-        let cred = auth
-            .issue(UserId(1), SimInstant(0), SimDuration::hours(8))
-            .unwrap();
         let settings = CacheSettings {
             enabled: true,
             mem_capacity_per_node: ByteSize::mib(4),
@@ -398,9 +319,7 @@ mod tests {
         let pin_all = vec![CachePin {
             path_prefix: "/".into(),
         }];
-        let cache = Arc::new(TieredCache::new(settings, pin_all));
-        let r = StorageRouter::new(vec![local, hdfs], 0, auth, Some(cache), cost);
-        (r, cred)
+        router_with(Some(TieredCache::new(settings, pin_all)))
     }
 
     #[test]
@@ -432,8 +351,8 @@ mod tests {
             .read("/hdfs/t/b0", NodeId(0), &cred, SimInstant(0))
             .unwrap();
         assert_eq!(&got.data[..], b"abc");
-        assert!(r.exists("/hdfs/t/b0"));
-        assert!(!r.exists("/hdfs/t/b1"));
+        assert!(r.replicas("/hdfs/t/b0").is_ok());
+        assert!(r.replicas("/hdfs/t/b1").is_err());
     }
 
     #[test]
@@ -477,7 +396,7 @@ mod tests {
         assert_eq!(second.medium, StorageMedium::Ssd);
         assert_eq!(second.cache_tier, Some(CacheTier::Ssd));
         assert!(second.cost.total() < first.cost.total());
-        assert_eq!(second.served_from, NodeId(1));
+        assert_eq!(second.hops, 0);
         assert_eq!(r.cache().unwrap().stats().ssd_hits, 1);
     }
 
@@ -566,6 +485,44 @@ mod tests {
         assert_eq!(registry.counter("feisu.storage.hdfs.bytes_read").get(), 100);
         assert_eq!(registry.counter("feisu.cache.ssd.hits").get(), 1);
         assert_eq!(registry.counter("feisu.storage.local.reads").get(), 0);
+    }
+
+    #[test]
+    fn every_domain_serves_and_counts_its_misses_and_no_cache_hit() {
+        let (r, cred) = router_two_tier();
+        for d in [2, 3] {
+            r.auth().grant(UserId(1), DomainId(d), Grant::ReadWrite);
+        }
+        // An unknown prefix is the local domain, path unchanged.
+        assert_eq!(r.domain_of("/data/x").prefix(), "local");
+        let (local, inner) = r.resolve("/data/x");
+        assert_eq!((local.prefix(), inner.as_str()), ("local", "/data/x"));
+        let t0 = SimInstant(0);
+        let media = [
+            ("/data/x", StorageMedium::Hdd),
+            ("/hdfs/x", StorageMedium::Hdd),
+            ("/ffs/x", StorageMedium::Hdd),
+            ("/kv/x", StorageMedium::Ssd),
+        ];
+        for (i, (path, medium)) in media.into_iter().enumerate() {
+            let blob = Bytes::from(vec![7u8; 100]);
+            r.write(path, blob, Some(NodeId(1)), &cred, t0).unwrap();
+            let domain = &r.domains()[i];
+            let counts = || (domain.reads.get(), domain.bytes_read.get());
+            let holders = r.replicas(path).unwrap();
+            let far = (0..4).map(NodeId).find(|n| !holders.contains(n)).unwrap();
+            let near = r.read(path, holders[0], &cred, t0).unwrap();
+            assert_eq!((near.medium, near.hops), (medium, 0), "{path}");
+            assert_eq!(near.cache_tier, None);
+            let remote = r.read(path, far, &cred, t0).unwrap();
+            assert_eq!(remote.medium, medium, "{path}");
+            assert!(remote.hops > 0, "{path}");
+            assert_eq!(counts(), (2, 200), "{path}");
+            // Both readers' caches hold the bytes now: a hit reads no domain.
+            let hit = r.read(path, far, &cred, t0).unwrap();
+            assert_eq!(hit.cache_tier, Some(CacheTier::Ssd), "{path}");
+            assert_eq!(counts(), (2, 200), "{path}");
+        }
     }
 
     /// A one-column block whose values (and so zone bounds) start at `lo`.
@@ -680,31 +637,6 @@ mod tests {
         let later = SimInstant::EPOCH + SimDuration::hours(100);
         let expired = r.resident_footer("/hdfs/t/b0", NodeId(1), &cred, later);
         assert!(matches!(expired, Err(FeisuError::Unauthenticated(_))));
-    }
-
-    #[test]
-    fn list_reattaches_prefix() {
-        let (r, cred) = router(false);
-        r.write(
-            "/hdfs/t/b0",
-            Bytes::from_static(b"0"),
-            None,
-            &cred,
-            SimInstant(0),
-        )
-        .unwrap();
-        r.write(
-            "/hdfs/t/b1",
-            Bytes::from_static(b"1"),
-            None,
-            &cred,
-            SimInstant(0),
-        )
-        .unwrap();
-        assert_eq!(
-            r.list("/hdfs/t/"),
-            vec!["/hdfs/t/b0".to_string(), "/hdfs/t/b1".to_string()]
-        );
     }
 
     #[test]

@@ -9,7 +9,8 @@
 #      and the exec, optimizer, catalog/schema/statistics and leaf
 #      allocation budgets — a scan task's and a count-only task's — in
 #      release)
-#   4. cargo clippy --workspace -- -D warnings
+#   4. cargo clippy --workspace --all-targets -- -D warnings (tests,
+#      examples and bins linted like the libraries)
 #   5. the observability smoke runner, `experiments --check` (every
 #      paper table regenerated, its shape asserted, EXPERIMENTS.md held to
 #      the bytes; wall time printed, budget 60 s) and the benchmark,
@@ -96,8 +97,8 @@ PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-tests --test leaf_
 echo "ci: lru model suite (release, 2048 cases)"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-common --test lru_model
 
-echo "ci: clippy (-D warnings)"
-cargo clippy --workspace $OFFLINE -- -D warnings
+echo "ci: clippy (all targets, -D warnings)"
+cargo clippy --workspace --all-targets $OFFLINE -- -D warnings
 
 # Observability plane: system tables must answer plain SQL and a real
 # query's Chrome trace must export as well-formed, non-empty JSON (the

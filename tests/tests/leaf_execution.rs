@@ -25,8 +25,7 @@ use feisu_sql::eval::eval_truth;
 use feisu_sql::parser::parse_expr;
 use feisu_sql::plan::AggExpr;
 use feisu_storage::auth::{AuthService, Credential, Grant};
-use feisu_storage::hdfs::HdfsDomain;
-use feisu_storage::{StorageDomain, StorageRouter};
+use feisu_storage::{Domain, StorageRouter};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -46,17 +45,10 @@ struct Rig {
 fn storage() -> (StorageRouter, Credential, Arc<Topology>) {
     let topology = Arc::new(Topology::grid(1, 2, 2));
     let cost = CostModel::default();
-    let hdfs: Arc<dyn StorageDomain> = Arc::new(HdfsDomain::new(
-        feisu_common::DomainId(1),
-        "hdfs",
-        topology.clone(),
-        cost.clone(),
-        3,
-        7,
-    ));
+    let hdfs = Domain::hdfs(DomainId(1), "hdfs", topology.clone(), cost.clone(), 3, 7);
     let auth = Arc::new(AuthService::new(9));
     auth.register(UserId(1));
-    auth.grant(UserId(1), feisu_common::DomainId(1), Grant::ReadWrite);
+    auth.grant(UserId(1), DomainId(1), Grant::ReadWrite);
     let cred = auth
         .issue(UserId(1), SimInstant(0), SimDuration::hours(8))
         .unwrap();

@@ -13,10 +13,13 @@ use proptest::prelude::*;
 
 // ------------------------------------------------------------ fixtures
 
+/// Table name, value column, `(k, value)` rows.
+type JoinTable = (&'static str, &'static str, Vec<(i64, i64)>);
+
 /// Four small join tables sharing an Int64 key domain so every join has
 /// matches: a(k,v) 40 rows, b(k,w) 30 rows, c(k,x) 20 rows, e(k,y) 25
 /// rows.
-fn join_tables() -> Vec<(&'static str, &'static str, Vec<(i64, i64)>)> {
+fn join_tables() -> Vec<JoinTable> {
     vec![
         ("a", "v", (0..40).map(|i| (i % 8, i)).collect()),
         ("b", "w", (0..30).map(|i| (i % 10, i * 3)).collect()),
