@@ -137,7 +137,7 @@ pub fn run() -> Result<Table> {
             // --- smartindex under the same budget.
             acc[2] += common;
             let now = SimInstant(qi as u64);
-            let (_, kind) = probe_predicate(Some(&smart), b, p, now)?;
+            let (_, kind) = probe_predicate(Some(&smart), b, p, None, now)?;
             match kind {
                 ProbeKind::Hit | ProbeKind::NegatedHit => {
                     acc[2] += cost.predicate_eval(b.rows() / 64);

@@ -184,7 +184,7 @@ impl QueryStats {
             blocks_skipped: leaf.blocks_skipped,
             blocks_scanned: leaf.blocks_scanned,
             bytes_read: leaf.bytes_read,
-            pruned_blocks: leaf.pruned_by_zone as usize,
+            pruned_blocks: leaf.blocks_skipped,
             memory_served_tasks: leaf.served_from_memory as usize,
             ..QueryStats::default()
         }

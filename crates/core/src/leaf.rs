@@ -1,46 +1,41 @@
 //! Leaf servers — where scans actually run (paper §III-B, Fig. 3 steps
 //! 3–5).
 //!
-//! A leaf receives a scan sub-plan for one block: projection, the
-//! predicate in conjunctive form, an optional partial-aggregation stage.
-//! It rewrites the predicate against its in-memory SmartIndex cache,
-//! checks the block's footer zone maps — from the node's resident copy of
-//! the footer when it has one, else from the block it then reads — reads
-//! (only the needed columns of) the block when necessary, filters,
-//! projects, optionally pre-aggregates, and returns the result with its
-//! simulated cost. A footer is parsed at most once per task, and not at
-//! all when the node already holds it.
-//!
-//! Cost accounting models the columnar format: a scan is charged for the
-//! byte fraction of the block it actually touches — projected columns
-//! plus predicate columns *not* served by SmartIndex. A bare `COUNT(*)`
-//! is its final selection's bit count: it materializes no column, folds
-//! no aggregate, and is charged for the columns it evaluated alone —
-//! none, when every predicate is cached, as for a block a resident
-//! footer disproves ("all computations are conducted in memory. No scan
-//! operation is actually needed", §IV-C-3).
+//! A leaf answers a scan sub-plan for one block down one ladder, in the
+//! paper's order of preference ("all computations are conducted in memory.
+//! No scan operation is actually needed", §IV-C-3). Each rung answers or
+//! hands the next its state: (1) a bare `COUNT(*)` whose every predicate
+//! has cached SmartIndex bits counts them; (2) footer zone maps that
+//! disprove a clause skip the block, from the node's resident footer
+//! without a read, else from the one read with the block; (3) phase one
+//! decodes the columns the selection is computed from and evaluates it;
+//! (4) a count is its bit count, anything else decodes its projection
+//! through it; (5) the optional partial aggregation. SmartIndex is looked
+//! up once per predicate, and a handle the task holds serves even if the
+//! entry is evicted before its turn. Every rung records what it touched in
+//! one `Touch`, and one `bill` prices every exit.
 
 use feisu_cluster::simclock::TimeTally;
 use feisu_cluster::CostModel;
 use feisu_common::hash::FxHashMap;
-use feisu_common::{ByteSize, FeisuError, NodeId, Result, SimInstant};
+use feisu_common::{ByteSize, DomainId, FeisuError, NodeId, Result, SimInstant};
 use feisu_exec::aggregate::AggTable;
 use feisu_exec::batch::{BatchView, RecordBatch};
 use feisu_format::table::BlockDesc;
-use feisu_format::{Block, BlockMeta, Column, Schema};
+use feisu_format::{Block, BlockMeta, Column, Field, Schema};
 use feisu_index::bitvec::BitVec;
-use feisu_index::manager::IndexManager;
-use feisu_index::rewrite::{evaluate_cnf, ProbeKind};
+use feisu_index::manager::{Held, IndexManager};
+use feisu_index::rewrite::{evaluate_held, ProbeKind};
 use feisu_index::zonemap;
 use feisu_sql::ast::Expr;
-use feisu_sql::cnf::Cnf;
+use feisu_sql::cnf::{Clause, Cnf, SimplePredicate};
 use feisu_sql::eval::eval_truth;
-use feisu_sql::exprutil::rename_cnf;
+use feisu_sql::exprutil::{rename_cnf, rename_expr};
 use feisu_storage::auth::Credential;
-use feisu_storage::{CacheTier, StorageRouter};
+use feisu_storage::{Bytes, CacheTier, ReadResult, StorageRouter};
+use std::ops::ControlFlow::{self, Break, Continue};
 use std::sync::Arc;
 
-pub use feisu_sql::exprutil::rename_expr;
 // The partial-aggregation stage is the planner's type, so the logical
 // layer, the physical layer and the leaves share one.
 pub use feisu_sql::plan::AggStage;
@@ -112,7 +107,6 @@ pub struct LeafTaskStats {
     /// rejected build is also counted in `index_built`.
     pub index_rejected: usize,
     pub scanned_predicates: usize,
-    pub pruned_by_zone: bool,
     /// Blocks skipped by footer zone maps before any column decode (0 or
     /// 1 per task today; a task covers one block).
     pub blocks_skipped: usize,
@@ -124,7 +118,7 @@ pub struct LeafTaskStats {
     pub served_from_memory: bool,
     /// Domain that owns the scanned block (`None` until the task touches
     /// storage — pruned/index-served tasks never resolve it).
-    pub backend: Option<feisu_common::DomainId>,
+    pub backend: Option<DomainId>,
     /// Cache tier that served the block bytes.
     pub served_tier: ServedTier,
     pub rows_in: usize,
@@ -148,6 +142,72 @@ pub struct LeafServer {
     cost: CostModel,
 }
 
+/// What every rung of the ladder reads.
+struct Climb<'a> {
+    task: &'a ScanTask,
+    /// The task's CNF in storage names, to match the block's schema.
+    cnf: Cnf,
+    /// The task is a bare global `COUNT(*)`.
+    counts: bool,
+    router: &'a StorageRouter,
+    cred: &'a Credential,
+    now: SimInstant,
+    /// The SmartIndex cache, unless the task runs without it.
+    index: Option<&'a IndexManager>,
+}
+
+/// What a task touched on its way down the ladder: all that
+/// [`LeafServer::bill`] prices.
+#[derive(Default)]
+struct Touch<'a> {
+    /// What the rungs count as they go: rows in and out, index probes.
+    stats: LeafTaskStats,
+    stored_size: ByteSize,
+    /// CNF clauses: a decision from cached bits or zones costs one
+    /// predicate evaluation each.
+    clauses: usize,
+    /// The footer decided on, `skipped` if its zones disproved the CNF;
+    /// the read and its domain, unless bits or a resident footer answered.
+    footer: Option<Arc<BlockMeta>>,
+    skipped: bool,
+    read: Option<(ReadResult, DomainId)>,
+    /// Storage names of the columns evaluated and materialized; one the
+    /// block lacks is neither decoded nor billed.
+    evaluated: Vec<String>,
+    materialized: &'a [String],
+    /// Block rows, which each fresh evaluation and each of the `residuals`
+    /// ran over, and rows the aggregate folded.
+    rows: usize,
+    residuals: usize,
+    aggregated: usize,
+}
+
+impl LeafTaskStats {
+    fn probed(&mut self, kind: ProbeKind) {
+        match kind {
+            ProbeKind::Hit | ProbeKind::NegatedHit => self.index_hits += 1,
+            ProbeKind::BuiltFresh => self.index_built += 1,
+            ProbeKind::BuiltRejected => {
+                self.index_built += 1;
+                self.index_rejected += 1;
+            }
+            ProbeKind::Scanned => self.scanned_predicates += 1,
+        }
+    }
+}
+
+/// How a task answers: a bare `COUNT(*)`'s count, nothing (its zones
+/// disproved the CNF), rows, or a partial-aggregate transport.
+enum Answer {
+    Count(usize),
+    Empty,
+    Rows(RecordBatch),
+    Transport(RecordBatch),
+}
+
+/// A rung's outcome: the task's answer, or the next rung's state.
+type Rung<T> = Result<ControlFlow<Answer, T>>;
+
 impl LeafServer {
     pub fn new(node: NodeId, index: IndexManager, cost: CostModel) -> Self {
         LeafServer { node, index, cost }
@@ -169,357 +229,163 @@ impl LeafServer {
         now: SimInstant,
         use_index: bool,
     ) -> Result<LeafOutput> {
+        let climb = Climb {
+            task,
+            cnf: rename_cnf(&task.cnf, &task.name_map),
+            counts: task.agg.as_ref().is_some_and(AggStage::is_count_star_only),
+            router,
+            cred,
+            now,
+            index: use_index.then_some(&self.index),
+        };
+        let mut touch = Touch {
+            stored_size: task.block.stored_size,
+            clauses: climb.cnf.clauses.len(),
+            ..Touch::default()
+        };
+        touch.stats.rows_in = task.block.rows;
+        let answer = self.descend(&climb, &mut touch)?;
+        self.finish(task, answer, &touch)
+    }
+
+    /// The ladder, top to bottom.
+    fn descend<'a>(&self, c: &Climb<'a>, t: &mut Touch<'a>) -> Result<Answer> {
+        let held = match cached_selection(c, t)? {
+            Break(answer) => return Ok(answer),
+            Continue(held) => held,
+        };
+        let (data, meta) = match self.footer_decision(c, t)? {
+            Break(answer) => return Ok(answer),
+            Continue(read) => read,
+        };
+        let (block, bits) = evaluate(c, held, &data, &meta, t)?;
+        match count_or_materialize(c, &block, &bits, (&data, &meta), t)? {
+            Break(answer) => Ok(answer),
+            Continue(batch) => aggregate(c, batch, t),
+        }
+    }
+
+    /// Rung 2, the footer decision: a footer resident on this node decides
+    /// from memory; otherwise the block is read and its footer (parsed at
+    /// most once) decides, unless it is the resident one already checked —
+    /// a read replaces a stale one, after a rewrite.
+    fn footer_decision(&self, c: &Climb, t: &mut Touch) -> Rung<(Bytes, Arc<BlockMeta>)> {
+        let (router, path) = (c.router, &c.task.block.path);
+        let resident = router.resident_footer(path, self.node, c.cred, c.now)?;
+        if let Some(meta) = resident.as_ref().filter(|m| zones_disprove(&c.cnf, m)) {
+            (t.footer, t.skipped) = (Some(meta.clone()), true);
+            return Ok(Break(Answer::Empty));
+        }
+        let decided = resident.as_ref().map(Arc::as_ptr);
+        let (read, meta) = router.read_block(path, self.node, c.cred, c.now, resident)?;
+        let data = read.data.clone();
+        t.read = Some((read, router.domain_of(path).id()));
+        t.skipped = decided != Some(Arc::as_ptr(&meta)) && zones_disprove(&c.cnf, &meta);
+        t.footer = Some(meta.clone());
+        Ok(match t.skipped {
+            true => Break(Answer::Empty),
+            false => Continue((data, meta)),
+        })
+    }
+
+    /// Turns a task's answer into its output, billed for what it touched.
+    fn finish(&self, task: &ScanTask, answer: Answer, touch: &Touch) -> Result<LeafOutput> {
+        let (batch, is_agg_transport) = match answer {
+            Answer::Count(rows) => (AggTable::count_star_transport(rows)?, true),
+            Answer::Empty => match &task.agg {
+                Some(agg) => {
+                    let table = AggTable::new(agg.group_by.clone(), agg.aggregates.clone());
+                    (table.to_transport()?, true)
+                }
+                None => (RecordBatch::empty(task.output_schema.clone()), false),
+            },
+            Answer::Rows(batch) => (batch, false),
+            Answer::Transport(batch) => (batch, true),
+        };
+        let (tally, stats) = self.bill(touch);
+        Ok(LeafOutput {
+            batch,
+            is_agg_transport,
+            tally,
+            stats,
+        })
+    }
+
+    /// Prices what a task touched, whichever rung answered it.
+    fn bill(&self, t: &Touch) -> (TimeTally, LeafTaskStats) {
+        let cost = &self.cost;
         let mut stats = LeafTaskStats {
-            rows_in: task.block.rows,
-            ..Default::default()
+            blocks_skipped: t.skipped as usize,
+            ..t.stats
         };
         let mut tally = TimeTally::new();
-        // Rewrite predicate columns from canonical to storage names so
-        // they match the block's schema.
-        let cnf = rename_cnf(&task.cnf, &task.name_map);
-
-        // 1. A bare global COUNT(*) is answered by its selection's bit
-        // count, here when the whole CNF is cached, else after step 5.
-        let count_only = task.agg.as_ref().is_some_and(|a| a.is_count_star_only());
-        let counted = |rows: usize, tally, mut stats: LeafTaskStats| {
-            stats.rows_out = rows;
-            Ok(LeafOutput {
-                batch: AggTable::count_star_transport(rows)?,
-                is_agg_transport: true,
-                tally,
-                stats,
-            })
-        };
-        if use_index && count_only && task.residual.is_empty() {
-            if let Some(bits) = self.try_serve_from_cache(&cnf, task, now)? {
-                stats.index_hits = cnf.clauses.iter().map(|c| c.disjuncts.len()).sum::<usize>();
-                stats.served_from_memory = true;
-                // In-memory bitmap algebra cost.
-                tally.add_cpu(self.cost.predicate_eval(cnf.clauses.len().max(1)));
-                return counted(bits.count_ones(), tally, stats);
-            }
-        }
-
-        // 2. A footer this node already holds decides the zone-map skip
-        // from memory: no storage read, no block-cache sighting, no parse.
-        // The lookup authorizes the credential as the read below would.
-        let clause_eval = self.cost.predicate_eval(cnf.clauses.len().max(1));
-        let resident = router.resident_footer(&task.block.path, self.node, cred, now)?;
-        let checked = resident.as_ref().map(Arc::as_ptr);
-        if let Some(meta) = resident.as_ref().filter(|m| zones_disprove(&cnf, m)) {
-            stats.pruned_by_zone = true;
-            stats.blocks_skipped = 1;
+        let decided = cost.predicate_eval(t.clauses.max(1));
+        let footer = t.footer.as_ref().map(|m| ByteSize(m.meta_bytes as u64));
+        let footer = footer.unwrap_or_default();
+        let Some((read, backend)) = &t.read else {
+            // Cached bits answered, or a resident footer: all in memory.
             stats.served_from_memory = true;
-            tally.add_io(self.cost.mem_cache_read(ByteSize(meta.meta_bytes as u64)));
-            tally.add_cpu(clause_eval);
-            return self.empty_output(task, tally, stats);
-        }
-
-        // 3. Read the block (charged for the touched column fraction). The
-        // footer comes back with it: the resident one, or parsed here,
-        // once, and resident from now on.
-        let (read, meta) = router.read_block(&task.block.path, self.node, cred, now, resident)?;
-        stats.backend = Some(router.domain_of(&task.block.path).id());
+            if t.skipped {
+                tally.add_io(cost.mem_cache_read(footer));
+            }
+            tally.add_cpu(decided);
+            return (tally, stats);
+        };
+        stats.backend = Some(*backend);
         stats.served_tier = match read.cache_tier {
             Some(CacheTier::Memory) => ServedTier::MemCache,
             Some(CacheTier::Ssd) => ServedTier::SsdCache,
             None if read.hops == 0 => ServedTier::LocalDisk,
             None => ServedTier::Remote,
         };
-        // Cost primitives for this read's serving tier: a memory-tier
-        // cache hit pays the cache access floor instead of a device seek,
-        // and streams at memory rates. Every other tier keeps the plain
-        // medium model, so non-cache arithmetic below is unchanged.
+        // A memory-tier cache hit pays the cache access floor instead of a
+        // device seek and streams at memory rates. The domain's fixed
+        // penalties (Fatman's wake-up) are what it charged beyond the plain
+        // medium model, and a footer-only read pays them too.
         let mem_tier = read.cache_tier == Some(CacheTier::Memory);
-        let access = if mem_tier {
-            self.cost.mem_cache_seek
-        } else {
-            self.cost.seek(read.medium)
+        let access = match mem_tier {
+            true => cost.mem_cache_seek,
+            false => cost.seek(read.medium),
         };
-        let plain_read = |size: ByteSize| {
-            if mem_tier {
-                self.cost.mem_cache_read(size)
-            } else {
-                self.cost.read(read.medium, size)
-            }
+        let plain_read = |size| match mem_tier {
+            true => cost.mem_cache_read(size),
+            false => cost.read(read.medium, size),
         };
-
-        // 4. Zone-map skip on a first touch: evaluate the CNF against the
-        // zone maps of a footer parsed for this task (the resident one was
-        // checked above) before decoding anything. A block whose zones
-        // disprove one conjunct is skipped entirely — no chunk
-        // decompression, no SmartIndex probe; storage is charged only for
-        // the metadata (envelope + footer) bytes the decision needed.
-        if checked != Some(Arc::as_ptr(&meta)) && zones_disprove(&cnf, &meta) {
-            stats.pruned_by_zone = true;
-            stats.blocks_skipped = 1;
-            let meta_size = ByteSize(meta.meta_bytes as u64);
-            stats.bytes_read = meta_size;
-            // Domain-specific fixed penalties still apply: the footer
-            // read wakes a cold Fatman volume like any other read.
-            let domain_extra = read
-                .cost
-                .io
-                .saturating_sub(plain_read(task.block.stored_size));
-            tally.add_io(domain_extra + plain_read(meta_size));
-            tally.add_network(self.cost.network(read.hops, meta_size));
-            tally.add_cpu(clause_eval);
-            return self.empty_output(task, tally, stats);
+        let domain_extra = read.cost.io.saturating_sub(plain_read(t.stored_size));
+        if t.skipped {
+            stats.bytes_read = footer;
+            tally.add_io(domain_extra + plain_read(footer));
+            tally.add_network(cost.network(read.hops, footer));
+            tally.add_cpu(decided);
+            return (tally, stats);
         }
+        // A scan: the touched columns' share of the stored bytes by
+        // estimated width, one access each (a column is its own extent).
         stats.blocks_scanned = 1;
-
-        // Phase one, evaluate: decode only the columns the selection is
-        // computed from — predicate columns not servable from cached bits,
-        // residual columns — using the footer's offset directory. The full
-        // stored schema still drives the cost model below.
-        let full_schema = &meta.schema;
-        let needed = self.decode_set(full_schema, task, &cnf, now, use_index);
-        let needed: Vec<&str> = needed.iter().map(|s| s.as_str()).collect();
-        let mut block = meta.decode_columns(&read.data, &needed)?;
-
-        // Bitmap evaluation via SmartIndex (or raw scans when disabled).
-        let outcome = match evaluate_cnf(use_index.then_some(&self.index), &block, &cnf, now) {
-            // A predicate we expected to serve from cache lost its entry
-            // between planning the decode set and probing (concurrent
-            // insert pressure from a backup task): decode everything and
-            // retry once.
-            Err(FeisuError::Index(_)) if block.schema().len() < full_schema.len() => {
-                block = meta.decode_all(&read.data)?;
-                evaluate_cnf(use_index.then_some(&self.index), &block, &cnf, now)?
-            }
-            other => other?,
+        let fields = t.footer.as_ref().map_or(&[][..], |m| m.schema.fields());
+        let width = |f: &&Field| f.data_type.estimated_width();
+        let touched: Vec<&Field> = fields
+            .iter()
+            .filter(|f| t.evaluated.contains(&f.name) || t.materialized.contains(&f.name))
+            .collect();
+        let total: usize = fields.iter().map(|f| width(&f)).sum();
+        let share = match total {
+            0 => 1.0,
+            _ => (touched.iter().map(width).sum::<usize>() as f64 / total as f64).clamp(0.0, 1.0),
         };
-        for (_, kind) in &outcome.probes {
-            match kind {
-                ProbeKind::Hit | ProbeKind::NegatedHit => stats.index_hits += 1,
-                ProbeKind::BuiltFresh => stats.index_built += 1,
-                ProbeKind::BuiltRejected => {
-                    stats.index_built += 1;
-                    stats.index_rejected += 1;
-                }
-                ProbeKind::Scanned => stats.scanned_predicates += 1,
-            }
-        }
-
-        // Columns actually touched: projection (none of it when the task
-        // only counts) + predicate columns that were *not* index-served +
-        // residual columns. Each column is its own on-disk extent, so the
-        // scan pays one access latency per touched column plus the
-        // streaming cost of their bytes — this is where the columnar
-        // format's I/O saving (and SmartIndex's avoided predicate columns)
-        // shows up.
-        let projected: &[String] = if count_only { &[] } else { &task.projection };
-        let (touched, ncols) =
-            touched_fraction(full_schema, projected, task, &outcome.probes, &cnf);
-        let size = task.block.stored_size;
-        let charged = ByteSize((size.as_u64() as f64 * touched).ceil() as u64);
+        let charged = ByteSize((t.stored_size.as_u64() as f64 * share).ceil() as u64);
         stats.bytes_read = charged;
-        // Domain-specific fixed penalties (e.g. Fatman's cold-read wakeup)
-        // are whatever the domain charged beyond the plain medium model.
-        let domain_extra = read.cost.io.saturating_sub(plain_read(size));
-        tally.add_io(
-            domain_extra
-                + access * ncols.max(1) as u64
-                + plain_read(charged).saturating_sub(access),
+        let ncols = touched.len().max(1) as u64;
+        tally.add_io(domain_extra + access * ncols + plain_read(charged).saturating_sub(access));
+        tally.add_network(cost.network(read.hops, charged));
+        let fresh = t.stats.index_built + t.stats.scanned_predicates;
+        tally.add_cpu(
+            cost.decompress(charged)
+                + cost.predicate_eval(fresh * t.rows)
+                + cost.predicate_eval(t.residuals * t.rows)
+                + cost.agg_update(t.aggregated),
         );
-        // Per-hop switch latency is paid in full; only the per-byte part
-        // shrinks with the touched fraction.
-        tally.add_network(self.cost.network(read.hops, charged));
-        tally.add_cpu(self.cost.decompress(charged));
-        // Predicate evaluation CPU: only freshly evaluated predicates.
-        let evaluated = stats.index_built + stats.scanned_predicates;
-        tally.add_cpu(self.cost.predicate_eval(evaluated * block.rows()));
-
-        // 5. Residual row-wise filtering.
-        let mut bits = outcome.bits;
-        if !task.residual.is_empty() || !outcome.residual.is_empty() {
-            let residuals: Vec<Expr> = task
-                .residual
-                .iter()
-                .map(|e| rename_expr(e, &task.name_map))
-                .chain(outcome.residual.iter().cloned())
-                .collect();
-            bits = apply_residual(&block, &bits, &residuals)?;
-            tally.add_cpu(self.cost.predicate_eval(residuals.len() * block.rows()));
-        }
-
-        if count_only {
-            return counted(bits.count_ones(), tally, stats);
-        }
-
-        // 6. Phase two, materialize: project + rename to the canonical
-        // output schema. A column phase one decoded is gathered by the
-        // selection words; any other is decoded through the selection, each
-        // distinct name once, so unselected rows are never built.
-        stats.rows_out = bits.count_ones();
-        let words = bits.words();
-        let mut late: Vec<&str> = Vec::new();
-        for name in &task.projection {
-            if block.column_by_name(name).is_none() && !late.contains(&name.as_str()) {
-                if full_schema.index_of(name).is_none() {
-                    return Err(FeisuError::Execution(format!(
-                        "block {} missing column `{name}`",
-                        task.block.id
-                    )));
-                }
-                late.push(name);
-            }
-        }
-        let mut decoded = meta.decode_selected(&read.data, &late, words)?.into_iter();
-        let mut columns: Vec<Column> = Vec::with_capacity(task.projection.len());
-        for (k, name) in task.projection.iter().enumerate() {
-            let column = match block.column_by_name(name) {
-                Some(c) => c.filter_by_words(words),
-                // `late` lists names in order of first use: that use moves
-                // the decoded column into place, a repeat copies it.
-                None => match task.projection[..k].iter().position(|n| n == name) {
-                    Some(first) => columns[first].clone(),
-                    None => decoded.next().expect("one column per late name"),
-                },
-            };
-            columns.push(column);
-        }
-        let batch = RecordBatch::new(task.output_schema.clone(), columns)?;
-
-        // 7. Optional leaf-side partial aggregation.
-        if let Some(agg) = &task.agg {
-            let mut table = AggTable::new(agg.group_by.clone(), agg.aggregates.clone());
-            table.update(&batch)?;
-            tally.add_cpu(self.cost.agg_update(batch.rows()));
-            let transport = table.to_transport()?;
-            return Ok(LeafOutput {
-                batch: transport,
-                is_agg_transport: true,
-                tally,
-                stats,
-            });
-        }
-        Ok(LeafOutput {
-            batch,
-            is_agg_transport: false,
-            tally,
-            stats,
-        })
-    }
-
-    /// Tries to answer the whole CNF from cached indices (direct or
-    /// negated hits only — nothing is built, nothing is read).
-    fn try_serve_from_cache(
-        &self,
-        cnf: &Cnf,
-        task: &ScanTask,
-        now: SimInstant,
-    ) -> Result<Option<BitVec>> {
-        use feisu_sql::cnf::Disjunct;
-        // First pass: liveness feasibility check — no stats pollution, no
-        // scratch predicate clones (the manager keys the negated probe
-        // from borrowed parts).
-        for clause in &cnf.clauses {
-            for d in &clause.disjuncts {
-                let Disjunct::Simple(p) = d else {
-                    return Ok(None);
-                };
-                if !self.index.servable(task.block.id, p, now) {
-                    return Ok(None);
-                }
-            }
-        }
-        // All present: probe each predicate directly against the manager
-        // (records hits in stats, refreshes LRU); with no miss possible
-        // there is no block to hand the rewriter.
-        let rows = task.block.rows;
-        let mut bits = BitVec::ones(rows);
-        for clause in &cnf.clauses {
-            let mut clause_bits = BitVec::zeros(rows);
-            for d in &clause.disjuncts {
-                let Disjunct::Simple(p) = d else {
-                    unreachable!()
-                };
-                let pbits = if let Some(idx) = self.index.get(task.block.id, p, now) {
-                    idx.bits()
-                } else if let Some(idx) = self.index.get_negated(task.block.id, p, now) {
-                    idx.negated_bits()
-                } else {
-                    return Ok(None); // raced eviction between the passes
-                };
-                clause_bits.or_assign(&pbits)?;
-            }
-            bits.and_assign(&clause_bits)?;
-        }
-        Ok(Some(bits))
-    }
-
-    /// Storage-side column names the selection is computed from:
-    /// predicate columns not currently servable from cached bits ∪
-    /// residual columns. This is phase one's decode set — the projection
-    /// is materialized afterwards, through the selection; names the stored
-    /// schema lacks are dropped so downstream lookups surface the same
-    /// errors a full decode would.
-    fn decode_set(
-        &self,
-        schema: &Schema,
-        task: &ScanTask,
-        cnf: &Cnf,
-        now: SimInstant,
-        use_index: bool,
-    ) -> Vec<String> {
-        use feisu_sql::cnf::Disjunct;
-        let mut needed: Vec<String> = Vec::new();
-        let mut residual_cols = Vec::new();
-        for clause in &cnf.clauses {
-            let all_simple = clause
-                .disjuncts
-                .iter()
-                .all(|d| matches!(d, Disjunct::Simple(_)));
-            if all_simple {
-                for d in &clause.disjuncts {
-                    let Disjunct::Simple(p) = d else {
-                        unreachable!()
-                    };
-                    if !use_index || !self.index.servable(task.block.id, p, now) {
-                        push_unique(&mut needed, &p.column);
-                    }
-                }
-            } else {
-                // The whole clause is evaluated row-wise (evaluate_cnf
-                // turns it into one residual expression), so every column
-                // it mentions is read.
-                clause.to_expr().columns(&mut residual_cols);
-            }
-        }
-        for e in &task.residual {
-            e.columns(&mut residual_cols);
-        }
-        for c in &residual_cols {
-            // Residual columns are canonical; map them via name_map.
-            let storage = task.name_map.get(c).map(|s| s.as_str()).unwrap_or(c);
-            push_unique(&mut needed, storage);
-        }
-        needed.retain(|n| schema.index_of(n).is_some());
-        needed
-    }
-
-    fn empty_output(
-        &self,
-        task: &ScanTask,
-        tally: TimeTally,
-        stats: LeafTaskStats,
-    ) -> Result<LeafOutput> {
-        if let Some(agg) = &task.agg {
-            let table = AggTable::new(agg.group_by.clone(), agg.aggregates.clone());
-            return Ok(LeafOutput {
-                batch: table.to_transport()?,
-                is_agg_transport: true,
-                tally,
-                stats,
-            });
-        }
-        Ok(LeafOutput {
-            batch: RecordBatch::empty(task.output_schema.clone()),
-            is_agg_transport: false,
-            tally,
-            stats,
-        })
+        (tally, stats)
     }
 
     /// Warm-up hook: pre-builds and pins an index for a predicate (the
@@ -527,7 +393,7 @@ impl LeafServer {
     pub fn pin_index(
         &self,
         block: &Block,
-        predicate: &feisu_sql::cnf::SimplePredicate,
+        predicate: &SimplePredicate,
         now: SimInstant,
     ) -> Result<()> {
         let idx = feisu_index::SmartIndex::build(block, predicate, now)?;
@@ -536,10 +402,146 @@ impl LeafServer {
     }
 }
 
-fn push_unique(names: &mut Vec<String>, name: &str) {
-    if !names.iter().any(|n| n == name) {
-        names.push(name.to_string());
+/// Rung 1, the cached selection: a bare `COUNT(*)` with no residual looks
+/// its predicates up before the footer, and with every one held counts
+/// their bits; else the handles go down. No other task looks up here.
+fn cached_selection(c: &Climb, t: &mut Touch) -> Rung<Option<Vec<Option<Held>>>> {
+    let simple = opaque(&c.cnf).next().is_none();
+    if c.index.is_none() || !c.counts || !c.task.residual.is_empty() || !simple {
+        return Ok(Continue(None));
     }
+    let held = lookup(c);
+    if held.iter().any(Option::is_none) {
+        return Ok(Continue(Some(held)));
+    }
+    let block = &c.task.block;
+    let nothing = Block::new_with_rows(block.id, Schema::empty(), Vec::new(), block.rows)?;
+    t.stats.rows_out = selection(c, &nothing, &held, t)?.count_ones();
+    Ok(Break(Answer::Count(t.stats.rows_out)))
+}
+
+/// Rung 3, evaluate — phase one: decode exactly the evaluated columns
+/// (predicates without a held handle, and every column a residual names)
+/// and evaluate the CNF, then the residuals, to the final selection.
+fn evaluate(
+    c: &Climb,
+    held: Option<Vec<Option<Held>>>,
+    data: &[u8],
+    meta: &BlockMeta,
+    t: &mut Touch,
+) -> Result<(Block, BitVec)> {
+    let held = held.unwrap_or_else(|| lookup(c));
+    // The task's residuals, then the CNF clauses that are not all-simple,
+    // which the leaf reads as residuals too (`lower` never emits one).
+    let residuals: Vec<Expr> = (c.task.residual.iter())
+        .map(|e| rename_expr(e, &c.task.name_map))
+        .chain(opaque(&c.cnf).map(Clause::to_expr))
+        .collect();
+    let mut evaluated = Vec::new();
+    for (i, p) in simple_predicates(&c.cnf).enumerate() {
+        if !matches!(held.get(i), Some(Some(_))) {
+            evaluated.push(p.column.clone());
+        }
+    }
+    residuals.iter().for_each(|e| e.columns(&mut evaluated));
+    // A name the stored schema lacks is not decoded, so the lookups
+    // downstream surface the errors a full decode would.
+    let mut names: Vec<&str> = evaluated.iter().map(String::as_str).collect();
+    names.retain(|n| meta.schema.index_of(n).is_some());
+    let block = meta.decode_columns(data, &names)?;
+    let mut bits = selection(c, &block, &held, t)?;
+    if !residuals.is_empty() {
+        bits = apply_residual(&block, &bits, &residuals)?;
+    }
+    (t.rows, t.residuals, t.evaluated) = (block.rows(), residuals.len(), evaluated);
+    t.stats.rows_out = bits.count_ones();
+    Ok((block, bits))
+}
+
+/// Rung 4: a count is the selection's bit count; anything else is phase
+/// two, materialize: a column phase one decoded is gathered by the
+/// selection words, any other decoded through the selection, each distinct
+/// name once, so unselected rows are never built.
+fn count_or_materialize<'a>(
+    c: &Climb<'a>,
+    block: &Block,
+    bits: &BitVec,
+    (data, meta): (&[u8], &BlockMeta),
+    t: &mut Touch<'a>,
+) -> Rung<RecordBatch> {
+    if c.counts {
+        return Ok(Break(Answer::Count(t.stats.rows_out)));
+    }
+    let task = c.task;
+    t.materialized = &task.projection;
+    let words = bits.words();
+    let mut late: Vec<&str> = Vec::new();
+    for name in &task.projection {
+        if block.column_by_name(name).is_none() && !late.contains(&name.as_str()) {
+            if meta.schema.index_of(name).is_none() {
+                return Err(FeisuError::Execution(format!(
+                    "block {} missing column `{name}`",
+                    task.block.id
+                )));
+            }
+            late.push(name);
+        }
+    }
+    let mut decoded = meta.decode_selected(data, &late, words)?.into_iter();
+    let mut columns: Vec<Column> = Vec::with_capacity(task.projection.len());
+    for (k, name) in task.projection.iter().enumerate() {
+        let column = match block.column_by_name(name) {
+            Some(c) => c.filter_by_words(words),
+            // `late` lists names in order of first use: that use moves
+            // the decoded column into place, a repeat copies it.
+            None => match task.projection[..k].iter().position(|n| n == name) {
+                Some(first) => columns[first].clone(),
+                None => decoded.next().expect("one column per late name"),
+            },
+        };
+        columns.push(column);
+    }
+    let batch = RecordBatch::new(task.output_schema.clone(), columns)?;
+    Ok(Continue(batch))
+}
+
+/// Rung 5: the optional leaf-side partial aggregation.
+fn aggregate(c: &Climb, batch: RecordBatch, t: &mut Touch) -> Result<Answer> {
+    let Some(agg) = &c.task.agg else {
+        return Ok(Answer::Rows(batch));
+    };
+    let mut table = AggTable::new(agg.group_by.clone(), agg.aggregates.clone());
+    table.update(&batch)?;
+    t.aggregated = batch.rows();
+    Ok(Answer::Transport(table.to_transport()?))
+}
+
+/// The simple predicates of the CNF's all-simple clauses, in probe order.
+fn simple_predicates(cnf: &Cnf) -> impl Iterator<Item = &SimplePredicate> {
+    cnf.clauses.iter().filter_map(Clause::as_simple).flatten()
+}
+
+/// The clauses of the CNF that are not all-simple.
+fn opaque(cnf: &Cnf) -> impl Iterator<Item = &Clause> {
+    cnf.clauses.iter().filter(|c| c.as_simple().is_none())
+}
+
+/// The task's one SmartIndex lookup per simple predicate, in probe order;
+/// none without SmartIndex.
+fn lookup(c: &Climb) -> Vec<Option<Held>> {
+    let look = |index: &IndexManager| {
+        let held = simple_predicates(&c.cnf).map(|p| index.lookup(c.task.block.id, p, c.now));
+        held.collect()
+    };
+    c.index.map_or_else(Vec::new, look)
+}
+
+/// The CNF over the columns decoded so far (none, for a cached
+/// selection), each predicate served by its held handle or probed at its
+/// turn, each probe counted.
+fn selection(c: &Climb, block: &Block, held: &[Option<Held>], t: &mut Touch) -> Result<BitVec> {
+    let probed = |_: &SimplePredicate, kind| t.stats.probed(kind);
+    evaluate_held(c.index, block, &c.cnf, held, c.now, probed)
 }
 
 /// Footer zone-map disproof: true when some CNF conjunct provably matches
@@ -549,93 +551,24 @@ fn push_unique(names: &mut Vec<String>, name: &str) {
 /// an unknown column, or missing bounds on a not-all-null column all mean
 /// the clause might match and the block must be scanned.
 fn zones_disprove(cnf: &Cnf, meta: &BlockMeta) -> bool {
-    use feisu_sql::cnf::Disjunct;
     let Some(zones) = &meta.zones else {
         return false;
     };
     let (schema, rows) = (&meta.schema, meta.rows);
-    cnf.clauses.iter().any(|clause| {
-        !clause.disjuncts.is_empty()
-            && clause.disjuncts.iter().all(|d| {
-                let Disjunct::Simple(p) = d else {
-                    return false;
-                };
-                let Some(i) = schema.index_of(&p.column) else {
-                    return false;
-                };
-                let Some(zone) = zones.get(i) else {
-                    return false;
-                };
-                match (&zone.min, &zone.max) {
-                    (Some(min), Some(max)) => !zonemap::may_match(min, max, p.op, &p.value),
-                    // No bounds: disproven only when provably all-null
-                    // (or empty) — a comparison is never true on NULL.
-                    _ => zone.null_count == rows,
-                }
-            })
-    })
-}
-
-/// Fraction of the block's bytes the scan must touch (by estimated
-/// column widths) and the count of touched columns: the `projected`
-/// columns it materializes plus predicate/residual columns that were
-/// actually evaluated (index-served predicate columns are skipped).
-fn touched_fraction(
-    schema: &Schema,
-    projected: &[String],
-    task: &ScanTask,
-    probes: &[(feisu_sql::cnf::SimplePredicate, ProbeKind)],
-    cnf: &Cnf,
-) -> (f64, usize) {
-    let mut needed: Vec<&str> = projected.iter().map(|s| s.as_str()).collect();
-    for (p, kind) in probes {
-        if matches!(
-            kind,
-            ProbeKind::BuiltFresh | ProbeKind::BuiltRejected | ProbeKind::Scanned
-        ) && !needed.contains(&p.column.as_str())
-        {
-            needed.push(&p.column);
-        }
-    }
-    let mut residual_cols = Vec::new();
-    for e in &task.residual {
-        e.columns(&mut residual_cols);
-    }
-    for clause in &cnf.clauses {
-        for d in &clause.disjuncts {
-            if let feisu_sql::cnf::Disjunct::Residual(e) = d {
-                e.columns(&mut residual_cols);
+    let clauses = cnf.clauses.iter().filter(|c| !c.disjuncts.is_empty());
+    clauses.filter_map(Clause::as_simple).any(|mut predicates| {
+        predicates.all(|p| {
+            let Some(zone) = schema.index_of(&p.column).and_then(|i| zones.get(i)) else {
+                return false;
+            };
+            match (&zone.min, &zone.max) {
+                (Some(min), Some(max)) => !zonemap::may_match(min, max, p.op, &p.value),
+                // No bounds: disproven only when provably all-null (or
+                // empty) — a comparison is never true on NULL.
+                _ => zone.null_count == rows,
             }
-        }
-    }
-    for c in &residual_cols {
-        // Residual columns are canonical; map them via name_map.
-        let storage = task.name_map.get(c).map(|s| s.as_str()).unwrap_or(c);
-        if !needed.contains(&storage) {
-            needed.push(storage);
-        }
-    }
-    let total: usize = schema
-        .fields()
-        .iter()
-        .map(|f| f.data_type.estimated_width())
-        .sum();
-    if total == 0 {
-        return (1.0, schema.len());
-    }
-    let touched_fields: Vec<&feisu_format::Field> = schema
-        .fields()
-        .iter()
-        .filter(|f| needed.contains(&f.name.as_str()))
-        .collect();
-    let touched: usize = touched_fields
-        .iter()
-        .map(|f| f.data_type.estimated_width())
-        .sum();
-    (
-        (touched as f64 / total as f64).clamp(0.0, 1.0),
-        touched_fields.len(),
-    )
+        })
+    })
 }
 
 fn apply_residual(block: &Block, bits: &BitVec, residuals: &[Expr]) -> Result<BitVec> {
@@ -666,7 +599,7 @@ mod tests {
     use feisu_format::{DataType, Field};
     use feisu_obs::MetricsRegistry;
     use feisu_sql::ast::AggFunc;
-    use feisu_sql::cnf::{to_cnf, Disjunct};
+    use feisu_sql::cnf::to_cnf;
     use feisu_sql::parser::parse_expr;
     use feisu_sql::plan::AggExpr;
     use feisu_storage::auth::{AuthService, Grant};
@@ -755,11 +688,10 @@ mod tests {
         fn task(&self, predicate: &str) -> ScanTask {
             let field = Field::new("a", DataType::Int64, false);
             let names = ["a", "b"].map(|n| (n.to_string(), n.to_string()));
-            let simple = |d: &Disjunct| matches!(d, Disjunct::Simple(_));
             let (cnf, residual): (Vec<_>, Vec<_>) = to_cnf(&parse_expr(predicate).unwrap())
                 .clauses
                 .into_iter()
-                .partition(|c| c.disjuncts.iter().all(simple));
+                .partition(|c| c.as_simple().is_some());
             ScanTask {
                 table: "t".into(),
                 block: self.block.clone(),
@@ -840,7 +772,7 @@ mod tests {
         // A first-touch skip parses once as well.
         let other = rig();
         let before = parses();
-        assert!(other.run("a > 1000").stats.pruned_by_zone);
+        assert_eq!(other.run("a > 1000").stats.blocks_skipped, 1);
         assert_eq!(parses() - before, 1);
     }
 
@@ -848,7 +780,7 @@ mod tests {
     fn a_resident_footer_skip_touches_neither_storage_nor_the_block_cache() {
         let r = rig();
         let first = r.run("a > 1000");
-        assert!(first.stats.pruned_by_zone && !first.stats.served_from_memory);
+        assert!(first.stats.blocks_skipped == 1 && !first.stats.served_from_memory);
         assert!(first.stats.bytes_read > ByteSize::ZERO);
         assert!(first.stats.backend.is_some());
         let (reads, cache, before) = (r.domain_reads(), r.cache_stats(), parses());
@@ -857,7 +789,7 @@ mod tests {
         let again = r.run("a > 1000");
         assert_eq!(again.batch, first.batch);
         assert_eq!(again.stats.blocks_skipped, 1);
-        assert!(again.stats.pruned_by_zone && again.stats.served_from_memory);
+        assert!(again.stats.blocks_skipped == 1 && again.stats.served_from_memory);
         assert_eq!(again.stats.served_tier, ServedTier::Memory);
         assert_eq!(again.stats.bytes_read, ByteSize::ZERO);
         assert_eq!(again.stats.backend, None);
@@ -958,11 +890,11 @@ mod tests {
         let r = rig();
         let (first, decoded) = r.count("a > 1000", false);
         assert_eq!(decoded, 0);
-        assert!(first.stats.pruned_by_zone && !first.stats.served_from_memory);
+        assert!(first.stats.blocks_skipped == 1 && !first.stats.served_from_memory);
         assert_eq!(first.stats.rows_out, 0);
         let (again, decoded) = r.count("a > 1000", false);
         assert_eq!(decoded, 0);
-        assert!(again.stats.pruned_by_zone && again.stats.served_from_memory);
+        assert!(again.stats.blocks_skipped == 1 && again.stats.served_from_memory);
         assert_eq!(again.batch, first.batch);
     }
 }

@@ -252,10 +252,8 @@ impl FeisuCluster {
                 ctx.spans
                     .attr(span, "index_rejected", output.stats.index_rejected);
             }
-            if output.stats.pruned_by_zone {
-                ctx.spans.attr(span, "pruned_by_zone", 1u64);
-            }
             if output.stats.blocks_skipped > 0 {
+                ctx.spans.attr(span, "pruned_by_zone", 1u64);
                 ctx.spans
                     .attr(span, "blocks_skipped", output.stats.blocks_skipped);
             }

@@ -1,8 +1,10 @@
 //! Allocation budget for the leaf's two phases: a scan task allocates for
 //! the rows it selects, not for the rows of the block. The projection is
 //! decoded through the selection, so a `url` nobody selected is never
-//! built; a task that only counts rows builds no row at all. Counts are
-//! exact and repeat, so they can gate CI where a wall-clock check cannot.
+//! built; a task that only counts rows builds no row at all, and one
+//! answered from cached SmartIndex bits lends them, never copying an
+//! index. Counts are exact and repeat, so they can gate CI where a
+//! wall-clock check cannot.
 
 use feisu_cluster::{CostModel, Topology};
 use feisu_common::{BlockId, ByteSize, DomainId, NodeId, SimDuration, SimInstant, UserId};
@@ -125,6 +127,18 @@ fn project_url(rig: &Rig, predicate: &str) -> ScanTask {
     }
 }
 
+fn count_star() -> AggStage {
+    AggStage {
+        group_by: Vec::new(),
+        aggregates: vec![AggExpr {
+            func: AggFunc::Count,
+            arg: None,
+            name: "COUNT(*)".into(),
+            output_type: DataType::Int64,
+        }],
+    }
+}
+
 #[test]
 fn a_scan_task_allocates_for_the_rows_it_keeps_not_the_rows_of_the_block() {
     let r = rig();
@@ -165,15 +179,7 @@ fn a_count_only_task_allocates_the_same_at_1_and_at_1000_rows_kept() {
     // bare COUNT(*) is answered by the selection's bit count, so neither
     // the projection nor an aggregation table is ever built.
     let count = |predicate: &str| ScanTask {
-        agg: Some(AggStage {
-            group_by: Vec::new(),
-            aggregates: vec![AggExpr {
-                func: AggFunc::Count,
-                arg: None,
-                name: "COUNT(*)".into(),
-                output_type: DataType::Int64,
-            }],
-        }),
+        agg: Some(count_star()),
         ..project_url(&r, predicate)
     };
     let run = |task: &ScanTask| {
@@ -190,4 +196,34 @@ fn a_count_only_task_allocates_the_same_at_1_and_at_1000_rows_kept() {
     assert_eq!(out.batch.column(0).i64_slice(), [1000]);
     assert_eq!(allocs_one, allocs_many);
     assert!(allocs_many < 128, "{allocs_many} allocations to count rows");
+}
+
+#[test]
+fn a_cached_count_allocates_no_copy_of_an_index() {
+    let r = rig();
+    let count = |predicate: &str| ScanTask {
+        agg: Some(count_star()),
+        ..project_url(&r, predicate)
+    };
+    let run = |task: &ScanTask| {
+        r.leaf
+            .execute(task, &r.router, &r.cred, SimInstant(0), true)
+            .unwrap()
+    };
+    // Builds and caches four predicates, two of them for their complements.
+    run(&count("id < 1000 AND id >= 10 AND id > 2000 AND id = 3000"));
+    // Every predicate cached: two directly, `id <= 2000` and `id <> 3000`
+    // as the bit-NOT of `id > 2000` and `id = 3000`.
+    let cached = count("id < 1000 AND id >= 10 AND id <= 2000 AND id <> 3000");
+    let (allocs, out) = allocations(|| run(&cached));
+    assert!(out.stats.served_from_memory);
+    assert_eq!((out.stats.index_hits, out.stats.rows_out), (4, 990));
+    // 50 on four predicates: per predicate, its keys, its bits' words and
+    // its share of the task's renamed CNF and transport. A copy of the
+    // index on each hit (its predicate and compressed words) made it 56.
+    let predicates = 4;
+    assert!(
+        allocs <= 13 * predicates,
+        "{allocs} allocations to count from {predicates} cached predicates"
+    );
 }

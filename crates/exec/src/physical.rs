@@ -25,7 +25,7 @@ use feisu_common::{FeisuError, Result, SimDuration};
 use feisu_format::{DataType, Schema};
 use feisu_sql::analyze::Catalog;
 use feisu_sql::ast::{Expr, JoinKind};
-use feisu_sql::cnf::{to_cnf, Cnf, Disjunct};
+use feisu_sql::cnf::{to_cnf, Cnf};
 use feisu_sql::plan::{AggExpr, AggStage, LogicalPlan};
 
 /// Physical operators. `DistributedScan` is the only node that touches
@@ -469,11 +469,7 @@ fn lower_scan(
             let mut indexable = Vec::new();
             let mut residual = Vec::new();
             for clause in full.clauses {
-                let all_simple = clause
-                    .disjuncts
-                    .iter()
-                    .all(|d| matches!(d, Disjunct::Simple(_)));
-                if all_simple {
+                if clause.as_simple().is_some() {
                     indexable.push(clause);
                 } else {
                     residual.push(clause.to_expr());

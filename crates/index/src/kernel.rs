@@ -15,7 +15,7 @@ use feisu_sql::eval::compare;
 use std::cmp::Ordering;
 
 /// Evaluates `column OP literal` for the six comparisons and `CONTAINS`
-/// (as for `compare`, any other operator is a caller's bug): one dispatch
+/// (any other operator is a caller's bug, an `Internal` error): one dispatch
 /// per call on the column's storage and the literal's type, unboxed
 /// values compared in place.
 pub fn compare_column(column: &Column, op: BinaryOp, literal: &Value) -> Result<BitVec> {
@@ -41,7 +41,7 @@ pub fn compare_column(column: &Column, op: BinaryOp, literal: &Value) -> Result<
         let nan_row = || (0..vals.len()).find(|&i| vals[i].is_nan() && validity.is_valid(i));
         match vals.iter().any(|v| v.is_nan()).then(nan_row).flatten() {
             Some(row) => Err(raise(row)),
-            None => Ok(fill_ordered(vals, validity, op, |v| v.partial_cmp(&t))),
+            None => fill_ordered(vals, validity, op, |v| v.partial_cmp(&t)),
         }
     };
     match (column.data(), literal) {
@@ -50,18 +50,18 @@ pub fn compare_column(column: &Column, op: BinaryOp, literal: &Value) -> Result<
         }
         _ if op == BinaryOp::Contains => no_row_compares(),
         (ColumnData::Bool(vals), Value::Bool(t)) => {
-            Ok(fill_ordered(vals, validity, op, |v| Some(v.cmp(t))))
+            fill_ordered(vals, validity, op, |v| Some(v.cmp(t)))
         }
         (ColumnData::Int64(vals), Value::Int64(t)) => {
-            Ok(fill_ordered(vals, validity, op, |v| Some(v.cmp(t))))
+            fill_ordered(vals, validity, op, |v| Some(v.cmp(t)))
         }
-        (ColumnData::Utf8(vals), Value::Utf8(t)) => Ok(fill_ordered(vals, validity, op, |v| {
-            Some(v.as_str().cmp(t.as_str()))
-        })),
+        (ColumnData::Utf8(vals), Value::Utf8(t)) => {
+            fill_ordered(vals, validity, op, |v| Some(v.as_str().cmp(t.as_str())))
+        }
         (ColumnData::Int64(_), Value::Float64(t)) if t.is_nan() => no_row_compares(),
-        (ColumnData::Int64(vals), Value::Float64(t)) => Ok(fill_ordered(vals, validity, op, |v| {
-            (*v as f64).partial_cmp(t)
-        })),
+        (ColumnData::Int64(vals), Value::Float64(t)) => {
+            fill_ordered(vals, validity, op, |v| (*v as f64).partial_cmp(t))
+        }
         (ColumnData::Float64(vals), Value::Float64(t)) => float_cells(vals, *t),
         (ColumnData::Float64(vals), Value::Int64(t)) => float_cells(vals, *t as f64),
         _ => no_row_compares(),
@@ -75,17 +75,17 @@ fn fill_ordered<T>(
     validity: &Validity,
     op: BinaryOp,
     ord: impl Fn(&T) -> Option<Ordering>,
-) -> BitVec {
+) -> Result<BitVec> {
     use Ordering::{Equal, Greater, Less};
-    match op {
+    Ok(match op {
         BinaryOp::Eq => fill(vals, validity, |v| ord(v) == Some(Equal)),
         BinaryOp::NotEq => fill(vals, validity, |v| matches!(ord(v), Some(Less | Greater))),
         BinaryOp::Lt => fill(vals, validity, |v| ord(v) == Some(Less)),
         BinaryOp::LtEq => fill(vals, validity, |v| matches!(ord(v), Some(Less | Equal))),
         BinaryOp::Gt => fill(vals, validity, |v| ord(v) == Some(Greater)),
         BinaryOp::GtEq => fill(vals, validity, |v| matches!(ord(v), Some(Greater | Equal))),
-        _ => unreachable!("non-comparison op {op} in compare_column"),
-    }
+        _ => return Err(FeisuError::Internal(format!("{op} is not a comparison"))),
+    })
 }
 
 /// Accumulates 64 predicate results into a word and emits it with one

@@ -45,16 +45,16 @@
 //!     op: BinaryOp::Gt,
 //!     value: Value::Int64(50),
 //! };
-//! let mut cache = IndexManager::new(ByteSize::mib(1), SimDuration::hours(72));
+//! let cache = IndexManager::new(ByteSize::mib(1), SimDuration::hours(72));
 //! // First probe evaluates and caches; the second is a pure memory hit.
-//! let (_, kind) = probe_predicate(Some(&mut cache), &block, &pred, SimInstant(0)).unwrap();
+//! let (_, kind) = probe_predicate(Some(&cache), &block, &pred, None, SimInstant(0)).unwrap();
 //! assert_eq!(kind, ProbeKind::BuiltFresh);
-//! let (bits, kind) = probe_predicate(Some(&mut cache), &block, &pred, SimInstant(1)).unwrap();
+//! let (bits, kind) = probe_predicate(Some(&cache), &block, &pred, None, SimInstant(1)).unwrap();
 //! assert_eq!(kind, ProbeKind::Hit);
 //! assert_eq!(bits.count_ones(), 49);
 //! // The negated predicate is served from the same entry via bit-NOT.
 //! let neg = SimplePredicate { column: "c2".into(), op: BinaryOp::LtEq, value: Value::Int64(50) };
-//! let (nbits, kind) = probe_predicate(Some(&mut cache), &block, &neg, SimInstant(2)).unwrap();
+//! let (nbits, kind) = probe_predicate(Some(&cache), &block, &neg, None, SimInstant(2)).unwrap();
 //! assert_eq!(kind, ProbeKind::NegatedHit);
 //! assert_eq!(nbits.count_ones(), 51);
 //! ```

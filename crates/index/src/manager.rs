@@ -29,9 +29,14 @@ pub type IndexKey = (BlockId, String);
 
 #[derive(Debug)]
 struct Entry {
-    index: SmartIndex,
+    index: Arc<SmartIndex>,
     pinned: bool,
 }
+
+/// A live entry a task looked up, `(index, negated)`: the shared index,
+/// and whether it answers the predicate's complement through bit-NOT.
+/// Held to the predicate's turn, it serves even if evicted meanwhile.
+pub type Held = (Arc<SmartIndex>, bool);
 
 /// Counters exposed to the evaluation harness (Fig. 11a plots the miss
 /// ratio these feed).
@@ -133,13 +138,13 @@ impl IndexManager {
 
     /// Looks up an index, counting a hit/miss and refreshing LRU order.
     /// TTL-expired unpinned entries are treated as misses and dropped.
-    /// Returns a clone of the (compressed) index record.
+    /// Returns the shared index record: a refcount, not a copy.
     pub fn get(
         &self,
         block: BlockId,
         predicate: &SimplePredicate,
         now: SimInstant,
-    ) -> Option<SmartIndex> {
+    ) -> Option<Arc<SmartIndex>> {
         self.get_by_key((block, predicate.key()), now)
     }
 
@@ -153,11 +158,11 @@ impl IndexManager {
         block: BlockId,
         predicate: &SimplePredicate,
         now: SimInstant,
-    ) -> Option<SmartIndex> {
+    ) -> Option<Arc<SmartIndex>> {
         self.get_by_key((block, predicate.negated_key()?), now)
     }
 
-    fn get_by_key(&self, key: IndexKey, now: SimInstant) -> Option<SmartIndex> {
+    fn get_by_key(&self, key: IndexKey, now: SimInstant) -> Option<Arc<SmartIndex>> {
         let mut state = self.state.lock();
         let ManagerState { entries, stats } = &mut *state;
         let found = match entries.get(&key) {
@@ -177,27 +182,23 @@ impl IndexManager {
 
     /// Peeks without touching statistics or LRU order (used by tests and
     /// monitoring).
-    pub fn peek(&self, block: BlockId, predicate: &SimplePredicate) -> Option<SmartIndex> {
+    pub fn peek(&self, block: BlockId, predicate: &SimplePredicate) -> Option<Arc<SmartIndex>> {
         let state = self.state.lock();
         let entry = state.entries.peek(&(block, predicate.key()));
         entry.map(|e| e.index.clone())
     }
 
-    /// True when a [`IndexManager::get`] or [`IndexManager::get_negated`]
-    /// at `now` would hit: a live (pinned or unexpired) entry exists for
-    /// the predicate or its complement. No statistics or LRU movement, no
-    /// clones — this is the planning probe behind selective decode and the
-    /// count-only cache path.
-    pub fn servable(&self, block: BlockId, predicate: &SimplePredicate, now: SimInstant) -> bool {
+    /// The live (pinned or unexpired) entry that answers predicate `p` at
+    /// `now`, directly or through its complement: what
+    /// [`IndexManager::get`], then [`IndexManager::get_negated`], would
+    /// find, without moving statistics or LRU order.
+    pub fn lookup(&self, block: BlockId, p: &SimplePredicate, now: SimInstant) -> Option<Held> {
         let state = self.state.lock();
-        let live = |key: &IndexKey| {
-            let e = state.entries.peek(key);
-            e.is_some_and(|e| !self.expired(e, now))
+        let live = |key: IndexKey, negated| {
+            let e = state.entries.peek(&key).filter(|e| !self.expired(e, now))?;
+            Some((e.index.clone(), negated))
         };
-        if live(&(block, predicate.key())) {
-            return true;
-        }
-        predicate.negated_key().is_some_and(|nk| live(&(block, nk)))
+        live((block, p.key()), false).or_else(|| live((block, p.negated_key()?), true))
     }
 
     /// Inserts a freshly built index, evicting LRU entries as needed. An
@@ -236,6 +237,7 @@ impl IndexManager {
                 .expect("weight > 0 means an entry");
             self.book(&mut stats.lru_evictions, |m| &m.lru_evictions, 1);
         }
+        let index = Arc::new(index);
         entries.insert(key, Entry { index, pinned }, footprint);
         self.book(&mut stats.inserts, |m| &m.inserts, 1);
         true
@@ -265,10 +267,6 @@ impl IndexManager {
 
     pub fn memory_used(&self) -> ByteSize {
         ByteSize(self.state.lock().entries.weight())
-    }
-
-    pub fn budget(&self) -> ByteSize {
-        self.budget
     }
 
     pub fn stats(&self) -> IndexStats {

@@ -6,22 +6,20 @@
 //! index for `c2 > 5` through bit-NOT, and conjuncts/disjuncts combine
 //! with bit-AND / bit-OR.
 //!
-//! For each CNF clause over a block:
-//! * a clause whose disjuncts are all simple predicates is answered as the
-//!   bit-OR of per-predicate vectors, each served by (in order) a direct
-//!   index hit, a negated-index hit, or a fresh evaluation (which is then
-//!   inserted into the cache — "Feisu creates a SmartIndex each time a
-//!   query predicate is evaluated in a leaf server");
-//! * any other clause is returned as *residual* for row-wise evaluation
-//!   by the scan operator.
+//! A CNF clause whose disjuncts are all simple predicates is answered as
+//! the bit-OR of per-predicate vectors, each served by (in order) a handle
+//! the caller holds, a direct index hit, a negated-index hit, or a fresh
+//! evaluation that is then cached ("Feisu creates a SmartIndex each time a
+//! query predicate is evaluated in a leaf server"). Any other clause is
+//! evaluated row-wise by the scan.
 
 use crate::bitvec::BitVec;
-use crate::manager::IndexManager;
+use crate::manager::{Held, IndexManager};
 use crate::smart::{predicate_column, scan_evaluate, SmartIndex};
 use feisu_common::{Result, SimInstant};
 use feisu_format::Block;
 use feisu_sql::ast::Expr;
-use feisu_sql::cnf::{Cnf, Disjunct, SimplePredicate};
+use feisu_sql::cnf::{Clause, Cnf, SimplePredicate};
 
 /// How one simple predicate was answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +40,7 @@ pub enum ProbeKind {
 /// Result of serving a CNF over one block.
 #[derive(Debug)]
 pub struct CnfOutcome {
-    /// Conjunction of all index-servable clauses (rows that may pass).
+    /// Conjunction of the clauses SmartIndex answers (rows that may pass).
     pub bits: BitVec,
     /// Clauses that must still be evaluated row-wise.
     pub residual: Vec<Expr>,
@@ -50,28 +48,17 @@ pub struct CnfOutcome {
     pub probes: Vec<(SimplePredicate, ProbeKind)>,
 }
 
-impl CnfOutcome {
-    /// Bytes of data-column reading avoided thanks to index service: the
-    /// caller multiplies by column width. Here: count of predicates that
-    /// did not touch the block.
-    pub fn served_count(&self) -> usize {
-        self.probes
-            .iter()
-            .filter(|(_, k)| matches!(k, ProbeKind::Hit | ProbeKind::NegatedHit))
-            .count()
-    }
-
-    pub fn evaluated_count(&self) -> usize {
-        self.probes.len() - self.served_count()
-    }
-}
-
-/// Serves one simple predicate for a block. `cache` = None disables the
-/// index entirely (the paper's "without SmartIndex" baseline).
+/// Serves one simple predicate for a block: a direct index hit, else a
+/// negated one, else a fresh evaluation, which is cached. `held` is the
+/// entry the caller looked up for the predicate, if any: it serves even if
+/// evicted since, and the probe books what it finds either way. `cache` =
+/// None disables the index entirely (the paper's "without SmartIndex"
+/// baseline).
 pub fn probe_predicate(
     cache: Option<&IndexManager>,
     block: &Block,
     predicate: &SimplePredicate,
+    held: Option<&Held>,
     now: SimInstant,
 ) -> Result<(BitVec, ProbeKind)> {
     let Some(manager) = cache else {
@@ -79,17 +66,20 @@ pub fn probe_predicate(
         return Ok((scan_evaluate(column, predicate)?, ProbeKind::Scanned));
     };
 
-    // 1. Direct hit.
-    if let Some(idx) = manager.get(block.id(), predicate, now) {
-        return Ok((idx.bits(), ProbeKind::Hit));
+    // An index for the complementary operator answers through bit-NOT
+    // (nulls handled inside `negated_bits`).
+    let found = match manager.get(block.id(), predicate, now) {
+        Some(index) => Some((index, false)),
+        None => (manager.get_negated(block.id(), predicate, now)).map(|index| (index, true)),
+    };
+    if let Some((index, negated)) = held.cloned().or(found) {
+        return Ok(match negated {
+            false => (index.bits(), ProbeKind::Hit),
+            true => (index.negated_bits(), ProbeKind::NegatedHit),
+        });
     }
-    // 2. Negated hit: an index for the complementary operator answers us
-    //    through bit-NOT (nulls handled inside `negated_bits`).
-    if let Some(idx) = manager.get_negated(block.id(), predicate, now) {
-        return Ok((idx.negated_bits(), ProbeKind::NegatedHit));
-    }
-    // 3. Miss: evaluate and cache (rejection is surfaced so leaf stats
-    //    can tell "built and rejected" apart from "built and cached").
+    // Rejection is surfaced so leaf stats can tell "built and rejected"
+    // apart from "built and cached".
     let (idx, bits) = SmartIndex::evaluate(block, predicate, now)?;
     let kind = match manager.insert(idx, now) {
         true => ProbeKind::BuiltFresh,
@@ -98,42 +88,53 @@ pub fn probe_predicate(
     Ok((bits, kind))
 }
 
-/// Serves a whole CNF over one block.
+/// Serves a whole CNF over one block; clauses that are not all-simple
+/// come back as residuals. This is [`evaluate_held`] with no handles held.
 pub fn evaluate_cnf(
     cache: Option<&IndexManager>,
     block: &Block,
     cnf: &Cnf,
     now: SimInstant,
 ) -> Result<CnfOutcome> {
+    let mut probes = Vec::new();
+    let bits = evaluate_held(cache, block, cnf, &[], now, |p, kind| {
+        probes.push((p.clone(), kind))
+    })?;
+    let opaque = cnf.clauses.iter().filter(|c| c.as_simple().is_none());
+    Ok(CnfOutcome {
+        bits,
+        residual: opaque.map(Clause::to_expr).collect(),
+        probes,
+    })
+}
+
+/// The conjunction of the CNF's all-simple clauses over one block, each
+/// the bit-OR of its predicates' vectors; other clauses are the caller's
+/// to evaluate row-wise. Each predicate is probed at its turn, and the
+/// `i`-th simple one is served by `held[i]` when the caller holds a
+/// handle for it. `on_probe` hears how each was answered, in probe order.
+pub fn evaluate_held(
+    cache: Option<&IndexManager>,
+    block: &Block,
+    cnf: &Cnf,
+    held: &[Option<Held>],
+    now: SimInstant,
+    mut on_probe: impl FnMut(&SimplePredicate, ProbeKind),
+) -> Result<BitVec> {
     let rows = block.rows();
     let mut bits = BitVec::ones(rows);
-    let mut residual = Vec::new();
-    let mut probes = Vec::new();
-    for clause in &cnf.clauses {
-        let all_simple = clause
-            .disjuncts
-            .iter()
-            .all(|d| matches!(d, Disjunct::Simple(_)));
-        if !all_simple {
-            residual.push(clause.to_expr());
-            continue;
-        }
+    let mut held = held.iter();
+    for predicates in cnf.clauses.iter().filter_map(Clause::as_simple) {
         let mut clause_bits = BitVec::zeros(rows);
-        for d in &clause.disjuncts {
-            let Disjunct::Simple(p) = d else {
-                unreachable!()
-            };
-            let (pbits, kind) = probe_predicate(cache, block, p, now)?;
+        for p in predicates {
+            let held = held.next().and_then(Option::as_ref);
+            let (pbits, kind) = probe_predicate(cache, block, p, held, now)?;
             clause_bits.or_assign(&pbits)?;
-            probes.push((p.clone(), kind));
+            on_probe(p, kind);
         }
         bits.and_assign(&clause_bits)?;
     }
-    Ok(CnfOutcome {
-        bits,
-        residual,
-        probes,
-    })
+    Ok(bits)
 }
 
 #[cfg(test)]
@@ -197,7 +198,6 @@ mod tests {
         let r2 = evaluate_cnf(Some(&m), &block, &cnf, SimInstant(1)).unwrap();
         assert_eq!(r2.probes[0].1, ProbeKind::Hit);
         assert_eq!(r1.bits, r2.bits);
-        assert_eq!(r2.served_count(), 1);
     }
 
     #[test]
@@ -299,6 +299,8 @@ mod tests {
         evaluate_cnf(Some(&m), &block, &cnf, SimInstant(0)).unwrap();
         let r = evaluate_cnf(Some(&m), &block, &cnf, SimInstant(1)).unwrap();
         assert_eq!(r.bits.count_ones(), oracle(&block, &expr).count_ones());
-        assert_eq!(r.evaluated_count(), 0, "all in-memory");
+        let in_memory =
+            |(_, k): &(_, ProbeKind)| matches!(k, ProbeKind::Hit | ProbeKind::NegatedHit);
+        assert!(r.probes.iter().all(in_memory), "all in-memory");
     }
 }

@@ -98,6 +98,20 @@ impl Clause {
             _ => None,
         }
     }
+
+    /// The clause's predicates when every disjunct is simple — a clause
+    /// SmartIndex answers as the bit-OR of their vectors — or `None` when
+    /// one is opaque and the whole clause is evaluated row-wise.
+    pub fn as_simple(&self) -> Option<impl Iterator<Item = &SimplePredicate>> {
+        fn simple(d: &Disjunct) -> Option<&SimplePredicate> {
+            match d {
+                Disjunct::Simple(p) => Some(p),
+                Disjunct::Residual(_) => None,
+            }
+        }
+        let all = self.disjuncts.iter().all(|d| simple(d).is_some());
+        all.then(|| self.disjuncts.iter().filter_map(simple))
+    }
 }
 
 /// The full conjunctive form.

@@ -15,6 +15,7 @@
 #      paper table regenerated, its shape asserted, EXPERIMENTS.md held to
 #      the bytes; wall time printed, budget 60 s) and the benchmark,
 #      smoke-sized
+#   6. the non-test line counts of scripts/loc.sh, printed, not gated
 # Usage: scripts/ci.sh
 #
 # The build environment has no network; when crates.io is unreachable the
@@ -84,13 +85,14 @@ PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-format --test foot
 # footprints), and decoding through a selection against decoding then
 # filtering, corrupt chunks included — in the format and, one level up,
 # in the leaf's two phases against a decode-everything reference (batch,
-# stats and tally; index on, off and through the decode_all retry; one
-# task in three a bare COUNT(*), billed no projection and no aggregate
-# update): same mechanism, same case count.
+# stats and tally; index on and off; one task in three a bare COUNT(*),
+# billed no projection and no aggregate update), beside the held-handle
+# case (a SmartIndex entry evicted before its turn still serves, nothing
+# re-decoded): same mechanism, same case count.
 echo "ci: kernel equivalence + selected decode + two-phase leaf suites (release, 2048 cases)"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-index --test kernel_equivalence
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-format --test selected_decode
-PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-tests --test leaf_execution two_phase
+PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-tests --test leaf_execution -- two_phase held_handle
 
 # The recency core under every per-node cache (common::lru) against a
 # Vec kept in recency order: same returns, victims, order and weight.
@@ -123,5 +125,9 @@ echo "ci: benchmark (smoke)"
 bash benchmark/run.sh --smoke
 echo "ci: benchmark unit tests"
 (cd benchmark && cargo test -q --offline)
+
+# Size, printed and not gated: non-test lines per crate.
+echo "ci: non-test lines (scripts/loc.sh)"
+scripts/loc.sh
 
 echo "ci: all green"

@@ -1,7 +1,8 @@
 //! Leaf-server execution semantics, probed directly at the LeafServer
 //! API (below the engine): cost accounting of the columnar read model,
-//! zone pruning, the count-only memory path, partial aggregation, and the
-//! two-phase scan against a reference that decodes everything first.
+//! zone pruning, the count-only memory path, partial aggregation, the
+//! two-phase scan against a reference that decodes everything first, and a
+//! held SmartIndex handle outliving its entry's eviction.
 
 use feisu_cluster::simclock::TimeTally;
 use feisu_cluster::{CostModel, Topology};
@@ -12,11 +13,12 @@ use feisu_common::{
 use feisu_core::leaf::{AggStage, LeafOutput, LeafServer, LeafTaskStats, ScanTask, ServedTier};
 use feisu_exec::aggregate::AggTable;
 use feisu_exec::batch::RecordBatch;
+use feisu_format::block::chunk_decodes_on_this_thread;
 use feisu_format::table::BlockDesc;
 use feisu_format::{Block, BlockMeta, Column, DataType, Field, Schema, Value};
 use feisu_index::bitvec::BitVec;
 use feisu_index::manager::IndexManager;
-use feisu_index::rewrite::{evaluate_cnf, probe_predicate, ProbeKind};
+use feisu_index::rewrite::{evaluate_cnf, ProbeKind};
 use feisu_index::zonemap::may_match;
 use feisu_index::SmartIndex;
 use feisu_sql::ast::{AggFunc, Expr};
@@ -211,7 +213,6 @@ fn zone_skip_avoids_column_decode_and_most_bytes() {
     let out = l
         .execute(&t, &r.router, &r.cred, SimInstant(0), true)
         .unwrap();
-    assert!(out.stats.pruned_by_zone);
     assert_eq!(out.stats.blocks_skipped, 1);
     assert_eq!(out.stats.blocks_scanned, 0);
     // The skip reads the block's footer — a real storage touch, not a
@@ -256,7 +257,6 @@ fn zoneless_legacy_block_scans_normally() {
     let out = l
         .execute(&t, &r.router, &r.cred, SimInstant(0), true)
         .unwrap();
-    assert!(!out.stats.pruned_by_zone);
     assert_eq!(out.stats.blocks_skipped, 0);
     assert_eq!(out.stats.blocks_scanned, 1);
     assert_eq!(out.batch.rows(), 0);
@@ -402,7 +402,7 @@ fn reference(
     // A count whose every predicate has live cached bits is their algebra,
     // before the footer or the block is looked at.
     let cached = |d: &Disjunct| match (d, index) {
-        (Disjunct::Simple(p), Some(index)) => index.servable(task.block.id, p, now),
+        (Disjunct::Simple(p), Some(index)) => index.lookup(task.block.id, p, now).is_some(),
         _ => false,
     };
     let mut disjuncts = task.cnf.clauses.iter().flat_map(|c| &c.disjuncts);
@@ -423,7 +423,6 @@ fn reference(
     };
 
     if zones_rule_out(&task.cnf, &meta) {
-        stats.pruned_by_zone = true;
         stats.blocks_skipped = 1;
         let footer = ByteSize(meta.meta_bytes as u64);
         if resident {
@@ -466,13 +465,13 @@ fn reference(
             touched.push(p.column.clone());
         }
     }
-    // Billed as touched: the task's residuals and the opaque disjuncts of
-    // the CNF (not the simple disjuncts sharing a clause with one).
+    // Billed as touched: the task's residuals and every column of a CNF
+    // clause that is not all-simple — a simple disjunct sharing a clause
+    // with an opaque one too, since the leaf decodes the whole clause to
+    // evaluate it row-wise.
     task.residual.iter().for_each(|e| e.columns(&mut touched));
-    for d in task.cnf.clauses.iter().flat_map(|c| &c.disjuncts) {
-        if let Disjunct::Residual(e) = d {
-            e.columns(&mut touched);
-        }
+    for clause in task.cnf.clauses.iter().filter(|c| c.as_simple().is_none()) {
+        clause.to_expr().columns(&mut touched);
     }
     let residuals: Vec<Expr> = task
         .residual
@@ -762,55 +761,57 @@ proptest! {
             let got = on.execute(&task, &router, &cred, now, true);
             agree(got, want, "index on", &task)?;
         }
+    }
+}
 
-        // The `decode_all` retry: with room for one index entry, building
-        // `p0` evicts the cached `p1` after the decode set counted on it.
-        if fields.len() < 2 {
-            return Ok(());
-        }
-        // Two comparisons (no CONTAINS, no negated literal: those are not
-        // always simple predicates) over two different columns.
-        let second = 1 + rng.below(fields.len() - 1);
-        let text = [0, second].map(|i| loop {
-            let p = simple_predicate(&mut rng, &fields, i);
-            if p.contains(['=', '<', '>']) && !p.contains('-') {
-                break p;
-            }
-        });
-        let both = to_cnf(&parse_expr(&text.join(" AND ")).unwrap());
-        let only_p1 = to_cnf(&parse_expr(&text[1]).unwrap());
-        let p0 = both.simple_clauses().next().unwrap();
-        let p1 = only_p1.simple_clauses().next().unwrap();
-        let built = [p0, p1].map(|p| SmartIndex::build(&block, p, SimInstant(4)));
-        let [Ok(i0), Ok(i1)] = built else {
-            return Ok(()); // a NaN cell, or a literal the column cannot be compared with
+/// A handle the task holds serves its predicate even when the entry is
+/// evicted before its turn. With room for one index entry and `p1` cached,
+/// building `p0` evicts `p1`: `p1` is still a hit, and only `p0`'s column
+/// is decoded and billed — `a` is 8 bytes a value, `flag` 1, so billing
+/// one for the other shows.
+#[test]
+fn a_held_handle_outlives_its_eviction() {
+    let (router, cred, _) = storage();
+    let schema = Schema::new(vec![
+        Field::new("a", DataType::Int64, false),
+        Field::new("flag", DataType::Bool, false),
+    ]);
+    let columns = vec![
+        Column::from_i64((0..256).collect()),
+        Column::from_bool((0..256).map(|i| i % 3 == 0).collect()),
+    ];
+    let block = Block::new(feisu_common::BlockId(7), schema.clone(), columns).unwrap();
+    let desc = put(&router, &cred, "/t/held", block.serialize(), &block);
+    let cnf = |text: &str| to_cnf(&parse_expr(text).unwrap());
+    let (p0, p1) = (cnf("a < 100"), cnf("flag = TRUE"));
+    let [p0, p1] = [&p0, &p1].map(|c| c.simple_clauses().next().unwrap().clone());
+    let built = [&p0, &p1].map(|p| SmartIndex::build(&block, p, SimInstant(0)).unwrap());
+    let budget = ByteSize(built.iter().map(SmartIndex::footprint).max().unwrap() as u64);
+    let billed_a = ByteSize((desc.stored_size.as_u64() as f64 * 8.0 / 9.0).ceil() as u64);
+    // A row task projecting `a`, and a bare count.
+    for agg in [None, Some(count_stage())] {
+        let over = |c: Cnf| ScanTask {
+            agg: agg.clone(),
+            ..task_over(&desc, schema.fields(), c, Vec::new(), vec!["a".into()])
         };
-        if zones_rule_out(&both, &Block::read_meta(&block.serialize()).unwrap()) {
-            return Ok(()); // skipped before anything is probed
-        }
-        let budget = ByteSize(i0.footprint().max(i1.footprint()) as u64);
-        let manager = || IndexManager::new(budget, SimDuration::hours(72));
-        let tight = LeafServer::new(NodeId(2), manager(), CostModel::default());
-        let mirror = manager();
-        // Same projection, same stage: a counting task retries as well.
-        let over = |cnf: &Cnf| ScanTask {
-            agg: task.agg.clone(),
-            ..task_over(&desc, &fields, cnf.clone(), Vec::new(), task.projection.clone())
-        };
-        let (warm_up, retried) = (over(&only_p1), over(&both));
-        let want = reference(&warm_up, &router, &cred, tight.node, Some(&mirror), SimInstant(4));
-        let got = tight.execute(&warm_up, &router, &cred, SimInstant(4), true);
-        agree(got, want, "warm-up", &warm_up)?;
-        // What the failed first attempt leaves behind: `p0` cached, `p1`
-        // evicted — so the second attempt hits the one and builds the other.
-        probe_predicate(Some(&mirror), &block, p0, SimInstant(5)).unwrap();
-        let want = reference(&retried, &router, &cred, tight.node, Some(&mirror), SimInstant(5));
-        let got = tight.execute(&retried, &router, &cred, SimInstant(5), true);
-        if let Ok(out) = &got {
-            let probes = (out.stats.index_hits, out.stats.index_built);
-            prop_assert_eq!(probes, (1, 1), "no retry: {:?}", &retried);
-        }
-        agree(got, want, "retry", &retried)?;
+        let index = IndexManager::new(budget, SimDuration::hours(72));
+        let leaf = LeafServer::new(NodeId(0), index, CostModel::default());
+        let warm_up = over(cnf("flag = TRUE"));
+        leaf.execute(&warm_up, &router, &cred, SimInstant(0), true)
+            .unwrap();
+        assert!(leaf.index().peek(block.id(), &p1).is_some());
+
+        let both = over(cnf("a < 100 AND flag = TRUE"));
+        let before = chunk_decodes_on_this_thread();
+        let out = leaf
+            .execute(&both, &router, &cred, SimInstant(1), true)
+            .unwrap();
+        assert_eq!(chunk_decodes_on_this_thread() - before, 1, "`a` only");
+        assert!(leaf.index().peek(block.id(), &p1).is_none(), "evicted");
+        assert!(leaf.index().peek(block.id(), &p0).is_some());
+        assert_eq!((out.stats.index_hits, out.stats.index_built), (1, 1));
+        assert_eq!(out.stats.rows_out, 34, "a in 0, 3, .., 99");
+        assert_eq!(out.stats.bytes_read, billed_a);
     }
 }
 
