@@ -129,28 +129,12 @@ impl HeartbeatTable {
         v
     }
 
-    /// Nodes that were registered but have gone silent.
-    pub fn dead_nodes(&self, now: SimInstant) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .records
-            .iter()
-            .filter(|(_, r)| now.since(r.last_seen) > self.interval * self.miss_limit as u64)
-            .map(|(&id, _)| id)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Removes a node entirely (decommission).
     pub fn remove(&mut self, node: NodeId) {
         self.records.remove(&node);
         if let Some(m) = &self.metrics {
             m.registered.set(self.records.len() as i64);
         }
-    }
-
-    pub fn registered_count(&self) -> usize {
-        self.records.len()
     }
 }
 
@@ -176,7 +160,7 @@ mod tests {
         t.register(NodeId(1), SimInstant(0));
         let just_past = SimInstant::EPOCH + SimDuration::secs(9) + SimDuration::nanos(1);
         assert!(!t.is_alive(NodeId(1), just_past));
-        assert_eq!(t.dead_nodes(just_past), vec![NodeId(1)]);
+        assert!(t.alive_nodes(just_past).is_empty());
     }
 
     #[test]
@@ -230,9 +214,9 @@ mod tests {
         let now = SimInstant::EPOCH + SimDuration::secs(20);
         t.beat(NodeId(2), now, LoadStats::default());
         assert_eq!(t.alive_nodes(now), vec![NodeId(2)]);
-        assert_eq!(t.dead_nodes(now), vec![NodeId(1)]);
-        assert_eq!(t.registered_count(), 2);
+        assert!(!t.is_alive(NodeId(1), now));
+        assert_eq!(t.last_seen(NodeId(1)), Some(SimInstant(0)));
         t.remove(NodeId(1));
-        assert_eq!(t.registered_count(), 1);
+        assert_eq!(t.last_seen(NodeId(1)), None);
     }
 }

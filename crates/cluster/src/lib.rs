@@ -15,15 +15,13 @@
 //!   detection (Feisu deliberately avoids ZooKeeper at this scale,
 //!   §III-C);
 //! * [`resources`] — the per-node resource consumption agreement that
-//!   keeps Feisu from disturbing business-critical services (§V-A/B);
-//! * [`traffic`] — the three-class traffic priority scheme (§V-C).
+//!   keeps Feisu from disturbing business-critical services (§V-A/B).
 
 pub mod cost;
 pub mod heartbeat;
 pub mod resources;
 pub mod simclock;
 pub mod topology;
-pub mod traffic;
 
 pub use cost::{CostModel, StorageMedium};
 pub use simclock::SimClock;

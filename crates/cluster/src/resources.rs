@@ -36,11 +36,6 @@ impl ResourceAgreement {
         (free as f64 * self.agreement_share).floor() as u32
     }
 
-    /// Slots Feisu currently holds.
-    pub fn feisu_in_use(&self) -> u32 {
-        self.feisu_slots
-    }
-
     /// Whether Feisu currently holds more than the agreement allows (can
     /// happen transiently after a business-load spike); the excess must be
     /// preempted.
@@ -117,8 +112,9 @@ mod tests {
         // free = 2, limit = 1, holding 4 → kill 3.
         assert_eq!(must_kill, 3);
         a.preempted(3);
-        assert_eq!(a.feisu_in_use(), 1);
         assert_eq!(a.over_budget(), 0);
+        // One slot still held: the limit of 1 is full.
+        assert!(a.acquire().is_err());
     }
 
     #[test]

@@ -111,12 +111,6 @@ impl DetRng {
             items.swap(i, j);
         }
     }
-
-    /// Derives an independent child generator; handy for fanning a seed out
-    /// to per-node or per-table generators without correlation.
-    pub fn fork(&mut self, stream: u64) -> DetRng {
-        DetRng::new(self.next_u64() ^ stream.wrapping_mul(0x9E3779B97F4A7C15))
-    }
 }
 
 #[cfg(test)]
@@ -196,14 +190,5 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = DetRng::new(1234);
-        let mut c1 = parent.fork(1);
-        let mut c2 = parent.fork(2);
-        let same = (0..64).filter(|_| c1.next_u64() == c2.next_u64()).count();
-        assert_eq!(same, 0);
     }
 }

@@ -350,9 +350,6 @@ impl feisu_sql::analyze::Catalog for CatalogView<'_> {
     }
 }
 
-/// Shared handle.
-pub type CatalogRef = Arc<Catalog>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -292,13 +292,7 @@ impl LeafServer {
     fn finish(&self, task: &ScanTask, answer: Answer, touch: &Touch) -> Result<LeafOutput> {
         let (batch, is_agg_transport) = match answer {
             Answer::Count(rows) => (AggTable::count_star_transport(rows)?, true),
-            Answer::Empty => match &task.agg {
-                Some(agg) => {
-                    let table = AggTable::new(agg.group_by.clone(), agg.aggregates.clone());
-                    (table.to_transport()?, true)
-                }
-                None => (RecordBatch::empty(task.output_schema.clone()), false),
-            },
+            Answer::Empty => empty_answer(task.agg.as_ref(), &task.output_schema)?,
             Answer::Rows(batch) => (batch, false),
             Answer::Transport(batch) => (batch, true),
         };
@@ -400,6 +394,19 @@ impl LeafServer {
         self.index.insert_pinned(idx, now);
         Ok(())
     }
+}
+
+/// What a task or a scan that kept nothing answers: the aggregate stage's
+/// zero-state transport, else an empty batch of the output schema. The
+/// flag is `is_agg_transport`.
+pub(crate) fn empty_answer(agg: Option<&AggStage>, schema: &Schema) -> Result<(RecordBatch, bool)> {
+    Ok(match agg {
+        Some(agg) => {
+            let table = AggTable::new(agg.group_by.clone(), agg.aggregates.clone());
+            (table.to_transport()?, true)
+        }
+        None => (RecordBatch::empty(schema.clone()), false),
+    })
 }
 
 /// Rung 1, the cached selection: a bare `COUNT(*)` with no residual looks

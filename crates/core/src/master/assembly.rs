@@ -10,6 +10,7 @@ use feisu_exec::batch::RecordBatch;
 use feisu_obs::{
     Counter, Histogram, MetricsRegistry, QueryEvent, QueryOutcome, QueryProfile, SpanNode,
 };
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Operator span names eligible for the event log's `top_operators`
@@ -137,34 +138,23 @@ impl FeisuCluster {
         );
         let mut bytes_line = format!("{} total", ctx.stats.bytes_read);
         for (backend, bytes) in &ctx.backend_bytes {
-            use std::fmt::Write as _;
             let _ = write!(bytes_line, " {backend}={}", ByteSize(*bytes));
         }
         profile.push_summary("bytes read", bytes_line);
-        let wire_total = ctx.wire_leaf_stem + ctx.wire_rack_dc + ctx.wire_stem_master;
+        let (leaf_stem, rack_dc, stem_master) = (
+            ctx.stats.wire_leaf_stem,
+            ctx.stats.wire_rack_dc,
+            ctx.stats.wire_stem_master,
+        );
+        let wire_total = leaf_stem + rack_dc + stem_master;
         // Per-level wire accounting: the rack→DC leg only exists when a
         // topology-shaped merge tree ran three levels deep.
-        let mut wire_line = format!(
-            "{} (leaf→stem {}",
-            ByteSize(wire_total),
-            ByteSize(ctx.wire_leaf_stem)
-        );
-        if ctx.wire_rack_dc > 0 {
-            use std::fmt::Write as _;
-            let _ = write!(wire_line, ", rack→dc {}", ByteSize(ctx.wire_rack_dc));
+        let mut wire_line = format!("{wire_total} (leaf→stem {leaf_stem}");
+        if rack_dc.0 > 0 {
+            let _ = write!(wire_line, ", rack→dc {rack_dc}");
         }
-        {
-            use std::fmt::Write as _;
-            let _ = write!(
-                wire_line,
-                ", stem→master {})",
-                ByteSize(ctx.wire_stem_master)
-            );
-        }
+        let _ = write!(wire_line, ", stem→master {stem_master})");
         profile.push_summary("bytes on wire", wire_line);
-        ctx.stats.wire_leaf_stem = ByteSize(ctx.wire_leaf_stem);
-        ctx.stats.wire_rack_dc = ByteSize(ctx.wire_rack_dc);
-        ctx.stats.wire_stem_master = ByteSize(ctx.wire_stem_master);
         if !ctx.tier_tasks.is_empty() {
             let served = ctx
                 .tier_tasks
@@ -227,9 +217,9 @@ impl FeisuCluster {
             rows_returned: batch.rows() as u64,
             bytes_scanned: ctx.stats.bytes_read.0,
             bytes_returned: batch.footprint() as u64,
-            wire_leaf_stem_bytes: ctx.wire_leaf_stem,
-            wire_rack_dc_bytes: ctx.wire_rack_dc,
-            wire_stem_master_bytes: ctx.wire_stem_master,
+            wire_leaf_stem_bytes: leaf_stem.0,
+            wire_rack_dc_bytes: rack_dc.0,
+            wire_stem_master_bytes: stem_master.0,
             index_hits: ctx.stats.index_hits as u64,
             blocks_skipped: ctx.stats.blocks_skipped as u64,
             blocks_scanned: ctx.stats.blocks_scanned as u64,
@@ -245,7 +235,7 @@ impl FeisuCluster {
             response_time.as_nanos(),
         );
         self.windows
-            .observe("feisu.query.bytes_on_wire", completed_at, wire_total);
+            .observe("feisu.query.bytes_on_wire", completed_at, wire_total.0);
         self.windows.observe(
             "feisu.query.bytes_scanned",
             completed_at,

@@ -1,27 +1,28 @@
 //! Topology-derived multi-level merge tree with a hash-partitioned
 //! repartition exchange (the execution tree of §III-B).
 //!
-//! The tree is derived from the [`Topology`]: aggregate
-//! transports merge rack-local first (stem placed on the lowest-id
-//! member node), rack stems merge per data center, and the DC stems feed
-//! the master — every level billed at the *real* uplink distance of its
-//! worst-placed child, with receive time serialized over the merger's
-//! ingress link (the sum of child payloads, not the largest). On top of
-//! the shape, grouped aggregates flow through a repartition exchange:
-//! each stem level runs P partition mergers (group keys routed by
-//! seedless FxHash), so no merger ever materializes the full group map,
-//! each ingress link carries only a 1/P hash slice, and the master
+//! One level loop merges every scan. A level groups the nodes below it by
+//! a key of their hosting node, in submission order, splitting a group at
+//! the stem fan-in; places each group's stem on its lowest-id member node;
+//! and bills the uplink at the *real* distance of the worst-placed child.
+//! The master's root merge is the same level over one group. Row scans
+//! climb one level of submission-contiguous stems, so result row order is
+//! untouched; aggregate transports climb two, rack then data center.
+//!
+//! What the kind of result changes is the merge and two billing terms.
+//! Rows concatenate ([`stem::merge_outputs`]: the largest child payload
+//! over the uplink, one predicate evaluation per row). Aggregates flow
+//! through a repartition exchange: each level runs P partition mergers
+//! ([`stem::merge_agg_partition`], group keys routed by seedless FxHash),
+//! so no merger materializes the full group map, the merger's ingress
+//! link carries the *sum* of child payloads split P ways, and the master
 //! concatenates P disjoint partitions instead of re-merging them.
 //!
 //! Determinism (§12): partition merges are pure functions of their
 //! inputs, executed on the master's worker pool but collected in
 //! (group, partition) submission order; all billing derives from
 //! per-partition folded row counts. Results, stats and profiles are
-//! bit-identical at any thread count. Row scans merge through one level
-//! of submission-contiguous stems so result row order is untouched;
-//! their hop billing comes from the topology all the same.
-//!
-//! [`Topology`]: feisu_cluster::Topology
+//! bit-identical at any thread count.
 
 use crate::engine::FeisuCluster;
 use crate::master::pipeline::ExecCtx;
@@ -29,6 +30,7 @@ use crate::master::pool::run_indexed;
 use crate::master::scan_exec::TaskRun;
 use crate::stem::{self, AggShape, StemOutput};
 use feisu_cluster::simclock::TimeTally;
+use feisu_cluster::NodeInfo;
 use feisu_common::hash::FxHashMap;
 use feisu_common::{ByteSize, FeisuError, NodeId, Result, SimInstant};
 use feisu_exec::batch::RecordBatch;
@@ -58,11 +60,22 @@ impl MergeNode {
     }
 }
 
+/// How a level merges a group: row batches concatenate, aggregate
+/// transports fold into `parts` hash partitions.
+#[derive(Clone, Copy)]
+enum MergeKind<'a> {
+    Rows,
+    Agg { shape: AggShape<'a>, parts: usize },
+}
+
+/// What a level groups its nodes by: an attribute of the hosting node.
+type LevelKey = fn(&NodeInfo) -> u32;
+
 impl FeisuCluster {
     /// Merges the kept leaf-task outputs bottom-up into the final scan
     /// result, recording stem spans under `op_span` and per-level wire
-    /// bytes into `ctx`. Returns the root output; the caller charges its
-    /// cpu+network on top of the leaf critical path.
+    /// bytes into `ctx.stats`. Returns the root output; the caller charges
+    /// its cpu+network on top of the leaf critical path.
     pub(crate) fn merge_scan_results(
         &self,
         kept: Vec<TaskRun>,
@@ -77,7 +90,31 @@ impl FeisuCluster {
             ));
         }
         let cfg = &self.spec.config;
-        let per_stem = cfg.leaves_per_stem.max(1);
+        let kind = match (is_agg, agg_ref) {
+            (false, _) => MergeKind::Rows,
+            (true, None) => {
+                return Err(FeisuError::Internal(
+                    "aggregate transport without aggregate shape".into(),
+                ))
+            }
+            // Global aggregates carry a single fused state per transport —
+            // nothing to partition; the exchange applies to grouped
+            // aggregates only.
+            (true, Some(shape)) => MergeKind::Agg {
+                shape,
+                parts: match shape.0.is_empty() {
+                    true => 1,
+                    false => cfg.merge_tree.exchange_partitions.max(1),
+                },
+            },
+        };
+        // The levels below the root, bottom up. Rows: one key for all, so
+        // stems take submission-contiguous chunks (row order is part of
+        // the result). Aggregates: rack stems, then one per data center.
+        let levels: &[LevelKey] = match kind {
+            MergeKind::Rows => &[|_| 0],
+            MergeKind::Agg { .. } => &[|n| n.rack, |n| n.datacenter],
+        };
         // The master is the root of the tree; by convention it lives on
         // the first (lowest-id) node of the topology.
         let master = self
@@ -87,7 +124,7 @@ impl FeisuCluster {
             .map(|n| n.id)
             .ok_or_else(|| FeisuError::Internal("merge tree over empty topology".into()))?;
 
-        let nodes: Vec<MergeNode> = kept
+        let mut nodes: Vec<MergeNode> = kept
             .into_iter()
             .map(|r| MergeNode {
                 parts: vec![r.out.batch],
@@ -98,315 +135,179 @@ impl FeisuCluster {
                 node: r.node,
             })
             .collect();
-
-        if !is_agg {
-            return self.merge_row_tree(nodes, ctx, op_span, per_stem, master);
+        let per_stem = cfg.leaves_per_stem.max(1);
+        for (i, &key) in levels.iter().enumerate() {
+            let groups = self.keyed_groups(&nodes, per_stem, key)?;
+            nodes = self.merge_level(ctx, nodes, &groups, kind, i + 1, None, op_span)?;
         }
-
-        let shape = agg_ref.ok_or_else(|| {
-            FeisuError::Internal("aggregate transport without aggregate shape".into())
-        })?;
-        // Global aggregates carry a single fused state per transport —
-        // nothing to partition; the exchange applies to grouped
-        // aggregates only.
-        let parts = if shape.0.is_empty() {
-            1
-        } else {
-            cfg.merge_tree.exchange_partitions.max(1)
-        };
-
-        // Level 1: rack stems. Level 2: one stem per data center.
-        let mut nodes = nodes;
-        for level in 1..=2 {
-            let groups = if level == 1 {
-                self.keyed_groups(&nodes, per_stem, |n| n.rack)?
-            } else {
-                self.keyed_groups(&nodes, per_stem, |n| n.datacenter)?
-            };
-            let consumed: u64 = nodes.iter().map(|n| n.payload()).sum();
-            if level == 1 {
-                ctx.wire_leaf_stem += consumed;
-            } else {
-                ctx.wire_rack_dc += consumed;
-            }
-            nodes =
-                self.merge_agg_level(ctx, &nodes, &groups, shape, parts, level, None, op_span)?;
-        }
-
-        // Root: the stems ship up to the master, which runs the final P
-        // partition mergers and concatenates their disjoint outputs.
-        let up: u64 = nodes.iter().map(|n| n.payload()).sum();
-        ctx.wire_stem_master += up;
-        ctx.spans.attr(op_span, "wire_to_master", ByteSize(up));
-        let all: Vec<usize> = (0..nodes.len()).collect();
-        let mut root = self
-            .merge_agg_level(ctx, &nodes, &[all], shape, parts, 0, Some(master), op_span)?
-            .pop()
+        let all = [(0..nodes.len()).collect()];
+        let root = self.merge_level(ctx, nodes, &all, kind, 0, Some(master), op_span)?;
+        let root = root
+            .into_iter()
+            .next()
             .expect("one root group yields one output");
-        let batch = if root.parts.len() == 1 {
-            root.parts.pop().expect("single partition")
-        } else {
-            RecordBatch::concat(&root.parts)?
+        let batch = match <[RecordBatch; 1]>::try_from(root.parts) {
+            Ok([batch]) => batch,
+            Err(parts) => RecordBatch::concat(&parts)?,
         };
         Ok(StemOutput {
             batch,
-            is_agg_transport: true,
+            is_agg_transport: is_agg,
             tally: root.tally,
         })
     }
 
-    /// Row results: submission-contiguous chunks into stems, then one
-    /// root concat (row order is part of the result contract), with
-    /// uplink hops derived from the topology.
-    fn merge_row_tree(
-        &self,
-        nodes: Vec<MergeNode>,
-        ctx: &mut ExecCtx,
-        op_span: SpanId,
-        per_stem: usize,
-        master: NodeId,
-    ) -> Result<StemOutput> {
-        let groups = chunk_groups(nodes.len(), per_stem);
-        ctx.wire_leaf_stem += nodes.iter().map(|n| n.payload()).sum::<u64>();
-        let mut stems: Vec<StemOutput> = Vec::with_capacity(groups.len());
-        let mut stem_nodes: Vec<NodeId> = Vec::with_capacity(groups.len());
-        for group in &groups {
-            let stem_node = group
-                .iter()
-                .map(|&i| nodes[i].node)
-                .min()
-                .expect("groups are nonempty");
-            let hops = self
-                .topology
-                .uplink_hops(group.iter().map(|&i| nodes[i].node), stem_node)?;
-            let meta = self.level_meta(&nodes, group);
-            let wire: u64 = group.iter().map(|&i| nodes[i].payload()).sum();
-            let children: Vec<StemOutput> = group
-                .iter()
-                .map(|&i| StemOutput {
-                    batch: nodes[i].parts[0].clone(),
-                    is_agg_transport: false,
-                    tally: nodes[i].tally,
-                })
-                .collect();
-            let out = stem::merge_outputs(children, None, &self.spec.cost, hops)?;
-            self.record_stem_span(
-                ctx, op_span, &nodes, group, &meta, &out.tally, 1, wire, stem_node,
-            );
-            stem_nodes.push(stem_node);
-            stems.push(out);
-        }
-        let up: u64 = stems.iter().map(|s| s.batch.footprint() as u64).sum();
-        ctx.wire_stem_master += up;
-        ctx.spans.attr(op_span, "wire_to_master", ByteSize(up));
-        let hops = self.topology.uplink_hops(stem_nodes, master)?;
-        stem::merge_outputs(stems, None, &self.spec.cost, hops)
-    }
-
-    /// Merges one level of aggregate-transport groups, all (group ×
-    /// partition) merges scheduled on the execution pool. `level` 0 with
-    /// a `stem_override` is the root (no span, placed on the master);
-    /// stem levels record spans and re-parent their children.
+    /// Merges one level: each group into one stem output. Stem levels
+    /// (`root` is `None`) place the stem on the group's lowest-id node,
+    /// record its span and re-parent the children; the root is placed on
+    /// `root` and records none. The level's ingress is booked on the wire
+    /// leg its index names: 1 leaf→stem, 2 rack→DC, root stem→master.
     #[allow(clippy::too_many_arguments)]
-    fn merge_agg_level(
+    fn merge_level(
         &self,
         ctx: &mut ExecCtx,
-        nodes: &[MergeNode],
+        mut nodes: Vec<MergeNode>,
         groups: &[Vec<usize>],
-        shape: AggShape<'_>,
-        parts: usize,
+        kind: MergeKind<'_>,
         level: usize,
-        stem_override: Option<NodeId>,
+        root: Option<NodeId>,
         op_span: SpanId,
     ) -> Result<Vec<MergeNode>> {
-        // Placement and billing metadata per group.
-        let mut placements = Vec::with_capacity(groups.len());
-        for group in groups {
-            let stem_node = stem_override.unwrap_or_else(|| {
-                group
+        let payloads: Vec<u64> = nodes.iter().map(MergeNode::payload).collect();
+        let ingress = ByteSize(payloads.iter().sum());
+        match (root, level) {
+            (Some(_), _) => {
+                ctx.stats.wire_stem_master += ingress;
+                ctx.spans.attr(op_span, "wire_to_master", ingress);
+            }
+            (None, 1) => ctx.stats.wire_leaf_stem += ingress,
+            (None, _) => ctx.stats.wire_rack_dc += ingress,
+        }
+
+        // Aggregates fan every (group × partition) merge out on the worker
+        // pool, group-major. Each is a pure function of its inputs and
+        // results come back in that order, so everything billed from them
+        // is independent of worker scheduling.
+        let mut merged = match kind {
+            MergeKind::Rows => Vec::new(),
+            MergeKind::Agg { shape, parts } => {
+                let children: Vec<Vec<&[RecordBatch]>> = groups
                     .iter()
-                    .map(|&i| nodes[i].node)
-                    .min()
-                    .expect("groups are nonempty")
-            });
+                    .map(|g| g.iter().map(|&i| nodes[i].parts.as_slice()).collect())
+                    .collect();
+                run_indexed(self.effective_threads(), groups.len() * parts, |k| {
+                    stem::merge_agg_partition(shape, &children[k / parts], k % parts, parts)
+                })
+            }
+        }
+        .into_iter();
+
+        let cost = &self.spec.cost;
+        let mut out = Vec::with_capacity(groups.len());
+        for group in groups {
+            let stem_node = root
+                .or_else(|| group.iter().map(|&i| nodes[i].node).min())
+                .ok_or_else(|| FeisuError::Internal("empty merge group".into()))?;
             let hops = self
                 .topology
                 .uplink_hops(group.iter().map(|&i| nodes[i].node), stem_node)?;
-            let cores = self.topology.node(stem_node)?.cores;
-            placements.push((stem_node, hops, cores));
-        }
-
-        // Fan the (group × partition) merges out on the worker pool,
-        // group-major. Each is a pure function of its inputs and results
-        // come back in that order, so everything billed from them is
-        // independent of worker scheduling.
-        let child_slices: Vec<Vec<&[RecordBatch]>> = groups
-            .iter()
-            .map(|g| g.iter().map(|&i| nodes[i].parts.as_slice()).collect())
-            .collect();
-        let mut merged = run_indexed(self.effective_threads(), groups.len() * parts, |k| {
-            stem::merge_agg_partition(shape, &child_slices[k / parts], k % parts, parts)
-        })
-        .into_iter();
-
-        // Assemble each group's stem output in submission order.
-        let mut out = Vec::with_capacity(groups.len());
-        for (gi, group) in groups.iter().enumerate() {
-            let mut part_batches = Vec::with_capacity(parts);
-            let mut part_rows = Vec::with_capacity(parts);
-            for _ in 0..parts {
-                let (batch, rows) = merged.next().expect("one merge per (group, partition)")?;
-                part_batches.push(batch);
-                part_rows.push(rows);
-            }
-            let (stem_node, hops, cores) = placements[gi];
-            let tallies: Vec<TimeTally> = group.iter().map(|&i| nodes[i].tally).collect();
-            let mut tally = TimeTally::join_parallel(&tallies);
-            // Children send in parallel but their transports converge on
-            // the merger's ingress link, so elapsed receive time scales
-            // with the *sum* of child payloads — this is why flat fan-in
-            // loses and the tree wins. The exchange splits that ingress
-            // across P partition mergers on disjoint links, each pulling
-            // its hash slice of every child concurrently.
-            let ingress: u64 = group.iter().map(|&i| nodes[i].payload()).sum();
-            let per_merger = ingress.div_ceil(parts.max(1) as u64);
-            tally.add_network(self.spec.cost.network(hops, ByteSize(per_merger)));
-            // P mergers run in parallel on the stem: billed at the max of
-            // the largest partition and an ideal split across the stem's
-            // cores. Zero-row merges are billed a 1-row floor.
-            let folded: usize = part_rows.iter().sum();
-            if folded == 0 {
-                tally.add_cpu(self.spec.cost.agg_merge(1));
-            } else {
-                tally.add_cpu(self.spec.cost.parallel_agg_merge(&part_rows, cores));
-            }
-            let meta = self.level_meta(nodes, group);
-            let mut node = MergeNode {
-                parts: part_batches,
-                tally,
-                start_ns: meta.child_min,
-                end_ns: meta.child_max,
-                span: None,
-                node: stem_node,
+            let wire: u64 = group.iter().map(|&i| payloads[i]).sum();
+            let start_ns = group.iter().map(|&i| nodes[i].start_ns).min().unwrap_or(0);
+            let child_max = group.iter().map(|&i| nodes[i].end_ns).max().unwrap_or(0);
+            let slowest = group.iter().map(|&i| nodes[i].tally.total()).max();
+            let (parts, tally) = match kind {
+                // The children's batches move into the concatenation.
+                MergeKind::Rows => {
+                    let children = group.iter().flat_map(|&i| {
+                        let tally = nodes[i].tally;
+                        let parts = std::mem::take(&mut nodes[i].parts);
+                        parts.into_iter().map(move |batch| StemOutput {
+                            batch,
+                            is_agg_transport: false,
+                            tally,
+                        })
+                    });
+                    let merged = stem::merge_outputs(children.collect(), None, cost, hops)?;
+                    (vec![merged.batch], merged.tally)
+                }
+                MergeKind::Agg { parts, .. } => {
+                    let folded: Vec<(RecordBatch, usize)> =
+                        merged.by_ref().take(parts).collect::<Result<_>>()?;
+                    let (batches, part_rows): (Vec<_>, Vec<_>) = folded.into_iter().unzip();
+                    let tallies: Vec<TimeTally> = group.iter().map(|&i| nodes[i].tally).collect();
+                    let mut tally = TimeTally::join_parallel(&tallies);
+                    // Children send in parallel but their transports
+                    // converge on the merger's ingress link, so receive
+                    // time scales with the *sum* of child payloads — why
+                    // flat fan-in loses and the tree wins. The P partition
+                    // mergers pull their hash slices on disjoint links.
+                    let per_merger = wire.div_ceil(parts as u64);
+                    tally.add_network(cost.network(hops, ByteSize(per_merger)));
+                    // The mergers run in parallel on the stem: billed at the
+                    // max of the largest partition and an ideal split across
+                    // its cores. Zero-row merges are billed a 1-row floor.
+                    let cores = self.topology.node(stem_node)?.cores;
+                    tally.add_cpu(match part_rows.iter().sum::<usize>() {
+                        0 => cost.agg_merge(1),
+                        _ => cost.parallel_agg_merge(&part_rows, cores),
+                    });
+                    (batches, tally)
+                }
             };
-            if stem_override.is_none() {
-                let wire: u64 = group.iter().map(|&i| nodes[i].payload()).sum();
-                node.span = Some(self.record_stem_span(
-                    ctx,
-                    op_span,
-                    nodes,
-                    group,
-                    &meta,
-                    &node.tally,
-                    level,
-                    wire,
-                    stem_node,
-                ));
-                node.end_ns = meta.child_max
-                    + node
-                        .tally
-                        .total()
-                        .as_nanos()
-                        .saturating_sub(meta.slowest_child.as_nanos());
-            }
-            out.push(node);
+            // A stem starts with its earliest child and ends after the
+            // slowest child plus its own merge time on top.
+            let own = tally.total().saturating_sub(slowest.unwrap_or_default());
+            let end_ns = child_max + own.as_nanos();
+            let span = root.is_none().then(|| {
+                let span = ctx
+                    .spans
+                    .record("stem", None, SimInstant(start_ns), SimInstant(end_ns));
+                ctx.spans.attr(span, "level", level);
+                ctx.spans.attr(span, "tasks", group.len());
+                ctx.spans.attr(span, "wire_bytes", ByteSize(wire));
+                ctx.spans.attr(span, "node", stem_node.to_string());
+                for child in group.iter().filter_map(|&i| nodes[i].span) {
+                    ctx.spans.set_parent(child, Some(span));
+                }
+                ctx.spans.set_parent(span, Some(op_span));
+                span
+            });
+            out.push(MergeNode {
+                parts,
+                tally,
+                start_ns,
+                end_ns,
+                span,
+                node: stem_node,
+            });
         }
         Ok(out)
     }
 
-    /// Child-extent metadata for span and timeline bookkeeping.
-    fn level_meta(&self, nodes: &[MergeNode], group: &[usize]) -> LevelMeta {
-        LevelMeta {
-            child_min: group.iter().map(|&i| nodes[i].start_ns).min().unwrap_or(0),
-            child_max: group.iter().map(|&i| nodes[i].end_ns).max().unwrap_or(0),
-            slowest_child: group
-                .iter()
-                .map(|&i| nodes[i].tally.total())
-                .fold(feisu_common::SimDuration::ZERO, |a, b| a.max(b)),
-        }
-    }
-
-    /// Records one stem's span: starts with its earliest child, ends
-    /// after the slowest child plus the stem's own merge time on top;
-    /// children (leaf tasks or lower stems) are re-parented beneath it.
-    #[allow(clippy::too_many_arguments)]
-    fn record_stem_span(
-        &self,
-        ctx: &mut ExecCtx,
-        op_span: SpanId,
-        nodes: &[MergeNode],
-        group: &[usize],
-        meta: &LevelMeta,
-        tally: &TimeTally,
-        level: usize,
-        wire: u64,
-        stem_node: NodeId,
-    ) -> SpanId {
-        let extra = tally
-            .total()
-            .as_nanos()
-            .saturating_sub(meta.slowest_child.as_nanos());
-        let span = ctx.spans.record(
-            "stem",
-            None,
-            SimInstant(meta.child_min),
-            SimInstant(meta.child_max + extra),
-        );
-        ctx.spans.attr(span, "level", level);
-        ctx.spans.attr(span, "tasks", group.len());
-        ctx.spans.attr(span, "wire_bytes", ByteSize(wire));
-        ctx.spans.attr(span, "node", stem_node.to_string());
-        for &i in group {
-            if let Some(child) = nodes[i].span {
-                ctx.spans.set_parent(child, Some(span));
-            }
-        }
-        ctx.spans.set_parent(span, Some(op_span));
-        span
-    }
-
-    /// Groups node indices by a topology attribute of their hosting node
-    /// (rack, then data center as the tree rises), preserving submission
-    /// order: groups are ordered by first appearance, members keep their
-    /// relative order, and oversized groups split at the stem fan-in.
+    /// Groups node indices by a topology attribute of their hosting node,
+    /// preserving submission order: groups are ordered by first appearance,
+    /// members keep their relative order, and oversized groups split at
+    /// the stem fan-in.
     fn keyed_groups(
         &self,
         nodes: &[MergeNode],
         cap: usize,
-        key: impl Fn(&feisu_cluster::NodeInfo) -> u32,
+        key: LevelKey,
     ) -> Result<Vec<Vec<usize>>> {
-        let mut order: Vec<u32> = Vec::new();
-        let mut members: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
+        let mut keyed: Vec<Vec<usize>> = Vec::new();
+        let mut slot: FxHashMap<u32, usize> = FxHashMap::default();
         for (i, n) in nodes.iter().enumerate() {
-            let k = key(self.topology.node(n.node)?);
-            members.entry(k).or_insert_with(|| {
-                order.push(k);
-                Vec::new()
-            });
-            members.get_mut(&k).expect("just inserted").push(i);
+            let s = *slot
+                .entry(key(self.topology.node(n.node)?))
+                .or_insert_with(|| {
+                    keyed.push(Vec::new());
+                    keyed.len() - 1
+                });
+            keyed[s].push(i);
         }
-        let mut groups = Vec::new();
-        for k in order {
-            let m = members.remove(&k).expect("keyed above");
-            for chunk in m.chunks(cap) {
-                groups.push(chunk.to_vec());
-            }
-        }
-        Ok(groups)
+        Ok(keyed
+            .iter()
+            .flat_map(|m| m.chunks(cap).map(<[usize]>::to_vec))
+            .collect())
     }
-}
-
-/// Submission-contiguous chunks of at most `cap` indices.
-fn chunk_groups(len: usize, cap: usize) -> Vec<Vec<usize>> {
-    (0..len)
-        .collect::<Vec<_>>()
-        .chunks(cap)
-        .map(|c| c.to_vec())
-        .collect()
-}
-
-struct LevelMeta {
-    child_min: u64,
-    child_max: u64,
-    slowest_child: feisu_common::SimDuration,
 }

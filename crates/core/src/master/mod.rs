@@ -10,7 +10,6 @@
 //! system had to split them into independently scalable services (§VII).
 
 pub(crate) mod assembly;
-pub mod failover;
 pub mod guard;
 pub mod job_manager;
 pub(crate) mod merge_tree;
@@ -20,7 +19,6 @@ pub(crate) mod scan_exec;
 pub mod scheduler;
 pub mod session;
 
-pub use failover::PrimaryBackup;
 pub use guard::{AdmissionPermit, EntryGuard};
 pub use job_manager::JobManager;
 pub use scheduler::{Assignment, Scheduler};

@@ -96,9 +96,6 @@ impl FeisuCluster {
             root_spans: Vec::new(),
             backend_bytes: BTreeMap::new(),
             tier_tasks: BTreeMap::new(),
-            wire_leaf_stem: 0,
-            wire_rack_dc: 0,
-            wire_stem_master: 0,
             rule_trace,
             join_orders,
         };
@@ -201,13 +198,6 @@ pub(crate) struct ExecCtx {
     pub(crate) backend_bytes: BTreeMap<String, u64>,
     /// Executed-task counts per [`crate::leaf::ServedTier::label`].
     pub(crate) tier_tasks: BTreeMap<&'static str, usize>,
-    /// Simulated result bytes shipped leaf→stem across all scans.
-    pub(crate) wire_leaf_stem: u64,
-    /// Simulated result bytes shipped rack-stem→DC-stem across all scans
-    /// (zero for row scans).
-    pub(crate) wire_rack_dc: u64,
-    /// Simulated result bytes shipped stem→master across all scans.
-    pub(crate) wire_stem_master: u64,
     /// Optimizer rules that changed the plan, with per-rule fire counts.
     pub(crate) rule_trace: Vec<RuleFire>,
     /// Join-order decisions made by cost-based lowering.

@@ -15,7 +15,7 @@
 //! bit-identical at any worker-thread count.
 
 use crate::engine::{FeisuCluster, QueryStats};
-use crate::leaf::{AggStage, LeafOutput, LeafTaskStats, ScanTask};
+use crate::leaf::{empty_answer, AggStage, LeafOutput, LeafTaskStats, ScanTask};
 use crate::master::job_manager::task_signature;
 use crate::master::pipeline::ExecCtx;
 use crate::master::pool::run_indexed;
@@ -23,7 +23,6 @@ use crate::master::Scheduler;
 use feisu_cluster::simclock::TimeTally;
 use feisu_common::hash::FxHashMap;
 use feisu_common::{ByteSize, FeisuError, NodeId, Result, SimDuration, SimInstant};
-use feisu_exec::aggregate::AggTable;
 use feisu_exec::batch::RecordBatch;
 use feisu_exec::physical::PhysicalPlan;
 use feisu_obs::SpanId;
@@ -77,11 +76,7 @@ impl FeisuCluster {
         ctx.stats.tasks += tasks.len();
         if tasks.is_empty() {
             // Empty table: aggregate stages still need a zero-state.
-            if let Some(stage) = agg_shape {
-                let t = AggTable::new(stage.group_by.clone(), stage.aggregates.clone());
-                return t.to_transport();
-            }
-            return Ok(RecordBatch::empty(output_schema.clone()));
+            return Ok(empty_answer(agg_shape, output_schema)?.0);
         }
 
         // Schedule.
@@ -309,11 +304,7 @@ impl FeisuCluster {
             kept = outputs;
         }
         if kept.is_empty() {
-            if let Some(stage) = agg_shape {
-                let t = AggTable::new(stage.group_by.clone(), stage.aggregates.clone());
-                return t.to_transport();
-            }
-            return Ok(RecordBatch::empty(output_schema.clone()));
+            return Ok(empty_answer(agg_shape, output_schema)?.0);
         }
 
         // Critical path: slowest node. When partial results were

@@ -19,6 +19,7 @@
 use crate::physical::{lower, PhysicalPlan};
 use feisu_cluster::CostModel;
 use feisu_common::{Result, SimDuration};
+use feisu_format::Schema;
 use feisu_sql::analyze::Catalog;
 use feisu_sql::ast::{BinaryOp, Expr, JoinKind};
 use feisu_sql::exprutil::{combine_conjuncts, equi_across};
@@ -80,71 +81,40 @@ pub fn lower_with(
 
 /// Rewrites every inner/cross join region of the plan into its chosen
 /// left-deep order, recording one [`JoinOrderTrace`] per searched region.
-pub fn reorder_joins(
-    plan: LogicalPlan,
+fn reorder_joins(
+    mut plan: LogicalPlan,
     catalog: &dyn Catalog,
     opts: &LowerOptions<'_>,
     traces: &mut Vec<JoinOrderTrace>,
 ) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Join { ref kind, .. } if matches!(kind, JoinKind::Inner | JoinKind::Cross) => {
-            reorder_region(plan, catalog, opts, traces)
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            ..
-        } => {
-            let left = reorder_joins(*left, catalog, opts, traces);
-            let right = reorder_joins(*right, catalog, opts, traces);
-            // Children may have changed column order: keep the positional
-            // output-schema invariant (left ++ right).
-            let output_schema = left.schema().join(&right.schema());
-            LogicalPlan::Join {
-                left: Box::new(left),
-                right: Box::new(right),
-                kind,
-                on,
-                output_schema,
-            }
-        }
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(reorder_joins(*input, catalog, opts, traces)),
-            predicate,
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            output_schema,
-        } => LogicalPlan::Project {
-            input: Box::new(reorder_joins(*input, catalog, opts, traces)),
-            exprs,
-            output_schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-            output_schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(reorder_joins(*input, catalog, opts, traces)),
-            group_by,
-            aggregates,
-            output_schema,
-        },
-        LogicalPlan::Sort { input, keys, fetch } => LogicalPlan::Sort {
-            input: Box::new(reorder_joins(*input, catalog, opts, traces)),
-            keys,
-            fetch,
-        },
-        LogicalPlan::Limit { input, fetch } => LogicalPlan::Limit {
-            input: Box::new(reorder_joins(*input, catalog, opts, traces)),
-            fetch,
-        },
-        leaf => leaf,
+    if let LogicalPlan::Join {
+        kind: JoinKind::Inner | JoinKind::Cross,
+        ..
+    } = plan
+    {
+        return reorder_region(plan, catalog, opts, traces);
     }
+    for child in plan.children_mut() {
+        let taken = std::mem::replace(
+            child,
+            LogicalPlan::Empty {
+                output_schema: Schema::empty(),
+            },
+        );
+        *child = reorder_joins(taken, catalog, opts, traces);
+    }
+    // Children may have changed column order: keep a join's positional
+    // output-schema invariant (left ++ right).
+    if let LogicalPlan::Join {
+        left,
+        right,
+        output_schema,
+        ..
+    } = &mut plan
+    {
+        *output_schema = left.schema().join(&right.schema());
+    }
+    plan
 }
 
 /// One base relation of a flattened join region.

@@ -220,13 +220,6 @@ impl Block {
         BlockMeta::parse(buf)?.decode_named_chunks(buf, names)
     }
 
-    /// Reads id, schema and row count without decoding any column chunk.
-    /// Cheap: only the (small) schema header is decompressed.
-    pub fn read_header(buf: &[u8]) -> Result<(BlockId, Schema, usize)> {
-        let meta = BlockMeta::parse(buf)?;
-        Ok((meta.id, meta.schema, meta.rows))
-    }
-
     /// Reads the block's metadata — id, schema, row count, chunk directory
     /// and the footer zone maps if present — without decoding any column
     /// chunk. This is the zone-skip entry point: a leaf that has no
@@ -1184,16 +1177,6 @@ mod tests {
         let sub = Block::deserialize_columns(&bytes, &[]).unwrap();
         assert_eq!(sub.rows(), 100);
         assert_eq!(sub.schema().len(), 0);
-    }
-
-    #[test]
-    fn read_header_matches_full_decode() {
-        let b = sample_block();
-        let bytes = b.serialize();
-        let (id, schema, rows) = Block::read_header(&bytes).unwrap();
-        assert_eq!(id, b.id());
-        assert_eq!(&schema, b.schema());
-        assert_eq!(rows, b.rows());
     }
 
     /// Like `assemble_v2` but with caller-supplied raw bytes spliced

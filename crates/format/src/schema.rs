@@ -106,15 +106,6 @@ impl Schema {
         }
         Schema::new(fields)
     }
-
-    /// Estimated bytes per row, used by cost models.
-    pub fn estimated_row_width(&self) -> usize {
-        self.0
-            .fields
-            .iter()
-            .map(|f| f.data_type.estimated_width())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -165,11 +156,5 @@ mod tests {
         assert_eq!(joined.len(), 6);
         assert_eq!(joined.field(3).name, "url:r");
         assert!(joined.index_of("clicks:r").is_some());
-    }
-
-    #[test]
-    fn row_width_estimate() {
-        let s = sample();
-        assert_eq!(s.estimated_row_width(), 24 + 8 + 8);
     }
 }

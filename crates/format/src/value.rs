@@ -97,13 +97,6 @@ impl Value {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// SQL three-valued comparison: `None` when either side is null or the
     /// types are incomparable; ints and floats compare numerically.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
@@ -309,7 +302,6 @@ mod tests {
         assert_eq!(v.as_f64(), Some(42.0));
         let s: Value = "hi".into();
         assert_eq!(s.as_str(), Some("hi"));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert!(Value::Null.is_null());
     }
 

@@ -508,11 +508,6 @@ impl TieredCache {
         }
     }
 
-    /// Drops everything cached on one node (node restart).
-    pub fn invalidate_node(&self, node: NodeId) {
-        self.shard(node).lock().remove(&node);
-    }
-
     /// Has `registry` expose the cache's own counters as `feisu.cache.*`.
     pub fn attach_metrics(&self, registry: &MetricsRegistry) {
         let c = &self.counters;
@@ -834,15 +829,6 @@ mod tests {
         );
         assert!(c.get(NodeId(0), "/hdfs/hot/big", NOW).is_none());
         assert_eq!(c.stats().rejected, 1);
-    }
-
-    #[test]
-    fn invalidate_node_clears() {
-        let c = open(64, 64);
-        c.admit(NodeId(0), "/t/x", Bytes::from_static(b"d"), attr(1), NOW);
-        c.invalidate_node(NodeId(0));
-        assert!(c.get(NodeId(0), "/t/x", NOW).is_none());
-        assert_eq!(c.used_on(NodeId(0), CacheTier::Ssd), ByteSize::ZERO);
     }
 
     #[test]

@@ -42,7 +42,8 @@ cargo test -q $OFFLINE
 # The worker pool (leaf tasks, partition merges) must produce
 # bit-identical simulated results at any thread count. Re-run the e2e
 # suites — including the agg_roundtrip and merge_exchange property
-# suites — at a pinned pool width (tests/src/lib.rs honors
+# suites and the merge_tree_golden pins, which must hold unchanged at
+# either width — at a pinned pool width (tests/src/lib.rs honors
 # FEISU_EXECUTION_THREADS for specs that don't pin their own).
 echo "ci: e2e at execution_threads=8"
 FEISU_EXECUTION_THREADS=8 cargo test -q $OFFLINE -p feisu-tests

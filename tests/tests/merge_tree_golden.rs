@@ -1,0 +1,238 @@
+//! The merge tree, pinned. A 16-node, two-data-center grid with two
+//! leaves per stem and 16-row blocks, so a row scan needs several stems
+//! and the rack groups of an aggregate split at the fan-in cap. For a row
+//! scan, a global aggregate, a GROUP BY at one and at four exchange
+//! partitions, and a time-limited partial row scan with one slow node,
+//! the response time, the three wire legs and every `stem` span must be
+//! the ones recorded here. A change to stem placement, grouping, hop or
+//! merge billing, wire accounting or span bookkeeping fails this test.
+
+use feisu_common::{NodeId, SimDuration};
+use feisu_core::engine::{ClusterSpec, QueryOptions, QueryResult};
+use feisu_obs::{AttrValue, SpanNode};
+
+const ROWS: usize = 400;
+
+/// One query's pinned numbers: response time in ns, the leaf→stem,
+/// rack→DC and stem→master wire bytes, then one line per `stem` span in
+/// tree order: depth, level, tasks, node, start..end ns, wire bytes.
+fn snapshot(r: &QueryResult) -> Vec<String> {
+    fn num(node: &SpanNode, key: &str) -> u64 {
+        match node.attr(key) {
+            Some(AttrValue::U64(v)) => *v,
+            Some(AttrValue::Size(b)) => b.0,
+            other => panic!("stem attr {key}: {other:?}"),
+        }
+    }
+    fn walk(node: &SpanNode, depth: usize, out: &mut Vec<String>) {
+        if node.name == "stem" {
+            let host = node
+                .attr("node")
+                .map(ToString::to_string)
+                .unwrap_or_default();
+            out.push(format!(
+                "d{depth} L{} t{} {host} {}..{} w{}",
+                num(node, "level"),
+                num(node, "tasks"),
+                node.start.as_nanos(),
+                node.end.as_nanos(),
+                num(node, "wire_bytes"),
+            ));
+        }
+        for child in &node.children {
+            walk(child, depth + 1, out);
+        }
+    }
+    let s = &r.stats;
+    let mut out = vec![format!(
+        "{}ns wire {} {} {}",
+        r.response_time.as_nanos(),
+        s.wire_leaf_stem.0,
+        s.wire_rack_dc.0,
+        s.wire_stem_master.0
+    )];
+    for root in &r.profile.tree.roots {
+        walk(root, 0, &mut out);
+    }
+    out
+}
+
+fn spec(parts: usize) -> ClusterSpec {
+    let mut spec = ClusterSpec::with_nodes(16);
+    spec.rows_per_block = 16;
+    spec.config.leaves_per_stem = 2;
+    spec.config.merge_tree.exchange_partitions = parts;
+    spec
+}
+
+fn run(parts: usize, sql: &str) -> QueryResult {
+    let fx = feisu_tests::fixture_with(ROWS, spec(parts), "/hdfs/warehouse/clicks");
+    fx.cluster.query(sql, &fx.cred).expect("query")
+}
+
+fn check(name: &str, got: &QueryResult, want: &[&str]) {
+    let got = snapshot(got);
+    assert!(
+        got == want,
+        "{name}: merge tree moved; now:\n{}",
+        got.iter()
+            .map(|l| format!("            \"{l}\","))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+}
+
+#[test]
+fn row_scan_is_pinned() {
+    let r = run(4, "SELECT url, clicks FROM clicks WHERE clicks > 40");
+    check(
+        "row scan",
+        &r,
+        &[
+            "21419149ns wire 12496 0 12304",
+            "d3 L1 t2 node-4 200000..10406830 w984",
+            "d3 L1 t2 node-3 200000..10806853 w1040",
+            "d3 L1 t2 node-0 200000..10606828 w928",
+            "d3 L1 t2 node-1 200000..10806851 w984",
+            "d3 L1 t2 node-2 200000..10806853 w1040",
+            "d3 L1 t2 node-7 200000..10806832 w1040",
+            "d3 L1 t2 node-12 200000..10406861 w984",
+            "d3 L1 t2 node-8 200000..20409914 w984",
+            "d3 L1 t1 node-10 200000..10202643 w520",
+            "d3 L1 t2 node-4 10202625..20409476 w984",
+            "d3 L1 t2 node-0 10202636..20409037 w928",
+            "d3 L1 t2 node-5 10202636..20809489 w1040",
+            "d3 L1 t2 node-1 10202636..20809916 w1040",
+        ],
+    );
+}
+
+#[test]
+fn global_aggregate_is_pinned() {
+    let r = run(4, "SELECT COUNT(*), SUM(clicks), MIN(score) FROM clicks");
+    check(
+        "global aggregate",
+        &r,
+        &[
+            "21407814ns wire 1425 798 399",
+            "d4 L2 t2 node-4 200000..10603166 w114",
+            "d5 L1 t2 node-4 200000..10402250 w114",
+            "d5 L1 t2 node-6 200000..10402250 w114",
+            "d4 L2 t2 node-0 200000..10603176 w114",
+            "d5 L1 t2 node-0 200000..10402260 w114",
+            "d5 L1 t2 node-1 200000..10402250 w114",
+            "d4 L2 t2 node-8 200000..20403588 w114",
+            "d5 L1 t2 node-8 200000..10402260 w114",
+            "d5 L1 t2 node-8 200000..20403584 w114",
+            "d4 L2 t2 node-9 200000..20804500 w114",
+            "d5 L1 t2 node-9 200000..20403584 w114",
+            "d5 L1 t2 node-13 200000..10402260 w114",
+            "d4 L2 t2 node-12 200000..20403596 w114",
+            "d5 L1 t2 node-12 200000..10402271 w114",
+            "d5 L1 t1 node-14 10201334..20202680 w57",
+            "d4 L2 t2 node-4 10201334..20604510 w114",
+            "d5 L1 t2 node-4 10201334..20403594 w114",
+            "d5 L1 t1 node-5 10201334..20202670 w57",
+            "d4 L2 t2 node-0 10201334..20604510 w114",
+            "d5 L1 t2 node-0 10201334..20403594 w114",
+            "d5 L1 t1 node-1 10201334..20202670 w57",
+        ],
+    );
+}
+
+#[test]
+fn group_by_is_pinned_at_one_and_four_partitions() {
+    let sql = "SELECT url, COUNT(*), SUM(clicks) FROM clicks GROUP BY url";
+    check(
+        "group by, P=1",
+        &run(1, sql),
+        &[
+            "21523190ns wire 26800 18453 9779",
+            "d4 L2 t2 node-4 200000..10641766 w2729",
+            "d5 L1 t2 node-4 200000..10419852 w2144",
+            "d5 L1 t2 node-6 200000..10419852 w2144",
+            "d4 L2 t2 node-0 200000..10642309 w2794",
+            "d5 L1 t2 node-0 200000..10419873 w2144",
+            "d5 L1 t2 node-1 200000..10419852 w2144",
+            "d4 L2 t2 node-8 200000..20422572 w2794",
+            "d5 L1 t2 node-8 200000..10419873 w2144",
+            "d5 L1 t2 node-8 200000..20422488 w2144",
+            "d4 L2 t2 node-9 200000..20844402 w2729",
+            "d5 L1 t2 node-9 200000..20422488 w2144",
+            "d5 L1 t2 node-13 200000..10419873 w2144",
+            "d4 L2 t2 node-12 200000..20425151 w2469",
+            "d5 L1 t2 node-12 200000..10419883 w2144",
+            "d5 L1 t1 node-14 10202636..20205325 w1072",
+            "d4 L2 t2 node-4 10202625..20642324 w2469",
+            "d5 L1 t2 node-4 10202625..20422498 w2144",
+            "d5 L1 t1 node-5 10202636..20205304 w1072",
+            "d4 L2 t2 node-0 10202636..20642335 w2469",
+            "d5 L1 t2 node-0 10202636..20422509 w2144",
+            "d5 L1 t1 node-1 10202636..20205304 w1072",
+        ],
+    );
+    check(
+        "group by, P=4",
+        &run(4, sql),
+        &[
+            "21436190ns wire 26800 19349 10227",
+            "d4 L2 t2 node-4 200000..10612706 w2857",
+            "d5 L1 t2 node-4 200000..10406952 w2144",
+            "d5 L1 t2 node-6 200000..10406948 w2144",
+            "d4 L2 t2 node-0 200000..10612857 w2922",
+            "d5 L1 t2 node-0 200000..10406973 w2144",
+            "d5 L1 t2 node-1 200000..10406952 w2144",
+            "d4 L2 t2 node-8 200000..20409622 w2922",
+            "d5 L1 t2 node-8 200000..10406973 w2144",
+            "d5 L1 t2 node-8 200000..20409586 w2144",
+            "d4 L2 t2 node-9 200000..20815342 w2857",
+            "d5 L1 t2 node-9 200000..20409586 w2144",
+            "d5 L1 t2 node-13 200000..10406975 w2144",
+            "d4 L2 t2 node-12 200000..20410539 w2597",
+            "d5 L1 t2 node-12 200000..10406981 w2144",
+            "d5 L1 t1 node-14 10202636..20205307 w1072",
+            "d4 L2 t2 node-4 10202625..20614830 w2597",
+            "d5 L1 t2 node-4 10202625..20409598 w2144",
+            "d5 L1 t1 node-5 10202636..20205286 w1072",
+            "d4 L2 t2 node-0 10202636..20614841 w2597",
+            "d5 L1 t2 node-0 10202636..20409609 w2144",
+            "d5 L1 t1 node-1 10202636..20205286 w1072",
+        ],
+    );
+}
+
+#[test]
+fn partial_row_scan_with_a_slow_node_is_pinned() {
+    let mut spec = spec(4);
+    spec.task_reuse = false;
+    let fx = feisu_tests::fixture_with(ROWS, spec, "/hdfs/warehouse/clicks");
+    fx.cluster.slow_node(NodeId(5), 40.0);
+    let options = QueryOptions {
+        processed_ratio: 0.5,
+        time_limit: Some(SimDuration::millis(40)),
+    };
+    let r = fx
+        .cluster
+        .query_with("SELECT url, day FROM clicks", &fx.cred, &options)
+        .expect("limited query");
+    assert!(r.partial, "the slow node's tasks are abandoned");
+    check(
+        "partial row scan",
+        &r,
+        &[
+            "41423421ns wire 20976 0 20800",
+            "d3 L1 t2 node-4 200000..10809964 w1824",
+            "d3 L1 t2 node-0 200000..10409985 w1824",
+            "d3 L1 t2 node-6 200000..10809985 w1824",
+            "d3 L1 t2 node-1 200000..10409964 w1824",
+            "d3 L1 t2 node-7 200000..10809985 w1824",
+            "d3 L1 t2 node-12 200000..10409995 w1824",
+            "d3 L1 t2 node-3 200000..20812589 w1824",
+            "d3 L1 t2 node-0 200000..20812589 w1824",
+            "d3 L1 t1 node-10 200000..10202625 w912",
+            "d3 L1 t2 node-4 10202593..20812578 w1824",
+            "d3 L1 t2 node-7 10202604..20812589 w1824",
+            "d3 L1 t2 node-1 10202604..20812568 w1824",
+        ],
+    );
+}
