@@ -14,6 +14,7 @@
 use feisu_common::hash::FxHashMap;
 use feisu_common::ids::IdGen;
 use feisu_common::{BlockId, ByteSize, FeisuError, NodeId, Result, SimInstant};
+use feisu_format::block::ChunkSummary;
 use feisu_format::table::{BlockDesc, PartitionDesc, TableDesc};
 use feisu_format::{Block, Column, Schema, Value};
 use feisu_sql::stats::{ColumnStats, NdvSketch, TableStats};
@@ -46,7 +47,9 @@ struct TableEntry {
 #[derive(Default)]
 struct TableStatsBuilder {
     rows: u64,
-    columns: FxHashMap<String, ColumnStatsBuilder>,
+    /// By field position (a table's schema is fixed); empty until the
+    /// first block.
+    columns: Vec<ColumnStatsBuilder>,
 }
 
 #[derive(Default)]
@@ -57,32 +60,30 @@ struct ColumnStatsBuilder {
     ndv: NdvSketch,
 }
 
-impl TableStatsBuilder {
-    /// One block's statistics on their own: the pass over the block's
-    /// values, done before the catalog lock is taken.
-    fn of_block(schema: &Schema, block: &Block) -> Self {
-        let columns = schema.fields().iter().enumerate().map(|(i, f)| {
-            let stats = block.stats(i);
-            let mut ndv = NdvSketch::default();
-            ndv.observe_column(block.column(i));
-            let cb = ColumnStatsBuilder {
-                min: stats.min,
-                max: stats.max,
-                null_count: stats.null_count as u64,
-                ndv,
-            };
-            (f.name.clone(), cb)
-        });
-        TableStatsBuilder {
-            rows: block.rows() as u64,
-            columns: columns.collect(),
+impl ColumnStatsBuilder {
+    /// One column of one block, from what serializing it learned; built
+    /// before the catalog lock is taken. A Utf8 column's distinct count
+    /// comes from its chunk dictionary, anything else's from its rows.
+    fn of_chunk(column: &Column, chunk: ChunkSummary<'_>) -> Self {
+        let mut ndv = NdvSketch::default();
+        match &chunk.distinct {
+            Some(strings) => ndv.observe_strs(strings),
+            None => ndv.observe_column(column),
+        }
+        ColumnStatsBuilder {
+            min: chunk.zone.min,
+            max: chunk.zone.max,
+            null_count: chunk.zone.null_count as u64,
+            ndv,
         }
     }
+}
 
-    fn merge(&mut self, block: TableStatsBuilder) {
-        self.rows += block.rows;
-        for (name, b) in block.columns {
-            let cb = self.columns.entry(name).or_default();
+impl TableStatsBuilder {
+    fn merge(&mut self, rows: usize, block: Vec<ColumnStatsBuilder>) {
+        self.rows += rows as u64;
+        self.columns.resize_with(block.len(), Default::default);
+        for (cb, b) in self.columns.iter_mut().zip(block) {
             merge_bound(&mut cb.min, b.min, Ordering::Less);
             merge_bound(&mut cb.max, b.max, Ordering::Greater);
             cb.null_count += b.null_count;
@@ -90,22 +91,19 @@ impl TableStatsBuilder {
         }
     }
 
-    fn snapshot(&self) -> TableStats {
-        let mut columns = FxHashMap::default();
-        for (name, cb) in &self.columns {
-            columns.insert(
-                name.clone(),
-                ColumnStats {
-                    min: cb.min.clone(),
-                    max: cb.max.clone(),
-                    null_count: cb.null_count,
-                    ndv: cb.ndv.estimate(),
-                },
-            );
-        }
+    fn snapshot(&self, schema: &Schema) -> TableStats {
+        let columns = schema.fields().iter().zip(&self.columns).map(|(f, cb)| {
+            let stats = ColumnStats {
+                min: cb.min.clone(),
+                max: cb.max.clone(),
+                null_count: cb.null_count,
+                ndv: cb.ndv.estimate(),
+            };
+            (f.name.clone(), stats)
+        });
         TableStats {
             rows: self.rows,
-            columns,
+            columns: columns.collect(),
         }
     }
 }
@@ -202,7 +200,7 @@ impl Catalog {
         let entry = tables.get(name)?;
         let snapshot = entry
             .stats_snapshot
-            .get_or_init(|| Arc::new(entry.stats.snapshot()));
+            .get_or_init(|| Arc::new(entry.stats.snapshot(&entry.desc.schema)));
         Some(Arc::clone(snapshot))
     }
 
@@ -223,7 +221,7 @@ impl Catalog {
     pub fn ingest(
         &self,
         name: &str,
-        columns: Vec<Column>,
+        mut columns: Vec<Column>,
         router: &StorageRouter,
         cred: &Credential,
         near: Option<NodeId>,
@@ -249,15 +247,22 @@ impl Catalog {
                 return Err(FeisuError::Execution("ingest: ragged columns".into()));
             }
         }
+        // Rows move into blocks. Cut from the back, each cut moves one
+        // block's rows, and what is left is the first block; `pop` then
+        // yields the blocks front first.
+        let mut slices: Vec<Vec<Column>> = (rows_per_block..rows)
+            .step_by(rows_per_block)
+            .rev()
+            .map(|start| columns.iter_mut().map(|c| c.split_off(start)).collect())
+            .collect();
+        if rows > 0 {
+            slices.push(columns);
+        }
         let mut created = Vec::new();
-        let mut start = 0usize;
-        while start < rows {
-            let end = (start + rows_per_block).min(rows);
-            let indices: Vec<usize> = (start..end).collect();
-            let slice: Vec<Column> = columns.iter().map(|c| c.take(&indices)).collect();
+        while let Some(slice) = slices.pop() {
             let id = BlockId(self.block_ids.next_u64());
             let block = Block::new(id, schema.clone(), slice)?;
-            let bytes = block.serialize();
+            let (bytes, chunks) = block.serialize_summarized();
             let stored_size = ByteSize(bytes.len() as u64);
             let raw_size = ByteSize(block.footprint() as u64);
             let path = format!("{location}/b{}", id.raw());
@@ -269,16 +274,20 @@ impl Catalog {
                 stored_size,
                 raw_size,
             };
-            let block_stats = TableStatsBuilder::of_block(&schema, &block);
+            let block_stats: Vec<_> = block
+                .columns()
+                .iter()
+                .zip(chunks)
+                .map(|(column, chunk)| ColumnStatsBuilder::of_chunk(column, chunk))
+                .collect();
             let mut tables = self.tables.write();
             let entry = tables.get_mut(name).expect("table exists");
-            entry.stats.merge(block_stats);
+            entry.stats.merge(block.rows(), block_stats);
             entry.stats_snapshot.take();
             Arc::make_mut(&mut entry.desc).partitions[0]
                 .blocks
                 .push(desc);
             created.push(id);
-            start = end;
         }
         Ok(created)
     }
@@ -296,10 +305,8 @@ impl Catalog {
         let schema = self
             .schema(name)
             .ok_or_else(|| FeisuError::Analysis(format!("unknown table `{name}`")))?;
-        let mut builders: Vec<feisu_format::ColumnBuilder> = schema
-            .fields()
-            .iter()
-            .map(|f| feisu_format::ColumnBuilder::new(f.data_type))
+        let mut values: Vec<Vec<Value>> = (0..schema.len())
+            .map(|_| Vec::with_capacity(rows.len()))
             .collect();
         for row in rows {
             if row.len() != schema.len() {
@@ -309,28 +316,20 @@ impl Catalog {
                     schema.len()
                 )));
             }
-            for ((b, v), f) in builders.iter_mut().zip(row).zip(schema.fields()) {
-                let compatible = match v.data_type() {
-                    None => true, // NULL fits any nullable slot
-                    Some(t) if t == f.data_type => true,
-                    // Ints widen into float columns at ingest.
-                    Some(feisu_format::DataType::Int64)
-                        if f.data_type == feisu_format::DataType::Float64 =>
-                    {
-                        true
-                    }
-                    _ => false,
-                };
-                if !compatible {
-                    return Err(FeisuError::Execution(format!(
-                        "value {v} does not fit column `{}` of type {}",
-                        f.name, f.data_type
-                    )));
-                }
-                b.push(v);
+            for (column, v) in values.iter_mut().zip(row) {
+                column.push(v);
             }
         }
-        let columns: Vec<Column> = builders.into_iter().map(|b| b.finish()).collect();
+        // NULL fits any slot, and ints widen into float columns.
+        let columns = schema.fields().iter().zip(values).map(|(f, values)| {
+            Column::try_from_values(f.data_type, values).map_err(|v| {
+                FeisuError::Execution(format!(
+                    "value {v} does not fit column `{}` of type {}",
+                    f.name, f.data_type
+                ))
+            })
+        });
+        let columns = columns.collect::<Result<_>>()?;
         self.ingest(name, columns, router, cred, near, now)
     }
 }

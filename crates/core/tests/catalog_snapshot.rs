@@ -136,6 +136,33 @@ fn table_stats_are_built_once_per_ingest_and_lent_after() {
     }
 }
 
+/// Ingest moves rows into their block and sketches a Utf8 column from its
+/// chunk dictionary: one block of the same 8 strings costs as many
+/// allocations at 256 rows as at 4,096.
+#[test]
+fn ingest_allocates_per_block_not_per_row() {
+    let allocations_for = |rows: usize| {
+        let spec = ClusterSpec {
+            rows_per_block: rows,
+            ..ClusterSpec::small()
+        };
+        let cluster = FeisuCluster::new(spec).expect("cluster");
+        let user = cluster.register_user("tester");
+        cluster.grant_all(user);
+        let cred = cluster.login(user).expect("login");
+        let schema = Schema::new(vec![Field::new("s", DataType::Utf8, false)]);
+        cluster
+            .create_table("t", schema, "/hdfs/t", &cred)
+            .expect("create table");
+        let strings = (0..rows).map(|i| format!("value-{}", i % 8)).collect();
+        let column = Column::from_utf8(strings);
+        let (allocs, made) = allocations(|| cluster.ingest_columns("t", vec![column], &cred));
+        assert_eq!(made.unwrap(), 1);
+        allocs
+    };
+    assert_eq!(allocations_for(256), allocations_for(4096));
+}
+
 #[test]
 fn calls_between_ingests_share_one_allocation() {
     let (cluster, cred) = cluster_with_table(2);

@@ -49,6 +49,16 @@ pub struct ColumnStats {
     pub null_count: usize,
 }
 
+/// What serializing one column learned about it: the zone statistics the
+/// footer holds and, for Utf8, the chunk dictionary's entries some
+/// non-null row holds (a NULL row's placeholder string only if a valid
+/// row holds it too).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChunkSummary<'a> {
+    pub zone: ColumnStats,
+    pub distinct: Option<Vec<&'a str>>,
+}
+
 /// A columnar slice of a table partition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Block {
@@ -130,20 +140,6 @@ impl Block {
         self.rows
     }
 
-    /// Zone statistics for column `i`.
-    pub fn stats(&self, i: usize) -> ColumnStats {
-        let c = &self.columns[i];
-        let (min, max) = match c.min_max() {
-            Some((lo, hi)) => (Some(lo), Some(hi)),
-            None => (None, None),
-        };
-        ColumnStats {
-            min,
-            max,
-            null_count: c.null_count(),
-        }
-    }
-
     /// Approximate uncompressed in-memory footprint.
     pub fn footprint(&self) -> usize {
         self.columns.iter().map(|c| c.footprint()).sum()
@@ -151,6 +147,13 @@ impl Block {
 
     /// Serializes the block to the Feisu binary format, zone maps included.
     pub fn serialize(&self) -> Vec<u8> {
+        self.serialize_summarized().0
+    }
+
+    /// [`Block::serialize`], also returning each column's [`ChunkSummary`]:
+    /// statistics computed once, where the data is written (Fig. 6's
+    /// header `range`).
+    pub fn serialize_summarized(&self) -> (Vec<u8>, Vec<ChunkSummary<'_>>) {
         let mut header = Vec::with_capacity(self.schema.len() * 16 + 8);
         varint::encode(self.rows as u64, &mut header);
         varint::encode(self.schema.len() as u64, &mut header);
@@ -171,10 +174,14 @@ impl Block {
 
         let chunks_start = out.len();
         let mut directory = Vec::with_capacity(self.columns.len());
+        let mut summaries = Vec::with_capacity(self.columns.len());
         let mut body = Vec::new();
         for c in &self.columns {
             body.clear();
-            encode_column(c, &mut body);
+            // Sized once from what (but for large delta jumps) bounds the
+            // encoded size, not doubled as many times as the rows take.
+            body.reserve(c.footprint() + 64);
+            summaries.push(encode_column(c, &mut body));
             let chunk = compress::compress_adaptive(&body);
             directory.push((out.len() - chunks_start, chunk.len()));
             out.extend_from_slice(&chunk);
@@ -187,20 +194,19 @@ impl Block {
             varint::encode(len as u64, &mut out);
         }
         out.push(ZONE_SECTION_TAG);
-        for i in 0..self.columns.len() {
-            let stats = self.stats(i);
-            match (stats.min, stats.max) {
+        for ChunkSummary { zone, .. } in &summaries {
+            match (&zone.min, &zone.max) {
                 (Some(min), Some(max)) => {
                     out.push(1);
-                    encode_zone_value(&min, &mut out);
-                    encode_zone_value(&max, &mut out);
+                    encode_zone_value(min, &mut out);
+                    encode_zone_value(max, &mut out);
                 }
                 _ => out.push(0),
             }
-            varint::encode(stats.null_count as u64, &mut out);
+            varint::encode(zone.null_count as u64, &mut out);
         }
         out.extend_from_slice(&footer_start.to_le_bytes());
-        out
+        (out, summaries)
     }
 
     /// Parses a serialized block, decoding every column.
@@ -701,13 +707,17 @@ const ENC_FLOAT_RAW: u8 = 2;
 const ENC_BOOL_PACK: u8 = 3;
 const ENC_DICT: u8 = 4;
 
-fn encode_column(c: &Column, out: &mut Vec<u8>) {
+/// Writes one column chunk body and returns its summary. Utf8 bounds are
+/// taken over the dictionary's referenced entries, not over the rows:
+/// equal strings are identical, so the bounds are the rows' bounds.
+fn encode_column<'a>(c: &'a Column, out: &mut Vec<u8>) -> ChunkSummary<'a> {
     // Validity first (word-aligned bitmap).
     let words = c.validity().words();
     varint::encode(words.len() as u64, out);
     for w in words {
         out.extend_from_slice(&w.to_le_bytes());
     }
+    let mut distinct = None;
     match c.data() {
         ColumnData::Int64(v) => {
             // RLE wins when runs are long; delta otherwise.
@@ -739,8 +749,27 @@ fn encode_column(c: &Column, out: &mut Vec<u8>) {
         ColumnData::Utf8(v) => {
             out.push(ENC_DICT);
             let refs: Vec<&str> = v.iter().map(|s| s.as_str()).collect();
-            dict::encode(&refs, out);
+            let (entries, codes) = dict::encode(&refs, out);
+            let mut held = vec![false; entries.len()];
+            for (r, &code) in codes.iter().enumerate() {
+                held[code as usize] |= c.validity().is_valid(r);
+            }
+            let held = entries.into_iter().zip(held).filter(|&(_, h)| h);
+            distinct = Some(held.map(|(e, _)| e).collect::<Vec<_>>());
         }
+    }
+    let bound = |s: Option<&&str>| s.map(|s| Value::Utf8(s.to_string()));
+    let (min, max) = match &distinct {
+        Some(entries) => (bound(entries.iter().min()), bound(entries.iter().max())),
+        None => c.min_max().unzip(),
+    };
+    ChunkSummary {
+        zone: ColumnStats {
+            min,
+            max,
+            null_count: c.null_count(),
+        },
+        distinct,
     }
 }
 
@@ -1218,7 +1247,10 @@ mod tests {
         let zones = meta.zones.expect("serialize writes zone maps");
         assert_eq!(zones.len(), 4);
         for (i, z) in zones.iter().enumerate() {
-            assert_eq!(z, &b.stats(i), "zone {i} must match live column stats");
+            let c = b.column(i);
+            let (min, max) = c.min_max().unzip();
+            assert_eq!((&z.min, &z.max), (&min, &max), "zone {i} bounds");
+            assert_eq!(z.null_count, c.null_count(), "zone {i} nulls");
         }
         assert_eq!(zones[1].min, Some(Value::Int64(3)));
         assert_eq!(zones[1].max, Some(Value::Int64(297)));
@@ -1472,10 +1504,46 @@ mod tests {
     #[test]
     fn stats_reflect_column_contents() {
         let b = sample_block();
-        let clicks = b.stats(1);
-        assert_eq!(clicks.null_count, 10);
-        assert_eq!(clicks.min, Some(Value::Int64(3)));
-        assert_eq!(clicks.max, Some(Value::Int64(297)));
+        let (bytes, summaries) = b.serialize_summarized();
+        assert_eq!(bytes, b.serialize());
+        let zones = Block::read_meta(&bytes).unwrap().zones.unwrap();
+        assert!(summaries.iter().map(|s| &s.zone).eq(&zones));
+        let clicks = &summaries[1];
+        assert_eq!(clicks.zone.null_count, 10);
+        assert_eq!(clicks.zone.min, Some(Value::Int64(3)));
+        assert_eq!(clicks.zone.max, Some(Value::Int64(297)));
+        assert_eq!(clicks.distinct, None);
+        let mut urls = summaries[0].distinct.clone().unwrap();
+        urls.sort_unstable();
+        let pages: Vec<String> = (0..7)
+            .map(|i| format!("https://example.com/page/{i}"))
+            .collect();
+        assert_eq!(urls, pages);
+    }
+
+    /// A NULL row's placeholder string is neither a bound nor a distinct
+    /// value unless a valid row holds it too.
+    #[test]
+    fn utf8_summary_counts_only_strings_valid_rows_hold() {
+        let mut validity = Validity::with_capacity(5);
+        [false, true, false, true, true]
+            .into_iter()
+            .for_each(|v| validity.push(v));
+        let strings = ["a", "m", "zz", "m", "a"].map(String::from).to_vec();
+        let column = Column::new(ColumnData::Utf8(strings), validity);
+        let schema = Schema::new(vec![Field::new("s", DataType::Utf8, true)]);
+        let b = Block::new(BlockId(3), schema, vec![column]).unwrap();
+        let (_, summaries) = b.serialize_summarized();
+        let s = &summaries[0];
+        // "zz" is held by a NULL row only; "a" by a NULL and a valid row.
+        assert_eq!(s.distinct, Some(vec!["a", "m"]));
+        assert_eq!(s.zone.min, Some(Value::Utf8("a".into())));
+        assert_eq!(s.zone.max, Some(Value::Utf8("m".into())));
+        assert_eq!(s.zone.null_count, 2);
+        assert_eq!(
+            (s.zone.min.clone(), s.zone.max.clone()),
+            b.column(0).min_max().unzip()
+        );
     }
 
     #[test]

@@ -18,13 +18,8 @@ pub struct Validity {
 
 impl Validity {
     pub fn new_all_valid(len: usize) -> Self {
-        let words = len.div_ceil(64);
-        let mut bits = vec![u64::MAX; words];
-        if !len.is_multiple_of(64) {
-            if let Some(last) = bits.last_mut() {
-                *last = (1u64 << (len % 64)) - 1;
-            }
-        }
+        let mut bits = vec![u64::MAX; len.div_ceil(64)];
+        clear_past(&mut bits, len);
         Validity {
             bits,
             len,
@@ -92,6 +87,24 @@ impl Validity {
         }
     }
 
+    /// Moves rows `at..` into a new bitmap, leaving rows `..at`: the cost
+    /// follows the rows moved, not the rows kept.
+    fn split_off(&mut self, at: usize) -> Validity {
+        assert!(at <= self.len, "split_off past the end");
+        let tail = if self.null_count == 0 {
+            Validity::new_all_valid(self.len - at)
+        } else {
+            let mut tail = Validity::with_capacity(self.len - at);
+            (at..self.len).for_each(|i| tail.push(self.is_valid(i)));
+            tail
+        };
+        self.bits.truncate(at.div_ceil(64));
+        clear_past(&mut self.bits, at);
+        self.len = at;
+        self.null_count -= tail.null_count;
+        tail
+    }
+
     /// The validity of the rows `words` selects, in row order (the
     /// selection layout of [`Column::filter_by_words`]).
     pub(crate) fn filter_by_words(&self, words: &[u64]) -> Validity {
@@ -101,6 +114,13 @@ impl Validity {
         let mut out = Validity::with_capacity(count_set(words, self.len));
         for_each_set(words, self.len, |i| out.push(self.is_valid(i)));
         out
+    }
+}
+
+/// Clears the bits at or past row `len` in the last of `len`'s words.
+fn clear_past(bits: &mut [u64], len: usize) {
+    if let Some(last) = bits.last_mut().filter(|_| !len.is_multiple_of(64)) {
+        *last &= (1u64 << (len % 64)) - 1;
     }
 }
 
@@ -136,83 +156,50 @@ impl Column {
     /// Nulls become default slots masked out by the validity bitmap.
     /// Returns `None` if any non-null value has the wrong type.
     pub fn from_values(data_type: DataType, values: &[Value]) -> Option<Column> {
+        Column::try_from_values(data_type, values.iter().cloned()).ok()
+    }
+
+    /// [`Column::from_values`] over values it may keep — a string moves
+    /// into the column, not a copy — naming the first that does not fit.
+    pub fn try_from_values(
+        data_type: DataType,
+        values: impl IntoIterator<Item = Value, IntoIter: ExactSizeIterator>,
+    ) -> Result<Column, Value> {
+        fn typed<T: Default>(
+            values: impl ExactSizeIterator<Item = Value>,
+            validity: &mut Validity,
+            of: impl Fn(Value) -> Result<T, Value>,
+        ) -> Result<Vec<T>, Value> {
+            let mut out = Vec::with_capacity(values.len());
+            for v in values {
+                validity.push(!v.is_null());
+                out.push(if v.is_null() { T::default() } else { of(v)? });
+            }
+            Ok(out)
+        }
+        let values = values.into_iter();
         let mut validity = Validity::with_capacity(values.len());
         let data = match data_type {
-            DataType::Bool => {
-                let mut v = Vec::with_capacity(values.len());
-                for val in values {
-                    match val {
-                        Value::Null => {
-                            v.push(false);
-                            validity.push(false);
-                        }
-                        Value::Bool(b) => {
-                            v.push(*b);
-                            validity.push(true);
-                        }
-                        _ => return None,
-                    }
-                }
-                ColumnData::Bool(v)
-            }
-            DataType::Int64 => {
-                let mut v = Vec::with_capacity(values.len());
-                for val in values {
-                    match val {
-                        Value::Null => {
-                            v.push(0);
-                            validity.push(false);
-                        }
-                        Value::Int64(i) => {
-                            v.push(*i);
-                            validity.push(true);
-                        }
-                        _ => return None,
-                    }
-                }
-                ColumnData::Int64(v)
-            }
-            DataType::Float64 => {
-                let mut v = Vec::with_capacity(values.len());
-                for val in values {
-                    match val {
-                        Value::Null => {
-                            v.push(0.0);
-                            validity.push(false);
-                        }
-                        Value::Float64(f) => {
-                            v.push(*f);
-                            validity.push(true);
-                        }
-                        Value::Int64(i) => {
-                            // Implicit widening keeps generators ergonomic.
-                            v.push(*i as f64);
-                            validity.push(true);
-                        }
-                        _ => return None,
-                    }
-                }
-                ColumnData::Float64(v)
-            }
-            DataType::Utf8 => {
-                let mut v = Vec::with_capacity(values.len());
-                for val in values {
-                    match val {
-                        Value::Null => {
-                            v.push(String::new());
-                            validity.push(false);
-                        }
-                        Value::Utf8(s) => {
-                            v.push(s.clone());
-                            validity.push(true);
-                        }
-                        _ => return None,
-                    }
-                }
-                ColumnData::Utf8(v)
-            }
+            DataType::Bool => ColumnData::Bool(typed(values, &mut validity, |v| match v {
+                Value::Bool(b) => Ok(b),
+                other => Err(other),
+            })?),
+            DataType::Int64 => ColumnData::Int64(typed(values, &mut validity, |v| match v {
+                Value::Int64(i) => Ok(i),
+                other => Err(other),
+            })?),
+            DataType::Float64 => ColumnData::Float64(typed(values, &mut validity, |v| match v {
+                Value::Float64(f) => Ok(f),
+                // Implicit widening keeps generators ergonomic.
+                Value::Int64(i) => Ok(i as f64),
+                other => Err(other),
+            })?),
+            DataType::Utf8 => ColumnData::Utf8(typed(values, &mut validity, |v| match v {
+                Value::Utf8(s) => Ok(s),
+                other => Err(other),
+            })?),
         };
-        Some(Column { data, validity })
+        Ok(Column { data, validity })
     }
 
     pub fn from_i64(values: Vec<i64>) -> Column {
@@ -349,6 +336,20 @@ impl Column {
             data,
             validity: self.validity.filter_by_words(words),
         }
+    }
+
+    /// Moves rows `at..` into a new column, leaving rows `..at`, as
+    /// [`Vec::split_off`] does: the cost follows the rows moved, not the
+    /// rows kept, and no value is copied.
+    pub fn split_off(&mut self, at: usize) -> Column {
+        let validity = self.validity.split_off(at);
+        let data = match &mut self.data {
+            ColumnData::Bool(v) => ColumnData::Bool(v.split_off(at)),
+            ColumnData::Int64(v) => ColumnData::Int64(v.split_off(at)),
+            ColumnData::Float64(v) => ColumnData::Float64(v.split_off(at)),
+            ColumnData::Utf8(v) => ColumnData::Utf8(v.split_off(at)),
+        };
+        Column { data, validity }
     }
 
     /// Appends another column of the same type.
@@ -500,10 +501,10 @@ impl ColumnBuilder {
         self.values.is_empty()
     }
 
-    /// Finishes the column; panics if a value had the wrong type (builder
-    /// callers validate beforehand).
+    /// Finishes the column, moving the values in; panics if a value had
+    /// the wrong type (builder callers validate beforehand).
     pub fn finish(self) -> Column {
-        Column::from_values(self.data_type, &self.values)
+        Column::try_from_values(self.data_type, self.values)
             .expect("ColumnBuilder received ill-typed value")
     }
 }
@@ -609,6 +610,27 @@ mod tests {
         assert_eq!(c.filter_by_words(&words), c.take(&indices));
         // Empty selection.
         assert_eq!(c.filter_by_words(&[0, 0, 0]).len(), 0);
+    }
+
+    #[test]
+    fn split_off_moves_what_take_would_copy() {
+        let vals: Vec<Value> = (0..150)
+            .map(|i| match i % 5 {
+                0 => Value::Null,
+                _ => Value::Utf8(format!("row{i}")),
+            })
+            .collect();
+        let nullable = Column::from_values(DataType::Utf8, &vals).unwrap();
+        let dense = Column::from_i64((0..150).collect());
+        for column in [nullable, dense] {
+            for at in [0, 1, 63, 64, 65, 128, 149, 150] {
+                let mut head = column.clone();
+                let tail = head.split_off(at);
+                assert_eq!(head, column.take(&(0..at).collect::<Vec<_>>()), "at {at}");
+                assert_eq!(tail, column.take(&(at..150).collect::<Vec<_>>()), "at {at}");
+                assert_eq!(head.null_count() + tail.null_count(), column.null_count());
+            }
+        }
     }
 
     #[test]

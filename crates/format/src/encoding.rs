@@ -255,8 +255,10 @@ pub mod dict {
     use super::*;
     use feisu_common::hash::FxHashMap;
 
-    /// Encodes strings as a deduplicated dictionary plus bit-packed codes.
-    pub fn encode(values: &[&str], out: &mut Vec<u8>) {
+    /// Encodes strings as a deduplicated dictionary plus bit-packed codes,
+    /// and returns both: the entries in first-use order and each value's
+    /// code into them.
+    pub fn encode<'a>(values: &[&'a str], out: &mut Vec<u8>) -> (Vec<&'a str>, Vec<u64>) {
         let mut dict: Vec<&str> = Vec::new();
         let mut lookup: FxHashMap<&str, u64> = FxHashMap::default();
         let mut codes: Vec<u64> = Vec::with_capacity(values.len());
@@ -280,6 +282,7 @@ pub mod dict {
             let width = bitpack::bits_needed(dict.len().saturating_sub(1) as u64).max(1);
             bitpack::encode(&codes, width, out);
         }
+        (dict, codes)
     }
 
     /// A decoded dictionary chunk that still borrows its strings from the

@@ -25,11 +25,14 @@ pub const DEFAULT_SELECTIVITY: f64 = 0.25;
 
 /// K-minimum-values sketch for approximate distinct counting. Fully
 /// deterministic: the hash is the fixed engine hasher, and the state is
-/// an ordered set — identical ingest order or not, the same value set
+/// the `K` smallest distinct hashes seen, in ascending order, plus whether
+/// any other was seen — identical ingest order or not, the same value set
 /// yields the same estimate.
 #[derive(Debug, Clone, Default)]
 pub struct NdvSketch {
-    kmin: std::collections::BTreeSet<u64>,
+    /// Sorted, distinct, at most `KMV_K` long.
+    kmin: Vec<u64>,
+    /// More than `KMV_K` distinct hashes were seen.
     saturated: bool,
 }
 
@@ -38,7 +41,7 @@ impl NdvSketch {
     /// are tracked by `null_count`, and never join).
     pub fn observe(&mut self, v: &Value) {
         if !matches!(v, Value::Null) {
-            self.insert(hash_value(v));
+            self.insert_all([hash_value(v)]);
         }
     }
 
@@ -49,33 +52,64 @@ impl NdvSketch {
         let valid = column.validity();
         let rows = (0..column.len()).filter(|&r| valid.is_valid(r));
         match column.data() {
-            ColumnData::Bool(v) => rows.for_each(|r| self.insert(hash_bool(v[r]))),
-            ColumnData::Int64(v) => rows.for_each(|r| self.insert(hash_f64(v[r] as f64))),
-            ColumnData::Float64(v) => rows.for_each(|r| self.insert(hash_f64(v[r]))),
-            ColumnData::Utf8(v) => rows.for_each(|r| self.insert(hash_str(&v[r]))),
+            ColumnData::Bool(v) => self.insert_all(rows.map(|r| hash_bool(v[r]))),
+            ColumnData::Int64(v) => self.insert_all(rows.map(|r| hash_f64(v[r] as f64))),
+            ColumnData::Float64(v) => self.insert_all(rows.map(|r| hash_f64(v[r]))),
+            ColumnData::Utf8(v) => self.insert_all(rows.map(|r| hash_str(&v[r]))),
         }
+    }
+
+    /// Folds in distinct strings — a Utf8 chunk's dictionary
+    /// ([`feisu_format::block::ChunkSummary::distinct`]): one hash per
+    /// string, what [`NdvSketch::observe_column`] gives over the rows.
+    pub fn observe_strs(&mut self, strings: &[&str]) {
+        self.insert_all(strings.iter().map(|s| hash_str(s)));
     }
 
     /// Folds another sketch in: the union of both hash sets cut back to
     /// the `K` smallest — the sketch of everything either one observed.
     pub fn merge(&mut self, other: &NdvSketch) {
         self.saturated |= other.saturated;
-        other.kmin.iter().for_each(|&h| self.insert(h));
+        self.union(&other.kmin);
     }
 
-    fn insert(&mut self, hash: u64) {
-        if self.kmin.len() == KMV_K {
-            // Full: a hash above the largest kept would be inserted only
-            // to be removed again; one below it displaces the largest.
-            if self.kmin.last().is_some_and(|&largest| hash > largest) {
-                self.saturated = true;
-            } else if self.kmin.insert(hash) {
-                self.kmin.pop_last();
-                self.saturated = true;
-            }
-        } else {
-            self.kmin.insert(hash);
+    /// Once the sketch is full, a hash above its largest costs a compare;
+    /// the rest are taken `K` at a time, sorted and merged in.
+    fn insert_all(&mut self, hashes: impl IntoIterator<Item = u64>) {
+        let mut hashes = hashes.into_iter().peekable();
+        while hashes.peek().is_some() {
+            let kth = self.kmin.get(KMV_K - 1).copied();
+            let saturated = &mut self.saturated;
+            let below_kth = |&h: &u64| {
+                let above = kth.is_some_and(|kth| h > kth);
+                *saturated |= above;
+                !above
+            };
+            let mut batch: Vec<u64> = hashes.by_ref().filter(below_kth).take(KMV_K).collect();
+            batch.sort_unstable();
+            batch.dedup();
+            self.union(&batch);
         }
+    }
+
+    /// Merges a sorted, distinct run into `kmin`, keeping the `K`
+    /// smallest; anything left over was a distinct hash beyond them.
+    fn union(&mut self, other: &[u64]) {
+        let (a, b) = (&self.kmin, other);
+        let mut kmin = Vec::with_capacity(KMV_K.min(a.len() + b.len()));
+        let (mut i, mut j) = (0, 0);
+        while kmin.len() < KMV_K && (i < a.len() || j < b.len()) {
+            let (x, y) = (a.get(i).copied(), b.get(j).copied());
+            let next = match (x, y) {
+                (Some(x), Some(y)) => x.min(y),
+                _ => x.or(y).expect("one side is not exhausted"),
+            };
+            i += usize::from(x == Some(next));
+            j += usize::from(y == Some(next));
+            kmin.push(next);
+        }
+        self.saturated |= i < a.len() || j < b.len();
+        self.kmin = kmin;
     }
 
     /// The distinct-count estimate: exact while under `K` distinct
@@ -197,12 +231,14 @@ impl TableStats {
             BinaryOp::Eq => 1.0 / ndv,
             BinaryOp::NotEq => 1.0 - 1.0 / ndv,
             BinaryOp::Lt | BinaryOp::LtEq | BinaryOp::Gt | BinaryOp::GtEq => {
+                // An infinite or NaN bound interpolates to NaN or to 0/1.
+                let finite = |v: &Value| v.as_f64().filter(|f| f.is_finite());
                 let (Some(lo), Some(hi), Some(v)) = (
-                    c.min.as_ref().and_then(Value::as_f64),
-                    c.max.as_ref().and_then(Value::as_f64),
-                    value.as_f64(),
+                    c.min.as_ref().and_then(finite),
+                    c.max.as_ref().and_then(finite),
+                    finite(value),
                 ) else {
-                    return 0.3; // non-numeric range: flat guess
+                    return 0.3; // non-numeric or non-finite range: flat guess
                 };
                 let width = hi - lo;
                 let below = if width > 0.0 {
@@ -229,6 +265,7 @@ impl TableStats {
 mod tests {
     use super::*;
     use crate::parser::parse_expr;
+    use proptest::prelude::*;
 
     fn table() -> TableStats {
         let mut columns = FxHashMap::default();
@@ -280,18 +317,54 @@ mod tests {
         );
     }
 
-    /// The sketch as it was first written: insert, then trim the largest.
-    fn insert_then_trim(values: impl Iterator<Item = i64>) -> NdvSketch {
-        let mut s = NdvSketch::default();
-        for v in values {
-            s.kmin.insert(hash_value(&Value::Int64(v)));
-            if s.kmin.len() > KMV_K {
-                let largest = *s.kmin.iter().next_back().unwrap();
-                s.kmin.remove(&largest);
-                s.saturated = true;
+    /// The sketch as it was first written, kept as the reference: an
+    /// ordered set that inserts, then trims its largest.
+    #[derive(Clone, Default)]
+    struct InsertThenTrim {
+        kmin: std::collections::BTreeSet<u64>,
+        saturated: bool,
+    }
+
+    impl InsertThenTrim {
+        fn of(hashes: impl IntoIterator<Item = u64>) -> Self {
+            let mut s = InsertThenTrim::default();
+            hashes.into_iter().for_each(|h| s.insert(h));
+            s
+        }
+
+        fn insert(&mut self, hash: u64) {
+            self.kmin.insert(hash);
+            if self.kmin.len() > KMV_K {
+                self.kmin.pop_last();
+                self.saturated = true;
             }
         }
-        s
+
+        fn merge(mut self, other: &InsertThenTrim) -> Self {
+            self.saturated |= other.saturated;
+            other.kmin.iter().for_each(|&h| self.insert(h));
+            self
+        }
+
+        fn estimate(&self) -> u64 {
+            match self.kmin.last() {
+                Some(&kth) if self.saturated && kth > 0 => {
+                    (((KMV_K - 1) as f64) / ((kth as f64) / (u64::MAX as f64))).round() as u64
+                }
+                _ => self.kmin.len() as u64,
+            }
+        }
+
+        /// Same kept hashes, same `saturated`, same estimate.
+        fn matches(&self, s: &NdvSketch) -> bool {
+            s.kmin.iter().eq(&self.kmin)
+                && s.saturated == self.saturated
+                && s.estimate() == self.estimate()
+        }
+    }
+
+    fn insert_then_trim(values: impl Iterator<Item = i64>) -> InsertThenTrim {
+        InsertThenTrim::of(values.map(|v| hash_value(&Value::Int64(v))))
     }
 
     #[test]
@@ -309,10 +382,168 @@ mod tests {
             upper.observe_column(&Column::from_f64((n / 2..n).map(|i| i as f64).collect()));
             merged.merge(&upper);
             for s in [&one_go, &column, &merged] {
-                assert_eq!(s.kmin, reference.kmin, "n = {n}");
-                assert_eq!(s.saturated, reference.saturated, "n = {n}");
-                assert_eq!(s.estimate(), reference.estimate(), "n = {n}");
+                assert!(reference.matches(s), "n = {n}");
             }
+        }
+    }
+
+    /// `distinct` hashes, each one to three times, in a seeded order.
+    fn hash_stream(distinct: usize, seed: u64) -> Vec<u64> {
+        let mut stream: Vec<(u64, u64)> = (0..distinct as u64)
+            .flat_map(|i| {
+                let hash = hash_one(&(seed, i));
+                (0..=hash % 3).map(move |copy| (hash_one(&(hash, copy, seed)), hash))
+            })
+            .collect();
+        stream.sort_unstable();
+        stream.into_iter().map(|(_, hash)| hash).collect()
+    }
+
+    proptest! {
+        /// The sorted-vector sketch keeps the reference's hashes,
+        /// `saturated` flag and estimate: fed in one go, and as three
+        /// parts merged in every order and association.
+        #[test]
+        fn sketch_matches_its_btreeset_reference(
+            distinct in prop_oneof![
+                Just(KMV_K - 1),
+                Just(KMV_K),
+                Just(KMV_K + 1),
+                0usize..3 * KMV_K,
+                0usize..20 * KMV_K,
+            ],
+            seed in any::<u64>(),
+            cuts in (0usize..10_000, 0usize..10_000),
+        ) {
+            let stream = hash_stream(distinct, seed);
+            let reference = InsertThenTrim::of(stream.iter().copied());
+            let mut one_go = NdvSketch::default();
+            one_go.insert_all(stream.iter().copied());
+            prop_assert!(reference.matches(&one_go), "one go, {distinct} distinct");
+            // Seen again, every hash is a duplicate — the K-th kept too.
+            one_go.insert_all(stream.iter().copied());
+            prop_assert!(reference.matches(&one_go), "twice, {distinct} distinct");
+
+            let (a, b) = (cuts.0 % (stream.len() + 1), cuts.1 % (stream.len() + 1));
+            let parts = [&stream[..a.min(b)], &stream[a.min(b)..a.max(b)], &stream[a.max(b)..]];
+            let sketches = parts.map(|part| {
+                let mut s = NdvSketch::default();
+                s.insert_all(part.iter().copied());
+                s
+            });
+            let references = parts.map(|part| InsertThenTrim::of(part.iter().copied()));
+            let merged = |x: usize, y: &NdvSketch| {
+                let mut x = sketches[x].clone();
+                x.merge(y);
+                x
+            };
+            for [x, y, z] in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+                let mut left = merged(x, &sketches[y]);
+                left.merge(&sketches[z]);
+                let right = merged(x, &merged(y, &sketches[z]));
+                let by_reference = references[x]
+                    .clone()
+                    .merge(&references[y])
+                    .merge(&references[z]);
+                prop_assert!(by_reference.matches(&left), "({x} {y}) {z}");
+                prop_assert!(reference.matches(&left), "({x} {y}) {z}");
+                prop_assert!(reference.matches(&right), "{x} ({y} {z})");
+            }
+        }
+
+        /// A Utf8 column is sketched the same by value, by column and from
+        /// its chunk dictionaries — also when NULL rows hold a placeholder
+        /// no valid row holds.
+        #[test]
+        fn every_utf8_path_matches_the_reference(
+            rows in proptest::collection::vec((0u16..2000, 0u8..4), 0..1200),
+            modulus in prop_oneof![
+                Just(8u16),
+                Just(KMV_K as u16),
+                Just(KMV_K as u16 + 1),
+                1u16..2000,
+            ],
+            placeholder in 0u8..3,
+            cut in 0usize..1200,
+        ) {
+            let text = |n: u16| format!("s{}", n % modulus);
+            let values: Vec<Value> = rows
+                .iter()
+                .map(|&(n, null)| match null {
+                    0 => Value::Null,
+                    _ => Value::Utf8(text(n)),
+                })
+                .collect();
+            let mut validity = feisu_format::column::Validity::with_capacity(rows.len());
+            let strings = rows
+                .iter()
+                .map(|&(n, null)| {
+                    validity.push(null != 0);
+                    match (null, placeholder) {
+                        (0, 0) => String::new(),
+                        (0, 1) => "ghost".to_string(),
+                        _ => text(n),
+                    }
+                })
+                .collect();
+            let column = Column::new(ColumnData::Utf8(strings), validity);
+            let reference = InsertThenTrim::of(
+                values.iter().filter(|v| !v.is_null()).map(hash_value),
+            );
+            let mut by_value = NdvSketch::default();
+            values.iter().for_each(|v| by_value.observe(v));
+            let mut by_column = NdvSketch::default();
+            by_column.observe_column(&column);
+            // Two blocks' dictionaries, merged.
+            let mut head = column.clone();
+            let tail = head.split_off(cut.min(column.len()));
+            let mut by_dictionary = NdvSketch::default();
+            for part in [head, tail] {
+                let schema = feisu_format::Schema::new(vec![feisu_format::Field::new(
+                    "s",
+                    feisu_format::DataType::Utf8,
+                    true,
+                )]);
+                let block = feisu_format::Block::new(feisu_common::BlockId(0), schema, vec![part])
+                    .expect("one Utf8 column");
+                let (_, summaries) = block.serialize_summarized();
+                let mut chunk = NdvSketch::default();
+                chunk.observe_strs(summaries[0].distinct.as_deref().expect("Utf8 summary"));
+                by_dictionary.merge(&chunk);
+            }
+            for (path, s) in [("value", by_value), ("column", by_column), ("dictionary", by_dictionary)] {
+                prop_assert!(reference.matches(&s), "by {path}");
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_bounds_and_literals_give_the_flat_range_guess() {
+        let table = |min: f64, max: f64| TableStats {
+            rows: 1000,
+            columns: [(
+                "x".to_string(),
+                ColumnStats {
+                    min: Some(Value::Float64(min)),
+                    max: Some(Value::Float64(max)),
+                    null_count: 0,
+                    ndv: 10,
+                },
+            )]
+            .into_iter()
+            .collect(),
+        };
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        for (lo, hi) in [(-inf, 5.0), (0.0, inf), (-inf, inf), (0.0, nan), (nan, nan)] {
+            for sql in ["x < 3", "x >= 3"] {
+                let sel = table(lo, hi).selectivity(&parse_expr(sql).unwrap());
+                assert_eq!(sel, 0.3, "{sql} over [{lo}, {hi}]");
+            }
+        }
+        let finite = table(0.0, 10.0);
+        for v in [nan, inf, -inf] {
+            let sel = finite.simple_selectivity("x", BinaryOp::Lt, &Value::Float64(v));
+            assert_eq!(sel, 0.3, "x < {v}");
         }
     }
 

@@ -3,12 +3,12 @@
 #   1. cargo fmt --check
 #   2. cargo build --release
 #   3. cargo test -q (then the e2e suites again at pinned thread widths,
-#      the exec equivalence, optimizer reference, footer mismatch, kernel
-#      equivalence, selected decode, two-phase leaf (its count-only arm
-#      included) and LRU model suites again in release with more cases,
-#      and the exec, optimizer, catalog/schema/statistics and leaf
-#      allocation budgets — a scan task's and a count-only task's — in
-#      release)
+#      the exec equivalence, optimizer reference, distinct-count sketch
+#      reference, footer mismatch, kernel equivalence, selected decode,
+#      two-phase leaf (its count-only arm included) and LRU model suites
+#      again in release with more cases, and the exec, optimizer,
+#      catalog/schema/statistics, ingest and leaf allocation budgets — a
+#      scan task's and a count-only task's — in release)
 #   4. cargo clippy --workspace --all-targets -- -D warnings (tests,
 #      examples and bins linted like the libraries)
 #   5. the observability smoke runner, `experiments --check` (every
@@ -59,9 +59,10 @@ FEISU_CLIENT_THREADS=4 cargo test -q $OFFLINE -p feisu-tests
 # optimizations on (`PROPTEST_CASES` is read by shims/proptest), next to
 # the allocation budgets, whose counts are exact in any profile: the key
 # layer's, `Catalog::table()`, a repeated `Catalog::table_stats()` and
-# `Schema::clone` at zero whatever the table's size, a scan task's
-# following the rows it keeps, a count-only task's following nothing, and
-# the optimizer's not following the table's width.
+# `Schema::clone` at zero whatever the table's size, an ingested block's
+# not following its row count, a scan task's following the rows it keeps,
+# a count-only task's following nothing, and the optimizer's not following
+# the table's width.
 echo "ci: exec equivalence suite (release, 2048 cases) + allocation budgets"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-exec --test equivalence --test alloc_budget
 cargo test -q --release $OFFLINE -p feisu-core --test catalog_snapshot --test leaf_alloc_budget
@@ -70,9 +71,14 @@ cargo test -q --release $OFFLINE -p feisu-sql --test optimize_alloc_budget
 # The in-place optimizer rules against the copy-and-compare driver they
 # replaced: every rule application's "changed" flag equals `after !=
 # before`, plans and traces equal the reference's — random statements at
-# the same case count, plus the benchmark's 2,000-statement trace.
-echo "ci: optimizer reference suite (release, 2048 cases)"
+# the same case count, plus the benchmark's 2,000-statement trace. Beside
+# them, the sorted-vector distinct-count sketch against the ordered set it
+# replaced: the same kept hashes, saturation and estimate over hash
+# streams with duplicates, merges in every order and association, and a
+# Utf8 column sketched by value, by column and from its chunk dictionaries.
+echo "ci: optimizer + sketch reference suites (release, 2048 cases)"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-sql --test optimizer_reference
+PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-sql --lib -- stats::
 
 # A resident footer must never decode bytes it was not parsed from:
 # foreign, rewritten, truncated and bit-flipped blocks through another
