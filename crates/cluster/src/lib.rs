@@ -2,7 +2,9 @@
 //!
 //! The paper evaluates Feisu on a 4,000-node production cluster (§VI-A).
 //! This crate replaces that hardware with a deterministic simulation that
-//! preserves everything the evaluation measures:
+//! preserves everything the evaluation measures. It is only the substrate;
+//! what the master knows of each worker (heartbeats, failures, resource
+//! agreements) lives in `feisu-core::master::nodes`.
 //!
 //! * [`simclock`] — a shared simulated clock; all performance accounting
 //!   is in simulated nanoseconds, making benchmarks machine-independent;
@@ -10,16 +12,9 @@
 //!   CPU work, matching the paper's hardware (1 Gbps Ethernet, SATA
 //!   disks, one SSD per node);
 //! * [`topology`] — data centers, racks and nodes, with hop-distance
-//!   computation used by locality-aware scheduling;
-//! * [`heartbeat`] — the cluster-manager heartbeat table with failure
-//!   detection (Feisu deliberately avoids ZooKeeper at this scale,
-//!   §III-C);
-//! * [`resources`] — the per-node resource consumption agreement that
-//!   keeps Feisu from disturbing business-critical services (§V-A/B).
+//!   computation used by locality-aware scheduling.
 
 pub mod cost;
-pub mod heartbeat;
-pub mod resources;
 pub mod simclock;
 pub mod topology;
 

@@ -41,12 +41,6 @@ impl SimClock {
     }
 }
 
-impl feisu_obs::SimTimeSource for SimClock {
-    fn sim_now(&self) -> SimInstant {
-        self.now()
-    }
-}
-
 /// Local accumulator for one task's simulated work, split by category so
 /// experiments can report I/O vs CPU vs network breakdowns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

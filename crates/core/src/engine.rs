@@ -14,11 +14,11 @@ use crate::client;
 use crate::leaf::{LeafServer, LeafTaskStats};
 use crate::master::assembly::QueryMetrics;
 use crate::master::guard::GuardLimits;
+use crate::master::nodes::NodeTable;
 use crate::master::{EntryGuard, JobManager};
-use feisu_cluster::heartbeat::HeartbeatTable;
 use feisu_cluster::{CostModel, SimClock, Topology};
 use feisu_common::config::FeisuConfig;
-use feisu_common::hash::{FxHashMap, FxHashSet};
+use feisu_common::hash::FxHashMap;
 use feisu_common::ids::IdGen;
 use feisu_common::{
     ByteSize, DomainId, FeisuError, NodeId, QueryId, Result, SimDuration, SimInstant, UserId,
@@ -31,7 +31,7 @@ use feisu_obs::{
 };
 use feisu_storage::auth::{AuthService, Credential, Grant};
 use feisu_storage::{CachePin, Domain, StorageRouter, TieredCache};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Deployment parameters.
@@ -118,7 +118,6 @@ pub struct QueryStats {
     pub tasks: usize,
     pub reused_tasks: usize,
     pub backup_tasks: usize,
-    pub pruned_blocks: usize,
     pub index_hits: usize,
     pub index_built: usize,
     /// Indices built fresh but rejected by the cache budget (each is also
@@ -158,7 +157,6 @@ impl QueryStats {
         self.tasks += other.tasks;
         self.reused_tasks += other.reused_tasks;
         self.backup_tasks += other.backup_tasks;
-        self.pruned_blocks += other.pruned_blocks;
         self.index_hits += other.index_hits;
         self.index_built += other.index_built;
         self.index_rejected += other.index_rejected;
@@ -184,7 +182,6 @@ impl QueryStats {
             blocks_skipped: leaf.blocks_skipped,
             blocks_scanned: leaf.blocks_scanned,
             bytes_read: leaf.bytes_read,
-            pruned_blocks: leaf.blocks_skipped,
             memory_served_tasks: leaf.served_from_memory as usize,
             ..QueryStats::default()
         }
@@ -231,11 +228,11 @@ impl QueryResult {
 /// 1. `guard` user table (admission, entry/exit only)
 /// 2. `jobs` task-reuse cache (short map ops)
 /// 3. `catalog` tables (`RwLock`, read-mostly)
-/// 4. `heartbeats` (scheduling snapshot)
-/// 5. `failed_nodes` / `slow_nodes` (`RwLock`, read-mostly)
-/// 6. `resources` (per-task slot acquire/release — released before
-///    `LeafServer::execute` runs)
-/// 7. leaf-internal locks (`IndexManager`, block-cache shard locks —
+/// 4. `nodes` — the node table: heartbeats, failed and slow marks, slot
+///    agreements (one short critical section per call; a leaf task's
+///    slot is acquired and released around, never across,
+///    `LeafServer::execute`)
+/// 5. leaf-internal locks (`IndexManager`, block-cache shard locks —
 ///    per-node sharded, a probe only ever holds its own node's shard)
 pub struct FeisuCluster {
     pub(crate) spec: ClusterSpec,
@@ -245,15 +242,11 @@ pub struct FeisuCluster {
     pub(crate) auth: Arc<AuthService>,
     pub(crate) catalog: Catalog,
     pub(crate) leaves: FxHashMap<NodeId, LeafServer>,
-    pub(crate) heartbeats: Mutex<HeartbeatTable>,
     pub(crate) guard: EntryGuard,
     pub(crate) jobs: JobManager,
-    pub(crate) failed_nodes: RwLock<FxHashSet<NodeId>>,
-    pub(crate) slow_nodes: RwLock<FxHashMap<NodeId, f64>>,
-    /// Per-node resource consumption agreements (§V-A): business-critical
-    /// load shrinks the slots Feisu may use. Shared across *all* in-flight
-    /// queries, so agreements hold under concurrent load.
-    pub(crate) resources: Mutex<FxHashMap<NodeId, feisu_cluster::resources::ResourceAgreement>>,
+    /// The cluster manager's one record per worker, shared across *all*
+    /// in-flight queries, so slot agreements hold under concurrent load.
+    pub(crate) nodes: NodeTable,
     pub(crate) user_names: Mutex<FxHashMap<String, UserId>>,
     pub(crate) user_ids: IdGen,
     pub(crate) query_ids: IdGen,
@@ -269,15 +262,6 @@ pub struct FeisuCluster {
 }
 
 const SYSTEM_USER: UserId = UserId(0);
-
-/// Heartbeat period between workers and the cluster manager, and the
-/// beats missed before a worker is declared dead.
-const HEARTBEAT_INTERVAL: SimDuration = SimDuration::secs(3);
-const HEARTBEAT_MISS_LIMIT: u32 = 3;
-
-/// Maximum share of a storage node's resources Feisu may consume (the
-/// resource consumption agreement of §V-A).
-const RESOURCE_AGREEMENT_SHARE: f64 = 0.25;
 
 impl FeisuCluster {
     /// Builds a deployment: topology, the four storage domains, auth,
@@ -344,26 +328,19 @@ impl FeisuCluster {
         // Per-domain read/write counters plus the block-cache counters.
         router.attach_metrics(&metrics);
         let mut leaves = FxHashMap::default();
-        let mut heartbeats = HeartbeatTable::new(HEARTBEAT_INTERVAL, HEARTBEAT_MISS_LIMIT);
         for n in topology.nodes() {
-            heartbeats.register(n.id, clock.now());
             let index = IndexManager::new(spec.config.index_memory_per_leaf, spec.config.index_ttl);
             // Every leaf feeds the same registry: the feisu.index.* counters
             // are cluster-wide totals.
             index.attach_metrics(&metrics);
             leaves.insert(n.id, LeafServer::new(n.id, index, cost.clone()));
         }
-        heartbeats.attach_metrics(&metrics);
-        let mut resources = FxHashMap::default();
-        for n in topology.nodes() {
-            resources.insert(
-                n.id,
-                feisu_cluster::resources::ResourceAgreement::new(
-                    n.cores * 4, // task slots per node
-                    RESOURCE_AGREEMENT_SHARE,
-                ),
-            );
-        }
+        // Four task slots per core.
+        let nodes = NodeTable::new(
+            topology.nodes().iter().map(|n| (n.id, n.cores * 4)),
+            clock.now(),
+            &metrics,
+        );
         let guard = EntryGuard::new(spec.guard.clone());
         guard.attach_metrics(&metrics);
         let jobs = JobManager::new(
@@ -385,12 +362,9 @@ impl FeisuCluster {
             auth,
             catalog: Catalog::new(),
             leaves,
-            heartbeats: Mutex::new(heartbeats),
             guard,
             jobs,
-            failed_nodes: RwLock::new(FxHashSet::default()),
-            slow_nodes: RwLock::new(FxHashMap::default()),
-            resources: Mutex::new(resources),
+            nodes,
             user_names: Mutex::new(FxHashMap::default()),
             user_ids,
             query_ids: IdGen::new(),
@@ -524,15 +498,15 @@ impl FeisuCluster {
     /// Safe to call while queries run on other threads — in-flight tasks
     /// on the node fail retryably and reroute as backup tasks.
     pub fn fail_node(&self, node: NodeId) {
-        self.failed_nodes.write().insert(node);
+        self.nodes.fail(node);
         for d in self.router.domains() {
             d.set_node_available(node, false);
         }
     }
 
-    /// Brings a node back.
+    /// Brings a node back (its slow factor stays).
     pub fn recover_node(&self, node: NodeId) {
-        self.failed_nodes.write().remove(&node);
+        self.nodes.recover(node);
         for d in self.router.domains() {
             d.set_node_available(node, true);
         }
@@ -540,23 +514,19 @@ impl FeisuCluster {
 
     /// Marks a node as a straggler: its task times are multiplied.
     pub fn slow_node(&self, node: NodeId, factor: f64) {
-        self.slow_nodes.write().insert(node, factor.max(1.0));
+        self.nodes.slow(node, factor);
     }
 
     /// Reports business-critical load on a node (§V-A resource
     /// agreement): Feisu's usable task slots shrink accordingly, and the
     /// count of Feisu tasks that must be preempted is returned.
     pub fn set_business_load(&self, node: NodeId, slots: u32) -> u32 {
-        let mut res = self.resources.lock();
-        res.get_mut(&node).map_or(0, |a| a.set_business_load(slots))
+        self.nodes.set_business_load(node, slots)
     }
 
     /// Slots Feisu may currently use on a node under its agreement.
     pub fn feisu_slot_limit(&self, node: NodeId) -> u32 {
-        self.resources
-            .lock()
-            .get(&node)
-            .map_or(0, |a| a.feisu_limit())
+        self.nodes.slot_limit(node)
     }
 
     /// Per-node SmartIndex statistics (summed).

@@ -116,7 +116,7 @@ impl FeisuCluster {
                 ctx.stats.tasks,
                 ctx.stats.reused_tasks,
                 ctx.stats.backup_tasks,
-                ctx.stats.pruned_blocks
+                ctx.stats.blocks_skipped
             ),
         );
         profile.push_summary(
@@ -178,7 +178,6 @@ impl FeisuCluster {
         m.tasks.add(ctx.stats.tasks as u64);
         m.reused.add(ctx.stats.reused_tasks as u64);
         m.backup.add(ctx.stats.backup_tasks as u64);
-        m.pruned_by_zone.add(ctx.stats.pruned_blocks as u64);
         m.blocks_skipped.add(ctx.stats.blocks_skipped as u64);
         m.blocks_scanned.add(ctx.stats.blocks_scanned as u64);
         m.memory_served.add(ctx.stats.memory_served_tasks as u64);
@@ -264,7 +263,6 @@ pub(crate) struct QueryMetrics {
     pub(crate) tasks: Arc<Counter>,
     pub(crate) reused: Arc<Counter>,
     pub(crate) backup: Arc<Counter>,
-    pub(crate) pruned_by_zone: Arc<Counter>,
     pub(crate) blocks_skipped: Arc<Counter>,
     pub(crate) blocks_scanned: Arc<Counter>,
     pub(crate) memory_served: Arc<Counter>,
@@ -285,7 +283,6 @@ impl QueryMetrics {
             tasks: registry.counter("feisu.task.count"),
             reused: registry.counter("feisu.task.reused"),
             backup: registry.counter("feisu.task.backup"),
-            pruned_by_zone: registry.counter("feisu.task.pruned_by_zone"),
             blocks_skipped: registry.counter("feisu.task.blocks_skipped"),
             blocks_scanned: registry.counter("feisu.task.blocks_scanned"),
             memory_served: registry.counter("feisu.task.memory_served"),

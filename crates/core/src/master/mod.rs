@@ -2,8 +2,8 @@
 //!
 //! "The Feisu's master is a key service and is built with the following
 //! main components": the [`job_manager`] (query jobs, identical-task
-//! result reuse), the cluster manager (heartbeats — lives in
-//! `feisu-cluster::heartbeat`, wired up by the engine), the
+//! result reuse), the cluster manager ([`nodes`]: heartbeats, failure and
+//! straggler marks and resource agreements, one record per worker), the
 //! [`scheduler`] (locality/network/load-aware task placement) and the
 //! [`guard`] (entry point: access-flow security checks and capability
 //! protection). They are separate modules exactly because the production
@@ -13,6 +13,7 @@ pub(crate) mod assembly;
 pub mod guard;
 pub mod job_manager;
 pub(crate) mod merge_tree;
+pub(crate) mod nodes;
 pub(crate) mod pipeline;
 mod pool;
 pub(crate) mod scan_exec;

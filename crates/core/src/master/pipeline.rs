@@ -13,7 +13,6 @@
 
 use crate::catalog::CatalogView;
 use crate::engine::{FeisuCluster, QueryOptions, QueryResult, QueryStats};
-use feisu_cluster::heartbeat::LoadStats;
 use feisu_cluster::simclock::TimeTally;
 use feisu_common::{QueryId, Result, SimInstant};
 use feisu_exec::batch::RecordBatch;
@@ -80,8 +79,8 @@ impl FeisuCluster {
     ) -> Result<QueryResult> {
         let (physical, rule_trace, join_orders) = self.plan_statement(query, cred, now)?;
 
-        // Beat the heartbeat table for all live nodes.
-        self.tick_heartbeats(now);
+        // Every node that has not failed beats.
+        self.nodes.tick(now);
 
         let mut ctx = ExecCtx {
             query_id,
@@ -104,18 +103,6 @@ impl FeisuCluster {
 
         let batch = self.exec_physical(&physical, &mut ctx, None)?;
         self.assemble_result(query_id, batch, ctx)
-    }
-
-    pub(crate) fn tick_heartbeats(&self, now: SimInstant) {
-        // Lock order: failed_nodes (read) is sampled before the heartbeat
-        // table is locked; both are released before any leaf work.
-        let failed = self.failed_nodes.read().clone();
-        let mut hb = self.heartbeats.lock();
-        for n in self.topology.nodes() {
-            if !failed.contains(&n.id) {
-                hb.beat(n.id, now, LoadStats::default());
-            }
-        }
     }
 
     // ------------------------------------------- physical-operator walk

@@ -17,6 +17,7 @@
 use crate::engine::{FeisuCluster, QueryStats};
 use crate::leaf::{empty_answer, AggStage, LeafOutput, LeafTaskStats, ScanTask};
 use crate::master::job_manager::task_signature;
+use crate::master::nodes::Acquire;
 use crate::master::pipeline::ExecCtx;
 use crate::master::pool::run_indexed;
 use crate::master::Scheduler;
@@ -80,10 +81,8 @@ impl FeisuCluster {
         }
 
         // Schedule.
-        let assignments = {
-            let hb = self.heartbeats.lock();
-            Scheduler.assign_all(&replica_sets, &self.topology, &hb, ctx.now)?
-        };
+        let alive = self.nodes.alive(ctx.now);
+        let assignments = Scheduler.assign_all(&replica_sets, &self.topology, &alive)?;
 
         // Execute, tracking per-node serialized time.
         // The signature must cover the FULL predicate — indexable clauses
@@ -248,7 +247,6 @@ impl FeisuCluster {
                     .attr(span, "index_rejected", output.stats.index_rejected);
             }
             if output.stats.blocks_skipped > 0 {
-                ctx.spans.attr(span, "pruned_by_zone", 1u64);
                 ctx.spans
                     .attr(span, "blocks_skipped", output.stats.blocks_skipped);
             }
@@ -386,9 +384,8 @@ impl FeisuCluster {
         now: SimInstant,
     ) -> Result<TaskExec> {
         let node = assignment.node;
-        let slow = self.slow_nodes.read().get(&node).copied().unwrap_or(1.0);
         match self.run_on_leaf(task, node, cred, now) {
-            Ok(mut out) => {
+            Ok((mut out, slow)) => {
                 let mut backup = false;
                 if slow > 1.0 {
                     out.tally = scale_tally(&out.tally, slow);
@@ -408,23 +405,12 @@ impl FeisuCluster {
             Err(e) if e.is_retryable() => {
                 // Backup task on the next-best node.
                 let replicas = self.router.replicas(&task.block.path)?;
-                let alive: Vec<NodeId> = {
-                    // Lock order: heartbeats, then failed_nodes (read);
-                    // both released before the backup leaf runs.
-                    let hb = self.heartbeats.lock();
-                    let failed = self.failed_nodes.read();
-                    hb.alive_nodes(now)
-                        .into_iter()
-                        .filter(|n| *n != node && !failed.contains(n))
-                        .collect()
-                };
-                let backup_node = alive
-                    .iter()
-                    .copied()
-                    .find(|n| replicas.contains(n))
-                    .or_else(|| alive.first().copied())
+                let backup_node = self
+                    .nodes
+                    .pick_backup(now, node, &replicas)
                     .ok_or_else(|| FeisuError::Scheduling("no backup worker available".into()))?;
-                let mut out = self.run_on_leaf(task, backup_node, cred, now)?;
+                // The backup node's own slow factor is not applied.
+                let (mut out, _) = self.run_on_leaf(task, backup_node, cred, now)?;
                 // The backup started after the detection delay.
                 let mut t = TimeTally::new();
                 t.add_io(self.spec.config.backup_task_delay + out.tally.total());
@@ -439,47 +425,41 @@ impl FeisuCluster {
         }
     }
 
+    /// Runs a task on one node under its slot agreement; returns the
+    /// output with the node's slow factor.
     fn run_on_leaf(
         &self,
         task: &ScanTask,
         node: NodeId,
         cred: &Credential,
         now: SimInstant,
-    ) -> Result<LeafOutput> {
-        if self.failed_nodes.read().contains(&node) {
-            return Err(FeisuError::NodeUnavailable(format!("{node} is down")));
-        }
+    ) -> Result<(LeafOutput, f64)> {
         // Resource agreement: a node with no Feisu slots at all refuses
         // the task (the caller reroutes it as a backup task on another
         // node) — exactly as in serial execution. Transient saturation is
         // different: under the pool several workers can momentarily hold
         // slots on one node (its own queue plus rerouted backup tasks)
         // where serial execution holds at most one, so a transient
-        // acquire failure waits for a slot instead of erroring, keeping
-        // failure semantics identical across thread counts.
-        loop {
-            let mut res = self.resources.lock();
-            match res.get_mut(&node) {
-                Some(a) => match a.acquire() {
-                    Ok(()) => break,
-                    Err(e) if a.feisu_limit() == 0 => return Err(e),
-                    Err(_) => {}
-                },
-                None => break,
+        // refusal waits for a slot instead of erroring, keeping failure
+        // semantics identical across thread counts.
+        let slow = loop {
+            match self.nodes.acquire(node) {
+                Acquire::Granted(slow) => break slow,
+                Acquire::Failed => {
+                    return Err(FeisuError::NodeUnavailable(format!("{node} is down")))
+                }
+                Acquire::NoSlots => {
+                    return Err(FeisuError::Scheduling(format!(
+                        "resource agreement leaves no feisu slots on {node}"
+                    )))
+                }
+                Acquire::Wait => std::thread::yield_now(),
             }
-            drop(res);
-            std::thread::yield_now();
-        }
-        let out = match self.leaves.get(&node) {
-            Some(leaf) => leaf.execute(task, &self.router, cred, now, self.spec.use_smartindex),
-            None => Err(FeisuError::NodeUnavailable(format!(
-                "{node} has no leaf server"
-            ))),
         };
-        if let Some(a) = self.resources.lock().get_mut(&node) {
-            a.release();
-        }
-        out
+        let leaf = (self.leaves.get(&node)).expect("every node in the table has a leaf server");
+        let out = leaf.execute(task, &self.router, cred, now, self.spec.use_smartindex);
+        self.nodes.release(node);
+        Ok((out?, slow))
     }
 }
 

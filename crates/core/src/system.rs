@@ -2,7 +2,7 @@
 //!
 //! These tables have no storage blocks — each `SELECT` materializes a
 //! point-in-time [`RecordBatch`] from master-side state (the query event
-//! log, the metrics registry, the heartbeat/failure tables, the SSD
+//! log, the metrics registry, the master's node table, the SSD
 //! cache) and feeds it through the normal physical-plan scan path, so
 //! filters, projections, aggregation pushdown, joins against user tables
 //! and `EXPLAIN` all work unchanged.
@@ -210,39 +210,20 @@ impl FeisuCluster {
                 batch_from_rows(schema, rows)
             }
             "system.nodes" => {
-                // Lock-order contract (`FeisuCluster`): heartbeats before
-                // failed/slow nodes before resources (via
-                // `feisu_slot_limit`). Heartbeat data is collected and the
-                // lock released before anything else is touched.
-                let mut nodes: Vec<_> = self.topology.nodes().to_vec();
-                nodes.sort_by_key(|n| n.id.0);
-                let hb_rows: Vec<(bool, u64, u32)> = {
-                    let hb = self.heartbeats.lock();
-                    nodes
-                        .iter()
-                        .map(|n| {
-                            (
-                                hb.is_alive(n.id, now),
-                                hb.last_seen(n.id).map_or(0, |t| t.as_nanos()),
-                                hb.load(n.id).map_or(0, |l| l.running_tasks),
-                            )
-                        })
-                        .collect()
-                };
-                let failed = self.failed_nodes.read().clone();
-                let slow = self.slow_nodes.read().clone();
-                let rows = nodes
-                    .iter()
-                    .zip(hb_rows)
-                    .map(|(n, (alive, last_seen, running))| {
+                // One snapshot of the node table, in node-id order.
+                let rows = self
+                    .nodes
+                    .rows(now)
+                    .into_iter()
+                    .map(|r| {
                         vec![
-                            Value::Utf8(n.id.to_string()),
-                            Value::Bool(alive),
-                            Value::Bool(failed.contains(&n.id)),
-                            Value::Float64(slow.get(&n.id).copied().unwrap_or(1.0)),
-                            Value::Int64(last_seen as i64),
-                            Value::Int64(running as i64),
-                            Value::Int64(self.feisu_slot_limit(n.id) as i64),
+                            Value::Utf8(r.node.to_string()),
+                            Value::Bool(r.alive),
+                            Value::Bool(r.failed),
+                            Value::Float64(r.slow_factor),
+                            Value::Int64(r.last_seen.as_nanos() as i64),
+                            Value::Int64(r.running_tasks as i64),
+                            Value::Int64(r.feisu_slots as i64),
                         ]
                     })
                     .collect();

@@ -7,9 +7,8 @@
 //!   gauges, and fixed-bucket histograms (p50/p95/p99), exportable as
 //!   JSON text with no serializer dependency;
 //! - [`span`] — a lightweight tracer producing a nested span tree per
-//!   query, either via RAII guards (`span!`) against a [`SimTimeSource`]
-//!   or by recording explicit simulated start/end instants (how the
-//!   engine attributes time it accounts analytically);
+//!   query from explicit simulated start/end instants (how the engine
+//!   attributes time it accounts analytically);
 //! - [`profile`] — the `EXPLAIN ANALYZE`-style per-query report the
 //!   master attaches to every `QueryResult`;
 //! - [`event_log`] — the always-on bounded ring buffer of per-query
@@ -33,6 +32,6 @@ pub mod window;
 pub use event_log::{QueryEvent, QueryLog, QueryOutcome};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use profile::QueryProfile;
-pub use span::{AttrValue, SimTimeSource, SpanGuard, SpanId, SpanNode, SpanRecorder, SpanTree};
+pub use span::{AttrValue, SpanId, SpanNode, SpanRecorder, SpanTree};
 pub use trace::chrome_trace;
 pub use window::{WindowSnapshot, WindowedMetrics};

@@ -1,28 +1,16 @@
 //! Lightweight span recording on the simulated clock.
 //!
-//! Two recording styles serve Feisu's two timing situations:
-//!
-//! - **Guards** ([`SpanRecorder::enter`] / the [`span!`] macro) bracket
-//!   code that runs while the simulated clock is moving (warmup loops,
-//!   cluster maintenance driven by `SimClock::advance`).
-//! - **Explicit records** ([`SpanRecorder::record`]) attach start/end
-//!   instants computed analytically. The engine accounts per-node time
-//!   with a serialized-time model rather than letting the clock tick
-//!   during execution, so leaf/stem spans are recorded after the fact
-//!   from those accounts.
-//!
-//! Either way the result is one flat arena of spans per query that
-//! [`SpanRecorder::tree`] folds into a nested, time-ordered [`SpanTree`].
+//! Spans carry explicit simulated instants ([`SpanRecorder::start`] /
+//! [`SpanRecorder::end`], or [`SpanRecorder::record`] in one call). The
+//! engine accounts per-node time with a serialized-time model rather than
+//! letting the clock tick during execution, so leaf/stem spans are
+//! recorded after the fact from those accounts. The result is one flat
+//! arena of spans per query that [`SpanRecorder::tree`] folds into a
+//! nested, time-ordered [`SpanTree`].
 
 use feisu_common::{ByteSize, SimDuration, SimInstant};
 use parking_lot::Mutex;
 use std::fmt;
-
-/// Anything that can tell simulated time. Implemented by
-/// `feisu_cluster::SimClock`; tests use hand-rolled manual clocks.
-pub trait SimTimeSource {
-    fn sim_now(&self) -> SimInstant;
-}
 
 /// Index of a span within its recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -166,21 +154,6 @@ impl SpanRecorder {
         spans[id.0].parent = parent;
     }
 
-    /// RAII guard bracketing a span with clock reads at entry and drop.
-    pub fn enter<'a>(
-        &'a self,
-        name: &str,
-        parent: Option<SpanId>,
-        clock: &'a dyn SimTimeSource,
-    ) -> SpanGuard<'a> {
-        let id = self.start(name, parent, clock.sim_now());
-        SpanGuard {
-            recorder: self,
-            clock,
-            id,
-        }
-    }
-
     /// Number of recorded spans.
     pub fn len(&self) -> usize {
         self.spans.lock().len()
@@ -241,41 +214,6 @@ impl SpanRecorder {
             roots: roots.iter().map(|&r| build(r, &spans, &children)).collect(),
         }
     }
-}
-
-/// Ends its span with a fresh clock read on drop.
-pub struct SpanGuard<'a> {
-    recorder: &'a SpanRecorder,
-    clock: &'a dyn SimTimeSource,
-    id: SpanId,
-}
-
-impl SpanGuard<'_> {
-    pub fn id(&self) -> SpanId {
-        self.id
-    }
-
-    pub fn attr(&self, key: &str, value: impl Into<AttrValue>) {
-        self.recorder.attr(self.id, key, value);
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        self.recorder.end(self.id, self.clock.sim_now());
-    }
-}
-
-/// Opens a guard-scoped span: `span!(recorder, clock, "name")`, or
-/// `span!(recorder, clock, "name", parent = id)` to nest explicitly.
-#[macro_export]
-macro_rules! span {
-    ($rec:expr, $clock:expr, $name:expr) => {
-        $rec.enter($name, None, $clock)
-    };
-    ($rec:expr, $clock:expr, $name:expr, parent = $parent:expr) => {
-        $rec.enter($name, Some($parent), $clock)
-    };
 }
 
 /// One node of the folded tree.
@@ -388,56 +326,6 @@ impl fmt::Display for SpanTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
-
-    /// Manually-advanced test clock.
-    struct ManualClock(Cell<u64>);
-
-    impl ManualClock {
-        fn new() -> Self {
-            ManualClock(Cell::new(0))
-        }
-        fn advance(&self, ns: u64) {
-            self.0.set(self.0.get() + ns);
-        }
-    }
-
-    impl SimTimeSource for ManualClock {
-        fn sim_now(&self) -> SimInstant {
-            SimInstant(self.0.get())
-        }
-    }
-
-    #[test]
-    fn guards_nest_and_time_with_the_clock() {
-        let rec = SpanRecorder::new();
-        let clock = ManualClock::new();
-        {
-            let root = span!(rec, &clock, "master");
-            clock.advance(100);
-            {
-                let stem = span!(rec, &clock, "stem", parent = root.id());
-                clock.advance(40);
-                {
-                    let leaf = span!(rec, &clock, "leaf", parent = stem.id());
-                    leaf.attr("rows", 7u64);
-                    clock.advance(10);
-                }
-            }
-            clock.advance(5);
-        }
-        let tree = rec.tree();
-        assert_eq!(tree.max_depth(), 3);
-        let master = tree.find("master").expect("master span");
-        assert_eq!(master.start, SimInstant(0));
-        assert_eq!(master.duration(), SimDuration(155));
-        let stem = tree.find("stem").expect("stem span");
-        assert_eq!(stem.start, SimInstant(100));
-        assert_eq!(stem.duration(), SimDuration(50));
-        let leaf = tree.find("leaf").expect("leaf span");
-        assert_eq!(leaf.duration(), SimDuration(10));
-        assert_eq!(leaf.attr("rows"), Some(&AttrValue::U64(7)));
-    }
 
     #[test]
     fn children_order_by_start_instant_not_recording_order() {

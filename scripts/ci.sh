@@ -5,8 +5,8 @@
 #   3. cargo test -q (then the e2e suites again at pinned thread widths,
 #      the exec equivalence, optimizer reference, distinct-count sketch
 #      reference, footer mismatch, kernel equivalence, selected decode,
-#      two-phase leaf (its count-only arm included) and LRU model suites
-#      again in release with more cases, and the exec, optimizer,
+#      two-phase leaf (its count-only arm included), LRU and node-table
+#      model suites again in release with more cases, and the exec, optimizer,
 #      catalog/schema/statistics, ingest and leaf allocation budgets — a
 #      scan task's and a count-only task's — in release)
 #   4. cargo clippy --workspace --all-targets -- -D warnings (tests,
@@ -103,8 +103,13 @@ PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-tests --test leaf_
 
 # The recency core under every per-node cache (common::lru) against a
 # Vec kept in recency order: same returns, victims, order and weight.
-echo "ci: lru model suite (release, 2048 cases)"
+# Beside it, the master's node table against a plain per-node model:
+# random beats, failures, recoveries, slow marks, business loads, slot
+# acquires and releases at random instants give the same alive lists,
+# acquire answers, slot limits and system.nodes rows.
+echo "ci: lru + node table model suites (release, 2048 cases)"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-common --test lru_model
+PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-core --lib -- master::nodes::
 
 echo "ci: clippy (all targets, -D warnings)"
 cargo clippy --workspace --all-targets $OFFLINE -- -D warnings

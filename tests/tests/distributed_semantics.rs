@@ -34,7 +34,7 @@ fn aggregate_above_filterless_scan_counts_all_blocks() {
         .cluster
         .query("SELECT COUNT(*), MIN(day), MAX(day) FROM clicks", &fx.cred)
         .unwrap();
-    assert_eq!(r.stats.pruned_blocks, 0);
+    assert_eq!(r.stats.blocks_skipped, 0);
     assert_eq!(r.batch.value_at(0, "COUNT(*)"), Some(Value::Int64(500)));
     assert_eq!(
         r.batch.value_at(0, "MIN(day)"),
@@ -52,7 +52,7 @@ fn zone_pruning_skips_out_of_range_blocks() {
         .query("SELECT COUNT(*) FROM clicks WHERE day = 20160105", &fx.cred)
         .unwrap();
     assert!(
-        r.stats.pruned_blocks > 0,
+        r.stats.blocks_skipped > 0,
         "zone maps should skip non-matching day blocks: {:?}",
         r.stats
     );

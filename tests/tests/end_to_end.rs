@@ -73,7 +73,7 @@ fn empty_results_are_clean() {
         .unwrap();
     assert_eq!(r.batch.rows(), 0);
     // Zone maps should prune every block: value is out of range.
-    assert_eq!(r.stats.pruned_blocks, r.stats.tasks);
+    assert_eq!(r.stats.blocks_skipped, r.stats.tasks);
     let r = fx
         .cluster
         .query(

@@ -227,7 +227,7 @@ fn repeat_zone_skips_are_memory_served_and_first_touches_are_not() {
     let skipped = |r: &feisu_core::engine::QueryResult| -> Vec<(String, String, u64)> {
         (r.profile.tree.find_all("leaf_task").iter())
             .filter(|l| {
-                l.attr("pruned_by_zone")
+                l.attr("blocks_skipped")
                     .is_some_and(|v| v.to_string() == "1")
             })
             .map(|l| {
