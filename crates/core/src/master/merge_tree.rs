@@ -13,8 +13,9 @@
 //! Rows concatenate ([`stem::merge_outputs`]: the largest child payload
 //! over the uplink, one predicate evaluation per row). Aggregates flow
 //! through a repartition exchange: each level runs P partition mergers
-//! ([`stem::merge_agg_partition`], group keys routed by seedless FxHash),
-//! so no merger materializes the full group map, the merger's ingress
+//! ([`stem::merge_exchange_partition`], group keys routed by seedless
+//! FxHash, each child transport hashed once for all P), so no merger
+//! materializes the full group map, the merger's ingress
 //! link carries the *sum* of child payloads split P ways, and the master
 //! concatenates P disjoint partitions instead of re-merging them.
 //!
@@ -28,13 +29,15 @@ use crate::engine::FeisuCluster;
 use crate::master::pipeline::ExecCtx;
 use crate::master::pool::run_indexed;
 use crate::master::scan_exec::TaskRun;
-use crate::stem::{self, AggShape, StemOutput};
+use crate::stem::{self, AggShape, ExchangeChild, StemOutput};
 use feisu_cluster::simclock::TimeTally;
 use feisu_cluster::NodeInfo;
 use feisu_common::hash::FxHashMap;
 use feisu_common::{ByteSize, FeisuError, NodeId, Result, SimInstant};
+use feisu_exec::aggregate::transport_hashes;
 use feisu_exec::batch::RecordBatch;
 use feisu_obs::SpanId;
+use std::sync::OnceLock;
 
 /// One materialized node of the merge tree: a leaf task's output or a
 /// stem's merged output, with the bookkeeping needed to bill, span and
@@ -191,12 +194,24 @@ impl FeisuCluster {
         let mut merged = match kind {
             MergeKind::Rows => Vec::new(),
             MergeKind::Agg { shape, parts } => {
-                let children: Vec<Vec<&[RecordBatch]>> = groups
-                    .iter()
-                    .map(|g| g.iter().map(|&i| nodes[i].parts.as_slice()).collect())
-                    .collect();
+                // A child shipping one unpartitioned transport is hashed
+                // once, by the first of its P mergers to reach it.
+                let hashes: Vec<OnceLock<Vec<u64>>> =
+                    nodes.iter().map(|_| OnceLock::new()).collect();
+                let child = |i: usize| -> ExchangeChild<'_> {
+                    let batches = nodes[i].parts.as_slice();
+                    let hashes = match batches {
+                        [batch] => {
+                            Some(hashes[i].get_or_init(|| transport_hashes(batch, shape.0.len())))
+                        }
+                        _ => None,
+                    };
+                    (batches, hashes.map(Vec::as_slice))
+                };
                 run_indexed(self.effective_threads(), groups.len() * parts, |k| {
-                    stem::merge_agg_partition(shape, &children[k / parts], k % parts, parts)
+                    let children: Vec<ExchangeChild<'_>> =
+                        groups[k / parts].iter().map(|&i| child(i)).collect();
+                    stem::merge_exchange_partition(shape, &children, k % parts, parts)
                 })
             }
         }

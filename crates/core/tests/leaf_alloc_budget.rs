@@ -1,7 +1,9 @@
-//! Allocation budget for the leaf's two phases: a scan task allocates for
-//! the rows it selects, not for the rows of the block. The projection is
-//! decoded through the selection, so a `url` nobody selected is never
-//! built; a task that only counts rows builds no row at all, and one
+//! Allocation budget for the leaf's two phases: a scan task allocates
+//! neither for the rows of the block nor for the rows it selects. The
+//! projection is decoded through the selection into one string buffer, so
+//! a `url` nobody selected is never copied and a kept one costs no
+//! allocation of its own; a task that only counts rows builds no row at
+//! all, and one
 //! answered from cached SmartIndex bits lends them, never copying an
 //! index. Counts are exact and repeat, so they can gate CI where a
 //! wall-clock check cannot.
@@ -140,6 +142,24 @@ fn count_star() -> AggStage {
 }
 
 #[test]
+fn decoding_a_utf8_chunk_allocates_the_same_at_any_row_count() {
+    let decode = |rows: usize| {
+        let urls = (0..rows).map(|i| format!("https://example.com/page/{}", i % DICTIONARY));
+        let schema = Schema::new(vec![Field::new("url", DataType::Utf8, false)]);
+        let column = Column::from_utf8(urls.collect());
+        let bytes = Block::new(BlockId(0), schema, vec![column])
+            .unwrap()
+            .serialize();
+        let meta = Block::read_meta(&bytes).unwrap();
+        let every_row = vec![u64::MAX; rows.div_ceil(64)];
+        let (allocs, out) = allocations(|| meta.decode_selected(&bytes, &["url"], &every_row));
+        assert_eq!(out.unwrap()[0].len(), rows);
+        allocs
+    };
+    assert_eq!(decode(256), decode(4_096));
+}
+
+#[test]
 fn a_scan_task_allocates_for_the_rows_it_keeps_not_the_rows_of_the_block() {
     let r = rig();
     let run = |task: &ScanTask| {
@@ -156,20 +176,18 @@ fn a_scan_task_allocates_for_the_rows_it_keeps_not_the_rows_of_the_block() {
     let (allocs, out) = allocations(|| run(&few));
     assert_eq!(out.batch.rows(), kept);
     assert_eq!(out.stats.blocks_scanned, 1);
-    assert_eq!(
-        out.batch.column(0).utf8_slice()[39],
-        "https://example.com/page/39"
-    );
+    let urls = out.batch.column(0).utf8().expect("a Utf8 projection");
+    assert_eq!(urls.get(39), "https://example.com/page/39");
     assert!(
-        allocs < kept + DICTIONARY + 128,
+        allocs < DICTIONARY + 128,
         "{allocs} allocations to keep {kept} of {ROWS} urls"
     );
 
-    // Every row kept is a string built: the budget above is not met by
-    // building nothing.
-    let (allocs, out) = allocations(|| run(&all));
+    // Kept strings are copied into one buffer: keeping every row costs
+    // the allocations keeping 40 does.
+    let (all_allocs, out) = allocations(|| run(&all));
     assert_eq!(out.batch.rows(), ROWS);
-    assert!(allocs >= ROWS, "{allocs} allocations for {ROWS} urls");
+    assert_eq!(all_allocs, allocs, "keeping {ROWS} urls, not {kept}");
 }
 
 #[test]

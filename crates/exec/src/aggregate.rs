@@ -17,7 +17,7 @@ use crate::expr::fit;
 use crate::keys::{hash_rows, key_column, sorted_rows, validity_of, GroupKeys, TypedVec};
 use feisu_common::hash::FxHasher;
 use feisu_common::{FeisuError, Result};
-use feisu_format::column::ColumnData;
+use feisu_format::column::{ColumnData, Utf8Vec};
 use feisu_format::{Column, DataType, Field, Schema, Value};
 use feisu_sql::ast::{AggFunc, Expr};
 use feisu_sql::plan::AggExpr;
@@ -47,6 +47,14 @@ pub fn partition_of_hash(hash: u64, parts: usize) -> usize {
         return 0;
     }
     (hash % parts as u64) as usize
+}
+
+/// Each row's group-key hash in a transport batch whose first `keys`
+/// columns are the group key: what a partition merger routes and files
+/// rows by, computed once for all P of them.
+pub fn transport_hashes(batch: &RecordBatch, keys: usize) -> Vec<u64> {
+    let keys: Vec<&Column> = batch.columns().iter().take(keys).collect();
+    hash_rows(&keys, batch.rows())
 }
 
 /// Rows of a source batch paired with the group each folds into.
@@ -93,8 +101,8 @@ impl Targets<'_> {
 
     /// Keeps per group the least (`keep` = Less) or greatest non-NULL cell
     /// under `Value::total_cmp`.
-    fn keep_extreme(&self, col: &Column, best: &mut TypedVec, keep: Ordering) -> Result<()> {
-        fn run<T: Clone>(
+    fn keep_extreme(&self, col: &Column, best: &mut Best, keep: Ordering) -> Result<()> {
+        fn run<T: Copy>(
             (to, col, keep): (&Targets<'_>, &Column, Ordering),
             vals: &[T],
             (best, has): (&mut [T], &mut [bool]),
@@ -102,27 +110,87 @@ impl Targets<'_> {
         ) {
             to.fold(Some(col), |i, g| {
                 if !has[g] || cmp(&vals[i], &best[g]) == keep {
-                    best[g].clone_from(&vals[i]);
+                    best[g] = vals[i];
                     has[g] = true;
                 }
             })
         }
-        let (src, has) = ((self, col, keep), &mut best.valid[..]);
-        match (col.data(), &mut best.data) {
-            (ColumnData::Bool(v), ColumnData::Bool(b)) => run(src, v, (b, has), bool::cmp),
-            (ColumnData::Int64(v), ColumnData::Int64(b)) => run(src, v, (b, has), i64::cmp),
-            (ColumnData::Float64(v), ColumnData::Float64(b)) => {
-                run(src, v, (b, has), f64::total_cmp)
-            }
-            (ColumnData::Utf8(v), ColumnData::Utf8(b)) => run(src, v, (b, has), String::cmp),
-            (from, to) => {
-                let (from, to) = (from.data_type(), to.data_type());
-                return Err(FeisuError::Execution(format!(
-                    "{from} input for a {to} MIN/MAX"
-                )));
-            }
+        let src = (self, col, keep);
+        let to = best.data_type();
+        match (col.data(), best) {
+            (ColumnData::Utf8(v), Best::Utf8 { best, has }) => self.fold(Some(col), |i, g| {
+                if !has[g] || v.bytes_at(i).cmp(best[g].as_bytes()) == keep {
+                    best[g].clear();
+                    best[g].push_str(v.get(i));
+                    has[g] = true;
+                }
+            }),
+            (from, Best::Fixed(TypedVec { data, valid })) => match (from, data) {
+                (ColumnData::Bool(v), ColumnData::Bool(b)) => run(src, v, (b, valid), bool::cmp),
+                (ColumnData::Int64(v), ColumnData::Int64(b)) => run(src, v, (b, valid), i64::cmp),
+                (ColumnData::Float64(v), ColumnData::Float64(b)) => {
+                    run(src, v, (b, valid), f64::total_cmp)
+                }
+                (from, _) => return mismatch(from.data_type(), to),
+            },
+            (from, _) => return mismatch(from.data_type(), to),
         }
         Ok(())
+    }
+}
+
+/// MIN/MAX over `from` input into a `to` state.
+fn mismatch(from: DataType, to: DataType) -> Result<()> {
+    Err(FeisuError::Execution(format!(
+        "{from} input for a {to} MIN/MAX"
+    )))
+}
+
+/// A MIN/MAX state column in the aggregate's output type, NULL until a
+/// non-NULL input arrives. Strings are owned per group, so a better one
+/// overwrites the old in place; they become one buffer in `to_column`.
+#[derive(Debug, Clone)]
+enum Best {
+    Fixed(TypedVec),
+    Utf8 { best: Vec<String>, has: Vec<bool> },
+}
+
+impl Best {
+    fn new(ty: DataType) -> Best {
+        match ty {
+            DataType::Utf8 => Best::Utf8 {
+                best: Vec::new(),
+                has: Vec::new(),
+            },
+            ty => Best::Fixed(TypedVec::new(ty)),
+        }
+    }
+
+    fn data_type(&self) -> DataType {
+        match self {
+            Best::Fixed(t) => t.data.data_type(),
+            Best::Utf8 { .. } => DataType::Utf8,
+        }
+    }
+
+    fn grow(&mut self, groups: usize) {
+        match self {
+            Best::Fixed(t) => t.grow(groups),
+            Best::Utf8 { best, has } => {
+                best.resize(groups, String::new());
+                has.resize(groups, false);
+            }
+        }
+    }
+
+    fn to_column(&self) -> Result<Column> {
+        Ok(match self {
+            Best::Fixed(t) => t.to_column(),
+            Best::Utf8 { best, has } => {
+                let strings = Utf8Vec::from_strs(best.iter().map(String::as_str))?;
+                Column::new(ColumnData::Utf8(strings), validity_of(has))
+            }
+        })
     }
 }
 
@@ -151,7 +219,7 @@ enum Slot {
     /// MIN (`keep` = Less) or MAX (Greater) in the aggregate's output
     /// type, NULL until a non-NULL input arrives.
     Extreme {
-        best: TypedVec,
+        best: Best,
         keep: Ordering,
     },
 }
@@ -178,7 +246,7 @@ impl Slot {
                     AggFunc::Min => Ordering::Less,
                     _ => Ordering::Greater,
                 };
-                let best = TypedVec::new(a.output_type);
+                let best = Best::new(a.output_type);
                 vec![("extreme", Slot::Extreme { best, keep })]
             }
         }
@@ -189,7 +257,7 @@ impl Slot {
             Slot::Count(_) | Slot::SumInt(_) => DataType::Int64,
             Slot::SumFloat(_) => DataType::Float64,
             Slot::Seen(_) => DataType::Bool,
-            Slot::Extreme { best, .. } => best.data.data_type(),
+            Slot::Extreme { best, .. } => best.data_type(),
         }
     }
 
@@ -237,13 +305,13 @@ impl Slot {
         Ok(())
     }
 
-    fn to_column(&self) -> Column {
-        match self {
+    fn to_column(&self) -> Result<Column> {
+        Ok(match self {
             Slot::Count(v) | Slot::SumInt(v) => Column::from_i64(v.clone()),
             Slot::SumFloat(v) => Column::from_f64(v.clone()),
             Slot::Seen(v) => Column::from_bool(v.clone()),
-            Slot::Extreme { best, .. } => best.to_column(),
-        }
+            Slot::Extreme { best, .. } => best.to_column()?,
+        })
     }
 }
 
@@ -342,7 +410,8 @@ impl AggTable {
 
     /// Merges another partial table (same shape) into this one.
     pub fn merge(&mut self, other: &AggTable) -> Result<()> {
-        self.fold_transport(&other.to_transport()?, None).map(drop)
+        self.fold_transport(&other.to_transport()?, None, None)
+            .map(drop)
     }
 
     pub fn group_count(&self) -> usize {
@@ -373,7 +442,7 @@ impl AggTable {
                     });
                     Column::new(ColumnData::Float64(avg.collect()), validity_of(&has))
                 }
-                [count_or_extreme] => count_or_extreme.to_column(),
+                [count_or_extreme] => count_or_extreme.to_column()?,
                 _ => unreachable!("Slot::layout has no other shape"),
             });
             slots = rest;
@@ -388,7 +457,7 @@ impl AggTable {
         let columns: Vec<Column> = columns
             .iter()
             .zip(output_schema.fields())
-            .map(|(c, f)| fit(Cow::Owned(c.take(&order)), f.data_type))
+            .map(|(c, f)| fit(Cow::Owned(c.try_take(&order)?), f.data_type))
             .collect::<Result<_>>()?;
         RecordBatch::new(output_schema.clone(), columns)
     }
@@ -406,7 +475,9 @@ impl AggTable {
     /// Serializes the table to its transport batch.
     pub fn to_transport(&self) -> Result<RecordBatch> {
         let mut columns = self.keys.columns();
-        columns.extend(self.slots.iter().map(Slot::to_column));
+        for slot in &self.slots {
+            columns.push(slot.to_column()?);
+        }
         RecordBatch::new(self.transport.clone(), columns)
     }
 
@@ -418,7 +489,7 @@ impl AggTable {
         batch: &RecordBatch,
     ) -> Result<AggTable> {
         let mut t = AggTable::new(group_by, aggregates);
-        t.fold_transport(batch, None)?;
+        t.fold_transport(batch, None, None)?;
         Ok(t)
     }
 
@@ -428,7 +499,7 @@ impl AggTable {
     /// throwaway `AggTable` per child. Returns the number of transport
     /// rows folded.
     pub fn merge_transport(&mut self, batch: &RecordBatch) -> Result<usize> {
-        self.fold_transport(batch, None)
+        self.fold_transport(batch, None, None)
     }
 
     /// Folds only the rows of `batch` whose group key hashes to `part`
@@ -440,7 +511,20 @@ impl AggTable {
         part: usize,
         parts: usize,
     ) -> Result<usize> {
-        self.fold_transport(batch, Some((part, parts)))
+        self.fold_transport(batch, None, Some((part, parts)))
+    }
+
+    /// [`AggTable::merge_transport_partition`] with the rows' group-key
+    /// hashes given ([`transport_hashes`]): the P partition mergers of one
+    /// transport share one hashing pass.
+    pub fn merge_transport_hashed(
+        &mut self,
+        batch: &RecordBatch,
+        hashes: &[u64],
+        part: usize,
+        parts: usize,
+    ) -> Result<usize> {
+        self.fold_transport(batch, Some(hashes), Some((part, parts)))
     }
 
     /// Shared transport fold. The batch must have this table's transport
@@ -451,6 +535,7 @@ impl AggTable {
     fn fold_transport(
         &mut self,
         batch: &RecordBatch,
+        hashes: Option<&[u64]>,
         slice: Option<(usize, usize)>,
     ) -> Result<usize> {
         let corrupt = |what: String| Err(FeisuError::Corrupt(format!("transport: {what}")));
@@ -464,13 +549,21 @@ impl AggTable {
         }
         let (keys, states) = got.split_at(self.group_by.len());
         let keys: Vec<&Column> = keys.iter().collect();
-        let hashes = hash_rows(&keys, batch.rows());
+        let computed;
+        let hashes = match hashes {
+            Some(hashes) if hashes.len() == batch.rows() => hashes,
+            Some(_) => return Err(FeisuError::Internal("one key hash per row expected".into())),
+            None => {
+                computed = hash_rows(&keys, batch.rows());
+                &computed
+            }
+        };
         let rows: Vec<usize> = (0..batch.rows())
             .filter(|&i| {
                 slice.is_none_or(|(part, parts)| partition_of_hash(hashes[i], parts) == part)
             })
             .collect();
-        let ids = self.group_ids(&keys, &hashes, &rows)?;
+        let ids = self.group_ids(&keys, hashes, &rows)?;
         self.batches = self
             .batches
             .checked_add(1)
@@ -770,7 +863,7 @@ mod tests {
         ] {
             for slice in [None, Some((0, 2))] {
                 let mut acc = AggTable::new(group_by(), aggs());
-                let got = acc.fold_transport(&bad, slice);
+                let got = acc.fold_transport(&bad, None, slice);
                 assert!(
                     matches!(got, Err(FeisuError::Corrupt(_))),
                     "{what}: {got:?}"

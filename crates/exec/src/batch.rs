@@ -110,25 +110,24 @@ impl RecordBatch {
 
     /// Gathers rows by index.
     pub fn take(&self, indices: &[usize]) -> Result<RecordBatch> {
-        let columns: Vec<Column> = self.columns.iter().map(|c| c.take(indices)).collect();
-        RecordBatch::new(self.schema.clone(), columns)
+        let columns = self.columns.iter().map(|c| c.try_take(indices));
+        RecordBatch::new(self.schema.clone(), columns.collect::<Result<_>>()?)
     }
 
-    /// Concatenates batches with identical schemas.
+    /// Concatenates batches with identical schemas, each output column
+    /// sized once.
     pub fn concat(batches: &[RecordBatch]) -> Result<RecordBatch> {
         let Some(first) = batches.first() else {
             return Err(FeisuError::Execution("concat of zero batches".into()));
         };
-        let mut columns = first.columns.clone();
-        for b in &batches[1..] {
-            if b.schema != first.schema {
-                return Err(FeisuError::Execution("concat schema mismatch".into()));
-            }
-            for (dst, src) in columns.iter_mut().zip(&b.columns) {
-                dst.append(src);
-            }
+        if batches.iter().any(|b| b.schema != first.schema) {
+            return Err(FeisuError::Execution("concat schema mismatch".into()));
         }
-        RecordBatch::new(first.schema.clone(), columns)
+        // Most leaves of a selective scan ship no rows: skip them.
+        let full = || batches.iter().filter(|b| !b.is_empty());
+        let columns = (first.schema.fields().iter().enumerate())
+            .map(|(i, f)| Column::concat(f.data_type, full().map(|b| &b.columns[i])));
+        RecordBatch::new(first.schema.clone(), columns.collect::<Result<_>>()?)
     }
 
     /// Approximate in-memory size.

@@ -86,7 +86,7 @@ impl ScanProvider for MemProvider {
                 FeisuError::Execution(format!("table `{table}` has no column `{name}`"))
             })?;
             columns.push(match &selected {
-                Some(idx) => c.take(idx),
+                Some(idx) => c.try_take(idx)?,
                 None => c.clone(),
             });
         }

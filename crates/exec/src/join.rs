@@ -279,21 +279,21 @@ fn assemble(
         Column::from_values(c.data_type(), &vec![Value::Null; n]).expect("NULLs fit any type")
     };
     let left_rows = [left_idx, null_left].concat();
-    let left_cols = left.columns().iter().map(|c| {
-        let mut out = c.take(&left_rows);
-        out.append(&nulls(c, null_right.len()));
-        out
+    let left_cols = left.columns().iter().map(|c| -> Result<Column> {
+        let mut out = c.try_take(&left_rows)?;
+        out.try_append(&nulls(c, null_right.len()))?;
+        Ok(out)
     });
-    let right_cols = right.columns().iter().map(|c| {
-        let mut out = c.take(right_idx);
-        out.append(&nulls(c, null_left.len()));
-        out.append(&c.take(null_right));
-        out
+    let right_cols = right.columns().iter().map(|c| -> Result<Column> {
+        let mut out = c.try_take(right_idx)?;
+        out.try_append(&nulls(c, null_left.len()))?;
+        out.try_append(&c.try_take(null_right)?)?;
+        Ok(out)
     });
     let columns: Vec<Column> = left_cols
         .chain(right_cols)
         .zip(output_schema.fields())
-        .map(|(c, f)| fit(Cow::Owned(c), f.data_type))
+        .map(|(c, f)| fit(Cow::Owned(c?), f.data_type))
         .collect::<Result<_>>()?;
     RecordBatch::new(output_schema.clone(), columns)
 }

@@ -8,8 +8,9 @@
 //!   partition `aggregate::partition_of` assigns, and one hash serves both
 //!   the exchange router and the group table.
 //! * [`GroupKeys`] interns keys into dense ids: an open-addressing table
-//!   of ids over typed key vectors, with monomorphic loops for a single
-//!   `Int64` and a single `Utf8` key and a per-column loop for the rest.
+//!   of ids over typed key vectors (strings in one buffer, compared as
+//!   bytes), with monomorphic loops for a single `Int64` and a single
+//!   `Utf8` key and a per-column loop for the rest.
 //!   Equality is `Value`'s structural `Eq`: `NULL == NULL`, floats
 //!   bitwise, `Int64 != Float64`.
 //! * [`sorted_rows`] orders row indices by typed key columns under
@@ -19,7 +20,7 @@ use crate::batch::RecordBatch;
 use crate::expr::{eval_to_column, eval_to_natural_column};
 use feisu_common::hash::FxHasher;
 use feisu_common::{FeisuError, Result};
-use feisu_format::column::{ColumnData, Validity};
+use feisu_format::column::{ColumnData, Utf8Vec, Validity};
 use feisu_format::{Column, DataType};
 use feisu_sql::ast::Expr;
 use std::borrow::Cow;
@@ -54,12 +55,12 @@ pub fn hash_rows(cols: &[&Column], rows: usize) -> Vec<u64> {
     fn feed<T>(
         hashers: &mut [FxHasher],
         col: &Column,
-        vals: &[T],
+        cells: impl Iterator<Item = T>,
         tag: u8,
-        write: impl Fn(&mut FxHasher, &T),
+        write: impl Fn(&mut FxHasher, T),
     ) {
         let (valid, no_nulls) = (col.validity(), col.null_count() == 0);
-        for (i, (h, v)) in hashers.iter_mut().zip(vals).enumerate() {
+        for (i, (h, v)) in hashers.iter_mut().zip(cells).enumerate() {
             if no_nulls || valid.is_valid(i) {
                 h.write_u8(tag);
                 write(h, v);
@@ -72,10 +73,10 @@ pub fn hash_rows(cols: &[&Column], rows: usize) -> Vec<u64> {
     for col in cols {
         let hs = &mut hashers[..];
         match col.data() {
-            ColumnData::Bool(v) => feed(hs, col, v, 1, |h, b| h.write_u8(*b as u8)),
-            ColumnData::Int64(v) => feed(hs, col, v, 2, |h, x| h.write_u64(*x as u64)),
-            ColumnData::Float64(v) => feed(hs, col, v, 3, |h, x| h.write_u64(x.to_bits())),
-            ColumnData::Utf8(v) => feed(hs, col, v, 4, |h, s| h.write(s.as_bytes())),
+            ColumnData::Bool(v) => feed(hs, col, v.iter(), 1, |h, b| h.write_u8(*b as u8)),
+            ColumnData::Int64(v) => feed(hs, col, v.iter(), 2, |h, x| h.write_u64(*x as u64)),
+            ColumnData::Float64(v) => feed(hs, col, v.iter(), 3, |h, x| h.write_u64(x.to_bits())),
+            ColumnData::Utf8(v) => feed(hs, col, v.iter_bytes(), 4, |h, s| h.write(s)),
         }
     }
     hashers.iter().map(|h| h.finish()).collect()
@@ -150,14 +151,8 @@ pub(crate) struct TypedVec {
 
 impl TypedVec {
     pub fn new(ty: DataType) -> TypedVec {
-        let data = match ty {
-            DataType::Bool => ColumnData::Bool(Vec::new()),
-            DataType::Int64 => ColumnData::Int64(Vec::new()),
-            DataType::Float64 => ColumnData::Float64(Vec::new()),
-            DataType::Utf8 => ColumnData::Utf8(Vec::new()),
-        };
         TypedVec {
-            data,
+            data: ColumnData::with_capacity(ty, 0, 0),
             valid: Vec::new(),
         }
     }
@@ -168,25 +163,27 @@ impl TypedVec {
             ColumnData::Bool(v) => v.resize(len, false),
             ColumnData::Int64(v) => v.resize(len, 0),
             ColumnData::Float64(v) => v.resize(len, 0.0),
-            ColumnData::Utf8(v) => v.resize(len, String::new()),
+            ColumnData::Utf8(v) => v.pad_to(len),
         }
         self.valid.resize(len, false);
     }
 
     /// Appends row `i` of `col` (same type).
-    fn push_from(&mut self, col: &Column, i: usize) {
+    fn push_from(&mut self, col: &Column, i: usize) -> Result<()> {
         let len = self.valid.len() + 1;
         if !col.validity().is_valid(i) {
-            return self.grow(len);
+            self.grow(len);
+            return Ok(());
         }
         match (&mut self.data, col.data()) {
             (ColumnData::Bool(v), ColumnData::Bool(c)) => v.push(c[i]),
             (ColumnData::Int64(v), ColumnData::Int64(c)) => v.push(c[i]),
             (ColumnData::Float64(v), ColumnData::Float64(c)) => v.push(c[i]),
-            (ColumnData::Utf8(v), ColumnData::Utf8(c)) => v.push(c[i].clone()),
+            (ColumnData::Utf8(v), ColumnData::Utf8(c)) => v.push_from(c, i)?,
             _ => unreachable!("GroupKeys::ids checked the key types"),
         }
         self.valid.push(true);
+        Ok(())
     }
 
     pub fn to_column(&self) -> Column {
@@ -208,7 +205,7 @@ fn cell_eq(a: &ColumnData, i: usize, b: &ColumnData, j: usize) -> bool {
         (ColumnData::Bool(a), ColumnData::Bool(b)) => a[i] == b[j],
         (ColumnData::Int64(a), ColumnData::Int64(b)) => a[i] == b[j],
         (ColumnData::Float64(a), ColumnData::Float64(b)) => a[i].to_bits() == b[j].to_bits(),
-        (ColumnData::Utf8(a), ColumnData::Utf8(b)) => a[i] == b[j],
+        (ColumnData::Utf8(a), ColumnData::Utf8(b)) => a.bytes_at(i) == b.bytes_at(j),
         _ => false,
     }
 }
@@ -265,15 +262,25 @@ impl GroupKeys {
             let (valid, cv) = (&mut key.valid, col.validity());
             match (&mut key.data, col.data()) {
                 (ColumnData::Int64(keys), ColumnData::Int64(v)) => {
-                    return Ok(single(table, (keys, valid), (v, cv), sel));
+                    let eq = |keys: &Vec<i64>, g: usize, i: usize| keys[g] == v[i];
+                    let push = |keys: &mut Vec<i64>, i: Option<usize>| {
+                        keys.push(i.map_or(0, |i| v[i]));
+                        Ok(())
+                    };
+                    return single(table, (keys, valid), cv, sel, eq, push);
                 }
                 (ColumnData::Utf8(keys), ColumnData::Utf8(v)) => {
-                    return Ok(single(table, (keys, valid), (v, cv), sel));
+                    let eq = |keys: &Utf8Vec, g: usize, i: usize| keys.bytes_at(g) == v.bytes_at(i);
+                    let push = |keys: &mut Utf8Vec, i: Option<usize>| match i {
+                        Some(i) => keys.push_from(v, i),
+                        None => keys.push(""),
+                    };
+                    return single(table, (keys, valid), cv, sel, eq, push);
                 }
                 _ => {}
             }
         }
-        Ok(assign(
+        assign(
             table,
             &mut self.cols,
             sel,
@@ -284,11 +291,12 @@ impl GroupKeys {
                 })
             },
             |store, i| {
-                for (k, c) in store.iter_mut().zip(cols) {
-                    k.push_from(c, i);
-                }
+                store
+                    .iter_mut()
+                    .zip(cols)
+                    .try_for_each(|(k, c)| k.push_from(c, i))
             },
-        ))
+        )
     }
 }
 
@@ -296,24 +304,25 @@ impl GroupKeys {
 /// unseen keys are inserted.
 type Selection<'a> = (&'a [u64], &'a [usize], bool);
 
-/// [`assign`] for one key column whose cells compare with `==`.
-fn single<T: Clone + Default + PartialEq>(
+/// [`assign`] for one key column of payload `K` with validity `cv`:
+/// `eq(keys, id, row)` compares two non-NULL keys, `push(keys, row)`
+/// stores a row's key (`None`: NULL, stored as the type's default).
+fn single<K>(
     table: &mut IdTable,
-    mut store: (&mut Vec<T>, &mut Vec<bool>),
-    (vals, cv): (&[T], &Validity),
+    mut store: (&mut K, &mut Vec<bool>),
+    cv: &Validity,
     sel: Selection<'_>,
-) -> Vec<u32> {
+    eq: impl Fn(&K, usize, usize) -> bool,
+    push: impl Fn(&mut K, Option<usize>) -> Result<()>,
+) -> Result<Vec<u32>> {
     assign(
         table,
         &mut store,
         sel,
-        |(keys, valid), g, i| valid[g] == cv.is_valid(i) && (!valid[g] || keys[g] == vals[i]),
+        |(keys, valid), g, i| valid[g] == cv.is_valid(i) && (!valid[g] || eq(keys, g, i)),
         |(keys, valid), i| {
             valid.push(cv.is_valid(i));
-            keys.push(match cv.is_valid(i) {
-                true => vals[i].clone(),
-                false => T::default(),
-            });
+            push(keys, cv.is_valid(i).then_some(i))
         },
     )
 }
@@ -326,36 +335,38 @@ fn assign<S>(
     store: &mut S,
     (hashes, rows, insert): Selection<'_>,
     eq: impl Fn(&S, usize, usize) -> bool,
-    push: impl Fn(&mut S, usize),
-) -> Vec<u32> {
-    rows.iter()
-        .map(|&i| {
-            if !insert {
-                return table.find(hashes[i], |g| eq(store, g, i));
+    push: impl Fn(&mut S, usize) -> Result<()>,
+) -> Result<Vec<u32>> {
+    let mut ids = Vec::with_capacity(rows.len());
+    for &i in rows {
+        ids.push(match insert {
+            false => table.find(hashes[i], |g| eq(store, g, i)),
+            true => {
+                let (id, new) = table.find_or_insert(hashes[i], |g| eq(store, g, i));
+                if new {
+                    push(store, i)?;
+                }
+                id
             }
-            let (id, new) = table.find_or_insert(hashes[i], |g| eq(store, g, i));
-            if new {
-                push(store, i);
-            }
-            id
-        })
-        .collect()
+        });
+    }
+    Ok(ids)
 }
 
 /// Row indices `0..rows` ordered by the key columns (`true` = DESC) under
 /// `Value::total_cmp` — NULLs first, so last under DESC — with ties in row
 /// order; only the first `fetch` when given.
 pub fn sorted_rows(keys: &[(&Column, bool)], rows: usize, fetch: Option<usize>) -> Vec<usize> {
-    /// Comparator over one column's rows from a comparator over its cells.
-    fn by<'a, T>(
+    type RowCmp<'a> = Box<dyn Fn(usize, usize) -> Ordering + 'a>;
+    /// Comparator over one column's rows from a comparator over its slots.
+    fn by<'a>(
         (col, desc): (&'a Column, bool),
-        vals: &'a [T],
-        cmp: impl Fn(&T, &T) -> Ordering + 'a,
-    ) -> impl Fn(usize, usize) -> Ordering + 'a {
+        cmp: impl Fn(usize, usize) -> Ordering + 'a,
+    ) -> RowCmp<'a> {
         let (valid, no_nulls) = (col.validity(), col.null_count() == 0);
-        move |a, b| {
+        Box::new(move |a, b| {
             let ord = match no_nulls || (valid.is_valid(a) && valid.is_valid(b)) {
-                true => cmp(&vals[a], &vals[b]),
+                true => cmp(a, b),
                 false => valid.is_valid(a).cmp(&valid.is_valid(b)),
             };
             if desc {
@@ -363,16 +374,16 @@ pub fn sorted_rows(keys: &[(&Column, bool)], rows: usize, fetch: Option<usize>) 
             } else {
                 ord
             }
-        }
+        })
     }
-    // One typed comparator per key, built once.
-    let cmps: Vec<Box<dyn Fn(usize, usize) -> Ordering + '_>> = keys
+    // One typed comparator per key, built once; strings compare bytes.
+    let cmps: Vec<RowCmp<'_>> = keys
         .iter()
         .map(|&key| match key.0.data() {
-            ColumnData::Bool(v) => Box::new(by(key, v, bool::cmp)) as Box<_>,
-            ColumnData::Int64(v) => Box::new(by(key, v, i64::cmp)) as Box<_>,
-            ColumnData::Float64(v) => Box::new(by(key, v, f64::total_cmp)) as Box<_>,
-            ColumnData::Utf8(v) => Box::new(by(key, v, String::cmp)) as Box<_>,
+            ColumnData::Bool(v) => by(key, move |a, b| v[a].cmp(&v[b])),
+            ColumnData::Int64(v) => by(key, move |a, b| v[a].cmp(&v[b])),
+            ColumnData::Float64(v) => by(key, move |a, b| v[a].total_cmp(&v[b])),
+            ColumnData::Utf8(v) => by(key, move |a, b| v.bytes_at(a).cmp(v.bytes_at(b))),
         })
         .collect();
     let cmp = |a: &usize, b: &usize| {

@@ -127,6 +127,22 @@ fn partition_fold_allocates_per_new_group_and_nothing_per_rejected_row() {
 }
 
 #[test]
+fn concat_of_utf8_batches_allocates_the_same_at_any_row_count() {
+    let concat = |rows: usize| {
+        let batches: Vec<RecordBatch> = (0..16)
+            .map(|b| {
+                let urls = (0..rows).map(|i| format!("https://site{}.example/{b}", i % 64));
+                batch(Column::from_utf8(urls.collect()), rows)
+            })
+            .collect();
+        let (allocs, out) = allocations(|| RecordBatch::concat(&batches));
+        assert_eq!(out.unwrap().rows(), 16 * rows);
+        allocs
+    };
+    assert_eq!(concat(256), concat(4_096));
+}
+
+#[test]
 fn top_k_sort_allocates_per_kept_row_not_per_input_row() {
     let rows = 16_384;
     let input = batch(

@@ -748,14 +748,17 @@ fn encode_column<'a>(c: &'a Column, out: &mut Vec<u8>) -> ChunkSummary<'a> {
         }
         ColumnData::Utf8(v) => {
             out.push(ENC_DICT);
-            let refs: Vec<&str> = v.iter().map(|s| s.as_str()).collect();
+            // Rows are encoded as bytes; only the entries a valid row
+            // holds become `&str`s again.
+            let refs: Vec<&[u8]> = v.iter_bytes().collect();
             let (entries, codes) = dict::encode(&refs, out);
             let mut held = vec![false; entries.len()];
             for (r, &code) in codes.iter().enumerate() {
                 held[code as usize] |= c.validity().is_valid(r);
             }
             let held = entries.into_iter().zip(held).filter(|&(_, h)| h);
-            distinct = Some(held.map(|(e, _)| e).collect::<Vec<_>>());
+            let utf8 = |e| std::str::from_utf8(e).expect("an entry is a row's whole string");
+            distinct = Some(held.map(|(e, _)| utf8(e)).collect::<Vec<_>>());
         }
     }
     let bound = |s: Option<&&str>| s.map(|s| Value::Utf8(s.to_string()));
@@ -775,7 +778,7 @@ fn encode_column<'a>(c: &'a Column, out: &mut Vec<u8>) -> ChunkSummary<'a> {
 
 /// Decodes one column chunk body of `rows` rows. The whole body is parsed
 /// and validated whatever `selection` says; with `Some(words)` only the
-/// selected rows are kept (strings: only they are allocated).
+/// selected rows are kept (strings: only their bytes are copied).
 fn decode_column(
     dt: DataType,
     rows: usize,
@@ -844,7 +847,7 @@ fn decode_column(
         (DataType::Utf8, ENC_DICT) => {
             let view = dict::view(buf, pos)?;
             declares(view.len())?;
-            ColumnData::Utf8(rows_of(rows, selection, |i| view.get(i).to_string()))
+            ColumnData::Utf8(view.strings(selection)?)
         }
         (dt, enc) => {
             return Err(FeisuError::Corrupt(format!(
@@ -879,6 +882,7 @@ fn take_bytes<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Utf8Vec;
 
     fn sample_block() -> Block {
         let schema = Schema::new(vec![
@@ -1529,7 +1533,7 @@ mod tests {
         [false, true, false, true, true]
             .into_iter()
             .for_each(|v| validity.push(v));
-        let strings = ["a", "m", "zz", "m", "a"].map(String::from).to_vec();
+        let strings = Utf8Vec::from_strs(["a", "m", "zz", "m", "a"]).unwrap();
         let column = Column::new(ColumnData::Utf8(strings), validity);
         let schema = Schema::new(vec![Field::new("s", DataType::Utf8, true)]);
         let b = Block::new(BlockId(3), schema, vec![column]).unwrap();

@@ -5,7 +5,9 @@
 //! separate validity (null) bitmap, so scans and predicate evaluation run
 //! over contiguous memory.
 
+pub use crate::strings::Utf8Vec;
 use crate::value::{DataType, Value};
+use feisu_common::Result as FeisuResult;
 use std::cmp::{max_by, min_by, Ordering};
 
 /// Validity bitmap: bit i set ⇔ row i is non-null.
@@ -71,15 +73,11 @@ impl Validity {
         &self.bits
     }
 
-    /// Rebuilds from raw words (trailing bits beyond `len` are ignored).
+    /// Rebuilds from raw words (trailing bits beyond `len` are cleared).
     pub fn from_words(mut bits: Vec<u64>, len: usize) -> Self {
         bits.resize(len.div_ceil(64), 0);
-        let mut valid: usize = bits.iter().map(|w| w.count_ones() as usize).sum();
-        if !len.is_multiple_of(64) {
-            // The last word may carry ignored bits past `len`.
-            let ignored = bits[len / 64] >> (len % 64);
-            valid -= ignored.count_ones() as usize;
-        }
+        clear_past(&mut bits, len);
+        let valid: usize = bits.iter().map(|w| w.count_ones() as usize).sum();
         Validity {
             bits,
             len,
@@ -103,6 +101,26 @@ impl Validity {
         self.len = at;
         self.null_count -= tail.null_count;
         tail
+    }
+
+    /// Appends `other`'s rows a word at a time, shifted into place when
+    /// this bitmap does not end on a word boundary. Bits past `len` are
+    /// zero in every bitmap, so whole words can be or-ed in.
+    pub fn append(&mut self, other: &Validity) {
+        let (shift, words) = (self.len % 64, (self.len + other.len).div_ceil(64));
+        if shift == 0 {
+            self.bits.extend_from_slice(&other.bits);
+        } else {
+            for &w in &other.bits {
+                let last = self.bits.len() - 1;
+                self.bits[last] |= w << shift;
+                if self.bits.len() < words {
+                    self.bits.push(w >> (64 - shift));
+                }
+            }
+        }
+        self.len += other.len;
+        self.null_count += other.null_count;
     }
 
     /// The validity of the rows `words` selects, in row order (the
@@ -130,10 +148,34 @@ pub enum ColumnData {
     Bool(Vec<bool>),
     Int64(Vec<i64>),
     Float64(Vec<f64>),
-    Utf8(Vec<String>),
+    Utf8(Utf8Vec),
 }
 
 impl ColumnData {
+    /// An empty payload of type `dt` with room for `rows` rows (and, for
+    /// strings, `bytes` bytes).
+    pub fn with_capacity(dt: DataType, rows: usize, bytes: usize) -> ColumnData {
+        match dt {
+            DataType::Bool => ColumnData::Bool(Vec::with_capacity(rows)),
+            DataType::Int64 => ColumnData::Int64(Vec::with_capacity(rows)),
+            DataType::Float64 => ColumnData::Float64(Vec::with_capacity(rows)),
+            DataType::Utf8 => ColumnData::Utf8(Utf8Vec::with_capacity(rows, bytes)),
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        match self {
+            ColumnData::Bool(v) => v.len(),
+            ColumnData::Int64(v) => v.len(),
+            ColumnData::Float64(v) => v.len(),
+            ColumnData::Utf8(v) => v.len(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     pub fn data_type(&self) -> DataType {
         match self {
             ColumnData::Bool(_) => DataType::Bool,
@@ -194,10 +236,18 @@ impl Column {
                 Value::Int64(i) => Ok(i as f64),
                 other => Err(other),
             })?),
-            DataType::Utf8 => ColumnData::Utf8(typed(values, &mut validity, |v| match v {
-                Value::Utf8(s) => Ok(s),
-                other => Err(other),
-            })?),
+            DataType::Utf8 => {
+                let mut out = Utf8Vec::with_capacity(values.len(), 0);
+                for v in values {
+                    validity.push(!v.is_null());
+                    match v {
+                        Value::Utf8(s) => out.push(&s).map_err(|_| Value::Utf8(s))?,
+                        Value::Null => out.pad_to(out.len() + 1),
+                        other => return Err(other),
+                    }
+                }
+                ColumnData::Utf8(out)
+            }
         };
         Ok(Column { data, validity })
     }
@@ -226,17 +276,20 @@ impl Column {
         }
     }
 
+    /// Copies `values` into one string buffer; panics past `u32::MAX`
+    /// bytes, as a `Vec` does past its capacity.
     pub fn from_utf8(values: Vec<String>) -> Column {
+        let strings = Utf8Vec::from_strs(values.iter().map(String::as_str));
         let validity = Validity::new_all_valid(values.len());
         Column {
-            data: ColumnData::Utf8(values),
+            data: ColumnData::Utf8(strings.expect("Utf8 column within u32::MAX bytes")),
             validity,
         }
     }
 
     /// Builds with explicit validity (for decoders).
     pub fn new(data: ColumnData, validity: Validity) -> Column {
-        debug_assert_eq!(data_len(&data), validity.len());
+        debug_assert_eq!(data.len(), validity.len());
         Column { data, validity }
     }
 
@@ -273,7 +326,7 @@ impl Column {
             ColumnData::Bool(v) => Value::Bool(v[i]),
             ColumnData::Int64(v) => Value::Int64(v[i]),
             ColumnData::Float64(v) => Value::Float64(v[i]),
-            ColumnData::Utf8(v) => Value::Utf8(v[i].clone()),
+            ColumnData::Utf8(v) => Value::Utf8(v.get(i).to_string()),
         }
     }
 
@@ -293,28 +346,37 @@ impl Column {
         }
     }
 
-    pub fn utf8_slice(&self) -> &[String] {
+    /// The strings of a Utf8 column, `None` for any other type.
+    pub fn utf8(&self) -> Option<&Utf8Vec> {
         match &self.data {
-            ColumnData::Utf8(v) => v,
-            other => panic!("expected Utf8 column, got {:?}", other.data_type()),
+            ColumnData::Utf8(v) => Some(v),
+            _ => None,
         }
     }
 
-    /// Gathers the rows selected by `indices` into a new column.
+    /// Gathers the rows selected by `indices` into a new column; panics past
+    /// `u32::MAX` string bytes, where [`Column::try_take`] returns an error.
     pub fn take(&self, indices: &[usize]) -> Column {
+        self.try_take(indices)
+            .expect("Utf8 column within u32::MAX bytes")
+    }
+
+    /// [`Column::take`], more than `u32::MAX` string bytes an error.
+    pub fn try_take(&self, indices: &[usize]) -> FeisuResult<Column> {
         let mut validity = Validity::with_capacity(indices.len());
         for &i in indices {
             validity.push(self.validity.is_valid(i));
         }
+        fn gather<T: Copy>(v: &[T], indices: &[usize]) -> Vec<T> {
+            indices.iter().map(|&i| v[i]).collect()
+        }
         let data = match &self.data {
-            ColumnData::Bool(v) => ColumnData::Bool(indices.iter().map(|&i| v[i]).collect()),
-            ColumnData::Int64(v) => ColumnData::Int64(indices.iter().map(|&i| v[i]).collect()),
-            ColumnData::Float64(v) => ColumnData::Float64(indices.iter().map(|&i| v[i]).collect()),
-            ColumnData::Utf8(v) => {
-                ColumnData::Utf8(indices.iter().map(|&i| v[i].clone()).collect())
-            }
+            ColumnData::Bool(v) => ColumnData::Bool(gather(v, indices)),
+            ColumnData::Int64(v) => ColumnData::Int64(gather(v, indices)),
+            ColumnData::Float64(v) => ColumnData::Float64(gather(v, indices)),
+            ColumnData::Utf8(v) => ColumnData::Utf8(v.take(indices)?),
         };
-        Column { data, validity }
+        Ok(Column { data, validity })
     }
 
     /// Gathers the rows whose bit is set in `words` — a selection bitmap in
@@ -323,14 +385,14 @@ impl Column {
     /// index vector the way [`Column::take`] requires; set bits at or past
     /// the column length are ignored.
     pub fn filter_by_words(&self, words: &[u64]) -> Column {
-        fn gather<T: Clone>(v: &[T], words: &[u64]) -> Vec<T> {
-            rows_of(v.len(), Some(words), |i| v[i].clone())
+        fn gather<T: Copy>(v: &[T], words: &[u64]) -> Vec<T> {
+            rows_of(v.len(), Some(words), |i| v[i])
         }
         let data = match &self.data {
             ColumnData::Bool(v) => ColumnData::Bool(gather(v, words)),
             ColumnData::Int64(v) => ColumnData::Int64(gather(v, words)),
             ColumnData::Float64(v) => ColumnData::Float64(gather(v, words)),
-            ColumnData::Utf8(v) => ColumnData::Utf8(gather(v, words)),
+            ColumnData::Utf8(v) => ColumnData::Utf8(v.filter_by_words(words)),
         };
         Column {
             data,
@@ -352,28 +414,60 @@ impl Column {
         Column { data, validity }
     }
 
-    /// Appends another column of the same type.
+    /// Appends another column of the same type; panics on another type and
+    /// past `u32::MAX` string bytes, where [`Column::try_append`] returns
+    /// an error.
     pub fn append(&mut self, other: &Column) {
-        assert_eq!(self.data_type(), other.data_type(), "append type mismatch");
-        for i in 0..other.len() {
-            self.validity.push(other.validity.is_valid(i));
-        }
+        self.try_append(other)
+            .expect("Utf8 column within u32::MAX bytes")
+    }
+
+    /// [`Column::append`], more than `u32::MAX` string bytes an error.
+    pub fn try_append(&mut self, other: &Column) -> FeisuResult<()> {
         match (&mut self.data, &other.data) {
             (ColumnData::Bool(a), ColumnData::Bool(b)) => a.extend_from_slice(b),
             (ColumnData::Int64(a), ColumnData::Int64(b)) => a.extend_from_slice(b),
             (ColumnData::Float64(a), ColumnData::Float64(b)) => a.extend_from_slice(b),
-            (ColumnData::Utf8(a), ColumnData::Utf8(b)) => a.extend_from_slice(b),
-            _ => unreachable!(),
+            (ColumnData::Utf8(a), ColumnData::Utf8(b)) => a.append(b)?,
+            (a, b) => panic!(
+                "append type mismatch: {} onto {}",
+                b.data_type(),
+                a.data_type()
+            ),
         }
+        self.validity.append(&other.validity);
+        Ok(())
     }
 
-    /// Approximate in-memory footprint in bytes.
+    /// `parts` (each of type `dt`) end to end, every buffer sized once.
+    pub fn concat<'a>(
+        dt: DataType,
+        parts: impl Iterator<Item = &'a Column> + Clone,
+    ) -> FeisuResult<Column> {
+        let rows = parts.clone().map(|c| c.len()).sum();
+        let bytes = parts
+            .clone()
+            .filter_map(|c| c.utf8())
+            .map(Utf8Vec::byte_len);
+        let mut out = Column {
+            data: ColumnData::with_capacity(dt, rows, bytes.sum()),
+            validity: Validity::with_capacity(rows),
+        };
+        for part in parts {
+            out.try_append(part)?;
+        }
+        Ok(out)
+    }
+
+    /// Approximate in-memory footprint in bytes: a string is billed its
+    /// bytes plus 24 (a `String` header), the formula every simulated cost
+    /// and wire byte is measured with.
     pub fn footprint(&self) -> usize {
         let data = match &self.data {
             ColumnData::Bool(v) => v.len(),
             ColumnData::Int64(v) => v.len() * 8,
             ColumnData::Float64(v) => v.len() * 8,
-            ColumnData::Utf8(v) => v.iter().map(|s| s.len() + 24).sum(),
+            ColumnData::Utf8(v) => v.byte_len() + 24 * v.len(),
         };
         data + self.validity.words().len() * 8
     }
@@ -382,31 +476,30 @@ impl Column {
     /// [`Value::total_cmp`] order. `None` when the column is all-null or
     /// empty. Compares in place; only the two bounds become `Value`s.
     pub fn min_max(&self) -> Option<(Value, Value)> {
-        fn bounds<'a, T, V: Copy>(
-            vals: &'a [T],
-            validity: &Validity,
-            view: impl Fn(&'a T) -> V,
+        /// The rows of the least and greatest valid cells `at` reads.
+        fn bounds<V: Copy>(
+            valid: &Validity,
+            at: impl Fn(usize) -> V,
             cmp: impl Fn(&V, &V) -> Ordering,
-        ) -> Option<(V, V)> {
-            let mut rows = (0..vals.len()).filter(|&i| validity.is_valid(i));
-            let first = view(&vals[rows.next()?]);
+        ) -> Option<(usize, usize)> {
+            let valid_rows = (0..valid.len()).filter(|&i| valid.is_valid(i));
+            let mut cells = valid_rows.map(|i| (at(i), i));
+            let first = cells.next()?;
+            let cmp = |a: &(V, usize), b: &(V, usize)| cmp(&a.0, &b.0);
             // Ties keep the earlier row, as the row-at-a-time fold did.
-            Some(rows.fold((first, first), |(min, max), i| {
-                let v = view(&vals[i]);
-                (min_by(min, v, &cmp), max_by(v, max, &cmp))
-            }))
+            let (lo, hi) = cells.fold((first, first), |(min, max), cell| {
+                (min_by(min, cell, cmp), max_by(cell, max, cmp))
+            });
+            Some((lo.1, hi.1))
         }
-        let validity = &self.validity;
-        match &self.data {
-            ColumnData::Bool(v) => bounds(v, validity, |b| *b, bool::cmp)
-                .map(|(lo, hi)| (Value::Bool(lo), Value::Bool(hi))),
-            ColumnData::Int64(v) => bounds(v, validity, |i| *i, i64::cmp)
-                .map(|(lo, hi)| (Value::Int64(lo), Value::Int64(hi))),
-            ColumnData::Float64(v) => bounds(v, validity, |f| *f, f64::total_cmp)
-                .map(|(lo, hi)| (Value::Float64(lo), Value::Float64(hi))),
-            ColumnData::Utf8(v) => bounds(v, validity, String::as_str, |a, b| a.cmp(b))
-                .map(|(lo, hi)| (Value::Utf8(lo.to_string()), Value::Utf8(hi.to_string()))),
-        }
+        let valid = &self.validity;
+        let (lo, hi) = match &self.data {
+            ColumnData::Bool(v) => bounds(valid, |i| v[i], bool::cmp),
+            ColumnData::Int64(v) => bounds(valid, |i| v[i], i64::cmp),
+            ColumnData::Float64(v) => bounds(valid, |i| v[i], f64::total_cmp),
+            ColumnData::Utf8(v) => bounds(valid, |i| v.bytes_at(i), |a, b| a.cmp(b)),
+        }?;
+        Some((self.value(lo), self.value(hi)))
     }
 }
 
@@ -454,6 +547,27 @@ fn for_each_word(words: &[u64], n: usize, mut f: impl FnMut(usize, u64)) {
     }
 }
 
+/// The set bits below `n`, ascending, word at a time.
+pub(crate) fn set_bits(words: &[u64], n: usize) -> impl Iterator<Item = usize> + Clone + '_ {
+    let words = words
+        .iter()
+        .enumerate()
+        .take_while(move |(wi, _)| wi * 64 < n);
+    words.flat_map(move |(wi, &w)| {
+        let base = wi * 64;
+        let mut m = if n - base < 64 {
+            w & ((1u64 << (n - base)) - 1)
+        } else {
+            w
+        };
+        std::iter::from_fn(move || {
+            let bit = (m != 0).then(|| base + m.trailing_zeros() as usize);
+            m &= m.wrapping_sub(1);
+            bit
+        })
+    })
+}
+
 /// Calls `f` for every set bit below `n`, word at a time.
 #[inline]
 pub(crate) fn for_each_set(words: &[u64], n: usize, mut f: impl FnMut(usize)) {
@@ -463,15 +577,6 @@ pub(crate) fn for_each_set(words: &[u64], n: usize, mut f: impl FnMut(usize)) {
             m &= m - 1;
         }
     });
-}
-
-fn data_len(d: &ColumnData) -> usize {
-    match d {
-        ColumnData::Bool(v) => v.len(),
-        ColumnData::Int64(v) => v.len(),
-        ColumnData::Float64(v) => v.len(),
-        ColumnData::Utf8(v) => v.len(),
-    }
 }
 
 /// Incremental builder collecting dynamic values into a typed column.
@@ -641,6 +746,35 @@ mod tests {
         assert_eq!(a.len(), 4);
         assert_eq!(a.value(2), Value::Null);
         assert_eq!(a.value(3), Value::Int64(4));
+    }
+
+    #[test]
+    fn concat_splices_validity_words_as_pushing_bits_does() {
+        // Parts off word boundaries with NULLs throughout, every type; the
+        // reference pushes one validity bit per row.
+        for dt in [
+            DataType::Bool,
+            DataType::Int64,
+            DataType::Float64,
+            DataType::Utf8,
+        ] {
+            let cell = |i: usize| match (i % 3, dt) {
+                (0, _) => Value::Null,
+                (_, DataType::Bool) => Value::Bool(i.is_multiple_of(2)),
+                (_, DataType::Int64) => Value::Int64(i as i64),
+                (_, DataType::Float64) => Value::Float64(i as f64 / 4.0),
+                (_, DataType::Utf8) => Value::Utf8(format!("s{i}")),
+            };
+            let (mut start, mut parts, mut all) = (0, Vec::new(), Vec::new());
+            for n in [0, 1, 63, 64, 65, 100, 130, 7] {
+                let values: Vec<Value> = (start..start + n).map(cell).collect();
+                parts.push(Column::from_values(dt, &values).unwrap());
+                all.extend(values);
+                start += n;
+            }
+            let expected = Column::from_values(dt, &all).unwrap();
+            assert_eq!(Column::concat(dt, parts.iter()).unwrap(), expected, "{dt}");
+        }
     }
 
     #[test]

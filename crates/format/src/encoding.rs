@@ -253,14 +253,19 @@ pub mod bitpack {
 /// Dictionary encoding for strings.
 pub mod dict {
     use super::*;
+    use crate::column::set_bits;
+    use crate::strings::Utf8Vec;
     use feisu_common::hash::FxHashMap;
 
-    /// Encodes strings as a deduplicated dictionary plus bit-packed codes,
-    /// and returns both: the entries in first-use order and each value's
-    /// code into them.
-    pub fn encode<'a>(values: &[&'a str], out: &mut Vec<u8>) -> (Vec<&'a str>, Vec<u64>) {
-        let mut dict: Vec<&str> = Vec::new();
-        let mut lookup: FxHashMap<&str, u64> = FxHashMap::default();
+    /// Encodes strings (as `&str` or their bytes) as a deduplicated
+    /// dictionary plus bit-packed codes, and returns both: the entries in
+    /// first-use order and each value's code into them.
+    pub fn encode<'a, S>(values: &[&'a S], out: &mut Vec<u8>) -> (Vec<&'a S>, Vec<u64>)
+    where
+        S: AsRef<[u8]> + Eq + std::hash::Hash + ?Sized,
+    {
+        let mut dict: Vec<&S> = Vec::new();
+        let mut lookup: FxHashMap<&S, u64> = FxHashMap::default();
         let mut codes: Vec<u64> = Vec::with_capacity(values.len());
         for &s in values {
             let code = *lookup.entry(s).or_insert_with(|| {
@@ -270,9 +275,9 @@ pub mod dict {
             codes.push(code);
         }
         varint::encode(dict.len() as u64, out);
-        for s in &dict {
+        for s in dict.iter().map(|s| s.as_ref()) {
             varint::encode(s.len() as u64, out);
-            out.extend_from_slice(s.as_bytes());
+            out.extend_from_slice(s);
         }
         if codes.is_empty() {
             // Match bitpack's framing: zero count, then a width byte.
@@ -309,6 +314,16 @@ pub mod dict {
         pub fn get(&self, i: usize) -> &'a str {
             self.entries[self.codes[i] as usize]
         }
+
+        /// The strings of the rows `selection` picks (`None`: every row),
+        /// copied into one presized buffer.
+        pub fn strings(&self, selection: Option<&[u64]>) -> Result<Utf8Vec> {
+            let at = |i| self.get(i).as_bytes();
+            match selection {
+                None => Utf8Vec::gather(0..self.len(), at),
+                Some(words) => Utf8Vec::gather(set_bits(words, self.len()), at),
+            }
+        }
     }
 
     pub fn view<'a>(buf: &'a [u8], pos: &mut usize) -> Result<DictView<'a>> {
@@ -333,16 +348,12 @@ pub mod dict {
         }
         Ok(DictView { entries, codes })
     }
-
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Vec<String>> {
-        let view = view(buf, pos)?;
-        Ok((0..view.len()).map(|i| view.get(i).to_string()).collect())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Utf8Vec;
 
     #[test]
     fn varint_roundtrip_edge_values() {
@@ -498,11 +509,8 @@ mod tests {
         let mut buf = Vec::new();
         dict::encode(&values, &mut buf);
         let mut pos = 0;
-        let decoded = dict::decode(&buf, &mut pos).unwrap();
-        assert_eq!(
-            decoded,
-            values.iter().map(|s| s.to_string()).collect::<Vec<_>>()
-        );
+        let decoded = dict::view(&buf, &mut pos).unwrap().strings(None).unwrap();
+        assert_eq!(decoded, Utf8Vec::from_strs(values).unwrap());
         // Dictionary stores each distinct string once: encoding 6 strings
         // with 3 distinct values must be smaller than raw concatenation.
         let raw: usize = values.iter().map(|s| s.len() + 1).sum();
@@ -512,9 +520,10 @@ mod tests {
     #[test]
     fn dict_empty() {
         let mut buf = Vec::new();
-        dict::encode(&[], &mut buf);
+        dict::encode::<str>(&[], &mut buf);
         let mut pos = 0;
-        assert_eq!(dict::decode(&buf, &mut pos).unwrap(), Vec::<String>::new());
+        let view = dict::view(&buf, &mut pos).unwrap();
+        assert_eq!(view.strings(None).unwrap(), Utf8Vec::new());
     }
 
     #[test]
@@ -526,6 +535,6 @@ mod tests {
         buf.push(b'x');
         bitpack::encode(&[5], 3, &mut buf);
         let mut pos = 0;
-        assert!(dict::decode(&buf, &mut pos).is_err());
+        assert!(dict::view(&buf, &mut pos).is_err());
     }
 }

@@ -5,7 +5,8 @@
 //! implements the whole format layer from scratch:
 //!
 //! * typed [`value::Value`]s and [`schema::Schema`]s,
-//! * nullable typed [`column::Column`] vectors,
+//! * nullable typed [`column::Column`] vectors, strings held in one byte
+//!   buffer plus offsets ([`strings::Utf8Vec`]),
 //! * [`block::Block`]s — the unit of storage, scheduling and indexing —
 //!   with per-column zone statistics and a binary serialization format,
 //! * lightweight integer/string [`encoding`]s (varint, delta, RLE,
@@ -22,10 +23,12 @@ pub mod compress;
 pub mod encoding;
 pub mod json;
 pub mod schema;
+pub mod strings;
 pub mod table;
 pub mod value;
 
 pub use block::{Block, BlockMeta, ColumnStats};
 pub use column::{Column, ColumnBuilder};
 pub use schema::{Field, Schema};
+pub use strings::Utf8Vec;
 pub use value::{DataType, Value};

@@ -41,26 +41,26 @@ pub fn compare_column(column: &Column, op: BinaryOp, literal: &Value) -> Result<
         let nan_row = || (0..vals.len()).find(|&i| vals[i].is_nan() && validity.is_valid(i));
         match vals.iter().any(|v| v.is_nan()).then(nan_row).flatten() {
             Some(row) => Err(raise(row)),
-            None => fill_ordered(vals, validity, op, |v| v.partial_cmp(&t)),
+            None => fill_ordered(validity, op, |i| vals[i].partial_cmp(&t)),
         }
     };
     match (column.data(), literal) {
         (ColumnData::Utf8(vals), Value::Utf8(t)) if op == BinaryOp::Contains => {
-            Ok(fill(vals, validity, |v| v.contains(t.as_str())))
+            Ok(fill(validity, |i| vals.get(i).contains(t.as_str())))
         }
         _ if op == BinaryOp::Contains => no_row_compares(),
         (ColumnData::Bool(vals), Value::Bool(t)) => {
-            fill_ordered(vals, validity, op, |v| Some(v.cmp(t)))
+            fill_ordered(validity, op, |i| Some(vals[i].cmp(t)))
         }
         (ColumnData::Int64(vals), Value::Int64(t)) => {
-            fill_ordered(vals, validity, op, |v| Some(v.cmp(t)))
+            fill_ordered(validity, op, |i| Some(vals[i].cmp(t)))
         }
         (ColumnData::Utf8(vals), Value::Utf8(t)) => {
-            fill_ordered(vals, validity, op, |v| Some(v.as_str().cmp(t.as_str())))
+            fill_ordered(validity, op, |i| Some(vals.bytes_at(i).cmp(t.as_bytes())))
         }
         (ColumnData::Int64(_), Value::Float64(t)) if t.is_nan() => no_row_compares(),
         (ColumnData::Int64(vals), Value::Float64(t)) => {
-            fill_ordered(vals, validity, op, |v| (*v as f64).partial_cmp(t))
+            fill_ordered(validity, op, |i| (vals[i] as f64).partial_cmp(t))
         }
         (ColumnData::Float64(vals), Value::Float64(t)) => float_cells(vals, *t),
         (ColumnData::Float64(vals), Value::Int64(t)) => float_cells(vals, *t as f64),
@@ -70,34 +70,36 @@ pub fn compare_column(column: &Column, op: BinaryOp, literal: &Value) -> Result<
 
 /// [`fill`] with the operator resolved outside the row loop, so each of
 /// the six loops compares with one fixed test.
-fn fill_ordered<T>(
-    vals: &[T],
+fn fill_ordered(
     validity: &Validity,
     op: BinaryOp,
-    ord: impl Fn(&T) -> Option<Ordering>,
+    ord: impl Fn(usize) -> Option<Ordering>,
 ) -> Result<BitVec> {
     use Ordering::{Equal, Greater, Less};
     Ok(match op {
-        BinaryOp::Eq => fill(vals, validity, |v| ord(v) == Some(Equal)),
-        BinaryOp::NotEq => fill(vals, validity, |v| matches!(ord(v), Some(Less | Greater))),
-        BinaryOp::Lt => fill(vals, validity, |v| ord(v) == Some(Less)),
-        BinaryOp::LtEq => fill(vals, validity, |v| matches!(ord(v), Some(Less | Equal))),
-        BinaryOp::Gt => fill(vals, validity, |v| ord(v) == Some(Greater)),
-        BinaryOp::GtEq => fill(vals, validity, |v| matches!(ord(v), Some(Greater | Equal))),
+        BinaryOp::Eq => fill(validity, |i| ord(i) == Some(Equal)),
+        BinaryOp::NotEq => fill(validity, |i| matches!(ord(i), Some(Less | Greater))),
+        BinaryOp::Lt => fill(validity, |i| ord(i) == Some(Less)),
+        BinaryOp::LtEq => fill(validity, |i| matches!(ord(i), Some(Less | Equal))),
+        BinaryOp::Gt => fill(validity, |i| ord(i) == Some(Greater)),
+        BinaryOp::GtEq => fill(validity, |i| matches!(ord(i), Some(Greater | Equal))),
         _ => return Err(FeisuError::Internal(format!("{op} is not a comparison"))),
     })
 }
 
-/// Accumulates 64 predicate results into a word and emits it with one
-/// store, NULL rows cleared by the validity word: running the predicate on
-/// a NULL row's slot (it holds a default) is cheaper than branching.
+/// Accumulates 64 predicate results (`pred(row)` for every row of the
+/// column `validity` covers) into a word and emits it with one store, NULL
+/// rows cleared by the validity word: running the predicate on a NULL
+/// row's slot (it holds a default) is cheaper than branching.
 #[inline]
-fn fill<T>(vals: &[T], validity: &Validity, pred: impl Fn(&T) -> bool) -> BitVec {
-    let mut bits = BitVec::zeros(vals.len());
-    for (wi, (chunk, valid)) in vals.chunks(64).zip(validity.words()).enumerate() {
+fn fill(validity: &Validity, pred: impl Fn(usize) -> bool) -> BitVec {
+    let n = validity.len();
+    let mut bits = BitVec::zeros(n);
+    for (wi, valid) in validity.words().iter().enumerate() {
+        let base = wi * 64;
         let mut word = 0u64;
-        for (j, v) in chunk.iter().enumerate() {
-            word |= (pred(v) as u64) << j;
+        for j in 0..(n - base).min(64) {
+            word |= (pred(base + j) as u64) << j;
         }
         bits.store_word(wi, word & valid);
     }

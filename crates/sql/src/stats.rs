@@ -55,7 +55,7 @@ impl NdvSketch {
             ColumnData::Bool(v) => self.insert_all(rows.map(|r| hash_bool(v[r]))),
             ColumnData::Int64(v) => self.insert_all(rows.map(|r| hash_f64(v[r] as f64))),
             ColumnData::Float64(v) => self.insert_all(rows.map(|r| hash_f64(v[r]))),
-            ColumnData::Utf8(v) => self.insert_all(rows.map(|r| hash_str(&v[r]))),
+            ColumnData::Utf8(v) => self.insert_all(rows.map(|r| hash_utf8(v.bytes_at(r)))),
         }
     }
 
@@ -63,7 +63,7 @@ impl NdvSketch {
     /// ([`feisu_format::block::ChunkSummary::distinct`]): one hash per
     /// string, what [`NdvSketch::observe_column`] gives over the rows.
     pub fn observe_strs(&mut self, strings: &[&str]) {
-        self.insert_all(strings.iter().map(|s| hash_str(s)));
+        self.insert_all(strings.iter().map(|s| hash_utf8(s.as_bytes())));
     }
 
     /// Folds another sketch in: the union of both hash sets cut back to
@@ -136,7 +136,7 @@ pub fn hash_value(v: &Value) -> u64 {
         Value::Bool(b) => hash_bool(*b),
         Value::Int64(i) => hash_f64(*i as f64),
         Value::Float64(f) => hash_f64(*f),
-        Value::Utf8(s) => hash_str(s),
+        Value::Utf8(s) => hash_utf8(s.as_bytes()),
     }
 }
 
@@ -148,8 +148,8 @@ fn hash_f64(f: f64) -> u64 {
     hash_one(&(2u8, f.to_bits()))
 }
 
-fn hash_str(s: &str) -> u64 {
-    hash_one(&(3u8, s.as_bytes()))
+fn hash_utf8(bytes: &[u8]) -> u64 {
+    hash_one(&(3u8, bytes))
 }
 
 /// Per-column statistics (over the *storage* column).
@@ -265,6 +265,7 @@ impl TableStats {
 mod tests {
     use super::*;
     use crate::parser::parse_expr;
+    use feisu_format::Utf8Vec;
     use proptest::prelude::*;
 
     fn table() -> TableStats {
@@ -485,7 +486,8 @@ mod tests {
                         _ => text(n),
                     }
                 })
-                .collect();
+                .collect::<Vec<_>>();
+            let strings = Utf8Vec::from_strs(strings.iter().map(String::as_str)).unwrap();
             let column = Column::new(ColumnData::Utf8(strings), validity);
             let reference = InsertThenTrim::of(
                 values.iter().filter(|v| !v.is_null()).map(hash_value),

@@ -242,7 +242,7 @@ mod tests {
     fn url_popularity_is_skewed() {
         let spec = DatasetSpec::tiny("t", 2000, 6);
         let cols = generate_chunk(&spec, 0, 2000);
-        let urls = cols[0].utf8_slice();
+        let urls = cols[0].utf8().expect("url is a Utf8 column");
         let hot = urls.iter().filter(|u| u.contains("site0.")).count();
         assert!(
             hot > 2000 / 50,

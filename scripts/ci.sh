@@ -5,9 +5,10 @@
 #   3. cargo test -q (then the e2e suites again at pinned thread widths,
 #      the exec equivalence, optimizer reference, distinct-count sketch
 #      reference, footer mismatch, kernel equivalence, selected decode,
-#      two-phase leaf (its count-only arm included), LRU and node-table
-#      model suites again in release with more cases, and the exec, optimizer,
-#      catalog/schema/statistics, ingest and leaf allocation budgets — a
+#      buffer-backed Utf8 column, two-phase leaf (its count-only arm
+#      included), LRU and node-table model suites again in release with
+#      more cases, and the exec, optimizer, catalog/schema/statistics,
+#      ingest, Utf8 decode and concat, and leaf allocation budgets — a
 #      scan task's and a count-only task's — in release)
 #   4. cargo clippy --workspace --all-targets -- -D warnings (tests,
 #      examples and bins linted like the libraries)
@@ -58,11 +59,13 @@ FEISU_CLIENT_THREADS=4 cargo test -q $OFFLINE -p feisu-tests
 # the default 256 cases ran above in debug; here 2048 per property with
 # optimizations on (`PROPTEST_CASES` is read by shims/proptest), next to
 # the allocation budgets, whose counts are exact in any profile: the key
-# layer's, `Catalog::table()`, a repeated `Catalog::table_stats()` and
-# `Schema::clone` at zero whatever the table's size, an ingested block's
-# not following its row count, a scan task's following the rows it keeps,
-# a count-only task's following nothing, and the optimizer's not following
-# the table's width.
+# layer's, `RecordBatch::concat` of 16 Utf8 batches and a Utf8 chunk's
+# decode the same at 256 and 4,096 rows, `Catalog::table()`, a repeated
+# `Catalog::table_stats()` and `Schema::clone` at zero whatever the
+# table's size, an ingested block's not following its row count, a scan
+# task's projecting a Utf8 column following neither the rows of the block
+# nor the rows it keeps, a count-only task's following nothing, and the
+# optimizer's not following the table's width.
 echo "ci: exec equivalence suite (release, 2048 cases) + allocation budgets"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-exec --test equivalence --test alloc_budget
 cargo test -q --release $OFFLINE -p feisu-core --test catalog_snapshot --test leaf_alloc_budget
@@ -83,9 +86,14 @@ PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-sql --lib -- stats
 # A resident footer must never decode bytes it was not parsed from:
 # foreign, rewritten, truncated and bit-flipped blocks through another
 # block's footer are Corrupt or decoded exactly right, by the same
-# mechanism at the same case count.
-echo "ci: footer mismatch suite (release, 2048 cases)"
+# mechanism at the same case count. Beside it, the buffer-backed Utf8
+# column (one byte buffer plus offsets) against a `Vec<Option<String>>`
+# reference: gathers, cuts, appends, concats, bounds, footprints, values,
+# equality and the decoder through random selections, with empty and
+# multi-byte strings, NULL slots and empty columns.
+echo "ci: footer mismatch + Utf8 column suites (release, 2048 cases)"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-format --test footer_mismatch
+PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-format --test utf8_column
 
 # The predicate kernel and the word-level CompressedBits against the
 # row- and bit-at-a-time loops they replaced (values, errors, runs and
