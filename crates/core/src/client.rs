@@ -11,9 +11,9 @@
 //! personalization derives what it needs from a log snapshot on demand
 //! instead of keeping a second per-query record.
 
+use crate::event_log::QueryEvent;
 use feisu_common::hash::FxHashMap;
 use feisu_common::{Result, SimDuration, SimInstant, UserId};
-use feisu_obs::QueryEvent;
 use feisu_sql::ast::Query;
 use feisu_sql::cnf::{to_cnf, SimplePredicate};
 use feisu_sql::parser::parse_query;
@@ -63,7 +63,7 @@ pub fn frequent_predicates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use feisu_obs::QueryOutcome;
+    use crate::event_log::QueryOutcome;
 
     fn logged(user: u64, sql: &str, at: SimInstant) -> QueryEvent {
         QueryEvent::terminal(

@@ -11,6 +11,7 @@
 
 use crate::catalog::Catalog;
 use crate::client;
+use crate::event_log::{QueryEvent, QueryLog, QueryOutcome};
 use crate::leaf::{LeafServer, LeafTaskStats};
 use crate::master::assembly::QueryMetrics;
 use crate::master::guard::GuardLimits;
@@ -26,9 +27,7 @@ use feisu_common::{
 use feisu_exec::batch::RecordBatch;
 use feisu_format::{Column, Schema, Value};
 use feisu_index::manager::IndexManager;
-use feisu_obs::{
-    MetricsRegistry, QueryEvent, QueryLog, QueryOutcome, QueryProfile, WindowedMetrics,
-};
+use feisu_obs::{MetricsRegistry, QueryProfile};
 use feisu_storage::auth::{AuthService, Credential, Grant};
 use feisu_storage::{CachePin, Domain, StorageRouter, TieredCache};
 use parking_lot::Mutex;
@@ -254,11 +253,9 @@ pub struct FeisuCluster {
     pub(crate) system_cred: Credential,
     pub(crate) metrics: Arc<MetricsRegistry>,
     pub(crate) qmetrics: QueryMetrics,
-    /// Always-on bounded query event log (backs `system.queries`).
+    /// Always-on bounded query event log: the one per-query record
+    /// (backs `system.queries` and the `window` rows of `system.metrics`).
     pub(crate) query_log: QueryLog,
-    /// Sliding-window metric views on the simulated clock (backs the
-    /// `window` rows of `system.metrics`).
-    pub(crate) windows: WindowedMetrics,
 }
 
 const SYSTEM_USER: UserId = UserId(0);
@@ -341,8 +338,7 @@ impl FeisuCluster {
             clock.now(),
             &metrics,
         );
-        let guard = EntryGuard::new(spec.guard.clone());
-        guard.attach_metrics(&metrics);
+        let guard = EntryGuard::new(spec.guard.clone(), &metrics);
         let jobs = JobManager::new(
             SimDuration::minutes(10),
             if spec.task_reuse { 4096 } else { 0 },
@@ -353,7 +349,6 @@ impl FeisuCluster {
         session_ids.next_u64(); // session ids start at 1 (0 = no session)
         let qmetrics = QueryMetrics::new(&metrics);
         let query_log = QueryLog::new(spec.config.query_log_capacity);
-        let windows = WindowedMetrics::new(SimDuration::secs(60));
         Ok(FeisuCluster {
             spec,
             clock,
@@ -373,7 +368,6 @@ impl FeisuCluster {
             metrics,
             qmetrics,
             query_log,
-            windows,
         })
     }
 
@@ -712,51 +706,39 @@ impl FeisuCluster {
         let now = self.clock.now();
         self.qmetrics.queries.inc();
 
-        // Client layer: syntax check. Syntax failures land in the event
-        // log but not in `feisu.query.errors`, which counts failures of
-        // well-formed statements.
-        let query = match client::syntax_check(sql) {
-            Ok(q) => q,
-            Err(e) => {
-                self.query_log.push(QueryEvent::terminal(
-                    query_id.0,
-                    cred.user.to_string(),
-                    sql.to_string(),
-                    QueryOutcome::Failed(e.to_string()),
-                    now.as_nanos(),
-                ));
-                return Err(e);
+        // A query that returns logs itself in `assemble_result`; every
+        // other outcome is logged once, after this block.
+        let (outcome, err) = 'run: {
+            // Client layer: syntax check. Syntax failures are not counted
+            // in `feisu.query.errors`, which counts failures of well-formed
+            // statements.
+            let query = match client::syntax_check(sql) {
+                Ok(q) => q,
+                Err(e) => break 'run (QueryOutcome::Failed(e.to_string()), e),
+            };
+            // Entry guard: capability protection + quotas. The permit is
+            // RAII — errors (or panics) below release the concurrency slot.
+            let table_count = query.all_tables().count();
+            let _permit = match self.guard.admit(cred.user, sql, table_count, now) {
+                Ok(p) => p,
+                Err(e) => break 'run (QueryOutcome::Rejected(e.to_string()), e),
+            };
+            match self.run_admitted(sql, &query, cred, options, now, query_id) {
+                Ok(result) => return Ok(result),
+                Err(e) => {
+                    self.qmetrics.errors.inc();
+                    (QueryOutcome::Failed(e.to_string()), e)
+                }
             }
         };
-
-        // Entry guard: capability protection + quotas. The permit is
-        // RAII — errors (or panics) below release the concurrency slot.
-        let table_count = query.all_tables().count();
-        let _permit = match self.guard.admit(cred.user, sql, table_count, now) {
-            Ok(p) => p,
-            Err(e) => {
-                self.query_log.push(QueryEvent::terminal(
-                    query_id.0,
-                    cred.user.to_string(),
-                    sql.to_string(),
-                    QueryOutcome::Rejected(e.to_string()),
-                    now.as_nanos(),
-                ));
-                return Err(e);
-            }
-        };
-        let outcome = self.run_admitted(sql, &query, cred, options, now, query_id);
-        if let Err(e) = &outcome {
-            self.qmetrics.errors.inc();
-            self.query_log.push(QueryEvent::terminal(
-                query_id.0,
-                cred.user.to_string(),
-                sql.to_string(),
-                QueryOutcome::Failed(e.to_string()),
-                now.as_nanos(),
-            ));
-        }
-        outcome
+        self.query_log.push(QueryEvent::terminal(
+            query_id.0,
+            cred.user.to_string(),
+            sql.to_string(),
+            outcome,
+            now.as_nanos(),
+        ));
+        Err(err)
     }
 
     // --------------------------------------------------- personalization

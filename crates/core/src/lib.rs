@@ -38,9 +38,11 @@
 pub mod catalog;
 pub mod client;
 pub mod engine;
+pub mod event_log;
 pub mod leaf;
 pub mod master;
 pub mod stem;
 pub mod system;
+mod window;
 
 pub use engine::{ClusterSpec, FeisuCluster, QueryResult, QueryStats};

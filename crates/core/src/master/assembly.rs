@@ -4,12 +4,11 @@
 //! metric recording.
 
 use crate::engine::{FeisuCluster, QueryResult};
+use crate::event_log::{QueryEvent, QueryOutcome};
 use crate::master::pipeline::ExecCtx;
 use feisu_common::{ByteSize, QueryId, Result, SimDuration, SimInstant};
 use feisu_exec::batch::RecordBatch;
-use feisu_obs::{
-    Counter, Histogram, MetricsRegistry, QueryEvent, QueryOutcome, QueryProfile, SpanNode,
-};
+use feisu_obs::{Counter, Histogram, MetricsRegistry, QueryProfile, SpanNode};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -194,12 +193,10 @@ impl FeisuCluster {
             m.empty_pruned.inc();
         }
 
-        // Always-on query event log (backs `system.queries`) plus the
-        // sliding-window views. Absolute instants (admission/completion)
-        // depend on how concurrent clients interleave; every per-query
-        // field (response time, rows, bytes, wire traffic) is as
+        // Always-on query event log (backs `system.queries` and the
+        // `system.metrics` windows). The admission instant depends on how
+        // concurrent clients interleave; every per-query field is as
         // deterministic as the QueryResult it mirrors.
-        let completed_at = ctx.now + response_time;
         self.query_log.push(QueryEvent {
             query_id: query_id.0,
             user: ctx.cred.user.to_string(),
@@ -210,36 +207,15 @@ impl FeisuCluster {
                 QueryOutcome::Completed
             },
             admitted_ns: ctx.now.as_nanos(),
-            admission_wait_ns: 0, // the guard admits/rejects instantly
             response_ns: response_time.as_nanos(),
-            tasks: ctx.stats.tasks as u64,
             rows_returned: batch.rows() as u64,
-            bytes_scanned: ctx.stats.bytes_read.0,
             bytes_returned: batch.footprint() as u64,
-            wire_leaf_stem_bytes: leaf_stem.0,
-            wire_rack_dc_bytes: rack_dc.0,
-            wire_stem_master_bytes: stem_master.0,
-            index_hits: ctx.stats.index_hits as u64,
-            blocks_skipped: ctx.stats.blocks_skipped as u64,
-            blocks_scanned: ctx.stats.blocks_scanned as u64,
             cache_hit_tasks: (ctx.tier_tasks.get("ssd_cache").copied().unwrap_or(0)
                 + ctx.tier_tasks.get("mem_cache").copied().unwrap_or(0))
                 as u64,
-            memory_served_tasks: ctx.stats.memory_served_tasks as u64,
             top_operators: top_operator_costs(&profile.tree.roots, 3),
+            stats: ctx.stats,
         });
-        self.windows.observe(
-            "feisu.query.response_ns",
-            completed_at,
-            response_time.as_nanos(),
-        );
-        self.windows
-            .observe("feisu.query.bytes_on_wire", completed_at, wire_total.0);
-        self.windows.observe(
-            "feisu.query.bytes_scanned",
-            completed_at,
-            ctx.stats.bytes_read.0,
-        );
 
         Ok(QueryResult {
             query_id,

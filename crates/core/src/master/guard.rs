@@ -12,8 +12,8 @@
 //! [`AdmissionPermit`] whose `Drop` releases the running-job slot, so a
 //! query that errors (or panics) mid-flight can never leak concurrency
 //! capacity. The guard exports `feisu.guard.admitted`,
-//! `feisu.guard.rejected` and `feisu.guard.inflight` once
-//! [`EntryGuard::attach_metrics`] is called.
+//! `feisu.guard.rejected` and `feisu.guard.inflight` to the registry it
+//! is built with.
 
 use feisu_common::hash::FxHashMap;
 use feisu_common::{FeisuError, Result, SimDuration, SimInstant, UserId};
@@ -52,19 +52,13 @@ struct UserWindow {
     running: u32,
 }
 
-/// Counter/gauge handles published once metrics are attached.
-#[derive(Debug)]
-struct GuardMetrics {
-    admitted: Arc<Counter>,
-    rejected: Arc<Counter>,
-    inflight: Arc<Gauge>,
-}
-
 /// Admission control at the system entry point.
 pub struct EntryGuard {
     limits: GuardLimits,
     users: Mutex<FxHashMap<UserId, UserWindow>>,
-    metrics: Mutex<Option<GuardMetrics>>,
+    admitted: Arc<Counter>,
+    rejected: Arc<Counter>,
+    inflight: Arc<Gauge>,
 }
 
 /// A reserved running-job slot. Dropping the permit releases the slot —
@@ -83,26 +77,14 @@ impl Drop for AdmissionPermit<'_> {
 }
 
 impl EntryGuard {
-    pub fn new(limits: GuardLimits) -> Self {
+    /// A guard publishing `feisu.guard.*` to `registry`.
+    pub fn new(limits: GuardLimits, registry: &MetricsRegistry) -> Self {
         EntryGuard {
             limits,
             users: Mutex::new(FxHashMap::default()),
-            metrics: Mutex::new(None),
-        }
-    }
-
-    /// Starts publishing `feisu.guard.*` to a registry.
-    pub fn attach_metrics(&self, registry: &MetricsRegistry) {
-        *self.metrics.lock() = Some(GuardMetrics {
             admitted: registry.counter("feisu.guard.admitted"),
             rejected: registry.counter("feisu.guard.rejected"),
             inflight: registry.gauge("feisu.guard.inflight"),
-        });
-    }
-
-    fn note(&self, f: impl FnOnce(&GuardMetrics)) {
-        if let Some(m) = self.metrics.lock().as_ref() {
-            f(m);
         }
     }
 
@@ -116,17 +98,14 @@ impl EntryGuard {
         table_count: usize,
         now: SimInstant,
     ) -> Result<AdmissionPermit<'_>> {
-        let outcome = self.try_reserve(user, sql, table_count, now);
-        match outcome {
+        match self.try_reserve(user, sql, table_count, now) {
             Ok(()) => {
-                self.note(|m| {
-                    m.admitted.inc();
-                    m.inflight.add(1);
-                });
+                self.admitted.inc();
+                self.inflight.add(1);
                 Ok(AdmissionPermit { guard: self, user })
             }
             Err(e) => {
-                self.note(|m| m.rejected.inc());
+                self.rejected.inc();
                 Err(e)
             }
         }
@@ -181,13 +160,10 @@ impl EntryGuard {
 
     /// Releases the running-job slot (called by the permit's `Drop`).
     fn release(&self, user: UserId) {
-        {
-            let mut users = self.users.lock();
-            if let Some(w) = users.get_mut(&user) {
-                w.running = w.running.saturating_sub(1);
-            }
+        if let Some(w) = self.users.lock().get_mut(&user) {
+            w.running = w.running.saturating_sub(1);
         }
-        self.note(|m| m.inflight.sub(1));
+        self.inflight.sub(1);
     }
 
     /// Jobs currently holding a permit, across all users.
@@ -213,20 +189,26 @@ impl EntryGuard {
 mod tests {
     use super::*;
 
-    fn guard(quota: u32, concurrent: u32) -> EntryGuard {
-        EntryGuard::new(GuardLimits {
+    fn guard_in(quota: u32, concurrent: u32, registry: &MetricsRegistry) -> EntryGuard {
+        let limits = GuardLimits {
             daily_quota: quota,
             max_concurrent: concurrent,
             ..GuardLimits::default()
-        })
+        };
+        EntryGuard::new(limits, registry)
+    }
+
+    fn guard(quota: u32, concurrent: u32) -> EntryGuard {
+        guard_in(quota, concurrent, &MetricsRegistry::new())
     }
 
     #[test]
     fn oversized_query_rejected() {
-        let g = EntryGuard::new(GuardLimits {
+        let limits = GuardLimits {
             max_query_len: 10,
             ..GuardLimits::default()
-        });
+        };
+        let g = EntryGuard::new(limits, &MetricsRegistry::new());
         assert!(g
             .admit(
                 UserId(1),
@@ -291,8 +273,7 @@ mod tests {
     #[test]
     fn metrics_track_admissions_and_inflight() {
         let registry = MetricsRegistry::new();
-        let g = guard(100, 1);
-        g.attach_metrics(&registry);
+        let g = guard_in(100, 1, &registry);
         let p = g.admit(UserId(1), "q", 1, SimInstant(0)).unwrap();
         assert!(g.admit(UserId(1), "q", 1, SimInstant(0)).is_err());
         assert_eq!(registry.counter("feisu.guard.admitted").get(), 1);

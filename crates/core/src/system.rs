@@ -12,6 +12,7 @@
 
 use crate::engine::FeisuCluster;
 use crate::master::pipeline::ExecCtx;
+use crate::window;
 use feisu_common::{FeisuError, Result, SimInstant};
 use feisu_exec::aggregate::AggTable;
 use feisu_exec::batch::RecordBatch;
@@ -40,7 +41,6 @@ pub fn system_table_schema(name: &str) -> Option<Schema> {
             Field::new("outcome", DataType::Utf8, false),
             Field::new("error", DataType::Utf8, true),
             Field::new("admitted_ns", DataType::Int64, false),
-            Field::new("admission_wait_ns", DataType::Int64, false),
             Field::new("response_ns", DataType::Int64, false),
             Field::new("tasks", DataType::Int64, false),
             Field::new("rows_returned", DataType::Int64, false),
@@ -123,6 +123,7 @@ impl FeisuCluster {
                     .snapshot()
                     .into_iter()
                     .map(|e| {
+                        let s = &e.stats;
                         vec![
                             Value::Int64(e.query_id as i64),
                             Value::Utf8(e.user),
@@ -133,20 +134,19 @@ impl FeisuCluster {
                                 None => Value::Null,
                             },
                             Value::Int64(e.admitted_ns as i64),
-                            Value::Int64(e.admission_wait_ns as i64),
                             Value::Int64(e.response_ns as i64),
-                            Value::Int64(e.tasks as i64),
+                            Value::Int64(s.tasks as i64),
                             Value::Int64(e.rows_returned as i64),
-                            Value::Int64(e.bytes_scanned as i64),
+                            Value::Int64(s.bytes_read.0 as i64),
                             Value::Int64(e.bytes_returned as i64),
-                            Value::Int64(e.wire_leaf_stem_bytes as i64),
-                            Value::Int64(e.wire_rack_dc_bytes as i64),
-                            Value::Int64(e.wire_stem_master_bytes as i64),
-                            Value::Int64(e.index_hits as i64),
-                            Value::Int64(e.blocks_skipped as i64),
-                            Value::Int64(e.blocks_scanned as i64),
+                            Value::Int64(s.wire_leaf_stem.0 as i64),
+                            Value::Int64(s.wire_rack_dc.0 as i64),
+                            Value::Int64(s.wire_stem_master.0 as i64),
+                            Value::Int64(s.index_hits as i64),
+                            Value::Int64(s.blocks_skipped as i64),
+                            Value::Int64(s.blocks_scanned as i64),
                             Value::Int64(e.cache_hit_tasks as i64),
-                            Value::Int64(e.memory_served_tasks as i64),
+                            Value::Int64(s.memory_served_tasks as i64),
                             Value::Utf8(e.top_operators),
                         ]
                     })
@@ -156,7 +156,8 @@ impl FeisuCluster {
             "system.metrics" => {
                 // Registry rows first (counters, gauges, histograms — each
                 // group name-sorted by the snapshot's BTreeMaps), then the
-                // sliding-window views; deterministic end to end.
+                // 60 s windows folded from the query log; deterministic end
+                // to end.
                 let snap = self.metrics.snapshot();
                 let mut rows = Vec::new();
                 for (name, v) in &snap.counters {
@@ -195,18 +196,7 @@ impl FeisuCluster {
                         Value::Float64(0.0),
                     ]);
                 }
-                for (name, w) in self.windows.snapshot(now) {
-                    rows.push(vec![
-                        Value::Utf8(name),
-                        Value::Utf8("window".into()),
-                        Value::Float64(w.max as f64),
-                        Value::Int64(w.count as i64),
-                        Value::Int64(w.p50 as i64),
-                        Value::Int64(w.p95 as i64),
-                        Value::Int64(w.p99 as i64),
-                        Value::Float64(w.rate_per_sec),
-                    ]);
-                }
+                rows.extend(window::rows(&self.query_log.snapshot(), now));
                 batch_from_rows(schema, rows)
             }
             "system.nodes" => {
@@ -344,9 +334,10 @@ mod tests {
     #[test]
     fn queries_schema_matches_event_fields() {
         let schema = system_table_schema("system.queries").unwrap();
-        // One column per QueryEvent field plus the derived outcome/error
-        // pair replacing the enum.
-        assert_eq!(schema.len(), 21);
+        // One column per QueryEvent field but `stats` (the outcome enum as
+        // an outcome/error pair), plus nine counters of `stats`.
+        assert_eq!(schema.len(), 20);
+        assert!(schema.index_of("admission_wait_ns").is_none());
         assert!(schema.index_of("wire_leaf_stem_bytes").is_some());
         assert!(schema.index_of("wire_rack_dc_bytes").is_some());
         assert!(schema.index_of("blocks_skipped").is_some());

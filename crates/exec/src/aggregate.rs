@@ -504,19 +504,9 @@ impl AggTable {
 
     /// Folds only the rows of `batch` whose group key hashes to `part`
     /// (of `parts`) — one partition merger's share of the repartition
-    /// exchange. Returns the number of rows folded.
-    pub fn merge_transport_partition(
-        &mut self,
-        batch: &RecordBatch,
-        part: usize,
-        parts: usize,
-    ) -> Result<usize> {
-        self.fold_transport(batch, None, Some((part, parts)))
-    }
-
-    /// [`AggTable::merge_transport_partition`] with the rows' group-key
-    /// hashes given ([`transport_hashes`]): the P partition mergers of one
-    /// transport share one hashing pass.
+    /// exchange. `hashes` are the rows' group-key hashes
+    /// ([`transport_hashes`]), so the P partition mergers of one transport
+    /// share one hashing pass. Returns the number of rows folded.
     pub fn merge_transport_hashed(
         &mut self,
         batch: &RecordBatch,
@@ -909,7 +899,8 @@ mod tests {
             for part in 0..parts {
                 let mut p = AggTable::new(group_by(), aggs());
                 for t in &transports {
-                    folded += p.merge_transport_partition(t, part, parts).unwrap();
+                    let hashes = transport_hashes(t, 1);
+                    folded += p.merge_transport_hashed(t, &hashes, part, parts).unwrap();
                 }
                 union.merge(&p).unwrap();
             }
@@ -962,7 +953,7 @@ mod tests {
         let part = partition_of(&key, 4);
         let mut acc = AggTable::new(group_by(), aggs());
         assert!(matches!(
-            acc.merge_transport_partition(&dup, part, 4),
+            acc.merge_transport_hashed(&dup, &transport_hashes(&dup, 1), part, 4),
             Err(FeisuError::Corrupt(_))
         ));
     }

@@ -3,7 +3,7 @@
 //! that hold the columnar operators to it over random batches.
 
 use feisu_common::hash::FxHashMap;
-use feisu_exec::aggregate::{partition_of, partition_of_hash, AggTable};
+use feisu_exec::aggregate::{partition_of, partition_of_hash, transport_hashes, AggTable};
 use feisu_exec::batch::{BatchRow, RecordBatch};
 use feisu_exec::join::join;
 use feisu_exec::keys::{hash_rows, key_column};
@@ -241,11 +241,12 @@ proptest! {
         // partition at a time, partitions unioned. Every group is in one
         // partition, so even the float sums are untouched.
         let shipped = table.to_transport().unwrap();
+        let hashes = transport_hashes(&shipped, group_by.len());
         let mut union = AggTable::new(group_by.clone(), aggs.clone());
         let mut folded = 0;
         for part in 0..3 {
             let mut p = AggTable::new(group_by.clone(), aggs.clone());
-            folded += p.merge_transport_partition(&shipped, part, 3).unwrap();
+            folded += p.merge_transport_hashed(&shipped, &hashes, part, 3).unwrap();
             union.merge(&p).unwrap();
         }
         prop_assert_eq!(folded, shipped.rows());

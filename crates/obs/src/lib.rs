@@ -1,6 +1,6 @@
 //! feisu-obs: zero-dependency observability for the Feisu engine.
 //!
-//! Three pieces, all running on the *simulated* clock so output stays
+//! Four pieces, all running on the *simulated* clock so output stays
 //! deterministic across hosts and runs:
 //!
 //! - [`metrics`] — a sharded [`MetricsRegistry`] of named counters,
@@ -11,10 +11,6 @@
 //!   attributes time it accounts analytically);
 //! - [`profile`] — the `EXPLAIN ANALYZE`-style per-query report the
 //!   master attaches to every `QueryResult`;
-//! - [`event_log`] — the always-on bounded ring buffer of per-query
-//!   [`QueryEvent`] records backing the `system.queries` virtual table;
-//! - [`window`] — sliding-window rate/percentile views over the
-//!   simulated timeline ("QPS and tail latency *right now*");
 //! - [`trace`] — a `chrome://tracing` JSON-array exporter for any
 //!   query's span tree.
 //!
@@ -22,16 +18,12 @@
 //! workspace `parking_lot` shim: observability must be linkable from
 //! every layer (storage, index, cluster, core) without cycles.
 
-pub mod event_log;
 pub mod metrics;
 pub mod profile;
 pub mod span;
 pub mod trace;
-pub mod window;
 
-pub use event_log::{QueryEvent, QueryLog, QueryOutcome};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use profile::QueryProfile;
 pub use span::{AttrValue, SpanId, SpanNode, SpanRecorder, SpanTree};
 pub use trace::chrome_trace;
-pub use window::{WindowSnapshot, WindowedMetrics};

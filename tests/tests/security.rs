@@ -176,5 +176,5 @@ fn jobs_are_recorded_per_user() {
     assert_eq!(jobs.len(), 2);
     assert!(jobs
         .iter()
-        .all(|j| j.outcome == feisu_obs::QueryOutcome::Completed));
+        .all(|j| j.outcome == feisu_core::event_log::QueryOutcome::Completed));
 }

@@ -3,9 +3,12 @@
 //! the always-on bounded query event log behind `system.queries`, and
 //! the Chrome-trace export handle on `QueryResult`.
 
-use feisu_core::engine::ClusterSpec;
+use feisu_common::SimDuration;
+use feisu_core::engine::{ClusterSpec, QueryOptions};
+use feisu_core::event_log::QueryEvent;
+use feisu_core::QueryStats;
+use feisu_exec::batch::RecordBatch;
 use feisu_format::Value;
-use feisu_obs::QueryEvent;
 use feisu_storage::auth::Credential;
 use feisu_tests::{fixture, fixture_with};
 use std::sync::Barrier;
@@ -342,19 +345,18 @@ fn failed_and_rejected_queries_are_logged() {
 
 /// The interleaving-independent slice of a query event: everything a
 /// client could compute from its own deterministic `QueryResult`.
-fn event_key(e: &QueryEvent) -> (String, String, String, u64, u64, u64, u64, u64, u64, u64) {
-    (
+type EventKey = ((String, String, String, u64, u64, u64), QueryStats);
+
+fn event_key(e: &QueryEvent) -> EventKey {
+    let id = (
         e.user.clone(),
         e.sql.clone(),
         e.outcome.label().to_string(),
         e.response_ns,
-        e.tasks,
         e.rows_returned,
-        e.bytes_scanned,
         e.bytes_returned,
-        e.wire_leaf_stem_bytes,
-        e.wire_stem_master_bytes,
-    )
+    );
+    (id, e.stats)
 }
 
 /// Serial and concurrent runs of a race-free workload log the same
@@ -416,8 +418,8 @@ fn event_log_serial_vs_concurrent_equivalence() {
     let concurrent = run(true);
     assert_eq!(serial.len(), clients * per_client);
     let canon = |events: Vec<QueryEvent>| {
-        let mut keys: Vec<_> = events.iter().map(event_key).collect();
-        keys.sort();
+        let mut keys: Vec<EventKey> = events.iter().map(event_key).collect();
+        keys.sort_by(|a, b| a.0.cmp(&b.0));
         keys
     };
     assert_eq!(
@@ -475,6 +477,174 @@ fn profile_summarizes_bytes_on_wire() {
     // A filtered projection ships real bytes on both legs.
     let events = fx.cluster.query_log().snapshot();
     let e = events.last().expect("event logged");
-    assert!(e.wire_leaf_stem_bytes > 0, "leaf→stem bytes recorded");
-    assert!(e.wire_stem_master_bytes > 0, "stem→master bytes recorded");
+    assert!(e.stats.wire_leaf_stem.0 > 0, "leaf→stem bytes recorded");
+    assert!(e.stats.wire_stem_master.0 > 0, "stem→master bytes recorded");
+}
+
+/// A query's logged `stats` are its `QueryResult.stats`, whatever the
+/// worker pool's width.
+#[test]
+fn logged_stats_equal_the_query_result() {
+    for threads in [1, 8] {
+        let mut spec = ClusterSpec::small();
+        spec.config.execution_threads = threads;
+        let fx = fixture_with(300, spec, "/hdfs/warehouse/clicks");
+        for sql in [
+            "SELECT url FROM clicks WHERE clicks > 30",
+            "SELECT keyword, COUNT(*) FROM clicks WHERE clicks > 10 GROUP BY keyword",
+            "SELECT COUNT(*) FROM clicks",
+        ] {
+            let r = fx.cluster.query(sql, &fx.cred).expect("query");
+            let events = fx.cluster.query_log().snapshot();
+            let e = events.last().expect("event logged");
+            assert_eq!(e.query_id, r.query_id.0);
+            assert!(e.stats.tasks > 0, "`{sql}` ran leaf tasks");
+            assert_eq!(e.stats, r.stats, "`{sql}` at {threads} threads");
+        }
+    }
+}
+
+/// An `Int64` cell of a result batch.
+fn int_at(batch: &RecordBatch, row: usize, column: &str) -> i64 {
+    match batch.value_at(row, column) {
+        Some(Value::Int64(v)) => v,
+        other => panic!("`{column}` of row {row}: {other:?}"),
+    }
+}
+
+/// `system.metrics`' window rows are a fold over `system.queries`: per
+/// series, the count, maximum, nearest-rank p50/p95/p99 and count / 60 s
+/// of the completed and partial queries that finished in the trailing 60
+/// simulated seconds. Failed and rejected queries never count, and
+/// queries that finished earlier drop out.
+#[test]
+fn window_rows_are_a_fold_over_system_queries() {
+    for threads in [1, 8] {
+        let mut spec = ClusterSpec::small();
+        spec.config.execution_threads = threads;
+        // No reuse or index, so a repeated count under a time limit is
+        // partial every time.
+        spec.task_reuse = false;
+        spec.use_smartindex = false;
+        spec.guard.max_query_len = 200;
+        let fx = fixture_with(600, spec, "/hdfs/warehouse/clicks");
+        let count = "SELECT COUNT(*) FROM clicks";
+        fx.cluster.query(count, &fx.cred).expect("cold count");
+        let warm = fx.cluster.query(count, &fx.cred).expect("warm count");
+        let limited = QueryOptions {
+            processed_ratio: 0.2,
+            time_limit: Some(SimDuration::nanos(warm.response_time.as_nanos() / 2)),
+        };
+        let oversized = format!(
+            "SELECT url FROM clicks WHERE {}clicks > 0",
+            "clicks >= 0 AND ".repeat(16)
+        );
+        for round in 0..4 {
+            for v in [10, 50, 90] {
+                let sql = format!("SELECT url FROM clicks WHERE clicks > {}", v + round);
+                fx.cluster.query(&sql, &fx.cred).expect("completed");
+            }
+            let partial = fx.cluster.query_with(count, &fx.cred, &limited);
+            assert!(partial.expect("partial").partial);
+            fx.cluster
+                .query("SELECT x FROM ghost", &fx.cred)
+                .expect_err("failed");
+            fx.cluster
+                .query(&oversized, &fx.cred)
+                .expect_err("rejected");
+            fx.cluster.advance_time(SimDuration::secs(25));
+        }
+
+        let now = fx.cluster.now().as_nanos() as i64;
+        let windows = fx
+            .cluster
+            .query(
+                "SELECT name, value, count, p50, p95, p99, rate_per_sec \
+                 FROM system.metrics WHERE kind = 'window'",
+                &fx.cred,
+            )
+            .expect("window rows");
+        let log = fx
+            .cluster
+            .query(
+                "SELECT query_id, outcome, admitted_ns, response_ns, bytes_scanned, \
+                 wire_leaf_stem_bytes, wire_rack_dc_bytes, wire_stem_master_bytes \
+                 FROM system.queries",
+                &fx.cred,
+            )
+            .expect("system.queries")
+            .batch;
+
+        // Brute force: walk every logged query the window read could see.
+        let (mut in_window, mut dropped) = (Vec::new(), 0);
+        let mut values: [(&str, Vec<i64>); 3] = [
+            ("feisu.query.bytes_on_wire", Vec::new()),
+            ("feisu.query.bytes_scanned", Vec::new()),
+            ("feisu.query.response_ns", Vec::new()),
+        ];
+        for i in 0..log.rows() {
+            if int_at(&log, i, "query_id") == windows.query_id.0 as i64 {
+                continue;
+            }
+            let Some(Value::Utf8(outcome)) = log.value_at(i, "outcome") else {
+                panic!("outcome of row {i}");
+            };
+            let response = int_at(&log, i, "response_ns");
+            let finished = int_at(&log, i, "admitted_ns") + response;
+            assert!(finished <= now, "logged before the window read");
+            let result = outcome == "completed" || outcome == "partial";
+            if finished <= now - 60_000_000_000 {
+                dropped += result as usize;
+                continue;
+            }
+            in_window.push(outcome.clone());
+            if result {
+                let wire = [
+                    "wire_leaf_stem_bytes",
+                    "wire_rack_dc_bytes",
+                    "wire_stem_master_bytes",
+                ]
+                .map(|c| int_at(&log, i, c));
+                values[0].1.push(wire.iter().sum());
+                values[1].1.push(int_at(&log, i, "bytes_scanned"));
+                values[2].1.push(response);
+            }
+        }
+        for outcome in ["completed", "partial", "failed", "rejected"] {
+            assert!(
+                in_window.iter().any(|o| o == outcome),
+                "no {outcome} query in the window"
+            );
+        }
+        assert!(
+            dropped > 0,
+            "some finished queries are older than the window"
+        );
+
+        assert_eq!(windows.batch.rows(), values.len());
+        for (row, (name, mut v)) in values.into_iter().enumerate() {
+            v.sort_unstable();
+            let n = v.len();
+            // Nearest rank: the smallest value at least a fraction q of
+            // the values do not exceed.
+            let rank = |q: f64| {
+                let at_most = |x: i64| v.iter().filter(|&&y| y <= x).count() as f64;
+                *v.iter()
+                    .find(|&&x| at_most(x) >= q * n as f64)
+                    .expect("values")
+            };
+            let b = &windows.batch;
+            assert_eq!(b.value_at(row, "name"), Some(Value::Utf8(name.into())));
+            assert_eq!(int_at(b, row, "count"), n as i64, "{name}");
+            assert_eq!(
+                b.value_at(row, "value"),
+                Some(Value::Float64(v[n - 1] as f64))
+            );
+            assert_eq!(int_at(b, row, "p50"), rank(0.50), "{name}");
+            assert_eq!(int_at(b, row, "p95"), rank(0.95), "{name}");
+            assert_eq!(int_at(b, row, "p99"), rank(0.99), "{name}");
+            let rate = n as f64 / 60.0;
+            assert_eq!(b.value_at(row, "rate_per_sec"), Some(Value::Float64(rate)));
+        }
+    }
 }
