@@ -246,6 +246,8 @@ pub(crate) struct QueryMetrics {
     pub(crate) rules_fired: Arc<Counter>,
     pub(crate) joins_reordered: Arc<Counter>,
     pub(crate) empty_pruned: Arc<Counter>,
+    /// Tasks the scheduler moved off their replica holders to a rack-mate.
+    pub(crate) rack_local_tasks: Arc<Counter>,
 }
 
 impl QueryMetrics {
@@ -266,6 +268,7 @@ impl QueryMetrics {
             rules_fired: registry.counter("feisu.optimizer.rules_fired"),
             joins_reordered: registry.counter("feisu.optimizer.joins_reordered"),
             empty_pruned: registry.counter("feisu.optimizer.empty_pruned"),
+            rack_local_tasks: registry.counter("feisu.sched.rack_local_tasks"),
         }
     }
 }

@@ -22,5 +22,5 @@ pub mod session;
 
 pub use guard::{AdmissionPermit, EntryGuard};
 pub use job_manager::JobManager;
-pub use scheduler::{Assignment, Scheduler};
+pub use scheduler::Scheduler;
 pub use session::QuerySession;

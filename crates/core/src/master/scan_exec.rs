@@ -83,6 +83,16 @@ impl FeisuCluster {
         // Schedule.
         let alive = self.nodes.alive(ctx.now);
         let assignments = Scheduler.assign_all(&replica_sets, &self.topology, &alive)?;
+        // A task off its replicas while one of them is alive was moved to a
+        // rack-mate to lower the per-node maximum.
+        let rack_local = assignments
+            .iter()
+            .zip(&replica_sets)
+            .filter(|(node, replicas)| {
+                !replicas.contains(node) && replicas.iter().any(|r| alive.binary_search(r).is_ok())
+            })
+            .count();
+        self.qmetrics.rack_local_tasks.add(rack_local as u64);
 
         // Execute, tracking per-node serialized time.
         // The signature must cover the FULL predicate — indexable clauses
@@ -149,7 +159,7 @@ impl FeisuCluster {
         let mut group_of: FxHashMap<NodeId, usize> = FxHashMap::default();
         for (i, p) in planned.iter().enumerate() {
             if matches!(p, Planned::Run { .. }) {
-                let g = *group_of.entry(assignments[i].node).or_insert_with(|| {
+                let g = *group_of.entry(assignments[i]).or_insert_with(|| {
                     groups.push(Vec::new());
                     groups.len() - 1
                 });
@@ -189,18 +199,17 @@ impl FeisuCluster {
                         tally: TimeTally::new(),
                         stats: LeafTaskStats::default(),
                     };
-                    let done = *node_time.entry(assignments[i].node).or_default();
+                    let done = *node_time.entry(assignments[i]).or_default();
                     let at = SimInstant(scan_base + done.as_nanos());
                     let span = ctx.spans.record("leaf_task", None, at, at);
-                    ctx.spans
-                        .attr(span, "node", assignments[i].node.to_string());
+                    ctx.spans.attr(span, "node", assignments[i].to_string());
                     ctx.spans.attr(span, "reused", 1u64);
                     outputs.push(TaskRun {
                         done,
                         start_ns: at.as_nanos(),
                         end_ns: at.as_nanos(),
                         span,
-                        node: assignments[i].node,
+                        node: assignments[i],
                         out,
                     });
                     continue;
@@ -379,11 +388,10 @@ impl FeisuCluster {
     fn execute_with_backup(
         &self,
         task: &ScanTask,
-        assignment: crate::master::Assignment,
+        node: NodeId,
         cred: &Credential,
         now: SimInstant,
     ) -> Result<TaskExec> {
-        let node = assignment.node;
         match self.run_on_leaf(task, node, cred, now) {
             Ok((mut out, slow)) => {
                 let mut backup = false;

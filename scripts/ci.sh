@@ -6,10 +6,11 @@
 #      the exec equivalence, optimizer reference, distinct-count sketch
 #      reference, footer mismatch, kernel equivalence, selected decode,
 #      buffer-backed Utf8 column, two-phase leaf (its count-only arm
-#      included), LRU and node-table model suites again in release with
-#      more cases, and the exec, optimizer, catalog/schema/statistics,
-#      ingest, Utf8 decode and concat, and leaf allocation budgets — a
-#      scan task's and a count-only task's — in release)
+#      included), LRU, node-table and scheduler model suites again in
+#      release with more cases, and the exec, optimizer,
+#      catalog/schema/statistics, ingest, Utf8 decode and concat, and
+#      leaf allocation budgets — a scan task's and a count-only task's —
+#      in release)
 #   4. cargo clippy --workspace --all-targets -- -D warnings (tests,
 #      examples and bins linted like the libraries)
 #   5. the observability smoke runner, `experiments --check` (every
@@ -114,10 +115,14 @@ PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-tests --test leaf_
 # Beside it, the master's node table against a plain per-node model:
 # random beats, failures, recoveries, slow marks, business loads, slot
 # acquires and releases at random instants give the same alive lists,
-# acquire answers, slot limits and system.nodes rows.
-echo "ci: lru + node table model suites (release, 2048 cases)"
+# acquire answers, slot limits and system.nodes rows. And the scheduler
+# against brute force: over random replica lists and dead nodes, the
+# per-node maximum is the least any placement on holders and alive
+# rack-mates reaches, tasks stay on holders when holders alone reach it,
+# and an already optimal greedy placement comes back unchanged.
+echo "ci: lru + node table + scheduler model suites (release, 2048 cases)"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-common --test lru_model
-PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-core --lib -- master::nodes::
+PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-core --lib -- master::nodes:: master::scheduler::
 
 echo "ci: clippy (all targets, -D warnings)"
 cargo clippy --workspace --all-targets $OFFLINE -- -D warnings
