@@ -156,6 +156,13 @@ impl CostModel {
         SimDuration::nanos((cmps as f64 * self.cpu_ns_per_sort_cmp) as u64)
     }
 
+    /// CPU cost of sorting `rows` rows: n·⌈log₂ n⌉ comparisons, floored
+    /// at two rows.
+    pub fn sort(&self, rows: usize) -> SimDuration {
+        let n = rows.max(2);
+        self.sort_cmp(n * (usize::BITS - n.leading_zeros()) as usize)
+    }
+
     /// CPU cost of projecting `rows` output rows.
     pub fn project(&self, rows: usize) -> SimDuration {
         SimDuration::nanos((rows as f64 * self.cpu_ns_per_project_row) as u64)

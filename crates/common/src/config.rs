@@ -144,7 +144,9 @@ pub struct FeisuConfig {
     pub backup_task_delay: SimDuration,
     /// The multi-tier block cache (memory + SSD per node).
     pub cache: CacheSettings,
-    /// Fan-out of the execution tree: leaves per stem server.
+    /// Fan-out of the execution tree: leaves per stem server. The master
+    /// takes the same fan-in: a level that only cuts fan-in (a row scan's,
+    /// a global aggregate's) is skipped once its nodes fit one stem.
     pub leaves_per_stem: usize,
     /// The distributed merge tree's aggregate exchange.
     pub merge_tree: MergeTreeSettings,

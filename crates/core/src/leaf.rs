@@ -21,6 +21,8 @@ use feisu_common::hash::FxHashMap;
 use feisu_common::{ByteSize, DomainId, FeisuError, NodeId, Result, SimInstant};
 use feisu_exec::aggregate::AggTable;
 use feisu_exec::batch::{BatchView, RecordBatch};
+use feisu_exec::physical::TopK;
+use feisu_exec::sort;
 use feisu_format::table::BlockDesc;
 use feisu_format::{Block, BlockMeta, Column, Field, Schema};
 use feisu_index::bitvec::BitVec;
@@ -133,6 +135,22 @@ pub struct LeafOutput {
     pub is_agg_transport: bool,
     pub tally: TimeTally,
     pub stats: LeafTaskStats,
+}
+
+impl LeafOutput {
+    /// ORDER BY … LIMIT k inside the tree: cuts the batch to its first k
+    /// rows under the keys of `top`, billing the sort as CPU, and hands
+    /// back the batch it replaced. A batch of at most k rows is left as it
+    /// is. Equal keys keep their input order, so every row of the global
+    /// top k survives its block's cut.
+    pub fn keep_top(&mut self, (keys, k): &TopK, cost: &CostModel) -> Result<Option<RecordBatch>> {
+        if self.batch.rows() as u64 <= *k {
+            return Ok(None);
+        }
+        self.tally.add_cpu(cost.sort(self.batch.rows()));
+        let cut = sort::sort(&self.batch, keys, Some(*k))?;
+        Ok(Some(std::mem::replace(&mut self.batch, cut)))
+    }
 }
 
 /// One leaf server: a node plus its SmartIndex cache.
@@ -603,7 +621,7 @@ mod tests {
     use feisu_common::{BlockId, DomainId, SimDuration, UserId};
     use feisu_format::block::chunk_decodes_on_this_thread as chunk_decodes;
     use feisu_format::block::footer_parses_on_this_thread as parses;
-    use feisu_format::{DataType, Field};
+    use feisu_format::{DataType, Field, Value};
     use feisu_obs::MetricsRegistry;
     use feisu_sql::ast::AggFunc;
     use feisu_sql::cnf::to_cnf;
@@ -759,6 +777,28 @@ mod tests {
         fn cache_stats(&self) -> CacheStats {
             self.router.cache().unwrap().stats()
         }
+    }
+
+    #[test]
+    fn keep_top_cuts_to_the_first_k_rows_and_bills_the_sort() {
+        let cost = CostModel::default();
+        let top = (vec![(Expr::col("x"), true)], 2);
+        let schema = Schema::new(vec![Field::new("x", DataType::Int64, false)]);
+        let batch = RecordBatch::new(schema, vec![Column::from_i64(vec![3, 9, 1, 9, 5])]);
+        let mut out = LeafOutput {
+            batch: batch.unwrap(),
+            is_agg_transport: false,
+            tally: TimeTally::new(),
+            stats: LeafTaskStats::default(),
+        };
+        let uncut = out.keep_top(&top, &cost).unwrap();
+        assert_eq!(uncut.map(|b| b.rows()), Some(5));
+        let xs: Vec<Value> = (0..2).map(|i| out.batch.row(i)[0].clone()).collect();
+        assert_eq!(xs, [Value::Int64(9), Value::Int64(9)]);
+        assert_eq!((out.batch.rows(), out.tally.cpu), (2, cost.sort(5)));
+        // At most k rows: nothing to cut, nothing billed.
+        assert!(out.keep_top(&top, &cost).unwrap().is_none());
+        assert_eq!((out.batch.rows(), out.tally.cpu), (2, cost.sort(5)));
     }
 
     #[test]

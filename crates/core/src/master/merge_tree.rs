@@ -9,6 +9,12 @@
 //! climb one level of submission-contiguous stems, so result row order is
 //! untouched; aggregate transports climb two, rack then data center.
 //!
+//! A level exists only where it does work. A grouped aggregate's levels
+//! fold groups and always run. Every other level only cuts the fan-in, so
+//! it is skipped once the nodes left fit one stem (`leaves_per_stem`):
+//! the root then merges them directly, billed as any level is, and their
+//! spans hang off the scan's operator span.
+//!
 //! What the kind of result changes is the merge and two billing terms.
 //! Rows concatenate ([`stem::merge_outputs`]: the largest child payload
 //! over the uplink, one predicate evaluation per row). Aggregates flow
@@ -118,6 +124,8 @@ impl FeisuCluster {
             MergeKind::Rows => &[|_| 0],
             MergeKind::Agg { .. } => &[|n| n.rack, |n| n.datacenter],
         };
+        // Only a grouped aggregate's exchange folds at every level.
+        let folds = matches!(kind, MergeKind::Agg { shape, .. } if !shape.0.is_empty());
         // The master is the root of the tree; by convention it lives on
         // the first (lowest-id) node of the topology.
         let master = self
@@ -140,6 +148,11 @@ impl FeisuCluster {
             .collect();
         let per_stem = cfg.leaves_per_stem.max(1);
         for (i, &key) in levels.iter().enumerate() {
+            // A level that only cuts the fan-in is left to the root once
+            // one stem would take every node left.
+            if !folds && nodes.len() <= per_stem {
+                break;
+            }
             let groups = self.keyed_groups(&nodes, per_stem, key)?;
             nodes = self.merge_level(ctx, nodes, &groups, kind, i + 1, None, op_span)?;
         }
@@ -163,8 +176,9 @@ impl FeisuCluster {
     /// Merges one level: each group into one stem output. Stem levels
     /// (`root` is `None`) place the stem on the group's lowest-id node,
     /// record its span and re-parent the children; the root is placed on
-    /// `root` and records none. The level's ingress is booked on the wire
-    /// leg its index names: 1 leaf→stem, 2 rack→DC, root stem→master.
+    /// `root`, records none and re-parents the children to `op_span`. The
+    /// level's ingress is booked on the wire leg its index names: 1
+    /// leaf→stem, 2 rack→DC, root stem→master.
     #[allow(clippy::too_many_arguments)]
     fn merge_level(
         &self,
@@ -281,12 +295,12 @@ impl FeisuCluster {
                 ctx.spans.attr(span, "tasks", group.len());
                 ctx.spans.attr(span, "wire_bytes", ByteSize(wire));
                 ctx.spans.attr(span, "node", stem_node.to_string());
-                for child in group.iter().filter_map(|&i| nodes[i].span) {
-                    ctx.spans.set_parent(child, Some(span));
-                }
                 ctx.spans.set_parent(span, Some(op_span));
                 span
             });
+            for child in group.iter().filter_map(|&i| nodes[i].span) {
+                ctx.spans.set_parent(child, Some(span.unwrap_or(op_span)));
+            }
             out.push(MergeNode {
                 parts,
                 tally,

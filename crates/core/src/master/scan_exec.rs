@@ -45,6 +45,7 @@ impl FeisuCluster {
             cnf,
             residual,
             agg_stage: agg,
+            top,
             name_map,
             output_schema,
             ..
@@ -154,7 +155,9 @@ impl FeisuCluster {
         // it would under serial execution; everything order-sensitive on
         // the master side is deferred to the serial merge below. All
         // simulated time comes from per-node tallies, never wall clock, so
-        // results are bit-identical at any thread count.
+        // results are bit-identical at any thread count. A top-k scan cuts
+        // each output to its first k rows here and keeps the uncut batch
+        // for the store, so any scan of the same block can reuse it.
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut group_of: FxHashMap<NodeId, usize> = FxHashMap::default();
         for (i, p) in planned.iter().enumerate() {
@@ -166,17 +169,26 @@ impl FeisuCluster {
                 groups[g].push(i);
             }
         }
+        let cost = &self.spec.cost;
         let ran = run_indexed(self.effective_threads(), groups.len(), |g| {
             groups[g]
                 .iter()
                 .map(|&i| {
-                    let exec =
-                        self.execute_with_backup(&tasks[i], assignments[i], &ctx.cred, ctx.now);
+                    let exec = self
+                        .execute_with_backup(&tasks[i], assignments[i], &ctx.cred, ctx.now)
+                        .and_then(|mut exec| {
+                            let uncut = match top {
+                                Some(top) => exec.out.keep_top(top, cost)?,
+                                None => None,
+                            };
+                            Ok((exec, uncut))
+                        });
                     (i, exec)
                 })
                 .collect::<Vec<_>>()
         });
-        let mut results: Vec<Option<Result<TaskExec>>> = (0..tasks.len()).map(|_| None).collect();
+        let mut results: Vec<Option<Result<(TaskExec, _)>>> =
+            (0..tasks.len()).map(|_| None).collect();
         for (i, exec) in ran.into_iter().flatten() {
             results[i] = Some(exec);
         }
@@ -186,19 +198,23 @@ impl FeisuCluster {
         // and span recording all happen here so their order — and thus the
         // simulated outcome — is independent of worker scheduling. Errors
         // surface as the first failing task by submission order (the rest
-        // have already run, which only warms caches).
+        // have already run, which only warms caches). A reused result is
+        // uncut, so a top-k scan cuts it here.
         let mut node_time: FxHashMap<NodeId, SimDuration> = FxHashMap::default();
         let mut outputs: Vec<TaskRun> = Vec::new();
         for (i, plan) in planned.into_iter().enumerate() {
             let signature = match plan {
                 Planned::Reused { batch, is_agg } => {
                     ctx.stats.reused_tasks += 1;
-                    let out = LeafOutput {
+                    let mut out = LeafOutput {
                         batch,
                         is_agg_transport: is_agg,
                         tally: TimeTally::new(),
                         stats: LeafTaskStats::default(),
                     };
+                    if let Some(top) = top {
+                        out.keep_top(top, cost)?;
+                    }
                     let done = *node_time.entry(assignments[i]).or_default();
                     let at = SimInstant(scan_base + done.as_nanos());
                     let span = ctx.spans.record("leaf_task", None, at, at);
@@ -216,7 +232,7 @@ impl FeisuCluster {
                 }
                 Planned::Run { signature } => signature,
             };
-            let exec = results[i].take().expect("task was executed")?;
+            let (exec, uncut) = results[i].take().expect("task was executed")?;
             let TaskExec {
                 node,
                 out: output,
@@ -228,7 +244,7 @@ impl FeisuCluster {
             ctx.stats.merge(&QueryStats::from_leaf(&output.stats));
             self.jobs.store_task(
                 signature,
-                output.batch.clone(),
+                uncut.unwrap_or_else(|| output.batch.clone()),
                 output.is_agg_transport,
                 ctx.now,
             );

@@ -28,6 +28,10 @@ use feisu_sql::ast::{Expr, JoinKind};
 use feisu_sql::cnf::{to_cnf, Cnf};
 use feisu_sql::plan::{AggExpr, AggStage, LogicalPlan};
 
+/// `ORDER BY` keys (expression, descending) and the row count k every
+/// leaf of a distributed scan keeps.
+pub type TopK = (Vec<(Expr, bool)>, u64);
+
 /// Physical operators. `DistributedScan` is the only node that touches
 /// the cluster; everything above it runs on the master over merged
 /// results.
@@ -48,6 +52,11 @@ pub enum PhysicalPlan {
         /// Partial aggregation pushed into the leaves, decided at
         /// lowering time.
         agg_stage: Option<AggStage>,
+        /// `ORDER BY keys LIMIT k` over a row scan: every leaf keeps only
+        /// its first k rows under these keys. Set by [`lower`]
+        /// when a top-k `Sort` sits directly on this scan; the master's
+        /// `Sort` still runs above it.
+        top: Option<TopK>,
         /// Canonical → storage column-name map for the whole task.
         name_map: FxHashMap<String, String>,
         /// Scan output schema in canonical (possibly qualified) names.
@@ -214,11 +223,7 @@ impl PhysicalPlan {
                     cost.join_build(l) + cost.join_probe(r)
                 }
             }
-            PhysicalPlan::Sort { .. } => {
-                // n·⌈log₂ n⌉ comparisons, floored at two rows.
-                let n = rows(0).max(2);
-                cost.sort_cmp(n * (usize::BITS - n.leading_zeros()) as usize)
-            }
+            PhysicalPlan::Sort { .. } => cost.sort(rows(0)),
         }
     }
 
@@ -239,6 +244,7 @@ impl PhysicalPlan {
                 projection,
                 predicate,
                 agg_stage,
+                top,
                 ..
             } => {
                 let _ = write!(out, "{pad}DistributedScan: {table} cols={projection:?}");
@@ -255,6 +261,9 @@ impl PhysicalPlan {
                         let _ = write!(out, " group by {}", groups.join(", "));
                     }
                     out.push(']');
+                }
+                if let Some((keys, k)) = top {
+                    let _ = write!(out, " [top {k}: {}]", sort_keys(keys));
                 }
                 out.push('\n');
             }
@@ -297,11 +306,7 @@ impl PhysicalPlan {
                 right.fmt_indent(out, level + 1);
             }
             PhysicalPlan::Sort { input, keys, fetch } => {
-                let ks: Vec<String> = keys
-                    .iter()
-                    .map(|(e, d)| format!("{e}{}", if *d { " DESC" } else { "" }))
-                    .collect();
-                let _ = writeln!(out, "{pad}Sort: [{}] fetch={fetch:?}", ks.join(", "));
+                let _ = writeln!(out, "{pad}Sort: [{}] fetch={fetch:?}", sort_keys(keys));
                 input.fmt_indent(out, level + 1);
             }
             PhysicalPlan::Limit { input, fetch } => {
@@ -313,6 +318,15 @@ impl PhysicalPlan {
             }
         }
     }
+}
+
+/// Sort keys as EXPLAIN renders them: `a, b DESC`.
+fn sort_keys(keys: &[(Expr, bool)]) -> String {
+    let keys: Vec<String> = keys
+        .iter()
+        .map(|(e, desc)| format!("{e}{}", if *desc { " DESC" } else { "" }))
+        .collect();
+    keys.join(", ")
 }
 
 /// Lowers an optimized logical plan to a physical plan, deciding
@@ -404,11 +418,32 @@ pub fn lower(plan: &LogicalPlan, catalog: &dyn Catalog) -> Result<PhysicalPlan> 
             on: on.clone(),
             output_schema: output_schema.clone(),
         }),
-        LogicalPlan::Sort { input, keys, fetch } => Ok(PhysicalPlan::Sort {
-            input: Box::new(lower(input, catalog)?),
-            keys: keys.clone(),
-            fetch: *fetch,
-        }),
+        LogicalPlan::Sort { input, keys, fetch } => {
+            let mut input = lower(input, catalog)?;
+            // A top-k directly over a row scan whose output holds every
+            // sort-key column: the leaves can keep k rows each.
+            if let (
+                PhysicalPlan::DistributedScan {
+                    agg_stage: None,
+                    top,
+                    output_schema,
+                    ..
+                },
+                Some(k),
+            ) = (&mut input, fetch)
+            {
+                let mut cols = Vec::new();
+                keys.iter().for_each(|(e, _)| e.columns(&mut cols));
+                if cols.iter().all(|c| output_schema.index_of(c).is_some()) {
+                    *top = Some((keys.clone(), *k));
+                }
+            }
+            Ok(PhysicalPlan::Sort {
+                input: Box::new(input),
+                keys: keys.clone(),
+                fetch: *fetch,
+            })
+        }
         LogicalPlan::Limit { input, fetch } => Ok(PhysicalPlan::Limit {
             input: Box::new(lower(input, catalog)?),
             fetch: *fetch,
@@ -486,6 +521,7 @@ fn lower_scan(
         cnf,
         residual,
         agg_stage,
+        top: None,
         name_map,
         output_schema: output_schema.clone(),
     })
@@ -687,6 +723,107 @@ mod tests {
             cost.predicate_eval(1),
             "empty join still charges one row"
         );
+    }
+
+    /// The `top` of every distributed scan in `p`, left before right.
+    fn scan_tops(p: &PhysicalPlan) -> Vec<Option<TopK>> {
+        match p {
+            PhysicalPlan::DistributedScan { top, .. } => vec![top.clone()],
+            _ => p.children().into_iter().flat_map(scan_tops).collect(),
+        }
+    }
+
+    #[test]
+    fn top_k_over_a_scan_reaches_the_scan() {
+        for (sql, keys) in [
+            (
+                "SELECT url, clicks FROM t1 ORDER BY clicks DESC LIMIT 10",
+                "clicks DESC",
+            ),
+            // The key need not be projected, only read by the scan.
+            (
+                "SELECT url FROM t1 WHERE score > 0 ORDER BY clicks, url LIMIT 10",
+                "clicks, url",
+            ),
+            (
+                "SELECT url, clicks FROM t1 ORDER BY clicks + 1 LIMIT 10",
+                "(clicks + 1)",
+            ),
+        ] {
+            let p = physical(sql);
+            let [Some((_, k))] = scan_tops(&p)[..] else {
+                panic!("`{sql}`: no top on the scan: {p:?}");
+            };
+            assert_eq!(k, 10, "{sql}");
+            let s = p.display_indent();
+            assert!(s.contains(&format!("[top 10: {keys}]")), "{s}");
+        }
+    }
+
+    #[test]
+    fn top_k_stays_on_the_master_over_anything_but_a_row_scan() {
+        for sql in [
+            // Over an aggregate: the scan carries an agg stage.
+            "SELECT url, COUNT(*) AS n FROM t1 GROUP BY url ORDER BY n DESC LIMIT 3",
+            "SELECT url, COUNT(*) AS n FROM t1 GROUP BY url ORDER BY url LIMIT 3",
+            // Over a join.
+            "SELECT t1.url, rank FROM t1 JOIN t2 ON t1.url = t2.url ORDER BY rank LIMIT 3",
+            // No LIMIT: nothing to cut.
+            "SELECT url, clicks FROM t1 ORDER BY clicks",
+        ] {
+            let p = physical(sql);
+            assert!(
+                scan_tops(&p).iter().all(Option::is_none),
+                "`{sql}`:\n{}",
+                p.display_indent()
+            );
+        }
+        // Plans SQL does not produce here, edited into the top-k `Sort`
+        // of a row scan: a `Project` between them, and a sort key the scan
+        // does not read.
+        let cat = catalog();
+        let sort_over_scan = |edit: fn(&mut Vec<(Expr, bool)>, &mut Box<LogicalPlan>)| {
+            let q = parse_query("SELECT url, clicks FROM t1 ORDER BY clicks LIMIT 3").unwrap();
+            let mut plan = optimize(build_plan(&analyze(&q, &cat).unwrap()).unwrap()).unwrap();
+            fn find_sort(plan: &mut LogicalPlan) -> Option<&mut LogicalPlan> {
+                match plan {
+                    LogicalPlan::Sort { .. } => Some(plan),
+                    _ => plan.children_mut().into_iter().find_map(find_sort),
+                }
+            }
+            let Some(LogicalPlan::Sort { keys, input, .. }) = find_sort(&mut plan) else {
+                panic!("no sort: {plan:?}");
+            };
+            edit(keys, input);
+            lower(&plan, &cat).unwrap()
+        };
+        let over_project = sort_over_scan(|_, input| {
+            let output_schema = input.schema().clone();
+            let exprs = (output_schema.fields().iter())
+                .map(|f| (Expr::col(&f.name), f.name.clone()))
+                .collect();
+            let scan = std::mem::replace(
+                &mut **input,
+                LogicalPlan::Empty {
+                    output_schema: output_schema.clone(),
+                },
+            );
+            **input = LogicalPlan::Project {
+                input: Box::new(scan),
+                exprs,
+                output_schema,
+            };
+        });
+        assert!(
+            (over_project.display_indent()).contains(
+                "Sort: [clicks] fetch=Some(3)\n      Project: [url AS url, clicks AS clicks]"
+            ),
+            "{}",
+            over_project.display_indent()
+        );
+        assert_eq!(scan_tops(&over_project), vec![None]);
+        let unread_key = sort_over_scan(|keys, _| keys[0].0 = Expr::col("rank"));
+        assert_eq!(scan_tops(&unread_key), vec![None]);
     }
 
     #[test]

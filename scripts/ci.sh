@@ -3,10 +3,11 @@
 #   1. cargo fmt --check
 #   2. cargo build --release
 #   3. cargo test -q (then the e2e suites again at pinned thread widths,
-#      the exec equivalence, optimizer reference, distinct-count sketch
-#      reference, footer mismatch, kernel equivalence, selected decode,
-#      buffer-backed Utf8 column, two-phase leaf (its count-only arm
-#      included), LRU, node-table and scheduler model suites again in
+#      the exec equivalence, top-k oracle parity, optimizer reference,
+#      distinct-count sketch reference, footer mismatch, kernel
+#      equivalence, selected decode, buffer-backed Utf8 column, two-phase
+#      leaf (its count-only arm included), LRU, node-table and scheduler
+#      model suites again in
 #      release with more cases, and the exec, optimizer,
 #      catalog/schema/statistics, ingest, Utf8 decode and concat, and
 #      leaf allocation budgets — a scan task's and a count-only task's —
@@ -56,9 +57,11 @@ FEISU_EXECUTION_THREADS=8 cargo test -q $OFFLINE -p feisu-tests
 echo "ci: e2e at client_threads=4"
 FEISU_CLIENT_THREADS=4 cargo test -q $OFFLINE -p feisu-tests
 
-# The columnar key layer (exec::keys) against its row-at-a-time reference:
-# the default 256 cases ran above in debug; here 2048 per property with
-# optimizations on (`PROPTEST_CASES` is read by shims/proptest), next to
+# The columnar key layer (exec::keys) against its row-at-a-time reference,
+# and ORDER BY … LIMIT k over low-cardinality keys — cut to k rows at
+# every leaf and stem — against the oracle executor row for row, in
+# order: the default 256 cases ran above in debug; here 2048 per property
+# with optimizations on (`PROPTEST_CASES` is read by shims/proptest), next to
 # the allocation budgets, whose counts are exact in any profile: the key
 # layer's, `RecordBatch::concat` of 16 Utf8 batches and a Utf8 chunk's
 # decode the same at 256 and 4,096 rows, `Catalog::table()`, a repeated
@@ -67,8 +70,9 @@ FEISU_CLIENT_THREADS=4 cargo test -q $OFFLINE -p feisu-tests
 # task's projecting a Utf8 column following neither the rows of the block
 # nor the rows it keeps, a count-only task's following nothing, and the
 # optimizer's not following the table's width.
-echo "ci: exec equivalence suite (release, 2048 cases) + allocation budgets"
+echo "ci: exec equivalence + top-k oracle parity suites (release, 2048 cases) + allocation budgets"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-exec --test equivalence --test alloc_budget
+PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-tests --test physical_pipeline_prop -- top_k
 cargo test -q --release $OFFLINE -p feisu-core --test catalog_snapshot --test leaf_alloc_budget
 cargo test -q --release $OFFLINE -p feisu-sql --test optimize_alloc_budget
 

@@ -264,3 +264,28 @@ fn oversized_results_spill_to_global_storage() {
     assert_eq!(inband.batch, big.batch);
     assert!(big.response_time > inband.response_time);
 }
+
+#[test]
+fn top_k_cuts_happen_after_the_store_so_any_scan_reuses_the_results() {
+    let mut fx = fixture(300);
+    let top = "SELECT url, clicks FROM clicks ORDER BY clicks LIMIT 2";
+    let first = fx.cluster.query(top, &fx.cred).unwrap();
+    // Each leaf shipped its first two rows only.
+    for leaf in first.profile.tree.find_all("leaf_task") {
+        assert!(leaf
+            .attr("rows")
+            .is_some_and(|v| v.to_string().parse::<u64>().unwrap() <= 2));
+    }
+    // The same scan without the LIMIT reuses every stored result, uncut.
+    let all = fx
+        .cluster
+        .query("SELECT url, clicks FROM clicks ORDER BY clicks", &fx.cred)
+        .unwrap();
+    assert_eq!(all.stats.reused_tasks, all.stats.tasks);
+    assert_eq!(all.batch.rows(), 300, "every row");
+    check_against_oracle(&mut fx, "SELECT url, clicks FROM clicks ORDER BY clicks");
+    // The cut again, from the reused results, gives the same answer.
+    let again = fx.cluster.query(top, &fx.cred).unwrap();
+    assert_eq!(again.stats.reused_tasks, again.stats.tasks);
+    assert_eq!(again.batch, first.batch);
+}

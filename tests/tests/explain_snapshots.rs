@@ -57,7 +57,7 @@ fn complex_filter_stays_on_scan_line() {
          \x20 Project: [url AS url, clicks AS clicks]\n\
          \x20   Sort: [clicks DESC] fetch=Some(3)\n\
          \x20     DistributedScan: clicks cols=[\"url\", \"clicks\"] \
-         filter=(((clicks > 5) OR (score < 0.5)) AND (keyword = 'map'))\n\
+         filter=(((clicks > 5) OR (score < 0.5)) AND (keyword = 'map')) [top 3: clicks DESC]\n\
          Rule: predicate_pushdown x1\n\
          Rule: projection_prune x1\n\
          Rule: limit_into_sort x1\n"

@@ -2,11 +2,14 @@
 //! leaves per stem and 16-row blocks, so a row scan needs several stems
 //! and the rack groups of an aggregate split at the fan-in cap. For a row
 //! scan, a global aggregate, a GROUP BY at one and at four exchange
-//! partitions, and a time-limited partial row scan with one slow node,
-//! the response time, the three wire legs and every `stem` span must be
-//! the ones recorded here. A change to stem placement, grouping, hop or
-//! merge billing, wire accounting or span bookkeeping fails this test.
+//! partitions, a time-limited partial row scan with one slow node, and an
+//! `ORDER BY … LIMIT 3` row scan, the response time, the three wire legs
+//! and every `stem` span must be the ones recorded here; so must a row
+//! scan and a global aggregate at the default fan-in, which place no stem.
+//! A change to stem placement, grouping, hop or merge billing, wire
+//! accounting or span bookkeeping fails this test.
 
+use feisu_common::config::FeisuConfig;
 use feisu_common::{NodeId, SimDuration};
 use feisu_core::engine::{ClusterSpec, QueryOptions, QueryResult};
 use feisu_obs::{AttrValue, SpanNode};
@@ -235,4 +238,82 @@ fn partial_row_scan_with_a_slow_node_is_pinned() {
             "d3 L1 t2 node-1 10202604..20812568 w1824",
         ],
     );
+}
+
+#[test]
+fn scans_that_fit_one_stem_merge_at_the_master() {
+    // At the default fan-in one stem takes every task of the 25-block
+    // table, so neither a row scan nor a global aggregate places a stem:
+    // the master merges the leaves itself.
+    let mut spec = spec(4);
+    spec.config.leaves_per_stem = FeisuConfig::default().leaves_per_stem;
+    let fx = feisu_tests::fixture_with(ROWS, spec, "/hdfs/warehouse/clicks");
+    for (sql, want) in [
+        (
+            "SELECT url, clicks FROM clicks WHERE clicks > 40",
+            "20810922ns wire 0 0 12496",
+        ),
+        (
+            "SELECT COUNT(*), SUM(clicks), MIN(score) FROM clicks",
+            "20814227ns wire 0 0 1425",
+        ),
+    ] {
+        let r = fx.cluster.query(sql, &fx.cred).expect("query");
+        check(sql, &r, &[want]);
+        let tree = &r.profile.tree;
+        assert_eq!(tree.roots.len(), 1, "{sql}: one root");
+        assert!(tree.find_all("stem").is_empty(), "{sql}: no stem");
+        let scan = tree.roots[0].find("DistributedScan").expect("scan span");
+        let leaves = scan.children.iter().filter(|c| c.name == "leaf_task");
+        assert_eq!(
+            leaves.count(),
+            r.stats.tasks,
+            "{sql}: leaves under the scan"
+        );
+        assert_eq!(tree.find_all("leaf_task").len(), r.stats.tasks, "{sql}");
+    }
+}
+
+#[test]
+fn top_k_row_scan_ships_k_rows_per_leaf_is_pinned() {
+    const K: u64 = 3;
+    let fx = feisu_tests::fixture_with(ROWS, spec(4), "/hdfs/warehouse/clicks");
+    let r = fx
+        .cluster
+        .query(
+            "SELECT url, clicks FROM clicks ORDER BY clicks DESC LIMIT 3",
+            &fx.cred,
+        )
+        .expect("query");
+    check(
+        "top-k row scan",
+        &r,
+        &[
+            "21411340ns wire 4600 0 4408",
+            "d5 L1 t2 node-4 200000..10404248 w368",
+            "d5 L1 t2 node-3 200000..10804269 w368",
+            "d5 L1 t2 node-0 200000..10604248 w368",
+            "d5 L1 t2 node-1 200000..10804269 w368",
+            "d5 L1 t2 node-2 200000..10804269 w368",
+            "d5 L1 t2 node-7 200000..10804248 w368",
+            "d5 L1 t2 node-12 200000..10404279 w368",
+            "d5 L1 t2 node-8 200000..20407012 w368",
+            "d5 L1 t1 node-10 200000..10202759 w184",
+            "d5 L1 t2 node-4 10202753..20407022 w368",
+            "d5 L1 t2 node-0 10202764..20407033 w368",
+            "d5 L1 t2 node-5 10202764..20807033 w368",
+            "d5 L1 t2 node-1 10202764..20807012 w368",
+        ],
+    );
+    // Every stem takes at most two leaves of at most k rows each.
+    let rows = |n: &SpanNode| match n.attr("rows") {
+        Some(AttrValue::U64(v)) => *v,
+        other => panic!("leaf rows: {other:?}"),
+    };
+    let stems = r.profile.tree.find_all("stem");
+    assert!(!stems.is_empty());
+    for stem in stems {
+        let shipped: u64 = stem.children.iter().map(rows).sum();
+        assert!(shipped <= 2 * K, "a stem took {shipped} rows");
+    }
 }

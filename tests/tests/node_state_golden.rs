@@ -85,11 +85,11 @@ fn fail_slow_busy_and_recover_script_is_pinned() {
         "healthy",
         step(&fx, COUNT),
         &[
-            "10802824ns backup 0 [node-0 node-1 node-0 node-1 node-2 node-3 node-3]",
-            "'node-0' true false 1 10802824 0 4",
-            "'node-1' true false 1 10802824 0 4",
-            "'node-2' true false 1 10802824 0 4",
-            "'node-3' true false 1 10802824 0 4",
+            "10602953ns backup 0 [node-0 node-1 node-2 node-3 node-0 node-1 node-3]",
+            "'node-0' true false 1 10602953 0 4",
+            "'node-1' true false 1 10602953 0 4",
+            "'node-2' true false 1 10602953 0 4",
+            "'node-3' true false 1 10602953 0 4",
         ],
     );
 
@@ -101,11 +101,11 @@ fn fail_slow_busy_and_recover_script_is_pinned() {
         "node 1 failed",
         step(&fx, ROWS),
         &[
-            "10025644054ns backup 2 [node-0 node-2 node-3 node-0 node-3 node-0 node-0]",
-            "'node-0' true false 1 10036646894 0 4",
-            "'node-1' false true 1 10802824 0 4",
-            "'node-2' true false 1 10036646894 0 4",
-            "'node-3' true false 1 10036646894 0 4",
+            "10025643554ns backup 2 [node-0 node-2 node-3 node-0 node-3 node-0 node-0]",
+            "'node-0' true false 1 10036446523 0 4",
+            "'node-1' false true 1 10602953 0 4",
+            "'node-2' true false 1 10036446523 0 4",
+            "'node-3' true false 1 10036446523 0 4",
         ],
     );
 
@@ -115,11 +115,11 @@ fn fail_slow_busy_and_recover_script_is_pinned() {
         "node 1 recovered",
         step(&fx, COUNT),
         &[
-            "800792ns backup 0 [node-0 node-1 node-0 node-1 node-2 node-3 node-3]",
-            "'node-0' true false 1 10037647702 0 4",
-            "'node-1' true false 1 10037647702 0 4",
-            "'node-2' true false 1 10037647702 0 4",
-            "'node-3' true false 1 10037647702 0 4",
+            "600920ns backup 0 [node-0 node-1 node-2 node-3 node-0 node-1 node-3]",
+            "'node-0' true false 1 10037247459 0 4",
+            "'node-1' true false 1 10037247459 0 4",
+            "'node-2' true false 1 10037247459 0 4",
+            "'node-3' true false 1 10037247459 0 4",
         ],
     );
 
@@ -130,10 +130,10 @@ fn fail_slow_busy_and_recover_script_is_pinned() {
         "node 3 failed",
         node_rows(&fx),
         &[
-            "'node-0' true false 1 10037847718 0 4",
-            "'node-1' true false 1 10037847718 0 4",
-            "'node-2' true false 1 10037847718 0 4",
-            "'node-3' true true 1 10037647702 0 4",
+            "'node-0' true false 1 10037447475 0 4",
+            "'node-1' true false 1 10037447475 0 4",
+            "'node-2' true false 1 10037447475 0 4",
+            "'node-3' true true 1 10037247459 0 4",
         ],
     );
     fx.cluster.advance_time(SimDuration::secs(10));
@@ -141,21 +141,21 @@ fn fail_slow_busy_and_recover_script_is_pinned() {
         "node 3 dead",
         node_rows(&fx),
         &[
-            "'node-0' true false 1 20038047734 0 4",
-            "'node-1' true false 1 20038047734 0 4",
-            "'node-2' true false 1 20038047734 0 4",
-            "'node-3' false true 1 10037647702 0 4",
+            "'node-0' true false 1 20037647491 0 4",
+            "'node-1' true false 1 20037647491 0 4",
+            "'node-2' true false 1 20037647491 0 4",
+            "'node-3' false true 1 10037247459 0 4",
         ],
     );
     check(
         "node 3 avoided",
         step(&fx, COUNT),
         &[
-            "10802715ns backup 0 [node-0 node-1 node-0 node-1 node-0 node-2 node-2]",
-            "'node-0' true false 1 20049050465 0 4",
-            "'node-1' true false 1 20049050465 0 4",
-            "'node-2' true false 1 20049050465 0 4",
-            "'node-3' false true 1 10037647702 0 4",
+            "10602713ns backup 0 [node-0 node-1 node-2 node-0 node-2 node-1 node-0]",
+            "'node-0' true false 1 20048450220 0 4",
+            "'node-1' true false 1 20048450220 0 4",
+            "'node-2' true false 1 20048450220 0 4",
+            "'node-3' false true 1 10037247459 0 4",
         ],
     );
 
@@ -165,11 +165,11 @@ fn fail_slow_busy_and_recover_script_is_pinned() {
         "node 2 slow",
         step(&fx, ROWS),
         &[
-            "10020636832ns backup 2 [node-0 node-1 node-2 node-0 node-1 node-0 node-2]",
-            "'node-0' true false 1 30069887313 0 4",
-            "'node-1' true false 1 30069887313 0 4",
-            "'node-2' true false 5000 30069887313 0 4",
-            "'node-3' false true 1 10037647702 0 4",
+            "10020636332ns backup 2 [node-0 node-1 node-2 node-0 node-1 node-0 node-2]",
+            "'node-0' true false 1 30069286568 0 4",
+            "'node-1' true false 1 30069286568 0 4",
+            "'node-2' true false 5000 30069286568 0 4",
+            "'node-3' false true 1 10037247459 0 4",
         ],
     );
 
@@ -181,11 +181,11 @@ fn fail_slow_busy_and_recover_script_is_pinned() {
         "node 0 busy",
         step(&fx, COUNT),
         &[
-            "10010802013ns backup 3 [node-1 node-1 node-1 node-1 node-2 node-2 node-2]",
-            "'node-0' true false 1 40080889342 0 0",
-            "'node-1' true false 1 40080889342 0 4",
-            "'node-2' true false 5000 40080889342 0 4",
-            "'node-3' false true 1 10037647702 0 4",
+            "10010602527ns backup 3 [node-1 node-2 node-2 node-1 node-1 node-1 node-2]",
+            "'node-0' true false 1 40080089111 0 0",
+            "'node-1' true false 1 40080089111 0 4",
+            "'node-2' true false 5000 40080089111 0 4",
+            "'node-3' false true 1 10037247459 0 4",
         ],
     );
 
@@ -200,11 +200,11 @@ fn fail_slow_busy_and_recover_script_is_pinned() {
         "nodes 2 and 3 recovered",
         step(&fx, ROWS),
         &[
-            "5010633502ns backup 1 [node-0 node-1 node-2 node-3 node-0 node-1 node-3]",
-            "'node-0' true false 1 45091722860 0 2",
-            "'node-1' true false 1 45091722860 0 4",
-            "'node-2' true false 5000 45091722860 0 4",
-            "'node-3' true false 1 45091722860 0 4",
+            "5010633002ns backup 1 [node-0 node-1 node-2 node-3 node-0 node-1 node-3]",
+            "'node-0' true false 1 45090922129 0 2",
+            "'node-1' true false 1 45090922129 0 4",
+            "'node-2' true false 5000 45090922129 0 4",
+            "'node-3' true false 1 45090922129 0 4",
         ],
     );
 
@@ -214,11 +214,11 @@ fn fail_slow_busy_and_recover_script_is_pinned() {
         "node 0 idle",
         step(&fx, COUNT),
         &[
-            "820656ns backup 0 [node-0 node-1 node-0 node-1 node-2 node-3 node-3]",
-            "'node-0' true false 1 45092743532 0 4",
-            "'node-1' true false 1 45092743532 0 4",
-            "'node-2' true false 5000 45092743532 0 4",
-            "'node-3' true false 1 45092743532 0 4",
+            "620914ns backup 0 [node-0 node-1 node-2 node-3 node-0 node-1 node-3]",
+            "'node-0' true false 1 45091743059 0 4",
+            "'node-1' true false 1 45091743059 0 4",
+            "'node-2' true false 5000 45091743059 0 4",
+            "'node-3' true false 1 45091743059 0 4",
         ],
     );
 }

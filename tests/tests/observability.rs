@@ -8,7 +8,10 @@ use feisu_tests::{fixture, fixture_with};
 
 #[test]
 fn profile_renders_master_stem_leaf_tree() {
-    let fx = fixture(500);
+    // Two leaves per stem, so a row scan's fan-in needs stems.
+    let mut spec = ClusterSpec::small();
+    spec.config.leaves_per_stem = 2;
+    let fx = fixture_with(500, spec, "/hdfs/warehouse/clicks");
     let r = fx
         .cluster
         .query("SELECT url FROM clicks WHERE clicks > 50", &fx.cred)
@@ -214,7 +217,7 @@ fn repeat_zone_skips_are_memory_served_and_first_touches_are_not() {
     let warm = fx.cluster.query(sql, &fx.cred).unwrap();
     assert_eq!(cold.batch, warm.batch);
 
-    assert_eq!(cold.response_time.as_nanos(), 30_633_122);
+    assert_eq!(cold.response_time.as_nanos(), 30_632_880);
     assert_eq!(cold.stats.bytes_read, ByteSize(2080));
     assert_eq!(
         (cold.stats.blocks_skipped, cold.stats.blocks_scanned),

@@ -458,7 +458,11 @@ fn chrome_trace_export_has_the_span_tree() {
 /// virtual tables do not perturb it.
 #[test]
 fn profile_summarizes_bytes_on_wire() {
-    let fx = fixture(100);
+    // Two leaves per stem and four blocks, so a row scan's fan-in needs
+    // stems.
+    let mut spec = ClusterSpec::small();
+    spec.config.leaves_per_stem = 2;
+    let fx = fixture_with(200, spec, "/hdfs/warehouse/clicks");
     let r = fx
         .cluster
         .query("SELECT url FROM clicks WHERE clicks > 30", &fx.cred)
