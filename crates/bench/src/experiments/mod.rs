@@ -16,6 +16,7 @@ mod ablation_backup_tasks;
 mod ablation_index_compression;
 mod ablation_task_reuse;
 mod ablation_ttl;
+mod data_cache;
 mod fig04;
 mod fig05;
 mod fig08;
@@ -41,6 +42,7 @@ pub const ALL: &[Experiment] = &[
     ("fig10", fig10::run),
     ("fig11", fig11::run),
     ("fig12", fig12::run),
+    ("data_cache", data_cache::run),
     ("production_mix", production_mix::run),
     ("ablation_task_reuse", ablation_task_reuse::run),
     (

@@ -16,7 +16,7 @@
 //! one `Touch`, and one `bill` prices every exit.
 
 use feisu_cluster::simclock::TimeTally;
-use feisu_cluster::CostModel;
+use feisu_cluster::{CostModel, StorageMedium};
 use feisu_common::hash::FxHashMap;
 use feisu_common::{ByteSize, DomainId, FeisuError, NodeId, Result, SimInstant};
 use feisu_exec::aggregate::AggTable;
@@ -34,7 +34,7 @@ use feisu_sql::cnf::{Clause, Cnf, SimplePredicate};
 use feisu_sql::eval::eval_truth;
 use feisu_sql::exprutil::{rename_cnf, rename_expr};
 use feisu_storage::auth::Credential;
-use feisu_storage::{Bytes, CacheTier, ReadResult, StorageRouter};
+use feisu_storage::{BlockRead, Bytes, CacheTier, Domain, StorageRouter};
 use std::ops::ControlFlow::{self, Break, Continue};
 use std::sync::Arc;
 
@@ -61,8 +61,9 @@ pub struct ScanTask {
     pub name_map: FxHashMap<String, String>,
 }
 
-/// Which tier of the storage hierarchy ultimately served a task's data.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Which tier of the storage hierarchy ultimately served a task's data:
+/// of the tiers that served its chunks, the slowest.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ServedTier {
     /// No data was read at all: answered from cached SmartIndex bits, or
     /// skipped by the zone maps of a footer already resident on the node.
@@ -121,7 +122,7 @@ pub struct LeafTaskStats {
     /// Domain that owns the scanned block (`None` until the task touches
     /// storage — pruned/index-served tasks never resolve it).
     pub backend: Option<DomainId>,
-    /// Cache tier that served the block bytes.
+    /// The slowest tier that served a chunk of the block.
     pub served_tier: ServedTier,
     pub rows_in: usize,
     pub rows_out: usize,
@@ -185,10 +186,11 @@ struct Touch<'a> {
     /// predicate evaluation each.
     clauses: usize,
     /// The footer decided on, `skipped` if its zones disproved the CNF;
-    /// the read and its domain, unless bits or a resident footer answered.
+    /// the block's read, with the tier of each chunk read, and its domain,
+    /// unless bits or a resident footer answered.
     footer: Option<Arc<BlockMeta>>,
     skipped: bool,
-    read: Option<(ReadResult, DomainId)>,
+    read: Option<(BlockRead, &'a Domain)>,
     /// Storage names of the columns evaluated and materialized; one the
     /// block lacks is neither decoded nor billed.
     evaluated: Vec<String>,
@@ -272,11 +274,23 @@ impl LeafServer {
             Break(answer) => return Ok(answer),
             Continue(held) => held,
         };
-        let (data, meta) = match self.footer_decision(c, t)? {
+        let read = match self.footer_decision(c, t)? {
             Break(answer) => return Ok(answer),
             Continue(read) => read,
         };
-        let (block, bits) = evaluate(c, held, &data, &meta, t)?;
+        let held = held.unwrap_or_else(|| lookup(c));
+        // The task's residuals, then the CNF clauses that are not
+        // all-simple, which the leaf reads as residuals too (`lower` never
+        // emits one).
+        let residuals: Vec<Expr> = (c.task.residual.iter())
+            .map(|e| rename_expr(e, &c.task.name_map))
+            .chain(opaque(&c.cnf).map(Clause::to_expr))
+            .collect();
+        let (data, meta) = match self.fetch(c, &held, &residuals, read, t)? {
+            Break(answer) => return Ok(answer),
+            Continue(fetched) => fetched,
+        };
+        let (block, bits) = evaluate(c, &held, residuals, (&data, &meta), t)?;
         match count_or_materialize(c, &block, &bits, (&data, &meta), t)? {
             Break(answer) => Ok(answer),
             Continue(batch) => aggregate(c, batch, t),
@@ -284,26 +298,77 @@ impl LeafServer {
     }
 
     /// Rung 2, the footer decision: a footer resident on this node decides
-    /// from memory; otherwise the block is read and its footer (parsed at
-    /// most once) decides, unless it is the resident one already checked —
-    /// a read replaces a stale one, after a rewrite.
-    fn footer_decision(&self, c: &Climb, t: &mut Touch) -> Rung<(Bytes, Arc<BlockMeta>)> {
+    /// from memory; otherwise the block's metadata chunk is read and its
+    /// footer, parsed once, decides.
+    fn footer_decision<'a>(&self, c: &Climb<'a>, t: &mut Touch<'a>) -> Rung<BlockRead> {
         let (router, path) = (c.router, &c.task.block.path);
-        let resident = router.resident_footer(path, self.node, c.cred, c.now)?;
-        if let Some(meta) = resident.as_ref().filter(|m| zones_disprove(&c.cnf, m)) {
-            (t.footer, t.skipped) = (Some(meta.clone()), true);
-            return Ok(Break(Answer::Empty));
+        let read = match router.resident_footer(path, self.node, c.cred, c.now)? {
+            Some(meta) => BlockRead::resident(meta),
+            None => router.read_block(path, self.node, c.cred, c.now)?,
+        };
+        (t.footer, t.skipped) = (Some(read.meta.clone()), zones_disprove(&c.cnf, &read.meta));
+        if !t.skipped {
+            return Ok(Continue(read));
         }
-        let decided = resident.as_ref().map(Arc::as_ptr);
-        let (read, meta) = router.read_block(path, self.node, c.cred, c.now, resident)?;
-        let data = read.data.clone();
-        t.read = Some((read, router.domain_of(path).id()));
-        t.skipped = decided != Some(Arc::as_ptr(&meta)) && zones_disprove(&c.cnf, &meta);
-        t.footer = Some(meta.clone());
+        if !read.served.is_empty() {
+            self.settle(c, read, &[], t)?;
+        }
+        Ok(Break(Answer::Empty))
+    }
+
+    /// Rung 3, fetch: reads the chunks of the columns phase one evaluates —
+    /// predicates without a held handle, every column a residual names —
+    /// and, unless the task counts, of its projection. A fetch that finds
+    /// the block rewritten decides on the new footer's zones.
+    fn fetch<'a>(
+        &self,
+        c: &Climb<'a>,
+        held: &[Option<Held>],
+        residuals: &[Expr],
+        read: BlockRead,
+        t: &mut Touch<'a>,
+    ) -> Rung<(Bytes, Arc<BlockMeta>)> {
+        let mut evaluated = Vec::new();
+        for (i, p) in simple_predicates(&c.cnf).enumerate() {
+            if !matches!(held.get(i), Some(Some(_))) {
+                evaluated.push(p.column.clone());
+            }
+        }
+        residuals.iter().for_each(|e| e.columns(&mut evaluated));
+        if !c.counts {
+            t.materialized = &c.task.projection;
+        }
+        let schema = &read.meta.schema;
+        let names = evaluated.iter().chain(t.materialized);
+        let mut columns: Vec<usize> = names.filter_map(|n| schema.index_of(n)).collect();
+        columns.sort_unstable();
+        columns.dedup();
+        t.evaluated = evaluated;
+        let decided = Arc::as_ptr(&read.meta);
+        let data = self.settle(c, read, &columns, t)?;
+        let meta = t.footer.clone().expect("fetched");
+        t.skipped = decided != Arc::as_ptr(&meta) && zones_disprove(&c.cnf, &meta);
         Ok(match t.skipped {
             true => Break(Answer::Empty),
             false => Continue((data, meta)),
         })
+    }
+
+    /// Fetches `columns` of the block `read` began (none: settles what the
+    /// footer read began) and keeps the read, its footer and its domain in
+    /// the touch.
+    fn settle<'a>(
+        &self,
+        c: &Climb<'a>,
+        mut read: BlockRead,
+        columns: &[usize],
+        t: &mut Touch<'a>,
+    ) -> Result<Bytes> {
+        let (router, path) = (c.router, &c.task.block.path);
+        let data = router.fetch(path, self.node, c.cred, c.now, &mut read, columns)?;
+        t.footer = Some(read.meta.clone());
+        t.read = Some((read, router.domain_of(path)));
+        Ok(data)
     }
 
     /// Turns a task's answer into its output, billed for what it touched.
@@ -334,7 +399,7 @@ impl LeafServer {
         let decided = cost.predicate_eval(t.clauses.max(1));
         let footer = t.footer.as_ref().map(|m| ByteSize(m.meta_bytes as u64));
         let footer = footer.unwrap_or_default();
-        let Some((read, backend)) = &t.read else {
+        let Some((read, domain)) = &t.read else {
             // Cached bits answered, or a resident footer: all in memory.
             stats.served_from_memory = true;
             if t.skipped {
@@ -343,53 +408,74 @@ impl LeafServer {
             tally.add_cpu(decided);
             return (tally, stats);
         };
-        stats.backend = Some(*backend);
-        stats.served_tier = match read.cache_tier {
+        stats.backend = Some(domain.id());
+        // Each tier that served chunks is billed on its own: a memory-tier
+        // hit pays the cache access floor instead of a device seek and
+        // streams at memory rates, and only chunks the domain served pay
+        // its network hops and, once per task, its fixed penalty
+        // (Fatman's wake-up).
+        let plain_read = |tier, size| match tier {
+            Some(CacheTier::Memory) => cost.mem_cache_read(size),
+            Some(CacheTier::Ssd) => cost.read(StorageMedium::Ssd, size),
+            None => cost.read(domain.medium(), size),
+        };
+        let label = |tier| match tier {
             Some(CacheTier::Memory) => ServedTier::MemCache,
             Some(CacheTier::Ssd) => ServedTier::SsdCache,
             None if read.hops == 0 => ServedTier::LocalDisk,
             None => ServedTier::Remote,
         };
-        // A memory-tier cache hit pays the cache access floor instead of a
-        // device seek and streams at memory rates. The domain's fixed
-        // penalties (Fatman's wake-up) are what it charged beyond the plain
-        // medium model, and a footer-only read pays them too.
-        let mem_tier = read.cache_tier == Some(CacheTier::Memory);
-        let access = match mem_tier {
-            true => cost.mem_cache_seek,
-            false => cost.seek(read.medium),
+        let missed = |tally: &mut TimeTally, tier: Option<CacheTier>, bytes| {
+            if tier.is_none() {
+                tally.add_io(domain.wake_penalty());
+                tally.add_network(cost.network(read.hops, bytes));
+            }
         };
-        let plain_read = |size| match mem_tier {
-            true => cost.mem_cache_read(size),
-            false => cost.read(read.medium, size),
-        };
-        let domain_extra = read.cost.io.saturating_sub(plain_read(t.stored_size));
         if t.skipped {
-            stats.bytes_read = footer;
-            tally.add_io(domain_extra + plain_read(footer));
-            tally.add_network(cost.network(read.hops, footer));
+            // A zone skip read the metadata chunk alone.
+            let tier = read.tier(0);
+            missed(&mut tally, tier, footer);
+            (stats.served_tier, stats.bytes_read) = (label(tier), footer);
+            tally.add_io(plain_read(tier, footer));
             tally.add_cpu(decided);
             return (tally, stats);
         }
-        // A scan: the touched columns' share of the stored bytes by
-        // estimated width, one access each (a column is its own extent).
+        // A scan: per tier, the touched columns' share of the stored bytes
+        // by estimated width, one access each (a column is its own
+        // extent); a task that touched no column read the metadata chunk.
         stats.blocks_scanned = 1;
         let fields = t.footer.as_ref().map_or(&[][..], |m| m.schema.fields());
-        let width = |f: &&Field| f.data_type.estimated_width();
-        let touched: Vec<&Field> = fields
-            .iter()
-            .filter(|f| t.evaluated.contains(&f.name) || t.materialized.contains(&f.name))
-            .collect();
-        let total: usize = fields.iter().map(|f| width(&f)).sum();
-        let share = match total {
-            0 => 1.0,
-            _ => (touched.iter().map(width).sum::<usize>() as f64 / total as f64).clamp(0.0, 1.0),
+        let width = |f: &Field| f.data_type.estimated_width();
+        let total: usize = fields.iter().map(width).sum();
+        let charge = |touched: usize| {
+            let share = match total {
+                0 => 1.0,
+                _ => (touched as f64 / total as f64).clamp(0.0, 1.0),
+            };
+            ByteSize((t.stored_size.as_u64() as f64 * share).ceil() as u64)
         };
-        let charged = ByteSize((t.stored_size.as_u64() as f64 * share).ceil() as u64);
+        // (tier, columns, width) for each tier that served a column.
+        let mut groups: Vec<(Option<CacheTier>, u64, usize)> = Vec::new();
+        for (i, f) in fields.iter().enumerate() {
+            if t.evaluated.contains(&f.name) || t.materialized.contains(&f.name) {
+                let tier = read.tier(i + 1);
+                match groups.iter_mut().find(|g| g.0 == tier) {
+                    Some(g) => (g.1, g.2) = (g.1 + 1, g.2 + width(f)),
+                    None => groups.push((tier, 1, width(f))),
+                }
+            }
+        }
+        if groups.is_empty() {
+            groups.push((read.tier(0), 1, 0));
+        }
+        let charged = charge(groups.iter().map(|g| g.2).sum());
         stats.bytes_read = charged;
-        let ncols = touched.len().max(1) as u64;
-        tally.add_io(domain_extra + access * ncols + plain_read(charged).saturating_sub(access));
-        tally.add_network(cost.network(read.hops, charged));
+        for &(tier, columns, touched) in &groups {
+            let (access, bytes) = (plain_read(tier, ByteSize::ZERO), charge(touched));
+            stats.served_tier = stats.served_tier.max(label(tier));
+            missed(&mut tally, tier, bytes);
+            tally.add_io(access * columns + plain_read(tier, bytes).saturating_sub(access));
+        }
         let fresh = t.stats.index_built + t.stats.scanned_predicates;
         tally.add_cpu(
             cost.decompress(charged)
@@ -445,60 +531,45 @@ fn cached_selection(c: &Climb, t: &mut Touch) -> Rung<Option<Vec<Option<Held>>>>
     Ok(Break(Answer::Count(t.stats.rows_out)))
 }
 
-/// Rung 3, evaluate — phase one: decode exactly the evaluated columns
-/// (predicates without a held handle, and every column a residual names)
-/// and evaluate the CNF, then the residuals, to the final selection.
+/// Rung 4, evaluate — phase one: decode exactly the evaluated columns the
+/// fetch decided on and evaluate the CNF, then the residuals, to the final
+/// selection.
 fn evaluate(
     c: &Climb,
-    held: Option<Vec<Option<Held>>>,
-    data: &[u8],
-    meta: &BlockMeta,
+    held: &[Option<Held>],
+    residuals: Vec<Expr>,
+    (data, meta): (&[u8], &BlockMeta),
     t: &mut Touch,
 ) -> Result<(Block, BitVec)> {
-    let held = held.unwrap_or_else(|| lookup(c));
-    // The task's residuals, then the CNF clauses that are not all-simple,
-    // which the leaf reads as residuals too (`lower` never emits one).
-    let residuals: Vec<Expr> = (c.task.residual.iter())
-        .map(|e| rename_expr(e, &c.task.name_map))
-        .chain(opaque(&c.cnf).map(Clause::to_expr))
-        .collect();
-    let mut evaluated = Vec::new();
-    for (i, p) in simple_predicates(&c.cnf).enumerate() {
-        if !matches!(held.get(i), Some(Some(_))) {
-            evaluated.push(p.column.clone());
-        }
-    }
-    residuals.iter().for_each(|e| e.columns(&mut evaluated));
     // A name the stored schema lacks is not decoded, so the lookups
     // downstream surface the errors a full decode would.
-    let mut names: Vec<&str> = evaluated.iter().map(String::as_str).collect();
+    let mut names: Vec<&str> = t.evaluated.iter().map(String::as_str).collect();
     names.retain(|n| meta.schema.index_of(n).is_some());
     let block = meta.decode_columns(data, &names)?;
-    let mut bits = selection(c, &block, &held, t)?;
+    let mut bits = selection(c, &block, held, t)?;
     if !residuals.is_empty() {
         bits = apply_residual(&block, &bits, &residuals)?;
     }
-    (t.rows, t.residuals, t.evaluated) = (block.rows(), residuals.len(), evaluated);
+    (t.rows, t.residuals) = (block.rows(), residuals.len());
     t.stats.rows_out = bits.count_ones();
     Ok((block, bits))
 }
 
-/// Rung 4: a count is the selection's bit count; anything else is phase
+/// Rung 5: a count is the selection's bit count; anything else is phase
 /// two, materialize: a column phase one decoded is gathered by the
 /// selection words, any other decoded through the selection, each distinct
 /// name once, so unselected rows are never built.
-fn count_or_materialize<'a>(
-    c: &Climb<'a>,
+fn count_or_materialize(
+    c: &Climb,
     block: &Block,
     bits: &BitVec,
     (data, meta): (&[u8], &BlockMeta),
-    t: &mut Touch<'a>,
+    t: &Touch,
 ) -> Rung<RecordBatch> {
     if c.counts {
         return Ok(Break(Answer::Count(t.stats.rows_out)));
     }
     let task = c.task;
-    t.materialized = &task.projection;
     let words = bits.words();
     let mut late: Vec<&str> = Vec::new();
     for name in &task.projection {
@@ -530,7 +601,7 @@ fn count_or_materialize<'a>(
     Ok(Continue(batch))
 }
 
-/// Rung 5: the optional leaf-side partial aggregation.
+/// Rung 6: the optional leaf-side partial aggregation.
 fn aggregate(c: &Climb, batch: RecordBatch, t: &mut Touch) -> Result<Answer> {
     let Some(agg) = &c.task.agg else {
         return Ok(Answer::Rows(batch));
@@ -643,9 +714,19 @@ mod tests {
     /// One 256-row block (`a` = 0..256, `b` = a % 50) on HDFS, read from
     /// node 0 through a block cache that admits everything.
     fn rig() -> Rig {
+        let hdfs = |topology, cost| Domain::hdfs(DomainId(1), "hdfs", topology, cost, 3, 7);
+        let settings = CacheSettings {
+            enabled: true,
+            ..CacheSettings::default()
+        };
+        rig_on(hdfs, settings)
+    }
+
+    /// The rig over another domain (id 1) and another block cache.
+    fn rig_on(domain: fn(Arc<Topology>, CostModel) -> Domain, settings: CacheSettings) -> Rig {
         let topology = Arc::new(Topology::grid(1, 2, 2));
         let cost = CostModel::default();
-        let hdfs = Domain::hdfs(DomainId(1), "hdfs", topology, cost.clone(), 3, 7);
+        let hdfs = domain(topology, cost.clone());
         let auth = Arc::new(AuthService::new(9));
         auth.register(UserId(1));
         auth.grant(UserId(1), DomainId(1), Grant::ReadWrite);
@@ -653,10 +734,7 @@ mod tests {
             .issue(UserId(1), SimInstant(0), SimDuration::hours(8))
             .unwrap();
         let cache = TieredCache::new(
-            CacheSettings {
-                enabled: true,
-                ..CacheSettings::default()
-            },
+            settings,
             vec![CachePin {
                 path_prefix: "/".into(),
             }],
@@ -943,5 +1021,107 @@ mod tests {
         assert_eq!(decoded, 0);
         assert!(again.stats.blocks_skipped == 1 && again.stats.served_from_memory);
         assert_eq!(again.batch, first.batch);
+    }
+
+    fn fatman(topology: Arc<Topology>, cost: CostModel) -> Domain {
+        Domain::fatman(DomainId(1), "ffs", topology, cost, 2, 7)
+    }
+
+    fn leaf_on(node: u64) -> LeafServer {
+        let index = IndexManager::new(ByteSize::mib(4), SimDuration::hours(72));
+        LeafServer::new(NodeId(node), index, CostModel::default())
+    }
+
+    #[test]
+    fn a_task_one_tier_serves_is_billed_as_a_whole_block_read_was() {
+        use ServedTier::{LocalDisk, MemCache, Remote, SsdCache};
+        // `SELECT a FROM t WHERE b > 10` three times from one node: every
+        // chunk missed, then every chunk from SSD, then from memory. The
+        // (io, network) tallies in ns are the ones the whole-block cache
+        // billed; the CPU share never depended on the tier.
+        let settings = CacheSettings {
+            enabled: true,
+            ..CacheSettings::default()
+        };
+        let fatman = rig_on(fatman, settings);
+        let cases = [
+            (
+                rig(),
+                0,
+                [(10_001_320, 0, LocalDisk), (120_330, 0, SsdCache)],
+            ),
+            (
+                rig(),
+                3,
+                [(10_001_320, 201_056, Remote), (120_330, 0, SsdCache)],
+            ),
+            (
+                fatman,
+                3,
+                [(210_001_320, 201_056, Remote), (120_330, 0, SsdCache)],
+            ),
+        ];
+        for (r, node, [miss, ssd]) in cases {
+            let leaf = leaf_on(node);
+            for (io, network, tier) in [miss, ssd, (10_013, 0, MemCache)] {
+                let task = r.task("b > 10");
+                let out = (leaf.execute(&task, &r.router, &r.cred, SimInstant(0), false)).unwrap();
+                let tally = (out.tally.io, out.tally.cpu, out.tally.network);
+                let billed = (SimDuration(io), SimDuration(578), SimDuration(network));
+                assert_eq!(tally, billed, "{tier} from node {node}");
+                assert_eq!(
+                    (out.stats.served_tier, out.stats.bytes_read),
+                    (tier, ByteSize(132))
+                );
+            }
+        }
+        // A first-touch zone skip reads the metadata chunk alone, billed as
+        // the footer read always was.
+        let (skip, _) = rig().count("a > 1000", false);
+        assert_eq!(skip.tally.io, SimDuration(5_000_780));
+    }
+
+    #[test]
+    fn a_mixed_task_pays_the_wake_up_once_and_network_for_the_missed_bytes_only() {
+        let cost = CostModel::default();
+        // An SSD tier exactly one block big, on Fatman; node 3 holds no
+        // replica.
+        let settings = CacheSettings {
+            enabled: true,
+            mem_capacity_per_node: ByteSize::ZERO,
+            ssd_capacity_per_node: rig().block.stored_size,
+            ..CacheSettings::default()
+        };
+        let r = rig_on(fatman, settings);
+        let leaf = leaf_on(3);
+        let run = |predicate| {
+            let task = r.task(predicate);
+            leaf.execute(&task, &r.router, &r.cred, SimInstant(0), false)
+                .unwrap()
+        };
+        // `a` alone, read with the whole block: `b` enters speculative...
+        let first = run("1 = 1");
+        let half = r.bytes_of(0.5);
+        let wake = SimDuration::millis(200);
+        assert_eq!(first.tally.io, wake + cost.read(StorageMedium::Hdd, half));
+        assert!(first.tally.network > SimDuration::ZERO);
+        // ...and is the chunk a one-byte object pushes out.
+        let t0 = SimInstant(0);
+        let other = Bytes::from_static(b"x");
+        r.router
+            .write("/t/x", other, Some(NodeId(0)), &r.cred, t0)
+            .unwrap();
+        r.router.read("/t/x", NodeId(3), &r.cred, t0).unwrap();
+        // `a` from SSD, `b` from Fatman: one access each at its own tier,
+        // one wake-up, and network for `b`'s bytes alone — as many as `a`'s.
+        let mixed = run("b > 10");
+        let ssd = cost.read(StorageMedium::Ssd, half);
+        assert_eq!(
+            mixed.tally.io,
+            wake + ssd + cost.read(StorageMedium::Hdd, half)
+        );
+        assert_eq!(mixed.tally.network, first.tally.network);
+        assert_eq!(mixed.stats.served_tier, ServedTier::Remote);
+        assert_eq!(mixed.stats.bytes_read, r.block.stored_size);
     }
 }

@@ -484,6 +484,11 @@ impl BlockMeta {
         size_of::<BlockMeta>() + fields + zones + self.directory.len() * size_of::<(usize, usize)>()
     }
 
+    /// Byte length of each column chunk, in schema order.
+    pub fn chunk_lens(&self) -> impl Iterator<Item = u64> + '_ {
+        self.directory.iter().map(|&(_, len)| len as u64)
+    }
+
     /// Decodes only the named columns of `buf` through this footer — the
     /// same contract as [`Block::deserialize_columns`] without the parse.
     /// `buf` must be the bytes this footer [`describes`](Self::describes);

@@ -1,38 +1,43 @@
-//! Multi-tier per-node block cache (paper §IV-B, rebuilt).
+//! Multi-tier per-node block cache (paper §IV-B, rebuilt), kept per
+//! column chunk.
 //!
-//! The paper's SSD cache admits by manually curated path prefixes,
-//! because with fully ad-hoc workloads automatic policies saw >80% miss
-//! rates. This subsystem keeps those prefix rules as *pin overrides* but
-//! grows the cache into the shape that works at fleet scale (see "Data
-//! Caching for Enterprise-Grade Petabyte-Scale OLAP" in PAPERS.md):
+//! The paper's SSD cache admits by manually curated path prefixes (fully
+//! ad-hoc workloads saw >80% miss rates with automatic policies), and
+//! serves column locality: a few columns of a wide table are hit again and
+//! again (Fig. 4). This subsystem keeps the prefix rules as *pin
+//! overrides* and, like "Data Caching for Enterprise-Grade Petabyte-Scale
+//! OLAP" (PAPERS.md), caches what reads touch rather than whole files:
 //!
-//! * **Two tiers per node** — a DRAM tier in front of the SSD tier.
-//!   Blocks enter the hierarchy at the SSD tier and are promoted into
-//!   memory on their next hit; memory evictions demote back to SSD.
-//! * **Ghost-LRU admission** — a per-node shadow LRU remembers
-//!   once-seen and recently-evicted keys. An unpinned block is admitted
-//!   only on its *second* sighting, so one-hit-wonder scans never evict
-//!   hot blocks.
-//! * **Sharded locks** — node state is spread over [`SHARDS`] mutexes
-//!   keyed by node id, so leaf probes on different nodes never contend
-//!   (the old implementation serialized every probe cluster-wide).
-//! * **Quotas** — per-user byte budgets per node, attributed from the
-//!   session credential that triggered the read. An over-quota user
-//!   evicts its own coldest entries first; an entry that cannot fit its
+//! * **Chunks** — a block is its metadata chunk (header + footer, chunk
+//!   0) and one chunk per column (column `i` is chunk `i + 1`); any other
+//!   object is one chunk. Residency, weight, recency and tier are kept per
+//!   chunk, over one shared copy of the object's bytes.
+//! * **Two tiers per node** — DRAM in front of SSD. Chunks enter at the
+//!   SSD tier; an SSD hit promotes every SSD-resident chunk of its object,
+//!   and memory evictions demote back to SSD.
+//! * **Ghost-LRU admission, per object** — an unpinned object is admitted
+//!   on its *second* sighting within a per-node shadow LRU of paths, so
+//!   one-hit-wonder scans never evict hot data. The fetch is the whole
+//!   object, so it enters whole; the chunks the admitting read did not
+//!   touch enter *speculative*.
+//! * **Speculative chunks leave first** — in each tier every speculative
+//!   chunk is evicted, coldest first, before any touched chunk. A hit makes
+//!   a speculative chunk an ordinary one.
+//! * **Sharded locks** — node state is spread over [`SHARDS`] mutexes keyed
+//!   by node id; a probe takes its node's lock once, whatever its chunks.
+//! * **Quotas** — per-user budgets of chunk bytes per node, attributed from
+//!   the session credential that triggered the read. An over-quota user
+//!   evicts its own coldest chunks first; an object that cannot fit its
 //!   owner's quota is rejected even when pinned.
-//! * **TTL + path-keyed invalidation** — entries expire after an
-//!   optional TTL, and `invalidate_path` (hooked into every ingest
-//!   write) drops a rewritten path from every node so re-ingested data
-//!   can never be served stale.
+//! * **TTL + path-keyed invalidation** — an object's chunks expire an
+//!   optional TTL after its admission, and `invalidate_path` (hooked into
+//!   every ingest write) drops every chunk of a path from every node.
 //!
-//! Recency and byte accounting of the tiers and the ghost are
-//! [`feisu_common::lru::Lru`]; what this file adds is when to evict and
-//! where a victim goes.
-//!
-//! Everything is deterministic given a deterministic call sequence: the
-//! structure keeps no wall-clock state, and all statistics are exact
-//! totals (atomic counters, bumped where the event happens), so race-free
-//! workloads remain bit-identical serial vs concurrent (DESIGN.md §15).
+//! Recency and byte accounting are [`feisu_common::lru::Lru`]; what this
+//! file adds is when to evict and where a victim goes. Everything is
+//! deterministic given a deterministic call sequence, and all statistics
+//! are exact totals, so race-free workloads remain bit-identical serial vs
+//! concurrent (DESIGN.md §15).
 
 use bytes::Bytes;
 use feisu_common::config::CacheSettings;
@@ -48,7 +53,7 @@ use std::sync::Arc;
 /// distinct locks.
 pub const SHARDS: usize = 64;
 
-/// Which tier of the hierarchy holds (or served) an entry.
+/// Which tier of the hierarchy holds (or served) a chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheTier {
     /// The per-node DRAM tier.
@@ -75,17 +80,40 @@ pub struct CachePin {
 }
 
 /// Attribution of an admission for quota accounting: the user whose
-/// query read the block.
+/// query read the object.
 #[derive(Debug, Clone, Copy)]
 pub struct CacheAttr {
     pub user: UserId,
 }
 
-/// One successful probe: the bytes and the tier that held them.
+/// A probe of an object the node holds chunks of: the object's bytes and,
+/// per chunk asked for, the tier that served it (`None`: not resident).
 #[derive(Debug, Clone)]
 pub struct CacheHit {
     pub data: Bytes,
-    pub tier: CacheTier,
+    pub tiers: Vec<Option<CacheTier>>,
+}
+
+/// An object fetched whole from its domain and offered to a node's cache.
+#[derive(Debug, Clone)]
+pub struct Offer {
+    pub data: Bytes,
+    /// Byte length of each chunk.
+    pub chunks: Vec<u64>,
+    /// The chunks the read touched; the others enter as speculative.
+    pub touched: Vec<usize>,
+}
+
+impl Offer {
+    /// An object that is one chunk, touched by the read.
+    pub fn whole(data: Bytes) -> Offer {
+        let (chunks, touched) = (vec![data.len() as u64], vec![0]);
+        Offer {
+            data,
+            chunks,
+            touched,
+        }
+    }
 }
 
 /// One `system.cache` introspection row (per node, per tier).
@@ -93,6 +121,7 @@ pub struct CacheHit {
 pub struct CacheTierRow {
     /// `"mem"`, `"ssd"`, `"ghost"` or the footer cache's `"meta"`.
     pub tier: &'static str,
+    /// Resident chunks (the ghost: remembered paths; `meta`: footers).
     pub entries: usize,
     pub used_bytes: u64,
     pub capacity_bytes: u64,
@@ -101,7 +130,9 @@ pub struct CacheTierRow {
     pub evictions: u64,
 }
 
-/// Exact cluster-wide cache statistics.
+/// Exact cluster-wide cache statistics. Hits, misses, evictions,
+/// promotions, expiries and invalidations count chunks; admission
+/// outcomes (`rejected`, the ghost's and the quota's) count offers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub mem_hits: u64,
@@ -113,18 +144,18 @@ pub struct CacheStats {
     pub rejected: u64,
     /// First sightings recorded in a ghost LRU (not cached yet).
     pub ghost_registered: u64,
-    /// Admissions granted because the ghost remembered the key.
+    /// Admissions granted because the ghost remembered the path.
     pub ghost_admissions: u64,
-    /// Offers rejected because the entry cannot fit its owner's quota.
+    /// Offers rejected because the object cannot fit its owner's quota.
     pub quota_rejections: u64,
     pub mem_evictions: u64,
     pub ssd_evictions: u64,
     /// Evictions forced by an owner's byte quota rather than tier
     /// capacity (also counted in the per-tier eviction totals).
     pub quota_evictions: u64,
-    /// Entries dropped because their TTL lapsed before a probe.
+    /// Chunks dropped because their TTL lapsed before a probe.
     pub ttl_expired: u64,
-    /// Entries dropped by path-keyed invalidation (ingest overwrites).
+    /// Chunks dropped by path-keyed invalidation (ingest overwrites).
     pub invalidations: u64,
     /// SSD→memory promotions on hit.
     pub promotions: u64,
@@ -165,61 +196,120 @@ struct CacheCounters {
     promotions: Arc<Counter>,
 }
 
-/// One cached object, weighed by its length; those bytes are attributed
-/// to `user` until the entry fully leaves the node.
+impl CacheCounters {
+    fn hits(&self, tier: CacheTier) -> &Counter {
+        match tier {
+            CacheTier::Memory => &self.mem_hits,
+            CacheTier::Ssd => &self.ssd_hits,
+        }
+    }
+
+    fn evictions(&self, tier: CacheTier) -> &Counter {
+        match tier {
+            CacheTier::Memory => &self.mem_evictions,
+            CacheTier::Ssd => &self.ssd_evictions,
+        }
+    }
+}
+
+/// One chunk of a cached object on one node.
+#[derive(Debug, Clone, Copy)]
+struct Chunk {
+    len: u64,
+    /// `None`: not resident on the node.
+    tier: Option<CacheTier>,
+    speculative: bool,
+}
+
+impl Chunk {
+    fn new(len: u64) -> Chunk {
+        let (tier, speculative) = (None, false);
+        Chunk {
+            len,
+            tier,
+            speculative,
+        }
+    }
+}
+
+/// A cached object on one node: its bytes, shared by its chunks, and each
+/// chunk's residency. The entry leaves the node with its last chunk.
 #[derive(Debug)]
 struct Entry {
+    path: Arc<str>,
     data: Bytes,
+    chunks: Box<[Chunk]>,
     inserted_at: SimInstant,
+    /// The user the resident chunks' bytes are attributed to.
     user: UserId,
 }
 
 impl Entry {
-    fn len(&self) -> u64 {
-        self.data.len() as u64
+    fn resident(&self) -> impl Iterator<Item = &Chunk> {
+        self.chunks.iter().filter(|c| c.tier.is_some())
     }
 }
 
-/// One tier's storage on one node.
+/// A chunk's recency record: its entry's id, then its index.
+type ChunkKey = (u64, usize);
+
+/// One tier of one node: its resident chunks in recency order, the
+/// speculative ones in a list of their own, so the coldest speculative
+/// chunk is found without a scan.
 #[derive(Debug, Default)]
-struct TierCache {
-    entries: Lru<String, Entry>,
-    /// Per-node hit counter (feeds `system.cache`).
+struct Tier {
+    ordinary: Lru<ChunkKey, ()>,
+    speculative: Lru<ChunkKey, ()>,
+    /// Per-node chunk hits and evictions (capacity + quota), for
+    /// `system.cache`.
     hits: u64,
-    /// Per-node eviction counter (capacity + quota).
     evictions: u64,
 }
 
-impl TierCache {
-    /// Inserts an absent path as the most recently used entry.
-    fn insert(&mut self, path: String, e: Entry) {
-        let size = e.len();
-        let replaced = self.entries.insert(path, e, size);
-        debug_assert!(replaced.is_none());
+impl Tier {
+    fn list(&mut self, speculative: bool) -> &mut Lru<ChunkKey, ()> {
+        match speculative {
+            true => &mut self.speculative,
+            false => &mut self.ordinary,
+        }
+    }
+
+    fn used(&self) -> u64 {
+        self.ordinary.weight() + self.speculative.weight()
+    }
+
+    fn len(&self) -> usize {
+        self.ordinary.len() + self.speculative.len()
+    }
+
+    /// Takes the coldest chunk `accept` takes, any speculative one first.
+    fn pop_coldest(&mut self, accept: impl Fn(&ChunkKey) -> bool) -> Option<ChunkKey> {
+        let take = |l: &mut Lru<ChunkKey, ()>| l.pop_lru_where(|k, _| accept(k)).map(|(k, _)| k);
+        take(&mut self.speculative).or_else(|| take(&mut self.ordinary))
     }
 }
 
-/// Shadow LRU of keys only: once-seen and recently-evicted paths.
+/// Shadow LRU of paths only: once-seen and recently-evicted objects.
 #[derive(Debug, Default)]
 struct GhostLru {
-    keys: Lru<String, ()>,
+    keys: Lru<Arc<str>, ()>,
     /// Per-node count of admissions this ghost granted.
     admissions: u64,
 }
 
 impl GhostLru {
-    /// Records (or refreshes) a key, evicting the oldest beyond capacity.
-    fn remember(&mut self, path: &str, capacity: usize) {
+    /// Records (or refreshes) a path, evicting the oldest beyond capacity.
+    fn remember(&mut self, path: Arc<str>, capacity: usize) {
         if capacity == 0 {
             return;
         }
-        self.keys.insert(path.to_string(), (), 0);
+        self.keys.insert(path, (), 0);
         while self.keys.len() > capacity {
             self.keys.pop_lru();
         }
     }
 
-    /// Removes and reports whether the key was remembered.
+    /// Removes and reports whether the path was remembered.
     fn recall(&mut self, path: &str) -> bool {
         self.keys.remove(path).is_some()
     }
@@ -228,43 +318,109 @@ impl GhostLru {
 /// All cache state of one node.
 #[derive(Debug, Default)]
 struct NodeCache {
-    mem: TierCache,
-    ssd: TierCache,
+    /// Entries by id, and the id of each path's; ids are never reused.
+    entries: FxHashMap<u64, Entry>,
+    ids: FxHashMap<Arc<str>, u64>,
+    next_id: u64,
+    mem: Tier,
+    ssd: Tier,
     ghost: GhostLru,
-    /// Bytes attributed per user across both tiers.
+    /// Resident chunk bytes attributed per user across both tiers.
     user_used: FxHashMap<UserId, u64>,
 }
 
 impl NodeCache {
-    fn note_add(&mut self, e: &Entry) {
-        *self.user_used.entry(e.user).or_default() += e.len();
-    }
-
-    /// Reverses `note_add` when an entry fully leaves the node.
-    fn note_drop(&mut self, e: &Entry) {
-        if let Some(u) = self.user_used.get_mut(&e.user) {
-            *u = u.saturating_sub(e.len());
-            if *u == 0 {
-                self.user_used.remove(&e.user);
-            }
+    fn tier(&mut self, tier: CacheTier) -> &mut Tier {
+        match tier {
+            CacheTier::Memory => &mut self.mem,
+            CacheTier::Ssd => &mut self.ssd,
         }
     }
 
-    /// Drops `path` from both tiers and returns how many copies it had.
-    fn drop_path(&mut self, path: &str) -> u64 {
-        let mut copies = 0;
-        let held = [self.mem.entries.remove(path), self.ssd.entries.remove(path)];
-        for e in held.iter().flatten() {
-            self.note_drop(e);
-            copies += 1;
+    /// Moves chunk `i` of entry `id` to the hot end of tier `to`, or off
+    /// the node (`None`), speculative mark and all.
+    fn place(&mut self, id: u64, i: usize, to: Option<CacheTier>) {
+        let e = self.entries.get_mut(&id).expect("live entry");
+        let Chunk {
+            len,
+            tier: from,
+            speculative,
+        } = e.chunks[i];
+        e.chunks[i].tier = to;
+        let used = self.user_used.entry(e.user).or_default();
+        match (from, to) {
+            (None, Some(_)) => *used += len,
+            (Some(_), None) => *used -= len,
+            _ => {}
         }
-        copies
+        if *used == 0 {
+            self.user_used.remove(&e.user);
+        }
+        if let Some(from) = from {
+            self.tier(from).list(speculative).remove(&(id, i));
+        }
+        if let Some(to) = to {
+            self.tier(to).list(speculative).insert((id, i), (), len);
+        }
     }
 
-    /// An evicted entry leaves the node: its key goes to the ghost.
-    fn shed(&mut self, key: &str, victim: &Entry, ghost_capacity: usize) {
-        self.ghost.remember(key, ghost_capacity);
-        self.note_drop(victim);
+    /// A hit: resident chunk `i` of entry `id` becomes the hottest ordinary
+    /// chunk of its tier.
+    fn touch(&mut self, id: u64, i: usize) {
+        let chunk = &mut self.entries.get_mut(&id).expect("live entry").chunks[i];
+        let was_speculative = std::mem::replace(&mut chunk.speculative, false);
+        let (len, tier) = (chunk.len, chunk.tier.expect("resident"));
+        let tier = self.tier(tier);
+        if was_speculative {
+            tier.speculative.remove(&(id, i));
+            tier.ordinary.insert((id, i), (), len);
+        } else {
+            tier.ordinary.get(&(id, i));
+        }
+    }
+
+    /// Evicts chunk `i` of entry `id` from the node; an entry left with no
+    /// chunk goes, and its path to the ghost.
+    fn evict(&mut self, id: u64, i: usize, ghost_capacity: usize) {
+        self.place(id, i, None);
+        if self.entries[&id].resident().next().is_none() {
+            let path = self.remove_entry(id);
+            self.ghost.remember(path, ghost_capacity);
+        }
+    }
+
+    /// The coldest chunk of `user`'s outside entry `keep`, SSD tier first —
+    /// those are the coldest by construction.
+    fn pop_owned(&mut self, user: UserId, keep: u64) -> Option<(ChunkKey, CacheTier)> {
+        let entries = &self.entries;
+        let owned = |&(id, _): &ChunkKey| id != keep && entries[&id].user == user;
+        let ssd = self.ssd.pop_coldest(owned).map(|k| (k, CacheTier::Ssd));
+        ssd.or_else(|| self.mem.pop_coldest(owned).map(|k| (k, CacheTier::Memory)))
+    }
+
+    fn insert_entry(&mut self, entry: Entry) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.ids.insert(entry.path.clone(), id);
+        self.entries.insert(id, entry);
+        id
+    }
+
+    fn remove_entry(&mut self, id: u64) -> Arc<str> {
+        let path = self.entries.remove(&id).expect("live entry").path;
+        self.ids.remove(&path);
+        path
+    }
+
+    /// Drops entry `id` with every chunk of it and returns how many chunks
+    /// were resident.
+    fn drop_entry(&mut self, id: u64) -> u64 {
+        let resident = self.entries[&id].resident().count() as u64;
+        for i in 0..self.entries[&id].chunks.len() {
+            self.place(id, i, None);
+        }
+        self.remove_entry(id);
+        resident
     }
 }
 
@@ -306,12 +462,11 @@ impl TieredCache {
         &self.shards[node.0 as usize % SHARDS]
     }
 
-    fn mem_cap(&self) -> u64 {
-        self.settings.mem_capacity_per_node.as_u64()
-    }
-
-    fn ssd_cap(&self) -> u64 {
-        self.settings.ssd_capacity_per_node.as_u64()
+    fn cap(&self, tier: CacheTier) -> u64 {
+        match tier {
+            CacheTier::Memory => self.settings.mem_capacity_per_node.as_u64(),
+            CacheTier::Ssd => self.settings.ssd_capacity_per_node.as_u64(),
+        }
     }
 
     fn expired(&self, e: &Entry, now: SimInstant) -> bool {
@@ -320,36 +475,28 @@ impl TieredCache {
             .is_some_and(|ttl| now >= e.inserted_at + ttl)
     }
 
-    /// Inserts into the SSD tier, evicting its LRU into the ghost until
-    /// the entry fits.
-    fn insert_into_ssd(&self, nc: &mut NodeCache, path: String, e: Entry) {
-        while nc.ssd.entries.weight() + e.len() > self.ssd_cap() {
-            let Some((key, victim)) = nc.ssd.entries.pop_lru() else {
+    /// Evicts from `tier` until it holds no more than its capacity,
+    /// speculative chunks first, coldest first. A memory victim demotes to
+    /// the SSD tier when it fits there; any other victim leaves the node.
+    fn shrink(&self, nc: &mut NodeCache, tier: CacheTier) {
+        let mut demoted = false;
+        while nc.tier(tier).used() > self.cap(tier) {
+            let Some(k) = nc.tier(tier).pop_coldest(|_| true) else {
                 break;
             };
-            nc.shed(&key, &victim, self.settings.ghost_capacity);
-            nc.ssd.evictions += 1;
-            self.counters.ssd_evictions.inc();
-        }
-        nc.ssd.insert(path, e);
-    }
-
-    /// Inserts into the memory tier; evicted memory entries demote to the
-    /// SSD tier (or leave the node entirely if they cannot fit there).
-    fn insert_into_mem(&self, nc: &mut NodeCache, path: String, e: Entry) {
-        while nc.mem.entries.weight() + e.len() > self.mem_cap() {
-            let Some((key, demoted)) = nc.mem.entries.pop_lru() else {
-                break;
-            };
-            nc.mem.evictions += 1;
-            self.counters.mem_evictions.inc();
-            if self.ssd_cap() > 0 && demoted.len() <= self.ssd_cap() {
-                self.insert_into_ssd(nc, key, demoted);
+            nc.tier(tier).evictions += 1;
+            self.counters.evictions(tier).inc();
+            let ((id, i), ssd) = (k, self.cap(CacheTier::Ssd));
+            if tier == CacheTier::Memory && ssd > 0 && nc.entries[&id].chunks[i].len <= ssd {
+                nc.place(id, i, Some(CacheTier::Ssd));
+                demoted = true;
             } else {
-                nc.shed(&key, &demoted, self.settings.ghost_capacity);
+                nc.evict(id, i, self.settings.ghost_capacity);
             }
         }
-        nc.mem.insert(path, e);
+        if demoted {
+            self.shrink(nc, CacheTier::Ssd);
+        }
     }
 
     /// Keys remembered by one node's ghost.
@@ -360,70 +507,96 @@ impl TieredCache {
             .map_or(0, |nc| nc.ghost.keys.len())
     }
 
-    /// Probes `node`'s hierarchy. A hit refreshes recency and may promote
-    /// the entry from SSD to memory; a miss leaves the node map untouched
+    /// Probes `node` for the chunks `touched` of `path`: `None` when the
+    /// node holds none of the object, else its bytes and the tier of each
+    /// chunk asked for. A hit refreshes the chunk, clears its speculative
+    /// mark, and from the SSD tier promotes the object's SSD-resident
+    /// chunks; a miss on every chunk leaves the node map untouched
     /// (probing thousands of nodes that never cached anything must not
     /// grow it). `now` drives TTL expiry.
-    pub fn get(&self, node: NodeId, path: &str, now: SimInstant) -> Option<CacheHit> {
+    pub fn get(
+        &self,
+        node: NodeId,
+        path: &str,
+        touched: &[usize],
+        now: SimInstant,
+    ) -> Option<CacheHit> {
         let mut shard = self.shard(node).lock();
         let hit = shard
             .get_mut(&node)
-            .and_then(|nc| self.probe(nc, path, now));
+            .and_then(|nc| self.probe(nc, path, touched, now));
         if hit.is_none() {
-            self.counters.misses.inc();
+            self.counters.misses.add(touched.len() as u64);
         }
         hit
     }
 
-    fn probe(&self, nc: &mut NodeCache, path: &str, now: SimInstant) -> Option<CacheHit> {
-        // Memory tier first.
-        let (tier, held) = if nc.mem.entries.peek(path).is_some() {
-            (CacheTier::Memory, &mut nc.mem)
-        } else {
-            (CacheTier::Ssd, &mut nc.ssd)
-        };
-        // The refresh is moot for an entry that expires or is promoted:
-        // it leaves this tier right below.
-        let e = held.entries.get(path)?;
-        let data = e.data.clone();
-        if self.expired(e, now) {
-            let e = held.entries.remove(path).expect("just found");
-            nc.note_drop(&e);
-            self.counters.ttl_expired.inc();
+    fn probe(
+        &self,
+        nc: &mut NodeCache,
+        path: &str,
+        touched: &[usize],
+        now: SimInstant,
+    ) -> Option<CacheHit> {
+        let id = *nc.ids.get(path)?;
+        if self.expired(&nc.entries[&id], now) {
+            self.counters.ttl_expired.add(nc.drop_entry(id));
             return None;
         }
-        held.hits += 1;
-        // An SSD hit promotes the entry into memory when it fits. That
-        // probe was still served by the SSD tier; the *next* one finds
-        // the entry in memory.
-        let size = data.len() as u64;
-        if tier == CacheTier::Ssd && self.mem_cap() > 0 && size <= self.mem_cap() {
-            let e = held.entries.remove(path).expect("just found");
-            self.insert_into_mem(nc, path.to_string(), e);
-            self.counters.promotions.inc();
+        let data = nc.entries[&id].data.clone();
+        let mut tiers = Vec::with_capacity(touched.len());
+        for &i in touched {
+            let tier = nc.entries[&id].chunks.get(i).and_then(|c| c.tier);
+            match tier {
+                Some(t) => {
+                    nc.tier(t).hits += 1;
+                    self.counters.hits(t).inc();
+                    nc.touch(id, i);
+                }
+                None => self.counters.misses.inc(),
+            }
+            tiers.push(tier);
         }
-        match tier {
-            CacheTier::Memory => self.counters.mem_hits.inc(),
-            CacheTier::Ssd => self.counters.ssd_hits.inc(),
+        if tiers.contains(&Some(CacheTier::Ssd)) {
+            self.promote(nc, id);
         }
-        Some(CacheHit { data, tier })
+        Some(CacheHit { data, tiers })
     }
 
-    /// Offers bytes read from a storage domain for caching on `node`.
-    pub fn admit(&self, node: NodeId, path: &str, data: Bytes, attr: CacheAttr, now: SimInstant) {
+    /// An SSD hit: every SSD-resident chunk of entry `id` moves to
+    /// the memory tier, if together they fit it. The probe was still
+    /// served by the SSD tier; the *next* one finds them in memory.
+    fn promote(&self, nc: &mut NodeCache, id: u64) {
+        let on_ssd = |c: &Chunk| c.tier == Some(CacheTier::Ssd);
+        let chunks = &nc.entries[&id].chunks;
+        let bytes: u64 = chunks.iter().filter(|c| on_ssd(c)).map(|c| c.len).sum();
+        let mem = self.cap(CacheTier::Memory);
+        if mem == 0 || bytes > mem {
+            return;
+        }
+        for i in 0..chunks.len() {
+            if on_ssd(&nc.entries[&id].chunks[i]) {
+                nc.place(id, i, Some(CacheTier::Memory));
+                self.counters.promotions.inc();
+            }
+        }
+        self.shrink(nc, CacheTier::Memory);
+    }
+
+    /// Offers an object read from a storage domain for caching on `node`.
+    /// An entry of the same layout and user the node holds already is
+    /// filled: its missing chunks enter, with no second admission.
+    pub fn admit(&self, node: NodeId, path: &str, offer: Offer, attr: CacheAttr, now: SimInstant) {
         let c = &self.counters;
         let ghost_capacity = self.settings.ghost_capacity;
-        let size = data.len() as u64;
-        // Entries enter the hierarchy at the SSD tier (they climb to
-        // memory on their next hit); with no SSD tier configured they
-        // enter at the memory tier directly.
-        let enter_mem = self.ssd_cap() == 0;
-        let entry_cap = if enter_mem {
-            self.mem_cap()
-        } else {
-            self.ssd_cap()
+        let size: u64 = offer.chunks.iter().sum();
+        // Chunks enter at the SSD tier (they climb to memory on a hit); with
+        // no SSD tier configured, at the memory tier.
+        let enter = match self.cap(CacheTier::Ssd) {
+            0 => CacheTier::Memory,
+            _ => CacheTier::Ssd,
         };
-        if size > entry_cap {
+        if size > self.cap(enter) {
             c.rejected.inc();
             return;
         }
@@ -437,7 +610,7 @@ impl TieredCache {
         // Resolve the quota before taking the shard lock (lock order: the
         // quota map is a leaf, never nested inside a shard).
         let user_quota = self.user_quotas.lock().get(&attr.user).copied();
-        // An entry that cannot fit its owner's quota is rejected outright
+        // An object that cannot fit its owner's quota is rejected outright
         // — quota wins even over a pin.
         if user_quota.is_some_and(|q| size > q) {
             c.quota_rejections.inc();
@@ -447,63 +620,79 @@ impl TieredCache {
 
         let mut shard = self.shard(node).lock();
         let nc = shard.entry(node).or_default();
-        // Ghost admission: unpinned blocks pass only if the ghost
-        // remembers them; first sightings are registered and rejected.
-        if !pinned {
-            if nc.ghost.recall(path) {
-                nc.ghost.admissions += 1;
-                c.ghost_admissions.inc();
-            } else {
-                nc.ghost.remember(path, ghost_capacity);
-                c.ghost_registered.inc();
-                c.rejected.inc();
-                return;
+        let held = nc.ids.get(path).copied();
+        let same = held.filter(|id| {
+            let e = &nc.entries[id];
+            e.user == attr.user
+                && e.chunks
+                    .iter()
+                    .map(|c| c.len)
+                    .eq(offer.chunks.iter().copied())
+        });
+        let id = match same {
+            Some(id) => id,
+            None => {
+                // Ghost admission: unpinned objects pass only if the ghost
+                // remembers them; first sightings are registered and
+                // rejected.
+                if !pinned {
+                    if nc.ghost.recall(path) {
+                        nc.ghost.admissions += 1;
+                        c.ghost_admissions.inc();
+                    } else {
+                        nc.ghost.remember(path.into(), ghost_capacity);
+                        c.ghost_registered.inc();
+                        c.rejected.inc();
+                        return;
+                    }
+                }
+                // Replace a copy of another layout (concurrent readers may
+                // both miss and both offer; last write wins).
+                if let Some(old) = held {
+                    nc.drop_entry(old);
+                }
+                nc.insert_entry(Entry {
+                    path: path.into(),
+                    data: offer.data,
+                    chunks: offer.chunks.iter().map(|&len| Chunk::new(len)).collect(),
+                    inserted_at: now,
+                    user: attr.user,
+                })
             }
-        }
+        };
 
-        // Replace an existing copy (concurrent readers may both miss and
-        // both offer the same path; last write wins, accounting exact).
-        nc.drop_path(path);
-
-        // Quota pressure: the owner sheds its own coldest entries (SSD
-        // tier first — those are the coldest by construction).
-        let mine = |_: &String, e: &Entry| e.user == attr.user;
-        while user_quota
-            .is_some_and(|q| nc.user_used.get(&attr.user).copied().unwrap_or(0) + size > q)
-        {
-            let (key, victim) = if let Some(coldest) = nc.ssd.entries.pop_lru_where(mine) {
-                nc.ssd.evictions += 1;
-                c.ssd_evictions.inc();
-                coldest
-            } else if let Some(coldest) = nc.mem.entries.pop_lru_where(mine) {
-                nc.mem.evictions += 1;
-                c.mem_evictions.inc();
-                coldest
-            } else {
+        // Quota pressure: the owner sheds its own coldest chunks.
+        let missing = nc.entries[&id].chunks.iter().filter(|c| c.tier.is_none());
+        let added: u64 = missing.map(|c| c.len).sum();
+        let used = |nc: &NodeCache| nc.user_used.get(&attr.user).copied().unwrap_or(0);
+        while user_quota.is_some_and(|q| used(nc) + added > q) {
+            let Some(((victim, i), tier)) = nc.pop_owned(attr.user, id) else {
                 break;
             };
-            nc.shed(&key, &victim, ghost_capacity);
+            nc.tier(tier).evictions += 1;
+            c.evictions(tier).inc();
             c.quota_evictions.inc();
+            nc.evict(victim, i, ghost_capacity);
         }
 
-        let entry = Entry {
-            data,
-            inserted_at: now,
-            user: attr.user,
-        };
-        nc.note_add(&entry);
-        if enter_mem {
-            self.insert_into_mem(nc, path.to_string(), entry);
-        } else {
-            self.insert_into_ssd(nc, path.to_string(), entry);
+        for i in 0..nc.entries[&id].chunks.len() {
+            let e = nc.entries.get_mut(&id).expect("live entry");
+            if e.chunks[i].tier.is_none() {
+                e.chunks[i].speculative = !offer.touched.contains(&i);
+                nc.place(id, i, Some(enter));
+            }
         }
+        self.shrink(nc, enter);
     }
 
-    /// Drops `path` from every node's tiers (ingest rewrote the object).
+    /// Drops every chunk of `path` from every node (ingest rewrote the
+    /// object).
     pub fn invalidate_path(&self, path: &str) {
         for shard in &self.shards {
             for nc in shard.lock().values_mut() {
-                self.counters.invalidations.add(nc.drop_path(path));
+                if let Some(&id) = nc.ids.get(path) {
+                    self.counters.invalidations.add(nc.drop_entry(id));
+                }
             }
         }
     }
@@ -553,17 +742,17 @@ impl TieredCache {
     pub fn node_tier_rows(&self, node: NodeId) -> Vec<CacheTierRow> {
         let shard = self.shard(node).lock();
         let nc = shard.get(&node);
-        let tier = |t: Option<&TierCache>, cap: u64, label: &'static str| CacheTierRow {
+        let tier = |t: Option<&Tier>, cap: u64, label: &'static str| CacheTierRow {
             tier: label,
-            entries: t.map_or(0, |t| t.entries.len()),
-            used_bytes: t.map_or(0, |t| t.entries.weight()),
+            entries: t.map_or(0, Tier::len),
+            used_bytes: t.map_or(0, Tier::used),
             capacity_bytes: cap,
             hits: t.map_or(0, |t| t.hits),
             evictions: t.map_or(0, |t| t.evictions),
         };
         vec![
-            tier(nc.map(|n| &n.mem), self.mem_cap(), "mem"),
-            tier(nc.map(|n| &n.ssd), self.ssd_cap(), "ssd"),
+            tier(nc.map(|n| &n.mem), self.cap(CacheTier::Memory), "mem"),
+            tier(nc.map(|n| &n.ssd), self.cap(CacheTier::Ssd), "ssd"),
             CacheTierRow {
                 tier: "ghost",
                 entries: nc.map_or(0, |n| n.ghost.keys.len()),
@@ -589,20 +778,13 @@ impl TieredCache {
         }
     }
 
-    /// Bytes held by one tier on one node.
+    /// Chunk bytes held by one tier on one node.
     pub fn used_on(&self, node: NodeId, tier: CacheTier) -> ByteSize {
-        ByteSize(
-            self.shard(node)
-                .lock()
-                .get(&node)
-                .map_or(0, |nc| match tier {
-                    CacheTier::Memory => nc.mem.entries.weight(),
-                    CacheTier::Ssd => nc.ssd.entries.weight(),
-                }),
-        )
+        let mut shard = self.shard(node).lock();
+        ByteSize(shard.get_mut(&node).map_or(0, |nc| nc.tier(tier).used()))
     }
 
-    /// Bytes attributed to one user on one node (both tiers).
+    /// Chunk bytes attributed to one user on one node (both tiers).
     pub fn user_used_on(&self, node: NodeId, user: UserId) -> ByteSize {
         ByteSize(
             self.shard(node)
@@ -672,24 +854,28 @@ mod tests {
         c.admit(
             NodeId(0),
             "/hdfs/cold/x",
-            Bytes::from_static(b"data"),
+            Offer::whole(Bytes::from_static(b"data")),
             attr(1),
             NOW,
         );
-        assert!(c.get(NodeId(0), "/hdfs/cold/x", NOW).is_none());
+        assert!(c.get(NodeId(0), "/hdfs/cold/x", &[0], NOW).is_none());
         assert_eq!(c.stats().rejected, 1);
         assert_eq!(c.tracked_nodes(), 0, "ghostless rejects allocate nothing");
         c.admit(
             NodeId(0),
             "/hdfs/hot/x",
-            Bytes::from_static(b"data"),
+            Offer::whole(Bytes::from_static(b"data")),
             attr(1),
             NOW,
         );
         let hit = c
-            .get(NodeId(0), "/hdfs/hot/x", NOW)
+            .get(NodeId(0), "/hdfs/hot/x", &[0], NOW)
             .expect("pinned path cached");
-        assert_eq!(hit.tier, CacheTier::Ssd, "no memory tier configured");
+        assert_eq!(
+            hit.tiers,
+            [Some(CacheTier::Ssd)],
+            "no memory tier configured"
+        );
     }
 
     #[test]
@@ -697,13 +883,19 @@ mod tests {
         let c = TieredCache::new(open(64, 64).settings, Vec::new());
         let blob = Bytes::from_static(b"data");
         // First sighting: registered in the ghost, not cached.
-        c.admit(NodeId(0), "/hdfs/t/b0", blob.clone(), attr(1), NOW);
-        assert!(c.get(NodeId(0), "/hdfs/t/b0", NOW).is_none());
+        c.admit(
+            NodeId(0),
+            "/hdfs/t/b0",
+            Offer::whole(blob.clone()),
+            attr(1),
+            NOW,
+        );
+        assert!(c.get(NodeId(0), "/hdfs/t/b0", &[0], NOW).is_none());
         assert_eq!(c.stats().ghost_registered, 1);
         assert_eq!(c.stats().rejected, 1);
         // Second sighting: the ghost remembers, so it is admitted.
-        c.admit(NodeId(0), "/hdfs/t/b0", blob, attr(1), NOW);
-        assert!(c.get(NodeId(0), "/hdfs/t/b0", NOW).is_some());
+        c.admit(NodeId(0), "/hdfs/t/b0", Offer::whole(blob), attr(1), NOW);
+        assert!(c.get(NodeId(0), "/hdfs/t/b0", &[0], NOW).is_some());
         assert_eq!(c.stats().ghost_admissions, 1);
     }
 
@@ -724,12 +916,12 @@ mod tests {
         c.admit(
             NodeId(0),
             "/hdfs/hot/x",
-            Bytes::from_static(b"d"),
+            Offer::whole(Bytes::from_static(b"d")),
             attr(1),
             NOW,
         );
         assert!(
-            c.get(NodeId(0), "/hdfs/hot/x", NOW).is_some(),
+            c.get(NodeId(0), "/hdfs/hot/x", &[0], NOW).is_some(),
             "first touch"
         );
     }
@@ -740,19 +932,19 @@ mod tests {
         c.admit(
             NodeId(0),
             "/t/b0",
-            Bytes::from(vec![1u8; 100]),
+            Offer::whole(Bytes::from(vec![1u8; 100])),
             attr(1),
             NOW,
         );
         assert_eq!(c.used_on(NodeId(0), CacheTier::Ssd), ByteSize(100));
         // First hit serves from SSD and promotes.
-        let h1 = c.get(NodeId(0), "/t/b0", NOW).unwrap();
-        assert_eq!(h1.tier, CacheTier::Ssd);
+        let h1 = c.get(NodeId(0), "/t/b0", &[0], NOW).unwrap();
+        assert_eq!(h1.tiers, [Some(CacheTier::Ssd)]);
         assert_eq!(c.used_on(NodeId(0), CacheTier::Memory), ByteSize(100));
         assert_eq!(c.used_on(NodeId(0), CacheTier::Ssd), ByteSize::ZERO);
         // Second hit is served by the memory tier.
-        let h2 = c.get(NodeId(0), "/t/b0", NOW).unwrap();
-        assert_eq!(h2.tier, CacheTier::Memory);
+        let h2 = c.get(NodeId(0), "/t/b0", &[0], NOW).unwrap();
+        assert_eq!(h2.tiers, [Some(CacheTier::Memory)]);
         let s = c.stats();
         assert_eq!((s.ssd_hits, s.mem_hits, s.promotions), (1, 1, 1));
     }
@@ -767,39 +959,75 @@ mod tests {
             ..CacheSettings::default()
         };
         let c = TieredCache::new(s, pin_all());
-        c.admit(NodeId(0), "/t/a", Bytes::from(vec![1u8; 600]), attr(1), NOW);
-        c.admit(NodeId(0), "/t/b", Bytes::from(vec![2u8; 600]), attr(1), NOW);
-        assert!(c.get(NodeId(0), "/t/a", NOW).is_some()); // a → memory
-        assert!(c.get(NodeId(0), "/t/b", NOW).is_some()); // b → memory, a demoted
+        c.admit(
+            NodeId(0),
+            "/t/a",
+            Offer::whole(Bytes::from(vec![1u8; 600])),
+            attr(1),
+            NOW,
+        );
+        c.admit(
+            NodeId(0),
+            "/t/b",
+            Offer::whole(Bytes::from(vec![2u8; 600])),
+            attr(1),
+            NOW,
+        );
+        assert!(c.get(NodeId(0), "/t/a", &[0], NOW).is_some()); // a → memory
+        assert!(c.get(NodeId(0), "/t/b", &[0], NOW).is_some()); // b → memory, a demoted
         assert_eq!(c.stats().mem_evictions, 1);
         // Both remain cached: a back in SSD, b in memory.
         assert_eq!(
-            c.get(NodeId(0), "/t/b", NOW).unwrap().tier,
-            CacheTier::Memory
+            c.get(NodeId(0), "/t/b", &[0], NOW).unwrap().tiers[0],
+            Some(CacheTier::Memory)
         );
-        assert_eq!(c.get(NodeId(0), "/t/a", NOW).unwrap().tier, CacheTier::Ssd);
+        assert_eq!(
+            c.get(NodeId(0), "/t/a", &[0], NOW).unwrap().tiers[0],
+            Some(CacheTier::Ssd)
+        );
     }
 
     #[test]
     fn caches_are_per_node() {
         let c = open(64, 64);
-        c.admit(NodeId(0), "/t/x", Bytes::from_static(b"data"), attr(1), NOW);
-        assert!(c.get(NodeId(1), "/t/x", NOW).is_none());
-        assert!(c.get(NodeId(0), "/t/x", NOW).is_some());
+        c.admit(
+            NodeId(0),
+            "/t/x",
+            Offer::whole(Bytes::from_static(b"data")),
+            attr(1),
+            NOW,
+        );
+        assert!(c.get(NodeId(1), "/t/x", &[0], NOW).is_none());
+        assert!(c.get(NodeId(0), "/t/x", &[0], NOW).is_some());
     }
 
     #[test]
     fn lru_eviction_under_pressure() {
         let c = pins_only(1); // 1 KiB SSD tier
         let blob = Bytes::from(vec![0u8; 400]);
-        c.admit(NodeId(0), "/hdfs/hot/a", blob.clone(), attr(1), NOW);
-        c.admit(NodeId(0), "/hdfs/hot/b", blob.clone(), attr(1), NOW);
+        c.admit(
+            NodeId(0),
+            "/hdfs/hot/a",
+            Offer::whole(blob.clone()),
+            attr(1),
+            NOW,
+        );
+        c.admit(
+            NodeId(0),
+            "/hdfs/hot/b",
+            Offer::whole(blob.clone()),
+            attr(1),
+            NOW,
+        );
         // Touch a so b is LRU.
-        assert!(c.get(NodeId(0), "/hdfs/hot/a", NOW).is_some());
-        c.admit(NodeId(0), "/hdfs/hot/c", blob, attr(1), NOW);
-        assert!(c.get(NodeId(0), "/hdfs/hot/b", NOW).is_none(), "b evicted");
-        assert!(c.get(NodeId(0), "/hdfs/hot/a", NOW).is_some());
-        assert!(c.get(NodeId(0), "/hdfs/hot/c", NOW).is_some());
+        assert!(c.get(NodeId(0), "/hdfs/hot/a", &[0], NOW).is_some());
+        c.admit(NodeId(0), "/hdfs/hot/c", Offer::whole(blob), attr(1), NOW);
+        assert!(
+            c.get(NodeId(0), "/hdfs/hot/b", &[0], NOW).is_none(),
+            "b evicted"
+        );
+        assert!(c.get(NodeId(0), "/hdfs/hot/a", &[0], NOW).is_some());
+        assert!(c.get(NodeId(0), "/hdfs/hot/c", &[0], NOW).is_some());
         assert!(c.stats().ssd_evictions >= 1);
         assert!(c.used_on(NodeId(0), CacheTier::Ssd).as_u64() <= 1024);
         // Evicted keys land in the ghost... but this cache has none
@@ -811,8 +1039,8 @@ mod tests {
     fn evicted_keys_are_remembered_by_the_ghost() {
         let c = open(0, 1); // SSD-only, 1 KiB
         let blob = Bytes::from(vec![0u8; 700]);
-        c.admit(NodeId(0), "/t/a", blob.clone(), attr(1), NOW);
-        c.admit(NodeId(0), "/t/b", blob, attr(1), NOW); // evicts a
+        c.admit(NodeId(0), "/t/a", Offer::whole(blob.clone()), attr(1), NOW);
+        c.admit(NodeId(0), "/t/b", Offer::whole(blob), attr(1), NOW); // evicts a
         assert_eq!(c.stats().ssd_evictions, 1);
         assert_eq!(c.ghost_len_on(NodeId(0)), 1);
     }
@@ -823,23 +1051,35 @@ mod tests {
         c.admit(
             NodeId(0),
             "/hdfs/hot/big",
-            Bytes::from(vec![0u8; 4096]),
+            Offer::whole(Bytes::from(vec![0u8; 4096])),
             attr(1),
             NOW,
         );
-        assert!(c.get(NodeId(0), "/hdfs/hot/big", NOW).is_none());
+        assert!(c.get(NodeId(0), "/hdfs/hot/big", &[0], NOW).is_none());
         assert_eq!(c.stats().rejected, 1);
     }
 
     #[test]
     fn invalidate_path_clears_every_node_and_counts() {
         let c = open(64, 64);
-        c.admit(NodeId(0), "/t/x", Bytes::from_static(b"d"), attr(1), NOW);
-        c.admit(NodeId(1), "/t/x", Bytes::from_static(b"d"), attr(1), NOW);
-        c.get(NodeId(0), "/t/x", NOW); // promote on node 0 → memory tier
+        c.admit(
+            NodeId(0),
+            "/t/x",
+            Offer::whole(Bytes::from_static(b"d")),
+            attr(1),
+            NOW,
+        );
+        c.admit(
+            NodeId(1),
+            "/t/x",
+            Offer::whole(Bytes::from_static(b"d")),
+            attr(1),
+            NOW,
+        );
+        c.get(NodeId(0), "/t/x", &[0], NOW); // promote on node 0 → memory tier
         c.invalidate_path("/t/x");
-        assert!(c.get(NodeId(0), "/t/x", NOW).is_none());
-        assert!(c.get(NodeId(1), "/t/x", NOW).is_none());
+        assert!(c.get(NodeId(0), "/t/x", &[0], NOW).is_none());
+        assert!(c.get(NodeId(1), "/t/x", &[0], NOW).is_none());
         assert_eq!(c.stats().invalidations, 2);
         assert_eq!(c.user_used_on(NodeId(0), UserId(1)), ByteSize::ZERO);
     }
@@ -852,12 +1092,18 @@ mod tests {
             ..CacheSettings::default()
         };
         let c = TieredCache::new(s, pin_all());
-        c.admit(NodeId(0), "/t/x", Bytes::from_static(b"d"), attr(1), NOW);
+        c.admit(
+            NodeId(0),
+            "/t/x",
+            Offer::whole(Bytes::from_static(b"d")),
+            attr(1),
+            NOW,
+        );
         assert!(c
-            .get(NodeId(0), "/t/x", NOW + SimDuration::minutes(59))
+            .get(NodeId(0), "/t/x", &[0], NOW + SimDuration::minutes(59))
             .is_some());
         let later = NOW + SimDuration::hours(2);
-        assert!(c.get(NodeId(0), "/t/x", later).is_none(), "expired");
+        assert!(c.get(NodeId(0), "/t/x", &[0], later).is_none(), "expired");
         assert_eq!(c.stats().ttl_expired, 1);
         assert_eq!(c.user_used_on(NodeId(0), UserId(1)), ByteSize::ZERO);
     }
@@ -870,19 +1116,19 @@ mod tests {
         c.admit(
             NodeId(0),
             "/hdfs/cold/x",
-            Bytes::from_static(b"d"),
+            Offer::whole(Bytes::from_static(b"d")),
             attr(1),
             NOW,
         );
         c.admit(
             NodeId(0),
             "/hdfs/hot/x",
-            Bytes::from_static(b"d"),
+            Offer::whole(Bytes::from_static(b"d")),
             attr(1),
             NOW,
         );
-        c.get(NodeId(0), "/hdfs/hot/x", NOW);
-        c.get(NodeId(0), "/hdfs/hot/y", NOW);
+        c.get(NodeId(0), "/hdfs/hot/x", &[0], NOW);
+        c.get(NodeId(0), "/hdfs/hot/y", &[0], NOW);
         assert_eq!(registry.counter("feisu.cache.rejected").get(), 1);
         assert_eq!(registry.counter("feisu.cache.ssd.hits").get(), 1);
         assert_eq!(registry.counter("feisu.cache.misses").get(), 1);
@@ -892,21 +1138,39 @@ mod tests {
     fn pure_misses_do_not_allocate_node_state() {
         let c = open(64, 64);
         for n in 0..4_000 {
-            assert!(c.get(NodeId(n), "/t/x", NOW).is_none());
+            assert!(c.get(NodeId(n), "/t/x", &[0], NOW).is_none());
         }
         assert_eq!(c.tracked_nodes(), 0, "misses must not allocate NodeCache");
         assert_eq!(c.stats().misses, 4_000);
         // A real admit still allocates exactly one.
-        c.admit(NodeId(7), "/t/x", Bytes::from_static(b"d"), attr(1), NOW);
+        c.admit(
+            NodeId(7),
+            "/t/x",
+            Offer::whole(Bytes::from_static(b"d")),
+            attr(1),
+            NOW,
+        );
         assert_eq!(c.tracked_nodes(), 1);
-        assert!(c.get(NodeId(7), "/t/x", NOW).is_some());
+        assert!(c.get(NodeId(7), "/t/x", &[0], NOW).is_some());
     }
 
     #[test]
     fn readmit_updates_accounting() {
         let c = open(64, 64);
-        c.admit(NodeId(0), "/t/x", Bytes::from(vec![0u8; 100]), attr(1), NOW);
-        c.admit(NodeId(0), "/t/x", Bytes::from(vec![0u8; 200]), attr(1), NOW);
+        c.admit(
+            NodeId(0),
+            "/t/x",
+            Offer::whole(Bytes::from(vec![0u8; 100])),
+            attr(1),
+            NOW,
+        );
+        c.admit(
+            NodeId(0),
+            "/t/x",
+            Offer::whole(Bytes::from(vec![0u8; 200])),
+            attr(1),
+            NOW,
+        );
         assert_eq!(c.used_on(NodeId(0), CacheTier::Ssd), ByteSize(200));
         assert_eq!(c.user_used_on(NodeId(0), UserId(1)), ByteSize(200));
     }
@@ -922,21 +1186,27 @@ mod tests {
         let c = TieredCache::new(s, pin_all());
         c.set_user_quota(UserId(1), Some(ByteSize(1000)));
         let blob = Bytes::from(vec![0u8; 400]);
-        c.admit(NodeId(0), "/t/a", blob.clone(), attr(1), NOW);
-        c.admit(NodeId(0), "/t/b", blob.clone(), attr(1), NOW);
+        c.admit(NodeId(0), "/t/a", Offer::whole(blob.clone()), attr(1), NOW);
+        c.admit(NodeId(0), "/t/b", Offer::whole(blob.clone()), attr(1), NOW);
         // A third 400 B entry would put user 1 at 1200 B: its own LRU
         // entry (a) is evicted; user 2 is untouched.
-        c.admit(NodeId(0), "/t/other", blob.clone(), attr(2), NOW);
-        c.admit(NodeId(0), "/t/c", blob, attr(1), NOW);
+        c.admit(
+            NodeId(0),
+            "/t/other",
+            Offer::whole(blob.clone()),
+            attr(2),
+            NOW,
+        );
+        c.admit(NodeId(0), "/t/c", Offer::whole(blob), attr(1), NOW);
         assert_eq!(c.stats().quota_evictions, 1);
         assert!(
-            c.get(NodeId(0), "/t/a", NOW).is_none(),
+            c.get(NodeId(0), "/t/a", &[0], NOW).is_none(),
             "a evicted for quota"
         );
-        assert!(c.get(NodeId(0), "/t/b", NOW).is_some());
-        assert!(c.get(NodeId(0), "/t/c", NOW).is_some());
+        assert!(c.get(NodeId(0), "/t/b", &[0], NOW).is_some());
+        assert!(c.get(NodeId(0), "/t/c", &[0], NOW).is_some());
         assert!(
-            c.get(NodeId(0), "/t/other", NOW).is_some(),
+            c.get(NodeId(0), "/t/other", &[0], NOW).is_some(),
             "user 2 untouched"
         );
         assert!(c.user_used_on(NodeId(0), UserId(1)).as_u64() <= 1000);
@@ -950,14 +1220,26 @@ mod tests {
         };
         let c = TieredCache::new(s, pin_all());
         c.set_user_quota(UserId(3), Some(ByteSize::ZERO));
-        c.admit(NodeId(0), "/t/x", Bytes::from_static(b"d"), attr(3), NOW);
-        assert!(c.get(NodeId(0), "/t/x", NOW).is_none());
+        c.admit(
+            NodeId(0),
+            "/t/x",
+            Offer::whole(Bytes::from_static(b"d")),
+            attr(3),
+            NOW,
+        );
+        assert!(c.get(NodeId(0), "/t/x", &[0], NOW).is_none());
         let st = c.stats();
         assert_eq!((st.quota_rejections, st.rejected), (1, 1));
         // Clearing the override restores the (unlimited) default.
         c.set_user_quota(UserId(3), None);
-        c.admit(NodeId(0), "/t/x", Bytes::from_static(b"d"), attr(3), NOW);
-        assert!(c.get(NodeId(0), "/t/x", NOW).is_some());
+        c.admit(
+            NodeId(0),
+            "/t/x",
+            Offer::whole(Bytes::from_static(b"d")),
+            attr(3),
+            NOW,
+        );
+        assert!(c.get(NodeId(0), "/t/x", &[0], NOW).is_some());
     }
 
     #[test]
@@ -977,11 +1259,11 @@ mod tests {
         c.admit(
             NodeId(0),
             "/hdfs/hot/x",
-            Bytes::from(vec![0u8; 100]),
+            Offer::whole(Bytes::from(vec![0u8; 100])),
             attr(1),
             NOW,
         );
-        assert!(c.get(NodeId(0), "/hdfs/hot/x", NOW).is_none());
+        assert!(c.get(NodeId(0), "/hdfs/hot/x", &[0], NOW).is_none());
         assert_eq!(c.stats().quota_rejections, 1);
     }
 
@@ -997,7 +1279,7 @@ mod tests {
             c.admit(
                 NodeId(0),
                 &format!("/t/b{i}"),
-                Bytes::from_static(b"d"),
+                Offer::whole(Bytes::from_static(b"d")),
                 attr(1),
                 NOW,
             );
@@ -1005,15 +1287,27 @@ mod tests {
         assert!(c.ghost_len_on(NodeId(0)) <= 8);
         // An old key fell out of the ghost: offering it again is still a
         // first sighting.
-        c.admit(NodeId(0), "/t/b0", Bytes::from_static(b"d"), attr(1), NOW);
-        assert!(c.get(NodeId(0), "/t/b0", NOW).is_none());
+        c.admit(
+            NodeId(0),
+            "/t/b0",
+            Offer::whole(Bytes::from_static(b"d")),
+            attr(1),
+            NOW,
+        );
+        assert!(c.get(NodeId(0), "/t/b0", &[0], NOW).is_none());
     }
 
     #[test]
     fn node_tier_rows_report_state() {
         let c = open(64, 64);
-        c.admit(NodeId(0), "/t/x", Bytes::from(vec![0u8; 128]), attr(1), NOW);
-        c.get(NodeId(0), "/t/x", NOW); // ssd hit + promotion
+        c.admit(
+            NodeId(0),
+            "/t/x",
+            Offer::whole(Bytes::from(vec![0u8; 128])),
+            attr(1),
+            NOW,
+        );
+        c.get(NodeId(0), "/t/x", &[0], NOW); // ssd hit + promotion
         let rows = c.node_tier_rows(NodeId(0));
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].tier, "mem");
@@ -1026,5 +1320,167 @@ mod tests {
         let empty = c.node_tier_rows(NodeId(9));
         assert_eq!(empty.len(), 3);
         assert_eq!(empty[0].entries, 0);
+    }
+
+    /// Offers a block of chunks `lens` (zero bytes each) to `node`, the
+    /// read having touched `touched`.
+    fn offer(c: &TieredCache, node: u64, path: &str, lens: &[u64], touched: &[usize], user: u64) {
+        let data = Bytes::from(vec![0u8; lens.iter().sum::<u64>() as usize]);
+        let (chunks, touched) = (lens.to_vec(), touched.to_vec());
+        let offer = Offer {
+            data,
+            chunks,
+            touched,
+        };
+        c.admit(NodeId(node), path, offer, attr(user), NOW);
+    }
+
+    /// The tier of each chunk of `path` on node 0 — a probe, so it refreshes them.
+    fn tiers(c: &TieredCache, path: &str, chunks: &[usize]) -> Vec<Option<CacheTier>> {
+        c.get(NodeId(0), path, chunks, NOW)
+            .map_or_else(|| vec![None; chunks.len()], |h| h.tiers)
+    }
+
+    const SSD: Option<CacheTier> = Some(CacheTier::Ssd);
+    const MEM: Option<CacheTier> = Some(CacheTier::Memory);
+
+    #[test]
+    fn a_block_is_admitted_on_its_second_sighting_with_all_of_its_chunks() {
+        let c = TieredCache::new(open(0, 64).settings, Vec::new());
+        let lens = [10, 100, 200, 300];
+        offer(&c, 0, "/t/b0", &lens, &[0, 2], 1);
+        assert_eq!(c.stats().ghost_registered, 1);
+        assert_eq!(c.used_on(NodeId(0), CacheTier::Ssd), ByteSize::ZERO);
+        offer(&c, 0, "/t/b0", &lens, &[0, 2], 1);
+        assert_eq!(c.stats().ghost_admissions, 1);
+        assert_eq!(c.used_on(NodeId(0), CacheTier::Ssd), ByteSize(610));
+        assert_eq!(
+            c.node_tier_rows(NodeId(0))[1].entries,
+            4,
+            "one row entry per chunk"
+        );
+        assert_eq!(tiers(&c, "/t/b0", &[0, 1, 2, 3]), [SSD; 4]);
+    }
+
+    #[test]
+    fn under_pressure_every_speculative_chunk_goes_before_any_touched_one_coldest_first() {
+        // SSD only, 1,000 B: a and b each touch one 100 B chunk of four.
+        let settings = CacheSettings {
+            ssd_capacity_per_node: ByteSize(1000),
+            ..open(0, 1).settings
+        };
+        let c = TieredCache::new(settings, pin_all());
+        offer(&c, 0, "/t/a", &[100; 4], &[1], 1);
+        offer(&c, 0, "/t/b", &[100; 4], &[2], 1);
+        // 100 B too many: the coldest speculative chunk, a's first.
+        offer(&c, 0, "/t/c", &[100, 200], &[0], 1);
+        assert_eq!(c.stats().ssd_evictions, 1);
+        let rows = c.node_tier_rows(NodeId(0));
+        assert_eq!((rows[1].entries, rows[1].used_bytes), (9, 1000));
+        // 800 B too many: every speculative chunk left (700 B) goes before
+        // the coldest touched one, a's; a leaves the node, to the ghost.
+        offer(&c, 0, "/t/d", &[800], &[0], 1);
+        assert_eq!(c.stats().ssd_evictions, 8);
+        assert_eq!(c.ghost_len_on(NodeId(0)), 1);
+        assert_eq!(tiers(&c, "/t/a", &[0, 1, 2, 3]), [None; 4]);
+        assert_eq!(tiers(&c, "/t/b", &[0, 1, 2, 3]), [None, None, SSD, None]);
+        assert_eq!(tiers(&c, "/t/c", &[0, 1]), [SSD, None]);
+        // Those probes refreshed b's and c's after d came: d is the coldest.
+        offer(&c, 0, "/t/e", &[100], &[0], 1);
+        assert_eq!(tiers(&c, "/t/d", &[0]), [None]);
+        assert_eq!(tiers(&c, "/t/b", &[2]), [SSD]);
+        assert_eq!(tiers(&c, "/t/c", &[0]), [SSD]);
+    }
+
+    #[test]
+    fn a_hit_clears_the_speculative_mark() {
+        let settings = CacheSettings {
+            ssd_capacity_per_node: ByteSize(300),
+            ..open(0, 1).settings
+        };
+        for hit in [false, true] {
+            let c = TieredCache::new(settings.clone(), pin_all());
+            offer(&c, 0, "/t/a", &[100, 100], &[0], 1);
+            if hit {
+                assert_eq!(tiers(&c, "/t/a", &[1]), [SSD]);
+            }
+            // 100 B too many: the coldest speculative chunk goes — a's
+            // second, unless the hit made it an ordinary one.
+            offer(&c, 0, "/t/b", &[100, 100], &[0], 1);
+            let a = tiers(&c, "/t/a", &[0, 1]);
+            let b = tiers(&c, "/t/b", &[0, 1]);
+            match hit {
+                false => assert_eq!((a, b), (vec![SSD, None], vec![SSD, SSD])),
+                true => assert_eq!((a, b), (vec![SSD, SSD], vec![SSD, None])),
+            }
+        }
+    }
+
+    #[test]
+    fn an_ssd_hit_promotes_the_blocks_ssd_resident_chunks() {
+        let c = open(64, 64);
+        offer(&c, 0, "/t/a", &[100, 100, 100], &[1], 1);
+        // The hit on one chunk is served by SSD and moves all three.
+        assert_eq!(tiers(&c, "/t/a", &[1]), [SSD]);
+        assert_eq!(c.used_on(NodeId(0), CacheTier::Memory), ByteSize(300));
+        assert_eq!(c.used_on(NodeId(0), CacheTier::Ssd), ByteSize::ZERO);
+        assert_eq!(c.stats().promotions, 3);
+        assert_eq!(tiers(&c, "/t/a", &[0, 2]), [MEM, MEM]);
+        // Memory for two chunks: a hit on one of the rest promotes both,
+        // and the coldest memory chunks demote.
+        let c = TieredCache::new(
+            CacheSettings {
+                mem_capacity_per_node: ByteSize(200),
+                ..open(64, 64).settings
+            },
+            pin_all(),
+        );
+        offer(&c, 0, "/t/a", &[100, 100, 100], &[0, 1, 2], 1);
+        assert_eq!(
+            tiers(&c, "/t/a", &[0]),
+            [SSD],
+            "300 B do not fit: none moves"
+        );
+        assert_eq!(c.stats().promotions, 0);
+    }
+
+    #[test]
+    fn invalidate_path_leaves_no_chunk_of_the_path_on_any_node() {
+        let c = open(64, 64);
+        for node in [0, 1] {
+            offer(&c, node, "/t/a", &[10, 20, 30], &[1], 1);
+        }
+        offer(&c, 0, "/t/b", &[40], &[0], 1);
+        tiers(&c, "/t/a", &[1]); // node 0's copy moves to memory
+        c.invalidate_path("/t/a");
+        assert_eq!(c.stats().invalidations, 6, "three chunks on each node");
+        for node in [NodeId(0), NodeId(1)] {
+            assert!(c.get(node, "/t/a", &[0, 1, 2], NOW).is_none());
+            assert_eq!(c.used_on(node, CacheTier::Memory), ByteSize::ZERO);
+        }
+        assert_eq!(c.used_on(NodeId(0), CacheTier::Ssd), ByteSize(40));
+        assert_eq!(c.used_on(NodeId(1), CacheTier::Ssd), ByteSize::ZERO);
+        assert_eq!(c.user_used_on(NodeId(0), UserId(1)), ByteSize(40));
+    }
+
+    #[test]
+    fn quota_eviction_and_rejection_count_chunk_bytes() {
+        let c = open(64, 64);
+        c.set_user_quota(UserId(1), Some(ByteSize(1000)));
+        offer(&c, 0, "/t/a", &[300, 300], &[0], 1);
+        offer(&c, 0, "/t/x", &[500], &[0], 2);
+        // 600 + 500 > 1,000: user 1 sheds its own coldest chunk — a's
+        // speculative one — and nothing of user 2's.
+        offer(&c, 0, "/t/b", &[200, 300], &[0], 1);
+        let st = c.stats();
+        assert_eq!((st.quota_evictions, st.ssd_evictions), (1, 1));
+        assert_eq!(c.user_used_on(NodeId(0), UserId(1)), ByteSize(800));
+        assert_eq!(c.user_used_on(NodeId(0), UserId(2)), ByteSize(500));
+        assert_eq!(tiers(&c, "/t/a", &[0, 1]), [SSD, None]);
+        // Every chunk fits the quota, the object does not: rejected.
+        offer(&c, 0, "/t/big", &[600, 401], &[0], 1);
+        let st = c.stats();
+        assert_eq!((st.quota_rejections, st.rejected), (1, 1));
+        assert!(c.get(NodeId(0), "/t/big", &[0], NOW).is_none());
     }
 }

@@ -145,6 +145,16 @@ impl Domain {
         &self.prefix
     }
 
+    /// The medium that serves this domain's reads.
+    pub fn medium(&self) -> StorageMedium {
+        self.medium
+    }
+
+    /// The fixed latency every read from this domain pays (Fatman's wake-up).
+    pub fn wake_penalty(&self) -> SimDuration {
+        self.wake_penalty
+    }
+
     /// Writes an object; `near` is the writing node, a hint for HDFS and
     /// the owner the local FS requires.
     pub fn put(&self, path: &str, data: Bytes, near: Option<NodeId>) -> Result<()> {

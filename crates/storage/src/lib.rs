@@ -23,7 +23,9 @@ pub mod router;
 
 pub use auth::{AuthService, Credential, Grant};
 pub use bytes::Bytes;
-pub use cache::{CacheAttr, CacheHit, CachePin, CacheStats, CacheTier, CacheTierRow, TieredCache};
+pub use cache::{
+    CacheAttr, CacheHit, CachePin, CacheStats, CacheTier, CacheTierRow, Offer, TieredCache,
+};
 pub use domain::{Domain, ReadResult};
 pub use footers::FooterCache;
-pub use router::StorageRouter;
+pub use router::{BlockRead, StorageRouter};

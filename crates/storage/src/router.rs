@@ -9,7 +9,7 @@
 //! reads with the per-node SSD cache of §IV-B.
 
 use crate::auth::{AuthService, Credential, Grant};
-use crate::cache::{CacheAttr, CacheTier, TieredCache};
+use crate::cache::{CacheAttr, CacheHit, CacheTier, Offer, TieredCache};
 use crate::domain::{Domain, ReadResult};
 use crate::footers::FooterCache;
 use bytes::Bytes;
@@ -19,6 +19,41 @@ use feisu_common::{ByteSize, FeisuError, NodeId, Result, SimInstant};
 use feisu_format::{Block, BlockMeta};
 use feisu_obs::MetricsRegistry;
 use std::sync::Arc;
+
+/// A block one task reads, chunk by chunk — chunk 0 holds its header and
+/// footer, column `i` is chunk `i + 1` — with what served each chunk.
+#[derive(Debug)]
+pub struct BlockRead {
+    /// The footer the task decides on.
+    pub meta: Arc<BlockMeta>,
+    /// The object's bytes, once a chunk was read.
+    data: Option<Bytes>,
+    /// Each chunk read, with the tier that served it (`None`: the domain).
+    pub served: Vec<(usize, Option<CacheTier>)>,
+    /// Network hops from the replica that served, when the domain did.
+    pub hops: u32,
+    /// `data` came whole from the domain and awaits its offer to the cache.
+    unoffered: bool,
+}
+
+impl BlockRead {
+    /// A block whose footer is resident on the reader: nothing read yet.
+    pub fn resident(meta: Arc<BlockMeta>) -> BlockRead {
+        BlockRead {
+            meta,
+            data: None,
+            served: Vec::new(),
+            hops: 0,
+            unoffered: false,
+        }
+    }
+
+    /// The tier that served `chunk`; `None` when its domain did.
+    pub fn tier(&self, chunk: usize) -> Option<CacheTier> {
+        let served = self.served.iter().find(|(c, _)| *c == chunk);
+        served.and_then(|&(_, tier)| tier)
+    }
+}
 
 /// The unified entry point to every storage domain.
 pub struct StorageRouter {
@@ -106,11 +141,11 @@ impl StorageRouter {
         &self.domains[self.domain_index(path)]
     }
 
-    /// Authorized read through the cache hierarchy. A memory-tier hit
-    /// costs a cache access plus memory streaming; an SSD-tier hit costs
-    /// a local SSD access; a miss pays the domain read cost and the bytes
-    /// are offered to the cache, attributed to the credential's user (for
-    /// quota accounting).
+    /// Authorized read of a whole object, the one-chunk case of the
+    /// cache hierarchy. A memory-tier hit costs a cache access plus memory
+    /// streaming; an SSD-tier hit costs a local SSD access; a miss pays
+    /// the domain read cost and the bytes are offered to the cache,
+    /// attributed to the credential's user (for quota accounting).
     pub fn read(
         &self,
         path: &str,
@@ -118,13 +153,17 @@ impl StorageRouter {
         cred: &Credential,
         now: SimInstant,
     ) -> Result<ReadResult> {
-        let (domain, inner) = self.resolve(path);
+        let domain = self.domain_of(path);
         self.auth.authorize(cred, domain.id(), Grant::Read, now)?;
-        if let Some(cache) = &self.cache {
-            if let Some(hit) = cache.get(reader, path, now) {
-                let size = ByteSize(hit.data.len() as u64);
+        let hit = self
+            .cache
+            .as_ref()
+            .and_then(|c| c.get(reader, path, &[0], now));
+        if let Some(CacheHit { data, tiers }) = hit {
+            if let [Some(tier)] = tiers[..] {
+                let size = ByteSize(data.len() as u64);
                 let mut cost = TimeTally::new();
-                let (io, medium) = match hit.tier {
+                let (io, medium) = match tier {
                     CacheTier::Memory => (self.cost.mem_cache_read(size), StorageMedium::Memory),
                     CacheTier::Ssd => {
                         (self.cost.read(StorageMedium::Ssd, size), StorageMedium::Ssd)
@@ -132,22 +171,62 @@ impl StorageRouter {
                 };
                 cost.add_io(io);
                 return Ok(ReadResult {
-                    data: hit.data,
+                    data,
                     cost,
                     medium,
                     hops: 0,
-                    cache_tier: Some(hit.tier),
+                    cache_tier: Some(tier),
                 });
             }
         }
+        let result = self.read_domain(path, reader)?;
+        self.offer(path, reader, cred, now, Offer::whole(result.data.clone()));
+        Ok(result)
+    }
+
+    /// A read of the whole object at `path` from its domain, counted there.
+    fn read_domain(&self, path: &str, reader: NodeId) -> Result<ReadResult> {
+        let (domain, inner) = self.resolve(path);
         let result = domain.read_from(&inner, reader)?;
         domain.reads.inc();
         domain.bytes_read.add(result.data.len() as u64);
-        if let Some(cache) = &self.cache {
-            let attr = CacheAttr { user: cred.user };
-            cache.admit(reader, path, result.data.clone(), attr, now);
-        }
         Ok(result)
+    }
+
+    fn offer(&self, path: &str, reader: NodeId, cred: &Credential, now: SimInstant, offer: Offer) {
+        if let Some(cache) = &self.cache {
+            cache.admit(reader, path, offer, CacheAttr { user: cred.user }, now);
+        }
+    }
+
+    /// Reads the `chunks` of the block at `path`: from the block cache
+    /// when it holds every one, else the whole object from its domain.
+    /// Returns the bytes, the tier that served each chunk (`None`: the
+    /// domain), and the domain read's hops if there was one — that read
+    /// is the caller's to offer to the cache.
+    fn read_chunks(
+        &self,
+        path: &str,
+        reader: NodeId,
+        cred: &Credential,
+        now: SimInstant,
+        chunks: &[usize],
+    ) -> Result<(Bytes, Vec<Option<CacheTier>>, Option<u32>)> {
+        let domain = self.domain_of(path);
+        self.auth.authorize(cred, domain.id(), Grant::Read, now)?;
+        let hit = self
+            .cache
+            .as_ref()
+            .and_then(|c| c.get(reader, path, chunks, now));
+        let tiers = match hit {
+            Some(CacheHit { data, tiers }) if tiers.iter().all(Option::is_some) => {
+                return Ok((data, tiers, None))
+            }
+            Some(hit) => hit.tiers,
+            None => vec![None; chunks.len()],
+        };
+        let read = self.read_domain(path, reader)?;
+        Ok((read.data, tiers, Some(read.hops)))
     }
 
     /// The footer `reader` keeps resident for the block at `path`, if
@@ -165,36 +244,87 @@ impl StorageRouter {
         Ok(self.footers.get(reader, path))
     }
 
-    /// [`Self::read`] of a block together with its parsed
-    /// footer. `resident` is what [`Self::resident_footer`] returned for
-    /// this task: if it describes the bytes read it is returned as is and
-    /// nothing is parsed; if the path was rewritten in between it is
-    /// dropped and the footer parsed from the bytes in hand. With no
-    /// resident footer the block is read and parsed once, and the footer
-    /// stays resident on `reader`.
+    /// Reads the metadata chunk of the block at `path` for a task on
+    /// `reader`, where no footer of it is resident: parses the footer once
+    /// and keeps it resident there. The chunk comes from the block cache
+    /// when it holds it, else with the whole object from its domain,
+    /// which the task's [`Self::fetch`] offers to the cache.
     pub fn read_block(
         &self,
         path: &str,
         reader: NodeId,
         cred: &Credential,
         now: SimInstant,
-        resident: Option<Arc<BlockMeta>>,
-    ) -> Result<(ReadResult, Arc<BlockMeta>)> {
+    ) -> Result<BlockRead> {
         let read_and_parse = || {
-            let read = self.read(path, reader, cred, now)?;
-            let meta = Arc::new(Block::read_meta(&read.data)?);
+            let (data, tiers, hops) = self.read_chunks(path, reader, cred, now, &[0])?;
+            let meta = Arc::new(Block::read_meta(&data)?);
+            let read = BlockRead {
+                meta: meta.clone(),
+                data: Some(data),
+                served: vec![(0, tiers[0])],
+                hops: hops.unwrap_or(0),
+                unoffered: hops.is_some(),
+            };
             Ok((read, meta))
         };
-        let Some(meta) = resident else {
-            return self.footers.fill_with(reader, path, read_and_parse);
-        };
-        let read = self.read(path, reader, cred, now)?;
-        if meta.describes(&read.data) {
-            return Ok((read, meta));
+        Ok(self.footers.fill_with(reader, path, read_and_parse)?.0)
+    }
+
+    /// Fetches the chunks of `columns` (schema indices of `read.meta`) of
+    /// the block at `path` and returns its bytes. A task whose footer read
+    /// brought the whole object from its domain has them in hand;
+    /// otherwise they come from the block cache when it holds them all,
+    /// else with the whole object from its domain. With no column and
+    /// nothing read yet, the task reads the metadata chunk. A domain read
+    /// is offered to the cache here, once, with every chunk the task
+    /// touched; and a footer that does not describe the bytes fetched (the
+    /// path was rewritten) is dropped for theirs.
+    pub fn fetch(
+        &self,
+        path: &str,
+        reader: NodeId,
+        cred: &Credential,
+        now: SimInstant,
+        read: &mut BlockRead,
+        columns: &[usize],
+    ) -> Result<Bytes> {
+        let mut chunks: Vec<usize> = columns.iter().map(|c| c + 1).collect();
+        match &read.data {
+            Some(_) if read.unoffered => {
+                read.served.extend(chunks.iter().map(|&c| (c, None)));
+                chunks = read.served.iter().map(|&(c, _)| c).collect();
+            }
+            Some(data) if chunks.is_empty() => return Ok(data.clone()),
+            _ => {
+                if chunks.is_empty() {
+                    chunks.push(0);
+                }
+                let (data, tiers, hops) = self.read_chunks(path, reader, cred, now, &chunks)?;
+                read.served.extend(chunks.iter().copied().zip(tiers));
+                if !read.meta.describes(&data) {
+                    self.footers.forget(reader, path);
+                    read.meta = Arc::new(Block::read_meta(&data)?);
+                }
+                read.data = Some(data);
+                read.unoffered = hops.is_some();
+                read.hops = hops.unwrap_or(read.hops);
+            }
         }
-        self.footers.forget(reader, path);
-        let meta = Arc::new(Block::read_meta(&read.data)?);
-        Ok((read, meta))
+        let data = read.data.clone().expect("fetched");
+        if std::mem::take(&mut read.unoffered) {
+            let meta = &read.meta;
+            let lens: Vec<u64> = std::iter::once(meta.meta_bytes as u64)
+                .chain(meta.chunk_lens())
+                .collect();
+            let offer = Offer {
+                data: data.clone(),
+                chunks: lens,
+                touched: chunks,
+            };
+            self.offer(path, reader, cred, now, offer);
+        }
+        Ok(data)
     }
 
     /// Authorized write. A successful write invalidates any cached copy
@@ -534,6 +664,24 @@ mod tests {
         block.serialize().into()
     }
 
+    /// A task's read of the block at `path` on `node` down to its bytes:
+    /// the footer `resident` when given, else the one read; then column 0.
+    fn read_through(
+        r: &StorageRouter,
+        path: &str,
+        node: NodeId,
+        cred: &Credential,
+        now: SimInstant,
+        resident: Option<Arc<BlockMeta>>,
+    ) -> Result<(Bytes, Arc<BlockMeta>)> {
+        let mut read = match resident {
+            Some(meta) => BlockRead::resident(meta),
+            None => r.read_block(path, node, cred, now)?,
+        };
+        let data = r.fetch(path, node, cred, now, &mut read, &[0])?;
+        Ok((data, read.meta))
+    }
+
     fn low_bound(meta: &BlockMeta) -> Option<feisu_format::Value> {
         meta.zones.as_ref().unwrap()[0].min.clone()
     }
@@ -553,8 +701,8 @@ mod tests {
             .is_none());
 
         let before = parses();
-        let (read, cold) = r.read_block(path, NodeId(1), &cred, t0, None).unwrap();
-        assert!(cold.describes(&read.data));
+        let (data, cold) = read_through(&r, path, NodeId(1), &cred, t0, None).unwrap();
+        assert!(cold.describes(&data));
         assert_eq!(parses() - before, 1);
         // Resident on the reading node only, and reused without a parse.
         assert!(r
@@ -563,10 +711,10 @@ mod tests {
             .is_none());
         let resident = r.resident_footer(path, NodeId(1), &cred, t0).unwrap();
         assert!(Arc::ptr_eq(resident.as_ref().unwrap(), &cold));
-        let (_, warm) = r.read_block(path, NodeId(1), &cred, t0, resident).unwrap();
+        let (_, warm) = read_through(&r, path, NodeId(1), &cred, t0, resident).unwrap();
         assert!(Arc::ptr_eq(&warm, &cold));
         assert_eq!(parses() - before, 1, "a warm read parses nothing");
-        r.read_block(path, NodeId(0), &cred, t0, None).unwrap();
+        read_through(&r, path, NodeId(0), &cred, t0, None).unwrap();
 
         // The rewrite drops both nodes' copies; the next read sees the new
         // zone bounds.
@@ -575,7 +723,7 @@ mod tests {
         for node in [NodeId(0), NodeId(1)] {
             assert!(r.resident_footer(path, node, &cred, t0).unwrap().is_none());
         }
-        let (_, fresh) = r.read_block(path, NodeId(1), &cred, t0, None).unwrap();
+        let (_, fresh) = read_through(&r, path, NodeId(1), &cred, t0, None).unwrap();
         assert_eq!(low_bound(&fresh), Some(feisu_format::Value::Int64(500)));
         assert_eq!(registry.counter("feisu.meta.invalidations").get(), 2);
         assert_eq!(registry.counter("feisu.meta.hits").get(), 1);
@@ -588,22 +736,22 @@ mod tests {
         let (path, t0) = ("/hdfs/t/b0", SimInstant(0));
         r.write(path, block_bytes(0), Some(NodeId(0)), &cred, t0)
             .unwrap();
-        r.read_block(path, NodeId(1), &cred, t0, None).unwrap();
+        read_through(&r, path, NodeId(1), &cred, t0, None).unwrap();
         // A task looks its footer up, then the path is rewritten, then the
         // task reads: it must get the footer of the bytes it read.
         let looked_up = r.resident_footer(path, NodeId(1), &cred, t0).unwrap();
         assert!(looked_up.is_some());
         r.write(path, block_bytes(500), Some(NodeId(0)), &cred, t0)
             .unwrap();
-        let (read, meta) = r.read_block(path, NodeId(1), &cred, t0, looked_up).unwrap();
-        assert!(meta.describes(&read.data));
+        let (data, meta) = read_through(&r, path, NodeId(1), &cred, t0, looked_up).unwrap();
+        assert!(meta.describes(&data));
         assert_eq!(low_bound(&meta), Some(feisu_format::Value::Int64(500)));
         // Bytes that are no block at all are Corrupt, and stay out.
         r.write(path, Bytes::from_static(b"junk"), None, &cred, t0)
             .unwrap();
-        let junk = r.read_block(path, NodeId(1), &cred, t0, Some(meta));
+        let junk = read_through(&r, path, NodeId(1), &cred, t0, Some(meta));
         assert!(matches!(junk, Err(FeisuError::Corrupt(_))));
-        let junk = r.read_block(path, NodeId(1), &cred, t0, None);
+        let junk = read_through(&r, path, NodeId(1), &cred, t0, None);
         assert!(matches!(junk, Err(FeisuError::Corrupt(_))));
         assert!(r
             .resident_footer(path, NodeId(1), &cred, t0)
@@ -617,8 +765,7 @@ mod tests {
         let t0 = SimInstant(0);
         r.write("/hdfs/t/b0", block_bytes(0), None, &cred, t0)
             .unwrap();
-        r.read_block("/hdfs/t/b0", NodeId(1), &cred, t0, None)
-            .unwrap();
+        read_through(&r, "/hdfs/t/b0", NodeId(1), &cred, t0, None).unwrap();
         // Resident or not, no grant on the domain means no answer...
         let denied = r.resident_footer("/ffs/x", NodeId(1), &cred, t0);
         assert!(matches!(denied, Err(FeisuError::PermissionDenied(_))));

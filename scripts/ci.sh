@@ -6,8 +6,8 @@
 #      the exec equivalence, top-k oracle parity, optimizer reference,
 #      distinct-count sketch reference, footer mismatch, kernel
 #      equivalence, selected decode, buffer-backed Utf8 column, two-phase
-#      leaf (its count-only arm included), LRU, node-table and scheduler
-#      model suites again in
+#      leaf (its count-only arm included), LRU, block-cache, node-table
+#      and scheduler model suites again in
 #      release with more cases, and the exec, optimizer,
 #      catalog/schema/statistics, ingest, Utf8 decode and concat, and
 #      leaf allocation budgets — a scan task's and a count-only task's —
@@ -116,7 +116,11 @@ PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-tests --test leaf_
 
 # The recency core under every per-node cache (common::lru) against a
 # Vec kept in recency order: same returns, victims, order and weight.
-# Beside it, the master's node table against a plain per-node model:
+# Beside it, the chunk-granular block cache against one Vec of resident
+# chunks in recency order, each with its tier and speculative flag:
+# seeded reads over random chunk layouts through small tiers are served
+# from the same tier chunk by chunk, with the same stats totals, tier
+# bytes and ghosts. The master's node table against a plain per-node model:
 # random beats, failures, recoveries, slow marks, business loads, slot
 # acquires and releases at random instants give the same alive lists,
 # acquire answers, slot limits and system.nodes rows. And the scheduler
@@ -124,8 +128,9 @@ PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-tests --test leaf_
 # per-node maximum is the least any placement on holders and alive
 # rack-mates reaches, tasks stay on holders when holders alone reach it,
 # and an already optimal greedy placement comes back unchanged.
-echo "ci: lru + node table + scheduler model suites (release, 2048 cases)"
+echo "ci: lru + block cache + node table + scheduler model suites (release, 2048 cases)"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-common --test lru_model
+PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-storage --test cache_model
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-core --lib -- master::nodes:: master::scheduler::
 
 echo "ci: clippy (all targets, -D warnings)"

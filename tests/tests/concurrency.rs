@@ -15,7 +15,7 @@ use feisu_common::{ByteSize, NodeId, SimInstant, UserId};
 use feisu_core::engine::{ClusterSpec, FeisuCluster, QueryResult};
 use feisu_core::master::QuerySession;
 use feisu_storage::auth::Credential;
-use feisu_storage::{Bytes, CacheAttr, CachePin, CacheStats, CacheTier, TieredCache};
+use feisu_storage::{Bytes, CacheAttr, CachePin, CacheStats, CacheTier, Offer, TieredCache};
 use feisu_tests::{clicks_rows, clicks_schema, fixture_with};
 use std::sync::Barrier;
 
@@ -288,18 +288,16 @@ fn parallel_hammer_on_two_nodes_keeps_exact_cache_totals() {
                     for i in 0..ops {
                         let path = format!("/hammer/u{t}/b{i}");
                         let attr = CacheAttr { user };
-                        assert!(cache.get(node, &path, now).is_none(), "fresh key must miss");
-                        cache.admit(
-                            node,
-                            &path,
-                            Bytes::from(vec![t as u8; payload as usize]),
-                            attr,
-                            now,
-                        );
-                        let ssd = cache.get(node, &path, now).expect("admitted key present");
-                        assert_eq!(ssd.tier, CacheTier::Ssd, "entries enter at the SSD tier");
-                        let mem = cache.get(node, &path, now).expect("promoted key present");
-                        assert_eq!(mem.tier, CacheTier::Memory, "SSD hit promotes to memory");
+                        let probe = || cache.get(node, &path, &[0], now);
+                        assert!(probe().is_none(), "fresh key must miss");
+                        let bytes = Bytes::from(vec![t as u8; payload as usize]);
+                        cache.admit(node, &path, Offer::whole(bytes), attr, now);
+                        let ssd = probe().expect("admitted key present");
+                        let ssd_tier = Some(CacheTier::Ssd);
+                        assert_eq!(ssd.tiers, [ssd_tier], "entries enter at the SSD tier");
+                        let mem = probe().expect("promoted key present");
+                        let mem_tier = Some(CacheTier::Memory);
+                        assert_eq!(mem.tiers, [mem_tier], "SSD hit promotes to memory");
                         assert_eq!(mem.data.len() as u64, payload);
                     }
                 }
