@@ -127,6 +127,9 @@ pub struct QueryStats {
     pub blocks_skipped: usize,
     /// Blocks whose column chunks were actually decoded.
     pub blocks_scanned: usize,
+    /// CNF clauses footer zone maps proved for every row of a block, so
+    /// never read, built or evaluated (counted per task).
+    pub proved_clauses: usize,
     pub bytes_read: ByteSize,
     /// Simulated result bytes shipped leaf→stem across all scans.
     pub wire_leaf_stem: ByteSize,
@@ -162,6 +165,7 @@ impl QueryStats {
         self.scanned_predicates += other.scanned_predicates;
         self.blocks_skipped += other.blocks_skipped;
         self.blocks_scanned += other.blocks_scanned;
+        self.proved_clauses += other.proved_clauses;
         self.bytes_read += other.bytes_read;
         self.wire_leaf_stem += other.wire_leaf_stem;
         self.wire_rack_dc += other.wire_rack_dc;
@@ -180,6 +184,7 @@ impl QueryStats {
             scanned_predicates: leaf.scanned_predicates,
             blocks_skipped: leaf.blocks_skipped,
             blocks_scanned: leaf.blocks_scanned,
+            proved_clauses: leaf.proved_clauses,
             bytes_read: leaf.bytes_read,
             memory_served_tasks: leaf.served_from_memory as usize,
             ..QueryStats::default()

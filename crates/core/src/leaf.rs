@@ -5,15 +5,17 @@
 //! paper's order of preference ("all computations are conducted in memory.
 //! No scan operation is actually needed", §IV-C-3). Each rung answers or
 //! hands the next its state: (1) a bare `COUNT(*)` whose every predicate
-//! has cached SmartIndex bits counts them; (2) footer zone maps that
-//! disprove a clause skip the block, from the node's resident footer
-//! without a read, else from the one read with the block; (3) phase one
-//! decodes the columns the selection is computed from and evaluates it;
-//! (4) a count is its bit count, anything else decodes its projection
-//! through it; (5) the optional partial aggregation. SmartIndex is looked
-//! up once per predicate, and a handle the task holds serves even if the
-//! entry is evicted before its turn. Every rung records what it touched in
-//! one `Touch`, and one `bill` prices every exit.
+//! has cached SmartIndex bits counts them; (2) the footer's zone maps,
+//! from the node's resident footer without a read, else from the one read
+//! with the block, classify each clause: one they disprove skips the
+//! block, one they prove for every row leaves the task; (3) the fetch reads
+//! the chunks the rest touch; (4) phase one decodes the columns the
+//! selection is computed from and evaluates it; (5) a count is its bit
+//! count, anything else decodes its projection through it; (6) the
+//! optional partial aggregation. SmartIndex is looked up once per
+//! predicate, and a handle the task holds serves even if the entry is
+//! evicted before its turn. Every rung records what it touched in one
+//! `Touch`, and one `bill` prices every exit.
 
 use feisu_cluster::simclock::TimeTally;
 use feisu_cluster::{CostModel, StorageMedium};
@@ -28,13 +30,15 @@ use feisu_format::{Block, BlockMeta, Column, Field, Schema};
 use feisu_index::bitvec::BitVec;
 use feisu_index::manager::{Held, IndexManager};
 use feisu_index::rewrite::{evaluate_held, ProbeKind};
-use feisu_index::zonemap;
+use feisu_index::zonemap::{self, Verdict};
+use feisu_index::SmartIndex;
 use feisu_sql::ast::Expr;
-use feisu_sql::cnf::{Clause, Cnf, SimplePredicate};
+use feisu_sql::cnf::{Clause, Cnf, Disjunct, SimplePredicate};
 use feisu_sql::eval::eval_truth;
 use feisu_sql::exprutil::{rename_cnf, rename_expr};
 use feisu_storage::auth::Credential;
 use feisu_storage::{BlockRead, Bytes, CacheTier, Domain, StorageRouter};
+use std::borrow::Cow;
 use std::ops::ControlFlow::{self, Break, Continue};
 use std::sync::Arc;
 
@@ -115,6 +119,9 @@ pub struct LeafTaskStats {
     pub blocks_skipped: usize,
     /// Blocks whose column chunks were actually decoded.
     pub blocks_scanned: usize,
+    /// CNF clauses the footer zone maps proved for every row of the
+    /// block: their columns were never read, built or evaluated.
+    pub proved_clauses: usize,
     /// Block bytes actually charged to storage.
     pub bytes_read: ByteSize,
     /// Whole task served from memory (no storage touch).
@@ -185,11 +192,11 @@ struct Touch<'a> {
     /// CNF clauses: a decision from cached bits or zones costs one
     /// predicate evaluation each.
     clauses: usize,
-    /// The footer decided on, `skipped` if its zones disproved the CNF;
+    /// The footer decided on and its zones' verdict on each CNF clause;
     /// the block's read, with the tier of each chunk read, and its domain,
     /// unless bits or a resident footer answered.
     footer: Option<Arc<BlockMeta>>,
-    skipped: bool,
+    verdicts: Vec<Verdict>,
     read: Option<(BlockRead, &'a Domain)>,
     /// Storage names of the columns evaluated and materialized; one the
     /// block lacks is neither decoded nor billed.
@@ -213,6 +220,21 @@ impl LeafTaskStats {
             }
             ProbeKind::Scanned => self.scanned_predicates += 1,
         }
+    }
+}
+
+/// The clauses a task still evaluates — those its footer did not prove —
+/// and the SmartIndex handles held for their simple predicates, in probe
+/// order.
+struct Kept<'a> {
+    cnf: Cow<'a, Cnf>,
+    held: Vec<Option<Held>>,
+}
+
+impl Touch<'_> {
+    /// The footer's zones disproved a clause: the block is skipped.
+    fn skipped(&self) -> bool {
+        self.verdicts.contains(&Verdict::Disproved)
     }
 }
 
@@ -278,19 +300,20 @@ impl LeafServer {
             Break(answer) => return Ok(answer),
             Continue(read) => read,
         };
-        let held = held.unwrap_or_else(|| lookup(c));
+        let mut kept = keep(c, &t.verdicts, held);
         // The task's residuals, then the CNF clauses that are not
         // all-simple, which the leaf reads as residuals too (`lower` never
-        // emits one).
+        // emits one) and the footer never proves.
         let residuals: Vec<Expr> = (c.task.residual.iter())
             .map(|e| rename_expr(e, &c.task.name_map))
             .chain(opaque(&c.cnf).map(Clause::to_expr))
             .collect();
-        let (data, meta) = match self.fetch(c, &held, &residuals, read, t)? {
+        let (data, meta) = match self.fetch(c, &mut kept, &residuals, read, t)? {
             Break(answer) => return Ok(answer),
             Continue(fetched) => fetched,
         };
-        let (block, bits) = evaluate(c, &held, residuals, (&data, &meta), t)?;
+        let (block, bits) = evaluate(c, &kept, residuals, (&data, &meta), t)?;
+        record_proved(c, &t.verdicts, &meta);
         match count_or_materialize(c, &block, &bits, (&data, &meta), t)? {
             Break(answer) => Ok(answer),
             Continue(batch) => aggregate(c, batch, t),
@@ -306,8 +329,8 @@ impl LeafServer {
             Some(meta) => BlockRead::resident(meta),
             None => router.read_block(path, self.node, c.cred, c.now)?,
         };
-        (t.footer, t.skipped) = (Some(read.meta.clone()), zones_disprove(&c.cnf, &read.meta));
-        if !t.skipped {
+        (t.footer, t.verdicts) = (Some(read.meta.clone()), zones_classify(&c.cnf, &read.meta));
+        if !t.skipped() {
             return Ok(Continue(read));
         }
         if !read.served.is_empty() {
@@ -316,42 +339,52 @@ impl LeafServer {
         Ok(Break(Answer::Empty))
     }
 
-    /// Rung 3, fetch: reads the chunks of the columns phase one evaluates —
-    /// predicates without a held handle, every column a residual names —
+    /// Rung 3, fetch: reads the chunks of the columns phase one evaluates
     /// and, unless the task counts, of its projection. A fetch that finds
-    /// the block rewritten decides on the new footer's zones.
-    fn fetch<'a>(
+    /// the block rewritten decides on the new footer's zones: a clause the
+    /// old footer proved and the new one does not is evaluated after all,
+    /// from the bytes in hand.
+    fn fetch<'a, 'k>(
         &self,
-        c: &Climb<'a>,
-        held: &[Option<Held>],
+        c: &'k Climb<'a>,
+        kept: &mut Kept<'k>,
         residuals: &[Expr],
         read: BlockRead,
         t: &mut Touch<'a>,
     ) -> Rung<(Bytes, Arc<BlockMeta>)> {
-        let mut evaluated = Vec::new();
-        for (i, p) in simple_predicates(&c.cnf).enumerate() {
-            if !matches!(held.get(i), Some(Some(_))) {
-                evaluated.push(p.column.clone());
-            }
-        }
-        residuals.iter().for_each(|e| e.columns(&mut evaluated));
+        t.evaluated = evaluated(kept, residuals);
         if !c.counts {
             t.materialized = &c.task.projection;
         }
         let schema = &read.meta.schema;
-        let names = evaluated.iter().chain(t.materialized);
+        let names = t.evaluated.iter().chain(t.materialized);
         let mut columns: Vec<usize> = names.filter_map(|n| schema.index_of(n)).collect();
         columns.sort_unstable();
         columns.dedup();
-        t.evaluated = evaluated;
         let decided = Arc::as_ptr(&read.meta);
         let data = self.settle(c, read, &columns, t)?;
         let meta = t.footer.clone().expect("fetched");
-        t.skipped = decided != Arc::as_ptr(&meta) && zones_disprove(&c.cnf, &meta);
-        Ok(match t.skipped {
-            true => Break(Answer::Empty),
-            false => Continue((data, meta)),
-        })
+        if decided != Arc::as_ptr(&meta) {
+            let mut verdicts = zones_classify(&c.cnf, &meta);
+            let mut lost = false;
+            for (new, old) in verdicts.iter_mut().zip(&t.verdicts) {
+                // A clause proved on the new footer alone is kept already.
+                match (*old == Verdict::Proved, *new == Verdict::Proved) {
+                    (true, false) => lost = true,
+                    (false, true) => *new = Verdict::Unknown,
+                    _ => {}
+                }
+            }
+            t.verdicts = verdicts;
+            if t.skipped() {
+                return Ok(Break(Answer::Empty));
+            }
+            if lost {
+                *kept = keep(c, &t.verdicts, None);
+                t.evaluated = evaluated(kept, residuals);
+            }
+        }
+        Ok(Continue((data, meta)))
     }
 
     /// Fetches `columns` of the block `read` began (none: settles what the
@@ -391,8 +424,11 @@ impl LeafServer {
     /// Prices what a task touched, whichever rung answered it.
     fn bill(&self, t: &Touch) -> (TimeTally, LeafTaskStats) {
         let cost = &self.cost;
+        let skipped = t.skipped();
+        let proved = t.verdicts.iter().filter(|&&v| v == Verdict::Proved);
         let mut stats = LeafTaskStats {
-            blocks_skipped: t.skipped as usize,
+            blocks_skipped: skipped as usize,
+            proved_clauses: if skipped { 0 } else { proved.count() },
             ..t.stats
         };
         let mut tally = TimeTally::new();
@@ -402,7 +438,7 @@ impl LeafServer {
         let Some((read, domain)) = &t.read else {
             // Cached bits answered, or a resident footer: all in memory.
             stats.served_from_memory = true;
-            if t.skipped {
+            if skipped {
                 tally.add_io(cost.mem_cache_read(footer));
             }
             tally.add_cpu(decided);
@@ -431,7 +467,7 @@ impl LeafServer {
                 tally.add_network(cost.network(read.hops, bytes));
             }
         };
-        if t.skipped {
+        if skipped {
             // A zone skip read the metadata chunk alone.
             let tier = read.tier(0);
             missed(&mut tally, tier, footer);
@@ -521,22 +557,22 @@ fn cached_selection(c: &Climb, t: &mut Touch) -> Rung<Option<Vec<Option<Held>>>>
     if c.index.is_none() || !c.counts || !c.task.residual.is_empty() || !simple {
         return Ok(Continue(None));
     }
-    let held = lookup(c);
+    let held = lookup(c, &c.cnf);
     if held.iter().any(Option::is_none) {
         return Ok(Continue(Some(held)));
     }
     let block = &c.task.block;
     let nothing = Block::new_with_rows(block.id, Schema::empty(), Vec::new(), block.rows)?;
-    t.stats.rows_out = selection(c, &nothing, &held, t)?.count_ones();
+    t.stats.rows_out = selection(c, &c.cnf, &nothing, &held, t)?.count_ones();
     Ok(Break(Answer::Count(t.stats.rows_out)))
 }
 
 /// Rung 4, evaluate — phase one: decode exactly the evaluated columns the
-/// fetch decided on and evaluate the CNF, then the residuals, to the final
-/// selection.
+/// fetch decided on and evaluate the clauses kept, then the residuals, to
+/// the final selection.
 fn evaluate(
     c: &Climb,
-    held: &[Option<Held>],
+    kept: &Kept,
     residuals: Vec<Expr>,
     (data, meta): (&[u8], &BlockMeta),
     t: &mut Touch,
@@ -546,7 +582,7 @@ fn evaluate(
     let mut names: Vec<&str> = t.evaluated.iter().map(String::as_str).collect();
     names.retain(|n| meta.schema.index_of(n).is_some());
     let block = meta.decode_columns(data, &names)?;
-    let mut bits = selection(c, &block, held, t)?;
+    let mut bits = selection(c, &kept.cnf, &block, &kept.held, t)?;
     if !residuals.is_empty() {
         bits = apply_residual(&block, &bits, &residuals)?;
     }
@@ -622,49 +658,119 @@ fn opaque(cnf: &Cnf) -> impl Iterator<Item = &Clause> {
     cnf.clauses.iter().filter(|c| c.as_simple().is_none())
 }
 
-/// The task's one SmartIndex lookup per simple predicate, in probe order;
-/// none without SmartIndex.
-fn lookup(c: &Climb) -> Vec<Option<Held>> {
+/// The task's one SmartIndex lookup per simple predicate of `cnf`, in
+/// probe order; none without SmartIndex.
+fn lookup(c: &Climb, cnf: &Cnf) -> Vec<Option<Held>> {
     let look = |index: &IndexManager| {
-        let held = simple_predicates(&c.cnf).map(|p| index.lookup(c.task.block.id, p, c.now));
+        let held = simple_predicates(cnf).map(|p| index.lookup(c.task.block.id, p, c.now));
         held.collect()
     };
     c.index.map_or_else(Vec::new, look)
 }
 
-/// The CNF over the columns decoded so far (none, for a cached
-/// selection), each predicate served by its held handle or probed at its
-/// turn, each probe counted.
-fn selection(c: &Climb, block: &Block, held: &[Option<Held>], t: &mut Touch) -> Result<BitVec> {
-    let probed = |_: &SimplePredicate, kind| t.stats.probed(kind);
-    evaluate_held(c.index, block, &c.cnf, held, c.now, probed)
+/// The clauses of the task's CNF its footer did not prove, with the
+/// handles `held` has for their predicates — or, none looked up yet, the
+/// task's one lookup of them.
+fn keep<'a>(c: &'a Climb, verdicts: &[Verdict], held: Option<Vec<Option<Held>>>) -> Kept<'a> {
+    if !verdicts.contains(&Verdict::Proved) {
+        let held = held.unwrap_or_else(|| lookup(c, &c.cnf));
+        let cnf = Cow::Borrowed(&c.cnf);
+        return Kept { cnf, held };
+    }
+    let (mut cnf, mut handles) = (Cnf::default(), Vec::new());
+    let mut held = held.map(Vec::into_iter);
+    for (clause, verdict) in c.cnf.clauses.iter().zip(verdicts) {
+        let n = clause.as_simple().map_or(0, Iterator::count);
+        let theirs = held.iter_mut().flat_map(|h| h.take(n));
+        match verdict {
+            Verdict::Proved => theirs.for_each(drop),
+            _ => {
+                handles.extend(theirs);
+                cnf.clauses.push(clause.clone());
+            }
+        }
+    }
+    let held = match held {
+        Some(_) => handles,
+        None => lookup(c, &cnf),
+    };
+    let cnf = Cow::Owned(cnf);
+    Kept { cnf, held }
 }
 
-/// Footer zone-map disproof: true when some CNF conjunct provably matches
-/// no row of the block, i.e. *every* disjunct of that clause is a simple
-/// predicate the footer's zones rule out. `cnf` is in storage names.
-/// Conservative throughout: a footer without zones, a residual disjunct,
-/// an unknown column, or missing bounds on a not-all-null column all mean
-/// the clause might match and the block must be scanned.
-fn zones_disprove(cnf: &Cnf, meta: &BlockMeta) -> bool {
-    let Some(zones) = &meta.zones else {
-        return false;
+/// The columns phase one evaluates: each predicate's without a held
+/// handle, and every column a residual names.
+fn evaluated(kept: &Kept, residuals: &[Expr]) -> Vec<String> {
+    let mut evaluated = Vec::new();
+    for (i, p) in simple_predicates(&kept.cnf).enumerate() {
+        if !matches!(kept.held.get(i), Some(Some(_))) {
+            evaluated.push(p.column.clone());
+        }
+    }
+    residuals.iter().for_each(|e| e.columns(&mut evaluated));
+    evaluated
+}
+
+/// `cnf` over the columns decoded so far (none, for a cached selection),
+/// each predicate served by its held handle or probed at its turn, each
+/// probe counted.
+fn selection(
+    c: &Climb,
+    cnf: &Cnf,
+    block: &Block,
+    held: &[Option<Held>],
+    t: &mut Touch,
+) -> Result<BitVec> {
+    let probed = |_: &SimplePredicate, kind| t.stats.probed(kind);
+    evaluate_held(c.index, block, cnf, held, c.now, probed)
+}
+
+/// With SmartIndex on, each proved clause that is one simple predicate is
+/// cached as an index of all ones (unless one answers it already), so a
+/// later count's cached selection still composes it by Fig. 7's algebra.
+/// A proved disjunction is not recorded: its other disjuncts would still
+/// lack bits. A record is made from the footer the task answered on, after
+/// its own probes, and is never counted as a build.
+fn record_proved(c: &Climb, verdicts: &[Verdict], meta: &BlockMeta) {
+    let Some(index) = c.index else {
+        return;
     };
-    let (schema, rows) = (&meta.schema, meta.rows);
-    let clauses = cnf.clauses.iter().filter(|c| !c.disjuncts.is_empty());
-    clauses.filter_map(Clause::as_simple).any(|mut predicates| {
-        predicates.all(|p| {
-            let Some(zone) = schema.index_of(&p.column).and_then(|i| zones.get(i)) else {
-                return false;
-            };
-            match (&zone.min, &zone.max) {
-                (Some(min), Some(max)) => !zonemap::may_match(min, max, p.op, &p.value),
-                // No bounds: disproven only when provably all-null (or
-                // empty) — a comparison is never true on NULL.
-                _ => zone.null_count == rows,
+    let block = c.task.block.id;
+    for (clause, verdict) in c.cnf.clauses.iter().zip(verdicts) {
+        if let (Verdict::Proved, [Disjunct::Simple(p)]) = (verdict, &clause.disjuncts[..]) {
+            if index.lookup(block, p, c.now).is_none() {
+                index.insert(SmartIndex::all_rows(block, p, meta.rows, c.now), c.now);
             }
-        })
-    })
+        }
+    }
+}
+
+/// Each CNF clause's verdict under the footer's zones: disproved when
+/// every disjunct is a simple predicate its zone rules out, proved when
+/// some simple disjunct's zone proves it for every row, unknown otherwise.
+/// `cnf` is in storage names. Conservative throughout: a footer without
+/// zones, a clause with a residual disjunct and a predicate on a column
+/// the block lacks are unknown, as is whatever [`zonemap::verdict`] cannot
+/// tell (NULLs, incomparable literals, NaN bounds).
+fn zones_classify(cnf: &Cnf, meta: &BlockMeta) -> Vec<Verdict> {
+    let zones = meta.zones.as_ref();
+    let classify = |clause: &Clause| {
+        let simple = clause.as_simple().filter(|_| !clause.disjuncts.is_empty());
+        let Some(predicates) = simple else {
+            return Verdict::Unknown;
+        };
+        let mut verdict = Verdict::Disproved;
+        for p in predicates {
+            let zone = zones.and_then(|zones| zones.get(meta.schema.index_of(&p.column)?));
+            match zone.map(|zone| zonemap::verdict(zone, meta.rows, p.op, &p.value)) {
+                Some(Verdict::Proved) => return Verdict::Proved,
+                Some(Verdict::Disproved) => {}
+                _ => verdict = Verdict::Unknown,
+            }
+        }
+        verdict
+    };
+    cnf.clauses.iter().map(classify).collect()
 }
 
 fn apply_residual(block: &Block, bits: &BitVec, residuals: &[Expr]) -> Result<BitVec> {
@@ -689,6 +795,7 @@ mod tests {
     use super::*;
     use feisu_cluster::Topology;
     use feisu_common::config::CacheSettings;
+    use feisu_common::rng::DetRng;
     use feisu_common::{BlockId, DomainId, SimDuration, UserId};
     use feisu_format::block::chunk_decodes_on_this_thread as chunk_decodes;
     use feisu_format::block::footer_parses_on_this_thread as parses;
@@ -1021,6 +1128,206 @@ mod tests {
         assert_eq!(decoded, 0);
         assert!(again.stats.blocks_skipped == 1 && again.stats.served_from_memory);
         assert_eq!(again.batch, first.batch);
+    }
+
+    /// A random nullable column of `rows` rows over a small domain, so
+    /// literals land on, inside and outside its bounds: NULLs in none, some
+    /// or all rows, NaN in one float column in four, ±0.0 and empty strings.
+    fn random_column(rng: &mut DetRng, data_type: DataType, rows: usize) -> Column {
+        let nulls = [0.0, 0.0, 0.0, 0.2, 1.0][rng.index(5)];
+        let floats: &[f64] = match rng.index(4) {
+            0 => &[f64::NAN, 0.0, -0.0, 1.5, -2.0],
+            _ => &[0.0, -0.0, 1.5, -2.0, 3.0],
+        };
+        let values: Vec<Value> = (0..rows)
+            .map(|_| match data_type {
+                _ if rng.chance(nulls) => Value::Null,
+                DataType::Int64 => Value::Int64(rng.range_i64(-3, 3)),
+                DataType::Float64 => Value::Float64(floats[rng.index(floats.len())]),
+                DataType::Utf8 => Value::Utf8(["", "a", "ab", "b"][rng.index(4)].into()),
+                _ => Value::Bool(rng.chance(0.5)),
+            })
+            .collect();
+        Column::from_values(data_type, &values).unwrap()
+    }
+
+    /// `c<i> OP literal` over a random column of `fields`, the literal of
+    /// the column's kind three times in four, else of any kind: an Int
+    /// against a Float column or the reverse, ±0.0, NaN, `''`.
+    fn random_disjunct(rng: &mut DetRng, fields: &[Field]) -> Disjunct {
+        use feisu_sql::ast::BinaryOp::*;
+        let field = &fields[rng.index(fields.len())];
+        let column = match rng.index(12) {
+            0 => "ghost".to_string(),
+            _ => field.name.clone(),
+        };
+        if rng.index(10) == 0 {
+            return Disjunct::Residual(parse_expr(&format!("{column} IS NULL")).unwrap());
+        }
+        let kinds = [
+            DataType::Int64,
+            DataType::Float64,
+            DataType::Utf8,
+            DataType::Bool,
+        ];
+        let kind = match rng.index(4) {
+            0 => kinds[rng.index(4)],
+            _ => field.data_type,
+        };
+        let value = match kind {
+            DataType::Int64 => Value::Int64(rng.range_i64(-4, 4)),
+            DataType::Float64 => {
+                let floats = [0.0, -0.0, 1.5, -2.0, 0.5, 3.0, -2.5, 3.5, f64::NAN];
+                Value::Float64(floats[rng.index(floats.len())])
+            }
+            DataType::Utf8 => Value::Utf8(["", "a", "ab", "b", "c"][rng.index(5)].into()),
+            _ => Value::Bool(rng.chance(0.5)),
+        };
+        let op = [Eq, NotEq, Lt, LtEq, Gt, GtEq, Contains][rng.index(7)];
+        Disjunct::Simple(SimplePredicate { column, op, value })
+    }
+
+    proptest::proptest! {
+        /// A clause `zones_classify` proves passes on every row of the
+        /// decoded block, and one it disproves on none, row by row through
+        /// `eval_truth`: zero-row and all-NULL blocks, NULLs, NaN, ±0.0,
+        /// empty strings and mixed Int/Float literals included. A row
+        /// passes a clause when one of its disjuncts is true there (`TRUE
+        /// OR x` is true whatever `x`; a disjunct that cannot compare is an
+        /// error row-wise, not a truth value).
+        #[test]
+        fn zones_classify_agrees_with_every_row(
+            rows in proptest::prop_oneof![
+                proptest::strategy::Just(0usize),
+                proptest::strategy::Just(1),
+                1usize..80
+            ],
+            seed in 1u64..u64::MAX,
+        ) {
+            let mut rng = DetRng::new(seed);
+            let types = [DataType::Int64, DataType::Float64, DataType::Utf8, DataType::Bool];
+            let (mut fields, mut columns) = (Vec::new(), Vec::new());
+            for c in 0..1 + rng.index(3) {
+                let data_type = types[rng.index(types.len())];
+                fields.push(Field::new(format!("c{c}"), data_type, true));
+                columns.push(random_column(&mut rng, data_type, rows));
+            }
+            let block = Block::new(BlockId(1), Schema::new(fields), columns).unwrap();
+            let meta = Block::read_meta(&block.serialize()).unwrap();
+            let fields = block.schema().fields();
+            let clauses = (0..1 + rng.index(4)).map(|_| Clause {
+                disjuncts: (0..1 + rng.index(2))
+                    .map(|_| random_disjunct(&mut rng, fields))
+                    .collect(),
+            });
+            let cnf = Cnf { clauses: clauses.collect() };
+            let verdicts = zones_classify(&cnf, &meta);
+            proptest::prop_assert_eq!(verdicts.len(), cnf.clauses.len());
+            for (clause, verdict) in cnf.clauses.iter().zip(verdicts) {
+                let (expr, disjuncts) = (clause.to_expr(), clause.disjuncts.iter());
+                let disjuncts: Vec<Expr> = disjuncts.map(Disjunct::to_expr).collect();
+                let passes = (0..rows).filter(|&i| {
+                    let row = |name: &str| block.column_by_name(name).map(|c| c.value(i));
+                    let true_at = |d| matches!(eval_truth(d, &row), Ok(t) if t.passes());
+                    disjuncts.iter().any(true_at)
+                });
+                let passing = passes.count();
+                match verdict {
+                    Verdict::Proved => proptest::prop_assert!(
+                        passing == rows,
+                        "proved `{expr}` passes {passing} of {rows} rows: {block:?}"
+                    ),
+                    Verdict::Disproved => proptest::prop_assert!(
+                        passing == 0,
+                        "disproved `{expr}` passes {passing} rows: {block:?}"
+                    ),
+                    Verdict::Unknown => {}
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_first_touch_task_reads_no_column_its_zones_prove() {
+        use ServedTier::LocalDisk;
+        let cost = CostModel::default();
+        // `b >= 0` holds on every row (`b` = a % 50) and the footer's zone
+        // proves it: only `a` is read, decoded and evaluated. The parent
+        // read both columns: io 10_001_320 ns (two accesses and the whole
+        // block), cpu 1_090 ns (decompressing 132 B, two predicates over
+        // 256 rows), bytes_read 132.
+        let (parent_io, parent_cpu) = (SimDuration(10_001_320), SimDuration(1_090));
+        let r = rig();
+        let before = chunk_decodes();
+        let out = r.run("b >= 0 AND a < 100");
+        assert_eq!(chunk_decodes() - before, 1, "`a` only");
+        assert_eq!(
+            (out.stats.proved_clauses, out.stats.scanned_predicates),
+            (1, 1)
+        );
+        assert_eq!(
+            (out.stats.rows_out, out.stats.served_tier),
+            (100, LocalDisk)
+        );
+        // Billed one column access and `b`'s share of the block less.
+        let b = r.bytes_of(0.5);
+        assert_eq!(out.stats.bytes_read, r.block.stored_size - b);
+        let one_access = cost.read(StorageMedium::Hdd, ByteSize::ZERO);
+        let b_stream = cost.read(StorageMedium::Hdd, r.block.stored_size)
+            - cost.read(StorageMedium::Hdd, r.block.stored_size - b);
+        assert_eq!(out.tally.io, parent_io - one_access - b_stream);
+        let b_cpu = cost.decompress(r.block.stored_size) - cost.decompress(r.bytes_of(0.5))
+            + cost.predicate_eval(256);
+        assert_eq!(out.tally.cpu, parent_cpu - b_cpu);
+        assert_eq!(out.tally.network, SimDuration::ZERO);
+        // The answer is the one evaluating both clauses gives.
+        let both = r.run("b + 0 >= 0 AND a < 100");
+        assert_eq!(out.batch, both.batch);
+        assert_eq!(both.stats.proved_clauses, 0);
+    }
+
+    #[test]
+    fn a_count_its_footer_proves_reads_no_column_and_records_the_proof() {
+        let r = rig();
+        // Both clauses proved: no column is read, decoded or evaluated;
+        // the block is billed as a count with no clause is, one access to
+        // the metadata chunk. The parent read both columns from the SSD
+        // tier on the second run: io 120_330 ns, cpu 1_090 ns, 132 B.
+        let (first, decoded) = r.count("a >= 0 AND b < 50", false);
+        assert_eq!(decoded, 0);
+        assert_eq!((first.stats.proved_clauses, first.stats.rows_out), (2, 256));
+        let (again, decoded) = r.count("a >= 0 AND b < 50", false);
+        assert_eq!(decoded, 0);
+        assert_eq!(
+            (again.stats.proved_clauses, again.stats.scanned_predicates),
+            (2, 0)
+        );
+        assert_eq!(again.stats.bytes_read, ByteSize::ZERO);
+        let ssd_access = CostModel::default().read(StorageMedium::Ssd, ByteSize::ZERO);
+        assert_eq!(again.tally.io, ssd_access);
+        assert_eq!(
+            (again.tally.cpu, again.tally.network),
+            (SimDuration::ZERO, SimDuration::ZERO)
+        );
+        // With SmartIndex on, the proof is recorded as all-ones entries the
+        // next count composes at rung 1, from memory, without a chunk read.
+        let (recorded, _) = r.count("a >= 0 AND b < 50", true);
+        assert_eq!(
+            (recorded.stats.index_built, recorded.stats.index_hits),
+            (0, 0)
+        );
+        let reads = r.domain_reads();
+        let (cached, decoded) = r.count("a >= 0 AND b < 50", true);
+        assert_eq!((decoded, cached.stats.index_hits), (0, 2));
+        assert!(cached.stats.served_from_memory);
+        assert_eq!(
+            (cached.tally.io, r.domain_reads()),
+            (SimDuration::ZERO, reads)
+        );
+        // One clause the zones cannot prove: the block is read for it alone.
+        let (partial, decoded) = r.count("a >= 0 AND b < 40", false);
+        assert_eq!((decoded, partial.stats.proved_clauses), (1, 1));
+        assert_eq!(partial.stats.bytes_read, r.bytes_of(0.5));
     }
 
     fn fatman(topology: Arc<Topology>, cost: CostModel) -> Domain {

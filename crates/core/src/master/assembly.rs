@@ -121,8 +121,8 @@ impl FeisuCluster {
         profile.push_summary(
             "blocks",
             format!(
-                "{} scanned, {} skipped by zone maps",
-                ctx.stats.blocks_scanned, ctx.stats.blocks_skipped
+                "{} scanned, {} skipped by zone maps, {} clauses proved",
+                ctx.stats.blocks_scanned, ctx.stats.blocks_skipped, ctx.stats.proved_clauses
             ),
         );
         profile.push_summary(
@@ -179,6 +179,7 @@ impl FeisuCluster {
         m.backup.add(ctx.stats.backup_tasks as u64);
         m.blocks_skipped.add(ctx.stats.blocks_skipped as u64);
         m.blocks_scanned.add(ctx.stats.blocks_scanned as u64);
+        m.proved_clauses.add(ctx.stats.proved_clauses as u64);
         m.memory_served.add(ctx.stats.memory_served_tasks as u64);
         m.bytes_read.add(ctx.stats.bytes_read.0);
         m.spilled.add(ctx.stats.spilled_results as u64);
@@ -241,6 +242,7 @@ pub(crate) struct QueryMetrics {
     pub(crate) backup: Arc<Counter>,
     pub(crate) blocks_skipped: Arc<Counter>,
     pub(crate) blocks_scanned: Arc<Counter>,
+    pub(crate) proved_clauses: Arc<Counter>,
     pub(crate) memory_served: Arc<Counter>,
     pub(crate) bytes_read: Arc<Counter>,
     pub(crate) rules_fired: Arc<Counter>,
@@ -263,6 +265,7 @@ impl QueryMetrics {
             backup: registry.counter("feisu.task.backup"),
             blocks_skipped: registry.counter("feisu.task.blocks_skipped"),
             blocks_scanned: registry.counter("feisu.task.blocks_scanned"),
+            proved_clauses: registry.counter("feisu.zone.proved_clauses"),
             memory_served: registry.counter("feisu.task.memory_served"),
             bytes_read: registry.counter("feisu.task.bytes_read"),
             rules_fired: registry.counter("feisu.optimizer.rules_fired"),

@@ -168,7 +168,9 @@ fn a_scan_task_allocates_for_the_rows_it_keeps_not_the_rows_of_the_block() {
             .execute(task, &r.router, &r.cred, SimInstant(0), false)
             .unwrap()
     };
-    let (few, all) = (project_url(&r, "id < 40"), project_url(&r, "id < 4096"));
+    // `id <> 100.5` keeps every row and its zone cannot prove it (the
+    // value lies inside the bounds), so it is evaluated like `id < 40`.
+    let (few, all) = (project_url(&r, "id < 40"), project_url(&r, "id <> 100.5"));
     // The first touch parses the footer and leaves it resident.
     run(&few);
 
@@ -187,7 +189,19 @@ fn a_scan_task_allocates_for_the_rows_it_keeps_not_the_rows_of_the_block() {
     // the allocations keeping 40 does.
     let (all_allocs, out) = allocations(|| run(&all));
     assert_eq!(out.batch.rows(), ROWS);
+    assert_eq!(out.stats.proved_clauses, 0);
     assert_eq!(all_allocs, allocs, "keeping {ROWS} urls, not {kept}");
+
+    // `id < 4096` the zone proves: `id` is neither decoded nor evaluated,
+    // and keeping every row costs no more than keeping 40 did.
+    let proved = project_url(&r, "id < 4096");
+    let (proved_allocs, out) = allocations(|| run(&proved));
+    assert_eq!((out.batch.rows(), out.stats.proved_clauses), (ROWS, 1));
+    assert_eq!(out.stats.scanned_predicates, 0);
+    assert!(
+        proved_allocs <= allocs,
+        "{proved_allocs} allocations to keep the {ROWS} urls a proof selects, {allocs} for {kept}"
+    );
 }
 
 #[test]

@@ -75,6 +75,25 @@ impl SmartIndex {
         Ok((index, bits))
     }
 
+    /// The index of a predicate a block's zones prove for each of its
+    /// `rows` rows, built without a read: one run of ones, no NULL (a
+    /// proved column holds none).
+    pub fn all_rows(
+        block_id: BlockId,
+        predicate: &SimplePredicate,
+        rows: usize,
+        now: SimInstant,
+    ) -> SmartIndex {
+        SmartIndex {
+            block_id,
+            predicate: predicate.clone(),
+            rows,
+            bits: CompressedBits::from_bitvec(&BitVec::ones(rows)),
+            nulls: None,
+            created_at: now,
+        }
+    }
+
     /// The positive evaluation result.
     pub fn bits(&self) -> BitVec {
         self.bits.to_bitvec()
@@ -287,6 +306,17 @@ mod tests {
             let oracle = scan_evaluate(block.column_by_name("c2").unwrap(), &p).unwrap();
             assert_eq!(idx.bits(), oracle, "op {op}");
         }
+    }
+
+    #[test]
+    fn an_all_rows_index_is_the_build_of_a_predicate_every_row_passes() {
+        let block = test_block();
+        let p = pred("url", BinaryOp::GtEq, Value::Utf8("page0".into()));
+        let built = SmartIndex::build(&block, &p, SimInstant(3)).unwrap();
+        let proved = SmartIndex::all_rows(block.id(), &p, block.rows(), SimInstant(3));
+        assert_eq!(proved, built);
+        // Its complement is empty, as Fig. 7's bit-NOT reuse reads it.
+        assert_eq!(proved.negated_bits().count_ones(), 0);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 #   3. cargo test -q (then the e2e suites again at pinned thread widths,
 #      the exec equivalence, top-k oracle parity, optimizer reference,
 #      distinct-count sketch reference, footer mismatch, kernel
-#      equivalence, selected decode, buffer-backed Utf8 column, two-phase
-#      leaf (its count-only arm included), LRU, block-cache, node-table
+#      equivalence, zone-map verdict soundness, selected decode,
+#      buffer-backed Utf8 column, two-phase leaf (its count-only arm
+#      included), LRU, block-cache, node-table
 #      and scheduler model suites again in
 #      release with more cases, and the exec, optimizer,
 #      catalog/schema/statistics, ingest, Utf8 decode and concat, and
@@ -102,15 +103,20 @@ PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-format --test utf8
 
 # The predicate kernel and the word-level CompressedBits against the
 # row- and bit-at-a-time loops they replaced (values, errors, runs and
-# footprints), and decoding through a selection against decoding then
-# filtering, corrupt chunks included — in the format and, one level up,
-# in the leaf's two phases against a decode-everything reference (batch,
-# stats and tally; index on and off; one task in three a bare COUNT(*),
-# billed no projection and no aggregate update), beside the held-handle
+# footprints), the footer's zone-map verdict on each CNF clause against
+# brute force over the decoded block (a proved clause true on every row,
+# a disproved one on none; NULLs, NaN, ±0.0, empty strings, mixed
+# Int/Float literals, all-NULL and zero-row blocks), and decoding through
+# a selection against decoding then filtering, corrupt chunks included —
+# in the format and, one level up, in the leaf's two phases against a
+# decode-everything reference that drops the clauses the footer proves
+# (batch, stats and tally; index on and off; one task in three a bare
+# COUNT(*), billed no projection and no aggregate update), beside the held-handle
 # case (a SmartIndex entry evicted before its turn still serves, nothing
 # re-decoded): same mechanism, same case count.
-echo "ci: kernel equivalence + selected decode + two-phase leaf suites (release, 2048 cases)"
+echo "ci: kernel equivalence + zone verdicts + selected decode + two-phase leaf suites (release, 2048 cases)"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-index --test kernel_equivalence
+PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-core --lib -- leaf::tests::zones_classify
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-format --test selected_decode
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-tests --test leaf_execution -- two_phase held_handle
 

@@ -1,8 +1,9 @@
 //! Leaf-server execution semantics, probed directly at the LeafServer
 //! API (below the engine): cost accounting of the columnar read model,
-//! zone pruning, the count-only memory path, partial aggregation, the
-//! two-phase scan against a reference that decodes everything first, and a
-//! held SmartIndex handle outliving its entry's eviction.
+//! zone pruning and proof, the count-only memory path, partial
+//! aggregation, the two-phase scan against a reference that decodes
+//! everything first, and a held SmartIndex handle outliving its entry's
+//! eviction.
 
 use feisu_cluster::simclock::TimeTally;
 use feisu_cluster::{CostModel, Topology};
@@ -19,11 +20,10 @@ use feisu_format::{Block, BlockMeta, Column, DataType, Field, Schema, Value};
 use feisu_index::bitvec::BitVec;
 use feisu_index::manager::IndexManager;
 use feisu_index::rewrite::{evaluate_cnf, ProbeKind};
-use feisu_index::zonemap::may_match;
 use feisu_index::SmartIndex;
-use feisu_sql::ast::{AggFunc, Expr};
-use feisu_sql::cnf::{to_cnf, Cnf, Disjunct};
-use feisu_sql::eval::eval_truth;
+use feisu_sql::ast::{AggFunc, BinaryOp, Expr};
+use feisu_sql::cnf::{to_cnf, Clause, Cnf, Disjunct, SimplePredicate};
+use feisu_sql::eval::{eval_truth, Truth};
 use feisu_sql::parser::parse_expr;
 use feisu_sql::plan::AggExpr;
 use feisu_storage::auth::{AuthService, Credential, Grant};
@@ -375,11 +375,11 @@ fn counted(block: &Block, kept: &BitVec) -> Result<RecordBatch> {
 
 /// What `LeafServer::execute` must return for a task with an identity name
 /// map and no aggregation stage, or the bare `COUNT(*)` one, the long way
-/// round: read the object, parse its footer, decode *every* column,
-/// evaluate, filter, project or count — with the cost model spelled out
-/// from the columns the task touches. A counting task is the projecting
-/// one minus the projection's I/O and decompression, and is charged no
-/// aggregate update.
+/// round: read the object, parse its footer, decode *every* column, drop
+/// the clauses the footer proves, evaluate the rest, filter, project or
+/// count — with the cost model spelled out from the columns the task
+/// touches. A counting task is the projecting one minus the projection's
+/// I/O and decompression, and is charged no aggregate update.
 fn reference(
     task: &ScanTask,
     router: &StorageRouter,
@@ -422,6 +422,9 @@ fn reference(
         _ => ServedTier::Remote,
     };
 
+    let proved: Vec<&Clause> = (task.cnf.clauses.iter())
+        .filter(|c| zones_prove(c, &meta))
+        .collect();
     if zones_rule_out(&task.cnf, &meta) {
         stats.blocks_skipped = 1;
         let footer = ByteSize(meta.meta_bytes as u64);
@@ -442,10 +445,17 @@ fn reference(
         return Ok((batch, stats, tally));
     }
     (stats.backend, stats.served_tier) = (Some(DomainId(1)), tier);
-    stats.blocks_scanned = 1;
+    (stats.blocks_scanned, stats.proved_clauses) = (1, proved.len());
 
     let block = Block::deserialize(&read.data)?;
-    let outcome = evaluate_cnf(index, &block, &task.cnf, now)?;
+    let kept = Cnf {
+        clauses: (task.cnf.clauses.iter())
+            .filter(|c| !proved.contains(c))
+            .cloned()
+            .collect(),
+    };
+    let outcome = evaluate_cnf(index, &block, &kept, now)?;
+    record_proved(index, task, &proved, &meta, now);
     // A count materializes no column, so it is billed for none.
     let mut touched = match count_only {
         true => Vec::new(),
@@ -534,25 +544,116 @@ fn reference(
     Ok((batch, stats, tally))
 }
 
-/// The footer's zone-map verdict over a copy of each bound.
-fn zones_rule_out(cnf: &Cnf, meta: &BlockMeta) -> bool {
-    let Some(zones) = &meta.zones else {
+/// `column OP value` evaluated row-at-a-time on a row whose `column` holds
+/// `bound`: `Some(true)` or `Some(false)` when the comparison answers,
+/// `None` when it is unknown or an error.
+fn at(p: &SimplePredicate, op: BinaryOp, bound: &Value) -> Option<bool> {
+    let expr = SimplePredicate { op, ..p.clone() }.to_expr();
+    let row = |name: &str| (name == p.column).then(|| bound.clone());
+    match eval_truth(&expr, &row) {
+        Ok(Truth::True) => Some(true),
+        Ok(Truth::False) => Some(false),
+        _ => None,
+    }
+}
+
+/// The zone of `p`'s column in the footer, if it has zones and the column.
+fn zone_of<'m>(p: &SimplePredicate, meta: &'m BlockMeta) -> Option<&'m feisu_format::ColumnStats> {
+    let i = meta.schema.index_of(&p.column)?;
+    meta.zones.as_ref().map(|zones| &zones[i])
+}
+
+/// The zone's bounds when the literal compares with both: a NaN bound or
+/// a literal of another kind orders nothing.
+fn bounds<'z>(p: &SimplePredicate, zone: &'z feisu_format::ColumnStats) -> Option<[&'z Value; 2]> {
+    let (Some(min), Some(max)) = (&zone.min, &zone.max) else {
+        return None;
+    };
+    let orders = |bound| at(p, BinaryOp::Eq, bound).is_some();
+    (orders(min) && orders(max)).then_some([min, max])
+}
+
+/// Whether the footer's bounds rule `p` out for every row: a range
+/// comparison false at the bound nearest it, `=` a value outside the
+/// bounds, `<>` a block whose bounds both equal the value; with no bounds,
+/// an all-NULL (or empty) block.
+fn rules_out(p: &SimplePredicate, meta: &BlockMeta) -> bool {
+    let Some(zone) = zone_of(p, meta) else {
         return false;
     };
+    if zone.min.is_none() || zone.max.is_none() {
+        return zone.null_count == meta.rows;
+    }
+    let Some([min, max]) = bounds(p, zone) else {
+        return false;
+    };
+    match p.op {
+        BinaryOp::Lt | BinaryOp::LtEq => at(p, p.op, min) == Some(false),
+        BinaryOp::Gt | BinaryOp::GtEq => at(p, p.op, max) == Some(false),
+        BinaryOp::Eq => {
+            at(p, BinaryOp::LtEq, min) == Some(false) || at(p, BinaryOp::GtEq, max) == Some(false)
+        }
+        BinaryOp::NotEq => {
+            at(p, BinaryOp::Eq, min) == Some(true) && at(p, BinaryOp::Eq, max) == Some(true)
+        }
+        _ => false,
+    }
+}
+
+/// Whether the footer's bounds prove `p` for every row of a column with no
+/// NULL: a range comparison true at the bound farthest from it, `=` true at
+/// both bounds, `<>` a value outside them.
+fn proves(p: &SimplePredicate, meta: &BlockMeta) -> bool {
+    let zone = zone_of(p, meta).filter(|z| z.null_count == 0);
+    let Some([min, max]) = zone.and_then(|zone| bounds(p, zone)) else {
+        return false;
+    };
+    let holds = |op, bound| at(p, op, bound) == Some(true);
+    match p.op {
+        BinaryOp::Lt | BinaryOp::LtEq => holds(p.op, max),
+        BinaryOp::Gt | BinaryOp::GtEq => holds(p.op, min),
+        BinaryOp::Eq => holds(p.op, min) && holds(p.op, max),
+        BinaryOp::NotEq => holds(BinaryOp::Gt, min) || holds(BinaryOp::Lt, max),
+        _ => false,
+    }
+}
+
+/// The footer skips the block when some clause is all simple predicates
+/// its bounds rule out.
+fn zones_rule_out(cnf: &Cnf, meta: &BlockMeta) -> bool {
     cnf.clauses.iter().any(|clause| {
-        clause.disjuncts.iter().all(|d| {
-            let Disjunct::Simple(p) = d else {
-                return false;
-            };
-            let Some(zone) = meta.schema.index_of(&p.column).map(|i| &zones[i]) else {
-                return false;
-            };
-            match (zone.min.clone(), zone.max.clone()) {
-                (Some(min), Some(max)) => !may_match(&min, &max, p.op, &p.value),
-                _ => zone.null_count == meta.rows,
-            }
-        })
+        let simple = |d: &Disjunct| matches!(d, Disjunct::Simple(p) if rules_out(p, meta));
+        !clause.disjuncts.is_empty() && clause.disjuncts.iter().all(simple)
     })
+}
+
+/// A clause of simple predicates is proved when its bounds prove one.
+fn zones_prove(clause: &Clause, meta: &BlockMeta) -> bool {
+    let simple = |d: &Disjunct| matches!(d, Disjunct::Simple(_));
+    let proved = |d: &Disjunct| matches!(d, Disjunct::Simple(p) if proves(p, meta));
+    clause.disjuncts.iter().all(simple) && clause.disjuncts.iter().any(proved)
+}
+
+/// With SmartIndex on, each proved clause that is one simple predicate is
+/// cached as all ones, unless an entry answers it already.
+fn record_proved(
+    index: Option<&IndexManager>,
+    task: &ScanTask,
+    proved: &[&Clause],
+    meta: &BlockMeta,
+    now: SimInstant,
+) {
+    let Some(index) = index else {
+        return;
+    };
+    for clause in proved {
+        let id = task.block.id;
+        if let [Disjunct::Simple(p)] = &clause.disjuncts[..] {
+            if index.lookup(id, p, now).is_none() {
+                index.insert(SmartIndex::all_rows(id, p, meta.rows, now), now);
+            }
+        }
+    }
 }
 
 /// Batch, stats and tally as text: `Debug` prints a NaN as a NaN, so two
@@ -868,4 +969,57 @@ fn a_corrupt_projection_chunk_is_corrupt_even_when_no_row_is_selected() {
         reported > 16,
         "only {reported} detectable flips in `url`'s chunk"
     );
+}
+
+/// The footer decides on a resident footer, then the path is rewritten
+/// behind the router's back (no invalidation reaches the node), then the
+/// task fetches: the new bytes' footer no longer proves `a >= 0`, so the
+/// task evaluates it after all and answers what the reference reading the
+/// new bytes answers — not the stale proof's every row. SmartIndex is off:
+/// its entries are keyed by block id and survive an in-place rewrite,
+/// built and recorded alike.
+#[test]
+fn a_rewrite_between_the_footer_decision_and_the_fetch_breaks_a_proof() {
+    let (router, cred, _) = storage();
+    let schema = Schema::new(vec![
+        Field::new("a", DataType::Int64, false),
+        Field::new("b", DataType::Int64, false),
+    ]);
+    let block = |low: i64| {
+        let columns = vec![
+            Column::from_i64((low..low + 256).collect()),
+            Column::from_i64((0..256).map(|i| (i + 20) % 50).collect()),
+        ];
+        Block::new(feisu_common::BlockId(9), schema.clone(), columns).unwrap()
+    };
+    // As many bytes either way, so the stored size the task was planned
+    // with prices the new bytes too.
+    let (old, new) = (block(0), block(-1));
+    assert_eq!(old.serialize().len(), new.serialize().len());
+    let desc = put(&router, &cred, "/t/race", old.serialize(), &old);
+    let cnf = to_cnf(&parse_expr("a >= 0 AND b > 10").unwrap());
+    let projection = vec!["b".to_string()];
+    let task = task_over(&desc, schema.fields(), cnf, Vec::new(), projection);
+    let leaf = leaf(NodeId(0));
+    // The first run proves `a >= 0` and leaves the footer resident.
+    let first = leaf.execute(&task, &router, &cred, SimInstant(0), false);
+    let want = reference(&task, &router, &cred, NodeId(0), None, SimInstant(0));
+    assert_eq!(first.as_ref().unwrap().stats.proved_clauses, 1);
+    agree(first, want, "before the rewrite", &task).unwrap();
+
+    let domain = router.domain_of("/t/race");
+    domain
+        .put("/t/race", new.serialize().into(), Some(NodeId(0)))
+        .unwrap();
+    assert!(
+        router.footers().get(NodeId(0), "/t/race").is_some(),
+        "stale"
+    );
+    let want = reference(&task, &router, &cred, NodeId(0), None, SimInstant(1));
+    let got = leaf.execute(&task, &router, &cred, SimInstant(1), false);
+    // Row 0 (`a` = -1, `b` = 20) is the one the stale proof would keep.
+    let (rows, stats) = got.as_ref().map(|o| (o.batch.rows(), o.stats)).unwrap();
+    assert_eq!(rows, (1..256).filter(|i| (i + 20) % 50 > 10).count());
+    assert_eq!((stats.proved_clauses, stats.scanned_predicates), (0, 2));
+    agree(got, want, "after the rewrite", &task).unwrap();
 }

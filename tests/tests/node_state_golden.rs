@@ -101,11 +101,11 @@ fn fail_slow_busy_and_recover_script_is_pinned() {
         "node 1 failed",
         step(&fx, ROWS),
         &[
-            "10025643554ns backup 2 [node-0 node-2 node-3 node-0 node-3 node-0 node-0]",
-            "'node-0' true false 1 10036446523 0 4",
+            "10025643298ns backup 2 [node-0 node-2 node-3 node-0 node-3 node-0 node-0]",
+            "'node-0' true false 1 10036446267 0 4",
             "'node-1' false true 1 10602953 0 4",
-            "'node-2' true false 1 10036446523 0 4",
-            "'node-3' true false 1 10036446523 0 4",
+            "'node-2' true false 1 10036446267 0 4",
+            "'node-3' true false 1 10036446267 0 4",
         ],
     );
 
@@ -116,10 +116,10 @@ fn fail_slow_busy_and_recover_script_is_pinned() {
         step(&fx, COUNT),
         &[
             "600920ns backup 0 [node-0 node-1 node-2 node-3 node-0 node-1 node-3]",
-            "'node-0' true false 1 10037247459 0 4",
-            "'node-1' true false 1 10037247459 0 4",
-            "'node-2' true false 1 10037247459 0 4",
-            "'node-3' true false 1 10037247459 0 4",
+            "'node-0' true false 1 10037247203 0 4",
+            "'node-1' true false 1 10037247203 0 4",
+            "'node-2' true false 1 10037247203 0 4",
+            "'node-3' true false 1 10037247203 0 4",
         ],
     );
 
@@ -130,10 +130,10 @@ fn fail_slow_busy_and_recover_script_is_pinned() {
         "node 3 failed",
         node_rows(&fx),
         &[
-            "'node-0' true false 1 10037447475 0 4",
-            "'node-1' true false 1 10037447475 0 4",
-            "'node-2' true false 1 10037447475 0 4",
-            "'node-3' true true 1 10037247459 0 4",
+            "'node-0' true false 1 10037447219 0 4",
+            "'node-1' true false 1 10037447219 0 4",
+            "'node-2' true false 1 10037447219 0 4",
+            "'node-3' true true 1 10037247203 0 4",
         ],
     );
     fx.cluster.advance_time(SimDuration::secs(10));
@@ -141,10 +141,10 @@ fn fail_slow_busy_and_recover_script_is_pinned() {
         "node 3 dead",
         node_rows(&fx),
         &[
-            "'node-0' true false 1 20037647491 0 4",
-            "'node-1' true false 1 20037647491 0 4",
-            "'node-2' true false 1 20037647491 0 4",
-            "'node-3' false true 1 10037247459 0 4",
+            "'node-0' true false 1 20037647235 0 4",
+            "'node-1' true false 1 20037647235 0 4",
+            "'node-2' true false 1 20037647235 0 4",
+            "'node-3' false true 1 10037247203 0 4",
         ],
     );
     check(
@@ -152,10 +152,10 @@ fn fail_slow_busy_and_recover_script_is_pinned() {
         step(&fx, COUNT),
         &[
             "10602713ns backup 0 [node-0 node-1 node-2 node-0 node-2 node-1 node-0]",
-            "'node-0' true false 1 20048450220 0 4",
-            "'node-1' true false 1 20048450220 0 4",
-            "'node-2' true false 1 20048450220 0 4",
-            "'node-3' false true 1 10037247459 0 4",
+            "'node-0' true false 1 20048449964 0 4",
+            "'node-1' true false 1 20048449964 0 4",
+            "'node-2' true false 1 20048449964 0 4",
+            "'node-3' false true 1 10037247203 0 4",
         ],
     );
 
@@ -165,11 +165,11 @@ fn fail_slow_busy_and_recover_script_is_pinned() {
         "node 2 slow",
         step(&fx, ROWS),
         &[
-            "10020636332ns backup 2 [node-0 node-1 node-2 node-0 node-1 node-0 node-2]",
-            "'node-0' true false 1 30069286568 0 4",
-            "'node-1' true false 1 30069286568 0 4",
-            "'node-2' true false 5000 30069286568 0 4",
-            "'node-3' false true 1 10037247459 0 4",
+            "10020636204ns backup 2 [node-0 node-1 node-2 node-0 node-1 node-0 node-2]",
+            "'node-0' true false 1 30069286184 0 4",
+            "'node-1' true false 1 30069286184 0 4",
+            "'node-2' true false 5000 30069286184 0 4",
+            "'node-3' false true 1 10037247203 0 4",
         ],
     );
 
@@ -182,10 +182,10 @@ fn fail_slow_busy_and_recover_script_is_pinned() {
         step(&fx, COUNT),
         &[
             "10010602527ns backup 3 [node-1 node-2 node-2 node-1 node-1 node-1 node-2]",
-            "'node-0' true false 1 40080089111 0 0",
-            "'node-1' true false 1 40080089111 0 4",
-            "'node-2' true false 5000 40080089111 0 4",
-            "'node-3' false true 1 10037247459 0 4",
+            "'node-0' true false 1 40080088727 0 0",
+            "'node-1' true false 1 40080088727 0 4",
+            "'node-2' true false 5000 40080088727 0 4",
+            "'node-3' false true 1 10037247203 0 4",
         ],
     );
 
@@ -201,10 +201,10 @@ fn fail_slow_busy_and_recover_script_is_pinned() {
         step(&fx, ROWS),
         &[
             "5010633002ns backup 1 [node-0 node-1 node-2 node-3 node-0 node-1 node-3]",
-            "'node-0' true false 1 45090922129 0 2",
-            "'node-1' true false 1 45090922129 0 4",
-            "'node-2' true false 5000 45090922129 0 4",
-            "'node-3' true false 1 45090922129 0 4",
+            "'node-0' true false 1 45090921745 0 2",
+            "'node-1' true false 1 45090921745 0 4",
+            "'node-2' true false 5000 45090921745 0 4",
+            "'node-3' true false 1 45090921745 0 4",
         ],
     );
 
@@ -215,10 +215,10 @@ fn fail_slow_busy_and_recover_script_is_pinned() {
         step(&fx, COUNT),
         &[
             "620914ns backup 0 [node-0 node-1 node-2 node-3 node-0 node-1 node-3]",
-            "'node-0' true false 1 45091743059 0 4",
-            "'node-1' true false 1 45091743059 0 4",
-            "'node-2' true false 5000 45091743059 0 4",
-            "'node-3' true false 1 45091743059 0 4",
+            "'node-0' true false 1 45091742675 0 4",
+            "'node-1' true false 1 45091742675 0 4",
+            "'node-2' true false 5000 45091742675 0 4",
+            "'node-3' true false 1 45091742675 0 4",
         ],
     );
 }

@@ -200,11 +200,12 @@ fn memory_tier_hits_show_their_own_tier() {
 }
 
 /// A zone-map skip is billed by what it touched. On a node's first touch
-/// of a block that is the footer, read from storage: that run is the
-/// pre-footer-cache engine's bit for bit (the pinned numbers are what the
-/// parent commit reports for this fixture and statement). On a repeat the
-/// footer is resident and the skip is a memory-served task that reads
-/// nothing; the scanned tasks beside it are billed as before.
+/// of a block that is the footer, read from storage; the scanned blocks
+/// beside the skips read only the columns of the clauses their zones do
+/// not prove (the pinned numbers are what the engine reports for this
+/// fixture and statement). On a repeat the footer is resident and the skip
+/// is a memory-served task that reads nothing; the scanned tasks beside it
+/// are billed as before.
 #[test]
 fn repeat_zone_skips_are_memory_served_and_first_touches_are_not() {
     let mut spec = ClusterSpec::small();
@@ -217,8 +218,14 @@ fn repeat_zone_skips_are_memory_served_and_first_touches_are_not() {
     let warm = fx.cluster.query(sql, &fx.cred).unwrap();
     assert_eq!(cold.batch, warm.batch);
 
-    assert_eq!(cold.response_time.as_nanos(), 30_632_880);
-    assert_eq!(cold.stats.bytes_read, ByteSize(2080));
+    // Three of the four scanned blocks hold only days >= 20160106: their
+    // zones prove that clause, so `day` is read on one block alone (the
+    // parent read it on all four: 30_632_880 ns, 2,080 B).
+    assert_eq!(cold.response_time.as_nanos(), 25_632_197);
+    assert_eq!(cold.stats.bytes_read, ByteSize(1865));
+    assert_eq!(cold.stats.proved_clauses, 3);
+    let blocks_line = "blocks: 4 scanned, 3 skipped by zone maps, 3 clauses proved";
+    assert!(cold.profile.render().contains(blocks_line));
     assert_eq!(
         (cold.stats.blocks_skipped, cold.stats.blocks_scanned),
         (3, 4)
@@ -248,7 +255,7 @@ fn repeat_zone_skips_are_memory_served_and_first_touches_are_not() {
         assert_eq!((tier.as_str(), bytes.as_str()), ("memory", "0 B"));
         assert!(took * 100 < *first_took, "a memory touch, not a disk seek");
     }
-    assert_eq!(warm.stats.bytes_read, ByteSize(2080 - 3 * 207));
+    assert_eq!(warm.stats.bytes_read, ByteSize(1865 - 3 * 207));
     assert_eq!(warm.stats.memory_served_tasks, 3);
     assert_eq!(
         (warm.stats.blocks_skipped, warm.stats.blocks_scanned),
@@ -262,6 +269,7 @@ fn repeat_zone_skips_are_memory_served_and_first_touches_are_not() {
     let metrics = fx.cluster.metrics();
     assert_eq!(metrics.counter("feisu.meta.misses").get(), 7);
     assert_eq!(metrics.counter("feisu.meta.hits").get(), 7);
+    assert_eq!(metrics.counter("feisu.zone.proved_clauses").get(), 6);
 }
 
 #[test]
