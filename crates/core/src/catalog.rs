@@ -352,7 +352,7 @@ impl feisu_sql::analyze::Catalog for CatalogView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use feisu_cluster::{CostModel, Topology};
+    use feisu_cluster::Topology;
     use feisu_common::{DomainId, SimDuration, UserId};
     use feisu_format::{DataType, Field};
     use feisu_storage::auth::{AuthService, Grant};
@@ -360,9 +360,8 @@ mod tests {
 
     fn setup() -> (Catalog, StorageRouter, Credential) {
         let topo = Arc::new(Topology::grid(1, 2, 2));
-        let cost = CostModel::default();
-        let local = Domain::local_fs(DomainId(0), "local", topo.clone(), cost.clone());
-        let hdfs = Domain::hdfs(DomainId(1), "hdfs", topo, cost.clone(), 2, 1);
+        let local = Domain::local_fs(DomainId(0), "local", topo.clone());
+        let hdfs = Domain::hdfs(DomainId(1), "hdfs", topo, 2, 1);
         let auth = Arc::new(AuthService::new(1));
         auth.register(UserId(1));
         auth.grant(UserId(1), DomainId(0), Grant::ReadWrite);
@@ -370,7 +369,7 @@ mod tests {
         let cred = auth
             .issue(UserId(1), SimInstant(0), SimDuration::hours(8))
             .unwrap();
-        let router = StorageRouter::new(vec![local, hdfs], 0, auth, None, cost);
+        let router = StorageRouter::new(vec![local, hdfs], 0, auth, None);
         (Catalog::new(), router, cred)
     }
 
@@ -408,7 +407,7 @@ mod tests {
         let bytes = router
             .read(&b0.path, NodeId(0), &cred, SimInstant(0))
             .unwrap();
-        let zones = Block::read_meta(&bytes.data).unwrap().zones.unwrap();
+        let zones = Block::read_meta(&bytes.data).unwrap().zones;
         assert_eq!(zones[0].min, Some(Value::Int64(0)));
         assert_eq!(zones[0].max, Some(Value::Int64(9)));
     }

@@ -29,7 +29,7 @@ use feisu_format::{Column, Schema, Value};
 use feisu_index::manager::IndexManager;
 use feisu_obs::{MetricsRegistry, QueryProfile};
 use feisu_storage::auth::{AuthService, Credential, Grant};
-use feisu_storage::{CachePin, Domain, StorageRouter, TieredCache};
+use feisu_storage::{Domain, StorageRouter, TieredCache};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -280,12 +280,11 @@ impl FeisuCluster {
         let cost = spec.cost.clone();
         let replication = spec.config.replication_factor;
         let domains = vec![
-            Domain::local_fs(DomainId(0), "local", topology.clone(), cost.clone()),
+            Domain::local_fs(DomainId(0), "local", topology.clone()),
             Domain::hdfs(
                 DomainId(1),
                 "hdfs",
                 topology.clone(),
-                cost.clone(),
                 replication,
                 spec.seed ^ 0x11,
             ),
@@ -293,11 +292,10 @@ impl FeisuCluster {
                 DomainId(2),
                 "ffs",
                 topology.clone(),
-                cost.clone(),
                 replication,
                 spec.seed ^ 0x22,
             ),
-            Domain::kv(DomainId(3), "kv", topology.clone(), cost.clone()),
+            Domain::kv(DomainId(3), "kv", topology.clone()),
         ];
         let auth = Arc::new(AuthService::new(spec.seed ^ 0xA0A0));
         auth.register(SYSTEM_USER);
@@ -312,21 +310,10 @@ impl FeisuCluster {
         let cache = cache_enabled.then(|| {
             Arc::new(TieredCache::new(
                 spec.config.cache.clone(),
-                spec.cache_pins
-                    .iter()
-                    .map(|p| CachePin {
-                        path_prefix: p.clone(),
-                    })
-                    .collect(),
+                spec.cache_pins.clone(),
             ))
         });
-        let router = Arc::new(StorageRouter::new(
-            domains,
-            0,
-            auth.clone(),
-            cache,
-            cost.clone(),
-        ));
+        let router = Arc::new(StorageRouter::new(domains, 0, auth.clone(), cache));
         // Per-domain read/write counters plus the block-cache counters.
         router.attach_metrics(&metrics);
         let mut leaves = FxHashMap::default();
@@ -498,17 +485,13 @@ impl FeisuCluster {
     /// on the node fail retryably and reroute as backup tasks.
     pub fn fail_node(&self, node: NodeId) {
         self.nodes.fail(node);
-        for d in self.router.domains() {
-            d.set_node_available(node, false);
-        }
+        self.router.set_node_available(node, false);
     }
 
     /// Brings a node back (its slow factor stays).
     pub fn recover_node(&self, node: NodeId) {
         self.nodes.recover(node);
-        for d in self.router.domains() {
-            d.set_node_available(node, true);
-        }
+        self.router.set_node_available(node, true);
     }
 
     /// Marks a node as a straggler: its task times are multiplied.

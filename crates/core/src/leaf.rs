@@ -15,7 +15,8 @@
 //! optional partial aggregation. SmartIndex is looked up once per
 //! predicate, and a handle the task holds serves even if the entry is
 //! evicted before its turn. Every rung records what it touched in one
-//! `Touch`, and one `bill` prices every exit.
+//! `Touch`, and one `bill` prices every exit: storage reports what served
+//! each chunk, and the bill is the only price list for a block read.
 
 use feisu_cluster::simclock::TimeTally;
 use feisu_cluster::{CostModel, StorageMedium};
@@ -192,11 +193,11 @@ struct Touch<'a> {
     /// CNF clauses: a decision from cached bits or zones costs one
     /// predicate evaluation each.
     clauses: usize,
-    /// The footer decided on and its zones' verdict on each CNF clause;
-    /// the block's read, with the tier of each chunk read, and its domain,
-    /// unless bits or a resident footer answered.
-    footer: Option<Arc<BlockMeta>>,
+    /// The footer's zones' verdict on each CNF clause.
     verdicts: Vec<Verdict>,
+    /// From the footer decision on, the task's one record of its block —
+    /// the footer it decides on and each chunk read with the tier that
+    /// served it — and the block's domain.
     read: Option<(BlockRead, &'a Domain)>,
     /// Storage names of the columns evaluated and materialized; one the
     /// block lacks is neither decoded nor billed.
@@ -296,10 +297,9 @@ impl LeafServer {
             Break(answer) => return Ok(answer),
             Continue(held) => held,
         };
-        let read = match self.footer_decision(c, t)? {
-            Break(answer) => return Ok(answer),
-            Continue(read) => read,
-        };
+        if let Break(answer) = self.footer_decision(c, t)? {
+            return Ok(answer);
+        }
         let mut kept = keep(c, &t.verdicts, held);
         // The task's residuals, then the CNF clauses that are not
         // all-simple, which the leaf reads as residuals too (`lower` never
@@ -308,7 +308,7 @@ impl LeafServer {
             .map(|e| rename_expr(e, &c.task.name_map))
             .chain(opaque(&c.cnf).map(Clause::to_expr))
             .collect();
-        let (data, meta) = match self.fetch(c, &mut kept, &residuals, read, t)? {
+        let (data, meta) = match self.fetch(c, &mut kept, &residuals, t)? {
             Break(answer) => return Ok(answer),
             Continue(fetched) => fetched,
         };
@@ -320,23 +320,24 @@ impl LeafServer {
         }
     }
 
-    /// Rung 2, the footer decision: a footer resident on this node decides
-    /// from memory; otherwise the block's metadata chunk is read and its
-    /// footer, parsed once, decides.
-    fn footer_decision<'a>(&self, c: &Climb<'a>, t: &mut Touch<'a>) -> Rung<BlockRead> {
+    /// Rung 2, the footer decision: the footer resident on this node
+    /// decides from memory; otherwise the block's metadata chunk is read
+    /// and its footer, parsed once, decides. A skip that read the chunk
+    /// settles that read.
+    fn footer_decision<'a>(&self, c: &Climb<'a>, t: &mut Touch<'a>) -> Rung<()> {
         let (router, path) = (c.router, &c.task.block.path);
-        let read = match router.resident_footer(path, self.node, c.cred, c.now)? {
-            Some(meta) => BlockRead::resident(meta),
-            None => router.read_block(path, self.node, c.cred, c.now)?,
-        };
-        (t.footer, t.verdicts) = (Some(read.meta.clone()), zones_classify(&c.cnf, &read.meta));
-        if !t.skipped() {
-            return Ok(Continue(read));
+        let mut read = router.footer(path, self.node, c.cred, c.now)?;
+        t.verdicts = zones_classify(&c.cnf, &read.meta);
+        let skipped = t.skipped();
+        if skipped && !read.served_nothing() {
+            router.fetch(path, self.node, c.cred, c.now, &mut read, &[])?;
         }
-        if !read.served.is_empty() {
-            self.settle(c, read, &[], t)?;
-        }
-        Ok(Break(Answer::Empty))
+        t.read = Some((read, router.domain_of(path)));
+        Ok(if skipped {
+            Break(Answer::Empty)
+        } else {
+            Continue(())
+        })
     }
 
     /// Rung 3, fetch: reads the chunks of the columns phase one evaluates
@@ -349,21 +350,22 @@ impl LeafServer {
         c: &'k Climb<'a>,
         kept: &mut Kept<'k>,
         residuals: &[Expr],
-        read: BlockRead,
         t: &mut Touch<'a>,
     ) -> Rung<(Bytes, Arc<BlockMeta>)> {
         t.evaluated = evaluated(kept, residuals);
         if !c.counts {
             t.materialized = &c.task.projection;
         }
+        let (read, _) = t.read.as_mut().expect("the footer decided");
         let schema = &read.meta.schema;
         let names = t.evaluated.iter().chain(t.materialized);
         let mut columns: Vec<usize> = names.filter_map(|n| schema.index_of(n)).collect();
         columns.sort_unstable();
         columns.dedup();
         let decided = Arc::as_ptr(&read.meta);
-        let data = self.settle(c, read, &columns, t)?;
-        let meta = t.footer.clone().expect("fetched");
+        let (router, path) = (c.router, &c.task.block.path);
+        let data = router.fetch(path, self.node, c.cred, c.now, read, &columns)?;
+        let meta = read.meta.clone();
         if decided != Arc::as_ptr(&meta) {
             let mut verdicts = zones_classify(&c.cnf, &meta);
             let mut lost = false;
@@ -385,23 +387,6 @@ impl LeafServer {
             }
         }
         Ok(Continue((data, meta)))
-    }
-
-    /// Fetches `columns` of the block `read` began (none: settles what the
-    /// footer read began) and keeps the read, its footer and its domain in
-    /// the touch.
-    fn settle<'a>(
-        &self,
-        c: &Climb<'a>,
-        mut read: BlockRead,
-        columns: &[usize],
-        t: &mut Touch<'a>,
-    ) -> Result<Bytes> {
-        let (router, path) = (c.router, &c.task.block.path);
-        let data = router.fetch(path, self.node, c.cred, c.now, &mut read, columns)?;
-        t.footer = Some(read.meta.clone());
-        t.read = Some((read, router.domain_of(path)));
-        Ok(data)
     }
 
     /// Turns a task's answer into its output, billed for what it touched.
@@ -433,14 +418,15 @@ impl LeafServer {
         };
         let mut tally = TimeTally::new();
         let decided = cost.predicate_eval(t.clauses.max(1));
-        let footer = t.footer.as_ref().map(|m| ByteSize(m.meta_bytes as u64));
-        let footer = footer.unwrap_or_default();
-        let Some((read, domain)) = &t.read else {
-            // Cached bits answered, or a resident footer: all in memory.
-            stats.served_from_memory = true;
-            if skipped {
-                tally.add_io(cost.mem_cache_read(footer));
+        let footer = |read: &BlockRead| ByteSize(read.meta.meta_bytes as u64);
+        let read = t.read.as_ref().filter(|(read, _)| !read.served_nothing());
+        let Some((read, domain)) = read else {
+            // Cached bits answered, or a resident footer skipped the block:
+            // no chunk served.
+            if let Some((resident, _)) = &t.read {
+                tally.add_io(cost.mem_cache_read(footer(resident)));
             }
+            stats.served_from_memory = true;
             tally.add_cpu(decided);
             return (tally, stats);
         };
@@ -469,7 +455,7 @@ impl LeafServer {
         };
         if skipped {
             // A zone skip read the metadata chunk alone.
-            let tier = read.tier(0);
+            let (tier, footer) = (read.meta_tier(), footer(read));
             missed(&mut tally, tier, footer);
             (stats.served_tier, stats.bytes_read) = (label(tier), footer);
             tally.add_io(plain_read(tier, footer));
@@ -480,7 +466,7 @@ impl LeafServer {
         // by estimated width, one access each (a column is its own
         // extent); a task that touched no column read the metadata chunk.
         stats.blocks_scanned = 1;
-        let fields = t.footer.as_ref().map_or(&[][..], |m| m.schema.fields());
+        let fields = read.meta.schema.fields();
         let width = |f: &Field| f.data_type.estimated_width();
         let total: usize = fields.iter().map(width).sum();
         let charge = |touched: usize| {
@@ -494,7 +480,7 @@ impl LeafServer {
         let mut groups: Vec<(Option<CacheTier>, u64, usize)> = Vec::new();
         for (i, f) in fields.iter().enumerate() {
             if t.evaluated.contains(&f.name) || t.materialized.contains(&f.name) {
-                let tier = read.tier(i + 1);
+                let tier = read.column_tier(i);
                 match groups.iter_mut().find(|g| g.0 == tier) {
                     Some(g) => (g.1, g.2) = (g.1 + 1, g.2 + width(f)),
                     None => groups.push((tier, 1, width(f))),
@@ -502,7 +488,7 @@ impl LeafServer {
             }
         }
         if groups.is_empty() {
-            groups.push((read.tier(0), 1, 0));
+            groups.push((read.meta_tier(), 1, 0));
         }
         let charged = charge(groups.iter().map(|g| g.2).sum());
         stats.bytes_read = charged;
@@ -748,12 +734,11 @@ fn record_proved(c: &Climb, verdicts: &[Verdict], meta: &BlockMeta) {
 /// Each CNF clause's verdict under the footer's zones: disproved when
 /// every disjunct is a simple predicate its zone rules out, proved when
 /// some simple disjunct's zone proves it for every row, unknown otherwise.
-/// `cnf` is in storage names. Conservative throughout: a footer without
-/// zones, a clause with a residual disjunct and a predicate on a column
-/// the block lacks are unknown, as is whatever [`zonemap::verdict`] cannot
-/// tell (NULLs, incomparable literals, NaN bounds).
+/// `cnf` is in storage names. Conservative throughout: a clause with a
+/// residual disjunct and a predicate on a column the block lacks are
+/// unknown, as is whatever [`zonemap::verdict`] cannot tell (NULLs,
+/// incomparable literals, NaN bounds).
 fn zones_classify(cnf: &Cnf, meta: &BlockMeta) -> Vec<Verdict> {
-    let zones = meta.zones.as_ref();
     let classify = |clause: &Clause| {
         let simple = clause.as_simple().filter(|_| !clause.disjuncts.is_empty());
         let Some(predicates) = simple else {
@@ -761,7 +746,7 @@ fn zones_classify(cnf: &Cnf, meta: &BlockMeta) -> Vec<Verdict> {
         };
         let mut verdict = Verdict::Disproved;
         for p in predicates {
-            let zone = zones.and_then(|zones| zones.get(meta.schema.index_of(&p.column)?));
+            let zone = meta.schema.index_of(&p.column).map(|i| &meta.zones[i]);
             match zone.map(|zone| zonemap::verdict(zone, meta.rows, p.op, &p.value)) {
                 Some(Verdict::Proved) => return Verdict::Proved,
                 Some(Verdict::Disproved) => {}
@@ -806,7 +791,7 @@ mod tests {
     use feisu_sql::parser::parse_expr;
     use feisu_sql::plan::AggExpr;
     use feisu_storage::auth::{AuthService, Grant};
-    use feisu_storage::{CachePin, CacheStats, Domain, TieredCache};
+    use feisu_storage::{CacheStats, Domain, TieredCache};
 
     struct Rig {
         leaf: LeafServer,
@@ -821,7 +806,7 @@ mod tests {
     /// One 256-row block (`a` = 0..256, `b` = a % 50) on HDFS, read from
     /// node 0 through a block cache that admits everything.
     fn rig() -> Rig {
-        let hdfs = |topology, cost| Domain::hdfs(DomainId(1), "hdfs", topology, cost, 3, 7);
+        let hdfs = |topology| Domain::hdfs(DomainId(1), "hdfs", topology, 3, 7);
         let settings = CacheSettings {
             enabled: true,
             ..CacheSettings::default()
@@ -830,23 +815,18 @@ mod tests {
     }
 
     /// The rig over another domain (id 1) and another block cache.
-    fn rig_on(domain: fn(Arc<Topology>, CostModel) -> Domain, settings: CacheSettings) -> Rig {
+    fn rig_on(domain: fn(Arc<Topology>) -> Domain, settings: CacheSettings) -> Rig {
         let topology = Arc::new(Topology::grid(1, 2, 2));
         let cost = CostModel::default();
-        let hdfs = domain(topology, cost.clone());
+        let hdfs = domain(topology);
         let auth = Arc::new(AuthService::new(9));
         auth.register(UserId(1));
         auth.grant(UserId(1), DomainId(1), Grant::ReadWrite);
         let cred = auth
             .issue(UserId(1), SimInstant(0), SimDuration::hours(8))
             .unwrap();
-        let cache = TieredCache::new(
-            settings,
-            vec![CachePin {
-                path_prefix: "/".into(),
-            }],
-        );
-        let router = StorageRouter::new(vec![hdfs], 0, auth, Some(Arc::new(cache)), cost.clone());
+        let cache = TieredCache::new(settings, vec!["/".into()]);
+        let router = StorageRouter::new(vec![hdfs], 0, auth, Some(Arc::new(cache)));
         let registry = MetricsRegistry::new();
         router.attach_metrics(&registry);
         let schema = Schema::new(vec![
@@ -1330,8 +1310,8 @@ mod tests {
         assert_eq!(partial.stats.bytes_read, r.bytes_of(0.5));
     }
 
-    fn fatman(topology: Arc<Topology>, cost: CostModel) -> Domain {
-        Domain::fatman(DomainId(1), "ffs", topology, cost, 2, 7)
+    fn fatman(topology: Arc<Topology>) -> Domain {
+        Domain::fatman(DomainId(1), "ffs", topology, 2, 7)
     }
 
     fn leaf_on(node: u64) -> LeafServer {
@@ -1386,6 +1366,66 @@ mod tests {
         // the footer read always was.
         let (skip, _) = rig().count("a > 1000", false);
         assert_eq!(skip.tally.io, SimDuration(5_000_780));
+    }
+
+    /// The bill pinned per domain and per tier: `SELECT a FROM t WHERE b >
+    /// 10` from a replica holder (its domain read, then an SSD hit, then a
+    /// memory hit) and from a node holding none (a remote domain read).
+    /// Each row is (io, cpu, network) in ns, the served tier and the bytes
+    /// read. Fatman's domain reads pay its 200 ms wake-up, the key-value
+    /// store's are SSD reads, a remote read pays network, and an SSD hit
+    /// costs less than any domain read.
+    #[test]
+    fn the_bill_pins_each_domain_and_tier() {
+        use ServedTier::{LocalDisk, MemCache, Remote, SsdCache};
+        let local: fn(Arc<Topology>) -> Domain =
+            |topology| Domain::local_fs(DomainId(1), "local", topology);
+        let kv: fn(Arc<Topology>) -> Domain = |topology| Domain::kv(DomainId(1), "kv", topology);
+        let hdfs: fn(Arc<Topology>) -> Domain =
+            |topology| Domain::hdfs(DomainId(1), "hdfs", topology, 3, 7);
+        let (ssd, mem) = ((120_330, 0, SsdCache), (10_013, 0, MemCache));
+        let cases = [
+            (local, (10_001_320, 0, LocalDisk), (10_001_320, 201_056)),
+            (hdfs, (10_001_320, 0, LocalDisk), (10_001_320, 201_056)),
+            (fatman, (210_001_320, 0, LocalDisk), (210_001_320, 201_056)),
+            (kv, (120_330, 0, LocalDisk), (120_330, 401_056)),
+        ];
+        let settings = CacheSettings {
+            enabled: true,
+            ..CacheSettings::default()
+        };
+        for (domain, near, (far_io, far_network)) in cases {
+            let r = rig_on(domain, settings.clone());
+            let holders = r.router.replicas("/t/b0").unwrap();
+            let far = (0..4).map(NodeId).find(|n| !holders.contains(n)).unwrap();
+            let far_pin = (far_io, far_network, Remote);
+            let runs = [near, ssd, mem].map(|pin| (holders[0], pin));
+            for (node, (io, network, tier)) in runs.into_iter().chain([(far, far_pin)]) {
+                let task = r.task("b > 10");
+                let out = leaf_on(node.0).execute(&task, &r.router, &r.cred, SimInstant(0), false);
+                let (tally, stats) = out.map(|o| (o.tally, o.stats)).unwrap();
+                let prefix = r.router.domain_of("/t/b0").prefix();
+                assert_eq!(
+                    (tally.io, tally.cpu, tally.network),
+                    (SimDuration(io), SimDuration(578), SimDuration(network)),
+                    "{prefix} {tier} on {node:?}"
+                );
+                assert_eq!((stats.served_tier, stats.bytes_read), (tier, ByteSize(132)));
+            }
+        }
+        // A zone skip on first touch reads the metadata chunk from the
+        // domain; on the resident footer it reads nothing.
+        let r = rig();
+        let skips = [
+            (5_000_780, LocalDisk, ByteSize(78)),
+            (5_007, ServedTier::Memory, ByteSize::ZERO),
+        ];
+        for (io, tier, bytes) in skips {
+            let out = r.run("a > 1000");
+            let tally = (out.tally.io, out.tally.cpu, out.tally.network);
+            assert_eq!(tally, (SimDuration(io), SimDuration(2), SimDuration::ZERO));
+            assert_eq!((out.stats.served_tier, out.stats.bytes_read), (tier, bytes));
+        }
     }
 
     #[test]

@@ -77,14 +77,14 @@ struct Rig {
 fn rig() -> Rig {
     let topology = Arc::new(Topology::grid(1, 2, 2));
     let cost = CostModel::default();
-    let hdfs = Domain::hdfs(DomainId(1), "hdfs", topology, cost.clone(), 3, 7);
+    let hdfs = Domain::hdfs(DomainId(1), "hdfs", topology, 3, 7);
     let auth = Arc::new(AuthService::new(9));
     auth.register(UserId(1));
     auth.grant(UserId(1), DomainId(1), Grant::ReadWrite);
     let cred = auth
         .issue(UserId(1), SimInstant(0), SimDuration::hours(8))
         .unwrap();
-    let router = StorageRouter::new(vec![hdfs], 0, auth, None, cost.clone());
+    let router = StorageRouter::new(vec![hdfs], 0, auth, None);
     let schema = Schema::new(vec![
         Field::new("id", DataType::Int64, false),
         Field::new("url", DataType::Utf8, false),

@@ -16,16 +16,14 @@
 //! | chunk[0] … chunk[n-1]           (each compress_adaptive(validity+data))
 //! | footer: ncols(varint) { offset(varint) len(varint) }…   (offsets are
 //!   relative to the first chunk byte)
-//! | zones (optional): ZONE_SECTION_TAG(1) then per column
+//! | zones: ZONE_SECTION_TAG(1) then per column
 //!   { present(1) [min max (type-tagged values)] null_count(varint) }
 //! | footer_start(u64 LE)            (absolute offset of the footer)
 //! ```
 //!
-//! The zone section is optional: a footer that ends right after the chunk
-//! directory (everything written before zone maps existed) parses fine
-//! and simply reports no zones, so readers can never skip on its behalf.
-//! A *present but malformed* zone section is a corruption error, never a
-//! panic.
+//! Every footer carries its zone section: one that ends right after the
+//! chunk directory, or holds a malformed zone section, is a corruption
+//! error, never a panic.
 
 use crate::column::{rows_of, Column, ColumnData, Validity};
 use crate::compress;
@@ -246,9 +244,8 @@ pub struct BlockMeta {
     pub id: BlockId,
     pub rows: usize,
     pub schema: Schema,
-    /// Per-column zone statistics in schema order, `None` when the block
-    /// was written without a zone section (pre-zone-map layout).
-    pub zones: Option<Vec<ColumnStats>>,
+    /// Per-column zone statistics in schema order.
+    pub zones: Vec<ColumnStats>,
     /// Bytes a reader must touch to obtain this metadata: envelope +
     /// compressed header + footer (directory, zones, trailer). Column
     /// chunks are excluded.
@@ -378,68 +375,64 @@ impl BlockMeta {
             }
             directory.push((offset, len));
         }
-        // Optional zone section: the directory ending exactly at the
-        // trailer means a pre-zone-map footer (no skipping possible); any
-        // extra bytes must be a well-formed zone section ending exactly at
-        // the trailer.
-        let zones = if fpos == trailer_start {
-            None
-        } else {
-            let tag = footer[fpos];
+        // The zone section follows the directory and ends exactly at the
+        // trailer.
+        if fpos == trailer_start {
+            return Err(FeisuError::Corrupt("footer has no zone section".into()));
+        }
+        let tag = footer[fpos];
+        fpos += 1;
+        if tag != ZONE_SECTION_TAG {
+            return Err(FeisuError::Corrupt(format!(
+                "unknown footer section tag {tag}"
+            )));
+        }
+        let mut zones = Vec::with_capacity(schema.len());
+        for field in schema.fields() {
+            let present = *footer
+                .get(fpos)
+                .ok_or_else(|| FeisuError::Corrupt("truncated zone section".into()))?;
             fpos += 1;
-            if tag != ZONE_SECTION_TAG {
-                return Err(FeisuError::Corrupt(format!(
-                    "unknown footer section tag {tag}"
-                )));
-            }
-            let mut stats = Vec::with_capacity(schema.len());
-            for field in schema.fields() {
-                let present = *footer
-                    .get(fpos)
-                    .ok_or_else(|| FeisuError::Corrupt("truncated zone section".into()))?;
-                fpos += 1;
-                let (min, max) = match present {
-                    0 => (None, None),
-                    1 => {
-                        let min = decode_zone_value(footer, &mut fpos, field.data_type)?;
-                        let max = decode_zone_value(footer, &mut fpos, field.data_type)?;
-                        // Provably inverted bounds are corruption. NaN float
-                        // bounds compare as None and pass: min_max() orders
-                        // by total_cmp, so NaN can be a legitimate bound.
-                        if min.sql_cmp(&max) == Some(std::cmp::Ordering::Greater) {
-                            return Err(FeisuError::Corrupt(format!(
-                                "zone min {min} exceeds max {max} for column `{}`",
-                                field.name
-                            )));
-                        }
-                        (Some(min), Some(max))
-                    }
-                    other => {
+            let (min, max) = match present {
+                0 => (None, None),
+                1 => {
+                    let min = decode_zone_value(footer, &mut fpos, field.data_type)?;
+                    let max = decode_zone_value(footer, &mut fpos, field.data_type)?;
+                    // Provably inverted bounds are corruption. NaN float
+                    // bounds compare as None and pass: min_max() orders
+                    // by total_cmp, so NaN can be a legitimate bound.
+                    if min.sql_cmp(&max) == Some(std::cmp::Ordering::Greater) {
                         return Err(FeisuError::Corrupt(format!(
-                            "bad zone presence flag {other}"
-                        )))
+                            "zone min {min} exceeds max {max} for column `{}`",
+                            field.name
+                        )));
                     }
-                };
-                let null_count = varint::decode(footer, &mut fpos)? as usize;
-                if null_count > rows {
-                    return Err(FeisuError::Corrupt(format!(
-                        "zone null count {null_count} exceeds {rows} rows"
-                    )));
+                    (Some(min), Some(max))
                 }
-                stats.push(ColumnStats {
-                    min,
-                    max,
-                    null_count,
-                });
-            }
-            if fpos != trailer_start {
+                other => {
+                    return Err(FeisuError::Corrupt(format!(
+                        "bad zone presence flag {other}"
+                    )))
+                }
+            };
+            let null_count = varint::decode(footer, &mut fpos)? as usize;
+            if null_count > rows {
                 return Err(FeisuError::Corrupt(format!(
-                    "{} trailing bytes after zone section",
-                    trailer_start - fpos
+                    "zone null count {null_count} exceeds {rows} rows"
                 )));
             }
-            Some(stats)
-        };
+            zones.push(ColumnStats {
+                min,
+                max,
+                null_count,
+            });
+        }
+        if fpos != trailer_start {
+            return Err(FeisuError::Corrupt(format!(
+                "{} trailing bytes after zone section",
+                trailer_start - fpos
+            )));
+        }
         Ok(BlockMeta {
             id,
             rows,
@@ -478,7 +471,7 @@ impl BlockMeta {
             // Name bytes twice: the field and the schema's name index.
             .map(|f| size_of::<Field>() + 2 * (f.name.len() + size_of::<String>()))
             .sum();
-        let zones: usize = self.zones.iter().flatten().fold(0, |sum, z| {
+        let zones: usize = self.zones.iter().fold(0, |sum, z| {
             sum + size_of::<ColumnStats>() + bound(&z.min) + bound(&z.max)
         });
         size_of::<BlockMeta>() + fields + zones + self.directory.len() * size_of::<(usize, usize)>()
@@ -600,7 +593,7 @@ impl BlockMeta {
     }
 }
 
-/// Tag byte opening the optional footer zone section. Distinguishes a
+/// Tag byte opening the footer zone section. Distinguishes a
 /// zone-bearing footer from any future footer extension; an unknown tag is
 /// corruption, not silently ignored data.
 const ZONE_SECTION_TAG: u8 = 1;
@@ -1008,11 +1001,26 @@ mod tests {
     /// hostile inputs: `fields` are (name, tag, nullable) header entries,
     /// `chunks` are pre-compressed column chunks, and `directory` overrides
     /// the footer entries (pass the natural offsets to get a valid file).
+    /// The footer ends with a valid zone section: no bounds, no NULLs.
     fn assemble_v2(
         rows: u64,
         fields: &[(&str, u8, u8)],
         chunks: &[Vec<u8>],
         directory: &[(u64, u64)],
+    ) -> Vec<u8> {
+        let mut zones = vec![ZONE_SECTION_TAG];
+        fields.iter().for_each(|_| zones.extend([0, 0]));
+        assemble_v2_with_zone_bytes(rows, fields, chunks, directory, &zones)
+    }
+
+    /// Like `assemble_v2` but with caller-supplied raw bytes between the
+    /// chunk directory and the trailer — hostile zone sections.
+    fn assemble_v2_with_zone_bytes(
+        rows: u64,
+        fields: &[(&str, u8, u8)],
+        chunks: &[Vec<u8>],
+        directory: &[(u64, u64)],
+        zone_bytes: &[u8],
     ) -> Vec<u8> {
         let mut header = Vec::new();
         varint::encode(rows, &mut header);
@@ -1039,6 +1047,7 @@ mod tests {
             varint::encode(*offset, &mut buf);
             varint::encode(*len, &mut buf);
         }
+        buf.extend_from_slice(zone_bytes);
         buf.extend_from_slice(&footer_start.to_le_bytes());
         buf
     }
@@ -1217,22 +1226,6 @@ mod tests {
         assert_eq!(sub.schema().len(), 0);
     }
 
-    /// Like `assemble_v2` but with caller-supplied raw bytes spliced
-    /// between the chunk directory and the trailer — hostile zone sections.
-    fn assemble_v2_with_zone_bytes(
-        rows: u64,
-        fields: &[(&str, u8, u8)],
-        chunks: &[Vec<u8>],
-        directory: &[(u64, u64)],
-        zone_bytes: &[u8],
-    ) -> Vec<u8> {
-        let mut buf = assemble_v2(rows, fields, chunks, directory);
-        let trailer = buf.split_off(buf.len() - 8);
-        buf.extend_from_slice(zone_bytes);
-        buf.extend_from_slice(&trailer);
-        buf
-    }
-
     /// One valid int chunk + matching directory entry, shared by the zone
     /// corruption tests below.
     fn int_chunk() -> (Vec<u8>, u64) {
@@ -1253,7 +1246,7 @@ mod tests {
         assert_eq!(meta.id, b.id());
         assert_eq!(&meta.schema, b.schema());
         assert_eq!(meta.rows, 100);
-        let zones = meta.zones.expect("serialize writes zone maps");
+        let zones = meta.zones;
         assert_eq!(zones.len(), 4);
         for (i, z) in zones.iter().enumerate() {
             let c = b.column(i);
@@ -1273,37 +1266,24 @@ mod tests {
         let col =
             Column::from_values(DataType::Int64, &[Value::Null, Value::Null, Value::Null]).unwrap();
         let b = Block::new(BlockId(7), schema, vec![col]).unwrap();
-        let meta = Block::read_meta(&b.serialize()).unwrap();
-        let zones = meta.zones.unwrap();
+        let zones = Block::read_meta(&b.serialize()).unwrap().zones;
         assert_eq!(zones[0].min, None);
         assert_eq!(zones[0].max, None);
         assert_eq!(zones[0].null_count, 3);
     }
 
     #[test]
-    fn zoneless_footer_still_loads_and_reports_no_zones() {
-        // Written by the pre-zone-map writer: three Int64 columns of 256
-        // rows, `a = i`, `b = i % 50`, `c = i % 7`.
-        let legacy = include_bytes!("../testdata/zoneless_block.bin");
-        let ints = |f: fn(i64) -> i64| Column::from_i64((0..256).map(f).collect());
-        let b = Block::new(
-            BlockId(0),
-            Schema::new(vec![
-                Field::new("a", DataType::Int64, false),
-                Field::new("b", DataType::Int64, false),
-                Field::new("c", DataType::Int64, false),
-            ]),
-            vec![ints(|i| i), ints(|i| i % 50), ints(|i| i % 7)],
-        )
-        .unwrap();
-        assert!(legacy.len() < b.serialize().len());
-        let meta = Block::read_meta(legacy).unwrap();
-        assert_eq!(meta.zones, None);
-        assert_eq!(&meta.schema, b.schema());
-        // Full and subset decode both still work on the legacy layout.
-        assert_eq!(Block::deserialize(legacy).unwrap(), b);
-        let sub = Block::deserialize_columns(legacy, &["b"]).unwrap();
-        assert_eq!(sub.column_by_name("b"), b.column_by_name("b"));
+    fn a_footer_without_a_zone_section_is_corrupt() {
+        // The layout written before zone maps existed: the directory runs
+        // up to the trailer.
+        let (chunk, len) = int_chunk();
+        let fields = [("x", type_tag(DataType::Int64), 0)];
+        let buf = assemble_v2_with_zone_bytes(4, &fields, &[chunk], &[(0, len)], &[]);
+        let err = Block::read_meta(&buf).unwrap_err();
+        assert!(
+            matches!(&err, FeisuError::Corrupt(m) if m.contains("no zone section")),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -1515,7 +1495,7 @@ mod tests {
         let b = sample_block();
         let (bytes, summaries) = b.serialize_summarized();
         assert_eq!(bytes, b.serialize());
-        let zones = Block::read_meta(&bytes).unwrap().zones.unwrap();
+        let zones = Block::read_meta(&bytes).unwrap().zones;
         assert!(summaries.iter().map(|s| &s.zone).eq(&zones));
         let clicks = &summaries[1];
         assert_eq!(clicks.zone.null_count, 10);

@@ -72,20 +72,6 @@ impl CacheTier {
     }
 }
 
-/// Pin rule: paths with this prefix bypass the admission filter (the
-/// paper's manual §IV-B preferences, surviving as overrides).
-#[derive(Debug, Clone)]
-pub struct CachePin {
-    pub path_prefix: String,
-}
-
-/// Attribution of an admission for quota accounting: the user whose
-/// query read the object.
-#[derive(Debug, Clone, Copy)]
-pub struct CacheAttr {
-    pub user: UserId,
-}
-
 /// A probe of an object the node holds chunks of: the object's bytes and,
 /// per chunk asked for, the tier that served it (`None`: not resident).
 #[derive(Debug, Clone)]
@@ -427,7 +413,10 @@ impl NodeCache {
 /// The two-tier cache hierarchy with ghost admission and quotas.
 pub struct TieredCache {
     settings: CacheSettings,
-    pins: Vec<CachePin>,
+    /// Pin rules: paths with one of these prefixes bypass the admission
+    /// filter (the paper's manual §IV-B preferences, surviving as
+    /// overrides).
+    pins: Vec<String>,
     /// Per-node state, sharded by node id so probes on different nodes
     /// never contend on one lock.
     shards: Vec<Mutex<FxHashMap<NodeId, NodeCache>>>,
@@ -437,7 +426,7 @@ pub struct TieredCache {
 }
 
 impl TieredCache {
-    pub fn new(settings: CacheSettings, pins: Vec<CachePin>) -> Self {
+    pub fn new(settings: CacheSettings, pins: Vec<String>) -> Self {
         TieredCache {
             settings,
             pins,
@@ -455,7 +444,7 @@ impl TieredCache {
 
     /// Whether a path matches a pin rule.
     pub fn pinned(&self, path: &str) -> bool {
-        self.pins.iter().any(|p| path.starts_with(&p.path_prefix))
+        self.pins.iter().any(|p| path.starts_with(p.as_str()))
     }
 
     fn shard(&self, node: NodeId) -> &Mutex<FxHashMap<NodeId, NodeCache>> {
@@ -583,10 +572,11 @@ impl TieredCache {
         self.shrink(nc, CacheTier::Memory);
     }
 
-    /// Offers an object read from a storage domain for caching on `node`.
+    /// Offers an object read from a storage domain for caching on `node`,
+    /// its bytes charged to `user`'s quota (the user whose query read it).
     /// An entry of the same layout and user the node holds already is
     /// filled: its missing chunks enter, with no second admission.
-    pub fn admit(&self, node: NodeId, path: &str, offer: Offer, attr: CacheAttr, now: SimInstant) {
+    pub fn admit(&self, node: NodeId, path: &str, offer: Offer, user: UserId, now: SimInstant) {
         let c = &self.counters;
         let ghost_capacity = self.settings.ghost_capacity;
         let size: u64 = offer.chunks.iter().sum();
@@ -609,7 +599,7 @@ impl TieredCache {
         }
         // Resolve the quota before taking the shard lock (lock order: the
         // quota map is a leaf, never nested inside a shard).
-        let user_quota = self.user_quotas.lock().get(&attr.user).copied();
+        let user_quota = self.user_quotas.lock().get(&user).copied();
         // An object that cannot fit its owner's quota is rejected outright
         // — quota wins even over a pin.
         if user_quota.is_some_and(|q| size > q) {
@@ -623,7 +613,7 @@ impl TieredCache {
         let held = nc.ids.get(path).copied();
         let same = held.filter(|id| {
             let e = &nc.entries[id];
-            e.user == attr.user
+            e.user == user
                 && e.chunks
                     .iter()
                     .map(|c| c.len)
@@ -656,7 +646,7 @@ impl TieredCache {
                     data: offer.data,
                     chunks: offer.chunks.iter().map(|&len| Chunk::new(len)).collect(),
                     inserted_at: now,
-                    user: attr.user,
+                    user,
                 })
             }
         };
@@ -664,9 +654,9 @@ impl TieredCache {
         // Quota pressure: the owner sheds its own coldest chunks.
         let missing = nc.entries[&id].chunks.iter().filter(|c| c.tier.is_none());
         let added: u64 = missing.map(|c| c.len).sum();
-        let used = |nc: &NodeCache| nc.user_used.get(&attr.user).copied().unwrap_or(0);
+        let used = |nc: &NodeCache| nc.user_used.get(&user).copied().unwrap_or(0);
         while user_quota.is_some_and(|q| used(nc) + added > q) {
-            let Some(((victim, i), tier)) = nc.pop_owned(attr.user, id) else {
+            let Some(((victim, i), tier)) = nc.pop_owned(user, id) else {
                 break;
             };
             nc.tier(tier).evictions += 1;
@@ -808,15 +798,9 @@ mod tests {
 
     const NOW: SimInstant = SimInstant(0);
 
-    fn attr(user: u64) -> CacheAttr {
-        CacheAttr { user: UserId(user) }
-    }
-
     /// "Admit everything" is a pin on the root prefix.
-    fn pin_all() -> Vec<CachePin> {
-        vec![CachePin {
-            path_prefix: "/".into(),
-        }]
+    fn pin_all() -> Vec<String> {
+        vec!["/".into()]
     }
 
     /// SSD tier only, no ghost: nothing but the pinned prefix is admitted
@@ -829,12 +813,7 @@ mod tests {
             ghost_capacity: 0,
             ..CacheSettings::default()
         };
-        TieredCache::new(
-            s,
-            vec![CachePin {
-                path_prefix: "/hdfs/hot/".into(),
-            }],
-        )
+        TieredCache::new(s, vec!["/hdfs/hot/".into()])
     }
 
     fn open(mem_kib: u64, ssd_kib: u64) -> TieredCache {
@@ -855,7 +834,7 @@ mod tests {
             NodeId(0),
             "/hdfs/cold/x",
             Offer::whole(Bytes::from_static(b"data")),
-            attr(1),
+            UserId(1),
             NOW,
         );
         assert!(c.get(NodeId(0), "/hdfs/cold/x", &[0], NOW).is_none());
@@ -865,7 +844,7 @@ mod tests {
             NodeId(0),
             "/hdfs/hot/x",
             Offer::whole(Bytes::from_static(b"data")),
-            attr(1),
+            UserId(1),
             NOW,
         );
         let hit = c
@@ -887,14 +866,14 @@ mod tests {
             NodeId(0),
             "/hdfs/t/b0",
             Offer::whole(blob.clone()),
-            attr(1),
+            UserId(1),
             NOW,
         );
         assert!(c.get(NodeId(0), "/hdfs/t/b0", &[0], NOW).is_none());
         assert_eq!(c.stats().ghost_registered, 1);
         assert_eq!(c.stats().rejected, 1);
         // Second sighting: the ghost remembers, so it is admitted.
-        c.admit(NodeId(0), "/hdfs/t/b0", Offer::whole(blob), attr(1), NOW);
+        c.admit(NodeId(0), "/hdfs/t/b0", Offer::whole(blob), UserId(1), NOW);
         assert!(c.get(NodeId(0), "/hdfs/t/b0", &[0], NOW).is_some());
         assert_eq!(c.stats().ghost_admissions, 1);
     }
@@ -907,17 +886,12 @@ mod tests {
             ssd_capacity_per_node: ByteSize::kib(64),
             ..CacheSettings::default()
         };
-        let c = TieredCache::new(
-            s,
-            vec![CachePin {
-                path_prefix: "/hdfs/hot/".into(),
-            }],
-        );
+        let c = TieredCache::new(s, vec!["/hdfs/hot/".into()]);
         c.admit(
             NodeId(0),
             "/hdfs/hot/x",
             Offer::whole(Bytes::from_static(b"d")),
-            attr(1),
+            UserId(1),
             NOW,
         );
         assert!(
@@ -933,7 +907,7 @@ mod tests {
             NodeId(0),
             "/t/b0",
             Offer::whole(Bytes::from(vec![1u8; 100])),
-            attr(1),
+            UserId(1),
             NOW,
         );
         assert_eq!(c.used_on(NodeId(0), CacheTier::Ssd), ByteSize(100));
@@ -963,14 +937,14 @@ mod tests {
             NodeId(0),
             "/t/a",
             Offer::whole(Bytes::from(vec![1u8; 600])),
-            attr(1),
+            UserId(1),
             NOW,
         );
         c.admit(
             NodeId(0),
             "/t/b",
             Offer::whole(Bytes::from(vec![2u8; 600])),
-            attr(1),
+            UserId(1),
             NOW,
         );
         assert!(c.get(NodeId(0), "/t/a", &[0], NOW).is_some()); // a → memory
@@ -994,7 +968,7 @@ mod tests {
             NodeId(0),
             "/t/x",
             Offer::whole(Bytes::from_static(b"data")),
-            attr(1),
+            UserId(1),
             NOW,
         );
         assert!(c.get(NodeId(1), "/t/x", &[0], NOW).is_none());
@@ -1009,19 +983,19 @@ mod tests {
             NodeId(0),
             "/hdfs/hot/a",
             Offer::whole(blob.clone()),
-            attr(1),
+            UserId(1),
             NOW,
         );
         c.admit(
             NodeId(0),
             "/hdfs/hot/b",
             Offer::whole(blob.clone()),
-            attr(1),
+            UserId(1),
             NOW,
         );
         // Touch a so b is LRU.
         assert!(c.get(NodeId(0), "/hdfs/hot/a", &[0], NOW).is_some());
-        c.admit(NodeId(0), "/hdfs/hot/c", Offer::whole(blob), attr(1), NOW);
+        c.admit(NodeId(0), "/hdfs/hot/c", Offer::whole(blob), UserId(1), NOW);
         assert!(
             c.get(NodeId(0), "/hdfs/hot/b", &[0], NOW).is_none(),
             "b evicted"
@@ -1039,8 +1013,14 @@ mod tests {
     fn evicted_keys_are_remembered_by_the_ghost() {
         let c = open(0, 1); // SSD-only, 1 KiB
         let blob = Bytes::from(vec![0u8; 700]);
-        c.admit(NodeId(0), "/t/a", Offer::whole(blob.clone()), attr(1), NOW);
-        c.admit(NodeId(0), "/t/b", Offer::whole(blob), attr(1), NOW); // evicts a
+        c.admit(
+            NodeId(0),
+            "/t/a",
+            Offer::whole(blob.clone()),
+            UserId(1),
+            NOW,
+        );
+        c.admit(NodeId(0), "/t/b", Offer::whole(blob), UserId(1), NOW); // evicts a
         assert_eq!(c.stats().ssd_evictions, 1);
         assert_eq!(c.ghost_len_on(NodeId(0)), 1);
     }
@@ -1052,7 +1032,7 @@ mod tests {
             NodeId(0),
             "/hdfs/hot/big",
             Offer::whole(Bytes::from(vec![0u8; 4096])),
-            attr(1),
+            UserId(1),
             NOW,
         );
         assert!(c.get(NodeId(0), "/hdfs/hot/big", &[0], NOW).is_none());
@@ -1066,14 +1046,14 @@ mod tests {
             NodeId(0),
             "/t/x",
             Offer::whole(Bytes::from_static(b"d")),
-            attr(1),
+            UserId(1),
             NOW,
         );
         c.admit(
             NodeId(1),
             "/t/x",
             Offer::whole(Bytes::from_static(b"d")),
-            attr(1),
+            UserId(1),
             NOW,
         );
         c.get(NodeId(0), "/t/x", &[0], NOW); // promote on node 0 → memory tier
@@ -1096,7 +1076,7 @@ mod tests {
             NodeId(0),
             "/t/x",
             Offer::whole(Bytes::from_static(b"d")),
-            attr(1),
+            UserId(1),
             NOW,
         );
         assert!(c
@@ -1117,14 +1097,14 @@ mod tests {
             NodeId(0),
             "/hdfs/cold/x",
             Offer::whole(Bytes::from_static(b"d")),
-            attr(1),
+            UserId(1),
             NOW,
         );
         c.admit(
             NodeId(0),
             "/hdfs/hot/x",
             Offer::whole(Bytes::from_static(b"d")),
-            attr(1),
+            UserId(1),
             NOW,
         );
         c.get(NodeId(0), "/hdfs/hot/x", &[0], NOW);
@@ -1147,7 +1127,7 @@ mod tests {
             NodeId(7),
             "/t/x",
             Offer::whole(Bytes::from_static(b"d")),
-            attr(1),
+            UserId(1),
             NOW,
         );
         assert_eq!(c.tracked_nodes(), 1);
@@ -1161,14 +1141,14 @@ mod tests {
             NodeId(0),
             "/t/x",
             Offer::whole(Bytes::from(vec![0u8; 100])),
-            attr(1),
+            UserId(1),
             NOW,
         );
         c.admit(
             NodeId(0),
             "/t/x",
             Offer::whole(Bytes::from(vec![0u8; 200])),
-            attr(1),
+            UserId(1),
             NOW,
         );
         assert_eq!(c.used_on(NodeId(0), CacheTier::Ssd), ByteSize(200));
@@ -1186,18 +1166,30 @@ mod tests {
         let c = TieredCache::new(s, pin_all());
         c.set_user_quota(UserId(1), Some(ByteSize(1000)));
         let blob = Bytes::from(vec![0u8; 400]);
-        c.admit(NodeId(0), "/t/a", Offer::whole(blob.clone()), attr(1), NOW);
-        c.admit(NodeId(0), "/t/b", Offer::whole(blob.clone()), attr(1), NOW);
+        c.admit(
+            NodeId(0),
+            "/t/a",
+            Offer::whole(blob.clone()),
+            UserId(1),
+            NOW,
+        );
+        c.admit(
+            NodeId(0),
+            "/t/b",
+            Offer::whole(blob.clone()),
+            UserId(1),
+            NOW,
+        );
         // A third 400 B entry would put user 1 at 1200 B: its own LRU
         // entry (a) is evicted; user 2 is untouched.
         c.admit(
             NodeId(0),
             "/t/other",
             Offer::whole(blob.clone()),
-            attr(2),
+            UserId(2),
             NOW,
         );
-        c.admit(NodeId(0), "/t/c", Offer::whole(blob), attr(1), NOW);
+        c.admit(NodeId(0), "/t/c", Offer::whole(blob), UserId(1), NOW);
         assert_eq!(c.stats().quota_evictions, 1);
         assert!(
             c.get(NodeId(0), "/t/a", &[0], NOW).is_none(),
@@ -1224,7 +1216,7 @@ mod tests {
             NodeId(0),
             "/t/x",
             Offer::whole(Bytes::from_static(b"d")),
-            attr(3),
+            UserId(3),
             NOW,
         );
         assert!(c.get(NodeId(0), "/t/x", &[0], NOW).is_none());
@@ -1236,7 +1228,7 @@ mod tests {
             NodeId(0),
             "/t/x",
             Offer::whole(Bytes::from_static(b"d")),
-            attr(3),
+            UserId(3),
             NOW,
         );
         assert!(c.get(NodeId(0), "/t/x", &[0], NOW).is_some());
@@ -1248,19 +1240,14 @@ mod tests {
             enabled: true,
             ..CacheSettings::default()
         };
-        let c = TieredCache::new(
-            s,
-            vec![CachePin {
-                path_prefix: "/hdfs/hot/".into(),
-            }],
-        );
+        let c = TieredCache::new(s, vec!["/hdfs/hot/".into()]);
         c.set_user_quota(UserId(1), Some(ByteSize(10)));
         // Pinned, but larger than the user's whole quota: rejected.
         c.admit(
             NodeId(0),
             "/hdfs/hot/x",
             Offer::whole(Bytes::from(vec![0u8; 100])),
-            attr(1),
+            UserId(1),
             NOW,
         );
         assert!(c.get(NodeId(0), "/hdfs/hot/x", &[0], NOW).is_none());
@@ -1280,7 +1267,7 @@ mod tests {
                 NodeId(0),
                 &format!("/t/b{i}"),
                 Offer::whole(Bytes::from_static(b"d")),
-                attr(1),
+                UserId(1),
                 NOW,
             );
         }
@@ -1291,7 +1278,7 @@ mod tests {
             NodeId(0),
             "/t/b0",
             Offer::whole(Bytes::from_static(b"d")),
-            attr(1),
+            UserId(1),
             NOW,
         );
         assert!(c.get(NodeId(0), "/t/b0", &[0], NOW).is_none());
@@ -1304,7 +1291,7 @@ mod tests {
             NodeId(0),
             "/t/x",
             Offer::whole(Bytes::from(vec![0u8; 128])),
-            attr(1),
+            UserId(1),
             NOW,
         );
         c.get(NodeId(0), "/t/x", &[0], NOW); // ssd hit + promotion
@@ -1332,7 +1319,7 @@ mod tests {
             chunks,
             touched,
         };
-        c.admit(NodeId(node), path, offer, attr(user), NOW);
+        c.admit(NodeId(node), path, offer, UserId(user), NOW);
     }
 
     /// The tier of each chunk of `path` on node 0 — a probe, so it refreshes them.

@@ -3,27 +3,26 @@
 //! "Each storage system works in an independent domain. Data on different
 //! systems have different storage layouts, and cannot be shared among
 //! systems" (§II). A [`Domain`] is a replicated object store over the
-//! simulated cluster with its own objects, failed nodes and counters. The
-//! four systems differ only in data: where replicas go (a `Placement`),
-//! which medium serves a read, and a fixed wake-up penalty per read.
+//! simulated cluster with its own objects and counters; which nodes are
+//! down is the router's one set, which every domain reads. The four
+//! systems differ only in data: where replicas go (a `Placement`), which
+//! medium serves a read, and a fixed wake-up penalty per read. A domain
+//! prices nothing: the leaf's bill reads its medium and penalty.
 
 use crate::cache::CacheTier;
 use bytes::Bytes;
-use feisu_cluster::simclock::TimeTally;
-use feisu_cluster::{CostModel, StorageMedium, Topology};
+use feisu_cluster::{StorageMedium, Topology};
 use feisu_common::hash::{hash_one, FxHashMap, FxHashSet};
 use feisu_common::rng::DetRng;
-use feisu_common::{ByteSize, DomainId, FeisuError, NodeId, Result, SimDuration};
+use feisu_common::{DomainId, FeisuError, NodeId, Result, SimDuration};
 use feisu_obs::Counter;
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
-/// Result of one read: the bytes plus the simulated cost it incurred.
+/// Result of one read: the bytes and what served them.
 #[derive(Debug, Clone)]
 pub struct ReadResult {
     pub data: Bytes,
-    pub cost: TimeTally,
-    pub medium: StorageMedium,
     /// Network hops the data crossed to reach the reader (0 = local).
     pub hops: u32,
     /// The block-cache tier that served the read; `None` for a domain read.
@@ -53,6 +52,10 @@ struct StoredObject {
     replicas: Vec<NodeId>,
 }
 
+/// The nodes marked down: one set, owned by the router and shared with
+/// every domain it routes to.
+pub(crate) type DownNodes = Arc<RwLock<FxHashSet<NodeId>>>;
+
 /// One independent storage system.
 pub struct Domain {
     id: DomainId,
@@ -63,9 +66,9 @@ pub struct Domain {
     wake_penalty: SimDuration,
     placement: Placement,
     topology: Arc<Topology>,
-    cost: CostModel,
     objects: RwLock<FxHashMap<String, StoredObject>>,
-    down_nodes: RwLock<FxHashSet<NodeId>>,
+    /// The router's failed-node set, once the router owns this domain.
+    pub(crate) down: DownNodes,
     /// Reads this domain served, their bytes, and writes: bumped by the
     /// router, so block-cache hits and a direct `read_from` count nothing.
     pub(crate) reads: Arc<Counter>,
@@ -77,7 +80,7 @@ impl Domain {
     /// Every node's local file system, where "log data are stored" (§II):
     /// an object lives on its writer's node only, on HDD. The other
     /// domains are this one with their own placement, medium or penalty.
-    pub fn local_fs(id: DomainId, prefix: &str, topo: Arc<Topology>, cost: CostModel) -> Domain {
+    pub fn local_fs(id: DomainId, prefix: &str, topo: Arc<Topology>) -> Domain {
         Domain {
             id,
             prefix: prefix.to_string(),
@@ -85,9 +88,8 @@ impl Domain {
             wake_penalty: SimDuration::ZERO,
             placement: Placement::Owner,
             topology: topo,
-            cost,
             objects: RwLock::default(),
-            down_nodes: RwLock::default(),
+            down: DownNodes::default(),
             reads: Arc::default(),
             bytes_read: Arc::default(),
             writes: Arc::default(),
@@ -99,14 +101,13 @@ impl Domain {
         id: DomainId,
         prefix: &str,
         topo: Arc<Topology>,
-        cost: CostModel,
         replication: usize,
         seed: u64,
     ) -> Domain {
         let (replication, rng) = (replication.max(1), Mutex::new(DetRng::new(seed)));
         Domain {
             placement: Placement::RackAware { replication, rng },
-            ..Domain::local_fs(id, prefix, topo, cost)
+            ..Domain::local_fs(id, prefix, topo)
         }
     }
 
@@ -116,7 +117,6 @@ impl Domain {
         id: DomainId,
         prefix: &str,
         topo: Arc<Topology>,
-        cost: CostModel,
         replication: usize,
         seed: u64,
     ) -> Domain {
@@ -124,16 +124,16 @@ impl Domain {
         Domain {
             wake_penalty: SimDuration::millis(200),
             placement: Placement::SpreadDcs { replication, rng },
-            ..Domain::local_fs(id, prefix, topo, cost)
+            ..Domain::local_fs(id, prefix, topo)
         }
     }
 
     /// A key-value store for labeled data: one hashed home node per key, on SSD.
-    pub fn kv(id: DomainId, prefix: &str, topo: Arc<Topology>, cost: CostModel) -> Domain {
+    pub fn kv(id: DomainId, prefix: &str, topo: Arc<Topology>) -> Domain {
         Domain {
             medium: StorageMedium::Ssd,
             placement: Placement::Hashed,
-            ..Domain::local_fs(id, prefix, topo, cost)
+            ..Domain::local_fs(id, prefix, topo)
         }
     }
 
@@ -185,15 +185,14 @@ impl Domain {
     }
 
     /// Reads an object as `reader`: the nearest live replica serves it,
-    /// and its device time, wake-up penalty and network transfer are
-    /// charged to the returned tally. With every replica down — for the
-    /// single-replica local FS and KV store, the one node holding it — the
-    /// read fails with a retryable [`FeisuError::Storage`], so the
+    /// and the result names its hop distance. With every replica down —
+    /// for the single-replica local FS and KV store, the one node holding
+    /// it — the read fails with a retryable [`FeisuError::Storage`], so the
     /// scheduler's backup task can run it elsewhere.
     pub fn read_from(&self, path: &str, reader: NodeId) -> Result<ReadResult> {
         let objects = self.objects.read();
         let obj = objects.get(path).ok_or_else(|| self.missing(path))?;
-        let down = self.down_nodes.read();
+        let down = self.down.read();
         let mut nearest: Option<u32> = None;
         for &rep in obj.replicas.iter().filter(|r| !down.contains(r)) {
             let hops = self.topology.hops(reader, rep)?;
@@ -202,14 +201,8 @@ impl Domain {
         let hops = nearest.ok_or_else(|| {
             FeisuError::Storage(format!("{}: all replicas of `{path}` down", self.prefix))
         })?;
-        let size = ByteSize(obj.data.len() as u64);
-        let mut cost = TimeTally::new();
-        cost.add_io(self.cost.read(self.medium, size) + self.wake_penalty);
-        cost.add_network(self.cost.network(hops, size));
         Ok(ReadResult {
             data: obj.data.clone(),
-            cost,
-            medium: self.medium,
             hops,
             cache_tier: None,
         })
@@ -222,16 +215,6 @@ impl Domain {
             .get(path)
             .map(|o| o.replicas.clone())
             .ok_or_else(|| self.missing(path))
-    }
-
-    /// Failure injection: mark a node's replicas (un)available.
-    pub fn set_node_available(&self, node: NodeId, up: bool) {
-        let mut down = self.down_nodes.write();
-        if up {
-            down.remove(&node);
-        } else {
-            down.insert(node);
-        }
     }
 
     fn missing(&self, path: &str) -> FeisuError {
@@ -338,17 +321,16 @@ mod tests {
     /// HDFS on 12 nodes: 2 data centers x 2 racks x 3 nodes.
     fn hdfs(replication: usize) -> (Domain, Arc<Topology>) {
         let topo = grid(2, 2, 3);
-        let cost = CostModel::default();
-        let d = Domain::hdfs(DomainId(1), "hdfs", topo.clone(), cost, replication, 42);
+        let d = Domain::hdfs(DomainId(1), "hdfs", topo.clone(), replication, 42);
         (d, topo)
     }
 
     fn local() -> Domain {
-        Domain::local_fs(DomainId(0), "local", grid(1, 2, 2), CostModel::default())
+        Domain::local_fs(DomainId(0), "local", grid(1, 2, 2))
     }
 
     fn kv() -> Domain {
-        Domain::kv(DomainId(3), "kv", grid(1, 2, 2), CostModel::default())
+        Domain::kv(DomainId(3), "kv", grid(1, 2, 2))
     }
 
     fn home(d: &Domain, path: &str) -> NodeId {
@@ -363,7 +345,7 @@ mod tests {
         let r = d.read_from("/a/b", NodeId(0)).unwrap();
         assert_eq!(&r.data[..], b"hello");
         assert_eq!(r.hops, 0, "local replica preferred");
-        assert_eq!(r.cost.network, SimDuration::ZERO);
+        assert_eq!(r.cache_tier, None);
     }
 
     #[test]
@@ -380,66 +362,37 @@ mod tests {
     }
 
     #[test]
-    fn remote_read_costs_network() {
+    fn a_remote_read_reports_its_hop_distance() {
         let (d, topo) = hdfs(1);
         d.put("/x", Bytes::from(vec![0u8; 1024]), Some(NodeId(0)))
             .unwrap();
         // Find a node in another data center.
         let far = topo.nodes().iter().find(|n| n.datacenter != 0).unwrap().id;
         let r = d.read_from("/x", far).unwrap();
-        assert!(r.cost.network > SimDuration::ZERO);
         assert_eq!(r.hops, topo.hops(far, NodeId(0)).unwrap());
-    }
-
-    #[test]
-    fn failover_to_replica_on_node_down() {
-        let (d, _) = hdfs(3);
-        d.put("/x", Bytes::from_static(b"x"), Some(NodeId(0)))
-            .unwrap();
-        d.set_node_available(NodeId(0), false);
-        let r = d.read_from("/x", NodeId(0)).unwrap();
-        assert_ne!(r.hops, 0, "served by another node's replica");
-        // All replicas down → error.
-        for rep in d.replicas("/x").unwrap() {
-            d.set_node_available(rep, false);
-        }
-        assert!(d.read_from("/x", NodeId(0)).is_err());
-        // Recovery restores service.
-        d.set_node_available(NodeId(0), true);
-        assert!(d.read_from("/x", NodeId(0)).is_ok());
     }
 
     #[test]
     fn replication_clamped_to_cluster_size() {
         let topo = grid(1, 1, 2);
-        let d = Domain::hdfs(DomainId(1), "hdfs", topo, CostModel::default(), 5, 7);
+        let d = Domain::hdfs(DomainId(1), "hdfs", topo, 5, 7);
         d.put("/x", Bytes::from_static(b"x"), None).unwrap();
         assert_eq!(d.replicas("/x").unwrap().len(), 2);
     }
 
     #[test]
     fn reads_pay_cold_penalty() {
-        let cold = Domain::fatman(
-            DomainId(2),
-            "ffs",
-            grid(2, 2, 2),
-            CostModel::default(),
-            2,
-            1,
-        );
-        cold.put("/arch/x", Bytes::from(vec![0u8; 1024]), None)
-            .unwrap();
-        let r = cold
-            .read_from("/arch/x", cold.replicas("/arch/x").unwrap()[0])
-            .unwrap();
-        // IO cost includes the 200 ms penalty on top of HDD seek+stream.
-        assert!(r.cost.io >= SimDuration::millis(200));
+        let cold = Domain::fatman(DomainId(2), "ffs", grid(2, 2, 2), 2, 1);
+        // 200 ms on every read, on top of the HDD the replicas sit on.
+        assert_eq!(cold.wake_penalty(), SimDuration::millis(200));
+        assert_eq!(cold.medium(), StorageMedium::Hdd);
+        assert_eq!(local().wake_penalty(), SimDuration::ZERO);
     }
 
     #[test]
     fn replicas_spread_across_datacenters() {
         let topo = grid(3, 1, 2);
-        let cold = Domain::fatman(DomainId(2), "ffs", topo.clone(), CostModel::default(), 3, 5);
+        let cold = Domain::fatman(DomainId(2), "ffs", topo.clone(), 3, 5);
         cold.put("/arch/x", Bytes::from_static(b"x"), None).unwrap();
         let dcs: std::collections::HashSet<u32> = cold
             .replicas("/arch/x")
@@ -452,14 +405,7 @@ mod tests {
 
     #[test]
     fn more_replicas_than_dcs_still_placed() {
-        let cold = Domain::fatman(
-            DomainId(2),
-            "ffs",
-            grid(1, 2, 3),
-            CostModel::default(),
-            4,
-            9,
-        );
+        let cold = Domain::fatman(DomainId(2), "ffs", grid(1, 2, 3), 4, 9);
         cold.put("/arch/x", Bytes::from_static(b"x"), None).unwrap();
         assert_eq!(cold.replicas("/arch/x").unwrap().len(), 4);
     }
@@ -471,7 +417,7 @@ mod tests {
             .unwrap();
         let r = d.read_from("/labels/q1", NodeId(0)).unwrap();
         assert_eq!(&r.data[..], b"relevant");
-        assert_eq!(r.medium, StorageMedium::Ssd);
+        assert_eq!(d.medium(), StorageMedium::Ssd);
     }
 
     #[test]
@@ -483,23 +429,6 @@ mod tests {
         d.put("/labels/q1", Bytes::from_static(b"b"), Some(NodeId(3)))
             .unwrap();
         assert_eq!(d.replicas("/labels/q1").unwrap(), vec![first]);
-    }
-
-    #[test]
-    fn ssd_faster_than_hdd_read() {
-        let d = kv();
-        d.put("/k", Bytes::from(vec![0u8; 4096]), None).unwrap();
-        let r = d.read_from("/k", home(&d, "/k")).unwrap();
-        let hdd = CostModel::default().read(StorageMedium::Hdd, ByteSize(4096));
-        assert!(r.cost.io < hdd);
-    }
-
-    #[test]
-    fn down_home_node_fails_lookup() {
-        let d = kv();
-        d.put("/k", Bytes::from_static(b"v"), None).unwrap();
-        d.set_node_available(home(&d, "/k"), false);
-        assert!(d.read_from("/k", NodeId(0)).is_err());
     }
 
     #[test]
@@ -519,22 +448,8 @@ mod tests {
         let d = local();
         d.put("/log/0", Bytes::from(vec![0u8; 2048]), Some(NodeId(1)))
             .unwrap();
-        let local = d.read_from("/log/0", NodeId(1)).unwrap();
-        assert_eq!(local.cost.network, SimDuration::ZERO);
-        let remote = d.read_from("/log/0", NodeId(3)).unwrap();
-        assert!(remote.cost.network > SimDuration::ZERO);
-        assert!(remote.cost.total() > local.cost.total());
-    }
-
-    #[test]
-    fn no_replicas_means_owner_down_is_fatal() {
-        let d = local();
-        d.put("/log/0", Bytes::from_static(b"x"), Some(NodeId(1)))
-            .unwrap();
-        d.set_node_available(NodeId(1), false);
-        assert!(d.read_from("/log/0", NodeId(0)).is_err());
-        d.set_node_available(NodeId(1), true);
-        assert!(d.read_from("/log/0", NodeId(0)).is_ok());
+        assert_eq!(d.read_from("/log/0", NodeId(1)).unwrap().hops, 0);
+        assert!(d.read_from("/log/0", NodeId(3)).unwrap().hops > 0);
     }
 
     #[test]
@@ -542,18 +457,5 @@ mod tests {
         let d = local();
         assert!(d.read_from("/nope", NodeId(0)).is_err());
         assert!(d.replicas("/nope").is_err());
-    }
-
-    /// The backup-task path relies on a lost single replica being a
-    /// retryable storage error, not a fatal one.
-    #[test]
-    fn a_lost_single_replica_is_a_retryable_storage_error() {
-        for d in [local(), kv()] {
-            d.put("/x", Bytes::from_static(b"x"), Some(NodeId(1)))
-                .unwrap();
-            d.set_node_available(home(&d, "/x"), false);
-            let err = d.read_from("/x", NodeId(0)).unwrap_err();
-            assert!(matches!(err, FeisuError::Storage(_)) && err.is_retryable());
-        }
     }
 }

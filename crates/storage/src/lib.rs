@@ -12,8 +12,8 @@
 //! a replicated object store against the simulated cluster whose
 //! instances differ in where replicas go, which medium serves a read and a
 //! fixed wake-up penalty. Reads pick the live replica nearest by hop
-//! distance, and every byte moved is charged to the deterministic cost
-//! model.
+//! distance and report what served each chunk; the leaf's bill prices
+//! them.
 
 pub mod auth;
 pub mod cache;
@@ -23,9 +23,7 @@ pub mod router;
 
 pub use auth::{AuthService, Credential, Grant};
 pub use bytes::Bytes;
-pub use cache::{
-    CacheAttr, CacheHit, CachePin, CacheStats, CacheTier, CacheTierRow, Offer, TieredCache,
-};
+pub use cache::{CacheHit, CacheStats, CacheTier, CacheTierRow, Offer, TieredCache};
 pub use domain::{Domain, ReadResult};
 pub use footers::FooterCache;
 pub use router::{BlockRead, StorageRouter};

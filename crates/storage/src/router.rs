@@ -6,22 +6,28 @@
 //! the path will be `/ffs/path/to/filename`. If a prefix string can not
 //! be recognized, local filesystem is activated by default." On top of
 //! routing, the layer enforces SSO authorization per domain and fronts
-//! reads with the per-node SSD cache of §IV-B.
+//! reads with the per-node SSD cache of §IV-B. It returns bytes and what
+//! served them; pricing a read is the leaf's bill.
 
 use crate::auth::{AuthService, Credential, Grant};
-use crate::cache::{CacheAttr, CacheHit, CacheTier, Offer, TieredCache};
-use crate::domain::{Domain, ReadResult};
+use crate::cache::{CacheHit, CacheTier, Offer, TieredCache};
+use crate::domain::{Domain, DownNodes, ReadResult};
 use crate::footers::FooterCache;
 use bytes::Bytes;
-use feisu_cluster::simclock::TimeTally;
-use feisu_cluster::{CostModel, StorageMedium};
-use feisu_common::{ByteSize, FeisuError, NodeId, Result, SimInstant};
+use feisu_common::{FeisuError, NodeId, Result, SimInstant};
 use feisu_format::{Block, BlockMeta};
 use feisu_obs::MetricsRegistry;
 use std::sync::Arc;
 
-/// A block one task reads, chunk by chunk — chunk 0 holds its header and
-/// footer, column `i` is chunk `i + 1` — with what served each chunk.
+/// The chunk that holds a block's header and footer; column `i` is chunk
+/// `column_chunk(i)`.
+const META_CHUNK: usize = 0;
+
+fn column_chunk(column: usize) -> usize {
+    column + 1
+}
+
+/// A block one task reads, chunk by chunk, with what served each chunk.
 #[derive(Debug)]
 pub struct BlockRead {
     /// The footer the task decides on.
@@ -29,7 +35,7 @@ pub struct BlockRead {
     /// The object's bytes, once a chunk was read.
     data: Option<Bytes>,
     /// Each chunk read, with the tier that served it (`None`: the domain).
-    pub served: Vec<(usize, Option<CacheTier>)>,
+    served: Vec<(usize, Option<CacheTier>)>,
     /// Network hops from the replica that served, when the domain did.
     pub hops: u32,
     /// `data` came whole from the domain and awaits its offer to the cache.
@@ -38,7 +44,7 @@ pub struct BlockRead {
 
 impl BlockRead {
     /// A block whose footer is resident on the reader: nothing read yet.
-    pub fn resident(meta: Arc<BlockMeta>) -> BlockRead {
+    fn resident(meta: Arc<BlockMeta>) -> BlockRead {
         BlockRead {
             meta,
             data: None,
@@ -48,8 +54,23 @@ impl BlockRead {
         }
     }
 
-    /// The tier that served `chunk`; `None` when its domain did.
-    pub fn tier(&self, chunk: usize) -> Option<CacheTier> {
+    /// No chunk was read: the footer was resident and nothing was fetched.
+    pub fn served_nothing(&self) -> bool {
+        self.served.is_empty()
+    }
+
+    /// The tier that served the metadata chunk; `None` when its domain did.
+    pub fn meta_tier(&self) -> Option<CacheTier> {
+        self.tier(META_CHUNK)
+    }
+
+    /// The tier that served column `column`'s chunk; `None` when its
+    /// domain did.
+    pub fn column_tier(&self, column: usize) -> Option<CacheTier> {
+        self.tier(column_chunk(column))
+    }
+
+    fn tier(&self, chunk: usize) -> Option<CacheTier> {
         let served = self.served.iter().find(|(c, _)| *c == chunk);
         served.and_then(|&(_, tier)| tier)
     }
@@ -64,28 +85,32 @@ pub struct StorageRouter {
     cache: Option<Arc<TieredCache>>,
     /// Parsed block footers per node; always on, whatever `cache` is.
     footers: FooterCache,
-    cost: CostModel,
+    /// The nodes marked down, read by every domain.
+    down: DownNodes,
 }
 
 impl StorageRouter {
     pub fn new(
-        domains: Vec<Domain>,
+        mut domains: Vec<Domain>,
         default_domain: usize,
         auth: Arc<AuthService>,
         cache: Option<Arc<TieredCache>>,
-        cost: CostModel,
     ) -> Self {
         assert!(
             default_domain < domains.len(),
             "default domain out of range"
         );
+        let down = DownNodes::default();
+        for d in &mut domains {
+            d.down = down.clone();
+        }
         StorageRouter {
             domains,
             default_domain,
             auth,
             cache,
             footers: FooterCache::default(),
-            cost,
+            down,
         }
     }
 
@@ -109,43 +134,52 @@ impl StorageRouter {
         }
     }
 
-    fn domain_index(&self, path: &str) -> usize {
-        if let Some(stripped) = path.strip_prefix('/') {
-            if let Some((prefix, _)) = stripped.split_once('/') {
-                if let Some(i) = self.domains.iter().position(|d| d.prefix() == prefix) {
-                    return i;
-                }
+    /// Failure injection: marks a node's replicas (un)available in every
+    /// domain.
+    pub fn set_node_available(&self, node: NodeId, up: bool) {
+        let mut down = self.down.write();
+        if up {
+            down.remove(&node);
+        } else {
+            down.insert(node);
+        }
+    }
+
+    /// The index of the domain `path` routes to, and the path inside it.
+    /// Unrecognized prefixes fall through to the default (local) domain
+    /// with the path unchanged, per the paper.
+    fn route<'p>(&self, path: &'p str) -> (usize, &'p str) {
+        let split = path.strip_prefix('/').and_then(|p| p.split_once('/'));
+        if let Some((prefix, _)) = split {
+            if let Some(i) = self.domains.iter().position(|d| d.prefix() == prefix) {
+                return (i, &path[1 + prefix.len()..]);
             }
         }
-        self.default_domain
+        (self.default_domain, path)
     }
 
     /// Splits `/prefix/rest` into the owning domain and the domain-local
-    /// path. Unrecognized prefixes fall through to the default (local)
-    /// domain with the path unchanged, per the paper.
+    /// path `/rest`.
     pub fn resolve(&self, path: &str) -> (&Domain, String) {
-        if let Some(stripped) = path.strip_prefix('/') {
-            if let Some((prefix, rest)) = stripped.split_once('/') {
-                for d in &self.domains {
-                    if d.prefix() == prefix {
-                        return (d, format!("/{rest}"));
-                    }
-                }
-            }
-        }
-        (&self.domains[self.default_domain], path.to_string())
+        let (i, inner) = self.route(path);
+        (&self.domains[i], inner.to_string())
     }
 
     /// The domain a path routes to (for scheduling and authorization).
     pub fn domain_of(&self, path: &str) -> &Domain {
-        &self.domains[self.domain_index(path)]
+        &self.domains[self.route(path).0]
+    }
+
+    /// Authorizes `cred` to read the path's domain at `now`.
+    fn authorize_read(&self, path: &str, cred: &Credential, now: SimInstant) -> Result<()> {
+        let domain = self.domain_of(path);
+        self.auth.authorize(cred, domain.id(), Grant::Read, now)
     }
 
     /// Authorized read of a whole object, the one-chunk case of the
-    /// cache hierarchy. A memory-tier hit costs a cache access plus memory
-    /// streaming; an SSD-tier hit costs a local SSD access; a miss pays
-    /// the domain read cost and the bytes are offered to the cache,
-    /// attributed to the credential's user (for quota accounting).
+    /// cache hierarchy: a hit on either tier serves it, else its domain
+    /// does and the bytes are offered to the cache, attributed to the
+    /// credential's user (for quota accounting).
     pub fn read(
         &self,
         path: &str,
@@ -153,29 +187,17 @@ impl StorageRouter {
         cred: &Credential,
         now: SimInstant,
     ) -> Result<ReadResult> {
-        let domain = self.domain_of(path);
-        self.auth.authorize(cred, domain.id(), Grant::Read, now)?;
+        self.authorize_read(path, cred, now)?;
         let hit = self
             .cache
             .as_ref()
             .and_then(|c| c.get(reader, path, &[0], now));
         if let Some(CacheHit { data, tiers }) = hit {
-            if let [Some(tier)] = tiers[..] {
-                let size = ByteSize(data.len() as u64);
-                let mut cost = TimeTally::new();
-                let (io, medium) = match tier {
-                    CacheTier::Memory => (self.cost.mem_cache_read(size), StorageMedium::Memory),
-                    CacheTier::Ssd => {
-                        (self.cost.read(StorageMedium::Ssd, size), StorageMedium::Ssd)
-                    }
-                };
-                cost.add_io(io);
+            if let [cache_tier @ Some(_)] = tiers[..] {
                 return Ok(ReadResult {
                     data,
-                    cost,
-                    medium,
                     hops: 0,
-                    cache_tier: Some(tier),
+                    cache_tier,
                 });
             }
         }
@@ -195,25 +217,23 @@ impl StorageRouter {
 
     fn offer(&self, path: &str, reader: NodeId, cred: &Credential, now: SimInstant, offer: Offer) {
         if let Some(cache) = &self.cache {
-            cache.admit(reader, path, offer, CacheAttr { user: cred.user }, now);
+            cache.admit(reader, path, offer, cred.user, now);
         }
     }
 
-    /// Reads the `chunks` of the block at `path`: from the block cache
-    /// when it holds every one, else the whole object from its domain.
-    /// Returns the bytes, the tier that served each chunk (`None`: the
-    /// domain), and the domain read's hops if there was one — that read
-    /// is the caller's to offer to the cache.
+    /// Reads the `chunks` of the block at `path`, for a caller that
+    /// authorized the read: from the block cache when it holds every one,
+    /// else the whole object from its domain. Returns the bytes, the tier
+    /// that served each chunk (`None`: the domain), and the domain read's
+    /// hops if there was one — that read is the caller's to offer to the
+    /// cache.
     fn read_chunks(
         &self,
         path: &str,
         reader: NodeId,
-        cred: &Credential,
         now: SimInstant,
         chunks: &[usize],
     ) -> Result<(Bytes, Vec<Option<CacheTier>>, Option<u32>)> {
-        let domain = self.domain_of(path);
-        self.auth.authorize(cred, domain.id(), Grant::Read, now)?;
         let hit = self
             .cache
             .as_ref()
@@ -229,40 +249,31 @@ impl StorageRouter {
         Ok((read.data, tiers, Some(read.hops)))
     }
 
-    /// The footer `reader` keeps resident for the block at `path`, if
-    /// any — authorized exactly as a read of the block is, so deciding a
-    /// skip from it is no way around the grant.
-    pub fn resident_footer(
-        &self,
-        path: &str,
-        reader: NodeId,
-        cred: &Credential,
-        now: SimInstant,
-    ) -> Result<Option<Arc<BlockMeta>>> {
-        let domain = self.domain_of(path);
-        self.auth.authorize(cred, domain.id(), Grant::Read, now)?;
-        Ok(self.footers.get(reader, path))
-    }
-
-    /// Reads the metadata chunk of the block at `path` for a task on
-    /// `reader`, where no footer of it is resident: parses the footer once
-    /// and keeps it resident there. The chunk comes from the block cache
-    /// when it holds it, else with the whole object from its domain,
-    /// which the task's [`Self::fetch`] offers to the cache.
-    pub fn read_block(
+    /// The footer a task on `reader` decides on for the block at `path`,
+    /// authorized exactly as a read of the block is, so deciding a skip
+    /// from it is no way around the grant. A footer resident on `reader`
+    /// is returned with nothing read; otherwise the metadata chunk is read
+    /// — from the block cache when it holds it, else with the whole object
+    /// from its domain, which the task's [`Self::fetch`] offers to the
+    /// cache — and its footer parsed once and kept resident there.
+    pub fn footer(
         &self,
         path: &str,
         reader: NodeId,
         cred: &Credential,
         now: SimInstant,
     ) -> Result<BlockRead> {
+        self.authorize_read(path, cred, now)?;
+        if let Some(meta) = self.footers.get(reader, path) {
+            return Ok(BlockRead::resident(meta));
+        }
         let read_and_parse = || {
-            let (data, tiers, hops) = self.read_chunks(path, reader, cred, now, &[0])?;
+            let (data, tiers, hops) = self.read_chunks(path, reader, now, &[META_CHUNK])?;
             let meta = Arc::new(Block::read_meta(&data)?);
             let read = BlockRead {
                 meta: meta.clone(),
                 data: Some(data),
-                served: vec![(0, tiers[0])],
+                served: vec![(META_CHUNK, tiers[0])],
                 hops: hops.unwrap_or(0),
                 unoffered: hops.is_some(),
             };
@@ -289,7 +300,7 @@ impl StorageRouter {
         read: &mut BlockRead,
         columns: &[usize],
     ) -> Result<Bytes> {
-        let mut chunks: Vec<usize> = columns.iter().map(|c| c + 1).collect();
+        let mut chunks: Vec<usize> = columns.iter().copied().map(column_chunk).collect();
         match &read.data {
             Some(_) if read.unoffered => {
                 read.served.extend(chunks.iter().map(|&c| (c, None)));
@@ -298,9 +309,10 @@ impl StorageRouter {
             Some(data) if chunks.is_empty() => return Ok(data.clone()),
             _ => {
                 if chunks.is_empty() {
-                    chunks.push(0);
+                    chunks.push(META_CHUNK);
                 }
-                let (data, tiers, hops) = self.read_chunks(path, reader, cred, now, &chunks)?;
+                self.authorize_read(path, cred, now)?;
+                let (data, tiers, hops) = self.read_chunks(path, reader, now, &chunks)?;
                 read.served.extend(chunks.iter().copied().zip(tiers));
                 if !read.meta.describes(&data) {
                     self.footers.forget(reader, path);
@@ -314,6 +326,7 @@ impl StorageRouter {
         let data = read.data.clone().expect("fetched");
         if std::mem::take(&mut read.unoffered) {
             let meta = &read.meta;
+            // Chunk lengths in chunk order: the metadata, then each column.
             let lens: Vec<u64> = std::iter::once(meta.meta_bytes as u64)
                 .chain(meta.chunk_lens())
                 .collect();
@@ -389,22 +402,20 @@ impl StorageRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CachePin;
-    use feisu_cluster::Topology;
+    use feisu_cluster::{StorageMedium, Topology};
     use feisu_common::config::CacheSettings;
-    use feisu_common::{DomainId, SimDuration, UserId};
+    use feisu_common::{ByteSize, DomainId, SimDuration, UserId};
 
     /// The four domains on a 1x2x2 grid, HDFS and Fatman with two replicas;
     /// user 1 may read and write local and hdfs, only read kv, and has no
     /// grant on ffs.
     fn router_with(cache: Option<TieredCache>) -> (StorageRouter, Credential) {
         let topo = Arc::new(Topology::grid(1, 2, 2));
-        let cost = CostModel::default();
         let domains = vec![
-            Domain::local_fs(DomainId(0), "local", topo.clone(), cost.clone()),
-            Domain::hdfs(DomainId(1), "hdfs", topo.clone(), cost.clone(), 2, 1),
-            Domain::fatman(DomainId(2), "ffs", topo.clone(), cost.clone(), 2, 2),
-            Domain::kv(DomainId(3), "kv", topo, cost.clone()),
+            Domain::local_fs(DomainId(0), "local", topo.clone()),
+            Domain::hdfs(DomainId(1), "hdfs", topo.clone(), 2, 1),
+            Domain::fatman(DomainId(2), "ffs", topo.clone(), 2, 2),
+            Domain::kv(DomainId(3), "kv", topo),
         ];
         let auth = Arc::new(AuthService::new(7));
         auth.register(UserId(1));
@@ -414,7 +425,7 @@ mod tests {
         let cred = auth
             .issue(UserId(1), SimInstant(0), SimDuration::hours(8))
             .unwrap();
-        let r = StorageRouter::new(domains, 0, auth, cache.map(Arc::new), cost);
+        let r = StorageRouter::new(domains, 0, auth, cache.map(Arc::new));
         (r, cred)
     }
 
@@ -428,12 +439,7 @@ mod tests {
                 ghost_capacity: 0,
                 ..CacheSettings::default()
             };
-            TieredCache::new(
-                settings,
-                vec![CachePin {
-                    path_prefix: "/hdfs/".into(),
-                }],
-            )
+            TieredCache::new(settings, vec!["/hdfs/".into()])
         });
         router_with(cache)
     }
@@ -446,10 +452,7 @@ mod tests {
             ssd_capacity_per_node: ByteSize::mib(4),
             ..CacheSettings::default()
         };
-        let pin_all = vec![CachePin {
-            path_prefix: "/".into(),
-        }];
-        router_with(Some(TieredCache::new(settings, pin_all)))
+        router_with(Some(TieredCache::new(settings, vec!["/".into()])))
     }
 
     #[test]
@@ -523,21 +526,20 @@ mod tests {
         let second = r
             .read("/hdfs/t/b0", NodeId(1), &cred, SimInstant(0))
             .unwrap();
-        assert_eq!(second.medium, StorageMedium::Ssd);
+        assert_eq!(first.cache_tier, None);
         assert_eq!(second.cache_tier, Some(CacheTier::Ssd));
-        assert!(second.cost.total() < first.cost.total());
         assert_eq!(second.hops, 0);
         assert_eq!(r.cache().unwrap().stats().ssd_hits, 1);
     }
 
     #[test]
-    fn memory_tier_serves_third_read_cheaper() {
+    fn memory_tier_serves_third_read() {
         let (r, cred) = router_two_tier();
         let blob = Bytes::from(vec![7u8; 100_000]);
         r.write("/hdfs/t/b0", blob, Some(NodeId(0)), &cred, SimInstant(0))
             .unwrap();
         // Miss → admitted to SSD tier; hit → served from SSD, promoted;
-        // next hit → served from memory, strictly cheaper.
+        // next hit → served from memory.
         r.read("/hdfs/t/b0", NodeId(1), &cred, SimInstant(0))
             .unwrap();
         let ssd = r
@@ -548,8 +550,6 @@ mod tests {
             .unwrap();
         assert_eq!(ssd.cache_tier, Some(CacheTier::Ssd));
         assert_eq!(mem.cache_tier, Some(CacheTier::Memory));
-        assert_eq!(mem.medium, StorageMedium::Memory);
-        assert!(mem.cost.total() < ssd.cost.total());
         let stats = r.cache().unwrap().stats();
         assert_eq!(
             (stats.ssd_hits, stats.mem_hits, stats.promotions),
@@ -641,11 +641,10 @@ mod tests {
             let counts = || (domain.reads.get(), domain.bytes_read.get());
             let holders = r.replicas(path).unwrap();
             let far = (0..4).map(NodeId).find(|n| !holders.contains(n)).unwrap();
+            assert_eq!(domain.medium(), medium, "{path}");
             let near = r.read(path, holders[0], &cred, t0).unwrap();
-            assert_eq!((near.medium, near.hops), (medium, 0), "{path}");
-            assert_eq!(near.cache_tier, None);
+            assert_eq!((near.hops, near.cache_tier), (0, None), "{path}");
             let remote = r.read(path, far, &cred, t0).unwrap();
-            assert_eq!(remote.medium, medium, "{path}");
             assert!(remote.hops > 0, "{path}");
             assert_eq!(counts(), (2, 200), "{path}");
             // Both readers' caches hold the bytes now: a hit reads no domain.
@@ -665,29 +664,29 @@ mod tests {
     }
 
     /// A task's read of the block at `path` on `node` down to its bytes:
-    /// the footer `resident` when given, else the one read; then column 0.
+    /// its footer, then column 0.
     fn read_through(
         r: &StorageRouter,
         path: &str,
         node: NodeId,
         cred: &Credential,
         now: SimInstant,
-        resident: Option<Arc<BlockMeta>>,
     ) -> Result<(Bytes, Arc<BlockMeta>)> {
-        let mut read = match resident {
-            Some(meta) => BlockRead::resident(meta),
-            None => r.read_block(path, node, cred, now)?,
-        };
+        let mut read = r.footer(path, node, cred, now)?;
         let data = r.fetch(path, node, cred, now, &mut read, &[0])?;
         Ok((data, read.meta))
     }
 
     fn low_bound(meta: &BlockMeta) -> Option<feisu_format::Value> {
-        meta.zones.as_ref().unwrap()[0].min.clone()
+        meta.zones[0].min.clone()
+    }
+
+    fn resident(r: &StorageRouter, node: NodeId) -> usize {
+        r.footers().node_row(node).entries
     }
 
     #[test]
-    fn read_block_parses_once_and_a_write_drops_the_footer_everywhere() {
+    fn footer_parses_once_and_a_write_drops_it_everywhere() {
         use feisu_format::block::footer_parses_on_this_thread as parses;
         let registry = feisu_obs::MetricsRegistry::new();
         let (r, cred) = router(false);
@@ -695,39 +694,32 @@ mod tests {
         let (path, t0) = ("/hdfs/t/b0", SimInstant(0));
         r.write(path, block_bytes(0), Some(NodeId(0)), &cred, t0)
             .unwrap();
-        assert!(r
-            .resident_footer(path, NodeId(1), &cred, t0)
-            .unwrap()
-            .is_none());
+        assert_eq!(resident(&r, NodeId(1)), 0);
 
         let before = parses();
-        let (data, cold) = read_through(&r, path, NodeId(1), &cred, t0, None).unwrap();
+        let (data, cold) = read_through(&r, path, NodeId(1), &cred, t0).unwrap();
         assert!(cold.describes(&data));
         assert_eq!(parses() - before, 1);
-        // Resident on the reading node only, and reused without a parse.
-        assert!(r
-            .resident_footer(path, NodeId(0), &cred, t0)
-            .unwrap()
-            .is_none());
-        let resident = r.resident_footer(path, NodeId(1), &cred, t0).unwrap();
-        assert!(Arc::ptr_eq(resident.as_ref().unwrap(), &cold));
-        let (_, warm) = read_through(&r, path, NodeId(1), &cred, t0, resident).unwrap();
+        // Resident on the reading node only, and reused without a parse or
+        // a chunk read.
+        assert_eq!((resident(&r, NodeId(0)), resident(&r, NodeId(1))), (0, 1));
+        let warm = r.footer(path, NodeId(1), &cred, t0).unwrap();
+        assert!(Arc::ptr_eq(&warm.meta, &cold) && warm.served_nothing());
+        let (_, warm) = read_through(&r, path, NodeId(1), &cred, t0).unwrap();
         assert!(Arc::ptr_eq(&warm, &cold));
         assert_eq!(parses() - before, 1, "a warm read parses nothing");
-        read_through(&r, path, NodeId(0), &cred, t0, None).unwrap();
+        read_through(&r, path, NodeId(0), &cred, t0).unwrap();
 
         // The rewrite drops both nodes' copies; the next read sees the new
         // zone bounds.
         r.write(path, block_bytes(500), Some(NodeId(0)), &cred, t0)
             .unwrap();
-        for node in [NodeId(0), NodeId(1)] {
-            assert!(r.resident_footer(path, node, &cred, t0).unwrap().is_none());
-        }
-        let (_, fresh) = read_through(&r, path, NodeId(1), &cred, t0, None).unwrap();
+        assert_eq!((resident(&r, NodeId(0)), resident(&r, NodeId(1))), (0, 0));
+        let (_, fresh) = read_through(&r, path, NodeId(1), &cred, t0).unwrap();
         assert_eq!(low_bound(&fresh), Some(feisu_format::Value::Int64(500)));
         assert_eq!(registry.counter("feisu.meta.invalidations").get(), 2);
-        assert_eq!(registry.counter("feisu.meta.hits").get(), 1);
-        assert_eq!(registry.counter("feisu.meta.misses").get(), 4);
+        assert_eq!(registry.counter("feisu.meta.hits").get(), 2);
+        assert_eq!(registry.counter("feisu.meta.misses").get(), 3);
     }
 
     #[test]
@@ -736,38 +728,39 @@ mod tests {
         let (path, t0) = ("/hdfs/t/b0", SimInstant(0));
         r.write(path, block_bytes(0), Some(NodeId(0)), &cred, t0)
             .unwrap();
-        read_through(&r, path, NodeId(1), &cred, t0, None).unwrap();
+        read_through(&r, path, NodeId(1), &cred, t0).unwrap();
         // A task looks its footer up, then the path is rewritten, then the
         // task reads: it must get the footer of the bytes it read.
-        let looked_up = r.resident_footer(path, NodeId(1), &cred, t0).unwrap();
-        assert!(looked_up.is_some());
+        let mut looked_up = r.footer(path, NodeId(1), &cred, t0).unwrap();
+        assert!(looked_up.served_nothing());
         r.write(path, block_bytes(500), Some(NodeId(0)), &cred, t0)
             .unwrap();
-        let (data, meta) = read_through(&r, path, NodeId(1), &cred, t0, looked_up).unwrap();
-        assert!(meta.describes(&data));
+        let data = r.fetch(path, NodeId(1), &cred, t0, &mut looked_up, &[0]);
+        let meta = looked_up.meta;
+        assert!(meta.describes(&data.unwrap()));
         assert_eq!(low_bound(&meta), Some(feisu_format::Value::Int64(500)));
         // Bytes that are no block at all are Corrupt, and stay out.
+        read_through(&r, path, NodeId(1), &cred, t0).unwrap();
+        let mut stale = r.footer(path, NodeId(1), &cred, t0).unwrap();
+        assert!(stale.served_nothing());
         r.write(path, Bytes::from_static(b"junk"), None, &cred, t0)
             .unwrap();
-        let junk = read_through(&r, path, NodeId(1), &cred, t0, Some(meta));
+        let junk = r.fetch(path, NodeId(1), &cred, t0, &mut stale, &[0]);
         assert!(matches!(junk, Err(FeisuError::Corrupt(_))));
-        let junk = read_through(&r, path, NodeId(1), &cred, t0, None);
+        let junk = read_through(&r, path, NodeId(1), &cred, t0);
         assert!(matches!(junk, Err(FeisuError::Corrupt(_))));
-        assert!(r
-            .resident_footer(path, NodeId(1), &cred, t0)
-            .unwrap()
-            .is_none());
+        assert_eq!(resident(&r, NodeId(1)), 0);
     }
 
     #[test]
-    fn resident_footer_is_authorized_like_a_read() {
+    fn footer_is_authorized_like_a_read() {
         let (r, cred) = router(false);
         let t0 = SimInstant(0);
         r.write("/hdfs/t/b0", block_bytes(0), None, &cred, t0)
             .unwrap();
-        read_through(&r, "/hdfs/t/b0", NodeId(1), &cred, t0, None).unwrap();
+        read_through(&r, "/hdfs/t/b0", NodeId(1), &cred, t0).unwrap();
         // Resident or not, no grant on the domain means no answer...
-        let denied = r.resident_footer("/ffs/x", NodeId(1), &cred, t0);
+        let denied = r.footer("/ffs/x", NodeId(1), &cred, t0);
         assert!(matches!(denied, Err(FeisuError::PermissionDenied(_))));
         let stranger = r.auth().issue(UserId(2), t0, SimDuration::hours(8));
         assert!(stranger.is_err(), "unregistered users get no token at all");
@@ -777,13 +770,112 @@ mod tests {
             .issue(UserId(2), t0, SimDuration::hours(8))
             .unwrap();
         for resident_on in [NodeId(1), NodeId(0)] {
-            let denied = r.resident_footer("/hdfs/t/b0", resident_on, &stranger, t0);
+            let denied = r.footer("/hdfs/t/b0", resident_on, &stranger, t0);
             assert!(matches!(denied, Err(FeisuError::PermissionDenied(_))));
         }
         // ...and neither does an expired token.
         let later = SimInstant::EPOCH + SimDuration::hours(100);
-        let expired = r.resident_footer("/hdfs/t/b0", NodeId(1), &cred, later);
+        let expired = r.footer("/hdfs/t/b0", NodeId(1), &cred, later);
         assert!(matches!(expired, Err(FeisuError::Unauthenticated(_))));
+    }
+
+    /// What a read reports per chunk: the tier that served its metadata
+    /// and each column, `None` where the domain did.
+    #[test]
+    fn a_read_reports_the_tier_of_its_metadata_and_of_each_column() {
+        let (r, cred) = router_two_tier();
+        let (path, node, t0) = ("/hdfs/t/b0", NodeId(2), SimInstant(0));
+        r.write(path, block_bytes(0), Some(NodeId(0)), &cred, t0)
+            .unwrap();
+        let mut cold = r.footer(path, node, &cred, t0).unwrap();
+        assert!(!cold.served_nothing() && cold.meta_tier().is_none());
+        r.fetch(path, node, &cred, t0, &mut cold, &[0]).unwrap();
+        assert_eq!(cold.column_tier(0), None);
+        assert!(cold.hops > 0);
+        // The footer is resident now, and the column is on the SSD tier.
+        let mut warm = r.footer(path, node, &cred, t0).unwrap();
+        assert!(warm.served_nothing());
+        r.fetch(path, node, &cred, t0, &mut warm, &[0]).unwrap();
+        assert_eq!(warm.column_tier(0), Some(CacheTier::Ssd));
+        // No column: the metadata chunk is read, promoted by that hit.
+        let mut bare = r.footer(path, node, &cred, t0).unwrap();
+        r.fetch(path, node, &cred, t0, &mut bare, &[]).unwrap();
+        assert_eq!(bare.meta_tier(), Some(CacheTier::Memory));
+    }
+
+    // A failed node is marked once, in the router, and every domain's
+    // reads see it.
+
+    #[test]
+    fn failover_to_replica_on_node_down() {
+        let (r, cred) = router(false);
+        let t0 = SimInstant(0);
+        r.write(
+            "/hdfs/x",
+            Bytes::from_static(b"x"),
+            Some(NodeId(0)),
+            &cred,
+            t0,
+        )
+        .unwrap();
+        r.set_node_available(NodeId(0), false);
+        let read = r.read("/hdfs/x", NodeId(0), &cred, t0).unwrap();
+        assert_ne!(read.hops, 0, "served by another node's replica");
+        // All replicas down → error.
+        for rep in r.replicas("/hdfs/x").unwrap() {
+            r.set_node_available(rep, false);
+        }
+        assert!(r.read("/hdfs/x", NodeId(0), &cred, t0).is_err());
+        // Recovery restores service.
+        r.set_node_available(NodeId(0), true);
+        assert!(r.read("/hdfs/x", NodeId(0), &cred, t0).is_ok());
+    }
+
+    #[test]
+    fn down_home_node_fails_lookup() {
+        let (r, cred) = router(false);
+        r.auth().grant(UserId(1), DomainId(3), Grant::ReadWrite);
+        let t0 = SimInstant(0);
+        r.write("/kv/k", Bytes::from_static(b"v"), None, &cred, t0)
+            .unwrap();
+        r.set_node_available(r.replicas("/kv/k").unwrap()[0], false);
+        assert!(r.read("/kv/k", NodeId(0), &cred, t0).is_err());
+    }
+
+    #[test]
+    fn no_replicas_means_owner_down_is_fatal() {
+        let (r, cred) = router(false);
+        let t0 = SimInstant(0);
+        r.write(
+            "/log/0",
+            Bytes::from_static(b"x"),
+            Some(NodeId(1)),
+            &cred,
+            t0,
+        )
+        .unwrap();
+        r.set_node_available(NodeId(1), false);
+        assert!(r.read("/log/0", NodeId(0), &cred, t0).is_err());
+        r.set_node_available(NodeId(1), true);
+        assert!(r.read("/log/0", NodeId(0), &cred, t0).is_ok());
+    }
+
+    /// The backup-task path relies on a lost single replica being a
+    /// retryable storage error, not a fatal one.
+    #[test]
+    fn a_lost_single_replica_is_a_retryable_storage_error() {
+        let (r, cred) = router(false);
+        r.auth().grant(UserId(1), DomainId(3), Grant::ReadWrite);
+        let t0 = SimInstant(0);
+        for path in ["/data/x", "/kv/x"] {
+            r.write(path, Bytes::from_static(b"x"), Some(NodeId(1)), &cred, t0)
+                .unwrap();
+            let home = r.replicas(path).unwrap()[0];
+            r.set_node_available(home, false);
+            let err = r.read(path, NodeId(0), &cred, t0).unwrap_err();
+            assert!(matches!(err, FeisuError::Storage(_)) && err.is_retryable());
+            r.set_node_available(home, true);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use feisu_common::config::CacheSettings;
 use feisu_common::rng::DetRng;
 use feisu_common::{ByteSize, NodeId, SimInstant, UserId};
-use feisu_storage::{Bytes, CacheAttr, CachePin, CacheStats, CacheTier, Offer, TieredCache};
+use feisu_storage::{Bytes, CacheStats, CacheTier, Offer, TieredCache};
 use proptest::prelude::*;
 
 const NODES: u64 = 3;
@@ -232,7 +232,7 @@ proptest! {
             ttl: None,
         };
         let pins = match pinned {
-            true => vec![CachePin { path_prefix: "/".into() }],
+            true => vec!["/".into()],
             false => Vec::new(),
         };
         let cache = TieredCache::new(settings, pins);
@@ -245,7 +245,7 @@ proptest! {
             pinned,
             stats: CacheStats::default(),
         };
-        let (attr, now) = (CacheAttr { user: UserId(1) }, SimInstant(0));
+        let (user, now) = (UserId(1), SimInstant(0));
         for (node, block, mask) in reads {
             let (path, layout) = (format!("/t/b{block}"), &layouts[block]);
             let touched = touched(mask, layout.len());
@@ -257,7 +257,7 @@ proptest! {
             if expected.is_none_or(|tiers| tiers.contains(&None)) {
                 let data = Bytes::from(vec![0u8; size]);
                 let offer = Offer { data, chunks: layout.clone(), touched: touched.clone() };
-                cache.admit(NodeId(node), &path, offer, attr, now);
+                cache.admit(NodeId(node), &path, offer, user, now);
                 model.admit(node, block, &touched, layout);
             }
             prop_assert_eq!(cache.stats(), model.stats);

@@ -15,7 +15,7 @@ use feisu_common::{ByteSize, NodeId, SimInstant, UserId};
 use feisu_core::engine::{ClusterSpec, FeisuCluster, QueryResult};
 use feisu_core::master::QuerySession;
 use feisu_storage::auth::Credential;
-use feisu_storage::{Bytes, CacheAttr, CachePin, CacheStats, CacheTier, Offer, TieredCache};
+use feisu_storage::{Bytes, CacheStats, CacheTier, Offer, TieredCache};
 use feisu_tests::{clicks_rows, clicks_schema, fixture_with};
 use std::sync::Barrier;
 
@@ -271,9 +271,7 @@ fn parallel_hammer_on_two_nodes_keeps_exact_cache_totals() {
             enabled: true,
             ..Default::default()
         },
-        vec![CachePin {
-            path_prefix: "/".into(),
-        }],
+        vec!["/".into()],
     );
     let nodes = [NodeId(0), NodeId(1)];
     let barrier = Barrier::new(threads as usize);
@@ -287,11 +285,10 @@ fn parallel_hammer_on_two_nodes_keeps_exact_cache_totals() {
                 for node in nodes {
                     for i in 0..ops {
                         let path = format!("/hammer/u{t}/b{i}");
-                        let attr = CacheAttr { user };
                         let probe = || cache.get(node, &path, &[0], now);
                         assert!(probe().is_none(), "fresh key must miss");
                         let bytes = Bytes::from(vec![t as u8; payload as usize]);
-                        cache.admit(node, &path, Offer::whole(bytes), attr, now);
+                        cache.admit(node, &path, Offer::whole(bytes), user, now);
                         let ssd = probe().expect("admitted key present");
                         let ssd_tier = Some(CacheTier::Ssd);
                         assert_eq!(ssd.tiers, [ssd_tier], "entries enter at the SSD tier");

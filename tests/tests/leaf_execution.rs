@@ -35,9 +35,6 @@ struct Rig {
     router: StorageRouter,
     cred: Credential,
     desc: BlockDesc,
-    /// Same block as written before zone maps existed (no footer zone
-    /// section), stored at its own path.
-    desc_legacy: BlockDesc,
     schema: Schema,
     topology: Arc<Topology>,
 }
@@ -46,15 +43,14 @@ struct Rig {
 /// and a credential that may read and write it.
 fn storage() -> (StorageRouter, Credential, Arc<Topology>) {
     let topology = Arc::new(Topology::grid(1, 2, 2));
-    let cost = CostModel::default();
-    let hdfs = Domain::hdfs(DomainId(1), "hdfs", topology.clone(), cost.clone(), 3, 7);
+    let hdfs = Domain::hdfs(DomainId(1), "hdfs", topology.clone(), 3, 7);
     let auth = Arc::new(AuthService::new(9));
     auth.register(UserId(1));
     auth.grant(UserId(1), DomainId(1), Grant::ReadWrite);
     let cred = auth
         .issue(UserId(1), SimInstant(0), SimDuration::hours(8))
         .unwrap();
-    let router = StorageRouter::new(vec![hdfs], 0, auth, None, cost);
+    let router = StorageRouter::new(vec![hdfs], 0, auth, None);
     (router, cred, topology)
 }
 
@@ -97,21 +93,10 @@ fn rig() -> Rig {
     )
     .unwrap();
     let desc = put(&router, &cred, "/t/b0", block.serialize(), &block);
-    // Golden bytes from the pre-zone-map writer, for exactly `block`.
-    let legacy_bytes: &[u8] = include_bytes!("../../crates/format/testdata/zoneless_block.bin");
-    assert_eq!(Block::deserialize(legacy_bytes).unwrap(), block);
-    let desc_legacy = put(
-        &router,
-        &cred,
-        "/t/b0_legacy",
-        legacy_bytes.to_vec(),
-        &block,
-    );
     Rig {
         router,
         cred,
         desc,
-        desc_legacy,
         schema,
         topology,
     }
@@ -243,30 +228,6 @@ fn zone_skip_avoids_column_decode_and_most_bytes() {
         full.stats.bytes_read
     );
     assert!(out.tally.io < full.tally.io);
-}
-
-#[test]
-fn zoneless_legacy_block_scans_normally() {
-    let r = rig();
-    let l = leaf(NodeId(0));
-    // The legacy block has no footer zone section: skipping is impossible
-    // even for a provably-dead predicate, and the scan must still answer
-    // correctly.
-    let mut t = task(&r, "a > 1000", &["a"], None);
-    t.block = r.desc_legacy.clone();
-    let out = l
-        .execute(&t, &r.router, &r.cred, SimInstant(0), true)
-        .unwrap();
-    assert_eq!(out.stats.blocks_skipped, 0);
-    assert_eq!(out.stats.blocks_scanned, 1);
-    assert_eq!(out.batch.rows(), 0);
-    // And a matching predicate returns real rows from the legacy layout.
-    let mut t2 = task(&r, "a < 10", &["a", "b"], None);
-    t2.block = r.desc_legacy.clone();
-    let out2 = l
-        .execute(&t2, &r.router, &r.cred, SimInstant(1), true)
-        .unwrap();
-    assert_eq!(out2.batch.rows(), 10);
 }
 
 #[test]
@@ -416,7 +377,8 @@ fn reference(
         return Ok((counted(&block, &bits)?, stats, tally));
     }
     let size = task.block.stored_size;
-    let domain_extra = read.cost.io.saturating_sub(cost.read(read.medium, size));
+    let domain = router.domain_of(&task.block.path);
+    let (domain_extra, medium) = (domain.wake_penalty(), domain.medium());
     let tier = match read.hops {
         0 => ServedTier::LocalDisk,
         _ => ServedTier::Remote,
@@ -434,7 +396,7 @@ fn reference(
         } else {
             (stats.backend, stats.served_tier) = (Some(DomainId(1)), tier);
             stats.bytes_read = footer;
-            tally.add_io(domain_extra + cost.read(read.medium, footer));
+            tally.add_io(domain_extra + cost.read(medium, footer));
             tally.add_network(cost.network(read.hops, footer));
         }
         tally.add_cpu(cost.predicate_eval(task.cnf.clauses.len().max(1)));
@@ -502,11 +464,11 @@ fn reference(
         / stored.iter().map(|f| width(&f)).sum::<usize>() as f64;
     let charged = ByteSize((size.as_u64() as f64 * fraction).ceil() as u64);
     stats.bytes_read = charged;
-    let access = cost.seek(read.medium);
+    let access = cost.seek(medium);
     tally.add_io(
         domain_extra
             + access * hit.len().max(1) as u64
-            + cost.read(read.medium, charged).saturating_sub(access),
+            + cost.read(medium, charged).saturating_sub(access),
     );
     tally.add_network(cost.network(read.hops, charged));
     tally.add_cpu(cost.decompress(charged));
@@ -557,10 +519,10 @@ fn at(p: &SimplePredicate, op: BinaryOp, bound: &Value) -> Option<bool> {
     }
 }
 
-/// The zone of `p`'s column in the footer, if it has zones and the column.
+/// The zone of `p`'s column in the footer, if the block has the column.
 fn zone_of<'m>(p: &SimplePredicate, meta: &'m BlockMeta) -> Option<&'m feisu_format::ColumnStats> {
     let i = meta.schema.index_of(&p.column)?;
-    meta.zones.as_ref().map(|zones| &zones[i])
+    Some(&meta.zones[i])
 }
 
 /// The zone's bounds when the literal compares with both: a NaN bound or
