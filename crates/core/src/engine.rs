@@ -603,19 +603,19 @@ impl FeisuCluster {
     /// interpret, with aggregation-pushdown annotations on distributed
     /// scans.
     pub fn explain(&self, sql: &str, cred: &Credential) -> Result<String> {
+        use std::fmt::Write as _;
         let query = client::syntax_check(sql)?;
-        let (physical, rule_trace, join_orders) =
+        let (physical, rule_trace, lowered) =
             self.plan_statement(&query, cred, self.clock.now())?;
         let mut out = physical.display_indent();
-        // Trailer: which rules rewrote the plan and what each join-order
-        // search decided, so EXPLAIN shows the optimizer's work without
-        // executing anything. Costs are omitted to keep goldens stable.
+        // Trailer: which rules rewrote the plan, what each join-order
+        // search decided and which aggregates were split around a join, so
+        // EXPLAIN shows the optimizer's work without executing anything.
+        // Costs are omitted to keep goldens stable.
         for fire in &rule_trace {
-            use std::fmt::Write as _;
             let _ = writeln!(out, "Rule: {} x{}", fire.rule, fire.fires);
         }
-        for jo in &join_orders {
-            use std::fmt::Write as _;
+        for jo in &lowered.join_orders {
             let _ = writeln!(
                 out,
                 "JoinOrder: {} [{}] -> [{}]",
@@ -623,6 +623,9 @@ impl FeisuCluster {
                 jo.syntactic.join(", "),
                 jo.chosen.join(", ")
             );
+        }
+        for eager in &lowered.eager_aggs {
+            let _ = writeln!(out, "EagerAggregate: {eager}");
         }
         Ok(out)
     }

@@ -89,12 +89,14 @@ impl FeisuCluster {
             ctx.spans.set_parent(span, Some(master));
         }
         // Optimizer trace on the master span: which rules rewrote the
-        // plan, and what every join-order search decided.
+        // plan, what every join-order search decided, and which aggregates
+        // were split around a join.
         for fire in &ctx.rule_trace {
             ctx.spans
                 .attr(master, &format!("rule.{}", fire.rule), fire.fires as usize);
         }
-        for (i, jo) in ctx.join_orders.iter().enumerate() {
+        let lowered = &ctx.lower_trace;
+        for (i, jo) in lowered.join_orders.iter().enumerate() {
             ctx.spans.attr(
                 master,
                 &format!("join_order.{i}"),
@@ -105,6 +107,10 @@ impl FeisuCluster {
                     jo.chosen.join(", ")
                 ),
             );
+        }
+        for (i, eager) in lowered.eager_aggs.iter().enumerate() {
+            ctx.spans
+                .attr(master, &format!("eager_agg.{i}"), eager.to_string());
         }
         let mut profile = QueryProfile::new(query_id.0);
         profile.push_summary("response time", response_time);
@@ -189,7 +195,8 @@ impl FeisuCluster {
         m.rules_fired
             .add(ctx.rule_trace.iter().map(|f| f.fires as u64).sum());
         m.joins_reordered
-            .add(ctx.join_orders.iter().filter(|jo| jo.reordered).count() as u64);
+            .add(lowered.join_orders.iter().filter(|jo| jo.reordered).count() as u64);
+        m.eager_aggs.add(lowered.eager_aggs.len() as u64);
         if ctx.rule_trace.iter().any(|f| f.rule == "prune_empty") {
             m.empty_pruned.inc();
         }
@@ -247,6 +254,8 @@ pub(crate) struct QueryMetrics {
     pub(crate) bytes_read: Arc<Counter>,
     pub(crate) rules_fired: Arc<Counter>,
     pub(crate) joins_reordered: Arc<Counter>,
+    /// Aggregates split around a join by eager aggregation.
+    pub(crate) eager_aggs: Arc<Counter>,
     pub(crate) empty_pruned: Arc<Counter>,
     /// Tasks the scheduler moved off their replica holders to a rack-mate.
     pub(crate) rack_local_tasks: Arc<Counter>,
@@ -270,6 +279,7 @@ impl QueryMetrics {
             bytes_read: registry.counter("feisu.task.bytes_read"),
             rules_fired: registry.counter("feisu.optimizer.rules_fired"),
             joins_reordered: registry.counter("feisu.optimizer.joins_reordered"),
+            eager_aggs: registry.counter("feisu.optimizer.eager_aggs"),
             empty_pruned: registry.counter("feisu.optimizer.empty_pruned"),
             rack_local_tasks: registry.counter("feisu.sched.rack_local_tasks"),
         }

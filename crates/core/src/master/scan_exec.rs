@@ -106,11 +106,15 @@ impl FeisuCluster {
             .chain(residual.iter().map(|e| e.to_string()))
             .collect::<Vec<_>>()
             .join("&");
+        // The group keys are part of the shape: the same aggregates over the
+        // same columns grouped otherwise ship other transports.
         let agg_display = agg_shape
             .map(|s| {
-                s.aggregates
-                    .iter()
-                    .map(|a| a.name.clone())
+                let groups = s.group_by.iter().map(|(_, name, _)| name.as_str());
+                let aggs = s.aggregates.iter().map(|a| a.name.as_str());
+                groups
+                    .chain(["/"])
+                    .chain(aggs)
                     .collect::<Vec<_>>()
                     .join(",")
             })

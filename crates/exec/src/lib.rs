@@ -15,10 +15,16 @@
 //! * [`executor`] — drives a `feisu-sql` logical plan over a pluggable
 //!   [`executor::ScanProvider`], used both by the distributed engine in
 //!   `feisu-core` and standalone by tests (with [`executor::MemProvider`]
-//!   as the in-memory oracle backend).
+//!   as the in-memory oracle backend);
+//! * [`physical`], [`reorder`], [`eager`] and [`estimate`] — lowering a
+//!   logical plan to the physical plan the engine runs: the join order and
+//!   the split of an aggregate around a join are cost-based, priced by
+//!   one plan-time estimator.
 
 pub mod aggregate;
 pub mod batch;
+pub mod eager;
+pub mod estimate;
 pub mod executor;
 pub mod expr;
 pub mod join;

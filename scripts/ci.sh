@@ -3,7 +3,8 @@
 #   1. cargo fmt --check
 #   2. cargo build --release
 #   3. cargo test -q (then the e2e suites again at pinned thread widths,
-#      the exec equivalence, top-k oracle parity, optimizer reference,
+#      the exec equivalence, top-k oracle parity, eager-aggregation
+#      oracle parity and join-order golden, optimizer reference,
 #      distinct-count sketch reference, footer mismatch, kernel
 #      equivalence, zone-map verdict soundness, selected decode,
 #      buffer-backed Utf8 column, two-phase leaf (its count-only arm
@@ -76,6 +77,14 @@ PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-exec --test equiva
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-tests --test physical_pipeline_prop -- top_k
 cargo test -q --release $OFFLINE -p feisu-core --test catalog_snapshot --test leaf_alloc_budget
 cargo test -q --release $OFFLINE -p feisu-sql --test optimize_alloc_budget
+
+# Aggregates over random 2–3 table joins — join keys from unique to
+# heavily repeated, COUNT/SUM/MIN/MAX/AVG, grouped and global — against the
+# oracle, with the estimator both splitting and refusing to split the
+# aggregate around the join within the cases; beside them the join-order
+# golden, every search's orders and costs held to the recorded ones.
+echo "ci: eager aggregation oracle parity + join-order golden (release, 2048 cases)"
+PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-tests --test eager_aggregation --test reorder_golden
 
 # The in-place optimizer rules against the copy-and-compare driver they
 # replaced: every rule application's "changed" flag equals `after !=

@@ -64,29 +64,36 @@ fn complex_filter_stays_on_scan_line() {
     );
 }
 
-#[test]
-fn aggregate_over_join_stays_on_master() {
-    let fx = fixture(100);
-    let dims = Schema::new(vec![
-        Field::new("url", DataType::Utf8, false),
-        Field::new("rank", DataType::Int64, false),
+/// Creates `name(key, val)` (Utf8 key, Int64 value) from `rows`.
+fn dims_table(fx: &Fixture, name: &str, key: &str, val: &str, rows: Vec<Vec<Value>>) {
+    let schema = Schema::new(vec![
+        Field::new(key, DataType::Utf8, false),
+        Field::new(val, DataType::Int64, false),
     ]);
+    let location = format!("/hdfs/warehouse/{name}");
     fx.cluster
-        .create_table("dims", dims, "/hdfs/warehouse/dims", &fx.cred)
+        .create_table(name, schema, &location, &fx.cred)
         .unwrap();
-    fx.cluster
-        .ingest_rows(
-            "dims",
-            vec![
-                vec![Value::from("https://site0.example/p0"), Value::from(1i64)],
-                vec![Value::from("https://site1.example/p1"), Value::from(2i64)],
-            ],
-            &fx.cred,
-        )
-        .unwrap();
-    // The aggregate consumes join output, so it cannot be pushed below
-    // the scans: it lowers to a master-side HashAggregate and neither
-    // scan line carries an `[agg pushed: ...]` annotation.
+    fx.cluster.ingest_rows(name, rows, &fx.cred).unwrap();
+}
+
+#[test]
+fn aggregate_over_join_is_split_around_the_join() {
+    let fx = fixture(100);
+    dims_table(
+        &fx,
+        "dims",
+        "url",
+        "rank",
+        vec![
+            vec![Value::from("https://site0.example/p0"), Value::from(1i64)],
+            vec![Value::from("https://site1.example/p1"), Value::from(2i64)],
+        ],
+    );
+    // The 100 clicks rows hold 21 urls: the estimator prices shipping 21
+    // partial counts below pricing 100 rows, so the count is split. The
+    // leaves count per url, the join repeats each count once per match,
+    // and the master sums them per rank.
     assert_eq!(
         explain(
             &fx,
@@ -94,11 +101,39 @@ fn aggregate_over_join_stays_on_master() {
              ON clicks.url = dims.url GROUP BY rank",
         ),
         "Project: [dims.rank AS rank, COUNT(*) AS n]\n\
-         \x20 HashAggregate: group=[\"dims.rank\"] aggs=[\"COUNT(*)\"]\n\
+         \x20 HashAggregate: group=[\"dims.rank\"] aggs=[\"SUM(COUNT(*))\"]\n\
          \x20   HashJoin: Inner on [(clicks.url = dims.url)]\n\
-         \x20     DistributedScan: clicks cols=[\"url\"]\n\
+         \x20     FinalAggregate: group=[\"clicks.url\"] aggs=[\"COUNT(*)\"]\n\
+         \x20       DistributedScan: clicks cols=[\"url\"] [agg pushed: COUNT(*) group by clicks.url]\n\
          \x20     DistributedScan: dims cols=[\"url\", \"rank\"]\n\
-         Rule: projection_prune x1\n"
+         Rule: projection_prune x1\n\
+         EagerAggregate: clicks by [clicks.url] est 21 groups of 100 rows\n"
+    );
+}
+
+#[test]
+fn aggregate_over_near_unique_join_keys_stays_on_master() {
+    let fx = fixture(100);
+    // 100 rows, 99 distinct ids: a partial sum per id would ship 99
+    // groups, each a `seen` flag wider than a row, so nothing is split.
+    let ids = |v: fn(i64) -> i64| {
+        (0..100i64)
+            .map(|i| vec![Value::from(format!("id{}", i % 99)), Value::from(v(i))])
+            .collect()
+    };
+    dims_table(&fx, "events", "id", "v", ids(|i| i * 3));
+    dims_table(&fx, "owners", "id", "team", ids(|i| i % 4));
+    assert_eq!(
+        explain(
+            &fx,
+            "SELECT team, SUM(v) AS s FROM events JOIN owners \
+             ON events.id = owners.id GROUP BY team",
+        ),
+        "Project: [owners.team AS team, SUM(events.v) AS s]\n\
+         \x20 HashAggregate: group=[\"owners.team\"] aggs=[\"SUM(events.v)\"]\n\
+         \x20   HashJoin: Inner on [(events.id = owners.id)]\n\
+         \x20     DistributedScan: events cols=[\"id\", \"v\"]\n\
+         \x20     DistributedScan: owners cols=[\"id\", \"team\"]\n"
     );
 }
 

@@ -7,7 +7,7 @@
 use feisu_core::engine::ClusterSpec;
 use feisu_format::{DataType, Field, Schema, Value};
 use feisu_tests::{
-    assert_same_rows, check_against_oracle, fixture, fixture_with, rows_to_batch, Fixture,
+    assert_same_rows, check_against_oracle, fixture, fixture_with, rows_to_batch, star_sql, Fixture,
 };
 use proptest::prelude::*;
 
@@ -59,26 +59,6 @@ fn spec_optimizer_off() -> ClusterSpec {
     let mut spec = ClusterSpec::small();
     spec.config.optimizer.enabled = false;
     spec
-}
-
-/// A 2–4 table star query over the join tables, always with explicit
-/// `JOIN ... ON` syntax so it stays executable with the optimizer off
-/// (no rule pipeline to turn comma cross-products into equi-joins).
-fn star_sql(n_tables: usize, threshold: i64, agg: bool) -> String {
-    let mut from = String::from("a JOIN b ON a.k = b.k");
-    if n_tables >= 3 {
-        from.push_str(" JOIN c ON a.k = c.k");
-    }
-    if n_tables >= 4 {
-        from.push_str(" JOIN e ON a.k = e.k");
-    }
-    let select = if agg {
-        "a.k AS k, COUNT(*) AS n, SUM(b.w) AS s"
-    } else {
-        "a.v AS v, b.w AS w"
-    };
-    let tail = if agg { " GROUP BY a.k" } else { "" };
-    format!("SELECT {select} FROM {from} WHERE a.v > {threshold}{tail}")
 }
 
 // ------------------------------------------------- empty short-circuit
