@@ -146,6 +146,7 @@ pub fn execute(plan: &LogicalPlan, provider: &mut dyn ScanProvider) -> Result<Re
             group_by,
             aggregates,
             output_schema,
+            ..
         } => {
             let batch = execute(input, provider)?;
             let mut table = AggTable::new(group_by.clone(), aggregates.clone());

@@ -75,6 +75,10 @@ pub enum LogicalPlan {
         group_by: Vec<(Expr, String, DataType)>,
         aggregates: Vec<AggExpr>,
         output_schema: Schema,
+        /// The groups an aggregate is estimated to yield, set only on the
+        /// partial side of an aggregate that lowering split around a join
+        /// (`None` on every aggregate a query writes).
+        est_groups: Option<u64>,
     },
     Project {
         input: Box<LogicalPlan>,
@@ -349,6 +353,7 @@ pub fn build_plan(resolved: &Resolved) -> Result<LogicalPlan> {
             group_by: group_by.clone(),
             aggregates,
             output_schema,
+            est_groups: None,
         };
         // Rewrite downstream expressions: aggregate calls and group
         // expressions become column references into the aggregate output.
