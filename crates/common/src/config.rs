@@ -26,9 +26,6 @@ pub struct CacheSettings {
     /// disables the ghost, so only pinned prefixes are admitted — the
     /// paper's manual §IV-B preference rules.
     pub ghost_capacity: usize,
-    /// Time-to-live for cached entries; expired entries are misses and
-    /// are dropped on probe. `None` = never expire.
-    pub ttl: Option<SimDuration>,
 }
 
 impl Default for CacheSettings {
@@ -38,7 +35,6 @@ impl Default for CacheSettings {
             mem_capacity_per_node: ByteSize::gib(1),
             ssd_capacity_per_node: ByteSize::gib(16),
             ghost_capacity: 8192,
-            ttl: None,
         }
     }
 }
@@ -51,9 +47,6 @@ impl CacheSettings {
             && self.ssd_capacity_per_node.as_u64() == 0
         {
             return Err("cache enabled with zero capacity in both tiers".into());
-        }
-        if self.ttl.is_some_and(|t| t == SimDuration::ZERO) {
-            return Err("cache ttl must be > 0 when set".into());
         }
         Ok(())
     }
@@ -234,8 +227,6 @@ mod tests {
         assert!(s.validate().is_err(), "both tiers empty");
         s.ssd_capacity_per_node = ByteSize::mib(1);
         assert!(s.validate().is_ok());
-        s.ttl = Some(SimDuration::ZERO);
-        assert!(s.validate().is_err(), "zero ttl");
         let mut c = FeisuConfig::default();
         c.cache.enabled = true;
         c.cache.mem_capacity_per_node = ByteSize::ZERO;

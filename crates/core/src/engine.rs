@@ -746,11 +746,7 @@ impl FeisuCluster {
                 let Some(schema) = self.catalog.schema(&table) else {
                     continue;
                 };
-                let storage_col = if schema.index_of(&pred.column).is_some() {
-                    pred.column.as_str()
-                } else {
-                    pred.column.rsplit('.').next().unwrap_or(&pred.column)
-                };
+                let storage_col = feisu_exec::physical::storage_name(&schema, &pred.column);
                 if schema.index_of(storage_col).is_none() {
                     continue;
                 }

@@ -36,7 +36,6 @@ use feisu_index::SmartIndex;
 use feisu_sql::ast::Expr;
 use feisu_sql::cnf::{Clause, Cnf, Disjunct, SimplePredicate};
 use feisu_sql::eval::eval_truth;
-use feisu_sql::exprutil::{rename_cnf, rename_expr};
 use feisu_storage::auth::Credential;
 use feisu_storage::{BlockRead, Bytes, CacheTier, Domain, StorageRouter};
 use std::borrow::Cow;
@@ -56,13 +55,16 @@ pub struct ScanTask {
     pub projection: Vec<String>,
     /// Output schema with canonical (possibly qualified) names.
     pub output_schema: Schema,
-    /// Indexable conjunctive predicate, columns in *canonical* names.
+    /// Indexable conjunctive predicate, columns in storage names.
     pub cnf: Cnf,
-    /// Non-indexable clauses, canonical names.
+    /// Non-indexable clauses, storage names.
     pub residual: Vec<Expr>,
-    /// Optional leaf-side partial aggregation (canonical names).
+    /// Optional leaf-side partial aggregation (canonical names: it runs
+    /// over the projected batch).
     pub agg: Option<AggStage>,
-    /// Canonical → storage column-name mapping for the whole table.
+    /// Read by nothing in the engine, which passes it empty: `cnf` and
+    /// `residual` arrive in storage names. Kept only because the
+    /// benchmark harness names it; deleted with that harness's port.
     pub name_map: FxHashMap<String, String>,
 }
 
@@ -172,8 +174,8 @@ pub struct LeafServer {
 /// What every rung of the ladder reads.
 struct Climb<'a> {
     task: &'a ScanTask,
-    /// The task's CNF in storage names, to match the block's schema.
-    cnf: Cnf,
+    /// The task's CNF, in the storage names of the block's schema.
+    cnf: &'a Cnf,
     /// The task is a bare global `COUNT(*)`.
     counts: bool,
     router: &'a StorageRouter,
@@ -274,7 +276,7 @@ impl LeafServer {
     ) -> Result<LeafOutput> {
         let climb = Climb {
             task,
-            cnf: rename_cnf(&task.cnf, &task.name_map),
+            cnf: &task.cnf,
             counts: task.agg.as_ref().is_some_and(AggStage::is_count_star_only),
             router,
             cred,
@@ -304,15 +306,17 @@ impl LeafServer {
         // The task's residuals, then the CNF clauses that are not
         // all-simple, which the leaf reads as residuals too (`lower` never
         // emits one) and the footer never proves.
-        let residuals: Vec<Expr> = (c.task.residual.iter())
-            .map(|e| rename_expr(e, &c.task.name_map))
-            .chain(opaque(&c.cnf).map(Clause::to_expr))
-            .collect();
+        let residuals: Cow<[Expr]> = match opaque(c.cnf).next() {
+            None => Cow::Borrowed(&c.task.residual),
+            Some(_) => (c.task.residual.iter().cloned())
+                .chain(opaque(c.cnf).map(Clause::to_expr))
+                .collect(),
+        };
         let (data, meta) = match self.fetch(c, &mut kept, &residuals, t)? {
             Break(answer) => return Ok(answer),
             Continue(fetched) => fetched,
         };
-        let (block, bits) = evaluate(c, &kept, residuals, (&data, &meta), t)?;
+        let (block, bits) = evaluate(c, &kept, &residuals, (&data, &meta), t)?;
         record_proved(c, &t.verdicts, &meta);
         match count_or_materialize(c, &block, &bits, (&data, &meta), t)? {
             Break(answer) => Ok(answer),
@@ -327,7 +331,7 @@ impl LeafServer {
     fn footer_decision<'a>(&self, c: &Climb<'a>, t: &mut Touch<'a>) -> Rung<()> {
         let (router, path) = (c.router, &c.task.block.path);
         let mut read = router.footer(path, self.node, c.cred, c.now)?;
-        t.verdicts = zones_classify(&c.cnf, &read.meta);
+        t.verdicts = zones_classify(c.cnf, &read.meta);
         let skipped = t.skipped();
         if skipped && !read.served_nothing() {
             router.fetch(path, self.node, c.cred, c.now, &mut read, &[])?;
@@ -367,7 +371,7 @@ impl LeafServer {
         let data = router.fetch(path, self.node, c.cred, c.now, read, &columns)?;
         let meta = read.meta.clone();
         if decided != Arc::as_ptr(&meta) {
-            let mut verdicts = zones_classify(&c.cnf, &meta);
+            let mut verdicts = zones_classify(c.cnf, &meta);
             let mut lost = false;
             for (new, old) in verdicts.iter_mut().zip(&t.verdicts) {
                 // A clause proved on the new footer alone is kept already.
@@ -539,17 +543,17 @@ pub(crate) fn empty_answer(agg: Option<&AggStage>, schema: &Schema) -> Result<(R
 /// its predicates up before the footer, and with every one held counts
 /// their bits; else the handles go down. No other task looks up here.
 fn cached_selection(c: &Climb, t: &mut Touch) -> Rung<Option<Vec<Option<Held>>>> {
-    let simple = opaque(&c.cnf).next().is_none();
+    let simple = opaque(c.cnf).next().is_none();
     if c.index.is_none() || !c.counts || !c.task.residual.is_empty() || !simple {
         return Ok(Continue(None));
     }
-    let held = lookup(c, &c.cnf);
+    let held = lookup(c, c.cnf);
     if held.iter().any(Option::is_none) {
         return Ok(Continue(Some(held)));
     }
     let block = &c.task.block;
     let nothing = Block::new_with_rows(block.id, Schema::empty(), Vec::new(), block.rows)?;
-    t.stats.rows_out = selection(c, &c.cnf, &nothing, &held, t)?.count_ones();
+    t.stats.rows_out = selection(c, c.cnf, &nothing, &held, t)?.count_ones();
     Ok(Break(Answer::Count(t.stats.rows_out)))
 }
 
@@ -559,7 +563,7 @@ fn cached_selection(c: &Climb, t: &mut Touch) -> Rung<Option<Vec<Option<Held>>>>
 fn evaluate(
     c: &Climb,
     kept: &Kept,
-    residuals: Vec<Expr>,
+    residuals: &[Expr],
     (data, meta): (&[u8], &BlockMeta),
     t: &mut Touch,
 ) -> Result<(Block, BitVec)> {
@@ -570,7 +574,7 @@ fn evaluate(
     let block = meta.decode_columns(data, &names)?;
     let mut bits = selection(c, &kept.cnf, &block, &kept.held, t)?;
     if !residuals.is_empty() {
-        bits = apply_residual(&block, &bits, &residuals)?;
+        bits = apply_residual(&block, &bits, residuals)?;
     }
     (t.rows, t.residuals) = (block.rows(), residuals.len());
     t.stats.rows_out = bits.count_ones();
@@ -659,8 +663,8 @@ fn lookup(c: &Climb, cnf: &Cnf) -> Vec<Option<Held>> {
 /// task's one lookup of them.
 fn keep<'a>(c: &'a Climb, verdicts: &[Verdict], held: Option<Vec<Option<Held>>>) -> Kept<'a> {
     if !verdicts.contains(&Verdict::Proved) {
-        let held = held.unwrap_or_else(|| lookup(c, &c.cnf));
-        let cnf = Cow::Borrowed(&c.cnf);
+        let held = held.unwrap_or_else(|| lookup(c, c.cnf));
+        let cnf = Cow::Borrowed(c.cnf);
         return Kept { cnf, held };
     }
     let (mut cnf, mut handles) = (Cnf::default(), Vec::new());
@@ -877,7 +881,6 @@ mod tests {
         /// split into indexable clauses and residuals as lowering does.
         fn task(&self, predicate: &str) -> ScanTask {
             let field = Field::new("a", DataType::Int64, false);
-            let names = ["a", "b"].map(|n| (n.to_string(), n.to_string()));
             let (cnf, residual): (Vec<_>, Vec<_>) = to_cnf(&parse_expr(predicate).unwrap())
                 .clauses
                 .into_iter()
@@ -890,7 +893,7 @@ mod tests {
                 cnf: Cnf { clauses: cnf },
                 residual: residual.iter().map(|c| c.to_expr()).collect(),
                 agg: None,
-                name_map: names.into_iter().collect(),
+                name_map: Default::default(),
             }
         }
 

@@ -11,11 +11,10 @@
 //! The per-query record itself (who ran what and how it ended) is the
 //! query event log's `QueryEvent`.
 
-use feisu_common::hash::FxHashMap;
+use feisu_common::lru::Lru;
 use feisu_common::{SimDuration, SimInstant};
 use feisu_exec::batch::RecordBatch;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 
 /// A cached task result.
 #[derive(Debug, Clone)]
@@ -30,11 +29,12 @@ pub struct JobManager {
     cache: Mutex<TaskResultCache>,
 }
 
+/// Results by signature, oldest store first: a lookup does not reorder
+/// them, so the capacity bound evicts first-in-first-out by latest store.
 struct TaskResultCache {
     ttl: SimDuration,
     capacity: usize,
-    entries: FxHashMap<String, CachedResult>,
-    order: VecDeque<String>,
+    entries: Lru<String, CachedResult>,
     hits: u64,
     misses: u64,
 }
@@ -47,33 +47,32 @@ impl JobManager {
             cache: Mutex::new(TaskResultCache {
                 ttl: reuse_ttl,
                 capacity: reuse_capacity,
-                entries: FxHashMap::default(),
-                order: VecDeque::new(),
+                entries: Lru::new(),
                 hits: 0,
                 misses: 0,
             }),
         }
     }
 
-    /// Tries to reuse a previous identical task's result.
+    /// Tries to reuse a previous identical task's result. An expired
+    /// result is dropped.
     pub fn lookup_task(&self, signature: &str, now: SimInstant) -> Option<(RecordBatch, bool)> {
         let mut cache = self.cache.lock();
-        let fresh = match cache.entries.get(signature) {
-            Some(c) => now.since(c.stored_at) <= cache.ttl,
-            None => false,
-        };
-        if fresh {
+        let ttl = cache.ttl;
+        let hit = (cache.entries.peek(signature))
+            .filter(|c| now.since(c.stored_at) <= ttl)
+            .map(|c| (c.batch.clone(), c.is_agg_transport));
+        if hit.is_some() {
             cache.hits += 1;
-            let c = &cache.entries[signature];
-            Some((c.batch.clone(), c.is_agg_transport))
         } else {
             cache.entries.remove(signature);
             cache.misses += 1;
-            None
         }
+        hit
     }
 
-    /// Stores a finished task's result for reuse by identical tasks.
+    /// Stores a finished task's result for reuse by identical tasks. A
+    /// re-stored signature replaces its old copy and counts as the newest.
     ///
     /// Duplicate in-flight signatures: under the parallel executor all
     /// stores for one scan are applied during the serial merge phase, in
@@ -81,9 +80,6 @@ impl JobManager {
     /// last-writer-wins — exactly what serial execution would produce.
     /// (Within a single scan signatures are distinct anyway: each task
     /// covers its own block and the block id is part of the signature.)
-    /// A re-store pushes a second order entry; eviction tolerates the
-    /// stale one because popping a signature that is no longer cached is
-    /// a no-op.
     pub fn store_task(
         &self,
         signature: String,
@@ -95,23 +91,16 @@ impl JobManager {
         if cache.capacity == 0 {
             return;
         }
+        cache.entries.remove(&signature);
         while cache.entries.len() >= cache.capacity {
-            match cache.order.pop_front() {
-                Some(old) => {
-                    cache.entries.remove(&old);
-                }
-                None => break,
-            }
+            cache.entries.pop_lru();
         }
-        cache.order.push_back(signature.clone());
-        cache.entries.insert(
-            signature,
-            CachedResult {
-                batch,
-                is_agg_transport,
-                stored_at: now,
-            },
-        );
+        let result = CachedResult {
+            batch,
+            is_agg_transport,
+            stored_at: now,
+        };
+        cache.entries.insert(signature, result, 1);
     }
 
     /// (hits, misses) of the reuse cache.
@@ -181,6 +170,23 @@ mod tests {
         }
         assert!(jm.lookup_task("sig0", SimInstant(0)).is_none());
         assert!(jm.lookup_task("sig2", SimInstant(0)).is_some());
+    }
+
+    #[test]
+    fn a_restored_signature_outlives_the_entries_stored_before_it() {
+        let ttl = SimDuration::minutes(10);
+        let jm = JobManager::new(ttl, 2);
+        let at = |d: SimDuration| SimInstant::EPOCH + d;
+        jm.store_task("a".into(), batch(), false, at(SimDuration::ZERO));
+        jm.store_task("b".into(), batch(), false, at(SimDuration::minutes(5)));
+        // `a` expires and is dropped; `b` is still fresh.
+        assert!(jm.lookup_task("a", at(SimDuration::minutes(11))).is_none());
+        jm.store_task("a".into(), batch(), false, at(SimDuration::minutes(11)));
+        // At capacity, the oldest store goes: `b`, not the re-stored `a`.
+        jm.store_task("c".into(), batch(), false, at(SimDuration::minutes(12)));
+        assert!(jm.lookup_task("a", at(SimDuration::minutes(12))).is_some());
+        assert!(jm.lookup_task("b", at(SimDuration::minutes(12))).is_none());
+        assert!(jm.lookup_task("c", at(SimDuration::minutes(12))).is_some());
     }
 
     #[test]

@@ -83,33 +83,25 @@ type LevelKey = fn(&NodeInfo) -> u32;
 impl FeisuCluster {
     /// Merges the kept leaf-task outputs bottom-up into the final scan
     /// result, recording stem spans under `op_span` and per-level wire
-    /// bytes into `ctx.stats`. Returns the root output; the caller charges
-    /// its cpu+network on top of the leaf critical path.
+    /// bytes into `ctx.stats`. The scan's aggregate shape `agg_ref` fixes
+    /// the result kind: every task of an aggregating scan ships a
+    /// transport, every other task rows. Returns the root's batch and
+    /// tally; the caller charges the tally's cpu+network on top of the
+    /// leaf critical path.
     pub(crate) fn merge_scan_results(
         &self,
         kept: Vec<TaskRun>,
         agg_ref: Option<AggShape<'_>>,
         ctx: &mut ExecCtx,
         op_span: SpanId,
-    ) -> Result<StemOutput> {
-        let is_agg = kept.iter().any(|r| r.out.is_agg_transport);
-        if is_agg && kept.iter().any(|r| !r.out.is_agg_transport) {
-            return Err(FeisuError::Internal(
-                "mixed aggregate and row outputs at stem".into(),
-            ));
-        }
+    ) -> Result<(RecordBatch, TimeTally)> {
         let cfg = &self.spec.config;
-        let kind = match (is_agg, agg_ref) {
-            (false, _) => MergeKind::Rows,
-            (true, None) => {
-                return Err(FeisuError::Internal(
-                    "aggregate transport without aggregate shape".into(),
-                ))
-            }
+        let kind = match agg_ref {
+            None => MergeKind::Rows,
             // Global aggregates carry a single fused state per transport —
             // nothing to partition; the exchange applies to grouped
             // aggregates only.
-            (true, Some(shape)) => MergeKind::Agg {
+            Some(shape) => MergeKind::Agg {
                 shape,
                 parts: match shape.0.is_empty() {
                     true => 1,
@@ -166,11 +158,7 @@ impl FeisuCluster {
             Ok([batch]) => batch,
             Err(parts) => RecordBatch::concat(&parts)?,
         };
-        Ok(StemOutput {
-            batch,
-            is_agg_transport: is_agg,
-            tally: root.tally,
-        })
+        Ok((batch, root.tally))
     }
 
     /// Merges one level: each group into one stem output. Stem levels

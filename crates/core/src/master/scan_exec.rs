@@ -3,9 +3,10 @@
 //! partial-result handling, and bottom-up merging through stem servers.
 //!
 //! The scan arrives as a fully-lowered
-//! [`PhysicalPlan::DistributedScan`] node — CNF split, residual clauses
-//! and the canonical→storage name map were all computed at plan time —
-//! so this module only dissects, schedules, executes and merges.
+//! [`PhysicalPlan::DistributedScan`] node — its CNF split and residual
+//! clauses already in storage names, its result kind fixed by its
+//! aggregate stage — so this module only dissects, schedules, executes
+//! and merges.
 //!
 //! Determinism invariant: execution runs in three phases. Phase 1
 //! (serial) resolves identical-task reuse in submission order; phase 2
@@ -46,7 +47,6 @@ impl FeisuCluster {
             residual,
             agg_stage: agg,
             top,
-            name_map,
             output_schema,
             ..
         } = scan
@@ -72,7 +72,7 @@ impl FeisuCluster {
                 cnf: cnf.clone(),
                 residual: residual.clone(),
                 agg: agg.clone(),
-                name_map: name_map.clone(),
+                name_map: FxHashMap::default(),
             });
         }
         ctx.stats.tasks += tasks.len();
@@ -97,8 +97,9 @@ impl FeisuCluster {
 
         // Execute, tracking per-node serialized time.
         // The signature must cover the FULL predicate — indexable clauses
-        // AND residual ones — or queries differing only in a residual
-        // clause would wrongly share cached task results.
+        // AND residual ones, both in storage names — or queries differing
+        // only in a residual clause would wrongly share cached task
+        // results.
         let cnf_display = cnf
             .clauses
             .iter()
@@ -148,7 +149,7 @@ impl FeisuCluster {
             );
             match self.jobs.lookup_task(&signature, ctx.now) {
                 // Reuse is a master-side cache hit: negligible leaf time.
-                Some((batch, is_agg)) => planned.push(Planned::Reused { batch, is_agg }),
+                Some((batch, _)) => planned.push(Planned::Reused { batch }),
                 None => planned.push(Planned::Run { signature }),
             }
         }
@@ -208,11 +209,11 @@ impl FeisuCluster {
         let mut outputs: Vec<TaskRun> = Vec::new();
         for (i, plan) in planned.into_iter().enumerate() {
             let signature = match plan {
-                Planned::Reused { batch, is_agg } => {
+                Planned::Reused { batch } => {
                     ctx.stats.reused_tasks += 1;
                     let mut out = LeafOutput {
                         batch,
-                        is_agg_transport: is_agg,
+                        is_agg_transport: agg.is_some(),
                         tally: TimeTally::new(),
                         stats: LeafTaskStats::default(),
                     };
@@ -353,17 +354,17 @@ impl FeisuCluster {
         // `merge_tree`): per-level wire accounting, stem spans and the
         // repartition exchange for grouped aggregates all live there.
         let agg_ref = agg_shape.map(|s| (s.group_by.as_slice(), s.aggregates.as_slice()));
-        let root = self.merge_scan_results(kept, agg_ref, ctx, op_span)?;
+        let (batch, root) = self.merge_scan_results(kept, agg_ref, ctx, op_span)?;
         // The stem/master merge happens after the slowest leaf: charge its
         // cpu+network on top of the leaf critical path.
-        scan_tally.add_cpu(root.tally.cpu);
-        scan_tally.add_network(root.tally.network);
+        scan_tally.add_cpu(root.cpu);
+        scan_tally.add_network(root.network);
         ctx.tally = ctx.tally.then(&scan_tally);
 
         // §V-C read-data flow: an oversized result is dumped to global
         // storage and only its location travels to the master, which
         // fetches it through the bulk path.
-        let payload = ByteSize(root.batch.footprint() as u64);
+        let payload = ByteSize(batch.footprint() as u64);
         if payload > self.spec.config.result_spill_threshold {
             ctx.stats.spilled_results += 1;
             // Keyed by query id: concurrent queries admitted at the same
@@ -387,7 +388,7 @@ impl FeisuCluster {
             );
             ctx.tally = ctx.tally.then(&spill_tally);
         }
-        Ok(root.batch)
+        Ok(batch)
     }
 
     /// Worker-thread count for the leaf-task and partition-merger pools:
@@ -501,7 +502,7 @@ fn _assert_cluster_sync() {
 /// Per-task outcome of the reuse pre-pass: either a cached result, or a
 /// signature the executed result must be stored under.
 enum Planned {
-    Reused { batch: RecordBatch, is_agg: bool },
+    Reused { batch: RecordBatch },
     Run { signature: String },
 }
 

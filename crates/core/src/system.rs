@@ -19,7 +19,7 @@ use feisu_exec::batch::RecordBatch;
 use feisu_exec::physical::PhysicalPlan;
 use feisu_format::{ColumnBuilder, DataType, Field, Schema, Value};
 use feisu_obs::SpanId;
-use feisu_sql::exprutil::rename_expr;
+use feisu_sql::ast::Expr;
 
 /// Name prefix of the virtual-table namespace.
 pub const SYSTEM_PREFIX: &str = "system.";
@@ -261,9 +261,9 @@ impl FeisuCluster {
         let PhysicalPlan::DistributedScan {
             table,
             projection,
-            predicate,
+            cnf,
+            residual,
             agg_stage,
-            name_map,
             output_schema,
             ..
         } = plan
@@ -276,10 +276,10 @@ impl FeisuCluster {
         ctx.spans.attr(op_span, "virtual", "system");
         ctx.tally
             .add_cpu(self.spec.cost.predicate_eval(full.rows()));
-        let filtered = match predicate {
-            // Predicates arrive in canonical (possibly qualified) names;
-            // the materialized batch uses storage names.
-            Some(p) => feisu_exec::ops::filter(&full, &rename_expr(p, name_map))?,
+        // The clauses arrive in storage names, as the batch is built.
+        let clauses = cnf.clauses.iter().map(|c| c.to_expr());
+        let filtered = match clauses.chain(residual.iter().cloned()).reduce(Expr::and) {
+            Some(p) => feisu_exec::ops::filter(&full, &p)?,
             None => full,
         };
         let columns = projection

@@ -8,8 +8,9 @@
 //! to [`PhysicalPlan::FinalAggregate`] over a
 //! [`PhysicalPlan::DistributedScan`] carrying the
 //! [`AggStage`], and the scan node also carries the precomputed
-//! CNF split (indexable clauses vs residual expressions) and the
-//! canonical→storage column map that leaf servers rename through.
+//! CNF split (indexable clauses vs residual expressions), already in the
+//! storage column names the leaves read: canonical names are resolved
+//! once per scan, here, by [`storage_name`].
 //!
 //! The engine in `feisu-core` interprets this tree; each node knows its
 //! own master-side CPU price via [`PhysicalPlan::master_cpu_cost`], so
@@ -25,7 +26,8 @@ use feisu_common::{FeisuError, Result, SimDuration};
 use feisu_format::{DataType, Schema};
 use feisu_sql::analyze::Catalog;
 use feisu_sql::ast::{Expr, JoinKind};
-use feisu_sql::cnf::{to_cnf, Cnf};
+use feisu_sql::cnf::{to_cnf, Clause, Cnf};
+use feisu_sql::exprutil::map_columns;
 use feisu_sql::plan::{AggExpr, AggStage, LogicalPlan};
 
 /// `ORDER BY` keys (expression, descending) and the row count k every
@@ -42,12 +44,13 @@ pub enum PhysicalPlan {
         table: String,
         /// Storage column names to read, parallel to `output_schema`.
         projection: Vec<String>,
-        /// The full pushed-down predicate (display + task signatures).
+        /// The full pushed-down predicate in canonical names, for EXPLAIN.
         predicate: Option<Expr>,
         /// Indexable conjunctive clauses of `predicate` (all-simple
-        /// disjuncts — what SmartIndex can key on).
+        /// disjuncts — what SmartIndex can key on), in storage names.
         cnf: Cnf,
-        /// Non-indexable clauses, evaluated row-wise on the leaves.
+        /// Non-indexable clauses in storage names, evaluated row-wise on
+        /// the leaves.
         residual: Vec<Expr>,
         /// Partial aggregation pushed into the leaves, decided at
         /// lowering time.
@@ -61,7 +64,9 @@ pub enum PhysicalPlan {
         /// when a top-k `Sort` sits directly on this scan; the master's
         /// `Sort` still runs above it.
         top: Option<TopK>,
-        /// Canonical → storage column-name map for the whole task.
+        /// Always empty and read by nothing in the engine: `cnf` and
+        /// `residual` are already in storage names. Kept only because the
+        /// benchmark harness names it; deleted with that harness's port.
         name_map: FxHashMap<String, String>,
         /// Scan output schema in canonical (possibly qualified) names.
         output_schema: Schema,
@@ -342,9 +347,9 @@ fn sort_keys(keys: &[(Expr, bool)]) -> String {
 
 /// Lowers an optimized logical plan to a physical plan, deciding
 /// aggregation pushdown and precomputing everything the distributed scan
-/// needs (CNF split, name map). `catalog` supplies each table's *storage*
-/// schema — needed to tell flattened-JSON dotted columns apart from
-/// qualified references.
+/// needs (the CNF split, in storage names). `catalog` supplies each
+/// table's *storage* schema — needed to tell flattened-JSON dotted
+/// columns apart from qualified references.
 pub fn lower(plan: &LogicalPlan, catalog: &dyn Catalog) -> Result<PhysicalPlan> {
     match plan {
         LogicalPlan::Aggregate {
@@ -469,8 +474,25 @@ pub fn lower(plan: &LogicalPlan, catalog: &dyn Catalog) -> Result<PhysicalPlan> 
     }
 }
 
-/// Builds the `DistributedScan` node: canonical→storage name map plus the
-/// CNF split into indexable clauses and residual expressions.
+/// The storage name of the canonical column `canonical` in a table with
+/// `storage_schema`: the name as written when the table has that column
+/// (a flattened JSON path is dotted), else the name with its leading
+/// qualifiers dropped — `binding.col` is `col`, `b.payload.x` is
+/// `payload.x` — down to its last segment.
+pub fn storage_name<'a>(storage_schema: &Schema, canonical: &'a str) -> &'a str {
+    let mut name = canonical;
+    while storage_schema.index_of(name).is_none() {
+        match name.split_once('.') {
+            Some((_, rest)) => name = rest,
+            None => break,
+        }
+    }
+    name
+}
+
+/// Builds the `DistributedScan` node: the predicate resolved to storage
+/// names once, then split into indexable CNF clauses and residual
+/// expressions.
 fn lower_scan(
     table: &str,
     projection: &[String],
@@ -482,49 +504,16 @@ fn lower_scan(
     let storage_schema = catalog
         .table_schema(table)
         .ok_or_else(|| FeisuError::Execution(format!("unknown table `{table}` during lowering")))?;
-    // Canonical → storage name map covers the whole scan output.
-    let mut name_map: FxHashMap<String, String> = FxHashMap::default();
-    for (canon, storage) in output_schema
-        .fields()
-        .iter()
-        .map(|f| f.name.clone())
-        .zip(projection.iter().cloned())
-    {
-        name_map.insert(canon, storage);
-    }
-    // Predicate columns outside the projection also need mapping: a
-    // canonical name is `binding.col` or bare `col`; strip qualifier.
-    if let Some(p) = predicate {
-        let mut cols = Vec::new();
-        p.columns(&mut cols);
-        for c in cols {
-            // Dotted names may be real storage columns (flattened JSON
-            // paths); strip the table qualifier only when the full name
-            // is not a column of the table itself.
-            let storage = if storage_schema.index_of(&c).is_some() {
-                c.clone()
-            } else {
-                c.rsplit('.').next().unwrap_or(&c).to_string()
-            };
-            name_map.entry(c.clone()).or_insert(storage);
-        }
-    }
-
     // Split the predicate into indexable CNF clauses (all-simple
     // disjuncts — SmartIndex can serve them) and residual expressions.
     let (cnf, residual) = match predicate {
         None => (Cnf::default(), Vec::new()),
         Some(p) => {
-            let full = to_cnf(p);
-            let mut indexable = Vec::new();
-            let mut residual = Vec::new();
-            for clause in full.clauses {
-                if clause.as_simple().is_some() {
-                    indexable.push(clause);
-                } else {
-                    residual.push(clause.to_expr());
-                }
-            }
+            let stored = map_columns(p, &|c| storage_name(&storage_schema, c).to_string());
+            let (indexable, residual): (Vec<_>, Vec<_>) = (to_cnf(&stored).clauses)
+                .into_iter()
+                .partition(|clause| clause.as_simple().is_some());
+            let residual = residual.iter().map(Clause::to_expr).collect();
             (Cnf { clauses: indexable }, residual)
         }
     };
@@ -538,7 +527,7 @@ fn lower_scan(
         agg_stage,
         est_groups: None,
         top: None,
-        name_map,
+        name_map: FxHashMap::default(),
         output_schema: output_schema.clone(),
     })
 }
@@ -568,6 +557,13 @@ mod tests {
             Schema::new(vec![
                 Field::new("url", DataType::Utf8, false),
                 Field::new("rank", DataType::Int64, false),
+            ]),
+        );
+        m.insert(
+            "t3".to_string(),
+            Schema::new(vec![
+                Field::new("id", DataType::Int64, false),
+                Field::new("payload.x", DataType::Int64, true),
             ]),
         );
         m
@@ -680,23 +676,37 @@ mod tests {
     }
 
     #[test]
-    fn name_map_strips_qualifiers_for_join_scans() {
-        let p =
-            physical("SELECT clicks, rank FROM t1 JOIN t2 ON t1.url = t2.url WHERE t1.clicks > 5");
+    fn join_scans_carry_storage_named_clauses() {
+        // `payload.x` is a flattened JSON column: its name stays whole
+        // under the `t3.` qualifier, and it is read by the predicate alone.
+        let p = physical(
+            "SELECT clicks, id FROM t1 JOIN t3 ON t1.clicks = t3.id \
+             WHERE t1.clicks > 5 AND t1.clicks + 1 > 3 AND payload.x < 9",
+        );
+        let s = p.display_indent();
+        assert!(
+            s.contains("filter=(t3.payload.x < 9)"),
+            "EXPLAIN stays canonical: {s}"
+        );
         let PhysicalPlan::Project { input, .. } = &p else {
             panic!("{p:?}");
         };
-        let PhysicalPlan::HashJoin { left, .. } = input.as_ref() else {
+        let PhysicalPlan::HashJoin { left, right, .. } = input.as_ref() else {
             panic!("{input:?}");
         };
-        let PhysicalPlan::DistributedScan { name_map, .. } = left.as_ref() else {
-            panic!("{left:?}");
+        let clauses = |scan: &PhysicalPlan| {
+            let PhysicalPlan::DistributedScan { cnf, residual, .. } = scan else {
+                panic!("{scan:?}");
+            };
+            let cnf = cnf.clauses.iter().map(|c| c.to_expr().to_string());
+            let residual = residual.iter().map(|e| e.to_string());
+            cnf.chain(residual).collect::<Vec<_>>()
         };
-        assert_eq!(
-            name_map.get("t1.clicks").map(String::as_str),
-            Some("clicks")
-        );
-        assert_eq!(name_map.get("t1.url").map(String::as_str), Some("url"));
+        assert_eq!(clauses(left), ["(clicks > 5)", "((clicks + 1) > 3)"]);
+        assert_eq!(clauses(right), ["(payload.x < 9)"]);
+        assert_eq!(storage_name(&catalog()["t3"], "t3.payload.x"), "payload.x");
+        assert_eq!(storage_name(&catalog()["t1"], "t1.clicks"), "clicks");
+        assert_eq!(storage_name(&catalog()["t1"], "clicks"), "clicks");
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! Both sides of the engine rename column references between the
 //! *canonical* namespace the planner uses (possibly `table.column`
 //! qualified) and the *storage* namespace blocks are written with (bare
-//! column names, or dotted flattened-JSON paths). The leaf servers rename
-//! through an explicit canonical→storage map; the oracle executor simply
-//! strips qualifiers. Keeping the recursion in one place keeps the two
-//! sides from drifting.
+//! column names, or dotted flattened-JSON paths). Lowering resolves each
+//! scan's clauses once through [`map_columns`]; the oracle executor strips
+//! qualifiers. Only the benchmark harness still renames through a map
+//! ([`rename_cnf`]).
 
 use crate::ast::{BinaryOp, Expr, UnaryOp};
 use crate::cnf::{Clause, Cnf, Disjunct, SimplePredicate};

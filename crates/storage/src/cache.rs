@@ -43,7 +43,7 @@ use bytes::Bytes;
 use feisu_common::config::CacheSettings;
 use feisu_common::hash::FxHashMap;
 use feisu_common::lru::Lru;
-use feisu_common::{ByteSize, NodeId, SimInstant, UserId};
+use feisu_common::{ByteSize, NodeId, UserId};
 use feisu_obs::{Counter, MetricsRegistry};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -139,8 +139,6 @@ pub struct CacheStats {
     /// Evictions forced by an owner's byte quota rather than tier
     /// capacity (also counted in the per-tier eviction totals).
     pub quota_evictions: u64,
-    /// Chunks dropped because their TTL lapsed before a probe.
-    pub ttl_expired: u64,
     /// Chunks dropped by path-keyed invalidation (ingest overwrites).
     pub invalidations: u64,
     /// SSD→memory promotions on hit.
@@ -177,7 +175,6 @@ struct CacheCounters {
     mem_evictions: Arc<Counter>,
     ssd_evictions: Arc<Counter>,
     quota_evictions: Arc<Counter>,
-    ttl_expired: Arc<Counter>,
     invalidations: Arc<Counter>,
     promotions: Arc<Counter>,
 }
@@ -225,7 +222,6 @@ struct Entry {
     path: Arc<str>,
     data: Bytes,
     chunks: Box<[Chunk]>,
-    inserted_at: SimInstant,
     /// The user the resident chunks' bytes are attributed to.
     user: UserId,
 }
@@ -458,12 +454,6 @@ impl TieredCache {
         }
     }
 
-    fn expired(&self, e: &Entry, now: SimInstant) -> bool {
-        self.settings
-            .ttl
-            .is_some_and(|ttl| now >= e.inserted_at + ttl)
-    }
-
     /// Evicts from `tier` until it holds no more than its capacity,
     /// speculative chunks first, coldest first. A memory victim demotes to
     /// the SSD tier when it fits there; any other victim leaves the node.
@@ -502,36 +492,20 @@ impl TieredCache {
     /// mark, and from the SSD tier promotes the object's SSD-resident
     /// chunks; a miss on every chunk leaves the node map untouched
     /// (probing thousands of nodes that never cached anything must not
-    /// grow it). `now` drives TTL expiry.
-    pub fn get(
-        &self,
-        node: NodeId,
-        path: &str,
-        touched: &[usize],
-        now: SimInstant,
-    ) -> Option<CacheHit> {
+    /// grow it).
+    pub fn get(&self, node: NodeId, path: &str, touched: &[usize]) -> Option<CacheHit> {
         let mut shard = self.shard(node).lock();
         let hit = shard
             .get_mut(&node)
-            .and_then(|nc| self.probe(nc, path, touched, now));
+            .and_then(|nc| self.probe(nc, path, touched));
         if hit.is_none() {
             self.counters.misses.add(touched.len() as u64);
         }
         hit
     }
 
-    fn probe(
-        &self,
-        nc: &mut NodeCache,
-        path: &str,
-        touched: &[usize],
-        now: SimInstant,
-    ) -> Option<CacheHit> {
+    fn probe(&self, nc: &mut NodeCache, path: &str, touched: &[usize]) -> Option<CacheHit> {
         let id = *nc.ids.get(path)?;
-        if self.expired(&nc.entries[&id], now) {
-            self.counters.ttl_expired.add(nc.drop_entry(id));
-            return None;
-        }
         let data = nc.entries[&id].data.clone();
         let mut tiers = Vec::with_capacity(touched.len());
         for &i in touched {
@@ -576,7 +550,7 @@ impl TieredCache {
     /// its bytes charged to `user`'s quota (the user whose query read it).
     /// An entry of the same layout and user the node holds already is
     /// filled: its missing chunks enter, with no second admission.
-    pub fn admit(&self, node: NodeId, path: &str, offer: Offer, user: UserId, now: SimInstant) {
+    pub fn admit(&self, node: NodeId, path: &str, offer: Offer, user: UserId) {
         let c = &self.counters;
         let ghost_capacity = self.settings.ghost_capacity;
         let size: u64 = offer.chunks.iter().sum();
@@ -645,7 +619,6 @@ impl TieredCache {
                     path: path.into(),
                     data: offer.data,
                     chunks: offer.chunks.iter().map(|&len| Chunk::new(len)).collect(),
-                    inserted_at: now,
                     user,
                 })
             }
@@ -701,7 +674,6 @@ impl TieredCache {
             ("mem.evictions", &c.mem_evictions),
             ("ssd.evictions", &c.ssd_evictions),
             ("quota.evictions", &c.quota_evictions),
-            ("ttl_expired", &c.ttl_expired),
             ("invalidations", &c.invalidations),
             ("promotions", &c.promotions),
         ] {
@@ -722,7 +694,6 @@ impl TieredCache {
             mem_evictions: c.mem_evictions.get(),
             ssd_evictions: c.ssd_evictions.get(),
             quota_evictions: c.quota_evictions.get(),
-            ttl_expired: c.ttl_expired.get(),
             invalidations: c.invalidations.get(),
             promotions: c.promotions.get(),
         }
@@ -794,9 +765,6 @@ impl TieredCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use feisu_common::SimDuration;
-
-    const NOW: SimInstant = SimInstant(0);
 
     /// "Admit everything" is a pin on the root prefix.
     fn pin_all() -> Vec<String> {
@@ -811,7 +779,6 @@ mod tests {
             mem_capacity_per_node: ByteSize::ZERO,
             ssd_capacity_per_node: ByteSize::kib(kib),
             ghost_capacity: 0,
-            ..CacheSettings::default()
         };
         TieredCache::new(s, vec!["/hdfs/hot/".into()])
     }
@@ -822,7 +789,6 @@ mod tests {
             mem_capacity_per_node: ByteSize::kib(mem_kib),
             ssd_capacity_per_node: ByteSize::kib(ssd_kib),
             ghost_capacity: 1024,
-            ..CacheSettings::default()
         };
         TieredCache::new(s, pin_all())
     }
@@ -835,9 +801,8 @@ mod tests {
             "/hdfs/cold/x",
             Offer::whole(Bytes::from_static(b"data")),
             UserId(1),
-            NOW,
         );
-        assert!(c.get(NodeId(0), "/hdfs/cold/x", &[0], NOW).is_none());
+        assert!(c.get(NodeId(0), "/hdfs/cold/x", &[0]).is_none());
         assert_eq!(c.stats().rejected, 1);
         assert_eq!(c.tracked_nodes(), 0, "ghostless rejects allocate nothing");
         c.admit(
@@ -845,10 +810,9 @@ mod tests {
             "/hdfs/hot/x",
             Offer::whole(Bytes::from_static(b"data")),
             UserId(1),
-            NOW,
         );
         let hit = c
-            .get(NodeId(0), "/hdfs/hot/x", &[0], NOW)
+            .get(NodeId(0), "/hdfs/hot/x", &[0])
             .expect("pinned path cached");
         assert_eq!(
             hit.tiers,
@@ -867,14 +831,13 @@ mod tests {
             "/hdfs/t/b0",
             Offer::whole(blob.clone()),
             UserId(1),
-            NOW,
         );
-        assert!(c.get(NodeId(0), "/hdfs/t/b0", &[0], NOW).is_none());
+        assert!(c.get(NodeId(0), "/hdfs/t/b0", &[0]).is_none());
         assert_eq!(c.stats().ghost_registered, 1);
         assert_eq!(c.stats().rejected, 1);
         // Second sighting: the ghost remembers, so it is admitted.
-        c.admit(NodeId(0), "/hdfs/t/b0", Offer::whole(blob), UserId(1), NOW);
-        assert!(c.get(NodeId(0), "/hdfs/t/b0", &[0], NOW).is_some());
+        c.admit(NodeId(0), "/hdfs/t/b0", Offer::whole(blob), UserId(1));
+        assert!(c.get(NodeId(0), "/hdfs/t/b0", &[0]).is_some());
         assert_eq!(c.stats().ghost_admissions, 1);
     }
 
@@ -892,10 +855,9 @@ mod tests {
             "/hdfs/hot/x",
             Offer::whole(Bytes::from_static(b"d")),
             UserId(1),
-            NOW,
         );
         assert!(
-            c.get(NodeId(0), "/hdfs/hot/x", &[0], NOW).is_some(),
+            c.get(NodeId(0), "/hdfs/hot/x", &[0]).is_some(),
             "first touch"
         );
     }
@@ -908,16 +870,15 @@ mod tests {
             "/t/b0",
             Offer::whole(Bytes::from(vec![1u8; 100])),
             UserId(1),
-            NOW,
         );
         assert_eq!(c.used_on(NodeId(0), CacheTier::Ssd), ByteSize(100));
         // First hit serves from SSD and promotes.
-        let h1 = c.get(NodeId(0), "/t/b0", &[0], NOW).unwrap();
+        let h1 = c.get(NodeId(0), "/t/b0", &[0]).unwrap();
         assert_eq!(h1.tiers, [Some(CacheTier::Ssd)]);
         assert_eq!(c.used_on(NodeId(0), CacheTier::Memory), ByteSize(100));
         assert_eq!(c.used_on(NodeId(0), CacheTier::Ssd), ByteSize::ZERO);
         // Second hit is served by the memory tier.
-        let h2 = c.get(NodeId(0), "/t/b0", &[0], NOW).unwrap();
+        let h2 = c.get(NodeId(0), "/t/b0", &[0]).unwrap();
         assert_eq!(h2.tiers, [Some(CacheTier::Memory)]);
         let s = c.stats();
         assert_eq!((s.ssd_hits, s.mem_hits, s.promotions), (1, 1, 1));
@@ -938,25 +899,23 @@ mod tests {
             "/t/a",
             Offer::whole(Bytes::from(vec![1u8; 600])),
             UserId(1),
-            NOW,
         );
         c.admit(
             NodeId(0),
             "/t/b",
             Offer::whole(Bytes::from(vec![2u8; 600])),
             UserId(1),
-            NOW,
         );
-        assert!(c.get(NodeId(0), "/t/a", &[0], NOW).is_some()); // a → memory
-        assert!(c.get(NodeId(0), "/t/b", &[0], NOW).is_some()); // b → memory, a demoted
+        assert!(c.get(NodeId(0), "/t/a", &[0]).is_some()); // a → memory
+        assert!(c.get(NodeId(0), "/t/b", &[0]).is_some()); // b → memory, a demoted
         assert_eq!(c.stats().mem_evictions, 1);
         // Both remain cached: a back in SSD, b in memory.
         assert_eq!(
-            c.get(NodeId(0), "/t/b", &[0], NOW).unwrap().tiers[0],
+            c.get(NodeId(0), "/t/b", &[0]).unwrap().tiers[0],
             Some(CacheTier::Memory)
         );
         assert_eq!(
-            c.get(NodeId(0), "/t/a", &[0], NOW).unwrap().tiers[0],
+            c.get(NodeId(0), "/t/a", &[0]).unwrap().tiers[0],
             Some(CacheTier::Ssd)
         );
     }
@@ -969,10 +928,9 @@ mod tests {
             "/t/x",
             Offer::whole(Bytes::from_static(b"data")),
             UserId(1),
-            NOW,
         );
-        assert!(c.get(NodeId(1), "/t/x", &[0], NOW).is_none());
-        assert!(c.get(NodeId(0), "/t/x", &[0], NOW).is_some());
+        assert!(c.get(NodeId(1), "/t/x", &[0]).is_none());
+        assert!(c.get(NodeId(0), "/t/x", &[0]).is_some());
     }
 
     #[test]
@@ -984,24 +942,19 @@ mod tests {
             "/hdfs/hot/a",
             Offer::whole(blob.clone()),
             UserId(1),
-            NOW,
         );
         c.admit(
             NodeId(0),
             "/hdfs/hot/b",
             Offer::whole(blob.clone()),
             UserId(1),
-            NOW,
         );
         // Touch a so b is LRU.
-        assert!(c.get(NodeId(0), "/hdfs/hot/a", &[0], NOW).is_some());
-        c.admit(NodeId(0), "/hdfs/hot/c", Offer::whole(blob), UserId(1), NOW);
-        assert!(
-            c.get(NodeId(0), "/hdfs/hot/b", &[0], NOW).is_none(),
-            "b evicted"
-        );
-        assert!(c.get(NodeId(0), "/hdfs/hot/a", &[0], NOW).is_some());
-        assert!(c.get(NodeId(0), "/hdfs/hot/c", &[0], NOW).is_some());
+        assert!(c.get(NodeId(0), "/hdfs/hot/a", &[0]).is_some());
+        c.admit(NodeId(0), "/hdfs/hot/c", Offer::whole(blob), UserId(1));
+        assert!(c.get(NodeId(0), "/hdfs/hot/b", &[0]).is_none(), "b evicted");
+        assert!(c.get(NodeId(0), "/hdfs/hot/a", &[0]).is_some());
+        assert!(c.get(NodeId(0), "/hdfs/hot/c", &[0]).is_some());
         assert!(c.stats().ssd_evictions >= 1);
         assert!(c.used_on(NodeId(0), CacheTier::Ssd).as_u64() <= 1024);
         // Evicted keys land in the ghost... but this cache has none
@@ -1013,14 +966,8 @@ mod tests {
     fn evicted_keys_are_remembered_by_the_ghost() {
         let c = open(0, 1); // SSD-only, 1 KiB
         let blob = Bytes::from(vec![0u8; 700]);
-        c.admit(
-            NodeId(0),
-            "/t/a",
-            Offer::whole(blob.clone()),
-            UserId(1),
-            NOW,
-        );
-        c.admit(NodeId(0), "/t/b", Offer::whole(blob), UserId(1), NOW); // evicts a
+        c.admit(NodeId(0), "/t/a", Offer::whole(blob.clone()), UserId(1));
+        c.admit(NodeId(0), "/t/b", Offer::whole(blob), UserId(1)); // evicts a
         assert_eq!(c.stats().ssd_evictions, 1);
         assert_eq!(c.ghost_len_on(NodeId(0)), 1);
     }
@@ -1033,9 +980,8 @@ mod tests {
             "/hdfs/hot/big",
             Offer::whole(Bytes::from(vec![0u8; 4096])),
             UserId(1),
-            NOW,
         );
-        assert!(c.get(NodeId(0), "/hdfs/hot/big", &[0], NOW).is_none());
+        assert!(c.get(NodeId(0), "/hdfs/hot/big", &[0]).is_none());
         assert_eq!(c.stats().rejected, 1);
     }
 
@@ -1047,44 +993,18 @@ mod tests {
             "/t/x",
             Offer::whole(Bytes::from_static(b"d")),
             UserId(1),
-            NOW,
         );
         c.admit(
             NodeId(1),
             "/t/x",
             Offer::whole(Bytes::from_static(b"d")),
             UserId(1),
-            NOW,
         );
-        c.get(NodeId(0), "/t/x", &[0], NOW); // promote on node 0 → memory tier
+        c.get(NodeId(0), "/t/x", &[0]); // promote on node 0 → memory tier
         c.invalidate_path("/t/x");
-        assert!(c.get(NodeId(0), "/t/x", &[0], NOW).is_none());
-        assert!(c.get(NodeId(1), "/t/x", &[0], NOW).is_none());
+        assert!(c.get(NodeId(0), "/t/x", &[0]).is_none());
+        assert!(c.get(NodeId(1), "/t/x", &[0]).is_none());
         assert_eq!(c.stats().invalidations, 2);
-        assert_eq!(c.user_used_on(NodeId(0), UserId(1)), ByteSize::ZERO);
-    }
-
-    #[test]
-    fn ttl_expires_entries_on_probe() {
-        let s = CacheSettings {
-            enabled: true,
-            ttl: Some(SimDuration::hours(1)),
-            ..CacheSettings::default()
-        };
-        let c = TieredCache::new(s, pin_all());
-        c.admit(
-            NodeId(0),
-            "/t/x",
-            Offer::whole(Bytes::from_static(b"d")),
-            UserId(1),
-            NOW,
-        );
-        assert!(c
-            .get(NodeId(0), "/t/x", &[0], NOW + SimDuration::minutes(59))
-            .is_some());
-        let later = NOW + SimDuration::hours(2);
-        assert!(c.get(NodeId(0), "/t/x", &[0], later).is_none(), "expired");
-        assert_eq!(c.stats().ttl_expired, 1);
         assert_eq!(c.user_used_on(NodeId(0), UserId(1)), ByteSize::ZERO);
     }
 
@@ -1098,17 +1018,15 @@ mod tests {
             "/hdfs/cold/x",
             Offer::whole(Bytes::from_static(b"d")),
             UserId(1),
-            NOW,
         );
         c.admit(
             NodeId(0),
             "/hdfs/hot/x",
             Offer::whole(Bytes::from_static(b"d")),
             UserId(1),
-            NOW,
         );
-        c.get(NodeId(0), "/hdfs/hot/x", &[0], NOW);
-        c.get(NodeId(0), "/hdfs/hot/y", &[0], NOW);
+        c.get(NodeId(0), "/hdfs/hot/x", &[0]);
+        c.get(NodeId(0), "/hdfs/hot/y", &[0]);
         assert_eq!(registry.counter("feisu.cache.rejected").get(), 1);
         assert_eq!(registry.counter("feisu.cache.ssd.hits").get(), 1);
         assert_eq!(registry.counter("feisu.cache.misses").get(), 1);
@@ -1118,7 +1036,7 @@ mod tests {
     fn pure_misses_do_not_allocate_node_state() {
         let c = open(64, 64);
         for n in 0..4_000 {
-            assert!(c.get(NodeId(n), "/t/x", &[0], NOW).is_none());
+            assert!(c.get(NodeId(n), "/t/x", &[0]).is_none());
         }
         assert_eq!(c.tracked_nodes(), 0, "misses must not allocate NodeCache");
         assert_eq!(c.stats().misses, 4_000);
@@ -1128,10 +1046,9 @@ mod tests {
             "/t/x",
             Offer::whole(Bytes::from_static(b"d")),
             UserId(1),
-            NOW,
         );
         assert_eq!(c.tracked_nodes(), 1);
-        assert!(c.get(NodeId(7), "/t/x", &[0], NOW).is_some());
+        assert!(c.get(NodeId(7), "/t/x", &[0]).is_some());
     }
 
     #[test]
@@ -1142,14 +1059,12 @@ mod tests {
             "/t/x",
             Offer::whole(Bytes::from(vec![0u8; 100])),
             UserId(1),
-            NOW,
         );
         c.admit(
             NodeId(0),
             "/t/x",
             Offer::whole(Bytes::from(vec![0u8; 200])),
             UserId(1),
-            NOW,
         );
         assert_eq!(c.used_on(NodeId(0), CacheTier::Ssd), ByteSize(200));
         assert_eq!(c.user_used_on(NodeId(0), UserId(1)), ByteSize(200));
@@ -1166,39 +1081,21 @@ mod tests {
         let c = TieredCache::new(s, pin_all());
         c.set_user_quota(UserId(1), Some(ByteSize(1000)));
         let blob = Bytes::from(vec![0u8; 400]);
-        c.admit(
-            NodeId(0),
-            "/t/a",
-            Offer::whole(blob.clone()),
-            UserId(1),
-            NOW,
-        );
-        c.admit(
-            NodeId(0),
-            "/t/b",
-            Offer::whole(blob.clone()),
-            UserId(1),
-            NOW,
-        );
+        c.admit(NodeId(0), "/t/a", Offer::whole(blob.clone()), UserId(1));
+        c.admit(NodeId(0), "/t/b", Offer::whole(blob.clone()), UserId(1));
         // A third 400 B entry would put user 1 at 1200 B: its own LRU
         // entry (a) is evicted; user 2 is untouched.
-        c.admit(
-            NodeId(0),
-            "/t/other",
-            Offer::whole(blob.clone()),
-            UserId(2),
-            NOW,
-        );
-        c.admit(NodeId(0), "/t/c", Offer::whole(blob), UserId(1), NOW);
+        c.admit(NodeId(0), "/t/other", Offer::whole(blob.clone()), UserId(2));
+        c.admit(NodeId(0), "/t/c", Offer::whole(blob), UserId(1));
         assert_eq!(c.stats().quota_evictions, 1);
         assert!(
-            c.get(NodeId(0), "/t/a", &[0], NOW).is_none(),
+            c.get(NodeId(0), "/t/a", &[0]).is_none(),
             "a evicted for quota"
         );
-        assert!(c.get(NodeId(0), "/t/b", &[0], NOW).is_some());
-        assert!(c.get(NodeId(0), "/t/c", &[0], NOW).is_some());
+        assert!(c.get(NodeId(0), "/t/b", &[0]).is_some());
+        assert!(c.get(NodeId(0), "/t/c", &[0]).is_some());
         assert!(
-            c.get(NodeId(0), "/t/other", &[0], NOW).is_some(),
+            c.get(NodeId(0), "/t/other", &[0]).is_some(),
             "user 2 untouched"
         );
         assert!(c.user_used_on(NodeId(0), UserId(1)).as_u64() <= 1000);
@@ -1217,9 +1114,8 @@ mod tests {
             "/t/x",
             Offer::whole(Bytes::from_static(b"d")),
             UserId(3),
-            NOW,
         );
-        assert!(c.get(NodeId(0), "/t/x", &[0], NOW).is_none());
+        assert!(c.get(NodeId(0), "/t/x", &[0]).is_none());
         let st = c.stats();
         assert_eq!((st.quota_rejections, st.rejected), (1, 1));
         // Clearing the override restores the (unlimited) default.
@@ -1229,9 +1125,8 @@ mod tests {
             "/t/x",
             Offer::whole(Bytes::from_static(b"d")),
             UserId(3),
-            NOW,
         );
-        assert!(c.get(NodeId(0), "/t/x", &[0], NOW).is_some());
+        assert!(c.get(NodeId(0), "/t/x", &[0]).is_some());
     }
 
     #[test]
@@ -1248,9 +1143,8 @@ mod tests {
             "/hdfs/hot/x",
             Offer::whole(Bytes::from(vec![0u8; 100])),
             UserId(1),
-            NOW,
         );
-        assert!(c.get(NodeId(0), "/hdfs/hot/x", &[0], NOW).is_none());
+        assert!(c.get(NodeId(0), "/hdfs/hot/x", &[0]).is_none());
         assert_eq!(c.stats().quota_rejections, 1);
     }
 
@@ -1268,7 +1162,6 @@ mod tests {
                 &format!("/t/b{i}"),
                 Offer::whole(Bytes::from_static(b"d")),
                 UserId(1),
-                NOW,
             );
         }
         assert!(c.ghost_len_on(NodeId(0)) <= 8);
@@ -1279,9 +1172,8 @@ mod tests {
             "/t/b0",
             Offer::whole(Bytes::from_static(b"d")),
             UserId(1),
-            NOW,
         );
-        assert!(c.get(NodeId(0), "/t/b0", &[0], NOW).is_none());
+        assert!(c.get(NodeId(0), "/t/b0", &[0]).is_none());
     }
 
     #[test]
@@ -1292,9 +1184,8 @@ mod tests {
             "/t/x",
             Offer::whole(Bytes::from(vec![0u8; 128])),
             UserId(1),
-            NOW,
         );
-        c.get(NodeId(0), "/t/x", &[0], NOW); // ssd hit + promotion
+        c.get(NodeId(0), "/t/x", &[0]); // ssd hit + promotion
         let rows = c.node_tier_rows(NodeId(0));
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].tier, "mem");
@@ -1319,12 +1210,12 @@ mod tests {
             chunks,
             touched,
         };
-        c.admit(NodeId(node), path, offer, UserId(user), NOW);
+        c.admit(NodeId(node), path, offer, UserId(user));
     }
 
     /// The tier of each chunk of `path` on node 0 — a probe, so it refreshes them.
     fn tiers(c: &TieredCache, path: &str, chunks: &[usize]) -> Vec<Option<CacheTier>> {
-        c.get(NodeId(0), path, chunks, NOW)
+        c.get(NodeId(0), path, chunks)
             .map_or_else(|| vec![None; chunks.len()], |h| h.tiers)
     }
 
@@ -1442,7 +1333,7 @@ mod tests {
         c.invalidate_path("/t/a");
         assert_eq!(c.stats().invalidations, 6, "three chunks on each node");
         for node in [NodeId(0), NodeId(1)] {
-            assert!(c.get(node, "/t/a", &[0, 1, 2], NOW).is_none());
+            assert!(c.get(node, "/t/a", &[0, 1, 2]).is_none());
             assert_eq!(c.used_on(node, CacheTier::Memory), ByteSize::ZERO);
         }
         assert_eq!(c.used_on(NodeId(0), CacheTier::Ssd), ByteSize(40));
@@ -1468,6 +1359,6 @@ mod tests {
         offer(&c, 0, "/t/big", &[600, 401], &[0], 1);
         let st = c.stats();
         assert_eq!((st.quota_rejections, st.rejected), (1, 1));
-        assert!(c.get(NodeId(0), "/t/big", &[0], NOW).is_none());
+        assert!(c.get(NodeId(0), "/t/big", &[0]).is_none());
     }
 }

@@ -188,10 +188,7 @@ impl StorageRouter {
         now: SimInstant,
     ) -> Result<ReadResult> {
         self.authorize_read(path, cred, now)?;
-        let hit = self
-            .cache
-            .as_ref()
-            .and_then(|c| c.get(reader, path, &[0], now));
+        let hit = self.cache.as_ref().and_then(|c| c.get(reader, path, &[0]));
         if let Some(CacheHit { data, tiers }) = hit {
             if let [cache_tier @ Some(_)] = tiers[..] {
                 return Ok(ReadResult {
@@ -202,7 +199,7 @@ impl StorageRouter {
             }
         }
         let result = self.read_domain(path, reader)?;
-        self.offer(path, reader, cred, now, Offer::whole(result.data.clone()));
+        self.offer(path, reader, cred, Offer::whole(result.data.clone()));
         Ok(result)
     }
 
@@ -215,9 +212,9 @@ impl StorageRouter {
         Ok(result)
     }
 
-    fn offer(&self, path: &str, reader: NodeId, cred: &Credential, now: SimInstant, offer: Offer) {
+    fn offer(&self, path: &str, reader: NodeId, cred: &Credential, offer: Offer) {
         if let Some(cache) = &self.cache {
-            cache.admit(reader, path, offer, cred.user, now);
+            cache.admit(reader, path, offer, cred.user);
         }
     }
 
@@ -231,13 +228,12 @@ impl StorageRouter {
         &self,
         path: &str,
         reader: NodeId,
-        now: SimInstant,
         chunks: &[usize],
     ) -> Result<(Bytes, Vec<Option<CacheTier>>, Option<u32>)> {
         let hit = self
             .cache
             .as_ref()
-            .and_then(|c| c.get(reader, path, chunks, now));
+            .and_then(|c| c.get(reader, path, chunks));
         let tiers = match hit {
             Some(CacheHit { data, tiers }) if tiers.iter().all(Option::is_some) => {
                 return Ok((data, tiers, None))
@@ -268,7 +264,7 @@ impl StorageRouter {
             return Ok(BlockRead::resident(meta));
         }
         let read_and_parse = || {
-            let (data, tiers, hops) = self.read_chunks(path, reader, now, &[META_CHUNK])?;
+            let (data, tiers, hops) = self.read_chunks(path, reader, &[META_CHUNK])?;
             let meta = Arc::new(Block::read_meta(&data)?);
             let read = BlockRead {
                 meta: meta.clone(),
@@ -312,7 +308,7 @@ impl StorageRouter {
                     chunks.push(META_CHUNK);
                 }
                 self.authorize_read(path, cred, now)?;
-                let (data, tiers, hops) = self.read_chunks(path, reader, now, &chunks)?;
+                let (data, tiers, hops) = self.read_chunks(path, reader, &chunks)?;
                 read.served.extend(chunks.iter().copied().zip(tiers));
                 if !read.meta.describes(&data) {
                     self.footers.forget(reader, path);
@@ -335,7 +331,7 @@ impl StorageRouter {
                 chunks: lens,
                 touched: chunks,
             };
-            self.offer(path, reader, cred, now, offer);
+            self.offer(path, reader, cred, offer);
         }
         Ok(data)
     }
@@ -437,7 +433,6 @@ mod tests {
                 mem_capacity_per_node: ByteSize::ZERO,
                 ssd_capacity_per_node: ByteSize::mib(4),
                 ghost_capacity: 0,
-                ..CacheSettings::default()
             };
             TieredCache::new(settings, vec!["/hdfs/".into()])
         });

@@ -12,7 +12,7 @@
 
 use feisu_common::config::CacheSettings;
 use feisu_common::rng::DetRng;
-use feisu_common::{ByteSize, NodeId, SimInstant, UserId};
+use feisu_common::{ByteSize, NodeId, UserId};
 use feisu_storage::{Bytes, CacheStats, CacheTier, Offer, TieredCache};
 use proptest::prelude::*;
 
@@ -229,7 +229,6 @@ proptest! {
             mem_capacity_per_node: ByteSize(mem),
             ssd_capacity_per_node: ByteSize(ssd),
             ghost_capacity,
-            ttl: None,
         };
         let pins = match pinned {
             true => vec!["/".into()],
@@ -245,19 +244,19 @@ proptest! {
             pinned,
             stats: CacheStats::default(),
         };
-        let (user, now) = (UserId(1), SimInstant(0));
+        let user = UserId(1);
         for (node, block, mask) in reads {
             let (path, layout) = (format!("/t/b{block}"), &layouts[block]);
             let touched = touched(mask, layout.len());
             let size = layout.iter().sum::<u64>() as usize;
-            let hit = cache.get(NodeId(node), &path, &touched, now);
+            let hit = cache.get(NodeId(node), &path, &touched);
             let expected = model.get(node, block, &touched);
             prop_assert_eq!(hit.as_ref().map(|h| h.data.len()), expected.as_ref().map(|_| size));
             prop_assert_eq!(hit.map(|h| h.tiers), expected.clone());
             if expected.is_none_or(|tiers| tiers.contains(&None)) {
                 let data = Bytes::from(vec![0u8; size]);
                 let offer = Offer { data, chunks: layout.clone(), touched: touched.clone() };
-                cache.admit(NodeId(node), &path, offer, user, now);
+                cache.admit(NodeId(node), &path, offer, user);
                 model.admit(node, block, &touched, layout);
             }
             prop_assert_eq!(cache.stats(), model.stats);

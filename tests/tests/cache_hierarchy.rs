@@ -227,8 +227,8 @@ fn random_queries(rng: &mut DetRng, n: usize) -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
     /// Cache transparency: a cluster with a deliberately *starved*
-    /// hierarchy (tiny tiers, tiny ghost, short TTL — constant
-    /// admission, promotion, demotion, eviction and expiry churn) must
+    /// hierarchy (tiny tiers, tiny ghost — constant admission,
+    /// promotion, demotion and eviction churn) must
     /// return bit-identical result batches to a cluster with no cache
     /// at all, for every query of a random workload. Only simulated
     /// times and served-from tiers may differ.
@@ -245,7 +245,6 @@ proptest! {
         on.config.cache.mem_capacity_per_node = ByteSize(8 * 1024);
         on.config.cache.ssd_capacity_per_node = ByteSize(16 * 1024);
         on.config.cache.ghost_capacity = 8;
-        on.config.cache.ttl = Some(feisu_common::SimDuration::millis(1));
         let mut off = ClusterSpec::small();
         off.task_reuse = false;
         off.use_smartindex = false;

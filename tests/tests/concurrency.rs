@@ -11,7 +11,7 @@
 //! `FEISU_CLIENT_THREADS` (default 4) sets the client-thread count, so
 //! CI can re-run the suite at a pinned width.
 
-use feisu_common::{ByteSize, NodeId, SimInstant, UserId};
+use feisu_common::{ByteSize, NodeId, UserId};
 use feisu_core::engine::{ClusterSpec, FeisuCluster, QueryResult};
 use feisu_core::master::QuerySession;
 use feisu_storage::auth::Credential;
@@ -280,15 +280,14 @@ fn parallel_hammer_on_two_nodes_keeps_exact_cache_totals() {
             let (cache, barrier) = (&cache, &barrier);
             s.spawn(move || {
                 let user = UserId(100 + t);
-                let now = SimInstant::EPOCH;
                 barrier.wait();
                 for node in nodes {
                     for i in 0..ops {
                         let path = format!("/hammer/u{t}/b{i}");
-                        let probe = || cache.get(node, &path, &[0], now);
+                        let probe = || cache.get(node, &path, &[0]);
                         assert!(probe().is_none(), "fresh key must miss");
                         let bytes = Bytes::from(vec![t as u8; payload as usize]);
-                        cache.admit(node, &path, Offer::whole(bytes), user, now);
+                        cache.admit(node, &path, Offer::whole(bytes), user);
                         let ssd = probe().expect("admitted key present");
                         let ssd_tier = Some(CacheTier::Ssd);
                         assert_eq!(ssd.tiers, [ssd_tier], "entries enter at the SSD tier");

@@ -1,7 +1,7 @@
 //! End-to-end SQL correctness: the distributed cluster must agree with
 //! the single-process oracle executor on a broad query battery.
 
-use feisu_tests::{check_against_oracle, fixture};
+use feisu_tests::{add_join_agg_tables, check_against_oracle, fixture};
 
 #[test]
 fn plain_scans_agree_with_oracle() {
@@ -175,4 +175,25 @@ fn response_time_is_deterministic() {
     let rb = b.cluster.query(sql, &b.cred).unwrap();
     assert_eq!(ra.response_time, rb.response_time);
     assert_eq!(ra.stats.bytes_read, rb.stats.bytes_read);
+}
+
+#[test]
+fn a_self_join_under_two_aliases_reuses_its_tasks_and_answers_right() {
+    // Both scans of `fa` carry storage-named clauses; their output names
+    // (`a.…` against `b.…`) keep their reused results apart, even where
+    // the clauses read the same.
+    let mut fx = fixture(8);
+    add_join_agg_tables(&mut fx);
+    for sql in [
+        "SELECT a.ku, b.ku, b.v FROM fa a JOIN fa b ON a.km = b.km \
+         WHERE a.v > 50 AND b.v < 20",
+        "SELECT a.ku, b.ku FROM fa a JOIN fa b ON a.km = b.km \
+         WHERE a.v > 90 AND b.v > 90",
+    ] {
+        check_against_oracle(&mut fx, sql);
+        let again = fx.cluster.query(sql, &fx.cred).unwrap();
+        assert!(again.stats.tasks > 0, "{sql}");
+        assert_eq!(again.stats.reused_tasks, again.stats.tasks, "{sql}");
+        check_against_oracle(&mut fx, sql);
+    }
 }

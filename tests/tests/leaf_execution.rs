@@ -7,7 +7,6 @@
 
 use feisu_cluster::simclock::TimeTally;
 use feisu_cluster::{CostModel, Topology};
-use feisu_common::hash::FxHashMap;
 use feisu_common::{
     ByteSize, DomainId, FeisuError, NodeId, Result, SimDuration, SimInstant, UserId,
 };
@@ -112,10 +111,6 @@ fn leaf(node: NodeId) -> LeafServer {
 
 fn task(rig: &Rig, predicate: &str, projection: &[&str], agg: Option<AggStage>) -> ScanTask {
     let cnf = to_cnf(&parse_expr(predicate).unwrap());
-    let mut name_map = FxHashMap::default();
-    for f in rig.schema.fields() {
-        name_map.insert(f.name.clone(), f.name.clone());
-    }
     let fields: Vec<Field> = projection
         .iter()
         .map(|p| rig.schema.field_by_name(p).unwrap().clone())
@@ -128,7 +123,7 @@ fn task(rig: &Rig, predicate: &str, projection: &[&str], agg: Option<AggStage>) 
         cnf,
         residual: Vec::new(),
         agg,
-        name_map,
+        name_map: Default::default(),
     }
 }
 
@@ -786,10 +781,7 @@ fn task_over(
         cnf,
         residual,
         agg: None,
-        name_map: fields
-            .iter()
-            .map(|f| (f.name.clone(), f.name.clone()))
-            .collect(),
+        name_map: Default::default(),
     }
 }
 

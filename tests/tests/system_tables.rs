@@ -652,3 +652,24 @@ fn window_rows_are_a_fold_over_system_queries() {
         }
     }
 }
+
+/// A qualified filter over a virtual table: the scan's clauses arrive in
+/// the table's storage names, so the alias and the residual resolve as
+/// they would on a leaf.
+#[test]
+fn a_qualified_filter_selects_from_system_queries() {
+    let fx = fixture(100);
+    let scans = "SELECT COUNT(*) FROM clicks WHERE clicks > 10";
+    fx.cluster.query(scans, &fx.cred).expect("scan");
+    fx.cluster
+        .query("SELECT url FROM clicks WHERE FALSE", &fx.cred)
+        .expect("pruned");
+    for sql in [
+        "SELECT q.sql FROM system.queries q WHERE q.tasks > 0",
+        "SELECT q.sql FROM system.queries q WHERE q.tasks + 1 > 1",
+    ] {
+        let got = fx.cluster.query(sql, &fx.cred).expect(sql);
+        assert_eq!(got.batch.rows(), 1, "{sql}");
+        assert_eq!(got.batch.row(0), [Value::Utf8(scans.into())], "{sql}");
+    }
+}
