@@ -8,6 +8,7 @@
 //! changes absolute numbers but not the structural comparisons the
 //! benchmarks report (who wins, roughly by how much).
 
+use crate::simclock::TimeTally;
 use feisu_common::{ByteSize, SimDuration};
 
 /// Where a byte physically lives.
@@ -192,6 +193,23 @@ impl CostModel {
         let by_cores = SimDuration::nanos(self.agg_merge(total).as_nanos().div_ceil(cores));
         self.agg_merge(largest).max(by_cores)
     }
+
+    /// One exchange level's own terms at one merger, as billed and as
+    /// priced. Children send in parallel, but their `wire` bytes converge
+    /// on the merger's ingress link — why flat fan-in can lose to a tree.
+    /// Each of the `rows.len()` partition mergers pulls an equal slice
+    /// across `hops` and folds its `rows[p]` transport rows in parallel;
+    /// a merge that folds nothing is billed a 1-row floor.
+    pub fn exchange_level(&self, hops: u32, wire: u64, rows: &[usize], cores: u32) -> TimeTally {
+        let mut tally = TimeTally::new();
+        let slice = wire.div_ceil(rows.len().max(1) as u64);
+        tally.add_network(self.network(hops, ByteSize(slice)));
+        tally.add_cpu(match rows.iter().sum::<usize>() {
+            0 => self.agg_merge(1),
+            _ => self.parallel_agg_merge(rows, cores),
+        });
+        tally
+    }
 }
 
 #[cfg(test)]
@@ -307,6 +325,21 @@ mod tests {
         // Empty = free; zero cores clamps to one.
         assert_eq!(m.parallel_agg_merge(&[], 4), SimDuration::ZERO);
         assert_eq!(m.parallel_agg_merge(&[10], 0), m.agg_merge(10));
+    }
+
+    #[test]
+    fn exchange_level_splits_the_ingress_and_floors_an_empty_merge() {
+        let m = CostModel::default();
+        let level = m.exchange_level(2, 1001, &[10, 30, 20, 0], 4);
+        assert_eq!(level.network, m.network(2, ByteSize(251)));
+        assert_eq!(level.cpu, m.parallel_agg_merge(&[10, 30, 20, 0], 4));
+        assert_eq!(level.io, SimDuration::ZERO);
+        // Nothing folded: the 1-row floor; a local merge ships for free.
+        let empty = m.exchange_level(0, 0, &[0, 0], 4);
+        assert_eq!(
+            (empty.network, empty.cpu),
+            (SimDuration::ZERO, m.agg_merge(1))
+        );
     }
 
     #[test]

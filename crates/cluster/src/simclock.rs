@@ -80,9 +80,10 @@ impl TimeTally {
         }
     }
 
-    /// Merges parallel branches: elapsed time is the max of the branches,
-    /// attributed proportionally to the slower branch's categories. This is
-    /// the fold stem servers apply over their children.
+    /// Merges parallel branches: the slowest branch (by total), returned
+    /// as-is with its own io/cpu/network split; the other branches
+    /// contribute nothing. This is the fold stem servers apply over their
+    /// children.
     pub fn join_parallel(branches: &[TimeTally]) -> TimeTally {
         branches
             .iter()

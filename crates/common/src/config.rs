@@ -137,9 +137,10 @@ pub struct FeisuConfig {
     pub backup_task_delay: SimDuration,
     /// The multi-tier block cache (memory + SSD per node).
     pub cache: CacheSettings,
-    /// Fan-out of the execution tree: leaves per stem server. The master
-    /// takes the same fan-in: a level that only cuts fan-in (a row scan's,
-    /// a global aggregate's) is skipped once its nodes fit one stem.
+    /// Fan-out of the execution tree: leaves per stem server, and the
+    /// master's fan-in cap. A level that only cuts fan-in (a row scan's, a
+    /// global aggregate's) is skipped once its nodes fit one stem; a GROUP
+    /// BY prices only the depths whose root fits.
     pub leaves_per_stem: usize,
     /// The distributed merge tree's aggregate exchange.
     pub merge_tree: MergeTreeSettings,

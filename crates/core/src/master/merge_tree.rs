@@ -9,11 +9,13 @@
 //! climb one level of submission-contiguous stems, so result row order is
 //! untouched; aggregate transports climb two, rack then data center.
 //!
-//! A level exists only where it does work. A grouped aggregate's levels
-//! fold groups and always run. Every other level only cuts the fan-in, so
-//! it is skipped once the nodes left fit one stem (`leaves_per_stem`):
-//! the root then merges them directly, billed as any level is, and their
-//! spans hang off the scan's operator span.
+//! A level runs only where it pays. A grouped aggregate's levels fold
+//! groups but cost an uplink, so when the leaf wave ends the master
+//! prices each subset of them whose root fits `leaves_per_stem`, by the
+//! terms the level is billed, and runs the cheapest (`priced_levels`).
+//! Any other level only cuts the fan-in, so it is skipped once the nodes
+//! left fit one stem. When no level runs the root merges the leaves
+//! directly, billed as any level is, and their spans hang off the scan's.
 //!
 //! What the kind of result changes is the merge and two billing terms.
 //! Rows concatenate ([`stem::merge_outputs`]: the largest child payload
@@ -28,7 +30,8 @@
 //! Determinism (§12): partition merges are pure functions of their
 //! inputs, executed on the master's worker pool but collected in
 //! (group, partition) submission order; all billing derives from
-//! per-partition folded row counts. Results, stats and profiles are
+//! per-partition folded row counts, and the levels chosen from the leaf
+//! outputs, the topology and the plan. Results, stats and profiles are
 //! bit-identical at any thread count.
 
 use crate::engine::FeisuCluster;
@@ -39,9 +42,10 @@ use crate::stem::{self, AggShape, ExchangeChild, StemOutput};
 use feisu_cluster::simclock::TimeTally;
 use feisu_cluster::NodeInfo;
 use feisu_common::hash::FxHashMap;
-use feisu_common::{ByteSize, FeisuError, NodeId, Result, SimInstant};
+use feisu_common::{ByteSize, FeisuError, NodeId, Result, SimDuration, SimInstant};
 use feisu_exec::aggregate::transport_hashes;
 use feisu_exec::batch::RecordBatch;
+use feisu_exec::estimate::folded_groups;
 use feisu_obs::SpanId;
 use std::sync::OnceLock;
 
@@ -80,18 +84,31 @@ enum MergeKind<'a> {
 /// What a level groups its nodes by: an attribute of the hosting node.
 type LevelKey = fn(&NodeInfo) -> u32;
 
+/// An aggregate's levels, bottom up, and the names of their subsets.
+const AGG_LEVELS: [LevelKey; 2] = [|n| n.rack, |n| n.datacenter];
+const SHAPES: [&str; 4] = ["root", "rack", "dc", "rack+dc"];
+
+/// A node of a priced tree: host, shipped rows and bytes, and finish.
+struct Priced {
+    node: NodeId,
+    rows: f64,
+    bytes: f64,
+    finish: SimDuration,
+}
+
 impl FeisuCluster {
     /// Merges the kept leaf-task outputs bottom-up into the final scan
     /// result, recording stem spans under `op_span` and per-level wire
     /// bytes into `ctx.stats`. The scan's aggregate shape `agg_ref` fixes
     /// the result kind: every task of an aggregating scan ships a
-    /// transport, every other task rows. Returns the root's batch and
-    /// tally; the caller charges the tally's cpu+network on top of the
-    /// leaf critical path.
+    /// transport, every other task rows; `est_groups` prices a GROUP BY's
+    /// depth. Returns the root's batch and tally; the caller charges its
+    /// cpu+network on top of the leaf critical path.
     pub(crate) fn merge_scan_results(
         &self,
         kept: Vec<TaskRun>,
         agg_ref: Option<AggShape<'_>>,
+        est_groups: Option<u64>,
         ctx: &mut ExecCtx,
         op_span: SpanId,
     ) -> Result<(RecordBatch, TimeTally)> {
@@ -111,13 +128,11 @@ impl FeisuCluster {
         };
         // The levels below the root, bottom up. Rows: one key for all, so
         // stems take submission-contiguous chunks (row order is part of
-        // the result). Aggregates: rack stems, then one per data center.
+        // the result).
         let levels: &[LevelKey] = match kind {
             MergeKind::Rows => &[|_| 0],
-            MergeKind::Agg { .. } => &[|n| n.rack, |n| n.datacenter],
+            MergeKind::Agg { .. } => &AGG_LEVELS,
         };
-        // Only a grouped aggregate's exchange folds at every level.
-        let folds = matches!(kind, MergeKind::Agg { shape, .. } if !shape.0.is_empty());
         // The master is the root of the tree; by convention it lives on
         // the first (lowest-id) node of the topology.
         let master = self
@@ -139,21 +154,27 @@ impl FeisuCluster {
             })
             .collect();
         let per_stem = cfg.leaves_per_stem.max(1);
-        for (i, &key) in levels.iter().enumerate() {
-            // A level that only cuts the fan-in is left to the root once
-            // one stem would take every node left.
-            if !folds && nodes.len() <= per_stem {
-                break;
+        // A GROUP BY runs the levels priced cheapest; a level that only
+        // cuts fan-in runs only where the fan-in exceeds one stem.
+        let chosen = match kind {
+            MergeKind::Agg { shape, parts } if !shape.0.is_empty() => {
+                let mask = self.priced_levels(&nodes, per_stem, parts, est_groups, master)?;
+                ctx.spans.attr(op_span, "levels", SHAPES[mask]);
+                Some(mask)
             }
-            let groups = self.keyed_groups(&nodes, per_stem, key)?;
+            _ => None,
+        };
+        for (i, &key) in levels.iter().enumerate() {
+            if chosen.map_or(nodes.len() <= per_stem, |mask| mask >> i & 1 == 0) {
+                continue;
+            }
+            let groups = self.keyed_groups(nodes.iter().map(|n| n.node), per_stem, key)?;
             nodes = self.merge_level(ctx, nodes, &groups, kind, i + 1, None, op_span)?;
         }
         let all = [(0..nodes.len()).collect()];
         let root = self.merge_level(ctx, nodes, &all, kind, 0, Some(master), op_span)?;
-        let root = root
-            .into_iter()
-            .next()
-            .expect("one root group yields one output");
+        let [root] = <[MergeNode; 1]>::try_from(root)
+            .map_err(|_| FeisuError::Internal("the root group yielded no single output".into()))?;
         let batch = match <[RecordBatch; 1]>::try_from(root.parts) {
             Ok([batch]) => batch,
             Err(parts) => RecordBatch::concat(&parts)?,
@@ -161,12 +182,78 @@ impl FeisuCluster {
         Ok((batch, root.tally))
     }
 
+    /// The subset of [`AGG_LEVELS`] (a bitmask) a grouped aggregate runs:
+    /// of those whose root takes at most `cap` children, the one whose
+    /// root finishes first, the deeper on a tie; all when none fits or the
+    /// plan has no estimate. A merger finishes after its slowest child plus
+    /// its own `CostModel::exchange_level` terms and ships the
+    /// [`folded_groups`] of its children's rows, bytes in proportion.
+    fn priced_levels(
+        &self,
+        leaves: &[MergeNode],
+        cap: usize,
+        parts: usize,
+        groups: Option<u64>,
+        master: NodeId,
+    ) -> Result<usize> {
+        let all = (1 << AGG_LEVELS.len()) - 1;
+        let Some(keys) = groups.map(|g| g as f64) else {
+            return Ok(all);
+        };
+        let cost = &self.spec.cost;
+        let price = |nodes: &[Priced], group: &Vec<usize>, root| {
+            let (node, hops, cores) = self.place(group.iter().map(|&i| nodes[i].node), root)?;
+            let rows: Vec<f64> = group.iter().map(|&i| nodes[i].rows).collect();
+            let ingress: f64 = rows.iter().sum();
+            let wire: f64 = group.iter().map(|&i| nodes[i].bytes).sum();
+            let part_rows = vec![(ingress / parts as f64).ceil() as usize; parts];
+            let own = cost.exchange_level(hops, wire.ceil() as u64, &part_rows, cores);
+            let folded = folded_groups(&rows, keys);
+            let slowest = group.iter().map(|&i| nodes[i].finish).max();
+            Ok(Priced {
+                node,
+                rows: folded,
+                // Shipped rows are 0 or at least 1, so bytes scale exactly.
+                bytes: wire * folded / ingress.max(1.0),
+                finish: slowest.unwrap_or_default() + own.total(),
+            })
+        };
+        let mut best = (SimDuration::nanos(u64::MAX), all);
+        // Deeper subsets first, so a tie keeps the deeper tree.
+        for mask in (0..=all).rev() {
+            let mut nodes: Vec<Priced> = (leaves.iter())
+                .map(|n| Priced {
+                    node: n.node,
+                    rows: n.parts.iter().map(RecordBatch::rows).sum::<usize>() as f64,
+                    bytes: n.payload() as f64,
+                    finish: n.tally.total(),
+                })
+                .collect();
+            for (i, &key) in AGG_LEVELS.iter().enumerate() {
+                if mask >> i & 1 == 1 {
+                    let stems = self.keyed_groups(nodes.iter().map(|n| n.node), cap, key)?;
+                    nodes = (stems.iter())
+                        .map(|g| price(&nodes, g, None))
+                        .collect::<Result<_>>()?;
+                }
+            }
+            if nodes.len() <= cap {
+                let root = price(&nodes, &(0..nodes.len()).collect(), Some(master))?;
+                if root.finish < best.0 {
+                    best = (root.finish, mask);
+                }
+            }
+        }
+        Ok(best.1)
+    }
+
     /// Merges one level: each group into one stem output. Stem levels
     /// (`root` is `None`) place the stem on the group's lowest-id node,
     /// record its span and re-parent the children; the root is placed on
     /// `root`, records none and re-parents the children to `op_span`. The
     /// level's ingress is booked on the wire leg its index names: 1
-    /// leaf→stem, 2 rack→DC, root stem→master.
+    /// leaf→stem (rack), 2 rack→DC (DC, from leaves when no rack level
+    /// ran), root stem→master.
     #[allow(clippy::too_many_arguments)]
     fn merge_level(
         &self,
@@ -222,12 +309,8 @@ impl FeisuCluster {
         let cost = &self.spec.cost;
         let mut out = Vec::with_capacity(groups.len());
         for group in groups {
-            let stem_node = root
-                .or_else(|| group.iter().map(|&i| nodes[i].node).min())
-                .ok_or_else(|| FeisuError::Internal("empty merge group".into()))?;
-            let hops = self
-                .topology
-                .uplink_hops(group.iter().map(|&i| nodes[i].node), stem_node)?;
+            let (stem_node, hops, cores) =
+                self.place(group.iter().map(|&i| nodes[i].node), root)?;
             let wire: u64 = group.iter().map(|&i| payloads[i]).sum();
             let start_ns = group.iter().map(|&i| nodes[i].start_ns).min().unwrap_or(0);
             let child_max = group.iter().map(|&i| nodes[i].end_ns).max().unwrap_or(0);
@@ -252,23 +335,8 @@ impl FeisuCluster {
                         merged.by_ref().take(parts).collect::<Result<_>>()?;
                     let (batches, part_rows): (Vec<_>, Vec<_>) = folded.into_iter().unzip();
                     let tallies: Vec<TimeTally> = group.iter().map(|&i| nodes[i].tally).collect();
-                    let mut tally = TimeTally::join_parallel(&tallies);
-                    // Children send in parallel but their transports
-                    // converge on the merger's ingress link, so receive
-                    // time scales with the *sum* of child payloads — why
-                    // flat fan-in loses and the tree wins. The P partition
-                    // mergers pull their hash slices on disjoint links.
-                    let per_merger = wire.div_ceil(parts as u64);
-                    tally.add_network(cost.network(hops, ByteSize(per_merger)));
-                    // The mergers run in parallel on the stem: billed at the
-                    // max of the largest partition and an ideal split across
-                    // its cores. Zero-row merges are billed a 1-row floor.
-                    let cores = self.topology.node(stem_node)?.cores;
-                    tally.add_cpu(match part_rows.iter().sum::<usize>() {
-                        0 => cost.agg_merge(1),
-                        _ => cost.parallel_agg_merge(&part_rows, cores),
-                    });
-                    (batches, tally)
+                    let own = cost.exchange_level(hops, wire, &part_rows, cores);
+                    (batches, TimeTally::join_parallel(&tallies).then(&own))
                 }
             };
             // A stem starts with its earliest child and ends after the
@@ -301,21 +369,36 @@ impl FeisuCluster {
         Ok(out)
     }
 
+    /// Where a merger over children on `hosts` runs — on `root`, else on
+    /// the lowest-id host — with its uplink's hops (the worst-placed
+    /// child's) and its cores.
+    fn place(
+        &self,
+        hosts: impl Iterator<Item = NodeId> + Clone,
+        root: Option<NodeId>,
+    ) -> Result<(NodeId, u32, u32)> {
+        let stem = root
+            .or_else(|| hosts.clone().min())
+            .ok_or_else(|| FeisuError::Internal("empty merge group".into()))?;
+        let hops = self.topology.uplink_hops(hosts, stem)?;
+        Ok((stem, hops, self.topology.node(stem)?.cores))
+    }
+
     /// Groups node indices by a topology attribute of their hosting node,
     /// preserving submission order: groups are ordered by first appearance,
     /// members keep their relative order, and oversized groups split at
     /// the stem fan-in.
     fn keyed_groups(
         &self,
-        nodes: &[MergeNode],
+        hosts: impl Iterator<Item = NodeId>,
         cap: usize,
         key: LevelKey,
     ) -> Result<Vec<Vec<usize>>> {
         let mut keyed: Vec<Vec<usize>> = Vec::new();
         let mut slot: FxHashMap<u32, usize> = FxHashMap::default();
-        for (i, n) in nodes.iter().enumerate() {
+        for (i, host) in hosts.enumerate() {
             let s = *slot
-                .entry(key(self.topology.node(n.node)?))
+                .entry(key(self.topology.node(host)?))
                 .or_insert_with(|| {
                     keyed.push(Vec::new());
                     keyed.len() - 1

@@ -46,6 +46,7 @@ impl FeisuCluster {
             cnf,
             residual,
             agg_stage: agg,
+            est_groups,
             top,
             output_schema,
             ..
@@ -354,7 +355,7 @@ impl FeisuCluster {
         // `merge_tree`): per-level wire accounting, stem spans and the
         // repartition exchange for grouped aggregates all live there.
         let agg_ref = agg_shape.map(|s| (s.group_by.as_slice(), s.aggregates.as_slice()));
-        let (batch, root) = self.merge_scan_results(kept, agg_ref, ctx, op_span)?;
+        let (batch, root) = self.merge_scan_results(kept, agg_ref, *est_groups, ctx, op_span)?;
         // The stem/master merge happens after the slowest leaf: charge its
         // cpu+network on top of the leaf critical path.
         scan_tally.add_cpu(root.cpu);

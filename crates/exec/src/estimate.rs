@@ -5,9 +5,9 @@
 //! master pays to join them, priced through the same [`CostModel`] the
 //! engine bills at execution time.
 //!
-//! Two consumers read it: the join-order search in
-//! [`reorder`](crate::reorder) and the eager-aggregation rule in
-//! [`eager`](crate::eager).
+//! Its consumers: the join-order search in [`reorder`](crate::reorder),
+//! the eager-aggregation rule in [`eager`](crate::eager), and the merge
+//! tree's depth, priced from each grouped scan's [`groups`] estimate.
 //!
 //! [`TableStats`]: feisu_sql::stats::TableStats
 
@@ -131,6 +131,16 @@ pub(crate) fn groups(input: &LogicalPlan, keys: &[&Expr], catalog: &dyn Catalog)
         .product::<f64>()
         .min(rows)
         .max(1.0)
+}
+
+/// Groups one merge-tree merger yields from children shipping `n_i`
+/// transport rows of `groups` keys (G, at least 1): the expected union of
+/// their key sets, `G · (1 − Π (1 − min(1, n_i / G)))`, capped by Σ n_i.
+/// One child yields its own rows: a merger over one child folds nothing.
+pub fn folded_groups(children: &[f64], groups: f64) -> f64 {
+    let g = groups.max(1.0);
+    let missed: f64 = children.iter().map(|&n| 1.0 - (n / g).min(1.0)).product();
+    (g * (1.0 - missed)).min(children.iter().sum())
 }
 
 /// NDV of `col` from the stats of the table `plan` bottoms out in
@@ -282,4 +292,53 @@ pub(crate) fn transport_width(keys: f64, aggregates: &[AggExpr]) -> f64 {
         })
         .sum();
     keys + states
+}
+
+#[cfg(test)]
+mod tests {
+    use super::folded_groups;
+
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() <= 1e-9 * b.abs().max(1.0)
+    }
+
+    #[test]
+    fn one_child_yields_its_rows() {
+        for (n, g) in [(1.0, 3.0), (512.0, 512.0), (40.0, 4096.0), (7.0, 1e6)] {
+            assert!(close(folded_groups(&[n], g), n), "n={n} G={g}");
+        }
+    }
+
+    #[test]
+    fn one_group_yields_one() {
+        assert_eq!(folded_groups(&[5.0, 9.0, 1.0], 1.0), 1.0);
+        // G is clamped to at least one group.
+        assert_eq!(folded_groups(&[5.0, 9.0], 0.0), 1.0);
+    }
+
+    #[test]
+    fn capped_by_the_rows_shipped() {
+        // Far more keys than rows: the union cannot exceed what was sent.
+        let children = [3.0, 4.0, 5.0];
+        let got = folded_groups(&children, 1e12);
+        assert!(got <= 12.0 && close(got, 12.0), "{got}");
+        // Every child holds every key: the merger yields the keys.
+        assert!(close(folded_groups(&[512.0; 64], 512.0), 512.0));
+    }
+
+    #[test]
+    fn monotone_in_each_child() {
+        let g = 300.0;
+        let base = [10.0, 80.0, 150.0];
+        for i in 0..base.len() {
+            let mut last = folded_groups(&base, g);
+            for step in 1..=50 {
+                let mut children = base;
+                children[i] += step as f64 * 7.0;
+                let now = folded_groups(&children, g);
+                assert!(now >= last, "child {i} at step {step}: {now} < {last}");
+                last = now;
+            }
+        }
+    }
 }

@@ -55,9 +55,10 @@ pub enum PhysicalPlan {
         /// Partial aggregation pushed into the leaves, decided at
         /// lowering time.
         agg_stage: Option<AggStage>,
-        /// The groups `agg_stage` was estimated to yield, when it is the
-        /// partial side of an aggregate split around a join; EXPLAIN
-        /// ANALYZE shows it beside the rows the scan shipped.
+        /// The groups a grouped `agg_stage` is estimated to yield (an
+        /// eager split's own estimate, else [`crate::estimate::groups`]);
+        /// the merge tree prices its depth with it and EXPLAIN ANALYZE
+        /// shows it beside the rows shipped. `None` on any other scan.
         est_groups: Option<u64>,
         /// `ORDER BY keys LIMIT k` over a row scan: every leaf keeps only
         /// its first k rows under these keys. Set by [`lower`]
@@ -382,7 +383,9 @@ pub fn lower(plan: &LogicalPlan, catalog: &dyn Catalog) -> Result<PhysicalPlan> 
                     catalog,
                 )?;
                 if let PhysicalPlan::DistributedScan { est_groups: e, .. } = &mut scan {
-                    *e = *est_groups;
+                    let keys: Vec<&Expr> = group_by.iter().map(|(k, _, _)| k).collect();
+                    let est = || crate::estimate::groups(input, &keys, catalog).round() as u64;
+                    *e = est_groups.or_else(|| (!keys.is_empty()).then(est));
                 }
                 return Ok(PhysicalPlan::FinalAggregate {
                     input: Box::new(scan),

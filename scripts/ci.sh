@@ -7,7 +7,9 @@
 #      property, top-k included), eager-aggregation
 #      oracle parity and join-order golden, optimizer reference,
 #      distinct-count sketch reference, footer mismatch, kernel
-#      equivalence, zone-map verdict soundness, selected decode,
+#      equivalence, merge tree (exchange properties and golden pins; the
+#      tree's depth now depends on the data), zone-map verdict soundness,
+#      selected decode,
 #      buffer-backed Utf8 column, two-phase leaf (its count-only arm
 #      included), LRU, block-cache, node-table
 #      and scheduler model suites again in
@@ -88,6 +90,14 @@ cargo test -q --release $OFFLINE -p feisu-sql --test optimize_alloc_budget
 # golden, every search's orders and costs held to the recorded ones.
 echo "ci: eager aggregation oracle parity + join-order golden (release, 2048 cases)"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-tests --test eager_aggregation --test reorder_golden
+
+# The merge tree's depth is priced per grouped scan from the leaves'
+# outputs, so which levels run depends on the data: the exchange
+# properties — random rows over every grid, fan-in cap (1, 2 and the
+# default 64) and partition count, integer answers bit-identical whatever
+# depth is chosen — and the golden pins (one probe of each depth) again.
+echo "ci: merge tree exchange properties + golden pins (release, 2048 cases)"
+PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-tests --test merge_exchange --test merge_tree_golden
 
 # The in-place optimizer rules against the copy-and-compare driver they
 # replaced: every rule application's "changed" flag equals `after !=

@@ -2,9 +2,10 @@
 //!
 //! Covers the §12 determinism contract for the new merge shapes:
 //! multi-level partitioned merges must equal single-node aggregation for
-//! random COUNT/SUM/AVG/MIN/MAX workloads at tree depths 2–4 and
-//! partition counts 1–8, integer answers must be bit-identical across
-//! partition counts, serial and concurrent runs must be
+//! random COUNT/SUM/AVG/MIN/MAX workloads at tree depths 2–4, fan-in
+//! caps 1, 2 and 64 and partition counts 1–8, integer answers must be
+//! bit-identical across partition counts and whatever depth is priced,
+//! serial and concurrent runs must be
 //! bit-identical with the exchange enabled, a 2-DC grid must bill more
 //! network than a single rack for the same query, and the
 //! straggler-limit clamp must pin leaf time exactly at the limit.
@@ -24,12 +25,18 @@ struct Fx {
     cred: Credential,
 }
 
-fn build((dcs, racks, npr): (u32, u32, u32), parts: usize, rows: &[Vec<Value>]) -> Fx {
+fn build(
+    (dcs, racks, npr): (u32, u32, u32),
+    per_stem: usize,
+    parts: usize,
+    rows: &[Vec<Value>],
+) -> Fx {
     let mut spec = ClusterSpec::small();
     spec.datacenters = dcs;
     spec.racks_per_dc = racks;
     spec.nodes_per_rack = npr;
     spec.rows_per_block = 16; // many blocks → many leaf tasks
+    spec.config.leaves_per_stem = per_stem;
     spec.config.merge_tree.exchange_partitions = parts;
     // Mirror `fixture_with`: CI pins the pool width via env to prove
     // thread-count independence; explicit specs win.
@@ -81,6 +88,11 @@ fn arb_clicks_row() -> impl Strategy<Value = Vec<Value>> {
 /// level.
 const GRIDS: [(u32, u32, u32); 3] = [(1, 1, 4), (1, 2, 2), (2, 2, 1)];
 
+/// Stem fan-in caps. The grids' ≤ 13 tasks fit one stem at the default
+/// 64, so a grouped aggregate's depth is priced there and may be flat; at
+/// 1 and 2 the root cannot take every leaf, so stems must run.
+const PER_STEM: [usize; 3] = [1, 2, 64];
+
 const QUERIES: [&str; 4] = [
     "SELECT keyword, COUNT(*), SUM(clicks), AVG(score), MIN(clicks), MAX(clicks) \
      FROM clicks GROUP BY keyword",
@@ -89,8 +101,17 @@ const QUERIES: [&str; 4] = [
     "SELECT day, MIN(clicks), MAX(clicks), COUNT(*) FROM clicks GROUP BY day",
 ];
 
+/// 12 cases per property, or `PROPTEST_CASES` when it is set (the CI
+/// script runs 2048 in release: the tree's depth depends on the data).
+fn cases() -> ProptestConfig {
+    match std::env::var_os("PROPTEST_CASES") {
+        Some(_) => ProptestConfig::default(),
+        None => ProptestConfig::with_cases(12),
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(cases())]
 
     /// The multi-level partitioned merge tree computes exactly what a
     /// single-node executor computes, for every tree depth and
@@ -98,21 +119,23 @@ proptest! {
     #[test]
     fn partitioned_merge_tree_matches_single_node(
         rows in proptest::collection::vec(arb_clicks_row(), 1..200),
-        grid_idx in 0..GRIDS.len(),
+        shape_idx in 0..GRIDS.len() * PER_STEM.len(),
         parts in 1..=8usize,
         query_idx in 0..QUERIES.len(),
     ) {
         let sql = QUERIES[query_idx];
-        let mut fx = build(GRIDS[grid_idx], parts, &rows);
+        let (grid, per_stem) = (GRIDS[shape_idx % GRIDS.len()], PER_STEM[shape_idx / GRIDS.len()]);
+        let mut fx = build(grid, per_stem, parts, &rows);
         let got = fx.cluster.query(sql, &fx.cred).expect("cluster query");
         let want = feisu_exec::executor::run_sql(sql, &mut fx.oracle).expect("oracle");
         assert_same_rows(&got.batch, &want, sql);
     }
 
-    /// Integer aggregates are bit-identical across partition counts —
-    /// the `exchange_partitions = 1` arm (no exchange) is the reference —
-    /// and equal the oracle's (integer state merging is exact and
-    /// order-free; float partials may re-associate).
+    /// Integer aggregates are bit-identical across partition counts and
+    /// fan-in caps, so whatever depth is priced — the
+    /// `exchange_partitions = 1` arm (no exchange) at the default cap is
+    /// the reference — and equal the oracle's (integer state merging is
+    /// exact and order-free; float partials may re-associate).
     #[test]
     fn integer_answers_identical_across_partition_counts(
         rows in proptest::collection::vec(arb_clicks_row(), 1..150),
@@ -121,16 +144,39 @@ proptest! {
         let sql = "SELECT keyword, COUNT(*), SUM(clicks), MIN(clicks), MAX(clicks) \
                    FROM clicks GROUP BY keyword";
         let grid = GRIDS[grid_idx];
-        let mut baseline = build(grid, 1, &rows);
+        let mut baseline = build(grid, 64, 1, &rows);
         let want = baseline.cluster.query(sql, &baseline.cred).expect("no exchange").batch;
         let oracle = feisu_exec::executor::run_sql(sql, &mut baseline.oracle).expect("oracle");
         assert_same_rows(&want, &oracle, sql);
-        for parts in [3usize, 8] {
-            let fx = build(grid, parts, &rows);
+        for (per_stem, parts) in [(64, 3usize), (64, 8), (1, 3), (2, 8)] {
+            let fx = build(grid, per_stem, parts, &rows);
             let got = fx.cluster.query(sql, &fx.cred).expect("exchange").batch;
-            prop_assert_eq!(&got, &want, "parts={}", parts);
+            prop_assert_eq!(&got, &want, "per_stem={} parts={}", per_stem, parts);
         }
     }
+}
+
+/// The property cases hold both tree shapes: over the same rows, some
+/// grid and fan-in cap merge a GROUP BY at the master alone and some
+/// through stems, and every one answers what the oracle answers.
+#[test]
+fn cases_hold_flat_and_stemmed_trees() {
+    let rows = feisu_tests::clicks_rows(200);
+    let sql = "SELECT url, COUNT(*), SUM(clicks) FROM clicks GROUP BY url";
+    let (mut flat, mut stemmed) = (0, 0);
+    for grid in GRIDS {
+        for per_stem in PER_STEM {
+            let mut fx = build(grid, per_stem, 4, &rows);
+            let got = fx.cluster.query(sql, &fx.cred).expect("cluster query");
+            let want = feisu_exec::executor::run_sql(sql, &mut fx.oracle).expect("oracle");
+            assert_same_rows(&got.batch, &want, sql);
+            match got.profile.tree.find_all("stem").is_empty() {
+                true => flat += 1,
+                false => stemmed += 1,
+            }
+        }
+    }
+    assert!(flat > 0 && stemmed > 0, "flat {flat}, stemmed {stemmed}");
 }
 
 /// Serial and 8-thread runs are bit-identical — results, stats, wire

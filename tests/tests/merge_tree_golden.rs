@@ -6,8 +6,10 @@
 //! `ORDER BY … LIMIT 3` row scan, the response time, the three wire legs
 //! and every `stem` span must be the ones recorded here; so must a row
 //! scan and a global aggregate at the default fan-in, which place no stem.
+//! At the default fan-in a GROUP BY runs the levels priced cheapest: four
+//! probes pin one of each shape (no level, rack, DC, rack then DC).
 //! A change to stem placement, grouping, hop or merge billing, wire
-//! accounting or span bookkeeping fails this test.
+//! accounting, the depth choice or span bookkeeping fails this test.
 
 use feisu_common::config::FeisuConfig;
 use feisu_common::{NodeId, SimDuration};
@@ -315,5 +317,120 @@ fn top_k_row_scan_ships_k_rows_per_leaf_is_pinned() {
     for stem in stems {
         let shipped: u64 = stem.children.iter().map(rows).sum();
         assert!(shipped <= 2 * K, "a stem took {shipped} rows");
+    }
+}
+
+/// `SELECT k, COUNT(*), SUM(v) FROM t GROUP BY k` over `blocks` blocks of
+/// 512 rows, row i = (i % keys, i), on a `nodes`-node two-DC grid with
+/// task reuse and SmartIndex off: the response time and wire legs, the
+/// scan's EXPLAIN ANALYZE line (its `levels`, `est_rows` beside `rows`),
+/// and how many stems ran at each level.
+fn grouped_probe(nodes: u32, blocks: usize, keys: i64) -> Vec<String> {
+    use feisu_core::engine::FeisuCluster;
+    use feisu_format::{DataType, Field, Schema, Value};
+    let mut spec = ClusterSpec::with_nodes(nodes);
+    spec.rows_per_block = 512;
+    spec.task_reuse = false;
+    spec.use_smartindex = false;
+    let cluster = FeisuCluster::new(spec).expect("cluster");
+    let user = cluster.register_user("tester");
+    cluster.grant_all(user);
+    let cred = cluster.login(user).expect("login");
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::Int64, false),
+        Field::new("v", DataType::Int64, false),
+    ]);
+    cluster
+        .create_table("t", schema, "/hdfs/w/t", &cred)
+        .expect("create table");
+    let rows = (0..(blocks * 512) as i64)
+        .map(|i| vec![Value::from(i % keys), Value::from(i)])
+        .collect();
+    cluster.ingest_rows("t", rows, &cred).expect("ingest");
+    let r = cluster
+        .query("SELECT k, COUNT(*), SUM(v) FROM t GROUP BY k", &cred)
+        .expect("query");
+    assert_eq!(r.batch.rows(), keys as usize);
+    let stems = r.profile.tree.find_all("stem");
+    let at = |level: u64| {
+        let level = Some(&AttrValue::U64(level));
+        stems.iter().filter(|s| s.attr("level") == level).count()
+    };
+    // The scan's line of the EXPLAIN ANALYZE render, tree glyphs cut.
+    let render = r.profile.render();
+    let scan = render
+        .lines()
+        .find_map(|l| l.split_once("DistributedScan"))
+        .map(|(_, line)| line.trim().to_string())
+        .expect("scan line");
+    let mut out = snapshot(&r);
+    out.truncate(1);
+    out.push(scan);
+    out.push(format!("rack stems {} dc stems {}", at(1), at(2)));
+    out
+}
+
+/// A grouped scan runs the levels whose fold pays for their hops. Few
+/// keys: every leaf ships all 15, nothing folds, the master merges the
+/// leaves. 512 keys in every block: a rack stem folds its 4 leaves into
+/// one key set. 4,096 keys, 512 per block: a rack's 4 blocks hold 2,048
+/// keys and barely fold, a data center's 32 hold all 4,096. At 256 nodes
+/// the master cannot take all 256 leaves, and of the trees it can take
+/// the deep one prices cheapest, so it still runs where it should. The
+/// first three shapes each beat the always-deep tree this replaced
+/// (11,819,346, 12,176,758 and 13,166,736 ns); the fourth is that tree.
+#[test]
+fn grouped_scans_run_the_levels_that_pay() {
+    for (nodes, blocks, keys, want) in [
+        (
+            64,
+            64,
+            15,
+            [
+                "11258522ns wire 0 0 26048",
+                "[200.000 us +11.058 ms] levels=root wire_to_master=25.44 KiB \
+                 est_rows=15 rows=15 bytes=407",
+                "rack stems 0 dc stems 0",
+            ],
+        ),
+        (
+            64,
+            64,
+            512,
+            [
+                "11934966ns wire 835584 0 208896",
+                "[200.000 us +11.733 ms] levels=rack wire_to_master=204.00 KiB \
+                 est_rows=499 rows=512 bytes=13056",
+                "rack stems 16 dc stems 0",
+            ],
+        ),
+        (
+            64,
+            64,
+            4096,
+            [
+                "12887632ns wire 0 835584 208896",
+                "[200.000 us +12.671 ms] levels=dc wire_to_master=204.00 KiB \
+                 est_rows=4111 rows=4096 bytes=104448",
+                "rack stems 0 dc stems 2",
+            ],
+        ),
+        (
+            256,
+            256,
+            512,
+            [
+                "22515391ns wire 3342336 835584 26112",
+                "[200.000 us +22.313 ms] levels=rack+dc wire_to_master=25.50 KiB \
+                 est_rows=499 rows=512 bytes=13056",
+                "rack stems 64 dc stems 2",
+            ],
+        ),
+    ] {
+        let got = grouped_probe(nodes, blocks, keys);
+        assert!(
+            got == want,
+            "{nodes} nodes, {blocks} blocks, {keys} keys: now {got:?}"
+        );
     }
 }
