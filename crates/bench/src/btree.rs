@@ -9,8 +9,7 @@
 //! SmartIndex keeps improving as more predicates are cached.
 
 use feisu_common::{FeisuError, Result};
-use feisu_format::{Column, Value};
-use feisu_index::bitvec::BitVec;
+use feisu_format::{BitVec, Column, Value};
 use feisu_sql::ast::BinaryOp;
 use std::cmp::Ordering;
 

@@ -133,8 +133,8 @@ pub struct QueryStats {
     pub bytes_read: ByteSize,
     /// Simulated result bytes shipped leaf→stem across all scans.
     pub wire_leaf_stem: ByteSize,
-    /// Simulated result bytes shipped rack-stem→DC-stem (zero for row
-    /// scans, which merge through one stem level).
+    /// Simulated result bytes shipped rack-stem→DC-stem (zero unless a
+    /// grouped scan runs both stem levels).
     pub wire_rack_dc: ByteSize,
     /// Simulated result bytes shipped stem→master.
     pub wire_stem_master: ByteSize,

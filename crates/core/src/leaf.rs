@@ -27,8 +27,7 @@ use feisu_exec::batch::{BatchView, RecordBatch};
 use feisu_exec::physical::TopK;
 use feisu_exec::sort;
 use feisu_format::table::BlockDesc;
-use feisu_format::{Block, BlockMeta, Column, Field, Schema};
-use feisu_index::bitvec::BitVec;
+use feisu_format::{BitVec, Block, BlockMeta, Column, Field, Schema};
 use feisu_index::manager::{Held, IndexManager};
 use feisu_index::rewrite::{evaluate_held, ProbeKind};
 use feisu_index::zonemap::{self, Verdict};
@@ -596,7 +595,6 @@ fn count_or_materialize(
         return Ok(Break(Answer::Count(t.stats.rows_out)));
     }
     let task = c.task;
-    let words = bits.words();
     let mut late: Vec<&str> = Vec::new();
     for name in &task.projection {
         if block.column_by_name(name).is_none() && !late.contains(&name.as_str()) {
@@ -609,11 +607,11 @@ fn count_or_materialize(
             late.push(name);
         }
     }
-    let mut decoded = meta.decode_selected(data, &late, words)?.into_iter();
+    let mut decoded = meta.decode_selected(data, &late, bits)?.into_iter();
     let mut columns: Vec<Column> = Vec::with_capacity(task.projection.len());
     for (k, name) in task.projection.iter().enumerate() {
         let column = match block.column_by_name(name) {
-            Some(c) => c.filter_by_words(words),
+            Some(c) => c.filter(bits)?,
             // `late` lists names in order of first use: that use moves
             // the decoded column into place, a repeat copies it.
             None => match task.projection[..k].iter().position(|n| n == name) {
@@ -923,7 +921,7 @@ mod tests {
             let predicate = [parse_expr(predicate).unwrap()];
             let kept = apply_residual(block, &all, &predicate).unwrap();
             let columns = block.columns().iter();
-            let columns = columns.map(|c| c.filter_by_words(kept.words())).collect();
+            let columns = columns.map(|c| c.filter(&kept).unwrap()).collect();
             let rows = RecordBatch::new(block.schema().clone(), columns).unwrap();
             let agg = count_star();
             let mut table = AggTable::new(agg.group_by, agg.aggregates);

@@ -7,7 +7,8 @@
 //! and bills the uplink at the *real* distance of the worst-placed child.
 //! The master's root merge is the same level over one group. Row scans
 //! climb one level of submission-contiguous stems, so result row order is
-//! untouched; aggregate transports climb two, rack then data center.
+//! untouched; aggregate transports climb the subset of rack and data
+//! center levels priced below.
 //!
 //! A level runs only where it pays. A grouped aggregate's levels fold
 //! groups but cost an uplink, so when the leaf wave ends the master
@@ -164,13 +165,25 @@ impl FeisuCluster {
             }
             _ => None,
         };
+        // Each level's ingress is booked on the wire leg of what ran: the
+        // first stem level takes the leaves' outputs (leaf→stem), a later
+        // one stems' (rack→DC), the root whatever is left (stem→master).
+        let ingress = |nodes: &[MergeNode]| ByteSize(nodes.iter().map(MergeNode::payload).sum());
+        let mut leaves = true;
         for (i, &key) in levels.iter().enumerate() {
             if chosen.map_or(nodes.len() <= per_stem, |mask| mask >> i & 1 == 0) {
                 continue;
             }
+            match std::mem::take(&mut leaves) {
+                true => ctx.stats.wire_leaf_stem += ingress(&nodes),
+                false => ctx.stats.wire_rack_dc += ingress(&nodes),
+            }
             let groups = self.keyed_groups(nodes.iter().map(|n| n.node), per_stem, key)?;
             nodes = self.merge_level(ctx, nodes, &groups, kind, i + 1, None, op_span)?;
         }
+        let to_master = ingress(&nodes);
+        ctx.stats.wire_stem_master += to_master;
+        ctx.spans.attr(op_span, "wire_to_master", to_master);
         let all = [(0..nodes.len()).collect()];
         let root = self.merge_level(ctx, nodes, &all, kind, 0, Some(master), op_span)?;
         let [root] = <[MergeNode; 1]>::try_from(root)
@@ -250,10 +263,7 @@ impl FeisuCluster {
     /// Merges one level: each group into one stem output. Stem levels
     /// (`root` is `None`) place the stem on the group's lowest-id node,
     /// record its span and re-parent the children; the root is placed on
-    /// `root`, records none and re-parents the children to `op_span`. The
-    /// level's ingress is booked on the wire leg its index names: 1
-    /// leaf→stem (rack), 2 rack→DC (DC, from leaves when no rack level
-    /// ran), root stem→master.
+    /// `root`, records none and re-parents the children to `op_span`.
     #[allow(clippy::too_many_arguments)]
     fn merge_level(
         &self,
@@ -266,15 +276,6 @@ impl FeisuCluster {
         op_span: SpanId,
     ) -> Result<Vec<MergeNode>> {
         let payloads: Vec<u64> = nodes.iter().map(MergeNode::payload).collect();
-        let ingress = ByteSize(payloads.iter().sum());
-        match (root, level) {
-            (Some(_), _) => {
-                ctx.stats.wire_stem_master += ingress;
-                ctx.spans.attr(op_span, "wire_to_master", ingress);
-            }
-            (None, 1) => ctx.stats.wire_leaf_stem += ingress,
-            (None, _) => ctx.stats.wire_rack_dc += ingress,
-        }
 
         // Aggregates fan every (group × partition) merge out on the worker
         // pool, group-major. Each is a pure function of its inputs and

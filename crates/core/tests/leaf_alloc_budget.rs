@@ -12,7 +12,7 @@ use feisu_cluster::{CostModel, Topology};
 use feisu_common::{BlockId, ByteSize, DomainId, NodeId, SimDuration, SimInstant, UserId};
 use feisu_core::leaf::{AggStage, LeafServer, ScanTask};
 use feisu_format::table::BlockDesc;
-use feisu_format::{Block, Column, DataType, Field, Schema};
+use feisu_format::{BitVec, Block, Column, DataType, Field, Schema};
 use feisu_index::manager::IndexManager;
 use feisu_sql::ast::AggFunc;
 use feisu_sql::cnf::to_cnf;
@@ -150,7 +150,7 @@ fn decoding_a_utf8_chunk_allocates_the_same_at_any_row_count() {
             .unwrap()
             .serialize();
         let meta = Block::read_meta(&bytes).unwrap();
-        let every_row = vec![u64::MAX; rows.div_ceil(64)];
+        let every_row = BitVec::ones(rows);
         let (allocs, out) = allocations(|| meta.decode_selected(&bytes, &["url"], &every_row));
         assert_eq!(out.unwrap()[0].len(), rows);
         allocs

@@ -1,8 +1,7 @@
 //! Record batches: the unit of data flowing between operators.
 
 use feisu_common::{FeisuError, Result};
-use feisu_format::{Column, Schema, Value};
-use feisu_index::BitVec;
+use feisu_format::{BitVec, Column, Schema, Value};
 
 /// A schema plus equal-length columns.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,21 +90,11 @@ impl RecordBatch {
     }
 
     /// Keeps the rows whose bit is set, gathering straight from the
-    /// selection words without materializing an index vector.
+    /// selection without materializing an index vector.
     pub fn select(&self, bits: &BitVec) -> Result<RecordBatch> {
-        if bits.len() != self.rows {
-            return Err(FeisuError::Execution(format!(
-                "selection vector has {} bits for {} rows",
-                bits.len(),
-                self.rows
-            )));
-        }
-        let columns: Vec<Column> = self
-            .columns
-            .iter()
-            .map(|c| c.filter_by_words(bits.words()))
-            .collect();
-        RecordBatch::new(self.schema.clone(), columns)
+        bits.check_len(self.rows)?;
+        let columns = self.columns.iter().map(|c| c.filter(bits));
+        RecordBatch::new(self.schema.clone(), columns.collect::<Result<_>>()?)
     }
 
     /// Gathers rows by index.

@@ -10,9 +10,8 @@
 use crate::batch::{BatchRow, RecordBatch};
 use feisu_common::{FeisuError, Result};
 use feisu_format::column::ColumnData;
-use feisu_format::{Column, DataType, Value};
+use feisu_format::{BitVec, Column, DataType, Value};
 use feisu_index::kernel::compare_column;
-use feisu_index::BitVec;
 use feisu_sql::ast::{BinaryOp, Expr};
 use feisu_sql::eval::{eval, eval_truth};
 use std::borrow::Cow;

@@ -21,7 +21,7 @@ use crate::expr::{eval_to_column, eval_to_natural_column};
 use feisu_common::hash::FxHasher;
 use feisu_common::{FeisuError, Result};
 use feisu_format::column::{ColumnData, Utf8Vec, Validity};
-use feisu_format::{Column, DataType};
+use feisu_format::{BitVec, Column, DataType};
 use feisu_sql::ast::Expr;
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -192,11 +192,7 @@ impl TypedVec {
 }
 
 pub(crate) fn validity_of(valid: &[bool]) -> Validity {
-    let mut out = Validity::with_capacity(valid.len());
-    for &v in valid {
-        out.push(v);
-    }
-    out
+    Validity::from(BitVec::from_bools(valid.iter().copied()))
 }
 
 /// `Value`'s structural equality on two non-NULL cells.

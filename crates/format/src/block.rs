@@ -25,7 +25,8 @@
 //! chunk directory, or holds a malformed zone section, is a corruption
 //! error, never a panic.
 
-use crate::column::{rows_of, Column, ColumnData, Validity};
+use crate::bitvec::BitVec;
+use crate::column::{Column, ColumnData, Validity};
 use crate::compress;
 use crate::encoding::{bitpack, delta, dict, rle, varint};
 use crate::schema::{Field, Schema};
@@ -511,20 +512,20 @@ impl BlockMeta {
     }
 
     /// Decodes the named columns of `buf` through this footer, keeping
-    /// only the rows `selection` picks (bit `i % 64` of word `i / 64`
-    /// selects row `i`; bits at or past the block's row count are
-    /// ignored): one column per name, in the order named, each what
-    /// [`BlockMeta::decode_columns`] then [`Column::filter_by_words`]
-    /// would give. Every named chunk is still decompressed and validated
-    /// whole, so corruption is reported even under an empty selection;
-    /// what follows the selection is what is allocated per row.
+    /// only the rows `selection` picks (one bit per row of the block, else
+    /// an `Internal` error): one column per name, in the order named, each
+    /// what [`BlockMeta::decode_columns`] then [`Column::filter`] would
+    /// give. Every named chunk is still decompressed and validated whole,
+    /// so corruption is reported even under an empty selection; what
+    /// follows the selection is what is allocated per row.
     pub fn decode_selected(
         &self,
         buf: &[u8],
         names: &[&str],
-        selection: &[u64],
+        selection: &BitVec,
     ) -> Result<Vec<Column>> {
         self.check_describes(buf)?;
+        selection.check_len(self.rows)?;
         names
             .iter()
             .map(|name| self.decode_chunk(buf, self.index_of(name)?, Some(selection)))
@@ -564,7 +565,7 @@ impl BlockMeta {
     /// of `selection` (`None`: all). The slice is bounds-checked against
     /// the buffer actually passed in, not the one the directory was
     /// validated against.
-    fn decode_chunk(&self, buf: &[u8], i: usize, selection: Option<&[u64]>) -> Result<Column> {
+    fn decode_chunk(&self, buf: &[u8], i: usize, selection: Option<&BitVec>) -> Result<Column> {
         CHUNK_DECODES.with(|c| c.set(c.get() + 1));
         let chunk = self
             .directory
@@ -775,14 +776,14 @@ fn encode_column<'a>(c: &'a Column, out: &mut Vec<u8>) -> ChunkSummary<'a> {
 }
 
 /// Decodes one column chunk body of `rows` rows. The whole body is parsed
-/// and validated whatever `selection` says; with `Some(words)` only the
-/// selected rows are kept (strings: only their bytes are copied).
+/// and validated whatever `selection` (one bit per row) says; with `Some`
+/// only the selected rows are kept (strings: only their bytes are copied).
 fn decode_column(
     dt: DataType,
     rows: usize,
     buf: &[u8],
     pos: &mut usize,
-    selection: Option<&[u64]>,
+    selection: Option<&BitVec>,
 ) -> Result<Column> {
     let nwords = varint::decode(buf, pos)? as usize;
     // The writer emits exactly one bit per row. Holding a reader to that
@@ -797,7 +798,7 @@ fn decode_column(
         .chunks_exact(8)
         .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
         .collect();
-    let validity = Validity::from_words(words, rows);
+    let validity = Validity::from_words(words, rows)?;
     let enc = *buf
         .get(*pos)
         .ok_or_else(|| FeisuError::Corrupt("missing column encoding tag".into()))?;
@@ -813,10 +814,16 @@ fn decode_column(
     };
     // Integers and booleans decode whole and are then gathered; floats
     // and strings are read straight at the selected rows.
-    fn keep<T: Copy>(all: Vec<T>, selection: Option<&[u64]>) -> Vec<T> {
+    fn keep<T: Copy>(all: Vec<T>, selection: Option<&BitVec>) -> Vec<T> {
         match selection {
             None => all,
-            Some(_) => rows_of(all.len(), selection, |i| all[i]),
+            Some(selection) => selection.map_ones(|i| all[i]),
+        }
+    }
+    fn rows_at<T>(n: usize, selection: Option<&BitVec>, at: impl FnMut(usize) -> T) -> Vec<T> {
+        match selection {
+            None => (0..n).map(at).collect(),
+            Some(selection) => selection.map_ones(at),
         }
     }
     let data = match (dt, enc) {
@@ -832,7 +839,7 @@ fn decode_column(
             let n = varint::decode(buf, pos)? as usize;
             let bytes = take_bytes(buf, pos, n.checked_mul(8), "float column")?;
             declares(n)?;
-            ColumnData::Float64(rows_of(n, selection, |i| {
+            ColumnData::Float64(rows_at(n, selection, |i| {
                 let b = bytes[i * 8..i * 8 + 8].try_into().expect("8-byte slice");
                 f64::from_bits(u64::from_le_bytes(b))
             }))
@@ -840,7 +847,7 @@ fn decode_column(
         (DataType::Bool, ENC_BOOL_PACK) => {
             let bits = bitpack::decode(buf, pos)?;
             declares(bits.len())?;
-            ColumnData::Bool(rows_of(rows, selection, |i| bits[i] != 0))
+            ColumnData::Bool(rows_at(rows, selection, |i| bits[i] != 0))
         }
         (DataType::Utf8, ENC_DICT) => {
             let view = dict::view(buf, pos)?;
@@ -855,7 +862,7 @@ fn decode_column(
     };
     let validity = match selection {
         None => validity,
-        Some(words) => validity.filter_by_words(words),
+        Some(selection) => validity.filter(selection),
     };
     Ok(Column::new(data, validity))
 }

@@ -5,140 +5,97 @@
 //! separate validity (null) bitmap, so scans and predicate evaluation run
 //! over contiguous memory.
 
+use crate::bitvec::BitVec;
 pub use crate::strings::Utf8Vec;
 use crate::value::{DataType, Value};
 use feisu_common::Result as FeisuResult;
 use std::cmp::{max_by, min_by, Ordering};
 
-/// Validity bitmap: bit i set ⇔ row i is non-null.
+/// Validity bitmap: bit i set ⇔ row i is non-null, plus its null count.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Validity {
-    bits: Vec<u64>,
-    len: usize,
+    bits: BitVec,
     null_count: usize,
+}
+
+impl From<BitVec> for Validity {
+    fn from(bits: BitVec) -> Validity {
+        let null_count = bits.len() - bits.count_ones();
+        Validity { bits, null_count }
+    }
 }
 
 impl Validity {
     pub fn new_all_valid(len: usize) -> Self {
-        let mut bits = vec![u64::MAX; len.div_ceil(64)];
-        clear_past(&mut bits, len);
         Validity {
-            bits,
-            len,
+            bits: BitVec::ones(len),
             null_count: 0,
         }
     }
 
     pub fn with_capacity(cap: usize) -> Self {
-        Validity {
-            bits: Vec::with_capacity(cap.div_ceil(64)),
-            len: 0,
-            null_count: 0,
-        }
+        Validity::from(BitVec::with_capacity(cap))
     }
 
     pub fn push(&mut self, valid: bool) {
-        let word = self.len / 64;
-        if word == self.bits.len() {
-            self.bits.push(0);
-        }
-        if valid {
-            self.bits[word] |= 1u64 << (self.len % 64);
-        } else {
-            self.null_count += 1;
-        }
-        self.len += 1;
+        self.bits.push(valid);
+        self.null_count += usize::from(!valid);
     }
 
     #[inline]
     pub fn is_valid(&self, i: usize) -> bool {
-        debug_assert!(i < self.len);
-        (self.bits[i / 64] >> (i % 64)) & 1 == 1
+        self.bits.get(i)
     }
 
     pub fn len(&self) -> usize {
-        self.len
+        self.bits.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.bits.is_empty()
     }
 
     pub fn null_count(&self) -> usize {
         self.null_count
     }
 
-    /// Raw words, for serialization.
-    pub fn words(&self) -> &[u64] {
+    /// The bitmap itself.
+    pub fn bits(&self) -> &BitVec {
         &self.bits
     }
 
-    /// Rebuilds from raw words (trailing bits beyond `len` are cleared).
-    pub fn from_words(mut bits: Vec<u64>, len: usize) -> Self {
-        bits.resize(len.div_ceil(64), 0);
-        clear_past(&mut bits, len);
-        let valid: usize = bits.iter().map(|w| w.count_ones() as usize).sum();
-        Validity {
-            bits,
-            len,
-            null_count: len - valid,
-        }
+    /// Raw words, for serialization.
+    pub fn words(&self) -> &[u64] {
+        self.bits.words()
+    }
+
+    /// Rebuilds from raw words; see [`BitVec::from_words`].
+    pub fn from_words(words: Vec<u64>, len: usize) -> FeisuResult<Self> {
+        BitVec::from_words(words, len).map(Validity::from)
     }
 
     /// Moves rows `at..` into a new bitmap, leaving rows `..at`: the cost
     /// follows the rows moved, not the rows kept.
     fn split_off(&mut self, at: usize) -> Validity {
-        assert!(at <= self.len, "split_off past the end");
-        let tail = if self.null_count == 0 {
-            Validity::new_all_valid(self.len - at)
-        } else {
-            let mut tail = Validity::with_capacity(self.len - at);
-            (at..self.len).for_each(|i| tail.push(self.is_valid(i)));
-            tail
-        };
-        self.bits.truncate(at.div_ceil(64));
-        clear_past(&mut self.bits, at);
-        self.len = at;
+        let tail = Validity::from(self.bits.split_off(at));
         self.null_count -= tail.null_count;
         tail
     }
 
-    /// Appends `other`'s rows a word at a time, shifted into place when
-    /// this bitmap does not end on a word boundary. Bits past `len` are
-    /// zero in every bitmap, so whole words can be or-ed in.
+    /// Appends `other`'s rows.
     pub fn append(&mut self, other: &Validity) {
-        let (shift, words) = (self.len % 64, (self.len + other.len).div_ceil(64));
-        if shift == 0 {
-            self.bits.extend_from_slice(&other.bits);
-        } else {
-            for &w in &other.bits {
-                let last = self.bits.len() - 1;
-                self.bits[last] |= w << shift;
-                if self.bits.len() < words {
-                    self.bits.push(w >> (64 - shift));
-                }
-            }
-        }
-        self.len += other.len;
+        self.bits.append(&other.bits);
         self.null_count += other.null_count;
     }
 
-    /// The validity of the rows `words` selects, in row order (the
-    /// selection layout of [`Column::filter_by_words`]).
-    pub(crate) fn filter_by_words(&self, words: &[u64]) -> Validity {
+    /// The validity of the rows `selection` picks, in row order.
+    pub(crate) fn filter(&self, selection: &BitVec) -> Validity {
         if self.null_count == 0 {
-            return Validity::new_all_valid(count_set(words, self.len));
+            return Validity::new_all_valid(selection.count_ones());
         }
-        let mut out = Validity::with_capacity(count_set(words, self.len));
-        for_each_set(words, self.len, |i| out.push(self.is_valid(i)));
+        let mut out = Validity::with_capacity(selection.count_ones());
+        selection.for_each_one(|i| out.push(self.is_valid(i)));
         out
-    }
-}
-
-/// Clears the bits at or past row `len` in the last of `len`'s words.
-fn clear_past(bits: &mut [u64], len: usize) {
-    if let Some(last) = bits.last_mut().filter(|_| !len.is_multiple_of(64)) {
-        *last &= (1u64 << (len % 64)) - 1;
     }
 }
 
@@ -363,10 +320,8 @@ impl Column {
 
     /// [`Column::take`], more than `u32::MAX` string bytes an error.
     pub fn try_take(&self, indices: &[usize]) -> FeisuResult<Column> {
-        let mut validity = Validity::with_capacity(indices.len());
-        for &i in indices {
-            validity.push(self.validity.is_valid(i));
-        }
+        let valid = indices.iter().map(|&i| self.validity.is_valid(i));
+        let validity = Validity::from(BitVec::from_bools(valid));
         fn gather<T: Copy>(v: &[T], indices: &[usize]) -> Vec<T> {
             indices.iter().map(|&i| v[i]).collect()
         }
@@ -379,25 +334,22 @@ impl Column {
         Ok(Column { data, validity })
     }
 
-    /// Gathers the rows whose bit is set in `words` — a selection bitmap in
-    /// word layout (bit `i % 64` of `words[i / 64]` selects row `i`). The
-    /// word-at-a-time walk skips empty words and avoids materializing an
-    /// index vector the way [`Column::take`] requires; set bits at or past
-    /// the column length are ignored.
-    pub fn filter_by_words(&self, words: &[u64]) -> Column {
-        fn gather<T: Copy>(v: &[T], words: &[u64]) -> Vec<T> {
-            rows_of(v.len(), Some(words), |i| v[i])
-        }
+    /// Gathers the rows `selection` picks, walking its set bits without
+    /// materializing an index vector the way [`Column::take`] requires.
+    /// A selection of another length than the column is an `Internal`
+    /// error.
+    pub fn filter(&self, selection: &BitVec) -> FeisuResult<Column> {
+        selection.check_len(self.len())?;
         let data = match &self.data {
-            ColumnData::Bool(v) => ColumnData::Bool(gather(v, words)),
-            ColumnData::Int64(v) => ColumnData::Int64(gather(v, words)),
-            ColumnData::Float64(v) => ColumnData::Float64(gather(v, words)),
-            ColumnData::Utf8(v) => ColumnData::Utf8(v.filter_by_words(words)),
+            ColumnData::Bool(v) => ColumnData::Bool(selection.map_ones(|i| v[i])),
+            ColumnData::Int64(v) => ColumnData::Int64(selection.map_ones(|i| v[i])),
+            ColumnData::Float64(v) => ColumnData::Float64(selection.map_ones(|i| v[i])),
+            ColumnData::Utf8(v) => ColumnData::Utf8(v.filter(selection)),
         };
-        Column {
+        Ok(Column {
             data,
-            validity: self.validity.filter_by_words(words),
-        }
+            validity: self.validity.filter(selection),
+        })
     }
 
     /// Moves rows `at..` into a new column, leaving rows `..at`, as
@@ -503,82 +455,6 @@ impl Column {
     }
 }
 
-/// `at(i)` for every row `i < n` that `selection` picks (`None`: every
-/// row), in row order, presized by popcount.
-pub(crate) fn rows_of<T>(
-    n: usize,
-    selection: Option<&[u64]>,
-    mut at: impl FnMut(usize) -> T,
-) -> Vec<T> {
-    match selection {
-        None => (0..n).map(at).collect(),
-        Some(words) => {
-            let mut out = Vec::with_capacity(count_set(words, n));
-            for_each_set(words, n, |i| out.push(at(i)));
-            out
-        }
-    }
-}
-
-/// Set bits of a selection below row `n`.
-pub(crate) fn count_set(words: &[u64], n: usize) -> usize {
-    let mut count = 0;
-    for_each_word(words, n, |_, m| count += m.count_ones() as usize);
-    count
-}
-
-/// Calls `f(base, word)` for every selection word that covers a row
-/// below `n`, bits at or past `n` cleared.
-#[inline]
-fn for_each_word(words: &[u64], n: usize, mut f: impl FnMut(usize, u64)) {
-    for (wi, &w) in words.iter().enumerate() {
-        let base = wi * 64;
-        if base >= n {
-            break;
-        }
-        f(
-            base,
-            if n - base < 64 {
-                w & ((1u64 << (n - base)) - 1)
-            } else {
-                w
-            },
-        );
-    }
-}
-
-/// The set bits below `n`, ascending, word at a time.
-pub(crate) fn set_bits(words: &[u64], n: usize) -> impl Iterator<Item = usize> + Clone + '_ {
-    let words = words
-        .iter()
-        .enumerate()
-        .take_while(move |(wi, _)| wi * 64 < n);
-    words.flat_map(move |(wi, &w)| {
-        let base = wi * 64;
-        let mut m = if n - base < 64 {
-            w & ((1u64 << (n - base)) - 1)
-        } else {
-            w
-        };
-        std::iter::from_fn(move || {
-            let bit = (m != 0).then(|| base + m.trailing_zeros() as usize);
-            m &= m.wrapping_sub(1);
-            bit
-        })
-    })
-}
-
-/// Calls `f` for every set bit below `n`, word at a time.
-#[inline]
-pub(crate) fn for_each_set(words: &[u64], n: usize, mut f: impl FnMut(usize)) {
-    for_each_word(words, n, |base, mut m| {
-        while m != 0 {
-            f(base + m.trailing_zeros() as usize);
-            m &= m - 1;
-        }
-    });
-}
-
 /// Incremental builder collecting dynamic values into a typed column.
 #[derive(Debug)]
 pub struct ColumnBuilder {
@@ -617,6 +493,7 @@ impl ColumnBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use feisu_common::FeisuError;
 
     #[test]
     fn validity_push_and_query() {
@@ -644,7 +521,7 @@ mod tests {
         for i in 0..130 {
             v.push(i % 3 != 0);
         }
-        let rebuilt = Validity::from_words(v.words().to_vec(), v.len());
+        let rebuilt = Validity::from_words(v.words().to_vec(), v.len()).unwrap();
         assert_eq!(rebuilt, v);
     }
 
@@ -691,7 +568,7 @@ mod tests {
     }
 
     #[test]
-    fn filter_by_words_matches_take() {
+    fn filter_matches_take() {
         let vals: Vec<Value> = (0..150)
             .map(|i| {
                 if i % 7 == 0 {
@@ -702,19 +579,17 @@ mod tests {
             })
             .collect();
         let c = Column::from_values(DataType::Utf8, &vals).unwrap();
-        // Select every third row via a word bitmap and via take().
-        let mut words = vec![0u64; 150usize.div_ceil(64)];
-        let mut indices = Vec::new();
-        for i in (0..150).step_by(3) {
-            words[i / 64] |= 1u64 << (i % 64);
-            indices.push(i);
-        }
-        assert_eq!(c.filter_by_words(&words), c.take(&indices));
-        // Set bits past the column length are ignored.
-        words[2] |= 1u64 << 63;
-        assert_eq!(c.filter_by_words(&words), c.take(&indices));
+        // Select every third row via a bitmap and via take().
+        let selection = BitVec::from_bools((0..150).map(|i| i % 3 == 0));
+        let indices: Vec<usize> = (0..150).step_by(3).collect();
+        assert_eq!(c.filter(&selection).unwrap(), c.take(&indices));
         // Empty selection.
-        assert_eq!(c.filter_by_words(&[0, 0, 0]).len(), 0);
+        assert_eq!(c.filter(&BitVec::zeros(150)).unwrap().len(), 0);
+        // A selection of another length is an error, not a panic.
+        for wrong in [0, 149, 151, 192] {
+            let got = c.filter(&BitVec::ones(wrong));
+            assert!(matches!(got, Err(FeisuError::Internal(_))), "{wrong}");
+        }
     }
 
     #[test]
@@ -849,13 +724,15 @@ mod tests {
 
     #[test]
     fn from_words_counts_nulls_and_ignores_bits_past_len() {
-        let v = Validity::from_words(vec![u64::MAX, 0b0101 | (u64::MAX << 4)], 68);
+        let v = Validity::from_words(vec![u64::MAX, 0b0101 | (u64::MAX << 4)], 68).unwrap();
         assert_eq!((v.len(), v.null_count()), (68, 2));
         assert!(v.is_valid(64) && !v.is_valid(65));
-        // Short and long word vectors are padded and cut to the length.
-        assert_eq!(Validity::from_words(vec![], 70).null_count(), 70);
-        assert_eq!(Validity::from_words(vec![u64::MAX; 3], 64).null_count(), 0);
-        assert_eq!(Validity::from_words(vec![7], 0).null_count(), 0);
+        assert_eq!(v.words()[1], 0b0101);
+        assert!(Validity::from_words(vec![7], 0).is_err());
+        // Short and long word vectors are corrupt, not padded or cut.
+        assert!(Validity::from_words(vec![], 70).is_err());
+        assert!(Validity::from_words(vec![u64::MAX; 3], 64).is_err());
+        assert_eq!(Validity::from_words(vec![], 0).unwrap().null_count(), 0);
     }
 
     #[test]

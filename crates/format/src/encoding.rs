@@ -253,7 +253,7 @@ pub mod bitpack {
 /// Dictionary encoding for strings.
 pub mod dict {
     use super::*;
-    use crate::column::set_bits;
+    use crate::bitvec::BitVec;
     use crate::strings::Utf8Vec;
     use feisu_common::hash::FxHashMap;
 
@@ -317,11 +317,11 @@ pub mod dict {
 
         /// The strings of the rows `selection` picks (`None`: every row),
         /// copied into one presized buffer.
-        pub fn strings(&self, selection: Option<&[u64]>) -> Result<Utf8Vec> {
+        pub fn strings(&self, selection: Option<&BitVec>) -> Result<Utf8Vec> {
             let at = |i| self.get(i).as_bytes();
             match selection {
                 None => Utf8Vec::gather(0..self.len(), at),
-                Some(words) => Utf8Vec::gather(set_bits(words, self.len()), at),
+                Some(selection) => Utf8Vec::gather(selection.iter_ones(), at),
             }
         }
     }

@@ -7,6 +7,8 @@
 //! * typed [`value::Value`]s and [`schema::Schema`]s,
 //! * nullable typed [`column::Column`] vectors, strings held in one byte
 //!   buffer plus offsets ([`strings::Utf8Vec`]),
+//! * the one row bitmap, [`bitvec::BitVec`]: a column's validity, a
+//!   selection of rows to decode, a SmartIndex's 0-1 vector,
 //! * [`block::Block`]s — the unit of storage, scheduling and indexing —
 //!   with per-column zone statistics and a binary serialization format,
 //! * lightweight integer/string [`encoding`]s (varint, delta, RLE,
@@ -17,6 +19,7 @@
 //!   into columns"),
 //! * [`table`] partition metadata shared by the master and storage layers.
 
+pub mod bitvec;
 pub mod block;
 pub mod column;
 pub mod compress;
@@ -27,6 +30,7 @@ pub mod strings;
 pub mod table;
 pub mod value;
 
+pub use bitvec::BitVec;
 pub use block::{Block, BlockMeta, ColumnStats};
 pub use column::{Column, ColumnBuilder};
 pub use schema::{Field, Schema};

@@ -6,7 +6,7 @@
 //! count (an empty vector none); hashing and comparing read the bytes in
 //! place.
 
-use crate::column::set_bits;
+use crate::bitvec::BitVec;
 use feisu_common::{FeisuError, Result};
 use std::fmt;
 
@@ -151,10 +151,9 @@ impl Utf8Vec {
         Ok(out)
     }
 
-    /// The rows whose bit is set in `words` (the selection layout of
-    /// [`crate::Column::filter_by_words`]), in row order.
-    pub fn filter_by_words(&self, words: &[u64]) -> Utf8Vec {
-        Utf8Vec::gather(set_bits(words, self.len()), |i| self.bytes_at(i))
+    /// The rows `selection` (one bit per row) picks, in row order.
+    pub(crate) fn filter(&self, selection: &BitVec) -> Utf8Vec {
+        Utf8Vec::gather(selection.iter_ones(), |i| self.bytes_at(i))
             .expect("a subset of the rows fits where they all did")
     }
 

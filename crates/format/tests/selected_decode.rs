@@ -1,12 +1,13 @@
 //! Decoding through a selection is decoding, then gathering.
 //!
 //! `BlockMeta::decode_selected` must equal `decode_columns` followed by
-//! `Column::filter_by_words`, for every chunk encoding and any selection,
-//! and it must validate a chunk exactly as the full decode does: a chunk
-//! that is `Corrupt` stays `Corrupt` when no row of it is selected.
+//! `Column::filter`, for every chunk encoding and any selection, and it
+//! must validate a chunk exactly as the full decode does: a chunk that is
+//! `Corrupt` stays `Corrupt` when no row of it is selected. A selection
+//! of another length than the block is an `Internal` error, never a panic.
 
 use feisu_common::{BlockId, FeisuError};
-use feisu_format::{Block, BlockMeta, Column, DataType, Field, Schema, Value};
+use feisu_format::{BitVec, Block, BlockMeta, Column, DataType, Field, Schema, Value};
 use proptest::prelude::*;
 
 fn xorshift(seed: u64) -> impl FnMut() -> u64 {
@@ -64,8 +65,7 @@ fn block(rows: usize, nulls: bool, seed: u64) -> Block {
 enum Selection {
     Empty,
     Full,
-    /// Random words; also longer or shorter than the block needs, and with
-    /// bits past the last row, all of which a selection may be.
+    /// Bit `i` of random words, zero where the words run out.
     Random(Vec<u64>),
 }
 
@@ -77,11 +77,13 @@ fn arb_selection() -> impl Strategy<Value = Selection> {
     ]
 }
 
-fn words(selection: &Selection, rows: usize) -> Vec<u64> {
+fn bits(selection: &Selection, rows: usize) -> BitVec {
     match selection {
-        Selection::Empty => vec![0; rows.div_ceil(64)],
-        Selection::Full => vec![u64::MAX; rows.div_ceil(64)],
-        Selection::Random(words) => words.clone(),
+        Selection::Empty => BitVec::zeros(rows),
+        Selection::Full => BitVec::ones(rows),
+        Selection::Random(words) => BitVec::from_bools(
+            (0..rows).map(|i| words.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)),
+        ),
     }
 }
 
@@ -112,17 +114,19 @@ proptest! {
         if subset >= 32 {
             names.reverse();
         }
-        let words = words(&selection, rows);
+        let bits = bits(&selection, rows);
         let full = meta.decode_columns(&bytes, &names).unwrap();
-        let picked = meta.decode_selected(&bytes, &names, &words).unwrap();
+        let picked = meta.decode_selected(&bytes, &names, &bits).unwrap();
         prop_assert_eq!(picked.len(), names.len());
-        let expect_rows = (0..rows)
-            .filter(|i| words.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1))
-            .count();
         for (got, name) in picked.iter().zip(&names) {
-            prop_assert_eq!(got.len(), expect_rows);
+            prop_assert_eq!(got.len(), bits.count_ones());
             let all = full.column_by_name(name).unwrap();
-            prop_assert_eq!(got, &all.filter_by_words(&words));
+            prop_assert_eq!(got, &all.filter(&bits).unwrap());
+        }
+        // One bit short or one past: refused before any chunk is read.
+        for wrong in rows.checked_sub(1).into_iter().chain([rows + 1]) {
+            let picked = meta.decode_selected(&bytes, &names, &BitVec::ones(wrong));
+            prop_assert!(matches!(picked, Err(FeisuError::Internal(_))), "{:?}", picked);
         }
     }
 
@@ -141,14 +145,14 @@ proptest! {
         // as far as it can tell (that check is `footer_mismatch.rs`'s).
         let region = chunk_region(&meta, &bytes);
         bytes[region.start + at % region.len()] ^= flip;
-        let words = words(&selection, rows);
+        let bits = bits(&selection, rows);
         let full = meta.decode_columns(&bytes, &NAMES);
-        let picked = meta.decode_selected(&bytes, &NAMES, &words);
+        let picked = meta.decode_selected(&bytes, &NAMES, &bits);
         match (full, picked) {
             (Err(FeisuError::Corrupt(_)), Err(FeisuError::Corrupt(_))) => {}
             (Ok(full), Ok(picked)) => {
                 for (got, all) in picked.iter().zip(full.columns()) {
-                    prop_assert_eq!(got, &all.filter_by_words(&words));
+                    prop_assert_eq!(got, &all.filter(&bits).unwrap());
                 }
             }
             (full, picked) => prop_assert!(
@@ -173,7 +177,7 @@ fn a_corrupt_chunk_is_corrupt_under_an_empty_selection() {
     let good = block(128, true, 9).serialize();
     let meta = Block::read_meta(&good).unwrap();
     let region = chunk_region(&meta, &good);
-    let empty = vec![0u64; 2];
+    let empty = BitVec::zeros(128);
     let mut reported = 0;
     for i in region.clone() {
         let mut bytes = good.clone();
@@ -192,4 +196,29 @@ fn a_corrupt_chunk_is_corrupt_under_an_empty_selection() {
         "only {reported} of {} flips were detectable",
         region.len()
     );
+}
+
+#[test]
+fn a_selection_of_another_length_is_an_error_not_a_panic() {
+    let bytes = block(130, true, 4).serialize();
+    let meta = Block::read_meta(&bytes).unwrap();
+    let all = meta.decode_columns(&bytes, &NAMES).unwrap();
+    for wrong in [0, 1, 64, 128, 129, 131, 192, 1000] {
+        let bits = BitVec::ones(wrong);
+        let picked = meta.decode_selected(&bytes, &NAMES, &bits);
+        assert!(
+            matches!(picked, Err(FeisuError::Internal(_))),
+            "{wrong}: {picked:?}"
+        );
+        for column in all.columns() {
+            assert!(matches!(column.filter(&bits), Err(FeisuError::Internal(_))));
+        }
+    }
+    // Even with no column named, the selection is checked.
+    assert!(meta
+        .decode_selected(&bytes, &[], &BitVec::zeros(129))
+        .is_err());
+    assert!(meta
+        .decode_selected(&bytes, &[], &BitVec::zeros(130))
+        .is_ok());
 }

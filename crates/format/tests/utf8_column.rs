@@ -6,7 +6,7 @@
 
 use feisu_common::BlockId;
 use feisu_format::column::ColumnData;
-use feisu_format::{Block, Column, DataType, Field, Schema, Value};
+use feisu_format::{BitVec, Block, Column, DataType, Field, Schema, Value};
 use proptest::prelude::*;
 
 type Model = Vec<Option<String>>;
@@ -35,12 +35,16 @@ fn validity_words(model: &[Option<String>]) -> Vec<u64> {
     words
 }
 
-fn selected(model: &[Option<String>], words: &[u64]) -> Model {
-    let picked = |i: &usize| words.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1);
-    (0..model.len())
-        .filter(picked)
-        .map(|i| model[i].clone())
-        .collect()
+/// A selection of one bit per row of `model`, bit `i` read from `words`
+/// (zero where `words` runs out).
+fn selection(model: &[Option<String>], words: &[u64]) -> BitVec {
+    BitVec::from_bools(
+        (0..model.len()).map(|i| words.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)),
+    )
+}
+
+fn selected(model: &[Option<String>], selection: &BitVec) -> Model {
+    selection.iter_ones().map(|i| model[i].clone()).collect()
 }
 
 /// The column's values and validity words, as the reference holds them.
@@ -94,7 +98,8 @@ proptest! {
         let taken: Model = indices.iter().map(|&i| model[i].clone()).collect();
         assert_matches(&c.take(&indices), &taken)?;
         assert_matches(&c.try_take(&indices).unwrap(), &taken)?;
-        assert_matches(&c.filter_by_words(&words), &selected(&model, &words))?;
+        let picked = selection(&model, &words);
+        assert_matches(&c.filter(&picked).unwrap(), &selected(&model, &picked))?;
         let at = at % (model.len() + 1);
         let mut head = c.clone();
         let tail = head.split_off(at);
@@ -135,12 +140,12 @@ proptest! {
         let schema = Schema::new(vec![Field::new("s", DataType::Utf8, true)]);
         let bytes = Block::new(BlockId(1), schema, vec![column(&model)]).unwrap().serialize();
         let meta = Block::read_meta(&bytes).unwrap();
-        let words = match full {
-            true => vec![u64::MAX; model.len().div_ceil(64)],
-            false => words,
+        let rows = match full {
+            true => BitVec::ones(model.len()),
+            false => selection(&model, &words),
         };
-        let picked = meta.decode_selected(&bytes, &["s"], &words).unwrap();
-        assert_matches(&picked[0], &selected(&model, &words))?;
+        let picked = meta.decode_selected(&bytes, &["s"], &rows).unwrap();
+        assert_matches(&picked[0], &selected(&model, &rows))?;
         let all = meta.decode_columns(&bytes, &["s"]).unwrap();
         assert_matches(all.column_by_name("s").unwrap(), &model)?;
     }

@@ -6,10 +6,9 @@
 //! kernel raises the same error for the first such row. NULL cells never
 //! compare, so an all-NULL or empty column is all zeros.
 
-use crate::bitvec::BitVec;
 use feisu_common::{FeisuError, Result};
 use feisu_format::column::{ColumnData, Validity};
-use feisu_format::{Column, Value};
+use feisu_format::{BitVec, Column, Value};
 use feisu_sql::ast::BinaryOp;
 use feisu_sql::eval::compare;
 use std::cmp::Ordering;

@@ -8,7 +8,8 @@
 //! the paper credits for SmartIndex's ≥3× speedup (Fig. 9a).
 //!
 //! Modules:
-//! * [`bitvec`] — the 0-1 vector with bitwise algebra and RLE compression;
+//! * [`bitvec`] — the run-length compressed form of the 0-1 vector, the
+//!   format's [`feisu_format::BitVec`];
 //! * [`kernel`] — the one evaluator of `column OP literal`, 64 rows a word;
 //! * [`zonemap`] — the question a block footer's min/max statistics
 //!   answer (Fig. 6's `range`, kept per block, not per index);
@@ -66,6 +67,5 @@ pub mod rewrite;
 pub mod smart;
 pub mod zonemap;
 
-pub use bitvec::BitVec;
 pub use manager::{IndexManager, IndexStats};
 pub use smart::SmartIndex;

@@ -13,11 +13,10 @@
 //! query predicate is evaluated in a leaf server"). Any other clause is
 //! evaluated row-wise by the scan.
 
-use crate::bitvec::BitVec;
 use crate::manager::{Held, IndexManager};
 use crate::smart::{predicate_column, scan_evaluate, SmartIndex};
 use feisu_common::{Result, SimInstant};
-use feisu_format::Block;
+use feisu_format::{BitVec, Block};
 use feisu_sql::ast::Expr;
 use feisu_sql::cnf::{Clause, Cnf, SimplePredicate};
 

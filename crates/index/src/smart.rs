@@ -9,10 +9,10 @@
 //! rows: `!(c > 5)` is *unknown* for a null `c`, and unknown rows do not
 //! pass filters, so `bits(NOT p) = !(bits(p) | nulls)`.
 
-use crate::bitvec::{BitVec, CompressedBits};
+use crate::bitvec::CompressedBits;
 use crate::kernel::compare_column;
 use feisu_common::{BlockId, FeisuError, Result, SimInstant};
-use feisu_format::{Block, Column};
+use feisu_format::{BitVec, Block, Column};
 use feisu_sql::cnf::SimplePredicate;
 
 /// Magic value opening a serialized SmartIndex (Fig. 6 `magic`).
@@ -64,10 +64,10 @@ impl SmartIndex {
             predicate: predicate.clone(),
             rows: block.rows(),
             bits: CompressedBits::from_bitvec(&bits),
-            // The NULL rows are the complement of the validity words.
+            // The NULL rows are the complement of the validity bitmap.
             nulls: (column.null_count() > 0).then(|| {
-                let nulls = column.validity().words().iter().map(|w| !w).collect();
-                let nulls = BitVec::from_words(nulls, bits.len()).expect("a word per 64 rows");
+                let mut nulls = column.validity().bits().clone();
+                nulls.not_assign();
                 CompressedBits::from_bitvec(&nulls)
             }),
             created_at: now,

@@ -29,9 +29,8 @@
 //!   the session credential that triggered the read. An over-quota user
 //!   evicts its own coldest chunks first; an object that cannot fit its
 //!   owner's quota is rejected even when pinned.
-//! * **TTL + path-keyed invalidation** — an object's chunks expire an
-//!   optional TTL after its admission, and `invalidate_path` (hooked into
-//!   every ingest write) drops every chunk of a path from every node.
+//! * **Path-keyed invalidation** — `invalidate_path` (hooked into every
+//!   ingest write) drops every chunk of a path from every node.
 //!
 //! Recency and byte accounting are [`feisu_common::lru::Lru`]; what this
 //! file adds is when to evict and where a victim goes. Everything is
@@ -117,7 +116,7 @@ pub struct CacheTierRow {
 }
 
 /// Exact cluster-wide cache statistics. Hits, misses, evictions,
-/// promotions, expiries and invalidations count chunks; admission
+/// promotions and invalidations count chunks; admission
 /// outcomes (`rejected`, the ghost's and the quota's) count offers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {

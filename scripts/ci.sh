@@ -10,7 +10,7 @@
 #      equivalence, merge tree (exchange properties and golden pins; the
 #      tree's depth now depends on the data), zone-map verdict soundness,
 #      selected decode,
-#      buffer-backed Utf8 column, two-phase leaf (its count-only arm
+#      buffer-backed Utf8 column, row bitmap, two-phase leaf (its count-only arm
 #      included), LRU, block-cache, node-table
 #      and scheduler model suites again in
 #      release with more cases, and the exec, optimizer,
@@ -118,10 +118,14 @@ PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-sql --lib -- stats
 # column (one byte buffer plus offsets) against a `Vec<Option<String>>`
 # reference: gathers, cuts, appends, concats, bounds, footprints, values,
 # equality and the decoder through random selections, with empty and
-# multi-byte strings, NULL slots and empty columns.
-echo "ci: footer mismatch + Utf8 column suites (release, 2048 cases)"
+# multi-byte strings, NULL slots and empty columns. And the one row bitmap
+# (`BitVec`, and the `Validity` that wraps it) against a `Vec<bool>`:
+# push, append and split at every offset into a word, filter, set-bit
+# walks, the in-place algebra and the packed words, tail bits zero.
+echo "ci: footer mismatch + Utf8 column + row bitmap suites (release, 2048 cases)"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-format --test footer_mismatch
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-format --test utf8_column
+PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-format --test bits_model
 
 # The predicate kernel and the word-level CompressedBits against the
 # row- and bit-at-a-time loops they replaced (values, errors, runs and
@@ -129,7 +133,8 @@ PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-format --test utf8
 # brute force over the decoded block (a proved clause true on every row,
 # a disproved one on none; NULLs, NaN, ±0.0, empty strings, mixed
 # Int/Float literals, all-NULL and zero-row blocks), and decoding through
-# a selection against decoding then filtering, corrupt chunks included —
+# a selection against decoding then filtering, corrupt chunks included
+# and a selection of another length an error —
 # in the format and, one level up, in the leaf's two phases against a
 # decode-everything reference that drops the clauses the footer proves
 # (batch, stats and tally; index on and off; one task in three a bare

@@ -15,8 +15,7 @@ use feisu_exec::aggregate::AggTable;
 use feisu_exec::batch::RecordBatch;
 use feisu_format::block::chunk_decodes_on_this_thread;
 use feisu_format::table::BlockDesc;
-use feisu_format::{Block, BlockMeta, Column, DataType, Field, Schema, Value};
-use feisu_index::bitvec::BitVec;
+use feisu_format::{BitVec, Block, BlockMeta, Column, DataType, Field, Schema, Value};
 use feisu_index::manager::IndexManager;
 use feisu_index::rewrite::{evaluate_cnf, ProbeKind};
 use feisu_index::SmartIndex;
@@ -321,7 +320,7 @@ fn or_clause_and_value_correctness() {
 /// every column of `block`, folded through an `AggTable`.
 fn counted(block: &Block, kept: &BitVec) -> Result<RecordBatch> {
     let columns = block.columns().iter();
-    let columns = columns.map(|c| c.filter_by_words(kept.words())).collect();
+    let columns = columns.map(|c| c.filter(kept)).collect::<Result<_>>()?;
     let rows = RecordBatch::new(block.schema().clone(), columns)?;
     let stage = count_stage();
     let mut table = AggTable::new(stage.group_by, stage.aggregates);
@@ -495,7 +494,7 @@ fn reference(
         let column = block.column_by_name(name).ok_or_else(|| {
             FeisuError::Execution(format!("block {} missing column `{name}`", task.block.id))
         })?;
-        columns.push(column.filter_by_words(bits.words()));
+        columns.push(column.filter(&bits)?);
     }
     let batch = RecordBatch::new(task.output_schema.clone(), columns)?;
     Ok((batch, stats, tally))

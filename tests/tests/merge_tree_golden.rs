@@ -409,7 +409,7 @@ fn grouped_scans_run_the_levels_that_pay() {
             64,
             4096,
             [
-                "12887632ns wire 0 835584 208896",
+                "12887632ns wire 835584 0 208896",
                 "[200.000 us +12.671 ms] levels=dc wire_to_master=204.00 KiB \
                  est_rows=4111 rows=4096 bytes=104448",
                 "rack stems 0 dc stems 2",

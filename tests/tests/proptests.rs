@@ -3,8 +3,8 @@
 use feisu_common::{BlockId, SimInstant};
 use feisu_format::encoding::{bitpack, delta, dict, rle, varint, zigzag};
 use feisu_format::json::{self, Json};
-use feisu_format::{compress, Block, Column, DataType, Field, Schema, Value};
-use feisu_index::bitvec::{BitVec, CompressedBits};
+use feisu_format::{compress, BitVec, Block, Column, DataType, Field, Schema, Value};
+use feisu_index::bitvec::CompressedBits;
 use feisu_index::smart::{scan_evaluate, SmartIndex};
 use feisu_sql::ast::BinaryOp;
 use feisu_sql::cnf::{to_cnf, SimplePredicate};
@@ -158,23 +158,9 @@ proptest! {
     }
 }
 
-// -------------------------------------------------------------- bitvec
+// ------------------------------------------------------ compressed bits
 
 proptest! {
-    #[test]
-    fn bitvec_algebra_laws(bits_a in proptest::collection::vec(any::<bool>(), 0..300)) {
-        let n = bits_a.len();
-        let a = BitVec::from_bools(bits_a.iter().copied());
-        let b = BitVec::from_bools(bits_a.iter().map(|x| !x));
-        // Complement laws.
-        prop_assert_eq!(a.and(&b).unwrap().count_ones(), 0);
-        prop_assert_eq!(a.or(&b).unwrap().count_ones(), n);
-        // De Morgan.
-        prop_assert_eq!(a.and(&b).unwrap().not(), a.not().or(&b.not()).unwrap());
-        // Double negation.
-        prop_assert_eq!(a.not().not(), a);
-    }
-
     #[test]
     fn compressed_bits_lossless(bits in proptest::collection::vec(any::<bool>(), 0..500)) {
         let v = BitVec::from_bools(bits.into_iter());
