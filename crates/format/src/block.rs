@@ -26,9 +26,10 @@
 //! error, never a panic.
 
 use crate::bitvec::BitVec;
-use crate::column::{Column, ColumnData, Validity};
+use crate::chunk::{decode_column, encode_column};
+use crate::column::Column;
 use crate::compress;
-use crate::encoding::{bitpack, delta, dict, rle, varint};
+use crate::encoding::varint;
 use crate::schema::{Field, Schema};
 use crate::value::{DataType, Value};
 use feisu_common::{BlockId, FeisuError, Result};
@@ -699,194 +700,12 @@ fn type_from_tag(tag: u8) -> Result<DataType> {
     }
 }
 
-/// Per-column encoding tags.
-const ENC_RLE: u8 = 0;
-const ENC_DELTA: u8 = 1;
-const ENC_FLOAT_RAW: u8 = 2;
-const ENC_BOOL_PACK: u8 = 3;
-const ENC_DICT: u8 = 4;
-
-/// Writes one column chunk body and returns its summary. Utf8 bounds are
-/// taken over the dictionary's referenced entries, not over the rows:
-/// equal strings are identical, so the bounds are the rows' bounds.
-fn encode_column<'a>(c: &'a Column, out: &mut Vec<u8>) -> ChunkSummary<'a> {
-    // Validity first (word-aligned bitmap).
-    let words = c.validity().words();
-    varint::encode(words.len() as u64, out);
-    for w in words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    let mut distinct = None;
-    match c.data() {
-        ColumnData::Int64(v) => {
-            // RLE wins when runs are long; delta otherwise.
-            if rle::run_count(v) * 4 <= v.len().max(1) {
-                out.push(ENC_RLE);
-                rle::encode(v, out);
-            } else {
-                out.push(ENC_DELTA);
-                delta::encode(v, out);
-            }
-        }
-        ColumnData::Float64(v) => {
-            out.push(ENC_FLOAT_RAW);
-            varint::encode(v.len() as u64, out);
-            for f in v {
-                out.extend_from_slice(&f.to_bits().to_le_bytes());
-            }
-        }
-        ColumnData::Bool(v) => {
-            out.push(ENC_BOOL_PACK);
-            if v.is_empty() {
-                varint::encode(0, out);
-                out.push(1);
-            } else {
-                let bits: Vec<u64> = v.iter().map(|&b| b as u64).collect();
-                bitpack::encode(&bits, 1, out);
-            }
-        }
-        ColumnData::Utf8(v) => {
-            out.push(ENC_DICT);
-            // Rows are encoded as bytes; only the entries a valid row
-            // holds become `&str`s again.
-            let refs: Vec<&[u8]> = v.iter_bytes().collect();
-            let (entries, codes) = dict::encode(&refs, out);
-            let mut held = vec![false; entries.len()];
-            for (r, &code) in codes.iter().enumerate() {
-                held[code as usize] |= c.validity().is_valid(r);
-            }
-            let held = entries.into_iter().zip(held).filter(|&(_, h)| h);
-            let utf8 = |e| std::str::from_utf8(e).expect("an entry is a row's whole string");
-            distinct = Some(held.map(|(e, _)| utf8(e)).collect::<Vec<_>>());
-        }
-    }
-    let bound = |s: Option<&&str>| s.map(|s| Value::Utf8(s.to_string()));
-    let (min, max) = match &distinct {
-        Some(entries) => (bound(entries.iter().min()), bound(entries.iter().max())),
-        None => c.min_max().unzip(),
-    };
-    ChunkSummary {
-        zone: ColumnStats {
-            min,
-            max,
-            null_count: c.null_count(),
-        },
-        distinct,
-    }
-}
-
-/// Decodes one column chunk body of `rows` rows. The whole body is parsed
-/// and validated whatever `selection` (one bit per row) says; with `Some`
-/// only the selected rows are kept (strings: only their bytes are copied).
-fn decode_column(
-    dt: DataType,
-    rows: usize,
-    buf: &[u8],
-    pos: &mut usize,
-    selection: Option<&BitVec>,
-) -> Result<Column> {
-    let nwords = varint::decode(buf, pos)? as usize;
-    // The writer emits exactly one bit per row. Holding a reader to that
-    // bounds `rows` — which sizes every allocation below — by the bytes
-    // actually present.
-    if nwords != rows.div_ceil(64) {
-        return Err(FeisuError::Corrupt(format!(
-            "validity bitmap has {nwords} words for {rows} rows"
-        )));
-    }
-    let words = take_bytes(buf, pos, nwords.checked_mul(8), "validity bitmap")?
-        .chunks_exact(8)
-        .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
-        .collect();
-    let validity = Validity::from_words(words, rows)?;
-    let enc = *buf
-        .get(*pos)
-        .ok_or_else(|| FeisuError::Corrupt("missing column encoding tag".into()))?;
-    *pos += 1;
-    let declares = |len: usize| {
-        if len == rows {
-            Ok(())
-        } else {
-            Err(FeisuError::Corrupt(format!(
-                "column decoded {len} rows, block declares {rows}"
-            )))
-        }
-    };
-    // Integers and booleans decode whole and are then gathered; floats
-    // and strings are read straight at the selected rows.
-    fn keep<T: Copy>(all: Vec<T>, selection: Option<&BitVec>) -> Vec<T> {
-        match selection {
-            None => all,
-            Some(selection) => selection.map_ones(|i| all[i]),
-        }
-    }
-    fn rows_at<T>(n: usize, selection: Option<&BitVec>, at: impl FnMut(usize) -> T) -> Vec<T> {
-        match selection {
-            None => (0..n).map(at).collect(),
-            Some(selection) => selection.map_ones(at),
-        }
-    }
-    let data = match (dt, enc) {
-        (DataType::Int64, ENC_RLE) => {
-            ColumnData::Int64(keep(rle::decode(buf, pos, rows)?, selection))
-        }
-        (DataType::Int64, ENC_DELTA) => {
-            let v = delta::decode(buf, pos)?;
-            declares(v.len())?;
-            ColumnData::Int64(keep(v, selection))
-        }
-        (DataType::Float64, ENC_FLOAT_RAW) => {
-            let n = varint::decode(buf, pos)? as usize;
-            let bytes = take_bytes(buf, pos, n.checked_mul(8), "float column")?;
-            declares(n)?;
-            ColumnData::Float64(rows_at(n, selection, |i| {
-                let b = bytes[i * 8..i * 8 + 8].try_into().expect("8-byte slice");
-                f64::from_bits(u64::from_le_bytes(b))
-            }))
-        }
-        (DataType::Bool, ENC_BOOL_PACK) => {
-            let bits = bitpack::decode(buf, pos)?;
-            declares(bits.len())?;
-            ColumnData::Bool(rows_at(rows, selection, |i| bits[i] != 0))
-        }
-        (DataType::Utf8, ENC_DICT) => {
-            let view = dict::view(buf, pos)?;
-            declares(view.len())?;
-            ColumnData::Utf8(view.strings(selection)?)
-        }
-        (dt, enc) => {
-            return Err(FeisuError::Corrupt(format!(
-                "encoding tag {enc} invalid for type {dt}"
-            )))
-        }
-    };
-    let validity = match selection {
-        None => validity,
-        Some(selection) => validity.filter(selection),
-    };
-    Ok(Column::new(data, validity))
-}
-
-/// The next `len` bytes of `buf` (`None`: the count overflowed), or
-/// `Corrupt` naming `what` was cut short.
-fn take_bytes<'a>(
-    buf: &'a [u8],
-    pos: &mut usize,
-    len: Option<usize>,
-    what: &str,
-) -> Result<&'a [u8]> {
-    let end = len
-        .and_then(|len| pos.checked_add(len))
-        .filter(|&end| end <= buf.len())
-        .ok_or_else(|| FeisuError::Corrupt(format!("truncated {what}")))?;
-    let bytes = &buf[*pos..end];
-    *pos = end;
-    Ok(bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::ENC_DELTA;
+    use crate::column::{ColumnData, Validity};
+    use crate::encoding::delta;
     use crate::Utf8Vec;
 
     fn sample_block() -> Block {

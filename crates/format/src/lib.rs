@@ -21,6 +21,7 @@
 
 pub mod bitvec;
 pub mod block;
+mod chunk;
 pub mod column;
 pub mod compress;
 pub mod encoding;
