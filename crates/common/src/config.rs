@@ -55,11 +55,11 @@ impl CacheSettings {
 /// Knobs of the distributed merge tree and its aggregate exchange.
 #[derive(Debug, Clone)]
 pub struct MergeTreeSettings {
-    /// Hash partitions of the repartition exchange for aggregate
-    /// transports: group keys are hashed into this many disjoint
-    /// partitions, each merged by its own stem merger in parallel, so no
-    /// single merger materializes the full group map. `1` disables the
-    /// exchange; global (no GROUP BY) aggregates always bypass it.
+    /// Hash partitions of the aggregate exchange: group keys hash into
+    /// this many disjoint partitions, folded in parallel, so no fold holds
+    /// the full group map. All P folds of a merge group run on its one
+    /// merger node (`merge_tree::place`; ROADMAP item 25). `1` disables
+    /// the exchange; global (no GROUP BY) aggregates always bypass it.
     /// Answers are bit-identical at any partition count.
     pub exchange_partitions: usize,
 }

@@ -12,7 +12,7 @@ use feisu_cluster::{CostModel, Topology};
 use feisu_common::{BlockId, ByteSize, DomainId, NodeId, SimDuration, SimInstant, UserId};
 use feisu_core::leaf::{AggStage, LeafServer, ScanTask};
 use feisu_format::table::BlockDesc;
-use feisu_format::{BitVec, Block, Column, DataType, Field, Schema};
+use feisu_format::{BitVec, Block, Column, DataType, Field, Schema, Value};
 use feisu_index::manager::IndexManager;
 use feisu_sql::ast::AggFunc;
 use feisu_sql::cnf::to_cnf;
@@ -27,16 +27,23 @@ use std::sync::Arc;
 thread_local! {
     /// Allocations made by this thread (tests run on threads of their own).
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a `realloc`: its new size).
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + bytes));
 }
 
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a const-initialized
-// thread-local `Cell` and never allocates.
+// upholds the `GlobalAlloc` contract; the counters are const-initialized
+// thread-local `Cell`s and never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         // SAFETY: the caller's `layout` is passed through as given.
         unsafe { System.alloc(layout) }
     }
@@ -47,7 +54,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(new_size);
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -60,6 +67,13 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (usize, T) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// Bytes `f` allocates on this thread.
+fn allocated_bytes<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (BYTES.with(Cell::get) - before, out)
 }
 
 const ROWS: usize = 4096;
@@ -156,6 +170,27 @@ fn decoding_a_utf8_chunk_allocates_the_same_at_any_row_count() {
         allocs
     };
     assert_eq!(decode(256), decode(4_096));
+}
+
+#[test]
+fn decoding_one_row_of_a_bool_chunk_allocates_no_word_per_row() {
+    let rows = 65_536;
+    let schema = Schema::new(vec![Field::new("flag", DataType::Bool, false)]);
+    let flags = Column::from_bool((0..rows).map(|i| i % 3 == 0).collect());
+    let bytes = Block::new(BlockId(0), schema, vec![flags])
+        .unwrap()
+        .serialize();
+    let meta = Block::read_meta(&bytes).unwrap();
+    let mut one_row = BitVec::zeros(rows);
+    one_row.set(rows - 1, true);
+    let (allocated, out) = allocated_bytes(|| meta.decode_selected(&bytes, &["flag"], &one_row));
+    assert_eq!(out.unwrap()[0].value(0), Value::Bool(true));
+    // The chunk body (a validity bit and a value bit per row) and the
+    // validity's words are read whole; one `u64` per row would be 8 bytes.
+    assert!(
+        allocated <= rows / 2,
+        "{allocated} bytes allocated to decode one row of {rows} booleans"
+    );
 }
 
 #[test]

@@ -146,14 +146,14 @@ impl IdTable {
 #[derive(Debug, Clone)]
 pub(crate) struct TypedVec {
     pub data: ColumnData,
-    pub valid: Vec<bool>,
+    pub valid: BitVec,
 }
 
 impl TypedVec {
     pub fn new(ty: DataType) -> TypedVec {
         TypedVec {
             data: ColumnData::with_capacity(ty, 0, 0),
-            valid: Vec::new(),
+            valid: BitVec::default(),
         }
     }
 
@@ -170,9 +170,8 @@ impl TypedVec {
 
     /// Appends row `i` of `col` (same type).
     fn push_from(&mut self, col: &Column, i: usize) -> Result<()> {
-        let len = self.valid.len() + 1;
         if !col.validity().is_valid(i) {
-            self.grow(len);
+            self.grow(self.valid.len() + 1);
             return Ok(());
         }
         match (&mut self.data, col.data()) {
@@ -187,12 +186,8 @@ impl TypedVec {
     }
 
     pub fn to_column(&self) -> Column {
-        Column::new(self.data.clone(), validity_of(&self.valid))
+        Column::new(self.data.clone(), Validity::from(self.valid.clone()))
     }
-}
-
-pub(crate) fn validity_of(valid: &[bool]) -> Validity {
-    Validity::from(BitVec::from_bools(valid.iter().copied()))
 }
 
 /// `Value`'s structural equality on two non-NULL cells.
@@ -282,8 +277,8 @@ impl GroupKeys {
             sel,
             |store, g, i| {
                 store.iter().zip(cols).all(|(k, c)| {
-                    k.valid[g] == c.validity().is_valid(i)
-                        && (!k.valid[g] || cell_eq(&k.data, g, c.data(), i))
+                    k.valid.get(g) == c.validity().is_valid(i)
+                        && (!k.valid.get(g) || cell_eq(&k.data, g, c.data(), i))
                 })
             },
             |store, i| {
@@ -305,7 +300,7 @@ type Selection<'a> = (&'a [u64], &'a [usize], bool);
 /// stores a row's key (`None`: NULL, stored as the type's default).
 fn single<K>(
     table: &mut IdTable,
-    mut store: (&mut K, &mut Vec<bool>),
+    mut store: (&mut K, &mut BitVec),
     cv: &Validity,
     sel: Selection<'_>,
     eq: impl Fn(&K, usize, usize) -> bool,
@@ -315,7 +310,7 @@ fn single<K>(
         table,
         &mut store,
         sel,
-        |(keys, valid), g, i| valid[g] == cv.is_valid(i) && (!valid[g] || eq(keys, g, i)),
+        |(keys, valid), g, i| valid.get(g) == cv.is_valid(i) && (!valid.get(g) || eq(keys, g, i)),
         |(keys, valid), i| {
             valid.push(cv.is_valid(i));
             push(keys, cv.is_valid(i).then_some(i))

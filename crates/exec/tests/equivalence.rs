@@ -131,14 +131,23 @@ const STRINGS: [&str; 5] = [
     "https://example.com/a/long/shared/prefix/1",
 ];
 
-/// Columns `{p}i` Int64, `{p}f` Float64, `{p}s` Utf8, `{p}b` Bool, each
-/// with NULLs, from small pools so keys collide.
-fn arb_batch(prefix: &'static str) -> impl Strategy<Value = RecordBatch> {
-    type Draw = (i64, usize, usize, u8);
-    let row = (0..7i64, 0..=FLOATS.len(), 0..=STRINGS.len(), 0..3u8);
-    proptest::collection::vec(row, 0..48).prop_map(move |rows| {
+/// Up to `rows` rows of columns `{p}i` Int64, `{p}f` Float64, `{p}s` Utf8
+/// and `{p}b` Bool, each with NULLs, from small pools so keys collide, and
+/// `{p}w`, a nullable Int64 key from a pool twice the rows: a batch of 200
+/// rows has some 150 groups, past the first and second 64-bit word of
+/// group state, and groups whose arguments are all NULL.
+fn arb_batch(prefix: &'static str, rows: usize) -> impl Strategy<Value = RecordBatch> {
+    type Draw = (i64, usize, usize, (u8, i64));
+    let wide = 2 * rows as i64;
+    let row = (
+        0..7i64,
+        0..=FLOATS.len(),
+        0..=STRINGS.len(),
+        (0..3u8, 0..wide),
+    );
+    proptest::collection::vec(row, 0..rows).prop_map(move |rows| {
         let pick = |f: &dyn Fn(&Draw) -> Value| rows.iter().map(f).collect();
-        let cols: [(&str, DataType, Vec<Value>); 4] = [
+        let cols: [(&str, DataType, Vec<Value>); 5] = [
             (
                 "i",
                 DataType::Int64,
@@ -160,9 +169,17 @@ fn arb_batch(prefix: &'static str) -> impl Strategy<Value = RecordBatch> {
             (
                 "b",
                 DataType::Bool,
-                pick(&|r| match r.3 {
+                pick(&|r| match r.3 .0 {
                     0 => Value::Null,
                     b => Value::Bool(b == 1),
+                }),
+            ),
+            (
+                "w",
+                DataType::Int64,
+                pick(&|r| match r.3 .1 {
+                    0 => Value::Null,
+                    w => Value::Int64(w),
                 }),
             ),
         ];
@@ -177,8 +194,9 @@ fn arb_batch(prefix: &'static str) -> impl Strategy<Value = RecordBatch> {
     })
 }
 
-/// 1–3 keys over the four types, bare and computed.
-const KEY_SETS: [&[(&str, DataType)]; 9] = [
+/// 1–3 keys over the four types, bare and computed; the wide key alone
+/// and beside another.
+const KEY_SETS: [&[(&str, DataType)]; 11] = [
     &[("i", DataType::Int64)],
     &[("s", DataType::Utf8)],
     &[("f", DataType::Float64)],
@@ -192,6 +210,8 @@ const KEY_SETS: [&[(&str, DataType)]; 9] = [
     ],
     &[("i + 1", DataType::Int64), ("b", DataType::Bool)],
     &[("f * 2", DataType::Float64), ("i", DataType::Int64)],
+    &[("w", DataType::Int64)],
+    &[("w", DataType::Int64), ("b", DataType::Bool)],
 ];
 
 fn aggregates() -> Vec<AggExpr> {
@@ -219,49 +239,62 @@ fn rows_of(batch: &RecordBatch) -> Vec<Vec<Value>> {
     (0..batch.rows()).map(|i| batch.row(i)).collect()
 }
 
+/// GROUP BY the key set `keys` (`KEY_SETS.len()`: the global aggregate)
+/// holds to the reference through `update`, and through the exchange: the
+/// batch's transport folded one partition at a time, partitions unioned.
+/// Every group is in one partition, so even the float sums are untouched.
+/// Returns the rows both produced.
+fn check_aggregate(batch: &RecordBatch, keys: usize) -> Result<Vec<Vec<Value>>, TestCaseError> {
+    let group_by: GroupBy = (KEY_SETS.get(keys).copied().unwrap_or(&[]).iter())
+        .map(|(src, dt)| (parse_expr(src).unwrap(), src.to_string(), *dt))
+        .collect();
+    let aggs = aggregates();
+    let mut fields: Vec<Field> = group_by
+        .iter()
+        .map(|(_, n, dt)| Field::new(n.clone(), *dt, true))
+        .collect();
+    fields.extend(
+        aggs.iter()
+            .map(|a| Field::new(a.name.clone(), a.output_type, true)),
+    );
+    let out = Schema::new(fields);
+    let want = ref_group_by(batch, &group_by, &aggs);
+
+    let mut table = AggTable::new(group_by.clone(), aggs.clone());
+    table.update(batch).unwrap();
+    prop_assert_eq!(rows_of(&table.finish(&out).unwrap()), want.clone());
+
+    let shipped = table.to_transport().unwrap();
+    let hashes = transport_hashes(&shipped, group_by.len());
+    let mut union = AggTable::new(group_by.clone(), aggs.clone());
+    let mut folded = 0;
+    for part in 0..3 {
+        let mut p = AggTable::new(group_by.clone(), aggs.clone());
+        folded += p
+            .merge_transport_hashed(&shipped, &hashes, part, 3)
+            .unwrap();
+        union.merge(&p).unwrap();
+    }
+    prop_assert_eq!(folded, shipped.rows());
+    prop_assert_eq!(rows_of(&union.finish(&out).unwrap()), want.clone());
+    Ok(want)
+}
+
 proptest! {
     #[test]
-    fn aggregate_matches_reference(batch in arb_batch(""), keys in 0..=KEY_SETS.len()) {
-        // `keys == KEY_SETS.len()` is the global aggregate.
-        let group_by: GroupBy = (KEY_SETS.get(keys).copied().unwrap_or(&[]).iter())
-            .map(|(src, dt)| (parse_expr(src).unwrap(), src.to_string(), *dt))
-            .collect();
-        let aggs = aggregates();
-        let mut fields: Vec<Field> =
-            group_by.iter().map(|(_, n, dt)| Field::new(n.clone(), *dt, true)).collect();
-        fields.extend(aggs.iter().map(|a| Field::new(a.name.clone(), a.output_type, true)));
-        let out = Schema::new(fields);
-        let want = ref_group_by(&batch, &group_by, &aggs);
-
-        let mut table = AggTable::new(group_by.clone(), aggs.clone());
-        table.update(&batch).unwrap();
-        prop_assert_eq!(rows_of(&table.finish(&out).unwrap()), want.clone());
-
-        // The same through the exchange: the batch's transport folded one
-        // partition at a time, partitions unioned. Every group is in one
-        // partition, so even the float sums are untouched.
-        let shipped = table.to_transport().unwrap();
-        let hashes = transport_hashes(&shipped, group_by.len());
-        let mut union = AggTable::new(group_by.clone(), aggs.clone());
-        let mut folded = 0;
-        for part in 0..3 {
-            let mut p = AggTable::new(group_by.clone(), aggs.clone());
-            folded += p.merge_transport_hashed(&shipped, &hashes, part, 3).unwrap();
-            union.merge(&p).unwrap();
-        }
-        prop_assert_eq!(folded, shipped.rows());
-        prop_assert_eq!(rows_of(&union.finish(&out).unwrap()), want);
+    fn aggregate_matches_reference(batch in arb_batch("", 200), keys in 0..=KEY_SETS.len()) {
+        check_aggregate(&batch, keys)?;
     }
 
     #[test]
     fn join_matches_reference_in_order(
-        left in arb_batch("l."),
-        right in arb_batch("r."),
+        left in arb_batch("l.", 48),
+        right in arb_batch("r.", 48),
         keys in 0..KEY_SETS.len(),
         kind in prop_oneof![Just(JoinKind::Inner), Just(JoinKind::LeftOuter), Just(JoinKind::RightOuter)],
     ) {
         let side = |p: &str, src: &str| {
-            let qualified = ["i", "f", "s", "b"].iter().fold(src.to_string(), |s, c| {
+            let qualified = ["i", "f", "s", "b", "w"].iter().fold(src.to_string(), |s, c| {
                 s.replacen(c, &format!("{p}.{c}"), 1)
             });
             parse_expr(&qualified).unwrap()
@@ -278,7 +311,7 @@ proptest! {
 
     #[test]
     fn sort_matches_reference_in_order(
-        batch in arb_batch(""),
+        batch in arb_batch("", 48),
         keys in 0..KEY_SETS.len(),
         desc in 0..8u8,
         fetch in prop_oneof![Just(None), (0..60u64).prop_map(Some)],
@@ -293,7 +326,7 @@ proptest! {
     /// The columnar router sends every row where `partition_of` sends its
     /// key, for every partition count the exchange can run.
     #[test]
-    fn columnar_router_matches_partition_of(batch in arb_batch(""), keys in 0..KEY_SETS.len()) {
+    fn columnar_router_matches_partition_of(batch in arb_batch("", 48), keys in 0..KEY_SETS.len()) {
         let exprs: Vec<Expr> = KEY_SETS[keys].iter().map(|k| parse_expr(k.0).unwrap()).collect();
         let cols: Vec<_> = exprs.iter().map(|e| key_column(&batch, e, None).unwrap()).collect();
         let cols: Vec<&Column> = cols.iter().map(|c| c.as_ref()).collect();
@@ -330,4 +363,50 @@ fn int_vs_float_join_keys_never_match() {
             vec![Value::Int64(2), Value::Null]
         ]
     );
+}
+
+/// 200 groups of two rows each, so the group state spans four words;
+/// every third group sees only NULL arguments, and its SUM, AVG, MIN and
+/// MAX are NULL through `update` and through the 3-way transport fold.
+#[test]
+fn groups_past_two_words_keep_their_all_null_groups_null() {
+    let groups = 200;
+    let nulls = |g: usize| g.is_multiple_of(3);
+    let column = |dt, value: &dyn Fn(usize) -> Value| {
+        let values: Vec<Value> = (0..2 * groups)
+            .map(|r| match nulls(r % groups) {
+                true => Value::Null,
+                false => value(r),
+            })
+            .collect();
+        Column::from_values(dt, &values).unwrap()
+    };
+    let fields = [
+        ("i", DataType::Int64),
+        ("f", DataType::Float64),
+        ("s", DataType::Utf8),
+        ("b", DataType::Bool),
+        ("w", DataType::Int64),
+    ];
+    let columns = vec![
+        column(DataType::Int64, &|r| Value::Int64(r as i64)),
+        column(DataType::Float64, &|r| Value::Float64(r as f64 / 2.0)),
+        column(DataType::Utf8, &|r| Value::from(STRINGS[r % STRINGS.len()])),
+        column(DataType::Bool, &|r| Value::Bool(r % 2 == 0)),
+        Column::from_i64((0..2 * groups).map(|r| (r % groups) as i64).collect()),
+    ];
+    let schema = Schema::new(fields.map(|(n, dt)| Field::new(n, dt, true)).to_vec());
+    let batch = RecordBatch::new(schema, columns).unwrap();
+    let wide = KEY_SETS.iter().position(|k| k == &[("w", DataType::Int64)]);
+    let rows = check_aggregate(&batch, wide.unwrap()).unwrap();
+    assert_eq!(rows.len(), groups);
+    for (g, row) in rows.iter().enumerate() {
+        assert_eq!(row[0], Value::Int64(g as i64));
+        // COUNT(*) and COUNT(s), then SUM(i), SUM(f), SUM(i + 1), AVG(i),
+        // MIN(s), MAX(f), MIN(i), MAX(b).
+        assert_eq!(row[1], Value::Int64(2));
+        for (a, v) in row[3..].iter().enumerate() {
+            assert_eq!(v.is_null(), nulls(g), "group {g}, aggregate {}", a + 2);
+        }
+    }
 }

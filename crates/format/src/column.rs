@@ -287,19 +287,12 @@ impl Column {
         }
     }
 
-    /// Typed accessors for hot paths (panic on type mismatch — used only
+    /// Typed accessor for hot paths (panics on type mismatch — used only
     /// after planning has fixed the types).
     pub fn i64_slice(&self) -> &[i64] {
         match &self.data {
             ColumnData::Int64(v) => v,
             other => panic!("expected Int64 column, got {:?}", other.data_type()),
-        }
-    }
-
-    pub fn bool_slice(&self) -> &[bool] {
-        match &self.data {
-            ColumnData::Bool(v) => v,
-            other => panic!("expected Bool column, got {:?}", other.data_type()),
         }
     }
 
