@@ -7,7 +7,6 @@
 //! via the top-of-rack switch), 4 (same data center, via aggregation
 //! switches) or 6 (cross-data-center).
 
-use feisu_common::hash::FxHashMap;
 use feisu_common::{FeisuError, NodeId, Result};
 
 /// Static description of one node.
@@ -22,43 +21,40 @@ pub struct NodeInfo {
     pub has_ssd: bool,
 }
 
-/// The whole cluster's static layout.
-#[derive(Debug, Clone, Default)]
+/// The whole cluster's static layout. A node's id is its index in
+/// [`nodes`](Self::nodes): [`grid`](Self::grid), the only builder, numbers
+/// them `0..N`, so every per-node table is a slice looked up through
+/// [`index`](Self::index).
+#[derive(Debug, Clone)]
 pub struct Topology {
     nodes: Vec<NodeInfo>,
-    by_id: FxHashMap<NodeId, usize>,
 }
 
 impl Topology {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Convenience builder: `dcs` data centers, each with `racks_per_dc`
-    /// racks of `nodes_per_rack` nodes, ids assigned sequentially.
+    /// `dcs` data centers, each with `racks_per_dc` racks of
+    /// `nodes_per_rack` nodes, ids assigned sequentially.
     pub fn grid(dcs: u32, racks_per_dc: u32, nodes_per_rack: u32) -> Topology {
-        let mut t = Topology::new();
-        let mut id = 0u64;
+        let mut nodes = Vec::new();
         for dc in 0..dcs {
             for rack in 0..racks_per_dc {
                 for _ in 0..nodes_per_rack {
-                    t.add_node(NodeInfo {
-                        id: NodeId(id),
+                    nodes.push(NodeInfo {
+                        id: NodeId(nodes.len() as u64),
                         datacenter: dc,
                         rack: dc * racks_per_dc + rack,
                         cores: 4,
                         has_ssd: true,
                     });
-                    id += 1;
                 }
             }
         }
-        t
+        Topology { nodes }
     }
 
-    pub fn add_node(&mut self, node: NodeInfo) {
-        self.by_id.insert(node.id, self.nodes.len());
-        self.nodes.push(node);
+    /// Where `id`'s entry sits in a per-node table; an id past the
+    /// topology indexes past every table, so a lookup through `get` misses.
+    pub fn index(id: NodeId) -> usize {
+        usize::try_from(id.0).unwrap_or(usize::MAX)
     }
 
     pub fn len(&self) -> usize {
@@ -74,14 +70,12 @@ impl Topology {
     }
 
     pub fn node(&self, id: NodeId) -> Result<&NodeInfo> {
-        self.by_id
-            .get(&id)
-            .map(|&i| &self.nodes[i])
+        (self.nodes.get(Self::index(id)))
             .ok_or_else(|| FeisuError::NodeUnavailable(format!("{id} not in topology")))
     }
 
     pub fn contains(&self, id: NodeId) -> bool {
-        self.by_id.contains_key(&id)
+        Self::index(id) < self.nodes.len()
     }
 
     /// Network hop distance between two nodes.
@@ -135,6 +129,10 @@ mod tests {
         assert_eq!(t.len(), 24);
         assert!(t.contains(NodeId(23)));
         assert!(!t.contains(NodeId(24)));
+        for (i, n) in t.nodes().iter().enumerate() {
+            assert_eq!(Topology::index(n.id), i);
+            assert_eq!(t.node(n.id).unwrap(), n);
+        }
     }
 
     #[test]
@@ -150,7 +148,13 @@ mod tests {
     #[test]
     fn unknown_node_errors() {
         let t = Topology::grid(1, 1, 1);
-        assert!(t.node(NodeId(99)).is_err());
+        for outside in [1, 99, u64::MAX] {
+            let got = t.node(NodeId(outside));
+            assert!(
+                matches!(got, Err(FeisuError::NodeUnavailable(_))),
+                "{got:?}"
+            );
+        }
         assert!(t.hops(NodeId(0), NodeId(99)).is_err());
     }
 

@@ -236,8 +236,9 @@ impl QueryResult {
 ///    agreements (one short critical section per call; a leaf task's
 ///    slot is acquired and released around, never across,
 ///    `LeafServer::execute`)
-/// 5. leaf-internal locks (`IndexManager`, block-cache shard locks —
-///    per-node sharded, a probe only ever holds its own node's shard)
+/// 5. leaf-internal locks (`IndexManager`; the block cache's and the
+///    footer cache's per-node locks — a probe only ever holds its own
+///    node's)
 pub struct FeisuCluster {
     pub(crate) spec: ClusterSpec,
     pub(crate) clock: SimClock,
@@ -245,7 +246,8 @@ pub struct FeisuCluster {
     pub(crate) router: Arc<StorageRouter>,
     pub(crate) auth: Arc<AuthService>,
     pub(crate) catalog: Catalog,
-    pub(crate) leaves: FxHashMap<NodeId, LeafServer>,
+    /// One leaf server per node, at its topology index.
+    pub(crate) leaves: Vec<LeafServer>,
     pub(crate) guard: EntryGuard,
     pub(crate) jobs: JobManager,
     /// The cluster manager's one record per worker, shared across *all*
@@ -311,25 +313,23 @@ impl FeisuCluster {
             Arc::new(TieredCache::new(
                 spec.config.cache.clone(),
                 spec.cache_pins.clone(),
+                topology.len(),
             ))
         });
         let router = Arc::new(StorageRouter::new(domains, 0, auth.clone(), cache));
         // Per-domain read/write counters plus the block-cache counters.
         router.attach_metrics(&metrics);
-        let mut leaves = FxHashMap::default();
+        let mut leaves = Vec::with_capacity(topology.len());
         for n in topology.nodes() {
             let index = IndexManager::new(spec.config.index_memory_per_leaf, spec.config.index_ttl);
             // Every leaf feeds the same registry: the feisu.index.* counters
             // are cluster-wide totals.
             index.attach_metrics(&metrics);
-            leaves.insert(n.id, LeafServer::new(n.id, index, cost.clone()));
+            leaves.push(LeafServer::new(n.id, index, cost.clone()));
         }
         // Four task slots per core.
-        let nodes = NodeTable::new(
-            topology.nodes().iter().map(|n| (n.id, n.cores * 4)),
-            clock.now(),
-            &metrics,
-        );
+        let slots = topology.nodes().iter().map(|n| n.cores * 4);
+        let nodes = NodeTable::new(slots, clock.now(), &metrics);
         let guard = EntryGuard::new(spec.guard.clone(), &metrics);
         let jobs = JobManager::new(
             SimDuration::minutes(10),
@@ -514,7 +514,7 @@ impl FeisuCluster {
     /// Per-node SmartIndex statistics (summed).
     pub fn index_stats(&self) -> feisu_index::IndexStats {
         let mut total = feisu_index::IndexStats::default();
-        for leaf in self.leaves.values() {
+        for leaf in &self.leaves {
             let s = leaf.index().stats();
             total.hits += s.hits;
             total.misses += s.misses;
@@ -527,7 +527,7 @@ impl FeisuCluster {
     }
 
     pub fn reset_index_stats(&self) {
-        for leaf in self.leaves.values() {
+        for leaf in &self.leaves {
             leaf.index().reset_stats();
         }
     }
@@ -766,7 +766,7 @@ impl FeisuCluster {
                     let parsed =
                         feisu_format::Block::deserialize_columns(&read.data, &[storage_col])?;
                     for node in replicas {
-                        if let Some(leaf) = self.leaves.get(&node) {
+                        if let Some(leaf) = self.leaf(node) {
                             leaf.pin_index(&parsed, &storage_pred, now)?;
                             built += 1;
                         }
@@ -779,6 +779,6 @@ impl FeisuCluster {
 
     /// Access to a node's leaf server (tests and benches).
     pub fn leaf(&self, node: NodeId) -> Option<&LeafServer> {
-        self.leaves.get(&node)
+        self.leaves.get(Topology::index(node))
     }
 }

@@ -820,14 +820,14 @@ mod tests {
     fn rig_on(domain: fn(Arc<Topology>) -> Domain, settings: CacheSettings) -> Rig {
         let topology = Arc::new(Topology::grid(1, 2, 2));
         let cost = CostModel::default();
-        let hdfs = domain(topology);
+        let hdfs = domain(topology.clone());
         let auth = Arc::new(AuthService::new(9));
         auth.register(UserId(1));
         auth.grant(UserId(1), DomainId(1), Grant::ReadWrite);
         let cred = auth
             .issue(UserId(1), SimInstant(0), SimDuration::hours(8))
             .unwrap();
-        let cache = TieredCache::new(settings, vec!["/".into()]);
+        let cache = TieredCache::new(settings, vec!["/".into()], topology.len());
         let router = StorageRouter::new(vec![hdfs], 0, auth, Some(Arc::new(cache)));
         let registry = MetricsRegistry::new();
         router.attach_metrics(&registry);

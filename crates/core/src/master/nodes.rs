@@ -17,10 +17,10 @@
 //! The whole table sits behind one lock, one level of `FeisuCluster`'s
 //! lock order, and every operation is one short critical section.
 
+use feisu_cluster::Topology;
 use feisu_common::{NodeId, SimDuration, SimInstant};
 use feisu_obs::{Counter, MetricsRegistry};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Heartbeat period between workers and the cluster manager, and the
@@ -82,33 +82,31 @@ pub(crate) struct NodeRow {
     pub(crate) feisu_slots: u32,
 }
 
-/// One record per worker, behind one lock.
+/// One record per worker, at its topology index, behind one lock.
 #[derive(Debug)]
 pub(crate) struct NodeTable {
-    nodes: Mutex<BTreeMap<NodeId, NodeState>>,
+    nodes: Mutex<Vec<NodeState>>,
     beats: Arc<Counter>,
 }
 
 impl NodeTable {
-    /// Registers every node, with its total task slots, as seen at `now`,
-    /// and publishes `feisu.heartbeat.{beats,registered}` to `metrics`.
+    /// Registers every node, with its total task slots in id order, as
+    /// seen at `now`, and publishes `feisu.heartbeat.{beats,registered}`
+    /// to `metrics`.
     pub(crate) fn new(
-        nodes: impl IntoIterator<Item = (NodeId, u32)>,
+        total_slots: impl IntoIterator<Item = u32>,
         now: SimInstant,
         metrics: &MetricsRegistry,
     ) -> NodeTable {
-        let nodes: BTreeMap<NodeId, NodeState> = nodes
+        let nodes: Vec<NodeState> = total_slots
             .into_iter()
-            .map(|(id, total_slots)| {
-                let state = NodeState {
-                    last_seen: now,
-                    failed: false,
-                    slow: 1.0,
-                    total_slots,
-                    business_slots: 0,
-                    feisu_slots: 0,
-                };
-                (id, state)
+            .map(|total_slots| NodeState {
+                last_seen: now,
+                failed: false,
+                slow: 1.0,
+                total_slots,
+                business_slots: 0,
+                feisu_slots: 0,
             })
             .collect();
         metrics
@@ -127,7 +125,7 @@ impl NodeTable {
     pub(crate) fn tick(&self, now: SimInstant) {
         let mut nodes = self.nodes.lock();
         let mut beats = 0;
-        for state in nodes.values_mut().filter(|s| !s.failed) {
+        for state in nodes.iter_mut().filter(|s| !s.failed) {
             state.last_seen = state.last_seen.max(now);
             beats += 1;
         }
@@ -137,10 +135,9 @@ impl NodeTable {
     /// The nodes alive at `now`, in id order.
     pub(crate) fn alive(&self, now: SimInstant) -> Vec<NodeId> {
         let nodes = self.nodes.lock();
-        nodes
-            .iter()
+        ids(&nodes)
             .filter(|(_, s)| s.alive(now))
-            .map(|(&id, _)| id)
+            .map(|(id, _)| id)
             .collect()
     }
 
@@ -155,10 +152,9 @@ impl NodeTable {
     ) -> Option<NodeId> {
         let candidates: Vec<NodeId> = {
             let nodes = self.nodes.lock();
-            nodes
-                .iter()
-                .filter(|(&id, s)| id != failed_node && !s.failed && s.alive(now))
-                .map(|(&id, _)| id)
+            ids(&nodes)
+                .filter(|&(id, s)| id != failed_node && !s.failed && s.alive(now))
+                .map(|(id, _)| id)
                 .collect()
         };
         candidates
@@ -225,9 +221,8 @@ impl NodeTable {
     /// Every node's `system.nodes` row at `now`, in id order.
     pub(crate) fn rows(&self, now: SimInstant) -> Vec<NodeRow> {
         let nodes = self.nodes.lock();
-        nodes
-            .iter()
-            .map(|(&node, s)| NodeRow {
+        ids(&nodes)
+            .map(|(node, s)| NodeRow {
                 node,
                 alive: s.alive(now),
                 failed: s.failed,
@@ -240,8 +235,13 @@ impl NodeTable {
     }
 
     fn update<R>(&self, node: NodeId, f: impl FnOnce(&mut NodeState) -> R) -> Option<R> {
-        self.nodes.lock().get_mut(&node).map(f)
+        self.nodes.lock().get_mut(Topology::index(node)).map(f)
     }
+}
+
+/// Each record with its node's id.
+fn ids(nodes: &[NodeState]) -> impl Iterator<Item = (NodeId, &NodeState)> {
+    (0..).map(NodeId).zip(nodes)
 }
 
 #[cfg(test)]
@@ -278,10 +278,10 @@ mod tests {
         (TOTAL_SLOTS[node] - m.business) / 4
     }
 
-    /// Nodes 1 and 2 with 16 slots each (a limit of 4), registered at 0.
+    /// Nodes 0 and 1 with 16 slots each (a limit of 4), registered at 0.
     fn table() -> (NodeTable, MetricsRegistry) {
         let metrics = MetricsRegistry::new();
-        let table = NodeTable::new([(NodeId(1), 16), (NodeId(2), 16)], SimInstant(0), &metrics);
+        let table = NodeTable::new([16, 16], SimInstant(0), &metrics);
         (table, metrics)
     }
 
@@ -292,8 +292,8 @@ mod tests {
     #[test]
     fn fresh_node_is_alive() {
         let (t, _) = table();
-        assert_eq!(t.alive(SimInstant(0)), [NodeId(1), NodeId(2)]);
-        assert_eq!(t.alive(at_secs(9)), [NodeId(1), NodeId(2)]);
+        assert_eq!(t.alive(SimInstant(0)), [NodeId(0), NodeId(1)]);
+        assert_eq!(t.alive(at_secs(9)), [NodeId(0), NodeId(1)]);
     }
 
     #[test]
@@ -310,7 +310,7 @@ mod tests {
         let late = at_secs(60);
         assert!(t.alive(late).is_empty());
         t.tick(late);
-        assert_eq!(t.alive(late), [NodeId(1), NodeId(2)]);
+        assert_eq!(t.alive(late), [NodeId(0), NodeId(1)]);
         assert_eq!(t.rows(late)[0].last_seen, late);
         // A straggling beat from earlier does not roll liveness back.
         t.tick(at_secs(1));
@@ -322,7 +322,7 @@ mod tests {
         let (t, metrics) = table();
         assert_eq!(metrics.gauge("feisu.heartbeat.registered").get(), 2);
         t.tick(SimInstant(0));
-        t.fail(NodeId(1));
+        t.fail(NodeId(0));
         t.tick(SimInstant(0));
         assert_eq!(metrics.counter("feisu.heartbeat.beats").get(), 3);
         assert_eq!(metrics.gauge("feisu.heartbeat.registered").get(), 2);
@@ -331,73 +331,75 @@ mod tests {
     #[test]
     fn unknown_node_is_dead() {
         let (t, _) = table();
-        assert!(!t.alive(SimInstant(0)).contains(&NodeId(5)));
-        assert_eq!(t.acquire(NodeId(5)), Acquire::Failed);
-        assert_eq!(t.slot_limit(NodeId(5)), 0);
-        assert_eq!(t.set_business_load(NodeId(5), 3), 0);
+        for unknown in [NodeId(2), NodeId(5), NodeId(u64::MAX)] {
+            assert!(!t.alive(SimInstant(0)).contains(&unknown));
+            assert_eq!(t.acquire(unknown), Acquire::Failed);
+            assert_eq!(t.slot_limit(unknown), 0);
+            assert_eq!(t.set_business_load(unknown, 3), 0);
+        }
     }
 
     #[test]
     fn failed_node_stops_beating_and_reads_dead_after_the_window() {
         let (t, _) = table();
-        t.fail(NodeId(1));
-        t.slow(NodeId(1), 3.0);
+        t.fail(NodeId(0));
+        t.slow(NodeId(0), 3.0);
         t.tick(at_secs(5));
-        assert_eq!(t.alive(at_secs(9)), [NodeId(1), NodeId(2)]);
+        assert_eq!(t.alive(at_secs(9)), [NodeId(0), NodeId(1)]);
         let now = at_secs(20);
         t.tick(now);
-        assert_eq!(t.alive(now), [NodeId(2)]);
+        assert_eq!(t.alive(now), [NodeId(1)]);
         assert_eq!(t.rows(now)[0].last_seen, SimInstant(0));
-        assert_eq!(t.acquire(NodeId(1)), Acquire::Failed);
-        assert_eq!(t.pick_backup(now, NodeId(2), &[NodeId(1)]), None);
+        assert_eq!(t.acquire(NodeId(0)), Acquire::Failed);
+        assert_eq!(t.pick_backup(now, NodeId(1), &[NodeId(0)]), None);
         // Recovery keeps the slow factor.
-        t.recover(NodeId(1));
-        assert_eq!(t.acquire(NodeId(1)), Acquire::Granted(3.0));
+        t.recover(NodeId(0));
+        assert_eq!(t.acquire(NodeId(0)), Acquire::Granted(3.0));
     }
 
     #[test]
     fn limit_scales_with_free_capacity() {
         let (t, _) = table();
-        assert_eq!(t.slot_limit(NodeId(1)), 4);
-        t.set_business_load(NodeId(1), 8);
-        assert_eq!(t.slot_limit(NodeId(1)), 2);
-        t.set_business_load(NodeId(1), 16);
-        assert_eq!(t.slot_limit(NodeId(1)), 0);
-        assert_eq!(t.acquire(NodeId(1)), Acquire::NoSlots);
+        assert_eq!(t.slot_limit(NodeId(0)), 4);
+        t.set_business_load(NodeId(0), 8);
+        assert_eq!(t.slot_limit(NodeId(0)), 2);
+        t.set_business_load(NodeId(0), 16);
+        assert_eq!(t.slot_limit(NodeId(0)), 0);
+        assert_eq!(t.acquire(NodeId(0)), Acquire::NoSlots);
     }
 
     #[test]
     fn acquire_respects_limit() {
         let (t, _) = table();
         for _ in 0..4 {
-            assert_eq!(t.acquire(NodeId(1)), Acquire::Granted(1.0));
+            assert_eq!(t.acquire(NodeId(0)), Acquire::Granted(1.0));
         }
-        assert_eq!(t.acquire(NodeId(1)), Acquire::Wait);
+        assert_eq!(t.acquire(NodeId(0)), Acquire::Wait);
         assert_eq!(t.rows(SimInstant(0))[0].running_tasks, 4);
-        t.release(NodeId(1));
-        assert_eq!(t.acquire(NodeId(1)), Acquire::Granted(1.0));
+        t.release(NodeId(0));
+        assert_eq!(t.acquire(NodeId(0)), Acquire::Granted(1.0));
     }
 
     #[test]
     fn business_spike_leaves_slots_over_budget() {
         let (t, _) = table();
         for _ in 0..4 {
-            t.acquire(NodeId(1));
+            t.acquire(NodeId(0));
         }
         // free = 4, limit = 1, holding 4: 3 over budget.
-        assert_eq!(t.set_business_load(NodeId(1), 12), 3);
+        assert_eq!(t.set_business_load(NodeId(0), 12), 3);
         for _ in 0..3 {
-            t.release(NodeId(1));
+            t.release(NodeId(0));
         }
         // One slot still held: the limit of 1 is full.
-        assert_eq!(t.acquire(NodeId(1)), Acquire::Wait);
+        assert_eq!(t.acquire(NodeId(0)), Acquire::Wait);
     }
 
     #[test]
     fn business_load_clamped_to_total() {
         let (t, _) = table();
-        assert_eq!(t.set_business_load(NodeId(1), 100), 0);
-        assert_eq!(t.slot_limit(NodeId(1)), 0);
+        assert_eq!(t.set_business_load(NodeId(0), 100), 0);
+        assert_eq!(t.slot_limit(NodeId(0)), 0);
     }
 
     proptest! {
@@ -406,8 +408,7 @@ mod tests {
             ops in proptest::collection::vec((0u8..8, 0u64..5, 0u64..40, 0u32..24), 1..150),
         ) {
             let metrics = MetricsRegistry::new();
-            let ids = (0..4u64).map(NodeId);
-            let table = NodeTable::new(ids.zip(TOTAL_SLOTS), SimInstant(0), &metrics);
+            let table = NodeTable::new(TOTAL_SLOTS, SimInstant(0), &metrics);
             let fresh = Model { last_seen_ns: 0, failed: false, slow: 1.0, business: 0, held: 0 };
             let mut model = [fresh; 4];
             let mut beats = 0u64;

@@ -23,6 +23,7 @@ use crate::master::pipeline::ExecCtx;
 use crate::master::pool::run_indexed;
 use crate::master::Scheduler;
 use feisu_cluster::simclock::TimeTally;
+use feisu_cluster::Topology;
 use feisu_common::hash::FxHashMap;
 use feisu_common::{ByteSize, FeisuError, NodeId, Result, SimDuration, SimInstant};
 use feisu_exec::batch::RecordBatch;
@@ -165,10 +166,10 @@ impl FeisuCluster {
         // each output to its first k rows here and keeps the uncut batch
         // for the store, so any scan of the same block can reuse it.
         let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut group_of: FxHashMap<NodeId, usize> = FxHashMap::default();
+        let mut group_of: Vec<Option<usize>> = vec![None; self.topology.len()];
         for (i, p) in planned.iter().enumerate() {
             if matches!(p, Planned::Run { .. }) {
-                let g = *group_of.entry(assignments[i]).or_insert_with(|| {
+                let g = *group_of[Topology::index(assignments[i])].get_or_insert_with(|| {
                     groups.push(Vec::new());
                     groups.len() - 1
                 });
@@ -206,7 +207,7 @@ impl FeisuCluster {
         // surface as the first failing task by submission order (the rest
         // have already run, which only warms caches). A reused result is
         // uncut, so a top-k scan cuts it here.
-        let mut node_time: FxHashMap<NodeId, SimDuration> = FxHashMap::default();
+        let mut node_time = vec![SimDuration::ZERO; self.topology.len()];
         let mut outputs: Vec<TaskRun> = Vec::new();
         for (i, plan) in planned.into_iter().enumerate() {
             let signature = match plan {
@@ -221,7 +222,7 @@ impl FeisuCluster {
                     if let Some(top) = top {
                         out.keep_top(top, cost)?;
                     }
-                    let done = *node_time.entry(assignments[i]).or_default();
+                    let done = node_time[Topology::index(assignments[i])];
                     let at = SimInstant(scan_base + done.as_nanos());
                     let span = ctx.spans.record("leaf_task", None, at, at);
                     ctx.spans.attr(span, "node", assignments[i].to_string());
@@ -254,7 +255,7 @@ impl FeisuCluster {
                 output.is_agg_transport,
                 ctx.now,
             );
-            let t = node_time.entry(node).or_default();
+            let t = &mut node_time[Topology::index(node)];
             *t += output.tally.total();
             let done = *t;
             let total = output.tally.total();
@@ -340,8 +341,7 @@ impl FeisuCluster {
         // returned, tasks past the limit were abandoned, so the leaf wave
         // ends exactly at the straggler limit — no node runs longer.
         let mut critical = node_time
-            .values()
-            .copied()
+            .into_iter()
             .fold(SimDuration::ZERO, |a, b| a.max(b));
         if let Some(limit) = ctx.options.time_limit {
             if ctx.partial {
@@ -486,7 +486,7 @@ impl FeisuCluster {
                 Acquire::Wait => std::thread::yield_now(),
             }
         };
-        let leaf = (self.leaves.get(&node)).expect("every node in the table has a leaf server");
+        let leaf = self.leaf(node).expect("every node has a leaf server");
         let out = leaf.execute(task, &self.router, cred, now, self.spec.use_smartindex);
         self.nodes.release(node);
         Ok((out?, slow))

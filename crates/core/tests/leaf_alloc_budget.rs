@@ -185,11 +185,52 @@ fn decoding_one_row_of_a_bool_chunk_allocates_no_word_per_row() {
     one_row.set(rows - 1, true);
     let (allocated, out) = allocated_bytes(|| meta.decode_selected(&bytes, &["flag"], &one_row));
     assert_eq!(out.unwrap()[0].value(0), Value::Bool(true));
-    // The chunk body (a validity bit and a value bit per row) and the
-    // validity's words are read whole; one `u64` per row would be 8 bytes.
+    // Only the decompressed chunk body (a validity bit and a value bit per
+    // row: rows/4 bytes) is read whole; the kept row's validity bit is read
+    // from it in place, and one `u64` per row would be 8 bytes.
     assert!(
-        allocated <= rows / 2,
+        allocated <= rows / 4 + 512,
         "{allocated} bytes allocated to decode one row of {rows} booleans"
+    );
+}
+
+#[test]
+fn decoding_one_row_of_an_uncompressed_chunk_copies_no_chunk() {
+    let rows = 65_536;
+    // Random values and NULLs: LZ cannot shrink a body of two random bits
+    // per row, so the chunk is stored uncompressed.
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let values: Vec<Value> = (0..rows)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            match x & 2 {
+                0 => Value::Null,
+                _ => Value::Bool(x & 1 == 1),
+            }
+        })
+        .collect();
+    let schema = Schema::new(vec![Field::new("flag", DataType::Bool, true)]);
+    let flags = Column::from_values(DataType::Bool, &values).unwrap();
+    let bytes = Block::new(BlockId(0), schema, vec![flags])
+        .unwrap()
+        .serialize();
+    let meta = Block::read_meta(&bytes).unwrap();
+    let stored = meta.chunk_lens().next().unwrap() as usize;
+    assert!(
+        stored > rows / 4,
+        "{stored} bytes: the chunk was compressed"
+    );
+    let mut one_row = BitVec::zeros(rows);
+    one_row.set(rows - 1, true);
+    let (allocated, out) = allocated_bytes(|| meta.decode_selected(&bytes, &["flag"], &one_row));
+    assert_eq!(out.unwrap()[0].value(0), values[rows - 1]);
+    // The body is read where it lies: neither it nor its validity words
+    // are copied, so the decode allocates far fewer bytes than the chunk.
+    assert!(
+        allocated * 16 < stored,
+        "{allocated} bytes allocated to decode one row of a {stored}-byte chunk"
     );
 }
 

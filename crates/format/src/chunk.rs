@@ -84,7 +84,8 @@ pub(crate) fn encode_column<'a>(c: &'a Column, out: &mut Vec<u8>) -> ChunkSummar
 
 /// Decodes one column chunk body of `rows` rows. The whole body is parsed
 /// and validated whatever `selection` (one bit per row) says; with `Some`
-/// only the selected rows are kept (strings: only their bytes are copied).
+/// only the selected rows are kept (strings: only their bytes are copied),
+/// their validity bits read straight from the body.
 pub(crate) fn decode_column(
     dt: DataType,
     rows: usize,
@@ -101,11 +102,7 @@ pub(crate) fn decode_column(
             "validity bitmap has {nwords} words for {rows} rows"
         )));
     }
-    let words = take_bytes(buf, pos, nwords.checked_mul(8), "validity bitmap")?
-        .chunks_exact(8)
-        .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
-        .collect();
-    let validity = Validity::from_words(words, rows)?;
+    let bitmap = take_bytes(buf, pos, nwords.checked_mul(8), "validity bitmap")?;
     let enc = *buf
         .get(*pos)
         .ok_or_else(|| FeisuError::Corrupt("missing column encoding tag".into()))?;
@@ -157,8 +154,7 @@ pub(crate) fn decode_column(
                 [1] => take_bytes(buf, pos, Some(rows.div_ceil(8)), "bool column")?,
                 width => return Err(FeisuError::Corrupt(format!("bool width {width:?}"))),
             };
-            let bit = |i: usize| bits[i / 8] >> (i % 8) & 1 == 1;
-            ColumnData::Bool(rows_at(rows, selection, bit))
+            ColumnData::Bool(rows_at(rows, selection, |i| bit(bits, i)))
         }
         (DataType::Utf8, ENC_DICT) => {
             let view = dict::view(buf, pos)?;
@@ -172,10 +168,32 @@ pub(crate) fn decode_column(
         }
     };
     let validity = match selection {
-        None => validity,
-        Some(selection) => validity.filter(selection),
+        None => {
+            let words = bitmap.chunks_exact(8);
+            let words = words.map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+            Validity::from_words(words.collect(), rows)?
+        }
+        Some(selection) if all_set(bitmap, rows) => Validity::new_all_valid(selection.count_ones()),
+        Some(selection) => {
+            let mut kept = Validity::with_capacity(selection.count_ones());
+            selection.for_each_one(|i| kept.push(bit(bitmap, i)));
+            kept
+        }
     };
     Ok(Column::new(data, validity))
+}
+
+/// Bit `i` of a little-endian bitmap (the bytes of its `u64` words).
+#[inline]
+fn bit(bytes: &[u8], i: usize) -> bool {
+    bytes[i / 8] >> (i % 8) & 1 == 1
+}
+
+/// Whether bits `0..n` of a little-endian bitmap are all set.
+fn all_set(bytes: &[u8], n: usize) -> bool {
+    let (full, rest) = (n / 8, n % 8);
+    bytes[..full].iter().all(|&b| b == u8::MAX)
+        && (rest == 0 || bytes[full] | u8::MAX << rest == u8::MAX)
 }
 
 /// The next `len` bytes of `buf` (`None`: the count overflowed), or

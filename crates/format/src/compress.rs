@@ -9,6 +9,7 @@
 //! payload is the [`Codec`] tag.
 
 use feisu_common::{FeisuError, Result};
+use std::borrow::Cow;
 
 /// Available compression codecs, stored as the payload's first byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,8 +61,9 @@ pub fn compress(codec: Codec, data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompresses a payload produced by [`compress`].
-pub fn decompress(buf: &[u8]) -> Result<Vec<u8>> {
+/// Decompresses a payload produced by [`compress`]; a `Codec::None`
+/// payload is borrowed, not copied.
+pub fn decompress(buf: &[u8]) -> Result<Cow<'_, [u8]>> {
     if buf.is_empty() {
         return Err(FeisuError::Corrupt("empty compressed payload".into()));
     }
@@ -77,9 +79,9 @@ pub fn decompress(buf: &[u8]) -> Result<Vec<u8>> {
                     payload.len()
                 )));
             }
-            Ok(payload.to_vec())
+            Ok(Cow::Borrowed(payload))
         }
-        Codec::Lz => lz_decompress(&buf[pos..], raw_len),
+        Codec::Lz => lz_decompress(&buf[pos..], raw_len).map(Cow::Owned),
     }
 }
 

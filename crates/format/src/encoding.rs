@@ -104,19 +104,9 @@ pub mod rle {
 
     /// Encodes as a list of (run-length, value) pairs.
     pub fn encode(values: &[i64], out: &mut Vec<u8>) {
-        // Count runs first so the decoder can preallocate.
-        let mut runs = 0usize;
-        let mut i = 0;
-        while i < values.len() {
-            let mut j = i + 1;
-            while j < values.len() && values[j] == values[i] {
-                j += 1;
-            }
-            runs += 1;
-            i = j;
-        }
         varint::encode(values.len() as u64, out);
-        varint::encode(runs as u64, out);
+        // The run count first, so the decoder can preallocate.
+        varint::encode(run_count(values) as u64, out);
         let mut i = 0;
         while i < values.len() {
             let mut j = i + 1;

@@ -1,8 +1,10 @@
-//! The SmartIndex record (paper Fig. 6).
+//! The SmartIndex record (paper Fig. 6), kept in memory only: indexes are
+//! never persisted, so Fig. 6's `magic` has no byte form to open.
 //!
-//! Header: magic, block id, the predicate key (`op/colname/colvalue`)
-//! and compress type; Fig. 6's auxiliary `range` lives once per block in
-//! the footer's zone statistics, not per index. Payload: the compressed
+//! Header: the block id, the predicate (its key is `op/colname/colvalue`)
+//! and the compress type, which is the form [`CompressedBits`] chose; Fig.
+//! 6's auxiliary `range` lives once per block in the footer's zone
+//! statistics, not per index. Payload: the compressed
 //! 0-1 vector of the predicate's evaluation result, and — required for
 //! correct negation reuse under SQL's three-valued logic — the block
 //! column's null positions. A NOT served from an index must exclude null
@@ -14,9 +16,6 @@ use crate::kernel::compare_column;
 use feisu_common::{BlockId, FeisuError, Result, SimInstant};
 use feisu_format::{BitVec, Block, Column};
 use feisu_sql::cnf::SimplePredicate;
-
-/// Magic value opening a serialized SmartIndex (Fig. 6 `magic`).
-pub const SMARTINDEX_MAGIC: u32 = 0xFE15_0D01;
 
 /// One SmartIndex: the cached evaluation of one simple predicate over one
 /// block.
@@ -139,100 +138,6 @@ impl SmartIndex {
     /// The cache key this index answers (op/colname/colvalue of Fig. 6).
     pub fn key(&self) -> String {
         self.predicate.key()
-    }
-
-    /// Serializes header + payload with the Fig. 6 magic.
-    pub fn serialize(&self) -> Vec<u8> {
-        use feisu_format::encoding::varint;
-        let mut out = Vec::new();
-        out.extend_from_slice(&SMARTINDEX_MAGIC.to_le_bytes());
-        varint::encode(self.block_id.raw(), &mut out);
-        let key = self.predicate.key();
-        varint::encode(key.len() as u64, &mut out);
-        out.extend_from_slice(key.as_bytes());
-        varint::encode(self.rows as u64, &mut out);
-        let bits = self.bits.to_bitvec();
-        varint::encode(bits.words().len() as u64, &mut out);
-        for w in bits.words() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        match &self.nulls {
-            None => out.push(0),
-            Some(n) => {
-                out.push(1);
-                let nb = n.to_bitvec();
-                varint::encode(nb.words().len() as u64, &mut out);
-                for w in nb.words() {
-                    out.extend_from_slice(&w.to_le_bytes());
-                }
-            }
-        }
-        out
-    }
-
-    /// Parses a serialized index. The predicate is reconstructed from its
-    /// key string only for identification; callers match on [`SmartIndex::key`].
-    pub fn deserialize(
-        buf: &[u8],
-        predicate: SimplePredicate,
-        now: SimInstant,
-    ) -> Result<SmartIndex> {
-        use feisu_format::encoding::varint;
-        if buf.len() < 4 || buf[..4] != SMARTINDEX_MAGIC.to_le_bytes() {
-            return Err(FeisuError::Corrupt("bad SmartIndex magic".into()));
-        }
-        let mut pos = 4usize;
-        let block_id = BlockId(varint::decode(buf, &mut pos)?);
-        let key_len = varint::decode(buf, &mut pos)? as usize;
-        let end = pos + key_len;
-        if end > buf.len() {
-            return Err(FeisuError::Corrupt("truncated SmartIndex key".into()));
-        }
-        let stored_key = std::str::from_utf8(&buf[pos..end])
-            .map_err(|_| FeisuError::Corrupt("SmartIndex key not utf8".into()))?;
-        if stored_key != predicate.key() {
-            return Err(FeisuError::Corrupt(format!(
-                "SmartIndex key mismatch: stored `{stored_key}`"
-            )));
-        }
-        pos = end;
-        let rows = varint::decode(buf, &mut pos)? as usize;
-        let read_bits = |pos: &mut usize| -> Result<BitVec> {
-            let nwords = varint::decode(buf, pos)? as usize;
-            // The word count is corruption-controlled: multiply checked,
-            // or a huge varint overflows (panicking in debug, wrapping —
-            // and passing the bounds check — in release on 32-bit).
-            let nbytes = nwords
-                .checked_mul(8)
-                .ok_or_else(|| FeisuError::Corrupt("SmartIndex word count overflow".into()))?;
-            if buf.len().saturating_sub(*pos) < nbytes {
-                return Err(FeisuError::Corrupt("truncated SmartIndex bits".into()));
-            }
-            let mut words = Vec::with_capacity(nwords);
-            for _ in 0..nwords {
-                words.push(u64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap()));
-                *pos += 8;
-            }
-            BitVec::from_words(words, rows)
-        };
-        let bits = read_bits(&mut pos)?;
-        let has_nulls = *buf
-            .get(pos)
-            .ok_or_else(|| FeisuError::Corrupt("missing null flag".into()))?;
-        pos += 1;
-        let nulls = if has_nulls == 1 {
-            Some(CompressedBits::from_bitvec(&read_bits(&mut pos)?))
-        } else {
-            None
-        };
-        Ok(SmartIndex {
-            block_id,
-            predicate,
-            rows,
-            bits: CompressedBits::from_bitvec(&bits),
-            nulls,
-            created_at: now,
-        })
     }
 }
 
@@ -370,56 +275,6 @@ mod tests {
         let block = test_block();
         let p = pred("c2", BinaryOp::Contains, Value::Utf8("x".into()));
         assert!(SmartIndex::build(&block, &p, SimInstant(0)).is_err());
-    }
-
-    #[test]
-    fn serialize_roundtrip() {
-        let block = test_block();
-        let p = pred("c2", BinaryOp::Gt, Value::Int64(5));
-        let idx = SmartIndex::build(&block, &p, SimInstant(0)).unwrap();
-        let bytes = idx.serialize();
-        let back = SmartIndex::deserialize(&bytes, p, SimInstant(1)).unwrap();
-        assert_eq!(back.bits(), idx.bits());
-        assert_eq!(back.negated_bits(), idx.negated_bits());
-        assert_eq!(back.block_id, BlockId(7));
-    }
-
-    #[test]
-    fn serialize_rejects_wrong_key_or_magic() {
-        let block = test_block();
-        let p = pred("c2", BinaryOp::Gt, Value::Int64(5));
-        let idx = SmartIndex::build(&block, &p, SimInstant(0)).unwrap();
-        let mut bytes = idx.serialize();
-        let wrong = pred("c2", BinaryOp::Gt, Value::Int64(6));
-        assert!(SmartIndex::deserialize(&bytes, wrong, SimInstant(0)).is_err());
-        bytes[0] ^= 0xff;
-        assert!(SmartIndex::deserialize(
-            &bytes,
-            pred("c2", BinaryOp::Gt, Value::Int64(5)),
-            SimInstant(0)
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn huge_word_count_rejected_not_panicking() {
-        use feisu_format::encoding::varint;
-        let block = test_block();
-        let p = pred("c2", BinaryOp::Gt, Value::Int64(5));
-        let idx = SmartIndex::build(&block, &p, SimInstant(0)).unwrap();
-        let bytes = idx.serialize();
-        // Walk to the bits word-count varint and replace it with a value
-        // whose byte size overflows usize: decode must error, not panic
-        // (or wrap past the bounds check).
-        let mut pos = 4usize;
-        varint::decode(&bytes, &mut pos).unwrap(); // block id
-        let key_len = varint::decode(&bytes, &mut pos).unwrap() as usize;
-        pos += key_len;
-        varint::decode(&bytes, &mut pos).unwrap(); // rows
-        let mut evil = bytes[..pos].to_vec();
-        varint::encode(u64::MAX, &mut evil);
-        let got = SmartIndex::deserialize(&evil, p, SimInstant(0));
-        assert!(matches!(got, Err(FeisuError::Corrupt(_))), "got {got:?}");
     }
 
     #[test]

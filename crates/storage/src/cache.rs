@@ -23,8 +23,9 @@
 //! * **Speculative chunks leave first** — in each tier every speculative
 //!   chunk is evicted, coldest first, before any touched chunk. A hit makes
 //!   a speculative chunk an ordinary one.
-//! * **Sharded locks** — node state is spread over [`SHARDS`] mutexes keyed
-//!   by node id; a probe takes its node's lock once, whatever its chunks.
+//! * **One lock per node** — each node's state sits behind its own mutex,
+//!   at the node's topology index, all made when the cache is built; a
+//!   probe takes its node's lock once, whatever its chunks.
 //! * **Quotas** — per-user budgets of chunk bytes per node, attributed from
 //!   the session credential that triggered the read. An over-quota user
 //!   evicts its own coldest chunks first; an object that cannot fit its
@@ -39,6 +40,7 @@
 //! concurrent (DESIGN.md §15).
 
 use bytes::Bytes;
+use feisu_cluster::Topology;
 use feisu_common::config::CacheSettings;
 use feisu_common::hash::FxHashMap;
 use feisu_common::lru::Lru;
@@ -46,11 +48,6 @@ use feisu_common::{ByteSize, NodeId, UserId};
 use feisu_obs::{Counter, MetricsRegistry};
 use parking_lot::Mutex;
 use std::sync::Arc;
-
-/// Number of lock shards the per-node state is spread over. Node ids map
-/// to shards by modulo, so any two distinct nodes in a small cluster get
-/// distinct locks.
-pub const SHARDS: usize = 64;
 
 /// Which tier of the hierarchy holds (or served) a chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -412,22 +409,21 @@ pub struct TieredCache {
     /// filter (the paper's manual §IV-B preferences, surviving as
     /// overrides).
     pins: Vec<String>,
-    /// Per-node state, sharded by node id so probes on different nodes
-    /// never contend on one lock.
-    shards: Vec<Mutex<FxHashMap<NodeId, NodeCache>>>,
+    /// Each node's state at its topology index, so probes on different
+    /// nodes never contend on one lock.
+    nodes: Vec<Mutex<NodeCache>>,
     /// Per-user quotas (absent = unlimited).
     user_quotas: Mutex<FxHashMap<UserId, u64>>,
     counters: CacheCounters,
 }
 
 impl TieredCache {
-    pub fn new(settings: CacheSettings, pins: Vec<String>) -> Self {
+    /// The cache of `nodes` nodes, ids `0..nodes`.
+    pub fn new(settings: CacheSettings, pins: Vec<String>, nodes: usize) -> Self {
         TieredCache {
             settings,
             pins,
-            shards: (0..SHARDS)
-                .map(|_| Mutex::new(FxHashMap::default()))
-                .collect(),
+            nodes: (0..nodes).map(|_| Mutex::default()).collect(),
             user_quotas: Mutex::new(FxHashMap::default()),
             counters: CacheCounters::default(),
         }
@@ -442,8 +438,9 @@ impl TieredCache {
         self.pins.iter().any(|p| path.starts_with(p.as_str()))
     }
 
-    fn shard(&self, node: NodeId) -> &Mutex<FxHashMap<NodeId, NodeCache>> {
-        &self.shards[node.0 as usize % SHARDS]
+    /// `node`'s state; `None` outside the topology.
+    fn node(&self, node: NodeId) -> Option<&Mutex<NodeCache>> {
+        self.nodes.get(Topology::index(node))
     }
 
     fn cap(&self, tier: CacheTier) -> u64 {
@@ -479,24 +476,17 @@ impl TieredCache {
 
     /// Keys remembered by one node's ghost.
     pub fn ghost_len_on(&self, node: NodeId) -> usize {
-        self.shard(node)
-            .lock()
-            .get(&node)
-            .map_or(0, |nc| nc.ghost.keys.len())
+        self.node(node).map_or(0, |nc| nc.lock().ghost.keys.len())
     }
 
     /// Probes `node` for the chunks `touched` of `path`: `None` when the
     /// node holds none of the object, else its bytes and the tier of each
     /// chunk asked for. A hit refreshes the chunk, clears its speculative
     /// mark, and from the SSD tier promotes the object's SSD-resident
-    /// chunks; a miss on every chunk leaves the node map untouched
-    /// (probing thousands of nodes that never cached anything must not
-    /// grow it).
+    /// chunks.
     pub fn get(&self, node: NodeId, path: &str, touched: &[usize]) -> Option<CacheHit> {
-        let mut shard = self.shard(node).lock();
-        let hit = shard
-            .get_mut(&node)
-            .and_then(|nc| self.probe(nc, path, touched));
+        let nc = self.node(node);
+        let hit = nc.and_then(|nc| self.probe(&mut nc.lock(), path, touched));
         if hit.is_none() {
             self.counters.misses.add(touched.len() as u64);
         }
@@ -564,14 +554,14 @@ impl TieredCache {
             return;
         }
         let pinned = self.pinned(path);
-        // Without a ghost nothing unpinned can be sighted twice: reject
-        // before any node state exists.
-        if ghost_capacity == 0 && !pinned {
+        // Without a ghost nothing unpinned can be sighted twice; and a node
+        // outside the topology caches nothing.
+        let Some(nc) = self.node(node).filter(|_| ghost_capacity > 0 || pinned) else {
             c.rejected.inc();
             return;
-        }
-        // Resolve the quota before taking the shard lock (lock order: the
-        // quota map is a leaf, never nested inside a shard).
+        };
+        // Resolve the quota before taking the node's lock (lock order: the
+        // quota map is a leaf, never nested inside a node's lock).
         let user_quota = self.user_quotas.lock().get(&user).copied();
         // An object that cannot fit its owner's quota is rejected outright
         // — quota wins even over a pin.
@@ -581,8 +571,8 @@ impl TieredCache {
             return;
         }
 
-        let mut shard = self.shard(node).lock();
-        let nc = shard.entry(node).or_default();
+        let mut nc = nc.lock();
+        let nc = &mut *nc;
         let held = nc.ids.get(path).copied();
         let same = held.filter(|id| {
             let e = &nc.entries[id];
@@ -650,11 +640,10 @@ impl TieredCache {
     /// Drops every chunk of `path` from every node (ingest rewrote the
     /// object).
     pub fn invalidate_path(&self, path: &str) {
-        for shard in &self.shards {
-            for nc in shard.lock().values_mut() {
-                if let Some(&id) = nc.ids.get(path) {
-                    self.counters.invalidations.add(nc.drop_entry(id));
-                }
+        for nc in &self.nodes {
+            let mut nc = nc.lock();
+            if let Some(&id) = nc.ids.get(path) {
+                self.counters.invalidations.add(nc.drop_entry(id));
             }
         }
     }
@@ -700,8 +689,8 @@ impl TieredCache {
 
     /// `system.cache` rows for one node: `mem`, `ssd`, `ghost`.
     pub fn node_tier_rows(&self, node: NodeId) -> Vec<CacheTierRow> {
-        let shard = self.shard(node).lock();
-        let nc = shard.get(&node);
+        let nc = self.node(node).map(|nc| nc.lock());
+        let nc = nc.as_deref();
         let tier = |t: Option<&Tier>, cap: u64, label: &'static str| CacheTierRow {
             tier: label,
             entries: t.map_or(0, Tier::len),
@@ -740,30 +729,24 @@ impl TieredCache {
 
     /// Chunk bytes held by one tier on one node.
     pub fn used_on(&self, node: NodeId, tier: CacheTier) -> ByteSize {
-        let mut shard = self.shard(node).lock();
-        ByteSize(shard.get_mut(&node).map_or(0, |nc| nc.tier(tier).used()))
+        ByteSize(self.node(node).map_or(0, |nc| nc.lock().tier(tier).used()))
     }
 
     /// Chunk bytes attributed to one user on one node (both tiers).
     pub fn user_used_on(&self, node: NodeId, user: UserId) -> ByteSize {
-        ByteSize(
-            self.shard(node)
-                .lock()
-                .get(&node)
-                .and_then(|nc| nc.user_used.get(&user).copied())
-                .unwrap_or(0),
-        )
-    }
-
-    /// Nodes with allocated cache state.
-    pub fn tracked_nodes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        let used = self
+            .node(node)
+            .and_then(|nc| nc.lock().user_used.get(&user).copied());
+        ByteSize(used.unwrap_or(0))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Nodes of every test cache: ids 0..16.
+    const NODES: usize = 16;
 
     /// "Admit everything" is a pin on the root prefix.
     fn pin_all() -> Vec<String> {
@@ -779,7 +762,7 @@ mod tests {
             ssd_capacity_per_node: ByteSize::kib(kib),
             ghost_capacity: 0,
         };
-        TieredCache::new(s, vec!["/hdfs/hot/".into()])
+        TieredCache::new(s, vec!["/hdfs/hot/".into()], NODES)
     }
 
     fn open(mem_kib: u64, ssd_kib: u64) -> TieredCache {
@@ -789,7 +772,7 @@ mod tests {
             ssd_capacity_per_node: ByteSize::kib(ssd_kib),
             ghost_capacity: 1024,
         };
-        TieredCache::new(s, pin_all())
+        TieredCache::new(s, pin_all(), NODES)
     }
 
     #[test]
@@ -803,7 +786,11 @@ mod tests {
         );
         assert!(c.get(NodeId(0), "/hdfs/cold/x", &[0]).is_none());
         assert_eq!(c.stats().rejected, 1);
-        assert_eq!(c.tracked_nodes(), 0, "ghostless rejects allocate nothing");
+        assert_eq!(
+            c.node_tier_rows(NodeId(0))[2].entries,
+            0,
+            "nothing in the ghost"
+        );
         c.admit(
             NodeId(0),
             "/hdfs/hot/x",
@@ -822,7 +809,7 @@ mod tests {
 
     #[test]
     fn ghost_admission_requires_second_sighting() {
-        let c = TieredCache::new(open(64, 64).settings, Vec::new());
+        let c = TieredCache::new(open(64, 64).settings, Vec::new(), NODES);
         let blob = Bytes::from_static(b"data");
         // First sighting: registered in the ghost, not cached.
         c.admit(
@@ -848,7 +835,7 @@ mod tests {
             ssd_capacity_per_node: ByteSize::kib(64),
             ..CacheSettings::default()
         };
-        let c = TieredCache::new(s, vec!["/hdfs/hot/".into()]);
+        let c = TieredCache::new(s, vec!["/hdfs/hot/".into()], NODES);
         c.admit(
             NodeId(0),
             "/hdfs/hot/x",
@@ -892,7 +879,7 @@ mod tests {
             ssd_capacity_per_node: ByteSize::kib(64),
             ..CacheSettings::default()
         };
-        let c = TieredCache::new(s, pin_all());
+        let c = TieredCache::new(s, pin_all(), NODES);
         c.admit(
             NodeId(0),
             "/t/a",
@@ -1033,21 +1020,27 @@ mod tests {
 
     #[test]
     fn pure_misses_do_not_allocate_node_state() {
+        // Node state is made with the cache, one per node of the topology;
+        // an id past it (most of these) misses without a panic or a state.
         let c = open(64, 64);
-        for n in 0..4_000 {
+        for n in (0..4_000).chain([u64::MAX]) {
             assert!(c.get(NodeId(n), "/t/x", &[0]).is_none());
+            assert_eq!(c.used_on(NodeId(n), CacheTier::Ssd), ByteSize::ZERO);
+            let rows = c.node_tier_rows(NodeId(n));
+            assert!(rows
+                .iter()
+                .all(|r| (r.entries, r.used_bytes, r.hits) == (0, 0, 0)));
         }
-        assert_eq!(c.tracked_nodes(), 0, "misses must not allocate NodeCache");
-        assert_eq!(c.stats().misses, 4_000);
-        // A real admit still allocates exactly one.
-        c.admit(
-            NodeId(7),
-            "/t/x",
-            Offer::whole(Bytes::from_static(b"d")),
-            UserId(1),
-        );
-        assert_eq!(c.tracked_nodes(), 1);
+        assert_eq!(c.stats().misses, 4_001);
+        // An offer to a node outside the topology is turned away ...
+        let offer = || Offer::whole(Bytes::from_static(b"d"));
+        c.admit(NodeId(NODES as u64), "/t/x", offer(), UserId(1));
+        assert_eq!(c.stats().rejected, 1);
+        assert!(c.get(NodeId(NODES as u64), "/t/x", &[0]).is_none());
+        // ... and one to a node inside it is cached there alone.
+        c.admit(NodeId(7), "/t/x", offer(), UserId(1));
         assert!(c.get(NodeId(7), "/t/x", &[0]).is_some());
+        assert!(c.get(NodeId(6), "/t/x", &[0]).is_none());
     }
 
     #[test]
@@ -1077,7 +1070,7 @@ mod tests {
             ssd_capacity_per_node: ByteSize::kib(64),
             ..CacheSettings::default()
         };
-        let c = TieredCache::new(s, pin_all());
+        let c = TieredCache::new(s, pin_all(), NODES);
         c.set_user_quota(UserId(1), Some(ByteSize(1000)));
         let blob = Bytes::from(vec![0u8; 400]);
         c.admit(NodeId(0), "/t/a", Offer::whole(blob.clone()), UserId(1));
@@ -1106,7 +1099,7 @@ mod tests {
             enabled: true,
             ..CacheSettings::default()
         };
-        let c = TieredCache::new(s, pin_all());
+        let c = TieredCache::new(s, pin_all(), NODES);
         c.set_user_quota(UserId(3), Some(ByteSize::ZERO));
         c.admit(
             NodeId(0),
@@ -1134,7 +1127,7 @@ mod tests {
             enabled: true,
             ..CacheSettings::default()
         };
-        let c = TieredCache::new(s, vec!["/hdfs/hot/".into()]);
+        let c = TieredCache::new(s, vec!["/hdfs/hot/".into()], NODES);
         c.set_user_quota(UserId(1), Some(ByteSize(10)));
         // Pinned, but larger than the user's whole quota: rejected.
         c.admit(
@@ -1154,7 +1147,7 @@ mod tests {
             ghost_capacity: 8,
             ..CacheSettings::default()
         };
-        let c = TieredCache::new(s, Vec::new());
+        let c = TieredCache::new(s, Vec::new(), NODES);
         for i in 0..100 {
             c.admit(
                 NodeId(0),
@@ -1223,7 +1216,7 @@ mod tests {
 
     #[test]
     fn a_block_is_admitted_on_its_second_sighting_with_all_of_its_chunks() {
-        let c = TieredCache::new(open(0, 64).settings, Vec::new());
+        let c = TieredCache::new(open(0, 64).settings, Vec::new(), NODES);
         let lens = [10, 100, 200, 300];
         offer(&c, 0, "/t/b0", &lens, &[0, 2], 1);
         assert_eq!(c.stats().ghost_registered, 1);
@@ -1246,7 +1239,7 @@ mod tests {
             ssd_capacity_per_node: ByteSize(1000),
             ..open(0, 1).settings
         };
-        let c = TieredCache::new(settings, pin_all());
+        let c = TieredCache::new(settings, pin_all(), NODES);
         offer(&c, 0, "/t/a", &[100; 4], &[1], 1);
         offer(&c, 0, "/t/b", &[100; 4], &[2], 1);
         // 100 B too many: the coldest speculative chunk, a's first.
@@ -1276,7 +1269,7 @@ mod tests {
             ..open(0, 1).settings
         };
         for hit in [false, true] {
-            let c = TieredCache::new(settings.clone(), pin_all());
+            let c = TieredCache::new(settings.clone(), pin_all(), NODES);
             offer(&c, 0, "/t/a", &[100, 100], &[0], 1);
             if hit {
                 assert_eq!(tiers(&c, "/t/a", &[1]), [SSD]);
@@ -1311,6 +1304,7 @@ mod tests {
                 ..open(64, 64).settings
             },
             pin_all(),
+            NODES,
         );
         offer(&c, 0, "/t/a", &[100, 100, 100], &[0, 1, 2], 1);
         assert_eq!(

@@ -65,7 +65,7 @@ pub struct Domain {
     /// Fixed latency added to every read.
     wake_penalty: SimDuration,
     placement: Placement,
-    topology: Arc<Topology>,
+    pub(crate) topology: Arc<Topology>,
     objects: RwLock<FxHashMap<String, StoredObject>>,
     /// The router's failed-node set, once the router owns this domain.
     pub(crate) down: DownNodes,

@@ -14,19 +14,21 @@
 //! owned by the [`StorageRouter`](crate::StorageRouter), whose `write`
 //! drops a path's footer on every node.
 //!
-//! Staleness rule: a footer parsed from bytes older than a write to its
-//! path is never resident after that write returns. `fill_with` holds the
-//! node's lock across *read + parse + insert*, and `invalidate` takes the
-//! same lock after the bytes are in place — so a fill either read the new
-//! bytes, or finishes before the invalidation that then removes it.
+//! One lock per node, at the node's topology index, sized when the cache
+//! is built; an id outside the topology holds nothing. Staleness rule: a
+//! footer parsed from bytes older than a write to its path is never
+//! resident after that write returns. `fill_with` holds the node's lock
+//! across *read + parse + insert*, and `invalidate` takes the same lock
+//! after the bytes are in place — so a fill either read the new bytes, or
+//! finishes before the invalidation that then removes it.
 
 use crate::cache::CacheTierRow;
-use feisu_common::hash::FxHashMap;
+use feisu_cluster::Topology;
 use feisu_common::lru::Lru;
 use feisu_common::{NodeId, Result};
 use feisu_format::BlockMeta;
 use feisu_obs::{Counter, MetricsRegistry};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Per-node bound on resident footers, charged by
@@ -65,7 +67,7 @@ impl NodeFooters {
 
 pub struct FooterCache {
     capacity_per_node: usize,
-    nodes: RwLock<FxHashMap<NodeId, Arc<Mutex<NodeFooters>>>>,
+    nodes: Vec<Mutex<NodeFooters>>,
     /// Lookups that found a resident footer, lookups that did not, and
     /// footers dropped because their path was written.
     hits: Arc<Counter>,
@@ -73,17 +75,16 @@ pub struct FooterCache {
     invalidations: Arc<Counter>,
 }
 
-impl Default for FooterCache {
-    fn default() -> Self {
-        FooterCache::with_capacity(FOOTER_BYTES_PER_NODE)
-    }
-}
-
 impl FooterCache {
-    fn with_capacity(capacity_per_node: usize) -> Self {
+    /// The footers of `nodes` nodes, [`FOOTER_BYTES_PER_NODE`] each.
+    pub(crate) fn new(nodes: usize) -> Self {
+        FooterCache::with_capacity(FOOTER_BYTES_PER_NODE, nodes)
+    }
+
+    fn with_capacity(capacity_per_node: usize, nodes: usize) -> Self {
         FooterCache {
             capacity_per_node,
-            nodes: RwLock::new(FxHashMap::default()),
+            nodes: (0..nodes).map(|_| Mutex::default()).collect(),
             hits: Arc::default(),
             misses: Arc::default(),
             invalidations: Arc::default(),
@@ -98,18 +99,13 @@ impl FooterCache {
         registry.adopt_counter("feisu.meta.invalidations", self.invalidations.clone());
     }
 
-    fn node(&self, node: NodeId) -> Arc<Mutex<NodeFooters>> {
-        if let Some(n) = self.nodes.read().get(&node) {
-            return n.clone();
-        }
-        self.nodes.write().entry(node).or_default().clone()
+    fn node(&self, node: NodeId) -> Option<&Mutex<NodeFooters>> {
+        self.nodes.get(Topology::index(node))
     }
 
     /// The footer `node` holds for `path`, refreshing its recency.
     pub fn get(&self, node: NodeId, path: &str) -> Option<Arc<BlockMeta>> {
-        // Not under the map's lock: the node's may be held across a fill.
-        let state = self.nodes.read().get(&node).cloned();
-        let found = state.and_then(|n| n.lock().touch(path));
+        let found = self.node(node).and_then(|n| n.lock().touch(path));
         match &found {
             Some(_) => self.hits.inc(),
             None => self.misses.inc(),
@@ -118,15 +114,17 @@ impl FooterCache {
     }
 
     /// Runs `read_and_parse` and keeps the footer it returns for `node`,
-    /// all under the node's lock (see the module doc for why). An error
-    /// leaves nothing behind.
+    /// all under the node's lock (see the module doc for why). An error,
+    /// or a node outside the topology, leaves nothing behind.
     pub(crate) fn fill_with<T>(
         &self,
         node: NodeId,
         path: &str,
         read_and_parse: impl FnOnce() -> Result<(T, Arc<BlockMeta>)>,
     ) -> Result<(T, Arc<BlockMeta>)> {
-        let state = self.node(node);
+        let Some(state) = self.node(node) else {
+            return read_and_parse();
+        };
         let mut state = state.lock();
         let (read, meta) = read_and_parse()?;
         state.insert(path, meta.clone(), self.capacity_per_node);
@@ -136,7 +134,7 @@ impl FooterCache {
     /// Drops `node`'s footer for `path` (it failed to describe the bytes
     /// just read).
     pub(crate) fn forget(&self, node: NodeId, path: &str) {
-        if let Some(n) = self.nodes.read().get(&node) {
+        if let Some(n) = self.node(node) {
             n.lock().slots.remove(path);
         }
     }
@@ -144,10 +142,7 @@ impl FooterCache {
     /// Drops `path`'s footer on every node. Call after the new bytes are
     /// in place.
     pub(crate) fn invalidate(&self, path: &str) {
-        let dropped = self
-            .nodes
-            .read()
-            .values()
+        let dropped = (self.nodes.iter())
             .filter(|n| n.lock().slots.remove(path).is_some())
             .count();
         self.invalidations.add(dropped as u64);
@@ -155,8 +150,7 @@ impl FooterCache {
 
     /// `system.cache`'s `meta` row for one node.
     pub fn node_row(&self, node: NodeId) -> CacheTierRow {
-        let state = self.nodes.read().get(&node).cloned();
-        let state = state.as_ref().map(|n| n.lock());
+        let state = self.node(node).map(|n| n.lock());
         CacheTierRow {
             tier: "meta",
             entries: state.as_ref().map_or(0, |n| n.slots.len()),
@@ -188,7 +182,7 @@ mod tests {
     #[test]
     fn footers_are_per_node_and_dropped_everywhere_on_invalidate() {
         let registry = MetricsRegistry::new();
-        let c = FooterCache::default();
+        let c = FooterCache::new(10);
         c.attach_metrics(&registry);
         assert!(c.get(NodeId(0), "/hdfs/t/b0").is_none());
         fill(&c, 0, "/hdfs/t/b0", 7);
@@ -212,7 +206,7 @@ mod tests {
 
     #[test]
     fn a_failed_fill_leaves_nothing_and_a_refill_replaces() {
-        let c = FooterCache::default();
+        let c = FooterCache::new(1);
         let err = c.fill_with::<()>(NodeId(0), "/p", || Err(FeisuError::Corrupt("x".into())));
         assert!(matches!(err, Err(FeisuError::Corrupt(_))));
         assert!(c.get(NodeId(0), "/p").is_none());
@@ -229,7 +223,7 @@ mod tests {
     #[test]
     fn the_byte_bound_evicts_the_least_recently_used() {
         let one = footer(0).footprint() + 2;
-        let c = FooterCache::with_capacity(2 * one);
+        let c = FooterCache::with_capacity(2 * one, 1);
         fill(&c, 0, "/a", 1);
         fill(&c, 0, "/b", 2);
         assert!(c.get(NodeId(0), "/a").is_some(), "now /b is the coldest");
@@ -241,8 +235,25 @@ mod tests {
         assert_eq!((row.entries, row.evictions), (2, 1));
         assert_eq!(row.used_bytes, 2 * one as u64);
         // A footer larger than the whole bound is not kept at all.
-        let tiny = FooterCache::with_capacity(one - 1);
+        let tiny = FooterCache::with_capacity(one - 1, 1);
         fill(&tiny, 0, "/a", 1);
         assert_eq!(tiny.node_row(NodeId(0)).entries, 0);
+    }
+
+    #[test]
+    fn a_node_outside_the_topology_holds_nothing() {
+        let registry = MetricsRegistry::new();
+        let c = FooterCache::new(2);
+        c.attach_metrics(&registry);
+        for node in [2, 3, u64::MAX] {
+            fill(&c, node, "/p", 1);
+            assert!(c.get(NodeId(node), "/p").is_none());
+            let row = c.node_row(NodeId(node));
+            assert_eq!((row.entries, row.used_bytes, row.hits), (0, 0, 0));
+            c.forget(NodeId(node), "/p");
+        }
+        c.invalidate("/p");
+        assert_eq!(registry.counter("feisu.meta.misses").get(), 3);
+        assert_eq!(registry.counter("feisu.meta.invalidations").get(), 0);
     }
 }

@@ -83,7 +83,8 @@ pub struct StorageRouter {
     default_domain: usize,
     auth: Arc<AuthService>,
     cache: Option<Arc<TieredCache>>,
-    /// Parsed block footers per node; always on, whatever `cache` is.
+    /// Parsed block footers per node of the domains' topology; always
+    /// on, whatever `cache` is.
     footers: FooterCache,
     /// The nodes marked down, read by every domain.
     down: DownNodes,
@@ -104,12 +105,13 @@ impl StorageRouter {
         for d in &mut domains {
             d.down = down.clone();
         }
+        let nodes = domains.iter().map(|d| d.topology.len()).max();
         StorageRouter {
+            footers: FooterCache::new(nodes.unwrap_or(0)),
             domains,
             default_domain,
             auth,
             cache,
-            footers: FooterCache::default(),
             down,
         }
     }
@@ -434,7 +436,7 @@ mod tests {
                 ssd_capacity_per_node: ByteSize::mib(4),
                 ghost_capacity: 0,
             };
-            TieredCache::new(settings, vec!["/hdfs/".into()])
+            TieredCache::new(settings, vec!["/hdfs/".into()], 4)
         });
         router_with(cache)
     }
@@ -447,7 +449,7 @@ mod tests {
             ssd_capacity_per_node: ByteSize::mib(4),
             ..CacheSettings::default()
         };
-        router_with(Some(TieredCache::new(settings, vec!["/".into()])))
+        router_with(Some(TieredCache::new(settings, vec!["/".into()], 4)))
     }
 
     #[test]

@@ -234,7 +234,7 @@ proptest! {
             true => vec!["/".into()],
             false => Vec::new(),
         };
-        let cache = TieredCache::new(settings, pins);
+        let cache = TieredCache::new(settings, pins, NODES as usize);
         let mut model = Model {
             chunks: Vec::new(),
             ghosts: vec![Vec::new(); NODES as usize],

@@ -75,7 +75,9 @@ FEISU_CLIENT_THREADS=4 cargo test -q $OFFLINE -p feisu-tests
 # the allocation budgets, whose counts are exact in any profile: the key
 # layer's, `RecordBatch::concat` of 16 Utf8 batches and a Utf8 chunk's
 # decode the same at 256 and 4,096 rows, beside it one row of a 65,536-row
-# Bool chunk decoded in at most rows/2 bytes (no word per row),
+# Bool chunk decoded in at most rows/4 + 512 bytes (its body, no validity
+# words and no word per row) and one row of a chunk stored uncompressed in
+# under 1/16 of the chunk's bytes (the payload is read in place),
 # `Catalog::table()`, a repeated
 # `Catalog::table_stats()` and `Schema::clone` at zero whatever the
 # table's size, an ingested block's not following its row count, a scan

@@ -254,11 +254,11 @@ fn fault_injection_under_concurrent_load() {
     assert_eq!(after.batch.rows(), 1);
 }
 
-/// Parallel hammer on the sharded block cache: every client thread runs
+/// Parallel hammer on the block cache: every client thread runs
 /// the miss → admit → SSD hit (promote) → memory hit ladder against the
 /// *same two nodes* with thread-private paths. Per-key state never
 /// races, so every global counter must land on its exact closed-form
-/// total — the per-node shard locks and relaxed atomic stats may not
+/// total — the per-node locks and relaxed atomic stats may not
 /// lose a single event under contention.
 #[test]
 fn parallel_hammer_on_two_nodes_keeps_exact_cache_totals() {
@@ -272,6 +272,7 @@ fn parallel_hammer_on_two_nodes_keeps_exact_cache_totals() {
             ..Default::default()
         },
         vec!["/".into()],
+        2,
     );
     let nodes = [NodeId(0), NodeId(1)];
     let barrier = Barrier::new(threads as usize);
@@ -322,7 +323,6 @@ fn parallel_hammer_on_two_nodes_keeps_exact_cache_totals() {
         0,
         "capacity never filled"
     );
-    assert_eq!(cache.tracked_nodes(), nodes.len());
     for node in nodes {
         // Single residency: every entry was promoted, so all bytes sit in
         // the memory tier and each user's attribution is exact.

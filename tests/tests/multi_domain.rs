@@ -203,3 +203,15 @@ fn local_fs_tasks_prefer_the_owning_node() {
     let leaf = cluster.leaf(feisu_common::NodeId(2)).unwrap();
     assert!(!leaf.index().is_empty(), "index built on the owning node");
 }
+
+#[test]
+fn a_leaf_is_found_by_its_topology_index_and_no_other_id() {
+    use feisu_common::NodeId;
+    let (cluster, _) = setup();
+    let nodes = cluster.node_count() as u64;
+    assert!((0..nodes).all(|n| cluster.leaf(NodeId(n)).is_some()));
+    for outside in [nodes, nodes + 1, u64::MAX] {
+        assert!(cluster.leaf(NodeId(outside)).is_none(), "{outside}");
+        assert_eq!(cluster.feisu_slot_limit(NodeId(outside)), 0);
+    }
+}
