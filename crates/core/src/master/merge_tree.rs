@@ -26,7 +26,8 @@
 //! FxHash, each child transport hashed once for all P), so no merger
 //! materializes the full group map, the merger's ingress
 //! link carries the *sum* of child payloads split P ways, and the master
-//! concatenates P disjoint partitions instead of re-merging them.
+//! concatenates P disjoint partitions and finishes them with one sort
+//! (`aggregate::finish_transport`) instead of re-merging them.
 //!
 //! Determinism (§12): partition merges are pure functions of their
 //! inputs, executed on the master's worker pool but collected in

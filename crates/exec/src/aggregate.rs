@@ -14,7 +14,7 @@
 
 use crate::batch::RecordBatch;
 use crate::expr::fit;
-use crate::keys::{hash_rows, key_column, sorted_rows, GroupKeys, TypedVec};
+use crate::keys::{cell_eq, hash_rows, key_column, sorted_rows, GroupKeys, TypedVec};
 use feisu_common::hash::FxHasher;
 use feisu_common::{FeisuError, Result};
 use feisu_format::column::{ColumnData, Utf8Vec, Validity};
@@ -330,24 +330,12 @@ pub struct AggTable {
 
 impl AggTable {
     pub fn new(group_by: Vec<(Expr, String, DataType)>, aggregates: Vec<AggExpr>) -> AggTable {
-        let mut fields: Vec<Field> = group_by
-            .iter()
-            .map(|(_, name, dt)| Field::new(format!("k:{name}"), *dt, true))
-            .collect();
-        let (mut slots, mut widths) = (Vec::new(), Vec::new());
-        for (i, a) in aggregates.iter().enumerate() {
-            let layout = Slot::layout(a);
-            widths.push(layout.len());
-            for (what, slot) in layout {
-                fields.push(Field::new(format!("s{i}:{what}"), slot.data_type(), true));
-                slots.push(slot);
-            }
-        }
+        let (transport, slots, widths) = transport_layout(&group_by, &aggregates);
         let mut t = AggTable {
             keys: GroupKeys::new(group_by.iter().map(|(_, _, dt)| *dt)),
+            transport,
             group_by,
             aggregates,
-            transport: Schema::new(fields),
             slots,
             widths,
             stamps: Vec::new(),
@@ -417,45 +405,14 @@ impl AggTable {
     /// Finalizes into the aggregate operator's output batch, groups in key
     /// order.
     pub fn finish(&self, output_schema: &Schema) -> Result<RecordBatch> {
-        let mut columns = self.keys.columns();
-        let keys: Vec<(&Column, bool)> = columns.iter().map(|c| (c, false)).collect();
-        let order = sorted_rows(&keys, self.group_count(), None);
-        let mut slots = &self.slots[..];
-        for &width in &self.widths {
-            let (mine, rest) = slots.split_at(width);
-            columns.push(match mine {
-                [Slot::SumInt(sum), Slot::Seen(seen)] => {
-                    Column::new(ColumnData::Int64(sum.clone()), seen.clone().into())
-                }
-                [Slot::SumFloat(sum), Slot::Seen(seen)] => {
-                    Column::new(ColumnData::Float64(sum.clone()), seen.clone().into())
-                }
-                [Slot::SumFloat(sum), Slot::Count(count)] => {
-                    let has = BitVec::from_bools(count.iter().map(|&n| n != 0));
-                    let avg = sum.iter().zip(count).map(|(s, &n)| match n {
-                        0 => 0.0,
-                        n => s / n as f64,
-                    });
-                    Column::new(ColumnData::Float64(avg.collect()), Validity::from(has))
-                }
-                [count_or_extreme] => count_or_extreme.to_column()?,
-                _ => unreachable!("Slot::layout has no other shape"),
-            });
-            slots = rest;
-        }
-        if columns.len() != output_schema.len() {
-            return Err(FeisuError::Execution(format!(
-                "aggregate yields {} columns for {} output fields",
-                columns.len(),
-                output_schema.len()
-            )));
-        }
-        let columns: Vec<Column> = columns
-            .iter()
-            .zip(output_schema.fields())
-            .map(|(c, f)| fit(Cow::Owned(c.try_take(&order)?), f.data_type))
-            .collect::<Result<_>>()?;
-        RecordBatch::new(output_schema.clone(), columns)
+        let (columns, rows) = (self.columns()?, self.group_count());
+        finish_columns(
+            &columns,
+            rows,
+            &self.aggregates,
+            &self.widths,
+            output_schema,
+        )
     }
 
     // ---- shipping: partial tables travel the tree as record batches ----
@@ -470,11 +427,16 @@ impl AggTable {
 
     /// Serializes the table to its transport batch.
     pub fn to_transport(&self) -> Result<RecordBatch> {
+        RecordBatch::new(self.transport.clone(), self.columns()?)
+    }
+
+    /// The transport's columns: the keys, then the state columns.
+    fn columns(&self) -> Result<Vec<Column>> {
         let mut columns = self.keys.columns();
         for slot in &self.slots {
             columns.push(slot.to_column()?);
         }
-        RecordBatch::new(self.transport.clone(), columns)
+        Ok(columns)
     }
 
     /// Rebuilds a table from a transport batch produced by a peer with the
@@ -524,16 +486,8 @@ impl AggTable {
         hashes: Option<&[u64]>,
         slice: Option<(usize, usize)>,
     ) -> Result<usize> {
-        let corrupt = |what: String| Err(FeisuError::Corrupt(format!("transport: {what}")));
-        let (want, got) = (self.transport.fields(), batch.columns());
-        if got.len() != want.len() {
-            return corrupt(format!("{} columns, expected {}", got.len(), want.len()));
-        }
-        if let Some((f, c)) = (want.iter().zip(got)).find(|(f, c)| c.data_type() != f.data_type) {
-            let (name, got, dt) = (&f.name, c.data_type(), f.data_type);
-            return corrupt(format!("`{name}` is {got}, expected {dt}"));
-        }
-        let (keys, states) = got.split_at(self.group_by.len());
+        check_transport(&self.transport, batch)?;
+        let (keys, states) = batch.columns().split_at(self.group_by.len());
         let keys: Vec<&Column> = keys.iter().collect();
         let computed;
         let hashes = match hashes {
@@ -556,7 +510,7 @@ impl AggTable {
             .ok_or_else(|| FeisuError::Internal("transport batch counter overflow".into()))?;
         for &g in &ids {
             if std::mem::replace(&mut self.stamps[g as usize], self.batches) == self.batches {
-                return corrupt("duplicate group key".into());
+                return Err(duplicate_key());
             }
         }
         let to = Targets {
@@ -568,6 +522,151 @@ impl AggTable {
         }
         Ok(rows.len())
     }
+}
+
+/// A plan shape's transport: its schema — `k:<name>` per group key, then
+/// `s<i>:<state>` per state column of aggregate `i` — and the empty state
+/// slots behind those columns, `widths[i]` of them for aggregate `i`.
+fn transport_layout(
+    group_by: &[(Expr, String, DataType)],
+    aggregates: &[AggExpr],
+) -> (Schema, Vec<Slot>, Vec<usize>) {
+    let mut fields: Vec<Field> = group_by
+        .iter()
+        .map(|(_, name, dt)| Field::new(format!("k:{name}"), *dt, true))
+        .collect();
+    let (mut slots, mut widths) = (Vec::new(), Vec::new());
+    for (i, a) in aggregates.iter().enumerate() {
+        let layout = Slot::layout(a);
+        widths.push(layout.len());
+        for (what, slot) in layout {
+            fields.push(Field::new(format!("s{i}:{what}"), slot.data_type(), true));
+            slots.push(slot);
+        }
+    }
+    (Schema::new(fields), slots, widths)
+}
+
+/// `Corrupt` unless `batch` has the columns of transport schema `want`,
+/// in its types.
+fn check_transport(want: &Schema, batch: &RecordBatch) -> Result<()> {
+    let corrupt = |what: String| Err(FeisuError::Corrupt(format!("transport: {what}")));
+    let (want, got) = (want.fields(), batch.columns());
+    if got.len() != want.len() {
+        return corrupt(format!("{} columns, expected {}", got.len(), want.len()));
+    }
+    if let Some((f, c)) = (want.iter().zip(got)).find(|(f, c)| c.data_type() != f.data_type) {
+        let (name, got, dt) = (&f.name, c.data_type(), f.data_type);
+        return corrupt(format!("`{name}` is {got}, expected {dt}"));
+    }
+    Ok(())
+}
+
+fn duplicate_key() -> FeisuError {
+    FeisuError::Corrupt("transport: duplicate group key".into())
+}
+
+/// Finalizes a transport batch that carries each group key at most once —
+/// one table's, or the concatenation of disjoint partitions' — into the
+/// aggregate operator's output batch, groups in key order. Nothing is
+/// folded: the rows are sorted by key once, a repeated key (adjacent after
+/// the sort) is `Corrupt`, and each state column is gathered in that
+/// order. A global transport of 0 rows finishes as the zero state.
+pub fn finish_transport(
+    group_by: &[(Expr, String, DataType)],
+    aggregates: &[AggExpr],
+    batch: &RecordBatch,
+    output_schema: &Schema,
+) -> Result<RecordBatch> {
+    let (transport, slots, widths) = transport_layout(group_by, aggregates);
+    check_transport(&transport, batch)?;
+    if !group_by.is_empty() || batch.rows() > 0 {
+        let (columns, rows) = (batch.columns(), batch.rows());
+        return finish_columns(columns, rows, aggregates, &widths, output_schema);
+    }
+    let zero = (slots.into_iter())
+        .map(|mut slot| {
+            slot.grow(1);
+            slot.to_column()
+        })
+        .collect::<Result<Vec<_>>>()?;
+    finish_columns(&zero, 1, aggregates, &widths, output_schema)
+}
+
+/// [`finish_transport`] over `rows` rows of well-typed transport columns:
+/// the group key, then `widths[i]` state columns for aggregate `i`.
+fn finish_columns(
+    columns: &[Column],
+    rows: usize,
+    aggregates: &[AggExpr],
+    widths: &[usize],
+    output_schema: &Schema,
+) -> Result<RecordBatch> {
+    let (keys, mut states) = columns.split_at(columns.len() - widths.iter().sum::<usize>());
+    let sort_keys: Vec<(&Column, bool)> = keys.iter().map(|c| (c, false)).collect();
+    let order = sorted_rows(&sort_keys, rows, None);
+    let same = |a: usize, b: usize| {
+        keys.iter().all(|c| {
+            let valid = c.validity();
+            valid.is_valid(a) == valid.is_valid(b)
+                && (!valid.is_valid(a) || cell_eq(c.data(), a, c.data(), b))
+        })
+    };
+    if order.windows(2).any(|w| same(w[0], w[1])) {
+        return Err(duplicate_key());
+    }
+    let mut columns: Vec<Column> = (keys.iter())
+        .map(|c| c.try_take(&order))
+        .collect::<Result<_>>()?;
+    let ints = |v: &[i64]| order.iter().map(|&i| v[i]).collect::<Vec<_>>();
+    // A fold adds each partial to 0.0, so a -0.0 sum finishes as +0.0.
+    let floats = |v: &[f64]| order.iter().map(|&i| 0.0 + v[i]).collect::<Vec<_>>();
+    let bits = |v: &[bool]| BitVec::from_bools(order.iter().map(|&i| v[i]));
+    for (a, &width) in aggregates.iter().zip(widths) {
+        let (mine, rest) = states.split_at(width);
+        states = rest;
+        if matches!(a.func, AggFunc::Min | AggFunc::Max) {
+            columns.push(mine[0].try_take(&order)?);
+            continue;
+        }
+        if mine.iter().any(|c| c.null_count() > 0) {
+            return Err(FeisuError::Corrupt(
+                "transport: NULL in a count, sum or seen column".into(),
+            ));
+        }
+        let data: Vec<&ColumnData> = mine.iter().map(|c| c.data()).collect();
+        columns.push(match data[..] {
+            [ColumnData::Int64(count)] => Column::from_i64(ints(count)),
+            [ColumnData::Int64(sum), ColumnData::Bool(seen)] => {
+                Column::new(ColumnData::Int64(ints(sum)), bits(seen).into())
+            }
+            [ColumnData::Float64(sum), ColumnData::Bool(seen)] => {
+                Column::new(ColumnData::Float64(floats(sum)), bits(seen).into())
+            }
+            [ColumnData::Float64(sum), ColumnData::Int64(count)] => {
+                let avg = order.iter().map(|&i| match count[i] {
+                    0 => 0.0,
+                    n => (0.0 + sum[i]) / n as f64,
+                });
+                let has = BitVec::from_bools(order.iter().map(|&i| count[i] != 0));
+                Column::new(ColumnData::Float64(avg.collect()), has.into())
+            }
+            _ => unreachable!("state columns have their layout's types"),
+        });
+    }
+    if columns.len() != output_schema.len() {
+        return Err(FeisuError::Execution(format!(
+            "aggregate yields {} columns for {} output fields",
+            columns.len(),
+            output_schema.len()
+        )));
+    }
+    let columns: Vec<Column> = columns
+        .into_iter()
+        .zip(output_schema.fields())
+        .map(|(c, f)| fit(Cow::Owned(c), f.data_type))
+        .collect::<Result<_>>()?;
+    RecordBatch::new(output_schema.clone(), columns)
 }
 
 #[cfg(test)]
@@ -855,6 +954,11 @@ mod tests {
                     "{what}: {got:?}"
                 );
             }
+            let got = finish_transport(&group_by(), &aggs(), &bad, &out_schema());
+            assert!(
+                matches!(got, Err(FeisuError::Corrupt(_))),
+                "finish, {what}: {got:?}"
+            );
         }
         // MIN/MAX states may be NULL: group "b" of an all-NULL input.
         let nulls = input().take(&[3]).unwrap();
@@ -868,6 +972,30 @@ mod tests {
                 .value_at(0, "MIN(v)"),
             Some(Value::Null)
         );
+    }
+
+    #[test]
+    fn a_negative_zero_float_sum_finishes_as_the_fold_left_it() {
+        let sum = vec![AggExpr {
+            func: AggFunc::Sum,
+            arg: Some(Expr::col("f")),
+            name: "SUM(f)".into(),
+            output_type: DataType::Float64,
+        }];
+        let states = Schema::new(vec![
+            Field::new("s0:sum", DataType::Float64, true),
+            Field::new("s0:seen", DataType::Bool, true),
+        ]);
+        let columns = vec![Column::from_f64(vec![-0.0]), Column::from_bool(vec![true])];
+        let shipped = RecordBatch::new(states, columns).unwrap();
+        let out = Schema::new(vec![Field::new("SUM(f)", DataType::Float64, true)]);
+        let got = finish_transport(&[], &sum, &shipped, &out).unwrap();
+        let folded = AggTable::from_transport(Vec::new(), sum, &shipped).unwrap();
+        assert_eq!(got, folded.finish(&out).unwrap());
+        let Some(Value::Float64(f)) = got.value_at(0, "SUM(f)") else {
+            panic!("a Float64 sum")
+        };
+        assert_eq!(f.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -191,7 +191,7 @@ impl TypedVec {
 }
 
 /// `Value`'s structural equality on two non-NULL cells.
-fn cell_eq(a: &ColumnData, i: usize, b: &ColumnData, j: usize) -> bool {
+pub(crate) fn cell_eq(a: &ColumnData, i: usize, b: &ColumnData, j: usize) -> bool {
     match (a, b) {
         (ColumnData::Bool(a), ColumnData::Bool(b)) => a[i] == b[j],
         (ColumnData::Int64(a), ColumnData::Int64(b)) => a[i] == b[j],
@@ -344,47 +344,96 @@ fn assign<S>(
     Ok(ids)
 }
 
+/// `$body` with `$cmp` bound to a comparator over two non-NULL rows of
+/// `$col`, monomorphized for its type; strings compare bytes.
+macro_rules! with_typed_cmp {
+    ($col:expr, |$cmp:ident| $body:expr) => {
+        match $col.data() {
+            ColumnData::Bool(v) => {
+                let $cmp = move |a: usize, b: usize| v[a].cmp(&v[b]);
+                $body
+            }
+            ColumnData::Int64(v) => {
+                let $cmp = move |a: usize, b: usize| v[a].cmp(&v[b]);
+                $body
+            }
+            ColumnData::Float64(v) => {
+                let $cmp = move |a: usize, b: usize| v[a].total_cmp(&v[b]);
+                $body
+            }
+            ColumnData::Utf8(v) => {
+                let $cmp = move |a: usize, b: usize| v.bytes_at(a).cmp(v.bytes_at(b));
+                $body
+            }
+        }
+    };
+}
+
 /// Row indices `0..rows` ordered by the key columns (`true` = DESC) under
 /// `Value::total_cmp` — NULLs first, so last under DESC — with ties in row
 /// order; only the first `fetch` when given.
+///
+/// The first key's comparator is typed for its column (and for whether it
+/// has NULLs), so the sort inlines it; the later keys' boxed chain and the
+/// row-index tiebreak run only on its ties.
 pub fn sorted_rows(keys: &[(&Column, bool)], rows: usize, fetch: Option<usize>) -> Vec<usize> {
-    type RowCmp<'a> = Box<dyn Fn(usize, usize) -> Ordering + 'a>;
-    /// Comparator over one column's rows from a comparator over its slots.
-    fn by<'a>(
-        (col, desc): (&'a Column, bool),
-        cmp: impl Fn(usize, usize) -> Ordering + 'a,
-    ) -> RowCmp<'a> {
-        let (valid, no_nulls) = (col.validity(), col.null_count() == 0);
-        Box::new(move |a, b| {
-            let ord = match no_nulls || (valid.is_valid(a) && valid.is_valid(b)) {
-                true => cmp(a, b),
-                false => valid.is_valid(a).cmp(&valid.is_valid(b)),
-            };
-            if desc {
-                ord.reverse()
-            } else {
-                ord
-            }
-        })
-    }
-    // One typed comparator per key, built once; strings compare bytes.
-    let cmps: Vec<RowCmp<'_>> = keys
-        .iter()
-        .map(|&key| match key.0.data() {
-            ColumnData::Bool(v) => by(key, move |a, b| v[a].cmp(&v[b])),
-            ColumnData::Int64(v) => by(key, move |a, b| v[a].cmp(&v[b])),
-            ColumnData::Float64(v) => by(key, move |a, b| v[a].total_cmp(&v[b])),
-            ColumnData::Utf8(v) => by(key, move |a, b| v.bytes_at(a).cmp(v.bytes_at(b))),
+    type RowCmp<'a> = Box<dyn Fn(&usize, &usize) -> Ordering + 'a>;
+    let Some((&(col, desc), rest)) = keys.split_first() else {
+        return order(rows, fetch, usize::cmp);
+    };
+    let none = |_, _| Ordering::Equal;
+    let rest: Vec<RowCmp<'_>> = (rest.iter())
+        .map(|&(col, desc)| {
+            with_typed_cmp!(col, |cmp| Box::new(by(desc, nulls_first(col, cmp), none))
+                as RowCmp<'_>)
         })
         .collect();
-    let cmp = |a: &usize, b: &usize| {
-        let by_keys = cmps.iter().map(|cmp| cmp(*a, *b)).find(|o| o.is_ne());
-        by_keys.unwrap_or_else(|| a.cmp(b))
+    let tie = |a: usize, b: usize| {
+        let by_keys = rest.iter().map(|cmp| cmp(&a, &b)).find(|o| o.is_ne());
+        by_keys.unwrap_or_else(|| a.cmp(&b))
     };
+    with_typed_cmp!(col, |cmp| match col.null_count() {
+        0 => order(rows, fetch, by(desc, cmp, tie)),
+        _ => order(rows, fetch, by(desc, nulls_first(col, cmp), tie)),
+    })
+}
+
+/// `cmp` over a column's non-NULL rows, extended to its NULLs: first.
+fn nulls_first<'a>(
+    col: &'a Column,
+    cmp: impl Fn(usize, usize) -> Ordering + 'a,
+) -> impl Fn(usize, usize) -> Ordering + 'a {
+    let valid = col.validity();
+    move |a, b| match (valid.is_valid(a), valid.is_valid(b)) {
+        (true, true) => cmp(a, b),
+        (a, b) => a.cmp(&b),
+    }
+}
+
+/// The row comparator of a key ordered by `cmp`, reversed under DESC, ties
+/// to `tie`. DESC swaps the rows rather than reversing the result, which
+/// leaves the comparison branch-free in the sort's inner loop.
+fn by(
+    desc: bool,
+    cmp: impl Fn(usize, usize) -> Ordering,
+    tie: impl Fn(usize, usize) -> Ordering,
+) -> impl Fn(&usize, &usize) -> Ordering {
+    move |&a, &b| {
+        let (x, y) = if desc { (b, a) } else { (a, b) };
+        cmp(x, y).then_with(|| tie(a, b))
+    }
+}
+
+/// `0..rows` ordered by `cmp`, only the first `fetch` when given.
+fn order(
+    rows: usize,
+    fetch: Option<usize>,
+    cmp: impl Fn(&usize, &usize) -> Ordering,
+) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..rows).collect();
     if let Some(k) = fetch.filter(|&k| k < rows) {
         if k > 0 {
-            idx.select_nth_unstable_by(k - 1, cmp);
+            idx.select_nth_unstable_by(k - 1, &cmp);
         }
         idx.truncate(k);
     }

@@ -17,7 +17,7 @@
 //! cost accounting lives with the operator instead of being sprinkled
 //! through the interpreter.
 
-use crate::aggregate::AggTable;
+use crate::aggregate::{finish_transport, AggTable};
 use crate::batch::RecordBatch;
 use crate::{join, ops, sort};
 use feisu_cluster::CostModel;
@@ -172,14 +172,14 @@ impl PhysicalPlan {
                 "scan of `{table}` runs on the cluster, not on the master"
             ))),
             // The scan below produced partial-aggregate transports,
-            // already merged bottom-up through the stems; finalize.
+            // already merged bottom-up through the stems into disjoint
+            // partitions; finalize without folding again.
             PhysicalPlan::FinalAggregate {
                 group_by,
                 aggregates,
                 output_schema,
                 ..
-            } => AggTable::from_transport(group_by.clone(), aggregates.clone(), &inputs[0])?
-                .finish(output_schema),
+            } => finish_transport(group_by, aggregates, &inputs[0], output_schema),
             PhysicalPlan::HashAggregate {
                 group_by,
                 aggregates,

@@ -2,7 +2,7 @@
 //! `Vec<Value>` keys used to cause must not come back. Counts are exact
 //! and repeat, so they can gate CI where a wall-clock check cannot.
 
-use feisu_exec::aggregate::{transport_hashes, AggTable};
+use feisu_exec::aggregate::{finish_transport, transport_hashes, AggTable};
 use feisu_exec::batch::RecordBatch;
 use feisu_exec::sort::sort;
 use feisu_format::{Column, DataType, Field, Schema};
@@ -14,6 +14,8 @@ use std::cell::Cell;
 thread_local! {
     /// Allocations made by this thread (tests run on threads of their own).
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a realloc: its new size).
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -24,6 +26,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|n| n.set(n.get() + layout.size()));
         // SAFETY: the caller's `layout` is passed through as given.
         unsafe { System.alloc(layout) }
     }
@@ -35,6 +38,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|n| n.set(n.get() + new_size));
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -47,6 +51,12 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (usize, T) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+fn bytes_allocated<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (BYTES.with(Cell::get) - before, out)
 }
 
 fn agg(func: AggFunc, arg: Option<&str>) -> AggExpr {
@@ -154,4 +164,32 @@ fn top_k_sort_allocates_per_kept_row_not_per_input_row() {
     let (allocs, out) = allocations(|| sort(&input, &keys, Some(100)));
     assert_eq!(out.unwrap().rows(), 100);
     assert!(allocs < rows / 16, "{allocs} allocations for {rows} rows");
+}
+
+#[test]
+fn finishing_a_transport_allocates_its_output_and_no_hash_table() {
+    let groups = 10_000;
+    let urls = (0..groups).map(|i| format!("https://site{i}.example/a/rather/long/path"));
+    let group_by = vec![(Expr::col("k"), "k".to_string(), DataType::Utf8)];
+    let mut leaf = AggTable::new(group_by.clone(), count_and_sum());
+    leaf.update(&batch(Column::from_utf8(urls.collect()), groups))
+        .unwrap();
+    let transport = leaf.to_transport().unwrap();
+    let out = Schema::new(vec![
+        Field::new("k", DataType::Utf8, true),
+        Field::new("COUNT", DataType::Int64, true),
+        Field::new("SUM", DataType::Int64, true),
+    ]);
+    let (bytes, finished) =
+        bytes_allocated(|| finish_transport(&group_by, &count_and_sum(), &transport, &out));
+    assert_eq!(finished.unwrap().rows(), groups);
+    // The output and one sort index per group fit in the transport's
+    // footprint (which bills a string 24 bytes over its own); a re-fold
+    // adds per group a hash, an id, table slots and a second copy of every
+    // key, some 5.7 times the footprint in all.
+    let shipped = transport.footprint();
+    assert!(
+        bytes <= shipped,
+        "{bytes} bytes allocated to finish a {shipped}-byte transport"
+    );
 }

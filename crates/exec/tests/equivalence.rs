@@ -3,7 +3,10 @@
 //! that hold the columnar operators to it over random batches.
 
 use feisu_common::hash::FxHashMap;
-use feisu_exec::aggregate::{partition_of, partition_of_hash, transport_hashes, AggTable};
+use feisu_common::FeisuError;
+use feisu_exec::aggregate::{
+    finish_transport, partition_of, partition_of_hash, transport_hashes, AggTable,
+};
 use feisu_exec::batch::{BatchRow, RecordBatch};
 use feisu_exec::join::join;
 use feisu_exec::keys::{hash_rows, key_column};
@@ -132,26 +135,30 @@ const STRINGS: [&str; 5] = [
 ];
 
 /// Up to `rows` rows of columns `{p}i` Int64, `{p}f` Float64, `{p}s` Utf8
-/// and `{p}b` Bool, each with NULLs, from small pools so keys collide, and
+/// and `{p}b` Bool, each with NULLs, from small pools so keys collide;
 /// `{p}w`, a nullable Int64 key from a pool twice the rows: a batch of 200
 /// rows has some 150 groups, past the first and second 64-bit word of
-/// group state, and groups whose arguments are all NULL.
+/// group state, and groups whose arguments are all NULL; and `{p}n` Int64,
+/// `{p}x` Float64 and `{p}t` Utf8 from the same small pools without NULLs.
 fn arb_batch(prefix: &'static str, rows: usize) -> impl Strategy<Value = RecordBatch> {
-    type Draw = (i64, usize, usize, (u8, i64));
+    type Draw = ((i64, usize, usize, (u8, i64)), (i64, usize, usize));
     let wide = 2 * rows as i64;
     let row = (
-        0..7i64,
-        0..=FLOATS.len(),
-        0..=STRINGS.len(),
-        (0..3u8, 0..wide),
+        (
+            0..7i64,
+            0..=FLOATS.len(),
+            0..=STRINGS.len(),
+            (0..3u8, 0..wide),
+        ),
+        (0..7i64, 0..FLOATS.len(), 0..STRINGS.len()),
     );
     proptest::collection::vec(row, 0..rows).prop_map(move |rows| {
         let pick = |f: &dyn Fn(&Draw) -> Value| rows.iter().map(f).collect();
-        let cols: [(&str, DataType, Vec<Value>); 5] = [
+        let cols: [(&str, DataType, Vec<Value>); 8] = [
             (
                 "i",
                 DataType::Int64,
-                pick(&|r| match r.0 {
+                pick(&|(r, _)| match r.0 {
                     0 => Value::Null,
                     i => Value::Int64(i - 4),
                 }),
@@ -159,17 +166,17 @@ fn arb_batch(prefix: &'static str, rows: usize) -> impl Strategy<Value = RecordB
             (
                 "f",
                 DataType::Float64,
-                pick(&|r| FLOATS.get(r.1).map_or(Value::Null, |f| Value::Float64(*f))),
+                pick(&|(r, _)| FLOATS.get(r.1).map_or(Value::Null, |f| Value::Float64(*f))),
             ),
             (
                 "s",
                 DataType::Utf8,
-                pick(&|r| STRINGS.get(r.2).map_or(Value::Null, |s| Value::from(*s))),
+                pick(&|(r, _)| STRINGS.get(r.2).map_or(Value::Null, |s| Value::from(*s))),
             ),
             (
                 "b",
                 DataType::Bool,
-                pick(&|r| match r.3 .0 {
+                pick(&|(r, _)| match r.3 .0 {
                     0 => Value::Null,
                     b => Value::Bool(b == 1),
                 }),
@@ -177,10 +184,21 @@ fn arb_batch(prefix: &'static str, rows: usize) -> impl Strategy<Value = RecordB
             (
                 "w",
                 DataType::Int64,
-                pick(&|r| match r.3 .1 {
+                pick(&|(r, _)| match r.3 .1 {
                     0 => Value::Null,
                     w => Value::Int64(w),
                 }),
+            ),
+            ("n", DataType::Int64, pick(&|(_, n)| Value::Int64(n.0 - 3))),
+            (
+                "x",
+                DataType::Float64,
+                pick(&|(_, n)| Value::Float64(FLOATS[n.1])),
+            ),
+            (
+                "t",
+                DataType::Utf8,
+                pick(&|(_, n)| Value::from(STRINGS[n.2])),
             ),
         ];
         let fields = cols
@@ -195,8 +213,8 @@ fn arb_batch(prefix: &'static str, rows: usize) -> impl Strategy<Value = RecordB
 }
 
 /// 1–3 keys over the four types, bare and computed; the wide key alone
-/// and beside another.
-const KEY_SETS: [&[(&str, DataType)]; 11] = [
+/// and beside another; the NULL-free columns alone.
+const KEY_SETS: [&[(&str, DataType)]; 14] = [
     &[("i", DataType::Int64)],
     &[("s", DataType::Utf8)],
     &[("f", DataType::Float64)],
@@ -212,6 +230,9 @@ const KEY_SETS: [&[(&str, DataType)]; 11] = [
     &[("f * 2", DataType::Float64), ("i", DataType::Int64)],
     &[("w", DataType::Int64)],
     &[("w", DataType::Int64), ("b", DataType::Bool)],
+    &[("n", DataType::Int64)],
+    &[("x", DataType::Float64)],
+    &[("t", DataType::Utf8)],
 ];
 
 fn aggregates() -> Vec<AggExpr> {
@@ -239,12 +260,9 @@ fn rows_of(batch: &RecordBatch) -> Vec<Vec<Value>> {
     (0..batch.rows()).map(|i| batch.row(i)).collect()
 }
 
-/// GROUP BY the key set `keys` (`KEY_SETS.len()`: the global aggregate)
-/// holds to the reference through `update`, and through the exchange: the
-/// batch's transport folded one partition at a time, partitions unioned.
-/// Every group is in one partition, so even the float sums are untouched.
-/// Returns the rows both produced.
-fn check_aggregate(batch: &RecordBatch, keys: usize) -> Result<Vec<Vec<Value>>, TestCaseError> {
+/// The GROUP BY of key set `keys` (`KEY_SETS.len()`: the global
+/// aggregate) over [`aggregates`], and its output schema.
+fn aggregate_shape(keys: usize) -> (GroupBy, Vec<AggExpr>, Schema) {
     let group_by: GroupBy = (KEY_SETS.get(keys).copied().unwrap_or(&[]).iter())
         .map(|(src, dt)| (parse_expr(src).unwrap(), src.to_string(), *dt))
         .collect();
@@ -257,7 +275,16 @@ fn check_aggregate(batch: &RecordBatch, keys: usize) -> Result<Vec<Vec<Value>>, 
         aggs.iter()
             .map(|a| Field::new(a.name.clone(), a.output_type, true)),
     );
-    let out = Schema::new(fields);
+    (group_by, aggs, Schema::new(fields))
+}
+
+/// GROUP BY the key set `keys` (`KEY_SETS.len()`: the global aggregate)
+/// holds to the reference through `update`, and through the exchange: the
+/// batch's transport folded one partition at a time, partitions unioned.
+/// Every group is in one partition, so even the float sums are untouched.
+/// Returns the rows both produced.
+fn check_aggregate(batch: &RecordBatch, keys: usize) -> Result<Vec<Vec<Value>>, TestCaseError> {
+    let (group_by, aggs, out) = aggregate_shape(keys);
     let want = ref_group_by(batch, &group_by, &aggs);
 
     let mut table = AggTable::new(group_by.clone(), aggs.clone());
@@ -286,6 +313,55 @@ proptest! {
         check_aggregate(&batch, keys)?;
     }
 
+    /// The master's finish: `leaves` leaf tables over strided rows, every
+    /// leaf's transport folded into 3 hash partitions (1 for a global
+    /// aggregate, as the merge tree does), and the partitions'
+    /// concatenation finished without a fold equals finishing the table
+    /// that folded every leaf, and the re-fold the master ran before —
+    /// floats compared by their bits.
+    #[test]
+    fn finishing_disjoint_partitions_equals_folding_the_leaves(
+        batch in arb_batch("", 200),
+        keys in 0..=KEY_SETS.len(),
+        leaves in 1..4usize,
+    ) {
+        let (group_by, aggs, out) = aggregate_shape(keys);
+        let table = || AggTable::new(group_by.clone(), aggs.clone());
+        let shipped: Vec<RecordBatch> = (0..leaves)
+            .map(|l| {
+                let rows: Vec<usize> = (l..batch.rows()).step_by(leaves).collect();
+                let mut leaf = table();
+                leaf.update(&batch.take(&rows).unwrap()).unwrap();
+                leaf.to_transport().unwrap()
+            })
+            .collect();
+        let mut whole = table();
+        for t in &shipped {
+            whole.merge_transport(t).unwrap();
+        }
+        let parts = if group_by.is_empty() { 1 } else { 3 };
+        let partitions: Vec<RecordBatch> = (0..parts)
+            .map(|part| {
+                let mut p = table();
+                for t in &shipped {
+                    let hashes = transport_hashes(t, group_by.len());
+                    p.merge_transport_hashed(t, &hashes, part, parts).unwrap();
+                }
+                p.to_transport().unwrap()
+            })
+            .collect();
+        let concat = RecordBatch::concat(&partitions).unwrap();
+        let got = finish_transport(&group_by, &aggs, &concat, &out).unwrap();
+        prop_assert_eq!(got.schema(), &out);
+        if leaves == 1 {
+            // One leaf sums in row order, from 0.0, as the reference does.
+            prop_assert_eq!(rows_of(&got), ref_group_by(&batch, &group_by, &aggs));
+        }
+        prop_assert_eq!(rows_of(&got), rows_of(&whole.finish(&out).unwrap()));
+        let refolded = AggTable::from_transport(group_by.clone(), aggs.clone(), &concat).unwrap();
+        prop_assert_eq!(rows_of(&got), rows_of(&refolded.finish(&out).unwrap()));
+    }
+
     #[test]
     fn join_matches_reference_in_order(
         left in arb_batch("l.", 48),
@@ -294,7 +370,7 @@ proptest! {
         kind in prop_oneof![Just(JoinKind::Inner), Just(JoinKind::LeftOuter), Just(JoinKind::RightOuter)],
     ) {
         let side = |p: &str, src: &str| {
-            let qualified = ["i", "f", "s", "b", "w"].iter().fold(src.to_string(), |s, c| {
+            let qualified = ["i", "f", "s", "b", "w", "n", "x", "t"].iter().fold(src.to_string(), |s, c| {
                 s.replacen(c, &format!("{p}.{c}"), 1)
             });
             parse_expr(&qualified).unwrap()
@@ -337,6 +413,64 @@ proptest! {
             }
         }
     }
+}
+
+/// The master's finish refuses what a fold refuses: a key twice — side by
+/// side or apart, NULL keys included —, a NULL count, and a global
+/// transport of two rows; a global transport of none finishes as the one
+/// zero-state row.
+#[test]
+fn finishing_a_malformed_transport_is_corrupt() {
+    let column = |dt, values: &[Value]| Column::from_values(dt, values).unwrap();
+    let columns = vec![
+        column(DataType::Int64, &[1, 2, 3].map(Value::Int64)),
+        column(
+            DataType::Float64,
+            &[0.5, -0.0, f64::NAN].map(Value::Float64),
+        ),
+        column(
+            DataType::Utf8,
+            &[Value::from("a"), Value::from("b"), Value::Null],
+        ),
+        column(DataType::Bool, &[true, false, true].map(Value::Bool)),
+    ];
+    let fields = (["i", "f", "s", "b"].iter().zip(&columns))
+        .map(|(name, c)| Field::new(*name, c.data_type(), true))
+        .collect();
+    let batch = RecordBatch::new(Schema::new(fields), columns).unwrap();
+    let by_s = KEY_SETS.iter().position(|k| k == &[("s", DataType::Utf8)]);
+    // The grouped transport's rows 0, 1 and 2 hold the keys "a", "b" and
+    // NULL; the global one has its one row.
+    let twice: [(usize, &[&[usize]]); 2] = [
+        (by_s.unwrap(), &[&[0, 0, 1], &[0, 1, 0], &[2, 1, 2]]),
+        (KEY_SETS.len(), &[&[0, 0]]),
+    ];
+    for (keys, twice) in twice {
+        let (group_by, aggs, out) = aggregate_shape(keys);
+        let mut table = AggTable::new(group_by.clone(), aggs.clone());
+        table.update(&batch).unwrap();
+        let shipped = table.to_transport().unwrap();
+        let finish = |t: &RecordBatch| finish_transport(&group_by, &aggs, t, &out);
+        let corrupt = |t: &RecordBatch| {
+            let got = finish(t);
+            assert!(matches!(got, Err(FeisuError::Corrupt(_))), "{got:?}");
+        };
+        let finished = finish(&shipped).unwrap();
+        assert_eq!(rows_of(&finished), rows_of(&table.finish(&out).unwrap()));
+        for rows in twice {
+            corrupt(&shipped.take(rows).unwrap());
+        }
+        // COUNT(*)'s state, the first after the keys, with NULLs.
+        let mut columns = shipped.columns().to_vec();
+        columns[group_by.len()] = column(DataType::Int64, &vec![Value::Null; shipped.rows()]);
+        corrupt(&RecordBatch::new(shipped.schema().clone(), columns).unwrap());
+    }
+    let (group_by, aggs, out) = aggregate_shape(KEY_SETS.len());
+    let zero = AggTable::new(group_by.clone(), aggs.clone());
+    let none = zero.to_transport().unwrap().take(&[]).unwrap();
+    let finished = finish_transport(&group_by, &aggs, &none, &out).unwrap();
+    assert_eq!(rows_of(&finished), rows_of(&zero.finish(&out).unwrap()));
+    assert_eq!(finished.rows(), 1);
 }
 
 /// `Int64(1)` and `Float64(1.0)` are different keys: an Int64-vs-Float64

@@ -28,9 +28,10 @@ pub(crate) fn encode_column<'a>(c: &'a Column, out: &mut Vec<u8>) -> ChunkSummar
     match c.data() {
         ColumnData::Int64(v) => {
             // RLE wins when runs are long; delta otherwise.
-            if rle::run_count(v) * 4 <= v.len().max(1) {
+            let runs = rle::run_count(v);
+            if runs * 4 <= v.len().max(1) {
                 out.push(ENC_RLE);
-                rle::encode(v, out);
+                rle::encode(v, runs, out);
             } else {
                 out.push(ENC_DELTA);
                 delta::encode(v, out);
@@ -103,6 +104,13 @@ pub(crate) fn decode_column(
         )));
     }
     let bitmap = take_bytes(buf, pos, nwords.checked_mul(8), "validity bitmap")?;
+    // The writer leaves the bits past the last row (fewer than 64) clear;
+    // a set one is damage, which no decode would read, whole or selected.
+    if (rows..bitmap.len() * 8).any(|i| bit(bitmap, i)) {
+        return Err(FeisuError::Corrupt(format!(
+            "validity bitmap has bits set past row {rows}"
+        )));
+    }
     let enc = *buf
         .get(*pos)
         .ok_or_else(|| FeisuError::Corrupt("missing column encoding tag".into()))?;
@@ -268,6 +276,39 @@ mod tests {
             body,
             [1, 7, 0, 0, 0, 0, 0, 0, 0, ENC_BOOL_PACK, 3, 1, 0b101]
         );
+    }
+
+    #[test]
+    fn a_validity_bit_past_the_last_row_is_corrupt_whole_or_selected() {
+        for rows in [1usize, 3, 63, 65, 100] {
+            let values: Vec<Value> = (0..rows)
+                .map(|i| match i % 3 {
+                    1 => Value::Null,
+                    _ => Value::Int64(i as i64),
+                })
+                .collect();
+            let mut body = Vec::new();
+            encode_column(
+                &Column::from_values(DataType::Int64, &values).unwrap(),
+                &mut body,
+            );
+            // One varint byte for the word count, then the words: the top
+            // bit of the last byte, and the bit of row `rows`.
+            let last = 8 * rows.div_ceil(64);
+            for (at, tail) in [(last, 0x80), (1 + rows / 8, 1 << (rows % 8))] {
+                let mut bad = body.clone();
+                bad[at] |= tail;
+                let one = BitVec::from_bools((0..rows).map(|i| i == 0));
+                for selection in [None, Some(&one)] {
+                    let got = decode_column(DataType::Int64, rows, &bad, &mut 0, selection);
+                    assert!(
+                        matches!(got, Err(FeisuError::Corrupt(_))),
+                        "{rows} rows, byte {at}, selected {}: {got:?}",
+                        selection.is_some()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -102,12 +102,14 @@ pub mod delta {
 pub mod rle {
     use super::*;
 
-    /// Encodes as a list of (run-length, value) pairs.
-    pub fn encode(values: &[i64], out: &mut Vec<u8>) {
+    /// Encodes as a list of (run-length, value) pairs; `runs` is
+    /// [`run_count`] of `values`, which the caller has already counted to
+    /// choose this codec.
+    pub fn encode(values: &[i64], runs: usize, out: &mut Vec<u8>) {
         varint::encode(values.len() as u64, out);
         // The run count first, so the decoder can preallocate.
-        varint::encode(run_count(values) as u64, out);
-        let mut i = 0;
+        varint::encode(runs as u64, out);
+        let (mut i, mut written) = (0, 0);
         while i < values.len() {
             let mut j = i + 1;
             while j < values.len() && values[j] == values[i] {
@@ -115,8 +117,9 @@ pub mod rle {
             }
             varint::encode((j - i) as u64, out);
             varint::encode(zigzag::encode(values[i]), out);
-            i = j;
+            (i, written) = (j, written + 1);
         }
+        assert_eq!(written, runs, "rle: the header declared another run count");
     }
 
     /// Decodes a stream that must hold exactly `expect` values. A run costs
@@ -398,7 +401,7 @@ mod tests {
         let values = vec![7i64, 7, 7, 1, 1, 9, 9, 9, 9];
         assert_eq!(rle::run_count(&values), 3);
         let mut buf = Vec::new();
-        rle::encode(&values, &mut buf);
+        rle::encode(&values, rle::run_count(&values), &mut buf);
         let mut pos = 0;
         assert_eq!(rle::decode(&buf, &mut pos, values.len()).unwrap(), values);
     }
@@ -406,7 +409,7 @@ mod tests {
     #[test]
     fn rle_empty() {
         let mut buf = Vec::new();
-        rle::encode(&[], &mut buf);
+        rle::encode(&[], 0, &mut buf);
         let mut pos = 0;
         assert_eq!(rle::decode(&buf, &mut pos, 0).unwrap(), Vec::<i64>::new());
     }
@@ -445,7 +448,7 @@ mod tests {
     fn rle_compresses_constant_column() {
         let values = vec![5i64; 10_000];
         let mut buf = Vec::new();
-        rle::encode(&values, &mut buf);
+        rle::encode(&values, rle::run_count(&values), &mut buf);
         assert!(
             buf.len() < 16,
             "constant column should encode tiny: {}",

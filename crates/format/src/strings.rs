@@ -138,17 +138,10 @@ impl Utf8Vec {
         Ok(out)
     }
 
-    /// The rows at `indices`, in order (an index may repeat). One pass,
-    /// sized by the mean row width: each row, wherever it lies, is read
-    /// once.
+    /// The rows at `indices`, in order (an index may repeat), presized
+    /// exactly as [`Utf8Vec::gather`] does.
     pub fn take(&self, indices: &[usize]) -> Result<Utf8Vec> {
-        let mean = self.bytes.len().checked_div(self.len()).unwrap_or(0);
-        let bytes = mean.saturating_mul(indices.len()).min(u32::MAX as usize);
-        let mut out = Utf8Vec::with_capacity(indices.len(), bytes);
-        for &i in indices {
-            out.push_from(self, i)?;
-        }
-        Ok(out)
+        Utf8Vec::gather(indices.iter().copied(), |i| self.bytes_at(i))
     }
 
     /// The rows `selection` (one bit per row) picks, in row order.

@@ -65,15 +65,19 @@ FEISU_CLIENT_THREADS=4 cargo test -q $OFFLINE -p feisu-tests
 # The columnar key layer (exec::keys) against its row-at-a-time reference
 # — grouped batches of up to 200 rows on a wide nullable key, so group
 # ids pass 64 and 128 (the group validity and SUM/MIN/MAX bitmaps past
-# one and two words) with groups whose arguments are all NULL —
-# and the physical pipeline against the oracle executor — every scan
+# one and two words) with groups whose arguments are all NULL, sorts over
+# NULL-free keys too, and the master's finish of 3 disjoint partitions
+# equal to folding 1-3 leaves (the finish's Corrupt cases — a repeated
+# key, a NULL count, a 2-row global transport — are aggregate unit tests)
+# — and the physical pipeline against the oracle executor — every scan
 # lowered with its clauses resolved to storage names, ORDER BY … LIMIT k
 # over low-cardinality keys cut to k rows at every leaf and stem and
 # compared row for row, in order: the default 256 cases ran above in
 # debug; here 2048 per property
 # with optimizations on (`PROPTEST_CASES` is read by shims/proptest), next to
 # the allocation budgets, whose counts are exact in any profile: the key
-# layer's, `RecordBatch::concat` of 16 Utf8 batches and a Utf8 chunk's
+# layer's, a 10,000-group transport finished within its footprint in
+# bytes (no hash, id or key copy), `RecordBatch::concat` of 16 Utf8 batches and a Utf8 chunk's
 # decode the same at 256 and 4,096 rows, beside it one row of a 65,536-row
 # Bool chunk decoded in at most rows/4 + 512 bytes (its body, no validity
 # words and no word per row) and one row of a chunk stored uncompressed in

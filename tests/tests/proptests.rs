@@ -40,7 +40,7 @@ proptest! {
     #[test]
     fn rle_roundtrip(values in proptest::collection::vec(-5i64..5, 0..300)) {
         let mut buf = Vec::new();
-        rle::encode(&values, &mut buf);
+        rle::encode(&values, rle::run_count(&values), &mut buf);
         let mut pos = 0;
         prop_assert_eq!(rle::decode(&buf, &mut pos, values.len()).unwrap(), values);
     }
