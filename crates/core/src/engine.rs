@@ -235,7 +235,7 @@ impl QueryResult {
 /// 4. `nodes` — the node table: heartbeats, failed and slow marks, slot
 ///    agreements (one short critical section per call; a leaf task's
 ///    slot is acquired and released around, never across,
-///    `LeafServer::execute`)
+///    `LeafServer::run`)
 /// 5. leaf-internal locks (`IndexManager`; the block cache's and the
 ///    footer cache's per-node locks — a probe only ever holds its own
 ///    node's)

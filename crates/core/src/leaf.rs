@@ -39,13 +39,15 @@ use feisu_storage::auth::Credential;
 use feisu_storage::{BlockRead, Bytes, CacheTier, Domain, StorageRouter};
 use std::borrow::Cow;
 use std::ops::ControlFlow::{self, Break, Continue};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 // The partial-aggregation stage is the planner's type, so the logical
 // layer, the physical layer and the leaves share one.
 pub use feisu_sql::plan::AggStage;
 
-/// One scan task over one block.
+/// One scan task over one block: the scan's parts owned, for callers
+/// that hold no plan node. [`LeafServer::execute`] runs it through its
+/// [`ScanView`].
 #[derive(Debug, Clone)]
 pub struct ScanTask {
     pub table: String,
@@ -65,6 +67,75 @@ pub struct ScanTask {
     /// `residual` arrive in storage names. Kept only because the
     /// benchmark harness names it; deleted with that harness's port.
     pub name_map: FxHashMap<String, String>,
+}
+
+impl ScanTask {
+    /// The task's scan, borrowed.
+    fn view(&self) -> ScanView<'_> {
+        let agg = self.agg.as_ref();
+        ScanView::new(
+            &self.projection,
+            &self.output_schema,
+            &self.cnf,
+            &self.residual,
+            agg,
+        )
+    }
+}
+
+/// One scan as each of its tasks reads it: the parts every task shares,
+/// borrowed from the scan's plan node once per scan, and the answer of a
+/// task that keeps nothing, built the first time one is asked for.
+#[derive(Debug)]
+pub struct ScanView<'a> {
+    /// Storage column names to project, parallel to `output_schema`.
+    projection: &'a [String],
+    /// Output schema with canonical (possibly qualified) names.
+    output_schema: &'a Schema,
+    /// Indexable conjunctive predicate, columns in storage names.
+    cnf: &'a Cnf,
+    /// Non-indexable clauses, storage names.
+    residual: &'a [Expr],
+    /// Optional leaf-side partial aggregation (canonical names: it runs
+    /// over the projected batch).
+    agg: Option<&'a AggStage>,
+    /// The aggregate stage's zero-state transport, else an empty batch of
+    /// the output schema.
+    empty: OnceLock<RecordBatch>,
+}
+
+impl<'a> ScanView<'a> {
+    pub fn new(
+        projection: &'a [String],
+        output_schema: &'a Schema,
+        cnf: &'a Cnf,
+        residual: &'a [Expr],
+        agg: Option<&'a AggStage>,
+    ) -> ScanView<'a> {
+        ScanView {
+            projection,
+            output_schema,
+            cnf,
+            residual,
+            agg,
+            empty: OnceLock::new(),
+        }
+    }
+
+    /// What a task or a scan that kept nothing answers.
+    pub(crate) fn empty_answer(&self) -> Result<RecordBatch> {
+        if let Some(empty) = self.empty.get() {
+            return Ok(empty.clone());
+        }
+        let empty = match self.agg {
+            Some(agg) => {
+                let table = AggTable::new(agg.group_by.clone(), agg.aggregates.clone());
+                table.to_transport()?
+            }
+            None => RecordBatch::empty(self.output_schema.clone()),
+        };
+        Ok(self.empty.get_or_init(|| empty).clone())
+    }
 }
 
 /// Which tier of the storage hierarchy ultimately served a task's data:
@@ -172,8 +243,9 @@ pub struct LeafServer {
 
 /// What every rung of the ladder reads.
 struct Climb<'a> {
-    task: &'a ScanTask,
-    /// The task's CNF, in the storage names of the block's schema.
+    scan: &'a ScanView<'a>,
+    block: &'a BlockDesc,
+    /// The scan's CNF, in the storage names of the block's schema.
     cnf: &'a Cnf,
     /// The task is a bare global `COUNT(*)`.
     counts: bool,
@@ -261,10 +333,40 @@ impl LeafServer {
         &self.index
     }
 
-    /// Executes one scan task. `use_index` disables SmartIndex for the
-    /// paper's baseline runs. Takes `&self`: the index cache locks
+    /// Runs `scan`'s task over `block`. `use_index` disables SmartIndex
+    /// for the paper's baseline runs. Takes `&self`: the index cache locks
     /// internally, so concurrent tasks (including backup tasks rerouted
     /// from another node) are safe.
+    pub fn run(
+        &self,
+        scan: &ScanView<'_>,
+        block: &BlockDesc,
+        router: &StorageRouter,
+        cred: &Credential,
+        now: SimInstant,
+        use_index: bool,
+    ) -> Result<LeafOutput> {
+        let climb = Climb {
+            scan,
+            block,
+            cnf: scan.cnf,
+            counts: scan.agg.is_some_and(AggStage::is_count_star_only),
+            router,
+            cred,
+            now,
+            index: use_index.then_some(&self.index),
+        };
+        let mut touch = Touch {
+            stored_size: block.stored_size,
+            clauses: climb.cnf.clauses.len(),
+            ..Touch::default()
+        };
+        touch.stats.rows_in = block.rows;
+        let answer = self.descend(&climb, &mut touch)?;
+        self.finish(scan, answer, &touch)
+    }
+
+    /// [`LeafServer::run`] over a task that owns its scan.
     pub fn execute(
         &self,
         task: &ScanTask,
@@ -273,23 +375,7 @@ impl LeafServer {
         now: SimInstant,
         use_index: bool,
     ) -> Result<LeafOutput> {
-        let climb = Climb {
-            task,
-            cnf: &task.cnf,
-            counts: task.agg.as_ref().is_some_and(AggStage::is_count_star_only),
-            router,
-            cred,
-            now,
-            index: use_index.then_some(&self.index),
-        };
-        let mut touch = Touch {
-            stored_size: task.block.stored_size,
-            clauses: climb.cnf.clauses.len(),
-            ..Touch::default()
-        };
-        touch.stats.rows_in = task.block.rows;
-        let answer = self.descend(&climb, &mut touch)?;
-        self.finish(task, answer, &touch)
+        self.run(&task.view(), &task.block, router, cred, now, use_index)
     }
 
     /// The ladder, top to bottom.
@@ -306,8 +392,8 @@ impl LeafServer {
         // all-simple, which the leaf reads as residuals too (`lower` never
         // emits one) and the footer never proves.
         let residuals: Cow<[Expr]> = match opaque(c.cnf).next() {
-            None => Cow::Borrowed(&c.task.residual),
-            Some(_) => (c.task.residual.iter().cloned())
+            None => Cow::Borrowed(c.scan.residual),
+            Some(_) => (c.scan.residual.iter().cloned())
                 .chain(opaque(c.cnf).map(Clause::to_expr))
                 .collect(),
         };
@@ -328,7 +414,7 @@ impl LeafServer {
     /// and its footer, parsed once, decides. A skip that read the chunk
     /// settles that read.
     fn footer_decision<'a>(&self, c: &Climb<'a>, t: &mut Touch<'a>) -> Rung<()> {
-        let (router, path) = (c.router, &c.task.block.path);
+        let (router, path) = (c.router, &c.block.path);
         let mut read = router.footer(path, self.node, c.cred, c.now)?;
         t.verdicts = zones_classify(c.cnf, &read.meta);
         let skipped = t.skipped();
@@ -357,7 +443,7 @@ impl LeafServer {
     ) -> Rung<(Bytes, Arc<BlockMeta>)> {
         t.evaluated = evaluated(kept, residuals);
         if !c.counts {
-            t.materialized = &c.task.projection;
+            t.materialized = c.scan.projection;
         }
         let (read, _) = t.read.as_mut().expect("the footer decided");
         let schema = &read.meta.schema;
@@ -366,7 +452,7 @@ impl LeafServer {
         columns.sort_unstable();
         columns.dedup();
         let decided = Arc::as_ptr(&read.meta);
-        let (router, path) = (c.router, &c.task.block.path);
+        let (router, path) = (c.router, &c.block.path);
         let data = router.fetch(path, self.node, c.cred, c.now, read, &columns)?;
         let meta = read.meta.clone();
         if decided != Arc::as_ptr(&meta) {
@@ -393,10 +479,10 @@ impl LeafServer {
     }
 
     /// Turns a task's answer into its output, billed for what it touched.
-    fn finish(&self, task: &ScanTask, answer: Answer, touch: &Touch) -> Result<LeafOutput> {
+    fn finish(&self, scan: &ScanView, answer: Answer, touch: &Touch) -> Result<LeafOutput> {
         let (batch, is_agg_transport) = match answer {
             Answer::Count(rows) => (AggTable::count_star_transport(rows)?, true),
-            Answer::Empty => empty_answer(task.agg.as_ref(), &task.output_schema)?,
+            Answer::Empty => (scan.empty_answer()?, scan.agg.is_some()),
             Answer::Rows(batch) => (batch, false),
             Answer::Transport(batch) => (batch, true),
         };
@@ -525,32 +611,19 @@ impl LeafServer {
     }
 }
 
-/// What a task or a scan that kept nothing answers: the aggregate stage's
-/// zero-state transport, else an empty batch of the output schema. The
-/// flag is `is_agg_transport`.
-pub(crate) fn empty_answer(agg: Option<&AggStage>, schema: &Schema) -> Result<(RecordBatch, bool)> {
-    Ok(match agg {
-        Some(agg) => {
-            let table = AggTable::new(agg.group_by.clone(), agg.aggregates.clone());
-            (table.to_transport()?, true)
-        }
-        None => (RecordBatch::empty(schema.clone()), false),
-    })
-}
-
 /// Rung 1, the cached selection: a bare `COUNT(*)` with no residual looks
 /// its predicates up before the footer, and with every one held counts
 /// their bits; else the handles go down. No other task looks up here.
 fn cached_selection(c: &Climb, t: &mut Touch) -> Rung<Option<Vec<Option<Held>>>> {
     let simple = opaque(c.cnf).next().is_none();
-    if c.index.is_none() || !c.counts || !c.task.residual.is_empty() || !simple {
+    if c.index.is_none() || !c.counts || !c.scan.residual.is_empty() || !simple {
         return Ok(Continue(None));
     }
     let held = lookup(c, c.cnf);
     if held.iter().any(Option::is_none) {
         return Ok(Continue(Some(held)));
     }
-    let block = &c.task.block;
+    let block = c.block;
     let nothing = Block::new_with_rows(block.id, Schema::empty(), Vec::new(), block.rows)?;
     t.stats.rows_out = selection(c, c.cnf, &nothing, &held, t)?.count_ones();
     Ok(Break(Answer::Count(t.stats.rows_out)))
@@ -594,40 +667,40 @@ fn count_or_materialize(
     if c.counts {
         return Ok(Break(Answer::Count(t.stats.rows_out)));
     }
-    let task = c.task;
+    let scan = c.scan;
     let mut late: Vec<&str> = Vec::new();
-    for name in &task.projection {
+    for name in scan.projection {
         if block.column_by_name(name).is_none() && !late.contains(&name.as_str()) {
             if meta.schema.index_of(name).is_none() {
                 return Err(FeisuError::Execution(format!(
                     "block {} missing column `{name}`",
-                    task.block.id
+                    c.block.id
                 )));
             }
             late.push(name);
         }
     }
     let mut decoded = meta.decode_selected(data, &late, bits)?.into_iter();
-    let mut columns: Vec<Column> = Vec::with_capacity(task.projection.len());
-    for (k, name) in task.projection.iter().enumerate() {
+    let mut columns: Vec<Column> = Vec::with_capacity(scan.projection.len());
+    for (k, name) in scan.projection.iter().enumerate() {
         let column = match block.column_by_name(name) {
             Some(c) => c.filter(bits)?,
             // `late` lists names in order of first use: that use moves
             // the decoded column into place, a repeat copies it.
-            None => match task.projection[..k].iter().position(|n| n == name) {
+            None => match scan.projection[..k].iter().position(|n| n == name) {
                 Some(first) => columns[first].clone(),
                 None => decoded.next().expect("one column per late name"),
             },
         };
         columns.push(column);
     }
-    let batch = RecordBatch::new(task.output_schema.clone(), columns)?;
+    let batch = RecordBatch::new(scan.output_schema.clone(), columns)?;
     Ok(Continue(batch))
 }
 
 /// Rung 6: the optional leaf-side partial aggregation.
 fn aggregate(c: &Climb, batch: RecordBatch, t: &mut Touch) -> Result<Answer> {
-    let Some(agg) = &c.task.agg else {
+    let Some(agg) = c.scan.agg else {
         return Ok(Answer::Rows(batch));
     };
     let mut table = AggTable::new(agg.group_by.clone(), agg.aggregates.clone());
@@ -650,7 +723,7 @@ fn opaque(cnf: &Cnf) -> impl Iterator<Item = &Clause> {
 /// probe order; none without SmartIndex.
 fn lookup(c: &Climb, cnf: &Cnf) -> Vec<Option<Held>> {
     let look = |index: &IndexManager| {
-        let held = simple_predicates(cnf).map(|p| index.lookup(c.task.block.id, p, c.now));
+        let held = simple_predicates(cnf).map(|p| index.lookup(c.block.id, p, c.now));
         held.collect()
     };
     c.index.map_or_else(Vec::new, look)
@@ -723,7 +796,7 @@ fn record_proved(c: &Climb, verdicts: &[Verdict], meta: &BlockMeta) {
     let Some(index) = c.index else {
         return;
     };
-    let block = c.task.block.id;
+    let block = c.block.id;
     for (clause, verdict) in c.cnf.clauses.iter().zip(verdicts) {
         if let (Verdict::Proved, [Disjunct::Simple(p)]) = (verdict, &clause.disjuncts[..]) {
             if index.lookup(block, p, c.now).is_none() {

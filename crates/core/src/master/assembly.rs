@@ -29,9 +29,9 @@ const OPERATOR_NAMES: [&str; 8] = [
 /// `Name=duration` space-joined — ties broken by name so the string is
 /// deterministic.
 fn top_operator_costs(roots: &[SpanNode], k: usize) -> String {
-    fn walk(node: &SpanNode, out: &mut Vec<(String, u64)>) {
-        if OPERATOR_NAMES.contains(&node.name.as_str()) {
-            out.push((node.name.clone(), node.duration().as_nanos()));
+    fn walk<'a>(node: &'a SpanNode, out: &mut Vec<(&'a str, u64)>) {
+        if OPERATOR_NAMES.contains(&&*node.name) {
+            out.push((&node.name, node.duration().as_nanos()));
         }
         for child in &node.children {
             walk(child, out);
@@ -41,7 +41,7 @@ fn top_operator_costs(roots: &[SpanNode], k: usize) -> String {
     for root in roots {
         walk(root, &mut ops);
     }
-    ops.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    ops.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
     ops.truncate(k);
     ops.iter()
         .map(|(name, ns)| format!("{name}={}", SimDuration(*ns)))
@@ -93,13 +93,13 @@ impl FeisuCluster {
         // were split around a join.
         for fire in &ctx.rule_trace {
             ctx.spans
-                .attr(master, &format!("rule.{}", fire.rule), fire.fires as usize);
+                .attr(master, format!("rule.{}", fire.rule), fire.fires as usize);
         }
         let lowered = &ctx.lower_trace;
         for (i, jo) in lowered.join_orders.iter().enumerate() {
             ctx.spans.attr(
                 master,
-                &format!("join_order.{i}"),
+                format!("join_order.{i}"),
                 format!(
                     "{} [{}] -> [{}]",
                     jo.method,
@@ -110,7 +110,7 @@ impl FeisuCluster {
         }
         for (i, eager) in lowered.eager_aggs.iter().enumerate() {
             ctx.spans
-                .attr(master, &format!("eager_agg.{i}"), eager.to_string());
+                .attr(master, format!("eager_agg.{i}"), eager.to_string());
         }
         let mut profile = QueryProfile::new(query_id.0);
         profile.push_summary("response time", response_time);
@@ -176,7 +176,7 @@ impl FeisuCluster {
         if ctx.stats.spilled_results > 0 {
             profile.push_summary("spilled results", ctx.stats.spilled_results);
         }
-        profile.tree = ctx.spans.tree();
+        profile.tree = std::mem::take(&mut ctx.spans).tree();
 
         let m = &self.qmetrics;
         m.response_ns.observe(response_time.as_nanos());

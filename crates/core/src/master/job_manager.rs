@@ -12,9 +12,10 @@
 //! query event log's `QueryEvent`.
 
 use feisu_common::lru::Lru;
-use feisu_common::{SimDuration, SimInstant};
+use feisu_common::{BlockId, SimDuration, SimInstant};
 use feisu_exec::batch::RecordBatch;
 use parking_lot::Mutex;
+use std::fmt::Write as _;
 
 /// A cached task result.
 #[derive(Debug, Clone)]
@@ -110,24 +111,42 @@ impl JobManager {
     }
 }
 
-/// Builds the canonical signature for a scan task.
-pub fn task_signature(
+/// The part of a task's signature that every task of its scan shares:
+/// the table, the clauses, the projection and the shape. A task's
+/// signature is this followed by its block ([`block_signature`]).
+pub(crate) fn scan_signature(
     table: &str,
-    block: feisu_common::BlockId,
     cnf_display: &str,
     projection: &[String],
     agg_display: &str,
 ) -> String {
-    format!(
-        "{table}\u{1}{block}\u{1}{cnf_display}\u{1}{}\u{1}{agg_display}",
-        projection.join(",")
-    )
+    let projection = projection.join(",");
+    format!("{table}\u{1}{cnf_display}\u{1}{projection}\u{1}{agg_display}\u{1}")
+}
+
+/// One task's signature: its scan's, then its block.
+pub(crate) fn block_signature(scan: &str, block: BlockId) -> String {
+    let mut signature = String::with_capacity(scan.len() + 24);
+    signature.push_str(scan);
+    let _ = write!(signature, "{block}");
+    signature
+}
+
+/// Builds the canonical signature for a scan task.
+pub fn task_signature(
+    table: &str,
+    block: BlockId,
+    cnf_display: &str,
+    projection: &[String],
+    agg_display: &str,
+) -> String {
+    let scan = scan_signature(table, cnf_display, projection, agg_display);
+    block_signature(&scan, block)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use feisu_common::BlockId;
     use feisu_format::{Column, DataType, Field, Schema};
 
     fn batch() -> RecordBatch {

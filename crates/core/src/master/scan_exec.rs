@@ -16,18 +16,18 @@
 //! bit-identical at any worker-thread count.
 
 use crate::engine::{FeisuCluster, QueryStats};
-use crate::leaf::{empty_answer, AggStage, LeafOutput, LeafTaskStats, ScanTask};
-use crate::master::job_manager::task_signature;
+use crate::leaf::{AggStage, LeafOutput, LeafTaskStats, ScanView};
+use crate::master::job_manager::{block_signature, scan_signature};
 use crate::master::nodes::Acquire;
 use crate::master::pipeline::ExecCtx;
 use crate::master::pool::run_indexed;
 use crate::master::Scheduler;
 use feisu_cluster::simclock::TimeTally;
 use feisu_cluster::Topology;
-use feisu_common::hash::FxHashMap;
 use feisu_common::{ByteSize, FeisuError, NodeId, Result, SimDuration, SimInstant};
 use feisu_exec::batch::RecordBatch;
 use feisu_exec::physical::PhysicalPlan;
+use feisu_format::table::BlockDesc;
 use feisu_obs::SpanId;
 use feisu_storage::auth::Credential;
 
@@ -59,28 +59,17 @@ impl FeisuCluster {
         };
         let desc = self.catalog.table(table)?;
 
-        // One task per block.
+        // One task per block, each reading the scan through one view.
         let agg_shape: Option<&AggStage> = agg.as_ref();
-        let block_count = desc.block_count();
-        let mut tasks: Vec<ScanTask> = Vec::with_capacity(block_count);
-        let mut replica_sets: Vec<Vec<NodeId>> = Vec::with_capacity(block_count);
-        for block in desc.blocks() {
-            replica_sets.push(self.router.replicas(&block.path)?);
-            tasks.push(ScanTask {
-                table: table.to_string(),
-                block: block.clone(),
-                projection: projection.to_vec(),
-                output_schema: output_schema.clone(),
-                cnf: cnf.clone(),
-                residual: residual.clone(),
-                agg: agg.clone(),
-                name_map: FxHashMap::default(),
-            });
-        }
+        let view = ScanView::new(projection, output_schema, cnf, residual, agg_shape);
+        let tasks: Vec<&BlockDesc> = desc.blocks().collect();
+        let replica_sets: Vec<Vec<NodeId>> = (tasks.iter())
+            .map(|block| self.router.replicas(&block.path))
+            .collect::<Result<_>>()?;
         ctx.stats.tasks += tasks.len();
         if tasks.is_empty() {
             // Empty table: aggregate stages still need a zero-state.
-            return Ok(empty_answer(agg_shape, output_schema)?.0);
+            return view.empty_answer();
         }
 
         // Schedule.
@@ -132,6 +121,7 @@ impl FeisuCluster {
             .collect::<Vec<_>>()
             .join(",");
         let shape_display = format!("{agg_display}\u{1}{output_display}");
+        let scan_signature = scan_signature(table, &cnf_display, projection, &shape_display);
         // Spans sit on the query-relative timeline; leaf work of this scan
         // starts after everything the master has already accounted.
         let scan_base = ctx.tally.total().as_nanos();
@@ -141,14 +131,8 @@ impl FeisuCluster {
         // tasks share a signature — looking all of them up before any
         // store is equivalent to the serial interleaving.
         let mut planned: Vec<Planned> = Vec::with_capacity(tasks.len());
-        for task in &tasks {
-            let signature = task_signature(
-                table,
-                task.block.id,
-                &cnf_display,
-                projection,
-                &shape_display,
-            );
+        for block in &tasks {
+            let signature = block_signature(&scan_signature, block.id);
             match self.jobs.lookup_task(&signature, ctx.now) {
                 // Reuse is a master-side cache hit: negligible leaf time.
                 Some((batch, _)) => planned.push(Planned::Reused { batch }),
@@ -182,7 +166,7 @@ impl FeisuCluster {
                 .iter()
                 .map(|&i| {
                     let exec = self
-                        .execute_with_backup(&tasks[i], assignments[i], &ctx.cred, ctx.now)
+                        .execute_with_backup(&view, tasks[i], assignments[i], &ctx.cred, ctx.now)
                         .and_then(|mut exec| {
                             let uncut = match top {
                                 Some(top) => exec.out.keep_top(top, cost)?,
@@ -287,9 +271,15 @@ impl FeisuCluster {
             *ctx.tier_tasks.entry(tier).or_default() += 1;
             if let Some(backend) = output.stats.backend {
                 if let Some(d) = self.router.domains().iter().find(|d| d.id() == backend) {
-                    let prefix = d.prefix().to_string();
-                    ctx.spans.attr(span, "backend", prefix.as_str());
-                    *ctx.backend_bytes.entry(prefix).or_default() += output.stats.bytes_read.0;
+                    ctx.spans.attr(span, "backend", d.prefix().to_string());
+                    let bytes = output.stats.bytes_read.0;
+                    // A backend's name is copied once per query, not per task.
+                    match ctx.backend_bytes.get_mut(d.prefix()) {
+                        Some(total) => *total += bytes,
+                        None => {
+                            ctx.backend_bytes.insert(d.prefix().to_string(), bytes);
+                        }
+                    }
                 }
             }
             outputs.push(TaskRun {
@@ -334,7 +324,7 @@ impl FeisuCluster {
             kept = outputs;
         }
         if kept.is_empty() {
-            return Ok(empty_answer(agg_shape, output_schema)?.0);
+            return view.empty_answer();
         }
 
         // Critical path: slowest node. When partial results were
@@ -409,12 +399,13 @@ impl FeisuCluster {
     /// job — this returns what happened, including whether a backup fired.
     fn execute_with_backup(
         &self,
-        task: &ScanTask,
+        scan: &ScanView,
+        block: &BlockDesc,
         node: NodeId,
         cred: &Credential,
         now: SimInstant,
     ) -> Result<TaskExec> {
-        match self.run_on_leaf(task, node, cred, now) {
+        match self.run_on_leaf(scan, block, node, cred, now) {
             Ok((mut out, slow)) => {
                 let mut backup = false;
                 if slow > 1.0 {
@@ -434,13 +425,13 @@ impl FeisuCluster {
             }
             Err(e) if e.is_retryable() => {
                 // Backup task on the next-best node.
-                let replicas = self.router.replicas(&task.block.path)?;
+                let replicas = self.router.replicas(&block.path)?;
                 let backup_node = self
                     .nodes
                     .pick_backup(now, node, &replicas)
                     .ok_or_else(|| FeisuError::Scheduling("no backup worker available".into()))?;
                 // The backup node's own slow factor is not applied.
-                let (mut out, _) = self.run_on_leaf(task, backup_node, cred, now)?;
+                let (mut out, _) = self.run_on_leaf(scan, block, backup_node, cred, now)?;
                 // The backup started after the detection delay.
                 let mut t = TimeTally::new();
                 t.add_io(self.spec.config.backup_task_delay + out.tally.total());
@@ -459,7 +450,8 @@ impl FeisuCluster {
     /// output with the node's slow factor.
     fn run_on_leaf(
         &self,
-        task: &ScanTask,
+        scan: &ScanView,
+        block: &BlockDesc,
         node: NodeId,
         cred: &Credential,
         now: SimInstant,
@@ -487,7 +479,8 @@ impl FeisuCluster {
             }
         };
         let leaf = self.leaf(node).expect("every node has a leaf server");
-        let out = leaf.execute(task, &self.router, cred, now, self.spec.use_smartindex);
+        let use_index = self.spec.use_smartindex;
+        let out = leaf.run(scan, block, &self.router, cred, now, use_index);
         self.nodes.release(node);
         Ok((out?, slow))
     }

@@ -309,6 +309,19 @@ impl Slot {
             Slot::Extreme { best, .. } => best.to_column()?,
         })
     }
+
+    /// [`Slot::to_column`], moving the state arrays instead of copying.
+    fn into_column(self) -> Result<Column> {
+        Ok(match self {
+            Slot::Count(v) | Slot::SumInt(v) => Column::from_i64(v),
+            Slot::SumFloat(v) => Column::from_f64(v),
+            Slot::Extreme {
+                best: Best::Fixed(t),
+                ..
+            } => t.into_column(),
+            slot => slot.to_column()?,
+        })
+    }
 }
 
 /// Partial aggregation table: group key → per-aggregate states.
@@ -402,10 +415,20 @@ impl AggTable {
         self.keys.len()
     }
 
+    /// The schema of the table's transport batches.
+    pub fn transport_schema(&self) -> &Schema {
+        &self.transport
+    }
+
     /// Finalizes into the aggregate operator's output batch, groups in key
-    /// order.
-    pub fn finish(&self, output_schema: &Schema) -> Result<RecordBatch> {
-        let (columns, rows) = (self.columns()?, self.group_count());
+    /// order. The key and state arrays move into columns, which are
+    /// gathered once, in that order.
+    pub fn finish(self, output_schema: &Schema) -> Result<RecordBatch> {
+        let rows = self.group_count();
+        let mut columns = self.keys.into_columns();
+        for slot in self.slots {
+            columns.push(slot.into_column()?);
+        }
         finish_columns(
             &columns,
             rows,

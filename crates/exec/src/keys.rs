@@ -188,6 +188,10 @@ impl TypedVec {
     pub fn to_column(&self) -> Column {
         Column::new(self.data.clone(), Validity::from(self.valid.clone()))
     }
+
+    pub fn into_column(self) -> Column {
+        Column::new(self.data, Validity::from(self.valid))
+    }
 }
 
 /// `Value`'s structural equality on two non-NULL cells.
@@ -227,6 +231,11 @@ impl GroupKeys {
     /// The keys as columns, row = id.
     pub fn columns(&self) -> Vec<Column> {
         self.cols.iter().map(TypedVec::to_column).collect()
+    }
+
+    /// [`GroupKeys::columns`], moved out.
+    pub(crate) fn into_columns(self) -> Vec<Column> {
+        self.cols.into_iter().map(TypedVec::into_column).collect()
     }
 
     /// The id of each of `rows`' keys (`hashes` from [`hash_rows`] over the

@@ -289,7 +289,7 @@ fn check_aggregate(batch: &RecordBatch, keys: usize) -> Result<Vec<Vec<Value>>, 
 
     let mut table = AggTable::new(group_by.clone(), aggs.clone());
     table.update(batch).unwrap();
-    prop_assert_eq!(rows_of(&table.finish(&out).unwrap()), want.clone());
+    prop_assert_eq!(rows_of(&table.clone().finish(&out).unwrap()), want.clone());
 
     let shipped = table.to_transport().unwrap();
     let hashes = transport_hashes(&shipped, group_by.len());

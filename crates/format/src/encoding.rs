@@ -88,12 +88,25 @@ pub mod delta {
             return Err(FeisuError::Corrupt("delta: implausible length".into()));
         }
         let mut values = Vec::with_capacity(n);
-        let mut prev = 0i64;
+        let (mut prev, mut at) = (0i64, *pos);
         for _ in 0..n {
-            let d = zigzag::decode(varint::decode(buf, pos)?);
-            prev = prev.wrapping_add(d);
+            // Most deltas fit one byte: read it inline; the rest, and every
+            // truncated or over-long varint, go through `varint::decode`.
+            let z = match buf.get(at) {
+                Some(&b) if b < 0x80 => {
+                    at += 1;
+                    u64::from(b)
+                }
+                _ => {
+                    let z = varint::decode(buf, &mut at);
+                    *pos = at;
+                    z?
+                }
+            };
+            prev = prev.wrapping_add(zigzag::decode(z));
             values.push(prev);
         }
+        *pos = at;
         Ok(values)
     }
 }
@@ -394,6 +407,68 @@ mod tests {
         delta::encode(&random, &mut buf);
         let mut pos = 0;
         assert_eq!(delta::decode(&buf, &mut pos).unwrap(), random);
+    }
+
+    /// `delta::decode` before its one-byte fast path: every varint through
+    /// `varint::decode`.
+    fn delta_decode_reference(buf: &[u8], pos: &mut usize) -> Result<Vec<i64>> {
+        let n = varint::decode(buf, pos)? as usize;
+        if n > buf.len().saturating_sub(*pos) {
+            return Err(FeisuError::Corrupt("delta: implausible length".into()));
+        }
+        let mut values = Vec::with_capacity(n);
+        let mut prev = 0i64;
+        for _ in 0..n {
+            let d = zigzag::decode(varint::decode(buf, pos)?);
+            prev = prev.wrapping_add(d);
+            values.push(prev);
+        }
+        Ok(values)
+    }
+
+    proptest::proptest! {
+        /// The fast path decodes what the reference decodes — values, end
+        /// position and error — from every prefix of a stream of one-byte
+        /// and wide deltas, with random bytes or an over-long varint
+        /// spliced in; every cut short of the whole stream is `Corrupt`.
+        #[test]
+        fn delta_fast_path_matches_reference(
+            deltas in proptest::collection::vec(
+                proptest::prop_oneof![-64i64..64, proptest::arbitrary::any::<i64>()],
+                0..40,
+            ),
+            splice in 0..3u8,
+            at in proptest::arbitrary::any::<usize>(),
+            noise in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 1..12),
+        ) {
+            let values: Vec<i64> = (deltas.iter())
+                .scan(0i64, |v, d| {
+                    *v = v.wrapping_add(*d);
+                    Some(*v)
+                })
+                .collect();
+            let mut buf = Vec::new();
+            delta::encode(&values, &mut buf);
+            let at = at % (buf.len() + 1);
+            match splice {
+                0 => {}
+                1 => drop(buf.splice(at..at, noise)),
+                _ => drop(buf.splice(at..at, [0x80; 10].into_iter().chain([0x01]))),
+            }
+            for len in 0..=buf.len() {
+                let (mut got_pos, mut want_pos) = (0, 0);
+                let got = delta::decode(&buf[..len], &mut got_pos);
+                let want = delta_decode_reference(&buf[..len], &mut want_pos);
+                proptest::prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "len {}", len);
+                proptest::prop_assert_eq!(got_pos, want_pos, "len {}", len);
+                if splice == 0 && len < buf.len() {
+                    proptest::prop_assert!(matches!(got, Err(FeisuError::Corrupt(_))));
+                }
+                if splice == 0 && len == buf.len() {
+                    proptest::prop_assert_eq!(got.ok(), Some(values.clone()));
+                }
+            }
+        }
     }
 
     #[test]

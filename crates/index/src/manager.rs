@@ -83,6 +83,9 @@ struct IndexMetrics {
 struct ManagerState {
     entries: Lru<IndexKey, Entry>,
     stats: IndexStats,
+    /// At most the `created_at` of every unpinned entry (`None`: there is
+    /// none), so while it is within the TTL no entry can have expired.
+    oldest: Option<SimInstant>,
 }
 
 /// The per-leaf index cache.
@@ -164,7 +167,7 @@ impl IndexManager {
 
     fn get_by_key(&self, key: IndexKey, now: SimInstant) -> Option<Arc<SmartIndex>> {
         let mut state = self.state.lock();
-        let ManagerState { entries, stats } = &mut *state;
+        let ManagerState { entries, stats, .. } = &mut *state;
         let found = match entries.get(&key) {
             Some(e) if self.expired(e, now) => {
                 entries.remove(&key);
@@ -226,7 +229,11 @@ impl IndexManager {
         state.entries.remove(&key);
         // Evict expired entries first, then LRU until the new one fits.
         self.drop_expired(&mut state, now);
-        let ManagerState { entries, stats } = &mut *state;
+        let ManagerState {
+            entries,
+            stats,
+            oldest,
+        } = &mut *state;
         while entries.weight() + footprint > budget {
             // Pins hold only while the cache is not full (paper:
             // preferences yield to memory pressure): once everything left
@@ -237,14 +244,27 @@ impl IndexManager {
                 .expect("weight > 0 means an entry");
             self.book(&mut stats.lru_evictions, |m| &m.lru_evictions, 1);
         }
+        if !pinned {
+            let created = index.created_at;
+            *oldest = Some(oldest.map_or(created, |o| o.min(created)));
+        }
         let index = Arc::new(index);
         entries.insert(key, Entry { index, pinned }, footprint);
         self.book(&mut stats.inserts, |m| &m.inserts, 1);
         true
     }
 
+    /// Removes every expired entry: none while the oldest unpinned one is
+    /// within the TTL, else a sweep that also finds the new oldest.
     fn drop_expired(&self, state: &mut ManagerState, now: SimInstant) {
-        let ManagerState { entries, stats } = state;
+        let ManagerState {
+            entries,
+            stats,
+            oldest,
+        } = state;
+        if oldest.is_none_or(|o| now.since(o) <= self.ttl) {
+            return;
+        }
         let expired: Vec<IndexKey> = entries
             .iter()
             .filter(|(_, e)| self.expired(e, now))
@@ -255,6 +275,8 @@ impl IndexManager {
         }
         let n = expired.len() as u64;
         self.book(&mut stats.ttl_evictions, |m| &m.ttl_evictions, n);
+        let unpinned = entries.iter().filter(|(_, e)| !e.pinned);
+        *oldest = unpinned.map(|(_, e)| e.index.created_at).min();
     }
 
     pub fn len(&self) -> usize {
@@ -283,6 +305,7 @@ mod tests {
     use super::*;
     use feisu_format::{Block, Column, DataType, Field, Schema, Value};
     use feisu_sql::ast::BinaryOp;
+    use proptest::{prop_assert_eq, proptest};
 
     fn block(id: u64, rows: usize) -> Block {
         let schema = Schema::new(vec![Field::new("x", DataType::Int64, false)]);
@@ -488,5 +511,134 @@ mod tests {
         });
         assert_eq!(m.stats().inserts, 64);
         assert_eq!(m.stats().hits, 64);
+    }
+
+    /// The manager as it was before it kept `oldest`: every insert sweeps
+    /// all entries for expired ones. `entries` is in recency order, least
+    /// recent first: `(key, created_at, pinned, footprint)`.
+    struct SweepEveryInsert {
+        entries: Vec<(IndexKey, SimInstant, bool, u64)>,
+        stats: IndexStats,
+        ttl: SimDuration,
+        budget: u64,
+        now: SimInstant,
+    }
+
+    impl SweepEveryInsert {
+        fn expired(&self, i: usize, now: SimInstant) -> bool {
+            let (_, created, pinned, _) = self.entries[i];
+            !pinned && now.since(created) > self.ttl
+        }
+
+        fn live(&self, key: &IndexKey, now: SimInstant) -> bool {
+            let at = self.entries.iter().position(|e| &e.0 == key);
+            at.is_some_and(|i| !self.expired(i, now))
+        }
+
+        fn get(&mut self, key: &IndexKey, now: SimInstant) -> bool {
+            let found = match self.entries.iter().position(|e| &e.0 == key) {
+                Some(i) if self.expired(i, now) => {
+                    self.entries.remove(i);
+                    self.stats.ttl_evictions += 1;
+                    false
+                }
+                Some(i) => {
+                    let entry = self.entries.remove(i);
+                    self.entries.push(entry);
+                    true
+                }
+                None => false,
+            };
+            match found {
+                true => self.stats.hits += 1,
+                false => self.stats.misses += 1,
+            }
+            found
+        }
+
+        fn insert(&mut self, key: IndexKey, created: SimInstant, pinned: bool, size: u64) -> bool {
+            if size > self.budget {
+                self.stats.rejected += 1;
+                return false;
+            }
+            self.entries.retain(|e| e.0 != key);
+            let now = self.now;
+            let kept: Vec<bool> = (0..self.entries.len())
+                .map(|i| !self.expired(i, now))
+                .collect();
+            let mut kept = kept.into_iter();
+            let before = self.entries.len();
+            self.entries.retain(|_| kept.next().unwrap());
+            self.stats.ttl_evictions += (before - self.entries.len()) as u64;
+            while self.entries.iter().map(|e| e.3).sum::<u64>() + size > self.budget {
+                let victim = self.entries.iter().position(|e| !e.2).unwrap_or(0);
+                self.entries.remove(victim);
+                self.stats.lru_evictions += 1;
+            }
+            self.entries.push((key, created, pinned, size));
+            self.stats.inserts += 1;
+            true
+        }
+    }
+
+    proptest! {
+        /// Random inserts, pinned inserts, gets and lookups over time that
+        /// mostly advances, sometimes steps back, and passes a short TTL:
+        /// the manager, which sweeps only once its oldest unpinned entry
+        /// can have expired, holds the entries (in recency order, pins
+        /// included) and the stats of a sweep on every insert, step by step.
+        #[test]
+        fn sweeping_only_past_the_oldest_matches_sweeping_always(
+            ops in proptest::collection::vec(
+                ((0..4u8, 0..3u64, 0..3i64), (0..70u64, 0..40u64)),
+                1..80,
+            ),
+            capacity in 2..6u64,
+        ) {
+            let ttl = SimDuration::nanos(100);
+            let size = idx(0, 0, SimInstant(0)).footprint() as u64;
+            let m = IndexManager::new(ByteSize(size * capacity), ttl);
+            let mut model = SweepEveryInsert {
+                entries: Vec::new(),
+                stats: IndexStats::default(),
+                ttl,
+                budget: size * capacity,
+                now: SimInstant(1_000),
+            };
+            for ((op, block, v), (step, age)) in ops {
+                let now = SimInstant((model.now.as_nanos() + step).saturating_sub(10));
+                model.now = now;
+                let key = (BlockId(block), pred(v).key());
+                let created = SimInstant(now.as_nanos().saturating_sub(age));
+                match op {
+                    0 | 1 => {
+                        let index = idx(block, v, created);
+                        prop_assert_eq!(index.footprint() as u64, size);
+                        let got = match op {
+                            0 => m.insert(index, now),
+                            _ => m.insert_pinned(index, now),
+                        };
+                        prop_assert_eq!(got, model.insert(key, created, op == 1, size));
+                    }
+                    2 => {
+                        let got = m.get(BlockId(block), &pred(v), now).is_some();
+                        prop_assert_eq!(got, model.get(&key, now));
+                    }
+                    _ => {
+                        let got = m.lookup(BlockId(block), &pred(v), now).is_some();
+                        prop_assert_eq!(got, model.live(&key, now));
+                    }
+                }
+                let state = m.state.lock();
+                let entries: Vec<(IndexKey, bool)> = (state.entries.iter())
+                    .map(|(k, e)| (k.clone(), e.pinned))
+                    .collect();
+                let want: Vec<(IndexKey, bool)> = (model.entries.iter())
+                    .map(|e| (e.0.clone(), e.2))
+                    .collect();
+                prop_assert_eq!(entries, want);
+                prop_assert_eq!(state.stats, model.stats);
+            }
+        }
     }
 }

@@ -6,10 +6,13 @@
 //! letting the clock tick during execution, so leaf/stem spans are
 //! recorded after the fact from those accounts. The result is one flat
 //! arena of spans per query that [`SpanRecorder::tree`] folds into a
-//! nested, time-ordered [`SpanTree`].
+//! nested, time-ordered [`SpanTree`]. Names, keys and string values are
+//! `Cow<'static, str>`: the engine's are literals, so recording a span
+//! and folding the tree copy none of them.
 
 use feisu_common::{ByteSize, SimDuration, SimInstant};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Index of a span within its recorder.
@@ -22,7 +25,7 @@ pub struct SpanId(usize);
 pub enum AttrValue {
     U64(u64),
     I64(i64),
-    Str(String),
+    Str(Cow<'static, str>),
     Duration(SimDuration),
     Size(ByteSize),
 }
@@ -57,15 +60,15 @@ impl From<i64> for AttrValue {
     }
 }
 
-impl From<&str> for AttrValue {
-    fn from(v: &str) -> Self {
-        AttrValue::Str(v.to_string())
+impl From<&'static str> for AttrValue {
+    fn from(v: &'static str) -> Self {
+        AttrValue::Str(Cow::Borrowed(v))
     }
 }
 
 impl From<String> for AttrValue {
     fn from(v: String) -> Self {
-        AttrValue::Str(v)
+        AttrValue::Str(Cow::Owned(v))
     }
 }
 
@@ -81,13 +84,16 @@ impl From<ByteSize> for AttrValue {
     }
 }
 
+/// A span name or attribute key.
+pub type Name = Cow<'static, str>;
+
 #[derive(Debug, Clone)]
 struct SpanData {
-    name: String,
+    name: Name,
     parent: Option<SpanId>,
     start: SimInstant,
     end: Option<SimInstant>,
-    attrs: Vec<(String, AttrValue)>,
+    attrs: Vec<(Name, AttrValue)>,
 }
 
 /// Arena of spans for one query (or one subsystem session).
@@ -102,11 +108,11 @@ impl SpanRecorder {
     }
 
     /// Opens a span at an explicit simulated instant.
-    pub fn start(&self, name: &str, parent: Option<SpanId>, at: SimInstant) -> SpanId {
+    pub fn start(&self, name: impl Into<Name>, parent: Option<SpanId>, at: SimInstant) -> SpanId {
         let mut spans = self.spans.lock();
         let id = SpanId(spans.len());
         spans.push(SpanData {
-            name: name.to_string(),
+            name: name.into(),
             parent,
             start: at,
             end: None,
@@ -127,7 +133,7 @@ impl SpanRecorder {
     /// analytically-accounted leaf/stem time after a scan completes.
     pub fn record(
         &self,
-        name: &str,
+        name: impl Into<Name>,
         parent: Option<SpanId>,
         start: SimInstant,
         end: SimInstant,
@@ -138,9 +144,10 @@ impl SpanRecorder {
     }
 
     /// Attaches a key/value attribute to an open or closed span.
-    pub fn attr(&self, id: SpanId, key: &str, value: impl Into<AttrValue>) {
+    pub fn attr(&self, id: SpanId, key: impl Into<Name>, value: impl Into<AttrValue>) {
+        let (key, value) = (key.into(), value.into());
         let mut spans = self.spans.lock();
-        spans[id.0].attrs.push((key.to_string(), value.into()));
+        spans[id.0].attrs.push((key, value));
     }
 
     /// Reparents a span. Stems are grouped after their leaves complete,
@@ -177,11 +184,12 @@ impl SpanRecorder {
             .count()
     }
 
-    /// Folds the arena into a nested tree. Children sort by start instant
-    /// (ties broken by recording order); unclosed spans render with zero
-    /// duration. Spans whose parent id is unset are roots.
-    pub fn tree(&self) -> SpanTree {
-        let spans = self.spans.lock();
+    /// Folds the arena into a nested tree, moving every span into it.
+    /// Children sort by start instant (ties broken by recording order);
+    /// unclosed spans render with zero duration. Spans whose parent id is
+    /// unset are roots.
+    pub fn tree(self) -> SpanTree {
+        let spans = self.spans.into_inner();
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
         let mut roots: Vec<usize> = Vec::new();
         for (i, s) in spans.iter().enumerate() {
@@ -196,13 +204,13 @@ impl SpanRecorder {
             c.sort_by_key(sort_key);
         }
 
-        fn build(i: usize, spans: &[SpanData], children: &[Vec<usize>]) -> SpanNode {
-            let s = &spans[i];
+        fn build(i: usize, spans: &mut [Option<SpanData>], children: &[Vec<usize>]) -> SpanNode {
+            let s = spans[i].take().expect("a span has one parent");
             SpanNode {
-                name: s.name.clone(),
+                name: s.name,
                 start: s.start,
                 end: s.end.unwrap_or(s.start),
-                attrs: s.attrs.clone(),
+                attrs: s.attrs,
                 children: children[i]
                     .iter()
                     .map(|&c| build(c, spans, children))
@@ -210,8 +218,11 @@ impl SpanRecorder {
             }
         }
 
+        let mut spans: Vec<Option<SpanData>> = spans.into_iter().map(Some).collect();
         SpanTree {
-            roots: roots.iter().map(|&r| build(r, &spans, &children)).collect(),
+            roots: (roots.iter())
+                .map(|&r| build(r, &mut spans, &children))
+                .collect(),
         }
     }
 }
@@ -219,10 +230,10 @@ impl SpanRecorder {
 /// One node of the folded tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanNode {
-    pub name: String,
+    pub name: Name,
     pub start: SimInstant,
     pub end: SimInstant,
-    pub attrs: Vec<(String, AttrValue)>,
+    pub attrs: Vec<(Name, AttrValue)>,
     pub children: Vec<SpanNode>,
 }
 
@@ -337,11 +348,7 @@ mod tests {
         rec.attr(late, "n", 2u64);
         rec.attr(early, "n", 1u64);
         let tree = rec.tree();
-        let names: Vec<&str> = tree.roots[0]
-            .children
-            .iter()
-            .map(|c| c.name.as_str())
-            .collect();
+        let names: Vec<&str> = tree.roots[0].children.iter().map(|c| &*c.name).collect();
         assert_eq!(names, ["leaf_a", "leaf_b"]);
     }
 

@@ -15,7 +15,8 @@
 #      and scheduler model suites again in
 #      release with more cases, and the exec, optimizer,
 #      catalog/schema/statistics, ingest, Utf8 decode and concat, and
-#      leaf allocation budgets — a scan task's and a count-only task's —
+#      leaf allocation budgets — a scan task's, a count-only task's and a
+#      warmed scan's skipped tasks' —
 #      and the Bool decode's byte budget in release)
 #   4. cargo clippy --workspace --all-targets -- -D warnings (tests,
 #      examples and bins linted like the libraries)
@@ -86,12 +87,19 @@ FEISU_CLIENT_THREADS=4 cargo test -q $OFFLINE -p feisu-tests
 # `Catalog::table_stats()` and `Schema::clone` at zero whatever the
 # table's size, an ingested block's not following its row count, a scan
 # task's projecting a Utf8 column following neither the rows of the block
-# nor the rows it keeps, a count-only task's following nothing, and the
-# optimizer's not following the table's width.
+# nor the rows it keeps, a count-only task's following nothing, a
+# warmed grouped scan's tasks that its resident footers skip allocating
+# a fixed handful each (no zero-state aggregation table per task), and
+# the optimizer's not following the table's width. The properties this
+# budget rides with run in the plain `cargo test` above at 256 cases:
+# the SmartIndex manager's early-out TTL sweep against sweeping on every
+# insert, and the delta decoder's one-byte fast path against its varint
+# loop; the exchange merger's zero-row children run at 2048 cases with
+# the merge tree suites below.
 echo "ci: exec equivalence + physical pipeline oracle parity suites (release, 2048 cases) + allocation budgets"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-exec --test equivalence --test alloc_budget
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-tests --test physical_pipeline_prop
-cargo test -q --release $OFFLINE -p feisu-core --test catalog_snapshot --test leaf_alloc_budget
+cargo test -q --release $OFFLINE -p feisu-core --test catalog_snapshot --test leaf_alloc_budget --test scan_alloc_budget
 cargo test -q --release $OFFLINE -p feisu-sql --test optimize_alloc_budget
 
 # Aggregates over random 2–3 table joins — join keys from unique to
@@ -106,7 +114,9 @@ PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-tests --test eager
 # outputs, so which levels run depends on the data: the exchange
 # properties — random rows over every grid, fan-in cap (1, 2 and the
 # default 64) and partition count, integer answers bit-identical whatever
-# depth is chosen — and the golden pins (one probe of each depth) again.
+# depth is chosen, and one merger given zero-row children, well-formed
+# (skipped) and malformed (still Corrupt), equal to folding every child —
+# and the golden pins (one probe of each depth) again.
 echo "ci: merge tree exchange properties + golden pins (release, 2048 cases)"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-tests --test merge_exchange --test merge_tree_golden
 

@@ -8,12 +8,20 @@
 //! serial and concurrent runs must be
 //! bit-identical with the exchange enabled, a 2-DC grid must bill more
 //! network than a single rack for the same query, and the
-//! straggler-limit clamp must pin leaf time exactly at the limit.
+//! straggler-limit clamp must pin leaf time exactly at the limit. One
+//! partition merger with zero-row children among its own — well-formed
+//! ones, which it skips, and malformed ones, which it still refuses —
+//! answers, counts and fails exactly as folding every child does.
 
-use feisu_common::SimDuration;
+use feisu_common::{FeisuError, Result, SimDuration};
 use feisu_core::engine::{ClusterSpec, FeisuCluster, QueryOptions};
+use feisu_core::stem::{merge_exchange_partition, AggShape, ExchangeChild};
+use feisu_exec::aggregate::{transport_hashes, AggTable};
+use feisu_exec::batch::RecordBatch;
 use feisu_exec::MemProvider;
-use feisu_format::Value;
+use feisu_format::{Column, DataType, Field, Schema, Value};
+use feisu_sql::ast::{AggFunc, Expr};
+use feisu_sql::plan::AggExpr;
 use feisu_storage::auth::Credential;
 use feisu_tests::{assert_same_rows, clicks_schema, rows_to_batch};
 use proptest::prelude::*;
@@ -152,6 +160,144 @@ proptest! {
             let fx = build(grid, per_stem, parts, &rows);
             let got = fx.cluster.query(sql, &fx.cred).expect("exchange").batch;
             prop_assert_eq!(&got, &want, "per_stem={} parts={}", per_stem, parts);
+        }
+    }
+}
+
+/// `GROUP BY g` with `SUM(v)`, `COUNT(*)` and `MIN(v)`, all Int64.
+fn exchange_shape() -> (Vec<(Expr, String, DataType)>, Vec<AggExpr>) {
+    let agg = |func, arg: Option<&str>, name: &str| AggExpr {
+        func,
+        arg: arg.map(Expr::col),
+        name: name.into(),
+        output_type: DataType::Int64,
+    };
+    (
+        vec![(Expr::col("g"), "g".into(), DataType::Int64)],
+        vec![
+            agg(AggFunc::Sum, Some("v"), "SUM(v)"),
+            agg(AggFunc::Count, None, "COUNT(*)"),
+            agg(AggFunc::Min, Some("v"), "MIN(v)"),
+        ],
+    )
+}
+
+/// One transport a merger may be handed: `kind` 0 is a table's fold of
+/// `rows` (no rows: the zero-row transport a skipped block ships), 1 a
+/// zero-row batch in the transport's types under other names, 2 one whose
+/// key is Float64 and 3 one short of a column (both malformed).
+fn exchange_transport(kind: u8, rows: &[(i64, i64)]) -> RecordBatch {
+    let (group_by, aggregates) = exchange_shape();
+    let mut table = AggTable::new(group_by, aggregates);
+    let input = Schema::new(vec![
+        Field::new("g", DataType::Int64, false),
+        Field::new("v", DataType::Int64, false),
+    ]);
+    let columns = vec![
+        Column::from_i64(rows.iter().map(|r| r.0).collect()),
+        Column::from_i64(rows.iter().map(|r| r.1).collect()),
+    ];
+    table
+        .update(&RecordBatch::new(input, columns).unwrap())
+        .unwrap();
+    let good = table.to_transport().unwrap();
+    let fields = good.schema().fields();
+    let renamed = |i: usize, f: &Field, dt| Field::new(format!("x{i}"), dt, f.nullable);
+    let schema: Vec<Field> = match kind {
+        0 => return good,
+        1 => (fields.iter().enumerate())
+            .map(|(i, f)| renamed(i, f, f.data_type))
+            .collect(),
+        2 => (fields.iter().enumerate())
+            .map(|(i, f)| match i {
+                0 => renamed(i, f, DataType::Float64),
+                _ => f.clone(),
+            })
+            .collect(),
+        _ => (fields[1..].iter().enumerate())
+            .map(|(i, f)| renamed(i, f, f.data_type))
+            .collect(),
+    };
+    RecordBatch::empty(Schema::new(schema))
+}
+
+/// Every child folded, as the merger did before it skipped any.
+fn fold_every_child(
+    shape: AggShape<'_>,
+    children: &[ExchangeChild<'_>],
+    part: usize,
+    parts: usize,
+) -> Result<(RecordBatch, usize)> {
+    let mut acc = AggTable::new(shape.0.to_vec(), shape.1.to_vec());
+    let mut folded = 0;
+    for &(batches, hashes) in children {
+        folded += match (batches, hashes) {
+            ([batch], Some(hashes)) => acc.merge_transport_hashed(batch, hashes, part, parts)?,
+            (batches, _) if batches.len() == parts => acc.merge_transport(&batches[part])?,
+            _ => return Err(FeisuError::Internal("bad child".into())),
+        };
+    }
+    Ok((acc.to_transport()?, folded))
+}
+
+fn arb_exchange_child() -> impl Strategy<Value = Vec<(u8, Vec<(i64, i64)>)>> {
+    let rows = proptest::collection::vec((0..16i64, -20..20i64), 0..12);
+    // Mostly well-formed transports, many of them zero-row.
+    let kind = (0..12u8).prop_map(|k| k.saturating_sub(8));
+    let transport = (kind, 0..3u8, rows).prop_map(|(kind, empty, rows)| match (kind, empty) {
+        (0, 0) => (0, Vec::new()),
+        (0, _) => (0, rows),
+        (kind, _) => (kind, Vec::new()),
+    });
+    proptest::collection::vec(transport, 1..4)
+}
+
+proptest! {
+    #![proptest_config(cases())]
+
+    /// One partition merger over leaf children (one transport each) and
+    /// exchange children (`parts` transports each), zero-row ones among
+    /// them: the merged transport, the rows folded and any error equal
+    /// folding every child.
+    #[test]
+    fn zero_row_children_change_nothing(
+        children in proptest::collection::vec(arb_exchange_child(), 1..6),
+        parts in 1..=4usize,
+        part_seed in 0..4usize,
+    ) {
+        let (group_by, aggregates) = exchange_shape();
+        let shape: AggShape<'_> = (&group_by, &aggregates);
+        let part = part_seed % parts;
+        // A child of one transport is a leaf; of more, `parts` of them.
+        let batches: Vec<Vec<RecordBatch>> = (children.iter())
+            .map(|c| match c.len() {
+                1 => vec![exchange_transport(c[0].0, &c[0].1)],
+                _ => (0..parts)
+                    .map(|p| {
+                        let (kind, rows) = &c[p % c.len()];
+                        exchange_transport(*kind, rows)
+                    })
+                    .collect(),
+            })
+            .collect();
+        let hashes: Vec<Option<Vec<u64>>> = (batches.iter())
+            .map(|b| match &b[..] {
+                [one] => Some(transport_hashes(one, 1)),
+                _ => None,
+            })
+            .collect();
+        let exchange: Vec<ExchangeChild<'_>> = (batches.iter().zip(&hashes))
+            .map(|(b, h)| (b.as_slice(), h.as_deref()))
+            .collect();
+        let got = merge_exchange_partition(shape, &exchange, part, parts);
+        let want = fold_every_child(shape, &exchange, part, parts);
+        match (got, want) {
+            (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
+            (Err(got), Err(want)) => {
+                prop_assert!(matches!(got, FeisuError::Corrupt(_)), "{:?}", got);
+                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            }
+            (got, want) => prop_assert!(false, "got {:?}, folding every child {:?}", got, want),
         }
     }
 }
