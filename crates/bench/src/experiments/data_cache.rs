@@ -120,7 +120,7 @@ fn working_set(t1: &DatasetSpec) -> Result<(u64, u64)> {
     let (mut whole, mut touched) = (0u64, 0u64);
     for block in bench.cluster.catalog().table("t1")?.blocks() {
         let (domain, inner) = bench.cluster.router().resolve(&block.path);
-        let data = domain.read_from(&inner, NodeId(0))?.data;
+        let data = domain.read_from(inner, NodeId(0))?.data;
         let meta = Block::read_meta(&data)?;
         let lens: Vec<u64> = meta.chunk_lens().collect();
         let columns = COLUMNS.iter().filter_map(|c| meta.schema.index_of(c));

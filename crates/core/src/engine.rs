@@ -765,7 +765,7 @@ impl FeisuCluster {
                     // rest of the block.
                     let parsed =
                         feisu_format::Block::deserialize_columns(&read.data, &[storage_col])?;
-                    for node in replicas {
+                    for &node in replicas.iter() {
                         if let Some(leaf) = self.leaf(node) {
                             leaf.pin_index(&parsed, &storage_pred, now)?;
                             built += 1;

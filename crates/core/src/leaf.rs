@@ -27,8 +27,8 @@ use feisu_exec::batch::{BatchView, RecordBatch};
 use feisu_exec::physical::TopK;
 use feisu_exec::sort;
 use feisu_format::table::BlockDesc;
-use feisu_format::{BitVec, Block, BlockMeta, Column, Field, Schema};
-use feisu_index::manager::{Held, IndexManager};
+use feisu_format::{BitVec, Block, BlockMeta, Column, Described, Field, Schema};
+use feisu_index::manager::{Held, IndexManager, PredicateKeys};
 use feisu_index::rewrite::{evaluate_held, ProbeKind};
 use feisu_index::zonemap::{self, Verdict};
 use feisu_index::SmartIndex;
@@ -36,7 +36,7 @@ use feisu_sql::ast::Expr;
 use feisu_sql::cnf::{Clause, Cnf, Disjunct, SimplePredicate};
 use feisu_sql::eval::eval_truth;
 use feisu_storage::auth::Credential;
-use feisu_storage::{BlockRead, Bytes, CacheTier, Domain, StorageRouter};
+use feisu_storage::{BlockRead, CacheTier, Domain, StorageRouter};
 use std::borrow::Cow;
 use std::ops::ControlFlow::{self, Break, Continue};
 use std::sync::{Arc, OnceLock};
@@ -100,8 +100,10 @@ pub struct ScanView<'a> {
     /// over the projected batch).
     agg: Option<&'a AggStage>,
     /// The aggregate stage's zero-state transport, else an empty batch of
-    /// the output schema.
+    /// the output schema: one batch, shared by every task that answers it.
     empty: OnceLock<RecordBatch>,
+    /// The SmartIndex keys of the CNF's simple predicates, in probe order.
+    keys: OnceLock<Vec<PredicateKeys>>,
 }
 
 impl<'a> ScanView<'a> {
@@ -119,10 +121,12 @@ impl<'a> ScanView<'a> {
             residual,
             agg,
             empty: OnceLock::new(),
+            keys: OnceLock::new(),
         }
     }
 
-    /// What a task or a scan that kept nothing answers.
+    /// What a task or a scan that kept nothing answers: a clone of the one
+    /// batch, which copies no column.
     pub(crate) fn empty_answer(&self) -> Result<RecordBatch> {
         if let Some(empty) = self.empty.get() {
             return Ok(empty.clone());
@@ -130,11 +134,20 @@ impl<'a> ScanView<'a> {
         let empty = match self.agg {
             Some(agg) => {
                 let table = AggTable::new(agg.group_by.clone(), agg.aggregates.clone());
-                table.to_transport()?
+                table.into_transport()?
             }
             None => RecordBatch::empty(self.output_schema.clone()),
         };
         Ok(self.empty.get_or_init(|| empty).clone())
+    }
+
+    /// The empty answer, if a task has answered it yet.
+    pub(crate) fn answered_empty(&self) -> Option<&RecordBatch> {
+        self.empty.get()
+    }
+
+    fn keys(&self) -> &[PredicateKeys] {
+        (self.keys).get_or_init(|| PredicateKeys::all(simple_predicates(self.cnf)))
     }
 }
 
@@ -256,6 +269,17 @@ struct Climb<'a> {
     index: Option<&'a IndexManager>,
 }
 
+impl Climb<'_> {
+    /// The cache keys of the CNF's simple predicates, in probe order: none
+    /// without SmartIndex.
+    fn keys(&self) -> &[PredicateKeys] {
+        match self.index {
+            Some(_) => self.scan.keys(),
+            None => &[],
+        }
+    }
+}
+
 /// What a task touched on its way down the ladder: all that
 /// [`LeafServer::bill`] prices.
 #[derive(Default)]
@@ -266,8 +290,12 @@ struct Touch<'a> {
     /// CNF clauses: a decision from cached bits or zones costs one
     /// predicate evaluation each.
     clauses: usize,
-    /// The footer's zones' verdict on each CNF clause.
-    verdicts: Vec<Verdict>,
+    /// The footer's zones disproved a CNF clause: the block is skipped.
+    skipped: bool,
+    /// The footer the task decided on, when the fetch found the block
+    /// rewritten: a clause is proved only where it and the footer of the
+    /// bytes read both prove it.
+    decided: Option<Arc<BlockMeta>>,
     /// From the footer decision on, the task's one record of its block —
     /// the footer it decides on and each chunk read with the tier that
     /// served it — and the block's domain.
@@ -298,17 +326,24 @@ impl LeafTaskStats {
 }
 
 /// The clauses a task still evaluates — those its footer did not prove —
-/// and the SmartIndex handles held for their simple predicates, in probe
-/// order.
+/// with the SmartIndex handles held for their simple predicates (empty
+/// when it holds none) and their cache keys (empty without SmartIndex),
+/// in probe order.
 struct Kept<'a> {
     cnf: Cow<'a, Cnf>,
     held: Vec<Option<Held>>,
+    keys: Cow<'a, [PredicateKeys]>,
 }
 
 impl Touch<'_> {
-    /// The footer's zones disproved a clause: the block is skipped.
-    fn skipped(&self) -> bool {
-        self.verdicts.contains(&Verdict::Disproved)
+    /// The footer the task decided on proves `clause` for every row of the
+    /// block (and so does the one read with its chunks).
+    fn proves(&self, clause: &Clause) -> bool {
+        let Some((read, _)) = &self.read else {
+            return false;
+        };
+        let on = |meta: &BlockMeta| zones_classify(clause, meta) == Verdict::Proved;
+        on(&read.meta) && self.decided.as_deref().is_none_or(on)
     }
 }
 
@@ -387,7 +422,7 @@ impl LeafServer {
         if let Break(answer) = self.footer_decision(c, t)? {
             return Ok(answer);
         }
-        let mut kept = keep(c, &t.verdicts, held);
+        let mut kept = keep(c, t, held);
         // The task's residuals, then the CNF clauses that are not
         // all-simple, which the leaf reads as residuals too (`lower` never
         // emits one) and the footer never proves.
@@ -397,13 +432,13 @@ impl LeafServer {
                 .chain(opaque(c.cnf).map(Clause::to_expr))
                 .collect(),
         };
-        let (data, meta) = match self.fetch(c, &mut kept, &residuals, t)? {
+        let data = match self.fetch(c, &mut kept, &residuals, t)? {
             Break(answer) => return Ok(answer),
-            Continue(fetched) => fetched,
+            Continue(data) => data,
         };
-        let (block, bits) = evaluate(c, &kept, &residuals, (&data, &meta), t)?;
-        record_proved(c, &t.verdicts, &meta);
-        match count_or_materialize(c, &block, &bits, (&data, &meta), t)? {
+        let (block, bits) = evaluate(c, &kept, &residuals, &data, t)?;
+        record_proved(c, t, data.meta());
+        match count_or_materialize(c, &block, &bits, &data, t)? {
             Break(answer) => Ok(answer),
             Continue(batch) => aggregate(c, batch, t),
         }
@@ -416,8 +451,8 @@ impl LeafServer {
     fn footer_decision<'a>(&self, c: &Climb<'a>, t: &mut Touch<'a>) -> Rung<()> {
         let (router, path) = (c.router, &c.block.path);
         let mut read = router.footer(path, self.node, c.cred, c.now)?;
-        t.verdicts = zones_classify(c.cnf, &read.meta);
-        let skipped = t.skipped();
+        t.skipped = disproves(c.cnf, &read.meta);
+        let skipped = t.skipped;
         if skipped && !read.served_nothing() {
             router.fetch(path, self.node, c.cred, c.now, &mut read, &[])?;
         }
@@ -440,7 +475,7 @@ impl LeafServer {
         kept: &mut Kept<'k>,
         residuals: &[Expr],
         t: &mut Touch<'a>,
-    ) -> Rung<(Bytes, Arc<BlockMeta>)> {
+    ) -> Rung<Described> {
         t.evaluated = evaluated(kept, residuals);
         if !c.counts {
             t.materialized = c.scan.projection;
@@ -451,31 +486,26 @@ impl LeafServer {
         let mut columns: Vec<usize> = names.filter_map(|n| schema.index_of(n)).collect();
         columns.sort_unstable();
         columns.dedup();
-        let decided = Arc::as_ptr(&read.meta);
+        let decided = read.meta.clone();
         let (router, path) = (c.router, &c.block.path);
         let data = router.fetch(path, self.node, c.cred, c.now, read, &columns)?;
-        let meta = read.meta.clone();
-        if decided != Arc::as_ptr(&meta) {
-            let mut verdicts = zones_classify(c.cnf, &meta);
-            let mut lost = false;
-            for (new, old) in verdicts.iter_mut().zip(&t.verdicts) {
-                // A clause proved on the new footer alone is kept already.
-                match (*old == Verdict::Proved, *new == Verdict::Proved) {
-                    (true, false) => lost = true,
-                    (false, true) => *new = Verdict::Unknown,
-                    _ => {}
-                }
-            }
-            t.verdicts = verdicts;
-            if t.skipped() {
+        let meta = data.meta();
+        if !Arc::ptr_eq(&decided, meta) {
+            t.skipped = disproves(c.cnf, meta);
+            if t.skipped {
                 return Ok(Break(Answer::Empty));
             }
+            // A clause proved on the new footer alone is kept already.
+            let proved = |clause, meta| zones_classify(clause, meta) == Verdict::Proved;
+            let mut clauses = c.cnf.clauses.iter();
+            let lost = clauses.any(|clause| proved(clause, &decided) && !proved(clause, meta));
+            t.decided = Some(decided);
             if lost {
-                *kept = keep(c, &t.verdicts, None);
+                *kept = keep(c, t, None);
                 t.evaluated = evaluated(kept, residuals);
             }
         }
-        Ok(Continue((data, meta)))
+        Ok(Continue(data))
     }
 
     /// Turns a task's answer into its output, billed for what it touched.
@@ -486,7 +516,7 @@ impl LeafServer {
             Answer::Rows(batch) => (batch, false),
             Answer::Transport(batch) => (batch, true),
         };
-        let (tally, stats) = self.bill(touch);
+        let (tally, stats) = self.bill(scan.cnf, touch);
         Ok(LeafOutput {
             batch,
             is_agg_transport,
@@ -495,14 +525,15 @@ impl LeafServer {
         })
     }
 
-    /// Prices what a task touched, whichever rung answered it.
-    fn bill(&self, t: &Touch) -> (TimeTally, LeafTaskStats) {
+    /// Prices what a task of a scan with `cnf` touched, whichever rung
+    /// answered it.
+    fn bill(&self, cnf: &Cnf, t: &Touch) -> (TimeTally, LeafTaskStats) {
         let cost = &self.cost;
-        let skipped = t.skipped();
-        let proved = t.verdicts.iter().filter(|&&v| v == Verdict::Proved);
+        let skipped = t.skipped;
+        let proved = || cnf.clauses.iter().filter(|clause| t.proves(clause)).count();
         let mut stats = LeafTaskStats {
             blocks_skipped: skipped as usize,
-            proved_clauses: if skipped { 0 } else { proved.count() },
+            proved_clauses: if skipped { 0 } else { proved() },
             ..t.stats
         };
         let mut tally = TimeTally::new();
@@ -619,13 +650,18 @@ fn cached_selection(c: &Climb, t: &mut Touch) -> Rung<Option<Vec<Option<Held>>>>
     if c.index.is_none() || !c.counts || !c.scan.residual.is_empty() || !simple {
         return Ok(Continue(None));
     }
-    let held = lookup(c, c.cnf);
-    if held.iter().any(Option::is_none) {
+    let held = lookup(c);
+    if held.len() < c.keys().len() || held.iter().any(Option::is_none) {
         return Ok(Continue(Some(held)));
     }
     let block = c.block;
     let nothing = Block::new_with_rows(block.id, Schema::empty(), Vec::new(), block.rows)?;
-    t.stats.rows_out = selection(c, c.cnf, &nothing, &held, t)?.count_ones();
+    let kept = Kept {
+        cnf: Cow::Borrowed(c.cnf),
+        held,
+        keys: Cow::Borrowed(c.keys()),
+    };
+    t.stats.rows_out = selection(c, &kept, &nothing, t)?.count_ones();
     Ok(Break(Answer::Count(t.stats.rows_out)))
 }
 
@@ -636,15 +672,15 @@ fn evaluate(
     c: &Climb,
     kept: &Kept,
     residuals: &[Expr],
-    (data, meta): (&[u8], &BlockMeta),
+    data: &Described,
     t: &mut Touch,
 ) -> Result<(Block, BitVec)> {
     // A name the stored schema lacks is not decoded, so the lookups
     // downstream surface the errors a full decode would.
     let mut names: Vec<&str> = t.evaluated.iter().map(String::as_str).collect();
-    names.retain(|n| meta.schema.index_of(n).is_some());
-    let block = meta.decode_columns(data, &names)?;
-    let mut bits = selection(c, &kept.cnf, &block, &kept.held, t)?;
+    names.retain(|n| data.meta().schema.index_of(n).is_some());
+    let block = data.decode_columns(&names)?;
+    let mut bits = selection(c, kept, &block, t)?;
     if !residuals.is_empty() {
         bits = apply_residual(&block, &bits, residuals)?;
     }
@@ -661,7 +697,7 @@ fn count_or_materialize(
     c: &Climb,
     block: &Block,
     bits: &BitVec,
-    (data, meta): (&[u8], &BlockMeta),
+    data: &Described,
     t: &Touch,
 ) -> Rung<RecordBatch> {
     if c.counts {
@@ -671,7 +707,7 @@ fn count_or_materialize(
     let mut late: Vec<&str> = Vec::new();
     for name in scan.projection {
         if block.column_by_name(name).is_none() && !late.contains(&name.as_str()) {
-            if meta.schema.index_of(name).is_none() {
+            if data.meta().schema.index_of(name).is_none() {
                 return Err(FeisuError::Execution(format!(
                     "block {} missing column `{name}`",
                     c.block.id
@@ -680,7 +716,7 @@ fn count_or_materialize(
             late.push(name);
         }
     }
-    let mut decoded = meta.decode_selected(data, &late, bits)?.into_iter();
+    let mut decoded = data.decode_selected(&late, bits)?.into_iter();
     let mut columns: Vec<Column> = Vec::with_capacity(scan.projection.len());
     for (k, name) in scan.projection.iter().enumerate() {
         let column = match block.column_by_name(name) {
@@ -706,7 +742,7 @@ fn aggregate(c: &Climb, batch: RecordBatch, t: &mut Touch) -> Result<Answer> {
     let mut table = AggTable::new(agg.group_by.clone(), agg.aggregates.clone());
     table.update(&batch)?;
     t.aggregated = batch.rows();
-    Ok(Answer::Transport(table.to_transport()?))
+    Ok(Answer::Transport(table.into_transport()?))
 }
 
 /// The simple predicates of the CNF's all-simple clauses, in probe order.
@@ -719,44 +755,63 @@ fn opaque(cnf: &Cnf) -> impl Iterator<Item = &Clause> {
     cnf.clauses.iter().filter(|c| c.as_simple().is_none())
 }
 
-/// The task's one SmartIndex lookup per simple predicate of `cnf`, in
-/// probe order; none without SmartIndex.
-fn lookup(c: &Climb, cnf: &Cnf) -> Vec<Option<Held>> {
-    let look = |index: &IndexManager| {
-        let held = simple_predicates(cnf).map(|p| index.lookup(c.block.id, p, c.now));
-        held.collect()
+/// The task's one SmartIndex lookup per simple predicate of its CNF, in
+/// probe order, by the keys its scan formatted once. Empty without
+/// SmartIndex or when no entry is live: a task that holds nothing
+/// allocates nothing.
+fn lookup(c: &Climb) -> Vec<Option<Held>> {
+    let Some(index) = c.index else {
+        return Vec::new();
     };
-    c.index.map_or_else(Vec::new, look)
+    let mut held = Vec::new();
+    for (i, keys) in c.keys().iter().enumerate() {
+        match index.lookup_keyed(c.block.id, keys, c.now) {
+            Some(handle) => {
+                held.resize(i, None);
+                held.push(Some(handle));
+            }
+            None if !held.is_empty() => held.push(None),
+            None => {}
+        }
+    }
+    held
 }
 
 /// The clauses of the task's CNF its footer did not prove, with the
 /// handles `held` has for their predicates — or, none looked up yet, the
-/// task's one lookup of them.
-fn keep<'a>(c: &'a Climb, verdicts: &[Verdict], held: Option<Vec<Option<Held>>>) -> Kept<'a> {
-    if !verdicts.contains(&Verdict::Proved) {
-        let held = held.unwrap_or_else(|| lookup(c, c.cnf));
-        let cnf = Cow::Borrowed(c.cnf);
-        return Kept { cnf, held };
+/// task's one lookup. A lookup only reads the index, so looking up the
+/// proved clauses' predicates too and dropping their handles changes
+/// nothing.
+fn keep<'a>(c: &'a Climb, t: &Touch, held: Option<Vec<Option<Held>>>) -> Kept<'a> {
+    let held = held.unwrap_or_else(|| lookup(c));
+    let keys = c.keys();
+    if !c.cnf.clauses.iter().any(|clause| t.proves(clause)) {
+        let (cnf, keys) = (Cow::Borrowed(c.cnf), Cow::Borrowed(keys));
+        return Kept { cnf, held, keys };
     }
-    let (mut cnf, mut handles) = (Cnf::default(), Vec::new());
-    let mut held = held.map(Vec::into_iter);
-    for (clause, verdict) in c.cnf.clauses.iter().zip(verdicts) {
+    let (mut cnf, mut handles, mut kept_keys) = (Cnf::default(), Vec::new(), Vec::new());
+    let (mut held, mut keys) = (held.into_iter(), keys.iter());
+    for clause in &c.cnf.clauses {
         let n = clause.as_simple().map_or(0, Iterator::count);
-        let theirs = held.iter_mut().flat_map(|h| h.take(n));
-        match verdict {
-            Verdict::Proved => theirs.for_each(drop),
-            _ => {
+        let (theirs, their_keys) = (held.by_ref().take(n), keys.by_ref().take(n));
+        match t.proves(clause) {
+            true => {
+                theirs.for_each(drop);
+                their_keys.for_each(drop);
+            }
+            false => {
                 handles.extend(theirs);
+                kept_keys.extend(their_keys.cloned());
                 cnf.clauses.push(clause.clone());
             }
         }
     }
-    let held = match held {
-        Some(_) => handles,
-        None => lookup(c, &cnf),
-    };
-    let cnf = Cow::Owned(cnf);
-    Kept { cnf, held }
+    let (cnf, keys) = (Cow::Owned(cnf), Cow::Owned(kept_keys));
+    Kept {
+        cnf,
+        held: handles,
+        keys,
+    }
 }
 
 /// The columns phase one evaluates: each predicate's without a held
@@ -775,15 +830,10 @@ fn evaluated(kept: &Kept, residuals: &[Expr]) -> Vec<String> {
 /// `cnf` over the columns decoded so far (none, for a cached selection),
 /// each predicate served by its held handle or probed at its turn, each
 /// probe counted.
-fn selection(
-    c: &Climb,
-    cnf: &Cnf,
-    block: &Block,
-    held: &[Option<Held>],
-    t: &mut Touch,
-) -> Result<BitVec> {
+fn selection(c: &Climb, kept: &Kept, block: &Block, t: &mut Touch) -> Result<BitVec> {
     let probed = |_: &SimplePredicate, kind| t.stats.probed(kind);
-    evaluate_held(c.index, block, cnf, held, c.now, probed)
+    let handles = (&kept.held[..], &kept.keys[..]);
+    evaluate_held(c.index, block, &kept.cnf, handles, c.now, probed)
 }
 
 /// With SmartIndex on, each proved clause that is one simple predicate is
@@ -792,45 +842,47 @@ fn selection(
 /// A proved disjunction is not recorded: its other disjuncts would still
 /// lack bits. A record is made from the footer the task answered on, after
 /// its own probes, and is never counted as a build.
-fn record_proved(c: &Climb, verdicts: &[Verdict], meta: &BlockMeta) {
+fn record_proved(c: &Climb, t: &Touch, meta: &BlockMeta) {
     let Some(index) = c.index else {
         return;
     };
     let block = c.block.id;
-    for (clause, verdict) in c.cnf.clauses.iter().zip(verdicts) {
-        if let (Verdict::Proved, [Disjunct::Simple(p)]) = (verdict, &clause.disjuncts[..]) {
-            if index.lookup(block, p, c.now).is_none() {
+    for clause in &c.cnf.clauses {
+        if let [Disjunct::Simple(p)] = &clause.disjuncts[..] {
+            if t.proves(clause) && index.lookup(block, p, c.now).is_none() {
                 index.insert(SmartIndex::all_rows(block, p, meta.rows, c.now), c.now);
             }
         }
     }
 }
 
-/// Each CNF clause's verdict under the footer's zones: disproved when
-/// every disjunct is a simple predicate its zone rules out, proved when
-/// some simple disjunct's zone proves it for every row, unknown otherwise.
-/// `cnf` is in storage names. Conservative throughout: a clause with a
+/// A CNF clause's verdict under the footer's zones: disproved when every
+/// disjunct is a simple predicate its zone rules out, proved when some
+/// simple disjunct's zone proves it for every row, unknown otherwise. The
+/// clause is in storage names. Conservative throughout: a clause with a
 /// residual disjunct and a predicate on a column the block lacks are
 /// unknown, as is whatever [`zonemap::verdict`] cannot tell (NULLs,
 /// incomparable literals, NaN bounds).
-fn zones_classify(cnf: &Cnf, meta: &BlockMeta) -> Vec<Verdict> {
-    let classify = |clause: &Clause| {
-        let simple = clause.as_simple().filter(|_| !clause.disjuncts.is_empty());
-        let Some(predicates) = simple else {
-            return Verdict::Unknown;
-        };
-        let mut verdict = Verdict::Disproved;
-        for p in predicates {
-            let zone = meta.schema.index_of(&p.column).map(|i| &meta.zones[i]);
-            match zone.map(|zone| zonemap::verdict(zone, meta.rows, p.op, &p.value)) {
-                Some(Verdict::Proved) => return Verdict::Proved,
-                Some(Verdict::Disproved) => {}
-                _ => verdict = Verdict::Unknown,
-            }
-        }
-        verdict
+fn zones_classify(clause: &Clause, meta: &BlockMeta) -> Verdict {
+    let simple = clause.as_simple().filter(|_| !clause.disjuncts.is_empty());
+    let Some(predicates) = simple else {
+        return Verdict::Unknown;
     };
-    cnf.clauses.iter().map(classify).collect()
+    let mut verdict = Verdict::Disproved;
+    for p in predicates {
+        let zone = meta.schema.index_of(&p.column).map(|i| &meta.zones[i]);
+        match zone.map(|zone| zonemap::verdict(zone, meta.rows, p.op, &p.value)) {
+            Some(Verdict::Proved) => return Verdict::Proved,
+            Some(Verdict::Disproved) => {}
+            _ => verdict = Verdict::Unknown,
+        }
+    }
+    verdict
+}
+
+/// The footer's zones disprove some clause of `cnf`: the block is skipped.
+fn disproves(cnf: &Cnf, meta: &BlockMeta) -> bool {
+    (cnf.clauses.iter()).any(|clause| zones_classify(clause, meta) == Verdict::Disproved)
 }
 
 fn apply_residual(block: &Block, bits: &BitVec, residuals: &[Expr]) -> Result<BitVec> {
@@ -1275,9 +1327,8 @@ mod tests {
                     .collect(),
             });
             let cnf = Cnf { clauses: clauses.collect() };
-            let verdicts = zones_classify(&cnf, &meta);
-            proptest::prop_assert_eq!(verdicts.len(), cnf.clauses.len());
-            for (clause, verdict) in cnf.clauses.iter().zip(verdicts) {
+            for clause in &cnf.clauses {
+                let verdict = zones_classify(clause, &meta);
                 let (expr, disjuncts) = (clause.to_expr(), clause.disjuncts.iter());
                 let disjuncts: Vec<Expr> = disjuncts.map(Disjunct::to_expr).collect();
                 let passes = (0..rows).filter(|&i| {
@@ -1528,7 +1579,7 @@ mod tests {
         assert!(first.tally.network > SimDuration::ZERO);
         // ...and is the chunk a one-byte object pushes out.
         let t0 = SimInstant(0);
-        let other = Bytes::from_static(b"x");
+        let other = feisu_storage::Bytes::from_static(b"x");
         r.router
             .write("/t/x", other, Some(NodeId(0)), &r.cred, t0)
             .unwrap();

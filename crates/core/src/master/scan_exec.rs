@@ -17,7 +17,7 @@
 
 use crate::engine::{FeisuCluster, QueryStats};
 use crate::leaf::{AggStage, LeafOutput, LeafTaskStats, ScanView};
-use crate::master::job_manager::{block_signature, scan_signature};
+use crate::master::job_manager::scan_signature;
 use crate::master::nodes::Acquire;
 use crate::master::pipeline::ExecCtx;
 use crate::master::pool::run_indexed;
@@ -30,6 +30,7 @@ use feisu_exec::physical::PhysicalPlan;
 use feisu_format::table::BlockDesc;
 use feisu_obs::SpanId;
 use feisu_storage::auth::Credential;
+use std::sync::Arc;
 
 impl FeisuCluster {
     /// Executes one `DistributedScan` operator. `op_span` is the scan's
@@ -63,7 +64,7 @@ impl FeisuCluster {
         let agg_shape: Option<&AggStage> = agg.as_ref();
         let view = ScanView::new(projection, output_schema, cnf, residual, agg_shape);
         let tasks: Vec<&BlockDesc> = desc.blocks().collect();
-        let replica_sets: Vec<Vec<NodeId>> = (tasks.iter())
+        let replica_sets: Vec<Arc<[NodeId]>> = (tasks.iter())
             .map(|block| self.router.replicas(&block.path))
             .collect::<Result<_>>()?;
         ctx.stats.tasks += tasks.len();
@@ -121,24 +122,19 @@ impl FeisuCluster {
             .collect::<Vec<_>>()
             .join(",");
         let shape_display = format!("{agg_display}\u{1}{output_display}");
-        let scan_signature = scan_signature(table, &cnf_display, projection, &shape_display);
+        let scan_signature: Arc<str> =
+            scan_signature(table, &cnf_display, projection, &shape_display).into();
         // Spans sit on the query-relative timeline; leaf work of this scan
         // starts after everything the master has already accounted.
         let scan_base = ctx.tally.total().as_nanos();
 
-        // --- Phase 1 (serial): task-reuse lookups, in submission order.
-        // Within one scan every task covers a distinct block, so no two
-        // tasks share a signature — looking all of them up before any
-        // store is equivalent to the serial interleaving.
-        let mut planned: Vec<Planned> = Vec::with_capacity(tasks.len());
-        for block in &tasks {
-            let signature = block_signature(&scan_signature, block.id);
-            match self.jobs.lookup_task(&signature, ctx.now) {
-                // Reuse is a master-side cache hit: negligible leaf time.
-                Some((batch, _)) => planned.push(Planned::Reused { batch }),
-                None => planned.push(Planned::Run { signature }),
-            }
-        }
+        // --- Phase 1 (serial): task-reuse lookups, in submission order,
+        // under one lock. Within one scan every task covers a distinct
+        // block, so no two tasks share a signature — looking all of them
+        // up before any store is equivalent to the serial interleaving.
+        // A reused result is a master-side cache hit: negligible leaf time.
+        let blocks = tasks.iter().map(|block| block.id);
+        let reused = self.jobs.lookup_scan(&scan_signature, blocks, ctx.now);
 
         // --- Phase 2 (parallel): run the leaf tasks. Tasks assigned to
         // the same node are serialized in submission order on one worker,
@@ -151,8 +147,8 @@ impl FeisuCluster {
         // for the store, so any scan of the same block can reuse it.
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut group_of: Vec<Option<usize>> = vec![None; self.topology.len()];
-        for (i, p) in planned.iter().enumerate() {
-            if matches!(p, Planned::Run { .. }) {
+        for (i, hit) in reused.iter().enumerate() {
+            if hit.is_none() {
                 let g = *group_of[Topology::index(assignments[i])].get_or_insert_with(|| {
                     groups.push(Vec::new());
                     groups.len() - 1
@@ -189,13 +185,15 @@ impl FeisuCluster {
         // and span recording all happen here so their order — and thus the
         // simulated outcome — is independent of worker scheduling. Errors
         // surface as the first failing task by submission order (the rest
-        // have already run, which only warms caches). A reused result is
-        // uncut, so a top-k scan cuts it here.
+        // have already run, which only warms caches), once the results
+        // before it are stored, under one lock. A reused result is uncut,
+        // so a top-k scan cuts it here.
         let mut node_time = vec![SimDuration::ZERO; self.topology.len()];
-        let mut outputs: Vec<TaskRun> = Vec::new();
-        for (i, plan) in planned.into_iter().enumerate() {
-            let signature = match plan {
-                Planned::Reused { batch } => {
+        let mut stores = Vec::with_capacity(tasks.len());
+        let merge = || -> Result<Vec<TaskRun>> {
+            let mut outputs: Vec<TaskRun> = Vec::with_capacity(tasks.len());
+            for (i, hit) in reused.into_iter().enumerate() {
+                if let Some(batch) = hit {
                     ctx.stats.reused_tasks += 1;
                     let mut out = LeafOutput {
                         batch,
@@ -209,7 +207,7 @@ impl FeisuCluster {
                     let done = node_time[Topology::index(assignments[i])];
                     let at = SimInstant(scan_base + done.as_nanos());
                     let span = ctx.spans.record("leaf_task", None, at, at);
-                    ctx.spans.attr(span, "node", assignments[i].to_string());
+                    ctx.spans.attr(span, "node", assignments[i]);
                     ctx.spans.attr(span, "reused", 1u64);
                     outputs.push(TaskRun {
                         done,
@@ -221,76 +219,75 @@ impl FeisuCluster {
                     });
                     continue;
                 }
-                Planned::Run { signature } => signature,
-            };
-            let (exec, uncut) = results[i].take().expect("task was executed")?;
-            let TaskExec {
-                node,
-                out: output,
-                backup,
-            } = exec;
-            if backup {
-                ctx.stats.backup_tasks += 1;
-            }
-            ctx.stats.merge(&QueryStats::from_leaf(&output.stats));
-            self.jobs.store_task(
-                signature,
-                uncut.unwrap_or_else(|| output.batch.clone()),
-                output.is_agg_transport,
-                ctx.now,
-            );
-            let t = &mut node_time[Topology::index(node)];
-            *t += output.tally.total();
-            let done = *t;
-            let total = output.tally.total();
-            let start_ns = scan_base + done.as_nanos() - total.as_nanos();
-            let end_ns = scan_base + done.as_nanos();
-            let span =
-                ctx.spans
-                    .record("leaf_task", None, SimInstant(start_ns), SimInstant(end_ns));
-            ctx.spans.attr(span, "node", node.to_string());
-            ctx.spans.attr(span, "rows", output.batch.rows());
-            ctx.spans.attr(span, "bytes_read", output.stats.bytes_read);
-            if output.stats.index_hits > 0 {
-                ctx.spans.attr(span, "index_hits", output.stats.index_hits);
-            }
-            if output.stats.index_built > 0 {
-                ctx.spans
-                    .attr(span, "index_built", output.stats.index_built);
-            }
-            if output.stats.index_rejected > 0 {
-                ctx.spans
-                    .attr(span, "index_rejected", output.stats.index_rejected);
-            }
-            if output.stats.blocks_skipped > 0 {
-                ctx.spans
-                    .attr(span, "blocks_skipped", output.stats.blocks_skipped);
-            }
-            let tier = output.stats.served_tier.label();
-            ctx.spans.attr(span, "tier", tier);
-            *ctx.tier_tasks.entry(tier).or_default() += 1;
-            if let Some(backend) = output.stats.backend {
-                if let Some(d) = self.router.domains().iter().find(|d| d.id() == backend) {
-                    ctx.spans.attr(span, "backend", d.prefix().to_string());
-                    let bytes = output.stats.bytes_read.0;
-                    // A backend's name is copied once per query, not per task.
-                    match ctx.backend_bytes.get_mut(d.prefix()) {
-                        Some(total) => *total += bytes,
-                        None => {
-                            ctx.backend_bytes.insert(d.prefix().to_string(), bytes);
+                let (exec, uncut) = results[i].take().expect("task was executed")?;
+                let TaskExec {
+                    node,
+                    out: output,
+                    backup,
+                } = exec;
+                if backup {
+                    ctx.stats.backup_tasks += 1;
+                }
+                ctx.stats.merge(&QueryStats::from_leaf(&output.stats));
+                let stored = uncut.unwrap_or_else(|| output.batch.clone());
+                stores.push((tasks[i].id, stored, output.is_agg_transport));
+                let t = &mut node_time[Topology::index(node)];
+                *t += output.tally.total();
+                let done = *t;
+                let total = output.tally.total();
+                let start_ns = scan_base + done.as_nanos() - total.as_nanos();
+                let end_ns = scan_base + done.as_nanos();
+                let span =
+                    ctx.spans
+                        .record("leaf_task", None, SimInstant(start_ns), SimInstant(end_ns));
+                ctx.spans.attr(span, "node", node);
+                ctx.spans.attr(span, "rows", output.batch.rows());
+                ctx.spans.attr(span, "bytes_read", output.stats.bytes_read);
+                if output.stats.index_hits > 0 {
+                    ctx.spans.attr(span, "index_hits", output.stats.index_hits);
+                }
+                if output.stats.index_built > 0 {
+                    ctx.spans
+                        .attr(span, "index_built", output.stats.index_built);
+                }
+                if output.stats.index_rejected > 0 {
+                    ctx.spans
+                        .attr(span, "index_rejected", output.stats.index_rejected);
+                }
+                if output.stats.blocks_skipped > 0 {
+                    ctx.spans
+                        .attr(span, "blocks_skipped", output.stats.blocks_skipped);
+                }
+                let tier = output.stats.served_tier.label();
+                ctx.spans.attr(span, "tier", tier);
+                *ctx.tier_tasks.entry(tier).or_default() += 1;
+                if let Some(backend) = output.stats.backend {
+                    if let Some(d) = self.router.domains().iter().find(|d| d.id() == backend) {
+                        ctx.spans.attr(span, "backend", d.shared_prefix());
+                        let bytes = output.stats.bytes_read.0;
+                        // A backend's name is copied once per query, not per task.
+                        match ctx.backend_bytes.get_mut(d.prefix()) {
+                            Some(total) => *total += bytes,
+                            None => {
+                                ctx.backend_bytes.insert(d.prefix().to_string(), bytes);
+                            }
                         }
                     }
                 }
+                outputs.push(TaskRun {
+                    done,
+                    start_ns,
+                    end_ns,
+                    span,
+                    node,
+                    out: output,
+                });
             }
-            outputs.push(TaskRun {
-                done,
-                start_ns,
-                end_ns,
-                span,
-                node,
-                out: output,
-            });
-        }
+            Ok(outputs)
+        };
+        let outputs = merge();
+        self.jobs.store_scan(&scan_signature, stores, ctx.now);
+        let outputs = outputs?;
 
         // Partial-result handling: tasks finishing after the limit are
         // abandoned if the processed ratio is already satisfied. The final
@@ -345,7 +342,9 @@ impl FeisuCluster {
         // `merge_tree`): per-level wire accounting, stem spans and the
         // repartition exchange for grouped aggregates all live there.
         let agg_ref = agg_shape.map(|s| (s.group_by.as_slice(), s.aggregates.as_slice()));
-        let (batch, root) = self.merge_scan_results(kept, agg_ref, *est_groups, ctx, op_span)?;
+        let zero = view.answered_empty();
+        let merged = self.merge_scan_results(kept, agg_ref, *est_groups, zero, ctx, op_span);
+        let (batch, root) = merged?;
         // The stem/master merge happens after the slowest leaf: charge its
         // cpu+network on top of the leaf critical path.
         scan_tally.add_cpu(root.cpu);
@@ -491,13 +490,6 @@ impl FeisuCluster {
 fn _assert_cluster_sync() {
     fn is_sync<T: Sync>() {}
     is_sync::<FeisuCluster>();
-}
-
-/// Per-task outcome of the reuse pre-pass: either a cached result, or a
-/// signature the executed result must be stored under.
-enum Planned {
-    Reused { batch: RecordBatch },
-    Run { signature: String },
 }
 
 /// What actually happened to one executed leaf task: where it ran (its

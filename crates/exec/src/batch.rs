@@ -2,12 +2,15 @@
 
 use feisu_common::{FeisuError, Result};
 use feisu_format::{BitVec, Column, Schema, Value};
+use std::sync::Arc;
 
-/// A schema plus equal-length columns.
+/// A schema plus equal-length columns. Immutable and shared: the schema
+/// and the columns are reference counted, so a clone — a reused task
+/// result, a scan's empty answer — copies no column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecordBatch {
     schema: Schema,
-    columns: Vec<Column>,
+    columns: Arc<[Column]>,
     rows: usize,
 }
 
@@ -36,7 +39,7 @@ impl RecordBatch {
         }
         Ok(RecordBatch {
             schema,
-            columns,
+            columns: columns.into(),
             rows,
         })
     }
@@ -77,6 +80,12 @@ impl RecordBatch {
 
     pub fn is_empty(&self) -> bool {
         self.rows == 0
+    }
+
+    /// True when `other` is a clone of this batch: the same columns, not
+    /// merely equal ones.
+    pub fn shares(&self, other: &RecordBatch) -> bool {
+        Arc::ptr_eq(&self.columns, &other.columns)
     }
 
     /// Dynamic view of one row.

@@ -5,7 +5,7 @@
 use feisu_common::hash::FxHashMap;
 use feisu_common::FeisuError;
 use feisu_exec::aggregate::{
-    finish_transport, partition_of, partition_of_hash, transport_hashes, AggTable,
+    finish_transport, partition_of, partition_of_hash, transport_hashes, AggTable, Routes,
 };
 use feisu_exec::batch::{BatchRow, RecordBatch};
 use feisu_exec::join::join;
@@ -541,6 +541,56 @@ fn groups_past_two_words_keep_their_all_null_groups_null() {
         assert_eq!(row[1], Value::Int64(2));
         for (a, v) in row[3..].iter().enumerate() {
             assert_eq!(v.is_null(), nulls(g), "group {g}, aggregate {}", a + 2);
+        }
+    }
+}
+
+proptest! {
+    /// The exchange router's mask sends every hash where `%` does, for
+    /// every power of two a partition count can be.
+    #[test]
+    fn partition_mask_equals_modulo(hash in any::<u64>(), bits in 0..64u32) {
+        let parts = 1usize << bits;
+        prop_assert_eq!(partition_of_hash(hash, parts) as u64, hash % parts as u64);
+    }
+
+    /// A moved transport is the copied one, and folding it through its
+    /// routes is folding it through its hashes, partition by partition:
+    /// the same rows folded into the same table.
+    #[test]
+    fn moved_and_routed_transports_equal_copied_and_hashed(
+        rows in proptest::collection::vec((0..12i64, -50..50i64), 0..40),
+        parts in 1..6usize,
+    ) {
+        let schema = Schema::new(vec![
+            Field::new("g", DataType::Utf8, false),
+            Field::new("v", DataType::Int64, true),
+        ]);
+        let keys = rows.iter().map(|r| format!("k{}", r.0)).collect();
+        let values = rows.iter().map(|r| r.1).collect();
+        let batch = RecordBatch::new(schema, vec![Column::from_utf8(keys), Column::from_i64(values)]);
+        let group_by: GroupBy = vec![(Expr::col("g"), "g".into(), DataType::Utf8)];
+        let agg = |func, name: &str| AggExpr {
+            func,
+            arg: Some(Expr::col("v")),
+            name: name.into(),
+            output_type: DataType::Int64,
+        };
+        let aggs = vec![agg(AggFunc::Sum, "SUM(v)"), agg(AggFunc::Min, "MIN(v)")];
+        let table = || AggTable::new(group_by.clone(), aggs.clone());
+        let mut filled = table();
+        filled.update(&batch.unwrap()).unwrap();
+        let copied = filled.to_transport().unwrap();
+        let moved = filled.into_transport().unwrap();
+        prop_assert_eq!(&moved, &copied);
+        let routes = Routes::new(&moved, 1, parts);
+        let hashes = transport_hashes(&moved, 1);
+        for part in 0..parts {
+            let (mut routed, mut hashed) = (table(), table());
+            let a = routed.merge_transport_routed(&moved, &routes, part).unwrap();
+            let b = hashed.merge_transport_hashed(&moved, &hashes, part, parts).unwrap();
+            prop_assert_eq!(a, b);
+            prop_assert_eq!(routed.into_transport().unwrap(), hashed.to_transport().unwrap());
         }
     }
 }

@@ -32,7 +32,9 @@ use crate::compress;
 use crate::encoding::varint;
 use crate::schema::{Field, Schema};
 use crate::value::{DataType, Value};
+use bytes::Bytes;
 use feisu_common::{BlockId, FeisuError, Result};
+use std::sync::Arc;
 
 /// Magic bytes opening every serialized block.
 pub const BLOCK_MAGIC: &[u8; 8] = b"FEISUBLK";
@@ -263,6 +265,52 @@ pub struct BlockMeta {
     /// Hash of that buffer's metadata regions, `[..chunks_start]` and
     /// `[footer_start..]`: every byte the fields above were derived from.
     fingerprint: u64,
+}
+
+/// A footer paired with the bytes it describes, checked once — or paired
+/// by construction, the footer parsed from them — so its decoders hash
+/// nothing: the per-task form of [`BlockMeta::decode_columns`] and
+/// [`BlockMeta::decode_selected`].
+#[derive(Debug, Clone)]
+pub struct Described {
+    meta: Arc<BlockMeta>,
+    data: Bytes,
+}
+
+impl Described {
+    /// Pairs `meta` with `data` when it [describes](BlockMeta::describes)
+    /// them; hands `data` back otherwise.
+    pub fn check(meta: Arc<BlockMeta>, data: Bytes) -> std::result::Result<Described, Bytes> {
+        match meta.describes(&data) {
+            true => Ok(Described { meta, data }),
+            false => Err(data),
+        }
+    }
+
+    /// Parses the footer of `data` and pairs the two.
+    pub fn parse(data: Bytes) -> Result<Described> {
+        let meta = Arc::new(BlockMeta::parse(&data)?);
+        Ok(Described { meta, data })
+    }
+
+    pub fn meta(&self) -> &Arc<BlockMeta> {
+        &self.meta
+    }
+
+    pub fn data(&self) -> &Bytes {
+        &self.data
+    }
+
+    /// [`BlockMeta::decode_columns`] over the paired bytes.
+    pub fn decode_columns(&self, names: &[&str]) -> Result<Block> {
+        self.meta.decode_named_chunks(&self.data, names)
+    }
+
+    /// [`BlockMeta::decode_selected`] over the paired bytes.
+    pub fn decode_selected(&self, names: &[&str], selection: &BitVec) -> Result<Vec<Column>> {
+        self.meta
+            .decode_selected_chunks(&self.data, names, selection)
+    }
 }
 
 thread_local! {
@@ -526,6 +574,15 @@ impl BlockMeta {
         selection: &BitVec,
     ) -> Result<Vec<Column>> {
         self.check_describes(buf)?;
+        self.decode_selected_chunks(buf, names, selection)
+    }
+
+    fn decode_selected_chunks(
+        &self,
+        buf: &[u8],
+        names: &[&str],
+        selection: &BitVec,
+    ) -> Result<Vec<Column>> {
         selection.check_len(self.rows)?;
         names
             .iter()

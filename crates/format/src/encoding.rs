@@ -332,7 +332,57 @@ pub mod dict {
         }
     }
 
+    /// Reads a dictionary chunk at `buf[*pos..]`, advancing `pos`. The
+    /// entries are checked as UTF-8 in one pass over the region they span
+    /// (their length varints between them), each entry's edges at char
+    /// boundaries; a region that is not UTF-8 as a whole — a long entry's
+    /// length varint is not — or a malformed entry falls back to checking
+    /// entry by entry, which finds the same entries or the same error.
     pub fn view<'a>(buf: &'a [u8], pos: &mut usize) -> Result<DictView<'a>> {
+        let start = *pos;
+        let entries = match entries_in_one_pass(buf, pos) {
+            Some(entries) => entries,
+            None => {
+                *pos = start;
+                entries_one_by_one(buf, pos)?
+            }
+        };
+        let codes = bitpack::decode(buf, pos)?;
+        if codes.iter().any(|&code| code >= entries.len() as u64) {
+            return Err(FeisuError::Corrupt("dict: code out of range".into()));
+        }
+        Ok(DictView { entries, codes })
+    }
+
+    /// The dictionary's entries, each length parsed first and the region
+    /// they span validated once; `None` where that does not settle them.
+    fn entries_in_one_pass<'a>(buf: &'a [u8], pos: &mut usize) -> Option<Vec<&'a str>> {
+        let dict_len = varint::decode(buf, pos).ok()? as usize;
+        let mut spans = Vec::with_capacity(dict_len.min(buf.len().saturating_sub(*pos)));
+        let first = *pos;
+        for _ in 0..dict_len {
+            let len = varint::decode(buf, pos).ok()? as usize;
+            let end = pos.checked_add(len).filter(|&end| end <= buf.len())?;
+            spans.push((*pos - first, end - first));
+            *pos = end;
+        }
+        let region = std::str::from_utf8(&buf[first..*pos]).ok()?;
+        let edges = spans.iter().flat_map(|&(start, end)| [start, end]);
+        if !edges.into_iter().all(|at| region.is_char_boundary(at)) {
+            return None;
+        }
+        Some(
+            spans
+                .into_iter()
+                .map(|(start, end)| &region[start..end])
+                .collect(),
+        )
+    }
+
+    /// The dictionary's entries, each checked as UTF-8 on its own: what
+    /// [`view`] falls back to, and the one that names the first malformed
+    /// entry's error.
+    fn entries_one_by_one<'a>(buf: &'a [u8], pos: &mut usize) -> Result<Vec<&'a str>> {
         let dict_len = varint::decode(buf, pos)? as usize;
         // Each entry costs at least its length byte.
         let mut entries = Vec::with_capacity(dict_len.min(buf.len().saturating_sub(*pos)));
@@ -348,11 +398,7 @@ pub mod dict {
             );
             *pos = end;
         }
-        let codes = bitpack::decode(buf, pos)?;
-        if codes.iter().any(|&code| code >= entries.len() as u64) {
-            return Err(FeisuError::Corrupt("dict: code out of range".into()));
-        }
-        Ok(DictView { entries, codes })
+        Ok(entries)
     }
 }
 

@@ -32,7 +32,7 @@ pub mod table;
 pub mod value;
 
 pub use bitvec::BitVec;
-pub use block::{Block, BlockMeta, ColumnStats};
+pub use block::{Block, BlockMeta, ColumnStats, Described};
 pub use column::{Column, ColumnBuilder};
 pub use schema::{Field, Schema};
 pub use strings::Utf8Vec;

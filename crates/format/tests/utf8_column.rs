@@ -2,10 +2,12 @@
 //! here as the reference: every gather, cut, concatenation, bound, size
 //! and value, and the decoder through random selections, give what the
 //! strings one by one would. Inputs hold empty strings, multi-byte UTF-8,
-//! NULL slots and empty columns.
+//! NULL slots and empty columns. Beside them, a dictionary chunk's
+//! one-pass UTF-8 check against checking entry by entry.
 
-use feisu_common::BlockId;
+use feisu_common::{BlockId, FeisuError};
 use feisu_format::column::ColumnData;
+use feisu_format::encoding::{bitpack, dict, varint};
 use feisu_format::{BitVec, Block, Column, DataType, Field, Schema, Value};
 use proptest::prelude::*;
 
@@ -148,5 +150,82 @@ proptest! {
         assert_matches(&picked[0], &selected(&model, &rows))?;
         let all = meta.decode_columns(&bytes, &["s"]).unwrap();
         assert_matches(all.column_by_name("s").unwrap(), &model)?;
+    }
+}
+
+/// A dictionary chunk's rows with every entry checked as UTF-8 on its own.
+fn dict_rows_one_by_one<'a>(buf: &'a [u8], pos: &mut usize) -> feisu_common::Result<Vec<&'a str>> {
+    let corrupt = |what: &str| FeisuError::Corrupt(format!("dict: {what}"));
+    let mut entries = Vec::new();
+    for _ in 0..varint::decode(buf, pos)? {
+        let len = varint::decode(buf, pos)? as usize;
+        let end = pos.checked_add(len).filter(|&end| end <= buf.len());
+        let end = end.ok_or_else(|| corrupt("truncated string"))?;
+        let entry = std::str::from_utf8(&buf[*pos..end]).map_err(|_| corrupt("invalid utf8"))?;
+        entries.push(entry);
+        *pos = end;
+    }
+    let codes = bitpack::decode(buf, pos)?;
+    if codes.iter().any(|&code| code >= entries.len() as u64) {
+        return Err(corrupt("code out of range"));
+    }
+    Ok(codes.iter().map(|&code| entries[code as usize]).collect())
+}
+
+proptest! {
+    /// `dict::view`'s one-pass UTF-8 check decodes what checking entry by
+    /// entry decodes — rows, end position and error — over ASCII,
+    /// multi-byte and long (past one varint byte) entries, with a byte
+    /// that is no UTF-8 on its own written over an entry's first or last
+    /// byte or its length, and at every cut of the chunk.
+    #[test]
+    fn dict_one_pass_matches_entry_by_entry(
+        words in proptest::collection::vec((0..5usize, 0..140usize), 1..10),
+        rows in proptest::collection::vec(0..10usize, 0..24),
+        spoil in 0..3u8,
+        at in any::<usize>(),
+    ) {
+        let piece = ["a", "é", "€", "😀", "xyz"];
+        let words: Vec<String> = (words.iter())
+            .map(|&(p, n)| piece[p].repeat(n % 3 + if n > 100 { n / 2 } else { 0 }))
+            .collect();
+        let values: Vec<&str> = (0..words.len())
+            .chain(rows.iter().map(|r| r % words.len()))
+            .map(|w| words[w].as_str())
+            .collect();
+        let mut buf = Vec::new();
+        let (entries, _) = dict::encode(&values, &mut buf);
+        // Each entry's length byte, first byte and last byte.
+        let mut head = Vec::new();
+        varint::encode(entries.len() as u64, &mut head);
+        let (mut edges, mut end) = (Vec::new(), head.len());
+        for entry in &entries {
+            let mut len = Vec::new();
+            varint::encode(entry.len() as u64, &mut len);
+            edges.push(end);
+            end += len.len();
+            if !entry.is_empty() {
+                edges.extend([end, end + entry.len() - 1]);
+            }
+            end += entry.len();
+        }
+        if spoil == 1 {
+            buf[edges[at / 5 % edges.len()]] = [0x80, 0xC3, 0xE2, 0xF0, 0xFF][at % 5];
+        }
+        let cuts = match spoil {
+            2 => 0..=buf.len(),
+            _ => buf.len()..=buf.len(),
+        };
+        for len in cuts {
+            let (mut got_pos, mut want_pos) = (0, 0);
+            let got = dict::view(&buf[..len], &mut got_pos)
+                .map(|v| (0..v.len()).map(|i| v.get(i)).collect::<Vec<_>>());
+            let want = dict_rows_one_by_one(&buf[..len], &mut want_pos);
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "len {}", len);
+            prop_assert_eq!(got_pos, want_pos, "len {}", len);
+            if spoil == 0 {
+                prop_assert_eq!(got.ok(), Some(values.clone()));
+            }
+        }
     }
 }

@@ -8,12 +8,16 @@
 //! arena of spans per query that [`SpanRecorder::tree`] folds into a
 //! nested, time-ordered [`SpanTree`]. Names, keys and string values are
 //! `Cow<'static, str>`: the engine's are literals, so recording a span
-//! and folding the tree copy none of them.
+//! and folding the tree copy none of them. A node id and a shared string
+//! are values of their own, rendered when the tree is, and the attributes
+//! of every span sit in one buffer until the fold: attaching one
+//! allocates nothing.
 
-use feisu_common::{ByteSize, SimDuration, SimInstant};
+use feisu_common::{ByteSize, NodeId, SimDuration, SimInstant};
 use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a span within its recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -26,6 +30,9 @@ pub enum AttrValue {
     U64(u64),
     I64(i64),
     Str(Cow<'static, str>),
+    /// A string its owner shares, such as a storage domain's name.
+    Shared(Arc<str>),
+    Node(NodeId),
     Duration(SimDuration),
     Size(ByteSize),
 }
@@ -36,6 +43,8 @@ impl fmt::Display for AttrValue {
             AttrValue::U64(v) => write!(f, "{v}"),
             AttrValue::I64(v) => write!(f, "{v}"),
             AttrValue::Str(s) => write!(f, "{s}"),
+            AttrValue::Shared(s) => write!(f, "{s}"),
+            AttrValue::Node(n) => write!(f, "{n}"),
             AttrValue::Duration(d) => write!(f, "{d}"),
             AttrValue::Size(s) => write!(f, "{s}"),
         }
@@ -72,6 +81,18 @@ impl From<String> for AttrValue {
     }
 }
 
+impl From<Arc<str>> for AttrValue {
+    fn from(v: Arc<str>) -> Self {
+        AttrValue::Shared(v)
+    }
+}
+
+impl From<NodeId> for AttrValue {
+    fn from(v: NodeId) -> Self {
+        AttrValue::Node(v)
+    }
+}
+
 impl From<SimDuration> for AttrValue {
     fn from(v: SimDuration) -> Self {
         AttrValue::Duration(v)
@@ -93,13 +114,19 @@ struct SpanData {
     parent: Option<SpanId>,
     start: SimInstant,
     end: Option<SimInstant>,
-    attrs: Vec<(Name, AttrValue)>,
+}
+
+/// The spans and, in recording order, every span's attributes.
+#[derive(Debug, Default)]
+struct Arena {
+    spans: Vec<SpanData>,
+    attrs: Vec<(SpanId, Name, AttrValue)>,
 }
 
 /// Arena of spans for one query (or one subsystem session).
 #[derive(Debug, Default)]
 pub struct SpanRecorder {
-    spans: Mutex<Vec<SpanData>>,
+    arena: Mutex<Arena>,
 }
 
 impl SpanRecorder {
@@ -109,22 +136,20 @@ impl SpanRecorder {
 
     /// Opens a span at an explicit simulated instant.
     pub fn start(&self, name: impl Into<Name>, parent: Option<SpanId>, at: SimInstant) -> SpanId {
-        let mut spans = self.spans.lock();
+        let spans = &mut self.arena.lock().spans;
         let id = SpanId(spans.len());
         spans.push(SpanData {
             name: name.into(),
             parent,
             start: at,
             end: None,
-            attrs: Vec::new(),
         });
         id
     }
 
     /// Closes a span at an explicit simulated instant.
     pub fn end(&self, id: SpanId, at: SimInstant) {
-        let mut spans = self.spans.lock();
-        let span = &mut spans[id.0];
+        let span = &mut self.arena.lock().spans[id.0];
         debug_assert!(span.end.is_none(), "span {:?} ended twice", span.name);
         span.end = Some(at);
     }
@@ -146,50 +171,52 @@ impl SpanRecorder {
     /// Attaches a key/value attribute to an open or closed span.
     pub fn attr(&self, id: SpanId, key: impl Into<Name>, value: impl Into<AttrValue>) {
         let (key, value) = (key.into(), value.into());
-        let mut spans = self.spans.lock();
-        spans[id.0].attrs.push((key, value));
+        self.arena.lock().attrs.push((id, key, value));
     }
 
     /// Reparents a span. Stems are grouped after their leaves complete,
     /// so leaf spans are recorded first and adopted by the stem later.
     pub fn set_parent(&self, id: SpanId, parent: Option<SpanId>) {
-        let mut spans = self.spans.lock();
         debug_assert!(
             parent.is_none_or(|p| p.0 != id.0),
             "span cannot parent itself"
         );
-        spans[id.0].parent = parent;
+        self.arena.lock().spans[id.0].parent = parent;
     }
 
     /// Number of recorded spans.
     pub fn len(&self) -> usize {
-        self.spans.lock().len()
+        self.arena.lock().spans.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.spans.lock().is_empty()
+        self.arena.lock().spans.is_empty()
     }
 
     /// Count of spans with the given name.
     pub fn count_named(&self, name: &str) -> usize {
-        self.spans.lock().iter().filter(|s| s.name == name).count()
+        let spans = &self.arena.lock().spans;
+        spans.iter().filter(|s| s.name == name).count()
     }
 
     /// Count of spans with the given name carrying the given attribute key.
     pub fn count_named_with_attr(&self, name: &str, attr_key: &str) -> usize {
-        self.spans
-            .lock()
-            .iter()
-            .filter(|s| s.name == name && s.attrs.iter().any(|(k, _)| k == attr_key))
-            .count()
+        let arena = self.arena.lock();
+        let mut carrying: Vec<usize> = (arena.attrs.iter())
+            .filter(|(id, k, _)| k == attr_key && arena.spans[id.0].name == name)
+            .map(|(id, _, _)| id.0)
+            .collect();
+        carrying.sort_unstable();
+        carrying.dedup();
+        carrying.len()
     }
 
-    /// Folds the arena into a nested tree, moving every span into it.
-    /// Children sort by start instant (ties broken by recording order);
-    /// unclosed spans render with zero duration. Spans whose parent id is
-    /// unset are roots.
+    /// Folds the arena into a nested tree, moving every span into it,
+    /// each with its attributes in recording order. Children sort by start
+    /// instant (ties broken by recording order); unclosed spans render
+    /// with zero duration. Spans whose parent id is unset are roots.
     pub fn tree(self) -> SpanTree {
-        let spans = self.spans.into_inner();
+        let Arena { spans, attrs } = self.arena.into_inner();
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
         let mut roots: Vec<usize> = Vec::new();
         for (i, s) in spans.iter().enumerate() {
@@ -204,13 +231,18 @@ impl SpanRecorder {
             c.sort_by_key(sort_key);
         }
 
-        fn build(i: usize, spans: &mut [Option<SpanData>], children: &[Vec<usize>]) -> SpanNode {
-            let s = spans[i].take().expect("a span has one parent");
+        type Attrs = Vec<(Name, AttrValue)>;
+        fn build(
+            i: usize,
+            spans: &mut [Option<(SpanData, Attrs)>],
+            children: &[Vec<usize>],
+        ) -> SpanNode {
+            let (s, attrs) = spans[i].take().expect("a span has one parent");
             SpanNode {
                 name: s.name,
                 start: s.start,
                 end: s.end.unwrap_or(s.start),
-                attrs: s.attrs,
+                attrs,
                 children: children[i]
                     .iter()
                     .map(|&c| build(c, spans, children))
@@ -218,7 +250,15 @@ impl SpanRecorder {
             }
         }
 
-        let mut spans: Vec<Option<SpanData>> = spans.into_iter().map(Some).collect();
+        // Each span's attributes, sized once.
+        let mut counts = vec![0usize; spans.len()];
+        attrs.iter().for_each(|(id, _, _)| counts[id.0] += 1);
+        let mut own: Vec<Attrs> = counts.into_iter().map(Vec::with_capacity).collect();
+        for (id, k, v) in attrs {
+            own[id.0].push((k, v));
+        }
+        let mut spans: Vec<Option<(SpanData, Attrs)>> =
+            spans.into_iter().zip(own).map(Some).collect();
         SpanTree {
             roots: (roots.iter())
                 .map(|&r| build(r, &mut spans, &children))

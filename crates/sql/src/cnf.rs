@@ -32,7 +32,9 @@ pub struct SimplePredicate {
 impl SimplePredicate {
     /// The canonical cache key (paper Fig. 6 header: op/colname/colvalue).
     pub fn key(&self) -> String {
-        format!("{}\u{1}{}\u{1}{}", self.column, self.op, self.value)
+        let mut key = String::new();
+        self.write_key(self.op, &mut key);
+        key
     }
 
     /// The cache key of the complementary predicate (`c > 5` → key of
@@ -40,8 +42,16 @@ impl SimplePredicate {
     /// directly from borrowed parts so index probes need not clone the
     /// column name and literal into a scratch `SimplePredicate`.
     pub fn negated_key(&self) -> Option<String> {
-        let neg = self.op.negate()?;
-        Some(format!("{}\u{1}{}\u{1}{}", self.column, neg, self.value))
+        let mut key = String::new();
+        self.write_key(self.op.negate()?, &mut key);
+        Some(key)
+    }
+
+    /// Appends the cache key of this predicate's column and literal under
+    /// operator `op` to `out`.
+    pub fn write_key(&self, op: BinaryOp, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(out, "{}\u{1}{}\u{1}{}", self.column, op, self.value);
     }
 
     pub fn to_expr(&self) -> Expr {

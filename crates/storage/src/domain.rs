@@ -49,7 +49,7 @@ enum Placement {
 
 struct StoredObject {
     data: Bytes,
-    replicas: Vec<NodeId>,
+    replicas: Arc<[NodeId]>,
 }
 
 /// The nodes marked down: one set, owned by the router and shared with
@@ -60,7 +60,7 @@ pub(crate) type DownNodes = Arc<RwLock<FxHashSet<NodeId>>>;
 pub struct Domain {
     id: DomainId,
     /// Path prefix (e.g. `hdfs` for `/hdfs/...`).
-    prefix: String,
+    prefix: Arc<str>,
     medium: StorageMedium,
     /// Fixed latency added to every read.
     wake_penalty: SimDuration,
@@ -83,7 +83,7 @@ impl Domain {
     pub fn local_fs(id: DomainId, prefix: &str, topo: Arc<Topology>) -> Domain {
         Domain {
             id,
-            prefix: prefix.to_string(),
+            prefix: prefix.into(),
             medium: StorageMedium::Hdd,
             wake_penalty: SimDuration::ZERO,
             placement: Placement::Owner,
@@ -145,6 +145,11 @@ impl Domain {
         &self.prefix
     }
 
+    /// [`Domain::prefix`], shared: a refcount, not a copy.
+    pub fn shared_prefix(&self) -> Arc<str> {
+        self.prefix.clone()
+    }
+
     /// The medium that serves this domain's reads.
     pub fn medium(&self) -> StorageMedium {
         self.medium
@@ -178,9 +183,13 @@ impl Domain {
                 vec![nodes[(hash_one(&path) % nodes.len() as u64) as usize].id]
             }
         };
-        self.objects
-            .write()
-            .insert(path.to_string(), StoredObject { data, replicas });
+        self.objects.write().insert(
+            path.to_string(),
+            StoredObject {
+                data,
+                replicas: replicas.into(),
+            },
+        );
         Ok(())
     }
 
@@ -208,8 +217,8 @@ impl Domain {
         })
     }
 
-    /// Nodes holding a replica of the object.
-    pub fn replicas(&self, path: &str) -> Result<Vec<NodeId>> {
+    /// Nodes holding a replica of the object: its list, shared.
+    pub fn replicas(&self, path: &str) -> Result<Arc<[NodeId]>> {
         self.objects
             .read()
             .get(path)
@@ -428,7 +437,7 @@ mod tests {
         let first = home(&d, "/labels/q1");
         d.put("/labels/q1", Bytes::from_static(b"b"), Some(NodeId(3)))
             .unwrap();
-        assert_eq!(d.replicas("/labels/q1").unwrap(), vec![first]);
+        assert_eq!(*d.replicas("/labels/q1").unwrap(), [first]);
     }
 
     #[test]
@@ -440,7 +449,7 @@ mod tests {
             .is_err());
         d.put("/log/0", Bytes::from_static(b"x"), Some(NodeId(1)))
             .unwrap();
-        assert_eq!(d.replicas("/log/0").unwrap(), vec![NodeId(1)]);
+        assert_eq!(*d.replicas("/log/0").unwrap(), [NodeId(1)]);
     }
 
     #[test]

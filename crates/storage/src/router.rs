@@ -15,7 +15,7 @@ use crate::domain::{Domain, DownNodes, ReadResult};
 use crate::footers::FooterCache;
 use bytes::Bytes;
 use feisu_common::{FeisuError, NodeId, Result, SimInstant};
-use feisu_format::{Block, BlockMeta};
+use feisu_format::{BlockMeta, Described};
 use feisu_obs::MetricsRegistry;
 use std::sync::Arc;
 
@@ -32,8 +32,8 @@ fn column_chunk(column: usize) -> usize {
 pub struct BlockRead {
     /// The footer the task decides on.
     pub meta: Arc<BlockMeta>,
-    /// The object's bytes, once a chunk was read.
-    data: Option<Bytes>,
+    /// The object's bytes, once a chunk was read, paired with their footer.
+    data: Option<Described>,
     /// Each chunk read, with the tier that served it (`None`: the domain).
     served: Vec<(usize, Option<CacheTier>)>,
     /// Network hops from the replica that served, when the domain did.
@@ -162,9 +162,9 @@ impl StorageRouter {
 
     /// Splits `/prefix/rest` into the owning domain and the domain-local
     /// path `/rest`.
-    pub fn resolve(&self, path: &str) -> (&Domain, String) {
+    pub fn resolve<'p>(&self, path: &'p str) -> (&Domain, &'p str) {
         let (i, inner) = self.route(path);
-        (&self.domains[i], inner.to_string())
+        (&self.domains[i], inner)
     }
 
     /// The domain a path routes to (for scheduling and authorization).
@@ -208,7 +208,7 @@ impl StorageRouter {
     /// A read of the whole object at `path` from its domain, counted there.
     fn read_domain(&self, path: &str, reader: NodeId) -> Result<ReadResult> {
         let (domain, inner) = self.resolve(path);
-        let result = domain.read_from(&inner, reader)?;
+        let result = domain.read_from(inner, reader)?;
         domain.reads.inc();
         domain.bytes_read.add(result.data.len() as u64);
         Ok(result)
@@ -267,7 +267,8 @@ impl StorageRouter {
         }
         let read_and_parse = || {
             let (data, tiers, hops) = self.read_chunks(path, reader, &[META_CHUNK])?;
-            let meta = Arc::new(Block::read_meta(&data)?);
+            let data = Described::parse(data)?;
+            let meta = data.meta().clone();
             let read = BlockRead {
                 meta: meta.clone(),
                 data: Some(data),
@@ -281,7 +282,8 @@ impl StorageRouter {
     }
 
     /// Fetches the chunks of `columns` (schema indices of `read.meta`) of
-    /// the block at `path` and returns its bytes. A task whose footer read
+    /// the block at `path` and returns its bytes paired with the footer
+    /// that describes them, checked once. A task whose footer read
     /// brought the whole object from its domain has them in hand;
     /// otherwise they come from the block cache when it holds them all,
     /// else with the whole object from its domain. With no column and
@@ -297,7 +299,7 @@ impl StorageRouter {
         now: SimInstant,
         read: &mut BlockRead,
         columns: &[usize],
-    ) -> Result<Bytes> {
+    ) -> Result<Described> {
         let mut chunks: Vec<usize> = columns.iter().copied().map(column_chunk).collect();
         match &read.data {
             Some(_) if read.unoffered => {
@@ -312,10 +314,14 @@ impl StorageRouter {
                 self.authorize_read(path, cred, now)?;
                 let (data, tiers, hops) = self.read_chunks(path, reader, &chunks)?;
                 read.served.extend(chunks.iter().copied().zip(tiers));
-                if !read.meta.describes(&data) {
-                    self.footers.forget(reader, path);
-                    read.meta = Arc::new(Block::read_meta(&data)?);
-                }
+                let data = match Described::check(read.meta.clone(), data) {
+                    Ok(data) => data,
+                    Err(data) => {
+                        self.footers.forget(reader, path);
+                        Described::parse(data)?
+                    }
+                };
+                read.meta = data.meta().clone();
                 read.data = Some(data);
                 read.unoffered = hops.is_some();
                 read.hops = hops.unwrap_or(read.hops);
@@ -329,7 +335,7 @@ impl StorageRouter {
                 .chain(meta.chunk_lens())
                 .collect();
             let offer = Offer {
-                data: data.clone(),
+                data: data.data().clone(),
                 chunks: lens,
                 touched: chunks,
             };
@@ -354,7 +360,7 @@ impl StorageRouter {
         self.auth
             .authorize(cred, domain.id(), Grant::ReadWrite, now)?;
         domain.writes.inc();
-        domain.put(&inner, data, near)?;
+        domain.put(inner, data, near)?;
         if let Some(cache) = &self.cache {
             cache.invalidate_path(path);
         }
@@ -362,10 +368,11 @@ impl StorageRouter {
         Ok(())
     }
 
-    /// Replica locations in unified-path terms (for the scheduler).
-    pub fn replicas(&self, path: &str) -> Result<Vec<NodeId>> {
+    /// Replica locations in unified-path terms (for the scheduler): the
+    /// object's own list, shared.
+    pub fn replicas(&self, path: &str) -> Result<Arc<[NodeId]>> {
         let (domain, inner) = self.resolve(path);
-        domain.replicas(&inner)
+        domain.replicas(inner)
     }
 
     pub fn auth(&self) -> &Arc<AuthService> {
@@ -623,7 +630,7 @@ mod tests {
         // An unknown prefix is the local domain, path unchanged.
         assert_eq!(r.domain_of("/data/x").prefix(), "local");
         let (local, inner) = r.resolve("/data/x");
-        assert_eq!((local.prefix(), inner.as_str()), ("local", "/data/x"));
+        assert_eq!((local.prefix(), inner), ("local", "/data/x"));
         let t0 = SimInstant(0);
         let media = [
             ("/data/x", StorageMedium::Hdd),
@@ -656,7 +663,8 @@ mod tests {
         use feisu_format::{Column, DataType, Field, Schema};
         let schema = Schema::new(vec![Field::new("a", DataType::Int64, false)]);
         let column = Column::from_i64((lo..lo + 64).collect());
-        let block = Block::new(feisu_common::BlockId(1), schema, vec![column]).unwrap();
+        let block = feisu_format::Block::new(feisu_common::BlockId(1), schema, vec![column]);
+        let block = block.unwrap();
         block.serialize().into()
     }
 
@@ -671,7 +679,7 @@ mod tests {
     ) -> Result<(Bytes, Arc<BlockMeta>)> {
         let mut read = r.footer(path, node, cred, now)?;
         let data = r.fetch(path, node, cred, now, &mut read, &[0])?;
-        Ok((data, read.meta))
+        Ok((data.data().clone(), read.meta))
     }
 
     fn low_bound(meta: &BlockMeta) -> Option<feisu_format::Value> {
@@ -734,7 +742,7 @@ mod tests {
             .unwrap();
         let data = r.fetch(path, NodeId(1), &cred, t0, &mut looked_up, &[0]);
         let meta = looked_up.meta;
-        assert!(meta.describes(&data.unwrap()));
+        assert!(meta.describes(data.unwrap().data()));
         assert_eq!(low_bound(&meta), Some(feisu_format::Value::Int64(500)));
         // Bytes that are no block at all are Corrupt, and stay out.
         read_through(&r, path, NodeId(1), &cred, t0).unwrap();
@@ -819,7 +827,7 @@ mod tests {
         let read = r.read("/hdfs/x", NodeId(0), &cred, t0).unwrap();
         assert_ne!(read.hops, 0, "served by another node's replica");
         // All replicas down → error.
-        for rep in r.replicas("/hdfs/x").unwrap() {
+        for &rep in r.replicas("/hdfs/x").unwrap().iter() {
             r.set_node_available(rep, false);
         }
         assert!(r.read("/hdfs/x", NodeId(0), &cred, t0).is_err());

@@ -88,9 +88,11 @@ FEISU_CLIENT_THREADS=4 cargo test -q $OFFLINE -p feisu-tests
 # table's size, an ingested block's not following its row count, a scan
 # task's projecting a Utf8 column following neither the rows of the block
 # nor the rows it keeps, a count-only task's following nothing, a
-# warmed grouped scan's tasks that its resident footers skip allocating
-# a fixed handful each (no zero-state aggregation table per task), and
-# the optimizer's not following the table's width. The properties this
+# warmed scan's tasks that its resident footers skip allocating at most
+# six each — grouped, counting and as rows, task reuse on and off — and
+# the optimizer's not following the table's width. Beside the key layer
+# run the exchange router's mask against `%` at every power of two and a
+# moved, routed transport against a copied, hashed one. The properties this
 # budget rides with run in the plain `cargo test` above at 256 cases:
 # the SmartIndex manager's early-out TTL sweep against sweeping on every
 # insert, and the delta decoder's one-byte fast path against its varint
@@ -115,7 +117,8 @@ PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-tests --test eager
 # properties — random rows over every grid, fan-in cap (1, 2 and the
 # default 64) and partition count, integer answers bit-identical whatever
 # depth is chosen, and one merger given zero-row children, well-formed
-# (skipped) and malformed (still Corrupt), equal to folding every child —
+# (skipped) and malformed (still Corrupt), and a global aggregate's
+# shared zero state (counted, not folded), equal to folding every child —
 # and the golden pins (one probe of each depth) again.
 echo "ci: merge tree exchange properties + golden pins (release, 2048 cases)"
 PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-tests --test merge_exchange --test merge_tree_golden
@@ -139,7 +142,9 @@ PROPTEST_CASES=2048 cargo test -q --release $OFFLINE -p feisu-sql --lib -- stats
 # column (one byte buffer plus offsets) against a `Vec<Option<String>>`
 # reference: gathers, cuts, appends, concats, bounds, footprints, values,
 # equality and the decoder through random selections, with empty and
-# multi-byte strings, NULL slots and empty columns. And the one row bitmap
+# multi-byte strings, NULL slots and empty columns, and a dictionary
+# chunk's one-pass UTF-8 check against checking entry by entry (invalid
+# bytes at entry edges, every cut). And the one row bitmap
 # (`BitVec`, and the `Validity` that wraps it) against a `Vec<bool>`:
 # push, resize across word edges, set, append and split at every offset into
 # a word, filter, set-bit walks, the in-place algebra and the packed

@@ -10,13 +10,15 @@
 //! network than a single rack for the same query, and the
 //! straggler-limit clamp must pin leaf time exactly at the limit. One
 //! partition merger with zero-row children among its own — well-formed
-//! ones, which it skips, and malformed ones, which it still refuses —
-//! answers, counts and fails exactly as folding every child does.
+//! ones, which it skips, and malformed ones, which it still refuses — and
+//! one over a global aggregate's children, many of them the scan's shared
+//! one-row zero state, which it counts and does not fold, answer, count
+//! and fail exactly as folding every child does.
 
 use feisu_common::{FeisuError, Result, SimDuration};
 use feisu_core::engine::{ClusterSpec, FeisuCluster, QueryOptions};
 use feisu_core::stem::{merge_exchange_partition, AggShape, ExchangeChild};
-use feisu_exec::aggregate::{transport_hashes, AggTable};
+use feisu_exec::aggregate::{transport_hashes, AggTable, Routes};
 use feisu_exec::batch::RecordBatch;
 use feisu_exec::MemProvider;
 use feisu_format::{Column, DataType, Field, Schema, Value};
@@ -164,16 +166,19 @@ proptest! {
     }
 }
 
-/// `GROUP BY g` with `SUM(v)`, `COUNT(*)` and `MIN(v)`, all Int64.
-fn exchange_shape() -> (Vec<(Expr, String, DataType)>, Vec<AggExpr>) {
+type Shape = (Vec<(Expr, String, DataType)>, Vec<AggExpr>);
+
+/// `SUM(v)`, `COUNT(*)` and `MIN(v)`, all Int64, grouped by `g` or not.
+fn shape(grouped: bool) -> Shape {
     let agg = |func, arg: Option<&str>, name: &str| AggExpr {
         func,
         arg: arg.map(Expr::col),
         name: name.into(),
         output_type: DataType::Int64,
     };
+    let group_by = (Some((Expr::col("g"), "g".into(), DataType::Int64))).filter(|_| grouped);
     (
-        vec![(Expr::col("g"), "g".into(), DataType::Int64)],
+        group_by.into_iter().collect(),
         vec![
             agg(AggFunc::Sum, Some("v"), "SUM(v)"),
             agg(AggFunc::Count, None, "COUNT(*)"),
@@ -182,12 +187,21 @@ fn exchange_shape() -> (Vec<(Expr, String, DataType)>, Vec<AggExpr>) {
     )
 }
 
+/// The grouped shape.
+fn exchange_shape() -> Shape {
+    shape(true)
+}
+
 /// One transport a merger may be handed: `kind` 0 is a table's fold of
 /// `rows` (no rows: the zero-row transport a skipped block ships), 1 a
 /// zero-row batch in the transport's types under other names, 2 one whose
-/// key is Float64 and 3 one short of a column (both malformed).
+/// first column is Float64 and 3 one short of a column (both malformed).
 fn exchange_transport(kind: u8, rows: &[(i64, i64)]) -> RecordBatch {
-    let (group_by, aggregates) = exchange_shape();
+    transport(exchange_shape(), kind, rows)
+}
+
+/// [`exchange_transport`] in any shape.
+fn transport((group_by, aggregates): Shape, kind: u8, rows: &[(i64, i64)]) -> RecordBatch {
     let mut table = AggTable::new(group_by, aggregates);
     let input = Schema::new(vec![
         Field::new("g", DataType::Int64, false),
@@ -221,7 +235,9 @@ fn exchange_transport(kind: u8, rows: &[(i64, i64)]) -> RecordBatch {
     RecordBatch::empty(Schema::new(schema))
 }
 
-/// Every child folded, as the merger did before it skipped any.
+/// Every child folded, as the merger did before it skipped any: a leaf
+/// transport, and each child shipping the shared zero state, by its key
+/// hashes.
 fn fold_every_child(
     shape: AggShape<'_>,
     children: &[ExchangeChild<'_>],
@@ -230,14 +246,41 @@ fn fold_every_child(
 ) -> Result<(RecordBatch, usize)> {
     let mut acc = AggTable::new(shape.0.to_vec(), shape.1.to_vec());
     let mut folded = 0;
-    for &(batches, hashes) in children {
-        folded += match (batches, hashes) {
-            ([batch], Some(hashes)) => acc.merge_transport_hashed(batch, hashes, part, parts)?,
-            (batches, _) if batches.len() == parts => acc.merge_transport(&batches[part])?,
-            _ => return Err(FeisuError::Internal("bad child".into())),
+    for child in children {
+        let mut leaf = |batch: &RecordBatch| {
+            let hashes = transport_hashes(batch, shape.0.len());
+            acc.merge_transport_hashed(batch, &hashes, part, parts)
+        };
+        folded += match *child {
+            ExchangeChild::Routed(batch, _) => leaf(batch)?,
+            ExchangeChild::Zero(zero, _) => leaf(zero)?,
+            ExchangeChild::Parted(batches) if batches.len() == parts => {
+                acc.merge_transport(&batches[part])?
+            }
+            ExchangeChild::Parted(_) => return Err(FeisuError::Internal("bad child".into())),
         };
     }
     Ok((acc.to_transport()?, folded))
+}
+
+/// The merger's answer, rows folded and any error against folding every
+/// child.
+fn same_as_folding_every_child(
+    shape: AggShape<'_>,
+    children: &[ExchangeChild<'_>],
+    (part, parts): (usize, usize),
+) -> std::result::Result<(), TestCaseError> {
+    let got = merge_exchange_partition(shape, children, part, parts);
+    let want = fold_every_child(shape, children, part, parts);
+    match (got, want) {
+        (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
+        (Err(got), Err(want)) => {
+            prop_assert!(matches!(got, FeisuError::Corrupt(_)), "{:?}", got);
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        }
+        (got, want) => prop_assert!(false, "got {:?}, folding every child {:?}", got, want),
+    }
+    Ok(())
 }
 
 fn arb_exchange_child() -> impl Strategy<Value = Vec<(u8, Vec<(i64, i64)>)>> {
@@ -255,10 +298,11 @@ fn arb_exchange_child() -> impl Strategy<Value = Vec<(u8, Vec<(i64, i64)>)>> {
 proptest! {
     #![proptest_config(cases())]
 
-    /// One partition merger over leaf children (one transport each) and
-    /// exchange children (`parts` transports each), zero-row ones among
-    /// them: the merged transport, the rows folded and any error equal
-    /// folding every child.
+    /// One partition merger over leaf children (one transport each, every
+    /// other zero-row one the scan's shared zero state) and exchange
+    /// children (`parts` transports each), zero-row ones among them: the
+    /// merged transport, the rows folded and any error equal folding every
+    /// child.
     #[test]
     fn zero_row_children_change_nothing(
         children in proptest::collection::vec(arb_exchange_child(), 1..6),
@@ -280,26 +324,67 @@ proptest! {
                     .collect(),
             })
             .collect();
-        let hashes: Vec<Option<Vec<u64>>> = (batches.iter())
-            .map(|b| match &b[..] {
-                [one] => Some(transport_hashes(one, 1)),
-                _ => None,
+        let routes: Vec<Routes> = (batches.iter())
+            .map(|b| Routes::new(&b[0], 1, parts))
+            .collect();
+        let zero = exchange_transport(0, &[]);
+        let zero_routes = Routes::new(&zero, 1, parts);
+        let exchange: Vec<ExchangeChild<'_>> = (batches.iter().zip(&routes).zip(&children))
+            .enumerate()
+            .map(|(i, ((b, routes), c))| match &b[..] {
+                [_] if c[0] == (0, Vec::new()) && i % 2 == 0 => {
+                    ExchangeChild::Zero(&zero, &zero_routes)
+                }
+                [one] => ExchangeChild::Routed(one, routes),
+                parted => ExchangeChild::Parted(parted),
             })
             .collect();
-        let exchange: Vec<ExchangeChild<'_>> = (batches.iter().zip(&hashes))
-            .map(|(b, h)| (b.as_slice(), h.as_deref()))
-            .collect();
-        let got = merge_exchange_partition(shape, &exchange, part, parts);
-        let want = fold_every_child(shape, &exchange, part, parts);
-        match (got, want) {
-            (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
-            (Err(got), Err(want)) => {
-                prop_assert!(matches!(got, FeisuError::Corrupt(_)), "{:?}", got);
-                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
-            }
-            (got, want) => prop_assert!(false, "got {:?}, folding every child {:?}", got, want),
-        }
+        same_as_folding_every_child(shape, &exchange, (part, parts))?;
     }
+
+    /// One partition merger over a global aggregate's leaf children, many
+    /// of them the shared one-row zero state, which it counts and does not
+    /// fold, beside others of the same value that are not it, well-formed
+    /// folds of rows and malformed transports: the merged transport, the
+    /// rows folded and any error equal folding every child.
+    #[test]
+    fn zero_state_children_change_nothing(
+        children in proptest::collection::vec(arb_global_child(), 1..8),
+        parts in 1..=4usize,
+        part_seed in 0..4usize,
+    ) {
+        let global = shape(false);
+        let (group_by, aggregates) = global.clone();
+        let agg_shape: AggShape<'_> = (&group_by, &aggregates);
+        let part = part_seed % parts;
+        let zero = AggTable::new(group_by.clone(), aggregates.clone()).into_transport().unwrap();
+        let zero_routes = Routes::new(&zero, 0, parts);
+        // `None`: the shared zero state.
+        let batches: Vec<Option<RecordBatch>> = (children.iter())
+            .map(|(kind, rows)| kind.map(|kind| transport(global.clone(), kind, rows)))
+            .collect();
+        let routes: Vec<Routes> = (batches.iter())
+            .map(|b| b.as_ref().map_or_else(Routes::default, |b| Routes::new(b, 0, parts)))
+            .collect();
+        let exchange: Vec<ExchangeChild<'_>> = (batches.iter().zip(&routes))
+            .map(|(b, routes)| match b {
+                Some(b) => ExchangeChild::Routed(b, routes),
+                None => ExchangeChild::Zero(&zero, &zero_routes),
+            })
+            .collect();
+        same_as_folding_every_child(agg_shape, &exchange, (part, parts))?;
+    }
+}
+
+/// A global aggregate's leaf child: mostly the shared zero state (`None`),
+/// else a transport of [`transport`]'s kinds, often of no rows.
+fn arb_global_child() -> impl Strategy<Value = (Option<u8>, Vec<(i64, i64)>)> {
+    let rows = proptest::collection::vec((0..16i64, -20..20i64), 0..6);
+    (0..16u8, rows).prop_map(|(k, rows)| match k {
+        0..=7 => (None, Vec::new()),
+        8..=12 => (Some(0), rows.into_iter().filter(|_| k > 9).collect()),
+        k => (Some(k - 12), Vec::new()),
+    })
 }
 
 /// The property cases hold both tree shapes: over the same rows, some
