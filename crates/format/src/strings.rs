@@ -33,6 +33,11 @@ fn offset(len: usize) -> Result<u32> {
 }
 
 impl Utf8Vec {
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
     pub fn new() -> Self {
         Utf8Vec::default()
     }
