@@ -2,7 +2,7 @@
 //! `Vec<Value>` keys used to cause must not come back. Counts are exact
 //! and repeat, so they can gate CI where a wall-clock check cannot.
 
-use feisu_exec::aggregate::{finish_transport, transport_hashes, AggTable};
+use feisu_exec::aggregate::{finish_transport, AggTable, Routes};
 use feisu_exec::batch::RecordBatch;
 use feisu_exec::sort::sort;
 use feisu_format::{Column, DataType, Field, Schema};
@@ -111,8 +111,8 @@ fn partition_fold_allocates_per_new_group_and_nothing_per_rejected_row() {
 
     let fold = |batch: &RecordBatch| {
         let mut acc = AggTable::new(group_by.clone(), count_and_sum());
-        let hashes = transport_hashes(batch, 1);
-        let (allocs, folded) = allocations(|| acc.merge_transport_hashed(batch, &hashes, 0, 4));
+        let routes = Routes::new(batch, 1, 4);
+        let (allocs, folded) = allocations(|| acc.merge_transport_routed(batch, &routes, 0));
         (allocs, folded.unwrap(), acc)
     };
     let (allocs, folded, acc) = fold(&transport);
